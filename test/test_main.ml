@@ -32,4 +32,5 @@ let () =
       ("replacement", Test_replacement.suite);
       ("apps-extra", Test_apps_extra.suite);
       ("properties", Test_properties.suite);
+      ("corpus", Test_corpus.suite);
     ]
