@@ -31,7 +31,8 @@ val check_source : string -> (Ast.program, string list) result
     diagnostics. *)
 
 val builtin_arity : string -> int option
-(** Arity of an interpreter builtin, if [name] is one — shared with the
-    interpreter so the checker and the runtime cannot drift apart. *)
+(** Arity of an interpreter builtin, if [name] is one.  This is the only
+    table of builtin arities: the interpreter resolves every callsite
+    against it, so the checker and the runtime cannot drift apart. *)
 
 val pp_diagnostic : Format.formatter -> diagnostic -> unit

@@ -14,7 +14,11 @@ exception Return_signal of int
 exception Break_signal
 exception Continue_signal
 
-type frame = (string, int ref) Hashtbl.t
+(* One call's variables.  The compiler numbers a function's block-scoped
+   variables so that the ones in scope at any point are exactly
+   [slots.(0 .. top-1)]: a block's variables follow those of the blocks
+   around it, and leaving a block lowers [top] back to where it was. *)
+type frame = { slots : int array; mutable top : int }
 
 (* Audit provenance for MiniC allocation callsites.  The AST carries no
    positions, but every [Call] node owns a physically distinct argument
@@ -29,48 +33,17 @@ module Site_tbl = Hashtbl.Make (struct
 end)
 
 type state = {
-  program : Ast.program;
   libc : libc;
   ctx : Program.context;
-  (* All active block scopes across the whole call stack, innermost
-     first.  Kept flat so the GC root provider can see everything. *)
-  mutable scopes : frame list;
+  (* The frames of the active calls, innermost first: with the literals,
+     the GC root set. *)
+  mutable frames : frame list;
   (* Addresses of the startup-allocated string literals. *)
   literals : (string, int) Hashtbl.t;
   mutable input_pos : int;
   prog_name : string;
   call_sites : int Site_tbl.t;
 }
-
-(* --- environment --- *)
-
-let push_scope st =
-  let frame : frame = Hashtbl.create 8 in
-  st.scopes <- frame :: st.scopes;
-  frame
-
-let pop_scopes st upto = st.scopes <- upto
-
-let declare st frame name value =
-  ignore st;
-  Hashtbl.replace frame name (ref value)
-
-(* Function bodies must not see their caller's locals: scope chains are
-   delimited per call.  [barrier] is the scope list as it was at call
-   entry; lookup walks inner frames and stops (by physical equality)
-   when it reaches the caller's frames. *)
-let lookup st ~barrier name =
-  let rec go scopes =
-    if scopes == barrier then None
-    else
-      match scopes with
-      | [] -> None
-      | frame :: rest -> (
-        match Hashtbl.find_opt frame name with
-        | Some cell -> Some cell
-        | None -> go rest)
-  in
-  go st.scopes
 
 (* Bracket an allocating builtin in its callsite's ambient audit site.
    Interning happens only while observability is on (ids are stable
@@ -95,14 +68,16 @@ let with_alloc_site st ~builtin args f =
 
 (* --- heap access helpers --- *)
 
-let load st addr = Policy.load st.ctx.Program.policy addr
-let store st addr v = Policy.store st.ctx.Program.policy addr v
 let load8 st addr = Policy.load8 st.ctx.Program.policy addr
 let store8 st addr v = Policy.store8 st.ctx.Program.policy addr v
 
 let cstrlen st addr =
   let rec go n = if load8 st (addr + n) = 0 then n else go (n + 1) in
   go 0
+
+let read_cstring st addr =
+  let len = cstrlen st addr in
+  String.init len (fun i -> Char.chr (load8 st (addr + i) land 0xFF))
 
 let write_cstring st addr s =
   String.iteri (fun i c -> store8 st (addr + i) (Char.code c)) s;
@@ -123,23 +98,16 @@ let bounded_limit st dst n =
 (* --- builtins --- *)
 
 let builtin_strcpy st dst src =
+  let rec copy i =
+    let c = load8 st (src + i) in
+    store8 st (dst + i) c;
+    if c <> 0 then copy (i + 1)
+  in
   match st.libc with
-  | Unchecked ->
-    let rec go i =
-      let c = load8 st (src + i) in
-      store8 st (dst + i) c;
-      if c <> 0 then go (i + 1)
-    in
-    go 0
+  | Unchecked -> copy 0
   | Bounded -> (
     match available st dst with
-    | None ->
-      let rec go i =
-        let c = load8 st (src + i) in
-        store8 st (dst + i) c;
-        if c <> 0 then go (i + 1)
-      in
-      go 0
+    | None -> copy 0
     | Some room when room <= 0 -> ()
     | Some room ->
       let rec go i =
@@ -158,26 +126,17 @@ let builtin_strncpy st dst src n =
     if i < n then begin
       let c = load8 st (src + i) in
       store8 st (dst + i) c;
-      if c = 0 then
-        for j = i + 1 to n - 1 do
-          store8 st (dst + j) 0
-        done
-      else go (i + 1)
+      if c = 0 then for j = i + 1 to n - 1 do store8 st (dst + j) 0 done else go (i + 1)
     end
   in
   go 0
 
-let builtin_memcpy st dst src n =
-  let n = bounded_limit st dst n in
-  for i = 0 to n - 1 do
-    store8 st (dst + i) (load8 st (src + i))
-  done
-
-let builtin_memset st dst c n =
-  let n = bounded_limit st dst n in
-  for i = 0 to n - 1 do
-    store8 st (dst + i) c
-  done
+let builtin_strcmp st a b =
+  let rec go i =
+    let ca = load8 st (a + i) and cb = load8 st (b + i) in
+    if ca <> cb then compare ca cb else if ca = 0 then 0 else go (i + 1)
+  in
+  go 0
 
 let builtin_gets st dst =
   (* Read one input line with no bounds checking whatsoever. *)
@@ -194,285 +153,332 @@ let builtin_gets st dst =
   if start >= len && stop = len then 0 else dst
 
 let builtin_getchar st =
-  if st.input_pos >= String.length st.ctx.Program.input then -1
+  let input = st.ctx.Program.input in
+  if st.input_pos >= String.length input then -1
   else begin
-    let c = Char.code st.ctx.Program.input.[st.input_pos] in
     st.input_pos <- st.input_pos + 1;
-    c
+    Char.code input.[st.input_pos - 1]
   end
 
-let read_cstring st addr =
-  let len = cstrlen st addr in
-  String.init len (fun i -> Char.chr (load8 st (addr + i) land 0xFF))
+(* Every builtin takes three arguments; those of lower arity (the
+   {!Check.builtin_arity} table) ignore the rest, which are 0. *)
+let builtin st name args : int -> int -> int -> int =
+  let alloc = st.ctx.Program.alloc and out = st.ctx.Program.out in
+  let allocate f = match with_alloc_site st ~builtin:name args f with Some p -> p | None -> 0 in
+  match name with
+  | "malloc" -> fun n _ _ -> allocate (fun () -> alloc.Allocator.malloc n)
+  | "calloc" ->
+    fun n _ _ ->
+      (* zero-fill through the access policy so a fail-stop policy's
+         initialization tracking sees the writes *)
+      let p = allocate (fun () -> alloc.Allocator.malloc n) in
+      if p <> 0 then for i = 0 to n - 1 do store8 st (p + i) 0 done;
+      p
+  | "realloc" -> fun p n _ -> allocate (fun () -> Allocator.realloc alloc p n)
+  | "free" -> fun p _ _ -> alloc.Allocator.free p; 0
+  | "print_int" -> fun v _ _ -> Process.Out.print_int out v; 0
+  | "print_char" -> fun v _ _ -> Process.Out.print_char out (Char.chr (v land 0xFF)); 0
+  | "print_str" -> fun p _ _ -> Process.Out.print_string out (read_cstring st p); 0
+  | "getchar" -> fun _ _ _ -> builtin_getchar st
+  | "gets" -> fun p _ _ -> builtin_gets st p
+  | "strlen" -> fun p _ _ -> cstrlen st p
+  | "strcpy" -> fun d s _ -> builtin_strcpy st d s; d
+  | "strncpy" -> fun d s n -> builtin_strncpy st d s n; d
+  | "strcmp" -> fun a b _ -> builtin_strcmp st a b
+  | "memcpy" ->
+    fun d s n ->
+      for i = 0 to bounded_limit st d n - 1 do store8 st (d + i) (load8 st (s + i)) done;
+      d
+  | "memset" ->
+    fun d c n ->
+      for i = 0 to bounded_limit st d n - 1 do store8 st (d + i) c done;
+      d
+  | "load8" -> fun p _ _ -> load8 st p
+  | "store8" -> fun p v _ -> store8 st p v; 0
+  | "now" -> fun _ _ _ -> st.ctx.Program.now
+  | "exit" -> fun code _ _ -> raise (Process.Exit_program code)
+  | _ -> fun _ _ _ -> err "internal: builtin %s has no implementation" name
 
-(* --- evaluation --- *)
+(* --- compilation ---
 
-let truthy v = v <> 0
+   [run] compiles the program once, against the run's context, into
+   closures over a frame: every variable is resolved to a frame slot and
+   every callsite to a builtin or a user function before the first
+   statement runs. *)
+
+type code = frame -> int
+
+(* A user function.  Calls may be compiled before the callee's body, so
+   the body and the frame size are filled in afterwards. *)
+type func = {
+  arity : int;
+  param_slots : int array;  (* a repeated parameter name reuses its slot *)
+  params_in_scope : int;
+  mutable size : int;
+  mutable body : frame -> unit;
+}
+
+(* A compile-time scope: the variables declared in it so far, in order,
+   numbered from [base]. *)
+type scope = { base : int; mutable names : (string * int) list }
+
+type env = {
+  st : state;
+  funcs : (string, func) Hashtbl.t;
+  mutable scopes : scope list;  (* innermost first; empty between functions *)
+  mutable size : int;  (* slots the current function's frame needs *)
+}
+
+let next_slot sc = sc.base + List.length sc.names
+
+let push_scope env =
+  let base = match env.scopes with sc :: _ -> next_slot sc | [] -> 0 in
+  let sc = { base; names = [] } in
+  env.scopes <- sc :: env.scopes;
+  sc
+
+let pop_scope env = env.scopes <- List.tl env.scopes
+
+(* The slot of [x] in the innermost scope, and whether it is new there. *)
+let declare env x =
+  let sc = List.hd env.scopes in
+  match List.assoc_opt x sc.names with
+  | Some s -> (s, false)
+  | None ->
+    let s = next_slot sc in
+    sc.names <- (x, s) :: sc.names;
+    env.size <- max env.size (s + 1);
+    (s, true)
+
+let resolve env x = List.find_map (fun sc -> List.assoc_opt x sc.names) env.scopes
+
 let of_bool b = if b then 1 else 0
 
-let rec eval st ~barrier (e : Ast.expr) : int =
-  match e with
-  | Ast.Int n -> n
-  | Ast.Char c -> Char.code c
-  | Ast.Str s -> (
-    match Hashtbl.find_opt st.literals s with
-    | Some addr -> addr
-    | None -> err "internal: unallocated string literal %S" s)
-  | Ast.Var x -> (
-    match lookup st ~barrier x with
-    | Some cell -> !cell
-    | None -> err "unknown variable %s" x)
-  | Ast.Unop (op, e) -> (
-    let v = eval st ~barrier e in
-    match op with
-    | Ast.Neg -> -v
-    | Ast.Not -> of_bool (v = 0)
-    | Ast.Bnot -> lnot v
-    | Ast.Deref -> load st v)
-  | Ast.Binop (Ast.And, a, b) ->
-    if truthy (eval st ~barrier a) then of_bool (truthy (eval st ~barrier b)) else 0
-  | Ast.Binop (Ast.Or, a, b) ->
-    if truthy (eval st ~barrier a) then 1 else of_bool (truthy (eval st ~barrier b))
-  | Ast.Binop (op, a, b) -> (
-    let x = eval st ~barrier a in
-    let y = eval st ~barrier b in
-    match op with
-    | Ast.Add -> x + y
-    | Ast.Sub -> x - y
-    | Ast.Mul -> x * y
-    | Ast.Div -> if y = 0 then err "division by zero" else x / y
-    | Ast.Mod -> if y = 0 then err "modulo by zero" else x mod y
-    | Ast.Eq -> of_bool (x = y)
-    | Ast.Ne -> of_bool (x <> y)
-    | Ast.Lt -> of_bool (x < y)
-    | Ast.Le -> of_bool (x <= y)
-    | Ast.Gt -> of_bool (x > y)
-    | Ast.Ge -> of_bool (x >= y)
-    | Ast.Band -> x land y
-    | Ast.Bor -> x lor y
-    | Ast.Bxor -> x lxor y
-    | Ast.Shl -> x lsl (y land 63)
-    | Ast.Shr -> x asr (y land 63)
-    | Ast.And | Ast.Or -> assert false)
-  | Ast.Index (a, i) ->
-    let base = eval st ~barrier a in
-    let index = eval st ~barrier i in
-    load st (base + (8 * index))
-  | Ast.Call (name, args) -> call st ~barrier name args
+let new_frame (f : func) = { slots = Array.make f.size 0; top = f.params_in_scope }
 
-and call st ~barrier name args =
-  let argv () = List.map (eval st ~barrier) args in
-  let arity n k =
-    match argv () with
-    | vs when List.length vs = n -> k vs
-    | vs -> err "%s expects %d argument(s), got %d" name n (List.length vs)
-  in
-  match name with
-  | "malloc" ->
-    arity 1 (function
-      | [ n ] -> (
-        match
-          with_alloc_site st ~builtin:"malloc" args (fun () ->
-              st.ctx.Program.alloc.Allocator.malloc n)
-        with
-        | Some p -> p
-        | None -> 0)
-      | _ -> assert false)
-  | "calloc" ->
-    arity 1 (function
-      | [ n ] -> (
-        (* zero-fill through the access policy so a fail-stop policy's
-           initialization tracking sees the writes *)
-        match
-          with_alloc_site st ~builtin:"calloc" args (fun () ->
-              st.ctx.Program.alloc.Allocator.malloc n)
-        with
-        | Some p ->
-          for i = 0 to n - 1 do
-            store8 st (p + i) 0
-          done;
-          p
-        | None -> 0)
-      | _ -> assert false)
-  | "free" ->
-    arity 1 (function
-      | [ p ] ->
-        st.ctx.Program.alloc.Allocator.free p;
-        0
-      | _ -> assert false)
-  | "realloc" ->
-    arity 2 (function
-      | [ p; n ] -> (
-        match
-          with_alloc_site st ~builtin:"realloc" args (fun () ->
-              Allocator.realloc st.ctx.Program.alloc p n)
-        with
-        | Some q -> q
-        | None -> 0)
-      | _ -> assert false)
-  | "print_int" ->
-    arity 1 (function
-      | [ v ] ->
-        Process.Out.print_int st.ctx.Program.out v;
-        0
-      | _ -> assert false)
-  | "print_char" ->
-    arity 1 (function
-      | [ v ] ->
-        Process.Out.print_char st.ctx.Program.out (Char.chr (v land 0xFF));
-        0
-      | _ -> assert false)
-  | "print_str" ->
-    arity 1 (function
-      | [ p ] ->
-        Process.Out.print_string st.ctx.Program.out (read_cstring st p);
-        0
-      | _ -> assert false)
-  | "getchar" -> arity 0 (fun _ -> builtin_getchar st)
-  | "gets" ->
-    arity 1 (function [ p ] -> builtin_gets st p | _ -> assert false)
-  | "strlen" -> arity 1 (function [ p ] -> cstrlen st p | _ -> assert false)
-  | "strcpy" ->
-    arity 2 (function
-      | [ d; s ] ->
-        builtin_strcpy st d s;
-        d
-      | _ -> assert false)
-  | "strncpy" ->
-    arity 3 (function
-      | [ d; s; n ] ->
-        builtin_strncpy st d s n;
-        d
-      | _ -> assert false)
-  | "strcmp" ->
-    arity 2 (function
-      | [ a; b ] ->
-        let rec go i =
-          let ca = load8 st (a + i) and cb = load8 st (b + i) in
-          if ca <> cb then compare ca cb else if ca = 0 then 0 else go (i + 1)
-        in
-        go 0
-      | _ -> assert false)
-  | "memcpy" ->
-    arity 3 (function
-      | [ d; s; n ] ->
-        builtin_memcpy st d s n;
-        d
-      | _ -> assert false)
-  | "memset" ->
-    arity 3 (function
-      | [ d; c; n ] ->
-        builtin_memset st d c n;
-        d
-      | _ -> assert false)
-  | "load8" -> arity 1 (function [ p ] -> load8 st p | _ -> assert false)
-  | "store8" ->
-    arity 2 (function
-      | [ p; v ] ->
-        store8 st p v;
-        0
-      | _ -> assert false)
-  | "now" -> arity 0 (fun _ -> st.ctx.Program.now)
-  | "exit" ->
-    arity 1 (function [ code ] -> raise (Process.Exit_program code) | _ -> assert false)
-  | _ -> (
-    match Ast.find_func st.program name with
-    | None -> err "unknown function %s" name
-    | Some f ->
-      let vs = argv () in
-      if List.length vs <> List.length f.Ast.params then
-        err "%s expects %d argument(s), got %d" name (List.length f.Ast.params)
-          (List.length vs);
-      call_user st f vs)
-
-and call_user st f vs =
+(* Run [f]'s body on [callee], a frame whose parameters are set. *)
+let invoke st (f : func) callee =
   Process.Fuel.burn st.ctx.Program.fuel;
-  let saved = st.scopes in
-  let frame = push_scope st in
-  List.iter2 (fun p v -> declare st frame p v) f.Ast.params vs;
-  (* The callee's barrier is the caller's scope list: lookups stop there. *)
-  let result =
-    try
-      exec_block st ~barrier:saved f.Ast.body;
-      0
-    with Return_signal v -> v
-  in
-  pop_scopes st saved;
+  let saved = st.frames in
+  st.frames <- callee :: saved;
+  let result = match f.body callee with () -> 0 | exception Return_signal v -> v in
+  st.frames <- saved;
   result
 
-and exec_block st ~barrier block =
-  let saved = st.scopes in
-  ignore (push_scope st);
-  (try List.iter (exec_stmt st ~barrier) block
-   with e ->
-     pop_scopes st saved;
-     raise e);
-  pop_scopes st saved
+(* Frame accesses are in bounds by construction: every frame is sized for
+   the slots its function's code mentions. *)
+let rec expr env (e : Ast.expr) : code =
+  let policy = env.st.ctx.Program.policy in
+  match e with
+  | Ast.Int n -> Fun.const n
+  | Ast.Char c -> Fun.const (Char.code c)
+  | Ast.Str s -> (
+    match Hashtbl.find_opt env.st.literals s with
+    | Some addr -> fun _ -> addr
+    | None -> fun _ -> err "internal: unallocated string literal %S" s)
+  | Ast.Var x -> (
+    match resolve env x with
+    | Some s -> fun fr -> Array.unsafe_get fr.slots s
+    | None -> fun _ -> err "unknown variable %s" x)
+  | Ast.Unop (op, a) -> (
+    let a = expr env a in
+    match op with
+    | Ast.Neg -> fun fr -> -a fr
+    | Ast.Not -> fun fr -> of_bool (a fr = 0)
+    | Ast.Bnot -> fun fr -> lnot (a fr)
+    | Ast.Deref -> fun fr -> Policy.load policy (a fr))
+  | Ast.Binop (op, a, b) -> binop op (expr env a) (expr env b)
+  | Ast.Index (a, i) ->
+    let a = expr env a and i = expr env i in
+    fun fr -> let base = a fr in Policy.load policy (base + (8 * i fr))
+  | Ast.Call (name, args) -> call env name args
 
-and exec_stmt st ~barrier (s : Ast.stmt) =
-  Process.Fuel.burn st.ctx.Program.fuel;
+(* Operands evaluate left to right: [let x = a fr in ... b fr]. *)
+and binop op (a : code) (b : code) : code =
+  match op with
+  | Ast.And -> fun fr -> if a fr <> 0 then of_bool (b fr <> 0) else 0
+  | Ast.Or -> fun fr -> if a fr <> 0 then 1 else of_bool (b fr <> 0)
+  | Ast.Add -> fun fr -> let x = a fr in x + b fr
+  | Ast.Sub -> fun fr -> let x = a fr in x - b fr
+  | Ast.Mul -> fun fr -> let x = a fr in x * b fr
+  | Ast.Div -> fun fr -> let x = a fr in let y = b fr in if y = 0 then err "division by zero" else x / y
+  | Ast.Mod -> fun fr -> let x = a fr in let y = b fr in if y = 0 then err "modulo by zero" else x mod y
+  | Ast.Eq -> fun fr -> let x = a fr in of_bool (x = b fr)
+  | Ast.Ne -> fun fr -> let x = a fr in of_bool (x <> b fr)
+  | Ast.Lt -> fun fr -> let x = a fr in of_bool (x < b fr)
+  | Ast.Le -> fun fr -> let x = a fr in of_bool (x <= b fr)
+  | Ast.Gt -> fun fr -> let x = a fr in of_bool (x > b fr)
+  | Ast.Ge -> fun fr -> let x = a fr in of_bool (x >= b fr)
+  | Ast.Band -> fun fr -> let x = a fr in x land b fr
+  | Ast.Bor -> fun fr -> let x = a fr in x lor b fr
+  | Ast.Bxor -> fun fr -> let x = a fr in x lxor b fr
+  | Ast.Shl -> fun fr -> let x = a fr in x lsl (b fr land 63)
+  | Ast.Shr -> fun fr -> let x = a fr in x asr (b fr land 63)
+
+(* Resolve a callsite once.  Builtins win over user functions of the same
+   name.  Name and arity errors are raised only if the call is reached —
+   an arity error after the arguments were evaluated. *)
+and call env name args : code =
+  let codes = List.map (expr env) args and got = List.length args in
+  let arity_error n fr =
+    List.iter (fun a -> ignore (a fr)) codes;
+    err "%s expects %d argument(s), got %d" name n got
+  in
+  match (Check.builtin_arity name, Hashtbl.find_opt env.funcs name) with
+  | Some n, _ when n <> got -> arity_error n
+  | Some _, _ -> (
+    let f = builtin env.st name args in
+    match codes with
+    | [] -> fun _ -> f 0 0 0
+    | [ a ] -> fun fr -> f (a fr) 0 0
+    | [ a; b ] -> fun fr -> let x = a fr in f x (b fr) 0
+    | [ a; b; c ] -> fun fr -> let x = a fr in let y = b fr in f x y (c fr)
+    | _ -> assert false (* no builtin takes more than three *))
+  | None, None -> fun _ -> err "unknown function %s" name
+  | None, Some f when f.arity <> got -> arity_error f.arity
+  | None, Some f ->
+    let st = env.st and codes = Array.of_list codes in
+    fun fr ->
+      let callee = new_frame f in
+      for i = 0 to Array.length codes - 1 do
+        Array.unsafe_set callee.slots f.param_slots.(i) (codes.(i) fr)
+      done;
+      invoke st f callee
+
+(* Every statement burns one unit of fuel before it runs, and every loop
+   one more per iteration, before its condition. *)
+and stmt env (s : Ast.stmt) : frame -> unit =
+  let fuel = env.st.ctx.Program.fuel and policy = env.st.ctx.Program.policy in
+  let burn () = Process.Fuel.burn fuel in
   match s with
   | Ast.Decl (x, e) -> (
-    let v = eval st ~barrier e in
-    match st.scopes with
-    | frame :: _ -> declare st frame x v
-    | [] -> err "internal: no scope")
-  | Ast.Assign (lv, e) -> (
-    let v = eval st ~barrier e in
-    match lv with
-    | Ast.Lvar x -> (
-      match lookup st ~barrier x with
-      | Some cell -> cell := v
-      | None -> err "unknown variable %s" x)
-    | Ast.Lderef addr_e -> store st (eval st ~barrier addr_e) v
-    | Ast.Lindex (a, i) ->
-      let base = eval st ~barrier a in
-      let index = eval st ~barrier i in
-      store st (base + (8 * index)) v)
+    let e = expr env e in
+    match declare env x with
+    | s, false -> fun fr -> burn (); Array.unsafe_set fr.slots s (e fr)
+    | s, true -> fun fr -> burn (); Array.unsafe_set fr.slots s (e fr); fr.top <- s + 1)
+  | Ast.Assign (Ast.Lvar x, e) -> (
+    let e = expr env e in
+    match resolve env x with
+    | Some s -> fun fr -> burn (); Array.unsafe_set fr.slots s (e fr)
+    | None -> fun fr -> burn (); ignore (e fr); err "unknown variable %s" x)
+  | Ast.Assign (Ast.Lderef a, e) ->
+    let e = expr env e and a = expr env a in
+    fun fr -> burn (); let v = e fr in Policy.store policy (a fr) v
+  | Ast.Assign (Ast.Lindex (a, i), e) ->
+    let e = expr env e and a = expr env a and i = expr env i in
+    fun fr ->
+      burn ();
+      let v = e fr in
+      let base = a fr in
+      Policy.store policy (base + (8 * i fr)) v
   | Ast.If (c, t, f) ->
-    if truthy (eval st ~barrier c) then exec_block st ~barrier t
-    else exec_block st ~barrier f
+    let c = expr env c and t = block env t and f = block env f in
+    fun fr -> burn (); if c fr <> 0 then t fr else f fr
   | Ast.While (c, body) ->
-    let rec loop () =
-      (* Burn fuel per iteration so even empty loop bodies time out. *)
-      Process.Fuel.burn st.ctx.Program.fuel;
-      if truthy (eval st ~barrier c) then begin
-        (try exec_block st ~barrier body with Continue_signal -> ());
-        loop ()
-      end
-    in
-    (try loop () with Break_signal -> ())
-  | Ast.For (init, cond, step, body) ->
-    let saved = st.scopes in
-    ignore (push_scope st);
-    (try
-       Option.iter (exec_stmt st ~barrier) init;
-       let check () =
-         match cond with None -> true | Some c -> truthy (eval st ~barrier c)
-       in
-       let rec loop () =
-         Process.Fuel.burn st.ctx.Program.fuel;
-         if check () then begin
-           (try exec_block st ~barrier body with Continue_signal -> ());
-           Option.iter (exec_stmt st ~barrier) step;
-           loop ()
-         end
-       in
-       (try loop () with Break_signal -> ())
-     with e ->
-       pop_scopes st saved;
-       raise e);
-    pop_scopes st saved
-  | Ast.Return None -> raise (Return_signal 0)
-  | Ast.Return (Some e) -> raise (Return_signal (eval st ~barrier e))
-  | Ast.Break -> raise Break_signal
-  | Ast.Continue -> raise Continue_signal
-  | Ast.Expr e -> ignore (eval st ~barrier e)
-  | Ast.Block b -> exec_block st ~barrier b
+    let base = next_slot (List.hd env.scopes) in
+    let c = expr env c and body = block env body in
+    fun fr ->
+      burn ();
+      (try
+         while burn (); c fr <> 0 do
+           try body fr with Continue_signal -> fr.top <- base
+         done
+       with Break_signal -> fr.top <- base)
+  | Ast.For (init, cond, step, body) -> for_loop env ~burn init cond step body
+  | Ast.Return None -> fun _ -> burn (); raise_notrace (Return_signal 0)
+  | Ast.Return (Some e) ->
+    let e = expr env e in
+    fun fr -> burn (); raise_notrace (Return_signal (e fr))
+  | Ast.Break -> fun _ -> burn (); raise_notrace Break_signal
+  | Ast.Continue -> fun _ -> burn (); raise_notrace Continue_signal
+  | Ast.Expr e ->
+    let e = expr env e in
+    fun fr -> burn (); ignore (e fr)
+  | Ast.Block b ->
+    let b = block env b in
+    fun fr -> burn (); b fr
+
+(* The header (init, cond, step) is a scope of its own around the body.
+   A [var] in the step declares its variable in that scope when the step
+   first runs: before that, the cond, the body and the step itself see
+   the binding outside the loop, if any.  Such a loop is compiled twice,
+   for its first iteration and for the rest. *)
+and for_loop env ~burn init cond step body =
+  let header = push_scope env in
+  let init = Option.fold ~none:ignore ~some:(stmt env) init in
+  let iteration () =
+    let cond = Option.map (expr env) cond in
+    let base = next_slot header in
+    let body = block env body in
+    let step = Option.fold ~none:ignore ~some:(stmt env) step in
+    fun fr ->
+      burn ();
+      match cond with
+      | Some c when c fr = 0 -> false
+      | _ ->
+        (try body fr with Continue_signal -> fr.top <- base);
+        step fr;
+        true
+  in
+  let declared = next_slot header in
+  let first = iteration () in
+  let rest = if next_slot header = declared then first else iteration () in
+  pop_scope env;
+  fun fr ->
+    burn ();
+    init fr;
+    (try if first fr then while rest fr do () done with Break_signal -> ());
+    fr.top <- header.base
+
+(* Compile in order: a [var] is visible only to what follows it.  A block
+   that declared variables drops them from the frame on the way out. *)
+and block env stmts =
+  let sc = push_scope env in
+  let codes = List.fold_left (fun acc s -> stmt env s :: acc) [] stmts in
+  pop_scope env;
+  let run =
+    match codes with
+    | [] -> ignore
+    | last :: before -> List.fold_left (fun rest s fr -> s fr; rest fr) last before
+  in
+  if sc.names = [] then run else fun fr -> run fr; fr.top <- sc.base
+
+(* Compile every function against this run's context.  The first
+   definition of a name wins, as in a lookup by name. *)
+let compile st (program : Ast.program) =
+  let env = { st; funcs = Hashtbl.create 16; scopes = []; size = 0 } in
+  (* Open [fd]'s function scope: its parameters, in their slots. *)
+  let enter (fd : Ast.func) =
+    let sc = push_scope env in
+    let slots = List.map (fun p -> fst (declare env p)) fd.Ast.params in
+    (Array.of_list slots, next_slot sc)
+  in
+  let defs =
+    List.filter_map
+      (fun (fd : Ast.func) ->
+        if Hashtbl.mem env.funcs fd.Ast.name then None
+        else begin
+          let param_slots, params_in_scope = enter fd in
+          pop_scope env;
+          let arity = Array.length param_slots in
+          let f = { arity; param_slots; params_in_scope; size = 0; body = ignore } in
+          Hashtbl.add env.funcs fd.Ast.name f;
+          Some (fd, f)
+        end)
+      program.Ast.funcs
+  in
+  List.iter
+    (fun ((fd : Ast.func), f) ->
+      env.size <- snd (enter fd);
+      f.body <- block env fd.Ast.body;
+      pop_scope env;
+      f.size <- env.size)
+    defs;
+  env.funcs
 
 (* --- entry points --- *)
 
-let allocate_literals st =
+let allocate_literals st program =
   let site =
     if Dh_obs.Control.enabled () then
       Dh_obs.Audit.site (Printf.sprintf "minic:%s:literals" st.prog_name)
@@ -486,40 +492,30 @@ let allocate_literals st =
         write_cstring st addr s;
         Hashtbl.replace st.literals s addr
       | None -> err "out of memory allocating string literal %S" s)
-    (Ast.string_literals st.program)
+    (Ast.string_literals program)
 
+(* The roots: the literals, then the variables in scope in every active
+   call, outermost call first.  A variable of an exited block is not one. *)
 let register_gc_roots st =
   match st.ctx.Program.alloc.Allocator.register_roots with
   | None -> ()
   | Some register ->
     register (fun () ->
         let roots = ref [] in
-        List.iter
-          (fun frame -> Hashtbl.iter (fun _ cell -> roots := !cell :: !roots) frame)
-          st.scopes;
+        List.iter (fun fr -> for i = fr.top - 1 downto 0 do roots := fr.slots.(i) :: !roots done) st.frames;
         Hashtbl.iter (fun _ addr -> roots := addr :: !roots) st.literals;
         !roots)
 
 let run ?(libc = Unchecked) ?(name = "minic") program ctx =
-  let st =
-    {
-      program;
-      libc;
-      ctx;
-      scopes = [];
-      literals = Hashtbl.create 16;
-      input_pos = 0;
-      prog_name = name;
-      call_sites = Site_tbl.create 16;
-    }
-  in
+  let literals = Hashtbl.create 16 and call_sites = Site_tbl.create 16 in
+  let st = { libc; ctx; frames = []; literals; input_pos = 0; prog_name = name; call_sites } in
   register_gc_roots st;
-  allocate_literals st;
-  match Ast.find_func program "main" with
+  allocate_literals st program;
+  match Hashtbl.find_opt (compile st program) "main" with
   | None -> err "no main function"
   | Some main ->
-    if main.Ast.params <> [] then err "main takes no parameters";
-    let code = call_user st main [] in
+    if main.arity <> 0 then err "main takes no parameters";
+    let code = invoke st main (new_frame main) in
     if code <> 0 then raise (Process.Exit_program code)
 
 let to_program ?libc ~name program =

@@ -6,12 +6,31 @@
     conservative GC, DieHard, a fail-stop checker or a failure-oblivious
     shield — the paper's interposition, in simulation.
 
-    Execution starts at [main()].  Variables live outside the simulated
-    heap (MiniC models heap errors, not stack smashing — the paper's
-    DieHard likewise "does not prevent safety errors based on stack
-    corruption", §9).  If the allocator is garbage-collected, every live
-    variable and string literal is registered as a root, scanned
-    conservatively.
+    {b Compile per run.}  Each {!run} first allocates the string literals
+    (in first-appearance order), then compiles the whole program once into
+    OCaml closures over that run's context: every variable is resolved to
+    a slot in a per-call [int array] frame and every callsite to a builtin
+    (arity from {!Check.builtin_arity}) or to a user function.  Parsing
+    ({!program_of_source}) does no compilation, so a packaged program can
+    be run any number of times, under any context.  Execution starts at
+    [main()].  A name, arity or missing-[main] error is raised as
+    {!Runtime_error} only when execution reaches it — a bad call in code
+    that never runs is harmless — with an arity error raised after the
+    call's arguments were evaluated.
+
+    {b Fuel contract.}  Fuel burns at exactly three points: once when a
+    statement starts, once per [while]/[for] iteration before its
+    condition, and once per user-function call after its arguments were
+    evaluated.  Builtins and expressions burn none.  The fuel a run burns
+    is therefore a pure function of the program's control flow, which is
+    what [interp.steps] in the repository benchmark counts.
+
+    Variables live outside the simulated heap (MiniC models heap errors,
+    not stack smashing — the paper's DieHard likewise "does not prevent
+    safety errors based on stack corruption", §9).  If the allocator is
+    garbage-collected, its roots are the string literals and the
+    variables in scope in every active call, scanned conservatively; a
+    variable of a block that has exited is not a root.
 
     {b Builtins}: [malloc(n)], [calloc(n)], [realloc(p,n)], [free(p)], [print_int(v)],
     [print_str(p)], [print_char(c)], [getchar()] (next input byte or -1),
@@ -39,8 +58,8 @@ val run : ?libc:libc -> ?name:string -> Ast.program -> Dh_alloc.Program.context 
     (default ["minic"]) prefixes the audit allocation-site labels the
     interpreter interns for [malloc]/[calloc]/[realloc] callsites —
     ["minic:<name>:malloc#2"] — while observability is enabled.  Each
-    AST callsite gets its own site, numbered in first-execution
-    order. *)
+    AST callsite gets its own site, interned when it first executes and
+    numbered in first-execution order. *)
 
 val to_program : ?libc:libc -> name:string -> Ast.program -> Dh_alloc.Program.t
 (** Package as a runnable {!Dh_alloc.Program.t}. *)

@@ -63,3 +63,32 @@ let split t =
   { z = nonzero32 a; w = nonzero32 b }
 
 let state t = (t.z, t.w)
+
+(* Bulk draws: the lag words stay in locals and every two draws become one
+   8-byte little-endian store, the low word first — byte for byte what
+   storing each [next_u32] least-significant byte first would write. *)
+let fill_bytes t buf ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then invalid_arg "Mwc.fill_bytes";
+  let z = ref t.z and w = ref t.w and i = ref off in
+  let stop = off + len in
+  while !i + 8 <= stop do
+    let z1 = (36969 * (!z land mask16)) + (!z lsr 16) in
+    let w1 = (18000 * (!w land mask16)) + (!w lsr 16) in
+    let z2 = (36969 * (z1 land mask16)) + (z1 lsr 16) in
+    let w2 = (18000 * (w1 land mask16)) + (w1 lsr 16) in
+    let lo = ((z1 lsl 16) + w1) land mask32 and hi = ((z2 lsl 16) + w2) land mask32 in
+    Bytes.set_int64_le buf !i (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32));
+    z := z2;
+    w := w2;
+    i := !i + 8
+  done;
+  t.z <- !z;
+  t.w <- !w;
+  (* The last 1..7 bytes: one or two draws, the second possibly partial. *)
+  while !i < stop do
+    let v = next_u32 t in
+    for j = 0 to min 4 (stop - !i) - 1 do
+      Bytes.unsafe_set buf (!i + j) (Char.unsafe_chr ((v lsr (8 * j)) land 0xFF))
+    done;
+    i := !i + 4
+  done

@@ -56,3 +56,10 @@ val split : t -> t
 val state : t -> int * int
 (** Current [(z, w)] lag words; exposed for tests and for recording the
     exact state in experiment logs. *)
+
+val fill_bytes : t -> Bytes.t -> off:int -> len:int -> unit
+(** [fill_bytes t buf ~off ~len] writes [len] random bytes into [buf] at
+    [off]: the bytes and the final state are exactly those of
+    [⌈len/4⌉] {!next_u32} draws stored least-significant byte first (the
+    last draw's unused high bytes are dropped).  Raises
+    [Invalid_argument] if the range is not within [buf]. *)

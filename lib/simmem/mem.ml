@@ -614,22 +614,19 @@ let fill t ~addr ~len c =
 let fill_random t ~addr ~len rng =
   if len < 0 then invalid_arg "Mem.fill_random: negative length";
   let runs = validate t ~addr ~len Fault.Write in
-  (* Same stream consumption as the historical bytewise fill: one u32 per
-     four bytes, least-significant byte first — replicas built from equal
-     seeds must still produce byte-identical heaps. *)
-  let buf = Bytes.create len in
-  let i = ref 0 in
-  while !i < len do
-    let v = Dh_rng.Mwc.next_u32 rng in
-    let n = min 4 (len - !i) in
-    for j = 0 to n - 1 do
-      Bytes.unsafe_set buf (!i + j) (Char.unsafe_chr ((v lsr (8 * j)) land 0xFF))
-    done;
-    i := !i + n
-  done;
   t.writes <- t.writes + len;
   mark_runs_touched t runs;
-  List.iter (fun r -> Bytes.blit buf r.buf_off r.rseg.data (run_off r) r.rlen) runs
+  (* Same stream consumption as the historical bytewise fill: one u32 per
+     four bytes, least-significant byte first — replicas built from equal
+     seeds must still produce byte-identical heaps.  A range that is one
+     run (the common case: a region or object inside one segment) is
+     filled in place. *)
+  match runs with
+  | [ r ] -> Dh_rng.Mwc.fill_bytes rng r.rseg.data ~off:(run_off r) ~len
+  | runs ->
+    let buf = Bytes.create len in
+    Dh_rng.Mwc.fill_bytes rng buf ~off:0 ~len;
+    List.iter (fun r -> Bytes.blit buf r.buf_off r.rseg.data (run_off r) r.rlen) runs
 
 let cstring ?limit t addr =
   let buf = Buffer.create 16 in

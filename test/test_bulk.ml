@@ -246,7 +246,17 @@ let test_fill_random_stream_parity () =
     i := !i + n
   done;
   check_string "documented stream consumption" (Bytes.to_string expected)
-    (Mem.read_bytes m1 ~addr:(a1 + 3) ~len)
+    (Mem.read_bytes m1 ~addr:(a1 + 3) ~len);
+  (* A meshed segment validates page by page, so a fill across a page
+     boundary there is split into runs: the stream must not notice. *)
+  let mem = Mem.create () in
+  let a = Mem.mmap mem (3 * Mem.page_size) in
+  Mem.alias mem ~src:a ~dst:(a + (2 * Mem.page_size)) ~live:[];
+  let addr = a + Mem.page_size - 3 in
+  Mem.fill_random mem ~addr ~len (Dh_rng.Mwc.create ~seed:99);
+  check_string "split runs, same stream"
+    (Bytes.sub_string expected 0 (Mem.page_size + 3))
+    (Mem.read_bytes mem ~addr ~len:(Mem.page_size + 3))
 
 (* --- cstring --- *)
 

@@ -330,6 +330,19 @@ let test_replicated_fill_randomizes () =
   check "fills differ across seeds" false
     (String.equal bytes (Mem.read_bytes mem2 ~addr:p2 ~len:64))
 
+(* The fill's byte stream is part of the replicated-mode contract (equal
+   seeds, byte-identical heaps): these digests were recorded from the
+   original bytewise fill, one [next_u32] per four bytes. *)
+let test_replicated_fill_golden () =
+  let mem, _, a = make ~config:(small_config ~replicated:true ~seed:42 ()) () in
+  let p = Allocator.malloc_exn a 64 in
+  let large = Allocator.malloc_exn a 20000 in
+  let digest addr len = Digest.to_hex (Digest.string (Mem.read_bytes mem ~addr ~len)) in
+  Alcotest.(check string) "object" "3ffa8af06744fe4a145b6ffd9253a29d" (digest p 64);
+  Alcotest.(check string) "region page" "5e325b2bb72d51b32a3ba383f22bbe84"
+    (digest (p land lnot (Mem.page_size - 1)) Mem.page_size);
+  Alcotest.(check string) "large object" "38676dfe08eeadc23698a7bfb229fa79" (digest large 20000)
+
 let test_standalone_no_fill () =
   let mem, _, a = make () in
   let p = Allocator.malloc_exn a 64 in
@@ -465,6 +478,7 @@ let suite =
     Alcotest.test_case "large double free" `Quick test_large_object_double_free_ignored;
     Alcotest.test_case "16K boundary" `Quick test_large_boundary_16k;
     Alcotest.test_case "replicated fill" `Quick test_replicated_fill_randomizes;
+    Alcotest.test_case "replicated fill golden" `Quick test_replicated_fill_golden;
     Alcotest.test_case "standalone no fill" `Quick test_standalone_no_fill;
     Alcotest.test_case "overflow mask rate" `Quick test_overflow_often_hits_free_space;
     Alcotest.test_case "owns/find" `Quick test_owns_and_find;

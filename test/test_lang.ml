@@ -359,16 +359,72 @@ let test_unchecked_libc_overflows () =
   check_string "whole string copied" "200" (output_of r)
 
 let test_runtime_errors () =
-  let expect_runtime_error src =
+  let expect_runtime_error src msg =
     match run_freelist src with
-    | exception Interp.Runtime_error _ -> ()
-    | _ -> Alcotest.fail "expected Runtime_error"
+    | exception Interp.Runtime_error m -> check_string src msg m
+    | _ -> Alcotest.failf "expected Runtime_error: %s" src
   in
-  expect_runtime_error "fn main() { print_int(nope); }";
-  expect_runtime_error "fn main() { nope(1); }";
-  expect_runtime_error "fn f(a) { return a; } fn main() { f(1, 2); }";
-  expect_runtime_error "fn main() { print_int(1 / 0); }";
-  expect_runtime_error "fn notmain() { }"
+  expect_runtime_error "fn main() { print_int(nope); }" "unknown variable nope";
+  expect_runtime_error "fn main() { nope = 1; }" "unknown variable nope";
+  expect_runtime_error "fn main() { nope(1); }" "unknown function nope";
+  expect_runtime_error "fn f(a) { return a; } fn main() { f(1, 2); }"
+    "f expects 1 argument(s), got 2";
+  expect_runtime_error "fn main() { print_int(1, 2); }" "print_int expects 1 argument(s), got 2";
+  expect_runtime_error "fn main() { print_int(1 / 0); }" "division by zero";
+  expect_runtime_error "fn main() { print_int(1 % 0); }" "modulo by zero";
+  expect_runtime_error "fn notmain() { }" "no main function";
+  expect_runtime_error "fn main(a) { }" "main takes no parameters";
+  (* Errors are raised only when reached: the same faults in code that
+     never runs leave the program to finish normally. *)
+  expect_output
+    "fn f(a) { return a; } fn main() { if (0) { nope(1); print_int(missing); f(1, 2); \
+     print_int(1, 2); missing = 3; } print_int(5); }"
+    "5";
+  expect_output "fn never() { return nope(undefined); } fn main() { print_int(7); }" "7";
+  (* An arity error evaluates the arguments first; an unknown function
+     does not. *)
+  let mallocs_before_error src =
+    let a = Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create (Mem.create ())) in
+    (match Program.run (Interp.program_of_source ~name:"t" src) a with
+    | exception Interp.Runtime_error _ -> ()
+    | _ -> Alcotest.failf "expected Runtime_error: %s" src);
+    a.Allocator.stats.Dh_alloc.Stats.mallocs
+  in
+  check_int "arity error after its arguments" 1
+    (mallocs_before_error "fn main() { print_int(malloc(8), 2); }");
+  check_int "user arity error after its arguments" 1
+    (mallocs_before_error "fn f(a) { return a; } fn main() { f(malloc(8), 2); }");
+  check_int "unknown function before its arguments" 0
+    (mallocs_before_error "fn main() { nope(malloc(8)); }")
+
+(* The scoping corners a slot-resolving interpreter could get wrong (the
+   corpus runs the same programs under every runtime). *)
+let test_scoping_corners () =
+  expect_output
+    "fn main() { var x = 1; { var x = x + 10; print_int(x); { var x = x * 2; print_int(x); } \
+     x = x + 1; print_int(x); } print_int(x); }"
+    "1122121";
+  expect_output "fn main() { var x = 1; var y = 2; var x = x + y; print_int(x); print_int(y); }"
+    "32";
+  (* a use before a later [var] of the same name in a loop body sees the
+     outer variable, on every iteration *)
+  expect_output
+    "fn main() { var x = 1; var i = 0; while (i < 3) { print_int(x); var x = 10 + i; \
+     print_int(x); i = i + 1; } print_int(x); }"
+    "1101111121";
+  (* a [var] in a for step is declared by the step's first run *)
+  expect_output
+    "fn main() { var k = 100; for (var i = 0; i < 4; var k = i) { print_int(k); \
+     print_char(' '); i = i + 1; } print_int(k); }"
+    "100 1 2 3 100";
+  expect_output
+    "fn main() { var n = 5; for (var i = 0; i < 3; var n = n + i) { print_int(n); \
+     i = i + 1; } print_int(n); }"
+    "5685";
+  expect_output
+    "fn f(a, b) { var a = a + b; { var b = a * 2; print_int(b); } return a + b; } \
+     fn main() { print_int(f(3, 4)); }"
+    "1411"
 
 let test_infinite_loop_times_out () =
   let mem = Mem.create () in
@@ -394,6 +450,37 @@ let test_gc_roots_from_interpreter () =
   let r = Program.run program (Dh_alloc.Gc.allocator gc) in
   check "survived churn in a tiny heap" true (r.Process.outcome = Process.Exited 0);
   check_string "rooted object intact" "99" (output_of r)
+
+(* Roots are exact: a variable of a block that has exited is not one.
+   Here it holds the only pointer to a 12000-byte object that must be
+   collected for the next allocation to fit a 16 KiB heap. *)
+let test_gc_roots_exclude_exited_blocks () =
+  let run src =
+    let mem = Mem.create () in
+    let gc = Dh_alloc.Gc.create ~arena_size:16384 ~heap_limit:16384 mem in
+    Program.run (Interp.program_of_source ~name:"exited" src) (Dh_alloc.Gc.allocator gc)
+  in
+  let r =
+    run
+      "fn main() { var n = 0; { var big = malloc(12000); big[0] = 7; n = big[0]; } \
+       var other = malloc(12000); print_int(other != 0); print_int(n); }"
+  in
+  check "exited" true (r.Process.outcome = Process.Exited 0);
+  check_string "the exited block's object was collected" "17" (output_of r);
+  (* the same object still in scope stays alive, and the allocation fails *)
+  let r =
+    run
+      "fn main() { var big = malloc(12000); big[0] = 7; var other = malloc(12000); \
+       print_int(other != 0); print_int(big[0]); }"
+  in
+  check_string "an in-scope object is a root" "07" (output_of r);
+  (* so does one held by a caller while the callee allocates *)
+  let r =
+    run
+      "fn grab() { return malloc(12000); } fn main() { var big = malloc(12000); \
+       big[0] = 7; print_int(grab() != 0); print_int(big[0]); }"
+  in
+  check_string "a caller's variable is a root" "07" (output_of r)
 
 (* --- qcheck: pretty-print / reparse roundtrip on generated ASTs --- *)
 
@@ -467,5 +554,7 @@ let suite =
     Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
     Alcotest.test_case "infinite loop timeout" `Quick test_infinite_loop_times_out;
     Alcotest.test_case "gc roots" `Quick test_gc_roots_from_interpreter;
+    Alcotest.test_case "gc roots exclude exited blocks" `Quick test_gc_roots_exclude_exited_blocks;
+    Alcotest.test_case "scoping corners" `Quick test_scoping_corners;
     QCheck_alcotest.to_alcotest prop_expr_roundtrip;
   ]

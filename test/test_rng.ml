@@ -229,6 +229,37 @@ let prop_uniform_int_in_range =
       let v = Dist.uniform_int rng ~lo ~hi in
       v >= lo && v <= hi)
 
+(* [Mwc.fill_bytes] is a bulk [next_u32] loop: the same bytes, least
+   significant first, the same final state, and nothing written outside
+   [off, off + len). *)
+let prop_fill_bytes_is_next_u32_loop =
+  QCheck.Test.make ~name:"Mwc.fill_bytes equals a next_u32 loop" ~count:300
+    QCheck.(triple small_int (int_bound 4096) (int_range 1 15))
+    (fun (seed, len, off) ->
+      let bulk = Mwc.create ~seed and loop = Mwc.create ~seed in
+      let got = Bytes.make (off + len + 8) '\xA5' in
+      Mwc.fill_bytes bulk got ~off ~len;
+      let want = Bytes.make (off + len + 8) '\xA5' in
+      let i = ref 0 in
+      while !i < len do
+        let v = Mwc.next_u32 loop in
+        for j = 0 to min 4 (len - !i) - 1 do
+          Bytes.set want (off + !i + j) (Char.chr ((v lsr (8 * j)) land 0xFF))
+        done;
+        i := !i + 4
+      done;
+      Bytes.equal got want && Mwc.state bulk = Mwc.state loop)
+
+let test_fill_bytes_invalid () =
+  let rng = Mwc.create ~seed:1 and buf = Bytes.create 8 in
+  List.iter
+    (fun (off, len) ->
+      match Mwc.fill_bytes rng buf ~off ~len with
+      | () -> Alcotest.failf "off %d len %d accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 2); (0, -1); (0, 9); (5, 4) ];
+  check "state untouched" true (Mwc.state rng = Mwc.state (Mwc.create ~seed:1))
+
 let suite =
   [
     Alcotest.test_case "mwc determinism" `Quick test_determinism;
@@ -255,4 +286,6 @@ let suite =
     Alcotest.test_case "dist shuffle" `Quick test_shuffle_permutation;
     QCheck_alcotest.to_alcotest prop_below_in_range;
     QCheck_alcotest.to_alcotest prop_uniform_int_in_range;
+    Alcotest.test_case "mwc fill_bytes invalid range" `Quick test_fill_bytes_invalid;
+    QCheck_alcotest.to_alcotest prop_fill_bytes_is_next_u32_loop;
   ]
