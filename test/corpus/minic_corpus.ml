@@ -140,23 +140,22 @@ let render_probe buf { fuel; mem; alloc } =
 
 let heap_size = 12 * 64 * 1024
 
-type runtime = { label : string; alloc : unit -> Allocator.t option }
+(* A stand-alone run on a fresh allocator, or three voting DieHard
+   replicas. *)
+type runtime = Single of string * (unit -> Allocator.t) | Replicated_3
 
-(* [alloc] of [None] selects the replicated runtime. *)
 let runtimes =
   [
-    { label = "freelist-lea"; alloc = (fun () -> Some (Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create (Mem.create ())))) };
-    {
-      label = "diehard";
-      alloc =
-        (fun () ->
+    Single ("freelist-lea", fun () -> Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create (Mem.create ())));
+    Single
+      ( "diehard",
+        fun () ->
           let config = Diehard.Config.v ~heap_size ~seed:7 () in
-          Some (Diehard.Heap.allocator (Diehard.Heap.create ~config (Mem.create ()))));
-    };
-    { label = "replicated-3"; alloc = (fun () -> None) };
+          Diehard.Heap.allocator (Diehard.Heap.create ~config (Mem.create ())) );
+    Replicated_3;
     (* A 64 KiB arena makes the collector run, so the interpreter's root
        set decides what survives. *)
-    { label = "gc"; alloc = (fun () -> Some (Dh_alloc.Gc.allocator (Dh_alloc.Gc.create ~arena_size:65536 (Mem.create ())))) };
+    Single ("gc", fun () -> Dh_alloc.Gc.allocator (Dh_alloc.Gc.create ~arena_size:65536 (Mem.create ())));
   ]
 
 let outcome_string = function
@@ -178,18 +177,18 @@ let run_single (c : case) program alloc =
 let render_runtime buf (c : case) program rt =
   let probes = ref [] in
   let p = instrument program probes in
-  (match rt.alloc () with
-  | Some alloc ->
-    let outcome, output = run_single c p alloc in
-    Printf.bprintf buf "[%s] %s\n  output=%S\n" rt.label (outcome_string outcome) output
-  | None -> (
+  (match rt with
+  | Single (label, alloc) ->
+    let outcome, output = run_single c p (alloc ()) in
+    Printf.bprintf buf "[%s] %s\n  output=%S\n" label (outcome_string outcome) output
+  | Replicated_3 -> (
     let config = Diehard.Config.v ~heap_size ~jobs:1 () in
     match
       Replicated.run ~config ~replicas:3 ~seed_pool:(Dh_rng.Seed.create ~master:11) ~input:c.input
         ?fuel:c.fuel p
     with
     | r ->
-      Printf.bprintf buf "[%s] %s barriers=%d\n  output=%S\n" rt.label
+      Printf.bprintf buf "[replicated-3] %s barriers=%d\n  output=%S\n"
         (verdict_string r.Replicated.verdict) r.Replicated.barriers r.Replicated.output;
       List.iter
         (fun (rr : Replicated.replica_report) ->
@@ -200,7 +199,7 @@ let render_runtime buf (c : case) program rt =
             | Some Replicated.Died -> " died"
             | Some (Replicated.Voted_out b) -> Printf.sprintf " voted-out@%d" b))
         r.Replicated.replicas
-    | exception e -> Printf.bprintf buf "[%s] %s\n" rt.label (outcome_string (Error e))));
+    | exception e -> Printf.bprintf buf "[replicated-3] %s\n" (outcome_string (Error e))));
   List.iter (render_probe buf) (List.rev !probes)
 
 (* With observability on, tally the audit site of every allocation under
