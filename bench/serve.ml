@@ -2,7 +2,8 @@
    Squid-style server through a long Zipf-keyed request stream with
    periodic overlong-URL attacks, under the supervisor's rewind rung
    and full observability, and report the serve-loop SLO dashboard —
-   throughput, tail latency (p50/p99/p99.9 from Dh_obs.Quantile),
+   throughput, tail latency (p50/p99/p99.9 of the serve.latency_ns
+   histogram),
    trailing windowed rates, SLO compliance, and survival.
 
    Two kinds of number come out, gated differently:
@@ -94,8 +95,9 @@ let policy =
   }
 
 let run_leg ~requests ~seed () =
-  (* Fresh instruments per leg: the registries are process-wide and a
-     previous leg's samples must not bleed into this one's quantiles. *)
+  (* Fresh instruments per leg: histograms and windows are process-wide
+     and a previous leg's samples must not bleed into this one's
+     quantiles. *)
   Dh_obs.Quantile.reset ();
   Dh_obs.Window.reset ();
   let slo =
@@ -138,7 +140,8 @@ let run_leg ~requests ~seed () =
     requests;
     wall_s;
     throughput = float_of_int requests /. Float.max wall_s 1e-9;
-    latency = Dh_obs.Quantile.(snapshot (get "serve.latency_ns"));
+    latency =
+      Dh_obs.(Quantile.snapshot (Metrics.histogram Metrics.default "serve.latency_ns"));
     slo = Dh_obs.Slo.report slo;
     req_rate = window_rate "serve.requests";
     err_rate = window_rate "serve.errors";
@@ -240,48 +243,38 @@ let write_json ~path ~quick l ~survived ~seeds =
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 
-(* Minimal baseline scanning: pull "\"key\": <int>" out of the committed
-   JSON.  Good enough for our own writer's output; a hand-edited file
-   that no longer parses simply disables the baseline comparison. *)
-let scan_int ~key s =
-  let tag = Printf.sprintf "\"%s\": " key in
-  let rec find i =
-    match String.index_from_opt s i '"' with
-    | None -> None
-    | Some j ->
-      if
-        j + String.length tag <= String.length s
-        && String.sub s j (String.length tag) = tag
-      then Some (j + String.length tag)
-      else find (j + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < String.length s
-      &&
-      match s.[!stop] with '0' .. '9' | '-' -> true | _ -> false
-    do
-      incr stop
-    done;
-    if !stop = start then None else int_of_string_opt (String.sub s start (!stop - start))
-
-let read_file path =
-  if Sys.file_exists path then (
+(* The committed baseline's (requests, checksum), or [None] when there is
+   no file.  A file that exists but no longer parses, or lacks either
+   field, fails the gate: it would otherwise disable the comparison
+   silently. *)
+let read_baseline path =
+  if not (Sys.file_exists path) then None
+  else begin
+    let fail why =
+      Printf.eprintf "SERVE GATE FAILED: baseline %s %s\n%!" path why;
+      exit 3
+    in
     let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
+    let contents = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    Some s)
-  else None
+    let json =
+      match Dh_obs.Json.parse contents with
+      | Ok json -> json
+      | Error e -> fail ("does not parse: " ^ e)
+    in
+    let int_at section key =
+      match Option.bind (Dh_obs.Json.member section json) (Dh_obs.Json.member key) with
+      | Some (Dh_obs.Json.Number n) when Float.is_integer n -> int_of_float n
+      | _ -> fail (Printf.sprintf "has no integer %s.%s" section key)
+    in
+    Some (int_at "config" "requests", int_at "deterministic" "checksum")
+  end
 
 let gate ~quick ?(out = "BENCH_serve.json") () =
   Report.heading "Serve gate: survival is deterministic, the SLO must hold";
   let requests = leg_requests ~quick in
   (* Read the committed baseline before overwriting it. *)
-  let baseline = read_file out in
+  let baseline = read_baseline out in
   let l = run_leg ~requests ~seed:1 () in
   leg_section l;
   let survived, seeds = sweep ~quick () in
@@ -299,15 +292,14 @@ let gate ~quick ?(out = "BENCH_serve.json") () =
   end;
   (* 2. Determinism baseline: same geometry => same checksum, exactly. *)
   (match baseline with
-  | Some base when scan_int ~key:"requests" base = Some l.requests ->
-    (match scan_int ~key:"checksum" base with
-    | Some c when c <> l.checksum ->
+  | Some (requests, checksum) when requests = l.requests ->
+    if checksum <> l.checksum then begin
       Printf.eprintf
         "SERVE GATE FAILED: output checksum %d != committed baseline %d\n%!"
-        l.checksum c;
+        l.checksum checksum;
       exit 3
-    | Some _ -> Report.note "checksum matches committed baseline"
-    | None -> Report.note "baseline has no checksum field; skipping comparison")
+    end;
+    Report.note "checksum matches committed baseline"
   | Some _ ->
     Report.note "baseline geometry differs (quick vs full leg); checksum not compared"
   | None -> Report.note "no committed baseline at %s; checksum not compared" out);

@@ -887,9 +887,29 @@ let bench_cmd =
 
 (* --- obs: inspect a recorded trace --- *)
 
+(* The sample count a histogram row's "buckets=b1:n1;b4:n4" detail adds
+   up to; [None] when the detail is malformed. *)
+let detail_bucket_total detail =
+  let tag = "buckets=" in
+  match List.rev (String.split_on_char ' ' detail) with
+  | last :: _ when String.starts_with ~prefix:tag last ->
+    let tag_len = String.length tag in
+    let counts = String.sub last tag_len (String.length last - tag_len) in
+    if counts = "" then Some 0
+    else
+      List.fold_left
+        (fun acc bucket ->
+          match (acc, String.split_on_char ':' bucket) with
+          | Some acc, [ _; n ] -> Option.map (( + ) acc) (int_of_string_opt n)
+          | _ -> None)
+        (Some 0)
+        (String.split_on_char ';' counts)
+  | _ -> None
+
 (* Validate a --metrics CSV dump: the fixed header, six fields per row,
    and the quantile columns — integers for histograms, empty for
-   counters and gauges.  Exits nonzero on any violation. *)
+   counters and gauges — and each histogram's log2 bucket counts adding
+   up to its sample count.  Exits nonzero on any violation. *)
 let validate_metrics_csv path =
   let contents =
     try read_file path
@@ -914,17 +934,17 @@ let validate_metrics_csv path =
       if i > 0 then begin
         incr rows;
         match String.split_on_char ',' line with
-        | [ name; kind; value; p50; p99; _detail ] ->
+        | [ name; kind; value; p50; p99; detail ] ->
           let quantiles_ok =
             match kind with
             | "histogram" ->
               incr histograms;
-              (* Histograms always carry both quantile summaries, and
-                 they must be ordered — exact quantiles from a
-                 registered Quantile digest included. *)
+              (* Histograms always carry both quantile summaries, in
+                 order, and their log2 view accounts for every sample. *)
               (match (int_of_string_opt p50, int_of_string_opt p99) with
               | Some lo, Some hi -> lo <= hi
               | _ -> false)
+              && detail_bucket_total detail = int_of_string_opt value
             | "counter" | "gauge" -> p50 = "" && p99 = ""
             | _ -> false
           in
@@ -1006,9 +1026,9 @@ let obs_cmd =
   in
   let metrics_csv_arg =
     let doc =
-      "Also validate a --metrics CSV dump: header, per-row field shape, and \
+      "Also validate a --metrics CSV dump: header, per-row field shape, \
        the p50/p99 quantile columns (integers on histogram rows, empty \
-       otherwise)."
+       otherwise), and histogram bucket counts summing to the row's value."
     in
     Arg.(value & opt (some string) None & info [ "metrics-csv" ] ~docv:"FILE" ~doc)
   in

@@ -39,12 +39,12 @@ module Imap = Map.Make (Int)
 (* Metric handles resolved once per heap (lazily, so heaps built before
    telemetry is switched on still pick them up): interning an instrument
    takes the registry mutex, which is far too heavy for the per-malloc
-   path and serializes concurrent heaps.  The handles are the cached
-   [local_histogram] form — a heap records from one domain at a time, so
-   each observe is a plain add, with no domain-local-storage lookup. *)
+   path and serializes concurrent heaps.  Each is the heap's own
+   [Dh_obs.Cell] handle — a heap records from one domain at a time, so
+   each observe is a domain-id compare and plain adds. *)
 type obs_instruments = {
-  malloc_probes : Dh_obs.Metrics.local_histogram;
-  malloc_bytes : Dh_obs.Metrics.local_histogram;
+  malloc_probes : Dh_obs.Metrics.histogram;
+  malloc_bytes : Dh_obs.Metrics.histogram;
   audit : Dh_obs.Audit.local;
 }
 
@@ -160,11 +160,9 @@ let obs_instruments t =
     let o =
       {
         malloc_probes =
-          Dh_obs.Metrics.local_histogram
-            (Dh_obs.Metrics.histogram reg "heap.malloc.probes");
+          Dh_obs.Quantile.share (Dh_obs.Metrics.histogram reg "heap.malloc.probes");
         malloc_bytes =
-          Dh_obs.Metrics.local_histogram
-            (Dh_obs.Metrics.histogram reg "heap.malloc.bytes");
+          Dh_obs.Quantile.share (Dh_obs.Metrics.histogram reg "heap.malloc.bytes");
         audit = Dh_obs.Audit.local ();
       }
     in
@@ -294,7 +292,7 @@ let malloc_large t site sz =
     in
     t.large_sites <- Imap.add payload site t.large_sites;
     Dh_obs.Audit.record_alloc o.audit ~class_:large_class ~index:(-1) ~capacity:0 ~site;
-    Dh_obs.Metrics.observe_local o.malloc_bytes sz;
+    Dh_obs.Metrics.observe o.malloc_bytes sz;
     Dh_obs.Tracing.instant ~arg:(string_of_int sz) "heap.malloc.large"
   end;
   Some payload
@@ -472,8 +470,8 @@ let meshes t = t.meshes
 let observe_malloc t ~probes ~bytes ~region ~index ~site =
   if Dh_obs.Control.enabled () then begin
     let o = obs_instruments t in
-    Dh_obs.Metrics.observe_local o.malloc_probes probes;
-    Dh_obs.Metrics.observe_local o.malloc_bytes bytes;
+    Dh_obs.Metrics.observe o.malloc_probes probes;
+    Dh_obs.Metrics.observe o.malloc_bytes bytes;
     let site =
       match site with Some s -> s | None -> Dh_obs.Audit.current_site ()
     in

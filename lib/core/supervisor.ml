@@ -115,16 +115,16 @@ let build_heap plan =
    converges to [Out_of_fuel] rather than looping. *)
 
 (* Serve-loop SLO telemetry.  All write-only and gated on one enabled
-   check per request when off; when on, the per-request cost is the
-   PR-8 buffered-cell discipline: a domain-id compare and plain adds
-   into a cached {!Dh_obs.Quantile.local} cell, plus two window stamps
-   and (when an SLO is configured) one classification.  The window
-   clock is the request index — windowed request / error / rewind
-   rates are deterministic functions of the run.  Geometry matches the
+   check per request when off; when on, the per-request cost is one
+   latency sample recorded through the loop's own cached
+   [Dh_obs.Cell] handle on the "serve.latency_ns" histogram (a
+   domain-id compare and plain adds), plus two window stamps and (when
+   an SLO is configured) one classification.  The window clock is the
+   request index — windowed request / error / rewind rates are
+   deterministic functions of the run.  Geometry matches the
    serve.errors window the server itself stamps. *)
 type serve_obs = {
-  so_latency : Dh_obs.Quantile.local;
-  so_latency_hist : Dh_obs.Metrics.local_histogram;
+  so_latency : Dh_obs.Metrics.histogram;
   so_requests : Dh_obs.Window.t;
   so_rewinds : Dh_obs.Window.t;
   so_slo : Dh_obs.Slo.t option;
@@ -135,13 +135,8 @@ let serve_obs () =
   else
     Some
       {
-        so_latency = Dh_obs.Quantile.(local (get "serve.latency_ns"));
-        (* The registry histogram deliberately shares the digest's name:
-           metrics CSV dumps then summarize this row with the digest's
-           exact p50/p99 instead of the coarse power-of-two buckets. *)
-        so_latency_hist =
-          Dh_obs.Metrics.(
-            local_histogram (histogram default "serve.latency_ns"));
+        so_latency =
+          Dh_obs.(Quantile.share (Metrics.histogram Metrics.default "serve.latency_ns"));
         so_requests = Dh_obs.Window.get "serve.requests" ~width:1024 ~buckets:16;
         so_rewinds = Dh_obs.Window.get "serve.rewinds" ~width:1024 ~buckets:16;
         so_slo = Dh_obs.Slo.active ();
@@ -160,8 +155,7 @@ let run_service ctx (svc : Program.service) heap ~interval ~max_rewinds
       let t0 = Dh_obs.Tracing.now_ns () in
       h.Program.handle k;
       let dt = Dh_obs.Tracing.now_ns () - t0 in
-      Dh_obs.Quantile.record_local o.so_latency dt;
-      Dh_obs.Metrics.observe_local o.so_latency_hist dt;
+      Dh_obs.Metrics.observe o.so_latency dt;
       Dh_obs.Window.add o.so_requests ~now:k 1;
       Option.iter (fun slo -> Dh_obs.Slo.record slo dt) o.so_slo;
       (* The audit's --watch clock is the request index, like the

@@ -58,11 +58,10 @@ let with_site id f =
 
 (* --- per-domain buffered cells ---
 
-   One process-wide sharded instrument on the [Metrics] discipline:
-   each recording domain owns a private cell (reached through
-   domain-local storage), written with plain in-place adds and merged
-   only on read.  Site counters grow on demand — site ids are dense,
-   so flat arrays indexed by id stay small. *)
+   One process-wide {!Cell} set: each recording domain owns a private
+   cell, written with plain in-place adds and merged only on read.  Site
+   counters grow on demand — site ids are dense, so flat arrays indexed
+   by id stay small. *)
 
 type cell = {
   allocs : int array;  (* per class *)
@@ -83,29 +82,13 @@ let fresh_cell () =
     by_site_frees = Array.make 8 0;
   }
 
-let cells_lock = Mutex.create ()
-let cells : cell list ref = ref []
+(* Cells are never unregistered; [reset] zeroes them in place so
+   handles held by live components stay valid. *)
+let cells : cell Cell.t = Cell.create fresh_cell
 
-(* The per-domain cell, registered on the merge list the first time the
-   domain records.  Cells are never unregistered; [reset] zeroes them in
-   place so handles held by live components stay valid. *)
-let cell_key : cell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let c = fresh_cell () in
-      Mutex.protect cells_lock (fun () -> cells := c :: !cells);
-      c)
+type local = cell Cell.t
 
-type local = { mutable owner : int; mutable cell : cell }
-
-let local () = { owner = -1; cell = fresh_cell () }
-
-let resolve lc =
-  let me = (Domain.self () :> int) in
-  if lc.owner <> me then begin
-    lc.cell <- Domain.DLS.get cell_key;
-    lc.owner <- me
-  end;
-  lc.cell
+let local () = Cell.share cells
 
 let grown a n =
   let len = Array.length a in
@@ -118,7 +101,7 @@ let grown a n =
 
 let record_alloc lc ~class_ ~index ~capacity ~site =
   if Control.enabled () && class_ >= 0 && class_ < max_classes then begin
-    let c = resolve lc in
+    let c = Cell.get lc in
     c.allocs.(class_) <- c.allocs.(class_) + 1;
     if capacity > 0 && index >= 0 then begin
       let b = min (slot_buckets - 1) (index * slot_buckets / capacity) in
@@ -134,7 +117,7 @@ let record_alloc lc ~class_ ~index ~capacity ~site =
 
 let record_free lc ~class_ ~site =
   if Control.enabled () && class_ >= 0 && class_ < max_classes then begin
-    let c = resolve lc in
+    let c = Cell.get lc in
     c.frees.(class_) <- c.frees.(class_) + 1;
     if site >= 0 then begin
       if site >= Array.length c.by_site_frees then
@@ -145,7 +128,7 @@ let record_free lc ~class_ ~site =
 
 let record_failed lc ~class_ =
   if Control.enabled () && class_ >= 0 && class_ < max_classes then begin
-    let c = resolve lc in
+    let c = Cell.get lc in
     c.failed.(class_) <- c.failed.(class_) + 1
   end
 
@@ -238,7 +221,7 @@ type snapshot = {
 }
 
 let snapshot () =
-  let merged = Mutex.protect cells_lock (fun () -> !cells) in
+  let merged = Cell.fold (fun acc c -> c :: acc) [] cells in
   let classes =
     Array.init max_classes (fun cls ->
         let sum field =
@@ -365,16 +348,15 @@ let tick ~now =
     | Some _ | None -> ()
 
 let reset () =
-  Mutex.protect cells_lock (fun () ->
-      List.iter
-        (fun (c : cell) ->
-          Array.fill c.allocs 0 max_classes 0;
-          Array.fill c.frees 0 max_classes 0;
-          Array.fill c.failed 0 max_classes 0;
-          Array.fill c.slot_hist 0 (max_classes * slot_buckets) 0;
-          Array.fill c.by_site_allocs 0 (Array.length c.by_site_allocs) 0;
-          Array.fill c.by_site_frees 0 (Array.length c.by_site_frees) 0)
-        !cells);
+  Cell.fold
+    (fun () (c : cell) ->
+      Array.fill c.allocs 0 max_classes 0;
+      Array.fill c.frees 0 max_classes 0;
+      Array.fill c.failed 0 max_classes 0;
+      Array.fill c.slot_hist 0 (max_classes * slot_buckets) 0;
+      Array.fill c.by_site_allocs 0 (Array.length c.by_site_allocs) 0;
+      Array.fill c.by_site_frees 0 (Array.length c.by_site_frees) 0)
+    () cells;
   Mutex.protect sites_lock (fun () ->
       Hashtbl.reset site_ids;
       n_sites := 0;

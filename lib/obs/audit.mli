@@ -15,9 +15,8 @@
       relative slot position chosen by each allocation, which audits the
       allocator's randomness against the uniform-choice assumption the
       theorems require ({!entropy_bits}).  Fed from the heap hot path
-      through a caller-held {!local} handle on the
-      {!Metrics.local_histogram} discipline: one enabled check, one
-      domain-id compare, plain in-place adds.
+      through a caller-held {!local} {!Cell} handle: one enabled check,
+      one domain-id compare, plain in-place adds.
     - {b Allocation-site provenance} — every allocation carries a small
       interned {!site} id (a workload callsite, a MiniC AST node, or
       {!unknown}); per-site counters attribute canary verdicts, faults
@@ -77,10 +76,8 @@ val with_site : int -> (unit -> 'a) -> 'a
 (** {1 The hot-path feed} *)
 
 type local
-(** A caller-held cache of the calling domain's buffered cell (the heap
-    keeps one per heap).  Unsynchronized: must not be recorded to by two
-    domains concurrently — the same contract as
-    {!Metrics.local_histogram}. *)
+(** A caller-held {!Cell} handle onto the process-wide audit cells (the
+    heap keeps one per heap), caching the recording domain's cell. *)
 
 val local : unit -> local
 
@@ -163,8 +160,8 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-(** Merge every per-domain cell now.  Same read contract as
-    {!Metrics}: exact once writers have parked. *)
+(** Merge every per-domain cell now (the {!Cell} read contract: exact
+    once writers have parked). *)
 
 val top_sites : ?n:int -> snapshot -> site_stat list
 (** The [n] (default 5) most suspect sites: most attributed events
@@ -206,5 +203,6 @@ val tick : now:int -> unit
     that raises is dropped for that tick only.  No-op while disabled. *)
 
 val reset : unit -> unit
-(** Drop everything — cells, site registry (back to {!unknown} only),
-    attributed events, outcomes, provider, watch — for tests. *)
+(** Drop everything — cells (zeroed in place, so {!local} handles stay
+    valid), site registry (back to {!unknown} only), attributed events,
+    outcomes, provider, watch — for tests. *)

@@ -1,36 +1,10 @@
 let bucket_count = 64
 
-(* --- per-domain buffered shards ---
-
-   Recording must never serialize concurrent domains: the old design
-   sharded counters across a fixed array of atomics indexed by domain id
-   mod 16, which still cost an atomic RMW per record and false-shared
-   adjacent cells.  Instead, every instrument hands each recording
-   domain its own private cell, reached through a domain-local memo
-   (id -> cell) so the hot path is: one enabled check, one DLS read, one
-   int-keyed hash lookup, one plain in-place add.  No mutex, no atomic,
-   no sharing.
-
-   Cells are plain mutable ints written only by their owning domain.
-   Cross-domain reads (merge-on-read) are non-atomic but untorn (OCaml
-   immediates), and exact whenever the writer has parked or been joined
-   — which is when dumps happen.  The instrument keeps every cell it
-   ever handed out on a mutex-guarded list; the mutex is touched once
-   per (domain, instrument) pair at first record, never again. *)
-
-type 'cell sharded = {
-  id : int;  (* key in the per-domain memo *)
-  cells_lock : Mutex.t;
-  mutable cells : 'cell list;  (* one per domain that ever recorded *)
-}
-
-let next_id = Atomic.make 0
-
-type counter_cell = { mutable count : int }
-type counter = counter_cell sharded
-
-type histogram_cell = { buckets : int array; mutable sum : int }
-type histogram = histogram_cell sharded
+(* Counters and histograms record into per-domain {!Cell}s: one enabled
+   check, one domain-id compare and plain adds per record, merged only
+   when read. *)
+type counter = int ref Cell.t
+type histogram = Quantile.t
 
 type gauge = Cell of int Atomic.t | Callback of (unit -> int)
 
@@ -48,7 +22,7 @@ let kind_name = function
   | Histogram _ -> "histogram"
 
 (* Get-or-create under the registry lock.  Only instrument creation and
-   dumping take the lock; recording goes straight to the domain-local
+   dumping take the lock; recording goes straight to the per-domain
    cells. *)
 let intern t name make select =
   Mutex.protect t.lock (fun () ->
@@ -65,44 +39,20 @@ let intern t name make select =
         Hashtbl.replace t.items name fresh;
         match select fresh with Some v -> v | None -> assert false)
 
-let fresh_sharded () =
-  { id = Atomic.fetch_and_add next_id 1; cells_lock = Mutex.create (); cells = [] }
-
-(* One memo per cell type (the DLS tables are monomorphic).  Entries for
-   instruments dropped by [reset] linger harmlessly: ids are never
-   reused, so they can no longer be reached. *)
-let counter_memo : (int, counter_cell) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let histogram_memo : (int, histogram_cell) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let local_cell memo_key sh make =
-  let memo = Domain.DLS.get memo_key in
-  match Hashtbl.find_opt memo sh.id with
-  | Some cell -> cell
-  | None ->
-    let cell = make () in
-    Mutex.protect sh.cells_lock (fun () -> sh.cells <- cell :: sh.cells);
-    Hashtbl.add memo sh.id cell;
-    cell
-
 let counter t name =
   intern t name
-    (fun () -> Counter (fresh_sharded ()))
+    (fun () -> Counter (Cell.create (fun () -> ref 0)))
     (function Counter c -> Some c | _ -> None)
 
 let add c n =
   if Control.enabled () then begin
-    let cell = local_cell counter_memo c (fun () -> { count = 0 }) in
-    cell.count <- cell.count + n
+    let r = Cell.get c in
+    r := !r + n
   end
 
 let incr c = add c 1
 
-let counter_value c =
-  Mutex.protect c.cells_lock (fun () ->
-      List.fold_left (fun acc cell -> acc + cell.count) 0 c.cells)
+let counter_value c = Cell.fold (fun acc r -> acc + !r) 0 c
 
 let gauge t name =
   intern t name
@@ -125,7 +75,7 @@ let gauge_fn t name f =
 
 let histogram t name =
   intern t name
-    (fun () -> Histogram (fresh_sharded ()))
+    (fun () -> Histogram (Quantile.create ()))
     (function Histogram h -> Some h | _ -> None)
 
 let bucket_of v =
@@ -134,94 +84,25 @@ let bucket_of v =
   let rec go bits v = if v = 0 then bits else go (bits + 1) (v lsr 1) in
   go 0 v
 
-let observe h v =
-  if Control.enabled () then begin
-    let bucket = bucket_of v in
-    let cell =
-      local_cell histogram_memo h (fun () ->
-          { buckets = Array.make bucket_count 0; sum = 0 })
-    in
-    cell.buckets.(bucket) <- cell.buckets.(bucket) + 1;
-    cell.sum <- cell.sum + v
-  end
+let observe = Quantile.record
 
-(* --- caller-held cell caches ---
+(* The log2 view: every HDR bucket lies inside one power-of-two range,
+   so bucketing each by its lower bound is exact. *)
+let log2_buckets snap =
+  let buckets = Array.make bucket_count 0 in
+  Array.iteri
+    (fun i n ->
+      if n > 0 then begin
+        let b = bucket_of (fst (Quantile.bucket_bounds i)) in
+        buckets.(b) <- buckets.(b) + n
+      end)
+    (Quantile.counts snap);
+  buckets
 
-   [observe] pays a DLS read plus an id-keyed hash lookup on every
-   record.  Long-lived single-writer instruments (a heap's malloc
-   histograms) can hold a [local_histogram] instead: the resolved cell
-   is cached inline and re-resolved only when the recording domain
-   changes, so the steady-state hot path is one enabled check, one
-   domain-id compare, and two plain adds.  Correctness leans on the
-   same invariant as the memo: cells are written only by their owning
-   domain.  The cache itself is unsynchronized, so a [local_histogram]
-   must not be recorded to by two domains concurrently — heaps already
-   promise that. *)
-
-type local_histogram = {
-  lh : histogram;
-  mutable lh_owner : int;  (* domain id the cached cell belongs to; -1 = none *)
-  mutable lh_cell : histogram_cell;
-}
-
-let fresh_hist_cell () = { buckets = Array.make bucket_count 0; sum = 0 }
-
-let local_histogram h =
-  (* The placeholder cell is unregistered and unreachable from dumps;
-     owner -1 forces a real resolve on first record. *)
-  { lh = h; lh_owner = -1; lh_cell = fresh_hist_cell () }
-
-let observe_local lh v =
-  if Control.enabled () then begin
-    let me = (Domain.self () :> int) in
-    if lh.lh_owner <> me then begin
-      lh.lh_cell <- local_cell histogram_memo lh.lh fresh_hist_cell;
-      lh.lh_owner <- me
-    end;
-    let cell = lh.lh_cell in
-    let bucket = bucket_of v in
-    cell.buckets.(bucket) <- cell.buckets.(bucket) + 1;
-    cell.sum <- cell.sum + v
-  end
-
-let histogram_cells h = Mutex.protect h.cells_lock (fun () -> h.cells)
-
-let histogram_sum h =
-  List.fold_left (fun acc cell -> acc + cell.sum) 0 (histogram_cells h)
-
-let histogram_buckets h =
-  let cells = histogram_cells h in
-  Array.init bucket_count (fun b ->
-      List.fold_left (fun acc cell -> acc + cell.buckets.(b)) 0 cells)
-
-let histogram_total h =
-  List.fold_left
-    (fun acc cell -> acc + Array.fold_left ( + ) 0 cell.buckets)
-    0 (histogram_cells h)
-
-(* Quantile summaries from log2 buckets: the reported value is the upper
-   bound (2^b - 1) of the bucket holding the rank-⌈qN⌉ sample — coarse
-   (a factor of two), but enough for the CSV dump to flag a shifted
-   tail; Quantile holds the fine-grained story. *)
-let histogram_quantile h q =
-  let buckets = histogram_buckets h in
-  let total = Array.fold_left ( + ) 0 buckets in
-  if total = 0 then 0
-  else begin
-    let rank = min total (max 1 (int_of_float (ceil (q *. float_of_int total)))) in
-    let acc = ref 0 and result = ref 0 in
-    (try
-       Array.iteri
-         (fun b n ->
-           acc := !acc + n;
-           if !acc >= rank then begin
-             result := (if b = 0 then 0 else (1 lsl b) - 1);
-             raise Exit
-           end)
-         buckets
-     with Exit -> ());
-    !result
-  end
+let histogram_buckets h = log2_buckets (Quantile.snapshot h)
+let histogram_sum h = Quantile.sum (Quantile.snapshot h)
+let histogram_total h = Quantile.count (Quantile.snapshot h)
+let histogram_quantile h q = Quantile.quantile (Quantile.snapshot h) q
 
 type row = {
   name : string;
@@ -232,28 +113,23 @@ type row = {
   detail : string;
 }
 
-let histogram_detail h =
-  let buckets = histogram_buckets h in
-  let total = Array.fold_left ( + ) 0 buckets in
-  let sum = histogram_sum h in
+let histogram_row name h =
+  let snap = Quantile.snapshot h in
   let nonzero = ref [] in
-  Array.iteri (fun b n -> if n > 0 then nonzero := Printf.sprintf "b%d:%d" b n :: !nonzero) buckets;
-  let mean = if total = 0 then 0. else float_of_int sum /. float_of_int total in
-  Printf.sprintf "sum=%d mean=%.1f buckets=%s" sum mean
-    (String.concat ";" (List.rev !nonzero))
-
-(* When a {!Quantile} instrument shares a histogram's name, its exact
-   (3.125%-error) quantiles replace the log2 upper bounds in the p50/p99
-   columns — the instruments record the same series (the serve loop
-   publishes "serve.latency_ns" to both), so the dump reports the
-   tightest summary available.  Resolved once per dump, not per row. *)
-let exact_quantiles name =
-  match List.assoc_opt name (Quantile.registered ()) with
-  | None -> None
-  | Some q ->
-    let snap = Quantile.snapshot q in
-    if Quantile.count snap = 0 then None
-    else Some (Quantile.quantile snap 0.5, Quantile.quantile snap 0.99)
+  Array.iteri
+    (fun b n -> if n > 0 then nonzero := Printf.sprintf "b%d:%d" b n :: !nonzero)
+    (log2_buckets snap);
+  {
+    name;
+    kind = "histogram";
+    value = Quantile.count snap;
+    p50 = Some (Quantile.quantile snap 0.5);
+    p99 = Some (Quantile.quantile snap 0.99);
+    detail =
+      Printf.sprintf "sum=%d mean=%.1f buckets=%s" (Quantile.sum snap)
+        (Quantile.mean snap)
+        (String.concat ";" (List.rev !nonzero));
+  }
 
 let dump t =
   let rows =
@@ -268,20 +144,7 @@ let dump t =
            { name; kind = "counter"; value = counter_value c; p50 = None; p99 = None; detail = "" }
          | Gauge g ->
            { name; kind = "gauge"; value = gauge_read g; p50 = None; p99 = None; detail = "" }
-         | Histogram h ->
-           let p50, p99 =
-             match exact_quantiles name with
-             | Some (p50, p99) -> (p50, p99)
-             | None -> (histogram_quantile h 0.5, histogram_quantile h 0.99)
-           in
-           {
-             name;
-             kind = "histogram";
-             value = histogram_total h;
-             p50 = Some p50;
-             p99 = Some p99;
-             detail = histogram_detail h;
-           })
+         | Histogram h -> histogram_row name h)
        rows)
 
 (* CSV cells are names, kinds, ints and "k=v;..." details: no quoting

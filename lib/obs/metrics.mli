@@ -1,20 +1,17 @@
-(** Metrics registry: named counters, gauges and log2-bucketed
-    histograms.
+(** Metrics registry: named counters, gauges and histograms.
 
-    Counters and histograms are buffered per domain: the first time a
-    domain records into an instrument it is handed a private cell
-    (reached through domain-local storage), and every subsequent record
-    is a plain in-place add — no mutex, no atomic, no cache line shared
-    with any other domain.  Cells are merged only when a value is read
-    ([counter_value], [histogram_*], {!dump}); reads taken while another
-    domain is mid-burst may lag by that domain's unmerged buffer, and
-    are exact once writers have parked or been joined (the pool parks
-    its workers between fan-outs, so post-fan-out dumps are exact).
-    All recording is a no-op while {!Control.enabled} is false.
+    Counters and histograms record into per-domain {!Cell}s: the first
+    time a domain records into an instrument it is handed a private
+    cell, and every later record is a plain in-place add — no mutex, no
+    atomic, no cache line shared with any other domain.  Cells are
+    merged only when a value is read ([counter_value], [histogram_*],
+    {!dump}), and reads are exact once writers have parked or been
+    joined (the pool parks its workers between fan-outs, so post-fan-out
+    dumps are exact).  All recording is a no-op while {!Control.enabled} is false.
 
-    Instrument {e lookup} by name ({!counter}, {!histogram}) still takes
-    the registry mutex — resolve instruments once, outside hot loops,
-    and keep the handle.
+    Instrument {e lookup} by name ({!counter}, {!histogram}) takes the
+    registry mutex — resolve instruments once, outside hot loops, and
+    keep the handle.
 
     Instruments are get-or-create by name: creating ["heap.malloc.bytes"]
     twice returns the same histogram, so short-lived components (one heap
@@ -55,11 +52,21 @@ val gauge_fn : t -> string -> (unit -> int) -> unit
 (** Register (or replace) a callback gauge, read at dump time.  A
     callback that raises reads as 0. *)
 
-(** {1 Histograms} *)
+(** {1 Histograms}
 
-type histogram
+    A histogram is a {!Quantile.t}: HDR buckets with a 3.125% relative
+    error bound.  The power-of-two summary the CSV prints is a view
+    derived from those buckets, exact because each HDR bucket lies
+    inside one power-of-two range. *)
+
+type histogram = Quantile.t
 
 val histogram : t -> string -> histogram
+
+val observe : histogram -> int -> unit
+(** {!Quantile.record}.  Raises [Invalid_argument] on negative samples
+    (the sign check only runs while enabled).  Single-writer hot loops
+    record through their own {!Quantile.share} handle. *)
 
 val bucket_of : int -> int
 (** [bucket_of v] for [v >= 0] is the log2 bucket index: 0 for 0, and
@@ -68,38 +75,19 @@ val bucket_of : int -> int
 
 val bucket_count : int  (** 64: every non-negative OCaml int fits. *)
 
-val observe : histogram -> int -> unit
-(** Record a sample.  Raises [Invalid_argument] on negative samples
-    (even though recording itself is skipped when disabled, the sign
-    check only runs while enabled). *)
-
-type local_histogram
-(** A caller-held cache of one domain's cell for a histogram: skips the
-    domain-local-storage read and hash lookup {!observe} pays on every
-    record.  The cache is unsynchronized — a [local_histogram] must not
-    be recorded to by two domains concurrently (it re-resolves correctly
-    when ownership moves {e between} bursts, e.g. a heap handed from one
-    domain to another). *)
-
-val local_histogram : histogram -> local_histogram
-
-val observe_local : local_histogram -> int -> unit
-(** Like {!observe} through the cached cell: one enabled check, one
-    domain-id compare, two plain adds in the steady state. *)
-
 val histogram_sum : histogram -> int
 
 val histogram_total : histogram -> int
 (** Number of samples. *)
 
 val histogram_buckets : histogram -> int array
-(** Merged per-domain cells. *)
+(** The log2 view: sample counts per {!bucket_of} index, merged across
+    domains. *)
 
 val histogram_quantile : histogram -> float -> int
-(** [histogram_quantile h q] is the upper bound ([2^b - 1]) of the log2
-    bucket holding the rank-[⌈q*N⌉] sample — coarse (within a factor of
-    two), for the CSV dump's p50/p99 columns; use {!Quantile} when the
-    bound matters.  0 on an empty histogram. *)
+(** {!Quantile.quantile} of a fresh snapshot: the upper bound of the
+    HDR bucket holding the rank-[⌈q*N⌉] sample.  0 on an empty
+    histogram. *)
 
 (** {1 Reading} *)
 
@@ -107,15 +95,11 @@ type row = {
   name : string;
   kind : string;  (** ["counter"], ["gauge"] or ["histogram"]. *)
   value : int;  (** Counter sum, gauge value, or histogram sample count. *)
-  p50 : int option;
-      (** Histograms: {!histogram_quantile} at 0.5 — unless a
-          {!Quantile} instrument with the same name has samples, in
-          which case its exact (3.125%-error) quantile is reported
-          instead of the coarse log2 bound. *)
+  p50 : int option;  (** Histograms: {!histogram_quantile} at 0.5. *)
   p99 : int option;  (** Histograms: likewise at 0.99. *)
   detail : string;
-      (** Histograms: ["sum=S mean=M buckets=b1:n1;b4:n4"]; empty
-          otherwise. *)
+      (** Histograms: ["sum=S mean=M buckets=b1:n1;b4:n4"], the buckets
+          being the log2 view; empty otherwise. *)
 }
 
 val dump : t -> row list
@@ -129,4 +113,5 @@ val to_csv : t -> string
 val write_csv : path:string -> t -> unit
 
 val reset : t -> unit
-(** Drop every instrument (tests). *)
+(** Forget every instrument name (tests).  Handles already held keep
+    recording, but {!dump} no longer lists them. *)

@@ -27,9 +27,9 @@ let bucket_of v =
   if v < 0 then invalid_arg "Quantile.bucket_of: negative sample";
   if v < exact_limit then v
   else
-    let e = bits_of v - 1 in
-    let shift = e - fine_bits in
-    ((e - fine_bits + 1) * fine) + ((v lsr shift) land (fine - 1))
+    (* shift = e - fine_bits: the bits of v above the exact range *)
+    let shift = bits_of (v lsr (fine_bits + 1)) in
+    ((shift + 1) * fine) + ((v lsr shift) land (fine - 1))
 
 let bucket_bounds i =
   if i < 0 || i >= bucket_count then invalid_arg "Quantile.bucket_bounds";
@@ -40,78 +40,56 @@ let bucket_bounds i =
     let lo = (fine + m) lsl shift in
     (lo, lo + (1 lsl shift) - 1)
 
-(* --- sharded cells, following the Metrics discipline --- *)
+(* --- per-domain cells --- *)
 
-type cell = { counts : int array; mutable c_sum : int; mutable c_total : int }
+type cell = { counts : int array; mutable c_sum : int }
+type t = cell Cell.t
 
-type t = {
-  id : int;
-  cells_lock : Mutex.t;
-  mutable cells : cell list; (* one per domain that ever recorded *)
-}
+(* Every cell of every live histogram, held weakly so dropped histograms
+   can still be collected: [reset] zeroes whatever is alive. *)
+let live = ref (Weak.create 64)
+let live_lock = Mutex.create ()
 
-let next_id = Atomic.make 0
+let track cell =
+  Mutex.protect live_lock (fun () ->
+      let w = !live in
+      let n = Weak.length w in
+      let rec free i = if i < n && Weak.check w i then free (i + 1) else i in
+      let i = free 0 in
+      if i < n then Weak.set w i (Some cell)
+      else begin
+        let grown = Weak.create (2 * n) in
+        Weak.blit w 0 grown 0 n;
+        Weak.set grown n (Some cell);
+        live := grown
+      end)
 
-let create () =
-  { id = Atomic.fetch_and_add next_id 1; cells_lock = Mutex.create (); cells = [] }
+let fresh_cell () =
+  let cell = { counts = Array.make bucket_count 0; c_sum = 0 } in
+  track cell;
+  cell
 
-let fresh_cell () = { counts = Array.make bucket_count 0; c_sum = 0; c_total = 0 }
+let create () = Cell.create fresh_cell
+let share = Cell.share
 
-let memo : (int, cell) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let local_cell q =
-  let memo = Domain.DLS.get memo in
-  match Hashtbl.find_opt memo q.id with
-  | Some cell -> cell
-  | None ->
-    let cell = fresh_cell () in
-    Mutex.protect q.cells_lock (fun () -> q.cells <- cell :: q.cells);
-    Hashtbl.add memo q.id cell;
-    cell
-
-let record_cell cell v =
-  let b = bucket_of v in
-  cell.counts.(b) <- cell.counts.(b) + 1;
-  cell.c_sum <- cell.c_sum + v;
-  cell.c_total <- cell.c_total + 1
-
-let record q v = if Control.enabled () then record_cell (local_cell q) v
-
-type local = { lq : t; mutable lq_owner : int; mutable lq_cell : cell }
-
-let local q = { lq = q; lq_owner = -1; lq_cell = fresh_cell () }
-
-let record_local l v =
+let record q v =
   if Control.enabled () then begin
-    let me = (Domain.self () :> int) in
-    if l.lq_owner <> me then begin
-      l.lq_cell <- local_cell l.lq;
-      l.lq_owner <- me
-    end;
-    record_cell l.lq_cell v
+    let b = bucket_of v in
+    let cell = Cell.get q in
+    cell.counts.(b) <- cell.counts.(b) + 1;
+    cell.c_sum <- cell.c_sum + v
   end
 
-(* --- registry --- *)
-
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-let registry_lock = Mutex.create ()
-
-let get name =
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some q -> q
-      | None ->
-        let q = create () in
-        Hashtbl.replace registry name q;
-        q)
-
-let registered () =
-  List.sort compare
-    (Mutex.protect registry_lock (fun () ->
-         Hashtbl.fold (fun name q acc -> (name, q) :: acc) registry []))
-
-let reset () = Mutex.protect registry_lock (fun () -> Hashtbl.reset registry)
+let reset () =
+  Mutex.protect live_lock (fun () ->
+      let w = !live in
+      for i = 0 to Weak.length w - 1 do
+        Option.iter
+          (fun cell ->
+            Array.fill cell.counts 0 bucket_count 0;
+            cell.c_sum <- 0)
+          (Weak.get w i)
+      done)
 
 (* --- snapshots --- *)
 
@@ -120,16 +98,15 @@ type snapshot = { s_counts : int array; s_sum : int; s_total : int }
 let empty = { s_counts = Array.make bucket_count 0; s_sum = 0; s_total = 0 }
 
 let snapshot q =
-  let cells = Mutex.protect q.cells_lock (fun () -> q.cells) in
   let counts = Array.make bucket_count 0 in
-  let sum = ref 0 and total = ref 0 in
-  List.iter
-    (fun cell ->
-      Array.iteri (fun i n -> counts.(i) <- counts.(i) + n) cell.counts;
-      sum := !sum + cell.c_sum;
-      total := !total + cell.c_total)
-    cells;
-  { s_counts = counts; s_sum = !sum; s_total = !total }
+  let sum =
+    Cell.fold
+      (fun sum cell ->
+        Array.iteri (fun i n -> counts.(i) <- counts.(i) + n) cell.counts;
+        sum + cell.c_sum)
+      0 q
+  in
+  { s_counts = counts; s_sum = sum; s_total = Array.fold_left ( + ) 0 counts }
 
 let merge a b =
   {
@@ -139,6 +116,7 @@ let merge a b =
   }
 
 let count s = s.s_total
+let counts s = Array.copy s.s_counts
 let sum s = s.s_sum
 
 let mean s = if s.s_total = 0 then 0. else float_of_int s.s_sum /. float_of_int s.s_total

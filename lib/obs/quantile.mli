@@ -1,31 +1,29 @@
-(** HDR-style latency histograms with bounded relative error and exact
-    rank selection.
+(** HDR-style histograms with bounded relative error and exact rank
+    selection: the repository's one histogram type ({!Metrics.histogram}
+    is this type, registered by name).
 
-    {!Metrics} histograms bucket by whole powers of two — fine for
-    spotting shape, useless for SLO arithmetic (a "p99 below 2048 µs"
-    answer spans a factor of two).  This module keeps a two-level
-    bucketing instead: a coarse level indexed by the sample's exponent
-    and a fine level of [2^fine_bits] sub-buckets within each exponent,
-    so every reported quantile is within a [1/2^fine_bits] (3.125%)
-    relative error of the exact order statistic — and values below
-    [2^(fine_bits+1)] are bucketed exactly.
+    Samples are bucketed on two levels: a coarse level indexed by the
+    sample's exponent and a fine level of [2^fine_bits] sub-buckets
+    within each exponent, so every reported quantile is within a
+    [1/2^fine_bits] (3.125%) relative error of the exact order statistic
+    — and values below [2^(fine_bits+1)] are bucketed exactly.  Each
+    bucket lies inside one power-of-two range, so the log2 summary the
+    metrics CSV prints is an exact view of these buckets
+    ({!Metrics.histogram_buckets}).
 
-    Recording follows the {!Metrics} per-domain buffered-cell discipline:
-    the first record from a domain allocates it a private cell (reached
-    through domain-local storage), and every subsequent record is two
-    plain in-place adds — no mutex, no atomic, no shared cache line.
-    Single-writer hot loops can hold a {!local} cache of the resolved
-    cell, exactly like {!Metrics.local_histogram}.  All recording is a
-    no-op while {!Control.enabled} is false (one atomic load).
+    A histogram is a {!Cell} handle: the first record from a domain
+    allocates it a private cell, and every later record through a handle
+    that domain owns is one domain-id compare and two plain in-place
+    adds.  All recording is a no-op while {!Control.enabled} is false
+    (one atomic load).
 
     Reads go through {!snapshot}: an immutable merged copy of every
-    per-domain cell, taken under the instrument's cell-list lock.
-    Snapshots merge ({!merge}), so sharded collectors — one instrument
-    per domain, one per run leg — combine into a single distribution
-    without re-bucketing error. *)
+    per-domain cell.  Snapshots merge ({!merge}), so sharded collectors
+    — one instrument per domain, one per run leg — combine into a single
+    distribution without re-bucketing error. *)
 
 type t
-(** A quantile histogram (sharded across recording domains). *)
+(** A handle onto a histogram's per-domain cells. *)
 
 val fine_bits : int
 (** 5: 32 sub-buckets per exponent, relative error bound [1/32]. *)
@@ -34,35 +32,26 @@ val bucket_count : int
 (** Buckets per cell; every non-negative OCaml int has a bucket. *)
 
 val create : unit -> t
-(** An unregistered instrument (tests, throwaway collectors). *)
+(** A fresh, empty histogram ({!Metrics.histogram} registers one by
+    name). *)
 
-val get : string -> t
-(** Get or create by name in the process-wide registry — the serve loop
-    publishes ["serve.latency_ns"] here and the bench reads it back. *)
-
-val registered : unit -> (string * t) list
-(** Registry contents, sorted by name. *)
+val share : t -> t
+(** Another handle onto the same histogram with its own cached cell
+    ({!Cell.share}): give one to each long-lived single-writer component
+    (a heap, a serve loop) so concurrent writers do not evict each
+    other's cache. *)
 
 val reset : unit -> unit
-(** Drop every registered instrument (tests).  Cells of dropped
-    instruments become unreachable; ids are never reused. *)
+(** Zero every live histogram in place (tests, and benches starting a
+    fresh measurement).  Handles stay valid and record from zero. *)
 
 (** {1 Recording} *)
 
 val record : t -> int -> unit
 (** Record a sample.  Raises [Invalid_argument] on negative samples
-    (checked only while enabled, mirroring {!Metrics.observe}). *)
+    (checked only while enabled). *)
 
-type local
-(** A caller-held cache of one domain's cell: one enabled check, one
-    domain-id compare and two plain adds in the steady state.  Must not
-    be recorded to by two domains concurrently (same contract as
-    {!Metrics.local_histogram}). *)
-
-val local : t -> local
-val record_local : local -> int -> unit
-
-(** {1 Bucketing (exposed for tests)} *)
+(** {1 Bucketing} *)
 
 val bucket_of : int -> int
 (** Bucket index of a non-negative sample.  Monotone: [a <= b] implies
@@ -77,15 +66,17 @@ val bucket_bounds : int -> int * int
 type snapshot
 
 val snapshot : t -> snapshot
-(** Merge every per-domain cell now.  Cells being written by a domain
-    that has not parked may lag by its unmerged buffer (the same read
-    contract as {!Metrics}). *)
+(** Merge every per-domain cell now (the {!Cell} read contract: exact
+    once writers have parked). *)
 
 val empty : snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 
 val count : snapshot -> int  (** Samples recorded. *)
+
+val counts : snapshot -> int array
+(** Per-bucket sample counts, indexed like {!bucket_of} (a copy). *)
 
 val sum : snapshot -> int
 

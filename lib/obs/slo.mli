@@ -11,7 +11,7 @@
     flight recorder's event window catches it on a later fault.
 
     Counters are plain mutable ints: an SLO belongs to one recording
-    loop (the serve loop), like a {!Metrics.local_histogram} cell.
+    loop (the serve loop), like a {!Cell} value.
     {!record} is a no-op while {!Control.enabled} is false.
 
     A process-wide {e active} slot lets a driver (the serve bench, the

@@ -18,27 +18,15 @@ type ring = {
   mutable n : int;  (* total events ever written to this ring *)
 }
 
-(* Ring registry: appended to when a domain records its first event,
-   never removed from (a dead domain's ring keeps its tail of events,
-   which the flight recorder may still want).  The mutex guards only
-   registration and the snapshot taken by [rings ()]. *)
-let registry : ring list ref = ref []
-let registry_lock = Mutex.create ()
-
-let ring_key =
-  Domain.DLS.new_key (fun () ->
-      let r =
-        {
-          dom = (Domain.self () :> int);
-          events = Array.make ring_capacity None;
-          n = 0;
-        }
-      in
-      Mutex.protect registry_lock (fun () -> registry := r :: !registry);
-      r)
+(* One ring per domain, registered when the domain records its first
+   event and never removed (a dead domain's ring keeps its tail of
+   events, which the flight recorder may still want). *)
+let rings =
+  Cell.create (fun () ->
+      { dom = (Domain.self () :> int); events = Array.make ring_capacity None; n = 0 })
 
 let record phase name arg =
-  let r = Domain.DLS.get ring_key in
+  let r = Cell.get rings in
   r.events.(r.n mod ring_capacity) <-
     Some { ts = now_us (); dom = r.dom; phase; name; arg };
   r.n <- r.n + 1
@@ -54,8 +42,6 @@ let span ?arg name f =
     Fun.protect ~finally:(fun () -> record End name "") f
   end
 
-let rings () = Mutex.protect registry_lock (fun () -> !registry)
-
 let ring_events r =
   let n = r.n in
   let kept = min n ring_capacity in
@@ -67,24 +53,23 @@ let ring_events r =
 let events () =
   List.sort
     (fun a b -> compare (a.ts, a.dom) (b.ts, b.dom))
-    (List.concat_map ring_events (rings ()))
+    (Cell.fold (fun acc r -> ring_events r @ acc) [] rings)
 
 let last_events n =
   let all = events () in
   let len = List.length all in
   if len <= n then all else List.filteri (fun i _ -> i >= len - n) all
 
-let recorded () = List.fold_left (fun acc r -> acc + r.n) 0 (rings ())
+let recorded () = Cell.fold (fun acc r -> acc + r.n) 0 rings
 
-let dropped () =
-  List.fold_left (fun acc r -> acc + max 0 (r.n - ring_capacity)) 0 (rings ())
+let dropped () = Cell.fold (fun acc r -> acc + max 0 (r.n - ring_capacity)) 0 rings
 
 let reset () =
-  List.iter
-    (fun r ->
+  Cell.fold
+    (fun () r ->
       Array.fill r.events 0 ring_capacity None;
       r.n <- 0)
-    (rings ())
+    () rings
 
 (* --- export --- *)
 

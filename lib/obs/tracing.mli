@@ -1,9 +1,8 @@
 (** Span tracing: a lock-free per-domain ring buffer of begin/end/instant
     events with monotonic-in-practice timestamps.
 
-    Each domain records into its own fixed-capacity ring (reached through
-    domain-local storage), so recording never synchronizes with other
-    domains; the ring overwrites its oldest events when full, which is
+    Each domain records into its own fixed-capacity ring (a {!Cell}
+    value), so recording never synchronizes with other domains; the ring overwrites its oldest events when full, which is
     exactly the window the {!Recorder} flight recorder wants.  Reads
     ({!events}, {!to_chrome_json}) merge every ring and sort by
     timestamp; they are intended for quiescent moments (process exit, a

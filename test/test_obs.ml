@@ -162,16 +162,40 @@ let test_csv_dump () =
 let test_histogram_quantile () =
   with_clean @@ fun () ->
   let h = Metrics.histogram Metrics.default "test.hq" in
-  (* 10 samples in bucket of 1 (upper bound 1), one in bucket of 100
-     (log2 bucket 6, upper bound 127). *)
+  (* 10 samples of 1 (bucketed exactly), one of 100 (HDR bucket
+     [100, 101]). *)
   for _ = 1 to 10 do
     Metrics.observe h 1
   done;
   Metrics.observe h 100;
   check_int "p50 = small bucket bound" 1 (Metrics.histogram_quantile h 0.5);
-  check_int "p99 lands in the top bucket" 127 (Metrics.histogram_quantile h 0.99);
+  check_int "p99 lands in the top bucket" 101 (Metrics.histogram_quantile h 0.99);
   let empty = Metrics.histogram Metrics.default "test.hq.empty" in
   check_int "empty histogram quantile 0" 0 (Metrics.histogram_quantile empty 0.5)
+
+(* The CSV's log2 detail is a view of the HDR buckets: it must equal a
+   power-of-two bucketing of the raw samples, done here by hand. *)
+let prop_log2_view =
+  QCheck.Test.make ~name:"metrics: log2 view equals a reference bucketing"
+    ~count:200
+    QCheck.(
+      list_of_size Gen.(int_range 0 100)
+        (make Gen.(oneof [ int_bound 200; int_bound 1_000_000; map abs int ])))
+    (fun samples ->
+      let samples = [ 0; 63; 64; 65; max_int ] @ samples in
+      let reference = Array.make 64 0 in
+      List.iter
+        (fun v ->
+          let rec bits b = if v lsr b = 0 then b else bits (b + 1) in
+          let b = bits 0 in
+          reference.(b) <- reference.(b) + 1)
+        samples;
+      with_clean @@ fun () ->
+      let h = Metrics.histogram Metrics.default "test.log2.view" in
+      List.iter (Metrics.observe h) samples;
+      Metrics.histogram_buckets h = reference
+      && Metrics.histogram_total h = List.length samples
+      && Metrics.histogram_sum h = List.fold_left ( + ) 0 samples)
 
 (* --- tracing -------------------------------------------------------- *)
 
@@ -341,6 +365,7 @@ let suite =
     Alcotest.test_case "instrument kind mismatch" `Quick test_kind_mismatch;
     Alcotest.test_case "metrics csv dump" `Quick test_csv_dump;
     Alcotest.test_case "metrics histogram quantile" `Quick test_histogram_quantile;
+    QCheck_alcotest.to_alcotest prop_log2_view;
     Alcotest.test_case "trace ring wraps" `Quick test_ring_wrap;
     Alcotest.test_case "span is exception-safe" `Quick test_span_exception_safe;
     Alcotest.test_case "chrome trace json" `Quick test_chrome_json;

@@ -11,6 +11,7 @@ module Window = Dh_obs.Window
 module Slo = Dh_obs.Slo
 module Tracing = Dh_obs.Tracing
 module Recorder = Dh_obs.Recorder
+module Audit = Dh_obs.Audit
 module Supervisor = Diehard.Supervisor
 module Server = Dh_workload.Server
 
@@ -118,26 +119,46 @@ let test_snapshot_arithmetic () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative sample accepted")
 
+(* Four domains record disjoint slices into a histogram (each through
+   its own shared handle), a counter and the audit (both through one
+   handle all four use at once, so their cached cells keep being
+   evicted).  Every merged read must equal a sequential oracle. *)
 let test_shard_merge_under_domains () =
   with_clean @@ fun () ->
-  let t = Quantile.get "test.sharded" in
-  (* Four domains record disjoint slices concurrently; the merged
-     snapshot must equal a single-domain recording of the whole set. *)
+  Audit.reset ();
+  Fun.protect ~finally:Audit.reset @@ fun () ->
+  let reg = Dh_obs.Metrics.default in
+  let t = Dh_obs.Metrics.histogram reg "test.sharded" in
+  let c = Dh_obs.Metrics.counter reg "test.sharded.count" in
+  let lc = Audit.local () in
+  let site = Audit.site "test.sharded.site" in
   let slice d = List.init 500 (fun i -> (d * 10_000) + (i * 7)) in
+  let class_of v = v mod 12 and index_of v = v mod 64 in
+  let record_audit v =
+    Audit.record_alloc lc ~class_:(class_of v) ~index:(index_of v) ~capacity:64
+      ~site
+  in
   let domains =
     List.init 4 (fun d ->
         Domain.spawn (fun () ->
             Control.with_enabled true (fun () ->
-                let local = Quantile.local t in
-                List.iter (Quantile.record_local local) (slice d))))
+                let local = Quantile.share t in
+                List.iter
+                  (fun v ->
+                    Quantile.record local v;
+                    Dh_obs.Metrics.add c v;
+                    record_audit v)
+                  (slice d))))
   in
   List.iter Domain.join domains;
+  let all = List.concat_map slice [ 0; 1; 2; 3 ] in
   let merged = Quantile.snapshot t in
   let oracle = Quantile.create () in
-  List.iter (fun d -> List.iter (Quantile.record oracle) (slice d)) [ 0; 1; 2; 3 ];
+  List.iter (Quantile.record oracle) all;
   let expect = Quantile.snapshot oracle in
   check_int "merged count" (Quantile.count expect) (Quantile.count merged);
   check_int "merged sum" (Quantile.sum expect) (Quantile.sum merged);
+  check "merged buckets" true (Quantile.counts expect = Quantile.counts merged);
   List.iter
     (fun q ->
       check_int
@@ -147,7 +168,47 @@ let test_shard_merge_under_domains () =
   (* merging snapshots by hand agrees too *)
   let remerged = Quantile.merge merged Quantile.empty in
   check_int "merge with empty is identity" (Quantile.count merged)
-    (Quantile.count remerged)
+    (Quantile.count remerged);
+  check_int "merged counter" (List.fold_left ( + ) 0 all)
+    (Dh_obs.Metrics.counter_value c);
+  let audit_matches vs =
+    let snap = Audit.snapshot () in
+    let allocs = Array.make Audit.max_classes 0 in
+    let slots = Array.make_matrix Audit.max_classes Audit.slot_buckets 0 in
+    List.iter
+      (fun v ->
+        allocs.(class_of v) <- allocs.(class_of v) + 1;
+        slots.(class_of v).(index_of v) <- slots.(class_of v).(index_of v) + 1)
+      vs;
+    Array.for_all
+      (fun (cs : Audit.class_stat) ->
+        cs.Audit.allocs = allocs.(cs.Audit.cls)
+        && cs.Audit.slot_hist = slots.(cs.Audit.cls))
+      snap.Audit.classes
+    && List.map
+         (fun (s : Audit.site_stat) -> (s.Audit.site_id, s.Audit.s_allocs))
+         snap.Audit.sites
+       = if vs = [] then [] else [ (site, List.length vs) ]
+  in
+  check "merged audit classes and sites" true (audit_matches all);
+  (* Reset zeroes every cell in place: handles taken before it stay
+     valid and record from zero. *)
+  Quantile.reset ();
+  Audit.reset ();
+  let site' = Audit.site "test.sharded.site" in
+  check_int "site re-interned at the same id" site site';
+  check_int "histogram zeroed" 0 (Quantile.count (Quantile.snapshot t));
+  check "audit zeroed" true (audit_matches []);
+  let again = [ 3; 700; 70_000 ] in
+  List.iter
+    (fun v ->
+      Dh_obs.Metrics.observe t v;
+      record_audit v)
+    again;
+  let after = Quantile.snapshot t in
+  check_int "records after reset" 3 (Quantile.count after);
+  check_int "sum after reset" (3 + 700 + 70_000) (Quantile.sum after);
+  check "audit after reset" true (audit_matches again)
 
 (* --- Window rotation ------------------------------------------------- *)
 
@@ -340,7 +401,8 @@ let test_serve_telemetry () =
   let slo = Slo.configure ~name:"test-serve" ~target:max_int ~budget:0.5 () in
   let incident = serve_incident ~obs:true () in
   check "survived" true (incident.Supervisor.verdict <> Supervisor.Gave_up);
-  let s = Quantile.(snapshot (get "serve.latency_ns")) in
+  let latency = Dh_obs.Metrics.(histogram default "serve.latency_ns") in
+  let s = Quantile.snapshot latency in
   (* every request (plus rewound replays) recorded a latency *)
   check "latency samples >= requests" true (Quantile.count s >= 512);
   check "latencies are positive" true (Quantile.quantile s 0.5 > 0);
@@ -352,7 +414,11 @@ let test_serve_telemetry () =
   check "request window saw traffic" true (total "serve.requests" >= 512);
   let r = Slo.report slo in
   check "slo counted the run" true (r.Slo.total >= 512);
-  check "generous slo not breached" true (not r.Slo.breached)
+  check "generous slo not breached" true (not r.Slo.breached);
+  (* What a bench pass relies on to start its latencies from empty. *)
+  Quantile.reset ();
+  check_int "reset empties serve.latency_ns" 0
+    (Quantile.count (Quantile.snapshot latency))
 
 let test_serve_telemetry_write_only () =
   (* The determinism contract: the same run with telemetry on and off
