@@ -16,14 +16,22 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- quick
 
-# Parallel scaling sweep (jobs 1..8): prints the per-point
-# speedup/efficiency table, records it into BENCH_throughput.json, and
-# fails if any parallel run's output diverges from the sequential
-# fingerprint — or, on a >= 2-core machine, if jobs=2 fails to beat
-# jobs=1 in wall-clock (single-core runners skip that gate with a
-# warning; see Throughput.scaling_gate).
+# The throughput gate, full size: the parallel scaling sweep (jobs
+# 1, 2, 4, 8 up to max(2, cores)) with its speedup/efficiency table,
+# bulk/bytewise semantics, rewind recovery and the obs budget, plus the
+# allocation and write-path rates against the committed
+# BENCH_throughput.json, which it then rewrites.  Every parallel run
+# must reproduce the sequential fingerprint, and on a >= 2-core machine
+# jobs=2 must beat jobs=1 in wall-clock (single-core runners skip that
+# check with a note).
 bench-scaling:
-	dune exec bench/throughput.exe -- --jobs 8
+	dune exec bench/main.exe -- throughput-gate
+
+# Runs bench/main.exe in a fresh scratch directory, so a quick or
+# traced gate neither compares against nor overwrites the committed
+# BENCH_*.json baselines.
+SCRATCH_BENCH = tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && cd "$$tmp" && \
+	$(CURDIR)/_build/default/bench/main.exe
 
 # The §4.5 space gate: run the meshing frontier (touched pages
 # with/without page meshing per workload), rewrite BENCH_space.json,
@@ -45,20 +53,20 @@ bench-space:
 bench-serve:
 	dune exec bench/main.exe -- serve-gate
 
-# Telemetry + checkpoint gate, two legs.  First an untraced full run
-# gated against the committed baseline: the obs-disabled allocation path
-# and the no-checkpoint write path (dirty-page tracking is always on)
-# must stay within 5% of the committed floor, and the run itself fails
-# if rewind recovery is slower than from-scratch retry or its output
-# fingerprint diverges.  (The legs are separate because --trace switches
-# telemetry on for the whole run, which would sink the rates the
-# baseline compares.)  Then a quick traced run: the trace must parse as
-# JSON and cover the heap/GC/supervisor/replica spans the inspector
-# expects.
+# Telemetry + checkpoint gate, two legs.  First an untraced full
+# throughput gate against the committed baseline: the obs-disabled
+# allocation path and the no-checkpoint write path (dirty-page tracking
+# is always on) must stay within 5% of the committed floor, rewind
+# recovery must beat from-scratch retry with the same output, and the
+# run rewrites BENCH_throughput.json.  Then a quick traced run in a
+# scratch directory: --trace switches telemetry on for the whole run,
+# which sinks the rates, so its report records traced=true and is never
+# compared with an untraced baseline.  The trace must parse as JSON and
+# cover the heap/GC/supervisor/replica spans the inspector expects.
 obs-check:
 	dune build @all
-	dune exec bench/throughput.exe -- --baseline BENCH_throughput.json --out /dev/null
-	dune exec bench/throughput.exe -- --quick --trace obs_trace.json --out /dev/null
+	dune exec bench/main.exe -- throughput-gate
+	$(SCRATCH_BENCH) quick throughput-gate --trace $(CURDIR)/obs_trace.json
 	python3 -m json.tool obs_trace.json > /dev/null
 	dune exec bin/diehard_cli.exe -- obs obs_trace.json \
 		--expect heap.malloc,gc.collect,gc.mark,gc.sweep,supervisor.attempt,replica.run
@@ -87,14 +95,16 @@ examples:
 	dune exec examples/supervised_run.exe
 
 # Everything CI runs: full build, full test suite (including the
-# parallel determinism suite), a smoke run of the survival supervisor,
-# and a quick scaling-bench divergence check at --jobs 2.
+# parallel determinism suite and the gate failure-mode tests), a smoke
+# run of the survival supervisor, and a quick throughput gate (scaling
+# divergence, rewind recovery, obs budget) in a scratch directory, so
+# the committed BENCH_throughput.json stays untouched.
 check:
 	dune build @all
 	dune runtest --force
 	dune exec test/test_main.exe -- test parallel
 	dune exec bin/diehard_cli.exe -- survive cfrac --retries 1
-	dune exec bench/throughput.exe -- --quick --jobs 2 --out /dev/null
+	$(SCRATCH_BENCH) quick throughput-gate
 
 clean:
 	dune clean

@@ -23,9 +23,9 @@
    through `~max_live_fraction:(1 / M)` so all four configs take the
    same code path.
 
-   The gate feeds the measured tallies through Dh_obs.Audit /
-   Dh_analysis.Margin — the same pipeline the CLI uses — and commits
-   the whole report as BENCH_audit.json. *)
+   The sweep feeds the measured tallies through Dh_obs.Audit /
+   Dh_analysis.Margin — the same pipeline the CLI uses — and the gate
+   commits the whole report as BENCH_audit.json. *)
 
 module Allocator = Dh_alloc.Allocator
 module Theorems = Dh_analysis.Theorems
@@ -78,11 +78,15 @@ type leg = {
   ok : bool;
 }
 
+(* The acceptance rule for one masking leg, shared by the table and the
+   gate. *)
+let within ~tol ~analytic measured = Float.abs (measured -. analytic) <= tol
+
 let leg ~analytic ~masked ~trials =
   let measured = float_of_int masked /. float_of_int trials in
   let sigma = Margin.binomial_sigma ~p:analytic ~trials in
   let tol = (sigmas *. sigma) +. slack in
-  { analytic; measured; sigma; tol; ok = Float.abs (measured -. analytic) <= tol }
+  { analytic; measured; sigma; tol; ok = within ~tol ~analytic measured }
 
 type row = {
   m : float;
@@ -174,21 +178,6 @@ let sweep ~quick () =
   in
   (rows, Option.get !margin, overflow_trials, dangling_trials)
 
-let row_failures r =
-  List.filter_map
-    (fun (ok, what) -> if ok then None else Some (Printf.sprintf "M=%g %s" r.m what))
-    [
-      ( r.overflow.ok,
-        Printf.sprintf "overflow masking %.4f vs analytic %.4f (tol %.4f)"
-          r.overflow.measured r.overflow.analytic r.overflow.tol );
-      ( r.dangling.ok,
-        Printf.sprintf "dangling masking %.4f vs analytic %.4f (tol %.4f)"
-          r.dangling.measured r.dangling.analytic r.dangling.tol );
-      ( r.entropy_ok,
-        Printf.sprintf "slot entropy %.3f bits = %.1f%% of ideal (floor %.0f%%)"
-          r.entropy_bits (100. *. r.entropy_ratio) (100. *. entropy_floor) );
-    ]
-
 let print_rows rows =
   Report.table
     ~header:
@@ -208,7 +197,7 @@ let print_rows rows =
            Report.pct2 r.dangling.measured;
            Printf.sprintf "%.3f" r.dangling.tol;
            Printf.sprintf "%.2f/%.2f" r.entropy_bits entropy_ideal;
-           (if row_failures r = [] then "ok" else "FAIL");
+           (if r.overflow.ok && r.dangling.ok && r.entropy_ok then "ok" else "FAIL");
          ])
        rows)
 
@@ -225,62 +214,95 @@ let run ~quick () =
   Report.subheading "Margin report at M=2 (what `diehard audit` prints live)";
   Format.printf "%a@?" Margin.pp margin
 
-(* --- machine-readable baseline + CI gate --- *)
+(* --- BENCH_audit.json and its gate --- *)
 
-let write_json ~path ~quick rows margin ~overflow_trials ~dangling_trials =
-  let b = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"diehard-bench-audit/1\",\n";
-  add "  \"quick\": %b,\n" quick;
-  add
-    "  \"config\": {\"heap_size\": %d, \"class\": %d, \"size\": %d, \
-     \"dangling_allocations\": %d, \"overflow_trials\": %d, \
-     \"dangling_trials\": %d, \"entropy_fills\": %d, \"sigmas\": %.1f, \
-     \"slack\": %.3f, \"entropy_floor\": %.2f},\n"
-    heap_size class_ size dangling_allocations overflow_trials dangling_trials
-    entropy_fills sigmas slack entropy_floor;
-  add "  \"sweep\": [\n";
-  List.iteri
-    (fun i r ->
-      let leg_json l =
-        Printf.sprintf
-          "{\"analytic\": %.6f, \"measured\": %.6f, \"sigma\": %.6f, \
-           \"tolerance\": %.6f, \"pass\": %b}"
-          l.analytic l.measured l.sigma l.tol l.ok
-      in
-      add
-        "    {\"multiplier\": %g, \"threshold\": %d, \"capacity\": %d,\n\
-        \     \"overflow\": %s,\n\
-        \     \"dangling\": %s,\n\
-        \     \"entropy\": {\"bits\": %.4f, \"ideal\": %.4f, \"ratio\": %.4f, \
-         \"samples\": %d, \"pass\": %b}}%s\n"
-        r.m r.threshold r.capacity (leg_json r.overflow) (leg_json r.dangling)
-        r.entropy_bits entropy_ideal r.entropy_ratio r.entropy_samples r.entropy_ok
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  add "  ],\n";
-  add "  \"uninit\": {\"bits\": 32, \"detect_k3\": %.6f},\n"
-    (Theorems.uninit_detect_probability ~bits:32 ~replicas:3);
-  add "  \"margin\": %s,\n" (Margin.to_json margin);
-  add "  \"pass\": %b\n" (List.for_all (fun r -> row_failures r = []) rows);
-  add "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
+let bench = "audit"
 
-let gate ~quick ?(out = "BENCH_audit.json") () =
+let row_key m field = Printf.sprintf "M=%g/%s" m field
+
+let to_report ~quick rows margin ~overflow_trials ~dangling_trials =
+  let leg_metrics m name l =
+    List.map
+      (fun (field, x) -> (row_key m (name ^ "." ^ field), Gate.float x))
+      [
+        ("analytic", l.analytic); ("measured", l.measured); ("sigma", l.sigma);
+        ("tolerance", l.tol);
+      ]
+  in
+  Gate.v ~bench
+    ~config:
+      [
+        ("quick", Gate.bool quick);
+        ("heap_size", Gate.int heap_size);
+        ("class", Gate.int class_);
+        ("size", Gate.int size);
+        ("dangling_allocations", Gate.int dangling_allocations);
+        ("overflow_trials", Gate.int overflow_trials);
+        ("dangling_trials", Gate.int dangling_trials);
+        ("entropy_fills", Gate.int entropy_fills);
+        ("sigmas", Gate.float sigmas);
+        ("slack", Gate.float slack);
+        ("entropy_floor", Gate.float entropy_floor);
+      ]
+    ~exact:
+      (List.concat_map
+         (fun r ->
+           [
+             (row_key r.m "threshold", Gate.int r.threshold);
+             (row_key r.m "capacity", Gate.int r.capacity);
+           ]
+           @ leg_metrics r.m "overflow" r.overflow
+           @ leg_metrics r.m "dangling" r.dangling
+           @ [
+               (row_key r.m "entropy.bits", Gate.float r.entropy_bits);
+               (row_key r.m "entropy.ideal", Gate.float entropy_ideal);
+               (row_key r.m "entropy.ratio", Gate.float r.entropy_ratio);
+               (row_key r.m "entropy.samples", Gate.int r.entropy_samples);
+             ])
+         rows
+      @ [
+          ( "uninit.detect_k3",
+            Gate.float (Theorems.uninit_detect_probability ~bits:32 ~replicas:3) );
+          (* the M=2 margin report exactly as `diehard audit --format json`
+             prints it *)
+          ("margin", Result.get_ok (Dh_obs.Json.parse (Margin.to_json margin)));
+        ])
+    ~wall:[]
+
+(* One check per M-point: both masking legs within their declared
+   tolerance of the analytic value, and the slot entropy above its
+   floor. *)
+let checks =
+  List.map
+    (fun m ->
+      Gate.check (Printf.sprintf "M=%g" m) (fun r ->
+          let num field = Gate.number r (row_key m field) in
+          let leg name =
+            let measured = num (name ^ ".measured")
+            and analytic = num (name ^ ".analytic")
+            and tol = num (name ^ ".tolerance") in
+            ( within ~tol ~analytic measured,
+              Printf.sprintf "%s %.4f vs analytic %.4f (tol %.4f)" name measured
+                analytic tol )
+          in
+          let ratio = num "entropy.ratio" in
+          let parts =
+            [
+              leg "overflow";
+              leg "dangling";
+              ( ratio >= entropy_floor,
+                Printf.sprintf "entropy %.1f%% of ideal (floor %.0f%%)" (100. *. ratio)
+                  (100. *. entropy_floor) );
+            ]
+          in
+          let failing = List.filter (fun (ok, _) -> not ok) parts in
+          Gate.verdict (failing = [])
+            (String.concat "; " (List.map snd (if failing = [] then parts else failing)))))
+    multipliers
+
+let gate ~quick () =
   Report.heading "Audit gate: empirical masking must track the analytic curve";
-  let rows, margin, overflow_trials, dangling_trials = sweep ~quick () in
-  print_rows rows;
-  write_json ~path:out ~quick rows margin ~overflow_trials ~dangling_trials;
-  let failures = List.concat_map row_failures rows in
-  if failures <> [] then begin
-    List.iter (fun f -> Printf.printf "audit gate FAIL: %s\n" f) failures;
-    exit 3
-  end;
-  Printf.printf
-    "audit gate ok: %d M-points, overflow within %.1f sigma + %.2f, dangling exact \
-     model holds, entropy >= %.0f%% of ideal\n%!"
-    (List.length rows) sigmas slack (100. *. entropy_floor)
+  Gate.run ~bench checks (fun () ->
+      let rows, margin, overflow_trials, dangling_trials = sweep ~quick () in
+      print_rows rows;
+      to_report ~quick rows margin ~overflow_trials ~dangling_trials)

@@ -4,7 +4,15 @@
 
      dune exec bench/main.exe            # everything, full settings
      dune exec bench/main.exe -- quick   # everything, reduced trials
-     dune exec bench/main.exe -- fig4a fig5a table1 ...   # any subset *)
+     dune exec bench/main.exe -- fig4a fig5a table1 ...   # any subset
+
+   Options: `quick` (reduced trials), `csv` (tables as CSV), and
+   `--trace PATH` (run with observability on and write the spans as
+   Chrome trace_event JSON).  The `*-gate` experiments run only when
+   named: each writes BENCH_<bench>.json, gates it against the file it
+   replaced, and exits 3 if a check fails.  Usage errors exit 2. *)
+
+open Dh_bench
 
 let experiments ~quick =
   [
@@ -35,31 +43,57 @@ let experiments ~quick =
     ("ablate", fun () -> Ablate.run ~quick ());
     ("audit", fun () -> Audit.run ~quick ());
     ("audit-gate", fun () -> Audit.gate ~quick ());
+    ("throughput", fun () -> ignore (Throughput.measure ~quick ()));
+    ("throughput-gate", fun () -> Throughput.gate ~quick ());
   ]
 
+let usage msg =
+  prerr_endline msg;
+  exit 2
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let quick = List.mem "quick" args in
-  if List.mem "csv" args then Report.format := Report.Csv;
-  let selected = List.filter (fun a -> a <> "quick" && a <> "csv") args in
+  let quick = ref false and trace = ref None in
+  let rec parse = function
+    | [] -> []
+    | "quick" :: rest ->
+      quick := true;
+      parse rest
+    | "csv" :: rest ->
+      Report.format := Report.Csv;
+      parse rest
+    | "--trace" :: path :: rest ->
+      trace := Some path;
+      parse rest
+    | [ "--trace" ] -> usage "--trace wants a PATH"
+    | name :: rest -> name :: parse rest
+  in
+  let selected = parse (List.tl (Array.to_list Sys.argv)) in
+  let quick = !quick in
   let experiments = experiments ~quick in
   let to_run =
     (* Gates can exit non-zero; they only run when named explicitly. *)
     if selected = [] then
-      List.filter
-        (fun (n, _) -> n <> "space-gate" && n <> "serve-gate" && n <> "audit-gate")
-        experiments
+      List.filter (fun (n, _) -> not (String.ends_with ~suffix:"-gate" n)) experiments
     else
-      List.filter_map
+      List.map
         (fun name ->
           match List.assoc_opt name experiments with
-          | Some f -> Some (name, f)
+          | Some f -> (name, f)
           | None ->
-            Printf.eprintf "unknown experiment %S; known: %s\n" name
-              (String.concat ", " (List.map fst experiments));
-            exit 2)
+            usage
+              (Printf.sprintf "unknown experiment %S; known: %s" name
+                 (String.concat ", " (List.map fst experiments))))
         selected
   in
+  (* at exit, so a failed gate's run still leaves its trace *)
+  Option.iter
+    (fun path ->
+      Dh_obs.Control.set_enabled true;
+      at_exit (fun () ->
+          Dh_obs.Tracing.write_chrome_json ~path ();
+          Printf.printf "wrote %s (%d events)\n" path
+            (List.length (Dh_obs.Tracing.events ()))))
+    !trace;
   Printf.printf
     "DieHard reproduction benchmarks%s -- one section per paper table/figure\n"
     (if quick then " (quick mode)" else "");

@@ -11,8 +11,8 @@
    - deterministic: the server's content-derived output checksum, its
      failed-request count, whether the run survived on a randomized
      heap and how many rewinds it took.  These must reproduce exactly
-     on any machine, so the gate compares them against the committed
-     BENCH_serve.json baseline whenever the leg geometry matches.
+     on any machine; survival is gated outright, and the checksum
+     against the committed BENCH_serve.json whenever the config matches.
    - wall-clock: throughput and latency quantiles.  Real but noisy —
      recorded in the JSON for trend-watching, and the SLO gate over
      them loud-skips on single-core runners (CI smoke boxes) the same
@@ -194,8 +194,47 @@ let leg_section l =
       [ "survived randomized"; string_of_bool l.survived_randomized ];
     ]
 
-let run ~quick () =
-  Report.heading "Serve-loop SLO observability: the long-haul server under attack";
+let bench = "serve"
+
+let to_report ~quick l ~survived ~seeds =
+  let slo = l.slo in
+  Gate.v ~bench
+    ~config:
+      [
+        ("quick", Gate.bool quick);
+        ("requests", Gate.int l.requests);
+        ("attack_every", Gate.int attack_stride);
+        ("zipf", Gate.float zipf_s);
+        ("seed", Gate.int 1);
+        ("checkpoint_interval", Gate.int checkpoint_interval);
+        ("slo_target_ns", Gate.int slo_target_ns);
+        ("slo_budget", Gate.float slo_budget);
+      ]
+    ~exact:
+      [
+        ("checksum", Gate.int l.checksum);
+        ("failed", Gate.int l.failed);
+        ("rewinds", Gate.int l.rewinds);
+        ("survived_randomized", Gate.bool l.survived_randomized);
+        ("survival.seeds", Gate.int seeds);
+        ("survival.survived", Gate.int survived);
+      ]
+    ~wall:
+      [
+        ("wall_s", Gate.float l.wall_s);
+        ("throughput_rps", Gate.float l.throughput);
+        ("p50_ns", Gate.int (q l.latency 0.5));
+        ("p99_ns", Gate.int (q l.latency 0.99));
+        ("p999_ns", Gate.int (q l.latency 0.999));
+        ("max_ns", Gate.int (Dh_obs.Quantile.max_value l.latency));
+        ("slo.total", Gate.int slo.Dh_obs.Slo.total);
+        ("slo.bad", Gate.int slo.Dh_obs.Slo.bad);
+        ("slo.compliance", Gate.float slo.Dh_obs.Slo.compliance);
+        ("slo.budget_used", Gate.float slo.Dh_obs.Slo.budget_used);
+        ("slo.breached", Gate.bool slo.Dh_obs.Slo.breached);
+      ]
+
+let measure ~quick () =
   Report.note "zipf(%.1f) keys, attack every %d requests, checkpoint every %d,"
     zipf_s attack_stride checkpoint_interval;
   Report.note "SLO: %d ns with a %.0f%% error budget" slo_target_ns
@@ -204,119 +243,33 @@ let run ~quick () =
   leg_section l;
   let survived, seeds = sweep ~quick () in
   Report.note "survival across %d seeds (%d requests each): %d/%d" seeds
-    (sweep_requests ~quick) survived seeds
+    (sweep_requests ~quick) survived seeds;
+  to_report ~quick l ~survived ~seeds
 
-(* --- machine-readable baseline + CI gate --- *)
+let run ~quick () =
+  Report.heading "Serve-loop SLO observability: the long-haul server under attack";
+  ignore (measure ~quick ())
 
-let write_json ~path ~quick l ~survived ~seeds =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"diehard-bench-serve/1\",\n";
-  add "  \"quick\": %b,\n" quick;
-  add
-    "  \"config\": {\"requests\": %d, \"attack_every\": %d, \"zipf\": %.2f, \
-     \"seed\": 1, \"checkpoint_interval\": %d, \"slo_target_ns\": %d, \
-     \"slo_budget\": %.3f},\n"
-    l.requests attack_stride zipf_s checkpoint_interval slo_target_ns slo_budget;
-  add
-    "  \"deterministic\": {\"checksum\": %d, \"failed\": %d, \"rewinds\": %d, \
-     \"survived_randomized\": %b},\n"
-    l.checksum l.failed l.rewinds l.survived_randomized;
-  add
-    "  \"wall_clock\": {\"wall_s\": %.3f, \"throughput_rps\": %.0f, \
-     \"p50_ns\": %d, \"p99_ns\": %d, \"p999_ns\": %d, \"max_ns\": %d},\n"
-    l.wall_s l.throughput (q l.latency 0.5) (q l.latency 0.99)
-    (q l.latency 0.999)
-    (Dh_obs.Quantile.max_value l.latency);
-  add
-    "  \"slo\": {\"total\": %d, \"bad\": %d, \"compliance\": %.5f, \
-     \"budget_used\": %.4f, \"breached\": %b},\n"
-    l.slo.Dh_obs.Slo.total l.slo.Dh_obs.Slo.bad l.slo.Dh_obs.Slo.compliance
-    l.slo.Dh_obs.Slo.budget_used l.slo.Dh_obs.Slo.breached;
-  add "  \"survival\": {\"seeds\": %d, \"survived\": %d, \"rate\": %.3f}\n"
-    seeds survived
-    (float_of_int survived /. float_of_int (max 1 seeds));
-  add "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
+let checks =
+  [
+    (* the rewind rung must carry the leg on a randomized heap: no
+       rescue, no give-up *)
+    Gate.holds "survived_randomized";
+    Gate.check "survival" (fun r ->
+        let survived = Gate.number r "survival.survived"
+        and seeds = Gate.number r "survival.seeds" in
+        Gate.verdict (survived >= seeds)
+          (Printf.sprintf "%.0f/%.0f seeds survived" survived seeds));
+    (* same geometry => same checksum, exactly *)
+    Gate.unchanged "checksum";
+    Gate.check "slo" ~skip:Gate.single_core (fun r ->
+        Gate.verdict
+          (not (Gate.flag r "slo.breached"))
+          (Printf.sprintf "compliance %.4f, %.0f%% of error budget used"
+             (Gate.number r "slo.compliance")
+             (100. *. Gate.number r "slo.budget_used")));
+  ]
 
-(* The committed baseline's (requests, checksum), or [None] when there is
-   no file.  A file that exists but no longer parses, or lacks either
-   field, fails the gate: it would otherwise disable the comparison
-   silently. *)
-let read_baseline path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let fail why =
-      Printf.eprintf "SERVE GATE FAILED: baseline %s %s\n%!" path why;
-      exit 3
-    in
-    let ic = open_in_bin path in
-    let contents = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let json =
-      match Dh_obs.Json.parse contents with
-      | Ok json -> json
-      | Error e -> fail ("does not parse: " ^ e)
-    in
-    let int_at section key =
-      match Option.bind (Dh_obs.Json.member section json) (Dh_obs.Json.member key) with
-      | Some (Dh_obs.Json.Number n) when Float.is_integer n -> int_of_float n
-      | _ -> fail (Printf.sprintf "has no integer %s.%s" section key)
-    in
-    Some (int_at "config" "requests", int_at "deterministic" "checksum")
-  end
-
-let gate ~quick ?(out = "BENCH_serve.json") () =
+let gate ~quick () =
   Report.heading "Serve gate: survival is deterministic, the SLO must hold";
-  let requests = leg_requests ~quick in
-  (* Read the committed baseline before overwriting it. *)
-  let baseline = read_baseline out in
-  let l = run_leg ~requests ~seed:1 () in
-  leg_section l;
-  let survived, seeds = sweep ~quick () in
-  write_json ~path:out ~quick l ~survived ~seeds;
-  (* 1. Deterministic survival: the rewind rung must carry the leg on a
-     randomized heap — no rescue, no give-up, on any machine. *)
-  if not l.survived_randomized then begin
-    Printf.eprintf "SERVE GATE FAILED: leg did not survive on a randomized heap\n%!";
-    exit 3
-  end;
-  if survived < seeds then begin
-    Printf.eprintf "SERVE GATE FAILED: survival sweep lost %d/%d seeds\n%!"
-      (seeds - survived) seeds;
-    exit 3
-  end;
-  (* 2. Determinism baseline: same geometry => same checksum, exactly. *)
-  (match baseline with
-  | Some (requests, checksum) when requests = l.requests ->
-    if checksum <> l.checksum then begin
-      Printf.eprintf
-        "SERVE GATE FAILED: output checksum %d != committed baseline %d\n%!"
-        l.checksum checksum;
-      exit 3
-    end;
-    Report.note "checksum matches committed baseline"
-  | Some _ ->
-    Report.note "baseline geometry differs (quick vs full leg); checksum not compared"
-  | None -> Report.note "no committed baseline at %s; checksum not compared" out);
-  (* 3. The SLO gate is wall-clock: loud-skip where the numbers are
-     noise (single-core CI smoke runners), fail where they are real. *)
-  if Domain.recommended_domain_count () < 2 then
-    print_endline
-      "SERVE SLO GATE SKIPPED: single-core runner, wall-clock quantiles are noise \
-       (not a failure)"
-  else if l.slo.Dh_obs.Slo.breached then begin
-    Printf.eprintf
-      "SERVE GATE FAILED: SLO breached — %.0f%% of error budget used (compliance %.4f)\n%!"
-      (100. *. l.slo.Dh_obs.Slo.budget_used)
-      l.slo.Dh_obs.Slo.compliance;
-    exit 3
-  end
-  else
-    Printf.printf "serve gate ok: compliance %.4f, %.0f%% of error budget used\n%!"
-      l.slo.Dh_obs.Slo.compliance
-      (100. *. l.slo.Dh_obs.Slo.budget_used)
+  Gate.run ~bench checks (measure ~quick)

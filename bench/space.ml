@@ -139,67 +139,67 @@ let run ~quick () =
   Report.note "touches many more pages (the paper's TLB/RSS discussion, esp. twolf)";
   mesh_section (mesh_frontier ~quick ())
 
-(* --- machine-readable baseline + CI gate ---
+(* --- BENCH_space.json and its gate ---
 
-   `bench-space` writes BENCH_space.json and fails when meshing stops
-   reducing the resident set: at least one section-4.5 workload must
-   shrink its touched-page count by [required_ratio].  Pair meshing
-   caps a single workload at exactly 2x, which full-mode cfrac and
-   espresso reach; quick mode's truncated runs land just short, so the
-   smoke bar is lower — it gates "meshing still pays", not the
-   frontier.  A quick-mode run that found no mesh candidates at all
-   skips loudly instead of gating on noise. *)
+   `space-gate` fails when meshing stops reducing the resident set: at
+   least one section-4.5 workload must shrink its touched-page count by
+   [required_ratio].  Pair meshing caps a single workload at exactly 2x,
+   which full-mode cfrac and espresso reach; quick mode's truncated runs
+   land just short, so the smoke bar is lower -- it gates "meshing still
+   pays", not the frontier.  A quick-mode run that found no mesh
+   candidates at all skips loudly instead of gating on noise. *)
+
+let bench = "space"
 
 let required_ratio ~quick = if quick then 1.5 else 2.0
 
-let write_json ~path ~quick rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"diehard-bench-space/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string b
-    (Printf.sprintf "  \"required_ratio\": %.2f,\n" (required_ratio ~quick));
-  Buffer.add_string b "  \"profiles\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": %S, \"touched_off\": %d, \"touched_on\": %d, \
-            \"ratio\": %.3f, \"mapped_off\": %d, \"mapped_on\": %d, \
-            \"meshes\": %d}%s\n"
-           r.mr_profile r.touched_off r.touched_on (mesh_ratio r) r.mapped_off
-           r.mapped_on r.meshes
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ],\n";
-  let best = List.fold_left (fun acc r -> Float.max acc (mesh_ratio r)) 1.0 rows in
-  Buffer.add_string b (Printf.sprintf "  \"best_ratio\": %.3f\n" best);
-  Buffer.add_string b "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
+let to_report ~quick rows =
+  Gate.v ~bench
+    ~config:
+      [
+        ("quick", Gate.bool quick);
+        ("profiles", Dh_obs.Json.List (List.map (fun p -> Dh_obs.Json.String p) profiles));
+      ]
+    ~exact:
+      (List.concat_map
+         (fun r ->
+           let key field = r.mr_profile ^ "." ^ field in
+           [
+             (key "touched_off", Gate.int r.touched_off);
+             (key "touched_on", Gate.int r.touched_on);
+             (key "ratio", Gate.float (mesh_ratio r));
+             (key "mapped_off", Gate.int r.mapped_off);
+             (key "mapped_on", Gate.int r.mapped_on);
+             (key "meshes", Gate.int r.meshes);
+           ])
+         rows
+      @ [
+          ( "best_ratio",
+            Gate.float (List.fold_left (fun acc r -> Float.max acc (mesh_ratio r)) 1.0 rows) );
+        ])
+    ~wall:[]
 
-let gate ~quick ?(out = "BENCH_space.json") () =
+let checks =
+  [
+    Gate.check "best_ratio"
+      ~skip:(fun r ->
+        let meshes =
+          List.fold_left (fun acc p -> acc +. Gate.number r (p ^ ".meshes")) 0. profiles
+        in
+        if Gate.config_flag r "quick" && meshes = 0. then
+          Some "no mesh candidates found in quick mode; not a failure"
+        else None)
+      (fun r ->
+        let best = Gate.number r "best_ratio"
+        and required = required_ratio ~quick:(Gate.config_flag r "quick") in
+        Gate.verdict (best >= required)
+          (Printf.sprintf "best touched-page reduction %.2fx (must be >= %.2fx)" best
+             required));
+  ]
+
+let gate ~quick () =
   Report.heading "Space gate: meshing must keep paying for itself";
-  let rows = mesh_frontier ~quick () in
-  mesh_section rows;
-  write_json ~path:out ~quick rows;
-  let total_meshes = List.fold_left (fun acc r -> acc + r.meshes) 0 rows in
-  let best = List.fold_left (fun acc r -> Float.max acc (mesh_ratio r)) 1.0 rows in
-  let required = required_ratio ~quick in
-  if total_meshes = 0 && quick then
-    (* Quick mode shrinks the workloads; an empty candidate set is noise,
-       not a regression — but say so unmissably. *)
-    print_endline
-      "SPACE GATE SKIPPED: no mesh candidates found in quick mode (not a failure)"
-  else if best < required then begin
-    Printf.eprintf
-      "SPACE GATE FAILED: best touched-page reduction %.2fx < required %.2fx\n%!"
-      best required;
-    exit 3
-  end
-  else
-    Printf.printf
-      "space gate ok: best touched-page reduction %.2fx (>= %.2fx) across %d meshes\n%!"
-      best required total_meshes
+  Gate.run ~bench checks (fun () ->
+      let rows = mesh_frontier ~quick () in
+      mesh_section rows;
+      to_report ~quick rows)

@@ -825,66 +825,6 @@ let audit_cmd =
       $ audit_watch_arg $ audit_replicas_arg $ audit_distance_arg $ seed_arg
       $ heap_arg $ requests_arg $ attack_every_arg $ input_arg $ fuel_arg)
 
-(* --- bench --- *)
-
-let bench_cmd =
-  let action () quick out jobs =
-    let report = Dh_bench.Throughput.run ~quick ~max_jobs:jobs () in
-    Dh_bench.Throughput.print report;
-    (match out with
-    | Some path ->
-      Dh_bench.Throughput.write_json ~path report;
-      Printf.printf "wrote %s\n" path
-    | None -> ());
-    let scaling_ok =
-      match Dh_bench.Throughput.scaling_gate report with
-      | `Pass -> true
-      | `Skipped_single_core ->
-        Printf.eprintf
-          "warning: single-core runner (cores=%d): parallel speedup gate \
-           skipped\n"
-          report.Dh_bench.Throughput.cores;
-        true
-      | `Fail msg ->
-        Printf.eprintf "scaling gate: %s\n" msg;
-        false
-    in
-    let obs_ok =
-      match Dh_bench.Throughput.obs_gate report with
-      | `Pass -> true
-      | `Fail msg ->
-        Printf.eprintf "obs gate: %s\n" msg;
-        false
-    in
-    exit
-      (if report.Dh_bench.Throughput.fill.Dh_bench.Throughput.semantics_match
-          && report.Dh_bench.Throughput.copy.Dh_bench.Throughput.semantics_match
-          && Dh_bench.Throughput.deterministic report
-          && scaling_ok && obs_ok
-       then 0
-       else 1)
-  in
-  let quick_arg =
-    let doc = "Shrink sizes and repetitions to CI-smoke scale." in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let out_arg =
-    let doc = "Write the JSON report to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"PATH" ~doc)
-  in
-  let bench_jobs_arg =
-    let doc = "Upper end of the scaling sweep (sweeps {1,2,4,8} up to $(docv))." in
-    Arg.(value & opt int 8 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let doc =
-    "Measure simulator throughput: allocation rates, bulk vs bytewise \
-     fill/copy bandwidth (with a differential semantics check), GC mark rate, \
-     bitmap sweep rate, and parallel scaling of replicated runs and fault \
-     campaigns (with a parallel-equals-sequential determinism check)."
-  in
-  Cmd.v (Cmd.info "bench" ~doc)
-    Term.(const action $ obs_term $ quick_arg $ out_arg $ bench_jobs_arg)
-
 (* --- obs: inspect a recorded trace --- *)
 
 (* The sample count a histogram row's "buckets=b1:n1;b4:n4" detail adds
@@ -1046,6 +986,6 @@ let main_cmd =
   let info = Cmd.info "diehard" ~version:"1.0.0" ~doc in
   Cmd.group info
     [ run_cmd; replicate_cmd; survive_cmd; replay_cmd; inject_cmd; check_cmd;
-      diagnose_cmd; trace_cmd; audit_cmd; bench_cmd; obs_cmd ]
+      diagnose_cmd; trace_cmd; audit_cmd; obs_cmd ]
 
 let () = exit (Cmd.eval' main_cmd)

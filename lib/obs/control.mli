@@ -3,8 +3,8 @@
     Every recording entry point in {!Metrics}, {!Tracing} and
     {!Recorder} starts with a single load-and-branch on this flag; when
     it is off (the default) the whole telemetry stack is a no-op whose
-    cost is that branch.  The {!Dh_bench.Throughput} obs gate asserts
-    the disabled path stays within the overhead budget. *)
+    cost is that branch.  The throughput gate of [bench/main.exe]
+    holds the disabled path within 5% of its committed rate. *)
 
 val enabled : unit -> bool
 (** One atomic load; safe (and cheap) to call on hot paths. *)

@@ -173,3 +173,74 @@ let member key = function
 let to_list = function List l -> l | _ -> []
 
 let string_value = function String s -> Some s | _ -> None
+
+(* --- printing --- *)
+
+let escape s =
+  let b = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* The shortest of %.15g and %.17g that reads back as the same float;
+   integers print without a fraction.  JSON has no NaN or infinity. *)
+let number x =
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else
+    let s = Printf.sprintf "%.15g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
+let rec to_string_flat = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Number x -> number x
+  | String s -> "\"" ^ escape s ^ "\""
+  | List l -> "[" ^ String.concat ", " (List.map to_string_flat l) ^ "]"
+  | Obj fields ->
+    let field (k, v) = "\"" ^ escape k ^ "\": " ^ to_string_flat v in
+    "{" ^ String.concat ", " (List.map field fields) ^ "}"
+
+let width = 80
+
+let to_string value =
+  let b = Buffer.create 1024 in
+  (* [used] columns of the current line are taken by indentation and key. *)
+  let rec go ~indent ~used v =
+    let flat = to_string_flat v in
+    let entries, opening, closing =
+      match v with
+      | List l -> (List.map (fun x -> ("", x)) l, '[', ']')
+      | Obj fields ->
+        (List.map (fun (k, x) -> ("\"" ^ escape k ^ "\": ", x)) fields, '{', '}')
+      | _ -> ([], ' ', ' ')
+    in
+    if entries = [] || used + String.length flat <= width then Buffer.add_string b flat
+    else begin
+      let pad = String.make (indent + 2) ' ' in
+      Buffer.add_char b opening;
+      List.iteri
+        (fun i (key, x) ->
+          if i > 0 then Buffer.add_char b ',';
+          Buffer.add_char b '\n';
+          Buffer.add_string b pad;
+          Buffer.add_string b key;
+          go ~indent:(indent + 2) ~used:(indent + 2 + String.length key) x)
+        entries;
+      Buffer.add_char b '\n';
+      Buffer.add_string b (String.make indent ' ');
+      Buffer.add_char b closing
+    end
+  in
+  go ~indent:0 ~used:0 value;
+  Buffer.add_char b '\n';
+  Buffer.contents b

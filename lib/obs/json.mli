@@ -23,3 +23,12 @@ val to_list : t -> t list
 (** The elements of a [List]; [[]] elsewhere. *)
 
 val string_value : t -> string option
+
+val escape : string -> string
+(** The body of a JSON string literal for the given bytes (no quotes). *)
+
+val to_string : t -> string
+(** Print a value so that {!parse} reads it back equal (finite numbers
+    round-trip exactly; NaN and infinities print as [null]).  A
+    container that fits in 80 columns stays on one line; a longer one
+    puts each entry on its own indented line.  Ends with a newline. *)

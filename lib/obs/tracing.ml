@@ -73,21 +73,6 @@ let reset () =
 
 (* --- export --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let phase_letter = function Begin -> "B" | End -> "E" | Instant -> "i"
 
 let to_chrome_json () =
@@ -97,11 +82,11 @@ let to_chrome_json () =
     (fun i e ->
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b "{\"name\":\"%s\",\"cat\":\"diehard\",\"ph\":\"%s\",\"ts\":%d,\"pid\":1,\"tid\":%d"
-        (json_escape e.name) (phase_letter e.phase) e.ts e.dom;
+        (Json.escape e.name) (phase_letter e.phase) e.ts e.dom;
       (match e.phase with
       | Instant -> Buffer.add_string b ",\"s\":\"t\""
       | Begin | End -> ());
-      if e.arg <> "" then Printf.bprintf b ",\"args\":{\"arg\":\"%s\"}" (json_escape e.arg);
+      if e.arg <> "" then Printf.bprintf b ",\"args\":{\"arg\":\"%s\"}" (Json.escape e.arg);
       Buffer.add_char b '}')
     (events ());
   Buffer.add_string b "]}\n";

@@ -33,4 +33,5 @@ let () =
       ("apps-extra", Test_apps_extra.suite);
       ("properties", Test_properties.suite);
       ("corpus", Test_corpus.suite);
+      ("gates", Test_gates.suite);
     ]
