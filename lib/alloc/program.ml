@@ -14,13 +14,14 @@ type service = { requests : int; init : context -> handler }
 
 type t = { name : string; main : context -> unit; service : service option }
 
-let make ?service ~name main = { name; main; service }
+let make ~name main = { name; main; service = None }
 
 (* A service's plain-run shape: initialize, handle every request in
    order, finish.  Deriving [main] from the service keeps the
    checkpointed and sequential executions the same program by
    construction — the determinism-fingerprint equivalence the rewind
-   tests assert starts here. *)
+   tests assert starts here.  The audit's --watch clock is the request
+   index, as in the supervisor's checkpoint-window loop. *)
 let of_service ~name service =
   {
     name;
@@ -28,23 +29,16 @@ let of_service ~name service =
       (fun ctx ->
         let h = service.init ctx in
         for k = 0 to service.requests - 1 do
-          h.handle k
+          h.handle k;
+          Dh_obs.Audit.tick ~now:k
         done;
         h.finish ());
     service = Some service;
   }
 
-let run ?(policy_kind = Policy.Raw) ?(input = "") ?(now = 0) ?(fuel = 100_000_000)
-    program alloc =
-  Process.run (fun out ->
-      let context =
-        {
-          alloc;
-          policy = Policy.make ~kind:policy_kind alloc;
-          input;
-          out;
-          now;
-          fuel = Process.Fuel.create ~budget:fuel;
-        }
-      in
-      program.main context)
+let context ?(policy_kind = Policy.Raw) ?(input = "") ?(now = 0) ~fuel alloc out =
+  { alloc; policy = Policy.make ~kind:policy_kind alloc; input; out; now; fuel }
+
+let run ?policy_kind ?input ?now ?(fuel = 100_000_000) program alloc =
+  let fuel = Process.Fuel.create ~budget:fuel in
+  Process.run (fun out -> program.main (context ?policy_kind ?input ?now ~fuel alloc out))

@@ -51,16 +51,28 @@ type t = {
   name : string;
   main : context -> unit;
   service : service option;
-      (** Present when the program also offers the step-structured shape;
-          [main] must be observationally identical to running the service
-          sequentially (use {!of_service} to get that by construction). *)
+      (** Present for programs built with {!of_service}, whose [main] is
+          the service run sequentially. *)
 }
 
-val make : ?service:service -> name:string -> (context -> unit) -> t
+val make : name:string -> (context -> unit) -> t
+(** A program with no step-structured shape. *)
 
 val of_service : name:string -> service -> t
-(** The canonical wrapping: [main] initializes, handles requests [0 ..
-    requests-1] in order, and finishes. *)
+(** The only way to get a service-shaped program: [main] initializes,
+    handles requests [0 .. requests-1] in order — ticking the audit
+    clock ({!Dh_obs.Audit.tick}) with the request index after each — and
+    finishes. *)
+
+val context :
+  ?policy_kind:Policy.kind ->
+  ?input:string ->
+  ?now:int ->
+  fuel:Dh_mem.Process.Fuel.t ->
+  Allocator.t ->
+  Dh_mem.Process.Out.t ->
+  context
+(** The context a program runs under, with the defaults of {!run}. *)
 
 val run :
   ?policy_kind:Policy.kind ->

@@ -177,6 +177,7 @@ let obs_instruments t =
 let trace_sample = 64
 
 let config t = t.config
+let mem t = t.mem
 let stats t = t.stats
 let rng t = t.rng
 

@@ -27,6 +27,9 @@ val create : ?config:Config.t -> Dh_mem.Mem.t -> t
 
 val config : t -> Config.t
 
+val mem : t -> Dh_mem.Mem.t
+(** The address space the heap was created on. *)
+
 val malloc : t -> ?site:int -> int -> int option
 (** [malloc t sz] — [None] means NULL: the size class is at its [1/M]
     threshold (or [sz <= 0]).  [site] is an interned

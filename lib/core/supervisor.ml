@@ -97,22 +97,39 @@ let build_heap plan =
   in
   (heap, alloc)
 
-(* --- the rewind rung ---
+(* --- the checkpoint-window loop ---
 
-   One rung below retry-with-reseed: instead of restarting a crashed run
-   from scratch, arm a copy-on-write checkpoint every
-   [checkpoint_interval] requests, and on a fault rewind the address
-   space and the heap metadata to the last checkpoint, reseed the
-   allocator (fresh placements for the replayed window — the paper's
-   independence argument applied in time), and replay the window.  Only
-   when the rewind budget is exhausted does the fault escape and the
-   classic ladder escalate.
+   Runs a service window by window: arm a copy-on-write checkpoint
+   every [interval] requests, and on a memory fault ask the caller what
+   to do.  The fault may escape; or the loop rewinds the address space,
+   the heap metadata and the output to the window's checkpoint and then
+   either reseeds the allocator and re-runs the window (the rewind rung,
+   one below retry-with-reseed: fresh placements for the replayed window
+   — the paper's independence argument applied in time), or re-runs it
+   one request at a time up to the faulting one without reseeding and
+   stops (time-travel replay, {!replay}).
 
    Requires the step-structured [Program.service] shape: [handle k] keeps
    all its mutable state in simulated memory, so memory + heap-metadata
    restoration IS resumption.  Fuel is deliberately not rewound — the
    replayed work really happened, and a fault that recurs forever
    converges to [Out_of_fuel] rather than looping. *)
+
+type window_fault = {
+  raised : Dh_mem.Fault.t;
+  request : int;  (* the request that raised it *)
+  window_start : int;
+  rewinds_taken : int;  (* rewinds already taken in this run *)
+  out : Process.Out.t;
+  out_mark : int;  (* output length at the window's checkpoint *)
+}
+
+type fault_action =
+  | Escape  (* let the fault leave the loop *)
+  | Reseed of int  (* rewind, reseed the heap, re-run the window *)
+  | Step_through of (int -> (unit -> unit) -> bool)
+      (* rewind, then run requests window_start .. request one by one
+         through the wrapper (which answers "continue?"), and stop *)
 
 (* Serve-loop SLO telemetry.  All write-only and gated on one enabled
    check per request when off; when on, the per-request cost is one
@@ -142,108 +159,110 @@ let serve_obs () =
         so_slo = Dh_obs.Slo.active ();
       }
 
-let run_service ctx (svc : Program.service) heap ~interval ~max_rewinds
-    ~reseed_of ~checkpoints ~rewinds ~pages_restored =
-  let mem = ctx.Program.alloc.Dh_alloc.Allocator.mem in
-  let h = svc.Program.init ctx in
-  let obs = serve_obs () in
-  let handle k =
-    match obs with
-    | None -> h.Program.handle k
-    | Some o ->
-      Dh_obs.Recorder.set_step k;
-      let t0 = Dh_obs.Tracing.now_ns () in
-      h.Program.handle k;
-      let dt = Dh_obs.Tracing.now_ns () - t0 in
-      Dh_obs.Metrics.observe o.so_latency dt;
-      Dh_obs.Window.add o.so_requests ~now:k 1;
-      Option.iter (fun slo -> Dh_obs.Slo.record slo dt) o.so_slo;
-      (* The audit's --watch clock is the request index, like the
-         windows: periodic snapshots are deterministic per run. *)
-      Dh_obs.Audit.tick ~now:k
+(* [telemetry] switches the serve telemetry above on (when obs is);
+   replay keeps it off so its flight record holds only its own events. *)
+let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_fault =
+  let mem = Heap.mem heap in
+  let checkpoints = ref 0 and rewinds = ref 0 and pages_restored = ref 0 in
+  let result =
+    Process.run (fun out ->
+        let h = svc.Program.init (context out) in
+        let obs = if telemetry then serve_obs () else None in
+        let handle k =
+          match obs with
+          | None -> h.Program.handle k
+          | Some o ->
+            Dh_obs.Recorder.set_step k;
+            let t0 = Dh_obs.Tracing.now_ns () in
+            h.Program.handle k;
+            let dt = Dh_obs.Tracing.now_ns () - t0 in
+            Dh_obs.Metrics.observe o.so_latency dt;
+            Dh_obs.Window.add o.so_requests ~now:k 1;
+            Option.iter (fun slo -> Dh_obs.Slo.record slo dt) o.so_slo;
+            (* The audit's --watch clock is the request index, like the
+               windows: periodic snapshots are deterministic per run. *)
+            Dh_obs.Audit.tick ~now:k
+        in
+        let k = ref 0 and stopped = ref false in
+        while !k < svc.Program.requests && not !stopped do
+          let window_start = !k in
+          let window_end = min svc.Program.requests (window_start + interval) in
+          Dh_mem.Mem.checkpoint mem;
+          let snap = Heap.snapshot heap in
+          let out_mark = Process.Out.length out in
+          incr checkpoints;
+          try
+            while !k < window_end do
+              handle !k;
+              incr k
+            done
+          with Dh_mem.Fault.Error raised as e -> (
+            let request = !k in
+            let rewind () =
+              let report = Dh_mem.Mem.rewind mem in
+              Heap.restore heap snap;
+              Process.Out.truncate out out_mark;
+              pages_restored := !pages_restored + report.Dh_mem.Mem.pages_restored;
+              incr rewinds;
+              (match obs with
+              | None -> ()
+              | Some o ->
+                Dh_obs.Tracing.instant
+                  ~arg:(string_of_int report.Dh_mem.Mem.pages_restored)
+                  "supervisor.rewind";
+                Dh_obs.Window.add o.so_rewinds ~now:request 1;
+                (* The faulting request is the SLO's error case: it really
+                   did fail to complete on first service. *)
+                Option.iter (fun slo -> Dh_obs.Slo.record slo ~error:true 0) o.so_slo);
+              k := window_start
+            in
+            match
+              on_fault
+                { raised; request; window_start; rewinds_taken = !rewinds; out; out_mark }
+            with
+            | Escape -> raise e
+            | Reseed seed ->
+              rewind ();
+              Heap.reseed heap ~seed
+            | Step_through step ->
+              rewind ();
+              let rec walk j =
+                if j <= request && step j (fun () -> h.Program.handle j) then walk (j + 1)
+              in
+              walk window_start;
+              stopped := true)
+        done;
+        if Option.is_some obs then Dh_obs.Recorder.clear_step ();
+        if not !stopped then begin
+          Dh_mem.Mem.discard_checkpoint mem;
+          h.Program.finish ()
+        end)
   in
-  let k = ref 0 in
-  while !k < svc.Program.requests do
-    let window_start = !k in
-    let window_end = min svc.Program.requests (window_start + interval) in
-    Dh_mem.Mem.checkpoint mem;
-    let snap = Heap.snapshot heap in
-    let out_mark = Process.Out.length ctx.Program.out in
-    incr checkpoints;
-    (try
-       while !k < window_end do
-         handle !k;
-         incr k
-       done
-     with Dh_mem.Fault.Error _ when !rewinds < max_rewinds ->
-       let report = Dh_mem.Mem.rewind mem in
-       Heap.restore heap snap;
-       Process.Out.truncate ctx.Program.out out_mark;
-       Heap.reseed heap ~seed:(reseed_of !rewinds);
-       pages_restored := !pages_restored + report.Dh_mem.Mem.pages_restored;
-       incr rewinds;
-       (match obs with
-       | None -> ()
-       | Some o ->
-         Dh_obs.Tracing.instant
-           ~arg:(string_of_int report.Dh_mem.Mem.pages_restored)
-           "supervisor.rewind";
-         Dh_obs.Window.add o.so_rewinds ~now:!k 1;
-         (* The faulting request is the SLO's error case: it really did
-            fail to complete on first service. *)
-         Option.iter (fun slo -> Dh_obs.Slo.record slo ~error:true 0) o.so_slo);
-       k := window_start)
-  done;
-  if Option.is_some obs then Dh_obs.Recorder.clear_step ();
-  Dh_mem.Mem.discard_checkpoint mem;
-  h.finish ()
+  ( result,
+    {
+      checkpoints = !checkpoints;
+      rewinds = !rewinds;
+      pages_restored = !pages_restored;
+      preimaged_pages = Dh_mem.Mem.preimaged_pages mem;
+    } )
 
 (* Like {!Program.run}, but with our own fuel cell so the incident can
    charge each attempt for the steps it actually burned.  When [ckpt]
    supplies the heap and the program has the service shape, the run goes
-   through the rewind rung above and the recovery counters are reported
-   even if the attempt ultimately dies. *)
+   through the checkpoint-window loop above and the recovery counters are
+   reported even if the attempt ultimately dies. *)
 let execute ?ckpt ~policy_kind ~input ~now ~fuel program alloc =
   let cell = Process.Fuel.create ~budget:fuel in
-  let checkpoints = ref 0 and rewinds = ref 0 and pages_restored = ref 0 in
-  let checkpointed =
+  let context = Program.context ~policy_kind ~input ~now ~fuel:cell alloc in
+  let result, recovery =
     match (ckpt, program.Program.service) with
-    | Some (heap, interval, max_rewinds, reseed_of), Some svc when interval > 0 ->
-      Some (heap, interval, max_rewinds, reseed_of, svc)
-    | _ -> None
-  in
-  let result =
-    Process.run (fun out ->
-        let context =
-          {
-            Program.alloc;
-            policy = Policy.make ~kind:policy_kind alloc;
-            input;
-            out;
-            now;
-            fuel = cell;
-          }
-        in
-        match checkpointed with
-        | Some (heap, interval, max_rewinds, reseed_of, svc) ->
-          run_service context svc heap ~interval ~max_rewinds ~reseed_of
-            ~checkpoints ~rewinds ~pages_restored
-        | None -> program.Program.main context)
+    | Some (heap, interval, on_fault), Some svc ->
+      let result, r = run_service ~telemetry:true ~context svc heap ~interval ~on_fault in
+      (result, Some r)
+    | _ -> (Process.run (fun out -> program.Program.main (context out)), None)
   in
   let burned =
     match Process.Fuel.remaining cell with Some left -> fuel - left | None -> 0
-  in
-  let recovery =
-    match checkpointed with
-    | None -> None
-    | Some _ ->
-      Some
-        {
-          checkpoints = !checkpoints;
-          rewinds = !rewinds;
-          pages_restored = !pages_restored;
-          preimaged_pages = Dh_mem.Mem.preimaged_pages alloc.Dh_alloc.Allocator.mem;
-        }
   in
   (result, burned, recovery)
 
@@ -258,9 +277,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
   if policy.max_rewinds < 0 then invalid_arg "Supervisor: max_rewinds must be >= 0";
   (* Honor the config's obs knob for the duration of this run (telemetry
      is write-only, so the incident is unaffected apart from [flight]). *)
-  let obs_was = Dh_obs.Control.enabled () in
-  if config.Config.obs then Dh_obs.Control.set_enabled true;
-  Fun.protect ~finally:(fun () -> Dh_obs.Control.set_enabled obs_was) @@ fun () ->
+  Dh_obs.Control.with_enabled (config.Config.obs || Dh_obs.Control.enabled ()) @@ fun () ->
   let attempt_under plan =
     Dh_obs.Tracing.span ~arg:(string_of_int plan.attempt) "supervisor.attempt"
     @@ fun () ->
@@ -276,8 +293,9 @@ let run ?(policy = default_policy) ?(config = Config.default)
         Some
           ( heap,
             policy.checkpoint_interval,
-            policy.max_rewinds,
-            fun i -> plan.seed lxor ((i + 1) * 0x9E3779B9) )
+            fun f ->
+              if f.rewinds_taken >= policy.max_rewinds then Escape
+              else Reseed (plan.seed lxor ((f.rewinds_taken + 1) * 0x9E3779B9)) )
       else None
     in
     let result, fuel_burned, recovery =
@@ -304,12 +322,8 @@ let run ?(policy = default_policy) ?(config = Config.default)
     Dh_obs.Tracing.span ~arg:(string_of_int plan.attempt) "supervisor.diagnose"
     @@ fun () ->
     let plan = { plan with mode = Randomized } in
-    let mem = Dh_mem.Mem.create () in
-    let cfg =
-      Config.v ~multiplier:plan.multiplier ~heap_size:plan.heap_size ~seed:plan.seed ()
-    in
-    let replay_heap = Heap.create ~config:cfg mem in
-    let canary, instrumented = Canary.wrap (Heap.allocator replay_heap) in
+    let replay_heap, base = build_heap plan in
+    let canary, instrumented = Canary.wrap base in
     let result, fuel_burned, _ =
       execute ~policy_kind ~input ~now ~fuel:policy.fuel program (wrap plan instrumented)
     in
@@ -363,10 +377,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
      concurrently.  [split] returns exactly the draws the old
      one-[fresh]-per-rung code made, so incidents are unchanged. *)
   let seeds = Seed.split ~n:(policy.max_retries + 2) seed_pool in
-  let diag_job :
-      (unit -> Canary.diagnosis * Canary.violation list * int * int list) option ref =
-    ref None
-  in
+  let diag_job = ref None in
   let rec ladder attempt acc =
     let mode = if attempt <= policy.max_retries then Randomized else Rescue in
     let plan =
@@ -427,6 +438,121 @@ let run ?(policy = default_policy) ?(config = Config.default)
          Dh_obs.Audit.top_sites (Dh_obs.Audit.snapshot ())
        else []);
   }
+
+(* --- time-travel replay ---
+
+   The flight recorder tells you WHAT was in flight when a run faulted;
+   replay shows you HOW it got there.  The run executes forward under the
+   checkpoint-window loop until the first memory fault; then the window
+   is rewound — memory, heap metadata, output — and re-executed one
+   request at a time, deliberately WITHOUT reseeding: programs are
+   deterministic functions of their input and placements, so the fault
+   reproduces at the same step, and every intermediate step can be
+   watched.  Each re-executed request is bracketed in a "replay.step"
+   span, so the flight record captured at the reproduced fault factors
+   into per-step event groups ({!Dh_obs.Recorder.step_groups}). *)
+
+type replay_step = {
+  step : int;
+  step_output : string;
+  dirty_pages : int;
+  dirtied : int;
+  mallocs : int;
+  frees : int;
+  live_bytes : int;
+  step_fault : Dh_mem.Fault.t option;
+}
+
+type reproduction = Reproduced | Diverged of int * Dh_mem.Fault.t | Vanished
+
+type replay_fault = {
+  fault : Dh_mem.Fault.t;
+  at : int;
+  window : int * int;
+  pages_restored : int;
+  steps : replay_step list;
+  reproduction : reproduction;
+  original_bytes : int;
+  replayed_bytes : int;
+  output_matches : bool;
+  flight : Dh_obs.Recorder.report option;
+}
+
+type replay = { first_fault : replay_fault option; outcome : Process.outcome }
+
+let replay ?(input = "") ?(fuel = 100_000_000) ~config ~interval (svc : Program.service) =
+  if interval <= 0 then invalid_arg "Supervisor.replay: checkpoint interval must be positive";
+  (* The step spans and the flight record are the whole point; obs goes
+     on before the heap is built, as the audit's providers need. *)
+  Dh_obs.Control.with_enabled true @@ fun () ->
+  let heap = Heap.create ~config (Dh_mem.Mem.create ()) in
+  let alloc = Heap.allocator heap and stats = Heap.stats heap in
+  let since out mark =
+    let len = Process.Out.length out in
+    if len = mark then "" else String.sub (Process.Out.contents out) mark (len - mark)
+  in
+  let first = ref None and steps = ref [] in
+  let step out j run =
+    Dh_obs.Recorder.set_step j;
+    let len0 = Process.Out.length out and dirty0 = Dh_mem.Mem.dirty_pages alloc.mem in
+    let m0 = stats.mallocs and f0 = stats.frees and live0 = stats.live_bytes in
+    let step_fault =
+      match Dh_obs.Tracing.span ~arg:(string_of_int j) "replay.step" run with
+      | () -> None
+      | exception Dh_mem.Fault.Error f -> Some f
+    in
+    let dirty = Dh_mem.Mem.dirty_pages alloc.mem in
+    steps :=
+      {
+        step = j;
+        step_output = since out len0;
+        dirty_pages = dirty;
+        dirtied = dirty - dirty0;
+        mallocs = stats.mallocs - m0;
+        frees = stats.frees - f0;
+        live_bytes = stats.live_bytes - live0;
+        step_fault;
+      }
+      :: !steps;
+    step_fault = None
+  in
+  let on_fault f =
+    first := Some (f, since f.out f.out_mark);
+    Step_through (step f.out)
+  in
+  let result, recovery =
+    run_service ~telemetry:false
+      ~context:(Program.context ~input ~fuel:(Process.Fuel.create ~budget:fuel) alloc)
+      svc heap ~interval ~on_fault
+  in
+  Dh_obs.Recorder.clear_step ();
+  let first_fault =
+    Option.map
+      (fun (f, original) ->
+        let replayed = since f.out f.out_mark in
+        {
+          fault = f.raised;
+          at = f.request;
+          window = (f.window_start, min svc.Program.requests (f.window_start + interval) - 1);
+          pages_restored = recovery.pages_restored;
+          steps = List.rev !steps;
+          (* The reproduction contract: same fault, same step, and the
+             replayed window's output is byte-for-byte the original's. *)
+          reproduction =
+            (match !steps with
+            | { step; step_fault = Some e; _ } :: _ ->
+              if step = f.request && Dh_mem.Fault.to_string e = Dh_mem.Fault.to_string f.raised
+              then Reproduced
+              else Diverged (step, e)
+            | _ -> Vanished);
+          original_bytes = String.length original;
+          replayed_bytes = String.length replayed;
+          output_matches = replayed = original;
+          flight = Dh_obs.Recorder.last ();
+        })
+      !first
+  in
+  { first_fault; outcome = result.Process.outcome }
 
 (* --- reporting --- *)
 

@@ -151,6 +151,68 @@ val run :
     two domains at once (both are in practice pure constructors over
     per-run state). *)
 
+(** {1 Time-travel replay} *)
+
+type replay_step = {
+  step : int;  (** The re-executed request. *)
+  step_output : string;  (** What it printed. *)
+  dirty_pages : int;  (** Pages dirty since the checkpoint, after the step. *)
+  dirtied : int;  (** Of which the step itself dirtied. *)
+  mallocs : int;  (** Allocations the step made. *)
+  frees : int;  (** Frees the step made. *)
+  live_bytes : int;  (** Change in live bytes. *)
+  step_fault : Dh_mem.Fault.t option;  (** The fault the step raised. *)
+}
+
+type reproduction =
+  | Reproduced  (** The same fault at the same step. *)
+  | Diverged of int * Dh_mem.Fault.t
+      (** A different fault, or the same one at another step. *)
+  | Vanished  (** No fault up to the original step. *)
+
+type replay_fault = {
+  fault : Dh_mem.Fault.t;  (** The forward run's first fault. *)
+  at : int;  (** The request that raised it. *)
+  window : int * int;  (** First and last request of its checkpoint window. *)
+  pages_restored : int;  (** Pages the rewind to the window's checkpoint restored. *)
+  steps : replay_step list;  (** The window re-executed, in order. *)
+  reproduction : reproduction;
+  original_bytes : int;  (** Output the window printed up to the fault... *)
+  replayed_bytes : int;  (** ...and what the replay printed. *)
+  output_matches : bool;  (** Byte for byte. *)
+  flight : Dh_obs.Recorder.report option;
+      (** The flight record of the replay's fault (the forward run's when
+          the fault vanished); group it with {!Dh_obs.Recorder.step_groups}. *)
+}
+
+type replay = {
+  first_fault : replay_fault option;  (** [None]: the run never faulted. *)
+  outcome : Dh_mem.Process.outcome;
+      (** How the simulated process ended: [Exited 0] unless the replay
+          itself died (fuel, a non-memory failure). *)
+}
+
+val replay :
+  ?input:string ->
+  ?fuel:int ->
+  config:Config.t ->
+  interval:int ->
+  Dh_alloc.Program.service ->
+  replay
+(** [replay ~config ~interval svc] runs [svc] on a DieHard heap built
+    from [config] (heap size and seed) under the same checkpoint-window
+    loop as the rewind rung, [interval] requests per window, up to its
+    first memory fault.  It then rewinds that window {e without}
+    reseeding and re-executes it one request at a time, each request in
+    a ["replay.step"] span with {!Dh_obs.Recorder.set_step}, until the
+    fault recurs or the faulting request has run.  Services are
+    deterministic functions of their input and placements, so the fault
+    must reproduce; a service holding state outside simulated memory
+    breaks that contract and is reported as not reproduced.  Observability
+    is on for the call (none of the rung's serve telemetry is emitted).
+    Defaults: empty input, one hundred million steps of fuel.  Raises
+    [Invalid_argument] when [interval <= 0]. *)
+
 val pp_incident : Format.formatter -> incident -> unit
 (** Multi-line, one row per attempt, plus the diagnosis. *)
 

@@ -57,6 +57,7 @@ let c_checksum = 24
 let counters_size = 32
 
 let service ~requests ?(attack_every = 0) ?(attack_len = 3000) ?zipf () =
+  if requests < 0 then invalid_arg "Server.service: requests must be >= 0";
   let init ctx =
     let a = ctx.Program.alloc in
     let mem = a.Allocator.mem in

@@ -32,7 +32,8 @@ val service :
     heavy-headed); keys stay a pure function of the request index — the
     uniform variate is the request hash, inverted through
     {!Dh_rng.Dist.zipf_rank} — so the rewind-determinism contract is
-    unchanged.  Omitted = uniform keys, byte-identical to before. *)
+    unchanged.  Omitted = uniform keys, byte-identical to before.
+    Raises [Invalid_argument] when [requests < 0]. *)
 
 val program :
   ?requests:int -> ?attack_every:int -> ?attack_len:int -> ?zipf:float ->

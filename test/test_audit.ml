@@ -257,6 +257,21 @@ let test_window_rate_at_clock_zero () =
       check "rate at clock 0 uses elapsed ticks" true (Window.rate w ~now:0 = 5.);
       Window.reset ())
 
+(* --watch for every service-shaped program: Program.of_service ticks
+   the audit clock with the request index, so a plain run fires the
+   watch exactly as the supervisor's checkpointed run does. *)
+let test_watch_fires_on_plain_service_run () =
+  with_audit (fun () ->
+      let fired = ref [] in
+      Audit.set_watch ~every:512 ~f:(fun ~now -> fired := now :: !fired);
+      let heap = fresh_heap ~heap_size:Dh_workload.Server.heap_size () in
+      let r =
+        Program.run (Dh_workload.Server.program ~requests:2048 ()) (Heap.allocator heap)
+      in
+      check "server exited 0" true (r.Dh_mem.Process.outcome = Dh_mem.Process.Exited 0);
+      Alcotest.(check (list int)) "fired at 512, 1024, 1536" [ 512; 1024; 1536 ]
+        (List.rev !fired))
+
 let suite =
   [
     Alcotest.test_case "site: interning and names" `Quick test_site_interning;
@@ -281,4 +296,6 @@ let suite =
       test_window_backwards_clock;
     Alcotest.test_case "window: rate at clock zero" `Quick
       test_window_rate_at_clock_zero;
+    Alcotest.test_case "watch: plain service run ticks" `Quick
+      test_watch_fires_on_plain_service_run;
   ]

@@ -338,6 +338,66 @@ let test_clean_run_unaffected_by_checkpointing () =
     (plain.Supervisor.verdict = Supervisor.Survived 0
     && ckpt.Supervisor.verdict = Supervisor.Survived 0)
 
+(* --- time-travel replay on the same window loop --- *)
+
+let replay ?(interval = 1024) svc =
+  Supervisor.replay
+    ~config:(Diehard.Config.v ~heap_size:Dh_workload.Server.heap_size ~seed:1 ())
+    ~interval svc
+
+let test_replay_reproduces_server_fault () =
+  let r = replay (Dh_workload.Server.service ~requests:4000 ~attack_every:1000 ()) in
+  check "replay exited 0" true (r.Supervisor.outcome = Dh_mem.Process.Exited 0);
+  match r.Supervisor.first_fault with
+  | None -> Alcotest.fail "the attack run should fault"
+  | Some f ->
+    check_int "fault at request 2999" 2999 f.Supervisor.at;
+    Alcotest.(check (pair int int)) "window 2048..3071" (2048, 3071) f.Supervisor.window;
+    check_int "952 steps replayed" 952 (List.length f.Supervisor.steps);
+    check "reproduced" true (f.Supervisor.reproduction = Supervisor.Reproduced);
+    check "output matches" true f.Supervisor.output_matches;
+    check_int "27 bytes of window output" 27 f.Supervisor.replayed_bytes;
+    check "pages restored" true (f.Supervisor.pages_restored > 0);
+    check "the last step faulted" true
+      ((List.nth f.Supervisor.steps 951).Supervisor.step_fault <> None);
+    Alcotest.(check (option int)) "flight record at the faulting step" (Some 2999)
+      (Option.bind f.Supervisor.flight (fun r -> r.Dh_obs.Recorder.step))
+
+let test_replay_without_fault () =
+  let r = replay (Dh_workload.Server.service ~requests:2000 ~attack_every:0 ()) in
+  check "no fault" true (r.Supervisor.first_fault = None);
+  check "replay exited 0" true (r.Supervisor.outcome = Dh_mem.Process.Exited 0)
+
+(* A service breaking the step contract: its fault is keyed to a
+   counter held in OCaml, which a rewind cannot restore, so the replayed
+   window runs past the original fault step without faulting. *)
+let test_replay_flags_hidden_state () =
+  let hidden = ref 0 in
+  let svc =
+    {
+      Dh_alloc.Program.requests = 100;
+      init =
+        (fun ctx ->
+          {
+            Dh_alloc.Program.handle =
+              (fun _ ->
+                incr hidden;
+                if !hidden = 50 then Mem.write8 ctx.Dh_alloc.Program.alloc.mem 0 1);
+            finish = ignore;
+          });
+    }
+  in
+  match (replay ~interval:16 svc).Supervisor.first_fault with
+  | None -> Alcotest.fail "the forward run should fault"
+  | Some f ->
+    check_int "forward fault at request 49" 49 f.Supervisor.at;
+    check "not reproduced" true (f.Supervisor.reproduction = Supervisor.Vanished)
+
+let test_replay_rejects_bad_interval () =
+  Alcotest.check_raises "interval 0"
+    (Invalid_argument "Supervisor.replay: checkpoint interval must be positive")
+    (fun () -> ignore (replay ~interval:0 (Dh_workload.Server.service ~requests:8 ())))
+
 let suite =
   [
     Alcotest.test_case "cow round trip" `Quick test_cow_roundtrip;
@@ -357,4 +417,9 @@ let suite =
       test_rewound_fingerprint_matches_scratch;
     Alcotest.test_case "clean run unaffected" `Quick
       test_clean_run_unaffected_by_checkpointing;
+    Alcotest.test_case "replay reproduces the server fault" `Quick
+      test_replay_reproduces_server_fault;
+    Alcotest.test_case "replay without a fault" `Quick test_replay_without_fault;
+    Alcotest.test_case "replay flags hidden state" `Quick test_replay_flags_hidden_state;
+    Alcotest.test_case "replay rejects interval 0" `Quick test_replay_rejects_bad_interval;
   ]
