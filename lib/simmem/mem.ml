@@ -264,6 +264,22 @@ let mapped_bytes t =
 
 let meshed_pages t = Imap.fold (fun _ seg acc -> acc + seg.meshes) t.segments 0
 
+let inspect t ~addr ~len =
+  match find_segment t addr with
+  | Some seg when len >= 0 && addr + len <= seg.base + seg.len ->
+    let buf = Bytes.create len in
+    let rec go pos =
+      if pos < len then begin
+        let off = addr - seg.base + pos in
+        let n = min (len - pos) (page_size - (off land (page_size - 1))) in
+        Bytes.blit seg.data (phys_off seg off) buf pos n;
+        go (pos + n)
+      end
+    in
+    go 0;
+    Bytes.unsafe_to_string buf
+  | Some _ | None -> invalid_arg "Mem.inspect: range not inside one segment"
+
 (* --- flight-recorder hook ---
 
    Faults are cold, so this is the one place the simulator talks to the

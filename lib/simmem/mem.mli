@@ -56,6 +56,13 @@ val mapped_bytes : t -> int
     resident-set proxy).  Meshed pages count once: every {!alias} retires
     one backing page. *)
 
+val inspect : t -> addr:int -> len:int -> string
+(** The bytes of [\[addr, addr+len)], read straight from the backing
+    store: no protection check, no counting, no TLB/cache charge, so
+    looking does not perturb what is looked at (the flight recorder's
+    and the tests' view).  Raises [Invalid_argument] unless the range
+    lies inside one mapped segment. *)
+
 (** {1 Page meshing}
 
     MESH-style compaction (see DESIGN.md, "Page meshing"): every segment

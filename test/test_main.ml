@@ -9,6 +9,7 @@ let () =
       ("slo-obs", Test_slo_obs.suite);
       ("audit", Test_audit.suite);
       ("simmem", Test_mem.suite);
+      ("mem-model", Test_mem_model.suite);
       ("bulk", Test_bulk.suite);
       ("alloc-base", Test_alloc_base.suite);
       ("freelist", Test_freelist.suite);
