@@ -1,6 +1,6 @@
 # Convenience targets for the DieHard reproduction.
 
-.PHONY: all build test bench bench-quick bench-scaling bench-space bench-serve obs-check audit-check fuzz examples check clean
+.PHONY: all build test bench bench-quick bench-scaling bench-space bench-serve obs-check audit-check examples check clean
 
 all: build
 
@@ -81,9 +81,6 @@ obs-check:
 # quick variant.
 audit-check:
 	dune exec bench/main.exe -- audit-gate
-
-fuzz:
-	dune exec bin/fuzz.exe -- --rounds 100 --ops 400
 
 examples:
 	dune exec examples/quickstart.exe

@@ -50,25 +50,14 @@ let slack = 0.02
 let entropy_floor = 0.98
 let entropy_ideal = log (float_of_int Audit.slot_buckets) /. log 2.
 
-let make_heap ~m ~seed =
-  let config = Config.v ~heap_size ~seed ~max_live_fraction:(1. /. m) () in
-  Heap.create ~config (Dh_mem.Mem.create ())
+let config ~m ~seed = Config.v ~heap_size ~seed ~max_live_fraction:(1. /. m) ()
+let make_heap ~m ~seed = Heap.create ~config:(config ~m ~seed) (Dh_mem.Mem.create ())
 
 (* Fill the audited class to its 1/M threshold; returns the objects. *)
 let fill heap =
   let alloc = Heap.allocator heap in
   let threshold = Config.threshold (Heap.config heap) ~class_ in
   Array.init threshold (fun _ -> Allocator.malloc_exn alloc size)
-
-(* One overflow trial on a fresh heap at its threshold (Figure 4(a)'s
-   methodology, at the M-sweep's fullness instead of a fixed one). *)
-let overflow_trial ~m ~seed =
-  let heap = make_heap ~m ~seed in
-  let ptrs = fill heap in
-  let victim = ptrs.(Dh_rng.Mwc.below (Heap.rng heap) (Array.length ptrs)) in
-  match Heap.find_object heap (victim + size) with
-  | Some { Allocator.allocated; _ } -> not allocated
-  | None -> true (* ran off the region into the unmapped hole page *)
 
 type leg = {
   analytic : float;
@@ -119,7 +108,11 @@ let sweep ~quick () =
         in
         let ovf_masked = ref 0 in
         for _ = 1 to overflow_trials do
-          if overflow_trial ~m ~seed:(Dh_rng.Seed.fresh pool) then incr ovf_masked
+          (* Figure 4(a)'s trial at the M-sweep's fullness: the threshold. *)
+          if
+            Fig4.overflow_trial ~config:(config ~m ~seed:(Dh_rng.Seed.fresh pool))
+              ~fill:threshold ~objects:1
+          then incr ovf_masked
         done;
         (* -- dangling leg (one heap pre-filled so the trials run just
               under the threshold, Figure 4(b)'s methodology) -- *)

@@ -12,27 +12,32 @@ module Config = Diehard.Config
 let replicas_axis = [ 1; 3; 4; 5; 6 ]
 let fullness_axis = [ (1. /. 8., "1/8 full"); (1. /. 4., "1/4 full"); (1. /. 2., "1/2 full") ]
 
-(* One replica's trial for Figure 4(a): build a heap, fill the 64-byte
-   class to the target fullness, overflow one random live object into
-   its physically-adjacent slot, and see whether any live object was
-   hit.  (The analysis's "overflow of one object's worth of bytes".) *)
-let overflow_masked_in_replica ~seed ~fullness =
-  (* The region must be fillable past its 1/M threshold for the 1/2-full
-     point, so configure M = 2 and fill to min(target, threshold). *)
-  let config = Config.v ~heap_size:(12 * 256 * 1024) ~seed () in
-  let mem = Dh_mem.Mem.create () in
-  let heap = Heap.create ~config mem in
+(* The Figure 4(a) overflow trial, shared by Figure 4(a), its
+   overflow-length sweep and the audit's M-sweep: build a heap from
+   [config], allocate [fill] objects in the 64-byte class, overflow one
+   random live object by [objects] objects' worth of bytes into its
+   physically-adjacent slots, and report whether the error was masked —
+   no slot it lands in holds a live object.  (Slots past the region's end
+   are the unmapped hole page, which holds no live data.) *)
+let overflow_trial ~config ~fill ~objects =
+  let heap = Heap.create ~config (Dh_mem.Mem.create ()) in
   let alloc = Heap.allocator heap in
-  let class_ = 3 in
-  let size = 64 in
-  let capacity = Heap.region_capacity heap ~class_ in
-  let want = int_of_float (float_of_int capacity *. fullness) in
-  let ptrs = Array.init want (fun _ -> Allocator.malloc_exn alloc size) in
-  let victim = ptrs.(Dh_rng.Mwc.below (Heap.rng heap) want) in
-  (* the slot the overflow lands in *)
-  match Heap.find_object heap (victim + size) with
-  | Some { Allocator.allocated; _ } -> not allocated
-  | None -> true (* ran off the region's end: hit the unmapped hole, no live data *)
+  let ptrs = Array.init fill (fun _ -> Allocator.malloc_exn alloc 64) in
+  let victim = ptrs.(Dh_rng.Mwc.below (Heap.rng heap) fill) in
+  List.for_all
+    (fun o ->
+      match Heap.find_object heap (victim + (64 * o)) with
+      | Some { Allocator.allocated; _ } -> not allocated
+      | None -> true)
+    (List.init objects (fun o -> o + 1))
+
+(* Figure 4's heap: 12 regions of 256 KiB, M = 2, so the 64-byte class
+   can be filled past its 1/M threshold for the 1/2-full point. *)
+let fig4_config seed = Config.v ~heap_size:(12 * 256 * 1024) ~seed ()
+
+let fill_to fullness =
+  int_of_float
+    (float_of_int (Config.objects_in_region (fig4_config 0) ~class_:3) *. fullness)
 
 let figure_4a ~trials =
   Report.heading "Figure 4(a): probability of masking a single-object buffer overflow";
@@ -54,7 +59,9 @@ let figure_4a ~trials =
                  let any = ref false in
                  for _ = 1 to k do
                    if
-                     overflow_masked_in_replica ~seed:(Dh_rng.Seed.fresh pool) ~fullness
+                     overflow_trial
+                       ~config:(fig4_config (Dh_rng.Seed.fresh pool))
+                       ~fill:(fill_to fullness) ~objects:1
                    then any := true
                  done;
                  if !any then incr masked
@@ -89,23 +96,11 @@ let overflow_length_sweep ~trials =
         in
         let masked = ref 0 in
         for _ = 1 to trials do
-          let config =
-            Config.v ~heap_size:(12 * 256 * 1024) ~seed:(Dh_rng.Seed.fresh pool) ()
-          in
-          let mem = Dh_mem.Mem.create () in
-          let heap = Heap.create ~config mem in
-          let alloc = Heap.allocator heap in
-          let capacity = Heap.region_capacity heap ~class_:3 in
-          let want = int_of_float (float_of_int capacity *. fullness) in
-          let ptrs = Array.init want (fun _ -> Allocator.malloc_exn alloc 64) in
-          let victim = ptrs.(Dh_rng.Mwc.below (Heap.rng heap) want) in
-          let all_free = ref true in
-          for o = 1 to objects do
-            match Heap.find_object heap (victim + (64 * o)) with
-            | Some { Allocator.allocated = true; _ } -> all_free := false
-            | Some _ | None -> ()
-          done;
-          if !all_free then incr masked
+          if
+            overflow_trial
+              ~config:(fig4_config (Dh_rng.Seed.fresh pool))
+              ~fill:(fill_to fullness) ~objects
+          then incr masked
         done;
         [
           string_of_int objects;

@@ -659,6 +659,52 @@ let object_size t addr =
 let owns t addr =
   Option.is_some (region_containing t addr) || Option.is_some (large_containing t addr)
 
+(* --- invariants ---
+
+   The properties every theorem of §6 leans on, checked from the heap's
+   own metadata.  A test harness calls this after every operation; the
+   allocation paths never do. *)
+
+let invariants t =
+  let fail fmt = Printf.ksprintf (fun msg -> failwith ("Heap.invariants: " ^ msg)) fmt in
+  Array.iter
+    (fun region ->
+      let class_ = region.class_ in
+      if region.in_use > region.threshold then
+        fail "class %d holds %d live objects, over its threshold %d" class_ region.in_use
+          region.threshold;
+      (* An unmapped region holds nothing; its bitmap is never written. *)
+      if region.base = 0 && (region.in_use <> 0 || Bitmap.cardinal region.bitmap <> 0) then
+        fail "class %d is unmapped but counts live objects" class_;
+      let popcount = ref 0 in
+      if region.base <> 0 then
+        Bitmap.iter_set region.bitmap (fun slot ->
+            incr popcount;
+            let addr = region.base + (slot * Size_class.size class_) in
+            match region_containing t addr with
+            | Some r when r == region && Size_class.is_aligned ~offset:(addr - r.base) ~class_ ->
+              ()
+            | Some _ | None ->
+              fail "class %d: live slot %d (0x%x) is not a slot address" class_ slot addr);
+      if !popcount <> region.in_use then
+        fail "class %d: %d bitmap bits set for %d live objects" class_ !popcount region.in_use;
+      let spp = region.slots_per_page in
+      if region.meshed > 0 then
+        Array.iteri
+          (fun p q ->
+            if
+              q >= 0
+              && (region.buddy.(q) <> p
+                 || not (Bitmap.window_disjoint region.bitmap ~a:(p * spp) ~b:(q * spp) ~len:spp))
+            then fail "class %d: meshed pages %d and %d share live slots" class_ p q)
+          region.buddy)
+    t.regions;
+  Imap.iter
+    (fun payload lo ->
+      if payload land (Mem.page_size - 1) <> 0 || payload <> lo.map_base + Mem.page_size then
+        fail "large object 0x%x is not page-aligned behind its guard page" payload)
+    t.large
+
 let allocator t =
   {
     Allocator.name = "diehard";

@@ -94,6 +94,16 @@ val reseed : t -> seed:int -> unit
 
 (** {1 Introspection for experiments and tests} *)
 
+val invariants : t -> unit
+(** Check DieHard's heap invariants, raising [Failure] that names the
+    first one broken: no size class holds more live objects than its
+    threshold ([1/M] of its slots); each class's bitmap has exactly as
+    many bits set as it has live objects; the two pages of a meshed pair
+    hold disjoint live slots; and every live object sits at a
+    slot-aligned address of its own region (a large object: page-aligned,
+    just past its guard page).  Costs O(bitmap bytes); meant to run after
+    every operation of a test, never on the allocation paths. *)
+
 val object_size : t -> int -> int option
 (** Reserved size of the live object at exactly this base address (small
     or large), if any. *)

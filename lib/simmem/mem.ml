@@ -127,6 +127,15 @@ type t = {
   mutable preimaged : int;  (* cumulative pages pre-imaged (COW copies) *)
 }
 
+let mapped_bytes t =
+  (* Meshed pages count once: each alias retires one physical page, so the
+     resident-set proxy shrinks even though the virtual extent is fixed. *)
+  Imap.fold
+    (fun _ seg acc -> acc + seg.len - (seg.meshes * page_size))
+    t.segments 0
+
+let meshed_pages t = Imap.fold (fun _ seg acc -> acc + seg.meshes) t.segments 0
+
 (* TLB/cache accounting publishes through the metrics registry as
    callback gauges: zero cost on the access hot paths, and the dump
    always reflects the most recently created address space (campaigns
@@ -142,12 +151,8 @@ let publish_metrics t =
   g "touched_pages" (fun () -> t.touched_pages);
   g "dirty_pages" (fun () -> t.dirty);
   g "preimaged_pages" (fun () -> t.preimaged);
-  g "meshed_pages" (fun () ->
-      Imap.fold (fun _ seg acc -> acc + seg.meshes) t.segments 0);
-  g "mapped_bytes" (fun () ->
-      Imap.fold
-        (fun _ seg acc -> acc + seg.len - (seg.meshes * page_size))
-        t.segments 0)
+  g "meshed_pages" (fun () -> meshed_pages t);
+  g "mapped_bytes" (fun () -> mapped_bytes t)
 
 let create () =
   let t =
@@ -196,17 +201,6 @@ let touch_line t line =
     t.cache_misses <- t.cache_misses + 1
   end
 
-(* Charge the TLB and cache for a one-byte access at [addr]. *)
-let charge_byte t addr =
-  touch_page t (addr lsr page_shift);
-  touch_line t (addr lsr cache_line_shift)
-
-(* Charge every cache line overlapping the inclusive range [first, last]. *)
-let charge_lines t ~first ~last =
-  for line = first lsr cache_line_shift to last lsr cache_line_shift do
-    touch_line t line
-  done
-
 let round_pages len = (len + page_size - 1) / page_size * page_size
 
 let mmap t ?(prot = Read_write) len =
@@ -240,7 +234,7 @@ let mmap t ?(prot = Read_write) len =
 
 let find_segment t addr =
   match t.cache with
-  | Some seg when addr >= seg.base && addr < seg.base + seg.len -> Some seg
+  | Some seg as hit when addr >= seg.base && addr < seg.base + seg.len -> hit
   | Some _ | None -> (
     match Imap.find_last_opt (fun base -> base <= addr) t.segments with
     | Some (_, seg) when addr < seg.base + seg.len ->
@@ -255,29 +249,37 @@ let segment_of t addr =
 
 let is_mapped t addr = Option.is_some (find_segment t addr)
 
-let mapped_bytes t =
-  (* Meshed pages count once: each alias retires one physical page, so the
-     resident-set proxy shrinks even though the virtual extent is fixed. *)
-  Imap.fold
-    (fun _ seg acc -> acc + seg.len - (seg.meshes * page_size))
-    t.segments 0
-
-let meshed_pages t = Imap.fold (fun _ seg acc -> acc + seg.meshes) t.segments 0
-
-let inspect t ~addr ~len =
-  match find_segment t addr with
-  | Some seg when len >= 0 && addr + len <= seg.base + seg.len ->
-    let buf = Bytes.create len in
+(* [f off pos n] for each piece of [addr, addr+len) (inside [seg]) that
+   is contiguous in the segment's backing store: [off] is the piece's
+   offset there and [pos] its offset in the range.  The whole range is
+   one piece unless the segment is meshed, where adjacent virtual pages
+   may live on non-adjacent physical pages. *)
+let iter_pieces seg ~addr ~len f =
+  if not seg.aliased then f (addr - seg.base) 0 len
+  else
     let rec go pos =
       if pos < len then begin
         let off = addr - seg.base + pos in
         let n = min (len - pos) (page_size - (off land (page_size - 1))) in
-        Bytes.blit seg.data (phys_off seg off) buf pos n;
+        f (phys_off seg off) pos n;
         go (pos + n)
       end
     in
-    go 0;
-    Bytes.unsafe_to_string buf
+    go 0
+
+let gather seg ~addr ~len =
+  let buf = Bytes.create len in
+  iter_pieces seg ~addr ~len (fun off pos n -> Bytes.blit seg.data off buf pos n);
+  buf
+
+let scatter seg ~addr buf =
+  iter_pieces seg ~addr ~len:(Bytes.length buf) (fun off pos n ->
+      Bytes.blit buf pos seg.data off n)
+
+let inspect t ~addr ~len =
+  match find_segment t addr with
+  | Some seg when len >= 0 && addr + len <= seg.base + seg.len ->
+    Bytes.unsafe_to_string (gather seg ~addr ~len)
   | Some _ | None -> invalid_arg "Mem.inspect: range not inside one segment"
 
 (* --- flight-recorder hook ---
@@ -315,6 +317,7 @@ let neighborhood t center =
   | Some seg ->
     let lo = max seg.base (center - 64) in
     let hi = min (seg.base + seg.len) (center + 64) in
+    let bytes = inspect t ~addr:lo ~len:(hi - lo) in
     let b = Buffer.create 512 in
     Printf.bprintf b "segment [0x%x, 0x%x); 16 bytes per row, * marks 0x%x\n"
       seg.base (seg.base + seg.len) center;
@@ -324,9 +327,7 @@ let neighborhood t center =
       for i = 0 to 15 do
         let a = !row + i in
         if a < lo || a >= hi then Buffer.add_string b " .."
-        else
-          Printf.bprintf b " %02x"
-            (Char.code (Bytes.get seg.data (phys_off seg (a - seg.base))))
+        else Printf.bprintf b " %02x" (Char.code bytes.[a - lo])
       done;
       Buffer.add_char b '\n';
       row := !row + 16
@@ -443,254 +444,183 @@ let mark_touched_phys t seg page =
     | Some _ | None -> ()
   end
 
-let mark_touched t seg vpage =
-  mark_touched_phys t seg (Array.unsafe_get seg.phys vpage)
+(* --- access validation ---
 
-(* Per-byte access check.  Returns the segment so callers can then touch
-   the backing bytes directly. *)
-let check t addr access =
-  charge_byte t addr;
+   One validator serves every load and store: byte, word, bulk and each
+   page a C-string scan reads.  {!validate} finds the range's segment and
+   {!walk} visits its pages in address order, charging the TLB once per
+   page and the cache once per line the range spans (so miss counts
+   depend only on the address stream, not on the access width), and
+   faults at the first byte of the first page whose protection forbids
+   the access — after charging that byte's page and line, exactly as a
+   bytewise walk would have.  Nothing is mutated or marked written until
+   the whole range has validated, so multi-byte operations are atomic
+   with respect to faults, and a fault mid-operation leaves the undo log
+   describing precisely the pre-op state.
+
+   A valid range never spans two segments: every segment is followed by
+   an unmapped hole page ({!mmap}; rewind restores [next_base] and drops
+   the segments born after it), so a range that leaves its segment
+   faults at the segment's end. *)
+
+(* Charge an access to the unmapped byte [addr] and raise its fault. *)
+let unmapped t addr access =
+  touch_page t (addr lsr page_shift);
+  touch_line t (addr lsr cache_line_shift);
+  raise_fault t (Fault.Unmapped { addr; access })
+
+(* Validate [pos, fin), non-empty and inside [seg], one page per call:
+   charge the page and the line of its first byte, check the page's
+   protection, then charge any further lines the range crosses on it.  A
+   one-line access (most byte and word accesses) is a few compares. *)
+let rec walk t seg pos fin access =
+  touch_page t (pos lsr page_shift);
+  touch_line t (pos lsr cache_line_shift);
+  if not (prot_allows (Array.unsafe_get seg.prot ((pos - seg.base) lsr page_shift)) access)
+  then raise_fault t (Fault.Protection { addr = pos; access });
+  let page_end = (pos lor (page_size - 1)) + 1 in
+  let stop = if fin < page_end then fin else page_end in
+  let last = (stop - 1) lsr cache_line_shift in
+  for line = (pos lsr cache_line_shift) + 1 to last do
+    touch_line t line
+  done;
+  if stop < fin then walk t seg stop fin access
+
+(* Validate the non-empty range [addr, addr+len) and return its segment. *)
+let validate t ~addr ~len access =
   match find_segment t addr with
-  | None -> raise_fault t (Fault.Unmapped { addr; access })
+  | None -> unmapped t addr access
   | Some seg ->
-    let page = (addr - seg.base) lsr page_shift in
-    if not (prot_allows seg.prot.(page) access) then
-      raise_fault t (Fault.Protection { addr; access });
-    (match access with
-    | Fault.Write -> mark_touched t seg page
-    | Fault.Read -> ());
-    seg
+    let seg_end = seg.base + seg.len in
+    if addr + len <= seg_end then begin
+      walk t seg addr (addr + len) access;
+      seg
+    end
+    else begin
+      walk t seg addr seg_end access;
+      unmapped t seg_end access
+    end
+
+(* Mark the pages of a validated write written, before any byte moves. *)
+let mark_written t seg ~addr ~len =
+  for vpage = (addr - seg.base) lsr page_shift to (addr + len - 1 - seg.base) lsr page_shift do
+    mark_touched_phys t seg (Array.unsafe_get seg.phys vpage)
+  done
+
+(* --- byte and word access --- *)
 
 let read8 t addr =
   t.reads <- t.reads + 1;
-  let seg = check t addr Fault.Read in
+  let seg = validate t ~addr ~len:1 Fault.Read in
   Char.code (Bytes.get seg.data (phys_off seg (addr - seg.base)))
 
 let write8 t addr v =
   t.writes <- t.writes + 1;
-  let seg = check t addr Fault.Write in
+  let seg = validate t ~addr ~len:1 Fault.Write in
+  mark_written t seg ~addr ~len:1;
   Bytes.set seg.data (phys_off seg (addr - seg.base)) (Char.chr (v land 0xFF))
 
-(* --- bulk validation ---
-
-   Every multi-byte operation validates its whole range before mutating
-   anything: segment containment and page protection are checked page run
-   by page run, charging the TLB per page and the cache per line actually
-   spanned, in address order.  On an illegal byte the fault carries
-   exactly that byte's address, its page and line have been charged (as
-   the bytewise walk would have), and no data has moved — multi-byte
-   operations are atomic with respect to faults. *)
-
-(* A maximal run of the range that is contiguous in one segment's backing
-   store.  [seg_off] is the VIRTUAL segment-relative offset; blit sites
-   translate through {!run_off}.  In an aliased segment adjacent virtual
-   pages may live on non-adjacent physical pages, so runs there never
-   cross a page boundary — which makes the one-translation-per-run rule
-   sound. *)
-type run = { rseg : segment; seg_off : int; buf_off : int; rlen : int }
-
-let run_off r = phys_off r.rseg r.seg_off
-
-let validate t ~addr ~len access =
-  let fin = addr + len in
-  let rec seg_runs pos acc =
-    if pos >= fin then List.rev acc
-    else
-      match find_segment t pos with
-      | None ->
-        charge_byte t pos;
-        raise_fault t (Fault.Unmapped { addr = pos; access })
-      | Some seg ->
-        let seg_end = seg.base + seg.len in
-        let run_end = min fin seg_end in
-        let run_end =
-          if seg.aliased then
-            min run_end
-              (seg.base + ((((pos - seg.base) lsr page_shift) + 1) lsl page_shift))
-          else run_end
-        in
-        let first_page = (pos - seg.base) lsr page_shift in
-        let last_page = (run_end - 1 - seg.base) lsr page_shift in
-        for p = first_page to last_page do
-          let page_base = seg.base + (p lsl page_shift) in
-          let page_first = max pos page_base in
-          touch_page t (page_first lsr page_shift);
-          if not (prot_allows seg.prot.(p) access) then begin
-            touch_line t (page_first lsr cache_line_shift);
-            raise_fault t (Fault.Protection { addr = page_first; access })
-          end;
-          let page_last = min (run_end - 1) (page_base + page_size - 1) in
-          charge_lines t ~first:page_first ~last:page_last
-        done;
-        seg_runs run_end
-          ({ rseg = seg; seg_off = pos - seg.base; buf_off = pos - addr;
-             rlen = run_end - pos }
-          :: acc)
-  in
-  if len = 0 then [] else seg_runs addr []
-
-(* Touched-page bookkeeping runs only after the whole range validated:
-   a faulting bulk write leaves no trace, not even in the stats. *)
-let mark_runs_touched t runs =
-  List.iter
-    (fun r ->
-      for p = r.seg_off lsr page_shift to (r.seg_off + r.rlen - 1) lsr page_shift do
-        mark_touched t r.rseg p
-      done)
-    runs
-
-(* --- word access ---
-
-   Fast path: the word lies entirely inside one segment (the overwhelming
-   majority of accesses).  Validates the one or two pages spanned, charges
-   pages and lines exactly as eight bytewise accesses would, then blits
-   through the segment's contiguous backing store — a word may cross a
-   page boundary inside a segment without falling off the fast path. *)
-
-let word_check t seg addr access =
-  let last = addr + word_size - 1 in
-  let p0 = (addr - seg.base) lsr page_shift in
-  let p1 = (last - seg.base) lsr page_shift in
-  touch_page t (addr lsr page_shift);
-  touch_line t (addr lsr cache_line_shift);
-  if not (prot_allows seg.prot.(p0) access) then
-    raise_fault t (Fault.Protection { addr; access });
-  if p1 <> p0 then begin
-    (* The first byte of the second page is where a bytewise walk would
-       fault; charge and check it as such. *)
-    let q = seg.base + (p1 lsl page_shift) in
-    touch_page t (q lsr page_shift);
-    touch_line t (q lsr cache_line_shift);
-    if not (prot_allows seg.prot.(p1) access) then
-      raise_fault t (Fault.Protection { addr = q; access })
-  end
-  else if last lsr cache_line_shift <> addr lsr cache_line_shift then
-    touch_line t (last lsr cache_line_shift);
-  match access with
-  | Fault.Write ->
-    mark_touched t seg p0;
-    if p1 <> p0 then mark_touched t seg p1
-  | Fault.Read -> ()
+(* A word is one backing-store piece unless it straddles two pages of a
+   meshed segment. *)
+let one_piece seg addr =
+  (not seg.aliased) || addr land (page_size - 1) <= page_size - word_size
 
 let read64 t addr =
   t.reads <- t.reads + 1;
-  match find_segment t addr with
-  | Some seg when (not seg.aliased) && addr + word_size <= seg.base + seg.len ->
-    word_check t seg addr Fault.Read;
-    Int64.to_int (Bytes.get_int64_le seg.data (addr - seg.base))
-  | _ ->
-    (* Straddles the segment end, starts unmapped, or lies in a meshed
-       segment (where a word may span two physical pages): the generic
-       validator faults at the exact first offending byte and charges
-       identically to the fast path. *)
-    let runs = validate t ~addr ~len:word_size Fault.Read in
-    let buf = Bytes.create word_size in
-    List.iter (fun r -> Bytes.blit r.rseg.data (run_off r) buf r.buf_off r.rlen) runs;
-    Int64.to_int (Bytes.get_int64_le buf 0)
+  let seg = validate t ~addr ~len:word_size Fault.Read in
+  if one_piece seg addr then
+    Int64.to_int (Bytes.get_int64_le seg.data (phys_off seg (addr - seg.base)))
+  else Int64.to_int (Bytes.get_int64_le (gather seg ~addr ~len:word_size) 0)
 
 let write64 t addr v =
   t.writes <- t.writes + 1;
-  match find_segment t addr with
-  | Some seg when (not seg.aliased) && addr + word_size <= seg.base + seg.len ->
-    word_check t seg addr Fault.Write;
-    Bytes.set_int64_le seg.data (addr - seg.base) (Int64.of_int v)
-  | _ ->
-    (* All eight bytes validate before any mutates: a word straddling into
-       an unmapped or protected page never tears. *)
-    let runs = validate t ~addr ~len:word_size Fault.Write in
-    mark_runs_touched t runs;
+  let seg = validate t ~addr ~len:word_size Fault.Write in
+  mark_written t seg ~addr ~len:word_size;
+  if one_piece seg addr then
+    Bytes.set_int64_le seg.data (phys_off seg (addr - seg.base)) (Int64.of_int v)
+  else begin
     let buf = Bytes.create word_size in
     Bytes.set_int64_le buf 0 (Int64.of_int v);
-    List.iter (fun r -> Bytes.blit buf r.buf_off r.rseg.data (run_off r) r.rlen) runs
+    scatter seg ~addr buf
+  end
 
-(* --- bulk access --- *)
+(* --- bulk access: [len] is counted only once the range has validated,
+   and an empty range touches nothing --- *)
 
 let read_bytes t ~addr ~len =
   if len < 0 then invalid_arg "Mem.read_bytes: negative length";
-  let runs = validate t ~addr ~len Fault.Read in
-  t.reads <- t.reads + len;
-  let buf = Bytes.create len in
-  List.iter (fun r -> Bytes.blit r.rseg.data (run_off r) buf r.buf_off r.rlen) runs;
-  Bytes.unsafe_to_string buf
+  if len = 0 then ""
+  else begin
+    let seg = validate t ~addr ~len Fault.Read in
+    t.reads <- t.reads + len;
+    Bytes.unsafe_to_string (gather seg ~addr ~len)
+  end
+
+(* Validate a non-empty bulk write, count it and mark its pages written. *)
+let bulk_write t ~addr ~len =
+  let seg = validate t ~addr ~len Fault.Write in
+  t.writes <- t.writes + len;
+  mark_written t seg ~addr ~len;
+  seg
 
 let write_bytes t ~addr s =
   let len = String.length s in
-  let runs = validate t ~addr ~len Fault.Write in
-  t.writes <- t.writes + len;
-  mark_runs_touched t runs;
-  List.iter (fun r -> Bytes.blit_string s r.buf_off r.rseg.data (run_off r) r.rlen) runs
+  if len > 0 then scatter (bulk_write t ~addr ~len) ~addr (Bytes.unsafe_of_string s)
 
 let fill t ~addr ~len c =
   if len < 0 then invalid_arg "Mem.fill: negative length";
-  let runs = validate t ~addr ~len Fault.Write in
-  t.writes <- t.writes + len;
-  mark_runs_touched t runs;
-  List.iter (fun r -> Bytes.fill r.rseg.data (run_off r) r.rlen c) runs
+  if len > 0 then begin
+    let seg = bulk_write t ~addr ~len in
+    iter_pieces seg ~addr ~len (fun off _ n -> Bytes.fill seg.data off n c)
+  end
 
 let fill_random t ~addr ~len rng =
   if len < 0 then invalid_arg "Mem.fill_random: negative length";
-  let runs = validate t ~addr ~len Fault.Write in
-  t.writes <- t.writes + len;
-  mark_runs_touched t runs;
-  (* Same stream consumption as the historical bytewise fill: one u32 per
-     four bytes, least-significant byte first — replicas built from equal
-     seeds must still produce byte-identical heaps.  A range that is one
-     run (the common case: a region or object inside one segment) is
-     filled in place. *)
-  match runs with
-  | [ r ] -> Dh_rng.Mwc.fill_bytes rng r.rseg.data ~off:(run_off r) ~len
-  | runs ->
-    let buf = Bytes.create len in
-    Dh_rng.Mwc.fill_bytes rng buf ~off:0 ~len;
-    List.iter (fun r -> Bytes.blit buf r.buf_off r.rseg.data (run_off r) r.rlen) runs
+  if len > 0 then begin
+    let seg = bulk_write t ~addr ~len in
+    (* Same stream consumption as the historical bytewise fill: one u32 per
+       four bytes, least-significant byte first — replicas built from equal
+       seeds must still produce byte-identical heaps.  An unmeshed segment
+       is filled in place. *)
+    if not seg.aliased then Dh_rng.Mwc.fill_bytes rng seg.data ~off:(addr - seg.base) ~len
+    else begin
+      let buf = Bytes.create len in
+      Dh_rng.Mwc.fill_bytes rng buf ~off:0 ~len;
+      scatter seg ~addr buf
+    end
+  end
 
-let cstring ?limit t addr =
+(* Scan page by page inside the segment, searching the backing bytes
+   directly for the terminator, then validating (and counting) exactly the
+   bytes delivered from that page — the terminator included. *)
+let cstring ?(limit = max_int) t addr =
   let buf = Buffer.create 16 in
-  let limit = match limit with Some n -> n | None -> max_int in
-  (* Scan page by page inside the containing segment, validating each page
-     once and searching the backing bytes directly for the terminator. *)
-  let rec scan pos budget =
-    if budget <= 0 then Buffer.contents buf
-    else
-      match find_segment t pos with
-      | None ->
-        charge_byte t pos;
-        raise_fault t (Fault.Unmapped { addr = pos; access = Fault.Read })
-      | Some seg ->
-        let page = (pos - seg.base) lsr page_shift in
-        touch_page t (pos lsr page_shift);
-        if not (prot_allows seg.prot.(page) Fault.Read) then begin
-          touch_line t (pos lsr cache_line_shift);
-          raise_fault t (Fault.Protection { addr = pos; access = Fault.Read })
-        end;
-        let page_end =
-          min (seg.base + ((page + 1) lsl page_shift)) (seg.base + seg.len)
-        in
-        (* Compare rather than add: [budget] defaults to [max_int], and
-           [pos + budget] would overflow. *)
-        let stop = if budget < page_end - pos then pos + budget else page_end in
-        (* The scan never leaves the current virtual page, so one physical
-           translation covers the whole chunk. *)
-        let off = phys_off seg (pos - seg.base) in
-        let n = stop - pos in
-        let nul =
-          match Bytes.index_from_opt seg.data off '\000' with
-          | Some k when k < off + n -> Some (k - off)
-          | Some _ | None -> None
-        in
-        (match nul with
-        | Some k ->
-          charge_lines t ~first:pos ~last:(pos + k);
-          t.reads <- t.reads + k + 1;
-          Buffer.add_subbytes buf seg.data off k;
-          Buffer.contents buf
-        | None ->
-          charge_lines t ~first:pos ~last:(stop - 1);
-          t.reads <- t.reads + n;
-          Buffer.add_subbytes buf seg.data off n;
-          scan stop (budget - n))
+  let rec scan seg pos budget =
+    if pos = seg.base + seg.len then unmapped t pos Fault.Read;
+    let page_end = (pos lor (page_size - 1)) + 1 in
+    (* Compare rather than add: [budget] defaults to [max_int], and
+       [pos + budget] would overflow. *)
+    let n = if budget < page_end - pos then budget else page_end - pos in
+    (* The chunk never leaves the current virtual page, so one physical
+       translation covers it. *)
+    let off = phys_off seg (pos - seg.base) in
+    match Bytes.index_from_opt seg.data off '\000' with
+    | Some k when k < off + n ->
+      walk t seg pos (pos + k - off + 1) Fault.Read;
+      t.reads <- t.reads + k - off + 1;
+      Buffer.add_subbytes buf seg.data off (k - off);
+      Buffer.contents buf
+    | Some _ | None ->
+      walk t seg pos (pos + n) Fault.Read;
+      t.reads <- t.reads + n;
+      Buffer.add_subbytes buf seg.data off n;
+      if budget = n then Buffer.contents buf else scan seg (pos + n) (budget - n)
   in
-  scan addr limit
+  if limit <= 0 then ""
+  else
+    match find_segment t addr with
+    | None -> unmapped t addr Fault.Read
+    | Some seg -> scan seg addr limit
 
 (* --- page meshing --- *)
 

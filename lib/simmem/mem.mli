@@ -98,14 +98,22 @@ val backing_page : t -> int -> int
 (** {1 Access}
 
     All accesses fault ({!Fault.Error}) on unmapped addresses or protection
-    violations.  Multi-byte accesses validate every byte of their range
-    {e before} touching memory: a fault carries the address of exactly the
-    first offending byte and the operation has had {e no} partial effect —
-    no bytes written, no pages newly marked touched (the exact-fault,
-    no-tearing discipline of checked memory models such as CHERI-C).  The
-    TLB and cache models are still charged for the pages and lines walked
-    up to and including the faulting byte, as a bytewise access sequence
-    would have been.
+    violations, and all of them — byte, word, bulk, and each page a
+    {!cstring} scan reads — are checked by one validator, which walks the
+    range page by page in address order.  Multi-byte accesses validate
+    every byte of their range {e before} touching memory: a fault carries
+    the address of exactly the first offending byte and the operation has
+    had no partial effect — no bytes written, no pages newly marked
+    touched (the exact-fault, no-tearing discipline of checked memory
+    models such as CHERI-C).  The TLB and cache models are still charged
+    for the pages and lines walked up to and including the faulting byte,
+    as a bytewise access sequence would have been.
+
+    Counting rule ({!stats}): byte and word operations count one read or
+    write even when they fault; bulk operations count [len] only on
+    success; {!cstring} counts the bytes it delivers, terminator
+    included, page by page (so a scan faulting on a later page has
+    counted the earlier pages' bytes).
 
     Cost-model charging rule: an access charges one TLB touch per page and
     one cache touch per line its byte range spans — never more, never
@@ -122,8 +130,8 @@ val read64 : t -> int -> int
 val write64 : t -> int -> int -> unit
 
 val read_bytes : t -> addr:int -> len:int -> string
-(** Segment-resident bulk read: validates the whole range once per page
-    run, then blits.  O(pages + lines + len/blit) rather than per-byte. *)
+(** Bulk read: validates the whole range page by page, then blits.
+    O(pages + lines + len/blit) rather than per-byte. *)
 
 val write_bytes : t -> addr:int -> string -> unit
 
@@ -192,8 +200,11 @@ val preimaged_pages : t -> int
 (** {1 Accounting} *)
 
 type stats = {
-  reads : int;  (** Number of load operations performed. *)
-  writes : int;  (** Number of store operations performed. *)
+  reads : int;
+      (** Loads, by the access counting rule: one per byte or word
+          operation, [len] per bulk read, one per byte {!cstring}
+          delivers. *)
+  writes : int;  (** Stores, by the same rule. *)
   mmaps : int;
   munmaps : int;
   tlb_misses : int;

@@ -145,6 +145,16 @@ let gen_op =
         (1, return Discard);
       ])
 
+(* The list shrinker drops whole ops; this one halves an op's length. *)
+let shrink_op op yield =
+  let halve n k = if n > 0 then k (n / 2) in
+  match op with
+  | Read_bytes (a, n) -> halve n (fun n -> yield (Read_bytes (a, n)))
+  | Write_bytes (a, s) -> halve (String.length s) (fun n -> yield (Write_bytes (a, String.sub s 0 n)))
+  | Fill (a, n, c) -> halve n (fun n -> yield (Fill (a, n, c)))
+  | Fill_random (a, n, seed) -> halve n (fun n -> yield (Fill_random (a, n, seed)))
+  | _ -> ()
+
 (* --- running one op on both sides --- *)
 
 type outcome = Done | Value of int | Text of string | Trap of Fault.t | Rejected
@@ -313,7 +323,7 @@ let prop_mem_refines_model =
     ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat "\n" (List.map show_op ops))
-       ~shrink:QCheck.Shrink.list
+       ~shrink:(QCheck.Shrink.list ~shrink:shrink_op)
        QCheck.Gen.(
          map2 (fun n ops -> Mmap n :: ops) gen_pages (list_size (int_range 0 59) gen_op)))
     run_sequence

@@ -179,6 +179,28 @@ let test_heap_mesh_preserves_live_bytes () =
   check_int "survivor frees validate" ignored_before
     (Heap.stats heap).Dh_alloc.Stats.ignored_frees
 
+(* A dense region, where half-full pages often share slot positions:
+   the mesher must still pair only disjoint pages, and the heap keeps
+   every invariant {!Heap.invariants} checks. *)
+let test_dense_mesh_keeps_invariants () =
+  let mem, heap = heap_with ~heap_size:(12 * 16 * page) ~mesh:false () in
+  let fill (i, p) = Mem.fill mem ~addr:p ~len:64 (Char.chr (33 + (i mod 64))) in
+  let intact (i, p) =
+    Mem.read_bytes mem ~addr:p ~len:64 = String.make 64 (Char.chr (33 + (i mod 64)))
+  in
+  let objs = List.init 480 (fun i -> (i, Option.get (Heap.malloc heap 64))) in
+  List.iter fill objs;
+  let survivors =
+    List.filter (fun (i, p) -> i mod 4 = 0 || (Heap.free heap p; false)) objs
+  in
+  Heap.invariants heap;
+  check "a dense churned region meshes" true (Heap.mesh heap > 0);
+  Heap.invariants heap;
+  let fresh = List.init 200 (fun i -> (i, Option.get (Heap.malloc heap 64))) in
+  List.iter fill fresh;
+  Heap.invariants heap;
+  check "live bytes intact" true (List.for_all intact (survivors @ fresh))
+
 let test_mesh_config_without_trigger_changes_nothing () =
   (* Meshing enabled but never triggered must be invisible: same seed,
      same allocation sequence, byte-identical addresses (the mesh-off
@@ -222,7 +244,8 @@ let prop_mesh_differential =
       let id = ref 0 in
       let ok = ref true in
       List.iter
-        (function
+        (fun op ->
+          (match op with
           | Alloc sz -> (
             match (Heap.malloc heap_a sz, Heap.malloc heap_b sz) with
             | Some a, Some b ->
@@ -242,8 +265,13 @@ let prop_mesh_differential =
               Heap.free heap_a a;
               Heap.free heap_b b;
               live := List.filteri (fun j _ -> j <> i) l)
-          | Mesh -> ignore (Heap.mesh heap_b))
+          | Mesh ->
+            ignore (Heap.mesh heap_b);
+            (* Meshing keeps DieHard's invariants, buddies disjoint included. *)
+            Heap.invariants heap_b))
         ops;
+      Heap.invariants heap_a;
+      Heap.invariants heap_b;
       !ok
       && List.for_all
            (fun (a, b, sz, c) ->
@@ -349,4 +377,6 @@ let suite =
       test_fault_classification_mesh_invariant;
     Alcotest.test_case "replica fingerprint mesh-invariant" `Quick
       test_replicated_fingerprint_mesh_invariant;
+    Alcotest.test_case "dense mesh keeps heap invariants" `Quick
+      test_dense_mesh_keeps_invariants;
   ]

@@ -1,6 +1,6 @@
 (* Cross-cutting property tests: voter laws, statement-level
-   pretty-print/reparse round-trips, theorem monotonicity sweeps, and a
-   reduced in-suite version of the differential fuzzer. *)
+   pretty-print/reparse round-trips, theorem monotonicity sweeps, and the
+   differential tests that run one workload on several allocators. *)
 
 module Mem = Dh_mem.Mem
 module Allocator = Dh_alloc.Allocator
@@ -171,7 +171,7 @@ let prop_uninit_detect_is_probability =
       let p = Dh_analysis.Theorems.uninit_detect_probability ~bits ~replicas in
       p >= 0. && p <= 1.)
 
-(* --- reduced differential fuzz (the full binary is bin/fuzz.ml) --- *)
+(* --- differential: DieHard and freelist on one small workload --- *)
 
 let prop_allocators_agree =
   QCheck.Test.make ~name:"differential: diehard and freelist compute identical sums"
@@ -213,6 +213,151 @@ let prop_allocators_agree =
       in
       run_on freelist = run_on dh)
 
+(* --- differential: all six allocators ---
+
+   Random well-behaved workloads (malloc, free, realloc, and writing then
+   checksumming whole objects) replayed on every allocator in the
+   repository.  Six independent memory managers must compute the same
+   checksum, end with nothing live (except the collector, which reclaims
+   when it collects, not at free, so its live count lags) and never
+   raise.  DieHard's heap invariants are checked after every operation
+   of the DieHard replays. *)
+
+type fuzz_op =
+  | Alloc of int  (* size *)
+  | Free of int  (* index into the live objects, modulo their count *)
+  | Realloc of int * int  (* index, new size *)
+  | Touch of int  (* index: write then checksum the object *)
+
+let show_fuzz_op = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Free i -> Printf.sprintf "free #%d" i
+  | Realloc (i, n) -> Printf.sprintf "realloc #%d %d" i n
+  | Touch i -> Printf.sprintf "touch #%d" i
+
+let gen_fuzz_op =
+  QCheck.Gen.(
+    let size = int_range 1 20_000 in
+    frequency
+      [
+        (4, map (fun n -> Alloc n) size);
+        (2, map (fun i -> Free i) nat);
+        (1, map2 (fun i n -> Realloc (i, n)) nat size);
+        (3, map (fun i -> Touch i) nat);
+      ])
+
+let mix h =
+  let h = h lxor (h lsr 16) in
+  let h = h * 0x45D9F3B land max_int in
+  h lxor (h lsr 13)
+
+(* Replay [ops] on [alloc], calling [check] after every operation; returns
+   the checksum and the live count after freeing everything still live. *)
+let replay ~check ops alloc =
+  let mem = alloc.Allocator.mem in
+  let live = ref [] in  (* (address, requested size), newest first *)
+  let checksum = ref 0 in
+  let add x = checksum := (!checksum + x) land max_int in
+  let nth i = List.nth !live (i mod List.length !live) in
+  let drop i = live := List.filteri (fun j _ -> j <> i mod List.length !live) !live in
+  let touch opno (addr, sz) =
+    for w = 0 to (sz / 8) - 1 do
+      Mem.write64 mem (addr + (8 * w)) (mix ((opno * 31) + w))
+    done;
+    for w = 0 to (sz / 8) - 1 do
+      add (Mem.read64 mem (addr + (8 * w)) land 0xFFFF)
+    done
+  in
+  List.iteri
+    (fun opno op ->
+      let opno = opno + 1 in
+      (match op with
+      | Alloc sz -> (
+        match alloc.Allocator.malloc sz with
+        | Some addr ->
+          live := (addr, sz) :: !live;
+          touch opno (addr, sz)
+        | None -> add 7)
+      | Free i when !live <> [] ->
+        alloc.Allocator.free (fst (nth i));
+        drop i
+      | Realloc (i, sz) when !live <> [] -> (
+        match Allocator.realloc alloc (fst (nth i)) sz with
+        | Some fresh ->
+          drop i;
+          live := (fresh, sz) :: !live;
+          touch opno (fresh, sz)
+        | None -> ())
+      | Touch i when !live <> [] -> touch opno (nth i)
+      | Free _ | Realloc _ | Touch _ -> ());
+      check ())
+    ops;
+  List.iter (fun (addr, _) -> alloc.Allocator.free addr) !live;
+  check ();
+  (!checksum, alloc.Allocator.stats.Dh_alloc.Stats.live_objects)
+
+(* Each allocator with the check to run after every operation. *)
+let six_allocators ~seed =
+  let no_check alloc = (alloc, ignore) in
+  let config = Config.v ~heap_size:(48 lsl 20) ~seed () in
+  [
+    ("freelist-lea", fun () -> no_check (Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create (Mem.create ()))));
+    ( "freelist-win",
+      fun () ->
+        no_check
+          (Dh_alloc.Freelist.allocator
+             (Dh_alloc.Freelist.create ~variant:Dh_alloc.Freelist.Windows (Mem.create ()))) );
+    ("gc-bdw", fun () -> no_check (Dh_alloc.Gc.allocator (Dh_alloc.Gc.create (Mem.create ()))));
+    ( "diehard",
+      fun () ->
+        let heap = Heap.create ~config (Mem.create ()) in
+        (Heap.allocator heap, fun () -> Heap.invariants heap) );
+    ("diehard-adaptive", fun () -> no_check (Adaptive.allocator (Adaptive.create ~seed (Mem.create ()))));
+    ( "diehard-hybrid",
+      fun () ->
+        let hybrid = Hybrid.create ~config (Mem.create ()) in
+        (Hybrid.allocator hybrid, fun () -> Heap.invariants (Hybrid.protected_heap hybrid)) );
+  ]
+
+let prop_six_allocators_agree =
+  QCheck.Test.make ~name:"differential: six allocators agree, none leaks or raises" ~count:15
+    QCheck.(
+      pair small_nat
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map show_fuzz_op ops))
+           ~shrink:Shrink.list
+           Gen.(list_size (return 300) gen_fuzz_op)))
+    (fun (seed, ops) ->
+      let results =
+        List.map
+          (fun (name, make) ->
+            ( name,
+              match
+                let alloc, check = make () in
+                replay ~check ops alloc
+              with
+              | result -> Ok result
+              | exception e -> Error (Printexc.to_string e) ))
+          (six_allocators ~seed)
+      in
+      List.iter
+        (fun (name, r) ->
+          match r with
+          | Error e -> QCheck.Test.fail_reportf "%s raised %s" name e
+          | Ok (_, live) when live <> 0 && name <> "gc-bdw" ->
+            QCheck.Test.fail_reportf "%s leaked %d objects" name live
+          | Ok _ -> ())
+        results;
+      match List.sort_uniq compare (List.map (fun (_, r) -> Result.map fst r) results) with
+      | [ _ ] -> true
+      | _ ->
+        QCheck.Test.fail_reportf "checksums differ: %s"
+          (String.concat ", "
+             (List.map
+                (fun (name, r) ->
+                  Printf.sprintf "%s %d" name (match r with Ok (sum, _) -> sum | Error _ -> -1))
+                results)))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_voter_unanimous_iff_all_equal;
@@ -223,4 +368,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dangling_monotone_in_allocations;
     QCheck_alcotest.to_alcotest prop_uninit_detect_is_probability;
     QCheck_alcotest.to_alcotest prop_allocators_agree;
+    QCheck_alcotest.to_alcotest prop_six_allocators_agree;
   ]
