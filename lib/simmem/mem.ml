@@ -35,7 +35,7 @@ type segment = {
 (* Translate a segment-relative byte offset through the physical-page
    indirection.  Identity for never-meshed segments, and the [aliased]
    flag keeps that common case to one branch. *)
-let phys_off seg off =
+let[@inline] phys_off seg off =
   if seg.aliased then
     (Array.unsafe_get seg.phys (off lsr page_shift) lsl page_shift)
     lor (off land (page_size - 1))
@@ -187,14 +187,14 @@ let create () =
    and one bulk operation over the same range observe identical miss
    counts. *)
 
-let touch_page t page =
+let[@inline] touch_page t page =
   let slot = page land (tlb_entries - 1) in
   if t.tlb.(slot) <> page then begin
     t.tlb.(slot) <- page;
     t.tlb_misses <- t.tlb_misses + 1
   end
 
-let touch_line t line =
+let[@inline] touch_line t line =
   let slot = line land (cache_lines - 1) in
   if t.dcache.(slot) <> line then begin
     t.dcache.(slot) <- line;
@@ -421,10 +421,76 @@ let prot_allows prot access =
   | Read_write, _ | Read_only, Fault.Read -> true
   | No_access, _ | Read_only, Fault.Write -> false
 
-(* [page] is a PHYSICAL page index: both the written-page proxy and the
-   checkpoint pre-images live at the physical level, so two meshed virtual
-   pages cost (and pre-image) their shared backing page exactly once. *)
-let mark_touched_phys t seg page =
+(* --- access validation ---
+
+   One validator serves every load and store: byte, word, bulk and each
+   page a C-string scan reads.  {!validate} finds the range's segment and
+   {!check_page} validates it one page at a time in address order,
+   charging the TLB once per page and the cache once per line the range
+   spans (so miss counts depend only on the address stream, not on the
+   access width), and faulting at the first byte of the first page whose
+   protection forbids the access — after charging that byte's page and
+   line, exactly as a bytewise walk would have.  Nothing is mutated or
+   marked written until the whole range has validated, so multi-byte
+   operations are atomic with respect to faults, and a fault
+   mid-operation leaves the undo log describing precisely the pre-op
+   state.
+
+   A valid range never spans two segments: every segment is followed by
+   an unmapped hole page ({!mmap}; rewind restores [next_base] and drops
+   the segments born after it), so a range that leaves its segment
+   faults at the segment's end.
+
+   Validating the one-page case (every byte access, nearly every word)
+   is inlined into each access and costs one call, to {!find_segment}. *)
+
+(* Charge an access to the unmapped byte [addr] and raise its fault. *)
+let unmapped t addr access =
+  touch_page t (addr lsr page_shift);
+  touch_line t (addr lsr cache_line_shift);
+  raise_fault t (Fault.Unmapped { addr; access })
+
+let rec charge_lines t line last =
+  touch_line t line;
+  if line < last then charge_lines t (line + 1) last
+
+(* Validate the part of [pos, fin) (inside [seg]) on [pos]'s page and
+   return where that part ends: charge the page and the line of [pos],
+   check the page's protection, then charge any further lines the part
+   crosses. *)
+let[@inline] check_page t seg pos fin access =
+  touch_page t (pos lsr page_shift);
+  touch_line t (pos lsr cache_line_shift);
+  if not (prot_allows (Array.unsafe_get seg.prot ((pos - seg.base) lsr page_shift)) access)
+  then raise_fault t (Fault.Protection { addr = pos; access });
+  let page_end = (pos lor (page_size - 1)) + 1 in
+  let stop = if fin < page_end then fin else page_end in
+  let line = pos lsr cache_line_shift and last = (stop - 1) lsr cache_line_shift in
+  if line < last then charge_lines t (line + 1) last;
+  stop
+
+let rec walk t seg pos fin access =
+  let stop = check_page t seg pos fin access in
+  if stop < fin then walk t seg stop fin access
+
+(* Validate the non-empty range [addr, addr+len) and return its segment. *)
+let[@inline] validate t ~addr ~len access =
+  match find_segment t addr with
+  | None -> unmapped t addr access
+  | Some seg ->
+    let seg_end = seg.base + seg.len in
+    let fin = if addr + len <= seg_end then addr + len else seg_end in
+    let stop = check_page t seg addr fin access in
+    if stop < fin then walk t seg stop fin access;
+    if addr + len > seg_end then unmapped t seg_end access;
+    seg
+
+(* Mark virtual pages [vpage, last] written, before any byte moves.  The
+   written-page proxy and the checkpoint pre-images live at the physical
+   level, so two meshed virtual pages cost (and pre-image) their shared
+   backing page exactly once. *)
+let rec mark_pages t seg vpage last =
+  let page = Array.unsafe_get seg.phys vpage in
   if not seg.touched.(page) then begin
     seg.touched.(page) <- true;
     t.touched_pages <- t.touched_pages + 1
@@ -435,77 +501,17 @@ let mark_touched_phys t seg page =
     match t.ckpt with
     | Some c when seg.born_epoch <> t.epoch ->
       (* First write to this page since the checkpoint: save its pre-image
-         before the caller mutates it (every write path marks before it
-         blits).  Segments born after the checkpoint are discarded whole
-         on rewind, so their pages need no copies. *)
+         before the caller mutates it.  Segments born after the checkpoint
+         are discarded whole on rewind, so their pages need no copies. *)
       c.pre <- (seg, page, Bytes.sub seg.data (page lsl page_shift) page_size) :: c.pre;
       c.pre_count <- c.pre_count + 1;
       t.preimaged <- t.preimaged + 1
     | Some _ | None -> ()
-  end
+  end;
+  if vpage < last then mark_pages t seg (vpage + 1) last
 
-(* --- access validation ---
-
-   One validator serves every load and store: byte, word, bulk and each
-   page a C-string scan reads.  {!validate} finds the range's segment and
-   {!walk} visits its pages in address order, charging the TLB once per
-   page and the cache once per line the range spans (so miss counts
-   depend only on the address stream, not on the access width), and
-   faults at the first byte of the first page whose protection forbids
-   the access — after charging that byte's page and line, exactly as a
-   bytewise walk would have.  Nothing is mutated or marked written until
-   the whole range has validated, so multi-byte operations are atomic
-   with respect to faults, and a fault mid-operation leaves the undo log
-   describing precisely the pre-op state.
-
-   A valid range never spans two segments: every segment is followed by
-   an unmapped hole page ({!mmap}; rewind restores [next_base] and drops
-   the segments born after it), so a range that leaves its segment
-   faults at the segment's end. *)
-
-(* Charge an access to the unmapped byte [addr] and raise its fault. *)
-let unmapped t addr access =
-  touch_page t (addr lsr page_shift);
-  touch_line t (addr lsr cache_line_shift);
-  raise_fault t (Fault.Unmapped { addr; access })
-
-(* Validate [pos, fin), non-empty and inside [seg], one page per call:
-   charge the page and the line of its first byte, check the page's
-   protection, then charge any further lines the range crosses on it.  A
-   one-line access (most byte and word accesses) is a few compares. *)
-let rec walk t seg pos fin access =
-  touch_page t (pos lsr page_shift);
-  touch_line t (pos lsr cache_line_shift);
-  if not (prot_allows (Array.unsafe_get seg.prot ((pos - seg.base) lsr page_shift)) access)
-  then raise_fault t (Fault.Protection { addr = pos; access });
-  let page_end = (pos lor (page_size - 1)) + 1 in
-  let stop = if fin < page_end then fin else page_end in
-  let last = (stop - 1) lsr cache_line_shift in
-  for line = (pos lsr cache_line_shift) + 1 to last do
-    touch_line t line
-  done;
-  if stop < fin then walk t seg stop fin access
-
-(* Validate the non-empty range [addr, addr+len) and return its segment. *)
-let validate t ~addr ~len access =
-  match find_segment t addr with
-  | None -> unmapped t addr access
-  | Some seg ->
-    let seg_end = seg.base + seg.len in
-    if addr + len <= seg_end then begin
-      walk t seg addr (addr + len) access;
-      seg
-    end
-    else begin
-      walk t seg addr seg_end access;
-      unmapped t seg_end access
-    end
-
-(* Mark the pages of a validated write written, before any byte moves. *)
-let mark_written t seg ~addr ~len =
-  for vpage = (addr - seg.base) lsr page_shift to (addr + len - 1 - seg.base) lsr page_shift do
-    mark_touched_phys t seg (Array.unsafe_get seg.phys vpage)
-  done
+let[@inline] mark_written t seg ~addr ~len =
+  mark_pages t seg ((addr - seg.base) lsr page_shift) ((addr + len - 1 - seg.base) lsr page_shift)
 
 (* --- byte and word access --- *)
 
@@ -606,12 +612,12 @@ let cstring ?(limit = max_int) t addr =
     let off = phys_off seg (pos - seg.base) in
     match Bytes.index_from_opt seg.data off '\000' with
     | Some k when k < off + n ->
-      walk t seg pos (pos + k - off + 1) Fault.Read;
+      ignore (check_page t seg pos (pos + k - off + 1) Fault.Read);
       t.reads <- t.reads + k - off + 1;
       Buffer.add_subbytes buf seg.data off (k - off);
       Buffer.contents buf
     | Some _ | None ->
-      walk t seg pos (pos + n) Fault.Read;
+      ignore (check_page t seg pos (pos + n) Fault.Read);
       t.reads <- t.reads + n;
       Buffer.add_subbytes buf seg.data off n;
       if budget = n then Buffer.contents buf else scan seg (pos + n) (budget - n)
@@ -651,7 +657,7 @@ let alias t ~src ~dst ~live =
        across this mesh restores its exact pre-merge bytes.  The copy is
        allocator-internal compaction, not a program access — no stats or
        TLB/cache charges (the virtual address stream is unchanged). *)
-    if live <> [] then mark_touched_phys t seg ps;
+    if live <> [] then mark_written t seg ~addr:src ~len:1;
     (match t.ckpt with
     | Some c when seg.born_epoch <> t.epoch ->
       c.mesh_log <- (seg, dv, pd) :: c.mesh_log
