@@ -105,7 +105,8 @@ let mark_touched m p =
 let cells m ~addr ~len kind = List.init len (fun i -> access m (addr + i) kind)
 
 let load m ~addr ~len =
-  String.of_seq (List.to_seq (List.map (fun (p, o) -> Bytes.get p.bytes o) (cells m ~addr ~len Fault.Read)))
+  let cs = cells m ~addr ~len Fault.Read in
+  String.of_seq (List.to_seq (List.map (fun (p, o) -> Bytes.get p.bytes o) cs))
 
 let store m ~addr s =
   let cs = cells m ~addr ~len:(String.length s) Fault.Write in
@@ -197,7 +198,8 @@ let alias m ~src ~dst ~live =
     let sharing_pd = Array.fold_left (fun n p -> if p == pd then n + 1 else n) 0 s.phys in
     if ps == pd || sharing_pd <> 1 then bad ();
     if s.prot.(sv) <> Mem.Read_write || s.prot.(dv) <> Mem.Read_write then bad ();
-    if List.exists (fun (off, len) -> off < 0 || len < 0 || off + len > page_size) live then bad ();
+    if List.exists (fun (off, len) -> off < 0 || len < 0 || off + len > page_size) live
+    then bad ();
     if live <> [] then mark_touched m ps;
     List.iter (fun (off, len) -> Bytes.blit pd.bytes off ps.bytes off len) live;
     if pd.touched then begin
@@ -208,11 +210,13 @@ let alias m ~src ~dst ~live =
 
 (* The saved state: segment tables copied, page records shared (their
    written flags are not rewound), page contents copied. *)
-let copy_segs segs = List.map (fun s -> { s with prot = Array.copy s.prot; phys = Array.copy s.phys }) segs
+let copy_segs segs =
+  List.map (fun s -> { s with prot = Array.copy s.prot; phys = Array.copy s.phys }) segs
 
 let checkpoint m =
   let pages = List.concat_map distinct_pages m.segs in
-  m.saved <- Some (copy_segs m.segs, m.next_base, List.map (fun p -> (p, Bytes.copy p.bytes)) pages)
+  let contents = List.map (fun p -> (p, Bytes.copy p.bytes)) pages in
+  m.saved <- Some (copy_segs m.segs, m.next_base, contents)
 
 let discard_checkpoint m = m.saved <- None
 
@@ -228,6 +232,7 @@ let rewind m =
 let contents m base =
   match List.find_opt (fun s -> s.base = base) m.segs with
   | None -> None
-  | Some s -> Some (String.concat "" (Array.to_list (Array.map (fun p -> Bytes.to_string p.bytes) s.phys)))
+  | Some s ->
+    Some (String.concat "" (Array.to_list (Array.map (fun p -> Bytes.to_string p.bytes) s.phys)))
 
 let extents m = List.sort compare (List.map (fun s -> (s.base, seg_len s)) m.segs)

@@ -150,7 +150,8 @@ let shrink_op op yield =
   let halve n k = if n > 0 then k (n / 2) in
   match op with
   | Read_bytes (a, n) -> halve n (fun n -> yield (Read_bytes (a, n)))
-  | Write_bytes (a, s) -> halve (String.length s) (fun n -> yield (Write_bytes (a, String.sub s 0 n)))
+  | Write_bytes (a, s) ->
+    halve (String.length s) (fun n -> yield (Write_bytes (a, String.sub s 0 n)))
   | Fill (a, n, c) -> halve n (fun n -> yield (Fill (a, n, c)))
   | Fill_random (a, n, seed) -> halve n (fun n -> yield (Fill_random (a, n, seed)))
   | _ -> ()
@@ -201,10 +202,12 @@ let apply mem model op =
     (both (fun () -> Value (Mem.read8 mem b)) (fun () -> Value (Model.read8 model b)), Some (b, 1))
   | Write8 (a, v) ->
     let b = at a in
-    (both (unit (fun () -> Mem.write8 mem b v)) (unit (fun () -> Model.write8 model b v)), Some (b, 1))
+    ( both (unit (fun () -> Mem.write8 mem b v)) (unit (fun () -> Model.write8 model b v)),
+      Some (b, 1) )
   | Read64 a ->
     let b = at a in
-    (both (fun () -> Value (Mem.read64 mem b)) (fun () -> Value (Model.read64 model b)), Some (b, 8))
+    ( both (fun () -> Value (Mem.read64 mem b)) (fun () -> Value (Model.read64 model b)),
+      Some (b, 8) )
   | Write64 (a, v) ->
     let b = at a in
     ( both (unit (fun () -> Mem.write64 mem b v)) (unit (fun () -> Model.write64 model b v)),
@@ -249,7 +252,8 @@ let apply mem model op =
         (unit (fun () -> Model.alias model ~src ~dst ~live)),
       Some (min src dst, abs (src - dst) + page) )
   | Checkpoint ->
-    (both (unit (fun () -> Mem.checkpoint mem)) (unit (fun () -> Model.checkpoint model)), Some (0, 0))
+    ( both (unit (fun () -> Mem.checkpoint mem)) (unit (fun () -> Model.checkpoint model)),
+      Some (0, 0) )
   | Discard ->
     ( both
         (unit (fun () -> Mem.discard_checkpoint mem))

@@ -301,7 +301,9 @@ let six_allocators ~seed =
   let no_check alloc = (alloc, ignore) in
   let config = Config.v ~heap_size:(48 lsl 20) ~seed () in
   [
-    ("freelist-lea", fun () -> no_check (Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create (Mem.create ()))));
+    ( "freelist-lea",
+      fun () -> no_check (Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create (Mem.create ())))
+    );
     ( "freelist-win",
       fun () ->
         no_check
@@ -312,7 +314,8 @@ let six_allocators ~seed =
       fun () ->
         let heap = Heap.create ~config (Mem.create ()) in
         (Heap.allocator heap, fun () -> Heap.invariants heap) );
-    ("diehard-adaptive", fun () -> no_check (Adaptive.allocator (Adaptive.create ~seed (Mem.create ()))));
+    ( "diehard-adaptive",
+      fun () -> no_check (Adaptive.allocator (Adaptive.create ~seed (Mem.create ()))) );
     ( "diehard-hybrid",
       fun () ->
         let hybrid = Hybrid.create ~config (Mem.create ()) in
