@@ -7,9 +7,7 @@
    - allocation rate (ops/s) under DieHard, the Lea-style freelist, and
      the conservative GC;
    - bulk [Mem.fill] and [Mem.read_bytes]/[write_bytes] bandwidth against
-     a bytewise [read8]/[write8] reference, with a differential
-     semantics check (same contents, same read/write counts, same
-     TLB/cache miss counts, same touched pages on twin heaps);
+     a bytewise [read8]/[write8] reference;
    - GC mark rate over a pointer chain (bulk payload reads);
    - [Bitmap.iter_clear] sweep rate over a nearly-full bitmap;
    - copy-on-write checkpointing: write-path cost plain vs armed, and
@@ -19,11 +17,14 @@
    - parallel scaling of the {!Dh_parallel} execution engine: an 8-way
      replicated run and a fault-injection campaign, swept over
      [jobs in {1, 2, 4, 8}] up to [max 2 cores], recording wall-clock
-     speedup and per-core efficiency, and re-checking at every point
-     that the parallel results are identical to the sequential ones.
+     speedup and per-core efficiency.
 
    `throughput` prints the summary; `throughput-gate` also writes
-   BENCH_throughput.json and gates it (see [checks]). *)
+   BENCH_throughput.json and gates it (see [checks]).  The bench only
+   times: that bulk and bytewise accesses charge alike, that parallel
+   runs equal sequential ones and that rewinding never shows in the
+   output are checked by `dune runtest` (suites bulk, parallel and
+   checkpoint), on these builders and geometries. *)
 
 module Mem = Dh_mem.Mem
 module Allocator = Dh_alloc.Allocator
@@ -38,10 +39,6 @@ type comparison = {
   bulk : rate;
   bytewise : rate;
   speedup : float;  (* bytewise seconds / bulk seconds, per byte *)
-  semantics_match : bool;
-      (* twin-heap differential: contents, read/write counts, TLB and
-         cache misses, and touched pages all identical between one bulk
-         operation and the equivalent bytewise loop *)
 }
 
 type scaling_point = {
@@ -57,10 +54,6 @@ type scaling = {
   sname : string;
   units : int;  (* replicas or trials fanned out *)
   points : scaling_point list;  (* in increasing-jobs order *)
-  deterministic : bool;
-      (* every parallel point reproduced the sequential results exactly
-         (verdict, output, roster for replication; the full tally
-         including the per-trial list for campaigns) *)
 }
 
 type obs_overhead = {
@@ -83,9 +76,6 @@ type checkpoint_bench = {
       (* scratch seconds / rewind seconds: the rung's reason to exist *)
   ck_rewinds : int;  (* faults survived by rewind across the run *)
   ck_pages_restored : int;  (* pages blitted back across all rewinds *)
-  ck_fingerprint_match : bool;
-      (* both legs survived and printed byte-identical output: rewind
-         recovery must not show through in program results *)
 }
 
 type report = {
@@ -154,29 +144,6 @@ let alloc_benches ~quick =
 
 (* --- bulk vs bytewise bandwidth --- *)
 
-(* Twin-heap differential: run the bulk operation on one heap and the
-   bytewise loop on an identically-laid-out heap, then require identical
-   contents, read/write counts, TLB and cache misses, and touched pages.
-   This is the acceptance test for the charging rule: miss accounting
-   depends only on the pages and lines an access spans, not on the code
-   path that performs it. *)
-let stats_delta (a : Mem.stats) (b : Mem.stats) =
-  Mem.(b.reads - a.reads, b.writes - a.writes,
-       b.tlb_misses - a.tlb_misses, b.cache_misses - a.cache_misses)
-
-let fill_semantics ~len =
-  let m1 = Mem.create () and m2 = Mem.create () in
-  let a1 = Mem.mmap m1 len and a2 = Mem.mmap m2 len in
-  let s1 = Mem.stats m1 and s2 = Mem.stats m2 in
-  Mem.fill m1 ~addr:a1 ~len 'Q';
-  for i = 0 to len - 1 do
-    Mem.write8 m2 (a2 + i) (Char.code 'Q')
-  done;
-  let d1 = stats_delta s1 (Mem.stats m1) and d2 = stats_delta s2 (Mem.stats m2) in
-  d1 = d2
-  && Mem.touched_pages m1 = Mem.touched_pages m2
-  && Mem.read_bytes m1 ~addr:a1 ~len = Mem.read_bytes m2 ~addr:a2 ~len
-
 let fill_bench ~quick =
   let len = if quick then 64 * 1024 else 256 * 1024 in
   let byte_reps = if quick then 4 else 8 in
@@ -207,32 +174,7 @@ let fill_bench ~quick =
     bulk;
     bytewise;
     speedup = mb_per_sec bulk /. mb_per_sec bytewise;
-    semantics_match = fill_semantics ~len;
   }
-
-let copy_semantics ~len =
-  let m1 = Mem.create () and m2 = Mem.create () in
-  let src1 = Mem.mmap m1 len and src2 = Mem.mmap m2 len in
-  let dst1 = Mem.mmap m1 len and dst2 = Mem.mmap m2 len in
-  Mem.fill_random m1 ~addr:src1 ~len (Dh_rng.Mwc.create ~seed:7);
-  Mem.fill_random m2 ~addr:src2 ~len (Dh_rng.Mwc.create ~seed:7);
-  let s1 = Mem.stats m1 and s2 = Mem.stats m2 in
-  Mem.write_bytes m1 ~addr:dst1 (Mem.read_bytes m1 ~addr:src1 ~len);
-  (* The bytewise reference mirrors the bulk pair operation for operation:
-     one whole-range read, then one whole-range write.  (A per-byte
-     interleaved memcpy is a different access sequence and may observe
-     different cache misses once the range exceeds cache capacity.) *)
-  let tmp = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.set tmp i (Char.chr (Mem.read8 m2 (src2 + i)))
-  done;
-  for i = 0 to len - 1 do
-    Mem.write8 m2 (dst2 + i) (Char.code (Bytes.get tmp i))
-  done;
-  let d1 = stats_delta s1 (Mem.stats m1) and d2 = stats_delta s2 (Mem.stats m2) in
-  d1 = d2
-  && Mem.touched_pages m1 = Mem.touched_pages m2
-  && Mem.read_bytes m1 ~addr:dst1 ~len = Mem.read_bytes m2 ~addr:dst2 ~len
 
 let copy_bench ~quick =
   let len = if quick then 64 * 1024 else 256 * 1024 in
@@ -266,7 +208,6 @@ let copy_bench ~quick =
     bulk;
     bytewise;
     speedup = mb_per_sec bulk /. mb_per_sec bytewise;
-    semantics_match = copy_semantics ~len;
   }
 
 (* --- GC mark rate --- *)
@@ -412,52 +353,33 @@ let checkpoint_write_churn ~quick =
   in
   (plain, armed)
 
+(* The recovery comparison's run: the Squid-style server under attack,
+   with the rewind rung armed every [interval] requests, or restarting
+   each failed attempt from scratch when [interval] is 0.  Both legs
+   share the seed pool, so their ladders draw identical per-attempt
+   seeds. *)
+let recovery_leg ~requests ~interval =
+  Diehard.Supervisor.run
+    ~policy:
+      {
+        Diehard.Supervisor.default_policy with
+        max_retries = 8;
+        rescue = false;
+        diagnose = false;
+        fuel = 10_000_000;
+        checkpoint_interval = interval;
+        max_rewinds = (if interval > 0 then 1_000_000 else 0);
+      }
+    ~config:(Diehard.Config.v ~heap_size:Dh_workload.Server.heap_size ~seed:3 ())
+    ~seed_pool:(Dh_rng.Seed.create ~master:3)
+    (Dh_workload.Server.program ~requests ~attack_every:16 ())
+
 let checkpoint_bench ~quick =
   let plain, armed = checkpoint_write_churn ~quick in
-  (* The recovery comparison: the same server-under-attack run (same
-     seed pool, so the ladders draw identical per-attempt seeds), once
-     with the rewind rung armed and once restarting each failed attempt
-     from scratch.  Both must survive and print the same fingerprint —
-     the run's output is placement-independent, so recovery strategy
-     must not show through. *)
   let requests = if quick then 2048 else 8192 in
-  let base_policy =
-    {
-      Diehard.Supervisor.default_policy with
-      max_retries = 8;
-      rescue = false;
-      diagnose = false;
-      fuel = 10_000_000;
-    }
-  in
-  let run_leg ~interval =
-    let incident = ref None in
-    let seconds =
-      time (fun () ->
-          incident :=
-            Some
-              (Diehard.Supervisor.run
-                 ~policy:
-                   {
-                     base_policy with
-                     checkpoint_interval = interval;
-                     max_rewinds = (if interval > 0 then 1_000_000 else 0);
-                   }
-                 ~config:
-                   (Diehard.Config.v ~heap_size:Dh_workload.Server.heap_size
-                      ~seed:3 ())
-                 ~seed_pool:(Dh_rng.Seed.create ~master:3)
-                 (Dh_workload.Server.program ~requests ~attack_every:16 ())))
-    in
-    (Option.get !incident, seconds)
-  in
-  let rewind_i, rewind_s = run_leg ~interval:64 in
-  let scratch_i, scratch_s = run_leg ~interval:0 in
-  let survived i =
-    match i.Diehard.Supervisor.verdict with
-    | Diehard.Supervisor.Survived _ -> true
-    | Diehard.Supervisor.Gave_up -> false
-  in
+  let rewind_i = ref None in
+  let rewind_s = time (fun () -> rewind_i := Some (recovery_leg ~requests ~interval:64)) in
+  let scratch_s = time (fun () -> ignore (recovery_leg ~requests ~interval:0)) in
   let rewinds, pages =
     List.fold_left
       (fun (rw, pg) (a : Diehard.Supervisor.attempt_report) ->
@@ -465,7 +387,7 @@ let checkpoint_bench ~quick =
         | Some r ->
           (rw + r.Diehard.Supervisor.rewinds, pg + r.Diehard.Supervisor.pages_restored)
         | None -> (rw, pg))
-      (0, 0) rewind_i.Diehard.Supervisor.attempts
+      (0, 0) (Option.get !rewind_i).Diehard.Supervisor.attempts
   in
   {
     ck_plain = plain;
@@ -476,9 +398,6 @@ let checkpoint_bench ~quick =
     ck_rewind_speedup = scratch_s /. rewind_s;
     ck_rewinds = rewinds;
     ck_pages_restored = pages;
-    ck_fingerprint_match =
-      survived rewind_i && survived scratch_i
-      && rewind_i.Diehard.Supervisor.output = scratch_i.Diehard.Supervisor.output;
   }
 
 (* --- observability overhead --- *)
@@ -510,9 +429,7 @@ let obs_overhead_bench ~quick =
 
 (* The paper runs 16 replicas on a 16-way SMP for roughly one run's
    wall-clock (§6); these benches measure how close the Domains-based
-   execution engine gets on this machine.  Every point re-checks the
-   determinism contract: the parallel run's results must equal the
-   jobs=1 run's bit for bit, or the whole bench fails. *)
+   execution engine gets on this machine. *)
 
 (* A malloc/free churn with data dependencies, heavy enough that one run
    dwarfs a domain spawn.  Output is a deterministic mix of values read
@@ -541,12 +458,9 @@ let churn_program ~ops =
 let jobs_sweep ~max_jobs =
   List.sort_uniq compare (max_jobs :: List.filter (fun j -> j <= max_jobs) [ 1; 2; 4; 8 ])
 
-(* Time [run_with ~jobs] across the sweep; [fingerprint] of every
-   parallel run must equal the sequential one's. *)
-let scaling_bench ~sname ~units ~max_jobs ~run_with ~fingerprint =
+(* Time [run_with ~jobs] across the sweep. *)
+let scaling_bench ~sname ~units ~max_jobs ~run_with =
   let cores = Dh_parallel.Pool.default_jobs () in
-  let reference = ref None in
-  let deterministic = ref true in
   let points =
     List.map
       (fun jobs ->
@@ -557,13 +471,7 @@ let scaling_bench ~sname ~units ~max_jobs ~run_with ~fingerprint =
            inside the timed window — the one-time spawn is part of what
            that width honestly costs. *)
         Dh_parallel.Pool.quiesce ();
-        let result = ref None in
-        let seconds = time (fun () -> result := Some (run_with ~jobs)) in
-        let fp = fingerprint (Option.get !result) in
-        (match !reference with
-        | None -> reference := Some fp
-        | Some r -> if fp <> r then deterministic := false);
-        (jobs, seconds))
+        (jobs, time (fun () -> ignore (run_with ~jobs))))
       (jobs_sweep ~max_jobs)
   in
   let base =
@@ -572,7 +480,6 @@ let scaling_bench ~sname ~units ~max_jobs ~run_with ~fingerprint =
   {
     sname;
     units;
-    deterministic = !deterministic;
     points =
       List.map
         (fun (jobs, seconds) ->
@@ -589,51 +496,43 @@ let scaling_bench ~sname ~units ~max_jobs ~run_with ~fingerprint =
         points;
   }
 
+let replicas = 8
+
+(* [replicas] replicas of the churn, [ops] operations each. *)
+let replicated_churn ~ops ~jobs =
+  Diehard.Replicated.run
+    ~config:(Diehard.Config.v ~heap_size:small_heap ~jobs ())
+    ~replicas
+    ~seed_pool:(Dh_rng.Seed.create ~master:0xD1E)
+    (churn_program ~ops)
+
 let replicated_scaling ~quick ~max_jobs =
-  let replicas = 8 in
-  let program = churn_program ~ops:(if quick then 4_000 else 30_000) in
-  let run_with ~jobs =
-    Diehard.Replicated.run
-      ~config:(Diehard.Config.v ~heap_size:small_heap ~jobs ())
-      ~replicas
-      ~seed_pool:(Dh_rng.Seed.create ~master:0xD1E)
-      program
-  in
-  scaling_bench ~sname:"replicated-8way" ~units:replicas ~max_jobs ~run_with
-    ~fingerprint:(fun (r : Diehard.Replicated.report) ->
-      ( r.Diehard.Replicated.verdict,
-        r.Diehard.Replicated.output,
-        r.Diehard.Replicated.barriers,
-        List.map
-          (fun (rep : Diehard.Replicated.replica_report) ->
-            ( rep.Diehard.Replicated.id,
-              rep.Diehard.Replicated.seed,
-              Process.outcome_to_string rep.Diehard.Replicated.outcome,
-              rep.Diehard.Replicated.eliminated ))
-          r.Diehard.Replicated.replicas ))
+  let ops = if quick then 4_000 else 30_000 in
+  scaling_bench ~sname:"replicated-8way" ~units:replicas ~max_jobs
+    ~run_with:(replicated_churn ~ops)
+
+let campaign_spec =
+  { Dh_fault.Injector.paper_dangling with
+    Dh_fault.Injector.dangling_rate = 0.5;
+    dangling_distance = 8;
+    seed = 0xFA57
+  }
+
+(* A dangling-pointer campaign over the churn: [trials] trials of [ops]
+   operations, trial [i] on a fresh heap seeded [i + 1]. *)
+let campaign ~trials ~ops ~jobs =
+  Dh_fault.Campaign.run_exn ~jobs ~trials ~spec:campaign_spec
+    ~make_alloc:(fun ~trial ->
+      Diehard.Heap.allocator
+        (Diehard.Heap.create
+           ~config:(Diehard.Config.v ~heap_size:small_heap ~seed:(trial + 1) ())
+           (Mem.create ())))
+    (churn_program ~ops)
 
 let campaign_scaling ~quick ~max_jobs =
   let trials = if quick then 64 else 1_000 in
-  let program = churn_program ~ops:(if quick then 500 else 2_000) in
-  let spec =
-    { Dh_fault.Injector.paper_dangling with
-      Dh_fault.Injector.dangling_rate = 0.5;
-      dangling_distance = 8;
-      seed = 0xFA57
-    }
-  in
-  let make_alloc ~trial =
-    let mem = Mem.create () in
-    Diehard.Heap.allocator
-      (Diehard.Heap.create
-         ~config:(Diehard.Config.v ~heap_size:small_heap ~seed:(trial + 1) ())
-         mem)
-  in
-  let run_with ~jobs =
-    Dh_fault.Campaign.run_exn ~jobs ~trials ~spec ~make_alloc program
-  in
-  scaling_bench ~sname:"campaign" ~units:trials ~max_jobs ~run_with
-    ~fingerprint:(fun (t : Dh_fault.Campaign.tally) -> t)
+  let ops = if quick then 500 else 2_000 in
+  scaling_bench ~sname:"campaign" ~units:trials ~max_jobs ~run_with:(campaign ~trials ~ops)
 
 (* --- driver --- *)
 
@@ -693,10 +592,8 @@ let print r =
       Printf.printf "  alloc %-14s %10.0f ops/s\n" rate.name (ops_per_sec rate))
     r.alloc;
   let pc c =
-    Printf.printf
-      "  %-4s bulk %8.1f MB/s  bytewise %7.1f MB/s  speedup %6.1fx  semantics %s\n"
-      c.cname (mb_per_sec c.bulk) (mb_per_sec c.bytewise) c.speedup
-      (if c.semantics_match then "match" else "MISMATCH")
+    Printf.printf "  %-4s bulk %8.1f MB/s  bytewise %7.1f MB/s  speedup %6.1fx\n" c.cname
+      (mb_per_sec c.bulk) (mb_per_sec c.bytewise) c.speedup
   in
   pc r.fill;
   pc r.copy;
@@ -712,21 +609,17 @@ let print r =
     r.checkpoint.ck_cow_overhead_pct;
   Printf.printf
     "  recovery: rewind %.3f s  scratch %.3f s  speedup %.2fx  (%d rewinds, %d \
-     pages restored)  fingerprint %s\n"
+     pages restored)\n"
     r.checkpoint.ck_rewind.seconds r.checkpoint.ck_scratch.seconds
     r.checkpoint.ck_rewind_speedup r.checkpoint.ck_rewinds
-    r.checkpoint.ck_pages_restored
-    (if r.checkpoint.ck_fingerprint_match then "match" else "MISMATCH");
+    r.checkpoint.ck_pages_restored;
   Printf.printf
     "  obs overhead: off %10.0f ops/s  on %10.0f ops/s  enabled costs %+.1f%%\n"
     (ops_per_sec r.obs.obs_off) (ops_per_sec r.obs.obs_on)
     r.obs.enabled_overhead_pct;
   List.iter
     (fun s ->
-      Printf.printf "  scaling %-16s (%d units, %d cores) %s\n" s.sname s.units
-        r.cores
-        (if s.deterministic then "deterministic"
-         else "NONDETERMINISTIC (parallel != sequential)");
+      Printf.printf "  scaling %-16s (%d units, %d cores)\n" s.sname s.units r.cores;
       List.iter
         (fun p ->
           Printf.printf
@@ -766,25 +659,12 @@ let to_report r =
     ~config:[ ("quick", Gate.bool r.quick); ("traced", Gate.bool r.traced) ]
     ~exact:
       (List.concat_map rate_exact rates
-      @ List.concat_map
-          (fun c ->
-            [
-              (c.cname ^ ".bytes_per_op", Gate.int c.bytes_per_op);
-              (c.cname ^ ".semantics_match", Gate.bool c.semantics_match);
-            ])
-          comparisons
+      @ List.map (fun c -> (c.cname ^ ".bytes_per_op", Gate.int c.bytes_per_op)) comparisons
       @ [
           ("recover.rewinds", Gate.int ck.ck_rewinds);
           ("recover.pages_restored", Gate.int ck.ck_pages_restored);
-          ("recover.fingerprint_match", Gate.bool ck.ck_fingerprint_match);
         ]
-      @ List.concat_map
-          (fun s ->
-            [
-              (s.sname ^ ".units", Gate.int s.units);
-              (s.sname ^ ".deterministic", Gate.bool s.deterministic);
-            ])
-          r.scaling)
+      @ List.map (fun s -> (s.sname ^ ".units", Gate.int s.units)) r.scaling)
     ~wall:
       (List.concat_map rate_wall rates
       @ List.map (fun c -> (c.cname ^ ".speedup", Gate.float c.speedup)) comparisons
@@ -816,16 +696,14 @@ let max_enabled_overhead_pct = 45.0
 
 let sweeps = [ "replicated-8way"; "campaign" ]
 
+(* Timing checks only; see the header for where correctness is
+   checked. *)
 let checks =
-  [ Gate.holds "fill.semantics_match"; Gate.holds "copy.semantics_match" ]
-  @ List.map (fun s -> Gate.holds (s ^ ".deterministic")) sweeps
   (* parallelism has to pay for itself: jobs=2 must beat jobs=1 *)
-  @ List.map (fun s -> Gate.above ~skip:Gate.single_core 1.0 (s ^ ".jobs2.speedup")) sweeps
+  List.map (fun s -> Gate.above ~skip:Gate.single_core 1.0 (s ^ ".jobs2.speedup")) sweeps
   @ [
       Gate.at_most max_enabled_overhead_pct "obs.enabled_overhead_pct";
-      (* the rewind rung must beat restarting, and must not show in the
-         program's output *)
-      Gate.holds "recover.fingerprint_match";
+      (* the rewind rung must beat restarting *)
       Gate.above 1.0 "recover.rewind_speedup";
     ]
   (* the disabled-obs alloc path and the no-checkpoint write path (dirty

@@ -61,36 +61,82 @@ let test_bulk_op_counts () =
 
 (* --- bulk vs bytewise: identical charges on twin heaps --- *)
 
-let test_fill_matches_bytewise () =
+(* Besides a few pages at unaligned offsets, each differential also runs
+   the throughput bench's whole ranges: 64 KiB is the cache's reach and
+   256 KiB the TLB's, so misses there depend on eviction, not only on
+   first touches. *)
+let bench_lens = [ 64 * 1024; 256 * 1024 ]
+
+let same_effects what (m1, s1) (m2, s2) =
+  check (what ^ ": same read/write/tlb/cache deltas") true
+    (delta s1 (Mem.stats m1) = delta s2 (Mem.stats m2));
+  check_int (what ^ ": same touched pages") (Mem.touched_pages m2) (Mem.touched_pages m1)
+
+let fill_matches_bytewise ~len ~off ~n =
+  let what = Printf.sprintf "fill %d at +%d" n off in
   let m1 = Mem.create () and m2 = Mem.create () in
-  let len = 3 * 4096 in
   let a1 = Mem.mmap m1 len and a2 = Mem.mmap m2 len in
   let s1 = Mem.stats m1 and s2 = Mem.stats m2 in
-  Mem.fill m1 ~addr:(a1 + 9) ~len:(len - 100) 'R';
-  for i = 0 to len - 101 do
-    Mem.write8 m2 (a2 + 9 + i) (Char.code 'R')
+  Mem.fill m1 ~addr:(a1 + off) ~len:n 'R';
+  for i = 0 to n - 1 do
+    Mem.write8 m2 (a2 + off + i) (Char.code 'R')
   done;
-  check "same read/write/tlb/cache deltas" true
-    (delta s1 (Mem.stats m1) = delta s2 (Mem.stats m2));
-  check_int "same touched pages" (Mem.touched_pages m2) (Mem.touched_pages m1);
-  check_string "same contents"
+  same_effects what (m1, s1) (m2, s2);
+  check_string (what ^ ": same contents")
     (Mem.read_bytes m2 ~addr:a2 ~len)
     (Mem.read_bytes m1 ~addr:a1 ~len)
 
-let test_read_matches_bytewise () =
+let test_fill_matches_bytewise () =
+  fill_matches_bytewise ~len:(3 * 4096) ~off:9 ~n:((3 * 4096) - 100);
+  List.iter (fun len -> fill_matches_bytewise ~len ~off:0 ~n:len) bench_lens
+
+let read_matches_bytewise ~len ~off ~n =
+  let what = Printf.sprintf "read %d at +%d" n off in
   let m1 = Mem.create () and m2 = Mem.create () in
-  let len = 2 * 4096 in
   let a1 = Mem.mmap m1 len and a2 = Mem.mmap m2 len in
   Mem.fill_random m1 ~addr:a1 ~len (Dh_rng.Mwc.create ~seed:3);
   Mem.fill_random m2 ~addr:a2 ~len (Dh_rng.Mwc.create ~seed:3);
   let s1 = Mem.stats m1 and s2 = Mem.stats m2 in
-  let got = Mem.read_bytes m1 ~addr:(a1 + 11) ~len:(len - 50) in
-  let buf = Bytes.create (len - 50) in
-  for i = 0 to len - 51 do
-    Bytes.set buf i (Char.chr (Mem.read8 m2 (a2 + 11 + i)))
+  let got = Mem.read_bytes m1 ~addr:(a1 + off) ~len:n in
+  let buf = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.set buf i (Char.chr (Mem.read8 m2 (a2 + off + i)))
   done;
-  check "same deltas" true (delta s1 (Mem.stats m1) = delta s2 (Mem.stats m2));
-  check_string "same bytes" (Bytes.to_string buf) got
+  same_effects what (m1, s1) (m2, s2);
+  check_string (what ^ ": same bytes") (Bytes.to_string buf) got
+
+let test_read_matches_bytewise () =
+  read_matches_bytewise ~len:(2 * 4096) ~off:11 ~n:((2 * 4096) - 50);
+  List.iter (fun len -> read_matches_bytewise ~len ~off:0 ~n:len) bench_lens
+
+(* A whole-range copy, [read_bytes] then [write_bytes], against the
+   bytewise reference that mirrors it operation for operation: every
+   byte read, then every byte written.  (A per-byte interleaved memcpy
+   is a different access sequence, and once the range exceeds the
+   cache it sees different misses.) *)
+let test_copy_matches_bytewise () =
+  List.iter
+    (fun len ->
+      let what = Printf.sprintf "copy %d" len in
+      let m1 = Mem.create () and m2 = Mem.create () in
+      let src1 = Mem.mmap m1 len and src2 = Mem.mmap m2 len in
+      let dst1 = Mem.mmap m1 len and dst2 = Mem.mmap m2 len in
+      Mem.fill_random m1 ~addr:src1 ~len (Dh_rng.Mwc.create ~seed:7);
+      Mem.fill_random m2 ~addr:src2 ~len (Dh_rng.Mwc.create ~seed:7);
+      let s1 = Mem.stats m1 and s2 = Mem.stats m2 in
+      Mem.write_bytes m1 ~addr:dst1 (Mem.read_bytes m1 ~addr:src1 ~len);
+      let tmp = Bytes.create len in
+      for i = 0 to len - 1 do
+        Bytes.set tmp i (Char.chr (Mem.read8 m2 (src2 + i)))
+      done;
+      for i = 0 to len - 1 do
+        Mem.write8 m2 (dst2 + i) (Char.code (Bytes.get tmp i))
+      done;
+      same_effects what (m1, s1) (m2, s2);
+      check_string (what ^ ": same bytes")
+        (Mem.read_bytes m2 ~addr:dst2 ~len)
+        (Mem.read_bytes m1 ~addr:dst1 ~len))
+    bench_lens
 
 (* Satellite: miss accounting must depend only on the pages/lines an
    access spans, never on the code path that performs it. *)
@@ -408,6 +454,7 @@ let suite =
     Alcotest.test_case "bulk op counts" `Quick test_bulk_op_counts;
     Alcotest.test_case "fill matches bytewise" `Quick test_fill_matches_bytewise;
     Alcotest.test_case "read matches bytewise" `Quick test_read_matches_bytewise;
+    Alcotest.test_case "copy matches bytewise" `Quick test_copy_matches_bytewise;
     Alcotest.test_case "word miss accounting invariant" `Quick
       test_word_miss_accounting_invariant;
     Alcotest.test_case "write64 not torn at segment end" `Quick

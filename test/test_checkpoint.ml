@@ -317,15 +317,29 @@ let test_rewind_rung_survives_attacks () =
 
 let test_rewound_fingerprint_matches_scratch () =
   (* The acceptance bar: a run recovered by rewind-and-reseed prints
-     exactly what the classic restart-from-scratch ladder prints. *)
-  let rewound = run_server ~interval:32 ~attack_every:8 in
-  let scratch = run_server ~interval:0 ~attack_every:8 in
-  check "rewound leg survived" true
-    (match rewound.Supervisor.verdict with Supervisor.Survived _ -> true | _ -> false);
-  check "scratch leg survived" true
-    (match scratch.Supervisor.verdict with Supervisor.Survived _ -> true | _ -> false);
-  Alcotest.(check (option string))
-    "identical output" scratch.Supervisor.output rewound.Supervisor.output
+     exactly what the classic restart-from-scratch ladder prints.  Also
+     on the throughput bench's recovery leg, at the size its quick run
+     times. *)
+  List.iter
+    (fun (what, run) ->
+      let rewound = run ~rewind:true and scratch = run ~rewind:false in
+      let survived i =
+        match i.Supervisor.verdict with Supervisor.Survived _ -> true | _ -> false
+      in
+      check (what ^ ": rewound leg survived") true (survived rewound);
+      check (what ^ ": scratch leg survived") true (survived scratch);
+      let _, rw, _ = recovery_totals rewound in
+      check (what ^ ": faults survived by rewind") true (rw > 0);
+      Alcotest.(check (option string))
+        (what ^ ": identical output") scratch.Supervisor.output rewound.Supervisor.output)
+    [
+      ( "1024 requests",
+        fun ~rewind -> run_server ~interval:(if rewind then 32 else 0) ~attack_every:8 );
+      ( "bench leg",
+        fun ~rewind ->
+          Dh_bench.Throughput.recovery_leg ~requests:2048 ~interval:(if rewind then 64 else 0)
+      );
+    ]
 
 let test_clean_run_unaffected_by_checkpointing () =
   let plain = run_server ~interval:0 ~attack_every:0 in

@@ -29,14 +29,9 @@ let no = Json.Bool false
 
 let throughput_metrics =
   [
-    ("fill.semantics_match", yes);
-    ("copy.semantics_match", yes);
-    ("replicated-8way.deterministic", yes);
-    ("campaign.deterministic", yes);
     ("replicated-8way.jobs2.speedup", num 1.8);
     ("campaign.jobs2.speedup", num 1.5);
     ("obs.enabled_overhead_pct", num 29.);
-    ("recover.fingerprint_match", yes);
     ("recover.rewind_speedup", num 1.4);
     ("diehard.ops_per_sec", num 9e6);
     ("freelist-lea.ops_per_sec", num 7e6);
@@ -57,24 +52,32 @@ let test_throughput_healthy () =
   check_names "healthy report passes against itself" []
     (throughput_failed ~baseline:(throughput []) [])
 
-(* The drift a second frontend once had: a run whose rewind-recovered
-   output diverges, or whose rewind is no faster than a restart, must
-   fail the one throughput gate. *)
+(* A run whose rewind is no faster than a restart must fail the one
+   throughput gate. *)
 let test_throughput_rewind () =
-  check_names "fingerprint mismatch" [ "recover.fingerprint_match" ]
-    (throughput_failed [ ("recover.fingerprint_match", no) ]);
   check_names "rewind speedup 1.0" [ "recover.rewind_speedup" ]
     (throughput_failed [ ("recover.rewind_speedup", num 1.0) ]);
   check_names "rewind speedup 0.7" [ "recover.rewind_speedup" ]
     (throughput_failed [ ("recover.rewind_speedup", num 0.7) ])
 
-let test_throughput_semantics () =
-  check_names "fill mismatch" [ "fill.semantics_match" ]
-    (throughput_failed [ ("fill.semantics_match", no) ]);
-  check_names "copy mismatch" [ "copy.semantics_match" ]
-    (throughput_failed [ ("copy.semantics_match", no) ]);
-  check_names "nondeterministic campaign" [ "campaign.deterministic" ]
-    (throughput_failed [ ("campaign.deterministic", no) ])
+(* The gate holds only timing checks; correctness lives in the test
+   suites. *)
+let test_throughput_timing_only () =
+  check_names "the timing checks"
+    [
+      "replicated-8way.jobs2.speedup";
+      "campaign.jobs2.speedup";
+      "obs.enabled_overhead_pct";
+      "recover.rewind_speedup";
+      "diehard.ops_per_sec";
+      "freelist-lea.ops_per_sec";
+      "gc-bdw.ops_per_sec";
+      "diehard-obs-off.ops_per_sec";
+      "ckpt-write-plain.ops_per_sec";
+    ]
+    (List.map
+       (function Gate.Threshold (name, _) | Gate.Baseline (name, _) -> name)
+       Dh_bench.Throughput.checks)
 
 let test_throughput_scaling () =
   let slow = [ ("replicated-8way.jobs2.speedup", num 1.0) ] in
@@ -105,9 +108,9 @@ let test_throughput_baseline () =
 
 let test_every_failure_reported () =
   check_names "both failures named"
-    [ "obs.enabled_overhead_pct"; "recover.fingerprint_match" ]
+    [ "obs.enabled_overhead_pct"; "recover.rewind_speedup" ]
     (throughput_failed
-       [ ("obs.enabled_overhead_pct", num 49.3); ("recover.fingerprint_match", no) ])
+       [ ("obs.enabled_overhead_pct", num 49.3); ("recover.rewind_speedup", num 0.9) ])
 
 (* --- serve --- *)
 
@@ -245,10 +248,10 @@ let test_json_printer () =
 let suite =
   [
     Alcotest.test_case "throughput: healthy report passes" `Quick test_throughput_healthy;
-    Alcotest.test_case "throughput: rewind divergence and slowness fail" `Quick
+    Alcotest.test_case "throughput: rewind slower than a restart fails" `Quick
       test_throughput_rewind;
-    Alcotest.test_case "throughput: semantics and determinism" `Quick
-      test_throughput_semantics;
+    Alcotest.test_case "throughput: the gate only times" `Quick
+      test_throughput_timing_only;
     Alcotest.test_case "throughput: scaling, skipped on 1 core" `Quick
       test_throughput_scaling;
     Alcotest.test_case "throughput: obs overhead budget" `Quick test_throughput_obs;

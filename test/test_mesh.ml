@@ -300,7 +300,20 @@ let test_driver_checksum_mesh_invariant () =
   check_int "mesh-off heap never meshes" 0 m0;
   check "mesh-on heap actually meshed" true (m1 > 0);
   check_int "identical checksum" sum_off sum_on;
-  check_int "identical failure pattern" fail_off fail_on
+  check_int "identical failure pattern" fail_off fail_on;
+  (* The space bench's frontier legs, at the factor its quick run uses. *)
+  List.iter
+    (fun name ->
+      let leg ~mesh =
+        let r, heap = Dh_bench.Space.mesh_leg ~factor:0.2 ~mesh name in
+        (r.Driver.checksum, r.Driver.failed_allocations, Heap.meshes heap)
+      in
+      let sum_off, fail_off, _ = leg ~mesh:false in
+      let sum_on, fail_on, meshes = leg ~mesh:true in
+      check (name ^ ": mesh-on heap actually meshed") true (meshes > 0);
+      check_int (name ^ ": identical checksum") sum_off sum_on;
+      check_int (name ^ ": identical failure pattern") fail_off fail_on)
+    Dh_bench.Space.profiles
 
 let test_fault_classification_mesh_invariant () =
   (* A program that churns enough to mesh and then commits a wild read:

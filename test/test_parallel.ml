@@ -155,52 +155,48 @@ let prop_replicated_jobs_equivalence =
         (fun jobs -> replicated_report ~jobs ~master ~replicas program = seq)
         [ 2; 4 ])
 
-let campaign_tally ~jobs =
-  let spec =
-    { Dh_fault.Injector.paper_dangling with
-      Dh_fault.Injector.dangling_rate = 0.8;
-      dangling_distance = 4;
-      seed = 99
-    }
-  in
-  let churn =
-    Program.make ~name:"churn" (fun ctx ->
-        let a = ctx.Program.alloc in
-        let live = Array.make 8 0 in
-        let h = ref 1 in
-        for i = 0 to 199 do
-          let slot = i land 7 in
-          if live.(slot) <> 0 then begin
-            h := !h lxor Mem.read64 a.Allocator.mem live.(slot);
-            a.Allocator.free live.(slot);
-            live.(slot) <- 0
-          end;
-          match a.Allocator.malloc (16 + ((i land 3) * 16)) with
-          | Some p ->
-            Mem.write64 a.Allocator.mem p (i + !h);
-            live.(slot) <- p
-          | None -> ()
-        done;
-        Process.Out.printf ctx.Program.out "h=%d" !h)
-  in
-  Dh_fault.Campaign.run_exn ~jobs ~trials:20 ~spec
+(* The throughput bench's 8-way replicated churn, at the size its quick
+   scaling sweep runs. *)
+let test_replicated_churn_jobs_equivalence () =
+  let run = Dh_bench.Throughput.replicated_churn ~ops:4_000 in
+  let seq = run ~jobs:1 in
+  check "replicas agree" true (seq.Replicated.verdict = Replicated.Agreed);
+  List.iter
+    (fun jobs -> check (Printf.sprintf "report at jobs=%d" jobs) true (run ~jobs = seq))
+    [ 2; 4 ]
+
+(* Dangling-pointer campaigns over the bench's churn program: a small
+   one with a dense injector, and the throughput bench's own campaign at
+   the size its quick scaling sweep runs. *)
+let small_spec =
+  { Dh_fault.Injector.paper_dangling with
+    Dh_fault.Injector.dangling_rate = 0.8;
+    dangling_distance = 4;
+    seed = 99
+  }
+
+let small_campaign ~jobs =
+  Dh_fault.Campaign.run_exn ~jobs ~trials:20 ~spec:small_spec
     ~make_alloc:(fun ~trial ->
       Heap.allocator
         (Heap.create ~config:(Config.v ~heap_size:(12 * 64 * 1024) ~seed:(trial + 1) ())
            (Mem.create ())))
-    churn
+    (Dh_bench.Throughput.churn_program ~ops:200)
 
 let test_campaign_jobs_equivalence () =
-  let seq = campaign_tally ~jobs:1 in
-  check "some trials misbehave (campaign is non-trivial)" true
-    (seq.Dh_fault.Campaign.correct < seq.Dh_fault.Campaign.trials);
   List.iter
-    (fun jobs ->
-      check
-        (Printf.sprintf "tally at jobs=%d" jobs)
-        true
-        (campaign_tally ~jobs = seq))
-    [ 2; 4 ]
+    (fun (what, campaign) ->
+      let seq = campaign ~jobs:1 in
+      check (what ^ ": some trials misbehave (campaign is non-trivial)") true
+        (seq.Dh_fault.Campaign.correct < seq.Dh_fault.Campaign.trials);
+      List.iter
+        (fun jobs ->
+          check (Printf.sprintf "%s: tally at jobs=%d" what jobs) true (campaign ~jobs = seq))
+        [ 2; 4 ])
+    [
+      ("20 x 200", small_campaign);
+      ("64 x 500", Dh_bench.Throughput.campaign ~trials:64 ~ops:500);
+    ]
 
 (* Crashes on roughly half the seeds (by object placement), so the
    ladder really retries and the canary diagnosis really replays. *)
@@ -363,6 +359,8 @@ let suite =
     Alcotest.test_case "seed plan: fixed assignment" `Quick
       test_seed_plan_fixed_assignment;
     QCheck_alcotest.to_alcotest prop_replicated_jobs_equivalence;
+    Alcotest.test_case "replicated: bench churn jobs equivalence" `Quick
+      test_replicated_churn_jobs_equivalence;
     Alcotest.test_case "campaign: jobs equivalence" `Quick
       test_campaign_jobs_equivalence;
     Alcotest.test_case "supervisor: jobs equivalence" `Quick
