@@ -176,20 +176,23 @@ let unchanged name =
              (String.trim (Json.to_string b))) )
 
 (* A rate may not fall more than [tolerance] below the baseline's; a
-   metric the baseline lacks (a new allocator) has nothing to compare. *)
+   metric the baseline lacks (a new allocator) has nothing to compare,
+   but one it holds as something other than a number is a broken
+   baseline. *)
 let rate_holds name =
   Baseline
     ( name,
       fun ~baseline r ->
-        match number baseline name with
+        match metric baseline name with
         | exception Missing _ -> Skip "not in the baseline"
-        | b ->
+        | Json.Number b ->
           let x = number r name in
           verdict
             (x >= b *. (1. -. tolerance))
             (Printf.sprintf "%.0f vs baseline %.0f (%+.1f%%, floor -%.0f%%)" x b
                (((x /. b) -. 1.) *. 100.)
-               (tolerance *. 100.)) )
+               (tolerance *. 100.))
+        | v -> Fail ("baseline value " ^ String.trim (Json.to_string v) ^ " is not a number") )
 
 let outcome ~baseline r = function
   | Threshold (name, f) -> (name, try f r with Missing m -> Fail ("no metric " ^ m))

@@ -104,7 +104,22 @@ let test_throughput_baseline () =
              Dh_bench.Throughput.checks
              (throughput [ (name, num (x *. 0.5)) ]))
       | _ -> ())
-    throughput_metrics
+    throughput_metrics;
+  (* A rate the baseline holds as something other than a number is a
+     broken baseline, not a new metric: it fails instead of skipping. *)
+  check_names "a non-numeric baseline rate" [ "diehard.ops_per_sec" ]
+    (throughput_failed
+       ~baseline:(throughput [ ("diehard.ops_per_sec", Json.String "fast") ])
+       []);
+  check_names "a rate the baseline lacks" []
+    (throughput_failed
+       ~baseline:
+         {
+           (throughput []) with
+           Gate.exact =
+             List.remove_assoc "diehard.ops_per_sec" (throughput []).Gate.exact;
+         }
+       [])
 
 let test_every_failure_reported () =
   check_names "both failures named"
