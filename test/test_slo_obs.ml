@@ -435,6 +435,16 @@ let test_serve_telemetry_write_only () =
   let out_without = (serve_incident ~obs:false ()).Supervisor.output in
   check "output identical with obs on/off" true (out_with_obs = out_without)
 
+(* The serve bench's leg at 200k requests, ten times its quick size:
+   big enough to rewind (the quick leg never does), small enough for
+   every test run.  The full 2M-request checksum stays in `serve-gate`. *)
+let test_serve_leg_fingerprint () =
+  let l = Fun.protect ~finally:wipe (Dh_bench.Serve.run_leg ~requests:200_000 ~seed:1) in
+  check_int "checksum" 11643189 l.Dh_bench.Serve.checksum;
+  check_int "failed requests" 0 l.Dh_bench.Serve.failed;
+  check_int "rewinds" 5 l.Dh_bench.Serve.rewinds;
+  check "survived on a randomized heap" true l.Dh_bench.Serve.survived_randomized
+
 let test_zipf_keys_deterministic () =
   (* Zipf-keyed serving is still a pure function of the request index:
      two supervised runs with the same seed agree byte for byte, and the
@@ -489,4 +499,6 @@ let suite =
       test_serve_telemetry_write_only;
     Alcotest.test_case "serve: zipf keys stay deterministic" `Quick
       test_zipf_keys_deterministic;
+    Alcotest.test_case "serve: 200k-request leg fingerprint" `Quick
+      test_serve_leg_fingerprint;
   ]
