@@ -518,10 +518,10 @@ let campaign_spec =
     seed = 0xFA57
   }
 
-(* A dangling-pointer campaign over the churn: [trials] trials of [ops]
+(* A fault-injection campaign over the churn: [trials] trials of [ops]
    operations, trial [i] on a fresh heap seeded [i + 1]. *)
-let campaign ~trials ~ops ~jobs =
-  Dh_fault.Campaign.run_exn ~jobs ~trials ~spec:campaign_spec
+let campaign ~spec ~trials ~ops ~jobs =
+  Dh_fault.Campaign.run_exn ~jobs ~trials ~spec
     ~make_alloc:(fun ~trial ->
       Diehard.Heap.allocator
         (Diehard.Heap.create
@@ -532,7 +532,8 @@ let campaign ~trials ~ops ~jobs =
 let campaign_scaling ~quick ~max_jobs =
   let trials = if quick then 64 else 1_000 in
   let ops = if quick then 500 else 2_000 in
-  scaling_bench ~sname:"campaign" ~units:trials ~max_jobs ~run_with:(campaign ~trials ~ops)
+  scaling_bench ~sname:"campaign" ~units:trials ~max_jobs
+    ~run_with:(campaign ~spec:campaign_spec ~trials ~ops)
 
 (* --- driver --- *)
 

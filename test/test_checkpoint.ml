@@ -321,8 +321,8 @@ let test_rewound_fingerprint_matches_scratch () =
      on the throughput bench's recovery leg, at the size its quick run
      times. *)
   List.iter
-    (fun (what, run) ->
-      let rewound = run ~rewind:true and scratch = run ~rewind:false in
+    (fun (what, run, interval) ->
+      let rewound = run ~interval and scratch = run ~interval:0 in
       let survived i =
         match i.Supervisor.verdict with Supervisor.Survived _ -> true | _ -> false
       in
@@ -333,12 +333,8 @@ let test_rewound_fingerprint_matches_scratch () =
       Alcotest.(check (option string))
         (what ^ ": identical output") scratch.Supervisor.output rewound.Supervisor.output)
     [
-      ( "1024 requests",
-        fun ~rewind -> run_server ~interval:(if rewind then 32 else 0) ~attack_every:8 );
-      ( "bench leg",
-        fun ~rewind ->
-          Dh_bench.Throughput.recovery_leg ~requests:2048 ~interval:(if rewind then 64 else 0)
-      );
+      ("1024 requests", (fun ~interval -> run_server ~interval ~attack_every:8), 32);
+      ("bench leg", Dh_bench.Throughput.recovery_leg ~requests:2048, 64);
     ]
 
 let test_clean_run_unaffected_by_checkpointing () =

@@ -165,23 +165,15 @@ let test_replicated_churn_jobs_equivalence () =
     (fun jobs -> check (Printf.sprintf "report at jobs=%d" jobs) true (run ~jobs = seq))
     [ 2; 4 ]
 
-(* Dangling-pointer campaigns over the bench's churn program: a small
-   one with a dense injector, and the throughput bench's own campaign at
-   the size its quick scaling sweep runs. *)
-let small_spec =
+(* Dangling-pointer campaigns over the throughput bench's churn: a
+   small one with a dense injector, and the bench's own campaign at the
+   size its quick scaling sweep runs. *)
+let dense_spec =
   { Dh_fault.Injector.paper_dangling with
     Dh_fault.Injector.dangling_rate = 0.8;
     dangling_distance = 4;
     seed = 99
   }
-
-let small_campaign ~jobs =
-  Dh_fault.Campaign.run_exn ~jobs ~trials:20 ~spec:small_spec
-    ~make_alloc:(fun ~trial ->
-      Heap.allocator
-        (Heap.create ~config:(Config.v ~heap_size:(12 * 64 * 1024) ~seed:(trial + 1) ())
-           (Mem.create ())))
-    (Dh_bench.Throughput.churn_program ~ops:200)
 
 let test_campaign_jobs_equivalence () =
   List.iter
@@ -194,8 +186,9 @@ let test_campaign_jobs_equivalence () =
           check (Printf.sprintf "%s: tally at jobs=%d" what jobs) true (campaign ~jobs = seq))
         [ 2; 4 ])
     [
-      ("20 x 200", small_campaign);
-      ("64 x 500", Dh_bench.Throughput.campaign ~trials:64 ~ops:500);
+      ("20 x 200", Dh_bench.Throughput.campaign ~spec:dense_spec ~trials:20 ~ops:200);
+      ( "64 x 500",
+        Dh_bench.Throughput.(campaign ~spec:campaign_spec ~trials:64 ~ops:500) );
     ]
 
 (* Crashes on roughly half the seeds (by object placement), so the
