@@ -13,7 +13,8 @@
    - copy-on-write checkpointing: write-path cost plain vs armed, and
      rewind recovery vs from-scratch retry on the server attack run
      (see DESIGN.md, "Rewind-and-discard recovery");
-   - the obs-enabled overhead on the diehard alloc churn;
+   - the obs-enabled overhead on the diehard alloc churn, and the obs
+     records it makes per malloc and per free (exact);
    - parallel scaling of the {!Dh_parallel} execution engine: an 8-way
      replicated run and a fault-injection campaign, swept over
      [jobs in {1, 2, 4, 8}] up to [max 2 cores], recording wall-clock
@@ -62,6 +63,8 @@ type obs_overhead = {
          compiled-in fast path, one atomic load and branch per site *)
   obs_on : rate;  (* the same churn with tracing + metrics enabled *)
   enabled_overhead_pct : float;  (* slowdown of on vs off, percent *)
+  records_per_malloc : float;  (* obs records per malloc, see [obs_records] *)
+  records_per_free : float;
 }
 
 type checkpoint_bench = {
@@ -402,27 +405,54 @@ let checkpoint_bench ~quick =
 
 (* --- observability overhead --- *)
 
+let obs_heap () = Diehard.Heap.create ~config:(Diehard.Config.v ~seed:1 ()) (Mem.create ())
+
+(* The work obs does per heap operation, counted from instrument totals
+   rather than timed: audit records (a malloc's one record also carries
+   its "heap.malloc.probes" and "heap.malloc.bytes" samples) plus the
+   sampled "heap.malloc"/"heap.free" trace instants, per malloc and per
+   free.  Counted on a short run of the same churn, with obs on, small
+   enough that all of its trace events are still in the ring. *)
+let obs_records () =
+  let heap = obs_heap () in
+  let audit_totals () =
+    Array.fold_left
+      (fun (a, f) (c : Dh_obs.Audit.class_stat) -> (a + c.allocs, f + c.frees))
+      (0, 0) (Dh_obs.Audit.snapshot ()).Dh_obs.Audit.classes
+  in
+  let allocs0, frees0 = audit_totals () in
+  let events0 = Dh_obs.Tracing.recorded () in
+  ignore (alloc_bench ~ops:2_000 "obs-records" (fun () -> Diehard.Heap.allocator heap));
+  let allocs1, frees1 = audit_totals () in
+  let events = Dh_obs.Tracing.last_events (Dh_obs.Tracing.recorded () - events0) in
+  let instants name =
+    List.length (List.filter (fun e -> e.Dh_obs.Tracing.name = name) events)
+  in
+  let stats = Diehard.Heap.stats heap in
+  let per n ops = float_of_int n /. float_of_int ops in
+  ( per (allocs1 - allocs0 + instants "heap.malloc") stats.Dh_alloc.Stats.mallocs,
+    per (frees1 - frees0 + instants "heap.free") stats.Dh_alloc.Stats.frees )
+
 (* The same diehard alloc churn with Dh_obs off and then on.  The off
    leg is the compiled-in fast path (one atomic load and branch per
    site) whose cost the baseline gate bounds; the on leg shows what
    full tracing + metrics recording costs when you ask for it. *)
 let obs_overhead_bench ~quick =
   let ops = if quick then 20_000 else 200_000 in
-  let make () =
-    let mem = Mem.create () in
-    Diehard.Heap.allocator
-      (Diehard.Heap.create ~config:(Diehard.Config.v ~seed:1 ()) mem)
-  in
+  let make () = Diehard.Heap.allocator (obs_heap ()) in
   let was = Dh_obs.Control.enabled () in
   Dh_obs.Control.set_enabled false;
   let obs_off = alloc_bench ~ops "diehard-obs-off" make in
   Dh_obs.Control.set_enabled true;
   let obs_on = alloc_bench ~ops "diehard-obs-on" make in
+  let records_per_malloc, records_per_free = obs_records () in
   Dh_obs.Control.set_enabled was;
   {
     obs_off;
     obs_on;
     enabled_overhead_pct = ((ops_per_sec obs_off /. ops_per_sec obs_on) -. 1.) *. 100.;
+    records_per_malloc;
+    records_per_free;
   }
 
 (* --- parallel scaling (Dh_parallel over replicas and campaigns) --- *)
@@ -618,6 +648,8 @@ let print r =
     "  obs overhead: off %10.0f ops/s  on %10.0f ops/s  enabled costs %+.1f%%\n"
     (ops_per_sec r.obs.obs_off) (ops_per_sec r.obs.obs_on)
     r.obs.enabled_overhead_pct;
+  Printf.printf "  obs records: %.4f per malloc  %.4f per free\n" r.obs.records_per_malloc
+    r.obs.records_per_free;
   List.iter
     (fun s ->
       Printf.printf "  scaling %-16s (%d units, %d cores)\n" s.sname s.units r.cores;
@@ -664,6 +696,8 @@ let to_report r =
       @ [
           ("recover.rewinds", Gate.int ck.ck_rewinds);
           ("recover.pages_restored", Gate.int ck.ck_pages_restored);
+          ("obs.records_per_malloc", Gate.float r.obs.records_per_malloc);
+          ("obs.records_per_free", Gate.float r.obs.records_per_free);
         ]
       @ List.map (fun s -> (s.sname ^ ".units", Gate.int s.units)) r.scaling)
     ~wall:

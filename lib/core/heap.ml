@@ -22,8 +22,8 @@ type region = {
          are untouched. *)
   buddy : int array;  (* page -> page sharing its backing page, or -1 *)
   mutable meshed : int;  (* currently-meshed pairs in this region *)
-  mutable sites : int array;
-      (* per-slot allocation-site ids for audit provenance; [||] until
+  sites : site_table;
+      (* per-slot allocation-site ids for audit provenance; empty until
          the first audited allocation, so an obs-off heap pays nothing.
          A slot keeps its last site after free — that is the point: a
          dangling access attributes to the site that allocated the
@@ -32,21 +32,16 @@ type region = {
          replayed window's allocations. *)
 }
 
+(* Site ids packed [width] bytes per slot, the narrowest of 1, 2 and 4
+   that holds every id stored so far: ids are dense interning indices,
+   so a table usually stays at one byte per slot — 8x the bitmap rather
+   than the 64x a plain int array costs on every malloc's random-slot
+   write. *)
+and site_table = { mutable width : int; mutable ids : Bytes.t }
+
 type large_object = { payload : int; size : int; map_base : int; map_len : int }
 
 module Imap = Map.Make (Int)
-
-(* Metric handles resolved once per heap (lazily, so heaps built before
-   telemetry is switched on still pick them up): interning an instrument
-   takes the registry mutex, which is far too heavy for the per-malloc
-   path and serializes concurrent heaps.  Each is the heap's own
-   [Dh_obs.Cell] handle — a heap records from one domain at a time, so
-   each observe is a domain-id compare and plain adds. *)
-type obs_instruments = {
-  malloc_probes : Dh_obs.Metrics.histogram;
-  malloc_bytes : Dh_obs.Metrics.histogram;
-  audit : Dh_obs.Audit.local;
-}
 
 (* Large objects feed the audit under a pseudo-class one past the real
    size classes: they have no slots, so no slot-position entropy, but
@@ -69,7 +64,7 @@ type t = {
   stats : Stats.t;
   mutable freed_since_mesh : int;  (* bytes freed since the last pass *)
   mutable meshes : int;  (* cumulative successful meshes *)
-  mutable obs : obs_instruments option;
+  mutable obs : Dh_obs.Audit.local option;  (* see [obs_feed] *)
 }
 
 (* The flight recorder asks for this at fault time: live slots per size
@@ -109,7 +104,7 @@ let create ?(config = Config.default) mem =
           masked = Bitmap.create capacity;
           buddy = Array.make pages (-1);
           meshed = 0;
-          sites = [||];
+          sites = { width = 1; ids = Bytes.empty };
         })
   in
   let t =
@@ -152,22 +147,52 @@ let create ?(config = Config.default) mem =
   end;
   t
 
-let obs_instruments t =
+(* The heap's audit feed, resolved once per heap (lazily, so heaps built
+   before telemetry is switched on still pick it up): interning the
+   malloc histograms takes the registry mutex, which is far too heavy for
+   the per-malloc path and serializes concurrent heaps.  The feed is the
+   heap's own [Dh_obs.Cell] handle — a heap records from one domain at a
+   time, so each record is a domain-id compare and plain adds. *)
+let obs_feed t =
   match t.obs with
   | Some o -> o
   | None ->
     let reg = Dh_obs.Metrics.default in
     let o =
-      {
-        malloc_probes =
-          Dh_obs.Quantile.share (Dh_obs.Metrics.histogram reg "heap.malloc.probes");
-        malloc_bytes =
-          Dh_obs.Quantile.share (Dh_obs.Metrics.histogram reg "heap.malloc.bytes");
-        audit = Dh_obs.Audit.local ();
-      }
+      Dh_obs.Audit.local
+        ~probes:(Dh_obs.Metrics.histogram reg "heap.malloc.probes")
+        ~bytes:(Dh_obs.Metrics.histogram reg "heap.malloc.bytes")
     in
     t.obs <- Some o;
     o
+
+let site_get tbl i =
+  match tbl.width with
+  | 1 -> Bytes.get_uint8 tbl.ids i
+  | 2 -> Bytes.get_uint16_le tbl.ids (2 * i)
+  | _ -> Int32.to_int (Bytes.get_int32_le tbl.ids (4 * i))
+
+let site_put tbl i site =
+  match tbl.width with
+  | 1 -> Bytes.set_uint8 tbl.ids i site
+  | 2 -> Bytes.set_uint16_le tbl.ids (2 * i) site
+  | _ -> Bytes.set_int32_le tbl.ids (4 * i) (Int32.of_int site)
+
+(* Record [site] for slot [i] of a [capacity]-slot region, creating the
+   table on first use and widening it (once per width step, copying
+   every slot) when an id outgrows the current width. *)
+let site_set tbl ~capacity i site =
+  if Bytes.length tbl.ids = 0 then tbl.ids <- Bytes.make capacity '\000';
+  if tbl.width < 4 && site lsr (8 * tbl.width) <> 0 then begin
+    let width = if site lsr 16 = 0 then 2 else 4 in
+    let old = { width = tbl.width; ids = tbl.ids } in
+    tbl.width <- width;
+    tbl.ids <- Bytes.create (width * capacity);
+    for j = 0 to capacity - 1 do
+      site_put tbl j (site_get old j)
+    done
+  end;
+  site_put tbl i site
 
 (* Hot-path trace instants are sampled 1-in-64 (per heap, off the heap's
    own malloc/free counters, so sampling is deterministic and the first
@@ -287,13 +312,13 @@ let malloc_large t site sz =
   t.large <- Imap.add payload { payload; size = body; map_base; map_len } t.large;
   Stats.on_malloc t.stats ~requested:sz ~reserved:body;
   if Dh_obs.Control.enabled () then begin
-    let o = obs_instruments t in
+    let o = obs_feed t in
     let site =
       match site with Some s -> s | None -> Dh_obs.Audit.current_site ()
     in
     t.large_sites <- Imap.add payload site t.large_sites;
-    Dh_obs.Audit.record_alloc o.audit ~class_:large_class ~index:(-1) ~capacity:0 ~site;
-    Dh_obs.Metrics.observe o.malloc_bytes sz;
+    Dh_obs.Audit.record_alloc o ~class_:large_class ~index:(-1) ~capacity:0 ~probes:0
+      ~bytes:sz ~site;
     Dh_obs.Tracing.instant ~arg:(string_of_int sz) "heap.malloc.large"
   end;
   Some payload
@@ -310,7 +335,7 @@ let free_large t addr =
       let site =
         Option.value (Imap.find_opt addr t.large_sites) ~default:Dh_obs.Audit.unknown
       in
-      Dh_obs.Audit.record_free (obs_instruments t).audit ~class_:large_class ~site
+      Dh_obs.Audit.record_free (obs_feed t) ~class_:large_class ~site
     end
   | None -> t.stats.Stats.ignored_frees <- t.stats.Stats.ignored_frees + 1
 
@@ -461,26 +486,21 @@ let meshes t = t.meshes
 
 (* --- small objects: randomized bitmap allocation (Figure 2) --- *)
 
-(* Telemetry for the small-object path: probe-count and request-size
-   distributions (§4.2's expected-probes analysis, observed live),
-   recorded through the heap's cached instrument handles, plus a
-   sampled "heap.malloc" instant.  The audit feed rides the same gate:
+(* Telemetry for the small-object path, one audit record per malloc:
+   probe count and request size (§4.2's expected-probes analysis,
+   observed live, published as "heap.malloc.probes"/"heap.malloc.bytes"),
    slot position (randomness entropy), size-class flow, and the
    allocation site — explicit from the caller, or the ambient
-   {!Dh_obs.Audit.current_site} the workload bracketed. *)
+   {!Dh_obs.Audit.current_site} the workload bracketed — plus a sampled
+   "heap.malloc" instant. *)
 let observe_malloc t ~probes ~bytes ~region ~index ~site =
   if Dh_obs.Control.enabled () then begin
-    let o = obs_instruments t in
-    Dh_obs.Metrics.observe o.malloc_probes probes;
-    Dh_obs.Metrics.observe o.malloc_bytes bytes;
     let site =
       match site with Some s -> s | None -> Dh_obs.Audit.current_site ()
     in
-    if Array.length region.sites = 0 then
-      region.sites <- Array.make region.capacity Dh_obs.Audit.unknown;
-    region.sites.(index) <- site;
-    Dh_obs.Audit.record_alloc o.audit ~class_:region.class_ ~index
-      ~capacity:region.capacity ~site;
+    site_set region.sites ~capacity:region.capacity index site;
+    Dh_obs.Audit.record_alloc (obs_feed t) ~class_:region.class_ ~index
+      ~capacity:region.capacity ~probes ~bytes ~site;
     if (t.stats.Stats.mallocs - 1) mod trace_sample = 0 then
       Dh_obs.Tracing.instant ~arg:(string_of_int bytes) "heap.malloc"
   end
@@ -498,7 +518,7 @@ let malloc_small t site sz class_ =
        the mesher keeps this to pathological sequences. *)
     t.stats.Stats.failed_mallocs <- t.stats.Stats.failed_mallocs + 1;
     if Dh_obs.Control.enabled () then begin
-      Dh_obs.Audit.record_failed (obs_instruments t).audit ~class_;
+      Dh_obs.Audit.record_failed (obs_feed t) ~class_;
       Dh_obs.Tracing.instant ~arg:(string_of_int class_) "heap.exhausted"
     end;
     None
@@ -594,11 +614,10 @@ let free t addr =
           Stats.on_free t.stats ~reserved:size;
           if Dh_obs.Control.enabled () then begin
             let site =
-              if Array.length region.sites > 0 then region.sites.(index)
+              if Bytes.length region.sites.ids > 0 then site_get region.sites index
               else Dh_obs.Audit.unknown
             in
-            Dh_obs.Audit.record_free (obs_instruments t).audit
-              ~class_:region.class_ ~site;
+            Dh_obs.Audit.record_free (obs_feed t) ~class_:region.class_ ~site;
             if (t.stats.Stats.frees - 1) mod trace_sample = 0 then
               Dh_obs.Tracing.instant ~arg:(string_of_int size) "heap.free"
           end;
@@ -622,8 +641,8 @@ let free t addr =
 let site_of_addr t addr =
   match region_containing t addr with
   | Some region ->
-    if Array.length region.sites = 0 then None
-    else Some region.sites.((addr - region.base) / Size_class.size region.class_)
+    if Bytes.length region.sites.ids = 0 then None
+    else Some (site_get region.sites ((addr - region.base) / Size_class.size region.class_))
   | None -> (
     match large_containing t addr with
     | Some lo -> Imap.find_opt lo.payload t.large_sites

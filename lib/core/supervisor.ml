@@ -133,12 +133,15 @@ type fault_action =
 
 (* Serve-loop SLO telemetry.  All write-only and gated on one enabled
    check per request when off; when on, the per-request cost is one
-   latency sample recorded through the loop's own cached
+   clock read, one latency sample recorded through the loop's own cached
    [Dh_obs.Cell] handle on the "serve.latency_ns" histogram (a
-   domain-id compare and plain adds), plus two window stamps and (when
-   an SLO is configured) one classification.  The window clock is the
-   request index — windowed request / error / rewind rates are
-   deterministic functions of the run.  Geometry matches the
+   domain-id compare and plain adds), one window stamp, (when an SLO is
+   configured) one classification, and the audit watch's atomic load.
+   A request's latency runs from the previous request's completion (or
+   from the moment its window was armed) to its own: the clock is read
+   once per request, and arming stays out of the sample.  The window
+   clock is the request index — windowed request / error / rewind rates
+   are deterministic functions of the run.  Geometry matches the
    serve.errors window the server itself stamps. *)
 type serve_obs = {
   so_latency : Dh_obs.Metrics.histogram;
@@ -168,17 +171,19 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
     Process.run (fun out ->
         let h = svc.Program.init (context out) in
         let obs = if telemetry then serve_obs () else None in
+        let stamp = ref 0 in
         let handle k =
           match obs with
           | None -> h.Program.handle k
           | Some o ->
             Dh_obs.Recorder.set_step k;
-            let t0 = Dh_obs.Tracing.now_ns () in
             h.Program.handle k;
-            let dt = Dh_obs.Tracing.now_ns () - t0 in
+            let now = Dh_obs.Tracing.now_ns () in
+            let dt = Dh_obs.Tracing.elapsed_ns ~since:!stamp ~now in
+            stamp := now;
             Dh_obs.Metrics.observe o.so_latency dt;
             Dh_obs.Window.add o.so_requests ~now:k 1;
-            Option.iter (fun slo -> Dh_obs.Slo.record slo dt) o.so_slo;
+            (match o.so_slo with Some slo -> Dh_obs.Slo.record slo dt | None -> ());
             (* The audit's --watch clock is the request index, like the
                windows: periodic snapshots are deterministic per run. *)
             Dh_obs.Audit.tick ~now:k
@@ -191,6 +196,7 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
           let snap = Heap.snapshot heap in
           let out_mark = Process.Out.length out in
           incr checkpoints;
+          if Option.is_some obs then stamp := Dh_obs.Tracing.now_ns ();
           try
             while !k < window_end do
               handle !k;

@@ -47,13 +47,23 @@ let ambient : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref unknown
 let set_site id = if Control.enabled () then Domain.DLS.get ambient := id
 let current_site () = !(Domain.DLS.get ambient)
 
+(* Restores by hand rather than through [Fun.protect]: this brackets
+   every workload allocation, and the closure [Fun.protect] allocates
+   per call costs more than the bracket itself. *)
 let with_site id f =
   if not (Control.enabled ()) then f ()
   else begin
     let r = Domain.DLS.get ambient in
     let prev = !r in
     r := id;
-    Fun.protect ~finally:(fun () -> r := prev) f
+    match f () with
+    | v ->
+      r := prev;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      r := prev;
+      Printexc.raise_with_backtrace e bt
   end
 
 (* --- per-domain buffered cells ---
@@ -86,9 +96,20 @@ let fresh_cell () =
    handles held by live components stay valid. *)
 let cells : cell Cell.t = Cell.create fresh_cell
 
-type local = cell Cell.t
+(* What one malloc record writes, resolved once per recording domain:
+   that domain's audit cell and its cells of the caller's probe and size
+   histograms.  The histograms stay ordinary registry instruments, fed
+   through this record alone. *)
+type feed = { audit : cell; probes : Quantile.cell; bytes : Quantile.cell }
+type local = feed Cell.t
 
-let local () = Cell.share cells
+let local ~probes ~bytes =
+  Cell.create (fun () ->
+      {
+        audit = Cell.get (Cell.share cells);
+        probes = Quantile.cell probes;
+        bytes = Quantile.cell bytes;
+      })
 
 let grown a n =
   let len = Array.length a in
@@ -99,12 +120,16 @@ let grown a n =
     a'
   end
 
-let record_alloc lc ~class_ ~index ~capacity ~site =
+let record_alloc lc ~class_ ~index ~capacity ~probes ~bytes ~site =
   if Control.enabled () && class_ >= 0 && class_ < max_classes then begin
-    let c = Cell.get lc in
+    let f = Cell.get lc in
+    let c = f.audit in
     c.allocs.(class_) <- c.allocs.(class_) + 1;
+    Quantile.add f.bytes bytes;
     if capacity > 0 && index >= 0 then begin
-      let b = min (slot_buckets - 1) (index * slot_buckets / capacity) in
+      Quantile.add f.probes probes;
+      let b = index * slot_buckets / capacity in
+      let b = if b < slot_buckets then b else slot_buckets - 1 in
       let i = (class_ * slot_buckets) + b in
       c.slot_hist.(i) <- c.slot_hist.(i) + 1
     end;
@@ -117,7 +142,7 @@ let record_alloc lc ~class_ ~index ~capacity ~site =
 
 let record_free lc ~class_ ~site =
   if Control.enabled () && class_ >= 0 && class_ < max_classes then begin
-    let c = Cell.get lc in
+    let c = (Cell.get lc).audit in
     c.frees.(class_) <- c.frees.(class_) + 1;
     if site >= 0 then begin
       if site >= Array.length c.by_site_frees then
@@ -128,7 +153,7 @@ let record_free lc ~class_ ~site =
 
 let record_failed lc ~class_ =
   if Control.enabled () && class_ >= 0 && class_ < max_classes then begin
-    let c = Cell.get lc in
+    let c = (Cell.get lc).audit in
     c.failed.(class_) <- c.failed.(class_) + 1
   end
 
@@ -332,18 +357,19 @@ let top_sites_summary () =
 
 (* --- periodic watch --- *)
 
-let watch_lock = Mutex.create ()
-let watch : (int * (now:int -> unit)) option ref = ref None
+(* Read on every served request, so an atomic load rather than a
+   mutex. *)
+let watch : (int * (now:int -> unit)) option Atomic.t = Atomic.make None
 
 let set_watch ~every ~f =
   if every < 1 then invalid_arg "Audit.set_watch: every must be >= 1";
-  Mutex.protect watch_lock (fun () -> watch := Some (every, f))
+  Atomic.set watch (Some (every, f))
 
-let clear_watch () = Mutex.protect watch_lock (fun () -> watch := None)
+let clear_watch () = Atomic.set watch None
 
 let tick ~now =
   if Control.enabled () then
-    match Mutex.protect watch_lock (fun () -> !watch) with
+    match Atomic.get watch with
     | Some (every, f) when now > 0 && now mod every = 0 -> ( try f ~now with _ -> ())
     | Some _ | None -> ()
 
@@ -366,5 +392,5 @@ let reset () =
       Array.fill masked_tally 0 3 0;
       Array.fill trial_tally 0 3 0);
   Mutex.protect provider_lock (fun () -> provider := None);
-  Mutex.protect watch_lock (fun () -> watch := None);
+  Atomic.set watch None;
   Domain.DLS.get ambient := unknown

@@ -71,20 +71,31 @@ val current_site : unit -> int
 
 val with_site : int -> (unit -> 'a) -> 'a
 (** Run with the ambient site set, restoring the previous site on exit
-    (also on exception).  Runs the thunk untouched while disabled. *)
+    (also on exception, which is re-raised with its backtrace).  Runs
+    the thunk untouched while disabled. *)
 
 (** {1 The hot-path feed} *)
 
 type local
 (** A caller-held {!Cell} handle onto the process-wide audit cells (the
-    heap keeps one per heap), caching the recording domain's cell. *)
+    heap keeps one per heap), caching the recording domain's cell
+    together with its cells of the caller's two malloc histograms. *)
 
-val local : unit -> local
+val local : probes:Quantile.t -> bytes:Quantile.t -> local
+(** A feed that also records each allocation's probe count into
+    [probes] and its requested size into [bytes] (the heap passes its
+    registered ["heap.malloc.probes"] and ["heap.malloc.bytes"]), so one
+    {!record_alloc} is the whole per-malloc record. *)
 
-val record_alloc : local -> class_:int -> index:int -> capacity:int -> site:int -> unit
-(** One successful allocation: slot [index] of a [capacity]-slot region
-    for [class_], attributed to [site].  The slot position feeds the
-    randomness histogram as bucket [index * slot_buckets / capacity]. *)
+val record_alloc :
+  local -> class_:int -> index:int -> capacity:int -> probes:int -> bytes:int ->
+  site:int -> unit
+(** One successful allocation of [bytes] bytes: slot [index] of a
+    [capacity]-slot region for [class_], found after [probes] probes,
+    attributed to [site].  The slot position feeds the randomness
+    histogram as bucket [index * slot_buckets / capacity].  An
+    allocation without a slot ([capacity = 0] or [index < 0]: a large
+    object) records neither a slot position nor a probe count. *)
 
 val record_free : local -> class_:int -> site:int -> unit
 val record_failed : local -> class_:int -> unit

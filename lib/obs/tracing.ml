@@ -10,7 +10,12 @@ let ring_capacity = 4096
    odd equal stamp. *)
 let epoch = Unix.gettimeofday ()
 let now_us () = int_of_float ((Unix.gettimeofday () -. epoch) *. 1e6)
-let now_ns () = int_of_float ((Unix.gettimeofday () -. epoch) *. 1e9)
+
+(* Latency stamps come from the monotonic clock instead: nanosecond
+   resolution (gettimeofday's microseconds quantize a 2-3 us request) and
+   no backward steps. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let elapsed_ns ~since ~now = if now > since then now - since else 0
 
 type ring = {
   dom : int;

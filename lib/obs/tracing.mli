@@ -29,9 +29,13 @@ val now_us : unit -> int
     the timestamps events carry. *)
 
 val now_ns : unit -> int
-(** The same clock in nanoseconds, for latency samples too short for
-    microsecond resolution (granularity is whatever the platform's
-    [gettimeofday] delivers). *)
+(** The latency clock: the platform's monotonic clock in nanoseconds
+    (an arbitrary origin, so only differences mean anything), for
+    latency samples too short for microsecond resolution. *)
+
+val elapsed_ns : since:int -> now:int -> int
+(** [now - since], or 0 when the stamps run backwards: a latency sample
+    is never negative (histograms reject negative samples). *)
 
 val begin_ : ?arg:string -> string -> unit
 val end_ : string -> unit

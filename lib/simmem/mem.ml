@@ -125,6 +125,10 @@ type t = {
       (* current dirty epoch; bumped by checkpoint/rewind/discard *)
   mutable dirty : int;  (* pages dirtied in the current epoch *)
   mutable preimaged : int;  (* cumulative pages pre-imaged (COW copies) *)
+  mutable spare : Bytes.t list;
+      (* page buffers of closed windows, reused for new pre-images: a
+         window that pre-images n pages draws up to n of them, so the
+         list never holds more than the largest window has used *)
 }
 
 let mapped_bytes t =
@@ -173,6 +177,7 @@ let create () =
     epoch = 0;
     dirty = 0;
     preimaged = 0;
+    spare = [];
   }
   in
   if Dh_obs.Control.enabled () then publish_metrics t;
@@ -503,7 +508,16 @@ let rec mark_pages t seg vpage last =
       (* First write to this page since the checkpoint: save its pre-image
          before the caller mutates it.  Segments born after the checkpoint
          are discarded whole on rewind, so their pages need no copies. *)
-      c.pre <- (seg, page, Bytes.sub seg.data (page lsl page_shift) page_size) :: c.pre;
+      let off = page lsl page_shift in
+      let img =
+        match t.spare with
+        | img :: rest ->
+          t.spare <- rest;
+          Bytes.blit seg.data off img 0 page_size;
+          img
+        | [] -> Bytes.sub seg.data off page_size
+      in
+      c.pre <- (seg, page, img) :: c.pre;
       c.pre_count <- c.pre_count + 1;
       t.preimaged <- t.preimaged + 1
     | Some _ | None -> ()
@@ -691,10 +705,19 @@ let backing_page t addr =
 
 (* --- checkpoint / rewind --- *)
 
+(* A window that closes (commits, is discarded, or has been rewound and
+   blitted back) no longer needs its pre-images: their buffers go to the
+   spare list for the next window's first touches. *)
+let recycle t c =
+  List.iter (fun (_, _, img) -> t.spare <- img :: t.spare) c.pre;
+  c.pre <- [];
+  c.pre_count <- 0
+
 let checkpoint t =
   (* Incremental by construction: arming copies nothing.  If a checkpoint
      was already armed its undo log is dropped (the old window commits) —
      only pages dirtied after this call will ever be pre-imaged. *)
+  Option.iter (recycle t) t.ckpt;
   t.ckpt <-
     Some
       {
@@ -712,6 +735,7 @@ let checkpoint t =
 let checkpointed t = Option.is_some t.ckpt
 
 let discard_checkpoint t =
+  Option.iter (recycle t) t.ckpt;
   t.ckpt <- None;
   t.epoch <- t.epoch + 1;
   t.dirty <- 0
@@ -756,8 +780,7 @@ let rewind t =
        rewinds to the same state (double-rewind).  Fresh pre-images will
        be re-saved on the next writes — and they equal these, because the
        pages have just been restored. *)
-    c.pre <- [];
-    c.pre_count <- 0;
+    recycle t c;
     c.born <- [];
     c.gone <- [];
     c.prot_log <- [];

@@ -162,6 +162,14 @@ val cstring : ?limit:int -> t -> int -> string
     internal base-address allocator, so a rewound-and-resumed execution
     draws the same addresses a never-faulted run would.
 
+    Pre-image buffers are reused: when a window closes (re-armed,
+    discarded, or rewound once its pre-images are blitted back) its page
+    buffers go to a spare list, and later first touches copy into a spare
+    buffer instead of allocating one.  Only the first window allocates
+    (as do windows that pre-image more pages than any earlier one), so a
+    steady stream of windows over the same pages allocates no page
+    buffers at all.
+
     Because every multi-byte operation validates its whole range before
     mutating anything or marking anything dirty, a fault mid-bulk-op
     leaves the undo log describing precisely the pre-op state: rewind

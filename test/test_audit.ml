@@ -93,6 +93,30 @@ let test_heap_attribution () =
       check_int "per-site free count" 1 (stat "test:explicit").Audit.s_frees;
       check_int "ambient site alloc counted" 1 (stat "test:ambient").Audit.s_allocs)
 
+(* The per-slot site table starts at one byte per slot and widens when
+   an id needs it; every slot's site must survive each widening. *)
+let test_site_table_widens () =
+  with_audit (fun () ->
+      let heap = fresh_heap () in
+      let sites = [ 5; 255; 256; 65_535; 65_536; 70_000 ] in
+      let addrs = List.map (fun site -> (site, Option.get (Heap.malloc heap ~site 64))) sites in
+      List.iter
+        (fun (site, p) ->
+          check_int
+            (Printf.sprintf "site %d kept" site)
+            site
+            (Option.get (Heap.site_of_addr heap p)))
+        addrs;
+      let alloc = Heap.allocator heap in
+      List.iter (fun (_, p) -> alloc.Allocator.free p) addrs;
+      List.iter
+        (fun (site, p) ->
+          check_int
+            (Printf.sprintf "site %d kept after free" site)
+            site
+            (Option.get (Heap.site_of_addr heap p)))
+        addrs)
+
 let test_threshold_refusals_counted () =
   with_audit (fun () ->
       let heap = fresh_heap () in
@@ -278,6 +302,8 @@ let suite =
     Alcotest.test_case "site: ambient channel" `Quick test_ambient_site;
     Alcotest.test_case "heap: explicit and ambient attribution" `Quick
       test_heap_attribution;
+    Alcotest.test_case "heap: site table widens for large ids" `Quick
+      test_site_table_widens;
     Alcotest.test_case "heap: threshold refusals audited" `Quick
       test_threshold_refusals_counted;
     Alcotest.test_case "entropy: uniform, point mass, empty" `Quick test_entropy;

@@ -134,6 +134,113 @@ let test_discard_stops_preimaging () =
   check_int "disarmed writes do not" 1 (Mem.preimaged_pages mem);
   check "dirty still tracked" true (Mem.dirty_pages mem >= 1)
 
+(* Many windows over the same pages, each closed by a commit (the next
+   arm), a discard, a rewind, or a rewind followed by more writes and a
+   second rewind.  Closed windows hand their pre-image buffers to later
+   ones, so this checks that a recycled buffer is never one the live
+   undo log still holds: after every rewind memory equals the arm-time
+   copy bit for bit, the flight recorder's dirty-page delta counts the
+   bytes that really differ, and once the first window (which touches
+   every page) has allocated its buffers, windows allocate no more. *)
+let test_cow_buffers_reused () =
+  let pages = 8 in
+  let len = pages * page in
+  let mem = Mem.create () in
+  let a = Mem.mmap mem len in
+  let rng = Random.State.make [| 18 |] in
+  Mem.fill_random mem ~addr:a ~len (Dh_rng.Mwc.create ~seed:18);
+  (* Page [p] gets [n] random bytes at random offsets, or a fill. *)
+  let scribble p =
+    let base = a + (p * page) in
+    if Random.State.int rng 4 = 0 then
+      Mem.fill mem ~addr:base ~len:page (Char.chr (Random.State.int rng 256))
+    else
+      for _ = 1 to 1 + Random.State.int rng 64 do
+        Mem.write8 mem (base + Random.State.int rng page) (Random.State.int rng 256)
+      done
+  in
+  let scribble_some () =
+    for p = 0 to pages - 1 do
+      if Random.State.bool rng then scribble p
+    done
+  in
+  (* Direct major-heap words (large blocks bypass the minor heap) spent
+     inside [f]: the page buffers, and nothing else this loop does. *)
+  let direct = ref 0.0 in
+  let measured f =
+    let s0 = Gc.quick_stat () in
+    f ();
+    let s1 = Gc.quick_stat () in
+    direct :=
+      !direct
+      +. (s1.Gc.major_words -. s0.Gc.major_words)
+      -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+  in
+  let differing snap p =
+    let now = Mem.inspect mem ~addr:(a + (p * page)) ~len:page in
+    let n = ref 0 in
+    String.iteri (fun i c -> if c <> snap.[(p * page) + i] then incr n) now;
+    !n
+  in
+  (* The recorder's "dirty-page delta" for a fault raised in the window:
+     one line per pre-imaged page, each naming how many bytes differ. *)
+  let check_delta snap =
+    Dh_obs.Control.with_enabled true (fun () ->
+        Dh_obs.Recorder.clear ();
+        ignore (faults (fun () -> Mem.read8 mem 0));
+        let report = Option.get (Dh_obs.Recorder.last ()) in
+        Dh_obs.Recorder.clear ();
+        let body =
+          (List.find
+             (fun s -> s.Dh_obs.Recorder.title = "dirty-page delta")
+             report.Dh_obs.Recorder.sections)
+            .Dh_obs.Recorder.body
+        in
+        let lines = List.tl (String.split_on_char '\n' (String.trim body)) in
+        check_int "one delta line per dirty page" (Mem.dirty_pages mem) (List.length lines);
+        List.iter
+          (fun line ->
+            Scanf.sscanf line " page 0x%x: %d/%d bytes differ from checkpoint"
+              (fun addr n total ->
+                check_int "page size" page total;
+                check_int
+                  (Printf.sprintf "bytes differing on page 0x%x" addr)
+                  (differing snap ((addr - a) / page))
+                  n))
+          lines)
+  in
+  let windows = 150 in
+  for w = 1 to windows do
+    let snap = Mem.inspect mem ~addr:a ~len in
+    let rewind () =
+      measured (fun () -> ignore (Mem.rewind mem));
+      check
+        (Printf.sprintf "window %d: rewound to the arm-time bytes" w)
+        true
+        (Mem.inspect mem ~addr:a ~len = snap)
+    in
+    if w = 2 then direct := 0.0;
+    measured (fun () ->
+        Mem.checkpoint mem;
+        if w = 1 then
+          for p = 0 to pages - 1 do
+            scribble p
+          done
+        else scribble_some ());
+    if w mod 10 = 0 then check_delta snap;
+    match Random.State.int rng 4 with
+    | 0 -> () (* committed by the next arm *)
+    | 1 -> measured (fun () -> Mem.discard_checkpoint mem)
+    | 2 -> rewind ()
+    | _ ->
+      rewind ();
+      measured scribble_some;
+      if w mod 10 = 5 then check_delta snap;
+      rewind ()
+  done;
+  check "windows after the first allocate no page buffers" true
+    (!direct < float_of_int (page / 8))
+
 (* --- checkpoint / mesh interplay --- *)
 
 let test_rewind_spans_mesh () =
@@ -416,6 +523,7 @@ let suite =
     Alcotest.test_case "fault at page edges" `Quick test_fault_at_page_edges;
     Alcotest.test_case "double rewind" `Quick test_double_rewind;
     Alcotest.test_case "discard stops pre-imaging" `Quick test_discard_stops_preimaging;
+    Alcotest.test_case "cow buffers reused across windows" `Quick test_cow_buffers_reused;
     Alcotest.test_case "rewind spans mesh" `Quick test_rewind_spans_mesh;
     Alcotest.test_case "mesh page-edge fault" `Quick test_mesh_page_edge_fault;
     QCheck_alcotest.to_alcotest prop_rewind_is_identity;

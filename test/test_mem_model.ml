@@ -2,7 +2,7 @@
 
    A random sequence of operations — mapping, protection, byte, word and
    bulk accesses, C-string scans, page aliasing and checkpoint / rewind /
-   discard — runs on both.  After every step the two must agree on the
+   discard, closing with several armed windows — runs on both.  After every step the two must agree on the
    result (value, exact fault, or rejected argument), on every mapped
    byte, on the mapped/meshed/touched page counts and on the access and
    TLB/cache-miss counters.  Each step also checks the frame property:
@@ -144,6 +144,25 @@ let gen_op =
         (2, return Rewind);
         (1, return Discard);
       ])
+
+(* Several checkpoint windows per sequence, so later windows pre-image
+   into the page buffers earlier ones gave back: each window is armed,
+   runs a few ops, and closes by being committed (the next arm), by a
+   discard, by a rewind, or by a rewind, more ops and a second rewind. *)
+let gen_window =
+  QCheck.Gen.(
+    map3
+      (fun body again close ->
+        (Checkpoint :: body)
+        @
+        match close with
+        | 0 -> []
+        | 1 -> [ Discard ]
+        | 2 -> [ Rewind ]
+        | _ -> (Rewind :: again) @ [ Rewind ])
+      (list_size (int_range 0 10) gen_op)
+      (list_size (int_range 0 4) gen_op)
+      (int_bound 3))
 
 (* The list shrinker drops whole ops; this one halves an op's length. *)
 let shrink_op op yield =
@@ -329,7 +348,11 @@ let prop_mem_refines_model =
        ~print:(fun ops -> String.concat "\n" (List.map show_op ops))
        ~shrink:(QCheck.Shrink.list ~shrink:shrink_op)
        QCheck.Gen.(
-         map2 (fun n ops -> Mmap n :: ops) gen_pages (list_size (int_range 0 59) gen_op)))
+         map3
+           (fun n ops windows -> (Mmap n :: ops) @ List.concat windows)
+           gen_pages
+           (list_size (int_range 0 39) gen_op)
+           (list_size (int_range 0 4) gen_window)))
     run_sequence
 
 let suite = [ QCheck_alcotest.to_alcotest prop_mem_refines_model ]

@@ -119,10 +119,30 @@ let test_snapshot_arithmetic () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative sample accepted")
 
+(* The serve loop's latency sample is [Tracing.elapsed_ns] of two clock
+   stamps.  A pair that runs backwards (a clock step) must give 0, never
+   a negative sample the histogram would reject mid-serve. *)
+let test_latency_never_negative () =
+  with_clean @@ fun () ->
+  check_int "forward pair" 1_500 (Tracing.elapsed_ns ~since:10_000 ~now:11_500);
+  check_int "equal stamps" 0 (Tracing.elapsed_ns ~since:10_000 ~now:10_000);
+  check_int "backward pair" 0 (Tracing.elapsed_ns ~since:11_500 ~now:10_000);
+  let h = Quantile.create () in
+  Quantile.record h (Tracing.elapsed_ns ~since:max_int ~now:0);
+  check_int "a backward sample records as 0" 1
+    (Quantile.counts (Quantile.snapshot h)).(0);
+  let prev = ref (Tracing.now_ns ()) in
+  for _ = 1 to 10_000 do
+    let now = Tracing.now_ns () in
+    if now < !prev then Alcotest.fail "now_ns stepped backwards";
+    prev := now
+  done
+
 (* Four domains record disjoint slices into a histogram (each through
    its own shared handle), a counter and the audit (both through one
    handle all four use at once, so their cached cells keep being
-   evicted).  Every merged read must equal a sequential oracle. *)
+   evicted; the audit's feed also carries two histograms).  Every merged
+   read must equal a sequential oracle. *)
 let test_shard_merge_under_domains () =
   with_clean @@ fun () ->
   Audit.reset ();
@@ -130,13 +150,15 @@ let test_shard_merge_under_domains () =
   let reg = Dh_obs.Metrics.default in
   let t = Dh_obs.Metrics.histogram reg "test.sharded" in
   let c = Dh_obs.Metrics.counter reg "test.sharded.count" in
-  let lc = Audit.local () in
+  let probes_h = Dh_obs.Metrics.histogram reg "test.sharded.probes" in
+  let bytes_h = Dh_obs.Metrics.histogram reg "test.sharded.bytes" in
+  let lc = Audit.local ~probes:probes_h ~bytes:bytes_h in
   let site = Audit.site "test.sharded.site" in
   let slice d = List.init 500 (fun i -> (d * 10_000) + (i * 7)) in
-  let class_of v = v mod 12 and index_of v = v mod 64 in
+  let class_of v = v mod 12 and index_of v = v mod 64 and probes_of v = 1 + (v mod 5) in
   let record_audit v =
     Audit.record_alloc lc ~class_:(class_of v) ~index:(index_of v) ~capacity:64
-      ~site
+      ~probes:(probes_of v) ~bytes:v ~site
   in
   let domains =
     List.init 4 (fun d ->
@@ -191,6 +213,14 @@ let test_shard_merge_under_domains () =
        = if vs = [] then [] else [ (site, List.length vs) ]
   in
   check "merged audit classes and sites" true (audit_matches all);
+  let fed h vs =
+    let oracle = Quantile.create () in
+    List.iter (Quantile.record oracle) vs;
+    Quantile.counts (Quantile.snapshot oracle) = Quantile.counts (Quantile.snapshot h)
+    && Quantile.sum (Quantile.snapshot oracle) = Quantile.sum (Quantile.snapshot h)
+  in
+  check "audit feed: bytes histogram" true (fed bytes_h all);
+  check "audit feed: probes histogram" true (fed probes_h (List.map probes_of all));
   (* Reset zeroes every cell in place: handles taken before it stay
      valid and record from zero. *)
   Quantile.reset ();
@@ -208,7 +238,8 @@ let test_shard_merge_under_domains () =
   let after = Quantile.snapshot t in
   check_int "records after reset" 3 (Quantile.count after);
   check_int "sum after reset" (3 + 700 + 70_000) (Quantile.sum after);
-  check "audit after reset" true (audit_matches again)
+  check "audit after reset" true (audit_matches again);
+  check "audit feed after reset" true (fed bytes_h again)
 
 (* --- Window rotation ------------------------------------------------- *)
 
@@ -445,6 +476,50 @@ let test_serve_leg_fingerprint () =
   check_int "rewinds" 5 l.Dh_bench.Serve.rewinds;
   check "survived on a randomized heap" true l.Dh_bench.Serve.survived_randomized
 
+(* The obs work a served request costs, counted from instrument totals
+   on a short serve leg: the serve loop's one latency sample, one
+   request-window stamp and one SLO classification per handled request
+   (replays included), and the heap's one audit record per malloc and
+   per free plus their sampled trace instants.  Every count is a
+   deterministic function of the leg. *)
+let test_serve_records_per_request () =
+  Audit.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      wipe ();
+      Audit.reset ())
+  @@ fun () ->
+  Tracing.reset ();
+  let requests = 2_000 in
+  let l = Dh_bench.Serve.run_leg ~requests ~seed:1 () in
+  let handled = Quantile.count l.Dh_bench.Serve.latency in
+  let window name =
+    match Window.find name with
+    | Some w -> Window.total w ~now:(requests - 1)
+    | None -> 0
+  in
+  let audit =
+    Array.fold_left
+      (fun acc (c : Audit.class_stat) -> acc + c.Audit.allocs + c.Audit.frees + c.Audit.failed)
+      0 (Audit.snapshot ()).Audit.classes
+  in
+  let instants =
+    List.length
+      (List.filter
+         (fun e -> e.Tracing.name = "heap.malloc" || e.Tracing.name = "heap.free")
+         (Tracing.events ()))
+  in
+  check_int "no trace event dropped" 0 (Tracing.dropped ());
+  check_int "handled requests (no rewind at this length)" requests handled;
+  check_int "request-window stamps" handled (window "serve.requests");
+  check_int "SLO classifications" handled l.Dh_bench.Serve.slo.Slo.total;
+  check_int "audit records (mallocs and frees)" 5_218 audit;
+  check_int "sampled heap instants" 83 instants;
+  (* 11,301 records over 2,000 requests: about 5.65 per served request *)
+  check_int "obs records in the leg" 11_301
+    (handled + window "serve.requests" + l.Dh_bench.Serve.slo.Slo.total
+    + window "serve.errors" + audit + instants)
+
 let test_zipf_keys_deterministic () =
   (* Zipf-keyed serving is still a pure function of the request index:
      two supervised runs with the same seed agree byte for byte, and the
@@ -499,6 +574,10 @@ let suite =
       test_serve_telemetry_write_only;
     Alcotest.test_case "serve: zipf keys stay deterministic" `Quick
       test_zipf_keys_deterministic;
+    Alcotest.test_case "latency: a backward stamp pair records 0" `Quick
+      test_latency_never_negative;
+    Alcotest.test_case "serve: obs records per served request" `Quick
+      test_serve_records_per_request;
     Alcotest.test_case "serve: 200k-request leg fingerprint" `Quick
       test_serve_leg_fingerprint;
   ]
