@@ -19,17 +19,18 @@ type live = { requested : int; slot : int }
 
 type t = {
   alloc : Allocator.t;
-  seed : int;
   mutable live : live Imap.t;  (* base -> live object *)
   mutable freed : int Imap.t;  (* base -> slot size, canary-filled *)
   mutable violations : violation list;  (* newest first *)
 }
 
-(* The canary byte for an address: a cheap seeded hash, so the pattern is
+(* The canary byte for an address: a cheap keyed hash, so the pattern is
    position-dependent (a memmove of canary bytes still trips the check)
    and not a guessable constant. *)
-let pattern t addr =
-  let h = (addr * 0x9E3779B1) lxor (t.seed * 0x85EBCA77) in
+let seed = 0xD1E
+
+let pattern addr =
+  let h = (addr * 0x9E3779B1) lxor (seed * 0x85EBCA77) in
   (h lsr 7) land 0xff
 
 let record t v = t.violations <- v :: t.violations
@@ -43,7 +44,7 @@ let first_corrupt t ~addr ~lo ~hi =
     let got = Mem.read_bytes t.alloc.Allocator.mem ~addr:(addr + lo) ~len:(hi - lo) in
     let rec go k =
       if k >= hi - lo then None
-      else if Char.code got.[k] <> pattern t (addr + lo + k) then Some (lo + k)
+      else if Char.code got.[k] <> pattern (addr + lo + k) then Some (lo + k)
       else go (k + 1)
     in
     go 0
@@ -52,7 +53,7 @@ let first_corrupt t ~addr ~lo ~hi =
 let fill_pattern t ~addr ~lo ~hi =
   if hi > lo then
     Mem.write_bytes t.alloc.Allocator.mem ~addr:(addr + lo)
-      (String.init (hi - lo) (fun k -> Char.chr (pattern t (addr + lo + k))))
+      (String.init (hi - lo) (fun k -> Char.chr (pattern (addr + lo + k))))
 
 let check_tail t ~addr ~(obj : live) ~detected =
   match first_corrupt t ~addr ~lo:obj.requested ~hi:obj.slot with
@@ -118,8 +119,8 @@ let sweep t =
 
 let violations t = List.rev t.violations
 
-let wrap ?(seed = 0xD1E) alloc =
-  let t = { alloc; seed; live = Imap.empty; freed = Imap.empty; violations = [] } in
+let wrap alloc =
+  let t = { alloc; live = Imap.empty; freed = Imap.empty; violations = [] } in
   ( t,
     { alloc with
       Allocator.name = alloc.Allocator.name ^ "+canary";

@@ -46,13 +46,13 @@ type violation = {
 
 type t
 
-val wrap : ?seed:int -> Allocator.t -> t * Allocator.t
+val wrap : Allocator.t -> t * Allocator.t
 (** [wrap alloc] returns the canary state and an allocator that forwards
     to [alloc] while maintaining the canaries: slot tails are filled on
     allocation and checked on free; whole slots are filled on free and
-    checked when the slot comes back from [malloc].  [seed] (default 0xD1E)
-    keys the per-address pattern so canary bytes are not guessable
-    constants. *)
+    checked when the slot comes back from [malloc].  A fixed key (0xD1E)
+    hashes each address into its canary byte, so canary bytes are not
+    one guessable constant. *)
 
 val sweep : t -> unit
 (** Check every live tail and every still-filled freed slot now —

@@ -1,15 +1,16 @@
-let wrap ?(pad = 64) ?(defer_frees = true) ?(zero_fill = true) (alloc : Allocator.t) =
+(* Rx's rescue configuration, fixed: every request padded by [pad]
+   bytes, frees deferred forever, allocations zero-filled. *)
+let pad = 64
+
+let wrap (alloc : Allocator.t) =
   let malloc sz =
     match alloc.Allocator.malloc (sz + pad) with
     | None -> None
     | Some addr ->
-      if zero_fill then Dh_mem.Mem.fill alloc.Allocator.mem ~addr ~len:(sz + pad) '\000';
+      Dh_mem.Mem.fill alloc.Allocator.mem ~addr ~len:(sz + pad) '\000';
       Some addr
   in
-  let free addr =
-    if defer_frees then
-      alloc.Allocator.stats.Stats.ignored_frees <-
-        alloc.Allocator.stats.Stats.ignored_frees + 1
-    else alloc.Allocator.free addr
+  let free _ =
+    alloc.Allocator.stats.Stats.ignored_frees <- alloc.Allocator.stats.Stats.ignored_frees + 1
   in
   { alloc with Allocator.name = alloc.Allocator.name ^ "+rescue"; malloc; free }

@@ -11,11 +11,7 @@
 
     Used by the Table 1 benchmark to reproduce the Rx column. *)
 
-val wrap :
-  ?pad:int ->
-  ?defer_frees:bool ->
-  ?zero_fill:bool ->
-  Allocator.t ->
-  Allocator.t
-(** Defaults: pad every request by 64 bytes, ignore all frees, zero-fill
+val wrap : Allocator.t -> Allocator.t
+(** One fixed configuration: pad every request by 64 bytes, ignore all
+    frees (each counted in {!Stats.t.ignored_frees}), zero-fill
     allocations. *)

@@ -28,30 +28,17 @@ let snapshot_replica ~config ~seed ~input ~fuel program =
   let mem = Mem.create () in
   let heap = Heap.create ~config:{ config with Config.seed; replicated = true } mem in
   let alloc = Heap.allocator heap in
-  (* Track allocation order and liveness ourselves (the injected faults
-     and frees of the program must be reflected exactly). *)
-  let clock = ref 0 in
+  (* The allocation log fixes allocation order and liveness (the
+     injected faults and frees of the program are reflected exactly). *)
+  let log, traced = Dh_alloc.Trace.wrap alloc in
+  let result = Program.run ?fuel ~input program traced in
   let live : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let by_addr : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let malloc sz =
-    match alloc.Allocator.malloc sz with
-    | None -> None
-    | Some addr ->
-      incr clock;
-      Hashtbl.replace live !clock (addr, sz);
-      Hashtbl.replace by_addr addr !clock;
-      Some addr
-  in
-  let free addr =
-    (match Hashtbl.find_opt by_addr addr with
-    | Some index ->
-      Hashtbl.remove by_addr addr;
-      Hashtbl.remove live index
-    | None -> ());
-    alloc.Allocator.free addr
-  in
-  let instrumented = { alloc with Allocator.malloc; free } in
-  let result = Program.run ?fuel ~input program instrumented in
+  List.iter
+    (function
+      | Dh_alloc.Trace.Malloc { alloc_time; size; addr } ->
+        Hashtbl.replace live alloc_time (addr, size)
+      | Dh_alloc.Trace.Free { alloc_time; _ } -> Hashtbl.remove live alloc_time)
+    (Dh_alloc.Trace.events log);
   let extents =
     Hashtbl.fold
       (fun index (addr, sz) acc ->

@@ -299,7 +299,7 @@ let ensure_mapped t region =
 
 (* --- large objects (> 16 KB): individual mappings with guard pages --- *)
 
-let malloc_large t site sz =
+let malloc_large t sz =
   let body = (sz + Mem.page_size - 1) / Mem.page_size * Mem.page_size in
   let map_len = body + (2 * Mem.page_size) in
   let map_base = Mem.mmap t.mem map_len in
@@ -313,9 +313,7 @@ let malloc_large t site sz =
   Stats.on_malloc t.stats ~requested:sz ~reserved:body;
   if Dh_obs.Control.enabled () then begin
     let o = obs_feed t in
-    let site =
-      match site with Some s -> s | None -> Dh_obs.Audit.current_site ()
-    in
+    let site = Dh_obs.Audit.current_site () in
     t.large_sites <- Imap.add payload site t.large_sites;
     Dh_obs.Audit.record_alloc o ~class_:large_class ~index:(-1) ~capacity:0 ~probes:0
       ~bytes:sz ~site;
@@ -490,14 +488,11 @@ let meshes t = t.meshes
    probe count and request size (§4.2's expected-probes analysis,
    observed live, published as "heap.malloc.probes"/"heap.malloc.bytes"),
    slot position (randomness entropy), size-class flow, and the
-   allocation site — explicit from the caller, or the ambient
-   {!Dh_obs.Audit.current_site} the workload bracketed — plus a sampled
-   "heap.malloc" instant. *)
-let observe_malloc t ~probes ~bytes ~region ~index ~site =
+   ambient allocation site ({!Dh_obs.Audit.current_site}, which the
+   workload bracketed) — plus a sampled "heap.malloc" instant. *)
+let observe_malloc t ~probes ~bytes ~region ~index =
   if Dh_obs.Control.enabled () then begin
-    let site =
-      match site with Some s -> s | None -> Dh_obs.Audit.current_site ()
-    in
+    let site = Dh_obs.Audit.current_site () in
     site_set region.sites ~capacity:region.capacity index site;
     Dh_obs.Audit.record_alloc (obs_feed t) ~class_:region.class_ ~index
       ~capacity:region.capacity ~probes ~bytes ~site;
@@ -505,7 +500,7 @@ let observe_malloc t ~probes ~bytes ~region ~index ~site =
       Dh_obs.Tracing.instant ~arg:(string_of_int bytes) "heap.malloc"
   end
 
-let malloc_small t site sz class_ =
+let malloc_small t sz class_ =
   let region = t.regions.(class_) in
   if
     region.in_use >= region.threshold
@@ -559,16 +554,16 @@ let malloc_small t site sz class_ =
     let addr = region.base + (index * size) in
     if t.config.Config.replicated then Mem.fill_random t.mem ~addr ~len:size t.rng;
     Stats.on_malloc t.stats ~requested:sz ~reserved:size;
-    observe_malloc t ~probes ~bytes:sz ~region ~index ~site;
+    observe_malloc t ~probes ~bytes:sz ~region ~index;
     Some addr
   end
 
-let malloc t ?site sz =
+let malloc t sz =
   if sz <= 0 then None
   else
     match Size_class.of_size sz with
-    | Some class_ -> malloc_small t site sz class_
-    | None -> malloc_large t site sz
+    | Some class_ -> malloc_small t sz class_
+    | None -> malloc_large t sz
 
 (* Hot path: every free/find_object lands here.  Early-exit scan over the
    twelve regions (the old version always walked all of them). *)
@@ -728,9 +723,7 @@ let allocator t =
   {
     Allocator.name = "diehard";
     mem = t.mem;
-    (* Eta-expanded so the optional site stays erasable: provenance
-       crosses the record boundary ambiently (Audit.with_site). *)
-    malloc = (fun sz -> malloc t sz);
+    malloc = malloc t;
     free = free t;
     find_object = find_object t;
     owns = owns t;

@@ -30,14 +30,13 @@ val config : t -> Config.t
 val mem : t -> Dh_mem.Mem.t
 (** The address space the heap was created on. *)
 
-val malloc : t -> ?site:int -> int -> int option
+val malloc : t -> int -> int option
 (** [malloc t sz] — [None] means NULL: the size class is at its [1/M]
-    threshold (or [sz <= 0]).  [site] is an interned
-    {!Dh_obs.Audit.site} id attributing the allocation for audit
-    provenance; when omitted, the ambient
-    {!Dh_obs.Audit.current_site} applies.  Sites never affect
-    placement or success — they are write-only telemetry, recorded
-    only while observability is enabled. *)
+    threshold (or [sz <= 0]).  The ambient
+    {!Dh_obs.Audit.current_site} ({!Dh_obs.Audit.with_site}) attributes
+    the allocation for audit provenance.  Sites never affect placement
+    or success — they are write-only telemetry, recorded only while
+    observability is enabled. *)
 
 val free : t -> int -> unit
 (** Validated deallocation; invalid and double frees are ignored (and

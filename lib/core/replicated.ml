@@ -49,9 +49,7 @@ let run ?(config = Config.default) ?(replicas = 3)
        to `diehard replicate`";
   (* Honor the config's obs knob for the duration of this run (telemetry
      is write-only, so the run's result is unaffected). *)
-  let obs_was = Dh_obs.Control.enabled () in
-  if config.Config.obs then Dh_obs.Control.set_enabled true;
-  Fun.protect ~finally:(fun () -> Dh_obs.Control.set_enabled obs_was) @@ fun () ->
+  Dh_obs.Control.with_enabled (config.Config.obs || Dh_obs.Control.enabled ()) @@ fun () ->
   (* Spawn a replica: run it to completion and precompute its barrier
      chunks (see the .mli for why this is equivalent to the paper's
      concurrent processes). *)
@@ -74,22 +72,18 @@ let run ?(config = Config.default) ?(replicas = 3)
   let roster : (int * int * Process.outcome) list ref = ref [] in
   let eliminated : (int, cause) Hashtbl.t = Hashtbl.create 8 in
   (* Fan the initial replicas out across domains.  Replica i's seed is
-     frozen in the plan before any replica runs, and the pool returns
+     frozen by the split before any replica runs, and the pool returns
      results in replica-id order, so the roster and every vote below are
      identical for any [config.jobs]. *)
-  let plan = Dh_parallel.Seed_plan.make seed_pool ~tasks:replicas in
+  let seeds = Dh_rng.Seed.split ~n:replicas seed_pool in
   let pool = Dh_parallel.Pool.create ~jobs:config.Config.jobs () in
-  let spawned =
-    Dh_parallel.Seed_plan.map ~pool plan (fun ~seed rid -> spawn rid seed)
-  in
+  let spawned = Dh_parallel.Pool.init ~pool replicas (fun rid -> spawn rid seeds.(rid)) in
   Array.iteri
-    (fun rid (_, result) ->
-      roster :=
-        (rid, Dh_parallel.Seed_plan.seed plan rid, result.Process.outcome) :: !roster)
+    (fun rid (_, result) -> roster := (rid, seeds.(rid), result.Process.outcome) :: !roster)
     spawned;
   (* Replacements are spawned one at a time from inside the (sequential)
      barrier protocol; their seeds continue the pool's stream after the
-     plan's block, exactly as the pre-parallel code drew them. *)
+     split block, exactly as the pre-parallel code drew them. *)
   let next_id = ref replicas in
   let new_replica () =
     let rid = !next_id in

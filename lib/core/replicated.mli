@@ -15,7 +15,7 @@
     With [config.jobs > 1] the replicas execute on separate OCaml
     domains through {!Dh_parallel.Pool} — the paper's process-level
     parallelism (§6's 16-way SMP runs) made real.  Seeds are assigned by
-    a {!Dh_parallel.Seed_plan} frozen before the fan-out and the voter
+    one {!Dh_rng.Seed.split} block drawn before the fan-out and the voter
     consumes reports in replica-id order, so the report is byte-identical
     for every [jobs] setting. *)
 

@@ -39,9 +39,12 @@
     [strcmp(a,b)], [memcpy(d,s,n)], [memset(d,c,n)], [load8(p)],
     [store8(p,v)], [now()] (the intercepted clock, §5.3), [exit(code)].
 
-    With [libc = Bounded], [strcpy]/[strncpy]/[memcpy] are replaced by
-    DieHard's bounded variants (§4.4): the copy is limited to the space
-    remaining in the destination object. *)
+    With [libc = Bounded], [strcpy]/[strncpy]/[memcpy]/[memset] are
+    DieHard's bounded replacements (§4.4), the repository's only ones:
+    the write is limited to the space remaining in the destination's
+    live object ([strncpy]'s [n] is cut to it too), and a destination
+    outside any live object (a freed one, say) gets the unchecked
+    copy. *)
 
 type libc =
   | Unchecked  (** Ordinary C semantics: the copy trusts its arguments. *)

@@ -44,7 +44,6 @@ let site_count () = Mutex.protect sites_lock (fun () -> !n_sites)
 
 let ambient : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref unknown)
 
-let set_site id = if Control.enabled () then Domain.DLS.get ambient := id
 let current_site () = !(Domain.DLS.get ambient)
 
 (* Restores by hand rather than through [Fun.protect]: this brackets
@@ -364,8 +363,6 @@ let watch : (int * (now:int -> unit)) option Atomic.t = Atomic.make None
 let set_watch ~every ~f =
   if every < 1 then invalid_arg "Audit.set_watch: every must be >= 1";
   Atomic.set watch (Some (every, f))
-
-let clear_watch () = Atomic.set watch None
 
 let tick ~now =
   if Control.enabled () then

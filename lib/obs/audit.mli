@@ -62,11 +62,10 @@ val site_count : unit -> int
     [malloc : int -> int option] closures and know nothing about sites.
     Rather than widening every wrapper, the current site is ambient,
     domain-local state: a caller brackets its allocation in
-    {!with_site}, and the heap reads {!current_site} when its [malloc]
-    was not given an explicit site.  Setting the ambient site is a no-op
-    while disabled (the heap would not read it anyway). *)
+    {!with_site}, and the heap's [malloc] reads {!current_site}.
+    Setting the ambient site is a no-op while disabled (the heap would
+    not read it anyway). *)
 
-val set_site : int -> unit
 val current_site : unit -> int
 
 val with_site : int -> (unit -> 'a) -> 'a
@@ -206,8 +205,6 @@ val entropy_bits : int array -> float
 val set_watch : every:int -> f:(now:int -> unit) -> unit
 (** Raises [Invalid_argument] when [every < 1].  Replaces any previous
     watch. *)
-
-val clear_watch : unit -> unit
 
 val tick : now:int -> unit
 (** Fires the watch when [now > 0] and [now mod every = 0]; a watch

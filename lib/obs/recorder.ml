@@ -31,10 +31,6 @@ let register_context name f =
       in
       providers := (name, f) :: kept)
 
-let unregister_context name =
-  Mutex.protect lock (fun () ->
-      providers := List.filter (fun (n, _) -> n <> name) !providers)
-
 let run_provider (name, f) =
   let body =
     try f ()

@@ -40,8 +40,6 @@ val register_context : string -> (unit -> string) -> unit
     providers are kept, oldest evicted first.  A provider that raises
     contributes an error note instead of taking the capture down. *)
 
-val unregister_context : string -> unit
-
 val trigger : ?sections:section list -> ?step:int -> reason:string -> unit -> unit
 (** Capture a report now.  No-op when observability is disabled.  When
     [step] is omitted the advertised step (below), if any, fills it in. *)

@@ -108,8 +108,3 @@ let pp_event ppf e =
     (match e.phase with Begin -> "B" | End -> "E" | Instant -> "i")
     e.name
     (if e.arg = "" then "" else " [" ^ e.arg ^ "]")
-
-let to_text () =
-  let b = Buffer.create 1024 in
-  List.iter (fun e -> Buffer.add_string b (Format.asprintf "%a@." pp_event e)) (events ());
-  Buffer.contents b

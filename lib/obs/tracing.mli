@@ -68,7 +68,4 @@ val to_chrome_json : unit -> string
 
 val write_chrome_json : path:string -> unit -> unit
 
-val to_text : unit -> string
-(** One line per event: [ts dom phase name arg]. *)
-
 val pp_event : Format.formatter -> event -> unit

@@ -25,7 +25,7 @@
     {b Determinism contract}: [map ~pool f items] returns results in
     item order and [f] receives exactly the same arguments regardless of
     [jobs] — any seed material must be assigned {e before} the fan-out
-    (see {!Seed_plan} and {!Dh_rng.Seed.split}).  Given a pure [f], the
+    (see {!Dh_rng.Seed.split}).  Given a pure [f], the
     result is byte-identical for every [jobs] setting, and also when a
     nested fan-out finds every worker busy and runs with fewer helpers.
 

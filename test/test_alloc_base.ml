@@ -1,5 +1,4 @@
-(* Tests for the allocator substrate: size classes, bitmaps, stats and the
-   unsafe C string routines. *)
+(* Tests for the allocator substrate: size classes, bitmaps and stats. *)
 
 open Dh_alloc
 
@@ -141,69 +140,6 @@ let test_stats_accounting () =
   check_int "peak sticky" 144 s.Stats.peak_live_bytes;
   check_int "live objects" 1 s.Stats.live_objects
 
-(* --- unsafe C strings --- *)
-
-let with_mem f =
-  let mem = Dh_mem.Mem.create () in
-  f mem (Dh_mem.Mem.mmap mem 4096)
-
-let test_strlen () =
-  with_mem (fun mem a ->
-      Cstring.write_string mem ~addr:a "hello";
-      check_int "strlen" 5 (Cstring.strlen mem a);
-      Cstring.write_string mem ~addr:(a + 100) "";
-      check_int "empty" 0 (Cstring.strlen mem (a + 100)))
-
-let test_strcpy_copies_nul () =
-  with_mem (fun mem a ->
-      Cstring.write_string mem ~addr:a "copy me";
-      Dh_mem.Mem.fill mem ~addr:(a + 100) ~len:20 'Z';
-      Cstring.strcpy mem ~dst:(a + 100) ~src:a;
-      check_string "copied" "copy me" (Dh_mem.Mem.cstring mem (a + 100));
-      check_int "NUL written" 0 (Dh_mem.Mem.read8 mem (a + 107));
-      check_int "byte after NUL untouched" (Char.code 'Z') (Dh_mem.Mem.read8 mem (a + 108)))
-
-let test_strncpy_pads () =
-  with_mem (fun mem a ->
-      Cstring.write_string mem ~addr:a "ab";
-      Dh_mem.Mem.fill mem ~addr:(a + 100) ~len:8 'Z';
-      Cstring.strncpy mem ~dst:(a + 100) ~src:a ~n:6;
-      check_string "content + NUL padding" "ab\000\000\000\000ZZ"
-        (Dh_mem.Mem.read_bytes mem ~addr:(a + 100) ~len:8))
-
-let test_strncpy_truncates () =
-  with_mem (fun mem a ->
-      Cstring.write_string mem ~addr:a "abcdef";
-      Cstring.strncpy mem ~dst:(a + 100) ~src:a ~n:3;
-      check_string "no NUL when truncated" "abc"
-        (Dh_mem.Mem.read_bytes mem ~addr:(a + 100) ~len:3))
-
-let test_strcmp () =
-  with_mem (fun mem a ->
-      Cstring.write_string mem ~addr:a "abc";
-      Cstring.write_string mem ~addr:(a + 50) "abc";
-      Cstring.write_string mem ~addr:(a + 100) "abd";
-      check_int "equal" 0 (Cstring.strcmp mem a (a + 50));
-      check "less" true (Cstring.strcmp mem a (a + 100) < 0);
-      check "greater" true (Cstring.strcmp mem (a + 100) a > 0))
-
-let test_memcpy_memset () =
-  with_mem (fun mem a ->
-      Cstring.memset mem ~dst:a ~c:7 ~n:16;
-      check_int "memset" 7 (Dh_mem.Mem.read8 mem (a + 15));
-      Cstring.memcpy mem ~dst:(a + 100) ~src:a ~n:16;
-      check_int "memcpy" 7 (Dh_mem.Mem.read8 mem (a + 115)))
-
-let test_strcpy_overflows_without_bounds () =
-  (* The unchecked strcpy must happily run past a small destination — the
-     behaviour DieHard's shim exists to stop. *)
-  with_mem (fun mem a ->
-      Cstring.write_string mem ~addr:a (String.make 64 'A');
-      Dh_mem.Mem.fill mem ~addr:(a + 100) ~len:80 '.';
-      Cstring.strcpy mem ~dst:(a + 100) ~src:a;
-      (* bytes past any 8-byte "object" at a+100 got clobbered *)
-      check_int "overflowed" (Char.code 'A') (Dh_mem.Mem.read8 mem (a + 150)))
-
 let suite =
   [
     Alcotest.test_case "size class geometry" `Quick test_class_geometry;
@@ -220,11 +156,4 @@ let suite =
     Alcotest.test_case "bitmap first_clear" `Quick test_bitmap_first_clear;
     QCheck_alcotest.to_alcotest prop_bitmap_cardinal_consistent;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
-    Alcotest.test_case "strlen" `Quick test_strlen;
-    Alcotest.test_case "strcpy" `Quick test_strcpy_copies_nul;
-    Alcotest.test_case "strncpy pads" `Quick test_strncpy_pads;
-    Alcotest.test_case "strncpy truncates" `Quick test_strncpy_truncates;
-    Alcotest.test_case "strcmp" `Quick test_strcmp;
-    Alcotest.test_case "memcpy/memset" `Quick test_memcpy_memset;
-    Alcotest.test_case "strcpy overflows unchecked" `Quick test_strcpy_overflows_without_bounds;
   ]

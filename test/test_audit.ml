@@ -1,6 +1,6 @@
 (* Tests for the safety-margin audit layer: site interning and the
-   ambient-site channel, heap provenance attribution (explicit and
-   ambient, retained across free for dangling blame), threshold-refusal
+   ambient-site channel, heap provenance attribution (from the
+   ambient site, retained across free for dangling blame), threshold-refusal
    counting, slot entropy, the guarded ratios behind every rate the
    audit reports, the Margin bound evaluation at degenerate occupancies,
    empirical outcome tallies, and the write-only contract: a run's
@@ -68,30 +68,26 @@ let test_ambient_site () =
 let test_heap_attribution () =
   with_audit (fun () ->
       let heap = fresh_heap () in
-      let s_exp = Audit.site "test:explicit" in
-      let s_amb = Audit.site "test:ambient" in
-      let p = Option.get (Heap.malloc heap ~site:s_exp 64) in
-      let q =
-        Option.get (Audit.with_site s_amb (fun () -> Heap.malloc heap 64))
-      in
-      check_int "explicit site attributed" s_exp
-        (Option.get (Heap.site_of_addr heap p));
-      check_int "ambient site attributed" s_amb
-        (Option.get (Heap.site_of_addr heap q));
+      let s_p = Audit.site "test:p" in
+      let s_q = Audit.site "test:q" in
+      let p = Option.get (Audit.with_site s_p (fun () -> Heap.malloc heap 64)) in
+      let q = Option.get (Audit.with_site s_q (fun () -> Heap.malloc heap 64)) in
+      check_int "p's site attributed" s_p (Option.get (Heap.site_of_addr heap p));
+      check_int "q's site attributed" s_q (Option.get (Heap.site_of_addr heap q));
       let alloc = Heap.allocator heap in
       alloc.Allocator.free p;
       (* Provenance survives free: the last owner is exactly who a
          dangling-pointer incident should blame. *)
-      check_int "site retained after free" s_exp
+      check_int "site retained after free" s_p
         (Option.get (Heap.site_of_addr heap p));
       let snap = Audit.snapshot () in
       let stat name =
         List.find (fun (s : Audit.site_stat) -> s.Audit.name = name)
           snap.Audit.sites
       in
-      check_int "per-site alloc count" 1 (stat "test:explicit").Audit.s_allocs;
-      check_int "per-site free count" 1 (stat "test:explicit").Audit.s_frees;
-      check_int "ambient site alloc counted" 1 (stat "test:ambient").Audit.s_allocs)
+      check_int "per-site alloc count" 1 (stat "test:p").Audit.s_allocs;
+      check_int "per-site free count" 1 (stat "test:p").Audit.s_frees;
+      check_int "other site alloc counted" 1 (stat "test:q").Audit.s_allocs)
 
 (* The per-slot site table starts at one byte per slot and widens when
    an id needs it; every slot's site must survive each widening. *)
@@ -99,7 +95,12 @@ let test_site_table_widens () =
   with_audit (fun () ->
       let heap = fresh_heap () in
       let sites = [ 5; 255; 256; 65_535; 65_536; 70_000 ] in
-      let addrs = List.map (fun site -> (site, Option.get (Heap.malloc heap ~site 64))) sites in
+      let addrs =
+        List.map
+          (fun site ->
+            (site, Option.get (Audit.with_site site (fun () -> Heap.malloc heap 64))))
+          sites
+      in
       List.iter
         (fun (site, p) ->
           check_int
@@ -209,9 +210,9 @@ let test_top_sites_ranking () =
       let guilty = Audit.site "guilty" in
       let heap = fresh_heap () in
       for _ = 1 to 10 do
-        ignore (Heap.malloc heap ~site:noisy 64)
+        ignore (Audit.with_site noisy (fun () -> Heap.malloc heap 64))
       done;
-      ignore (Heap.malloc heap ~site:guilty 64);
+      ignore (Audit.with_site guilty (fun () -> Heap.malloc heap 64));
       Audit.record_canary ~site:guilty;
       Audit.record_fault ~site:guilty;
       match Audit.top_sites ~n:2 (Audit.snapshot ()) with
@@ -300,8 +301,7 @@ let suite =
   [
     Alcotest.test_case "site: interning and names" `Quick test_site_interning;
     Alcotest.test_case "site: ambient channel" `Quick test_ambient_site;
-    Alcotest.test_case "heap: explicit and ambient attribution" `Quick
-      test_heap_attribution;
+    Alcotest.test_case "heap: ambient site attribution" `Quick test_heap_attribution;
     Alcotest.test_case "heap: site table widens for large ids" `Quick
       test_site_table_widens;
     Alcotest.test_case "heap: threshold refusals audited" `Quick

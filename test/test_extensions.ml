@@ -16,7 +16,7 @@ let check_int = Alcotest.(check int)
 let test_rescue_pads () =
   let mem = Mem.create () in
   let fl = Freelist.create mem in
-  let rescued = Rescue.wrap ~pad:64 (Freelist.allocator fl) in
+  let rescued = Rescue.wrap (Freelist.allocator fl) in
   let p = Allocator.malloc_exn rescued 32 in
   (* an overflow up to the pad is now harmless: the reservation covers it *)
   match (Freelist.allocator fl).Allocator.find_object p with
@@ -27,12 +27,14 @@ let test_rescue_zero_fills () =
   let mem = Mem.create () in
   let fl = Freelist.create mem in
   let base = Freelist.allocator fl in
-  (* dirty some memory, free it, then allocate through the rescue wrapper *)
-  let p = Allocator.malloc_exn base 64 in
-  Mem.fill mem ~addr:p ~len:64 'X';
+  (* dirty a chunk the padded request (64 + 64 bytes) reuses, free it,
+     then allocate through the rescue wrapper *)
+  let p = Allocator.malloc_exn base (64 + 64) in
+  Mem.fill mem ~addr:p ~len:(64 + 64) 'X';
   base.Allocator.free p;
-  let rescued = Rescue.wrap ~pad:0 base in
+  let rescued = Rescue.wrap base in
   let q = Allocator.malloc_exn rescued 64 in
+  check_int "padded request reused the dirty chunk" p q;
   check_int "zero-filled on reuse" 0 (Mem.read64 mem q)
 
 let test_rescue_defers_frees () =

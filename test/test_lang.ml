@@ -336,27 +336,87 @@ let test_oblivious_policy_survives_overflow () =
   check "continues" true (r.Process.outcome = Process.Exited 0);
   check_string "output" "alive" (output_of r)
 
-let test_bounded_libc_stops_strcpy_overflow () =
-  (* Under DieHard with the §4.4 shims, strcpy into an 8-byte object
-     cannot write past it. *)
-  let src =
-    {|fn main() { var big = malloc(256); memset(big, 'A', 200); store8(big + 200, 0);
-       var small = malloc(8); strcpy(small, big); print_int(strlen(small)); }|}
-  in
-  let r = run_diehard ~libc:Interp.Bounded src in
-  check "no crash" true (r.Process.outcome = Process.Exited 0);
-  check_string "truncated to 7 chars + NUL" "7" (output_of r)
+(* --- the libc builtins, bounded (§4.4) and unchecked --- *)
 
-let test_unchecked_libc_overflows () =
-  let src =
-    {|fn main() { var big = malloc(256); memset(big, 'A', 200); store8(big + 200, 0);
-       var small = malloc(8); strcpy(small, big); print_int(strlen(small)); }|}
-  in
-  let r = run_diehard ~libc:Interp.Unchecked src in
-  (* Under DieHard the overflow lands on free space: program survives and
-     the string is fully copied. *)
-  check "survives (randomized heap)" true (r.Process.outcome = Process.Exited 0);
-  check_string "whole string copied" "200" (output_of r)
+(* One table for both libcs, each program run on a fresh stand-alone
+   DieHard heap.  A program prints what it observes; its row names the
+   libc and the output it expects.  The heap is zero outside the objects
+   a program wrote, so a byte just past a destination reads back 0
+   unless a copy ran past the destination's object.  [big(c)] is a
+   256-byte object holding 200 [c]s and a NUL. *)
+let libc_prelude =
+  {|fn show(v) { print_int(v); print_char(' '); }
+    fn big(c) { var b = malloc(256); memset(b, c, 200); store8(b + 200, 0); return b; }
+|}
+
+let strcpy_overflow =
+  {|fn main() { var src = big('A'); var d = malloc(8); strcpy(d, src);
+       show(strlen(d)); show(load8(d + 8)); }|}
+
+(* The copy writes the NUL and nothing after it. *)
+let strcpy_fits =
+  {|fn main() { var s = malloc(64); strcpy(s, "short"); var d = malloc(64); memset(d, 'Z', 64);
+       strcpy(d, s); print_str(d); print_char(' '); show(load8(d + 5)); show(load8(d + 6)); }|}
+
+let strncpy_overflow =
+  {|fn main() { var src = big('C'); var d = malloc(8); strncpy(d, src, 100);
+       show(load8(d + 7)); show(load8(d + 8)); }|}
+
+(* A 100-byte request gets a 128-byte slot; the memset starts 40 bytes
+   into a 64-byte slot of another size class. *)
+let memcpy_memset_overflow =
+  {|fn main() { var src = malloc(256); memset(src, 'D', 256);
+       var d = malloc(100); memcpy(d, src, 256); show(load8(d + 127)); show(load8(d + 128));
+       var e = malloc(40); memset(e + 40, 9, 100); show(load8(e + 63)); show(load8(e + 64)); }|}
+
+let libc_cases =
+  [
+    ("bounded libc truncates", Interp.Bounded, strcpy_overflow, "7 0 ");
+    ("unchecked libc overflows", Interp.Unchecked, strcpy_overflow, "200 65 ");
+    ("bounded libc: strcpy fits", Interp.Bounded, strcpy_fits, "short 0 90 ");
+    ("unchecked libc: strcpy fits", Interp.Unchecked, strcpy_fits, "short 0 90 ");
+    ( "bounded libc: strcpy interior pointer",
+      Interp.Bounded,
+      (* 16 - 10 = 6 bytes of room: five characters and the NUL *)
+      {|fn main() { var src = big('B'); var d = malloc(16); strcpy(d + 10, src);
+           show(strlen(d + 10)); show(load8(d + 16)); }|},
+      "5 0 " );
+    ("bounded libc: strncpy n cut to object", Interp.Bounded, strncpy_overflow, "67 0 ");
+    ("unchecked libc: strncpy overflows", Interp.Unchecked, strncpy_overflow, "67 67 ");
+    ( "bounded libc: strncpy pads",
+      Interp.Bounded,
+      {|fn main() { var d = malloc(8); memset(d, 'Z', 8); strncpy(d, "ab", 6);
+           for (var i = 0; i < 8; i = i + 1) { show(load8(d + i)); } }|},
+      "97 98 0 0 0 0 90 90 " );
+    ( "bounded libc: strncpy truncates",
+      Interp.Bounded,
+      {|fn main() { var d = malloc(8); memset(d, 'Z', 8); strncpy(d, "abcdef", 3);
+           for (var i = 0; i < 4; i = i + 1) { show(load8(d + i)); } }|},
+      "97 98 99 90 " );
+    ( "bounded libc: strcmp and strlen",
+      Interp.Bounded,
+      {|fn main() { var a = malloc(8); strcpy(a, "abc");
+           show(strcmp(a, "abc")); show(strcmp(a, "abd") < 0); show(strcmp("abd", a) > 0);
+           show(strlen(a)); show(strlen("")); }|},
+      "0 1 1 3 0 " );
+    ("bounded libc: memcpy/memset", Interp.Bounded, memcpy_memset_overflow, "68 0 9 0 ");
+    ("unchecked libc: memcpy/memset overflow", Interp.Unchecked, memcpy_memset_overflow,
+      "68 68 9 9 ");
+    ( "bounded libc: freed dst unchecked",
+      Interp.Bounded,
+      {|fn main() { var src = big('E'); var d = malloc(8); free(d); strcpy(d, src);
+           show(strlen(d)); }|},
+      "200 " );
+  ]
+
+let libc_tests =
+  List.map
+    (fun (name, libc, main, expected) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let r = run_diehard ~libc (libc_prelude ^ main) in
+          check "exits cleanly" true (r.Process.outcome = Process.Exited 0);
+          check_string "output" expected (output_of r)))
+    libc_cases
 
 let test_runtime_errors () =
   let expect_runtime_error src msg =
@@ -549,8 +609,6 @@ let suite =
     Alcotest.test_case "uninitialized stale read" `Quick test_uninitialized_read_stale_data;
     Alcotest.test_case "fail-stop aborts" `Quick test_fail_stop_policy_aborts_overflow;
     Alcotest.test_case "oblivious survives" `Quick test_oblivious_policy_survives_overflow;
-    Alcotest.test_case "bounded libc truncates" `Quick test_bounded_libc_stops_strcpy_overflow;
-    Alcotest.test_case "unchecked libc overflows" `Quick test_unchecked_libc_overflows;
     Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
     Alcotest.test_case "infinite loop timeout" `Quick test_infinite_loop_times_out;
     Alcotest.test_case "gc roots" `Quick test_gc_roots_from_interpreter;
@@ -558,3 +616,4 @@ let suite =
     Alcotest.test_case "scoping corners" `Quick test_scoping_corners;
     QCheck_alcotest.to_alcotest prop_expr_roundtrip;
   ]
+  @ libc_tests

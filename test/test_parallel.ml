@@ -1,5 +1,5 @@
 (* Tests for the Domains-based execution engine: the Dh_parallel pool
-   and seed plan, plus the determinism contract of the parallel drivers —
+   and the split-before-fan-out seed rule, plus the determinism contract of the parallel drivers —
    for a fixed master seed, `jobs = n` must reproduce `jobs = 1` exactly
    (replica verdicts, campaign tallies, supervisor incidents). *)
 
@@ -8,7 +8,6 @@ module Process = Dh_mem.Process
 module Allocator = Dh_alloc.Allocator
 module Program = Dh_alloc.Program
 module Pool = Dh_parallel.Pool
-module Seed_plan = Dh_parallel.Seed_plan
 module Seed = Dh_rng.Seed
 open Diehard
 
@@ -88,20 +87,22 @@ let test_seed_split_empty () =
     (fun () -> ignore (Seed.split ~n:(-1) a))
 
 let test_seed_plan_fixed_assignment () =
-  let plan = Seed_plan.make (Seed.create ~master:5) ~tasks:4 in
-  let expected = Seed.split ~n:4 (Seed.create ~master:5) in
-  check_int "length" 4 (Seed_plan.length plan);
-  check "seeds by index" true
-    (Array.init 4 (Seed_plan.seed plan) = expected);
-  (* plan-driven map hands task i its planned seed, on any pool width *)
+  (* The fan-out rule: one split block drawn before any task runs, then
+     task i takes seed i — the i-th sequential [fresh] draw — on any
+     pool width. *)
+  let sequential =
+    let s = Seed.create ~master:5 in
+    Array.init 4 (fun _ -> Seed.fresh s)
+  in
   List.iter
     (fun jobs ->
+      let seeds = Seed.split ~n:4 (Seed.create ~master:5) in
       let pool = Pool.create ~jobs () in
-      let got = Seed_plan.map ~pool plan (fun ~seed i -> (i, seed)) in
+      let got = Pool.init ~pool 4 (fun i -> (i, seeds.(i))) in
       check
-        (Printf.sprintf "planned seeds at jobs=%d" jobs)
+        (Printf.sprintf "split seeds by index at jobs=%d" jobs)
         true
-        (got = Array.init 4 (fun i -> (i, expected.(i)))))
+        (got = Array.init 4 (fun i -> (i, sequential.(i)))))
     [ 1; 3 ]
 
 (* --- parallel drivers reproduce sequential results --- *)

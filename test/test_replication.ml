@@ -1,5 +1,4 @@
-(* Tests for the voter and the replicated runtime (§5), the bounded libc
-   shims (§4.4), and the theorem implementations (§6). *)
+(* Tests for the voter and the replicated runtime (§5). *)
 
 module Mem = Dh_mem.Mem
 module Process = Dh_mem.Process
@@ -229,78 +228,6 @@ let test_standalone_seed_changes_layout () =
   let r2 = Replicated.run_program_once ~seed:2 layout_probe in
   check "different placements" false (String.equal r1.Process.output r2.Process.output)
 
-(* --- shims (§4.4) --- *)
-
-let with_heap f =
-  let mem = Mem.create () in
-  let heap = Heap.create ~config:(Config.v ~heap_size:(12 * 64 * 1024) ()) mem in
-  f mem heap (Heap.allocator heap)
-
-let test_shim_strcpy_fits () =
-  with_heap (fun mem heap a ->
-      let src = Allocator.malloc_exn a 64 in
-      let dst = Allocator.malloc_exn a 64 in
-      Dh_alloc.Cstring.write_string mem ~addr:src "short";
-      Shim.strcpy heap ~dst ~src;
-      check_string "copied" "short" (Mem.cstring mem dst))
-
-let test_shim_strcpy_truncates_overflow () =
-  with_heap (fun mem heap a ->
-      let src = Allocator.malloc_exn a 256 in
-      let dst = Allocator.malloc_exn a 8 in
-      Dh_alloc.Cstring.write_string mem ~addr:src (String.make 100 'A');
-      Shim.strcpy heap ~dst ~src;
-      (* dst object is 8 bytes: at most 7 'A's + NUL, nothing outside *)
-      let copied = Mem.cstring mem dst in
-      check_int "truncated to object" 7 (String.length copied);
-      match Heap.find_object heap (dst + 8) with
-      | Some { Allocator.allocated = false; _ } ->
-        check "neighbour slot untouched" true
-          (Mem.read8 mem (dst + 8) <> Char.code 'A')
-      | _ -> ())
-
-let test_shim_strcpy_interior_pointer () =
-  with_heap (fun mem heap a ->
-      let src = Allocator.malloc_exn a 64 in
-      let dst = Allocator.malloc_exn a 16 in
-      Dh_alloc.Cstring.write_string mem ~addr:src (String.make 100 'B');
-      (* copy into the middle of the object: available = 16 - 10 = 6 *)
-      Shim.strcpy heap ~dst:(dst + 10) ~src;
-      check_int "bounded by available space" 5 (String.length (Mem.cstring mem (dst + 10))))
-
-let test_shim_strncpy_ignores_bad_length () =
-  with_heap (fun mem heap a ->
-      let src = Allocator.malloc_exn a 256 in
-      let dst = Allocator.malloc_exn a 8 in
-      Dh_alloc.Cstring.write_string mem ~addr:src (String.make 100 'C');
-      (* programmer passes a wrong length — the shim uses the real one *)
-      Shim.strncpy heap ~dst ~src ~n:100;
-      match Heap.find_object heap dst with
-      | Some { Allocator.size; _ } ->
-        check "object is 8 bytes" true (size = 8);
-        check "byte past the object untouched" true
-          (Mem.read8 mem (dst + 8) <> Char.code 'C')
-      | None -> Alcotest.fail "dst must exist")
-
-let test_shim_available () =
-  with_heap (fun _ heap a ->
-      let p = Allocator.malloc_exn a 100 in
-      check "available at base = 128" true (Shim.available heap p = Some 128);
-      check "available interior" true (Shim.available heap (p + 100) = Some 28);
-      check "not an object" true (Shim.available heap 0x1 = None))
-
-let test_shim_memcpy_bounded () =
-  with_heap (fun mem heap a ->
-      let src = Allocator.malloc_exn a 256 in
-      let dst = Allocator.malloc_exn a 16 in
-      Mem.fill mem ~addr:src ~len:256 'D';
-      Shim.memcpy heap ~dst ~src ~n:256;
-      check_int "copied exactly 16" (Char.code 'D') (Mem.read8 mem (dst + 15));
-      match Heap.find_object heap (dst + 16) with
-      | Some { Allocator.allocated = false; _ } ->
-        check "stops at object end" true (Mem.read8 mem (dst + 16) <> Char.code 'D')
-      | _ -> ())
-
 let suite =
   [
     Alcotest.test_case "vote unanimous" `Quick test_vote_unanimous;
@@ -322,10 +249,4 @@ let suite =
     Alcotest.test_case "divergent tail" `Quick test_divergent_tail_killed;
     Alcotest.test_case "standalone runs" `Quick test_standalone_runs;
     Alcotest.test_case "standalone seed layout" `Quick test_standalone_seed_changes_layout;
-    Alcotest.test_case "shim strcpy fits" `Quick test_shim_strcpy_fits;
-    Alcotest.test_case "shim strcpy truncates" `Quick test_shim_strcpy_truncates_overflow;
-    Alcotest.test_case "shim strcpy interior" `Quick test_shim_strcpy_interior_pointer;
-    Alcotest.test_case "shim strncpy bad length" `Quick test_shim_strncpy_ignores_bad_length;
-    Alcotest.test_case "shim available" `Quick test_shim_available;
-    Alcotest.test_case "shim memcpy bounded" `Quick test_shim_memcpy_bounded;
   ]

@@ -13,9 +13,9 @@ let fresh_freelist () =
   let mem = Mem.create () in
   Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create mem)
 
-let fresh_diehard ?(seed = 1) () =
+let fresh_diehard () =
   let mem = Mem.create () in
-  let config = Diehard.Config.v ~heap_size:(12 * 256 * 1024) ~seed () in
+  let config = Diehard.Config.v ~heap_size:(12 * 256 * 1024) ~seed:1 () in
   Diehard.Heap.allocator (Diehard.Heap.create ~config mem)
 
 let test_double_free_ignored () =
@@ -57,36 +57,16 @@ let stale_offset = 24
 
 let test_zero_fill_masks_uninit_reads () =
   (* Dirty a chunk under the raw freelist, free it, then reallocate it
-     through rescue: the stale bytes must read back as zero. *)
+     through rescue, whose 32-byte request reaches the freelist padded
+     to 32 + 64 bytes: the stale bytes must read back as zero. *)
   let base = fresh_freelist () in
-  let p = Allocator.malloc_exn base 32 in
+  let p = Allocator.malloc_exn base (32 + 64) in
   Mem.write64 base.Allocator.mem (p + stale_offset) 0x6a6a6a6a;
   base.Allocator.free p;
-  let rescued = Rescue.wrap ~pad:0 base in
+  let rescued = Rescue.wrap base in
   let q = Allocator.malloc_exn rescued 32 in
   check_int "LIFO freelist reused the dirty chunk" p q;
   check_int "stale bytes zeroed" 0 (Mem.read64 rescued.Allocator.mem (q + stale_offset))
-
-let test_zero_fill_off_preserves_stale () =
-  let base = fresh_freelist () in
-  let p = Allocator.malloc_exn base 32 in
-  Mem.write64 base.Allocator.mem (p + stale_offset) 0x6a6a6a6a;
-  base.Allocator.free p;
-  let rescued = Rescue.wrap ~pad:0 ~zero_fill:false base in
-  let q = Allocator.malloc_exn rescued 32 in
-  check_int "same chunk" p q;
-  check_int "stale bytes visible without zero-fill" 0x6a6a6a6a
-    (Mem.read64 rescued.Allocator.mem (q + stale_offset))
-
-let test_undeferred_frees_forward () =
-  let base = fresh_diehard () in
-  let rescued = Rescue.wrap ~defer_frees:false base in
-  let p = Allocator.malloc_exn rescued 64 in
-  rescued.Allocator.free p;
-  check_int "free forwarded to diehard" 1 base.Allocator.stats.Stats.frees;
-  (* diehard's own double-free protection still applies *)
-  rescued.Allocator.free p;
-  check_int "second free ignored by diehard" 1 base.Allocator.stats.Stats.ignored_frees
 
 let test_rescue_over_diehard_end_to_end () =
   (* The supervisor's degraded rung: a program that double frees and
@@ -115,7 +95,5 @@ let suite =
     Alcotest.test_case "double frees ignored" `Quick test_double_free_ignored;
     Alcotest.test_case "padding absorbs overflow" `Quick test_padding_absorbs_overflow;
     Alcotest.test_case "zero-fill masks uninit reads" `Quick test_zero_fill_masks_uninit_reads;
-    Alcotest.test_case "zero-fill off -> stale data" `Quick test_zero_fill_off_preserves_stale;
-    Alcotest.test_case "defer off -> frees forward" `Quick test_undeferred_frees_forward;
     Alcotest.test_case "rescue end-to-end" `Quick test_rescue_over_diehard_end_to_end;
   ]
