@@ -165,16 +165,15 @@ let test_cow_buffers_reused () =
     done
   in
   (* Direct major-heap words (large blocks bypass the minor heap) spent
-     inside [f]: the page buffers, and nothing else this loop does. *)
+     inside [f]: the page buffers, and nothing else this loop does.
+     [Gc.counters] counts this domain only; [Gc.quick_stat] would also
+     count what pooled worker domains left by earlier tests allocate. *)
   let direct = ref 0.0 in
   let measured f =
-    let s0 = Gc.quick_stat () in
+    let _, promoted0, major0 = Gc.counters () in
     f ();
-    let s1 = Gc.quick_stat () in
-    direct :=
-      !direct
-      +. (s1.Gc.major_words -. s0.Gc.major_words)
-      -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+    let _, promoted1, major1 = Gc.counters () in
+    direct := !direct +. (major1 -. major0) -. (promoted1 -. promoted0)
   in
   let differing snap p =
     let now = Mem.inspect mem ~addr:(a + (p * page)) ~len:page in

@@ -373,6 +373,16 @@ let libc_cases =
   [
     ("bounded libc truncates", Interp.Bounded, strcpy_overflow, "7 0 ");
     ("unchecked libc overflows", Interp.Unchecked, strcpy_overflow, "200 65 ");
+    ( "bounded libc: strcpy NUL in last byte",
+      Interp.Bounded,
+      {|fn main() { var src = big('A'); var d = malloc(8); strcpy(d, src);
+           show(load8(d + 6)); show(load8(d + 7)); show(load8(d + 8)); }|},
+      "65 0 0 " );
+    ( "unchecked libc: strcpy runs far past",
+      Interp.Unchecked,
+      {|fn main() { var src = malloc(128); memset(src, 'A', 64); store8(src + 64, 0);
+           var d = malloc(8); strcpy(d, src); show(load8(d + 50)); show(load8(d + 64)); }|},
+      "65 0 " );
     ("bounded libc: strcpy fits", Interp.Bounded, strcpy_fits, "short 0 90 ");
     ("unchecked libc: strcpy fits", Interp.Unchecked, strcpy_fits, "short 0 90 ");
     ( "bounded libc: strcpy interior pointer",
@@ -393,13 +403,23 @@ let libc_cases =
       {|fn main() { var d = malloc(8); memset(d, 'Z', 8); strncpy(d, "abcdef", 3);
            for (var i = 0; i < 4; i = i + 1) { show(load8(d + i)); } }|},
       "97 98 99 90 " );
-    ( "bounded libc: strcmp and strlen",
+    ( "bounded libc: strcmp",
       Interp.Bounded,
       {|fn main() { var a = malloc(8); strcpy(a, "abc");
-           show(strcmp(a, "abc")); show(strcmp(a, "abd") < 0); show(strcmp("abd", a) > 0);
-           show(strlen(a)); show(strlen("")); }|},
-      "0 1 1 3 0 " );
-    ("bounded libc: memcpy/memset", Interp.Bounded, memcpy_memset_overflow, "68 0 9 0 ");
+           show(strcmp(a, "abc")); show(strcmp(a, "abd") < 0); show(strcmp("abd", a) > 0); }|},
+      "0 1 1 " );
+    ( "bounded libc: strlen",
+      Interp.Bounded,
+      {|fn main() { var a = malloc(8); strcpy(a, "hello"); show(strlen(a)); show(strlen("")); }|},
+      "5 0 " );
+    ("bounded libc: memcpy/memset bounded", Interp.Bounded, memcpy_memset_overflow, "68 0 9 0 ");
+    ( "bounded libc: room at base, interior",
+      Interp.Bounded,
+      (* a 100-byte request has 128 bytes of room at its base, 28 at +100 *)
+      {|fn main() { var p = malloc(100); memset(p, 1, 1000); show(load8(p + 127)); show(load8(p + 128));
+           memset(p + 100, 2, 1000);
+           show(load8(p + 99)); show(load8(p + 100)); show(load8(p + 127)); show(load8(p + 128)); }|},
+      "1 0 1 2 2 0 " );
     ("unchecked libc: memcpy/memset overflow", Interp.Unchecked, memcpy_memset_overflow,
       "68 68 9 9 ");
     ( "bounded libc: freed dst unchecked",
