@@ -146,7 +146,8 @@ let a5_multiplier ~trials =
         let masked = ref 0 in
         for seed = 1 to trials do
           let config =
-            Diehard.Config.v ~multiplier ~heap_size:(12 * 256 * 1024) ~seed ()
+            Diehard.Config.v ~multiplier:(float_of_int multiplier)
+              ~heap_size:(12 * 256 * 1024) ~seed ()
           in
           let mem = Dh_mem.Mem.create () in
           let heap = Heap.create ~config mem in
@@ -220,7 +221,7 @@ let a7_partial_protection ~trials =
       let hybrid =
         Diehard.Hybrid.create
           ~config:(Diehard.Config.v ~heap_size:(12 * 256 * 1024) ~seed ())
-          ~cutoff:256 mem
+          mem
       in
       let alloc = Diehard.Hybrid.allocator hybrid in
       let victim = Dh_alloc.Allocator.malloc_exn alloc size in

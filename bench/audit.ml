@@ -18,11 +18,6 @@
      assumption every theorem rests on, checked from the same
      write-only instrumentation `diehard audit` reads in production.
 
-   M = 1.5 is not expressible as an integer multiplier, which is what
-   Config.max_live_fraction is for: the sweep drives every point
-   through `~max_live_fraction:(1 / M)` so all four configs take the
-   same code path.
-
    The sweep feeds the measured tallies through Dh_obs.Audit /
    Dh_analysis.Margin — the same pipeline the CLI uses — and the gate
    commits the whole report as BENCH_audit.json. *)
@@ -50,7 +45,7 @@ let slack = 0.02
 let entropy_floor = 0.98
 let entropy_ideal = log (float_of_int Audit.slot_buckets) /. log 2.
 
-let config ~m ~seed = Config.v ~heap_size ~seed ~max_live_fraction:(1. /. m) ()
+let config ~m ~seed = Config.v ~multiplier:m ~heap_size ~seed ()
 let make_heap ~m ~seed = Heap.create ~config:(config ~m ~seed) (Dh_mem.Mem.create ())
 
 (* Fill the audited class to its 1/M threshold; returns the objects. *)

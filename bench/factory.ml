@@ -4,22 +4,22 @@
 
 module Allocator = Dh_alloc.Allocator
 
-let freelist ?variant ?heap_limit () =
+let freelist ?variant () =
   let mem = Dh_mem.Mem.create () in
-  Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create ?variant ?heap_limit mem)
+  Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create ?variant mem)
 
 let gc ?arena_size ?heap_limit () =
   let mem = Dh_mem.Mem.create () in
   Dh_alloc.Gc.allocator (Dh_alloc.Gc.create ?arena_size ?heap_limit mem)
 
 let diehard_heap ?(seed = 1) ?(heap_size = Diehard.Config.default.Diehard.Config.heap_size)
-    ?(replicated = false) ?(mesh = false) ?mesh_threshold () =
+    ?(mesh = false) () =
   let mem = Dh_mem.Mem.create () in
-  let config = Diehard.Config.v ~heap_size ~seed ~replicated ~mesh ?mesh_threshold () in
+  let config = Diehard.Config.v ~heap_size ~seed ~mesh () in
   Diehard.Heap.create ~config mem
 
-let diehard ?seed ?heap_size ?replicated ?mesh ?mesh_threshold () =
-  Diehard.Heap.allocator (diehard_heap ?seed ?heap_size ?replicated ?mesh ?mesh_threshold ())
+let diehard ?seed ?heap_size ?mesh () =
+  Diehard.Heap.allocator (diehard_heap ?seed ?heap_size ?mesh ())
 
 (* Allocators for the "systems" columns of Table 1.  Each returns the
    allocator and the access-policy kind the system implies. *)

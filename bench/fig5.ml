@@ -4,9 +4,9 @@
 
    Absolute times are times of *our simulated allocators driving
    simulated memory*, so only the normalized shape is comparable to the
-   paper (see EXPERIMENTS.md).  Each cell is the median of [runs]
-   executions of the full workload on a fresh heap, normalized to the
-   platform's default allocator. *)
+   paper (see EXPERIMENTS.md).  Each cell is the modeled cycle count
+   (below) of one run of the full workload on a warmed fresh heap,
+   normalized to the platform's default allocator. *)
 
 module Profile = Dh_workload.Profile
 module Driver = Dh_workload.Driver
@@ -50,8 +50,7 @@ let cycles_workload profile make_alloc =
 let geo_mean xs =
   exp (List.fold_left (fun acc x -> acc +. log x) 0. xs /. float_of_int (List.length xs))
 
-let suite_rows ~runs ~factor ~columns profiles =
-  ignore runs;
+let suite_rows ~factor ~columns profiles =
   let rows, ratios =
     List.fold_left
       (fun (rows, ratios) profile ->
@@ -102,25 +101,25 @@ let windows_columns =
     ("DieHard", fun ~heap_size -> Factory.diehard ~heap_size ());
   ]
 
-let figure_5a ~runs ~factor =
+let figure_5a ~factor =
   Report.heading "Figure 5(a): normalized runtime, Linux (malloc = 1.00)";
   Report.subheading "allocation-intensive suite";
   Report.table
     ~header:[ "benchmark"; "malloc"; "GC"; "DieHard" ]
-    (suite_rows ~runs ~factor ~columns:linux_columns Profile.alloc_intensive);
+    (suite_rows ~factor ~columns:linux_columns Profile.alloc_intensive);
   Report.subheading "general-purpose (SPECint2000 stand-ins)";
   Report.table
     ~header:[ "benchmark"; "malloc"; "GC"; "DieHard" ]
-    (suite_rows ~runs ~factor ~columns:linux_columns Profile.spec)
+    (suite_rows ~factor ~columns:linux_columns Profile.spec)
 
-let figure_5b ~runs ~factor =
+let figure_5b ~factor =
   Report.heading "Figure 5(b): normalized runtime, Windows XP (default malloc = 1.00)";
   Report.note
     "the XP allocator stand-in pays per-operation in-heap header bookkeeping,";
   Report.note "making it substantially slower per op than the Lea stand-in (7.2.2)";
   Report.table
     ~header:[ "benchmark"; "malloc(XP)"; "DieHard" ]
-    (suite_rows ~runs ~factor ~columns:windows_columns Profile.alloc_intensive)
+    (suite_rows ~factor ~columns:windows_columns Profile.alloc_intensive)
 
 (* Bechamel micro-benchmark: raw malloc/free pair latency per allocator.
    This is the op-level cost underneath the Figure 5 workloads. *)
@@ -167,10 +166,3 @@ let microbench () =
     |> List.map (fun (name, ns) -> [ name; Printf.sprintf "%8.1f ns/op" ns ])
   in
   Report.table ~header:[ "allocator"; "latency" ] rows
-
-let run ~quick () =
-  let runs = if quick then 1 else 3 in
-  let factor = if quick then 0.2 else 1.0 in
-  figure_5a ~runs ~factor;
-  figure_5b ~runs ~factor;
-  microbench ()

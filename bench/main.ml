@@ -21,14 +21,8 @@ let experiments ~quick =
         Fig4.figure_4a ~trials:(if quick then 60 else 300);
         Fig4.overflow_length_sweep ~trials:(if quick then 60 else 300) );
     ("fig4b", fun () -> Fig4.figure_4b ~trials:(if quick then 20 else 100));
-    ( "fig5a",
-      fun () ->
-        Fig5.figure_5a ~runs:(if quick then 1 else 3)
-          ~factor:(if quick then 0.2 else 1.0) );
-    ( "fig5b",
-      fun () ->
-        Fig5.figure_5b ~runs:(if quick then 1 else 3)
-          ~factor:(if quick then 0.2 else 1.0) );
+    ("fig5a", fun () -> Fig5.figure_5a ~factor:(if quick then 0.2 else 1.0));
+    ("fig5b", fun () -> Fig5.figure_5b ~factor:(if quick then 0.2 else 1.0));
     ("micro", fun () -> Fig5.microbench ());
     ("table1", fun () -> Table1.run ~quick ());
     ("inject", fun () -> Inject.run ~quick ());

@@ -14,7 +14,8 @@ module Heap = Diehard.Heap
 let probes_at_fullness ~multiplier ~fullness ~window =
   (* Configure M so the target fullness is reachable (threshold 1/M). *)
   let config =
-    Diehard.Config.v ~multiplier ~heap_size:(12 * 512 * 1024) ~seed:17 ()
+    Diehard.Config.v ~multiplier:(float_of_int multiplier) ~heap_size:(12 * 512 * 1024)
+      ~seed:17 ()
   in
   let mem = Dh_mem.Mem.create () in
   let heap = Heap.create ~config mem in

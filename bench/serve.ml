@@ -48,8 +48,7 @@ type leg = {
   throughput : float;  (* requests/s over the whole ladder *)
   latency : Dh_obs.Quantile.snapshot;
   slo : Dh_obs.Slo.report;
-  req_rate : float;  (* trailing-window rates at end of run *)
-  err_rate : float;
+  err_rate : float;  (* trailing-window rates at end of run *)
   rewind_rate : float;
   rewinds : int;
   checkpoints : int;
@@ -141,9 +140,8 @@ let run_leg ~requests ~seed () =
     wall_s;
     throughput = float_of_int requests /. Float.max wall_s 1e-9;
     latency =
-      Dh_obs.(Quantile.snapshot (Metrics.histogram Metrics.default "serve.latency_ns"));
+      Dh_obs.(Quantile.snapshot (Metrics.histogram "serve.latency_ns"));
     slo = Dh_obs.Slo.report slo;
-    req_rate = window_rate "serve.requests";
     err_rate = window_rate "serve.errors";
     rewind_rate = window_rate "serve.rewinds";
     rewinds = recovery_sum (fun r -> r.Supervisor.rewinds);
@@ -184,7 +182,6 @@ let leg_section l =
           (100. *. l.slo.Dh_obs.Slo.budget_used)
           (if l.slo.Dh_obs.Slo.breached then " (BREACHED)" else "");
       ];
-      [ "trailing req rate"; Printf.sprintf "%.3f /tick" l.req_rate ];
       [ "trailing error rate"; Printf.sprintf "%.5f /tick" l.err_rate ];
       [ "trailing rewind rate"; Printf.sprintf "%.5f /tick" l.rewind_rate ];
       [ "rewinds"; string_of_int l.rewinds ];

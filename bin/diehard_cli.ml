@@ -170,7 +170,7 @@ let obs_setup trace metrics =
           trace;
         Option.iter
           (fun path ->
-            Dh_obs.Metrics.write_csv ~path Dh_obs.Metrics.default;
+            Dh_obs.Metrics.write_csv ~path;
             Printf.eprintf "metrics: wrote %s\n" path)
           metrics)
   end

@@ -15,7 +15,7 @@ let () =
   (* A DieHard heap: 12 power-of-two size classes, each region at most
      1/M full, metadata fully out-of-band. *)
   let mem = Mem.create () in
-  let config = Config.v ~heap_size:(12 * 256 * 1024) ~multiplier:2 ~seed:42 () in
+  let config = Config.v ~heap_size:(12 * 256 * 1024) ~multiplier:2. ~seed:42 () in
   let heap = Heap.create ~config mem in
   let alloc = Heap.allocator heap in
 
@@ -72,6 +72,6 @@ let () =
   (* 7. The layout at a glance: live objects scatter across each
      region instead of clustering at the front. *)
   Printf.printf "\nheap layout (each cell is a bucket of slots; '.'=empty):\n%s"
-    (Format.asprintf "%a" (Heap.pp_layout ?width:None) heap);
+    (Format.asprintf "%a" Heap.pp_layout heap);
   Printf.printf "\nstats: %s\n"
     (Format.asprintf "%a" Dh_alloc.Stats.pp alloc.Allocator.stats)

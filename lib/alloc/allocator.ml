@@ -18,13 +18,6 @@ let malloc_exn t sz =
   | Some addr -> addr
   | None -> failwith (Printf.sprintf "%s: out of memory allocating %d bytes" t.name sz)
 
-let calloc t sz =
-  match t.malloc sz with
-  | None -> None
-  | Some addr ->
-    Dh_mem.Mem.fill t.mem ~addr ~len:sz '\000';
-    Some addr
-
 let realloc t ptr sz =
   if ptr = null then t.malloc sz
   else if sz <= 0 then begin

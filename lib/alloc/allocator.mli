@@ -46,9 +46,6 @@ val malloc_exn : t -> int -> int
 (** [malloc] that raises [Failure] on heap exhaustion — convenience for
     tests and workloads that treat OOM as a harness error. *)
 
-val calloc : t -> int -> int option
-(** [calloc t sz]: malloc then zero-fill. *)
-
 val realloc : t -> int -> int -> int option
 (** [realloc t ptr sz] with C semantics: [realloc t null sz] is
     [malloc sz]; [realloc t ptr 0] frees and returns NULL; otherwise a

@@ -27,7 +27,6 @@ type arena = {
 type t = {
   mem : Mem.t;
   variant : variant;
-  scrub : bool;  (* fill freed payloads with 0xDD, MALLOC_PERTURB_-style *)
   arena_size : int;
   heap_limit : int;
   mutable arenas : arena list;  (* most recent first *)
@@ -42,20 +41,18 @@ type t = {
    cost is its per-operation heap-header bookkeeping (see below). *)
 let bin_count = Size_class.count + 1
 
-let bin_of t size =
-  ignore t.variant;
+let bin_of size =
   match Size_class.of_size (max 1 (size - header_size)) with
   | Some c -> c
   | None -> bin_count - 1
 
-let create ?(variant = Lea) ?(scrub = false) ?(arena_size = 1 lsl 20)
+let create ?(variant = Lea) ?(arena_size = 1 lsl 20)
     ?(heap_limit = 256 lsl 20) mem =
   if arena_size < 4096 then invalid_arg "Freelist.create: arena_size too small";
   let t =
     {
       mem;
       variant;
-      scrub;
       arena_size;
       heap_limit;
       arenas = [];
@@ -87,7 +84,7 @@ let get_prev t c = Mem.read64 t.mem (c + 16)
 
 let insert_free t c size =
   write_header t c size;  (* allocated bit clear *)
-  let bin = bin_of t size in
+  let bin = bin_of size in
   let old = t.bins.(bin) in
   set_next t c old;
   set_prev t c 0;
@@ -178,7 +175,7 @@ let malloc t sz =
         | None -> search_bin (bin + 1)
       end
     in
-    let from_bins = search_bin (bin_of t need) in
+    let from_bins = search_bin (bin_of need) in
     let result =
       match from_bins with
       | Some p -> Some p
@@ -216,7 +213,7 @@ let coalesce_forward t arena c size =
     let nsize = chunk_size h in
     if (not (chunk_allocated h)) && nsize >= min_chunk && next + nsize <= arena.top
     then begin
-      unlink t next (bin_of t nsize);
+      unlink t next (bin_of nsize);
       size + nsize
     end
     else size
@@ -239,12 +236,6 @@ let free t ptr =
       | None -> size
     in
     Stats.on_free t.stats ~reserved:(max 0 (size - header_size));
-    (* Freed-block init: scribble the (possibly coalesced) payload in one
-       bulk fill before threading the list links through it.  A wild free
-       whose header claims space outside the arena will fault here — the
-       scribble is an opt-in debugging aid, like MALLOC_PERTURB_. *)
-    if t.scrub && size > header_size then
-      Mem.fill t.mem ~addr:(c + header_size) ~len:(size - header_size) '\xDD';
     insert_free t c size;
     bookkeeping t
   end

@@ -29,13 +29,14 @@
 
 type variant =
   | Lea  (** Segregated bins, the Linux/GNU-libc stand-in. *)
-  | Windows  (** Single first-fit list, the Windows-XP stand-in. *)
+  | Windows
+      (** Lea's segregated bins plus a 64-byte in-heap arena header that
+          every operation read-modify-writes: the Windows-XP stand-in. *)
 
 type t
 
 val create :
   ?variant:variant ->
-  ?scrub:bool ->
   ?arena_size:int ->
   ?heap_limit:int ->
   Dh_mem.Mem.t ->
@@ -43,11 +44,7 @@ val create :
 (** [create mem] builds a freelist heap on [mem].  [arena_size] (default
     1 MiB) is the granularity at which the allocator [mmap]s arenas;
     [heap_limit] (default 256 MiB) caps total arena bytes, after which
-    [malloc] returns NULL.  With [scrub] (default false), every freed
-    payload is filled with [0xDD] in one bulk operation before it is
-    threaded onto a bin — the MALLOC_PERTURB_ / debug-heap freed-block
-    initialization, which makes use-after-free reads visibly deterministic
-    and exercises the simulator's bulk-fill path from an allocator. *)
+    [malloc] returns NULL. *)
 
 val allocator : t -> Allocator.t
 (** Package as the common interface. *)

@@ -5,7 +5,6 @@ type context = {
   policy : Policy.t;
   input : string;
   out : Process.Out.t;
-  now : int;
   fuel : Process.Fuel.t;
 }
 
@@ -36,9 +35,9 @@ let of_service ~name service =
     service = Some service;
   }
 
-let context ?(policy_kind = Policy.Raw) ?(input = "") ?(now = 0) ~fuel alloc out =
-  { alloc; policy = Policy.make ~kind:policy_kind alloc; input; out; now; fuel }
+let context ?(policy_kind = Policy.Raw) ?(input = "") ~fuel alloc out =
+  { alloc; policy = Policy.make ~kind:policy_kind alloc; input; out; fuel }
 
-let run ?policy_kind ?input ?now ?(fuel = 100_000_000) program alloc =
+let run ?policy_kind ?input ?(fuel = 100_000_000) program alloc =
   let fuel = Process.Fuel.create ~budget:fuel in
-  Process.run (fun out -> program.main (context ?policy_kind ?input ?now ~fuel alloc out))
+  Process.run (fun out -> program.main (context ?policy_kind ?input ~fuel alloc out))

@@ -4,17 +4,16 @@
     runs it once under a chosen allocator, the replicated runtime runs
     several copies under differently-seeded DieHard heaps and votes on
     their output (paper §5).  Programs are deterministic functions of
-    their input, the intercepted clock, and the allocator's behaviour —
-    exactly the reproducibility contract replication needs ("we intercept
-    certain system calls that could produce different results", §5.3). *)
+    their input and the allocator's behaviour — exactly the
+    reproducibility contract replication needs ("we intercept certain
+    system calls that could produce different results", §5.3): the
+    intercepted time of day is the constant 0 in every run and replica. *)
 
 type context = {
   alloc : Allocator.t;
   policy : Policy.t;  (** Mediated heap access for the program's loads/stores. *)
   input : string;  (** The broadcast standard input. *)
   out : Dh_mem.Process.Out.t;  (** The captured standard output. *)
-  now : int;
-      (** The intercepted time-of-day value — identical in every replica. *)
   fuel : Dh_mem.Process.Fuel.t;
       (** Step budget; long-running programs burn it so runaway executions
           are classified as [Timeout]. *)
@@ -67,7 +66,6 @@ val of_service : name:string -> service -> t
 val context :
   ?policy_kind:Policy.kind ->
   ?input:string ->
-  ?now:int ->
   fuel:Dh_mem.Process.Fuel.t ->
   Allocator.t ->
   Dh_mem.Process.Out.t ->
@@ -77,11 +75,10 @@ val context :
 val run :
   ?policy_kind:Policy.kind ->
   ?input:string ->
-  ?now:int ->
   ?fuel:int ->
   t ->
   Allocator.t ->
   Dh_mem.Process.result
 (** [run program alloc] executes the program as a simulated process under
     the given allocator and classifies the outcome.  Defaults: raw access
-    policy, empty input, clock 0, one hundred million steps of fuel. *)
+    policy, empty input, one hundred million steps of fuel. *)

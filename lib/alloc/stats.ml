@@ -56,7 +56,7 @@ let on_free t ~reserved =
   t.live_bytes <- t.live_bytes - reserved
 
 let register ~prefix t =
-  let g name read = Dh_obs.Metrics.gauge_fn Dh_obs.Metrics.default (prefix ^ "." ^ name) read in
+  let g name read = Dh_obs.Metrics.gauge_fn (prefix ^ "." ^ name) read in
   g "mallocs" (fun () -> t.mallocs);
   g "failed_mallocs" (fun () -> t.failed_mallocs);
   g "frees" (fun () -> t.frees);

@@ -38,7 +38,7 @@ val on_free : t -> reserved:int -> unit
 
 val register : prefix:string -> t -> unit
 (** Publish every counter as a callback gauge named [prefix ^ ".mallocs"]
-    etc. on {!Dh_obs.Metrics.default}.  Re-registering a prefix replaces
+    etc. in {!Dh_obs.Metrics}.  Re-registering a prefix replaces
     the callbacks, so a prefix tracks the most recently created
     allocator. *)
 

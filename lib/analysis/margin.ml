@@ -33,8 +33,10 @@ type report = {
 let binomial_sigma ~p ~trials =
   if trials <= 0 then 0. else sqrt (p *. (1. -. p) /. float_of_int trials)
 
-let of_snapshot ?(replicas = 1) ?(dangling_allocations = 10) ?(uninit_bits = 32)
-    ?(top = 5) (snap : Audit.snapshot) =
+(* Theorem 3's uninitialized-read width. *)
+let uninit_bits = 32
+
+let of_snapshot ?(replicas = 1) ?(dangling_allocations = 10) (snap : Audit.snapshot) =
   let occ_of cls =
     List.find_opt (fun o -> o.Audit.occ_class = cls) snap.Audit.occ
   in
@@ -122,7 +124,7 @@ let of_snapshot ?(replicas = 1) ?(dangling_allocations = 10) ?(uninit_bits = 32)
     uninit_bits;
     classes;
     empirical;
-    sites = Audit.top_sites ~n:top snap;
+    sites = Audit.top_sites snap;
   }
 
 (* --- rendering --- *)

@@ -65,15 +65,10 @@ type report = {
 }
 
 val of_snapshot :
-  ?replicas:int ->
-  ?dangling_allocations:int ->
-  ?uninit_bits:int ->
-  ?top:int ->
-  Dh_obs.Audit.snapshot ->
-  report
-(** Evaluate the bounds against a snapshot.  Defaults: 1 replica
-    (stand-alone mode), [A = 10] intervening allocations (the paper's
-    §7.3.1 distance), 32 uninitialized bits, top 5 sites. *)
+  ?replicas:int -> ?dangling_allocations:int -> Dh_obs.Audit.snapshot -> report
+(** Evaluate the bounds against a snapshot, at 32 uninitialized bits,
+    with the top 5 sites.  Defaults: 1 replica (stand-alone mode),
+    [A = 10] intervening allocations (the paper's §7.3.1 distance). *)
 
 val binomial_sigma : p:float -> trials:int -> float
 (** Standard deviation of an observed rate over [trials] Bernoulli

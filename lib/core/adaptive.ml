@@ -24,27 +24,26 @@ type large_object = { payload : int; size : int; map_base : int; map_len : int }
 
 module Imap = Map.Make (Int)
 
+(* M: each class stays at most half full. *)
+let multiplier = 2
+
+(* Capacity of each class's first miniheap. *)
+let initial_objects = 64
+
 type t = {
   mem : Mem.t;
-  multiplier : int;
   min_headroom : int;
-  replicated : bool;
   rng : Mwc.t;
   classes : class_state array;
   mutable large : large_object Imap.t;
   stats : Stats.t;
 }
 
-let create ?(multiplier = 2) ?(initial_objects = 64) ?(min_headroom = 0)
-    ?(replicated = false) ?(seed = 1) mem =
-  if multiplier < 2 then invalid_arg "Adaptive.create: multiplier must be >= 2";
-  if initial_objects < 2 then invalid_arg "Adaptive.create: initial_objects too small";
+let create ?(min_headroom = 0) ?(seed = 1) mem =
   if min_headroom < 0 then invalid_arg "Adaptive.create: negative headroom";
   {
     mem;
-    multiplier;
     min_headroom;
-    replicated;
     rng = Mwc.create ~seed;
     classes =
       Array.init Size_class.count (fun class_ ->
@@ -67,7 +66,6 @@ let grow t cls =
   cls.next_objects <- capacity * 2;
   let len = capacity * Size_class.size cls.class_ in
   let base = Mem.mmap t.mem len in
-  if t.replicated then Mem.fill_random t.mem ~addr:base ~len t.rng;
   let mh = { base; capacity; bitmap = Bitmap.create capacity; in_use = 0 } in
   cls.miniheaps <- mh :: cls.miniheaps;
   cls.total_capacity <- cls.total_capacity + capacity
@@ -92,7 +90,6 @@ let malloc_large t sz =
   Mem.protect t.mem ~addr:(map_base + Mem.page_size + body) ~len:Mem.page_size
     Mem.No_access;
   let payload = map_base + Mem.page_size in
-  if t.replicated then Mem.fill_random t.mem ~addr:payload ~len:body t.rng;
   t.large <- Imap.add payload { payload; size = body; map_base; map_len } t.large;
   Stats.on_malloc t.stats ~requested:sz ~reserved:body;
   Some payload
@@ -117,7 +114,7 @@ let malloc_small t sz class_ =
   (* Grow until the class can absorb one more object below 1/M and still
      keep the configured free headroom (the protection dial). *)
   while
-    (cls.total_in_use + 1) * t.multiplier > cls.total_capacity
+    (cls.total_in_use + 1) * multiplier > cls.total_capacity
     || cls.total_capacity - (cls.total_in_use + 1) < t.min_headroom
   do
     grow t cls
@@ -134,7 +131,6 @@ let malloc_small t sz class_ =
   mh.in_use <- mh.in_use + 1;
   cls.total_in_use <- cls.total_in_use + 1;
   let addr = mh.base + (local * size) in
-  if t.replicated then Mem.fill_random t.mem ~addr ~len:size t.rng;
   Stats.on_malloc t.stats ~requested:sz ~reserved:size;
   Some addr
 

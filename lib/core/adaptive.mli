@@ -26,18 +26,10 @@
 
 type t
 
-val create :
-  ?multiplier:int ->
-  ?initial_objects:int ->
-  ?min_headroom:int ->
-  ?replicated:bool ->
-  ?seed:int ->
-  Dh_mem.Mem.t ->
-  t
-(** [create mem] builds an adaptive heap.  [multiplier] is M (default 2);
-    [initial_objects] is the first miniheap's capacity per class
-    (default 64 objects); [replicated] enables random fill; [seed] feeds
-    the allocator's generator (default 1).
+val create : ?min_headroom:int -> ?seed:int -> Dh_mem.Mem.t -> t
+(** [create mem] builds an adaptive heap with [M = 2], a first miniheap
+    of 64 objects per class, and no random fill (stand-alone mode);
+    [seed] feeds the allocator's generator (default 1).
 
     [min_headroom] (default 0) is the space-reliability dial: each class
     additionally keeps at least this many {e free} slots.  Theorem 2's

@@ -1,7 +1,7 @@
 module Size_class = Dh_alloc.Size_class
 
 type t = {
-  multiplier : int;
+  multiplier : float;
   heap_size : int;
   replicated : bool;
   seed : int;
@@ -9,26 +9,21 @@ type t = {
   obs : bool;
   mesh : bool;
   mesh_threshold : int;
-  max_live_fraction : float option;
 }
 
 let validate t =
-  if t.multiplier < 2 then invalid_arg "Config: multiplier must be >= 2";
-  (match t.max_live_fraction with
-  | Some f when not (f > 0. && f <= 1.) ->
-    invalid_arg "Config: max_live_fraction must be in (0, 1]"
-  | Some _ | None -> ());
+  if not (t.multiplier > 1.) then invalid_arg "Config: multiplier must be > 1";
   if t.jobs < 1 then invalid_arg "Config: jobs must be >= 1";
   if t.mesh_threshold <= 0 then invalid_arg "Config: mesh threshold must be positive";
   let region = t.heap_size / Size_class.count in
-  if region < Size_class.max_size * t.multiplier then
+  if float_of_int region < float_of_int Size_class.max_size *. t.multiplier then
     invalid_arg "Config: heap too small for the largest size class";
   t
 
 let default =
   validate
     {
-      multiplier = 2;
+      multiplier = 2.;
       heap_size = 24 lsl 20;
       replicated = false;
       seed = 1;
@@ -36,27 +31,13 @@ let default =
       obs = false;
       mesh = false;
       mesh_threshold = 256 lsl 10;
-      max_live_fraction = None;
     }
-
-let paper_default = validate { default with heap_size = 384 lsl 20 }
 
 let v ?(multiplier = default.multiplier) ?(heap_size = default.heap_size)
     ?(replicated = default.replicated) ?(seed = default.seed)
     ?(jobs = default.jobs) ?(obs = default.obs) ?(mesh = default.mesh)
-    ?(mesh_threshold = default.mesh_threshold) ?max_live_fraction () =
-  validate
-    {
-      multiplier;
-      heap_size;
-      replicated;
-      seed;
-      jobs;
-      obs;
-      mesh;
-      mesh_threshold;
-      max_live_fraction;
-    }
+    ?(mesh_threshold = default.mesh_threshold) () =
+  validate { multiplier; heap_size; replicated; seed; jobs; obs; mesh; mesh_threshold }
 
 let region_size t =
   let raw = t.heap_size / Size_class.count in
@@ -64,12 +45,6 @@ let region_size t =
 
 let objects_in_region t ~class_ = region_size t / Size_class.size class_
 
-(* The occupancy ceiling of §4.2.  [max_live_fraction] generalizes the
-   integer expansion factor to fractional M (ceiling = 1/M): the
-   safety-margin audit sweeps M = 1.5, which no integer [multiplier]
-   can express.  [None] preserves the paper's [objects / M] exactly. *)
+(* The occupancy ceiling of §4.2. *)
 let threshold t ~class_ =
-  let objects = objects_in_region t ~class_ in
-  match t.max_live_fraction with
-  | None -> objects / t.multiplier
-  | Some f -> max 1 (int_of_float (f *. float_of_int objects))
+  int_of_float (float_of_int (objects_in_region t ~class_) /. t.multiplier)

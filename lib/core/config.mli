@@ -7,8 +7,10 @@
     [M = 2]. *)
 
 type t = {
-  multiplier : int;
-      (** M ≥ 2: each size-class region may become at most [1/M] full. *)
+  multiplier : float;
+      (** M > 1: each size-class region may become at most [1/M] full.
+          Fractional values are allowed (the safety-margin audit sweeps
+          M = 1.5). *)
   heap_size : int;
       (** Total small-object heap size H in bytes, divided evenly among
           the twelve size-class regions.  Regions are mapped lazily, so a
@@ -44,13 +46,6 @@ type t = {
       (** Freed bytes between automatic mesh passes when [mesh] is on
           (also reachable explicitly via [Heap.mesh]).  Must be
           positive. *)
-  max_live_fraction : float option;
-      (** When [Some f], each size-class region may become at most
-          [floor (f * objects)] full, overriding [multiplier]'s
-          [objects / M].  Generalizes the expansion factor to fractional
-          M (the safety-margin audit sweeps M = 1.5, i.e. [f = 2/3]);
-          must lie in (0, 1].  [None] (the default) keeps the paper's
-          integer-M arithmetic exactly. *)
 }
 
 val default : t
@@ -58,11 +53,8 @@ val default : t
     384 MB default — same M, same twelve regions), stand-alone, seed 1,
     1 job. *)
 
-val paper_default : t
-(** The paper's experimental configuration: 384 MB heap, [M = 2]. *)
-
 val v :
-  ?multiplier:int ->
+  ?multiplier:float ->
   ?heap_size:int ->
   ?replicated:bool ->
   ?seed:int ->
@@ -70,14 +62,12 @@ val v :
   ?obs:bool ->
   ?mesh:bool ->
   ?mesh_threshold:int ->
-  ?max_live_fraction:float ->
   unit ->
   t
 (** Build a configuration, defaulting missing fields from {!default}.
-    Raises [Invalid_argument] if [multiplier < 2], [jobs < 1],
-    [mesh_threshold <= 0], [max_live_fraction] outside (0, 1], or the
-    heap is too small to give each region one object of the largest
-    size class. *)
+    Raises [Invalid_argument] if [multiplier <= 1], [jobs < 1],
+    [mesh_threshold <= 0], or a region is smaller than [M] objects of
+    the largest size class ([heap_size / 12 < 16384 * M]). *)
 
 val region_size : t -> int
 (** Bytes per size-class region ([heap_size / 12], page-rounded down). *)
@@ -87,5 +77,5 @@ val objects_in_region : t -> class_:int -> int
 
 val threshold : t -> class_:int -> int
 (** Maximum live objects the region for [class_] may hold
-    ([objects / M], or [floor (f * objects)] under [max_live_fraction])
-    — allocation beyond this returns NULL (§4.2). *)
+    ([floor (objects / M)]) — allocation beyond this returns NULL
+    (§4.2). *)

@@ -126,7 +126,7 @@ let create ?(config = Config.default) mem =
   in
   if Dh_obs.Control.enabled () then begin
     Stats.register ~prefix:"heap" t.stats;
-    Dh_obs.Metrics.gauge_fn Dh_obs.Metrics.default "heap.meshes" (fun () -> t.meshes);
+    Dh_obs.Metrics.gauge_fn "heap.meshes" (fun () -> t.meshes);
     Dh_obs.Recorder.register_context "heap.occupancy" (occupancy_summary t);
     (* The audit reads authoritative occupancy (live / threshold /
        capacity per class) straight from the newest heap; cumulative
@@ -157,11 +157,10 @@ let obs_feed t =
   match t.obs with
   | Some o -> o
   | None ->
-    let reg = Dh_obs.Metrics.default in
     let o =
       Dh_obs.Audit.local
-        ~probes:(Dh_obs.Metrics.histogram reg "heap.malloc.probes")
-        ~bytes:(Dh_obs.Metrics.histogram reg "heap.malloc.bytes")
+        ~probes:(Dh_obs.Metrics.histogram "heap.malloc.probes")
+        ~bytes:(Dh_obs.Metrics.histogram "heap.malloc.bytes")
     in
     t.obs <- Some o;
     o
@@ -744,7 +743,8 @@ let region_fullness t ~class_ =
 
 let large_object_count t = Imap.cardinal t.large
 
-let pp_layout ?(width = 64) ppf t =
+let pp_layout ppf t =
+  let width = 64 in
   let glyphs = [| '.'; ':'; '-'; '='; '+'; '*'; '%'; '#' |] in
   Array.iter
     (fun region ->

@@ -138,10 +138,10 @@ val rng : t -> Dh_rng.Mwc.t
 (** The heap's generator — exposed so experiments can record or perturb
     the randomness stream. *)
 
-val pp_layout : ?width:int -> Format.formatter -> t -> unit
+val pp_layout : Format.formatter -> t -> unit
 (** Render the heap's occupancy as one line per mapped size-class
-    region: the region is down-sampled into [width] (default 64)
-    buckets, each shown as a density glyph from ['.'] (empty) to ['#']
-    (full).  The visual argument for randomized placement: live objects
-    scatter instead of clustering.  Large objects are listed below the
+    region: the region is down-sampled into 64 buckets, each shown as a
+    density glyph from ['.'] (empty) to ['#'] (full).  The visual
+    argument for randomized placement: live objects scatter instead of
+    clustering.  Large objects are listed below the
     regions. *)

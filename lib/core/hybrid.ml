@@ -1,8 +1,10 @@
 module Allocator = Dh_alloc.Allocator
 module Stats = Dh_alloc.Stats
 
+(* The largest request served by DieHard. *)
+let cutoff = 256
+
 type t = {
-  cutoff : int;
   heap : Heap.t;
   backing : Dh_alloc.Freelist.t;
   backing_alloc : Allocator.t;
@@ -10,13 +12,10 @@ type t = {
   stats : Stats.t;
 }
 
-let create ?(config = Config.default) ?(cutoff = 256) mem =
-  if cutoff < Dh_alloc.Size_class.min_size then
-    invalid_arg "Hybrid.create: cutoff below the smallest size class";
+let create ?(config = Config.default) mem =
   let heap = Heap.create ~config mem in
   let backing = Dh_alloc.Freelist.create mem in
   {
-    cutoff;
     heap;
     backing;
     backing_alloc = Dh_alloc.Freelist.allocator backing;
@@ -24,14 +23,13 @@ let create ?(config = Config.default) ?(cutoff = 256) mem =
     stats = Stats.create ();
   }
 
-let cutoff t = t.cutoff
 let protected_heap t = t.heap
 
 let is_protected t addr = t.heap_alloc.Allocator.owns addr
 
 let malloc t sz =
   let result =
-    if sz > 0 && sz <= t.cutoff then t.heap_alloc.Allocator.malloc sz
+    if sz > 0 && sz <= cutoff then t.heap_alloc.Allocator.malloc sz
     else t.backing_alloc.Allocator.malloc sz
   in
   (match result with
@@ -78,7 +76,7 @@ let owns t addr =
 
 let allocator t =
   {
-    Allocator.name = Printf.sprintf "diehard-hybrid(<=%dB)" t.cutoff;
+    Allocator.name = Printf.sprintf "diehard-hybrid(<=%dB)" cutoff;
     mem = t.heap_alloc.Allocator.mem;
     malloc = malloc t;
     free = free t;

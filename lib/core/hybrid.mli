@@ -3,7 +3,7 @@
     §9 lists ways of "reducing the memory requirements of DieHard",
     including "selectively applying the technique to particular size
     classes".  This allocator does exactly that: requests up to
-    [cutoff] bytes are served by a DieHard heap (randomized, validated,
+    256 bytes are served by a DieHard heap (randomized, validated,
     probabilistically safe); larger requests are delegated to a
     conventional freelist on the same address space.
 
@@ -16,17 +16,10 @@
 
 type t
 
-val create :
-  ?config:Config.t ->
-  ?cutoff:int ->
-  Dh_mem.Mem.t ->
-  t
-(** [create mem] builds the hybrid.  [cutoff] (default 256 bytes) is the
-    largest request served by DieHard; [config] sizes the protected
-    DieHard heap (its regions for classes above the cutoff are simply
-    never mapped). *)
-
-val cutoff : t -> int
+val create : ?config:Config.t -> Dh_mem.Mem.t -> t
+(** [create mem] builds the hybrid.  Requests up to 256 bytes are served
+    by DieHard; [config] sizes the protected DieHard heap (its regions
+    for classes above 256 bytes are simply never mapped). *)
 
 val protected_heap : t -> Heap.t
 (** The DieHard side — for white-box inspection. *)

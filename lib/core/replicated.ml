@@ -19,17 +19,17 @@ type report = {
   replicas : replica_report list;
 }
 
-let run_replica ~config ~seed ~input ~now ~fuel program =
+let run_replica ~config ~seed ~input ~fuel program =
   let mem = Dh_mem.Mem.create () in
   let config = { config with Config.seed; replicated = true } in
   let heap = Heap.create ~config mem in
-  Program.run ?fuel ~input ~now program (Heap.allocator heap)
+  Program.run ?fuel ~input program (Heap.allocator heap)
 
 let run_program_once ?(config = Config.default) ?(seed = config.Config.seed)
-    ?(input = "") ?(now = 0) ?fuel program =
+    ?(input = "") ?fuel program =
   let mem = Dh_mem.Mem.create () in
   let heap = Heap.create ~config:{ config with Config.seed } mem in
-  Program.run ?fuel ~input ~now program (Heap.allocator heap)
+  Program.run ?fuel ~input program (Heap.allocator heap)
 
 (* Per-replica voting state. *)
 type live = {
@@ -40,7 +40,7 @@ type live = {
 
 let run ?(config = Config.default) ?(replicas = 3)
     ?(seed_pool = Dh_rng.Seed.create ~master:config.Config.seed) ?(input = "")
-    ?(now = 0) ?fuel ?(replace_failed = 0) program =
+    ?fuel ?(replace_failed = 0) program =
   if replicas < 1 || replicas = 2 then
     invalid_arg
       "Replicated.run: need one replica or at least three — with exactly two, \
@@ -55,7 +55,7 @@ let run ?(config = Config.default) ?(replicas = 3)
      concurrent processes). *)
   let spawn rid seed =
     Dh_obs.Tracing.span ~arg:(string_of_int rid) "replica.run" (fun () ->
-        let result = run_replica ~config ~seed ~input ~now ~fuel program in
+        let result = run_replica ~config ~seed ~input ~fuel program in
         let crashed =
           match result.Process.outcome with
           | Process.Exited _ -> false

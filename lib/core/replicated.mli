@@ -54,7 +54,6 @@ val run :
   ?replicas:int ->
   ?seed_pool:Dh_rng.Seed.t ->
   ?input:string ->
-  ?now:int ->
   ?fuel:int ->
   ?replace_failed:int ->
   Dh_alloc.Program.t ->
@@ -82,7 +81,6 @@ val run_program_once :
   ?config:Config.t ->
   ?seed:int ->
   ?input:string ->
-  ?now:int ->
   ?fuel:int ->
   Dh_alloc.Program.t ->
   Dh_mem.Process.result

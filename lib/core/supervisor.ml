@@ -30,7 +30,7 @@ type mode = Randomized | Rescue
 type plan = {
   attempt : int;
   seed : int;
-  multiplier : int;
+  multiplier : float;
   heap_size : int;
   mode : mode;
 }
@@ -66,7 +66,7 @@ type incident = {
 
 (* Growth ceilings: the ladder expands the heap exponentially, so a long
    retry budget must not ask the simulated address space for the moon. *)
-let max_multiplier = 64
+let max_multiplier = 64.
 let max_heap = 512 lsl 20
 
 let pow base n =
@@ -78,7 +78,8 @@ let plan_for ~(config : Config.t) ~backoff ~seed ~mode attempt =
   {
     attempt;
     seed;
-    multiplier = min (config.Config.multiplier * growth) max_multiplier;
+    multiplier =
+      Float.min (config.Config.multiplier *. float_of_int growth) max_multiplier;
     heap_size = min (config.Config.heap_size * growth) max_heap;
     mode;
   }
@@ -135,17 +136,16 @@ type fault_action =
    check per request when off; when on, the per-request cost is one
    clock read, one latency sample recorded through the loop's own cached
    [Dh_obs.Cell] handle on the "serve.latency_ns" histogram (a
-   domain-id compare and plain adds), one window stamp, (when an SLO is
-   configured) one classification, and the audit watch's atomic load.
+   domain-id compare and plain adds), (when an SLO is configured) one
+   classification, and the audit watch's atomic load.
    A request's latency runs from the previous request's completion (or
    from the moment its window was armed) to its own: the clock is read
-   once per request, and arming stays out of the sample.  The window
-   clock is the request index — windowed request / error / rewind rates
+   once per request, and arming stays out of the sample.  The rewind
+   window's clock is the request index — windowed error / rewind rates
    are deterministic functions of the run.  Geometry matches the
    serve.errors window the server itself stamps. *)
 type serve_obs = {
   so_latency : Dh_obs.Metrics.histogram;
-  so_requests : Dh_obs.Window.t;
   so_rewinds : Dh_obs.Window.t;
   so_slo : Dh_obs.Slo.t option;
 }
@@ -156,8 +156,7 @@ let serve_obs () =
     Some
       {
         so_latency =
-          Dh_obs.(Quantile.share (Metrics.histogram Metrics.default "serve.latency_ns"));
-        so_requests = Dh_obs.Window.get "serve.requests" ~width:1024 ~buckets:16;
+          Dh_obs.(Quantile.share (Metrics.histogram "serve.latency_ns"));
         so_rewinds = Dh_obs.Window.get "serve.rewinds" ~width:1024 ~buckets:16;
         so_slo = Dh_obs.Slo.active ();
       }
@@ -182,7 +181,6 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
             let dt = Dh_obs.Tracing.elapsed_ns ~since:!stamp ~now in
             stamp := now;
             Dh_obs.Metrics.observe o.so_latency dt;
-            Dh_obs.Window.add o.so_requests ~now:k 1;
             (match o.so_slo with Some slo -> Dh_obs.Slo.record slo dt | None -> ());
             (* The audit's --watch clock is the request index, like the
                windows: periodic snapshots are deterministic per run. *)
@@ -257,9 +255,9 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
    supplies the heap and the program has the service shape, the run goes
    through the checkpoint-window loop above and the recovery counters are
    reported even if the attempt ultimately dies. *)
-let execute ?ckpt ~policy_kind ~input ~now ~fuel program alloc =
+let execute ?ckpt ~policy_kind ~input ~fuel program alloc =
   let cell = Process.Fuel.create ~budget:fuel in
-  let context = Program.context ~policy_kind ~input ~now ~fuel:cell alloc in
+  let context = Program.context ~policy_kind ~input ~fuel:cell alloc in
   let result, recovery =
     match (ckpt, program.Program.service) with
     | Some (heap, interval, on_fault), Some svc ->
@@ -273,7 +271,7 @@ let execute ?ckpt ~policy_kind ~input ~now ~fuel program alloc =
   (result, burned, recovery)
 
 let run ?(policy = default_policy) ?(config = Config.default)
-    ?(seed_pool = Seed.create ~master:config.Config.seed) ?(input = "") ?(now = 0)
+    ?(seed_pool = Seed.create ~master:config.Config.seed) ?(input = "")
     ?(policy_kind = Policy.Raw) ?(success = fun r -> r.Process.outcome = Process.Exited 0)
     ?(wrap = fun _plan alloc -> alloc) program =
   if policy.max_retries < 0 then invalid_arg "Supervisor: max_retries must be >= 0";
@@ -305,7 +303,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
       else None
     in
     let result, fuel_burned, recovery =
-      execute ?ckpt ~policy_kind ~input ~now ~fuel:policy.fuel program alloc
+      execute ?ckpt ~policy_kind ~input ~fuel:policy.fuel program alloc
     in
     let ok = success result in
     (* A memory fault has already been captured at raise time by [Mem];
@@ -331,7 +329,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
     let replay_heap, base = build_heap plan in
     let canary, instrumented = Canary.wrap base in
     let result, fuel_burned, _ =
-      execute ~policy_kind ~input ~now ~fuel:policy.fuel program (wrap plan instrumented)
+      execute ~policy_kind ~input ~fuel:policy.fuel program (wrap plan instrumented)
     in
     Canary.sweep canary;
     let fault =
@@ -579,7 +577,7 @@ let pp_incident ppf i =
     i.total_fuel;
   List.iter
     (fun a ->
-      Format.fprintf ppf "  attempt %d: %-7s seed=%-11d M=%-3d heap=%-7s -> %a  [fuel %d]%t@."
+      Format.fprintf ppf "  attempt %d: %-7s seed=%-11d M=%-3g heap=%-7s -> %a  [fuel %d]%t@."
         a.plan.attempt
         (match a.plan.mode with Randomized -> "diehard" | Rescue -> "rescue")
         a.plan.seed a.plan.multiplier

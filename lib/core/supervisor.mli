@@ -67,7 +67,7 @@ type mode =
 type plan = {
   attempt : int;  (** 0-based attempt number. *)
   seed : int;  (** Heap randomization seed for this attempt. *)
-  multiplier : int;  (** M for this attempt. *)
+  multiplier : float;  (** M for this attempt. *)
   heap_size : int;  (** Heap bytes for this attempt. *)
   mode : mode;
 }
@@ -127,7 +127,6 @@ val run :
   ?config:Config.t ->
   ?seed_pool:Dh_rng.Seed.t ->
   ?input:string ->
-  ?now:int ->
   ?policy_kind:Dh_alloc.Policy.kind ->
   ?success:(Dh_mem.Process.result -> bool) ->
   ?wrap:(plan -> Dh_alloc.Allocator.t -> Dh_alloc.Allocator.t) ->

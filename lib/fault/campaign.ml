@@ -54,7 +54,7 @@ let run ?(input = "") ?(fuel = 50_000_000) ?(jobs = 1) ~trials ~spec ~make_alloc
        share nothing but the read-only allocation log. *)
     let tally_counter =
       if Dh_obs.Control.enabled () then begin
-        let c name = Dh_obs.Metrics.counter Dh_obs.Metrics.default name in
+        let c name = Dh_obs.Metrics.counter name in
         let correct = c "campaign.correct"
         and wrong = c "campaign.wrong_output"
         and crashed = c "campaign.crashed"

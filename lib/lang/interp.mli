@@ -37,7 +37,8 @@
     [gets(p)] (reads an input line with {e no} bounds check — the classic
     overflow vector), [strlen(s)], [strcpy(d,s)], [strncpy(d,s,n)],
     [strcmp(a,b)], [memcpy(d,s,n)], [memset(d,c,n)], [load8(p)],
-    [store8(p,v)], [now()] (the intercepted clock, §5.3), [exit(code)].
+    [store8(p,v)], [now()] (the intercepted clock, §5.3: always 0, so every
+    run and replica sees the same time), [exit(code)].
 
     With [libc = Bounded], [strcpy]/[strncpy]/[memcpy]/[memset] are
     DieHard's bounded replacements (§4.4), the repository's only ones:

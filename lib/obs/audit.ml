@@ -306,7 +306,7 @@ let snapshot () =
 
 let severity s = s.canaries + s.faults + s.rescues
 
-let top_sites ?(n = 5) snap =
+let top_sites snap =
   let ranked =
     List.filter (fun s -> severity s > 0 || s.s_allocs > 0) snap.sites
     |> List.sort (fun a b ->
@@ -317,7 +317,7 @@ let top_sites ?(n = 5) snap =
              | c -> c)
            | c -> c)
   in
-  List.filteri (fun i _ -> i < n) ranked
+  List.filteri (fun i _ -> i < 5) ranked
 
 (* --- arithmetic guards ---
 

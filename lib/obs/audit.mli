@@ -173,8 +173,8 @@ val snapshot : unit -> snapshot
 (** Merge every per-domain cell now (the {!Cell} read contract: exact
     once writers have parked). *)
 
-val top_sites : ?n:int -> snapshot -> site_stat list
-(** The [n] (default 5) most suspect sites: most attributed events
+val top_sites : snapshot -> site_stat list
+(** The 5 most suspect sites: most attributed events
     (canaries + faults + rescues) first, allocation volume breaking
     ties.  Sites with no attributed events and no allocations are
     omitted. *)

@@ -6,15 +6,12 @@ let bucket_count = 64
 type counter = int ref Cell.t
 type histogram = Quantile.t
 
-type gauge = Cell of int Atomic.t | Callback of (unit -> int)
+(* Gauges are callbacks, read at dump time. *)
+type instrument = Counter of counter | Gauge of (unit -> int) | Histogram of histogram
 
-type instrument = Counter of counter | Gauge of gauge | Histogram of histogram
-
-type t = { items : (string, instrument) Hashtbl.t; lock : Mutex.t }
-
-let create () = { items = Hashtbl.create 64; lock = Mutex.create () }
-
-let default = create ()
+(* The one process-wide registry. *)
+let items : (string, instrument) Hashtbl.t = Hashtbl.create 64
+let lock = Mutex.create ()
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -24,9 +21,9 @@ let kind_name = function
 (* Get-or-create under the registry lock.  Only instrument creation and
    dumping take the lock; recording goes straight to the per-domain
    cells. *)
-let intern t name make select =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.items name with
+let intern name make select =
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt items name with
       | Some existing -> (
         match select existing with
         | Some v -> v
@@ -36,11 +33,11 @@ let intern t name make select =
                (kind_name existing)))
       | None ->
         let fresh = make () in
-        Hashtbl.replace t.items name fresh;
+        Hashtbl.replace items name fresh;
         match select fresh with Some v -> v | None -> assert false)
 
-let counter t name =
-  intern t name
+let counter name =
+  intern name
     (fun () -> Counter (Cell.create (fun () -> ref 0)))
     (function Counter c -> Some c | _ -> None)
 
@@ -54,27 +51,12 @@ let incr c = add c 1
 
 let counter_value c = Cell.fold (fun acc r -> acc + !r) 0 c
 
-let gauge t name =
-  intern t name
-    (fun () -> Gauge (Cell (Atomic.make 0)))
-    (function Gauge (Cell _ as g) -> Some g | _ -> None)
+(* Gauges replace unconditionally: the newest component of a given name
+   is the one the dump reflects. *)
+let gauge_fn name f = Mutex.protect lock (fun () -> Hashtbl.replace items name (Gauge f))
 
-let set g n =
-  if Control.enabled () then match g with Cell a -> Atomic.set a n | Callback _ -> ()
-
-let gauge_read = function
-  | Cell a -> Atomic.get a
-  | Callback f -> ( try f () with _ -> 0)
-
-let gauge_value = gauge_read
-
-(* Callback gauges replace unconditionally: the newest component of a
-   given name is the one the dump reflects. *)
-let gauge_fn t name f =
-  Mutex.protect t.lock (fun () -> Hashtbl.replace t.items name (Gauge (Callback f)))
-
-let histogram t name =
-  intern t name
+let histogram name =
+  intern name
     (fun () -> Histogram (Quantile.create ()))
     (function Histogram h -> Some h | _ -> None)
 
@@ -131,10 +113,10 @@ let histogram_row name h =
         (String.concat ";" (List.rev !nonzero));
   }
 
-let dump t =
+let dump () =
   let rows =
-    Mutex.protect t.lock (fun () ->
-        Hashtbl.fold (fun name inst acc -> (name, inst) :: acc) t.items [])
+    Mutex.protect lock (fun () ->
+        Hashtbl.fold (fun name inst acc -> (name, inst) :: acc) items [])
   in
   List.sort compare
     (List.map
@@ -142,8 +124,9 @@ let dump t =
          match inst with
          | Counter c ->
            { name; kind = "counter"; value = counter_value c; p50 = None; p99 = None; detail = "" }
-         | Gauge g ->
-           { name; kind = "gauge"; value = gauge_read g; p50 = None; p99 = None; detail = "" }
+         | Gauge f ->
+           let value = try f () with _ -> 0 in
+           { name; kind = "gauge"; value; p50 = None; p99 = None; detail = "" }
          | Histogram h -> histogram_row name h)
        rows)
 
@@ -154,7 +137,7 @@ let csv_cell s =
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
   else s
 
-let to_csv t =
+let to_csv () =
   let b = Buffer.create 512 in
   Buffer.add_string b "name,kind,value,p50,p99,detail\n";
   let quantile_cell = function None -> "" | Some v -> string_of_int v in
@@ -163,11 +146,11 @@ let to_csv t =
       Buffer.add_string b
         (Printf.sprintf "%s,%s,%d,%s,%s,%s\n" (csv_cell r.name) r.kind r.value
            (quantile_cell r.p50) (quantile_cell r.p99) (csv_cell r.detail)))
-    (dump t);
+    (dump ());
   Buffer.contents b
 
-let write_csv ~path t =
+let write_csv ~path =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_csv t))
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_csv ()))
 
-let reset t = Mutex.protect t.lock (fun () -> Hashtbl.reset t.items)
+let reset () = Mutex.protect lock (fun () -> Hashtbl.reset items)

@@ -1,4 +1,5 @@
-(** Metrics registry: named counters, gauges and histograms.
+(** The process-wide metrics registry: named counters, gauges and
+    histograms.
 
     Counters and histograms record into per-domain {!Cell}s: the first
     time a domain records into an instrument it is handed a private
@@ -15,24 +16,15 @@
 
     Instruments are get-or-create by name: creating ["heap.malloc.bytes"]
     twice returns the same histogram, so short-lived components (one heap
-    per campaign trial) accumulate into one series.  Callback gauges are
-    the exception: re-registering a name replaces the callback, so a
-    gauge tracks the most recently created component. *)
-
-type t
-(** A registry. *)
-
-val create : unit -> t
-
-val default : t
-(** The process-wide registry; everything in the repository publishes
-    here unless told otherwise. *)
+    per campaign trial) accumulate into one series.  Gauges are the
+    exception: re-registering a name replaces the callback, so a gauge
+    tracks the most recently created component. *)
 
 (** {1 Counters} *)
 
 type counter
 
-val counter : t -> string -> counter
+val counter : string -> counter
 (** Get or create. Raises [Invalid_argument] if the name exists with a
     different kind. *)
 
@@ -42,14 +34,8 @@ val counter_value : counter -> int  (** Sum over per-domain cells. *)
 
 (** {1 Gauges} *)
 
-type gauge
-
-val gauge : t -> string -> gauge
-val set : gauge -> int -> unit
-val gauge_value : gauge -> int
-
-val gauge_fn : t -> string -> (unit -> int) -> unit
-(** Register (or replace) a callback gauge, read at dump time.  A
+val gauge_fn : string -> (unit -> int) -> unit
+(** Register (or replace) a gauge: a callback read at dump time.  A
     callback that raises reads as 0. *)
 
 (** {1 Histograms}
@@ -61,7 +47,7 @@ val gauge_fn : t -> string -> (unit -> int) -> unit
 
 type histogram = Quantile.t
 
-val histogram : t -> string -> histogram
+val histogram : string -> histogram
 
 val observe : histogram -> int -> unit
 (** {!Quantile.record}.  Raises [Invalid_argument] on negative samples
@@ -102,16 +88,16 @@ type row = {
           being the log2 view; empty otherwise. *)
 }
 
-val dump : t -> row list
+val dump : unit -> row list
 (** Snapshot of every instrument, sorted by name. *)
 
-val to_csv : t -> string
+val to_csv : unit -> string
 (** The dump as CSV with a ["name,kind,value,p50,p99,detail"] header
     (quantile cells are empty for counters and gauges) — the
     machine-readable twin of the bench report tables. *)
 
-val write_csv : path:string -> t -> unit
+val write_csv : path:string -> unit
 
-val reset : t -> unit
+val reset : unit -> unit
 (** Forget every instrument name (tests).  Handles already held keep
     recording, but {!dump} no longer lists them. *)

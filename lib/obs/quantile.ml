@@ -147,9 +147,3 @@ let max_value s =
   let result = ref 0 in
   Array.iteri (fun i n -> if n > 0 then result := snd (bucket_bounds i)) s.s_counts;
   !result
-
-let pp ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.1f p50=%d p90=%d p99=%d p99.9=%d max=%d"
-    (count s) (mean s) (quantile s 0.5) (quantile s 0.9) (quantile s 0.99)
-    (quantile s 0.999) (max_value s)

@@ -105,6 +105,3 @@ val quantile : snapshot -> float -> int
 
 val max_value : snapshot -> int
 (** Upper bound of the highest non-empty bucket; 0 when empty. *)
-
-val pp : Format.formatter -> snapshot -> unit
-(** One line: count, mean, p50/p90/p99/p99.9, max. *)

@@ -64,7 +64,7 @@ let trigger ?(sections = []) ?step ~reason () =
         reason;
         step;
         events = Tracing.last_events window;
-        metrics = Metrics.dump Metrics.default;
+        metrics = Metrics.dump ();
         sections = sections @ List.map run_provider provided;
       }
     in
@@ -97,20 +97,17 @@ let clear () =
       queue := [];
       providers := [])
 
-(* --- the step cursor ---
+(* --- step groups ---
 
-   Step-structured executions (the supervisor's serve loop, the replay
-   viewer) bracket each request in a marker span, so a report's event
-   window factors into per-step groups: everything from one marker's
-   Begin up to (excluding) the next marker's Begin.  The cursor walks
-   those groups forwards — the flight recorder's window, replayed one
-   step at a time. *)
-
-let default_step_marker = "replay.step"
+   The replay viewer brackets each re-executed request in a
+   "replay.step" span, so a report's event window factors into per-step
+   groups: everything from one marker's Begin up to (excluding) the next
+   marker's Begin — the flight recorder's window, replayed one step at a
+   time. *)
 
 type step_group = { step_arg : string; step_events : Tracing.event list }
 
-let step_groups ?(marker = default_step_marker) r =
+let step_groups r =
   let flush arg acc groups =
     if arg = None && acc = [] then groups
     else
@@ -120,22 +117,11 @@ let step_groups ?(marker = default_step_marker) r =
   let rec go arg acc groups = function
     | [] -> List.rev (flush arg acc groups)
     | (e : Tracing.event) :: rest ->
-      if e.Tracing.phase = Tracing.Begin && e.Tracing.name = marker then
+      if e.Tracing.phase = Tracing.Begin && e.Tracing.name = "replay.step" then
         go (Some e.Tracing.arg) [ e ] (flush arg acc groups) rest
       else go arg (e :: acc) groups rest
   in
   go None [] [] r.events
-
-type cursor = { mutable remaining : step_group list }
-
-let cursor ?marker r = { remaining = step_groups ?marker r }
-
-let next c =
-  match c.remaining with
-  | [] -> None
-  | g :: rest ->
-    c.remaining <- rest;
-    Some g
 
 let pp_report ppf r =
   Format.fprintf ppf "flight record #%d at %d us: %s%t@." r.seq r.at_us r.reason

@@ -21,7 +21,7 @@ type report = {
           viewer): the request index being handled when the capture
           fired — the cursor position time-travel replay walks back to. *)
   events : Tracing.event list;  (** The last {!window} trace events. *)
-  metrics : Metrics.row list;  (** Snapshot of {!Metrics.default}. *)
+  metrics : Metrics.row list;  (** Snapshot of the {!Metrics} registry. *)
   sections : section list;
       (** Caller-supplied sections first, then one section per
           registered context provider. *)
@@ -52,16 +52,13 @@ val set_step : int -> unit
 
 val clear_step : unit -> unit
 
-(** {1 The step cursor}
+(** {1 Step groups}
 
     When the captured window came from a step-structured execution whose
     steps are bracketed in marker spans (the replay viewer brackets each
     re-executed request in a ["replay.step"] span), the window factors
     into per-step groups that can be walked forwards — the
     time-travel-replay view of the flight record. *)
-
-val default_step_marker : string
-(** ["replay.step"]. *)
 
 type step_group = {
   step_arg : string;
@@ -71,17 +68,10 @@ type step_group = {
       (** The marker's [Begin] and everything up to the next marker. *)
 }
 
-val step_groups : ?marker:string -> report -> step_group list
-(** Split the report's event window at [Begin] events named [marker]
-    (default {!default_step_marker}).  Events before the first marker
-    form a leading group with [step_arg = ""] (omitted when empty). *)
-
-type cursor
-
-val cursor : ?marker:string -> report -> cursor
-(** A forward cursor over {!step_groups}. *)
-
-val next : cursor -> step_group option
+val step_groups : report -> step_group list
+(** Split the report's event window at [Begin] events named
+    ["replay.step"].  Events before the first marker form a leading
+    group with [step_arg = ""] (omitted when empty). *)
 
 val reports : unit -> report list  (** Oldest first. *)
 

@@ -16,10 +16,6 @@ let create ?(name = "slo") ~target ~budget () =
     invalid_arg "Slo.create: error budget must be in (0, 1]";
   { sl_name = name; sl_target = target; sl_budget = budget; total = 0; bad = 0; alerted = 0 }
 
-let name t = t.sl_name
-let target t = t.sl_target
-let budget t = t.sl_budget
-
 let burn t =
   if t.total = 0 then 0.
   else float_of_int t.bad /. float_of_int t.total /. t.sl_budget
@@ -58,12 +54,6 @@ let report (t : t) =
   in
   let budget_used = burn t in
   { total = t.total; bad = t.bad; compliance; budget_used; breached = budget_used > 1. }
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "%d requests, %d bad: compliance %.4f, %.0f%% of error budget used%s" r.total
-    r.bad r.compliance (100. *. r.budget_used)
-    (if r.breached then " [SLO BREACHED]" else "")
 
 (* --- the active slot --- *)
 

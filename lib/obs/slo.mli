@@ -26,10 +26,6 @@ val create : ?name:string -> target:int -> budget:float -> unit -> t
     loop records nanoseconds); [budget] the allowed bad fraction in
     (0, 1].  Raises [Invalid_argument] otherwise. *)
 
-val name : t -> string
-val target : t -> int
-val budget : t -> float
-
 val record : t -> ?error:bool -> int -> unit
 (** [record t latency] classifies one request: bad iff [error] (default
     false) or [latency > target t]. *)
@@ -45,8 +41,6 @@ type report = {
 }
 
 val report : t -> report
-
-val pp_report : Format.formatter -> report -> unit
 
 (** {1 The process-wide active SLO} *)
 

@@ -36,8 +36,6 @@ let record phase name arg =
     Some { ts = now_us (); dom = r.dom; phase; name; arg };
   r.n <- r.n + 1
 
-let begin_ ?(arg = "") name = if Control.enabled () then record Begin name arg
-let end_ name = if Control.enabled () then record End name ""
 let instant ?(arg = "") name = if Control.enabled () then record Instant name arg
 
 let span ?arg name f =

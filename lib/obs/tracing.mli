@@ -37,8 +37,6 @@ val elapsed_ns : since:int -> now:int -> int
 (** [now - since], or 0 when the stamps run backwards: a latency sample
     is never negative (histograms reject negative samples). *)
 
-val begin_ : ?arg:string -> string -> unit
-val end_ : string -> unit
 val instant : ?arg:string -> string -> unit
 
 val span : ?arg:string -> string -> (unit -> 'a) -> 'a

@@ -195,7 +195,7 @@ let par_map_array ~jobs f items =
      worker whenever telemetry was on. *)
   let chunks_counter =
     if Dh_obs.Control.enabled () then
-      Some (Dh_obs.Metrics.counter Dh_obs.Metrics.default "pool.chunks")
+      Some (Dh_obs.Metrics.counter "pool.chunks")
     else None
   in
   let work () =

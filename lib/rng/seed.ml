@@ -2,8 +2,6 @@ type t = { mutable counter : int; master : int }
 
 let create ~master = { counter = 0; master }
 
-let of_time () = create ~master:(int_of_float (Unix.gettimeofday () *. 1e6))
-
 (* splitmix64-style stream: seed_i = mix (master + i * golden).  Each draw
    is a full avalanche of a distinct input, so draws are pairwise distinct
    unless the finalizer collides (probability ~ 2^-63 per pair). *)

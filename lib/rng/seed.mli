@@ -14,10 +14,6 @@ type t
 val create : master:int -> t
 (** [create ~master] builds a pool from a master seed. *)
 
-val of_time : unit -> t
-(** A pool seeded from the wall clock — the "deployment" configuration,
-    used when reproducibility is not wanted. *)
-
 val fresh : t -> int
 (** [fresh t] draws the next seed from the pool.  Successive draws are
     distinct with overwhelming probability and statistically unrelated.

@@ -145,7 +145,7 @@ let meshed_pages t = Imap.fold (fun _ seg acc -> acc + seg.meshes) t.segments 0
    always reflects the most recently created address space (campaigns
    create one per trial; the CLI creates exactly one). *)
 let publish_metrics t =
-  let g name f = Dh_obs.Metrics.gauge_fn Dh_obs.Metrics.default ("mem." ^ name) f in
+  let g name f = Dh_obs.Metrics.gauge_fn ("mem." ^ name) f in
   g "reads" (fun () -> t.reads);
   g "writes" (fun () -> t.writes);
   g "mmaps" (fun () -> t.mmaps);
@@ -208,7 +208,7 @@ let[@inline] touch_line t line =
 
 let round_pages len = (len + page_size - 1) / page_size * page_size
 
-let mmap t ?(prot = Read_write) len =
+let mmap t len =
   if len <= 0 then invalid_arg "Mem.mmap: length must be positive";
   let len = round_pages len in
   let base = t.next_base in
@@ -221,7 +221,7 @@ let mmap t ?(prot = Read_write) len =
       base;
       len;
       data = Bytes.make len '\000';
-      prot = Array.make pages prot;
+      prot = Array.make pages Read_write;
       phys = Array.init pages (fun p -> p);
       refcnt = Array.make pages 1;
       meshes = 0;

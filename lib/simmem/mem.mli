@@ -29,11 +29,11 @@ val create : unit -> t
 
 (** {1 Mapping} *)
 
-val mmap : t -> ?prot:prot -> int -> int
-(** [mmap t len] maps a fresh zero-filled segment of [len] bytes (rounded
-    up to a whole number of pages) and returns its base address.  Fresh
-    segments never overlap live ones, and bases are page-aligned.
-    [prot] defaults to [Read_write]. *)
+val mmap : t -> int -> int
+(** [mmap t len] maps a fresh zero-filled, [Read_write] segment of [len]
+    bytes (rounded up to a whole number of pages) and returns its base
+    address.  Fresh segments never overlap live ones, and bases are
+    page-aligned. *)
 
 val munmap : t -> int -> unit
 (** [munmap t base] unmaps the segment whose base is exactly [base].
@@ -237,7 +237,7 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val publish_metrics : t -> unit
 (** Register this address space's counters as callback gauges
-    (["mem.reads"], ["mem.tlb_misses"], ...) on {!Dh_obs.Metrics.default}.
+    (["mem.reads"], ["mem.tlb_misses"], ...) in {!Dh_obs.Metrics}.
     Called automatically by {!create} when {!Dh_obs.Control.enabled};
     the registry reflects the most recently published space. *)
 

@@ -1,5 +1,4 @@
 let espresso_rounds = 1500
-let espresso_expected_rounds = espresso_rounds / 100
 
 (* See the .mli for why this program has the shape it has.  Allocation
    profile: ~1600 objects of 16..160 bytes, linked cells read back and

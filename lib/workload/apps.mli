@@ -34,9 +34,6 @@ val espresso_source : string
 
 val espresso : unit -> Dh_alloc.Program.t
 
-val espresso_expected_rounds : int
-(** Number of checksum lines espresso-sim prints (for output checks). *)
-
 val squid_source : string
 (** MiniC source. *)
 

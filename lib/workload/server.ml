@@ -37,15 +37,15 @@ let key_of ?zipf k =
       ~u:(float_of_int (mix k) /. 1073741824.)
     - 1
 
-let url_of ?zipf ~attack_len k =
+(* An attack URL's length: long enough to reach the hole page from the
+   last ~4.5% of title slots under [heap_size]. *)
+let attack_len = 3000
+
+let url_of ?zipf ~attack k =
   let base =
     Printf.sprintf "http://h%03x.example/%d" (key_of ?zipf k) (mix (k + 1) land 0xFFF)
   in
-  match attack_len with
-  | None -> base
-  | Some len when len > String.length base ->
-    base ^ String.make (len - String.length base) 'A'
-  | Some _ -> base
+  if attack then base ^ String.make (attack_len - String.length base) 'A' else base
 
 (* Counter block offsets (a malloc'd block of simulated memory: the
    server keeps NO mutable OCaml state, which is what makes memory
@@ -56,7 +56,7 @@ let c_failed = 16
 let c_checksum = 24
 let counters_size = 32
 
-let service ~requests ?(attack_every = 0) ?(attack_len = 3000) ?zipf () =
+let service ~requests ?(attack_every = 0) ?zipf () =
   if requests < 0 then invalid_arg "Server.service: requests must be >= 0";
   let init ctx =
     let a = ctx.Program.alloc in
@@ -85,7 +85,7 @@ let service ~requests ?(attack_every = 0) ?(attack_len = 3000) ?zipf () =
        checksum, rewound with the heap) and, as write-only telemetry, the
        windowed error rate clocked by the request index — the only layer
        that sees per-request failures is this one.  Geometry matches the
-       supervisor's serve.requests / serve.rewinds windows. *)
+       supervisor's serve.rewinds window. *)
     let fail k off =
       bump off 1;
       if Dh_obs.Control.enabled () then
@@ -105,7 +105,7 @@ let service ~requests ?(attack_every = 0) ?(attack_len = 3000) ?zipf () =
     let handle k =
       Process.Fuel.burn ctx.Program.fuel;
       let attack = attack_every > 0 && k > 0 && k mod attack_every = attack_every - 1 in
-      let url = url_of ?zipf ~attack_len:(if attack then Some attack_len else None) k in
+      let url = url_of ?zipf ~attack k in
       let key = key_of ?zipf k in
       let bucket = table + (key land (bucket_count - 1)) * 8 in
       let rec find node depth =
@@ -204,9 +204,8 @@ let service ~requests ?(attack_every = 0) ?(attack_len = 3000) ?zipf () =
   in
   { Program.requests; init }
 
-let program ?(requests = 4096) ?(attack_every = 0) ?(attack_len = 3000) ?zipf () =
-  Program.of_service ~name:"server"
-    (service ~requests ~attack_every ~attack_len ?zipf ())
+let program ?(requests = 4096) ?(attack_every = 0) ?zipf () =
+  Program.of_service ~name:"server" (service ~requests ~attack_every ?zipf ())
 
 let heap_size =
   (* 64 KiB per size-class region: the 64 B title region spans 16 pages,

@@ -13,7 +13,7 @@
     Every request formats a fixed 64-byte title buffer with the unchecked
     [strcpy] of Squid 2.3s5 (paper §7.3, "Real Faults").  Well-formed
     URLs fit.  With [attack_every > 0], every [attack_every]-th request
-    carries an [attack_len]-byte URL: the overflow tramples title slots —
+    carries a 3000-byte URL: the overflow tramples title slots —
     under DieHard almost always free ones — and, when the victim buffer
     sits near the end of its size-class region, runs onto the unmapped
     hole page and faults.  Output (progress lines plus a final
@@ -23,11 +23,10 @@
     never-faulted run prints. *)
 
 val service :
-  requests:int -> ?attack_every:int -> ?attack_len:int -> ?zipf:float ->
-  unit -> Dh_alloc.Program.service
-(** [attack_every] defaults to 0 (no attacks); [attack_len] to 3000
-    bytes — long enough to reach the hole page from the last ~4.5% of
-    title slots under {!heap_size}.  [zipf] skews the key popularity to a
+  requests:int -> ?attack_every:int -> ?zipf:float -> unit -> Dh_alloc.Program.service
+(** [attack_every] defaults to 0 (no attacks).  The 3000-byte attack URL
+    is long enough to reach the hole page from the last ~4.5% of title
+    slots under {!heap_size}.  [zipf] skews the key popularity to a
     Zipf([zipf]) distribution over the key space (real cache traffic is
     heavy-headed); keys stay a pure function of the request index — the
     uniform variate is the request hash, inverted through
@@ -36,8 +35,7 @@ val service :
     Raises [Invalid_argument] when [requests < 0]. *)
 
 val program :
-  ?requests:int -> ?attack_every:int -> ?attack_len:int -> ?zipf:float ->
-  unit -> Dh_alloc.Program.t
+  ?requests:int -> ?attack_every:int -> ?zipf:float -> unit -> Dh_alloc.Program.t
 (** {!service} wrapped via {!Dh_alloc.Program.of_service} (4096 requests
     by default), so plain runs and checkpointed runs execute the same
     steps. *)

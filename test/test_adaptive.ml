@@ -9,9 +9,9 @@ module Adaptive = Diehard.Adaptive
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let make ?multiplier ?initial_objects ?replicated ?seed () =
+let make ?seed () =
   let mem = Mem.create () in
-  let t = Adaptive.create ?multiplier ?initial_objects ?replicated ?seed mem in
+  let t = Adaptive.create ?seed mem in
   (mem, t, Adaptive.allocator t)
 
 let test_basic_roundtrip () =
@@ -25,7 +25,7 @@ let test_basic_roundtrip () =
 let test_never_exhausts () =
   (* The defining property: no fixed capacity.  Allocate far beyond any
      initial region. *)
-  let _, t, a = make ~initial_objects:8 () in
+  let _, t, a = make () in
   for _ = 1 to 10_000 do
     match a.Allocator.malloc 64 with
     | Some _ -> ()
@@ -34,20 +34,19 @@ let test_never_exhausts () =
   check "multiple miniheaps mapped" true (Adaptive.miniheap_count t ~class_:3 > 3)
 
 let test_growth_is_geometric () =
-  let _, t, a = make ~initial_objects:8 () in
+  let _, t, a = make () in
   for _ = 1 to 1000 do
     ignore (Allocator.malloc_exn a 64)
   done;
   let miniheaps = Adaptive.miniheap_count t ~class_:3 in
   let capacity = Adaptive.class_capacity t ~class_:3 in
-  (* geometric doubling: capacity 8+16+32+... = 8*(2^n - 1); the number
-     of miniheaps for >= 2000 slots of headroom is ~log2(2000/8) = 8 *)
-  check (Printf.sprintf "few miniheaps (%d) for capacity %d" miniheaps capacity) true
-    (miniheaps <= 10);
+  (* geometric doubling: capacity 64+128+256+... = 64*(2^n - 1); keeping
+     1000 live objects at most half full takes n = 6 miniheaps (4032) *)
+  check_int (Printf.sprintf "miniheaps for capacity %d" capacity) 6 miniheaps;
   check "capacity covers 2x live" true (capacity >= 2 * 1000)
 
 let test_invariant_never_above_threshold () =
-  let _, t, a = make ~multiplier:2 ~initial_objects:16 () in
+  let _, t, a = make () in
   for i = 1 to 5000 do
     ignore (Allocator.malloc_exn a 64);
     if i mod 100 = 0 then
@@ -57,15 +56,8 @@ let test_invariant_never_above_threshold () =
         (Adaptive.class_fullness t ~class_:3 <= 0.5 +. 0.001)
   done
 
-let test_multiplier_4_invariant () =
-  let _, t, a = make ~multiplier:4 ~initial_objects:16 () in
-  for _ = 1 to 2000 do
-    ignore (Allocator.malloc_exn a 64)
-  done;
-  check "quarter full at most" true (Adaptive.class_fullness t ~class_:3 <= 0.25 +. 0.001)
-
 let test_classes_independent () =
-  let _, t, a = make ~initial_objects:8 () in
+  let _, t, a = make () in
   for _ = 1 to 500 do
     ignore (Allocator.malloc_exn a 64)
   done;
@@ -83,7 +75,7 @@ let test_free_validation () =
   check_int "ignored frees" 3 a.Allocator.stats.Stats.ignored_frees
 
 let test_free_across_miniheaps () =
-  let _, t, a = make ~initial_objects:8 () in
+  let _, t, a = make () in
   let ptrs = Array.init 200 (fun _ -> Allocator.malloc_exn a 64) in
   check "grew" true (Adaptive.miniheap_count t ~class_:3 > 1);
   Array.iter (fun p -> a.Allocator.free p) ptrs;
@@ -115,7 +107,7 @@ let test_uniform_across_miniheaps () =
   (* Slots in later (larger) miniheaps must be proportionally more
      likely: allocate many and check the split roughly follows
      capacities. *)
-  let _, t, a = make ~initial_objects:64 () in
+  let _, t, a = make () in
   (* force growth to 64+128 = 192 capacity, then sample placements *)
   let warm = Array.init 80 (fun _ -> Allocator.malloc_exn a 64) in
   Array.iter (fun p -> a.Allocator.free p) warm;
@@ -146,16 +138,10 @@ let test_large_objects () =
   a.Allocator.free p;
   check_int "large double free ignored" 1 a.Allocator.stats.Stats.ignored_frees
 
-let test_replicated_fill () =
-  let mem, _, a = make ~replicated:true () in
-  let p = Allocator.malloc_exn a 64 in
-  check "random filled" false
-    (String.equal (Mem.read_bytes mem ~addr:p ~len:64) (String.make 64 '\000'))
-
 let test_mapped_tracks_live_not_worst_case () =
   (* The point of adaptivity: footprint follows use.  A workload with a
      tiny live set must map far less than a paper-default fixed heap. *)
-  let _, t, a = make ~initial_objects:64 () in
+  let _, t, a = make () in
   for _ = 1 to 1000 do
     let p = Allocator.malloc_exn a 64 in
     a.Allocator.free p
@@ -242,7 +228,7 @@ let prop_accounting_consistent =
   QCheck.Test.make ~name:"adaptive: random ops keep totals = sum of miniheaps" ~count:40
     QCheck.(pair small_int (list (pair (int_bound 300) bool)))
     (fun (seed, ops) ->
-      let _, t, a = make ~seed:(seed + 1) ~initial_objects:8 () in
+      let _, t, a = make ~seed:(seed + 1) () in
       let live = ref [] in
       List.iter
         (fun (sz, do_free) ->
@@ -278,7 +264,6 @@ let suite =
     Alcotest.test_case "never exhausts" `Quick test_never_exhausts;
     Alcotest.test_case "geometric growth" `Quick test_growth_is_geometric;
     Alcotest.test_case "threshold invariant" `Quick test_invariant_never_above_threshold;
-    Alcotest.test_case "M=4 invariant" `Quick test_multiplier_4_invariant;
     Alcotest.test_case "classes independent" `Quick test_classes_independent;
     Alcotest.test_case "free validation" `Quick test_free_validation;
     Alcotest.test_case "free across miniheaps" `Quick test_free_across_miniheaps;
@@ -286,7 +271,6 @@ let suite =
     Alcotest.test_case "random placement" `Quick test_random_placement;
     Alcotest.test_case "uniform across miniheaps" `Quick test_uniform_across_miniheaps;
     Alcotest.test_case "large objects" `Quick test_large_objects;
-    Alcotest.test_case "replicated fill" `Quick test_replicated_fill;
     Alcotest.test_case "footprint tracks live" `Quick test_mapped_tracks_live_not_worst_case;
     Alcotest.test_case "min_headroom free slots" `Quick test_min_headroom_keeps_free_slots;
     Alcotest.test_case "headroom protection" `Quick test_headroom_restores_dangling_protection;

@@ -125,7 +125,7 @@ let test_saved_log_drives_injection () =
 let test_layout_empty_heap () =
   let mem = Mem.create () in
   let heap = Diehard.Heap.create ~config:(Diehard.Config.v ~heap_size:(12 * 64 * 1024) ()) mem in
-  check_string "nothing mapped yet" "" (Format.asprintf "%a" (Diehard.Heap.pp_layout ?width:None) heap)
+  check_string "nothing mapped yet" "" (Format.asprintf "%a" Diehard.Heap.pp_layout heap)
 
 let test_layout_shows_occupancy () =
   let mem = Mem.create () in
@@ -134,7 +134,7 @@ let test_layout_shows_occupancy () =
   for _ = 1 to 100 do
     ignore (Allocator.malloc_exn alloc 64)
   done;
-  let text = Format.asprintf "%a" (Diehard.Heap.pp_layout ?width:None) heap in
+  let text = Format.asprintf "%a" Diehard.Heap.pp_layout heap in
   check "mentions the class" true
     (String.length text > 0
     && String.sub text 0 8 = "class  3");
@@ -155,7 +155,7 @@ let test_layout_scatter_vs_cluster () =
   for _ = 1 to 64 do
     ignore (Allocator.malloc_exn alloc 64)
   done;
-  let text = Format.asprintf "%a" (Diehard.Heap.pp_layout ~width:64) heap in
+  let text = Format.asprintf "%a" Diehard.Heap.pp_layout heap in
   (match String.index_opt text '|' with
   | Some start ->
     let bar = String.sub text (start + 1) 64 in
@@ -168,7 +168,7 @@ let test_layout_large_objects_listed () =
   let heap = Diehard.Heap.create ~config:(Diehard.Config.v ~heap_size:(12 * 64 * 1024) ()) mem in
   let alloc = Diehard.Heap.allocator heap in
   ignore (Allocator.malloc_exn alloc 50_000);
-  let text = Format.asprintf "%a" (Diehard.Heap.pp_layout ?width:None) heap in
+  let text = Format.asprintf "%a" Diehard.Heap.pp_layout heap in
   check "mentions large objects" true
     (let needle = "large objects:" in
      let rec contains i =

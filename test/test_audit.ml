@@ -213,9 +213,15 @@ let test_top_sites_ranking () =
         ignore (Audit.with_site noisy (fun () -> Heap.malloc heap 64))
       done;
       ignore (Audit.with_site guilty (fun () -> Heap.malloc heap 64));
+      for i = 1 to 6 do
+        let quiet = Audit.site (Printf.sprintf "quiet%d" i) in
+        ignore (Audit.with_site quiet (fun () -> Heap.malloc heap 64))
+      done;
       Audit.record_canary ~site:guilty;
       Audit.record_fault ~site:guilty;
-      match Audit.top_sites ~n:2 (Audit.snapshot ()) with
+      let ranked = Audit.top_sites (Audit.snapshot ()) in
+      check_int "top five of eight sites" 5 (List.length ranked);
+      match ranked with
       | first :: second :: _ ->
         check_str "faulting site outranks the merely busy" "guilty"
           first.Audit.name;

@@ -413,28 +413,6 @@ let test_iter_clear_complements_iter_set () =
     check "iter_set and iter_clear partition the indices" true !ok
   done
 
-(* --- freelist scrub --- *)
-
-let test_freelist_scrub_fills_freed_payload () =
-  let mem = Mem.create () in
-  let fl = Dh_alloc.Freelist.create ~scrub:true mem in
-  let alloc = Dh_alloc.Freelist.allocator fl in
-  let p = Option.get (alloc.Dh_alloc.Allocator.malloc 64) in
-  Mem.fill mem ~addr:p ~len:64 '\xAB';
-  alloc.Dh_alloc.Allocator.free p;
-  (* first 16 payload bytes hold the free-list links; past them the
-     scrubbed pattern must be visible *)
-  check_int "freed payload scrubbed" 0xDD (Mem.read8 mem (p + 24));
-  check_int "freed payload scrubbed (end)" 0xDD (Mem.read8 mem (p + 63));
-  (* default heaps do not scrub *)
-  let mem2 = Mem.create () in
-  let fl2 = Dh_alloc.Freelist.create mem2 in
-  let alloc2 = Dh_alloc.Freelist.allocator fl2 in
-  let q = Option.get (alloc2.Dh_alloc.Allocator.malloc 64) in
-  Mem.fill mem2 ~addr:q ~len:64 '\xAB';
-  alloc2.Dh_alloc.Allocator.free q;
-  check_int "no scrub by default" 0xAB (Mem.read8 mem2 (q + 24))
-
 (* --- zero-length and degenerate bulk ops never fault --- *)
 
 let test_zero_length_never_faults () =
@@ -480,6 +458,5 @@ let suite =
       test_first_clear_equivalence;
     Alcotest.test_case "bitmap iter_clear complements iter_set" `Quick
       test_iter_clear_complements_iter_set;
-    Alcotest.test_case "freelist scrub" `Quick test_freelist_scrub_fills_freed_payload;
     Alcotest.test_case "zero-length bulk ops" `Quick test_zero_length_never_faults;
   ]

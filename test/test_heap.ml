@@ -12,10 +12,10 @@ open Diehard
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let small_config ?(multiplier = 2) ?(replicated = false) ?(seed = 1) () =
+let small_config ?(replicated = false) ?(seed = 1) () =
   (* 12 regions of 64 KB: big enough for interesting tests, small enough
      to exhaust quickly. *)
-  Config.v ~multiplier ~heap_size:(12 * 64 * 1024) ~replicated ~seed ()
+  Config.v ~heap_size:(12 * 64 * 1024) ~replicated ~seed ()
 
 let make ?config ?seed () =
   let config =
@@ -31,20 +31,57 @@ let make ?config ?seed () =
 (* --- config --- *)
 
 let test_config_validation () =
-  Alcotest.check_raises "M < 2 rejected"
-    (Invalid_argument "Config: multiplier must be >= 2") (fun () ->
-      ignore (Config.v ~multiplier:1 ()));
+  Alcotest.check_raises "M <= 1 rejected"
+    (Invalid_argument "Config: multiplier must be > 1") (fun () ->
+      ignore (Config.v ~multiplier:1. ()));
+  Alcotest.check_raises "NaN M rejected"
+    (Invalid_argument "Config: multiplier must be > 1") (fun () ->
+      ignore (Config.v ~multiplier:Float.nan ()));
   Alcotest.check_raises "tiny heap rejected"
     (Invalid_argument "Config: heap too small for the largest size class") (fun () ->
       ignore (Config.v ~heap_size:65536 ()))
 
 let test_config_geometry () =
-  let c = Config.v ~heap_size:(12 lsl 20) ~multiplier:2 () in
+  let c = Config.v ~heap_size:(12 lsl 20) ~multiplier:2. () in
   check_int "region size" (1 lsl 20) (Config.region_size c);
   check_int "class-0 capacity" ((1 lsl 20) / 8) (Config.objects_in_region c ~class_:0);
   check_int "class-0 threshold" ((1 lsl 20) / 16) (Config.threshold c ~class_:0);
   check_int "class-11 capacity" ((1 lsl 20) / 16384)
     (Config.objects_in_region c ~class_:11)
+
+(* Every class's threshold [floor (objects / M)] for the M values the
+   audit sweeps (12 x 256 KiB heap) and the ablation's M values (default
+   24 MiB heap).  The numbers are written out, not recomputed, so a
+   threshold formula that drifts from the paper's 1/M shows up here. *)
+let test_threshold_table () =
+  let table =
+    [
+      ( 12 * 256 * 1024,
+        [
+          (1.5, [ 21845; 10922; 5461; 2730; 1365; 682; 341; 170; 85; 42; 21; 10 ]);
+          (2., [ 16384; 8192; 4096; 2048; 1024; 512; 256; 128; 64; 32; 16; 8 ]);
+          (3., [ 10922; 5461; 2730; 1365; 682; 341; 170; 85; 42; 21; 10; 5 ]);
+          (4., [ 8192; 4096; 2048; 1024; 512; 256; 128; 64; 32; 16; 8; 4 ]);
+        ] );
+      ( Config.default.Config.heap_size,
+        [
+          (2., [ 131072; 65536; 32768; 16384; 8192; 4096; 2048; 1024; 512; 256; 128; 64 ]);
+          (4., [ 65536; 32768; 16384; 8192; 4096; 2048; 1024; 512; 256; 128; 64; 32 ]);
+          (8., [ 32768; 16384; 8192; 4096; 2048; 1024; 512; 256; 128; 64; 32; 16 ]);
+        ] );
+    ]
+  in
+  List.iter
+    (fun (heap_size, rows) ->
+      List.iter
+        (fun (multiplier, expected) ->
+          let c = Config.v ~heap_size ~multiplier () in
+          Alcotest.(check (list int))
+            (Printf.sprintf "thresholds, heap %d, M=%g" heap_size multiplier)
+            expected
+            (List.init Dh_alloc.Size_class.count (fun class_ -> Config.threshold c ~class_)))
+        rows)
+    table
 
 (* --- basic allocation --- *)
 
@@ -457,6 +494,7 @@ let suite =
     Alcotest.test_case "objects disjoint+aligned" `Quick test_objects_disjoint_and_aligned;
     Alcotest.test_case "size-class routing" `Quick test_size_class_routing;
     Alcotest.test_case "reserved size rounded" `Quick test_reserved_size_rounded;
+    Alcotest.test_case "threshold table" `Quick test_threshold_table;
     Alcotest.test_case "1/M threshold" `Quick test_threshold_enforced;
     Alcotest.test_case "thresholds independent" `Quick test_threshold_per_class_independent;
     Alcotest.test_case "free releases threshold" `Quick test_free_releases_threshold;

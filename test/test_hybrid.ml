@@ -10,21 +10,21 @@ module Heap = Diehard.Heap
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let make ?(cutoff = 256) () =
+let make () =
   let mem = Mem.create () in
   let config = Diehard.Config.v ~heap_size:(12 * 64 * 1024) () in
-  let h = Hybrid.create ~config ~cutoff mem in
+  let h = Hybrid.create ~config mem in
   (mem, h, Hybrid.allocator h)
 
 let test_routing () =
-  let _, h, a = make ~cutoff:256 () in
+  let _, h, a = make () in
   let small = Allocator.malloc_exn a 64 in
   let big = Allocator.malloc_exn a 1024 in
   check "small goes to DieHard" true (Hybrid.is_protected h small);
   check "big goes to the freelist" false (Hybrid.is_protected h big)
 
 let test_cutoff_boundary () =
-  let _, h, a = make ~cutoff:256 () in
+  let _, h, a = make () in
   let at = Allocator.malloc_exn a 256 in
   let above = Allocator.malloc_exn a 257 in
   check "cutoff inclusive" true (Hybrid.is_protected h at);
@@ -99,7 +99,7 @@ let test_find_object_dispatch () =
 let test_realloc_across_cutoff () =
   (* Growing a protected object past the cutoff moves it to the
      unprotected side (and vice versa), preserving its contents. *)
-  let mem, h, a = make ~cutoff:256 () in
+  let mem, h, a = make () in
   let p = Allocator.malloc_exn a 64 in
   Mem.write64 mem p 4242;
   (match Allocator.realloc a p 1024 with
@@ -142,7 +142,7 @@ let test_footprint_below_full_diehard () =
   let full = Heap.create ~config:(Diehard.Config.v ()) mem_full in
   traffic (Heap.allocator full);
   let mem_hybrid = Mem.create () in
-  let hybrid = Hybrid.create ~config:(Diehard.Config.v ()) ~cutoff:256 mem_hybrid in
+  let hybrid = Hybrid.create ~config:(Diehard.Config.v ()) mem_hybrid in
   let hybrid_alloc = Hybrid.allocator hybrid in
   traffic hybrid_alloc;
   check

@@ -238,11 +238,17 @@ let test_strings_and_io () =
     "01"
 
 let test_now_intercepted () =
-  let mem = Mem.create () in
-  let fl = Dh_alloc.Freelist.create mem in
+  (* Three differently-seeded replicas read the same intercepted clock,
+     so the voter commits their output unanimously. *)
   let program = Interp.program_of_source ~name:"t" "fn main() { print_int(now()); }" in
-  let r = Program.run ~now:12345 program (Dh_alloc.Freelist.allocator fl) in
-  check_string "clock value" "12345" (output_of r)
+  let report = Diehard.Replicated.run ~replicas:3 program in
+  check "replicas agree" true (report.Diehard.Replicated.verdict = Diehard.Replicated.Agreed);
+  check_int "no replica eliminated" 0
+    (List.length
+       (List.filter
+          (fun r -> r.Diehard.Replicated.eliminated <> None)
+          report.Diehard.Replicated.replicas));
+  check_string "clock value" "0" report.Diehard.Replicated.output
 
 (* --- interpreter: heap behaviour --- *)
 

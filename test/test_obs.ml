@@ -19,7 +19,7 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
 let wipe () =
-  Metrics.reset Metrics.default;
+  Metrics.reset ();
   Tracing.reset ();
   Recorder.clear ()
 
@@ -54,7 +54,7 @@ let test_bucket_edges () =
 
 let test_histogram_observe () =
   with_clean @@ fun () ->
-  let h = Metrics.histogram Metrics.default "test.hist" in
+  let h = Metrics.histogram "test.hist" in
   List.iter (Metrics.observe h) [ 0; 1; 3; 1024 ];
   check_int "total" 4 (Metrics.histogram_total h);
   check_int "sum" 1028 (Metrics.histogram_sum h);
@@ -73,8 +73,8 @@ let test_histogram_observe () =
 
 let test_disabled_is_noop () =
   with_clean @@ fun () ->
-  let c = Metrics.counter Metrics.default "test.noop.counter" in
-  let h = Metrics.histogram Metrics.default "test.noop.hist" in
+  let c = Metrics.counter "test.noop.counter" in
+  let h = Metrics.histogram "test.noop.hist" in
   Control.with_enabled false (fun () ->
       Metrics.add c 42;
       Metrics.observe h 42;
@@ -90,7 +90,7 @@ let test_disabled_is_noop () =
 
 let test_counter_shard_merge () =
   with_clean @@ fun () ->
-  let c = Metrics.counter Metrics.default "test.shard.counter" in
+  let c = Metrics.counter "test.shard.counter" in
   let domains =
     Array.init 4 (fun _ ->
         Domain.spawn (fun () ->
@@ -106,15 +106,12 @@ let test_counter_shard_merge () =
 
 let test_gauges () =
   with_clean @@ fun () ->
-  let g = Metrics.gauge Metrics.default "test.gauge" in
-  Metrics.set g 17;
-  check_int "gauge set" 17 (Metrics.gauge_value g);
-  (* callback gauges: newest registration wins, raising callback reads 0 *)
-  Metrics.gauge_fn Metrics.default "test.gauge_fn" (fun () -> 1);
-  Metrics.gauge_fn Metrics.default "test.gauge_fn" (fun () -> 2);
-  Metrics.gauge_fn Metrics.default "test.gauge_fn.raising" (fun () ->
+  (* newest registration wins, raising callback reads 0 *)
+  Metrics.gauge_fn "test.gauge_fn" (fun () -> 1);
+  Metrics.gauge_fn "test.gauge_fn" (fun () -> 2);
+  Metrics.gauge_fn "test.gauge_fn.raising" (fun () ->
       failwith "boom");
-  let rows = Metrics.dump Metrics.default in
+  let rows = Metrics.dump () in
   let value name =
     match List.find_opt (fun r -> r.Metrics.name = name) rows with
     | Some r -> r.Metrics.value
@@ -125,18 +122,18 @@ let test_gauges () =
 
 let test_kind_mismatch () =
   with_clean @@ fun () ->
-  ignore (Metrics.counter Metrics.default "test.kind");
-  match Metrics.histogram Metrics.default "test.kind" with
+  ignore (Metrics.counter "test.kind");
+  match Metrics.histogram "test.kind" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind mismatch accepted"
 
 let test_csv_dump () =
   with_clean @@ fun () ->
-  let c = Metrics.counter Metrics.default "test.csv.counter" in
+  let c = Metrics.counter "test.csv.counter" in
   Metrics.add c 3;
-  let h = Metrics.histogram Metrics.default "test.csv.histogram" in
+  let h = Metrics.histogram "test.csv.histogram" in
   List.iter (Metrics.observe h) [ 1; 2; 3; 4; 100 ];
-  let csv = Metrics.to_csv Metrics.default in
+  let csv = Metrics.to_csv () in
   let lines = String.split_on_char '\n' (String.trim csv) in
   (match lines with
   | header :: _ -> check_str "header" "name,kind,value,p50,p99,detail" header
@@ -161,7 +158,7 @@ let test_csv_dump () =
 
 let test_histogram_quantile () =
   with_clean @@ fun () ->
-  let h = Metrics.histogram Metrics.default "test.hq" in
+  let h = Metrics.histogram "test.hq" in
   (* 10 samples of 1 (bucketed exactly), one of 100 (HDR bucket
      [100, 101]). *)
   for _ = 1 to 10 do
@@ -170,7 +167,7 @@ let test_histogram_quantile () =
   Metrics.observe h 100;
   check_int "p50 = small bucket bound" 1 (Metrics.histogram_quantile h 0.5);
   check_int "p99 lands in the top bucket" 101 (Metrics.histogram_quantile h 0.99);
-  let empty = Metrics.histogram Metrics.default "test.hq.empty" in
+  let empty = Metrics.histogram "test.hq.empty" in
   check_int "empty histogram quantile 0" 0 (Metrics.histogram_quantile empty 0.5)
 
 (* The CSV's log2 detail is a view of the HDR buckets: it must equal a
@@ -191,7 +188,7 @@ let prop_log2_view =
           reference.(b) <- reference.(b) + 1)
         samples;
       with_clean @@ fun () ->
-      let h = Metrics.histogram Metrics.default "test.log2.view" in
+      let h = Metrics.histogram "test.log2.view" in
       List.iter (Metrics.observe h) samples;
       Metrics.histogram_buckets h = reference
       && Metrics.histogram_total h = List.length samples
@@ -259,7 +256,7 @@ let test_recorder_capture () =
   Recorder.register_context "test.ctx" (fun () -> "ctx body");
   Recorder.register_context "test.ctx" (fun () -> "ctx body v2");
   Recorder.register_context "test.ctx.raising" (fun () -> failwith "boom");
-  Metrics.add (Metrics.counter Metrics.default "test.rec.counter") 1;
+  Metrics.add (Metrics.counter "test.rec.counter") 1;
   Recorder.trigger
     ~sections:[ { Recorder.title = "caller"; body = "caller body" } ]
     ~reason:"unit test" ();

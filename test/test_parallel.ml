@@ -263,12 +263,11 @@ let test_pool_worker_reuse () =
    reads must merge every shard back into one total. *)
 let test_metrics_shard_merge_under_pool () =
   Dh_obs.Control.with_enabled true @@ fun () ->
-  Fun.protect ~finally:(fun () -> Dh_obs.Metrics.reset Dh_obs.Metrics.default)
+  Fun.protect ~finally:(fun () -> Dh_obs.Metrics.reset ())
   @@ fun () ->
-  Dh_obs.Metrics.reset Dh_obs.Metrics.default;
-  let reg = Dh_obs.Metrics.default in
-  let c = Dh_obs.Metrics.counter reg "test.pool.items" in
-  let h = Dh_obs.Metrics.histogram reg "test.pool.sizes" in
+  Dh_obs.Metrics.reset ();
+  let c = Dh_obs.Metrics.counter "test.pool.items" in
+  let h = Dh_obs.Metrics.histogram "test.pool.sizes" in
   let pool = Pool.create ~jobs:4 () in
   let out =
     Pool.init ~pool 200 (fun i ->
@@ -297,7 +296,7 @@ let prop_observation_invariance =
         Dh_obs.Control.with_enabled true (fun () ->
             Fun.protect
               ~finally:(fun () ->
-                Dh_obs.Metrics.reset Dh_obs.Metrics.default;
+                Dh_obs.Metrics.reset ();
                 Dh_obs.Tracing.reset ();
                 Dh_obs.Recorder.clear ())
               (fun () -> supervisor_incident ~jobs ~master))
@@ -327,7 +326,7 @@ let prop_server_jobs_equivalence =
       Dh_obs.Control.with_enabled true @@ fun () ->
       Fun.protect
         ~finally:(fun () ->
-          Dh_obs.Metrics.reset Dh_obs.Metrics.default;
+          Dh_obs.Metrics.reset ();
           Dh_obs.Tracing.reset ();
           Dh_obs.Recorder.clear ())
         (fun () ->

@@ -1,7 +1,7 @@
 (* Tests for the serve-loop SLO observability stack: Quantile's
    two-level bucketing against a sorted-array oracle, shard merging
    under real domains, Window rotation across clock jumps, the SLO
-   budget arithmetic at its edges, the flight recorder's step cursor,
+   budget arithmetic at its edges, the flight recorder's step groups,
    and the supervisor's serve telemetry (including that it stays
    write-only: output is identical with observability on or off). *)
 
@@ -23,7 +23,7 @@ let wipe () =
   Quantile.reset ();
   Window.reset ();
   Slo.deactivate ();
-  Dh_obs.Metrics.reset Dh_obs.Metrics.default;
+  Dh_obs.Metrics.reset ();
   Tracing.reset ();
   Recorder.clear ()
 
@@ -147,11 +147,10 @@ let test_shard_merge_under_domains () =
   with_clean @@ fun () ->
   Audit.reset ();
   Fun.protect ~finally:Audit.reset @@ fun () ->
-  let reg = Dh_obs.Metrics.default in
-  let t = Dh_obs.Metrics.histogram reg "test.sharded" in
-  let c = Dh_obs.Metrics.counter reg "test.sharded.count" in
-  let probes_h = Dh_obs.Metrics.histogram reg "test.sharded.probes" in
-  let bytes_h = Dh_obs.Metrics.histogram reg "test.sharded.bytes" in
+  let t = Dh_obs.Metrics.histogram "test.sharded" in
+  let c = Dh_obs.Metrics.counter "test.sharded.count" in
+  let probes_h = Dh_obs.Metrics.histogram "test.sharded.probes" in
+  let bytes_h = Dh_obs.Metrics.histogram "test.sharded.bytes" in
   let lc = Audit.local ~probes:probes_h ~bytes:bytes_h in
   let site = Audit.site "test.sharded.site" in
   let slice d = List.init 500 (fun i -> (d * 10_000) + (i * 7)) in
@@ -361,9 +360,9 @@ let test_slo_disabled_noop () =
   Control.with_enabled false (fun () -> Slo.record t ~error:true 1000);
   check_int "disabled record dropped" 0 (Slo.report t).Slo.total
 
-(* --- Recorder step cursor ------------------------------------------- *)
+(* --- Recorder step groups ------------------------------------------- *)
 
-let test_step_cursor () =
+let test_step_groups () =
   with_clean @@ fun () ->
   Tracing.instant ~arg:"before" "setup";
   List.iter
@@ -390,14 +389,7 @@ let test_step_cursor () =
           (* Begin, the handler instant, End *)
           check_int "events per step" 3 (List.length g.Recorder.step_events))
         steps
-    | [] -> Alcotest.fail "no groups");
-    (* the cursor walks the same groups, then dries up *)
-    let c = Recorder.cursor r in
-    let rec drain acc =
-      match Recorder.next c with None -> List.rev acc | Some g -> drain (g :: acc)
-    in
-    check_int "cursor yields all groups" 4 (List.length (drain []));
-    check "cursor exhausted" true (Recorder.next c = None)
+    | [] -> Alcotest.fail "no groups")
 
 let test_advertised_step () =
   with_clean @@ fun () ->
@@ -432,17 +424,11 @@ let test_serve_telemetry () =
   let slo = Slo.configure ~name:"test-serve" ~target:max_int ~budget:0.5 () in
   let incident = serve_incident ~obs:true () in
   check "survived" true (incident.Supervisor.verdict <> Supervisor.Gave_up);
-  let latency = Dh_obs.Metrics.(histogram default "serve.latency_ns") in
+  let latency = Dh_obs.Metrics.(histogram "serve.latency_ns") in
   let s = Quantile.snapshot latency in
   (* every request (plus rewound replays) recorded a latency *)
   check "latency samples >= requests" true (Quantile.count s >= 512);
   check "latencies are positive" true (Quantile.quantile s 0.5 > 0);
-  let total name =
-    match Window.find name with
-    | Some w -> Window.total w ~now:511
-    | None -> Alcotest.failf "window %s not registered" name
-  in
-  check "request window saw traffic" true (total "serve.requests" >= 512);
   let r = Slo.report slo in
   check "slo counted the run" true (r.Slo.total >= 512);
   check "generous slo not breached" true (not r.Slo.breached);
@@ -477,8 +463,8 @@ let test_serve_leg_fingerprint () =
   check "survived on a randomized heap" true l.Dh_bench.Serve.survived_randomized
 
 (* The obs work a served request costs, counted from instrument totals
-   on a short serve leg: the serve loop's one latency sample, one
-   request-window stamp and one SLO classification per handled request
+   on a short serve leg: the serve loop's one latency sample and one SLO
+   classification per handled request
    (replays included), and the heap's one audit record per malloc and
    per free plus their sampled trace instants.  Every count is a
    deterministic function of the leg. *)
@@ -511,13 +497,12 @@ let test_serve_records_per_request () =
   in
   check_int "no trace event dropped" 0 (Tracing.dropped ());
   check_int "handled requests (no rewind at this length)" requests handled;
-  check_int "request-window stamps" handled (window "serve.requests");
   check_int "SLO classifications" handled l.Dh_bench.Serve.slo.Slo.total;
   check_int "audit records (mallocs and frees)" 5_218 audit;
   check_int "sampled heap instants" 83 instants;
-  (* 11,301 records over 2,000 requests: about 5.65 per served request *)
-  check_int "obs records in the leg" 11_301
-    (handled + window "serve.requests" + l.Dh_bench.Serve.slo.Slo.total
+  (* 9,301 records over 2,000 requests: about 4.65 per served request *)
+  check_int "obs records in the leg" 9_301
+    (handled + l.Dh_bench.Serve.slo.Slo.total
     + window "serve.errors" + audit + instants)
 
 let test_zipf_keys_deterministic () =
@@ -564,8 +549,8 @@ let suite =
       test_slo_validation_and_active;
     Alcotest.test_case "slo: disabled record is a no-op" `Quick
       test_slo_disabled_noop;
-    Alcotest.test_case "recorder: step cursor groups and drains" `Quick
-      test_step_cursor;
+    Alcotest.test_case "recorder: step groups" `Quick
+      test_step_groups;
     Alcotest.test_case "recorder: advertised step fills reports" `Quick
       test_advertised_step;
     Alcotest.test_case "serve: supervisor publishes telemetry" `Quick

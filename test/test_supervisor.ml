@@ -80,7 +80,7 @@ let test_backoff_expands_heap () =
   let ms = List.map (fun p -> p.Supervisor.multiplier) plans in
   let hs = List.map (fun p -> p.Supervisor.heap_size) plans in
   let base_h = Diehard.Config.default.Diehard.Config.heap_size in
-  Alcotest.(check (list int)) "M doubles each rung" [ 2; 4; 8; 16 ] ms;
+  Alcotest.(check (list (float 0.))) "M doubles each rung" [ 2.; 4.; 8.; 16. ] ms;
   Alcotest.(check (list int))
     "heap doubles each rung"
     [ base_h; 2 * base_h; 4 * base_h; 8 * base_h ]
@@ -91,7 +91,7 @@ let test_backoff_one_keeps_heap () =
   let ms =
     List.map (fun a -> a.Supervisor.plan.Supervisor.multiplier) i.Supervisor.attempts
   in
-  check "M constant with backoff 1" true (List.for_all (( = ) 2) ms)
+  check "M constant with backoff 1" true (List.for_all (( = ) 2.) ms)
 
 let test_degradation_order () =
   (* Sink every randomized rung: survival must come from the rescue rung,
