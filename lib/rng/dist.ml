@@ -16,19 +16,16 @@ let exponential rng ~mean =
   let u = 1. -. Mwc.float01 rng in
   -.mean *. log u
 
-(* Zipf by inversion of the generalized harmonic CDF, computed lazily
-   per (n, s).  Workloads use a handful of pairs, so the caches stay
-   tiny.  This used to be the one mutex shared across heaps — and the
-   lock was held across CDF construction, so the first touch of a new
-   (n, s) blocked every other domain, and even cache hits serialized on
-   the lock.  Now each domain memoizes resolved CDFs in domain-local
-   storage (the hot path touches nothing shared), backed by a published
-   snapshot advanced by lock-free compare-and-set: builders work on
-   private arrays outside any lock and only race on the final pointer
-   swap.  Losing a race costs one redundant build of an identical
-   (deterministic) array — never blocking, never divergence. *)
+(* Zipf by inversion of the generalized harmonic CDF.  The table is an
+   immutable value built once by its user (a workload builds one per
+   service), so domains share it read-only and the hot path is the
+   binary search alone. *)
 
-let build_zipf_cdf ~n ~s =
+type zipf_table = float array
+
+let zipf_table ~n ~s =
+  if n < 1 then invalid_arg "Dist.zipf_table: want n >= 1";
+  if s < 0. then invalid_arg "Dist.zipf_table: want s >= 0";
   let cdf = Array.make n 0. in
   let total = ref 0. in
   for k = 1 to n do
@@ -40,39 +37,8 @@ let build_zipf_cdf ~n ~s =
   done;
   cdf
 
-(* Published (n, s) -> CDF snapshot: an immutable association list
-   replaced whole via CAS.  A handful of entries, so linear scans on the
-   (per-domain, first-touch-only) miss path are fine. *)
-let zipf_published : ((int * float) * float array) list Atomic.t = Atomic.make []
-
-let zipf_memo : (int * float, float array) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let zipf_cdf ~n ~s =
-  let memo = Domain.DLS.get zipf_memo in
-  match Hashtbl.find_opt memo (n, s) with
-  | Some cdf -> cdf
-  | None ->
-    let rec resolve () =
-      let published = Atomic.get zipf_published in
-      match List.assoc_opt (n, s) published with
-      | Some cdf -> cdf
-      | None ->
-        let cdf = build_zipf_cdf ~n ~s in
-        if Atomic.compare_and_set zipf_published published
-             (((n, s), cdf) :: published)
-        then cdf
-        else resolve () (* someone published meanwhile; re-check for (n, s) *)
-    in
-    let cdf = resolve () in
-    Hashtbl.add memo (n, s) cdf;
-    cdf
-
-let zipf_rank ~n ~s ~u =
-  if n < 1 then invalid_arg "Dist.zipf_rank: want n >= 1";
-  if s < 0. then invalid_arg "Dist.zipf_rank: want s >= 0";
+let zipf_rank cdf ~u =
   if u < 0. || u >= 1. then invalid_arg "Dist.zipf_rank: want u in [0, 1)";
-  let cdf = zipf_cdf ~n ~s in
   (* Binary search for the first index whose CDF exceeds u. *)
   let rec search lo hi =
     if lo >= hi then lo + 1
@@ -80,9 +46,7 @@ let zipf_rank ~n ~s ~u =
       let mid = (lo + hi) / 2 in
       if cdf.(mid) > u then search lo mid else search (mid + 1) hi
   in
-  search 0 (n - 1)
-
-let zipf rng ~n ~s = zipf_rank ~n ~s ~u:(Mwc.float01 rng)
+  search 0 (Array.length cdf - 1)
 
 let weighted rng ~weights =
   let total = Array.fold_left ( +. ) 0. weights in

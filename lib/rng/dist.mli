@@ -14,19 +14,19 @@ val geometric : Mwc.t -> p:float -> int
 val exponential : Mwc.t -> mean:float -> float
 (** Exponential with the given mean.  Requires [mean > 0]. *)
 
-val zipf : Mwc.t -> n:int -> s:float -> int
-(** Zipf-distributed rank in [\[1, n\]] with exponent [s], sampled by
-    binary-search inversion over a cached CDF (workloads reuse a handful of
-    [(n, s)] pairs, so the cache stays small).  Requires [n >= 1] and
-    [s >= 0]. *)
+type zipf_table
+(** The CDF of a Zipf distribution over ranks [\[1, n\]]: immutable, so
+    one table built per workload is shared read-only by every domain. *)
 
-val zipf_rank : n:int -> s:float -> u:float -> int
-(** The pure inversion under {!zipf}: the rank in [\[1, n\]] whose CDF
-    interval contains [u] in [\[0, 1)].  Consumers that derive their own
-    uniform variates — the serve workload hashes the request index so a
-    rewound window replays identical requests — invert through here and
-    share the CDF cache.  [zipf rng ~n ~s = zipf_rank ~n ~s
-    ~u:(Mwc.float01 rng)]. *)
+val zipf_table : n:int -> s:float -> zipf_table
+(** The Zipf table for [n] ranks with exponent [s] (the generalized
+    harmonic CDF).  Requires [n >= 1] and [s >= 0]. *)
+
+val zipf_rank : zipf_table -> u:float -> int
+(** Inversion by binary search: the rank in [\[1, n\]] whose CDF interval
+    contains [u] in [\[0, 1)].  A sampler passes [Mwc.float01 rng]; the
+    serve workload passes the request hash, so a rewound window replays
+    identical requests. *)
 
 val weighted : Mwc.t -> weights:float array -> int
 (** Index sampled proportionally to [weights] (all non-negative, not all

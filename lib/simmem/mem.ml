@@ -90,7 +90,8 @@ let cache_line_shift = 6
    The exact-fault discipline composes for free: every multi-byte
    operation validates its whole range before mutating anything or
    marking anything dirty, so a fault mid-bulk-op leaves the undo log
-   describing precisely the pre-op state. *)
+   describing precisely the pre-op state.  ({!write_cstring} marks each
+   page before its bytes move, so the log stays exact there too.) *)
 
 type ckpt = {
   mutable pre : (segment * int * Bytes.t) list;
@@ -429,17 +430,18 @@ let prot_allows prot access =
 (* --- access validation ---
 
    One validator serves every load and store: byte, word, bulk and each
-   page a C-string scan reads.  {!validate} finds the range's segment and
-   {!check_page} validates it one page at a time in address order,
-   charging the TLB once per page and the cache once per line the range
-   spans (so miss counts depend only on the address stream, not on the
-   access width), and faulting at the first byte of the first page whose
-   protection forbids the access — after charging that byte's page and
-   line, exactly as a bytewise walk would have.  Nothing is mutated or
+   page a C-string scan reads or a C-string store writes.  {!validate}
+   finds the range's segment and {!check_page} validates it one page at
+   a time in address order, charging the TLB once per page and the cache
+   once per line the range spans (so miss counts depend only on the
+   address stream, not on the access width), and faulting at the first
+   byte of the first page whose protection forbids the access — after
+   charging that byte's page and line, exactly as a bytewise walk would
+   have.  Nothing is mutated or
    marked written until the whole range has validated, so multi-byte
-   operations are atomic with respect to faults, and a fault
-   mid-operation leaves the undo log describing precisely the pre-op
-   state.
+   operations (all but {!write_cstring}) are atomic with respect to
+   faults, and a fault mid-operation leaves the undo log describing
+   precisely the pre-op state.
 
    A valid range never spans two segments: every segment is followed by
    an unmapped hole page ({!mmap}; rewind restores [next_base] and drops
@@ -641,6 +643,34 @@ let cstring ?(limit = max_int) t addr =
     match find_segment t addr with
     | None -> unmapped t addr Fault.Read
     | Some seg -> scan seg addr limit
+
+(* The store C's [strcpy] makes: [s], then a NUL, exactly as
+   [String.iteri (write8 ...)] followed by [write8 ... 0] would, but one
+   page at a time.  Unlike every other multi-byte store it is not atomic:
+   each page run is counted, validated, marked written and copied before
+   the next is looked at, so a fault leaves the bytes before it written
+   and counts the faulting byte, as the bytewise loop does. *)
+let write_cstring t ~addr s =
+  let len = String.length s in
+  let fin = addr + len + 1 in
+  let rec store seg pos =
+    let seg_end = seg.base + seg.len in
+    t.writes <- t.writes + 1;
+    if pos = seg_end then unmapped t pos Fault.Write;
+    let stop = check_page t seg pos (if fin < seg_end then fin else seg_end) Fault.Write in
+    t.writes <- t.writes + (stop - pos - 1);
+    mark_written t seg ~addr:pos ~len:(stop - pos);
+    (* The run never leaves its virtual page, so one translation covers it. *)
+    let off = phys_off seg (pos - seg.base) and i = pos - addr in
+    Bytes.blit_string s i seg.data off (min (stop - pos) (len - i));
+    if stop = fin then Bytes.set seg.data (off + (fin - 1 - pos)) '\000'
+    else store seg stop
+  in
+  match find_segment t addr with
+  | None ->
+    t.writes <- t.writes + 1;
+    unmapped t addr Fault.Write
+  | Some seg -> store seg addr
 
 (* --- page meshing --- *)
 

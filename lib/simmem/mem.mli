@@ -105,15 +105,17 @@ val backing_page : t -> int -> int
     the address of exactly the first offending byte and the operation has
     had no partial effect — no bytes written, no pages newly marked
     touched (the exact-fault, no-tearing discipline of checked memory
-    models such as CHERI-C).  The TLB and cache models are still charged
-    for the pages and lines walked up to and including the faulting byte,
-    as a bytewise access sequence would have been.
+    models such as CHERI-C).  The one exception is {!write_cstring},
+    which stores as C's [strcpy] does.  The TLB and cache models are
+    still charged for the pages and lines walked up to and including the
+    faulting byte, as a bytewise access sequence would have been.
 
     Counting rule ({!stats}): byte and word operations count one read or
     write even when they fault; bulk operations count [len] only on
     success; {!cstring} counts the bytes it delivers, terminator
     included, page by page (so a scan faulting on a later page has
-    counted the earlier pages' bytes).
+    counted the earlier pages' bytes); {!write_cstring} counts each byte
+    it stores, the faulting byte included.
 
     Cost-model charging rule: an access charges one TLB touch per page and
     one cache touch per line its byte range spans — never more, never
@@ -148,6 +150,16 @@ val cstring : ?limit:int -> t -> int -> string
     (faulting if it runs off mapped memory first).  With [limit], reads at
     most [limit] bytes and returns them unterminated if no NUL was found —
     the bounded scan [strncpy]-style consumers need. *)
+
+val write_cstring : t -> addr:int -> string -> unit
+(** [write_cstring t ~addr s] stores [s] and then a NUL at [addr]: the
+    store C's unchecked [strcpy] makes, so it is the one multi-byte store
+    that is {e not} atomic.  It is exactly
+    [String.iteri (fun i c -> write8 t (addr + i) (Char.code c)) s;
+    write8 t (addr + String.length s) 0] — the same bytes, counters,
+    written pages, pre-images and fault, with the bytes before a fault
+    already written and the faulting byte counted — done one page run at
+    a time. *)
 
 (** {1 Checkpoint / rewind}
 

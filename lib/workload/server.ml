@@ -26,26 +26,48 @@ let mix k =
 
 (* Key choice stays a pure function of [k] even under a skewed
    distribution: the uniform variate is the request hash itself (30
-   bits), inverted through the shared Zipf CDF cache.  No RNG state is
+   bits), inverted through the service's Zipf table.  No RNG state is
    consumed, so rewound windows and reseeded retries replay the exact
-   same key sequence. *)
-let key_of ?zipf k =
+   same key sequence.  The table is built once, when the key stream is. *)
+let key_stream ?zipf () =
   match zipf with
-  | None -> mix k land (key_space - 1)
+  | None -> fun k -> mix k land (key_space - 1)
   | Some s ->
-    Dh_rng.Dist.zipf_rank ~n:key_space ~s
-      ~u:(float_of_int (mix k) /. 1073741824.)
-    - 1
+    let table = Dh_rng.Dist.zipf_table ~n:key_space ~s in
+    fun k -> Dh_rng.Dist.zipf_rank table ~u:(float_of_int (mix k) /. 1073741824.) - 1
 
 (* An attack URL's length: long enough to reach the hole page from the
    last ~4.5% of title slots under [heap_size]. *)
 let attack_len = 3000
 
-let url_of ?zipf ~attack k =
-  let base =
-    Printf.sprintf "http://h%03x.example/%d" (key_of ?zipf k) (mix (k + 1) land 0xFFF)
-  in
-  if attack then base ^ String.make (attack_len - String.length base) 'A' else base
+let hex = "0123456789abcdef"
+
+let rec digits radix v = if v < radix then 1 else 1 + digits radix (v / radix)
+
+(* Write [v]'s [n] low digits in [radix] ending just before [stop]. *)
+let rec put_digits b ~stop radix v n =
+  if n > 0 then begin
+    Bytes.unsafe_set b (stop - 1) hex.[v mod radix];
+    put_digits b ~stop:(stop - 1) radix (v / radix) (n - 1)
+  end
+
+(* [Printf.sprintf "http://h%03x.example/%d" key path], padded with 'A's
+   to [attack_len] for an attack, written straight into its bytes. *)
+let url ~attack ~key k =
+  let path = mix (k + 1) land 0xFFF in
+  let hex_len = max 3 (digits 16 key) and path_len = digits 10 path in
+  let host = 8 + hex_len in
+  let base_len = host + 9 + path_len in
+  let b = Bytes.make (if attack then attack_len else base_len) 'A' in
+  Bytes.blit_string "http://h" 0 b 0 8;
+  put_digits b ~stop:host 16 key hex_len;
+  Bytes.blit_string ".example/" 0 b host 9;
+  put_digits b ~stop:base_len 10 path path_len;
+  Bytes.unsafe_to_string b
+
+let url_of ?zipf () =
+  let key_of = key_stream ?zipf () in
+  fun ~attack k -> url ~attack ~key:(key_of k) k
 
 (* Counter block offsets (a malloc'd block of simulated memory: the
    server keeps NO mutable OCaml state, which is what makes memory
@@ -58,6 +80,8 @@ let counters_size = 32
 
 let service ~requests ?(attack_every = 0) ?zipf () =
   if requests < 0 then invalid_arg "Server.service: requests must be >= 0";
+  if attack_every < 0 then invalid_arg "Server.service: attack_every must be >= 0";
+  let key_of = key_stream ?zipf () in
   let init ctx =
     let a = ctx.Program.alloc in
     let mem = a.Allocator.mem in
@@ -93,20 +117,11 @@ let service ~requests ?(attack_every = 0) ?zipf () =
           (Dh_obs.Window.get "serve.errors" ~width:1024 ~buckets:16)
           ~now:k 1
     in
-    (* The unchecked strcpy of Squid 2.3s5: bytewise, no bounds test, into
-       a fixed 64-byte title buffer.  A well-formed URL fits; an overlong
-       one writes on past the end of the slot. *)
-    let strcpy dst s =
-      for i = 0 to String.length s - 1 do
-        Mem.write8 mem (dst + i) (Char.code s.[i])
-      done;
-      Mem.write8 mem (dst + String.length s) 0
-    in
     let handle k =
       Process.Fuel.burn ctx.Program.fuel;
       let attack = attack_every > 0 && k > 0 && k mod attack_every = attack_every - 1 in
-      let url = url_of ?zipf ~attack k in
-      let key = key_of ?zipf k in
+      let key = key_of k in
+      let url = url ~attack ~key k in
       let bucket = table + (key land (bucket_count - 1)) * 8 in
       let rec find node depth =
         if node = 0 then (None, depth)
@@ -132,7 +147,7 @@ let service ~requests ?(attack_every = 0) ?zipf () =
                   a.Allocator.malloc (String.length url + 1)) )
           with
           | Some node, Some ucopy ->
-            strcpy ucopy url;
+            Mem.write_cstring mem ~addr:ucopy url;
             Mem.write64 mem node key;
             Mem.write64 mem (node + 8) (Mem.read64 mem bucket);
             Mem.write64 mem (node + 16) 0;
@@ -172,10 +187,13 @@ let service ~requests ?(attack_every = 0) ?zipf () =
             fail k c_failed;
             0)
       in
-      (* format the response title — the crash site *)
+      (* format the response title — the crash site: the unchecked strcpy
+         of Squid 2.3s5, no bounds test, into a fixed 64-byte buffer.  A
+         well-formed URL fits; an overlong one writes on past the end of
+         the slot. *)
       (match Dh_obs.Audit.with_site s_title (fun () -> a.Allocator.malloc title_size) with
       | Some title ->
-        strcpy title url;
+        Mem.write_cstring mem ~addr:title url;
         a.Allocator.free title
       | None -> fail k c_failed);
       (* fold the request into the running checksum: content-derived

@@ -11,9 +11,11 @@
     identically (modulo fresh object placement from the reseed).
 
     Every request formats a fixed 64-byte title buffer with the unchecked
-    [strcpy] of Squid 2.3s5 (paper §7.3, "Real Faults").  Well-formed
-    URLs fit.  With [attack_every > 0], every [attack_every]-th request
-    carries a 3000-byte URL: the overflow tramples title slots —
+    [strcpy] of Squid 2.3s5 (paper §7.3, "Real Faults"), stored with
+    {!Dh_mem.Mem.write_cstring}: byte for byte what a bytewise copy
+    stores, counts and faults on.  Well-formed URLs fit.  With
+    [attack_every > 0], every [attack_every]-th request carries a
+    3000-byte URL: the overflow tramples title slots —
     under DieHard almost always free ones — and, when the victim buffer
     sits near the end of its size-class region, runs onto the unmapped
     hole page and faults.  Output (progress lines plus a final
@@ -30,15 +32,22 @@ val service :
     Zipf([zipf]) distribution over the key space (real cache traffic is
     heavy-headed); keys stay a pure function of the request index — the
     uniform variate is the request hash, inverted through
-    {!Dh_rng.Dist.zipf_rank} — so the rewind-determinism contract is
-    unchanged.  Omitted = uniform keys, byte-identical to before.
-    Raises [Invalid_argument] when [requests < 0]. *)
+    {!Dh_rng.Dist.zipf_rank} over one table the service builds when it
+    is created — so the rewind-determinism contract is unchanged.
+    Omitted = uniform keys.  Raises [Invalid_argument] when
+    [requests < 0] or [attack_every < 0]. *)
 
 val program :
   ?requests:int -> ?attack_every:int -> ?zipf:float -> unit -> Dh_alloc.Program.t
 (** {!service} wrapped via {!Dh_alloc.Program.of_service} (4096 requests
     by default), so plain runs and checkpointed runs execute the same
     steps. *)
+
+val url_of : ?zipf:float -> unit -> attack:bool -> int -> string
+(** [url_of ?zipf ()] builds the key stream {!service} builds for the
+    same [zipf] and returns request [k]'s URL under it:
+    [Printf.sprintf "http://h%03x.example/%d" key path] for the request's
+    key and path, padded with ['A'] to 3000 bytes when [attack]. *)
 
 val heap_size : int
 (** A heap sized so the title region spans 16 pages (64 KiB per class):

@@ -18,7 +18,8 @@
      written-page flags — is not part of the snapshot either.
    - Counting: byte and word operations count one access even when they
      fault, bulk operations count [len] only on success, and [cstring]
-     counts each byte it delivers (the terminator included). *)
+     counts each byte it delivers (the terminator included).
+     [write_cstring] is the bytewise [write8] loop it stands for. *)
 
 module Mem = Dh_mem.Mem
 module Fault = Dh_mem.Fault
@@ -142,6 +143,11 @@ let read_bytes m ~addr ~len =
 let write_bytes m ~addr s =
   store m ~addr s;
   m.writes <- m.writes + String.length s
+
+(* The literal C store loop: no validation of the whole range first. *)
+let write_cstring m ~addr s =
+  String.iteri (fun i c -> write8 m (addr + i) (Char.code c)) s;
+  write8 m (addr + String.length s) 0
 
 let cstring ?(limit = max_int) m addr =
   let b = Buffer.create 16 in

@@ -1,8 +1,8 @@
 (* State-machine test: Dh_mem.Mem against the naive Mem_model.
 
    A random sequence of operations — mapping, protection, byte, word and
-   bulk accesses, C-string scans, page aliasing and checkpoint / rewind /
-   discard, closing with several armed windows — runs on both.  After every step the two must agree on the
+   bulk accesses, C-string scans and stores, page aliasing and
+   checkpoint / rewind / discard, closing with several armed windows — runs on both.  After every step the two must agree on the
    result (value, exact fault, or rejected argument), on every mapped
    byte, on the mapped/meshed/touched page counts and on the access and
    TLB/cache-miss counters.  Each step also checks the frame property:
@@ -36,6 +36,7 @@ type op =
   | Fill of loc * int * char
   | Fill_random of loc * int * int  (* seed *)
   | Cstring of loc * int option
+  | Write_cstring of loc * string
   | Alias of int * int * int * (int * int) list  (* seg, src page, dst page, live *)
   | Checkpoint
   | Rewind
@@ -72,6 +73,9 @@ let show_op op =
   | Cstring (a, lim) ->
     Printf.sprintf "cstring %s%s" (l a)
       (match lim with Some n -> Printf.sprintf " limit %d" n | None -> "")
+  | Write_cstring (a, s) ->
+    Printf.sprintf "write_cstring %s %d bytes %S" (l a) (String.length s)
+      (if String.length s <= 40 then s else String.sub s 0 40 ^ "...")
   | Alias (s, src, dst, live) ->
     Printf.sprintf "alias s%d page %d -> page %d live [%s]" s src dst
       (String.concat "; " (List.map (fun (o, n) -> Printf.sprintf "%d+%d" o n) live))
@@ -105,6 +109,34 @@ let gen_text =
       (fun cs -> String.of_seq (List.to_seq cs))
       (list_size gen_len (frequencyl [ (1, '\000'); (4, 'a'); (2, 'z'); (1, '\255') ])))
 
+(* C strings for [write_cstring], biased toward runs that cross pages and
+   run off the end of a 1-4 page segment into its hole page; the bytes
+   vary with position so a misplaced page run shows. *)
+let gen_cstring =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, gen_text);
+        ( 3,
+          map2
+            (fun n seed -> String.init n (fun i -> Char.chr (1 + ((i * 7) + seed) mod 255)))
+            (frequency
+               [ (2, int_range (page - 64) (page + 64)); (3, int_range page (3 * page)) ])
+            (int_bound 254) );
+      ])
+
+(* A store start near a page's end, so even short strings cross it. *)
+let gen_cstring_loc =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, gen_loc);
+        ( 1,
+          map3
+            (fun seg p d -> { seg; off = (p * page) - d })
+            (int_bound 7) (int_range 1 4) (int_range 1 48) );
+      ])
+
 let gen_pages = QCheck.Gen.frequencyl [ (2, 1); (4, 2); (4, 3); (2, 4); (1, 16) ]
 
 let gen_op =
@@ -132,6 +164,7 @@ let gen_op =
             (oneofl [ '\000'; 'x'; '\255' ]) );
         (2, map3 (fun a n s -> Fill_random (a, n, s)) gen_loc gen_len (int_bound 1000));
         (3, map2 (fun a l -> Cstring (a, l)) gen_loc (opt (int_range 0 (2 * page))));
+        (4, map2 (fun a s -> Write_cstring (a, s)) gen_cstring_loc gen_cstring);
         ( 3,
           map3
             (fun (s, src, dst) live bad ->
@@ -171,6 +204,8 @@ let shrink_op op yield =
   | Read_bytes (a, n) -> halve n (fun n -> yield (Read_bytes (a, n)))
   | Write_bytes (a, s) ->
     halve (String.length s) (fun n -> yield (Write_bytes (a, String.sub s 0 n)))
+  | Write_cstring (a, s) ->
+    halve (String.length s) (fun n -> yield (Write_cstring (a, String.sub s 0 n)))
   | Fill (a, n, c) -> halve n (fun n -> yield (Fill (a, n, c)))
   | Fill_random (a, n, seed) -> halve n (fun n -> yield (Fill_random (a, n, seed)))
   | _ -> ()
@@ -261,6 +296,12 @@ let apply mem model op =
         (fun () -> Text (Mem.cstring ?limit mem b))
         (fun () -> Text (Model.cstring ?limit model b)),
       Some (b, match limit with Some n -> n | None -> max_int - b) )
+  | Write_cstring (a, s) ->
+    let b = at a in
+    ( both
+        (unit (fun () -> Mem.write_cstring mem ~addr:b s))
+        (unit (fun () -> Model.write_cstring model ~addr:b s)),
+      Some (b, String.length s + 1) )
   | Alias (s, src, dst, live) ->
     (* Pages of one segment (the destination may also be its hole). *)
     let base, len = pick model s in

@@ -308,7 +308,7 @@ let prop_observation_invariance =
 
 (* The Squid-style server under the supervisor with telemetry enabled:
    the full stack at once — long-lived worker pool, per-domain metric
-   cells, domain-local Zipf CDFs, sampled heap trace instants — must
+   cells, sampled heap trace instants — must
    keep `--jobs n` identical to `--jobs 1` on a realistic workload, not
    just on the micro-programs above. *)
 let server_incident ~jobs ~master ~attack_every =

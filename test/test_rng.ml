@@ -175,14 +175,40 @@ let test_exponential_mean () =
 
 let test_zipf_range_and_skew () =
   let rng = Mwc.create ~seed:37 in
+  let table = Dist.zipf_table ~n:10 ~s:1.2 in
   let counts = Array.make 10 0 in
   for _ = 1 to 20_000 do
-    let v = Dist.zipf rng ~n:10 ~s:1.2 in
+    let v = Dist.zipf_rank table ~u:(Mwc.float01 rng) in
     check "zipf in [1,n]" true (v >= 1 && v <= 10);
     counts.(v - 1) <- counts.(v - 1) + 1
   done;
   check "rank 1 most frequent" true (counts.(0) > counts.(4));
   check "rank 1 beats rank 10" true (counts.(0) > counts.(9))
+
+(* Exact ranks at two (n, s) pairs: the serve workload's Zipf keys are
+   such ranks, so none of them may move. *)
+let test_zipf_rank_pinned () =
+  let us =
+    [ 0.; 1e-9; 0.01; 0.05; 0.1; 0.15; 0.2; 0.25; 0.3; 0.35; 0.4; 0.45; 0.5; 0.55;
+      0.6; 0.7; 0.8; 0.9; 0.95; 0.99; 0.999999 ]
+  in
+  let pin ~n ~s ranks =
+    let table = Dist.zipf_table ~n ~s in
+    List.iter2
+      (fun u r ->
+        Alcotest.(check int) (Printf.sprintf "zipf n=%d s=%g u=%g" n s u) r
+          (Dist.zipf_rank table ~u))
+      us ranks
+  in
+  pin ~n:1024 ~s:1.1
+    [ 1; 1; 1; 1; 1; 1; 2; 2; 3; 4; 6; 9; 12; 17; 25; 57; 136; 355; 595; 917; 1024 ];
+  pin ~n:10 ~s:1.2 [ 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 2; 2; 2; 3; 4; 5; 7; 9; 10; 10 ];
+  let rejects what f = Alcotest.check_raises what (Invalid_argument what) (fun () -> ignore (f ())) in
+  rejects "Dist.zipf_table: want n >= 1" (fun () -> Dist.zipf_table ~n:0 ~s:1.);
+  rejects "Dist.zipf_table: want s >= 0" (fun () -> Dist.zipf_table ~n:4 ~s:(-0.5));
+  let table = Dist.zipf_table ~n:4 ~s:1. in
+  rejects "Dist.zipf_rank: want u in [0, 1)" (fun () -> Dist.zipf_rank table ~u:1.);
+  rejects "Dist.zipf_rank: want u in [0, 1)" (fun () -> Dist.zipf_rank table ~u:(-0.1))
 
 let test_weighted () =
   let rng = Mwc.create ~seed:39 in
@@ -281,6 +307,7 @@ let suite =
     Alcotest.test_case "dist geometric mean" `Quick test_geometric_mean;
     Alcotest.test_case "dist exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "dist zipf" `Quick test_zipf_range_and_skew;
+    Alcotest.test_case "dist zipf ranks pinned" `Quick test_zipf_rank_pinned;
     Alcotest.test_case "dist weighted" `Quick test_weighted;
     Alcotest.test_case "dist weighted zero" `Quick test_weighted_zero_total;
     Alcotest.test_case "dist shuffle" `Quick test_shuffle_permutation;

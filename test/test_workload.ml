@@ -190,6 +190,96 @@ let test_squid_attack_survives_diehard () =
       (String.sub r.Process.output (String.length r.Process.output - 10) 9 = "served=20")
   done
 
+(* --- the native server's request stream, pinned exactly --- *)
+
+(* The request hash and key derivation as the server has always defined
+   them: the oracle [Server.url_of] must match byte for byte. *)
+let mix k =
+  let h = (k * 0x9E3779B9) + 0x7F4A7C15 in
+  let h = (h lxor (h lsr 16)) * 0x85EBCA6B in
+  (h lxor (h lsr 13)) land 0x3FFFFFFF
+
+let test_server_urls () =
+  let zipf_keys = Dh_rng.Dist.zipf_table ~n:1024 ~s:1.1 in
+  let padded = Bytes.create 3000 in
+  List.iter
+    (fun (name, zipf, key) ->
+      let url = Server.url_of ?zipf () in
+      for k = 0 to 199_999 do
+        let base = Printf.sprintf "http://h%03x.example/%d" (key k) (mix (k + 1) land 0xFFF) in
+        let got = url ~attack:false k in
+        if got <> base then Alcotest.failf "%s keys, request %d: %S, want %S" name k got base;
+        let n = String.length base in
+        Bytes.blit_string base 0 padded 0 n;
+        Bytes.fill padded n (3000 - n) 'A';
+        if not (Bytes.equal padded (Bytes.unsafe_of_string (url ~attack:true k))) then
+          Alcotest.failf "%s keys, request %d: attack URL is not %S padded to 3000" name k base
+      done)
+    [
+      ("uniform", None, fun k -> mix k land 1023);
+      ( "zipf",
+        Some 1.1,
+        fun k -> Dh_rng.Dist.zipf_rank zipf_keys ~u:(float_of_int (mix k) /. 1073741824.) - 1 );
+    ]
+
+(* One supervised server run with attacks (Zipf 1.1 keys, the serve
+   bench's traffic shape): its output, recovery counts and the simulated
+   machine's exact counters, as the bytewise title strcpy produced them.
+   The attacks fault on the hole page six times, so the pins cover the
+   writes a faulting strcpy makes before its fault. *)
+let test_server_supervised_pinned () =
+  let module Supervisor = Diehard.Supervisor in
+  let heap = ref None in
+  let incident =
+    Fun.protect
+      ~finally:(fun () ->
+        Dh_obs.Quantile.reset ();
+        Dh_obs.Window.reset ();
+        Dh_obs.Metrics.reset ();
+        Dh_obs.Tracing.reset ();
+        Dh_obs.Recorder.clear ();
+        Dh_obs.Audit.reset ())
+      (fun () ->
+        Supervisor.run
+          ~policy:
+            {
+              Supervisor.default_policy with
+              Supervisor.checkpoint_interval = 256;
+              max_rewinds = 64;
+            }
+          ~config:(Diehard.Config.v ~heap_size:Server.heap_size ~obs:true ())
+          ~seed_pool:(Dh_rng.Seed.create ~master:3)
+          ~wrap:(fun _ a ->
+            heap := Some a;
+            a)
+          (Server.program ~requests:4000 ~attack_every:97 ~zipf:1.1 ()))
+  in
+  let output = Option.value incident.Supervisor.output ~default:"" in
+  Alcotest.(check string) "last line"
+    "done requests=4000 stored=384 hits=3212 failed=0 checksum=847831991"
+    (List.nth (List.rev (String.split_on_char '\n' (String.trim output))) 0);
+  check_int "attempts" 1 (List.length incident.Supervisor.attempts);
+  (match (List.hd incident.Supervisor.attempts).Supervisor.recovery with
+  | Some r ->
+    check_int "checkpoints" 22 r.Supervisor.checkpoints;
+    check_int "rewinds" 6 r.Supervisor.rewinds;
+    check_int "pages restored" 155 r.Supervisor.pages_restored;
+    check_int "pre-imaged pages" 675 r.Supervisor.preimaged_pages
+  | None -> Alcotest.fail "no recovery report");
+  let mem = (Option.get !heap).Allocator.mem in
+  let st = Mem.stats mem in
+  check_int "reads" 55_225 st.Mem.reads;
+  check_int "writes" 320_765 st.Mem.writes;
+  check_int "tlb misses" 43 st.Mem.tlb_misses;
+  check_int "cache misses" 6_787 st.Mem.cache_misses;
+  check_int "touched pages" 42 (Mem.touched_pages mem);
+  check_int "mem pre-imaged pages" 675 (Mem.preimaged_pages mem)
+
+let test_server_rejects_negative_attack_every () =
+  Alcotest.check_raises "attack_every < 0"
+    (Invalid_argument "Server.service: attack_every must be >= 0") (fun () ->
+      ignore (Server.service ~requests:8 ~attack_every:(-3) ()))
+
 let suite =
   [
     Alcotest.test_case "profiles complete" `Quick test_profiles_complete;
@@ -209,4 +299,8 @@ let suite =
     Alcotest.test_case "squid attack: freelist crashes" `Quick test_squid_attack_crashes_freelist;
     Alcotest.test_case "squid attack: GC crashes" `Quick test_squid_attack_crashes_gc;
     Alcotest.test_case "squid attack: DieHard survives" `Quick test_squid_attack_survives_diehard;
+    Alcotest.test_case "server URLs match Printf" `Quick test_server_urls;
+    Alcotest.test_case "server supervised run pinned" `Quick test_server_supervised_pinned;
+    Alcotest.test_case "server rejects attack_every < 0" `Quick
+      test_server_rejects_negative_attack_every;
   ]
