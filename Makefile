@@ -1,6 +1,6 @@
 # Convenience targets for the DieHard reproduction.
 
-.PHONY: all build test bench bench-quick bench-scaling bench-space bench-serve obs-check audit-check examples check clean
+.PHONY: all build test size bench bench-quick bench-scaling bench-space bench-serve obs-check audit-check examples check clean
 
 all: build
 
@@ -9,6 +9,15 @@ build:
 
 test:
 	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
+
+# The library's size: lines, modules, top-level .mli vals and optional
+# parameters in .mli files — the figures ROADMAP's Recent section
+# quotes.  CI's build job prints them on every run.
+size:
+	@echo "lib lines:           $$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
+	@echo "lib modules:         $$(ls lib/*/*.ml | wc -l)"
+	@echo "mli vals:            $$(cat lib/*/*.mli | grep -c '^val ')"
+	@echo "optional parameters: $$(cat lib/*/*.mli | grep -o '?[a-z_0-9]*:' | wc -l)"
 
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt

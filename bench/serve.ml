@@ -42,12 +42,37 @@ let sweep_requests ~quick = leg_requests ~quick / 10
 let slo_target_ns = 200_000
 let slo_budget = 0.01
 
+type slo = {
+  total : int;  (* handled requests plus rewinds *)
+  bad : int;  (* rewinds plus samples over the target *)
+  compliance : float;  (* 1 - bad/total; 1.0 when nothing ran *)
+  budget_used : float;  (* (bad/total) / budget; above 1.0 is a breach *)
+  breached : bool;
+}
+
+(* The SLO read off the serve.latency_ns histogram: every handled
+   request left one sample, and every rewind is a request that failed
+   on first service.  A sample is bad when its HDR bucket reaches above
+   the target.  That is never looser than an exact comparison and at
+   this target at most 1.7% stricter: the bucket holding 200,000 ns
+   spans 196,608–200,703, so 196,607 ns is good and 196,608 ns bad. *)
+let slo_of latency ~rewinds =
+  let over = ref 0 in
+  Array.iteri
+    (fun i n ->
+      if snd (Dh_obs.Quantile.bucket_bounds i) > slo_target_ns then over := !over + n)
+    (Dh_obs.Quantile.counts latency);
+  let total = Dh_obs.Quantile.count latency + rewinds and bad = rewinds + !over in
+  let frac = if total = 0 then 0. else float_of_int bad /. float_of_int total in
+  let budget_used = frac /. slo_budget in
+  { total; bad; compliance = 1. -. frac; budget_used; breached = budget_used > 1. }
+
 type leg = {
   requests : int;
   wall_s : float;
   throughput : float;  (* requests/s over the whole ladder *)
   latency : Dh_obs.Quantile.snapshot;
-  slo : Dh_obs.Slo.report;
+  slo : slo;
   err_rate : float;  (* trailing-window rates at end of run *)
   rewind_rate : float;
   rewinds : int;
@@ -99,9 +124,6 @@ let run_leg ~requests ~seed () =
      quantiles. *)
   Dh_obs.Quantile.reset ();
   Dh_obs.Window.reset ();
-  let slo =
-    Dh_obs.Slo.configure ~name:"serve" ~target:slo_target_ns ~budget:slo_budget ()
-  in
   let program =
     Server.program ~requests ~attack_every:attack_stride ~zipf:zipf_s ()
   in
@@ -113,7 +135,6 @@ let run_leg ~requests ~seed () =
       program
   in
   let wall_s = Unix.gettimeofday () -. t0 in
-  Dh_obs.Slo.deactivate ();
   let output = Option.value incident.Supervisor.output ~default:"" in
   let survived_randomized =
     match incident.Supervisor.verdict with
@@ -135,16 +156,17 @@ let run_leg ~requests ~seed () =
     | Some w -> Dh_obs.Window.rate w ~now:(requests - 1)
     | None -> 0.
   in
+  let latency = Dh_obs.(Quantile.snapshot (Metrics.histogram "serve.latency_ns")) in
+  let rewinds = recovery_sum (fun r -> r.Supervisor.rewinds) in
   {
     requests;
     wall_s;
     throughput = float_of_int requests /. Float.max wall_s 1e-9;
-    latency =
-      Dh_obs.(Quantile.snapshot (Metrics.histogram "serve.latency_ns"));
-    slo = Dh_obs.Slo.report slo;
+    latency;
+    slo = slo_of latency ~rewinds;
     err_rate = window_rate "serve.errors";
     rewind_rate = window_rate "serve.rewinds";
-    rewinds = recovery_sum (fun r -> r.Supervisor.rewinds);
+    rewinds;
     checkpoints = recovery_sum (fun r -> r.Supervisor.checkpoints);
     survived_randomized;
     checksum = Option.value (out_field ~key:"checksum" output) ~default:(-1);
@@ -175,12 +197,12 @@ let leg_section l =
       [ "latency p99"; Printf.sprintf "%d ns" (q l.latency 0.99) ];
       [ "latency p99.9"; Printf.sprintf "%d ns" (q l.latency 0.999) ];
       [ "latency max"; Printf.sprintf "%d ns" (Dh_obs.Quantile.max_value l.latency) ];
-      [ "SLO compliance"; Printf.sprintf "%.4f" l.slo.Dh_obs.Slo.compliance ];
+      [ "SLO compliance"; Printf.sprintf "%.4f" l.slo.compliance ];
       [
         "error budget used";
         Printf.sprintf "%.0f%%%s"
-          (100. *. l.slo.Dh_obs.Slo.budget_used)
-          (if l.slo.Dh_obs.Slo.breached then " (BREACHED)" else "");
+          (100. *. l.slo.budget_used)
+          (if l.slo.breached then " (BREACHED)" else "");
       ];
       [ "trailing error rate"; Printf.sprintf "%.5f /tick" l.err_rate ];
       [ "trailing rewind rate"; Printf.sprintf "%.5f /tick" l.rewind_rate ];
@@ -224,11 +246,11 @@ let to_report ~quick l ~survived ~seeds =
         ("p99_ns", Gate.int (q l.latency 0.99));
         ("p999_ns", Gate.int (q l.latency 0.999));
         ("max_ns", Gate.int (Dh_obs.Quantile.max_value l.latency));
-        ("slo.total", Gate.int slo.Dh_obs.Slo.total);
-        ("slo.bad", Gate.int slo.Dh_obs.Slo.bad);
-        ("slo.compliance", Gate.float slo.Dh_obs.Slo.compliance);
-        ("slo.budget_used", Gate.float slo.Dh_obs.Slo.budget_used);
-        ("slo.breached", Gate.bool slo.Dh_obs.Slo.breached);
+        ("slo.total", Gate.int slo.total);
+        ("slo.bad", Gate.int slo.bad);
+        ("slo.compliance", Gate.float slo.compliance);
+        ("slo.budget_used", Gate.float slo.budget_used);
+        ("slo.breached", Gate.bool slo.breached);
       ]
 
 let measure ~quick () =

@@ -40,10 +40,6 @@ let assign t ~from =
   Bytes.blit from.bits 0 t.bits 0 (Bytes.length from.bits);
   t.cardinal <- from.cardinal
 
-let clear_all t =
-  Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
-  t.cardinal <- 0
-
 let iter_set t f =
   for byte = 0 to Bytes.length t.bits - 1 do
     let b = Char.code (Bytes.get t.bits byte) in
@@ -56,60 +52,15 @@ let iter_set t f =
       done
   done
 
-let first_clear t =
-  (* Byte-at-a-time: full 0xFF bytes are skipped in one comparison, so a
-     nearly-full bitmap costs O(bytes), not O(bits) get calls. *)
-  let nbytes = Bytes.length t.bits in
-  let rec go byte =
-    if byte >= nbytes then None
-    else
-      let b = Char.code (Bytes.unsafe_get t.bits byte) in
-      if b = 0xFF then go (byte + 1)
-      else begin
-        let rec low_clear k = if b land (1 lsl k) = 0 then k else low_clear (k + 1) in
-        let i = (byte lsl 3) + low_clear 0 in
-        (* The tail bits of the last byte are always zero but lie past
-           [length]; they do not count as free slots. *)
-        if i < t.length then Some i else None
-      end
-  in
-  go 0
-
-(* 256-entry popcount table: byte-at-a-time window cardinality without a
-   per-bit bounds-checked [get]. *)
-let popcount8 =
-  Array.init 256 (fun b ->
-      let rec go b acc = if b = 0 then acc else go (b lsr 1) (acc + (b land 1)) in
-      go b 0)
-
 let check_window t ~off ~len =
   if len < 0 then invalid_arg "Bitmap: negative window length";
   if off < 0 || off + len > t.length then
     invalid_arg "Bitmap: window out of range"
 
-(* All window operations have a byte-chunked fast path when the window is
-   byte-aligned (every meshable size class gives slots-per-page that is
-   either a multiple of 8 or sub-byte) and a bitwise fallback otherwise. *)
-
-let window_cardinal t ~off ~len =
-  check_window t ~off ~len;
-  if off land 7 = 0 && len land 7 = 0 then begin
-    let n = ref 0 in
-    let byte0 = off lsr 3 in
-    for i = byte0 to byte0 + (len lsr 3) - 1 do
-      n := !n + Array.unsafe_get popcount8 (Char.code (Bytes.unsafe_get t.bits i))
-    done;
-    !n
-  end
-  else begin
-    let n = ref 0 in
-    for i = off to off + len - 1 do
-      if Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
-      then incr n
-    done;
-    !n
-  end
-
+(* The disjointness test has a byte-chunked fast path when the windows
+   are byte-aligned (every meshable size class gives slots-per-page that
+   is either a multiple of 8 or sub-byte) and a bitwise fallback
+   otherwise. *)
 let window_disjoint t ~a ~b ~len =
   check_window t ~off:a ~len;
   check_window t ~off:b ~len;
@@ -146,33 +97,6 @@ let window_iter_set t ~off ~len f =
       <> 0
     then f i
   done
-
-let disjoint a b =
-  if a.length <> b.length then invalid_arg "Bitmap.disjoint: length mismatch";
-  let nbytes = Bytes.length a.bits in
-  let rec go i =
-    i >= nbytes
-    || (Char.code (Bytes.unsafe_get a.bits i)
-        land Char.code (Bytes.unsafe_get b.bits i)
-        = 0
-        && go (i + 1))
-  in
-  go 0
-
-let union_into ~dst ~src =
-  if dst.length <> src.length then
-    invalid_arg "Bitmap.union_into: length mismatch";
-  let nbytes = Bytes.length dst.bits in
-  let cardinal = ref 0 in
-  for i = 0 to nbytes - 1 do
-    let merged =
-      Char.code (Bytes.unsafe_get dst.bits i)
-      lor Char.code (Bytes.unsafe_get src.bits i)
-    in
-    Bytes.unsafe_set dst.bits i (Char.unsafe_chr merged);
-    cardinal := !cardinal + Array.unsafe_get popcount8 merged
-  done;
-  dst.cardinal <- !cardinal
 
 let iter_clear t f =
   for byte = 0 to Bytes.length t.bits - 1 do

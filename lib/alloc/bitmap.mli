@@ -27,38 +27,19 @@ val assign : t -> from:t -> unit
 (** [assign t ~from] overwrites [t] with [from]'s contents in place (so
     aliases to [t] see the restored state).  The lengths must match. *)
 
-val clear_all : t -> unit
-
 val iter_set : t -> (int -> unit) -> unit
 (** Apply to every set index, ascending. *)
-
-val first_clear : t -> int option
-(** Lowest clear index, if any — used by deterministic baseline policies in
-    the ablation benches.  Skips full bytes, so nearly-full bitmaps cost
-    O(bits/8). *)
 
 val iter_clear : t -> (int -> unit) -> unit
 (** Apply to every clear index, ascending — the sweep-side complement of
     {!iter_set} (scanning free slots without a per-bit bounds-checked
     [get]). *)
 
-(** {1 Word-level set algebra}
+(** {1 Page windows}
 
     Used by the page mesher: a size-class region's bitmap is viewed as a
     sequence of per-page windows, and two pages can share one physical
     backing page exactly when their windows are disjoint. *)
-
-val disjoint : t -> t -> bool
-(** [disjoint a b] is true when no index is set in both.  The lengths
-    must match.  Cost is O(words), not O(bits). *)
-
-val union_into : dst:t -> src:t -> unit
-(** OR [src] into [dst] in place, recomputing [dst]'s cardinal.  The
-    lengths must match. *)
-
-val window_cardinal : t -> off:int -> len:int -> int
-(** Set bits inside the window [off, off+len).  Byte-chunked via a
-    popcount table when the window is byte-aligned. *)
 
 val window_disjoint : t -> a:int -> b:int -> len:int -> bool
 (** Whether the windows [a, a+len) and [b, b+len) of the same bitmap

@@ -1,14 +1,9 @@
 let count = 12
-let min_size = 8
 let max_size = 8 lsl (count - 1)  (* 16 KB *)
 
 let size c =
   if c < 0 || c >= count then invalid_arg "Size_class.size: bad class";
   8 lsl c
-
-let log2_size c =
-  if c < 0 || c >= count then invalid_arg "Size_class.log2_size: bad class";
-  3 + c
 
 (* ceil(log2 sz) via bit scanning on (sz - 1). *)
 let ceil_log2 sz =
@@ -23,7 +18,5 @@ let of_size_exn sz =
   match of_size sz with
   | Some c -> c
   | None -> invalid_arg "Size_class.of_size_exn: not a small-object size"
-
-let round_up sz = size (of_size_exn sz)
 
 let is_aligned ~offset ~class_ = offset land (size class_ - 1) = 0

@@ -10,9 +10,6 @@
 val count : int
 (** 12 classes. *)
 
-val min_size : int
-(** 8 bytes (class 0). *)
-
 val max_size : int
 (** 16384 bytes (class 11).  Larger requests go to the large-object path. *)
 
@@ -20,18 +17,11 @@ val size : int -> int
 (** [size c] is the object size of class [c] ([8 lsl c]).  Requires
     [0 <= c < count]. *)
 
-val log2_size : int -> int
-(** [log2_size c = 3 + c], the shift amount for class [c]'s size. *)
-
 val of_size : int -> int option
 (** [of_size sz] is the class serving a request of [sz] bytes, or [None]
     when [sz > max_size] (large object) or [sz <= 0]. *)
 
 val of_size_exn : int -> int
-
-val round_up : int -> int
-(** [round_up sz] is the rounded (reserved) size for a small request:
-    [size (of_size_exn sz)]. *)
 
 val is_aligned : offset:int -> class_:int -> bool
 (** [is_aligned ~offset ~class_] tells whether a byte offset within a

@@ -44,20 +44,6 @@ let expected_probes ~multiplier =
   if multiplier < 2 then invalid_arg "Theorems: multiplier must be >= 2";
   1. /. (1. -. (1. /. float_of_int multiplier))
 
-let expected_separation ~multiplier =
-  if multiplier < 2 then invalid_arg "Theorems: multiplier must be >= 2";
-  float_of_int (multiplier - 1)
-
-let figure_4a ~replicas ~fullness =
-  List.map
-    (fun f ->
-      ( f,
-        List.map
-          (fun k ->
-            (k, overflow_mask_probability ~free_fraction:(1. -. f) ~objects:1 ~replicas:k))
-          replicas ))
-    fullness
-
 let figure_4b ~heap_size ~multiplier ~object_sizes ~allocations =
   let region = heap_size / Dh_alloc.Size_class.count in
   List.map
@@ -73,9 +59,3 @@ let figure_4b ~heap_size ~multiplier ~object_sizes ~allocations =
           (fun a -> (a, dangling_mask_probability ~allocations:a ~free_slots ~replicas:1))
           allocations ))
     object_sizes
-
-let uninit_detect_table ~bits ~replicas =
-  List.map
-    (fun b ->
-      (b, List.map (fun k -> (k, uninit_detect_probability ~bits:b ~replicas:k)) replicas))
-    bits

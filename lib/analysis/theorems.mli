@@ -43,16 +43,7 @@ val multiple_errors_mask_probability : float list -> float
 val expected_probes : multiplier:int -> float
 (** §4.2: expected bitmap probes per allocation, [1 / (1 - 1/M)]. *)
 
-val expected_separation : multiplier:int -> float
-(** §3.1: expected minimum separation between live objects, [M - 1]
-    objects — what makes overflows smaller than [M-1] objects benign. *)
-
-(** {1 Series generators for the paper's figures} *)
-
-val figure_4a : replicas:int list -> fullness:float list -> (float * (int * float) list) list
-(** Figure 4(a): for each heap fullness (1/8, 1/4, 1/2 in the paper),
-    the masking probability of a single-object overflow per replica
-    count.  Returns [(fullness, [(k, p); ...])] rows. *)
+(** {1 Series generator for Figure 4(b)} *)
 
 val figure_4b :
   heap_size:int ->
@@ -65,6 +56,3 @@ val figure_4b :
     intervening-allocation count.  [Q] is derived from the size-class
     region geometry exactly as {!Diehard.Config} computes it.
     Returns [(object_size, [(allocations, p); ...])] rows. *)
-
-val uninit_detect_table : bits:int list -> replicas:int list -> (int * (int * float) list) list
-(** §6.3's examples: detection probability per (B, k). *)

@@ -20,10 +20,6 @@ type class_state = {
   mutable next_objects : int;  (* capacity of the next miniheap to map *)
 }
 
-type large_object = { payload : int; size : int; map_base : int; map_len : int }
-
-module Imap = Map.Make (Int)
-
 (* M: each class stays at most half full. *)
 let multiplier = 2
 
@@ -35,7 +31,7 @@ type t = {
   min_headroom : int;
   rng : Mwc.t;
   classes : class_state array;
-  mutable large : large_object Imap.t;
+  large : Heap.large;
   stats : Stats.t;
 }
 
@@ -54,7 +50,7 @@ let create ?(min_headroom = 0) ?(seed = 1) mem =
             total_in_use = 0;
             next_objects = initial_objects;
           });
-    large = Imap.empty;
+    large = Heap.large_table ();
     stats = Stats.create ();
   }
 
@@ -79,33 +75,6 @@ let locate_slot cls index =
     | mh :: rest -> if index < mh.capacity then (mh, index) else go rest (index - mh.capacity)
   in
   go cls.miniheaps index
-
-(* --- large objects: identical policy to the fixed heap --- *)
-
-let malloc_large t sz =
-  let body = (sz + Mem.page_size - 1) / Mem.page_size * Mem.page_size in
-  let map_len = body + (2 * Mem.page_size) in
-  let map_base = Mem.mmap t.mem map_len in
-  Mem.protect t.mem ~addr:map_base ~len:Mem.page_size Mem.No_access;
-  Mem.protect t.mem ~addr:(map_base + Mem.page_size + body) ~len:Mem.page_size
-    Mem.No_access;
-  let payload = map_base + Mem.page_size in
-  t.large <- Imap.add payload { payload; size = body; map_base; map_len } t.large;
-  Stats.on_malloc t.stats ~requested:sz ~reserved:body;
-  Some payload
-
-let free_large t addr =
-  match Imap.find_opt addr t.large with
-  | Some lo ->
-    t.large <- Imap.remove addr t.large;
-    Mem.munmap t.mem lo.map_base;
-    Stats.on_free t.stats ~reserved:lo.size
-  | None -> t.stats.Stats.ignored_frees <- t.stats.Stats.ignored_frees + 1
-
-let large_containing t addr =
-  match Imap.find_last_opt (fun payload -> payload <= addr) t.large with
-  | Some (_, lo) when addr < lo.payload + lo.size -> Some lo
-  | Some _ | None -> None
 
 (* --- small objects --- *)
 
@@ -139,7 +108,7 @@ let malloc t sz =
   else
     match Size_class.of_size sz with
     | Some class_ -> malloc_small t sz class_
-    | None -> malloc_large t sz
+    | None -> Some (Heap.large_malloc t.large t.mem t.stats sz)
 
 let miniheap_containing t addr =
   let found = ref None in
@@ -174,7 +143,7 @@ let free t addr =
         else t.stats.Stats.ignored_frees <- t.stats.Stats.ignored_frees + 1
       end
       else t.stats.Stats.ignored_frees <- t.stats.Stats.ignored_frees + 1
-    | None -> free_large t addr
+    | None -> ignore (Heap.large_free t.large t.mem t.stats addr)
 
 let find_object t addr =
   match miniheap_containing t addr with
@@ -187,13 +156,11 @@ let find_object t addr =
         size;
         allocated = Bitmap.get mh.bitmap local;
       }
-  | None -> (
-    match large_containing t addr with
-    | Some lo -> Some { Allocator.base = lo.payload; size = lo.size; allocated = true }
-    | None -> None)
+  | None -> Heap.large_find t.large addr
 
 let owns t addr =
-  Option.is_some (miniheap_containing t addr) || Option.is_some (large_containing t addr)
+  Option.is_some (miniheap_containing t addr)
+  || Option.is_some (Heap.large_find t.large addr)
 
 let allocator t =
   {

@@ -21,8 +21,8 @@
     §6's probabilistic guarantees hold with the class's current
     capacity standing in for the fixed region size.  Deallocation
     validates exactly like the fixed heap: slot-aligned, currently
-    allocated, otherwise ignored.  Large objects (> 16 KB) use the same
-    guarded-mapping path as {!Heap}. *)
+    allocated, otherwise ignored.  Large objects (> 16 KB) go through
+    {!Heap}'s own guarded-mapping path ({!Heap.large_malloc}). *)
 
 type t
 

@@ -39,9 +39,45 @@ type region = {
    write. *)
 and site_table = { mutable width : int; mutable ids : Bytes.t }
 
-type large_object = { payload : int; size : int; map_base : int; map_len : int }
-
 module Imap = Map.Make (Int)
+
+(* --- large objects (> 16 KB): individual mappings with guard pages,
+   the one implementation Adaptive shares.  The table is an immutable
+   map behind one mutable field, so a snapshot holds it as is. --- *)
+
+type large_object = { payload : int; size : int; map_base : int }
+type large = { mutable objects : large_object Imap.t }  (* keyed by payload *)
+
+let large_table () = { objects = Imap.empty }
+
+let large_malloc large mem stats sz =
+  let body = (sz + Mem.page_size - 1) / Mem.page_size * Mem.page_size in
+  let map_base = Mem.mmap mem (body + (2 * Mem.page_size)) in
+  Mem.protect mem ~addr:map_base ~len:Mem.page_size Mem.No_access;
+  Mem.protect mem ~addr:(map_base + Mem.page_size + body) ~len:Mem.page_size Mem.No_access;
+  let payload = map_base + Mem.page_size in
+  large.objects <- Imap.add payload { payload; size = body; map_base } large.objects;
+  Stats.on_malloc stats ~requested:sz ~reserved:body;
+  payload
+
+(* freeLargeObject: only unmap objects our own table vouches for;
+   everything else is ignored (§4.3). *)
+let large_free large mem stats addr =
+  match Imap.find_opt addr large.objects with
+  | Some lo ->
+    large.objects <- Imap.remove addr large.objects;
+    Mem.munmap mem lo.map_base;
+    Stats.on_free stats ~reserved:lo.size;
+    true
+  | None ->
+    stats.Stats.ignored_frees <- stats.Stats.ignored_frees + 1;
+    false
+
+let large_find large addr =
+  match Imap.find_last_opt (fun payload -> payload <= addr) large.objects with
+  | Some (_, lo) when addr < lo.payload + lo.size ->
+    Some { Allocator.base = lo.payload; size = lo.size; allocated = true }
+  | Some _ | None -> None
 
 (* Large objects feed the audit under a pseudo-class one past the real
    size classes: they have no slots, so no slot-position entropy, but
@@ -57,7 +93,7 @@ type t = {
          must never advance the allocation generator, or mesh-off and
          mesh-on runs would diverge before the first mesh. *)
   regions : region array;
-  mutable large : large_object Imap.t;  (* keyed by payload base *)
+  large : large;
   mutable large_sites : int Imap.t;
       (* payload -> site id, audit provenance only.  Entries are kept
          after free (dangling attribution) and never rewound. *)
@@ -80,7 +116,7 @@ let occupancy_summary t () =
              (Size_class.size region.class_)
              region.in_use region.capacity region.threshold))
     t.regions;
-  let larges = Imap.cardinal t.large in
+  let larges = Imap.cardinal t.large.objects in
   if larges > 0 then Buffer.add_string b (Printf.sprintf "large objects: %d\n" larges);
   if Buffer.length b = 0 then Buffer.add_string b "heap empty (no region mapped)\n";
   Buffer.contents b
@@ -116,7 +152,7 @@ let create ?(config = Config.default) mem =
          a pure function of the configured seed (determinism). *)
       mesh_rng = Mwc.create ~seed:(config.Config.seed lxor 0x4d455348);
       regions;
-      large = Imap.empty;
+      large = large_table ();
       large_sites = Imap.empty;
       stats = Stats.create ();
       freed_since_mesh = 0;
@@ -254,7 +290,7 @@ let snapshot t =
             rs_meshed = region.meshed;
           })
         t.regions;
-    snap_large = t.large;
+    snap_large = t.large.objects;
     snap_rng = Mwc.copy t.rng;
     snap_mesh_rng = Mwc.copy t.mesh_rng;
     snap_stats = Stats.copy t.stats;
@@ -276,7 +312,7 @@ let restore t snap =
       Array.blit rs.rs_buddy 0 region.buddy 0 (Array.length rs.rs_buddy);
       region.meshed <- rs.rs_meshed)
     snap.snap_regions;
-  t.large <- snap.snap_large;
+  t.large.objects <- snap.snap_large;
   Mwc.assign t.rng ~from:snap.snap_rng;
   Mwc.assign t.mesh_rng ~from:snap.snap_mesh_rng;
   Stats.assign t.stats ~from:snap.snap_stats;
@@ -296,20 +332,14 @@ let ensure_mapped t region =
         if t.config.Config.replicated then
           Mem.fill_random t.mem ~addr:region.base ~len t.rng)
 
-(* --- large objects (> 16 KB): individual mappings with guard pages --- *)
-
+(* The shared guarded mapping, plus the fixed heap's replicated fill and
+   audit records. *)
 let malloc_large t sz =
-  let body = (sz + Mem.page_size - 1) / Mem.page_size * Mem.page_size in
-  let map_len = body + (2 * Mem.page_size) in
-  let map_base = Mem.mmap t.mem map_len in
-  Mem.protect t.mem ~addr:map_base ~len:Mem.page_size Mem.No_access;
-  Mem.protect t.mem ~addr:(map_base + Mem.page_size + body) ~len:Mem.page_size
-    Mem.No_access;
-  let payload = map_base + Mem.page_size in
-  if t.config.Config.replicated then
-    Mem.fill_random t.mem ~addr:payload ~len:body t.rng;
-  t.large <- Imap.add payload { payload; size = body; map_base; map_len } t.large;
-  Stats.on_malloc t.stats ~requested:sz ~reserved:body;
+  let payload = large_malloc t.large t.mem t.stats sz in
+  if t.config.Config.replicated then begin
+    let len = (Imap.find payload t.large.objects).size in
+    Mem.fill_random t.mem ~addr:payload ~len t.rng
+  end;
   if Dh_obs.Control.enabled () then begin
     let o = obs_feed t in
     let site = Dh_obs.Audit.current_site () in
@@ -320,26 +350,13 @@ let malloc_large t sz =
   end;
   Some payload
 
-(* freeLargeObject: only unmap objects our own table vouches for;
-   everything else is ignored (§4.3). *)
 let free_large t addr =
-  match Imap.find_opt addr t.large with
-  | Some lo ->
-    t.large <- Imap.remove addr t.large;
-    Mem.munmap t.mem lo.map_base;
-    Stats.on_free t.stats ~reserved:lo.size;
-    if Dh_obs.Control.enabled () then begin
-      let site =
-        Option.value (Imap.find_opt addr t.large_sites) ~default:Dh_obs.Audit.unknown
-      in
-      Dh_obs.Audit.record_free (obs_feed t) ~class_:large_class ~site
-    end
-  | None -> t.stats.Stats.ignored_frees <- t.stats.Stats.ignored_frees + 1
-
-let large_containing t addr =
-  match Imap.find_last_opt (fun payload -> payload <= addr) t.large with
-  | Some (_, lo) when addr < lo.payload + lo.size -> Some lo
-  | Some _ | None -> None
+  if large_free t.large t.mem t.stats addr && Dh_obs.Control.enabled () then begin
+    let site =
+      Option.value (Imap.find_opt addr t.large_sites) ~default:Dh_obs.Audit.unknown
+    in
+    Dh_obs.Audit.record_free (obs_feed t) ~class_:large_class ~site
+  end
 
 (* --- page meshing (MESH, Powers et al.): compacting the randomized
    heap without moving objects ---
@@ -638,8 +655,8 @@ let site_of_addr t addr =
     if Bytes.length region.sites.ids = 0 then None
     else Some (site_get region.sites ((addr - region.base) / Size_class.size region.class_))
   | None -> (
-    match large_containing t addr with
-    | Some lo -> Imap.find_opt lo.payload t.large_sites
+    match large_find t.large addr with
+    | Some o -> Imap.find_opt o.Allocator.base t.large_sites
     | None -> None)
 
 let slot_of_addr t addr =
@@ -659,10 +676,7 @@ let find_object t addr =
         size;
         allocated = Bitmap.get region.bitmap index;
       }
-  | None -> (
-    match large_containing t addr with
-    | Some lo -> Some { Allocator.base = lo.payload; size = lo.size; allocated = true }
-    | None -> None)
+  | None -> large_find t.large addr
 
 let object_size t addr =
   match find_object t addr with
@@ -670,7 +684,7 @@ let object_size t addr =
   | Some _ | None -> None
 
 let owns t addr =
-  Option.is_some (region_containing t addr) || Option.is_some (large_containing t addr)
+  Option.is_some (region_containing t addr) || Option.is_some (large_find t.large addr)
 
 (* --- invariants ---
 
@@ -716,7 +730,7 @@ let invariants t =
     (fun payload lo ->
       if payload land (Mem.page_size - 1) <> 0 || payload <> lo.map_base + Mem.page_size then
         fail "large object 0x%x is not page-aligned behind its guard page" payload)
-    t.large
+    t.large.objects
 
 let allocator t =
   {
@@ -741,7 +755,7 @@ let region_fullness t ~class_ =
   let region = t.regions.(class_) in
   float_of_int region.in_use /. float_of_int region.capacity
 
-let large_object_count t = Imap.cardinal t.large
+let large_object_count t = Imap.cardinal t.large.objects
 
 let pp_layout ppf t =
   let width = 64 in
@@ -773,9 +787,9 @@ let pp_layout ppf t =
           line region.in_use region.capacity
       end)
     t.regions;
-  if not (Imap.is_empty t.large) then begin
+  if not (Imap.is_empty t.large.objects) then begin
     Format.fprintf ppf "large objects:@.";
     Imap.iter
       (fun _ lo -> Format.fprintf ppf "  0x%x: %d bytes (guarded)@." lo.payload lo.size)
-      t.large
+      t.large.objects
   end

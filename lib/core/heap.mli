@@ -134,6 +134,30 @@ val site_of_addr : t -> int -> int option
 
 val large_object_count : t -> int
 
+(** {1 Guarded large objects}
+
+    The large-object path on its own, for {!Adaptive}, which keeps its
+    large objects exactly as this heap does.  The heap adds its
+    replicated-mode fill and audit records on top. *)
+
+type large
+(** A table of guarded large objects, keyed by payload address. *)
+
+val large_table : unit -> large
+
+val large_malloc : large -> Dh_mem.Mem.t -> Dh_alloc.Stats.t -> int -> int
+(** [large_malloc large mem stats sz] maps [sz] bytes rounded up to whole
+    pages between two no-access guard pages, records the object in
+    [large] and [stats], and returns its payload address. *)
+
+val large_free : large -> Dh_mem.Mem.t -> Dh_alloc.Stats.t -> int -> bool
+(** Unmap the object whose payload address this is and return [true];
+    any other address counts an ignored free in [stats] and returns
+    [false]. *)
+
+val large_find : large -> int -> Dh_alloc.Allocator.object_info option
+(** The object whose payload covers this address, if any. *)
+
 val rng : t -> Dh_rng.Mwc.t
 (** The heap's generator — exposed so experiments can record or perturb
     the randomness stream. *)

@@ -132,12 +132,12 @@ type fault_action =
       (* rewind, then run requests window_start .. request one by one
          through the wrapper (which answers "continue?"), and stop *)
 
-(* Serve-loop SLO telemetry.  All write-only and gated on one enabled
+(* Serve-loop telemetry (the serve bench reads its SLO off the latency
+   histogram).  All write-only and gated on one enabled
    check per request when off; when on, the per-request cost is one
    clock read, one latency sample recorded through the loop's own cached
    [Dh_obs.Cell] handle on the "serve.latency_ns" histogram (a
-   domain-id compare and plain adds), (when an SLO is configured) one
-   classification, and the audit watch's atomic load.
+   domain-id compare and plain adds), and the audit watch's atomic load.
    A request's latency runs from the previous request's completion (or
    from the moment its window was armed) to its own: the clock is read
    once per request, and arming stays out of the sample.  The rewind
@@ -147,7 +147,6 @@ type fault_action =
 type serve_obs = {
   so_latency : Dh_obs.Metrics.histogram;
   so_rewinds : Dh_obs.Window.t;
-  so_slo : Dh_obs.Slo.t option;
 }
 
 let serve_obs () =
@@ -158,7 +157,6 @@ let serve_obs () =
         so_latency =
           Dh_obs.(Quantile.share (Metrics.histogram "serve.latency_ns"));
         so_rewinds = Dh_obs.Window.get "serve.rewinds" ~width:1024 ~buckets:16;
-        so_slo = Dh_obs.Slo.active ();
       }
 
 (* [telemetry] switches the serve telemetry above on (when obs is);
@@ -181,7 +179,6 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
             let dt = Dh_obs.Tracing.elapsed_ns ~since:!stamp ~now in
             stamp := now;
             Dh_obs.Metrics.observe o.so_latency dt;
-            (match o.so_slo with Some slo -> Dh_obs.Slo.record slo dt | None -> ());
             (* The audit's --watch clock is the request index, like the
                windows: periodic snapshots are deterministic per run. *)
             Dh_obs.Audit.tick ~now:k
@@ -214,10 +211,7 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
                 Dh_obs.Tracing.instant
                   ~arg:(string_of_int report.Dh_mem.Mem.pages_restored)
                   "supervisor.rewind";
-                Dh_obs.Window.add o.so_rewinds ~now:request 1;
-                (* The faulting request is the SLO's error case: it really
-                   did fail to complete on first service. *)
-                Option.iter (fun slo -> Dh_obs.Slo.record slo ~error:true 0) o.so_slo);
+                Dh_obs.Window.add o.so_rewinds ~now:request 1);
               k := window_start
             in
             match

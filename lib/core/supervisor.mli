@@ -214,5 +214,3 @@ val replay :
 
 val pp_incident : Format.formatter -> incident -> unit
 (** Multi-line, one row per attempt, plus the diagnosis. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

@@ -63,9 +63,5 @@ val string_literals : program -> string list
 (** Every distinct string literal, in first-appearance order — the
     interpreter allocates these at startup. *)
 
-val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-val pp_program : Format.formatter -> program -> unit
-
 val to_string : program -> string
 (** Pretty-print back to concrete MiniC syntax (parseable). *)

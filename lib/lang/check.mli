@@ -34,5 +34,3 @@ val builtin_arity : string -> int option
 (** Arity of an interpreter builtin, if [name] is one.  This is the only
     table of builtin arities: the interpreter resolves every callsite
     against it, so the checker and the runtime cannot drift apart. *)
-
-val pp_diagnostic : Format.formatter -> diagnostic -> unit

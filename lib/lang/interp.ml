@@ -506,7 +506,7 @@ let register_gc_roots st =
         Hashtbl.iter (fun _ addr -> roots := addr :: !roots) st.literals;
         !roots)
 
-let run ?(libc = Unchecked) ?(name = "minic") program ctx =
+let run ~libc ~name program ctx =
   let literals = Hashtbl.create 16 and call_sites = Site_tbl.create 16 in
   let st = { libc; ctx; frames = []; literals; input_pos = 0; prog_name = name; call_sites } in
   register_gc_roots st;
@@ -518,8 +518,6 @@ let run ?(libc = Unchecked) ?(name = "minic") program ctx =
     let code = invoke st main (new_frame main) in
     if code <> 0 then raise (Process.Exit_program code)
 
-let to_program ?libc ~name program =
-  Program.make ~name (fun ctx -> run ?libc ~name program ctx)
-
-let program_of_source ?libc ~name source =
-  to_program ?libc ~name (Parser.parse_program source)
+let program_of_source ?(libc = Unchecked) ~name source =
+  let program = Parser.parse_program source in
+  Program.make ~name (fun ctx -> run ~libc ~name program ctx)

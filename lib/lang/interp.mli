@@ -6,7 +6,7 @@
     conservative GC, DieHard, a fail-stop checker or a failure-oblivious
     shield — the paper's interposition, in simulation.
 
-    {b Compile per run.}  Each {!run} first allocates the string literals
+    {b Compile per run.}  Each run first allocates the string literals
     (in first-appearance order), then compiles the whole program once into
     OCaml closures over that run's context: every variable is resolved to
     a slot in a per-call [int array] frame and every callsite to a builtin
@@ -57,16 +57,12 @@ exception Runtime_error of string
     division by zero.  Escapes {!Dh_mem.Process.run} — experiments never
     trigger it with well-formed programs. *)
 
-val run : ?libc:libc -> ?name:string -> Ast.program -> Dh_alloc.Program.context -> unit
-(** Run [main()] to completion within an existing context.  [name]
-    (default ["minic"]) prefixes the audit allocation-site labels the
-    interpreter interns for [malloc]/[calloc]/[realloc] callsites —
-    ["minic:<name>:malloc#2"] — while observability is enabled.  Each
-    AST callsite gets its own site, interned when it first executes and
-    numbered in first-execution order. *)
-
-val to_program : ?libc:libc -> name:string -> Ast.program -> Dh_alloc.Program.t
-(** Package as a runnable {!Dh_alloc.Program.t}. *)
-
 val program_of_source : ?libc:libc -> name:string -> string -> Dh_alloc.Program.t
-(** Parse and package MiniC source text. *)
+(** Parse MiniC source text and package it as a runnable
+    {!Dh_alloc.Program.t}; a run executes [main()] to completion within
+    its context.  [libc] defaults to [Unchecked].  [name] also prefixes
+    the audit allocation-site labels the interpreter interns for
+    [malloc]/[calloc]/[realloc] callsites — ["minic:<name>:malloc#2"] —
+    while observability is enabled.  Each AST callsite gets its own
+    site, interned when it first executes and numbered in
+    first-execution order. *)

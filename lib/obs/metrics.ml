@@ -81,11 +81,6 @@ let log2_buckets snap =
     (Quantile.counts snap);
   buckets
 
-let histogram_buckets h = log2_buckets (Quantile.snapshot h)
-let histogram_sum h = Quantile.sum (Quantile.snapshot h)
-let histogram_total h = Quantile.count (Quantile.snapshot h)
-let histogram_quantile h q = Quantile.quantile (Quantile.snapshot h) q
-
 type row = {
   name : string;
   kind : string;

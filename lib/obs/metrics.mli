@@ -61,27 +61,14 @@ val bucket_of : int -> int
 
 val bucket_count : int  (** 64: every non-negative OCaml int fits. *)
 
-val histogram_sum : histogram -> int
-
-val histogram_total : histogram -> int
-(** Number of samples. *)
-
-val histogram_buckets : histogram -> int array
-(** The log2 view: sample counts per {!bucket_of} index, merged across
-    domains. *)
-
-val histogram_quantile : histogram -> float -> int
-(** {!Quantile.quantile} of a fresh snapshot: the upper bound of the
-    HDR bucket holding the rank-[⌈q*N⌉] sample.  0 on an empty
-    histogram. *)
-
 (** {1 Reading} *)
 
 type row = {
   name : string;
   kind : string;  (** ["counter"], ["gauge"] or ["histogram"]. *)
   value : int;  (** Counter sum, gauge value, or histogram sample count. *)
-  p50 : int option;  (** Histograms: {!histogram_quantile} at 0.5. *)
+  p50 : int option;
+      (** Histograms: {!Quantile.quantile} of a fresh snapshot at 0.5. *)
   p99 : int option;  (** Histograms: likewise at 0.99. *)
   detail : string;
       (** Histograms: ["sum=S mean=M buckets=b1:n1;b4:n4"], the buckets

@@ -9,7 +9,7 @@
     — and values below [2^(fine_bits+1)] are bucketed exactly.  Each
     bucket lies inside one power-of-two range, so the log2 summary the
     metrics CSV prints is an exact view of these buckets
-    ({!Metrics.histogram_buckets}).
+    (the [buckets=] detail of {!Metrics.dump}).
 
     A histogram is a {!Cell} handle: the first record from a domain
     allocates it a private cell, and every later record through a handle

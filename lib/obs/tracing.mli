@@ -24,10 +24,6 @@ type event = {
 val ring_capacity : int
 (** Events retained per domain (the oldest are overwritten). *)
 
-val now_us : unit -> int
-(** The tracing clock: microseconds since the process started tracing —
-    the timestamps events carry. *)
-
 val now_ns : unit -> int
 (** The latency clock: the platform's monotonic clock in nanoseconds
     (an arbitrary origin, so only differences mean anything), for

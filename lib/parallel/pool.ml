@@ -36,6 +36,8 @@ type worker = {
 
 (* OCaml caps live domains (128 on stock runtimes); leave headroom for
    the main domain and any domains the embedding application runs. *)
+(* Hard cap on pooled worker domains: headroom under the OCaml runtime's
+   128-domain limit for the caller's own domains. *)
 let max_workers = 120
 
 let pool_lock = Mutex.create ()

@@ -90,7 +90,3 @@ val quiesce : unit -> unit
     workers transparently ({!spawned_domains} restarts from there).
     Workers still running a job finish it first.  Must not be called
     concurrently with an in-flight fan-out on another thread. *)
-
-val max_workers : int
-(** Hard cap on pooled worker domains (leaves headroom under the OCaml
-    runtime's 128-domain limit for the caller's own domains). *)

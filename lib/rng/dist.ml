@@ -1,7 +1,3 @@
-let uniform_int rng ~lo ~hi =
-  if lo > hi then invalid_arg "Dist.uniform_int: lo > hi";
-  lo + Mwc.below rng (hi - lo + 1)
-
 let geometric rng ~p =
   if p <= 0. || p > 1. then invalid_arg "Dist.geometric: want 0 < p <= 1";
   if p = 1. then 0
@@ -10,11 +6,6 @@ let geometric rng ~p =
     let u = 1. -. Mwc.float01 rng in
     int_of_float (floor (log u /. log (1. -. p)))
   end
-
-let exponential rng ~mean =
-  if mean <= 0. then invalid_arg "Dist.exponential: want mean > 0";
-  let u = 1. -. Mwc.float01 rng in
-  -.mean *. log u
 
 (* Zipf by inversion of the generalized harmonic CDF.  The table is an
    immutable value built once by its user (a workload builds one per
@@ -50,7 +41,7 @@ let zipf_rank cdf ~u =
 
 let weighted rng ~weights =
   let total = Array.fold_left ( +. ) 0. weights in
-  if total <= 0. then invalid_arg "Dist.weighted: weights sum to zero";
+  if total <= 0. then invalid_arg "Dist.size_class_mix: weights sum to zero";
   let u = Mwc.float01 rng *. total in
   let n = Array.length weights in
   let rec pick i acc =
@@ -60,14 +51,6 @@ let weighted rng ~weights =
       if u < acc then i else pick (i + 1) acc
   in
   pick 0 0.
-
-let shuffle rng a =
-  for i = Array.length a - 1 downto 1 do
-    let j = Mwc.below rng (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
 
 let size_class_mix rng ~classes =
   let weights = Array.map snd classes in

@@ -4,15 +4,9 @@
     allocation behaviour as a size distribution, a lifetime distribution
     and an allocation rate; this module provides the samplers. *)
 
-val uniform_int : Mwc.t -> lo:int -> hi:int -> int
-(** Uniform integer in [\[lo, hi\]] inclusive.  Requires [lo <= hi]. *)
-
 val geometric : Mwc.t -> p:float -> int
 (** Number of failures before the first success of a Bernoulli([p]) trial,
     i.e. values in [\[0, ∞)] with mean [(1-p)/p].  Requires [0 < p <= 1]. *)
-
-val exponential : Mwc.t -> mean:float -> float
-(** Exponential with the given mean.  Requires [mean > 0]. *)
 
 type zipf_table
 (** The CDF of a Zipf distribution over ranks [\[1, n\]]: immutable, so
@@ -28,14 +22,8 @@ val zipf_rank : zipf_table -> u:float -> int
     serve workload passes the request hash, so a rewound window replays
     identical requests. *)
 
-val weighted : Mwc.t -> weights:float array -> int
-(** Index sampled proportionally to [weights] (all non-negative, not all
-    zero). *)
-
-val shuffle : Mwc.t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val size_class_mix : Mwc.t -> classes:(int * float) array -> int
 (** [size_class_mix rng ~classes] picks a size from a weighted list of
     [(size, weight)] pairs — the shape in which workload profiles describe
-    their object-size mixes. *)
+    their object-size mixes — with probability proportional to its
+    weight.  The weights must be non-negative and not all zero. *)

@@ -25,5 +25,3 @@ let split ~n t =
     seeds.(i) <- fresh t
   done;
   seeds
-
-let fresh_rng t = Mwc.create ~seed:(fresh t)

@@ -31,6 +31,3 @@ val split : n:int -> t -> int array
     parallel tasks — the assignment is fixed before any task runs, so it
     cannot depend on execution interleaving.  Subsequent {!fresh} calls
     continue the stream after the split block. *)
-
-val fresh_rng : t -> Mwc.t
-(** [fresh_rng t] is [Mwc.create ~seed:(fresh t)]. *)

@@ -28,8 +28,6 @@ exception Error of t
 val raise_fault : t -> 'a
 (** Raise {!Error}. *)
 
-val pp_access : Format.formatter -> access -> unit
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

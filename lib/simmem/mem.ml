@@ -612,38 +612,6 @@ let fill_random t ~addr ~len rng =
     end
   end
 
-(* Scan page by page inside the segment, searching the backing bytes
-   directly for the terminator, then validating (and counting) exactly the
-   bytes delivered from that page — the terminator included. *)
-let cstring ?(limit = max_int) t addr =
-  let buf = Buffer.create 16 in
-  let rec scan seg pos budget =
-    if pos = seg.base + seg.len then unmapped t pos Fault.Read;
-    let page_end = (pos lor (page_size - 1)) + 1 in
-    (* Compare rather than add: [budget] defaults to [max_int], and
-       [pos + budget] would overflow. *)
-    let n = if budget < page_end - pos then budget else page_end - pos in
-    (* The chunk never leaves the current virtual page, so one physical
-       translation covers it. *)
-    let off = phys_off seg (pos - seg.base) in
-    match Bytes.index_from_opt seg.data off '\000' with
-    | Some k when k < off + n ->
-      ignore (check_page t seg pos (pos + k - off + 1) Fault.Read);
-      t.reads <- t.reads + k - off + 1;
-      Buffer.add_subbytes buf seg.data off (k - off);
-      Buffer.contents buf
-    | Some _ | None ->
-      ignore (check_page t seg pos (pos + n) Fault.Read);
-      t.reads <- t.reads + n;
-      Buffer.add_subbytes buf seg.data off n;
-      if budget = n then Buffer.contents buf else scan seg (pos + n) (budget - n)
-  in
-  if limit <= 0 then ""
-  else
-    match find_segment t addr with
-    | None -> unmapped t addr Fault.Read
-    | Some seg -> scan seg addr limit
-
 (* The store C's [strcpy] makes: [s], then a NUL, exactly as
    [String.iteri (write8 ...)] followed by [write8 ... 0] would, but one
    page at a time.  Unlike every other multi-byte store it is not atomic:
@@ -834,18 +802,3 @@ let stats t =
   }
 
 let touched_pages t = t.touched_pages
-
-let pp_stats ppf (s : stats) =
-  let accesses = s.reads + s.writes in
-  (* Guard the derived hit rates: an empty run has no accesses, and
-     0/0 must print as "-" rather than nan. *)
-  let hit misses =
-    if accesses = 0 then "-"
-    else
-      Printf.sprintf "%.1f%%"
-        (100. *. (1. -. (float_of_int misses /. float_of_int accesses)))
-  in
-  Format.fprintf ppf
-    "reads=%d writes=%d mmaps=%d munmaps=%d dirty=%d tlb-hit=%s cache-hit=%s"
-    s.reads s.writes s.mmaps s.munmaps s.dirty_pages (hit s.tlb_misses)
-    (hit s.cache_misses)

@@ -25,7 +25,10 @@ val word_size : int
 (** 8 bytes. *)
 
 val create : unit -> t
-(** A fresh, empty address space. *)
+(** A fresh, empty address space.  While {!Dh_obs.Control.enabled}, it
+    registers its counters as callback gauges (["mem.reads"],
+    ["mem.tlb_misses"], ...) in {!Dh_obs.Metrics}; the registry reflects
+    the most recently created space. *)
 
 (** {1 Mapping} *)
 
@@ -98,8 +101,8 @@ val backing_page : t -> int -> int
 (** {1 Access}
 
     All accesses fault ({!Fault.Error}) on unmapped addresses or protection
-    violations, and all of them — byte, word, bulk, and each page a
-    {!cstring} scan reads — are checked by one validator, which walks the
+    violations, and all of them — byte, word, bulk, and each page run
+    of a {!write_cstring} — are checked by one validator, which walks the
     range page by page in address order.  Multi-byte accesses validate
     every byte of their range {e before} touching memory: a fault carries
     the address of exactly the first offending byte and the operation has
@@ -112,10 +115,8 @@ val backing_page : t -> int -> int
 
     Counting rule ({!stats}): byte and word operations count one read or
     write even when they fault; bulk operations count [len] only on
-    success; {!cstring} counts the bytes it delivers, terminator
-    included, page by page (so a scan faulting on a later page has
-    counted the earlier pages' bytes); {!write_cstring} counts each byte
-    it stores, the faulting byte included.
+    success; {!write_cstring} counts each byte it stores, the faulting
+    byte included.
 
     Cost-model charging rule: an access charges one TLB touch per page and
     one cache touch per line its byte range spans — never more, never
@@ -144,12 +145,6 @@ val fill_random : t -> addr:int -> len:int -> Dh_rng.Mwc.t -> unit
     DieHard's replicated mode (§4.1, §4.2).  Consumes one [next_u32] per
     four bytes (LSB first), so replicas with equal seeds build
     byte-identical heaps regardless of fill batching. *)
-
-val cstring : ?limit:int -> t -> int -> string
-(** [cstring t addr] reads a NUL-terminated string starting at [addr]
-    (faulting if it runs off mapped memory first).  With [limit], reads at
-    most [limit] bytes and returns them unterminated if no NUL was found —
-    the bounded scan [strncpy]-style consumers need. *)
 
 val write_cstring : t -> addr:int -> string -> unit
 (** [write_cstring t ~addr s] stores [s] and then a NUL at [addr]: the
@@ -222,8 +217,7 @@ val preimaged_pages : t -> int
 type stats = {
   reads : int;
       (** Loads, by the access counting rule: one per byte or word
-          operation, [len] per bulk read, one per byte {!cstring}
-          delivers. *)
+          operation, [len] per bulk read. *)
   writes : int;  (** Stores, by the same rule. *)
   mmaps : int;
   munmaps : int;
@@ -242,16 +236,6 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val pp_stats : Format.formatter -> stats -> unit
-(** Operation counts plus derived TLB/cache hit rates; the rates print
-    as ["-"] on an empty run (no division by zero). *)
-
-val publish_metrics : t -> unit
-(** Register this address space's counters as callback gauges
-    (["mem.reads"], ["mem.tlb_misses"], ...) in {!Dh_obs.Metrics}.
-    Called automatically by {!create} when {!Dh_obs.Control.enabled};
-    the registry reflects the most recently published space. *)
 
 val touched_pages : t -> int
 (** Number of distinct pages ever written — the proxy this simulation uses

@@ -21,10 +21,6 @@ type result = {
 
 val run : ?seed:int -> Profile.t -> Dh_alloc.Allocator.t -> result
 
-val live_load_factor : Profile.t -> float
-(** Rough expected live bytes implied by the profile (mean size ×
-    lifetime), used to size heaps so workloads do not exhaust them. *)
-
 val heap_size_for : Profile.t -> int
 (** A DieHard heap size comfortably serving this profile (per-class
     regions at least 4× the expected live load, M = 2). *)

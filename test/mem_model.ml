@@ -17,8 +17,7 @@
      does not rewind — the statistics, the cost-model state and the
      written-page flags — is not part of the snapshot either.
    - Counting: byte and word operations count one access even when they
-     fault, bulk operations count [len] only on success, and [cstring]
-     counts each byte it delivers (the terminator included).
+     fault, and bulk operations count [len] only on success.
      [write_cstring] is the bytewise [write8] loop it stands for. *)
 
 module Mem = Dh_mem.Mem
@@ -148,21 +147,6 @@ let write_bytes m ~addr s =
 let write_cstring m ~addr s =
   String.iteri (fun i c -> write8 m (addr + i) (Char.code c)) s;
   write8 m (addr + String.length s) 0
-
-let cstring ?(limit = max_int) m addr =
-  let b = Buffer.create 16 in
-  let rec go i =
-    if i < limit then begin
-      let p, o = access m (addr + i) Fault.Read in
-      m.reads <- m.reads + 1;
-      if Bytes.get p.bytes o <> '\000' then begin
-        Buffer.add_char b (Bytes.get p.bytes o);
-        go (i + 1)
-      end
-    end
-  in
-  go 0;
-  Buffer.contents b
 
 let mmap m pages =
   let s =

@@ -10,12 +10,9 @@ let check_string = Alcotest.(check string)
 
 let test_class_geometry () =
   check_int "twelve classes" 12 Size_class.count;
-  check_int "min" 8 Size_class.min_size;
   check_int "max" 16384 Size_class.max_size;
   for c = 0 to Size_class.count - 1 do
-    check_int "size is 8<<c" (8 lsl c) (Size_class.size c);
-    check_int "log2 size" (3 + c) (Size_class.log2_size c);
-    check_int "size = 1 lsl log2" (1 lsl Size_class.log2_size c) (Size_class.size c)
+    check_int "size is 8<<c" (8 lsl c) (Size_class.size c)
   done
 
 let test_of_size_boundaries () =
@@ -46,9 +43,11 @@ let test_of_size_matches_naive () =
   done
 
 let test_round_up () =
-  check_int "1 -> 8" 8 (Size_class.round_up 1);
-  check_int "9 -> 16" 16 (Size_class.round_up 9);
-  check_int "16384 -> 16384" 16384 (Size_class.round_up 16384)
+  (* a small request reserves its class's whole slot *)
+  let reserved sz = Size_class.size (Size_class.of_size_exn sz) in
+  check_int "1 -> 8" 8 (reserved 1);
+  check_int "9 -> 16" 16 (reserved 9);
+  check_int "16384 -> 16384" 16384 (reserved 16384)
 
 let test_is_aligned () =
   check "0 aligned" true (Size_class.is_aligned ~offset:0 ~class_:3);
@@ -97,23 +96,6 @@ let test_bitmap_iter_set () =
   Bitmap.iter_set b (fun i -> seen := i :: !seen);
   Alcotest.(check (list int)) "ascending order" [ 3; 17; 42 ] (List.rev !seen)
 
-let test_bitmap_clear_all () =
-  let b = Bitmap.create 64 in
-  for i = 0 to 63 do
-    Bitmap.set b i
-  done;
-  Bitmap.clear_all b;
-  check_int "all clear" 0 (Bitmap.cardinal b);
-  check "first clear is 0" true (Bitmap.first_clear b = Some 0)
-
-let test_bitmap_first_clear () =
-  let b = Bitmap.create 3 in
-  Bitmap.set b 0;
-  check "first clear skips set" true (Bitmap.first_clear b = Some 1);
-  Bitmap.set b 1;
-  Bitmap.set b 2;
-  check "full bitmap" true (Bitmap.first_clear b = None)
-
 let prop_bitmap_cardinal_consistent =
   QCheck.Test.make ~name:"bitmap cardinal equals recount after random ops" ~count:200
     QCheck.(list (pair bool (int_bound 199)))
@@ -152,8 +134,6 @@ let suite =
     Alcotest.test_case "bitmap idempotent" `Quick test_bitmap_idempotent;
     Alcotest.test_case "bitmap bounds" `Quick test_bitmap_bounds;
     Alcotest.test_case "bitmap iter_set" `Quick test_bitmap_iter_set;
-    Alcotest.test_case "bitmap clear_all" `Quick test_bitmap_clear_all;
-    Alcotest.test_case "bitmap first_clear" `Quick test_bitmap_first_clear;
     QCheck_alcotest.to_alcotest prop_bitmap_cardinal_consistent;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
   ]

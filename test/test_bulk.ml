@@ -3,8 +3,9 @@
    contents, read/write counts, TLB and cache misses, touched pages, and
    on an illegal range the exact fault address with no partial effects.
    Plus regressions for the three Mem bugs fixed alongside (torn word
-   writes, path-dependent miss accounting, protect misreporting) and for
-   the Bitmap scan rewrite. *)
+   writes, path-dependent miss accounting, protect misreporting), unit
+   cases for write_cstring's strcpy-style stores, and the Bitmap scan
+   rewrite. *)
 
 open Dh_mem
 
@@ -304,95 +305,51 @@ let test_fill_random_stream_parity () =
     (Bytes.sub_string expected 0 (Mem.page_size + 3))
     (Mem.read_bytes mem ~addr ~len:(Mem.page_size + 3))
 
-(* --- cstring --- *)
-
-let test_cstring_basic_and_limit () =
-  let mem = Mem.create () in
-  let a = Mem.mmap mem 4096 in
-  Mem.write_bytes mem ~addr:(a + 10) "hello\000";
-  let s0 = Mem.stats mem in
-  check_string "finds the terminator" "hello" (Mem.cstring mem (a + 10));
-  let s1 = Mem.stats mem in
-  check_int "reads string plus NUL" 6 Mem.(s1.reads - s0.reads);
-  check_string "limit truncates" "hel" (Mem.cstring ~limit:3 mem (a + 10));
-  check_string "limit zero" "" (Mem.cstring ~limit:0 mem (a + 10));
-  (* regression: an empty string used to loop forever under the default
-     (max_int) limit *)
-  check_string "empty string" "" (Mem.cstring mem (a + 100))
+(* --- C strings: write_cstring stores as C's strcpy does --- *)
 
 let test_cstring_crosses_pages () =
   let mem = Mem.create () in
   let a = Mem.mmap mem (3 * 4096) in
-  Mem.fill mem ~addr:(a + 100) ~len:5000 'x';
-  check_string "page-crossing string" (String.make 5000 'x') (Mem.cstring mem (a + 100));
-  Mem.write8 mem (a + 8190) (Char.code 'y');
-  check_string "terminator on last byte of a page" "y" (Mem.cstring mem (a + 8190));
-  check_string "NUL on last byte of a page" "" (Mem.cstring mem (a + 8191))
+  let s = String.make 5000 'x' in
+  Mem.write_cstring mem ~addr:(a + 100) s;
+  check_string "page-crossing string" (s ^ "\000")
+    (Mem.read_bytes mem ~addr:(a + 100) ~len:5001);
+  check_int "both pages it spans touched" 2 (Mem.touched_pages mem);
+  Mem.write_cstring mem ~addr:(a + 8190) "y";
+  check_string "terminator on the last byte of a page" "y\000"
+    (Mem.read_bytes mem ~addr:(a + 8190) ~len:2);
+  check_int "no page past it touched" 2 (Mem.touched_pages mem);
+  Mem.write_cstring mem ~addr:(a + 8191) "z";
+  check_string "string on a page's last byte, NUL on the next page" "yz\000"
+    (Mem.read_bytes mem ~addr:(a + 8190) ~len:3);
+  check_int "the next page touched" 3 (Mem.touched_pages mem)
 
 let test_cstring_unterminated_faults () =
+  (* A copy that runs off its segment faults at the segment's end: the
+     bytes before the fault are stored, the string left unterminated. *)
   let mem = Mem.create () in
   let a = Mem.mmap mem 4096 in
-  Mem.fill mem ~addr:a ~len:4096 'A';
-  match fault_of (fun () -> Mem.cstring mem (a + 4000)) with
-  | Some (Fault.Unmapped { addr; access = Fault.Read }) ->
-    check_int "runs off the segment and faults there" (a + 4096) addr
-  | _ -> Alcotest.fail "expected Unmapped read fault"
+  let s0 = Mem.stats mem in
+  match fault_of (fun () -> Mem.write_cstring mem ~addr:(a + 4000) (String.make 200 'A')) with
+  | Some (Fault.Unmapped { addr; access = Fault.Write }) ->
+    check_int "runs off the segment and faults there" (a + 4096) addr;
+    check_int "stores counted up to the faulting byte" 97 Mem.((stats mem).writes - s0.writes);
+    check_string "bytes before the fault stored" (String.make 96 'A')
+      (Mem.read_bytes mem ~addr:(a + 4000) ~len:96)
+  | _ -> Alcotest.fail "expected Unmapped write fault"
 
 let test_cstring_protection_fault () =
   let mem = Mem.create () in
   let a = Mem.mmap mem 8192 in
-  Mem.fill mem ~addr:a ~len:4096 'B';
   Mem.protect mem ~addr:(a + 4096) ~len:4096 Mem.No_access;
-  match fault_of (fun () -> Mem.cstring mem a) with
-  | Some (Fault.Protection { addr; access = Fault.Read }) ->
-    check_int "faults at the no-access page" (a + 4096) addr
-  | _ -> Alcotest.fail "expected Protection read fault"
+  match fault_of (fun () -> Mem.write_cstring mem ~addr:a (String.make 5000 'B')) with
+  | Some (Fault.Protection { addr; access = Fault.Write }) ->
+    check_int "faults at the no-access page" (a + 4096) addr;
+    check_string "the page before it written" (String.make 4096 'B')
+      (Mem.read_bytes mem ~addr:a ~len:4096)
+  | _ -> Alcotest.fail "expected Protection write fault"
 
 (* --- bitmap scan rewrite --- *)
-
-let naive_first_clear bm =
-  let n = Dh_alloc.Bitmap.length bm in
-  let rec go i =
-    if i >= n then None
-    else if not (Dh_alloc.Bitmap.get bm i) then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let test_first_clear_equivalence () =
-  let patterns =
-    [
-      (64, fun _ -> false);
-      (64, fun _ -> true);
-      (200, fun i -> i <> 177);  (* clear bit after many 0xFF bytes *)
-      (200, fun i -> i <> 0);
-      (61, fun _ -> true);  (* tail bits of a partial byte must not leak *)
-      (61, fun i -> i < 60);
-      (1, fun _ -> true);
-      (1, fun _ -> false);
-      (1000, fun i -> i mod 97 <> 5);
-    ]
-  in
-  List.iter
-    (fun (n, set) ->
-      let bm = Dh_alloc.Bitmap.create n in
-      for i = 0 to n - 1 do
-        if set i then Dh_alloc.Bitmap.set bm i
-      done;
-      check "first_clear equals naive scan" true
-        (Dh_alloc.Bitmap.first_clear bm = naive_first_clear bm))
-    patterns;
-  (* randomized: byte-skipping must agree with the per-bit scan *)
-  let rng = Dh_rng.Mwc.create ~seed:31 in
-  for _ = 1 to 200 do
-    let n = 1 + Dh_rng.Mwc.below rng 300 in
-    let bm = Dh_alloc.Bitmap.create n in
-    for i = 0 to n - 1 do
-      if Dh_rng.Mwc.below rng 10 < 9 then Dh_alloc.Bitmap.set bm i
-    done;
-    check "first_clear equals naive scan (random)" true
-      (Dh_alloc.Bitmap.first_clear bm = naive_first_clear bm)
-  done
 
 let test_iter_clear_complements_iter_set () =
   let rng = Dh_rng.Mwc.create ~seed:77 in
@@ -449,13 +406,10 @@ let suite =
       test_protect_unmapped_reporting;
     Alcotest.test_case "fill_random stream parity" `Quick
       test_fill_random_stream_parity;
-    Alcotest.test_case "cstring basic and limit" `Quick test_cstring_basic_and_limit;
     Alcotest.test_case "cstring crosses pages" `Quick test_cstring_crosses_pages;
     Alcotest.test_case "cstring unterminated faults" `Quick
       test_cstring_unterminated_faults;
     Alcotest.test_case "cstring protection fault" `Quick test_cstring_protection_fault;
-    Alcotest.test_case "bitmap first_clear equivalence" `Quick
-      test_first_clear_equivalence;
     Alcotest.test_case "bitmap iter_clear complements iter_set" `Quick
       test_iter_clear_complements_iter_set;
     Alcotest.test_case "zero-length bulk ops" `Quick test_zero_length_never_faults;

@@ -175,8 +175,12 @@ let test_fill_random_differs_by_seed () =
 let test_cstring () =
   let mem = Mem.create () in
   let a = Mem.mmap mem 4096 in
-  Mem.write_bytes mem ~addr:a "abc\000def";
-  check_string "stops at NUL" "abc" (Mem.cstring mem a)
+  Mem.write_bytes mem ~addr:a "zzzzzzzz";
+  let s0 = Mem.stats mem in
+  Mem.write_cstring mem ~addr:a "abc";
+  check_int "string plus NUL stored" 4 Mem.((stats mem).writes - s0.writes);
+  check_string "NUL after the string, later bytes kept" "abc\000zzzz"
+    (Mem.read_bytes mem ~addr:a ~len:8)
 
 let test_stats_counting () =
   let mem = Mem.create () in

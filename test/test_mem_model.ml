@@ -35,7 +35,6 @@ type op =
   | Write_bytes of loc * string
   | Fill of loc * int * char
   | Fill_random of loc * int * int  (* seed *)
-  | Cstring of loc * int option
   | Write_cstring of loc * string
   | Alias of int * int * int * (int * int) list  (* seg, src page, dst page, live *)
   | Checkpoint
@@ -70,9 +69,6 @@ let show_op op =
   | Write_bytes (a, s) -> Printf.sprintf "write_bytes %s %S" (l a) s
   | Fill (a, n, c) -> Printf.sprintf "fill %s %d %C" (l a) n c
   | Fill_random (a, n, seed) -> Printf.sprintf "fill_random %s %d seed %d" (l a) n seed
-  | Cstring (a, lim) ->
-    Printf.sprintf "cstring %s%s" (l a)
-      (match lim with Some n -> Printf.sprintf " limit %d" n | None -> "")
   | Write_cstring (a, s) ->
     Printf.sprintf "write_cstring %s %d bytes %S" (l a) (String.length s)
       (if String.length s <= 40 then s else String.sub s 0 40 ^ "...")
@@ -163,7 +159,6 @@ let gen_op =
             gen_loc gen_len
             (oneofl [ '\000'; 'x'; '\255' ]) );
         (2, map3 (fun a n s -> Fill_random (a, n, s)) gen_loc gen_len (int_bound 1000));
-        (3, map2 (fun a l -> Cstring (a, l)) gen_loc (opt (int_range 0 (2 * page))));
         (4, map2 (fun a s -> Write_cstring (a, s)) gen_cstring_loc gen_cstring);
         ( 3,
           map3
@@ -290,12 +285,6 @@ let apply mem model op =
         (unit (fun () -> Mem.fill_random mem ~addr:b ~len (Dh_rng.Mwc.create ~seed)))
         (unit (fun () -> Model.write_bytes model ~addr:b (random_bytes seed len))),
       Some (b, len) )
-  | Cstring (a, limit) ->
-    let b = at a in
-    ( both
-        (fun () -> Text (Mem.cstring ?limit mem b))
-        (fun () -> Text (Model.cstring ?limit model b)),
-      Some (b, match limit with Some n -> n | None -> max_int - b) )
   | Write_cstring (a, s) ->
     let b = at a in
     ( both

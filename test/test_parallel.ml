@@ -277,9 +277,9 @@ let test_metrics_shard_merge_under_pool () =
   in
   check "work really happened" true (out = Array.init 200 Fun.id);
   check_int "counter merges worker shards" 200 (Dh_obs.Metrics.counter_value c);
-  check_int "histogram merges worker shards" 200
-    (Dh_obs.Metrics.histogram_total h);
-  check_int "histogram sum" (199 * 200 / 2) (Dh_obs.Metrics.histogram_sum h)
+  let merged = Dh_obs.Quantile.snapshot h in
+  check_int "histogram merges worker shards" 200 (Dh_obs.Quantile.count merged);
+  check_int "histogram sum" (199 * 200 / 2) (Dh_obs.Quantile.sum merged)
 
 (* Telemetry is write-only: a traced run must produce bit-identical
    results to an untraced one, sequentially and in parallel.  Flight

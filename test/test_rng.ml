@@ -131,9 +131,10 @@ let test_seed_pool_reproducible () =
     check_int "same pool stream" (Seed.fresh a) (Seed.fresh b)
   done
 
-let test_fresh_rng_streams_independent () =
+let test_seed_rng_streams_independent () =
   let pool = Seed.create ~master:5 in
-  let r1 = Seed.fresh_rng pool and r2 = Seed.fresh_rng pool in
+  let r1 = Mwc.create ~seed:(Seed.fresh pool) in
+  let r2 = Mwc.create ~seed:(Seed.fresh pool) in
   let same = ref 0 in
   for _ = 1 to 100 do
     if Mwc.next_u32 r1 = Mwc.next_u32 r2 then incr same
@@ -141,13 +142,6 @@ let test_fresh_rng_streams_independent () =
   check "pool-derived rngs differ" true (!same < 5)
 
 (* --- Dist --- *)
-
-let test_uniform_int_range () =
-  let rng = Mwc.create ~seed:31 in
-  for _ = 1 to 1000 do
-    let v = Dist.uniform_int rng ~lo:(-5) ~hi:5 in
-    check "in [lo,hi]" true (v >= -5 && v <= 5)
-  done
 
 let test_geometric_mean () =
   let rng = Mwc.create ~seed:33 in
@@ -162,16 +156,6 @@ let test_geometric_mean () =
   let mean = float_of_int !sum /. float_of_int n in
   (* Expected mean (1-p)/p = 3. *)
   check "geometric mean near 3" true (abs_float (mean -. 3.) < 0.2)
-
-let test_exponential_mean () =
-  let rng = Mwc.create ~seed:35 in
-  let n = 20_000 in
-  let sum = ref 0. in
-  for _ = 1 to n do
-    sum := !sum +. Dist.exponential rng ~mean:10.
-  done;
-  let mean = !sum /. float_of_int n in
-  check "exponential mean near 10" true (abs_float (mean -. 10.) < 0.5)
 
 let test_zipf_range_and_skew () =
   let rng = Mwc.create ~seed:37 in
@@ -213,8 +197,9 @@ let test_zipf_rank_pinned () =
 let test_weighted () =
   let rng = Mwc.create ~seed:39 in
   let counts = Array.make 3 0 in
+  let classes = [| (8, 1.); (16, 2.); (32, 7.) |] in
   for _ = 1 to 30_000 do
-    let i = Dist.weighted rng ~weights:[| 1.; 2.; 7. |] in
+    let i = match Dist.size_class_mix rng ~classes with 8 -> 0 | 16 -> 1 | _ -> 2 in
     counts.(i) <- counts.(i) + 1
   done;
   check "index 2 dominates" true (counts.(2) > counts.(1) && counts.(1) > counts.(0));
@@ -223,17 +208,8 @@ let test_weighted () =
 let test_weighted_zero_total () =
   let rng = Mwc.create ~seed:40 in
   Alcotest.check_raises "all-zero weights"
-    (Invalid_argument "Dist.weighted: weights sum to zero") (fun () ->
-      ignore (Dist.weighted rng ~weights:[| 0.; 0. |]))
-
-let test_shuffle_permutation () =
-  let rng = Mwc.create ~seed:41 in
-  let a = Array.init 100 (fun i -> i) in
-  Dist.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Array.iteri (fun i v -> check_int "still a permutation" i v) sorted;
-  check "actually shuffled" true (a <> Array.init 100 (fun i -> i))
+    (Invalid_argument "Dist.size_class_mix: weights sum to zero") (fun () ->
+      ignore (Dist.size_class_mix rng ~classes:[| (8, 0.); (16, 0.) |]))
 
 (* --- qcheck properties --- *)
 
@@ -245,15 +221,6 @@ let prop_below_in_range =
       let rng = Mwc.create ~seed in
       let v = Mwc.below rng n in
       v >= 0 && v < n)
-
-let prop_uniform_int_in_range =
-  QCheck.Test.make ~name:"Dist.uniform_int respects bounds" ~count:500
-    QCheck.(triple small_int (int_range (-1000) 1000) (int_bound 2000))
-    (fun (seed, lo, span) ->
-      let hi = lo + span in
-      let rng = Mwc.create ~seed in
-      let v = Dist.uniform_int rng ~lo ~hi in
-      v >= lo && v <= hi)
 
 (* [Mwc.fill_bytes] is a bulk [next_u32] loop: the same bytes, least
    significant first, the same final state, and nothing written outside
@@ -302,17 +269,13 @@ let suite =
     Alcotest.test_case "mwc bool" `Quick test_bool_balanced;
     Alcotest.test_case "seed pool distinct" `Quick test_seed_pool_distinct;
     Alcotest.test_case "seed pool reproducible" `Quick test_seed_pool_reproducible;
-    Alcotest.test_case "seed rng independence" `Quick test_fresh_rng_streams_independent;
-    Alcotest.test_case "dist uniform_int" `Quick test_uniform_int_range;
+    Alcotest.test_case "seed rng independence" `Quick test_seed_rng_streams_independent;
     Alcotest.test_case "dist geometric mean" `Quick test_geometric_mean;
-    Alcotest.test_case "dist exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "dist zipf" `Quick test_zipf_range_and_skew;
     Alcotest.test_case "dist zipf ranks pinned" `Quick test_zipf_rank_pinned;
     Alcotest.test_case "dist weighted" `Quick test_weighted;
     Alcotest.test_case "dist weighted zero" `Quick test_weighted_zero_total;
-    Alcotest.test_case "dist shuffle" `Quick test_shuffle_permutation;
     QCheck_alcotest.to_alcotest prop_below_in_range;
-    QCheck_alcotest.to_alcotest prop_uniform_int_in_range;
     Alcotest.test_case "mwc fill_bytes invalid range" `Quick test_fill_bytes_invalid;
     QCheck_alcotest.to_alcotest prop_fill_bytes_is_next_u32_loop;
   ]

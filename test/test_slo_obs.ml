@@ -1,19 +1,20 @@
 (* Tests for the serve-loop SLO observability stack: Quantile's
    two-level bucketing against a sorted-array oracle, shard merging
-   under real domains, Window rotation across clock jumps, the SLO
-   budget arithmetic at its edges, the flight recorder's step groups,
-   and the supervisor's serve telemetry (including that it stays
-   write-only: output is identical with observability on or off). *)
+   under real domains, Window rotation across clock jumps, the serve
+   SLO read off the latency histogram at its edges, the flight
+   recorder's step groups, and the supervisor's serve telemetry
+   (including that it stays write-only: output is identical with
+   observability on or off). *)
 
 module Control = Dh_obs.Control
 module Quantile = Dh_obs.Quantile
 module Window = Dh_obs.Window
-module Slo = Dh_obs.Slo
 module Tracing = Dh_obs.Tracing
 module Recorder = Dh_obs.Recorder
 module Audit = Dh_obs.Audit
 module Supervisor = Diehard.Supervisor
 module Server = Dh_workload.Server
+module Serve = Dh_bench.Serve
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -22,7 +23,6 @@ let check_str = Alcotest.(check string)
 let wipe () =
   Quantile.reset ();
   Window.reset ();
-  Slo.deactivate ();
   Dh_obs.Metrics.reset ();
   Tracing.reset ();
   Recorder.clear ()
@@ -293,72 +293,48 @@ let test_window_disabled_noop () =
   Control.with_enabled false (fun () -> Window.add w ~now:0 5);
   check_int "disabled add dropped" 0 (Window.total w ~now:0)
 
-(* --- SLO arithmetic -------------------------------------------------- *)
+(* --- the SLO read off the latency histogram ------------------------- *)
+
+let latency_of samples =
+  let h = Quantile.create () in
+  List.iter (Quantile.record h) samples;
+  Quantile.snapshot h
 
 let test_slo_zero_requests () =
   with_clean @@ fun () ->
-  let t = Slo.create ~target:100 ~budget:0.1 () in
-  let r = Slo.report t in
-  check_int "no requests" 0 r.Slo.total;
-  check "compliance 1.0" true (r.Slo.compliance = 1.0);
-  check "budget unused" true (r.Slo.budget_used = 0.0);
-  check "not breached" true (not r.Slo.breached)
+  let r = Serve.slo_of Quantile.empty ~rewinds:0 in
+  check_int "no requests" 0 r.Serve.total;
+  check "compliance 1.0" true (r.Serve.compliance = 1.0);
+  check "budget unused" true (r.Serve.budget_used = 0.0);
+  check "not breached" true (not r.Serve.breached)
 
 let test_slo_all_errors () =
   with_clean @@ fun () ->
-  let t = Slo.create ~target:100 ~budget:0.25 () in
-  for _ = 1 to 8 do
-    Slo.record t ~error:true 0
-  done;
-  let r = Slo.report t in
-  check_int "all bad" 8 r.Slo.bad;
-  check "compliance 0" true (r.Slo.compliance = 0.0);
-  (* bad fraction 1.0 over a 0.25 budget: 4x the budget *)
-  check "budget_used = 1/budget" true (abs_float (r.Slo.budget_used -. 4.0) < 1e-9);
-  check "breached" true r.Slo.breached;
-  (* both burn thresholds fired exactly once each *)
-  let burns =
-    List.filter
-      (fun (e : Tracing.event) -> e.Tracing.name = "slo.budget_burn")
-      (Tracing.events ())
-  in
-  check_int "one instant per threshold" 2 (List.length burns)
+  (* eight requests, each rewound and none handled yet *)
+  let r = Serve.slo_of Quantile.empty ~rewinds:8 in
+  check_int "all bad" 8 r.Serve.bad;
+  check "compliance 0" true (r.Serve.compliance = 0.0);
+  check "budget_used = 1/budget" true
+    (abs_float (r.Serve.budget_used -. (1. /. Serve.slo_budget)) < 1e-9);
+  check "breached" true r.Serve.breached
 
 let test_slo_latency_classification () =
   with_clean @@ fun () ->
-  let t = Slo.create ~target:100 ~budget:0.5 () in
-  Slo.record t 100;
-  (* at target: good *)
-  Slo.record t 101;
-  (* over target: bad *)
-  Slo.record t 1;
-  let r = Slo.report t in
-  check_int "one bad" 1 r.Slo.bad;
-  check_int "three total" 3 r.Slo.total;
-  check "not breached at 2/3 of budget" true (not r.Slo.breached)
-
-let test_slo_validation_and_active () =
-  with_clean @@ fun () ->
-  (match Slo.create ~target:100 ~budget:0.0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "zero budget accepted");
-  (match Slo.create ~target:100 ~budget:1.5 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "budget > 1 accepted");
-  (match Slo.create ~target:(-1) ~budget:0.5 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative target accepted");
-  check "no active slo" true (Slo.active () = None);
-  let t = Slo.configure ~name:"x" ~target:10 ~budget:0.5 () in
-  check "active is the configured one" true (Slo.active () = Some t);
-  Slo.deactivate ();
-  check "deactivated" true (Slo.active () = None)
+  let bad samples = (Serve.slo_of (latency_of samples) ~rewinds:0).Serve.bad in
+  (* the bucket holding the 200,000 ns target spans 196,608..200,703 *)
+  check_int "196,607 ns is good" 0 (bad [ 196_607 ]);
+  check_int "196,608 ns shares the target's bucket: bad" 1 (bad [ 196_608 ]);
+  check_int "200,000 ns is bad" 1 (bad [ 200_000 ]);
+  let r = Serve.slo_of (latency_of [ 1; 196_607; 196_608; 200_000 ]) ~rewinds:1 in
+  check_int "handled plus rewound" 5 r.Serve.total;
+  check_int "rewind plus two slow samples" 3 r.Serve.bad
 
 let test_slo_disabled_noop () =
   with_clean @@ fun () ->
-  let t = Slo.create ~target:100 ~budget:0.5 () in
-  Control.with_enabled false (fun () -> Slo.record t ~error:true 1000);
-  check_int "disabled record dropped" 0 (Slo.report t).Slo.total
+  let h = Quantile.create () in
+  Control.with_enabled false (fun () -> Quantile.record h 1_000_000);
+  check_int "disabled record dropped" 0
+    (Serve.slo_of (Quantile.snapshot h) ~rewinds:0).Serve.total
 
 (* --- Recorder step groups ------------------------------------------- *)
 
@@ -421,7 +397,6 @@ let serve_incident ~obs () =
 
 let test_serve_telemetry () =
   with_clean @@ fun () ->
-  let slo = Slo.configure ~name:"test-serve" ~target:max_int ~budget:0.5 () in
   let incident = serve_incident ~obs:true () in
   check "survived" true (incident.Supervisor.verdict <> Supervisor.Gave_up);
   let latency = Dh_obs.Metrics.(histogram "serve.latency_ns") in
@@ -429,9 +404,6 @@ let test_serve_telemetry () =
   (* every request (plus rewound replays) recorded a latency *)
   check "latency samples >= requests" true (Quantile.count s >= 512);
   check "latencies are positive" true (Quantile.quantile s 0.5 > 0);
-  let r = Slo.report slo in
-  check "slo counted the run" true (r.Slo.total >= 512);
-  check "generous slo not breached" true (not r.Slo.breached);
   (* What a bench pass relies on to start its latencies from empty. *)
   Quantile.reset ();
   check_int "reset empties serve.latency_ns" 0
@@ -444,10 +416,7 @@ let test_serve_telemetry_write_only () =
     Control.with_enabled false (fun () ->
         wipe ();
         Fun.protect ~finally:wipe (fun () ->
-            let slo = Slo.configure ~name:"wo" ~target:0 ~budget:0.001 () in
-            let i = serve_incident ~obs:true () in
-            ignore (Slo.report slo);
-            i.Supervisor.output))
+            (serve_incident ~obs:true ()).Supervisor.output))
   in
   let out_without = (serve_incident ~obs:false ()).Supervisor.output in
   check "output identical with obs on/off" true (out_with_obs = out_without)
@@ -460,12 +429,12 @@ let test_serve_leg_fingerprint () =
   check_int "checksum" 11643189 l.Dh_bench.Serve.checksum;
   check_int "failed requests" 0 l.Dh_bench.Serve.failed;
   check_int "rewinds" 5 l.Dh_bench.Serve.rewinds;
+  check_int "slo total (201,999 handled + 5 rewinds)" 202_004 l.Serve.slo.Serve.total;
   check "survived on a randomized heap" true l.Dh_bench.Serve.survived_randomized
 
 (* The obs work a served request costs, counted from instrument totals
-   on a short serve leg: the serve loop's one latency sample and one SLO
-   classification per handled request
-   (replays included), and the heap's one audit record per malloc and
+   on a short serve leg: the serve loop's one latency sample per handled
+   request (replays included), and the heap's one audit record per malloc and
    per free plus their sampled trace instants.  Every count is a
    deterministic function of the leg. *)
 let test_serve_records_per_request () =
@@ -497,13 +466,11 @@ let test_serve_records_per_request () =
   in
   check_int "no trace event dropped" 0 (Tracing.dropped ());
   check_int "handled requests (no rewind at this length)" requests handled;
-  check_int "SLO classifications" handled l.Dh_bench.Serve.slo.Slo.total;
   check_int "audit records (mallocs and frees)" 5_218 audit;
   check_int "sampled heap instants" 83 instants;
-  (* 9,301 records over 2,000 requests: about 4.65 per served request *)
-  check_int "obs records in the leg" 9_301
-    (handled + l.Dh_bench.Serve.slo.Slo.total
-    + window "serve.errors" + audit + instants)
+  (* 7,301 records over 2,000 requests: about 3.65 per served request *)
+  check_int "obs records in the leg" 7_301
+    (handled + window "serve.errors" + audit + instants)
 
 let test_zipf_keys_deterministic () =
   (* Zipf-keyed serving is still a pure function of the request index:
@@ -545,8 +512,6 @@ let suite =
       test_slo_all_errors;
     Alcotest.test_case "slo: latency classification" `Quick
       test_slo_latency_classification;
-    Alcotest.test_case "slo: validation and active slot" `Quick
-      test_slo_validation_and_active;
     Alcotest.test_case "slo: disabled record is a no-op" `Quick
       test_slo_disabled_noop;
     Alcotest.test_case "recorder: step groups" `Quick

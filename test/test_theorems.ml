@@ -207,26 +207,26 @@ let test_expected_probes () =
   check "larger M fewer probes" true
     (Theorems.expected_probes ~multiplier:8 < Theorems.expected_probes ~multiplier:2)
 
-let test_expected_separation () =
-  near 1. (Theorems.expected_separation ~multiplier:2) "M=2: one object";
-  near 7. (Theorems.expected_separation ~multiplier:8) "M=8"
-
 (* --- figure generators --- *)
 
 let test_figure_4a_shape () =
-  let rows = Theorems.figure_4a ~replicas:[ 1; 3; 4; 5; 6 ] ~fullness:[ 0.125; 0.25; 0.5 ] in
-  Alcotest.(check int) "three fullness rows" 3 (List.length rows);
+  (* Figure 4(a): a one-object overflow at heap fullness 1/8, 1/4 and
+     1/2, for k = 1, 3, 4, 5 and 6 replicas. *)
+  let p fullness k =
+    Theorems.overflow_mask_probability ~free_fraction:(1. -. fullness) ~objects:1 ~replicas:k
+  in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a <= b && increasing rest
+    | _ -> true
+  in
   List.iter
-    (fun (fullness, cells) ->
-      Alcotest.(check int) "five replica columns" 5 (List.length cells);
-      (* probabilities increase with k and decrease with fullness *)
-      let ps = List.map snd cells in
-      let rec increasing = function
-        | a :: (b :: _ as rest) -> a <= b && increasing rest
-        | _ -> true
-      in
-      check (Printf.sprintf "row %.3f monotone" fullness) true (increasing ps))
-    rows
+    (fun fullness ->
+      check (Printf.sprintf "row %.3f monotone in k" fullness) true
+        (increasing (List.map (p fullness) [ 1; 3; 4; 5; 6 ])))
+    [ 0.125; 0.25; 0.5 ];
+  check "fuller heaps mask less" true (p 0.125 3 > p 0.25 3 && p 0.25 3 > p 0.5 3);
+  near 0.5 (p 0.5 1) "1/2 full, one replica: 50%";
+  near 0.875 (p 0.125 1) "1/8 full, one replica: 87.5%"
 
 let test_figure_4b_shape () =
   let rows =
@@ -246,13 +246,10 @@ let test_figure_4b_shape () =
   check "paper spot: 8B/10k > 99.5%" true (p 8 10_000 > 0.995)
 
 let test_uninit_table () =
-  let table = Theorems.uninit_detect_table ~bits:[ 4; 16 ] ~replicas:[ 3; 4 ] in
-  match table with
-  | [ (4, row4); (16, row16) ] ->
-    check "4-bit detection drops with replicas" true
-      (List.assoc 3 row4 > List.assoc 4 row4);
-    check "16-bit detection stays high" true (List.assoc 4 row16 > 0.999)
-  | _ -> Alcotest.fail "unexpected table shape"
+  (* §6.3's examples: B in {4, 16} bits, k in {3, 4} replicas *)
+  let p bits replicas = Theorems.uninit_detect_probability ~bits ~replicas in
+  check "4-bit detection drops with replicas" true (p 4 3 > p 4 4);
+  check "16-bit detection stays high" true (p 16 4 > 0.999)
 
 let suite =
   [
@@ -274,7 +271,6 @@ let suite =
     Alcotest.test_case "T3 vs Monte Carlo" `Quick test_uninit_matches_monte_carlo;
     Alcotest.test_case "multiple errors compose" `Quick test_multiple_errors_composition;
     Alcotest.test_case "expected probes" `Quick test_expected_probes;
-    Alcotest.test_case "expected separation" `Quick test_expected_separation;
     Alcotest.test_case "figure 4a shape" `Quick test_figure_4a_shape;
     Alcotest.test_case "figure 4b shape" `Quick test_figure_4b_shape;
     Alcotest.test_case "uninit table" `Quick test_uninit_table;
