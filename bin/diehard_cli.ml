@@ -381,7 +381,7 @@ let survive_cmd =
 let check_cmd =
   let action () prog print =
     let source = load_source prog in
-    match Dh_lang.Check.check_source source with
+    match Dh_lang.Interp.check_source source with
     | Ok ast ->
       if print then print_string (Dh_lang.Ast.to_string ast)
       else Printf.printf "%s: OK\n" prog;
@@ -584,6 +584,7 @@ let audit_cmd =
       distance seed input fuel =
     if replicas < 1 || replicas = 2 then
       invalid_arg "audit: --replicas must be 1 or >= 3 (the voter cannot break ties)";
+    if watch < 0 then invalid_arg "audit: --watch must be >= 0";
     (* Enable obs BEFORE building the heap: Heap.create only registers
        its occupancy provider (the authoritative live/threshold/capacity
        feed) while observability is on. *)

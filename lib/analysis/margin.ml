@@ -129,19 +129,6 @@ let of_snapshot ?(replicas = 1) ?(dangling_allocations = 10) (snap : Audit.snaps
 
 (* --- rendering --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json r =
   let b = Buffer.create 2048 in
   let out fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -167,7 +154,7 @@ let to_json r =
        (List.map
           (fun e ->
             Printf.sprintf "{\"kind\":\"%s\",\"masked\":%d,\"trials\":%d,\"rate\":%.6f}"
-              (json_escape e.em_kind) e.em_masked e.em_trials e.em_rate)
+              (Dh_obs.Json.escape e.em_kind) e.em_masked e.em_trials e.em_rate)
           r.empirical));
   out "\"sites\":[%s]}"
     (sep
@@ -176,7 +163,7 @@ let to_json r =
             Printf.sprintf
               "{\"name\":\"%s\",\"allocs\":%d,\"frees\":%d,\"canaries\":%d,\
                \"faults\":%d,\"rescues\":%d}"
-              (json_escape s.Audit.name) s.Audit.s_allocs s.Audit.s_frees
+              (Dh_obs.Json.escape s.Audit.name) s.Audit.s_allocs s.Audit.s_frees
               s.Audit.canaries s.Audit.faults s.Audit.rescues)
           r.sites));
   Buffer.contents b

@@ -31,6 +31,7 @@ let error_to_string (Tracing_failed { outcome; _ }) =
 
 let run ?(input = "") ?(fuel = 50_000_000) ?(jobs = 1) ~trials ~spec ~make_alloc
     program =
+  if trials < 0 then invalid_arg "Campaign.run: trials must be >= 0";
   (* 1. tracing run: obtain the allocation log *)
   let trace_result, tracer =
     Dh_obs.Tracing.span "campaign.trace" (fun () ->

@@ -61,7 +61,8 @@ val run :
     1..n for injection (each receives injection seed [spec.seed + trial]
     so runs differ, as the paper's ten runs do).  Returns [Error] when
     the tracing run fails, so drivers running many campaigns can report
-    the broken one and keep going.
+    the broken one and keep going.  Raises [Invalid_argument] if
+    [trials < 0].
 
     [jobs] (default 1) fans the injected trials out across that many
     domains via {!Dh_parallel.Pool}; the tracing run stays sequential and

@@ -35,8 +35,6 @@ and block = stmt list
 type func = { name : string; params : string list; body : block }
 type program = { funcs : func list }
 
-let find_func program name = List.find_opt (fun f -> f.name = name) program.funcs
-
 let string_literals program =
   let seen = Hashtbl.create 16 in
   let acc = ref [] in

@@ -57,8 +57,6 @@ type func = { name : string; params : string list; body : block }
 
 type program = { funcs : func list }
 
-val find_func : program -> string -> func option
-
 val string_literals : program -> string list
 (** Every distinct string literal, in first-appearance order — the
     interpreter allocates these at startup. *)

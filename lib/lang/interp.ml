@@ -160,51 +160,55 @@ let builtin_getchar st =
     Char.code input.[st.input_pos - 1]
   end
 
-(* Every builtin takes three arguments; those of lower arity (the
-   {!Check.builtin_arity} table) ignore the rest, which are 0. *)
-let builtin st name args : int -> int -> int -> int =
+(* The builtins, the only table of them: each name's arity and its
+   implementation.  Every implementation takes three arguments; those of
+   lower arity ignore the rest, which are 0.  [args] is the callsite's
+   argument list, which keys its audit site. *)
+let builtin st name args : (int * (int -> int -> int -> int)) option =
   let alloc = st.ctx.Program.alloc and out = st.ctx.Program.out in
   let allocate f = match with_alloc_site st ~builtin:name args f with Some p -> p | None -> 0 in
   match name with
-  | "malloc" -> fun n _ _ -> allocate (fun () -> alloc.Allocator.malloc n)
+  | "malloc" -> Some (1, fun n _ _ -> allocate (fun () -> alloc.Allocator.malloc n))
   | "calloc" ->
-    fun n _ _ ->
-      (* zero-fill through the access policy so a fail-stop policy's
-         initialization tracking sees the writes *)
-      let p = allocate (fun () -> alloc.Allocator.malloc n) in
-      if p <> 0 then for i = 0 to n - 1 do store8 st (p + i) 0 done;
-      p
-  | "realloc" -> fun p n _ -> allocate (fun () -> Allocator.realloc alloc p n)
-  | "free" -> fun p _ _ -> alloc.Allocator.free p; 0
-  | "print_int" -> fun v _ _ -> Process.Out.print_int out v; 0
-  | "print_char" -> fun v _ _ -> Process.Out.print_char out (Char.chr (v land 0xFF)); 0
-  | "print_str" -> fun p _ _ -> Process.Out.print_string out (read_cstring st p); 0
-  | "getchar" -> fun _ _ _ -> builtin_getchar st
-  | "gets" -> fun p _ _ -> builtin_gets st p
-  | "strlen" -> fun p _ _ -> cstrlen st p
-  | "strcpy" -> fun d s _ -> builtin_strcpy st d s; d
-  | "strncpy" -> fun d s n -> builtin_strncpy st d s n; d
-  | "strcmp" -> fun a b _ -> builtin_strcmp st a b
+    Some (1, fun n _ _ ->
+        (* zero-fill through the access policy so a fail-stop policy's
+           initialization tracking sees the writes *)
+        let p = allocate (fun () -> alloc.Allocator.malloc n) in
+        if p <> 0 then for i = 0 to n - 1 do store8 st (p + i) 0 done;
+        p)
+  | "realloc" -> Some (2, fun p n _ -> allocate (fun () -> Allocator.realloc alloc p n))
+  | "free" -> Some (1, fun p _ _ -> alloc.Allocator.free p; 0)
+  | "print_int" -> Some (1, fun v _ _ -> Process.Out.print_int out v; 0)
+  | "print_char" -> Some (1, fun v _ _ -> Process.Out.print_char out (Char.chr (v land 0xFF)); 0)
+  | "print_str" -> Some (1, fun p _ _ -> Process.Out.print_string out (read_cstring st p); 0)
+  | "getchar" -> Some (0, fun _ _ _ -> builtin_getchar st)
+  | "gets" -> Some (1, fun p _ _ -> builtin_gets st p)
+  | "strlen" -> Some (1, fun p _ _ -> cstrlen st p)
+  | "strcpy" -> Some (2, fun d s _ -> builtin_strcpy st d s; d)
+  | "strncpy" -> Some (3, fun d s n -> builtin_strncpy st d s n; d)
+  | "strcmp" -> Some (2, fun a b _ -> builtin_strcmp st a b)
   | "memcpy" ->
-    fun d s n ->
-      for i = 0 to bounded_limit st d n - 1 do store8 st (d + i) (load8 st (s + i)) done;
-      d
+    Some (3, fun d s n ->
+        for i = 0 to bounded_limit st d n - 1 do store8 st (d + i) (load8 st (s + i)) done;
+        d)
   | "memset" ->
-    fun d c n ->
-      for i = 0 to bounded_limit st d n - 1 do store8 st (d + i) c done;
-      d
-  | "load8" -> fun p _ _ -> load8 st p
-  | "store8" -> fun p v _ -> store8 st p v; 0
-  | "now" -> fun _ _ _ -> 0
-  | "exit" -> fun code _ _ -> raise (Process.Exit_program code)
-  | _ -> fun _ _ _ -> err "internal: builtin %s has no implementation" name
+    Some (3, fun d c n ->
+        for i = 0 to bounded_limit st d n - 1 do store8 st (d + i) c done;
+        d)
+  | "load8" -> Some (1, fun p _ _ -> load8 st p)
+  | "store8" -> Some (2, fun p v _ -> store8 st p v; 0)
+  | "now" -> Some (0, fun _ _ _ -> 0)
+  | "exit" -> Some (1, fun code _ _ -> raise (Process.Exit_program code))
+  | _ -> None
 
 (* --- compilation ---
 
    [run] compiles the program once, against the run's context, into
    closures over a frame: every variable is resolved to a frame slot and
    every callsite to a builtin or a user function before the first
-   statement runs. *)
+   statement runs.  The compiler is also the static checker: it reports
+   each name it cannot resolve, and each rule the run would only trip
+   over when it got there, as it meets them, in program order. *)
 
 type code = frame -> int
 
@@ -227,7 +231,13 @@ type env = {
   funcs : (string, func) Hashtbl.t;
   mutable scopes : scope list;  (* innermost first; empty between functions *)
   mutable size : int;  (* slots the current function's frame needs *)
+  mutable where : string;  (* the function being compiled, for diagnostics *)
+  mutable loops : int;  (* loops around the code being compiled *)
+  mutable diagnostics : string list;  (* newest first *)
 }
+
+let report env fmt =
+  Printf.ksprintf (fun d -> env.diagnostics <- d :: env.diagnostics) ("in %s: " ^^ fmt) env.where
 
 let next_slot sc = sc.base + List.length sc.names
 
@@ -265,8 +275,9 @@ let invoke st (f : func) callee =
   st.frames <- saved;
   result
 
-(* Frame accesses are in bounds by construction: every frame is sized for
-   the slots its function's code mentions. *)
+(* Operands compile left to right, as they run, so diagnostics come in
+   source order.  Frame accesses are in bounds by construction: every
+   frame is sized for the slots its function's code mentions. *)
 let rec expr env (e : Ast.expr) : code =
   let policy = env.st.ctx.Program.policy in
   match e with
@@ -279,7 +290,9 @@ let rec expr env (e : Ast.expr) : code =
   | Ast.Var x -> (
     match resolve env x with
     | Some s -> fun fr -> Array.unsafe_get fr.slots s
-    | None -> fun _ -> err "unknown variable %s" x)
+    | None ->
+      report env "unknown variable %s" x;
+      fun _ -> err "unknown variable %s" x)
   | Ast.Unop (op, a) -> (
     let a = expr env a in
     match op with
@@ -287,9 +300,12 @@ let rec expr env (e : Ast.expr) : code =
     | Ast.Not -> fun fr -> of_bool (a fr = 0)
     | Ast.Bnot -> fun fr -> lnot (a fr)
     | Ast.Deref -> fun fr -> Policy.load policy (a fr))
-  | Ast.Binop (op, a, b) -> binop op (expr env a) (expr env b)
+  | Ast.Binop (op, a, b) ->
+    let a = expr env a in
+    binop op a (expr env b)
   | Ast.Index (a, i) ->
-    let a = expr env a and i = expr env i in
+    let a = expr env a in
+    let i = expr env i in
     fun fr -> let base = a fr in Policy.load policy (base + (8 * i fr))
   | Ast.Call (name, args) -> call env name args
 
@@ -317,17 +333,25 @@ and binop op (a : code) (b : code) : code =
 
 (* Resolve a callsite once.  Builtins win over user functions of the same
    name.  Name and arity errors are raised only if the call is reached —
-   an arity error after the arguments were evaluated. *)
+   an arity error after the arguments were evaluated.  The diagnostic
+   looks a user function up first: the two orders differ only for a
+   function that shadows a builtin, itself reported. *)
 and call env name args : code =
   let codes = List.map (expr env) args and got = List.length args in
+  let user = Hashtbl.find_opt env.funcs name and prim = builtin env.st name args in
+  (match (user, prim) with
+  | Some f, _ when f.arity <> got -> report env "%s expects %d argument(s), got %d" name f.arity got
+  | None, Some (n, _) when n <> got ->
+    report env "builtin %s expects %d argument(s), got %d" name n got
+  | None, None -> report env "unknown function %s" name
+  | _ -> ());
   let arity_error n fr =
     List.iter (fun a -> ignore (a fr)) codes;
     err "%s expects %d argument(s), got %d" name n got
   in
-  match (Check.builtin_arity name, Hashtbl.find_opt env.funcs name) with
-  | Some n, _ when n <> got -> arity_error n
-  | Some _, _ -> (
-    let f = builtin env.st name args in
+  match (prim, user) with
+  | Some (n, _), _ when n <> got -> arity_error n
+  | Some (_, f), _ -> (
     match codes with
     | [] -> fun _ -> f 0 0 0
     | [ a ] -> fun fr -> f (a fr) 0 0
@@ -360,23 +384,33 @@ and stmt env (s : Ast.stmt) : frame -> unit =
     let e = expr env e in
     match resolve env x with
     | Some s -> fun fr -> burn (); Array.unsafe_set fr.slots s (e fr)
-    | None -> fun fr -> burn (); ignore (e fr); err "unknown variable %s" x)
+    | None ->
+      report env "unknown variable %s" x;
+      fun fr -> burn (); ignore (e fr); err "unknown variable %s" x)
   | Ast.Assign (Ast.Lderef a, e) ->
-    let e = expr env e and a = expr env a in
+    let e = expr env e in
+    let a = expr env a in
     fun fr -> burn (); let v = e fr in Policy.store policy (a fr) v
   | Ast.Assign (Ast.Lindex (a, i), e) ->
-    let e = expr env e and a = expr env a and i = expr env i in
+    let e = expr env e in
+    let a = expr env a in
+    let i = expr env i in
     fun fr ->
       burn ();
       let v = e fr in
       let base = a fr in
       Policy.store policy (base + (8 * i fr)) v
   | Ast.If (c, t, f) ->
-    let c = expr env c and t = block env t and f = block env f in
+    let c = expr env c in
+    let t = block env t in
+    let f = block env f in
     fun fr -> burn (); if c fr <> 0 then t fr else f fr
   | Ast.While (c, body) ->
     let base = next_slot (List.hd env.scopes) in
-    let c = expr env c and body = block env body in
+    let c = expr env c in
+    env.loops <- env.loops + 1;
+    let body = block env body in
+    env.loops <- env.loops - 1;
     fun fr ->
       burn ();
       (try
@@ -389,8 +423,12 @@ and stmt env (s : Ast.stmt) : frame -> unit =
   | Ast.Return (Some e) ->
     let e = expr env e in
     fun fr -> burn (); raise_notrace (Return_signal (e fr))
-  | Ast.Break -> fun _ -> burn (); raise_notrace Break_signal
-  | Ast.Continue -> fun _ -> burn (); raise_notrace Continue_signal
+  | Ast.Break ->
+    if env.loops = 0 then report env "break outside a loop";
+    fun _ -> burn (); raise_notrace Break_signal
+  | Ast.Continue ->
+    if env.loops = 0 then report env "continue outside a loop";
+    fun _ -> burn (); raise_notrace Continue_signal
   | Ast.Expr e ->
     let e = expr env e in
     fun fr -> burn (); ignore (e fr)
@@ -402,15 +440,18 @@ and stmt env (s : Ast.stmt) : frame -> unit =
    A [var] in the step declares its variable in that scope when the step
    first runs: before that, the cond, the body and the step itself see
    the binding outside the loop, if any.  Such a loop is compiled twice,
-   for its first iteration and for the rest. *)
+   for its first iteration and for the rest; only the first compile
+   reports. *)
 and for_loop env ~burn init cond step body =
   let header = push_scope env in
   let init = Option.fold ~none:ignore ~some:(stmt env) init in
   let iteration () =
     let cond = Option.map (expr env) cond in
     let base = next_slot header in
+    env.loops <- env.loops + 1;
     let body = block env body in
     let step = Option.fold ~none:ignore ~some:(stmt env) step in
+    env.loops <- env.loops - 1;
     fun fr ->
       burn ();
       match cond with
@@ -422,7 +463,15 @@ and for_loop env ~burn init cond step body =
   in
   let declared = next_slot header in
   let first = iteration () in
-  let rest = if next_slot header = declared then first else iteration () in
+  let rest =
+    if next_slot header = declared then first
+    else begin
+      let reported = env.diagnostics in
+      let rest = iteration () in
+      env.diagnostics <- reported;
+      rest
+    end
+  in
   pop_scope env;
   fun fr ->
     burn ();
@@ -443,38 +492,57 @@ and block env stmts =
   in
   if sc.names = [] then run else fun fr -> run fr; fr.top <- sc.base
 
-(* Compile every function against this run's context.  The first
-   definition of a name wins, as in a lookup by name. *)
+(* Compile every function against this run's context, in program order.
+   The first definition of a name wins, as in a lookup by name; a later
+   one is compiled only to be checked. *)
 let compile st (program : Ast.program) =
-  let env = { st; funcs = Hashtbl.create 16; scopes = []; size = 0 } in
-  (* Open [fd]'s function scope: its parameters, in their slots. *)
+  let env =
+    { st; funcs = Hashtbl.create 16; scopes = []; size = 0; where = "<toplevel>"; loops = 0;
+      diagnostics = [] }
+  in
+  (* Open [fd]'s function scope: its parameters' slots, each with whether
+     its name is new, and the slots in scope. *)
   let enter (fd : Ast.func) =
     let sc = push_scope env in
-    let slots = List.map (fun p -> fst (declare env p)) fd.Ast.params in
-    (Array.of_list slots, next_slot sc)
+    let slots = List.map (declare env) fd.Ast.params in
+    (slots, next_slot sc)
   in
   let defs =
-    List.filter_map
+    List.map
       (fun (fd : Ast.func) ->
-        if Hashtbl.mem env.funcs fd.Ast.name then None
+        let name = fd.Ast.name in
+        if Hashtbl.mem env.funcs name then begin
+          report env "duplicate function %s" name;
+          (fd, None)
+        end
         else begin
-          let param_slots, params_in_scope = enter fd in
+          if builtin st name [] <> None then report env "function %s shadows a builtin" name;
+          let slots, params_in_scope = enter fd in
           pop_scope env;
+          let param_slots = Array.of_list (List.map fst slots) in
           let arity = Array.length param_slots in
           let f = { arity; param_slots; params_in_scope; size = 0; body = ignore } in
-          Hashtbl.add env.funcs fd.Ast.name f;
-          Some (fd, f)
+          Hashtbl.add env.funcs name f;
+          (fd, Some f)
         end)
       program.Ast.funcs
   in
+  (match Hashtbl.find_opt env.funcs "main" with
+  | None -> report env "no main function"
+  | Some main -> if main.arity <> 0 then report env "main takes no parameters");
   List.iter
-    (fun ((fd : Ast.func), f) ->
-      env.size <- snd (enter fd);
-      f.body <- block env fd.Ast.body;
+    (fun ((fd : Ast.func), def) ->
+      env.where <- fd.Ast.name;
+      let slots, size = enter fd in
+      List.iter2
+        (fun p (_, fresh) -> if not fresh then report env "duplicate parameter %s" p)
+        fd.Ast.params slots;
+      env.size <- size;
+      let body = block env fd.Ast.body in
       pop_scope env;
-      f.size <- env.size)
+      Option.iter (fun f -> f.body <- body; f.size <- env.size) def)
     defs;
-  env.funcs
+  env
 
 (* --- entry points --- *)
 
@@ -506,12 +574,15 @@ let register_gc_roots st =
         Hashtbl.iter (fun _ addr -> roots := addr :: !roots) st.literals;
         !roots)
 
-let run ~libc ~name program ctx =
+let new_state ~libc ~name ctx =
   let literals = Hashtbl.create 16 and call_sites = Site_tbl.create 16 in
-  let st = { libc; ctx; frames = []; literals; input_pos = 0; prog_name = name; call_sites } in
+  { libc; ctx; frames = []; literals; input_pos = 0; prog_name = name; call_sites }
+
+let run ~libc ~name program ctx =
+  let st = new_state ~libc ~name ctx in
   register_gc_roots st;
   allocate_literals st program;
-  match Hashtbl.find_opt (compile st program) "main" with
+  match Hashtbl.find_opt (compile st program).funcs "main" with
   | None -> err "no main function"
   | Some main ->
     if main.arity <> 0 then err "main takes no parameters";
@@ -521,3 +592,24 @@ let run ~libc ~name program ctx =
 let program_of_source ?(libc = Unchecked) ~name source =
   let program = Parser.parse_program source in
   Program.make ~name (fun ctx -> run ~libc ~name program ctx)
+
+(* Compile for the diagnostics alone, against a throwaway heap that
+   stays out of the telemetry: no literal is allocated and no statement
+   runs. *)
+let check program =
+  Dh_obs.Control.with_enabled false @@ fun () ->
+  let diagnostics = ref [] in
+  let compile_only ctx =
+    diagnostics := (compile (new_state ~libc:Unchecked ~name:"check" ctx) program).diagnostics
+  in
+  let heap = Dh_alloc.Freelist.(allocator (create (Dh_mem.Mem.create ()))) in
+  ignore (Program.run (Program.make ~name:"check" compile_only) heap);
+  List.rev !diagnostics
+
+let check_source source =
+  match Parser.parse_program source with
+  | exception Lexer.Lex_error (msg, line, col) ->
+    Error [ Printf.sprintf "%d:%d: lexical error: %s" line col msg ]
+  | exception Parser.Syntax_error (msg, line, col) ->
+    Error [ Printf.sprintf "%d:%d: syntax error: %s" line col msg ]
+  | program -> ( match check program with [] -> Ok program | diagnostics -> Error diagnostics)

@@ -10,13 +10,13 @@
     (in first-appearance order), then compiles the whole program once into
     OCaml closures over that run's context: every variable is resolved to
     a slot in a per-call [int array] frame and every callsite to a builtin
-    (arity from {!Check.builtin_arity}) or to a user function.  Parsing
-    ({!program_of_source}) does no compilation, so a packaged program can
-    be run any number of times, under any context.  Execution starts at
-    [main()].  A name, arity or missing-[main] error is raised as
-    {!Runtime_error} only when execution reaches it — a bad call in code
-    that never runs is harmless — with an arity error raised after the
-    call's arguments were evaluated.
+    or to a user function.  Parsing ({!program_of_source}) does no
+    compilation, so a packaged program can be run any number of times,
+    under any context.  Execution starts at [main()].  A name, arity or
+    missing-[main] error is raised as {!Runtime_error} only when execution
+    reaches it — a bad call in code that never runs is harmless — with an
+    arity error raised after the call's arguments were evaluated; {!check}
+    reports all of them without running.
 
     {b Fuel contract.}  Fuel burns at exactly three points: once when a
     statement starts, once per [while]/[for] iteration before its
@@ -32,10 +32,11 @@
     variables in scope in every active call, scanned conservatively; a
     variable of a block that has exited is not a root.
 
-    {b Builtins}: [malloc(n)], [calloc(n)], [realloc(p,n)], [free(p)], [print_int(v)],
-    [print_str(p)], [print_char(c)], [getchar()] (next input byte or -1),
-    [gets(p)] (reads an input line with {e no} bounds check — the classic
-    overflow vector), [strlen(s)], [strcpy(d,s)], [strncpy(d,s,n)],
+    {b Builtins}, one table giving each name its arity and its
+    implementation: [malloc(n)], [calloc(n)], [realloc(p,n)], [free(p)],
+    [print_int(v)], [print_str(p)], [print_char(c)], [getchar()] (next
+    input byte or -1), [gets(p)] (reads an input line with {e no} bounds
+    check — the classic overflow vector), [strlen(s)], [strcpy(d,s)], [strncpy(d,s,n)],
     [strcmp(a,b)], [memcpy(d,s,n)], [memset(d,c,n)], [load8(p)],
     [store8(p,v)], [now()] (the intercepted clock, §5.3: always 0, so every
     run and replica sees the same time), [exit(code)].
@@ -66,3 +67,25 @@ val program_of_source : ?libc:libc -> name:string -> string -> Dh_alloc.Program.
     while observability is enabled.  Each AST callsite gets its own
     site, interned when it first executes and numbered in
     first-execution order. *)
+
+(** {1 Static checking}
+
+    The compiler is the checker: {!check} compiles the program as a run
+    would, against a throwaway heap, without allocating its literals or
+    running a statement, and returns what the compile reported.  A
+    program it accepts resolves every name, so it will not raise
+    {!Runtime_error} for a name, arity or [main] reason (division by zero
+    remains a run-time matter).  MiniC stays deliberately unsafe about
+    memory: the check proves nothing about it. *)
+
+val check : Ast.program -> string list
+(** Every diagnostic, ["in <function>: <message>"], in program order
+    (["in <toplevel>: ..."] for definitions): an unknown variable or
+    function; a wrong arity at a callsite, user function or builtin; a
+    duplicate function or parameter; a function that shadows a builtin;
+    [break] or [continue] outside a loop; a missing or parameterised
+    [main].  Empty when the program is well formed. *)
+
+val check_source : string -> (Ast.program, string list) result
+(** Parse then {!check}; [Error] carries the ["line:col: ..."] lexical
+    or syntax error, or the diagnostics. *)

@@ -236,7 +236,8 @@ let init ~pool n f =
    inline (deferred to the join) otherwise.  The result is identical
    either way — only wall-clock changes. *)
 let background ~pool task =
-  if pool.jobs <= 1 then begin
+  match if pool.jobs <= 1 then [] else acquire 1 with
+  | [] ->
     let result = ref None in
     fun () ->
       (match !result with
@@ -244,25 +245,13 @@ let background ~pool task =
         let r = (try Ok (task ()) with e -> Error e) in
         result := Some r
       | Some _ -> ());
-      match Option.get !result with Ok v -> v | Error e -> raise e
-  end
-  else
-    match acquire 1 with
-    | [] ->
-      let result = ref None in
-      fun () ->
-        (match !result with
-        | None ->
-          let r = (try Ok (task ()) with e -> Error e) in
-          result := Some r
-        | Some _ -> ());
-        (match Option.get !result with Ok v -> v | Error e -> raise e)
-    | w :: _ ->
-      let slot = ref None in
-      submit w (fun () -> slot := Some (try Ok (task ()) with e -> Error e));
-      fun () ->
-        await_parked w;
-        match !slot with
-        | Some (Ok v) -> v
-        | Some (Error e) -> raise e
-        | None -> failwith "Pool.background: worker died before completing task"
+      (match Option.get !result with Ok v -> v | Error e -> raise e)
+  | w :: _ ->
+    let slot = ref None in
+    submit w (fun () -> slot := Some (try Ok (task ()) with e -> Error e));
+    fun () ->
+      await_parked w;
+      match !slot with
+      | Some (Ok v) -> v
+      | Some (Error e) -> raise e
+      | None -> failwith "Pool.background: worker died before completing task"

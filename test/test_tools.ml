@@ -66,7 +66,7 @@ let test_realloc_minic_builtin () =
 (* --- static checker --- *)
 
 let diagnostics src =
-  match Dh_lang.Check.check_source src with
+  match Dh_lang.Interp.check_source src with
   | Ok _ -> []
   | Error msgs -> msgs
 
@@ -82,7 +82,7 @@ let has_diag needle msgs =
 
 let test_check_clean_program () =
   match
-    Dh_lang.Check.check_source
+    Dh_lang.Interp.check_source
       "fn helper(a, b) { return a + b; } fn main() { var x = helper(1, 2); \
        for (var i = 0; i < x; i = i + 1) { if (i == 2) { break; } } print_int(x); }"
   with
@@ -139,14 +139,14 @@ let test_check_main () =
     (has_diag "main takes no parameters" (diagnostics "fn main(argc) { }"))
 
 let test_check_syntax_error_reported () =
-  match Dh_lang.Check.check_source "fn main() { var = ; }" with
+  match Dh_lang.Interp.check_source "fn main() { var = ; }" with
   | Error (msg :: _) -> check "position prefix" true (String.length msg > 4)
   | Error [] | Ok _ -> Alcotest.fail "expected syntax diagnostics"
 
 let test_check_shipped_apps_clean () =
   List.iter
     (fun (name, source) ->
-      match Dh_lang.Check.check_source source with
+      match Dh_lang.Interp.check_source source with
       | Ok _ -> ()
       | Error msgs ->
         Alcotest.failf "%s has diagnostics: %s" name (String.concat "; " msgs))
@@ -155,6 +155,38 @@ let test_check_shipped_apps_clean () =
       ("squid", Dh_workload.Apps.squid_source);
       ("lindsay", Dh_workload.Apps.lindsay_source);
     ]
+
+(* The whole list, in order: definitions first, then each body, a
+   duplicate's included; operands left to right; a for loop whose step
+   declares a variable reported once. *)
+let test_check_exact_list () =
+  Alcotest.(check (list string))
+    "diagnostics"
+    [
+      "in <toplevel>: duplicate function g";
+      "in <toplevel>: function malloc shadows a builtin";
+      "in g: duplicate parameter a";
+      "in g: unknown variable b";
+      "in g: continue outside a loop";
+      "in main: unknown variable i";
+      "in main: unknown variable k";
+      "in main: unknown variable y";
+      "in main: builtin print_int expects 1 argument(s), got 2";
+      "in main: break outside a loop";
+      "in main: unknown variable q";
+      "in main: unknown function nope";
+    ]
+    (diagnostics
+       "fn g(a, a) { return b; }\n\
+        fn g(c) { continue; }\n\
+        fn malloc(n) { return 0; }\n\
+        fn main() {\n\
+       \  var j = i + k;\n\
+       \  for (var x = 0; x < 2; var y = x) { print_int(y, 1); }\n\
+       \  break;\n\
+       \  g(1, 2);\n\
+       \  nope(q);\n\
+        }\n")
 
 (* --- lindsay-sim --- *)
 
@@ -288,6 +320,7 @@ let suite =
     Alcotest.test_case "check main" `Quick test_check_main;
     Alcotest.test_case "check syntax errors" `Quick test_check_syntax_error_reported;
     Alcotest.test_case "check shipped apps" `Quick test_check_shipped_apps_clean;
+    Alcotest.test_case "check exact list" `Quick test_check_exact_list;
     Alcotest.test_case "lindsay standalone" `Quick test_lindsay_standalone_completes;
     Alcotest.test_case "lindsay detected" `Quick test_lindsay_uninit_detected_replicated;
     Alcotest.test_case "diagnose clean" `Quick test_diagnose_clean_program_quiet;
