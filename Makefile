@@ -103,14 +103,15 @@ examples:
 
 # Everything CI runs: full build, full test suite (every correctness
 # check, the bench geometries' included, and the gate failure-mode
-# tests), a smoke run of the survival supervisor, and a quick
+# tests), a smoke run of the survival supervisor that retries twice and
+# replays a diagnosis, and a quick
 # throughput gate (scaling speedup, rewind speedup, obs budget) in a
 # scratch directory, so the committed BENCH_throughput.json stays
 # untouched.
 check:
 	dune build @all
 	dune runtest --force
-	dune exec bin/diehard_cli.exe -- survive cfrac --retries 1
+	dune exec bin/diehard_cli.exe -- survive server --requests 2000 --attack-every 97
 	$(SCRATCH_BENCH) quick throughput-gate
 
 clean:

@@ -69,8 +69,9 @@ let workload ~label ~spec ~trials program =
        across domains; results are folded in trial order below. *)
     let pool = Dh_parallel.Pool.create () in
     let results =
-      Dh_parallel.Pool.map ~pool
-        (fun trial ->
+      Array.to_list
+      @@ Dh_parallel.Pool.init ~pool trials (fun i ->
+          let trial = i + 1 in
           let spec = { spec with Injector.seed = spec.Injector.seed + trial } in
           let master = (trial * 7919) + 17 in
           let inject _plan alloc = snd (Injector.wrap spec ~log alloc) in
@@ -93,7 +94,6 @@ let workload ~label ~spec ~trials program =
               ~seed_pool:(Seed.create ~master) ~success ~wrap:inject program
           in
           (trial, bare, incident))
-        (List.init trials (fun i -> i + 1))
     in
     let bare_ok =
       ref (List.length (List.filter (fun (_, bare, _) -> bare) results))

@@ -101,10 +101,9 @@ let fuel_arg =
 
 let jobs_arg =
   let doc =
-    "Domains used for multi-run fan-out (replica execution, injected trials, \
-     diagnosis overlap, scaling sweeps).  Seed planning makes the results \
-     identical for every value.  Defaults to this machine's recommended \
-     domain count."
+    "Domains used for multi-run fan-out (replica execution, injected trials).  \
+     Seed planning makes the results identical for every value.  Defaults to \
+     this machine's recommended domain count."
   in
   Arg.(value & opt int (Dh_parallel.Pool.default_jobs ())
        & info [ "j"; "jobs" ] ~docv:"N" ~doc)
@@ -333,8 +332,7 @@ let rewinds_arg =
 
 let survive_cmd =
   let action () (program, heap_size) retries backoff no_rescue no_diagnose
-      checkpoint_interval max_rewinds policy_kind seed mesh mesh_threshold input fuel
-      jobs =
+      checkpoint_interval max_rewinds policy_kind seed mesh mesh_threshold input fuel =
     let policy =
       {
         Supervisor.max_retries = retries;
@@ -348,7 +346,7 @@ let survive_cmd =
     in
     let incident =
       Supervisor.run ~policy
-        ~config:(Diehard.Config.v ~heap_size ~jobs ~mesh ~mesh_threshold ())
+        ~config:(Diehard.Config.v ~heap_size ~mesh ~mesh_threshold ())
         ~seed_pool:(Dh_rng.Seed.create ~master:seed)
         ~input:(read_input input) ~policy_kind program
     in
@@ -373,8 +371,7 @@ let survive_cmd =
     Term.(
       const action $ obs_term $ program_term () $ retries_arg $ backoff_arg
       $ no_rescue_arg $ no_diagnose_arg $ checkpoint_interval_arg $ rewinds_arg
-      $ policy_arg $ seed_arg $ mesh_arg $ mesh_threshold_arg $ input_arg $ fuel_arg
-      $ jobs_arg)
+      $ policy_arg $ seed_arg $ mesh_arg $ mesh_threshold_arg $ input_arg $ fuel_arg)
 
 (* --- check --- *)
 
@@ -670,7 +667,7 @@ let detail_bucket_total detail =
 
 (* Validate a --metrics CSV dump: the fixed header, six fields per row,
    and the quantile columns — integers for histograms, empty for
-   counters and gauges — and each histogram's log2 bucket counts adding
+   gauges — and each histogram's log2 bucket counts adding
    up to its sample count.  Exits nonzero on any violation. *)
 let validate_metrics_csv path =
   let lines =
@@ -697,7 +694,7 @@ let validate_metrics_csv path =
             | Some lo, Some hi -> lo <= hi
             | _ -> false)
             && detail_bucket_total detail = int_of_string_opt value
-          | "counter" | "gauge" -> p50 = "" && p99 = ""
+          | "gauge" -> p50 = "" && p99 = ""
           | _ -> false
         in
         if int_of_string_opt value = None || not quantiles_ok then

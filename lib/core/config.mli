@@ -21,9 +21,8 @@ type t = {
           §4.2).  Off in stand-alone mode. *)
   seed : int;  (** Seed for the allocator's {!Dh_rng.Mwc} generator. *)
   jobs : int;
-      (** Domains used by the multi-run drivers (replica fan-out,
-          injection campaigns, supervisor diagnosis overlap) via
-          {!Dh_parallel.Pool}.  Results are seed-planned to be identical
+      (** Domains {!Replicated.run} fans its replicas out over, via
+          {!Dh_parallel.Pool.init}.  Results are seed-planned to be identical
           for every value; [1] (the default) never spawns a domain.  A
           single run's heap is inherently sequential — this knob only
           parallelizes {e across} runs, mirroring the paper's

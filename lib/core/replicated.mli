@@ -13,7 +13,7 @@
     paper's replicated mode targets.
 
     With [config.jobs > 1] the replicas execute on separate OCaml
-    domains through {!Dh_parallel.Pool} — the paper's process-level
+    domains through {!Dh_parallel.Pool.init} — the paper's process-level
     parallelism (§6's 16-way SMP runs) made real.  Seeds are assigned by
     one {!Dh_rng.Seed.split} block drawn before the fan-out and the voter
     consumes reports in replica-id order, so the report is byte-identical
@@ -55,7 +55,6 @@ val run :
   ?seed_pool:Dh_rng.Seed.t ->
   ?input:string ->
   ?fuel:int ->
-  ?replace_failed:int ->
   Dh_alloc.Program.t ->
   report
 (** [run program] executes the replicated protocol.  [config]'s
@@ -63,16 +62,10 @@ val run :
     uninitialized reads diverge); its [seed] is replaced per replica from
     [seed_pool].  Defaults: 3 replicas, {!Config.default} sizes.
 
-    [replace_failed] implements §5.2's availability improvement: "we
-    could replace failed replicas with a copy of one of the 'good'
-    replicas with its random number generation seed set to a different
-    value."  Up to that many replacement replicas (default 0) are
-    spawned when a replica dies or is voted out; a replacement runs with
-    a fresh seed and joins the vote only if its output agrees with
-    everything already committed (an exact rollback — execution is
-    deterministic, so re-running from the start equals copying a good
-    replica's state).  Replacements appear in [replicas] with ids ≥ the
-    original count.
+    The roster is fixed: a replica that dies or is voted out stays out,
+    and [replicas] lists exactly the [k] originals in id order.  (§5.2
+    only proposes replacing failed replicas with freshly seeded copies;
+    this runtime does not.)
 
     The number of replicas must be 1 or ≥ 3 — with two, the voter cannot
     break ties (§6). *)

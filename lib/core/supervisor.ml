@@ -316,10 +316,10 @@ let run ?(policy = default_policy) ?(config = Config.default)
   in
   (* Replay the failed attempt — same seed, same heap shape, same wrap —
      under canary instrumentation, purely to classify the fault. *)
-  let diagnose_replay plan (failed : attempt_report) =
-    Dh_obs.Tracing.span ~arg:(string_of_int plan.attempt) "supervisor.diagnose"
+  let diagnose_replay (failed : attempt_report) =
+    Dh_obs.Tracing.span ~arg:(string_of_int failed.plan.attempt) "supervisor.diagnose"
     @@ fun () ->
-    let plan = { plan with mode = Randomized } in
+    let plan = { failed.plan with mode = Randomized } in
     let replay_heap, base = build_heap plan in
     let canary, instrumented = Canary.wrap base in
     let result, fuel_burned, _ =
@@ -371,33 +371,16 @@ let run ?(policy = default_policy) ?(config = Config.default)
   in
   (* The whole ladder's seeds are frozen up front (attempts 0 through
      max_retries + 1, the last being the rescue rung): seed assignment
-     never depends on how far the ladder climbs or on what runs
-     concurrently.  [split] returns exactly the draws the old
-     one-[fresh]-per-rung code made, so incidents are unchanged. *)
+     never depends on how far the ladder climbs.  [split] returns exactly
+     the draws the old one-[fresh]-per-rung code made, so incidents are
+     unchanged. *)
   let seeds = Seed.split ~n:(policy.max_retries + 2) seed_pool in
-  let diag_job = ref None in
   let rec ladder attempt acc =
     let mode = if attempt <= policy.max_retries then Randomized else Rescue in
     let plan =
       plan_for ~config ~backoff:policy.backoff ~seed:seeds.(attempt) ~mode attempt
     in
     let report, result = attempt_under plan in
-    (* Kick the diagnosis replay off as soon as the first attempt fails:
-       with jobs > 1 it runs on its own domain, overlapped with the
-       remaining rungs (it shares no state with them); sequentially it is
-       deferred to the end as before.  The incident is identical either
-       way. *)
-    if attempt = 0 && (not report.ok) && policy.diagnose then
-      (* With jobs > 1 the replay runs on a borrowed long-lived pool
-         worker, overlapped with the remaining rungs (it shares no state
-         with them); at jobs = 1 the join runs it inline at the end, as
-         the sequential code always did.  The incident is identical
-         either way. *)
-      diag_job :=
-        Some
-          (Dh_parallel.Pool.background
-             ~pool:(Dh_parallel.Pool.create ~jobs:config.Config.jobs ())
-             (fun () -> diagnose_replay plan report));
     let acc = report :: acc in
     if report.ok then (List.rev acc, Survived attempt, Some result.Process.output)
     else if mode = Rescue || ((not policy.rescue) && attempt >= policy.max_retries)
@@ -405,12 +388,12 @@ let run ?(policy = default_policy) ?(config = Config.default)
     else ladder (attempt + 1) acc
   in
   let attempts, verdict, output = ladder 0 [] in
+  let first = List.hd attempts in
   let diagnosis, canary_violations, diag_fuel, offender_sites =
-    match !diag_job with
-    | Some join ->
-      let d, v, f, sites = join () in
+    if first.ok || not policy.diagnose then (None, [], 0, [])
+    else
+      let d, v, f, sites = diagnose_replay first in
       (Some d, v, f, sites)
-    | None -> (None, [], 0, [])
   in
   (* The rescue rung degrades every allocation; charge the degradation
      to the sites diagnosis blamed for forcing it. *)

@@ -144,11 +144,9 @@ val run :
 
     Every rung's seed is drawn from [seed_pool] with one up-front
     {!Dh_rng.Seed.split}, so attempt [i] always runs under the pool's
-    [i]-th seed no matter how the ladder unfolds.  With [config.jobs > 1]
-    the canary diagnosis replay runs on its own domain, overlapped with
-    the retry rungs; [success] and [wrap] must then be safe to call from
-    two domains at once (both are in practice pure constructors over
-    per-run state). *)
+    [i]-th seed no matter how the ladder unfolds.  The canary diagnosis
+    replay of a failed first attempt runs after the ladder.  The
+    supervisor is sequential: [config.jobs] plays no part in it. *)
 
 (** {1 Time-travel replay} *)
 

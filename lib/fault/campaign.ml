@@ -48,29 +48,6 @@ let run ?(input = "") ?(fuel = 50_000_000) ?(jobs = 1) ~trials ~spec ~make_alloc
        classifications come back in trial order — the tally is identical
        for every [jobs]. *)
     let pool = Dh_parallel.Pool.create ~jobs () in
-    (* Classification counters are resolved once, before the fan-out:
-       interning takes the registry mutex, and a per-trial lookup would
-       serialize every worker whenever telemetry is on.  Inside the
-       trials only per-domain buffered cells are touched, so trials
-       share nothing but the read-only allocation log. *)
-    let tally_counter =
-      if Dh_obs.Control.enabled () then begin
-        let c name = Dh_obs.Metrics.counter name in
-        let correct = c "campaign.correct"
-        and wrong = c "campaign.wrong_output"
-        and crashed = c "campaign.crashed"
-        and aborted = c "campaign.aborted"
-        and timed_out = c "campaign.timed_out" in
-        Some
-          (function
-          | Correct -> correct
-          | Wrong_output -> wrong
-          | Crashed -> crashed
-          | Aborted -> aborted
-          | Timed_out -> timed_out)
-      end
-      else None
-    in
     let runs =
       Array.to_list
         (Dh_parallel.Pool.init ~pool trials (fun i ->
@@ -83,12 +60,7 @@ let run ?(input = "") ?(fuel = 50_000_000) ?(jobs = 1) ~trials ~spec ~make_alloc
                  { spec with Injector.seed = spec.Injector.seed + trial }
                  ~log alloc
              in
-             let result = Program.run ~input ~fuel program injected in
-             let c = classify ~reference result in
-             (match tally_counter with
-             | Some counter_of -> Dh_obs.Metrics.incr (counter_of c)
-             | None -> ());
-             c))
+             classify ~reference (Program.run ~input ~fuel program injected)))
     in
     let count c = List.length (List.filter (fun x -> x = c) runs) in
     let correct = count Correct in

@@ -1,6 +1,6 @@
 (** Per-domain buffered cells: the one storage primitive under every
-    recording instrument ({!Metrics} counters, {!Quantile} histograms,
-    {!Audit}'s per-class and per-site counters, {!Tracing}'s rings).
+    recording instrument ({!Quantile} histograms, {!Audit}'s per-class
+    and per-site counters, {!Tracing}'s rings).
 
     A cell set holds one private value per domain that ever wrote to it,
     created on that domain's first {!get} and never unregistered.  A

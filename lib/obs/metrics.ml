@@ -1,64 +1,33 @@
 let bucket_count = 64
 
-(* Counters and histograms record into per-domain {!Cell}s: one enabled
-   check, one domain-id compare and plain adds per record, merged only
-   when read. *)
-type counter = int ref Cell.t
+(* Histograms record into per-domain {!Cell}s (see {!Quantile}), merged
+   only when read. *)
 type histogram = Quantile.t
 
 (* Gauges are callbacks, read at dump time. *)
-type instrument = Counter of counter | Gauge of (unit -> int) | Histogram of histogram
+type instrument = Gauge of (unit -> int) | Histogram of histogram
 
 (* The one process-wide registry. *)
 let items : (string, instrument) Hashtbl.t = Hashtbl.create 64
 let lock = Mutex.create ()
 
-let kind_name = function
-  | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
-  | Histogram _ -> "histogram"
-
-(* Get-or-create under the registry lock.  Only instrument creation and
-   dumping take the lock; recording goes straight to the per-domain
-   cells. *)
-let intern name make select =
-  Mutex.protect lock (fun () ->
-      match Hashtbl.find_opt items name with
-      | Some existing -> (
-        match select existing with
-        | Some v -> v
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Metrics: %S already registered as a %s" name
-               (kind_name existing)))
-      | None ->
-        let fresh = make () in
-        Hashtbl.replace items name fresh;
-        match select fresh with Some v -> v | None -> assert false)
-
-let counter name =
-  intern name
-    (fun () -> Counter (Cell.create (fun () -> ref 0)))
-    (function Counter c -> Some c | _ -> None)
-
-let add c n =
-  if Control.enabled () then begin
-    let r = Cell.get c in
-    r := !r + n
-  end
-
-let incr c = add c 1
-
-let counter_value c = Cell.fold (fun acc r -> acc + !r) 0 c
-
 (* Gauges replace unconditionally: the newest component of a given name
    is the one the dump reflects. *)
 let gauge_fn name f = Mutex.protect lock (fun () -> Hashtbl.replace items name (Gauge f))
 
+(* Get-or-create under the registry lock.  Only instrument creation and
+   dumping take the lock; recording goes straight to the per-domain
+   cells. *)
 let histogram name =
-  intern name
-    (fun () -> Histogram (Quantile.create ()))
-    (function Histogram h -> Some h | _ -> None)
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt items name with
+      | Some (Histogram h) -> h
+      | Some (Gauge _) ->
+        invalid_arg (Printf.sprintf "Metrics: %S already registered as a gauge" name)
+      | None ->
+        let h = Quantile.create () in
+        Hashtbl.replace items name (Histogram h);
+        h)
 
 let bucket_of v =
   if v < 0 then invalid_arg "Metrics.bucket_of: negative sample";
@@ -117,8 +86,6 @@ let dump () =
     (List.map
        (fun (name, inst) ->
          match inst with
-         | Counter c ->
-           { name; kind = "counter"; value = counter_value c; p50 = None; p99 = None; detail = "" }
          | Gauge f ->
            let value = try f () with _ -> 0 in
            { name; kind = "gauge"; value; p50 = None; p99 = None; detail = "" }

@@ -1,36 +1,22 @@
-(** The process-wide metrics registry: named counters, gauges and
-    histograms.
+(** The process-wide metrics registry: named gauges and histograms.
 
-    Counters and histograms record into per-domain {!Cell}s: the first
-    time a domain records into an instrument it is handed a private
-    cell, and every later record is a plain in-place add — no mutex, no
-    atomic, no cache line shared with any other domain.  Cells are
-    merged only when a value is read ([counter_value], [histogram_*],
-    {!dump}), and reads are exact once writers have parked or been
-    joined (the pool parks its workers between fan-outs, so post-fan-out
-    dumps are exact).  All recording is a no-op while {!Control.enabled} is false.
+    Histograms record into per-domain {!Cell}s: the first time a domain
+    records into a histogram it is handed a private cell, and every
+    later record is a plain in-place add — no mutex, no atomic, no cache
+    line shared with any other domain.  Cells are merged only when a
+    value is read ([Quantile.snapshot], {!dump}), and reads are exact
+    once writers have parked or been joined (the pool parks its workers
+    between fan-outs, so post-fan-out dumps are exact).  All recording
+    is a no-op while {!Control.enabled} is false.
 
-    Instrument {e lookup} by name ({!counter}, {!histogram}) takes the
-    registry mutex — resolve instruments once, outside hot loops, and
-    keep the handle.
+    Histogram {e lookup} by name ({!histogram}) takes the registry mutex
+    — resolve histograms once, outside hot loops, and keep the handle.
 
-    Instruments are get-or-create by name: creating ["heap.malloc.bytes"]
+    Histograms are get-or-create by name: creating ["heap.malloc.bytes"]
     twice returns the same histogram, so short-lived components (one heap
     per campaign trial) accumulate into one series.  Gauges are the
     exception: re-registering a name replaces the callback, so a gauge
     tracks the most recently created component. *)
-
-(** {1 Counters} *)
-
-type counter
-
-val counter : string -> counter
-(** Get or create. Raises [Invalid_argument] if the name exists with a
-    different kind. *)
-
-val add : counter -> int -> unit
-val incr : counter -> unit
-val counter_value : counter -> int  (** Sum over per-domain cells. *)
 
 (** {1 Gauges} *)
 
@@ -48,6 +34,8 @@ val gauge_fn : string -> (unit -> int) -> unit
 type histogram = Quantile.t
 
 val histogram : string -> histogram
+(** Get or create.  Raises [Invalid_argument] if the name is registered
+    as a gauge. *)
 
 val observe : histogram -> int -> unit
 (** {!Quantile.record}.  Raises [Invalid_argument] on negative samples
@@ -65,8 +53,8 @@ val bucket_count : int  (** 64: every non-negative OCaml int fits. *)
 
 type row = {
   name : string;
-  kind : string;  (** ["counter"], ["gauge"] or ["histogram"]. *)
-  value : int;  (** Counter sum, gauge value, or histogram sample count. *)
+  kind : string;  (** ["gauge"] or ["histogram"]. *)
+  value : int;  (** Gauge value, or histogram sample count. *)
   p50 : int option;
       (** Histograms: {!Quantile.quantile} of a fresh snapshot at 0.5. *)
   p99 : int option;  (** Histograms: likewise at 0.99. *)
@@ -80,7 +68,7 @@ val dump : unit -> row list
 
 val to_csv : unit -> string
 (** The dump as CSV with a ["name,kind,value,p50,p99,detail"] header
-    (quantile cells are empty for counters and gauges) — the
+    (quantile cells are empty for gauges) — the
     machine-readable twin of the bench report tables. *)
 
 val write_csv : path:string -> unit

@@ -34,8 +34,6 @@ type worker = {
   mutable handle : unit Domain.t option;  (* joined only by [quiesce] *)
 }
 
-(* OCaml caps live domains (128 on stock runtimes); leave headroom for
-   the main domain and any domains the embedding application runs. *)
 (* Hard cap on pooled worker domains: headroom under the OCaml runtime's
    128-domain limit for the caller's own domains. *)
 let max_workers = 120
@@ -59,9 +57,7 @@ let worker_loop w =
     in
     match await () with
     | None ->
-      (* Retired while parked: exit the domain.  [parked] stays true, so
-         a [background] join thunk racing with [quiesce] still sees the
-         finished state. *)
+      (* Retired while parked: exit the domain. *)
       Mutex.unlock w.lock
     | Some job ->
       Mutex.unlock w.lock;
@@ -168,38 +164,16 @@ let run_batch ~width work =
   work ();
   List.iter await_parked helpers
 
-(* The exact sequential path: apply in index order, stop at the first
-   exception — [jobs = 1] must behave as if the pool did not exist. *)
-let seq_map_array f items =
-  let n = Array.length items in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n (f items.(0)) in
-    for i = 1 to n - 1 do
-      results.(i) <- f items.(i)
-    done;
-    results
-  end
-
 (* Chunked self-scheduling: participants claim [chunk]-sized index
    ranges off a shared atomic cursor.  No work stealing, no channels —
    tasks in this codebase are coarse (whole program runs), so the only
    balancing needed is chunks small enough that a slow item does not
    strand a domain's whole static share. *)
-let par_map_array ~jobs f items =
-  let n = Array.length items in
+let par_init ~jobs n f =
   let results = Array.make n None in
   let errors = Array.make n None in
   let next = Atomic.make 0 in
   let chunk = max 1 (n / (jobs * 8)) in
-  (* Resolve the chunk counter once, outside the work loop: interning is
-     a mutex + hash lookup, and doing it per chunk serialized every
-     worker whenever telemetry was on. *)
-  let chunks_counter =
-    if Dh_obs.Control.enabled () then
-      Some (Dh_obs.Metrics.counter "pool.chunks")
-    else None
-  in
   let work () =
     let continue = ref true in
     while !continue do
@@ -207,11 +181,8 @@ let par_map_array ~jobs f items =
       if start >= n then continue := false
       else
         Dh_obs.Tracing.span ~arg:(string_of_int start) "pool.chunk" (fun () ->
-            (match chunks_counter with
-            | Some c -> Dh_obs.Metrics.incr c
-            | None -> ());
             for i = start to min n (start + chunk) - 1 do
-              match f items.(i) with
+              match f i with
               | v -> results.(i) <- Some v
               | exception e -> errors.(i) <- Some e
             done)
@@ -221,37 +192,8 @@ let par_map_array ~jobs f items =
   Array.iter (function Some e -> raise e | None -> ()) errors;
   Array.map (function Some v -> v | None -> assert false) results
 
-let map_array ~pool f items =
-  if pool.jobs = 1 || Array.length items <= 1 then seq_map_array f items
-  else par_map_array ~jobs:pool.jobs f items
-
-let map ~pool f items = Array.to_list (map_array ~pool f (Array.of_list items))
-
+(* [jobs = 1] (or a single item) is plain [Array.init]: index order,
+   stopping at the first exception, as if the pool did not exist. *)
 let init ~pool n f =
   if n < 0 then invalid_arg "Pool.init: negative length";
-  map_array ~pool f (Array.init n Fun.id)
-
-(* Overlap a single independent task with the caller's continuing work:
-   on a pooled worker when the pool is wide enough and one is free,
-   inline (deferred to the join) otherwise.  The result is identical
-   either way — only wall-clock changes. *)
-let background ~pool task =
-  match if pool.jobs <= 1 then [] else acquire 1 with
-  | [] ->
-    let result = ref None in
-    fun () ->
-      (match !result with
-      | None ->
-        let r = (try Ok (task ()) with e -> Error e) in
-        result := Some r
-      | Some _ -> ());
-      (match Option.get !result with Ok v -> v | Error e -> raise e)
-  | w :: _ ->
-    let slot = ref None in
-    submit w (fun () -> slot := Some (try Ok (task ()) with e -> Error e));
-    fun () ->
-      await_parked w;
-      match !slot with
-      | Some (Ok v) -> v
-      | Some (Error e) -> raise e
-      | None -> failwith "Pool.background: worker died before completing task"
+  if pool.jobs = 1 || n <= 1 then Array.init n f else par_init ~jobs:pool.jobs n f

@@ -9,10 +9,10 @@
     runs share no mutable state and map directly onto OCaml 5 domains.
 
     {b Worker reuse}: domains are spawned at most once per process and
-    parked on a condition variable between fan-outs.  [map]/[map_array]
-    borrow up to [jobs - 1] idle workers, submit one chunk-claiming
-    batch closure to each, participate from the calling domain, and
-    return the workers to the shared pool when the batch drains.  Two
+    parked on a condition variable between fan-outs.  {!init} borrows up
+    to [jobs - 1] idle workers, submits one chunk-claiming batch closure
+    to each, participates from the calling domain, and returns the
+    workers to the shared pool when the batch drains.  Two
     successive calls reuse the same domains ({!spawned_domains} is how
     tests pin this down); the old spawn-per-call design paid a domain
     spawn/join per fan-out, which is where `--jobs n` used to lose to
@@ -22,8 +22,8 @@
     chunks off a shared cursor.  Tasks here are coarse (whole program
     runs), so chunked self-scheduling balances well without queues.
 
-    {b Determinism contract}: [map ~pool f items] returns results in
-    item order and [f] receives exactly the same arguments regardless of
+    {b Determinism contract}: [init ~pool n f] returns results in index
+    order and [f] receives exactly the same arguments regardless of
     [jobs] — any seed material must be assigned {e before} the fan-out
     (see {!Dh_rng.Seed.split}).  Given a pure [f], the
     result is byte-identical for every [jobs] setting, and also when a
@@ -51,33 +51,19 @@ val default_jobs : unit -> int
 val jobs : t -> int
 (** The width this pool was created with. *)
 
-val map : pool:t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~pool f items] applies [f] to every item, running up to
-    [jobs pool] applications on concurrent domains, and returns the
-    results in item order.  Exceptions are captured per item; once every
-    item has been attempted, the exception of the {e lowest-indexed}
-    failing item is re-raised — the same exception the sequential path
-    surfaces.  With [jobs = 1] (or fewer than two items) this is plain
-    sequential iteration in index order. *)
-
-val map_array : pool:t -> ('a -> 'b) -> 'a array -> 'b array
-(** {!map} over arrays (the list version is a wrapper around this). *)
-
 val init : pool:t -> int -> (int -> 'a) -> 'a array
-(** [init ~pool n f] is [map_array ~pool f [|0; ...; n-1|]]. *)
-
-val background : pool:t -> (unit -> 'a) -> unit -> 'a
-(** [background ~pool task] starts [task] on a borrowed pool worker and
-    returns a join thunk; calling the thunk waits for and returns the
-    task's result (re-raising its exception).  When [jobs pool = 1], or
-    no worker is free, [task] instead runs inline at join time — same
-    result, no overlap.  The task must share no mutable state with the
-    caller's continuing work. *)
+(** [init ~pool n f] is [[|f 0; ...; f (n-1)|]], running up to
+    [jobs pool] applications on concurrent domains.  Results come back
+    in index order.  Exceptions are captured per item; once every item
+    has been attempted, the exception of the {e lowest-indexed} failing
+    item is re-raised — the same exception the sequential path surfaces.
+    With [jobs = 1] (or [n <= 1]) this is [Array.init n f].  Raises
+    [Invalid_argument] if [n < 0]. *)
 
 val spawned_domains : unit -> int
 (** Worker domains spawned by the process-wide pool since the last
     {!quiesce} — {e stable} across repeated fan-outs of the same width:
-    reuse means two successive [map_array] calls leave it unchanged.
+    reuse means two successive {!init} calls leave it unchanged.
     Introspection for tests and capacity audits. *)
 
 val quiesce : unit -> unit

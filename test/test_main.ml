@@ -30,7 +30,6 @@ let () =
       ("adaptive", Test_adaptive.suite);
       ("tools", Test_tools.suite);
       ("hybrid", Test_hybrid.suite);
-      ("replacement", Test_replacement.suite);
       ("apps-extra", Test_apps_extra.suite);
       ("properties", Test_properties.suite);
       ("corpus", Test_corpus.suite);

@@ -80,36 +80,17 @@ let test_histogram_observe () =
 
 let test_disabled_is_noop () =
   with_clean @@ fun () ->
-  let c = Metrics.counter "test.noop.counter" in
   let h = Metrics.histogram "test.noop.hist" in
   Control.with_enabled false (fun () ->
-      Metrics.add c 42;
       Metrics.observe h 42;
       (* the sign check only runs while enabled: no raise here *)
       Metrics.observe h (-1);
       Tracing.instant "test.noop";
       Tracing.span "test.noop.span" (fun () -> ());
       Recorder.trigger ~reason:"noop" ());
-  check_int "counter untouched" 0 (Metrics.counter_value c);
   check_int "histogram untouched" 0 (Quantile.count (Quantile.snapshot h));
   check_int "no events" 0 (List.length (Tracing.events ()));
   check_int "no reports" 0 (List.length (Recorder.reports ()))
-
-let test_counter_shard_merge () =
-  with_clean @@ fun () ->
-  let c = Metrics.counter "test.shard.counter" in
-  let domains =
-    Array.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to 1000 do
-              Metrics.incr c
-            done))
-  in
-  for _ = 1 to 1000 do
-    Metrics.incr c
-  done;
-  Array.iter Domain.join domains;
-  check_int "merged across shards" 5000 (Metrics.counter_value c)
 
 let test_gauges () =
   with_clean @@ fun () ->
@@ -129,15 +110,14 @@ let test_gauges () =
 
 let test_kind_mismatch () =
   with_clean @@ fun () ->
-  ignore (Metrics.counter "test.kind");
+  Metrics.gauge_fn "test.kind" (fun () -> 0);
   match Metrics.histogram "test.kind" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind mismatch accepted"
 
 let test_csv_dump () =
   with_clean @@ fun () ->
-  let c = Metrics.counter "test.csv.counter" in
-  Metrics.add c 3;
+  Metrics.gauge_fn "test.csv.gauge" (fun () -> 3);
   let h = Metrics.histogram "test.csv.histogram" in
   List.iter (Metrics.observe h) [ 1; 2; 3; 4; 100 ];
   let csv = Metrics.to_csv () in
@@ -145,18 +125,15 @@ let test_csv_dump () =
   (match lines with
   | header :: _ -> check_str "header" "name,kind,value,p50,p99,detail" header
   | [] -> Alcotest.fail "empty csv");
-  check "counter row present" true
-    (List.exists
-       (fun l ->
-         String.length l >= 22 && String.sub l 0 22 = "test.csv.counter,count")
-       lines);
-  (* Counters leave the quantile cells empty; histograms fill both. *)
+  check "gauge row present" true
+    (List.exists (String.starts_with ~prefix:"test.csv.gauge,gauge,3,") lines);
+  (* Gauges leave the quantile cells empty; histograms fill both. *)
   List.iter
     (fun l ->
       match String.split_on_char ',' l with
-      | [ "test.csv.counter"; _; _; p50; p99; _ ] ->
-        check_str "counter p50 empty" "" p50;
-        check_str "counter p99 empty" "" p99
+      | [ "test.csv.gauge"; _; _; p50; p99; _ ] ->
+        check_str "gauge p50 empty" "" p50;
+        check_str "gauge p99 empty" "" p99
       | [ "test.csv.histogram"; _; _; p50; p99; _ ] ->
         check "histogram p50 integer" true (int_of_string_opt p50 <> None);
         check "histogram p99 integer" true (int_of_string_opt p99 <> None)
@@ -270,7 +247,7 @@ let test_recorder_capture () =
   Recorder.register_context "test.ctx" (fun () -> "ctx body");
   Recorder.register_context "test.ctx" (fun () -> "ctx body v2");
   Recorder.register_context "test.ctx.raising" (fun () -> failwith "boom");
-  Metrics.add (Metrics.counter "test.rec.counter") 1;
+  Metrics.gauge_fn "test.rec.gauge" (fun () -> 1);
   Recorder.trigger
     ~sections:[ { Recorder.title = "caller"; body = "caller body" } ]
     ~reason:"unit test" ();
@@ -281,7 +258,7 @@ let test_recorder_capture () =
     check_int "window bound" Recorder.window (List.length r.Recorder.events);
     check "metrics snapshot" true
       (List.exists
-         (fun row -> row.Metrics.name = "test.rec.counter")
+         (fun row -> row.Metrics.name = "test.rec.gauge")
          r.Recorder.metrics);
     let body title =
       match
@@ -368,7 +345,6 @@ let suite =
     Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
     Alcotest.test_case "histogram observe" `Quick test_histogram_observe;
     Alcotest.test_case "disabled recording is a no-op" `Quick test_disabled_is_noop;
-    Alcotest.test_case "counter shards merge" `Quick test_counter_shard_merge;
     Alcotest.test_case "gauges and callbacks" `Quick test_gauges;
     Alcotest.test_case "instrument kind mismatch" `Quick test_kind_mismatch;
     Alcotest.test_case "metrics csv dump" `Quick test_csv_dump;

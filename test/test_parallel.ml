@@ -18,30 +18,28 @@ let check_int = Alcotest.(check int)
 
 let test_pool_empty () =
   let pool = Pool.create ~jobs:4 () in
-  check "empty list" true (Pool.map ~pool (fun x -> x * 2) [] = []);
-  check "empty array" true (Pool.map_array ~pool (fun x -> x * 2) [||] = [||])
+  check "empty" true (Pool.init ~pool 0 (fun x -> x * 2) = [||])
 
 let test_pool_singleton () =
   let pool = Pool.create ~jobs:4 () in
-  check "singleton" true (Pool.map ~pool (fun x -> x + 1) [ 41 ] = [ 42 ])
+  check "singleton" true (Pool.init ~pool 1 (fun x -> x + 42) = [| 42 |])
 
 let test_pool_jobs_exceed_items () =
   (* More domains than work: every item still computed exactly once, in
      order. *)
   let pool = Pool.create ~jobs:8 () in
   check "3 items, 8 jobs" true
-    (Pool.map ~pool (fun x -> x * x) [ 1; 2; 3 ] = [ 1; 4; 9 ])
+    (Pool.init ~pool 3 (fun x -> (x + 1) * (x + 1)) = [| 1; 4; 9 |])
 
 let test_pool_preserves_order () =
-  let items = List.init 100 Fun.id in
-  let expected = List.map (fun x -> (x * 7) + 1) items in
+  let expected = Array.init 100 (fun x -> (x * 7) + 1) in
   List.iter
     (fun jobs ->
       let pool = Pool.create ~jobs () in
       check
         (Printf.sprintf "order at jobs=%d" jobs)
         true
-        (Pool.map ~pool (fun x -> (x * 7) + 1) items = expected))
+        (Pool.init ~pool 100 (fun x -> (x * 7) + 1) = expected))
     [ 1; 2; 3; 4; 7 ]
 
 let test_pool_exception_propagation () =
@@ -51,7 +49,7 @@ let test_pool_exception_propagation () =
   List.iter
     (fun jobs ->
       let pool = Pool.create ~jobs () in
-      match Pool.map ~pool f (List.init 10 Fun.id) with
+      match Pool.init ~pool 10 f with
       | _ -> Alcotest.fail "exception swallowed"
       | exception Failure msg ->
         Alcotest.(check string)
@@ -141,7 +139,7 @@ let replicated_report ~jobs ~master ~replicas program =
     ~config:(small_config ~jobs)
     ~replicas
     ~seed_pool:(Seed.create ~master)
-    ~replace_failed:1 program
+    program
 
 let prop_replicated_jobs_equivalence =
   QCheck.Test.make ~name:"replicated: jobs=n report equals jobs=1" ~count:15
@@ -209,8 +207,10 @@ let supervisor_incident ~jobs ~master =
     seed_sensitive_crasher
 
 let test_supervisor_jobs_equivalence () =
-  (* Find a master whose first attempt fails so the concurrent diagnosis
-     path is actually exercised, then require incident equality. *)
+  (* The supervisor is sequential: [config.jobs] must neither change an
+     incident nor start a domain.  Find a master whose first attempt
+     fails so the retries and the diagnosis replay are actually
+     exercised, then require incident equality. *)
   let rec find_failing master =
     if master > 64 then Alcotest.fail "no first-attempt failure in 64 masters"
     else
@@ -221,8 +221,10 @@ let test_supervisor_jobs_equivalence () =
   in
   let master, seq = find_failing 1 in
   check "diagnosis ran" true (seq.Supervisor.diagnosis <> None);
+  Pool.quiesce ();
   check "incident at jobs=2 equals jobs=1" true
     (supervisor_incident ~jobs:2 ~master = seq);
+  check_int "no domain spawned at jobs=2" 0 (Pool.spawned_domains ());
   (* and a first-try success stays equal too *)
   let rec find_ok master =
     if master > 64 then Alcotest.fail "no first-attempt success in 64 masters"
@@ -238,14 +240,14 @@ let test_supervisor_jobs_equivalence () =
 (* --- long-lived worker reuse --- *)
 
 (* Workers are spawned once and parked between fan-outs: successive
-   map_array calls must borrow the same domains, not spawn fresh ones —
+   [init] calls must borrow the same domains, not spawn fresh ones —
    the regression behind the old negative `--jobs` scaling. *)
 let test_pool_worker_reuse () =
   let pool = Pool.create ~jobs:4 () in
-  ignore (Pool.map_array ~pool (fun x -> x + 1) (Array.init 64 Fun.id));
+  ignore (Pool.init ~pool 64 (fun x -> x + 1));
   let spawned = Pool.spawned_domains () in
   check "workers were spawned for jobs=4" true (spawned >= 3);
-  ignore (Pool.map_array ~pool (fun x -> x * 2) (Array.init 128 Fun.id));
+  ignore (Pool.init ~pool 128 (fun x -> x * 2));
   ignore (Pool.init ~pool 64 Fun.id);
   check_int "successive fan-outs reuse parked domains" spawned
     (Pool.spawned_domains ());
@@ -254,7 +256,7 @@ let test_pool_worker_reuse () =
      respawns transparently. *)
   Pool.quiesce ();
   check_int "quiesce retires every worker" 0 (Pool.spawned_domains ());
-  ignore (Pool.map_array ~pool (fun x -> x - 1) (Array.init 64 Fun.id));
+  ignore (Pool.init ~pool 64 (fun x -> x - 1));
   check "fan-out after quiesce respawns" true (Pool.spawned_domains () > 0)
 
 (* --- telemetry under the pool --- *)
@@ -266,17 +268,14 @@ let test_metrics_shard_merge_under_pool () =
   Fun.protect ~finally:(fun () -> Dh_obs.Metrics.reset ())
   @@ fun () ->
   Dh_obs.Metrics.reset ();
-  let c = Dh_obs.Metrics.counter "test.pool.items" in
   let h = Dh_obs.Metrics.histogram "test.pool.sizes" in
   let pool = Pool.create ~jobs:4 () in
   let out =
     Pool.init ~pool 200 (fun i ->
-        Dh_obs.Metrics.incr c;
         Dh_obs.Metrics.observe h i;
         i)
   in
   check "work really happened" true (out = Array.init 200 Fun.id);
-  check_int "counter merges worker shards" 200 (Dh_obs.Metrics.counter_value c);
   let merged = Dh_obs.Quantile.snapshot h in
   check_int "histogram merges worker shards" 200 (Dh_obs.Quantile.count merged);
   check_int "histogram sum" (199 * 200 / 2) (Dh_obs.Quantile.sum merged)
@@ -307,10 +306,9 @@ let prop_observation_invariance =
       && strip (observed ~jobs:4) = strip baseline)
 
 (* The Squid-style server under the supervisor with telemetry enabled:
-   the full stack at once — long-lived worker pool, per-domain metric
-   cells, sampled heap trace instants — must
-   keep `--jobs n` identical to `--jobs 1` on a realistic workload, not
-   just on the micro-programs above. *)
+   metric cells, sampled heap trace instants and the retry ladder at once
+   must keep an incident at [jobs = n] identical to [jobs = 1] on a
+   realistic workload, not just on the micro-programs above. *)
 let server_incident ~jobs ~master ~attack_every =
   Supervisor.run
     ~config:(Config.v ~heap_size:Dh_workload.Server.heap_size ~jobs ())

@@ -211,6 +211,224 @@ let test_divergent_tail_killed () =
   check "prefix committed" true
     (String.length report.Replicated.output >= Voter.chunk_size)
 
+(* --- voted-report pins ---
+
+   Full reports — verdict, committed output, barrier count and every
+   replica's id, seed, outcome and elimination — recorded from a
+   known-good build.  Any drift in seed planning, barrier settling or
+   elimination order shows up here. *)
+
+(* Crashes in replicas whose heap garbage has the low bit set — i.e. in
+   roughly half of all seeds. *)
+let flaky =
+  Program.make ~name:"flaky" (fun ctx ->
+      let a = ctx.Program.alloc in
+      let p = Allocator.malloc_exn a 8 in
+      let garbage = Mem.read64 a.Allocator.mem p in
+      if garbage land 1 = 1 then ignore (Mem.read8 a.Allocator.mem 0);
+      Process.Out.print_string ctx.Program.out "steady")
+
+let ok = Process.Exited 0
+let segv = Process.Crashed (Dh_mem.Fault.Unmapped { addr = 0; access = Dh_mem.Fault.Read })
+
+let expect verdict output barriers replicas =
+  {
+    Replicated.verdict;
+    output;
+    barriers;
+    replicas =
+      List.map
+        (fun (id, seed, outcome, eliminated) -> { Replicated.id; seed; outcome; eliminated })
+        replicas;
+  }
+
+let pp_report ppf (r : Replicated.report) =
+  let verdict =
+    match r.Replicated.verdict with
+    | Replicated.Agreed -> "agreed"
+    | Replicated.Uninit_read_detected -> "uninit read detected"
+    | Replicated.No_quorum -> "no quorum"
+    | Replicated.All_died -> "all died"
+  in
+  Format.fprintf ppf "%s, output %S, %d barriers" verdict r.Replicated.output
+    r.Replicated.barriers;
+  List.iter
+    (fun (x : Replicated.replica_report) ->
+      Format.fprintf ppf "@\n  replica %d seed=%d %a%s" x.Replicated.id x.Replicated.seed
+        Process.pp_outcome x.Replicated.outcome
+        (match x.Replicated.eliminated with
+        | None -> ""
+        | Some Replicated.Died -> " died"
+        | Some (Replicated.Voted_out j) -> Printf.sprintf " voted out at %d" j))
+    r.Replicated.replicas
+
+let report_t = Alcotest.testable pp_report ( = )
+
+(* (replicas, master) -> the report of [flaky] on that seed pool. *)
+let flaky_pins =
+  Replicated.
+    [
+      ((1, 1), expect Agreed "steady" 1 [ (0, 1097491722282735498, ok, None) ]);
+      ((1, 2), expect Agreed "steady" 1 [ (0, -2284564543842837636, ok, None) ]);
+      ((1, 3), expect Agreed "steady" 1 [ (0, 4016640831430751736, ok, None) ]);
+      ((1, 4), expect Agreed "steady" 1 [ (0, -2299433752933698255, ok, None) ]);
+      ((1, 5), expect Agreed "steady" 1 [ (0, 2419891404314872272, ok, None) ]);
+      ((1, 6), expect Agreed "steady" 1 [ (0, -2329965118488334125, ok, None) ]);
+      ((1, 7), expect All_died "" 0 [ (0, -2027732830715113560, segv, Some Died) ]);
+      ((1, 8), expect Agreed "steady" 1 [ (0, -1751237440732089038, ok, None) ]);
+      ( (3, 1),
+        expect Agreed "steady" 1
+          [
+            (0, 1097491722282735498, ok, None);
+            (1, 4533873169916685415, segv, Some Died);
+            (2, 506539224056949435, segv, Some Died);
+          ] );
+      ( (3, 2),
+        expect Agreed "steady" 1
+          [
+            (0, -2284564543842837636, ok, None);
+            (1, 916244348587400354, ok, None);
+            (2, 3510497739974877218, segv, Some Died);
+          ] );
+      ( (3, 3),
+        expect Agreed "steady" 1
+          [
+            (0, 4016640831430751736, ok, None);
+            (1, 15007075787069225, ok, None);
+            (2, 2300599727732774152, segv, Some Died);
+          ] );
+      ( (3, 4),
+        expect Agreed "steady" 1
+          [
+            (0, -2299433752933698255, ok, None);
+            (1, -1984743371631448016, segv, Some Died);
+            (2, -4304502854145568113, ok, None);
+          ] );
+      ( (3, 5),
+        expect Agreed "steady" 1
+          [
+            (0, 2419891404314872272, ok, None);
+            (1, -4569129091980642568, segv, Some Died);
+            (2, -4132645360422605817, segv, Some Died);
+          ] );
+      ( (3, 6),
+        expect Agreed "steady" 1
+          [
+            (0, -2329965118488334125, ok, None);
+            (1, 2689419059127622713, segv, Some Died);
+            (2, -2138713294752435156, segv, Some Died);
+          ] );
+      ( (3, 7),
+        expect Agreed "steady" 1
+          [
+            (0, -2027732830715113560, segv, Some Died);
+            (1, -3370066741713296388, segv, Some Died);
+            (2, 3043364412482931806, ok, None);
+          ] );
+      ( (3, 8),
+        expect Agreed "steady" 1
+          [
+            (0, -1751237440732089038, ok, None);
+            (1, 2065077885512546305, segv, Some Died);
+            (2, -4610098650640271303, segv, Some Died);
+          ] );
+      ( (5, 1),
+        expect Agreed "steady" 1
+          [
+            (0, 1097491722282735498, ok, None);
+            (1, 4533873169916685415, segv, Some Died);
+            (2, 506539224056949435, segv, Some Died);
+            (3, -1026391283032995573, segv, Some Died);
+            (4, -1028134799727807047, ok, None);
+          ] );
+      ( (5, 2),
+        expect Agreed "steady" 1
+          [
+            (0, -2284564543842837636, ok, None);
+            (1, 916244348587400354, ok, None);
+            (2, 3510497739974877218, segv, Some Died);
+            (3, -647496712838598460, segv, Some Died);
+            (4, 204180845353090185, segv, Some Died);
+          ] );
+      ( (5, 3),
+        expect Agreed "steady" 1
+          [
+            (0, 4016640831430751736, ok, None);
+            (1, 15007075787069225, ok, None);
+            (2, 2300599727732774152, segv, Some Died);
+            (3, -2335602064567464785, segv, Some Died);
+            (4, -1551019079331620234, ok, None);
+          ] );
+      ( (5, 4),
+        expect Agreed "steady" 1
+          [
+            (0, -2299433752933698255, ok, None);
+            (1, -1984743371631448016, segv, Some Died);
+            (2, -4304502854145568113, ok, None);
+            (3, -151738049998096226, ok, None);
+            (4, -1944646736597693767, ok, None);
+          ] );
+      ( (5, 5),
+        expect Agreed "steady" 1
+          [
+            (0, 2419891404314872272, ok, None);
+            (1, -4569129091980642568, segv, Some Died);
+            (2, -4132645360422605817, segv, Some Died);
+            (3, 1832488697174800709, ok, None);
+            (4, 3467252261107883461, segv, Some Died);
+          ] );
+      ( (5, 6),
+        expect Agreed "steady" 1
+          [
+            (0, -2329965118488334125, ok, None);
+            (1, 2689419059127622713, segv, Some Died);
+            (2, -2138713294752435156, segv, Some Died);
+            (3, -1732907969454073744, segv, Some Died);
+            (4, -2743727795137459577, segv, Some Died);
+          ] );
+      ( (5, 7),
+        expect Agreed "steady" 1
+          [
+            (0, -2027732830715113560, segv, Some Died);
+            (1, -3370066741713296388, segv, Some Died);
+            (2, 3043364412482931806, ok, None);
+            (3, -2149962215491869013, segv, Some Died);
+            (4, -4557048304730608006, ok, None);
+          ] );
+      ( (5, 8),
+        expect Agreed "steady" 1
+          [
+            (0, -1751237440732089038, ok, None);
+            (1, 2065077885512546305, segv, Some Died);
+            (2, -4610098650640271303, segv, Some Died);
+            (3, 666171942060801460, ok, None);
+            (4, 1177231695481881802, segv, Some Died);
+          ] );
+    ]
+
+let test_voted_report_pins () =
+  let config = Config.v ~heap_size:(12 * 256 * 1024) () in
+  List.iter
+    (fun ((replicas, master), want) ->
+      let got =
+        Replicated.run ~config ~replicas ~seed_pool:(Dh_rng.Seed.create ~master) flaky
+      in
+      Alcotest.check report_t
+        (Printf.sprintf "flaky, %d replicas, master %d" replicas master)
+        want got;
+      check_int "exactly the original replicas" replicas
+        (List.length got.Replicated.replicas))
+    flaky_pins;
+  Alcotest.check report_t "uninit read, 3 replicas"
+    Replicated.(
+      expect Uninit_read_detected "" 1
+        [
+          (0, 1097491722282735498, ok, Some (Voted_out 0));
+          (1, 4533873169916685415, ok, Some (Voted_out 0));
+          (2, 506539224056949435, ok, Some (Voted_out 0));
+        ])
+    (Replicated.run ~replicas:3 uninit_read_program)
+
 (* --- stand-alone runtime --- *)
 
 let test_standalone_runs () =
@@ -247,6 +465,7 @@ let suite =
     Alcotest.test_case "all replicas crash" `Quick test_all_replicas_crash;
     Alcotest.test_case "multi-chunk output" `Quick test_multi_chunk_output;
     Alcotest.test_case "divergent tail" `Quick test_divergent_tail_killed;
+    Alcotest.test_case "voted report pins" `Quick test_voted_report_pins;
     Alcotest.test_case "standalone runs" `Quick test_standalone_runs;
     Alcotest.test_case "standalone seed layout" `Quick test_standalone_seed_changes_layout;
   ]

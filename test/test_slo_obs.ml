@@ -139,16 +139,15 @@ let test_latency_never_negative () =
   done
 
 (* Four domains record disjoint slices into a histogram (each through
-   its own shared handle), a counter and the audit (both through one
-   handle all four use at once, so their cached cells keep being
-   evicted; the audit's feed also carries two histograms).  Every merged
+   its own shared handle) and the audit (through one handle all four use
+   at once, so its cached cells keep being evicted; the audit's feed
+   also carries two histograms).  Every merged
    read must equal a sequential oracle. *)
 let test_shard_merge_under_domains () =
   with_clean @@ fun () ->
   Audit.reset ();
   Fun.protect ~finally:Audit.reset @@ fun () ->
   let t = Dh_obs.Metrics.histogram "test.sharded" in
-  let c = Dh_obs.Metrics.counter "test.sharded.count" in
   let probes_h = Dh_obs.Metrics.histogram "test.sharded.probes" in
   let bytes_h = Dh_obs.Metrics.histogram "test.sharded.bytes" in
   let lc = Audit.local ~probes:probes_h ~bytes:bytes_h in
@@ -167,7 +166,6 @@ let test_shard_merge_under_domains () =
                 List.iter
                   (fun v ->
                     Quantile.record local v;
-                    Dh_obs.Metrics.add c v;
                     record_audit v)
                   (slice d))))
   in
@@ -190,8 +188,6 @@ let test_shard_merge_under_domains () =
   let remerged = Quantile.merge merged Quantile.empty in
   check_int "merge with empty is identity" (Quantile.count merged)
     (Quantile.count remerged);
-  check_int "merged counter" (List.fold_left ( + ) 0 all)
-    (Dh_obs.Metrics.counter_value c);
   let audit_matches vs =
     let snap = Audit.snapshot () in
     let allocs = Array.make Audit.max_classes 0 in
