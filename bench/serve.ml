@@ -73,8 +73,7 @@ type leg = {
   throughput : float;  (* requests/s over the whole ladder *)
   latency : Dh_obs.Quantile.snapshot;
   slo : slo;
-  err_rate : float;  (* trailing-window rates at end of run *)
-  rewind_rate : float;
+  rewind_rate : float;  (* trailing-window rate at end of run *)
   rewinds : int;
   checkpoints : int;
   survived_randomized : bool;
@@ -164,7 +163,6 @@ let run_leg ~requests ~seed () =
     throughput = float_of_int requests /. Float.max wall_s 1e-9;
     latency;
     slo = slo_of latency ~rewinds;
-    err_rate = window_rate "serve.errors";
     rewind_rate = window_rate "serve.rewinds";
     rewinds;
     checkpoints = recovery_sum (fun r -> r.Supervisor.checkpoints);
@@ -204,7 +202,6 @@ let leg_section l =
           (100. *. l.slo.budget_used)
           (if l.slo.breached then " (BREACHED)" else "");
       ];
-      [ "trailing error rate"; Printf.sprintf "%.5f /tick" l.err_rate ];
       [ "trailing rewind rate"; Printf.sprintf "%.5f /tick" l.rewind_rate ];
       [ "rewinds"; string_of_int l.rewinds ];
       [ "checkpoints"; string_of_int l.checkpoints ];

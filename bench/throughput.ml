@@ -408,11 +408,11 @@ let checkpoint_bench ~quick =
 let obs_heap () = Diehard.Heap.create ~config:(Diehard.Config.v ~seed:1 ()) (Mem.create ())
 
 (* The work obs does per heap operation, counted from instrument totals
-   rather than timed: audit records (a malloc's one record also carries
-   its "heap.malloc.probes" and "heap.malloc.bytes" samples) plus the
-   sampled "heap.malloc"/"heap.free" trace instants, per malloc and per
-   free.  Counted on a short run of the same churn, with obs on, small
-   enough that all of its trace events are still in the ring. *)
+   rather than timed: audit records (a malloc's one record is a cell
+   lookup and plain adds) plus the sampled "heap.malloc"/"heap.free"
+   trace instants, per malloc and per free.  Counted on a short run of
+   the same churn, with obs on, small enough that all of its trace
+   events are still in the ring. *)
 let obs_records () =
   let heap = obs_heap () in
   let audit_totals () =

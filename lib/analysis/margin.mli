@@ -19,8 +19,8 @@
     - the observed slot-choice entropy against the uniform ideal —
       the randomness assumption every theorem rests on.
 
-    Alongside: the empirical masking rates accumulated from fault
-    campaigns ({!Dh_obs.Audit.record_error_trials}) and the top
+    Alongside: the empirical masking rates recorded by the audit
+    bench's trials ({!Dh_obs.Audit.record_error_trials}) and the top
     offending allocation sites.  All ratios are guarded — an empty or
     never-allocated class reads as 0, never NaN. *)
 

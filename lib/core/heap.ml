@@ -94,32 +94,17 @@ type t = {
          mesh-on runs would diverge before the first mesh. *)
   regions : region array;
   large : large;
-  mutable large_sites : int Imap.t;
-      (* payload -> site id, audit provenance only.  Entries are kept
-         after free (dangling attribution) and never rewound. *)
+  mutable large_sites : (int * int) Imap.t;
+      (* payload -> (mapped size, site id), audit provenance only.
+         Entries are kept after free (dangling attribution) and never
+         rewound. *)
   stats : Stats.t;
   mutable freed_since_mesh : int;  (* bytes freed since the last pass *)
   mutable meshes : int;  (* cumulative successful meshes *)
-  mutable obs : Dh_obs.Audit.local option;  (* see [obs_feed] *)
+  obs : Dh_obs.Audit.local;
+      (* The heap's own audit handle: a heap records from one domain at a
+         time, so each record is a domain-id compare and plain adds. *)
 }
-
-(* The flight recorder asks for this at fault time: live slots per size
-   class, so an incident report shows how full the heap was. *)
-let occupancy_summary t () =
-  let b = Buffer.create 256 in
-  Array.iter
-    (fun region ->
-      if region.base <> 0 || region.in_use > 0 then
-        Buffer.add_string b
-          (Printf.sprintf "class %2d (%5dB): %d/%d in use (threshold %d)\n"
-             region.class_
-             (Size_class.size region.class_)
-             region.in_use region.capacity region.threshold))
-    t.regions;
-  let larges = Imap.cardinal t.large.objects in
-  if larges > 0 then Buffer.add_string b (Printf.sprintf "large objects: %d\n" larges);
-  if Buffer.length b = 0 then Buffer.add_string b "heap empty (no region mapped)\n";
-  Buffer.contents b
 
 let create ?(config = Config.default) mem =
   let regions =
@@ -157,16 +142,16 @@ let create ?(config = Config.default) mem =
       stats = Stats.create ();
       freed_since_mesh = 0;
       meshes = 0;
-      obs = None;
+      obs = Dh_obs.Audit.local ();
     }
   in
   if Dh_obs.Control.enabled () then begin
     Stats.register ~prefix:"heap" t.stats;
     Dh_obs.Metrics.gauge_fn "heap.meshes" (fun () -> t.meshes);
-    Dh_obs.Recorder.register_context "heap.occupancy" (occupancy_summary t);
-    (* The audit reads authoritative occupancy (live / threshold /
-       capacity per class) straight from the newest heap; cumulative
-       audit counters would drift across checkpoint rewinds. *)
+    (* The audit (and through it the flight recorder) reads
+       authoritative occupancy per class straight from the newest heap;
+       cumulative audit counters would drift across checkpoint
+       rewinds. *)
     Dh_obs.Audit.set_occupancy_provider (fun () ->
         Array.to_list t.regions
         |> List.filter_map (fun region ->
@@ -175,31 +160,13 @@ let create ?(config = Config.default) mem =
                  Some
                    {
                      Dh_obs.Audit.occ_class = region.class_;
+                     occ_size = Size_class.size region.class_;
                      live = region.in_use;
                      threshold = region.threshold;
                      capacity = region.capacity;
-                   }));
-    Dh_obs.Recorder.register_context "audit.top-sites" Dh_obs.Audit.top_sites_summary
+                   }))
   end;
   t
-
-(* The heap's audit feed, resolved once per heap (lazily, so heaps built
-   before telemetry is switched on still pick it up): interning the
-   malloc histograms takes the registry mutex, which is far too heavy for
-   the per-malloc path and serializes concurrent heaps.  The feed is the
-   heap's own [Dh_obs.Cell] handle — a heap records from one domain at a
-   time, so each record is a domain-id compare and plain adds. *)
-let obs_feed t =
-  match t.obs with
-  | Some o -> o
-  | None ->
-    let o =
-      Dh_obs.Audit.local
-        ~probes:(Dh_obs.Metrics.histogram "heap.malloc.probes")
-        ~bytes:(Dh_obs.Metrics.histogram "heap.malloc.bytes")
-    in
-    t.obs <- Some o;
-    o
 
 let site_get tbl i =
   match tbl.width with
@@ -336,16 +303,12 @@ let ensure_mapped t region =
    audit records. *)
 let malloc_large t sz =
   let payload = large_malloc t.large t.mem t.stats sz in
-  if t.config.Config.replicated then begin
-    let len = (Imap.find payload t.large.objects).size in
-    Mem.fill_random t.mem ~addr:payload ~len t.rng
-  end;
+  let size = (Imap.find payload t.large.objects).size in
+  if t.config.Config.replicated then Mem.fill_random t.mem ~addr:payload ~len:size t.rng;
   if Dh_obs.Control.enabled () then begin
-    let o = obs_feed t in
     let site = Dh_obs.Audit.current_site () in
-    t.large_sites <- Imap.add payload site t.large_sites;
-    Dh_obs.Audit.record_alloc o ~class_:large_class ~index:(-1) ~capacity:0 ~probes:0
-      ~bytes:sz ~site;
+    t.large_sites <- Imap.add payload (size, site) t.large_sites;
+    Dh_obs.Audit.record_alloc t.obs ~class_:large_class ~index:(-1) ~capacity:0 ~site;
     Dh_obs.Tracing.instant ~arg:(string_of_int sz) "heap.malloc.large"
   end;
   Some payload
@@ -353,9 +316,11 @@ let malloc_large t sz =
 let free_large t addr =
   if large_free t.large t.mem t.stats addr && Dh_obs.Control.enabled () then begin
     let site =
-      Option.value (Imap.find_opt addr t.large_sites) ~default:Dh_obs.Audit.unknown
+      match Imap.find_opt addr t.large_sites with
+      | Some (_, site) -> site
+      | None -> Dh_obs.Audit.unknown
     in
-    Dh_obs.Audit.record_free (obs_feed t) ~class_:large_class ~site
+    Dh_obs.Audit.record_free t.obs ~class_:large_class ~site
   end
 
 (* --- page meshing (MESH, Powers et al.): compacting the randomized
@@ -501,17 +466,17 @@ let meshes t = t.meshes
 (* --- small objects: randomized bitmap allocation (Figure 2) --- *)
 
 (* Telemetry for the small-object path, one audit record per malloc:
-   probe count and request size (§4.2's expected-probes analysis,
-   observed live, published as "heap.malloc.probes"/"heap.malloc.bytes"),
-   slot position (randomness entropy), size-class flow, and the
-   ambient allocation site ({!Dh_obs.Audit.current_site}, which the
-   workload bracketed) — plus a sampled "heap.malloc" instant. *)
-let observe_malloc t ~probes ~bytes ~region ~index =
+   slot position (randomness entropy), size-class flow, and the ambient
+   allocation site ({!Dh_obs.Audit.current_site}, which the workload
+   bracketed) — plus a sampled "heap.malloc" instant.  Probe counts and
+   requested bytes are [Stats]' to keep (§4.2's expected-probes
+   analysis reads "heap.probes" over "heap.mallocs"). *)
+let observe_malloc t ~bytes ~region ~index =
   if Dh_obs.Control.enabled () then begin
     let site = Dh_obs.Audit.current_site () in
     site_set region.sites ~capacity:region.capacity index site;
-    Dh_obs.Audit.record_alloc (obs_feed t) ~class_:region.class_ ~index
-      ~capacity:region.capacity ~probes ~bytes ~site;
+    Dh_obs.Audit.record_alloc t.obs ~class_:region.class_ ~index
+      ~capacity:region.capacity ~site;
     if (t.stats.Stats.mallocs - 1) mod trace_sample = 0 then
       Dh_obs.Tracing.instant ~arg:(string_of_int bytes) "heap.malloc"
   end
@@ -529,7 +494,7 @@ let malloc_small t sz class_ =
        the mesher keeps this to pathological sequences. *)
     t.stats.Stats.failed_mallocs <- t.stats.Stats.failed_mallocs + 1;
     if Dh_obs.Control.enabled () then begin
-      Dh_obs.Audit.record_failed (obs_feed t) ~class_;
+      Dh_obs.Audit.record_failed t.obs ~class_;
       Dh_obs.Tracing.instant ~arg:(string_of_int class_) "heap.exhausted"
     end;
     None
@@ -570,7 +535,7 @@ let malloc_small t sz class_ =
     let addr = region.base + (index * size) in
     if t.config.Config.replicated then Mem.fill_random t.mem ~addr ~len:size t.rng;
     Stats.on_malloc t.stats ~requested:sz ~reserved:size;
-    observe_malloc t ~probes ~bytes:sz ~region ~index;
+    observe_malloc t ~bytes:sz ~region ~index;
     Some addr
   end
 
@@ -628,7 +593,7 @@ let free t addr =
               if Bytes.length region.sites.ids > 0 then site_get region.sites index
               else Dh_obs.Audit.unknown
             in
-            Dh_obs.Audit.record_free (obs_feed t) ~class_:region.class_ ~site;
+            Dh_obs.Audit.record_free t.obs ~class_:region.class_ ~site;
             if (t.stats.Stats.frees - 1) mod trace_sample = 0 then
               Dh_obs.Tracing.instant ~arg:(string_of_int size) "heap.free"
           end;
@@ -645,19 +610,20 @@ let free t addr =
       else t.stats.Stats.ignored_frees <- t.stats.Stats.ignored_frees + 1
     | None -> free_large t addr
 
-(* Audit provenance: the site that allocated the object whose slot
-   covers [addr] — live or freed (a freed slot keeps its last site, so
-   dangling accesses still attribute).  [None] when provenance was never
-   recorded (obs off, or the slot never allocated). *)
+(* Audit provenance: the site that allocated the object whose slot or
+   mapping covers [addr] — live or freed (a freed slot keeps its last
+   site, and a freed large object its entry, so dangling accesses still
+   attribute).  [None] when provenance was never recorded (obs off, or
+   the bytes never allocated). *)
 let site_of_addr t addr =
   match region_containing t addr with
   | Some region ->
     if Bytes.length region.sites.ids = 0 then None
     else Some (site_get region.sites ((addr - region.base) / Size_class.size region.class_))
   | None -> (
-    match large_find t.large addr with
-    | Some o -> Imap.find_opt o.Allocator.base t.large_sites
-    | None -> None)
+    match Imap.find_last_opt (fun payload -> payload <= addr) t.large_sites with
+    | Some (payload, (size, site)) when addr < payload + size -> Some site
+    | Some _ | None -> None)
 
 let slot_of_addr t addr =
   match region_containing t addr with

@@ -141,9 +141,8 @@ type fault_action =
    A request's latency runs from the previous request's completion (or
    from the moment its window was armed) to its own: the clock is read
    once per request, and arming stays out of the sample.  The rewind
-   window's clock is the request index — windowed error / rewind rates
-   are deterministic functions of the run.  Geometry matches the
-   serve.errors window the server itself stamps. *)
+   window's clock is the request index, so the windowed rewind rate is a
+   deterministic function of the run. *)
 type serve_obs = {
   so_latency : Dh_obs.Metrics.histogram;
   so_rewinds : Dh_obs.Window.t;
@@ -352,15 +351,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
           match fault with
           | None -> []
           | Some f ->
-            let addr =
-              match f with
-              | Dh_mem.Fault.Unmapped { addr; _ }
-              | Dh_mem.Fault.Protection { addr; _ }
-              | Dh_mem.Fault.Unmap_unmapped { addr } ->
-                addr
-              | Dh_mem.Fault.Protect_unmapped { fault_addr; _ } -> fault_addr
-            in
-            let site = site_of addr in
+            let site = site_of (Dh_mem.Fault.addr f) in
             Dh_obs.Audit.record_fault ~site;
             [ site ]
         in

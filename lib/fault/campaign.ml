@@ -63,26 +63,10 @@ let run ?(input = "") ?(fuel = 50_000_000) ?(jobs = 1) ~trials ~spec ~make_alloc
              classify ~reference (Program.run ~input ~fuel program injected)))
     in
     let count c = List.length (List.filter (fun x -> x = c) runs) in
-    let correct = count Correct in
-    (* Feed the safety-margin audit: a correct run is the paper's
-       "masked" outcome, and the spec's dominant rate names the error
-       class under test, so the campaign's tally IS an empirical
-       masking-rate sample for the analytic curve to be checked
-       against. *)
-    if Dh_obs.Control.enabled () && trials > 0 then begin
-      let error =
-        if spec.Injector.dangling_rate > 0. then Some Dh_obs.Audit.Dangling
-        else if spec.Injector.underflow_rate > 0. then Some Dh_obs.Audit.Overflow
-        else None
-      in
-      match error with
-      | Some error -> Dh_obs.Audit.record_error_trials ~error ~masked:correct ~trials
-      | None -> ()
-    end;
     Ok
       {
         trials;
-        correct;
+        correct = count Correct;
         wrong_output = count Wrong_output;
         crashed = count Crashed;
         aborted = count Aborted;

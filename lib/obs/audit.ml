@@ -95,20 +95,11 @@ let fresh_cell () =
    handles held by live components stay valid. *)
 let cells : cell Cell.t = Cell.create fresh_cell
 
-(* What one malloc record writes, resolved once per recording domain:
-   that domain's audit cell and its cells of the caller's probe and size
-   histograms.  The histograms stay ordinary registry instruments, fed
-   through this record alone. *)
-type feed = { audit : cell; probes : Quantile.cell; bytes : Quantile.cell }
-type local = feed Cell.t
+(* A heap's own handle onto the audit cells: a heap records from one
+   domain at a time, so its cached cell is never evicted. *)
+type local = cell Cell.t
 
-let local ~probes ~bytes =
-  Cell.create (fun () ->
-      {
-        audit = Cell.get (Cell.share cells);
-        probes = Quantile.cell probes;
-        bytes = Quantile.cell bytes;
-      })
+let local () = Cell.share cells
 
 let grown a n =
   let len = Array.length a in
@@ -119,14 +110,11 @@ let grown a n =
     a'
   end
 
-let record_alloc lc ~class_ ~index ~capacity ~probes ~bytes ~site =
+let record_alloc lc ~class_ ~index ~capacity ~site =
   if Control.enabled () && class_ >= 0 && class_ < max_classes then begin
-    let f = Cell.get lc in
-    let c = f.audit in
+    let c = Cell.get lc in
     c.allocs.(class_) <- c.allocs.(class_) + 1;
-    Quantile.add f.bytes bytes;
     if capacity > 0 && index >= 0 then begin
-      Quantile.add f.probes probes;
       let b = index * slot_buckets / capacity in
       let b = if b < slot_buckets then b else slot_buckets - 1 in
       let i = (class_ * slot_buckets) + b in
@@ -141,7 +129,7 @@ let record_alloc lc ~class_ ~index ~capacity ~probes ~bytes ~site =
 
 let record_free lc ~class_ ~site =
   if Control.enabled () && class_ >= 0 && class_ < max_classes then begin
-    let c = (Cell.get lc).audit in
+    let c = Cell.get lc in
     c.frees.(class_) <- c.frees.(class_) + 1;
     if site >= 0 then begin
       if site >= Array.length c.by_site_frees then
@@ -152,13 +140,19 @@ let record_free lc ~class_ ~site =
 
 let record_failed lc ~class_ =
   if Control.enabled () && class_ >= 0 && class_ < max_classes then begin
-    let c = (Cell.get lc).audit in
+    let c = Cell.get lc in
     c.failed.(class_) <- c.failed.(class_) + 1
   end
 
 (* --- occupancy provider --- *)
 
-type occupancy = { occ_class : int; live : int; threshold : int; capacity : int }
+type occupancy = {
+  occ_class : int;
+  occ_size : int;
+  live : int;
+  threshold : int;
+  capacity : int;
+}
 
 let provider_lock = Mutex.create ()
 let provider : (unit -> occupancy list) option ref = ref None
@@ -338,21 +332,6 @@ let entropy_bits hist =
           acc -. (p *. log p /. log 2.)
         end)
       0. hist
-
-let top_sites_summary () =
-  let snap = snapshot () in
-  match top_sites snap with
-  | [] -> "(no site activity)"
-  | tops ->
-    String.concat "\n"
-      (List.map
-         (fun s ->
-           Printf.sprintf
-             "%-24s allocs=%d frees=%d canaries=%d faults=%d rescues=%d \
-              events/1k-allocs=%.2f"
-             s.name s.s_allocs s.s_frees s.canaries s.faults s.rescues
-             (1000. *. ratio (severity s) s.s_allocs))
-         tops)
 
 (* --- periodic watch --- *)
 

@@ -22,8 +22,9 @@
       {!unknown}); per-site counters attribute canary verdicts, faults
       and rescues back to the site that allocated the victim object.
     - {b Empirical outcomes} — masked/trial tallies per error class,
-      recorded by fault campaigns and the bench M-sweep, giving the
-      empirical masking rate the analytic curve is checked against.
+      recorded by the audit bench's M-sweep, giving the empirical
+      masking rate the analytic curve is checked against.  (A fault
+      campaign returns its tally instead of recording it here.)
 
     Everything recorded here is write-only telemetry behind
     {!Control.enabled}: it never feeds back into execution, so a run's
@@ -77,24 +78,18 @@ val with_site : int -> (unit -> 'a) -> 'a
 
 type local
 (** A caller-held {!Cell} handle onto the process-wide audit cells (the
-    heap keeps one per heap), caching the recording domain's cell
-    together with its cells of the caller's two malloc histograms. *)
+    heap keeps one per heap), caching the recording domain's cell. *)
 
-val local : probes:Quantile.t -> bytes:Quantile.t -> local
-(** A feed that also records each allocation's probe count into
-    [probes] and its requested size into [bytes] (the heap passes its
-    registered ["heap.malloc.probes"] and ["heap.malloc.bytes"]), so one
-    {!record_alloc} is the whole per-malloc record. *)
+val local : unit -> local
 
 val record_alloc :
-  local -> class_:int -> index:int -> capacity:int -> probes:int -> bytes:int ->
-  site:int -> unit
-(** One successful allocation of [bytes] bytes: slot [index] of a
-    [capacity]-slot region for [class_], found after [probes] probes,
-    attributed to [site].  The slot position feeds the randomness
-    histogram as bucket [index * slot_buckets / capacity].  An
+  local -> class_:int -> index:int -> capacity:int -> site:int -> unit
+(** One successful allocation: slot [index] of a [capacity]-slot region
+    for [class_], attributed to [site].  The slot position feeds the
+    randomness histogram as bucket [index * slot_buckets / capacity]; an
     allocation without a slot ([capacity = 0] or [index < 0]: a large
-    object) records neither a slot position nor a probe count. *)
+    object) records no slot position.  Probe counts and requested bytes
+    are not recorded here: the heap's [Stats] holds them exactly. *)
 
 val record_free : local -> class_:int -> site:int -> unit
 val record_failed : local -> class_:int -> unit
@@ -110,6 +105,7 @@ val record_failed : local -> class_:int -> unit
 
 type occupancy = {
   occ_class : int;
+  occ_size : int;  (** Object size of the class, in bytes. *)
   live : int;
   threshold : int;  (** Allocation ceiling (objects / M). *)
   capacity : int;  (** Region capacity in objects. *)
@@ -128,8 +124,8 @@ val error_kind_name : error_kind -> string
 (** ["overflow"], ["dangling"], ["uninit"]. *)
 
 val record_error_trials : error:error_kind -> masked:int -> trials:int -> unit
-(** Accumulate a campaign's tally: of [trials] injected errors of this
-    kind, [masked] went undetected (the run completed correctly). *)
+(** Accumulate a tally: of [trials] injected errors of this kind,
+    [masked] went undetected (the run completed correctly). *)
 
 val record_canary : site:int -> unit
 (** A canary violation was attributed to an object allocated at
@@ -178,10 +174,6 @@ val top_sites : snapshot -> site_stat list
     (canaries + faults + rescues) first, allocation volume breaking
     ties.  Sites with no attributed events and no allocations are
     omitted. *)
-
-val top_sites_summary : unit -> string
-(** Multi-line rendering of {!top_sites} of a fresh snapshot, for a
-    {!Recorder} context section; ["(no site activity)"] when empty. *)
 
 (** {1 Arithmetic guards} *)
 

@@ -12,11 +12,11 @@
     Histogram {e lookup} by name ({!histogram}) takes the registry mutex
     — resolve histograms once, outside hot loops, and keep the handle.
 
-    Histograms are get-or-create by name: creating ["heap.malloc.bytes"]
-    twice returns the same histogram, so short-lived components (one heap
-    per campaign trial) accumulate into one series.  Gauges are the
-    exception: re-registering a name replaces the callback, so a gauge
-    tracks the most recently created component. *)
+    Histograms are get-or-create by name: creating ["serve.latency_ns"]
+    twice returns the same histogram, so short-lived components (one
+    serve loop per supervisor attempt) accumulate into one series.
+    Gauges are the exception: re-registering a name replaces the
+    callback, so a gauge tracks the most recently created component. *)
 
 (** {1 Gauges} *)
 

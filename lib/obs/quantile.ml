@@ -72,14 +72,13 @@ let fresh_cell () =
 let create () = Cell.create fresh_cell
 let share = Cell.share
 
-let cell = Cell.get
-
-let add cell v =
-  let b = bucket_of v in
-  cell.counts.(b) <- cell.counts.(b) + 1;
-  cell.c_sum <- cell.c_sum + v
-
-let record q v = if Control.enabled () then add (Cell.get q) v
+let record q v =
+  if Control.enabled () then begin
+    let cell = Cell.get q in
+    let b = bucket_of v in
+    cell.counts.(b) <- cell.counts.(b) + 1;
+    cell.c_sum <- cell.c_sum + v
+  end
 
 let reset () =
   Mutex.protect live_lock (fun () ->

@@ -38,8 +38,8 @@ val create : unit -> t
 val share : t -> t
 (** Another handle onto the same histogram with its own cached cell
     ({!Cell.share}): give one to each long-lived single-writer component
-    (a heap, a serve loop) so concurrent writers do not evict each
-    other's cache. *)
+    (a serve loop) so concurrent writers do not evict each other's
+    cache. *)
 
 val reset : unit -> unit
 (** Zero every live histogram in place (tests, and benches starting a
@@ -50,21 +50,6 @@ val reset : unit -> unit
 val record : t -> int -> unit
 (** Record a sample.  Raises [Invalid_argument] on negative samples
     (checked only while enabled). *)
-
-type cell
-(** One domain's private cell of a histogram. *)
-
-val cell : t -> cell
-(** The calling domain's cell (created on its first use).  For a
-    component that folds several instruments into one record
-    ({!Audit.local} holds the heap's malloc histograms this way): it
-    resolves the cells once per domain and then calls {!add}. *)
-
-val add : cell -> int -> unit
-(** Record a sample straight into a resolved cell: two plain adds, no
-    enabled check (the caller has made it).  Only the domain that owns
-    the cell may add to it.  Raises [Invalid_argument] on a negative
-    sample. *)
 
 (** {1 Bucketing} *)
 

@@ -12,31 +12,12 @@ type report = {
 
 let window = 64
 let max_reports = 16
-let max_providers = 32
 
-(* Context providers and the report queue share one lock; captures are
-   cold (they happen on faults), so contention is irrelevant. *)
+(* Captures are cold (they happen on faults), so one lock over the
+   report queue costs nothing. *)
 let lock = Mutex.create ()
-let providers : (string * (unit -> string)) list ref = ref []  (* newest first *)
 let queue : report list ref = ref []  (* newest first *)
 let next_seq = ref 0
-
-let register_context name f =
-  Mutex.protect lock (fun () ->
-      let others = List.filter (fun (n, _) -> n <> name) !providers in
-      let kept =
-        if List.length others >= max_providers then
-          List.filteri (fun i _ -> i < max_providers - 1) others
-        else others
-      in
-      providers := (name, f) :: kept)
-
-let run_provider (name, f) =
-  let body =
-    try f ()
-    with e -> Printf.sprintf "<context provider raised: %s>" (Printexc.to_string e)
-  in
-  { title = name; body }
 
 (* The advertised step: a step-structured loop (the supervisor's serve
    loop) stores its request index here so captures fired deep inside a
@@ -47,25 +28,46 @@ let current_step = Atomic.make (-1)
 let set_step k = Atomic.set current_step k
 let clear_step () = Atomic.set current_step (-1)
 
-let trigger ?(sections = []) ?step ~reason () =
+(* The two sections every capture reads straight from the audit: the
+   newest heap's live occupancy per size class, and the most suspect
+   allocation sites.  Each renders as "" (and is not printed) when
+   there is nothing to show. *)
+let occupancy_body () =
+  String.concat ""
+    (List.map
+       (fun (o : Audit.occupancy) ->
+         Printf.sprintf "class %2d (%5dB): %d/%d in use (threshold %d)\n" o.occ_class
+           o.occ_size o.live o.capacity o.threshold)
+       (Audit.occupancy ()))
+
+let top_sites_body () =
+  String.concat ""
+    (List.map
+       (fun (s : Audit.site_stat) ->
+         Printf.sprintf
+           "%-24s allocs=%d frees=%d canaries=%d faults=%d rescues=%d \
+            events/1k-allocs=%.2f\n"
+           s.name s.s_allocs s.s_frees s.canaries s.faults s.rescues
+           (1000. *. Audit.ratio (s.canaries + s.faults + s.rescues) s.s_allocs))
+       (Audit.top_sites (Audit.snapshot ())))
+
+let trigger ?(sections = []) ~reason () =
   if Control.enabled () then begin
-    let step =
-      match step with
-      | Some _ -> step
-      | None ->
-        let s = Atomic.get current_step in
-        if s >= 0 then Some s else None
-    in
-    let provided = Mutex.protect lock (fun () -> List.rev !providers) in
+    let step = Atomic.get current_step in
     let report =
       {
         seq = 0;  (* seq and at_us are patched under the lock below *)
         at_us = 0;
         reason;
-        step;
+        step = (if step >= 0 then Some step else None);
         events = Tracing.last_events window;
         metrics = Metrics.dump ();
-        sections = sections @ List.map run_provider provided;
+        sections =
+          sections
+          @ [
+              { title = "heap.occupancy"; body = occupancy_body () };
+              { title = "audit.top-sites"; body = top_sites_body () };
+            ];
       }
     in
     Mutex.protect lock (fun () ->
@@ -92,10 +94,7 @@ let take () =
 
 let last () = Mutex.protect lock (fun () -> match !queue with r :: _ -> Some r | [] -> None)
 
-let clear () =
-  Mutex.protect lock (fun () ->
-      queue := [];
-      providers := [])
+let clear () = Mutex.protect lock (fun () -> queue := [])
 
 (* --- step groups ---
 

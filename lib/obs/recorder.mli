@@ -2,11 +2,12 @@
 
     When a simulated memory fault is raised, or a supervisor attempt
     dies, the instrumented layers call {!trigger}: the recorder
-    snapshots the last {!window} trace events, the live metrics, and
-    whatever context the running components have registered (heap
-    occupancy per size class, the faulting address's neighborhood) into
-    a structured {!report}.  Reports accumulate in a bounded queue that
-    {!Supervisor} drains into its incidents and the CLI prints.
+    snapshots the last {!window} trace events, the live metrics, the
+    caller's sections (the faulting address's neighborhood) and two
+    sections read from {!Audit} (heap occupancy per size class, the
+    most suspect allocation sites) into a structured {!report}.  Reports
+    accumulate in a bounded queue that {!Supervisor} drains into its
+    incidents and the CLI prints.
 
     Everything is a no-op while {!Control.enabled} is false. *)
 
@@ -23,8 +24,10 @@ type report = {
   events : Tracing.event list;  (** The last {!window} trace events. *)
   metrics : Metrics.row list;  (** Snapshot of the {!Metrics} registry. *)
   sections : section list;
-      (** Caller-supplied sections first, then one section per
-          registered context provider. *)
+      (** Caller-supplied sections first, then ["heap.occupancy"] (one
+          line per {!Audit.occupancy} entry) and ["audit.top-sites"] (one
+          line per {!Audit.top_sites} entry); either body is [""] when it
+          has no lines. *)
 }
 
 val window : int
@@ -33,16 +36,9 @@ val window : int
 val max_reports : int
 (** Reports retained; older ones are dropped (16). *)
 
-val register_context : string -> (unit -> string) -> unit
-(** [register_context name f] makes every subsequent capture include a
-    section [name] with body [f ()].  Re-registering a name replaces the
-    provider (so the newest heap owns ["heap.occupancy"]); at most 32
-    providers are kept, oldest evicted first.  A provider that raises
-    contributes an error note instead of taking the capture down. *)
-
-val trigger : ?sections:section list -> ?step:int -> reason:string -> unit -> unit
-(** Capture a report now.  No-op when observability is disabled.  When
-    [step] is omitted the advertised step (below), if any, fills it in. *)
+val trigger : ?sections:section list -> reason:string -> unit -> unit
+(** Capture a report now.  No-op when observability is disabled.  The
+    report's step is the advertised step (below), if any. *)
 
 val set_step : int -> unit
 (** Advertise the step a step-structured loop is currently executing, so
@@ -79,7 +75,7 @@ val take : unit -> report list
 (** Drain: return the retained reports (oldest first) and clear them. *)
 
 val last : unit -> report option
-val clear : unit -> unit  (** Drop reports and context providers. *)
+val clear : unit -> unit  (** Drop the retained reports. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Multi-line: reason, recent events, non-empty sections, and a short

@@ -4,18 +4,14 @@ type event = { ts : int; dom : int; phase : phase; name : string; arg : string }
 
 let ring_capacity = 4096
 
-(* Timestamps are microseconds since the module was initialised;
-   gettimeofday is not strictly monotonic but is in practice on the
-   machines this simulator runs on, and the sort on read tolerates the
-   odd equal stamp. *)
-let epoch = Unix.gettimeofday ()
-let now_us () = int_of_float ((Unix.gettimeofday () -. epoch) *. 1e6)
-
-(* Latency stamps come from the monotonic clock instead: nanosecond
-   resolution (gettimeofday's microseconds quantize a 2-3 us request) and
-   no backward steps. *)
+(* One clock: the platform's monotonic clock, in nanoseconds for
+   latency samples (gettimeofday's microseconds would quantize a 2-3 us
+   request) and in microseconds since this module was initialised for
+   trace stamps.  It never steps backwards. *)
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 let elapsed_ns ~since ~now = if now > since then now - since else 0
+let epoch_ns = now_ns ()
+let now_us () = (now_ns () - epoch_ns) / 1000
 
 type ring = {
   dom : int;

@@ -1,5 +1,5 @@
 (** Span tracing: a lock-free per-domain ring buffer of begin/end/instant
-    events with monotonic-in-practice timestamps.
+    events stamped from the monotonic clock.
 
     Each domain records into its own fixed-capacity ring (a {!Cell}
     value), so recording never synchronizes with other domains; the ring overwrites its oldest events when full, which is
@@ -14,7 +14,9 @@
 type phase = Begin | End | Instant
 
 type event = {
-  ts : int;  (** Microseconds since the process started tracing. *)
+  ts : int;
+      (** Microseconds since this module was initialised, on the
+          {!now_ns} clock. *)
   dom : int;  (** Recording domain's id. *)
   phase : phase;
   name : string;
@@ -25,9 +27,10 @@ val ring_capacity : int
 (** Events retained per domain (the oldest are overwritten). *)
 
 val now_ns : unit -> int
-(** The latency clock: the platform's monotonic clock in nanoseconds
-    (an arbitrary origin, so only differences mean anything), for
-    latency samples too short for microsecond resolution. *)
+(** The one clock: the platform's monotonic clock in nanoseconds (an
+    arbitrary origin, so only differences mean anything).  Latency
+    samples read it directly; trace stamps are its microseconds since
+    initialisation. *)
 
 val elapsed_ns : since:int -> now:int -> int
 (** [now - since], or 0 when the stamps run backwards: a latency sample

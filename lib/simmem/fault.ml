@@ -10,6 +10,10 @@ exception Error of t
 
 let raise_fault t = raise (Error t)
 
+let addr = function
+  | Unmapped { addr; _ } | Protection { addr; _ } | Unmap_unmapped { addr } -> addr
+  | Protect_unmapped { fault_addr; _ } -> fault_addr
+
 let pp_access ppf = function
   | Read -> Format.pp_print_string ppf "read"
   | Write -> Format.pp_print_string ppf "write"

@@ -28,6 +28,10 @@ exception Error of t
 val raise_fault : t -> 'a
 (** Raise {!Error}. *)
 
+val addr : t -> int
+(** The offending address: [fault_addr] for [Protect_unmapped], [addr]
+    for every other fault. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -296,12 +296,6 @@ let inspect t ~addr ~len =
    faulting address's neighborhood into the flight recorder before the
    exception unwinds and the evidence goes stale. *)
 
-let fault_addr_of = function
-  | Fault.Unmapped { addr; _ }
-  | Fault.Protection { addr; _ }
-  | Fault.Unmap_unmapped { addr }
-  | Fault.Protect_unmapped { fault_addr = addr; _ } -> addr
-
 (* Hex dump of the bytes around [center], read straight from the backing
    store: no protection checks, no cost-model charging — the recorder
    must not perturb what it observes. *)
@@ -371,7 +365,7 @@ let raise_fault t f =
     let neighborhood_section =
       {
         Dh_obs.Recorder.title = "fault neighborhood";
-        body = neighborhood t (fault_addr_of f);
+        body = neighborhood t (Fault.addr f);
       }
     in
     let sections =

@@ -105,18 +105,6 @@ let service ~requests ?(attack_every = 0) ?zipf () =
     let bump off v =
       Mem.write64 mem (counters + off) (Mem.read64 mem (counters + off) + v)
     in
-    (* A failed request bumps the in-memory counter (part of the output
-       checksum, rewound with the heap) and, as write-only telemetry, the
-       windowed error rate clocked by the request index — the only layer
-       that sees per-request failures is this one.  Geometry matches the
-       supervisor's serve.rewinds window. *)
-    let fail k off =
-      bump off 1;
-      if Dh_obs.Control.enabled () then
-        Dh_obs.Window.add
-          (Dh_obs.Window.get "serve.errors" ~width:1024 ~buckets:16)
-          ~now:k 1
-    in
     let handle k =
       Process.Fuel.burn ctx.Program.fuel;
       let attack = attack_every > 0 && k > 0 && k mod attack_every = attack_every - 1 in
@@ -181,10 +169,10 @@ let service ~requests ?(attack_every = 0) ?zipf () =
             0
           | (Some p, None | None, Some p) ->
             a.Allocator.free p;
-            fail k c_failed;
+            bump c_failed 1;
             0
           | None, None ->
-            fail k c_failed;
+            bump c_failed 1;
             0)
       in
       (* format the response title — the crash site: the unchecked strcpy
@@ -195,7 +183,7 @@ let service ~requests ?(attack_every = 0) ?zipf () =
       | Some title ->
         Mem.write_cstring mem ~addr:title url;
         a.Allocator.free title
-      | None -> fail k c_failed);
+      | None -> bump c_failed 1);
       (* fold the request into the running checksum: content-derived
          (keys, hit history, the threshold-deterministic failure count) —
          never addresses, so every seed and every rewind agrees *)

@@ -89,6 +89,27 @@ let test_heap_attribution () =
       check_int "per-site free count" 1 (stat "test:p").Audit.s_frees;
       check_int "other site alloc counted" 1 (stat "test:q").Audit.s_allocs)
 
+(* A large object (above 16 KB) keeps its provenance after free too: a
+   dangling read inside its old payload faults Unmapped, and that
+   address still names the site that allocated the object. *)
+let test_large_site_after_free () =
+  with_audit (fun () ->
+      let heap = fresh_heap () in
+      let s = Audit.site "test:large" in
+      let p = Option.get (Audit.with_site s (fun () -> Heap.malloc heap 20_000)) in
+      (Heap.allocator heap).Allocator.free p;
+      let addr = p + 100 in
+      (match Dh_mem.Mem.read8 (Heap.mem heap) addr with
+      | _ -> Alcotest.fail "dangling read of a freed large object did not fault"
+      | exception Dh_mem.Fault.Error (Dh_mem.Fault.Unmapped { addr = at; _ }) ->
+        check_int "Unmapped at the read address" addr at
+      | exception Dh_mem.Fault.Error f ->
+        Alcotest.failf "wrong fault: %s" (Dh_mem.Fault.to_string f));
+      check_str "site of the freed large object" "test:large"
+        (match Heap.site_of_addr heap addr with
+        | Some id -> Audit.site_name id
+        | None -> "none"))
+
 (* The per-slot site table starts at one byte per slot and widens when
    an id needs it; every slot's site must survive each widening. *)
 let test_site_table_widens () =
@@ -308,6 +329,8 @@ let suite =
     Alcotest.test_case "site: interning and names" `Quick test_site_interning;
     Alcotest.test_case "site: ambient channel" `Quick test_ambient_site;
     Alcotest.test_case "heap: ambient site attribution" `Quick test_heap_attribution;
+    Alcotest.test_case "heap: freed large object keeps its site" `Quick
+      test_large_site_after_free;
     Alcotest.test_case "heap: site table widens for large ids" `Quick
       test_site_table_widens;
     Alcotest.test_case "heap: threshold refusals audited" `Quick

@@ -273,6 +273,45 @@ let prop_word_roundtrip =
       Mem.write64 mem (a + off) v;
       Mem.read64 mem (a + off) = v)
 
+(* --- the offending address of each fault --- *)
+
+let fault_of f =
+  match f () with
+  | exception Fault.Error e -> e
+  | _ -> Alcotest.fail "expected a memory fault"
+
+let test_fault_addr_unmapped () =
+  let mem = Mem.create () in
+  let f = fault_of (fun () -> Mem.read8 mem 0x1234) in
+  check "Unmapped" true (match f with Fault.Unmapped _ -> true | _ -> false);
+  check_int "the read address" 0x1234 (Fault.addr f)
+
+let test_fault_addr_protection () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem Mem.page_size in
+  Mem.protect mem ~addr:a ~len:Mem.page_size Mem.No_access;
+  let f = fault_of (fun () -> Mem.write8 mem (a + 5) 1) in
+  check "Protection" true (match f with Fault.Protection _ -> true | _ -> false);
+  check_int "the write address" (a + 5) (Fault.addr f)
+
+let test_fault_addr_unmap_unmapped () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem Mem.page_size in
+  let f = fault_of (fun () -> Mem.munmap mem (a + 8)) in
+  check "Unmap_unmapped" true (match f with Fault.Unmap_unmapped _ -> true | _ -> false);
+  check_int "the munmap argument" (a + 8) (Fault.addr f)
+
+let test_fault_addr_protect_unmapped () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem Mem.page_size in
+  let f =
+    fault_of (fun () -> Mem.protect mem ~addr:a ~len:(2 * Mem.page_size) Mem.Read_only)
+  in
+  check "Protect_unmapped" true
+    (match f with Fault.Protect_unmapped _ -> true | _ -> false);
+  check_int "the first byte past the segment, not the range start"
+    (a + Mem.page_size) (Fault.addr f)
+
 let prop_disjoint_writes_do_not_interfere =
   QCheck.Test.make ~name:"byte writes to distinct addresses are independent" ~count:200
     QCheck.(triple (int_bound 4000) (int_bound 4000) (pair (int_bound 255) (int_bound 255)))
@@ -310,6 +349,11 @@ let suite =
     Alcotest.test_case "cstring" `Quick test_cstring;
     Alcotest.test_case "stats counting" `Quick test_stats_counting;
     Alcotest.test_case "touched pages" `Quick test_touched_pages;
+    Alcotest.test_case "fault addr: Unmapped" `Quick test_fault_addr_unmapped;
+    Alcotest.test_case "fault addr: Protection" `Quick test_fault_addr_protection;
+    Alcotest.test_case "fault addr: Unmap_unmapped" `Quick test_fault_addr_unmap_unmapped;
+    Alcotest.test_case "fault addr: Protect_unmapped" `Quick
+      test_fault_addr_protect_unmapped;
     Alcotest.test_case "process exit" `Quick test_process_exit;
     Alcotest.test_case "process exit code" `Quick test_process_exit_code;
     Alcotest.test_case "process crash" `Quick test_process_crash;

@@ -190,52 +190,12 @@ let test_campaign_jobs_equivalence () =
         Dh_bench.Throughput.(campaign ~spec:campaign_spec ~trials:64 ~ops:500) );
     ]
 
-(* Crashes on roughly half the seeds (by object placement), so the
-   ladder really retries and the canary diagnosis really replays. *)
-let seed_sensitive_crasher =
-  Program.make ~name:"seed-crasher" (fun ctx ->
-      let a = ctx.Program.alloc in
-      let p = Allocator.malloc_exn a 16 in
-      if (p lsr 4) land 1 = 0 then ignore (Mem.read8 a.Allocator.mem 0);
-      Process.Out.printf ctx.Program.out "p-parity=%d" ((p lsr 4) land 1))
-
 let supervisor_incident ~jobs ~master =
   Supervisor.run
     ~policy:{ Supervisor.default_policy with Supervisor.fuel = 1_000_000 }
     ~config:(small_config ~jobs)
     ~seed_pool:(Seed.create ~master)
-    seed_sensitive_crasher
-
-let test_supervisor_jobs_equivalence () =
-  (* The supervisor is sequential: [config.jobs] must neither change an
-     incident nor start a domain.  Find a master whose first attempt
-     fails so the retries and the diagnosis replay are actually
-     exercised, then require incident equality. *)
-  let rec find_failing master =
-    if master > 64 then Alcotest.fail "no first-attempt failure in 64 masters"
-    else
-      let i = supervisor_incident ~jobs:1 ~master in
-      match i.Supervisor.attempts with
-      | first :: _ when not first.Supervisor.ok -> (master, i)
-      | _ -> find_failing (master + 1)
-  in
-  let master, seq = find_failing 1 in
-  check "diagnosis ran" true (seq.Supervisor.diagnosis <> None);
-  Pool.quiesce ();
-  check "incident at jobs=2 equals jobs=1" true
-    (supervisor_incident ~jobs:2 ~master = seq);
-  check_int "no domain spawned at jobs=2" 0 (Pool.spawned_domains ());
-  (* and a first-try success stays equal too *)
-  let rec find_ok master =
-    if master > 64 then Alcotest.fail "no first-attempt success in 64 masters"
-    else
-      let i = supervisor_incident ~jobs:1 ~master in
-      if i.Supervisor.verdict = Supervisor.Survived 0 then (master, i)
-      else find_ok (master + 1)
-  in
-  let master, seq = find_ok 1 in
-  check "first-try success equal at jobs=2" true
-    (supervisor_incident ~jobs:2 ~master = seq)
+    Test_supervisor.seed_sensitive_crasher
 
 (* --- long-lived worker reuse --- *)
 
@@ -354,8 +314,6 @@ let suite =
       test_replicated_churn_jobs_equivalence;
     Alcotest.test_case "campaign: jobs equivalence" `Quick
       test_campaign_jobs_equivalence;
-    Alcotest.test_case "supervisor: jobs equivalence" `Quick
-      test_supervisor_jobs_equivalence;
     Alcotest.test_case "pool: workers reused across fan-outs" `Quick
       test_pool_worker_reuse;
     Alcotest.test_case "metrics: shards merge under pool" `Quick

@@ -140,23 +140,19 @@ let test_latency_never_negative () =
 
 (* Four domains record disjoint slices into a histogram (each through
    its own shared handle) and the audit (through one handle all four use
-   at once, so its cached cells keep being evicted; the audit's feed
-   also carries two histograms).  Every merged
-   read must equal a sequential oracle. *)
+   at once, so its cached cells keep being evicted).  Every merged read
+   must equal a sequential oracle. *)
 let test_shard_merge_under_domains () =
   with_clean @@ fun () ->
   Audit.reset ();
   Fun.protect ~finally:Audit.reset @@ fun () ->
   let t = Dh_obs.Metrics.histogram "test.sharded" in
-  let probes_h = Dh_obs.Metrics.histogram "test.sharded.probes" in
-  let bytes_h = Dh_obs.Metrics.histogram "test.sharded.bytes" in
-  let lc = Audit.local ~probes:probes_h ~bytes:bytes_h in
+  let lc = Audit.local () in
   let site = Audit.site "test.sharded.site" in
   let slice d = List.init 500 (fun i -> (d * 10_000) + (i * 7)) in
-  let class_of v = v mod 12 and index_of v = v mod 64 and probes_of v = 1 + (v mod 5) in
+  let class_of v = v mod 12 and index_of v = v mod 64 in
   let record_audit v =
-    Audit.record_alloc lc ~class_:(class_of v) ~index:(index_of v) ~capacity:64
-      ~probes:(probes_of v) ~bytes:v ~site
+    Audit.record_alloc lc ~class_:(class_of v) ~index:(index_of v) ~capacity:64 ~site
   in
   let domains =
     List.init 4 (fun d ->
@@ -208,14 +204,6 @@ let test_shard_merge_under_domains () =
        = if vs = [] then [] else [ (site, List.length vs) ]
   in
   check "merged audit classes and sites" true (audit_matches all);
-  let fed h vs =
-    let oracle = Quantile.create () in
-    List.iter (Quantile.record oracle) vs;
-    Quantile.counts (Quantile.snapshot oracle) = Quantile.counts (Quantile.snapshot h)
-    && Quantile.sum (Quantile.snapshot oracle) = Quantile.sum (Quantile.snapshot h)
-  in
-  check "audit feed: bytes histogram" true (fed bytes_h all);
-  check "audit feed: probes histogram" true (fed probes_h (List.map probes_of all));
   (* Reset zeroes every cell in place: handles taken before it stay
      valid and record from zero. *)
   Quantile.reset ();
@@ -233,8 +221,7 @@ let test_shard_merge_under_domains () =
   let after = Quantile.snapshot t in
   check_int "records after reset" 3 (Quantile.count after);
   check_int "sum after reset" (3 + 700 + 70_000) (Quantile.sum after);
-  check "audit after reset" true (audit_matches again);
-  check "audit feed after reset" true (fed bytes_h again)
+  check "audit after reset" true (audit_matches again)
 
 (* --- Window rotation ------------------------------------------------- *)
 
@@ -342,7 +329,9 @@ let test_step_groups () =
       Tracing.span ~arg:(string_of_int k) "replay.step" (fun () ->
           Tracing.instant ~arg:("work" ^ string_of_int k) "handler"))
     [ 7; 8; 9 ];
-  Recorder.trigger ~step:9 ~reason:"test" ();
+  Recorder.set_step 9;
+  Recorder.trigger ~reason:"test" ();
+  Recorder.clear_step ();
   match Recorder.last () with
   | None -> Alcotest.fail "no report"
   | Some r ->
@@ -405,6 +394,59 @@ let test_serve_telemetry () =
   check_int "reset empties serve.latency_ns" 0
     (Quantile.count (Quantile.snapshot latency))
 
+(* The flight record reads occupancy and site tallies straight from the
+   audit: an obs-on supervised server that faults carries, in its first
+   record, one heap.occupancy line per occupancy entry (whose live counts
+   add up to the record's own heap.live_objects gauge) and the
+   audit.top-sites section; its metrics digest holds the heap's Stats
+   gauges and no heap.malloc.* histogram. *)
+let test_flight_record_reads_audit () =
+  with_clean @@ fun () ->
+  Audit.reset ();
+  Fun.protect ~finally:Audit.reset @@ fun () ->
+  let incident =
+    Supervisor.run
+      ~policy:{ Supervisor.default_policy with Supervisor.checkpoint_interval = 256 }
+      ~config:(Diehard.Config.v ~heap_size:Server.heap_size ~obs:true ())
+      (Server.program ~requests:2000 ~attack_every:97 ())
+  in
+  match incident.Supervisor.flight with
+  | [] -> Alcotest.fail "no flight record"
+  | r :: _ ->
+    let body title =
+      match List.find_opt (fun s -> s.Recorder.title = title) r.Recorder.sections with
+      | Some s -> s.Recorder.body
+      | None -> Alcotest.failf "no %s section" title
+    in
+    let lines title =
+      List.filter (fun l -> l <> "") (String.split_on_char '\n' (body title))
+    in
+    let occupancy = lines "heap.occupancy" in
+    check_int "one occupancy line per audit entry"
+      (List.length (Audit.occupancy ()))
+      (List.length occupancy);
+    let live =
+      List.fold_left
+        (fun acc l -> acc + Scanf.sscanf l "class %d ( %dB): %d/" (fun _ _ n -> n))
+        0 occupancy
+    in
+    let metric name =
+      List.find_opt (fun (m : Dh_obs.Metrics.row) -> m.Dh_obs.Metrics.name = name)
+        r.Recorder.metrics
+    in
+    check "live counts match the record's heap.live_objects" true
+      (Option.map (fun (m : Dh_obs.Metrics.row) -> m.Dh_obs.Metrics.value)
+         (metric "heap.live_objects")
+      = Some live);
+    check "top-sites section names the server's sites" true
+      (List.exists (String.starts_with ~prefix:"server:") (lines "audit.top-sites"));
+    check "digest holds heap.mallocs" true (metric "heap.mallocs" <> None);
+    check "digest holds no heap.malloc.* row" false
+      (List.exists
+         (fun (m : Dh_obs.Metrics.row) ->
+           String.starts_with ~prefix:"heap.malloc." m.Dh_obs.Metrics.name)
+         r.Recorder.metrics)
+
 let test_serve_telemetry_write_only () =
   (* The determinism contract: the same run with telemetry on and off
      must produce identical program output. *)
@@ -444,11 +486,6 @@ let test_serve_records_per_request () =
   let requests = 2_000 in
   let l = Dh_bench.Serve.run_leg ~requests ~seed:1 () in
   let handled = Quantile.count l.Dh_bench.Serve.latency in
-  let window name =
-    match Window.find name with
-    | Some w -> Window.total w ~now:(requests - 1)
-    | None -> 0
-  in
   let audit =
     Array.fold_left
       (fun acc (c : Audit.class_stat) -> acc + c.Audit.allocs + c.Audit.frees + c.Audit.failed)
@@ -466,7 +503,7 @@ let test_serve_records_per_request () =
   check_int "sampled heap instants" 83 instants;
   (* 7,301 records over 2,000 requests: about 3.65 per served request *)
   check_int "obs records in the leg" 7_301
-    (handled + window "serve.errors" + audit + instants)
+    (handled + audit + instants)
 
 let test_zipf_keys_deterministic () =
   (* Zipf-keyed serving is still a pure function of the request index:
@@ -514,6 +551,8 @@ let suite =
       test_step_groups;
     Alcotest.test_case "recorder: advertised step fills reports" `Quick
       test_advertised_step;
+    Alcotest.test_case "recorder: flight record reads the audit" `Quick
+      test_flight_record_reads_audit;
     Alcotest.test_case "serve: supervisor publishes telemetry" `Quick
       test_serve_telemetry;
     Alcotest.test_case "serve: telemetry is write-only" `Quick

@@ -4,6 +4,8 @@
 module Supervisor = Diehard.Supervisor
 module Process = Dh_mem.Process
 module Allocator = Dh_alloc.Allocator
+module Program = Dh_alloc.Program
+module Pool = Dh_parallel.Pool
 module Seed = Dh_rng.Seed
 
 let check = Alcotest.(check bool)
@@ -148,6 +150,50 @@ let test_incident_report_renders () =
   check "shows the rescue rung" true (contains ~sub:"rescue" s);
   check "shows the diagnosis" true (contains ~sub:"wild write" s)
 
+(* Crashes on roughly half the seeds (by object placement), so the
+   ladder really retries and the canary diagnosis really replays. *)
+let seed_sensitive_crasher =
+  Program.make ~name:"seed-crasher" (fun ctx ->
+      let a = ctx.Program.alloc in
+      let p = Allocator.malloc_exn a 16 in
+      if (p lsr 4) land 1 = 0 then ignore (Dh_mem.Mem.read8 a.Allocator.mem 0);
+      Process.Out.printf ctx.Program.out "p-parity=%d" ((p lsr 4) land 1))
+
+let crasher_incident ~master =
+  Supervisor.run
+    ~policy:{ Supervisor.default_policy with Supervisor.fuel = 1_000_000 }
+    ~config:(Diehard.Config.v ~heap_size:(12 * 64 * 1024) ())
+    ~seed_pool:(Seed.create ~master)
+    seed_sensitive_crasher
+
+let test_incidents_deterministic () =
+  (* The supervisor is sequential and a function of its master seed: the
+     same master twice gives equal incidents, both when the first attempt
+     fails (so the retries and the diagnosis replay run) and on a
+     first-try success, and no rung starts a domain. *)
+  Pool.quiesce ();
+  let rec find what pred master =
+    if master > 64 then Alcotest.failf "no %s in 64 masters" what
+    else
+      let i = crasher_incident ~master in
+      if pred i then (master, i) else find what pred (master + 1)
+  in
+  let master, first =
+    find "first-attempt failure"
+      (fun i ->
+        match i.Supervisor.attempts with a :: _ -> not a.Supervisor.ok | [] -> false)
+      1
+  in
+  check "diagnosis ran" true (first.Supervisor.diagnosis <> None);
+  check "failing first attempt: same incident again" true
+    (crasher_incident ~master = first);
+  let master, first =
+    find "first-try success" (fun i -> i.Supervisor.verdict = Supervisor.Survived 0) 1
+  in
+  check "first-try success: same incident again" true
+    (crasher_incident ~master = first);
+  check_int "no domain started" 0 (Pool.spawned_domains ())
+
 let suite =
   [
     Alcotest.test_case "healthy first try" `Quick test_healthy_first_try;
@@ -162,4 +208,6 @@ let suite =
     Alcotest.test_case "success predicate" `Quick test_success_predicate;
     Alcotest.test_case "invalid policy" `Quick test_invalid_policy_rejected;
     Alcotest.test_case "incident report" `Quick test_incident_report_renders;
+    Alcotest.test_case "incidents are deterministic and the ladder starts no domain"
+      `Quick test_incidents_deterministic;
   ]
