@@ -67,10 +67,10 @@ let workload ~label ~spec ~trials program =
     (* Trials are pure functions of their trial number (per-trial seed
        pools, per-run heaps, shared read-only trace log), so they fan out
        across domains; results are folded in trial order below. *)
-    let pool = Dh_parallel.Pool.create () in
+    let jobs = Dh_parallel.Pool.default_jobs () in
     let results =
       Array.to_list
-      @@ Dh_parallel.Pool.init ~pool trials (fun i ->
+      @@ Dh_parallel.Pool.init ~jobs trials (fun i ->
           let trial = i + 1 in
           let spec = { spec with Injector.seed = spec.Injector.seed + trial } in
           let master = (trial * 7919) + 17 in

@@ -493,15 +493,7 @@ let scaling_bench ~sname ~units ~max_jobs ~run_with =
   let cores = Dh_parallel.Pool.default_jobs () in
   let points =
     List.map
-      (fun jobs ->
-        (* Each point starts from a quiesced pool: workers parked by an
-           earlier width are stop-the-world participants, so leaving them
-           around would tax the jobs=1 leg's every minor collection and
-           corrupt the speedup baseline.  The parallel legs respawn
-           inside the timed window — the one-time spawn is part of what
-           that width honestly costs. *)
-        Dh_parallel.Pool.quiesce ();
-        (jobs, time (fun () -> ignore (run_with ~jobs))))
+      (fun jobs -> (jobs, time (fun () -> ignore (run_with ~jobs))))
       (jobs_sweep ~max_jobs)
   in
   let base =
@@ -589,10 +581,6 @@ let run ~quick =
   let scaling =
     [ replicated_scaling ~quick ~max_jobs; campaign_scaling ~quick ~max_jobs ]
   in
-  (* Everything after the scaling sweep is sequential; retire the parked
-     workers so the remaining stages (and their timings) do not pay the
-     idle domains' stop-the-world barrier on every minor collection. *)
-  Dh_parallel.Pool.quiesce ();
   (* the checkpoint stage's server runs are heap-churn-heavy, so it
      belongs with the flooders, before the low-volume span stages *)
   let checkpoint = checkpoint_bench ~quick in

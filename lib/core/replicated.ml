@@ -74,8 +74,10 @@ let run ?(config = Config.default) ?(replicas = 3)
      replica-id order, so every vote below is identical for any
      [config.jobs]. *)
   let seeds = Dh_rng.Seed.split ~n:replicas seed_pool in
-  let pool = Dh_parallel.Pool.create ~jobs:config.Config.jobs () in
-  let spawned = Dh_parallel.Pool.init ~pool replicas (fun rid -> spawn rid seeds.(rid)) in
+  let spawned =
+    Dh_parallel.Pool.init ~jobs:config.Config.jobs replicas (fun rid ->
+        spawn rid seeds.(rid))
+  in
   let eliminated : (int, cause) Hashtbl.t = Hashtbl.create 8 in
   let live = ref (Array.to_list (Array.map fst spawned)) in
   let committed = Buffer.create 1024 in

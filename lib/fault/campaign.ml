@@ -32,6 +32,7 @@ let error_to_string (Tracing_failed { outcome; _ }) =
 let run ?(input = "") ?(fuel = 50_000_000) ?(jobs = 1) ~trials ~spec ~make_alloc
     program =
   if trials < 0 then invalid_arg "Campaign.run: trials must be >= 0";
+  if jobs < 1 then invalid_arg "Campaign.run: jobs must be >= 1";
   (* 1. tracing run: obtain the allocation log *)
   let trace_result, tracer =
     Dh_obs.Tracing.span "campaign.trace" (fun () ->
@@ -47,10 +48,9 @@ let run ?(input = "") ?(fuel = 50_000_000) ?(jobs = 1) ~trials ~spec ~make_alloc
        shared read-only log), so trials fan out across domains and the
        classifications come back in trial order — the tally is identical
        for every [jobs]. *)
-    let pool = Dh_parallel.Pool.create ~jobs () in
     let runs =
       Array.to_list
-        (Dh_parallel.Pool.init ~pool trials (fun i ->
+        (Dh_parallel.Pool.init ~jobs trials (fun i ->
              let trial = i + 1 in
              Dh_obs.Tracing.span ~arg:(string_of_int trial) "campaign.trial"
              @@ fun () ->

@@ -62,7 +62,7 @@ val run :
     so runs differ, as the paper's ten runs do).  Returns [Error] when
     the tracing run fails, so drivers running many campaigns can report
     the broken one and keep going.  Raises [Invalid_argument] if
-    [trials < 0].
+    [trials < 0] or [jobs < 1].
 
     [jobs] (default 1) fans the injected trials out across that many
     domains via {!Dh_parallel.Pool}; the tracing run stays sequential and

@@ -167,7 +167,7 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 (** Merge every per-domain cell now (the {!Cell} read contract: exact
-    once writers have parked). *)
+    once writers have been joined). *)
 
 val top_sites : snapshot -> site_stat list
 (** The 5 most suspect sites: most attributed events

@@ -3,7 +3,11 @@
     and per-site counters, {!Tracing}'s rings).
 
     A cell set holds one private value per domain that ever wrote to it,
-    created on that domain's first {!get} and never unregistered.  A
+    created on that domain's first {!get} and never unregistered.
+    Domain ids are never reused, so a set gains one value per helper
+    domain that records while obs is on (the parallel pool spawns
+    fresh helpers for every fan-out); values are never dropped, so a
+    helper's trace ring and counters outlive its domain.  A
     handle caches its owner's value: the steady-state {!get} is one
     domain-id compare and a field load, with no lock, no atomic, no
     domain-local-storage read and no hash lookup.  When the calling
@@ -19,10 +23,10 @@
 
     Values are written only by their owning domain with plain stores.
     Reads ({!fold}) see every value without synchronizing: they may lag
-    a domain still mid-burst, and are exact once writers have parked or
-    been joined.  Resetting is the instrument's business: each zeroes
-    its values in place, so handles held across a reset stay valid and
-    keep recording from zero. *)
+    a domain still mid-burst, and are exact once writers have been
+    joined or have stopped.  Resetting is the instrument's business:
+    each zeroes its values in place, so handles held across a reset
+    stay valid and keep recording from zero. *)
 
 type 'a t
 (** A handle onto a set of per-domain values of type ['a]. *)

@@ -5,8 +5,8 @@
     later record is a plain in-place add — no mutex, no atomic, no cache
     line shared with any other domain.  Cells are merged only when a
     value is read ([Quantile.snapshot], {!dump}), and reads are exact
-    once writers have parked or been joined (the pool parks its workers
-    between fan-outs, so post-fan-out dumps are exact).  All recording
+    once writers have been joined (a fan-out joins its helpers before
+    it returns, so post-fan-out dumps are exact).  All recording
     is a no-op while {!Control.enabled} is false.
 
     Histogram {e lookup} by name ({!histogram}) takes the registry mutex

@@ -67,7 +67,7 @@ type snapshot
 
 val snapshot : t -> snapshot
 (** Merge every per-domain cell now (the {!Cell} read contract: exact
-    once writers have parked). *)
+    once writers have been joined). *)
 
 val empty : snapshot
 

@@ -5,7 +5,7 @@
     value), so recording never synchronizes with other domains; the ring overwrites its oldest events when full, which is
     exactly the window the {!Recorder} flight recorder wants.  Reads
     ({!events}, {!to_chrome_json}) merge every ring and sort by
-    timestamp; they are intended for quiescent moments (process exit, a
+    timestamp; they are intended for idle moments (process exit, a
     fault capture) and tolerate concurrent writers by accepting a
     slightly stale tail.
 

@@ -37,17 +37,17 @@ let next_u32 t =
   t.w <- (18000 * (t.w land mask16)) + (t.w lsr 16);
   ((t.z lsl 16) + t.w) land mask32
 
+(* Rejection sampling: draw from the largest multiple of [n] that fits in
+   32 bits, then reduce.  Expected < 2 draws.  Top-level, so a call
+   allocates no closure. *)
+let rec draw t n limit =
+  let x = next_u32 t in
+  if x < limit then x mod n else draw t n limit
+
 let below t n =
   if n <= 0 then invalid_arg "Mwc.below: bound must be positive";
   if n > mask32 + 1 then invalid_arg "Mwc.below: bound exceeds 2^32";
-  (* Rejection sampling: draw from the largest multiple of [n] that fits in
-     32 bits, then reduce.  Expected < 2 draws. *)
-  let limit = (mask32 + 1) / n * n in
-  let rec draw () =
-    let x = next_u32 t in
-    if x < limit then x mod n else draw ()
-  in
-  draw ()
+  draw t n ((mask32 + 1) / n * n)
 
 let bits t b =
   if b < 0 || b > 30 then invalid_arg "Mwc.bits: want 0 <= bits <= 30";

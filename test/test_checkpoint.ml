@@ -167,7 +167,7 @@ let test_cow_buffers_reused () =
   (* Direct major-heap words (large blocks bypass the minor heap) spent
      inside [f]: the page buffers, and nothing else this loop does.
      [Gc.counters] counts this domain only; [Gc.quick_stat] would also
-     count what pooled worker domains left by earlier tests allocate. *)
+     count what helper domains of earlier tests allocated. *)
   let direct = ref 0.0 in
   let measured f =
     let _, promoted0, major0 = Gc.counters () in

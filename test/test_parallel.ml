@@ -1,7 +1,8 @@
 (* Tests for the Domains-based execution engine: the Dh_parallel pool
    and the split-before-fan-out seed rule, plus the determinism contract of the parallel drivers —
    for a fixed master seed, `jobs = n` must reproduce `jobs = 1` exactly
-   (replica verdicts, campaign tallies, supervisor incidents). *)
+   (replica verdicts, campaign tallies) — and the rule that telemetry
+   leaves a supervised run's incident unchanged. *)
 
 module Mem = Dh_mem.Mem
 module Process = Dh_mem.Process
@@ -17,29 +18,25 @@ let check_int = Alcotest.(check int)
 (* --- pool mechanics --- *)
 
 let test_pool_empty () =
-  let pool = Pool.create ~jobs:4 () in
-  check "empty" true (Pool.init ~pool 0 (fun x -> x * 2) = [||])
+  check "empty" true (Pool.init ~jobs:4 0 (fun x -> x * 2) = [||])
 
 let test_pool_singleton () =
-  let pool = Pool.create ~jobs:4 () in
-  check "singleton" true (Pool.init ~pool 1 (fun x -> x + 42) = [| 42 |])
+  check "singleton" true (Pool.init ~jobs:4 1 (fun x -> x + 42) = [| 42 |])
 
 let test_pool_jobs_exceed_items () =
   (* More domains than work: every item still computed exactly once, in
      order. *)
-  let pool = Pool.create ~jobs:8 () in
   check "3 items, 8 jobs" true
-    (Pool.init ~pool 3 (fun x -> (x + 1) * (x + 1)) = [| 1; 4; 9 |])
+    (Pool.init ~jobs:8 3 (fun x -> (x + 1) * (x + 1)) = [| 1; 4; 9 |])
 
 let test_pool_preserves_order () =
   let expected = Array.init 100 (fun x -> (x * 7) + 1) in
   List.iter
     (fun jobs ->
-      let pool = Pool.create ~jobs () in
       check
         (Printf.sprintf "order at jobs=%d" jobs)
         true
-        (Pool.init ~pool 100 (fun x -> (x * 7) + 1) = expected))
+        (Pool.init ~jobs 100 (fun x -> (x * 7) + 1) = expected))
     [ 1; 2; 3; 4; 7 ]
 
 let test_pool_exception_propagation () =
@@ -48,8 +45,7 @@ let test_pool_exception_propagation () =
   let f i = if i = 5 || i = 7 then failwith (Printf.sprintf "item %d" i) else i in
   List.iter
     (fun jobs ->
-      let pool = Pool.create ~jobs () in
-      match Pool.init ~pool 10 f with
+      match Pool.init ~jobs 10 f with
       | _ -> Alcotest.fail "exception swallowed"
       | exception Failure msg ->
         Alcotest.(check string)
@@ -58,14 +54,13 @@ let test_pool_exception_propagation () =
     [ 1; 4 ]
 
 let test_pool_rejects_bad_jobs () =
-  Alcotest.check_raises "jobs=0" (Invalid_argument "Pool.create: jobs must be >= 1")
-    (fun () -> ignore (Pool.create ~jobs:0 ()));
+  Alcotest.check_raises "jobs=0" (Invalid_argument "Pool.init: jobs must be >= 1")
+    (fun () -> ignore (Pool.init ~jobs:0 4 Fun.id));
   Alcotest.check_raises "config jobs=0" (Invalid_argument "Config: jobs must be >= 1")
     (fun () -> ignore (Config.v ~jobs:0 ()))
 
 let test_pool_default_jobs () =
-  check "recommended >= 1" true (Pool.default_jobs () >= 1);
-  check_int "pool remembers width" 3 (Pool.jobs (Pool.create ~jobs:3 ()))
+  check "recommended >= 1" true (Pool.default_jobs () >= 1)
 
 (* --- seed split / plan --- *)
 
@@ -95,8 +90,7 @@ let test_seed_plan_fixed_assignment () =
   List.iter
     (fun jobs ->
       let seeds = Seed.split ~n:4 (Seed.create ~master:5) in
-      let pool = Pool.create ~jobs () in
-      let got = Pool.init ~pool 4 (fun i -> (i, seeds.(i))) in
+      let got = Pool.init ~jobs 4 (fun i -> (i, seeds.(i))) in
       check
         (Printf.sprintf "split seeds by index at jobs=%d" jobs)
         true
@@ -190,34 +184,35 @@ let test_campaign_jobs_equivalence () =
         Dh_bench.Throughput.(campaign ~spec:campaign_spec ~trials:64 ~ops:500) );
     ]
 
-let supervisor_incident ~jobs ~master =
+let supervisor_incident ~master =
   Supervisor.run
     ~policy:{ Supervisor.default_policy with Supervisor.fuel = 1_000_000 }
-    ~config:(small_config ~jobs)
+    ~config:(small_config ~jobs:1)
     ~seed_pool:(Seed.create ~master)
     Test_supervisor.seed_sensitive_crasher
 
-(* --- long-lived worker reuse --- *)
+(* --- spawn and join --- *)
 
-(* Workers are spawned once and parked between fan-outs: successive
-   [init] calls must borrow the same domains, not spawn fresh ones —
-   the regression behind the old negative `--jobs` scaling. *)
-let test_pool_worker_reuse () =
-  let pool = Pool.create ~jobs:4 () in
-  ignore (Pool.init ~pool 64 (fun x -> x + 1));
-  let spawned = Pool.spawned_domains () in
-  check "workers were spawned for jobs=4" true (spawned >= 3);
-  ignore (Pool.init ~pool 128 (fun x -> x * 2));
-  ignore (Pool.init ~pool 64 Fun.id);
-  check_int "successive fan-outs reuse parked domains" spawned
-    (Pool.spawned_domains ());
-  (* Parked workers still participate in stop-the-world sections, so the
-     parallel-to-sequential boundary retires them; the next fan-out
-     respawns transparently. *)
-  Pool.quiesce ();
-  check_int "quiesce retires every worker" 0 (Pool.spawned_domains ());
-  ignore (Pool.init ~pool 64 (fun x -> x - 1));
-  check "fan-out after quiesce respawns" true (Pool.spawned_domains () > 0)
+(* Every fan-out spawns its helpers and joins them before it returns:
+   two successive jobs=4 fan-outs each spawn three fresh helpers, and a
+   jobs=1 one spawns none. *)
+let test_pool_joins_helpers () =
+  let fan_out ~jobs =
+    let before = Pool.spawned_domains () in
+    ignore (Pool.init ~jobs 64 (fun x -> x + 1));
+    Pool.spawned_domains () - before
+  in
+  check_int "first jobs=4 fan-out spawns 3 helpers" 3 (fan_out ~jobs:4);
+  check_int "second jobs=4 fan-out spawns 3 more" 3 (fan_out ~jobs:4);
+  check_int "jobs=1 spawns nothing" 0 (fan_out ~jobs:1)
+
+(* A fan-out inside a fan-out item: results must match the sequential
+   run, however many helpers the inner fan-outs get. *)
+let test_pool_nested () =
+  let nested ~jobs =
+    Pool.init ~jobs 4 (fun i -> Pool.init ~jobs 8 (fun j -> (i * 8) + j))
+  in
+  check "nested jobs=2 equals jobs=1" true (nested ~jobs:2 = nested ~jobs:1)
 
 (* --- telemetry under the pool --- *)
 
@@ -229,9 +224,8 @@ let test_metrics_shard_merge_under_pool () =
   @@ fun () ->
   Dh_obs.Metrics.reset ();
   let h = Dh_obs.Metrics.histogram "test.pool.sizes" in
-  let pool = Pool.create ~jobs:4 () in
   let out =
-    Pool.init ~pool 200 (fun i ->
+    Pool.init ~jobs:4 200 (fun i ->
         Dh_obs.Metrics.observe h i;
         i)
   in
@@ -240,60 +234,49 @@ let test_metrics_shard_merge_under_pool () =
   check_int "histogram merges worker shards" 200 (Dh_obs.Quantile.count merged);
   check_int "histogram sum" (199 * 200 / 2) (Dh_obs.Quantile.sum merged)
 
-(* Telemetry is write-only: a traced run must produce bit-identical
-   results to an untraced one, sequentially and in parallel.  Flight
-   recorder captures and audit offender rankings are the fields
-   tracing legitimately adds (both are [] when obs is off), so the
-   fingerprint strips them before comparing. *)
-let prop_observation_invariance =
-  QCheck.Test.make ~name:"tracing does not perturb seeded runs" ~count:8
-    QCheck.(int_bound 1000)
-    (fun master ->
-      let baseline = supervisor_incident ~jobs:1 ~master in
-      let strip i = { i with Supervisor.flight = []; offenders = [] } in
-      let observed ~jobs =
-        Dh_obs.Control.with_enabled true (fun () ->
-            Fun.protect
-              ~finally:(fun () ->
-                Dh_obs.Metrics.reset ();
-                Dh_obs.Tracing.reset ();
-                Dh_obs.Recorder.clear ())
-              (fun () -> supervisor_incident ~jobs ~master))
-      in
-      baseline.Supervisor.flight = []
-      && baseline.Supervisor.offenders = []
-      && strip (observed ~jobs:1) = strip baseline
-      && strip (observed ~jobs:4) = strip baseline)
-
-(* The Squid-style server under the supervisor with telemetry enabled:
-   metric cells, sampled heap trace instants and the retry ladder at once
-   must keep an incident at [jobs = n] identical to [jobs = 1] on a
-   realistic workload, not just on the micro-programs above. *)
-let server_incident ~jobs ~master ~attack_every =
-  Supervisor.run
-    ~config:(Config.v ~heap_size:Dh_workload.Server.heap_size ~jobs ())
-    ~seed_pool:(Seed.create ~master)
-    (Dh_workload.Server.program ~requests:96 ~attack_every ())
-
-let prop_server_jobs_equivalence =
-  QCheck.Test.make
-    ~name:"server under supervisor: jobs=n equals jobs=1, telemetry on"
-    ~count:6
-    QCheck.(pair (int_bound 500) (oneofl [ 0; 7 ]))
-    (fun (master, attack_every) ->
-      Dh_obs.Control.with_enabled true @@ fun () ->
+(* Runs [f] with telemetry on, then clears everything it recorded. *)
+let observed f =
+  Dh_obs.Control.with_enabled true (fun () ->
       Fun.protect
         ~finally:(fun () ->
           Dh_obs.Metrics.reset ();
           Dh_obs.Tracing.reset ();
           Dh_obs.Recorder.clear ())
-        (fun () ->
-          let strip i = { i with Supervisor.flight = []; offenders = [] } in
-          let seq = strip (server_incident ~jobs:1 ~master ~attack_every) in
-          List.for_all
-            (fun jobs ->
-              strip (server_incident ~jobs ~master ~attack_every) = seq)
-            [ 2; 4 ]))
+        f)
+
+(* Flight recorder captures and audit offender rankings are the fields
+   tracing legitimately adds (both are [] when obs is off), so the
+   fingerprint strips them before comparing. *)
+let strip i = { i with Supervisor.flight = []; offenders = [] }
+
+(* Telemetry is write-only: a traced run must produce bit-identical
+   results to an untraced one. *)
+let prop_observation_invariance =
+  QCheck.Test.make ~name:"tracing does not perturb seeded runs" ~count:8
+    QCheck.(int_bound 1000)
+    (fun master ->
+      let baseline = supervisor_incident ~master in
+      baseline.Supervisor.flight = []
+      && baseline.Supervisor.offenders = []
+      && strip (observed (fun () -> supervisor_incident ~master)) = strip baseline)
+
+(* The same on a realistic workload: the Squid-style server under the
+   supervisor, where metric cells, sampled heap trace instants and the
+   retry ladder are all live at once. *)
+let server_incident ~master ~attack_every =
+  Supervisor.run
+    ~config:(Config.v ~heap_size:Dh_workload.Server.heap_size ())
+    ~seed_pool:(Seed.create ~master)
+    (Dh_workload.Server.program ~requests:96 ~attack_every ())
+
+let prop_server_observation_invariance =
+  QCheck.Test.make
+    ~name:"server under supervisor: telemetry on equals telemetry off"
+    ~count:6
+    QCheck.(pair (int_bound 500) (oneofl [ 0; 7 ]))
+    (fun (master, attack_every) ->
+      strip (observed (fun () -> server_incident ~master ~attack_every))
+      = server_incident ~master ~attack_every)
 
 let suite =
   [
@@ -314,10 +297,11 @@ let suite =
       test_replicated_churn_jobs_equivalence;
     Alcotest.test_case "campaign: jobs equivalence" `Quick
       test_campaign_jobs_equivalence;
-    Alcotest.test_case "pool: workers reused across fan-outs" `Quick
-      test_pool_worker_reuse;
+    Alcotest.test_case "pool: every fan-out joins its helpers" `Quick
+      test_pool_joins_helpers;
+    Alcotest.test_case "pool: nested fan-out" `Quick test_pool_nested;
     Alcotest.test_case "metrics: shards merge under pool" `Quick
       test_metrics_shard_merge_under_pool;
     QCheck_alcotest.to_alcotest prop_observation_invariance;
-    QCheck_alcotest.to_alcotest prop_server_jobs_equivalence;
+    QCheck_alcotest.to_alcotest prop_server_observation_invariance;
   ]
