@@ -142,22 +142,16 @@ let a5_multiplier ~trials =
           Dh_analysis.Theorems.overflow_mask_probability
             ~free_fraction:(1. -. fullness) ~objects:1 ~replicas:1
         in
-        (* measured on real heaps at threshold fullness *)
+        (* measured on real heaps at threshold fullness: Figure 4(a)'s
+           trial *)
         let masked = ref 0 in
         for seed = 1 to trials do
           let config =
             Diehard.Config.v ~multiplier:(float_of_int multiplier)
               ~heap_size:(12 * 256 * 1024) ~seed ()
           in
-          let mem = Dh_mem.Mem.create () in
-          let heap = Heap.create ~config mem in
-          let alloc = Heap.allocator heap in
           let threshold = Diehard.Config.threshold config ~class_:3 in
-          let ptrs = Array.init threshold (fun _ -> Allocator.malloc_exn alloc 64) in
-          let victim = ptrs.(Dh_rng.Mwc.below (Heap.rng heap) threshold) in
-          (match Heap.find_object heap (victim + 64) with
-          | Some { Allocator.allocated = false; _ } | None -> incr masked
-          | Some _ -> ())
+          if Fig4.overflow_trial ~config ~fill:threshold ~objects:1 then incr masked
         done;
         [
           Printf.sprintf "M=%d" multiplier;

@@ -18,9 +18,10 @@
      assumption every theorem rests on, checked from the same
      write-only instrumentation `diehard audit` reads in production.
 
-   The sweep feeds the measured tallies through Dh_obs.Audit /
-   Dh_analysis.Margin — the same pipeline the CLI uses — and the gate
-   commits the whole report as BENCH_audit.json. *)
+   The entropy leg reads Dh_obs.Audit through Dh_analysis.Margin — the
+   same pipeline the CLI uses — and the M=2 margin report carries the
+   sweep's own overflow and dangling tallies as its empirical rates.
+   The gate commits the whole report as BENCH_audit.json. *)
 
 module Allocator = Dh_alloc.Allocator
 module Theorems = Dh_analysis.Theorems
@@ -71,6 +72,15 @@ let leg ~analytic ~masked ~trials =
   let sigma = Margin.binomial_sigma ~p:analytic ~trials in
   let tol = (sigmas *. sigma) +. slack in
   { analytic; measured; sigma; tol; ok = within ~tol ~analytic measured }
+
+(* The margin report's line for one masking leg's tally. *)
+let empirical kind masked trials =
+  {
+    Margin.em_kind = kind;
+    em_masked = masked;
+    em_trials = trials;
+    em_rate = Audit.ratio masked trials;
+  }
 
 type row = {
   m : float;
@@ -139,13 +149,18 @@ let sweep ~quick () =
                 let heap = make_heap ~m ~seed:(Dh_rng.Seed.fresh pool) in
                 Audit.with_site site (fun () -> ignore (fill heap))
               done;
-              Audit.record_error_trials ~error:Audit.Overflow ~masked:!ovf_masked
-                ~trials:overflow_trials;
-              Audit.record_error_trials ~error:Audit.Dangling ~masked:!dgl_masked
-                ~trials:dangling_trials;
               let snap = Audit.snapshot () in
               if m = 2. then
-                margin := Some (Margin.of_snapshot ~dangling_allocations snap);
+                margin :=
+                  Some
+                    {
+                      (Margin.of_snapshot ~dangling_allocations snap) with
+                      Margin.empirical =
+                        [
+                          empirical "overflow" !ovf_masked overflow_trials;
+                          empirical "dangling" !dgl_masked dangling_trials;
+                        ];
+                    };
               let c = snap.Audit.classes.(class_) in
               ( Audit.entropy_bits c.Audit.slot_hist,
                 Array.fold_left ( + ) 0 c.Audit.slot_hist ))

@@ -84,6 +84,19 @@ let write r =
   close_out oc;
   Printf.printf "wrote %s\n%!" (path r.bench)
 
+(* A report as text: [config] and [exact], which reproduce bit for bit,
+   on stdout; [cores] and the [wall] metrics on stderr. *)
+let print r =
+  let show oc (name, v) =
+    Printf.fprintf oc "  %-36s %s\n" name (String.trim (Json.to_string v))
+  in
+  Printf.printf "%s report, config and exact metrics:\n" r.bench;
+  List.iter (show stdout) (r.config @ r.exact);
+  Printf.eprintf "%s report, wall-clock metrics (%d cores):\n" r.bench r.cores;
+  List.iter (show stderr) r.wall;
+  flush stdout;
+  flush stderr
+
 (* [Ok None] when there is no file; [Error] when one exists but is not a
    readable report of this bench, which fails the gate: a broken
    baseline would otherwise silently disable every comparison. *)

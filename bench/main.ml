@@ -10,7 +10,11 @@
    `--trace PATH` (run with observability on and write the spans as
    Chrome trace_event JSON).  The `*-gate` experiments run only when
    named: each writes BENCH_<bench>.json, gates it against the file it
-   replaced, and exits 3 if a check fails.  Usage errors exit 2. *)
+   replaced, and exits 3 if a check fails.  Usage errors exit 2.
+
+   Each experiment's [name: N s] trailer and the completion line are
+   wall-clock, so they go to stderr: the stdout of a seeded experiment
+   can then be compared byte for byte (test/golden does). *)
 
 open Dh_bench
 
@@ -96,6 +100,6 @@ let () =
     (fun (name, f) ->
       let t = Unix.gettimeofday () in
       f ();
-      Printf.printf "  [%s: %.1fs]\n%!" name (Unix.gettimeofday () -. t))
+      Printf.eprintf "  [%s: %.1fs]\n%!" name (Unix.gettimeofday () -. t))
     to_run;
-  Printf.printf "\nAll benchmarks complete in %.1fs.\n" (Unix.gettimeofday () -. t0)
+  Printf.eprintf "\nAll benchmarks complete in %.1fs.\n" (Unix.gettimeofday () -. t0)

@@ -20,7 +20,9 @@
      [jobs in {1, 2, 4, 8}] up to [max 2 cores], recording wall-clock
      speedup and per-core efficiency.
 
-   `throughput` prints the summary; `throughput-gate` also writes
+   Each leg returns its metrics, named once; `throughput` prints the
+   report they make ({!Gate.print}: the exact metrics on stdout, the
+   wall-clock ones on stderr), and `throughput-gate` also writes
    BENCH_throughput.json and gates it (see [checks]).  The bench only
    times: that bulk and bytewise accesses charge alike, that parallel
    runs equal sequential ones and that rewinding never shows in the
@@ -34,67 +36,11 @@ module Program = Dh_alloc.Program
 
 type rate = { name : string; ops : int; bytes : int; seconds : float }
 
-type comparison = {
-  cname : string;
-  bytes_per_op : int;
-  bulk : rate;
-  bytewise : rate;
-  speedup : float;  (* bytewise seconds / bulk seconds, per byte *)
-}
+(* What a leg reports: its exact metrics and its wall-clock ones, in
+   the shape {!Gate.v} takes. *)
+type metrics = (string * Dh_obs.Json.t) list * (string * Dh_obs.Json.t) list
 
-type scaling_point = {
-  sp_jobs : int;
-  sp_seconds : float;
-  sp_speedup : float;  (* jobs=1 seconds / this point's seconds *)
-  sp_efficiency : float;
-      (* speedup per core actually usable at this width,
-         [speedup / min jobs cores]: 1.0 is perfect scaling *)
-}
-
-type scaling = {
-  sname : string;
-  units : int;  (* replicas or trials fanned out *)
-  points : scaling_point list;  (* in increasing-jobs order *)
-}
-
-type obs_overhead = {
-  obs_off : rate;
-      (* the diehard alloc churn with observability disabled: the
-         compiled-in fast path, one atomic load and branch per site *)
-  obs_on : rate;  (* the same churn with tracing + metrics enabled *)
-  enabled_overhead_pct : float;  (* slowdown of on vs off, percent *)
-  records_per_malloc : float;  (* obs records per malloc, see [obs_records] *)
-  records_per_free : float;
-}
-
-type checkpoint_bench = {
-  ck_plain : rate;
-      (* page-write churn with no checkpoint armed: the always-on
-         dirty-tracking tax on the write path *)
-  ck_armed : rate;  (* the same churn inside copy-on-write windows *)
-  ck_cow_overhead_pct : float;  (* slowdown of armed vs plain, percent *)
-  ck_rewind : rate;  (* server attack run recovered by the rewind rung *)
-  ck_scratch : rate;  (* the same run recovered by from-scratch retries *)
-  ck_rewind_speedup : float;
-      (* scratch seconds / rewind seconds: the rung's reason to exist *)
-  ck_rewinds : int;  (* faults survived by rewind across the run *)
-  ck_pages_restored : int;  (* pages blitted back across all rewinds *)
-}
-
-type report = {
-  quick : bool;
-  traced : bool;
-  cores : int;
-  alloc : rate list;
-  fill : comparison;
-  copy : comparison;
-  gc_mark : rate;
-  bitmap_sweep : rate;
-  supervisor : rate;
-  checkpoint : checkpoint_bench;
-  obs : obs_overhead;
-  scaling : scaling list;
-}
+let ( ++ ) ((e, w) : metrics) ((e', w') : metrics) : metrics = (e @ e', w @ w')
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -103,6 +49,22 @@ let time f =
 
 let ops_per_sec r = float_of_int r.ops /. r.seconds
 let mb_per_sec r = float_of_int r.bytes /. (1024. *. 1024.) /. r.seconds
+
+(* A rate's metrics: the operation count is exact, the time and the
+   rates wall-clock; byte counts and bandwidths only for the rates that
+   move bytes. *)
+let rate_metrics x : metrics =
+  let moves_bytes = x.bytes > 0 in
+  ( ((x.name ^ ".ops", Gate.int x.ops)
+    :: if moves_bytes then [ (x.name ^ ".bytes", Gate.int x.bytes) ] else []),
+    [
+      (x.name ^ ".seconds", Gate.float x.seconds);
+      (x.name ^ ".ops_per_sec", Gate.float (ops_per_sec x));
+    ]
+    @ if moves_bytes then [ (x.name ^ ".mb_per_sec", Gate.float (mb_per_sec x)) ] else [] )
+
+(* A slowdown of [slow] against [fast], in percent. *)
+let overhead_pct ~fast ~slow = ((ops_per_sec fast /. ops_per_sec slow) -. 1.) *. 100.
 
 (* --- allocation rate --- *)
 
@@ -132,86 +94,63 @@ let alloc_bench ~ops name make =
   in
   { name; ops = !performed; bytes = 0; seconds }
 
+(* The three churns, in the order they have always run (the GC
+   first). *)
 let alloc_benches ~quick =
   let ops = if quick then 20_000 else 200_000 in
-  [
-    alloc_bench ~ops "diehard" (fun () ->
-        let mem = Mem.create () in
-        Diehard.Heap.allocator
-          (Diehard.Heap.create ~config:(Diehard.Config.v ~seed:1 ()) mem));
-    alloc_bench ~ops "freelist-lea" (fun () ->
-        Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create (Mem.create ())));
-    alloc_bench ~ops "gc-bdw" (fun () ->
-        Dh_alloc.Gc.allocator (Dh_alloc.Gc.create (Mem.create ())));
-  ]
+  List.fold_left
+    (fun acc (name, make) -> acc ++ rate_metrics (alloc_bench ~ops name make))
+    ([], [])
+    [
+      ("gc-bdw", fun () -> Dh_alloc.Gc.allocator (Dh_alloc.Gc.create (Mem.create ())));
+      ( "freelist-lea",
+        fun () -> Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create (Mem.create ())) );
+      ( "diehard",
+        fun () ->
+          Diehard.Heap.allocator
+            (Diehard.Heap.create ~config:(Diehard.Config.v ~seed:1 ()) (Mem.create ())) );
+    ]
 
 (* --- bulk vs bytewise bandwidth --- *)
 
-let fill_bench ~quick =
+(* [setup len] maps [len] bytes and returns one bulk and one bytewise
+   pass over them; the bytewise pass runs [byte_reps] times and the bulk
+   one 64 times as often.  The speedup is per byte. *)
+let comparison ~quick cname setup =
   let len = if quick then 64 * 1024 else 256 * 1024 in
   let byte_reps = if quick then 4 else 8 in
-  let bulk_reps = byte_reps * 64 in
-  let mem = Mem.create () in
-  let a = Mem.mmap mem len in
-  let bulk_s =
-    time (fun () ->
-        for _ = 1 to bulk_reps do
-          Mem.fill mem ~addr:a ~len 'Q'
-        done)
+  let bulk_pass, bytewise_pass = setup len in
+  let leg kind reps pass =
+    let seconds = time (fun () -> for _ = 1 to reps do pass () done) in
+    { name = cname ^ "-" ^ kind; ops = reps; bytes = reps * len; seconds }
   in
-  let byte_s =
-    time (fun () ->
-        for _ = 1 to byte_reps do
+  let bulk = leg "bulk" (byte_reps * 64) bulk_pass in
+  let bytewise = leg "bytewise" byte_reps bytewise_pass in
+  rate_metrics bulk ++ rate_metrics bytewise
+  ++ ( [ (cname ^ ".bytes_per_op", Gate.int len) ],
+       [ (cname ^ ".speedup", Gate.float (mb_per_sec bulk /. mb_per_sec bytewise)) ] )
+
+let fill_bench ~quick =
+  comparison ~quick "fill" (fun len ->
+      let mem = Mem.create () in
+      let a = Mem.mmap mem len in
+      ( (fun () -> Mem.fill mem ~addr:a ~len 'Q'),
+        fun () ->
           for i = 0 to len - 1 do
             Mem.write8 mem (a + i) 0x51
-          done
-        done)
-  in
-  let bulk = { name = "fill-bulk"; ops = bulk_reps; bytes = bulk_reps * len; seconds = bulk_s } in
-  let bytewise =
-    { name = "fill-bytewise"; ops = byte_reps; bytes = byte_reps * len; seconds = byte_s }
-  in
-  {
-    cname = "fill";
-    bytes_per_op = len;
-    bulk;
-    bytewise;
-    speedup = mb_per_sec bulk /. mb_per_sec bytewise;
-  }
+          done ))
 
 let copy_bench ~quick =
-  let len = if quick then 64 * 1024 else 256 * 1024 in
-  let byte_reps = if quick then 4 else 8 in
-  let bulk_reps = byte_reps * 64 in
-  let mem = Mem.create () in
-  let src = Mem.mmap mem len in
-  let dst = Mem.mmap mem len in
-  Mem.fill_random mem ~addr:src ~len (Dh_rng.Mwc.create ~seed:7);
-  let bulk_s =
-    time (fun () ->
-        for _ = 1 to bulk_reps do
-          Mem.write_bytes mem ~addr:dst (Mem.read_bytes mem ~addr:src ~len)
-        done)
-  in
-  let byte_s =
-    time (fun () ->
-        for _ = 1 to byte_reps do
+  comparison ~quick "copy" (fun len ->
+      let mem = Mem.create () in
+      let src = Mem.mmap mem len in
+      let dst = Mem.mmap mem len in
+      Mem.fill_random mem ~addr:src ~len (Dh_rng.Mwc.create ~seed:7);
+      ( (fun () -> Mem.write_bytes mem ~addr:dst (Mem.read_bytes mem ~addr:src ~len)),
+        fun () ->
           for i = 0 to len - 1 do
             Mem.write8 mem (dst + i) (Mem.read8 mem (src + i))
-          done
-        done)
-  in
-  let bulk = { name = "copy-bulk"; ops = bulk_reps; bytes = bulk_reps * len; seconds = bulk_s } in
-  let bytewise =
-    { name = "copy-bytewise"; ops = byte_reps; bytes = byte_reps * len; seconds = byte_s }
-  in
-  {
-    cname = "copy";
-    bytes_per_op = len;
-    bulk;
-    bytewise;
-    speedup = mb_per_sec bulk /. mb_per_sec bytewise;
-  }
+          done ))
 
 (* --- GC mark rate --- *)
 
@@ -241,7 +180,7 @@ let gc_mark_bench ~quick =
           Dh_alloc.Gc.collect gc
         done)
   in
-  { name = "gc-mark"; ops = n * reps; bytes = n * objsz * reps; seconds }
+  rate_metrics { name = "gc-mark"; ops = n * reps; bytes = n * objsz * reps; seconds }
 
 (* --- bitmap sweep --- *)
 
@@ -261,7 +200,7 @@ let bitmap_bench ~quick =
           Dh_alloc.Bitmap.iter_clear bm (fun _ -> incr visited)
         done)
   in
-  { name = "bitmap-sweep"; ops = !visited; bytes = reps * (bits / 8); seconds }
+  rate_metrics { name = "bitmap-sweep"; ops = !visited; bytes = reps * (bits / 8); seconds }
 
 let small_heap = 12 * 64 * 1024
 
@@ -299,7 +238,7 @@ let supervisor_bench ~quick =
             !attempts + List.length incident.Diehard.Supervisor.attempts
         done)
   in
-  { name = "supervisor"; ops = !attempts; bytes = 0; seconds }
+  rate_metrics { name = "supervisor"; ops = !attempts; bytes = 0; seconds }
 
 (* --- checkpoint / rewind recovery --- *)
 
@@ -327,34 +266,26 @@ let checkpoint_write_churn ~quick =
       done
     done
   in
-  let ops_per_rep = pages * (words_per_page / 8) in
-  let plain_mem = Mem.create () in
-  let plain_a = Mem.mmap plain_mem len in
-  let plain_s =
-    time (fun () ->
-        for _ = 1 to reps do
-          churn plain_mem plain_a
-        done)
+  let leg name ~arm =
+    let mem = Mem.create () in
+    let a = Mem.mmap mem len in
+    let seconds =
+      time (fun () ->
+          for _ = 1 to reps do
+            (* re-arming starts a fresh window: every page is clean
+               again, so each rep pays one pre-image copy per page
+               touched *)
+            if arm then Mem.checkpoint mem;
+            churn mem a
+          done)
+    in
+    if arm then Mem.discard_checkpoint mem;
+    { name; ops = reps * pages * (words_per_page / 8); bytes = reps * len; seconds }
   in
-  let armed_mem = Mem.create () in
-  let armed_a = Mem.mmap armed_mem len in
-  let armed_s =
-    time (fun () ->
-        for _ = 1 to reps do
-          (* re-arming starts a fresh window: every page is clean again,
-             so each rep pays one pre-image copy per page touched *)
-          Mem.checkpoint armed_mem;
-          churn armed_mem armed_a
-        done)
-  in
-  Mem.discard_checkpoint armed_mem;
-  let plain =
-    { name = "ckpt-write-plain"; ops = reps * ops_per_rep; bytes = reps * len; seconds = plain_s }
-  in
-  let armed =
-    { name = "ckpt-write-armed"; ops = reps * ops_per_rep; bytes = reps * len; seconds = armed_s }
-  in
-  (plain, armed)
+  let plain = leg "ckpt-write-plain" ~arm:false in
+  let armed = leg "ckpt-write-armed" ~arm:true in
+  rate_metrics plain ++ rate_metrics armed
+  ++ ([], [ ("ckpt.cow_overhead_pct", Gate.float (overhead_pct ~fast:plain ~slow:armed)) ])
 
 (* The recovery comparison's run: the Squid-style server under attack,
    with the rewind rung armed every [interval] requests, or restarting
@@ -378,10 +309,10 @@ let recovery_leg ~requests ~interval =
     (Dh_workload.Server.program ~requests ~attack_every:16 ())
 
 let checkpoint_bench ~quick =
-  let plain, armed = checkpoint_write_churn ~quick in
+  let writes = checkpoint_write_churn ~quick in
   let requests = if quick then 2048 else 8192 in
-  let rewind_i = ref None in
-  let rewind_s = time (fun () -> rewind_i := Some (recovery_leg ~requests ~interval:64)) in
+  let rewound = ref None in
+  let rewind_s = time (fun () -> rewound := Some (recovery_leg ~requests ~interval:64)) in
   let scratch_s = time (fun () -> ignore (recovery_leg ~requests ~interval:0)) in
   let rewinds, pages =
     List.fold_left
@@ -390,18 +321,14 @@ let checkpoint_bench ~quick =
         | Some r ->
           (rw + r.Diehard.Supervisor.rewinds, pg + r.Diehard.Supervisor.pages_restored)
         | None -> (rw, pg))
-      (0, 0) (Option.get !rewind_i).Diehard.Supervisor.attempts
+      (0, 0) (Option.get !rewound).Diehard.Supervisor.attempts
   in
-  {
-    ck_plain = plain;
-    ck_armed = armed;
-    ck_cow_overhead_pct = ((ops_per_sec plain /. ops_per_sec armed) -. 1.) *. 100.;
-    ck_rewind = { name = "recover-rewind"; ops = requests; bytes = 0; seconds = rewind_s };
-    ck_scratch = { name = "recover-scratch"; ops = requests; bytes = 0; seconds = scratch_s };
-    ck_rewind_speedup = scratch_s /. rewind_s;
-    ck_rewinds = rewinds;
-    ck_pages_restored = pages;
-  }
+  writes
+  ++ rate_metrics { name = "recover-rewind"; ops = requests; bytes = 0; seconds = rewind_s }
+  ++ rate_metrics { name = "recover-scratch"; ops = requests; bytes = 0; seconds = scratch_s }
+  ++ ( [ ("recover.rewinds", Gate.int rewinds); ("recover.pages_restored", Gate.int pages) ],
+       (* the rung's reason to exist *)
+       [ ("recover.rewind_speedup", Gate.float (scratch_s /. rewind_s)) ] )
 
 (* --- observability overhead --- *)
 
@@ -429,9 +356,11 @@ let obs_records () =
     List.length (List.filter (fun e -> e.Dh_obs.Tracing.name = name) events)
   in
   let stats = Diehard.Heap.stats heap in
-  let per n ops = float_of_int n /. float_of_int ops in
-  ( per (allocs1 - allocs0 + instants "heap.malloc") stats.Dh_alloc.Stats.mallocs,
-    per (frees1 - frees0 + instants "heap.free") stats.Dh_alloc.Stats.frees )
+  let per n ops = Gate.float (float_of_int n /. float_of_int ops) in
+  [
+    ("obs.records_per_malloc", per (allocs1 - allocs0 + instants "heap.malloc") stats.Dh_alloc.Stats.mallocs);
+    ("obs.records_per_free", per (frees1 - frees0 + instants "heap.free") stats.Dh_alloc.Stats.frees);
+  ]
 
 (* The same diehard alloc churn with Dh_obs off and then on.  The off
    leg is the compiled-in fast path (one atomic load and branch per
@@ -445,15 +374,11 @@ let obs_overhead_bench ~quick =
   let obs_off = alloc_bench ~ops "diehard-obs-off" make in
   Dh_obs.Control.set_enabled true;
   let obs_on = alloc_bench ~ops "diehard-obs-on" make in
-  let records_per_malloc, records_per_free = obs_records () in
+  let records = obs_records () in
   Dh_obs.Control.set_enabled was;
-  {
-    obs_off;
-    obs_on;
-    enabled_overhead_pct = ((ops_per_sec obs_off /. ops_per_sec obs_on) -. 1.) *. 100.;
-    records_per_malloc;
-    records_per_free;
-  }
+  rate_metrics obs_off ++ rate_metrics obs_on
+  ++ ( records,
+       [ ("obs.enabled_overhead_pct", Gate.float (overhead_pct ~fast:obs_off ~slow:obs_on)) ] )
 
 (* --- parallel scaling (Dh_parallel over replicas and campaigns) --- *)
 
@@ -485,38 +410,31 @@ let churn_program ~ops =
       done;
       Process.Out.printf ctx.Program.out "h=%d" !h)
 
-let jobs_sweep ~max_jobs =
-  List.sort_uniq compare (max_jobs :: List.filter (fun j -> j <= max_jobs) [ 1; 2; 4; 8 ])
-
-(* Time [run_with ~jobs] across the sweep. *)
+(* Time [run_with ~jobs] at jobs 1, 2, 4 and 8 up to [max_jobs], and
+   always at [max_jobs]: seconds, speedup over jobs=1 and per-core
+   efficiency at each width. *)
 let scaling_bench ~sname ~units ~max_jobs ~run_with =
   let cores = Dh_parallel.Pool.default_jobs () in
   let points =
     List.map
       (fun jobs -> (jobs, time (fun () -> ignore (run_with ~jobs))))
-      (jobs_sweep ~max_jobs)
+      (List.sort_uniq compare (max_jobs :: List.filter (fun j -> j <= max_jobs) [ 1; 2; 4; 8 ]))
   in
-  let base =
-    match points with (1, s) :: _ -> s | _ -> snd (List.hd points)
-  in
-  {
-    sname;
-    units;
-    points =
-      List.map
-        (fun (jobs, seconds) ->
-          let speedup = base /. seconds in
-          {
-            sp_jobs = jobs;
-            sp_seconds = seconds;
-            sp_speedup = speedup;
-            (* Per-core efficiency on THIS machine: extra domains beyond
-               the core count cannot add speedup, so they are not held
-               against the engine. *)
-            sp_efficiency = speedup /. float_of_int (max 1 (min jobs cores));
-          })
-        points;
-  }
+  let base = snd (List.hd points) in
+  ( [ (sname ^ ".units", Gate.int units) ],
+    List.concat_map
+      (fun (jobs, seconds) ->
+        let key = Printf.sprintf "%s.jobs%d.%s" sname jobs in
+        let speedup = base /. seconds in
+        [
+          (key "seconds", Gate.float seconds);
+          (key "speedup", Gate.float speedup);
+          (* Per-core efficiency on THIS machine: extra domains beyond
+             the core count cannot add speedup, so they are not held
+             against the engine.  1.0 is perfect scaling. *)
+          (key "efficiency", Gate.float (speedup /. float_of_int (max 1 (min jobs cores))));
+        ])
+      points )
 
 let replicas = 8
 
@@ -557,157 +475,9 @@ let campaign_scaling ~quick ~max_jobs =
   scaling_bench ~sname:"campaign" ~units:trials ~max_jobs
     ~run_with:(campaign ~spec:campaign_spec ~trials ~ops)
 
-(* --- driver --- *)
-
-let run ~quick =
-  let cores = Dh_parallel.Pool.default_jobs () in
-  (* Sweep up to the core count, and always to 2: the jobs=2 point is
-     the one the scaling check reads. *)
-  let max_jobs = max 2 cores in
-  (* Captured before the obs stage toggles the switch: a traced run's
-     rates are not comparable with an untraced baseline's. *)
-  let traced = Dh_obs.Control.enabled () in
-  (* Stage order is load-bearing when tracing is on: the per-domain
-     trace rings overwrite their oldest events, and the churn-heavy
-     stages (alloc, scaling) flood them.  Running the low-volume span
-     stages (GC, supervisor) last keeps their spans in the retained
-     window, so a `--trace` of this bench always covers heap, GC,
-     supervisor, and pool events. *)
-  let alloc = alloc_benches ~quick in
-  let fill = fill_bench ~quick in
-  let copy = copy_bench ~quick in
-  let bitmap_sweep = bitmap_bench ~quick in
-  let obs = obs_overhead_bench ~quick in
-  let scaling =
-    [ replicated_scaling ~quick ~max_jobs; campaign_scaling ~quick ~max_jobs ]
-  in
-  (* the checkpoint stage's server runs are heap-churn-heavy, so it
-     belongs with the flooders, before the low-volume span stages *)
-  let checkpoint = checkpoint_bench ~quick in
-  let gc_mark = gc_mark_bench ~quick in
-  let supervisor = supervisor_bench ~quick in
-  {
-    quick;
-    traced;
-    cores;
-    alloc;
-    fill;
-    copy;
-    gc_mark;
-    bitmap_sweep;
-    supervisor;
-    checkpoint;
-    obs;
-    scaling;
-  }
-
-let print r =
-  Printf.printf "throughput (%s, %d core%s)\n"
-    (if r.quick then "quick" else "full")
-    r.cores
-    (if r.cores = 1 then "" else "s");
-  List.iter
-    (fun rate ->
-      Printf.printf "  alloc %-14s %10.0f ops/s\n" rate.name (ops_per_sec rate))
-    r.alloc;
-  let pc c =
-    Printf.printf "  %-4s bulk %8.1f MB/s  bytewise %7.1f MB/s  speedup %6.1fx\n" c.cname
-      (mb_per_sec c.bulk) (mb_per_sec c.bytewise) c.speedup
-  in
-  pc r.fill;
-  pc r.copy;
-  Printf.printf "  gc-mark %14.1f MB/s\n" (mb_per_sec r.gc_mark);
-  Printf.printf "  bitmap-sweep %9.0f Mbit/s scanned\n"
-    (float_of_int r.bitmap_sweep.bytes *. 8. /. 1e6 /. r.bitmap_sweep.seconds);
-  Printf.printf "  supervisor %8d ladder attempts in %.3f s\n" r.supervisor.ops
-    r.supervisor.seconds;
-  Printf.printf
-    "  ckpt writes: plain %9.0f ops/s  armed %9.0f ops/s  COW costs %+.1f%%\n"
-    (ops_per_sec r.checkpoint.ck_plain)
-    (ops_per_sec r.checkpoint.ck_armed)
-    r.checkpoint.ck_cow_overhead_pct;
-  Printf.printf
-    "  recovery: rewind %.3f s  scratch %.3f s  speedup %.2fx  (%d rewinds, %d \
-     pages restored)\n"
-    r.checkpoint.ck_rewind.seconds r.checkpoint.ck_scratch.seconds
-    r.checkpoint.ck_rewind_speedup r.checkpoint.ck_rewinds
-    r.checkpoint.ck_pages_restored;
-  Printf.printf
-    "  obs overhead: off %10.0f ops/s  on %10.0f ops/s  enabled costs %+.1f%%\n"
-    (ops_per_sec r.obs.obs_off) (ops_per_sec r.obs.obs_on)
-    r.obs.enabled_overhead_pct;
-  Printf.printf "  obs records: %.4f per malloc  %.4f per free\n" r.obs.records_per_malloc
-    r.obs.records_per_free;
-  List.iter
-    (fun s ->
-      Printf.printf "  scaling %-16s (%d units, %d cores)\n" s.sname s.units r.cores;
-      List.iter
-        (fun p ->
-          Printf.printf
-            "    jobs %2d  %8.3f s  speedup %5.2fx  efficiency %5.2f\n" p.sp_jobs
-            p.sp_seconds p.sp_speedup p.sp_efficiency)
-        s.points)
-    r.scaling
-
 (* --- report and gate --- *)
 
 let bench = "throughput"
-
-let to_report r =
-  let ck = r.checkpoint in
-  let rates =
-    r.alloc
-    @ [
-        r.fill.bulk; r.fill.bytewise; r.copy.bulk; r.copy.bytewise; r.gc_mark;
-        r.bitmap_sweep; r.supervisor; ck.ck_plain; ck.ck_armed; ck.ck_rewind;
-        ck.ck_scratch; r.obs.obs_off; r.obs.obs_on;
-      ]
-  in
-  (* byte counts and bandwidths only for the rates that move bytes *)
-  let rate_exact x =
-    (x.name ^ ".ops", Gate.int x.ops)
-    :: (if x.bytes > 0 then [ (x.name ^ ".bytes", Gate.int x.bytes) ] else [])
-  in
-  let rate_wall x =
-    [
-      (x.name ^ ".seconds", Gate.float x.seconds);
-      (x.name ^ ".ops_per_sec", Gate.float (ops_per_sec x));
-    ]
-    @ if x.bytes > 0 then [ (x.name ^ ".mb_per_sec", Gate.float (mb_per_sec x)) ] else []
-  in
-  let comparisons = [ r.fill; r.copy ] in
-  Gate.v ~bench
-    ~config:[ ("quick", Gate.bool r.quick); ("traced", Gate.bool r.traced) ]
-    ~exact:
-      (List.concat_map rate_exact rates
-      @ List.map (fun c -> (c.cname ^ ".bytes_per_op", Gate.int c.bytes_per_op)) comparisons
-      @ [
-          ("recover.rewinds", Gate.int ck.ck_rewinds);
-          ("recover.pages_restored", Gate.int ck.ck_pages_restored);
-          ("obs.records_per_malloc", Gate.float r.obs.records_per_malloc);
-          ("obs.records_per_free", Gate.float r.obs.records_per_free);
-        ]
-      @ List.map (fun s -> (s.sname ^ ".units", Gate.int s.units)) r.scaling)
-    ~wall:
-      (List.concat_map rate_wall rates
-      @ List.map (fun c -> (c.cname ^ ".speedup", Gate.float c.speedup)) comparisons
-      @ [
-          ("ckpt.cow_overhead_pct", Gate.float ck.ck_cow_overhead_pct);
-          ("recover.rewind_speedup", Gate.float ck.ck_rewind_speedup);
-          ("obs.enabled_overhead_pct", Gate.float r.obs.enabled_overhead_pct);
-        ]
-      @ List.concat_map
-          (fun s ->
-            List.concat_map
-              (fun p ->
-                let key = Printf.sprintf "%s.jobs%d.%s" s.sname p.sp_jobs in
-                [
-                  (key "seconds", Gate.float p.sp_seconds);
-                  (key "speedup", Gate.float p.sp_speedup);
-                  (key "efficiency", Gate.float p.sp_efficiency);
-                ])
-              s.points)
-          r.scaling)
 
 (* The obs budget: switching tracing + metrics on must not slow the
    alloc churn beyond this.  It ratchets down as the instrumentation
@@ -737,8 +507,37 @@ let checks =
 
 let measure ~quick () =
   Report.heading "Simulator throughput: allocators, bulk memory, checkpoints, scaling";
-  let r = run ~quick in
-  print r;
-  to_report r
+  (* Sweep up to the core count, and always to 2: the jobs=2 point is
+     the one the scaling check reads. *)
+  let max_jobs = max 2 (Dh_parallel.Pool.default_jobs ()) in
+  (* Captured before the obs stage toggles the switch: a traced run's
+     rates are not comparable with an untraced baseline's. *)
+  let traced = Dh_obs.Control.enabled () in
+  (* Stage order is load-bearing when tracing is on: the per-domain
+     trace rings overwrite their oldest events, and the churn-heavy
+     stages (alloc, scaling, and the checkpoint stage's server runs)
+     flood them.  Running the low-volume span stages (GC, supervisor)
+     last keeps their spans in the retained window, so a `--trace` of
+     this bench always covers heap, GC, supervisor, and pool events. *)
+  let legs =
+    [
+      (fun () -> alloc_benches ~quick);
+      (fun () -> fill_bench ~quick);
+      (fun () -> copy_bench ~quick);
+      (fun () -> bitmap_bench ~quick);
+      (fun () -> obs_overhead_bench ~quick);
+      (fun () -> campaign_scaling ~quick ~max_jobs);
+      (fun () -> replicated_scaling ~quick ~max_jobs);
+      (fun () -> checkpoint_bench ~quick);
+      (fun () -> gc_mark_bench ~quick);
+      (fun () -> supervisor_bench ~quick);
+    ]
+  in
+  let exact, wall = List.fold_left (fun acc leg -> acc ++ leg ()) ([], []) legs in
+  let r =
+    Gate.v ~bench ~config:[ ("quick", Gate.bool quick); ("traced", Gate.bool traced) ] ~exact ~wall
+  in
+  Gate.print r;
+  r
 
 let gate ~quick () = Gate.run ~bench checks (measure ~quick)

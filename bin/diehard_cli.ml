@@ -125,11 +125,17 @@ let attack_every_arg =
   Arg.(value & opt int 0 & info [ "attack-every" ] ~docv:"N" ~doc)
 
 (* PROGRAM, resolved once for every run-style subcommand, together with
-   the heap it runs on: --heap when given, else the program's default. *)
-let load libc prog requests attack_every heap =
+   the heap it runs on: --heap when given, else the program's default.
+   The native 'server' calls Mem directly, so no access policy or libc
+   can mediate it: asking for one is a usage error, not a silent
+   no-op. *)
+let load libc policy prog requests attack_every heap =
   let program, default_heap =
     match prog with
     | "server" ->
+      if policy <> Dh_alloc.Policy.Raw || libc <> Dh_lang.Interp.Unchecked then
+        invalid_arg
+          "--policy and --bounded-libc apply to MiniC programs; 'server' is native code";
       (Dh_workload.Server.program ~requests ~attack_every (), Dh_workload.Server.heap_size)
     | name ->
       ( Dh_lang.Interp.program_of_source ~libc ~name (load_source name),
@@ -137,8 +143,9 @@ let load libc prog requests attack_every heap =
   in
   (program, Option.value heap ~default:default_heap)
 
-let program_term ?(libc = Term.const Dh_lang.Interp.Unchecked) () =
-  Term.(const load $ libc $ prog_arg $ requests_arg $ attack_every_arg $ heap_arg)
+let program_term ?(libc = Term.const Dh_lang.Interp.Unchecked)
+    ?(policy = Term.const Dh_alloc.Policy.Raw) () =
+  Term.(const load $ libc $ policy $ prog_arg $ requests_arg $ attack_every_arg $ heap_arg)
 
 (* Observability: every subcommand accepts --trace FILE and --metrics
    FILE.  Either one switches Dh_obs on for the whole process; the dumps
@@ -219,7 +226,8 @@ let run_cmd =
   let doc = "Run a MiniC program under a chosen memory manager (stand-alone mode)." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const action $ obs_term $ program_term ~libc:bounded_arg () $ allocator_arg
+      const action $ obs_term $ program_term ~libc:bounded_arg ~policy:policy_arg ()
+      $ allocator_arg
       $ policy_arg $ seed_arg $ mesh_arg $ mesh_threshold_arg $ input_arg $ fuel_arg)
 
 (* --- replicate --- *)
@@ -369,7 +377,7 @@ let survive_cmd =
   in
   Cmd.v (Cmd.info "survive" ~doc)
     Term.(
-      const action $ obs_term $ program_term () $ retries_arg $ backoff_arg
+      const action $ obs_term $ program_term ~policy:policy_arg () $ retries_arg $ backoff_arg
       $ no_rescue_arg $ no_diagnose_arg $ checkpoint_interval_arg $ rewinds_arg
       $ policy_arg $ seed_arg $ mesh_arg $ mesh_threshold_arg $ input_arg $ fuel_arg)
 

@@ -50,46 +50,48 @@ let all_written t addr width =
   let rec go i = i = width || (Hashtbl.mem t.written (addr + i) && go (i + 1)) in
   go 0
 
-let mediate_load t addr width raw =
+(* Oblivious: may this access reach memory?  Heap accesses must stay
+   inside a live object, others inside a mapping. *)
+let oblivious_ok t addr width =
+  if t.alloc.Allocator.owns addr then heap_access_ok t addr width
+  else Mem.is_mapped t.alloc.Allocator.mem addr
+
+(* Each check answers whether the access may go to memory: [Fail_stop]
+   aborts rather than answer no, and [Oblivious] answers no when it will
+   manufacture the value or drop the write. *)
+let load_ok t addr width =
   match t.kind with
-  | Raw -> raw ()
+  | Raw -> true
   | Fail_stop ->
     if t.alloc.Allocator.owns addr then
       if not (heap_access_ok t addr width) then abort_access addr width "load"
       else if not (all_written t addr width) then
         raise
           (Dh_mem.Process.Abort
-             (Printf.sprintf "uninitialized read of %d byte(s) at 0x%x" width addr))
-      else raw ()
-    else raw ()
-  | Oblivious ->
-    if t.alloc.Allocator.owns addr then
-      if heap_access_ok t addr width then raw () else manufacture t
-    else if Mem.is_mapped t.alloc.Allocator.mem addr then raw ()
-    else manufacture t
+             (Printf.sprintf "uninitialized read of %d byte(s) at 0x%x" width addr));
+    true
+  | Oblivious -> oblivious_ok t addr width
 
-let mediate_store t addr width raw =
+let store_ok t addr width =
   match t.kind with
-  | Raw -> raw ()
+  | Raw -> true
   | Fail_stop ->
     if t.alloc.Allocator.owns addr then
-      if heap_access_ok t addr width then begin
-        mark_written t addr width;
-        raw ()
-      end
-      else abort_access addr width "store"
-    else raw ()
+      if heap_access_ok t addr width then mark_written t addr width
+      else abort_access addr width "store";
+    true
   | Oblivious ->
-    if t.alloc.Allocator.owns addr then
-      if heap_access_ok t addr width then raw () else t.dropped <- t.dropped + 1
-    else if Mem.is_mapped t.alloc.Allocator.mem addr then raw ()
-    else t.dropped <- t.dropped + 1
+    oblivious_ok t addr width
+    || begin
+         t.dropped <- t.dropped + 1;
+         false
+       end
 
-let load t addr = mediate_load t addr 8 (fun () -> Mem.read64 t.alloc.Allocator.mem addr)
-let load8 t addr = mediate_load t addr 1 (fun () -> Mem.read8 t.alloc.Allocator.mem addr)
+let load t addr =
+  if load_ok t addr 8 then Mem.read64 t.alloc.Allocator.mem addr else manufacture t
 
-let store t addr v =
-  mediate_store t addr 8 (fun () -> Mem.write64 t.alloc.Allocator.mem addr v)
+let load8 t addr =
+  if load_ok t addr 1 then Mem.read8 t.alloc.Allocator.mem addr else manufacture t
 
-let store8 t addr v =
-  mediate_store t addr 1 (fun () -> Mem.write8 t.alloc.Allocator.mem addr v)
+let store t addr v = if store_ok t addr 8 then Mem.write64 t.alloc.Allocator.mem addr v
+let store8 t addr v = if store_ok t addr 1 then Mem.write8 t.alloc.Allocator.mem addr v

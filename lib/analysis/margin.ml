@@ -101,17 +101,6 @@ let of_snapshot ?(replicas = 1) ?(dangling_allocations = 10) (snap : Audit.snaps
                }
            end)
   in
-  let empirical =
-    List.map
-      (fun (kind, masked, trials) ->
-        {
-          em_kind = Audit.error_kind_name kind;
-          em_masked = masked;
-          em_trials = trials;
-          em_rate = Audit.ratio masked trials;
-        })
-      snap.Audit.outcomes
-  in
   {
     replicas;
     dangling_allocations;
@@ -123,7 +112,7 @@ let of_snapshot ?(replicas = 1) ?(dangling_allocations = 10) (snap : Audit.snaps
        else Theorems.uninit_detect_probability ~bits:uninit_bits ~replicas);
     uninit_bits;
     classes;
-    empirical;
+    empirical = [];
     sites = Audit.top_sites snap;
   }
 

@@ -19,10 +19,11 @@
     - the observed slot-choice entropy against the uniform ideal —
       the randomness assumption every theorem rests on.
 
-    Alongside: the empirical masking rates recorded by the audit
-    bench's trials ({!Dh_obs.Audit.record_error_trials}) and the top
-    offending allocation sites.  All ratios are guarded — an empty or
-    never-allocated class reads as 0, never NaN. *)
+    Alongside: the top offending allocation sites and, when the caller
+    ran masking trials of its own, their empirical rates ({!empirical};
+    the audit bench fills them from its M-sweep).  All ratios are
+    guarded — an empty or never-allocated class reads as 0, never
+    NaN. *)
 
 type class_margin = {
   cm_class : int;
@@ -46,7 +47,7 @@ type class_margin = {
 }
 
 type empirical = {
-  em_kind : string;  (** ["overflow"], ["dangling"] or ["uninit"]. *)
+  em_kind : string;  (** The error class, e.g. ["overflow"] or ["dangling"]. *)
   em_masked : int;
   em_trials : int;
   em_rate : float;  (** [masked / trials], guarded. *)
@@ -61,6 +62,8 @@ type report = {
   classes : class_margin list;
       (** Classes with any occupancy or audited activity, by class. *)
   empirical : empirical list;
+      (** Measured masking rates; {!of_snapshot} leaves this empty for
+          the caller that ran the trials. *)
   sites : Dh_obs.Audit.site_stat list;  (** {!Dh_obs.Audit.top_sites}. *)
 }
 

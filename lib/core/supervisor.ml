@@ -84,10 +84,14 @@ let plan_for ~(config : Config.t) ~backoff ~seed ~mode attempt =
     mode;
   }
 
-let build_heap plan =
+(* The rung's heap: the plan's seed, M and size, and the caller's
+   other heap settings (replicated fill, meshing). *)
+let build_heap ~(config : Config.t) plan =
   let mem = Dh_mem.Mem.create () in
   let config =
-    Config.v ~multiplier:plan.multiplier ~heap_size:plan.heap_size ~seed:plan.seed ()
+    Config.v ~multiplier:plan.multiplier ~heap_size:plan.heap_size ~seed:plan.seed
+      ~replicated:config.replicated ~mesh:config.mesh ~mesh_threshold:config.mesh_threshold
+      ()
   in
   let heap = Heap.create ~config mem in
   let base = Heap.allocator heap in
@@ -278,7 +282,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
   let attempt_under plan =
     Dh_obs.Tracing.span ~arg:(string_of_int plan.attempt) "supervisor.attempt"
     @@ fun () ->
-    let heap, base_alloc = build_heap plan in
+    let heap, base_alloc = build_heap ~config plan in
     let alloc = wrap plan base_alloc in
     (* The rewind rung applies to randomized attempts of service-shaped
        programs; the rescue rung stays from-scratch (its wrapper defers
@@ -319,7 +323,10 @@ let run ?(policy = default_policy) ?(config = Config.default)
     Dh_obs.Tracing.span ~arg:(string_of_int failed.plan.attempt) "supervisor.diagnose"
     @@ fun () ->
     let plan = { failed.plan with mode = Randomized } in
-    let replay_heap, base = build_heap plan in
+    (* Meshing stays off: a meshed page's free slots address its
+       buddy's bytes, so the canaries written into freed slots would
+       read as overwritten after a mesh pass. *)
+    let replay_heap, base = build_heap ~config:{ config with mesh = false } plan in
     let canary, instrumented = Canary.wrap base in
     let result, fuel_burned, _ =
       execute ~policy_kind ~input ~fuel:policy.fuel program (wrap plan instrumented)

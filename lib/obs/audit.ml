@@ -165,30 +165,10 @@ let occupancy () =
   | None -> []
   | Some f -> ( try f () with _ -> [])
 
-(* --- empirical outcomes and attributed events ---
+(* --- attributed events ---
 
-   Campaign tallies and canary/fault/rescue attributions are rare (per
-   incident, not per allocation), so a mutex per record is fine. *)
-
-type error_kind = Overflow | Dangling | Uninit
-
-let error_kind_name = function
-  | Overflow -> "overflow"
-  | Dangling -> "dangling"
-  | Uninit -> "uninit"
-
-let kind_index = function Overflow -> 0 | Dangling -> 1 | Uninit -> 2
-
-let outcomes_lock = Mutex.create ()
-let masked_tally = Array.make 3 0
-let trial_tally = Array.make 3 0
-
-let record_error_trials ~error ~masked ~trials =
-  if Control.enabled () then
-    Mutex.protect outcomes_lock (fun () ->
-        let i = kind_index error in
-        masked_tally.(i) <- masked_tally.(i) + masked;
-        trial_tally.(i) <- trial_tally.(i) + trials)
+   Canary/fault/rescue attributions are rare (per incident, not per
+   allocation), so a mutex per record is fine. *)
 
 type events = { mutable ev_canaries : int; mutable ev_faults : int; mutable ev_rescues : int }
 
@@ -235,7 +215,6 @@ type snapshot = {
   classes : class_stat array;
   sites : site_stat list;
   occ : occupancy list;
-  outcomes : (error_kind * int * int) list;
 }
 
 let snapshot () =
@@ -287,16 +266,7 @@ let snapshot () =
             { site_id = id; name = site_name id; s_allocs; s_frees; canaries; faults; rescues })
       (List.init n Fun.id)
   in
-  let outcomes =
-    Mutex.protect outcomes_lock (fun () ->
-        List.filter_map
-          (fun k ->
-            let i = kind_index k in
-            if trial_tally.(i) = 0 then None
-            else Some (k, masked_tally.(i), trial_tally.(i)))
-          [ Overflow; Dangling; Uninit ])
-  in
-  { classes; sites; occ = occupancy (); outcomes }
+  { classes; sites; occ = occupancy () }
 
 let severity s = s.canaries + s.faults + s.rescues
 
@@ -364,9 +334,6 @@ let reset () =
       n_sites := 0;
       ignore (intern_unlocked "unknown"));
   Mutex.protect events_lock (fun () -> Hashtbl.reset events_by_site);
-  Mutex.protect outcomes_lock (fun () ->
-      Array.fill masked_tally 0 3 0;
-      Array.fill trial_tally 0 3 0);
   Mutex.protect provider_lock (fun () -> provider := None);
   Atomic.set watch None;
   Domain.DLS.get ambient := unknown

@@ -8,7 +8,7 @@
     [Dh_analysis.Margin] (the obs layer is a leaf and cannot see the
     theorem formulas).
 
-    Three kinds of signal:
+    Two kinds of signal:
 
     - {b Per-class flow} — allocations, frees and threshold-refused
       allocations per size class, plus a 64-bucket histogram of the
@@ -21,10 +21,10 @@
       interned {!site} id (a workload callsite, a MiniC AST node, or
       {!unknown}); per-site counters attribute canary verdicts, faults
       and rescues back to the site that allocated the victim object.
-    - {b Empirical outcomes} — masked/trial tallies per error class,
-      recorded by the audit bench's M-sweep, giving the empirical
-      masking rate the analytic curve is checked against.  (A fault
-      campaign returns its tally instead of recording it here.)
+
+    Masked/trial tallies are not recorded here: a fault campaign returns
+    its tally, and the audit bench hands its M-sweep's tallies to the
+    margin report it builds.
 
     Everything recorded here is write-only telemetry behind
     {!Control.enabled}: it never feeds back into execution, so a run's
@@ -116,16 +116,7 @@ val occupancy : unit -> occupancy list
 (** [[]] when no provider is registered; a provider that raises reads
     as [[]]. *)
 
-(** {1 Empirical outcomes} *)
-
-type error_kind = Overflow | Dangling | Uninit
-
-val error_kind_name : error_kind -> string
-(** ["overflow"], ["dangling"], ["uninit"]. *)
-
-val record_error_trials : error:error_kind -> masked:int -> trials:int -> unit
-(** Accumulate a tally: of [trials] injected errors of this kind,
-    [masked] went undetected (the run completed correctly). *)
+(** {1 Attributed events} *)
 
 val record_canary : site:int -> unit
 (** A canary violation was attributed to an object allocated at
@@ -161,8 +152,6 @@ type snapshot = {
   classes : class_stat array;  (** Length {!max_classes}, indexed by class. *)
   sites : site_stat list;  (** Sites with any activity, by id. *)
   occ : occupancy list;
-  outcomes : (error_kind * int * int) list;
-      (** [(kind, masked, trials)], only kinds with trials. *)
 }
 
 val snapshot : unit -> snapshot
@@ -205,4 +194,4 @@ val tick : now:int -> unit
 val reset : unit -> unit
 (** Drop everything — cells (zeroed in place, so {!local} handles stay
     valid), site registry (back to {!unknown} only), attributed events,
-    outcomes, provider, watch — for tests. *)
+    provider, watch — for tests. *)

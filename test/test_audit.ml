@@ -201,29 +201,36 @@ let test_margin_degenerate_occupancy () =
       let r = Margin.of_snapshot (Audit.snapshot ()) in
       check "empty snapshot has no classes" true (r.Margin.classes = []))
 
-(* --- empirical outcomes and offender ranking ------------------------- *)
+(* --- empirical rates and offender ranking ----------------------------- *)
 
-let test_empirical_outcomes () =
+(* The margin report renders masking tallies it is handed; a snapshot
+   alone carries none. *)
+let test_empirical_rates () =
   with_audit (fun () ->
-      Audit.record_error_trials ~error:Audit.Overflow ~masked:3 ~trials:4;
-      Audit.record_error_trials ~error:Audit.Overflow ~masked:1 ~trials:2;
-      Audit.record_error_trials ~error:Audit.Dangling ~masked:5 ~trials:5;
-      let snap = Audit.snapshot () in
-      let find k =
-        List.find_map
-          (fun (k', m, t) -> if k' = k then Some (m, t) else None)
-          snap.Audit.outcomes
+      let r = Margin.of_snapshot (Audit.snapshot ()) in
+      check "a snapshot carries no tallies" true (r.Margin.empirical = []);
+      let em kind masked trials =
+        {
+          Margin.em_kind = kind;
+          em_masked = masked;
+          em_trials = trials;
+          em_rate = Audit.ratio masked trials;
+        }
       in
-      check "overflow tallies accumulate" true
-        (find Audit.Overflow = Some (4, 6));
-      check "dangling tallied" true (find Audit.Dangling = Some (5, 5));
-      check "unrecorded kind absent" true (find Audit.Uninit = None);
-      let r = Margin.of_snapshot snap in
-      let em =
-        List.find (fun e -> e.Margin.em_kind = "overflow") r.Margin.empirical
+      let r = { r with Margin.empirical = [ em "overflow" 4 6; em "dangling" 0 0 ] } in
+      let text = Format.asprintf "%a" Margin.pp r in
+      let contains ~sub s =
+        let n = String.length sub in
+        let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+        go 0
       in
-      check "empirical rate guarded and exact" true
-        (Float.abs (em.Margin.em_rate -. (4. /. 6.)) < 1e-9))
+      check "overflow rate printed" true
+        (contains ~sub:"overflow 4/6 masked (rate 0.6667" text);
+      check "no trials reads as rate 0" true
+        (contains ~sub:"dangling 0/0 masked (rate 0.0000" text);
+      let json = Margin.to_json r in
+      check "json carries the tally" true
+        (contains ~sub:"{\"kind\":\"overflow\",\"masked\":4,\"trials\":6,\"rate\":0.666667}" json))
 
 let test_top_sites_ranking () =
   with_audit (fun () ->
@@ -339,8 +346,7 @@ let suite =
     Alcotest.test_case "ratio: div-by-zero guards" `Quick test_ratio_guard;
     Alcotest.test_case "margin: degenerate occupancies stay finite" `Quick
       test_margin_degenerate_occupancy;
-    Alcotest.test_case "empirical: outcome tallies accumulate" `Quick
-      test_empirical_outcomes;
+    Alcotest.test_case "margin: empirical rates render" `Quick test_empirical_rates;
     Alcotest.test_case "sites: severity ranks above volume" `Quick
       test_top_sites_ranking;
     Alcotest.test_case "audit is write-only: output identical on/off" `Quick

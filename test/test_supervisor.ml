@@ -194,6 +194,35 @@ let test_incidents_deterministic () =
     (crasher_incident ~master = first);
   check_int "no domain started" spawned (Pool.spawned_domains ())
 
+(* Every rung's heap keeps the caller's heap settings: a checkpointed
+   server run under attack with meshing on meshes pages on the attempt
+   that survives, and prints what the mesh-off run prints. *)
+let test_rungs_keep_heap_settings () =
+  let serve ~mesh =
+    let mems = ref [] in
+    let i =
+      Supervisor.run
+        ~policy:{ Supervisor.default_policy with checkpoint_interval = 256 }
+        ~config:
+          (Diehard.Config.v ~heap_size:Dh_workload.Server.heap_size ~mesh
+             ~mesh_threshold:4096 ())
+        ~seed_pool:(Seed.create ~master:1)
+        ~wrap:(fun _ a ->
+          mems := a.Allocator.mem :: !mems;
+          a)
+        (Dh_workload.Server.program ~requests:20_000 ~attack_every:97 ())
+    in
+    match i.Supervisor.verdict with
+    | Supervisor.Survived n ->
+      (i.Supervisor.output, Dh_mem.Mem.meshed_pages (List.nth (List.rev !mems) n))
+    | Supervisor.Gave_up -> Alcotest.fail "the server run gave up"
+  in
+  let off_output, off_meshed = serve ~mesh:false in
+  let on_output, on_meshed = serve ~mesh:true in
+  check_int "mesh off meshes nothing" 0 off_meshed;
+  check "the surviving attempt meshed pages" true (on_meshed > 0);
+  Alcotest.(check (option string)) "same output as mesh off" off_output on_output
+
 let suite =
   [
     Alcotest.test_case "healthy first try" `Quick test_healthy_first_try;
@@ -208,6 +237,8 @@ let suite =
     Alcotest.test_case "success predicate" `Quick test_success_predicate;
     Alcotest.test_case "invalid policy" `Quick test_invalid_policy_rejected;
     Alcotest.test_case "incident report" `Quick test_incident_report_renders;
+    Alcotest.test_case "rungs keep the caller's heap settings" `Quick
+      test_rungs_keep_heap_settings;
     Alcotest.test_case "incidents are deterministic and the ladder starts no domain"
       `Quick test_incidents_deterministic;
   ]
