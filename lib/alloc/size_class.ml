@@ -10,13 +10,11 @@ let ceil_log2 sz =
   let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + 1) in
   if sz <= 1 then 0 else go (sz - 1) 0
 
-let of_size sz =
-  if sz <= 0 || sz > max_size then None
-  else Some (max 0 (ceil_log2 sz - 3))
-
 let of_size_exn sz =
-  match of_size sz with
-  | Some c -> c
-  | None -> invalid_arg "Size_class.of_size_exn: not a small-object size"
+  if sz <= 0 || sz > max_size then
+    invalid_arg "Size_class.of_size_exn: not a small-object size"
+  else max 0 (ceil_log2 sz - 3)
+
+let of_size sz = if sz <= 0 || sz > max_size then None else Some (of_size_exn sz)
 
 let is_aligned ~offset ~class_ = offset land (size class_ - 1) = 0

@@ -481,6 +481,22 @@ let observe_malloc t ~bytes ~region ~index =
       Dh_obs.Tracing.instant ~arg:(string_of_int bytes) "heap.malloc"
   end
 
+(* Probe for a free slot, like probing into a hash table, adding each
+   draw to [Stats.probes].  Because the region is at most 1/M full, the
+   expected number of probes is 1/(1 - 1/M).  Masked slots (their bytes
+   belong to a meshed buddy page's live objects) are rejected exactly
+   like occupied ones; the [meshed > 0] guard keeps an unmeshed heap's
+   rng stream — and so its entire behavior — byte-identical to a meshless
+   build.  Top-level, so a probe allocates no closure. *)
+let rec probe_slot t region =
+  t.stats.Stats.probes <- t.stats.Stats.probes + 1;
+  let index = Mwc.below t.rng region.capacity in
+  if
+    Bitmap.get region.bitmap index
+    || (region.meshed > 0 && Bitmap.get region.masked index)
+  then probe_slot t region
+  else index
+
 let malloc_small t sz class_ =
   let region = t.regions.(class_) in
   if
@@ -502,22 +518,7 @@ let malloc_small t sz class_ =
   else begin
     ensure_mapped t region;
     let size = Size_class.size class_ in
-    (* Probe for a free slot, like probing into a hash table.  Because the
-       region is at most 1/M full, the expected number of probes is
-       1/(1 - 1/M).  Masked slots (their bytes belong to a meshed buddy
-       page's live objects) are rejected exactly like occupied ones; the
-       [meshed > 0] guard keeps an unmeshed heap's rng stream — and so
-       its entire behavior — byte-identical to a meshless build. *)
-    let rec probe n =
-      let index = Mwc.below t.rng region.capacity in
-      if
-        Bitmap.get region.bitmap index
-        || (region.meshed > 0 && Bitmap.get region.masked index)
-      then probe (n + 1)
-      else (index, n)
-    in
-    let index, probes = probe 1 in
-    t.stats.Stats.probes <- t.stats.Stats.probes + probes;
+    let index = probe_slot t region in
     Bitmap.set region.bitmap index;
     region.in_use <- region.in_use + 1;
     if region.slots_per_page > 0 then begin
@@ -541,32 +542,31 @@ let malloc_small t sz class_ =
 
 let malloc t sz =
   if sz <= 0 then None
-  else
-    match Size_class.of_size sz with
-    | Some class_ -> malloc_small t sz class_
-    | None -> malloc_large t sz
+  else if sz <= Size_class.max_size then malloc_small t sz (Size_class.of_size_exn sz)
+  else malloc_large t sz
 
-(* Hot path: every free/find_object lands here.  Early-exit scan over the
-   twelve regions (the old version always walked all of them). *)
-let region_containing t addr =
-  let n = Array.length t.regions in
-  let rec go i =
-    if i >= n then None
-    else
-      let region = t.regions.(i) in
-      if
-        region.base <> 0 && addr >= region.base
-        && addr - region.base < region.capacity * Size_class.size region.class_
-      then Some region
-      else go (i + 1)
-  in
-  go 0
+(* Hot path: every free/find_object lands here.  The index of the region
+   whose slots cover [addr], or -1: an early-exit scan over the twelve
+   regions that allocates nothing. *)
+let rec region_from regions addr i =
+  if i >= Array.length regions then -1
+  else
+    let region = Array.unsafe_get regions i in
+    if
+      region.base <> 0 && addr >= region.base
+      && addr - region.base < region.capacity * Size_class.size region.class_
+    then i
+    else region_from regions addr (i + 1)
+
+let region_index t addr = region_from t.regions addr 0
 
 let free t addr =
   if addr = Allocator.null then ()
   else
-    match region_containing t addr with
-    | Some region ->
+    let i = region_index t addr in
+    if i < 0 then free_large t addr
+    else begin
+      let region = t.regions.(i) in
       let size = Size_class.size region.class_ in
       let offset = addr - region.base in
       (* Free only if the offset is slot-aligned and the slot is currently
@@ -608,7 +608,7 @@ let free t addr =
         else t.stats.Stats.ignored_frees <- t.stats.Stats.ignored_frees + 1
       end
       else t.stats.Stats.ignored_frees <- t.stats.Stats.ignored_frees + 1
-    | None -> free_large t addr
+    end
 
 (* Audit provenance: the site that allocated the object whose slot or
    mapping covers [addr] — live or freed (a freed slot keeps its last
@@ -616,24 +616,29 @@ let free t addr =
    attribute).  [None] when provenance was never recorded (obs off, or
    the bytes never allocated). *)
 let site_of_addr t addr =
-  match region_containing t addr with
-  | Some region ->
+  let i = region_index t addr in
+  if i >= 0 then begin
+    let region = t.regions.(i) in
     if Bytes.length region.sites.ids = 0 then None
     else Some (site_get region.sites ((addr - region.base) / Size_class.size region.class_))
-  | None -> (
+  end
+  else
     match Imap.find_last_opt (fun payload -> payload <= addr) t.large_sites with
     | Some (payload, (size, site)) when addr < payload + size -> Some site
-    | Some _ | None -> None)
+    | Some _ | None -> None
 
 let slot_of_addr t addr =
-  match region_containing t addr with
-  | None -> None
-  | Some region ->
+  let i = region_index t addr in
+  if i < 0 then None
+  else
+    let region = t.regions.(i) in
     Some (region.class_, (addr - region.base) / Size_class.size region.class_)
 
 let find_object t addr =
-  match region_containing t addr with
-  | Some region ->
+  let i = region_index t addr in
+  if i < 0 then large_find t.large addr
+  else
+    let region = t.regions.(i) in
     let size = Size_class.size region.class_ in
     let index = (addr - region.base) / size in
     Some
@@ -642,15 +647,13 @@ let find_object t addr =
         size;
         allocated = Bitmap.get region.bitmap index;
       }
-  | None -> large_find t.large addr
 
 let object_size t addr =
   match find_object t addr with
   | Some { Allocator.base; size; allocated } when allocated && base = addr -> Some size
   | Some _ | None -> None
 
-let owns t addr =
-  Option.is_some (region_containing t addr) || Option.is_some (large_find t.large addr)
+let owns t addr = region_index t addr >= 0 || Option.is_some (large_find t.large addr)
 
 (* --- invariants ---
 
@@ -674,11 +677,10 @@ let invariants t =
         Bitmap.iter_set region.bitmap (fun slot ->
             incr popcount;
             let addr = region.base + (slot * Size_class.size class_) in
-            match region_containing t addr with
-            | Some r when r == region && Size_class.is_aligned ~offset:(addr - r.base) ~class_ ->
-              ()
-            | Some _ | None ->
-              fail "class %d: live slot %d (0x%x) is not a slot address" class_ slot addr);
+            if
+              region_index t addr <> class_
+              || not (Size_class.is_aligned ~offset:(addr - region.base) ~class_)
+            then fail "class %d: live slot %d (0x%x) is not a slot address" class_ slot addr);
       if !popcount <> region.in_use then
         fail "class %d: %d bitmap bits set for %d live objects" class_ !popcount region.in_use;
       let spp = region.slots_per_page in

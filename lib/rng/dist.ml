@@ -39,19 +39,22 @@ let zipf_rank cdf ~u =
   in
   search 0 (Array.length cdf - 1)
 
-let weighted rng ~weights =
-  let total = Array.fold_left ( +. ) 0. weights in
-  if total <= 0. then invalid_arg "Dist.size_class_mix: weights sum to zero";
-  let u = Mwc.float01 rng *. total in
-  let n = Array.length weights in
-  let rec pick i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if u < acc then i else pick (i + 1) acc
-  in
-  pick 0 0.
-
+(* The alloc driver calls this once per op, so it loops over [classes]
+   with its sums in unboxed float locals and allocates nothing of its
+   own.  The total is summed left to right, and one [float01] draw picks
+   the first class whose running sum exceeds it; the last class takes
+   the remainder. *)
 let size_class_mix rng ~classes =
-  let weights = Array.map snd classes in
-  fst classes.(weighted rng ~weights)
+  let n = Array.length classes in
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    total := !total +. snd classes.(i)
+  done;
+  if !total <= 0. then invalid_arg "Dist.size_class_mix: weights sum to zero";
+  let u = Mwc.float01 rng *. !total in
+  let i = ref 0 and acc = ref (snd classes.(0)) in
+  while !i < n - 1 && not (u < !acc) do
+    incr i;
+    acc := !acc +. snd classes.(!i)
+  done;
+  fst classes.(!i)

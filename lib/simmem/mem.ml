@@ -41,7 +41,23 @@ let[@inline] phys_off seg off =
     lor (off land (page_size - 1))
   else off
 
-module Imap = Map.Make (Int)
+(* The page table's entry for a page no segment maps (the NULL guard
+   zone, the hole page after each segment, unmapped and never-mapped
+   pages): a segment no address lies in, compared by [==]. *)
+let no_segment =
+  {
+    base = -1;
+    len = 0;
+    data = Bytes.empty;
+    prot = [||];
+    phys = [||];
+    refcnt = [||];
+    meshes = 0;
+    aliased = false;
+    touched = [||];
+    dirty_epoch = [||];
+    born_epoch = -1;
+  }
 
 type stats = {
   reads : int;
@@ -109,9 +125,12 @@ type ckpt = {
 }
 
 type t = {
-  mutable segments : segment Imap.t;  (* keyed by base *)
+  mutable pages : segment array;
+      (* the page table: virtual page -> the segment mapping it, or
+         [no_segment].  Covers every page below [next_base] (and maybe
+         more), so translating an address is one bounds check and one
+         load; one word per page handed out, 1/512 of the bytes mapped. *)
   mutable next_base : int;
-  mutable cache : segment option;  (* last segment hit *)
   mutable reads : int;
   mutable writes : int;
   mutable mmaps : int;
@@ -132,14 +151,35 @@ type t = {
          list never holds more than the largest window has used *)
 }
 
+(* The segment mapping [addr], or [no_segment]: a negative address
+   shifts to a huge page number and fails the bounds check like one past
+   the table's end. *)
+let[@inline] segment_at t addr =
+  let page = addr lsr page_shift in
+  if page < Array.length t.pages then Array.unsafe_get t.pages page else no_segment
+
+(* Point the table's entries for [seg]'s pages at [entry]. *)
+let set_pages t seg entry =
+  Array.fill t.pages (seg.base lsr page_shift) (seg.len lsr page_shift) entry
+
+(* Fold [f] over the mapped segments in address order, visiting each at
+   its first page (cold: accounting and fault reports only). *)
+let fold_segments t f acc =
+  let rec go page acc =
+    if page >= Array.length t.pages then acc
+    else
+      let seg = Array.unsafe_get t.pages page in
+      if seg == no_segment then go (page + 1) acc
+      else go (page + (seg.len lsr page_shift)) (f seg acc)
+  in
+  go 0 acc
+
 let mapped_bytes t =
   (* Meshed pages count once: each alias retires one physical page, so the
      resident-set proxy shrinks even though the virtual extent is fixed. *)
-  Imap.fold
-    (fun _ seg acc -> acc + seg.len - (seg.meshes * page_size))
-    t.segments 0
+  fold_segments t (fun seg acc -> acc + seg.len - (seg.meshes * page_size)) 0
 
-let meshed_pages t = Imap.fold (fun _ seg acc -> acc + seg.meshes) t.segments 0
+let meshed_pages t = fold_segments t (fun seg acc -> acc + seg.meshes) 0
 
 (* TLB/cache accounting publishes through the metrics registry as
    callback gauges: zero cost on the access hot paths, and the dump
@@ -162,9 +202,8 @@ let publish_metrics t =
 let create () =
   let t =
   {
-    segments = Imap.empty;
+    pages = Array.make 64 no_segment;
     next_base = 16 * page_size;  (* keep a NULL-guard zone at the bottom *)
-    cache = None;
     reads = 0;
     writes = 0;
     mmaps = 0;
@@ -233,27 +272,26 @@ let mmap t len =
       born_epoch = t.epoch;
     }
   in
-  t.segments <- Imap.add base seg t.segments;
+  let need = (base + len) lsr page_shift in
+  if need > Array.length t.pages then begin
+    let size = ref (Array.length t.pages) in
+    while !size < need do
+      size := 2 * !size
+    done;
+    let pages = Array.make !size no_segment in
+    Array.blit t.pages 0 pages 0 (Array.length t.pages);
+    t.pages <- pages
+  end;
+  set_pages t seg seg;
   t.mmaps <- t.mmaps + 1;
   (match t.ckpt with Some c -> c.born <- base :: c.born | None -> ());
   base
 
-let find_segment t addr =
-  match t.cache with
-  | Some seg as hit when addr >= seg.base && addr < seg.base + seg.len -> hit
-  | Some _ | None -> (
-    match Imap.find_last_opt (fun base -> base <= addr) t.segments with
-    | Some (_, seg) when addr < seg.base + seg.len ->
-      t.cache <- Some seg;
-      Some seg
-    | Some _ | None -> None)
-
 let segment_of t addr =
-  match find_segment t addr with
-  | Some seg -> Some (seg.base, seg.len)
-  | None -> None
+  let seg = segment_at t addr in
+  if seg == no_segment then None else Some (seg.base, seg.len)
 
-let is_mapped t addr = Option.is_some (find_segment t addr)
+let is_mapped t addr = segment_at t addr != no_segment
 
 (* [f off pos n] for each piece of [addr, addr+len) (inside [seg]) that
    is contiguous in the segment's backing store: [off] is the piece's
@@ -283,10 +321,10 @@ let scatter seg ~addr buf =
       Bytes.blit buf pos seg.data off n)
 
 let inspect t ~addr ~len =
-  match find_segment t addr with
-  | Some seg when len >= 0 && addr + len <= seg.base + seg.len ->
+  let seg = segment_at t addr in
+  if seg != no_segment && len >= 0 && addr + len <= seg.base + seg.len then
     Bytes.unsafe_to_string (gather seg ~addr ~len)
-  | Some _ | None -> invalid_arg "Mem.inspect: range not inside one segment"
+  else invalid_arg "Mem.inspect: range not inside one segment"
 
 (* --- flight-recorder hook ---
 
@@ -300,21 +338,21 @@ let inspect t ~addr ~len =
    store: no protection checks, no cost-model charging — the recorder
    must not perturb what it observes. *)
 let neighborhood t center =
-  match find_segment t center with
-  | None ->
+  let seg = segment_at t center in
+  if seg == no_segment then
     let nearest =
-      Imap.fold
-        (fun base seg acc ->
-          let d = min (abs (center - base)) (abs (center - (base + seg.len))) in
+      fold_segments t
+        (fun seg acc ->
+          let d = min (abs (center - seg.base)) (abs (center - (seg.base + seg.len))) in
           match acc with Some (best, _) when best <= d -> acc | _ -> Some (d, seg))
-        t.segments None
+        None
     in
-    (match nearest with
+    match nearest with
     | None -> Printf.sprintf "0x%x is unmapped (no segments mapped)" center
     | Some (_, seg) ->
       Printf.sprintf "0x%x is unmapped; nearest segment [0x%x, 0x%x) (%d bytes)"
-        center seg.base (seg.base + seg.len) seg.len)
-  | Some seg ->
+        center seg.base (seg.base + seg.len) seg.len
+  else begin
     let lo = max seg.base (center - 64) in
     let hi = min (seg.base + seg.len) (center + 64) in
     let bytes = inspect t ~addr:lo ~len:(hi - lo) in
@@ -333,6 +371,7 @@ let neighborhood t center =
       row := !row + 16
     done;
     Buffer.contents b
+  end
 
 (* The faulting window's dirty-page delta: which pages the current
    checkpoint window wrote, and how far each has diverged from its
@@ -382,27 +421,25 @@ let raise_fault t f =
   Fault.raise_fault f
 
 let munmap t base =
-  match Imap.find_opt base t.segments with
-  | None -> raise_fault t (Fault.Unmap_unmapped { addr = base })
-  | Some seg ->
-    t.segments <- Imap.remove base t.segments;
-    t.munmaps <- t.munmaps + 1;
-    (match t.ckpt with
-    | Some c ->
-      if List.mem base c.born then
-        (* Born and gone entirely inside the window: rewind need not know. *)
-        c.born <- List.filter (fun b -> b <> base) c.born
-      else c.gone <- seg :: c.gone
-    | None -> ());
-    (match t.cache with
-    | Some c when c.base = seg.base -> t.cache <- None
-    | Some _ | None -> ())
+  let seg = segment_at t base in
+  if seg == no_segment || seg.base <> base then
+    raise_fault t (Fault.Unmap_unmapped { addr = base });
+  set_pages t seg no_segment;
+  t.munmaps <- t.munmaps + 1;
+  match t.ckpt with
+  | Some c ->
+    if List.mem base c.born then
+      (* Born and gone entirely inside the window: rewind need not know. *)
+      c.born <- List.filter (fun b -> b <> base) c.born
+    else c.gone <- seg :: c.gone
+  | None -> ()
 
 let protect t ~addr ~len prot =
   if len <= 0 then invalid_arg "Mem.protect: length must be positive";
-  match find_segment t addr with
-  | None -> raise_fault t (Fault.Protect_unmapped { addr; len; fault_addr = addr })
-  | Some seg ->
+  let seg = segment_at t addr in
+  if seg == no_segment then
+    raise_fault t (Fault.Protect_unmapped { addr; len; fault_addr = addr })
+  else begin
     if addr + len > seg.base + seg.len then
       raise_fault t
         (Fault.Protect_unmapped { addr; len; fault_addr = seg.base + seg.len });
@@ -415,6 +452,7 @@ let protect t ~addr ~len prot =
       | Some _ | None -> ());
       seg.prot.(p) <- prot
     done
+  end
 
 let prot_allows prot access =
   match (prot, access) with
@@ -443,7 +481,9 @@ let prot_allows prot access =
    faults at the segment's end.
 
    Validating the one-page case (every byte access, nearly every word)
-   is inlined into each access and costs one call, to {!find_segment}. *)
+   is inlined into each access: {!segment_at}'s one table load finds the
+   segment, and comparing it with [no_segment] checks that it is mapped,
+   so no access allocates. *)
 
 (* Charge an access to the unmapped byte [addr] and raise its fault. *)
 let unmapped t addr access =
@@ -476,9 +516,9 @@ let rec walk t seg pos fin access =
 
 (* Validate the non-empty range [addr, addr+len) and return its segment. *)
 let[@inline] validate t ~addr ~len access =
-  match find_segment t addr with
-  | None -> unmapped t addr access
-  | Some seg ->
+  let seg = segment_at t addr in
+  if seg == no_segment then unmapped t addr access
+  else
     let seg_end = seg.base + seg.len in
     let fin = if addr + len <= seg_end then addr + len else seg_end in
     let stop = check_page t seg addr fin access in
@@ -606,6 +646,21 @@ let fill_random t ~addr ~len rng =
     end
   end
 
+(* Store the page run of [s]'s C string (at [addr], ending before [fin])
+   that starts at [pos] in [seg], then the runs after it. *)
+let rec store_cstring t s ~addr ~fin seg pos =
+  let seg_end = seg.base + seg.len in
+  t.writes <- t.writes + 1;
+  if pos = seg_end then unmapped t pos Fault.Write;
+  let stop = check_page t seg pos (if fin < seg_end then fin else seg_end) Fault.Write in
+  t.writes <- t.writes + (stop - pos - 1);
+  mark_written t seg ~addr:pos ~len:(stop - pos);
+  (* The run never leaves its virtual page, so one translation covers it. *)
+  let off = phys_off seg (pos - seg.base) and i = pos - addr in
+  Bytes.blit_string s i seg.data off (min (stop - pos) (String.length s - i));
+  if stop = fin then Bytes.set seg.data (off + (fin - 1 - pos)) '\000'
+  else store_cstring t s ~addr ~fin seg stop
+
 (* The store C's [strcpy] makes: [s], then a NUL, exactly as
    [String.iteri (write8 ...)] followed by [write8 ... 0] would, but one
    page at a time.  Unlike every other multi-byte store it is not atomic:
@@ -613,26 +668,12 @@ let fill_random t ~addr ~len rng =
    the next is looked at, so a fault leaves the bytes before it written
    and counts the faulting byte, as the bytewise loop does. *)
 let write_cstring t ~addr s =
-  let len = String.length s in
-  let fin = addr + len + 1 in
-  let rec store seg pos =
-    let seg_end = seg.base + seg.len in
-    t.writes <- t.writes + 1;
-    if pos = seg_end then unmapped t pos Fault.Write;
-    let stop = check_page t seg pos (if fin < seg_end then fin else seg_end) Fault.Write in
-    t.writes <- t.writes + (stop - pos - 1);
-    mark_written t seg ~addr:pos ~len:(stop - pos);
-    (* The run never leaves its virtual page, so one translation covers it. *)
-    let off = phys_off seg (pos - seg.base) and i = pos - addr in
-    Bytes.blit_string s i seg.data off (min (stop - pos) (len - i));
-    if stop = fin then Bytes.set seg.data (off + (fin - 1 - pos)) '\000'
-    else store seg stop
-  in
-  match find_segment t addr with
-  | None ->
+  let seg = segment_at t addr in
+  if seg == no_segment then begin
     t.writes <- t.writes + 1;
     unmapped t addr Fault.Write
-  | Some seg -> store seg addr
+  end
+  else store_cstring t s ~addr ~fin:(addr + String.length s + 1) seg addr
 
 (* --- page meshing --- *)
 
@@ -640,9 +681,9 @@ let alias t ~src ~dst ~live =
   if src land (page_size - 1) <> 0 || dst land (page_size - 1) <> 0 then
     invalid_arg "Mem.alias: pages must be page-aligned";
   if src = dst then invalid_arg "Mem.alias: src and dst are the same page";
-  match find_segment t src with
-  | None -> invalid_arg "Mem.alias: src is not mapped"
-  | Some seg ->
+  let seg = segment_at t src in
+  if seg == no_segment then invalid_arg "Mem.alias: src is not mapped"
+  else begin
     if dst < seg.base || dst >= seg.base + seg.len then
       invalid_arg "Mem.alias: src and dst must lie in one segment";
     let sv = (src - seg.base) lsr page_shift in
@@ -688,12 +729,12 @@ let alias t ~src ~dst ~live =
     seg.refcnt.(pd) <- 0;
     seg.meshes <- seg.meshes + 1;
     seg.aliased <- true
+  end
 
 let backing_page t addr =
-  match find_segment t addr with
-  | None -> invalid_arg "Mem.backing_page: unmapped address"
-  | Some seg ->
-    seg.base + (seg.phys.((addr - seg.base) lsr page_shift) lsl page_shift)
+  let seg = segment_at t addr in
+  if seg == no_segment then invalid_arg "Mem.backing_page: unmapped address"
+  else seg.base + (seg.phys.((addr - seg.base) lsr page_shift) lsl page_shift)
 
 (* --- checkpoint / rewind --- *)
 
@@ -738,12 +779,12 @@ let rewind t =
   | Some c ->
     (* Segments mapped since the checkpoint vanish wholesale... *)
     let segments_discarded = List.length c.born in
-    List.iter (fun base -> t.segments <- Imap.remove base t.segments) c.born;
+    List.iter (fun base -> set_pages t (segment_at t base) no_segment) c.born;
     (* ...segments unmapped since come back exactly as they were (their
        records were never mutated after the unmap, and any writes before
        it have pre-images below). *)
     let segments_remapped = List.length c.gone in
-    List.iter (fun seg -> t.segments <- Imap.add seg.base seg t.segments) c.gone;
+    List.iter (fun seg -> set_pages t seg seg) c.gone;
     (* Protection pre-states, newest first: the oldest entry for a page
        lands last, restoring its arm-time protection. *)
     let protections_restored = List.length c.prot_log in
@@ -767,7 +808,6 @@ let rewind t =
       c.pre;
     let pages_restored = c.pre_count in
     t.next_base <- c.ck_next_base;
-    t.cache <- None;
     (* The checkpoint stays armed: a second fault in the resumed window
        rewinds to the same state (double-rewind).  Fresh pre-images will
        be re-saved on the next writes — and they equal these, because the

@@ -312,6 +312,87 @@ let test_fault_addr_protect_unmapped () =
   check_int "the first byte past the segment, not the range start"
     (a + Mem.page_size) (Fault.addr f)
 
+(* --- the page table's upkeep --- *)
+
+(* [f] faults [Unmapped] at exactly [addr]. *)
+let expect_unmapped what addr f =
+  let f = fault_of f in
+  check (what ^ ": Unmapped") true (match f with Fault.Unmapped _ -> true | _ -> false);
+  check_int (what ^ ": the address") addr (Fault.addr f)
+
+let test_table_unmapped_addresses () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem Mem.page_size in
+  let b = Mem.mmap mem (3 * Mem.page_size) in
+  let c = Mem.mmap mem Mem.page_size in
+  (* The next mapping would start one hole page past [c]. *)
+  let next_base = c + (2 * Mem.page_size) in
+  expect_unmapped "hole page after a segment" (a + Mem.page_size + 17) (fun () ->
+      Mem.read8 mem (a + Mem.page_size + 17));
+  expect_unmapped "negative address" (-8) (fun () -> Mem.read64 mem (-8));
+  expect_unmapped "next_base" next_base (fun () -> Mem.write8 mem next_base 1);
+  expect_unmapped "far past next_base" (next_base + (1 lsl 40)) (fun () ->
+      Mem.read8 mem (next_base + (1 lsl 40)));
+  Mem.munmap mem b;
+  expect_unmapped "middle page of an unmapped segment" (b + Mem.page_size + 3) (fun () ->
+      Mem.write64 mem (b + Mem.page_size + 3) 1);
+  check "neighbours stay mapped" true (Mem.is_mapped mem a && Mem.is_mapped mem c);
+  Mem.write64 mem c 9;
+  check_int "c still reads" 9 (Mem.read64 mem c)
+
+let test_table_grows () =
+  (* Enough segments to double the table several times; each one still
+     reaches its own bytes. *)
+  let mem = Mem.create () in
+  let len i = (1 + (i mod 3)) * Mem.page_size in
+  let bases = Array.init 200 (fun i -> Mem.mmap mem (len i)) in
+  Array.iteri (fun i a -> Mem.write64 mem (a + len i - 8) i) bases;
+  Array.iteri (fun i a -> check_int "own segment" i (Mem.read64 mem (a + len i - 8))) bases;
+  check_int "mapped bytes" (Array.fold_left ( + ) 0 (Array.init 200 len)) (Mem.mapped_bytes mem)
+
+let test_table_rewind_born_then_reused () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem Mem.page_size in
+  Mem.checkpoint mem;
+  let b = Mem.mmap mem (2 * Mem.page_size) in
+  Mem.write8 mem (b + Mem.page_size) 7;
+  ignore (Mem.rewind mem);
+  expect_unmapped "discarded born segment" (b + Mem.page_size) (fun () ->
+      Mem.read8 mem (b + Mem.page_size));
+  let b' = Mem.mmap mem (2 * Mem.page_size) in
+  check_int "the base is reused" b b';
+  check_int "the new segment's fresh bytes" 0 (Mem.read8 mem (b' + Mem.page_size));
+  Mem.write8 mem (b' + Mem.page_size) 9;
+  check_int "the new segment's own store" 9 (Mem.read8 mem (b' + Mem.page_size));
+  Mem.write8 mem a 1;
+  check_int "the older segment" 1 (Mem.read8 mem a)
+
+let test_table_rewind_unmapped_returns () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem (2 * Mem.page_size) in
+  Mem.write64 mem (a + Mem.page_size) 42;
+  Mem.checkpoint mem;
+  Mem.munmap mem a;
+  expect_unmapped "unmapped under the checkpoint" (a + Mem.page_size) (fun () ->
+      Mem.read64 mem (a + Mem.page_size));
+  ignore (Mem.rewind mem);
+  check_int "readable again after rewind" 42 (Mem.read64 mem (a + Mem.page_size));
+  check "segment_of" true (Mem.segment_of mem (a + 5) = Some (a, 2 * Mem.page_size))
+
+(* Word loads and stores that alternate between two segments allocate
+   nothing: translation is one page-table load. *)
+let test_word_access_allocates_nothing () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem Mem.page_size and b = Mem.mmap mem Mem.page_size in
+  let before = Gc.minor_words () in
+  for i = 0 to 4_999 do
+    let off = 8 * (i land 511) in
+    Mem.write64 mem (a + off) i;
+    Mem.write64 mem (b + off) (Mem.read64 mem (a + off))
+  done;
+  Alcotest.(check (float 0.)) "minor words for 15,000 word accesses" 0.
+    (Gc.minor_words () -. before)
+
 let prop_disjoint_writes_do_not_interfere =
   QCheck.Test.make ~name:"byte writes to distinct addresses are independent" ~count:200
     QCheck.(triple (int_bound 4000) (int_bound 4000) (pair (int_bound 255) (int_bound 255)))
@@ -354,6 +435,14 @@ let suite =
     Alcotest.test_case "fault addr: Unmap_unmapped" `Quick test_fault_addr_unmap_unmapped;
     Alcotest.test_case "fault addr: Protect_unmapped" `Quick
       test_fault_addr_protect_unmapped;
+    Alcotest.test_case "table: unmapped addresses" `Quick test_table_unmapped_addresses;
+    Alcotest.test_case "table: grows" `Quick test_table_grows;
+    Alcotest.test_case "table: rewound born base reused" `Quick
+      test_table_rewind_born_then_reused;
+    Alcotest.test_case "table: rewind restores unmapped" `Quick
+      test_table_rewind_unmapped_returns;
+    Alcotest.test_case "word access allocates nothing" `Quick
+      test_word_access_allocates_nothing;
     Alcotest.test_case "process exit" `Quick test_process_exit;
     Alcotest.test_case "process exit code" `Quick test_process_exit_code;
     Alcotest.test_case "process crash" `Quick test_process_crash;

@@ -211,6 +211,54 @@ let test_weighted_zero_total () =
     (Invalid_argument "Dist.size_class_mix: weights sum to zero") (fun () ->
       ignore (Dist.size_class_mix rng ~classes:[| (8, 0.); (16, 0.) |]))
 
+(* The formula [size_class_mix] had when it mapped the weights out,
+   folded them and picked recursively: kept as the oracle its loops must
+   match draw for draw. *)
+let size_class_mix_oracle rng ~classes =
+  let weights = Array.map snd classes in
+  let total = Array.fold_left ( +. ) 0. weights in
+  if total <= 0. then invalid_arg "Dist.size_class_mix: weights sum to zero";
+  let u = Mwc.float01 rng *. total in
+  let n = Array.length weights in
+  let rec pick i acc =
+    if i = n - 1 then i
+    else
+      let acc = acc +. weights.(i) in
+      if u < acc then i else pick (i + 1) acc
+  in
+  fst classes.(pick 0 0.)
+
+let test_weighted_matches_oracle () =
+  let mixes =
+    [| (8, 1.); (16, 2.); (32, 7.) |]
+    :: [| (64, 3.) |]
+    :: [| (8, 0.); (16, 1.); (24, 0.); (32, 0.5); (40, 0.) |]
+    :: [| (8, 0.1); (16, 0.2); (24, 0.3) |]
+    :: List.map (fun p -> p.Dh_workload.Profile.sizes) Dh_workload.Profile.all
+  in
+  List.iteri
+    (fun m classes ->
+      let rng = Mwc.create ~seed:(41 + m) and oracle = Mwc.create ~seed:(41 + m) in
+      for _ = 1 to 10_000 do
+        check_int "same pick" (size_class_mix_oracle oracle ~classes)
+          (Dist.size_class_mix rng ~classes)
+      done)
+    mixes
+
+(* One draw's boxed float at most: no weights array, closure or boxed
+   running sum per call. *)
+let test_weighted_allocation () =
+  let rng = Mwc.create ~seed:42 in
+  let classes = (List.hd Dh_workload.Profile.all).Dh_workload.Profile.sizes in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sink := !sink + Dist.size_class_mix rng ~classes
+  done;
+  let words = Gc.minor_words () -. before in
+  check "<= 2 minor words per call" true (words <= 2. *. 10_000.);
+  check "drew sizes" true (!sink > 0)
+
 (* --- qcheck properties --- *)
 
 let prop_below_in_range =
@@ -275,6 +323,8 @@ let suite =
     Alcotest.test_case "dist zipf ranks pinned" `Quick test_zipf_rank_pinned;
     Alcotest.test_case "dist weighted" `Quick test_weighted;
     Alcotest.test_case "dist weighted zero" `Quick test_weighted_zero_total;
+    Alcotest.test_case "dist weighted matches oracle" `Quick test_weighted_matches_oracle;
+    Alcotest.test_case "dist weighted allocation" `Quick test_weighted_allocation;
     QCheck_alcotest.to_alcotest prop_below_in_range;
     Alcotest.test_case "mwc fill_bytes invalid range" `Quick test_fill_bytes_invalid;
     QCheck_alcotest.to_alcotest prop_fill_bytes_is_next_u32_loop;
