@@ -10,11 +10,14 @@ build:
 test:
 	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
 
-# The library's size: lines, modules, top-level .mli vals and optional
-# parameters in .mli files — the figures ROADMAP's Recent section
-# quotes.  CI's build job prints them on every run.
+# The code's size: library lines, modules, top-level .mli vals and
+# optional parameters in .mli files, plus the bench harness's and the
+# CLI's lines — the figures ROADMAP's Recent section quotes.  CI's build
+# job prints them on every run.
 size:
 	@echo "lib lines:           $$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
+	@echo "bench lines:         $$(cat bench/*.ml | wc -l)"
+	@echo "bin lines:           $$(cat bin/*.ml | wc -l)"
 	@echo "lib modules:         $$(ls lib/*/*.ml | wc -l)"
 	@echo "mli vals:            $$(cat lib/*/*.mli | grep -c '^val ')"
 	@echo "optional parameters: $$(cat lib/*/*.mli | grep -o '?[a-z_0-9]*:' | wc -l)"

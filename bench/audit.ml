@@ -147,7 +147,7 @@ let sweep ~quick () =
               let site = Audit.site "bench:audit-fill" in
               for _ = 1 to entropy_fills do
                 let heap = make_heap ~m ~seed:(Dh_rng.Seed.fresh pool) in
-                Audit.with_site site (fun () -> ignore (fill heap))
+                Audit.with_site site (fun () -> ignore (fill heap)) ()
               done;
               let snap = Audit.snapshot () in
               if m = 2. then

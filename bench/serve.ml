@@ -155,7 +155,7 @@ let run_leg ~requests ~seed () =
     | Some w -> Dh_obs.Window.rate w ~now:(requests - 1)
     | None -> 0.
   in
-  let latency = Dh_obs.(Quantile.snapshot (Metrics.histogram "serve.latency_ns")) in
+  let latency = Dh_obs.Quantile.(snapshot (named "serve.latency_ns")) in
   let rewinds = recovery_sum (fun r -> r.Supervisor.rewinds) in
   {
     requests;

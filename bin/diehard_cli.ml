@@ -160,7 +160,10 @@ let obs_trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let obs_metrics_arg =
-  let doc = "Write the metrics registry as CSV to $(docv) on exit." in
+  let doc =
+    "Write every named latency histogram as CSV to $(docv) on exit: one \
+     name,count,p50,p99,max,sum row each."
+  in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 let obs_setup trace metrics =
@@ -176,7 +179,8 @@ let obs_setup trace metrics =
           trace;
         Option.iter
           (fun path ->
-            Dh_obs.Metrics.write_csv ~path;
+            Out_channel.with_open_text path (fun oc ->
+                output_string oc (Dh_obs.Quantile.to_csv ()));
             Printf.eprintf "metrics: wrote %s\n" path)
           metrics)
   end
@@ -598,23 +602,40 @@ let audit_cmd =
     let margin_now () =
       Margin.of_snapshot ~replicas ~dangling_allocations:distance (Dh_obs.Audit.snapshot ())
     in
-    if watch > 0 then begin
-      if program.service = None then
+    (* --watch: a snapshot after request k, for every k > 0 that is a
+       multiple of N; the clock is the request index, so the snapshots
+       are deterministic per run. *)
+    let watched now =
+      List.iter
+        (fun (c : Margin.class_margin) ->
+          if c.cm_live > 0 then
+            Printf.eprintf
+              "audit t=%d class=%d size=%dB live=%d/%d occ=%.3f \
+               P(ovf mask)=%.4f P(dgl mask)=%.4f\n%!"
+              now c.cm_class c.cm_size c.cm_live c.cm_capacity c.cm_occupancy
+              c.cm_overflow_mask c.cm_dangling_mask)
+        (margin_now ()).classes
+    in
+    let program =
+      match program.service with
+      | Some svc when watch > 0 ->
+        let init ctx =
+          let h = svc.init ctx in
+          let handle k =
+            h.handle k;
+            if k > 0 && k mod watch = 0 then watched k
+          in
+          { h with handle }
+        in
+        Dh_alloc.Program.of_service ~name:program.name { svc with init }
+      | None when watch > 0 ->
         Printf.eprintf
           "audit: --watch needs a request-structured program; %s runs without \
            periodic snapshots\n"
           program.name;
-      Dh_obs.Audit.set_watch ~every:watch ~f:(fun ~now ->
-          List.iter
-            (fun (c : Margin.class_margin) ->
-              if c.cm_live > 0 then
-                Printf.eprintf
-                  "audit t=%d class=%d size=%dB live=%d/%d occ=%.3f \
-                   P(ovf mask)=%.4f P(dgl mask)=%.4f\n%!"
-                  now c.cm_class c.cm_size c.cm_live c.cm_capacity c.cm_occupancy
-                  c.cm_overflow_mask c.cm_dangling_mask)
-            (margin_now ()).classes)
-    end;
+        program
+      | _ -> program
+    in
     let result =
       Dh_alloc.Program.run ~input:(read_input input) ~fuel program
         (make_allocator `Diehard ~seed ~heap_size)
@@ -654,63 +675,29 @@ let audit_cmd =
 (* A failed validation: the reason on stderr, exit 1. *)
 let invalid fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
-(* The sample count a histogram row's "buckets=b1:n1;b4:n4" detail adds
-   up to; [None] when the detail is malformed. *)
-let detail_bucket_total detail =
-  let tag = "buckets=" in
-  match List.rev (String.split_on_char ' ' detail) with
-  | last :: _ when String.starts_with ~prefix:tag last ->
-    let tag_len = String.length tag in
-    let counts = String.sub last tag_len (String.length last - tag_len) in
-    if counts = "" then Some 0
-    else
-      List.fold_left
-        (fun acc bucket ->
-          match (acc, String.split_on_char ':' bucket) with
-          | Some acc, [ _; n ] -> Option.map (( + ) acc) (int_of_string_opt n)
-          | _ -> None)
-        (Some 0)
-        (String.split_on_char ';' counts)
-  | _ -> None
-
-(* Validate a --metrics CSV dump: the fixed header, six fields per row,
-   and the quantile columns — integers for histograms, empty for
-   gauges — and each histogram's log2 bucket counts adding
-   up to its sample count.  Exits nonzero on any violation. *)
+(* Validate a --metrics CSV dump: the fixed header, and on every row a
+   name and five integers with p50 <= p99 <= max.  Exits nonzero on any
+   violation. *)
 let validate_metrics_csv path =
   let lines =
     String.split_on_char '\n' (read_file path) |> List.filter (fun l -> l <> "")
   in
   let rows =
     match lines with
-    | header :: rows when header = "name,kind,value,p50,p99,detail" -> rows
+    | header :: rows when header = "name,count,p50,p99,max,sum" -> rows
     | header :: _ -> invalid "%s: unexpected CSV header %S" path header
     | [] -> invalid "%s: empty metrics CSV" path
   in
-  let histograms = ref 0 in
   List.iteri
     (fun i line ->
       match String.split_on_char ',' line with
-      | [ name; kind; value; p50; p99; detail ] ->
-        let quantiles_ok =
-          match kind with
-          | "histogram" ->
-            incr histograms;
-            (* Histograms always carry both quantile summaries, in
-               order, and their log2 view accounts for every sample. *)
-            (match (int_of_string_opt p50, int_of_string_opt p99) with
-            | Some lo, Some hi -> lo <= hi
-            | _ -> false)
-            && detail_bucket_total detail = int_of_string_opt value
-          | "gauge" -> p50 = "" && p99 = ""
-          | _ -> false
-        in
-        if int_of_string_opt value = None || not quantiles_ok then
-          invalid "%s: malformed row for %s (line %d): %s" path name (i + 2) line
+      | name :: cells when List.length cells = 5 -> (
+        match List.map int_of_string_opt cells with
+        | [ Some _; Some p50; Some p99; Some max; Some _ ] when p50 <= p99 && p99 <= max -> ()
+        | _ -> invalid "%s: malformed row for %s (line %d): %s" path name (i + 2) line)
       | _ -> invalid "%s: row with wrong field count (line %d): %s" path (i + 2) line)
     rows;
-  Printf.printf "%s: %d metric rows, %d histograms with p50/p99 summaries\n" path
-    (List.length rows) !histograms
+  Printf.printf "%s: %d histograms with p50 <= p99 <= max\n" path (List.length rows)
 
 let obs_cmd =
   let action file expect metrics_csv =
@@ -760,17 +747,16 @@ let obs_cmd =
   in
   let metrics_csv_arg =
     let doc =
-      "Also validate a --metrics CSV dump: header, per-row field shape, \
-       the p50/p99 quantile columns (integers on histogram rows, empty \
-       otherwise), and histogram bucket counts summing to the row's value."
+      "Also validate a --metrics CSV dump: its header, and on every row a \
+       name and five integers with p50 <= p99 <= max."
     in
     Arg.(value & opt (some string) None & info [ "metrics-csv" ] ~docv:"FILE" ~doc)
   in
   let doc =
     "Inspect recorded observability output: validate that a trace file parses \
      as Chrome trace_event JSON, summarize event counts per name, optionally \
-     check expected names are present, and optionally validate a metrics CSV \
-     dump including its quantile columns."
+     check expected names are present, and optionally validate a --metrics \
+     CSV of latency histograms."
   in
   Cmd.v (Cmd.info "obs" ~doc)
     Term.(const action $ file_arg $ expect_arg $ metrics_csv_arg)

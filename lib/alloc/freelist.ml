@@ -49,20 +49,16 @@ let bin_of size =
 let create ?(variant = Lea) ?(arena_size = 1 lsl 20)
     ?(heap_limit = 256 lsl 20) mem =
   if arena_size < 4096 then invalid_arg "Freelist.create: arena_size too small";
-  let t =
-    {
-      mem;
-      variant;
-      arena_size;
-      heap_limit;
-      arenas = [];
-      arena_bytes = 0;
-      bins = Array.make bin_count 0;
-      stats = Stats.create ();
-    }
-  in
-  if Dh_obs.Control.enabled () then Stats.register ~prefix:"freelist" t.stats;
-  t
+  {
+    mem;
+    variant;
+    arena_size;
+    heap_limit;
+    arenas = [];
+    arena_bytes = 0;
+    bins = Array.make bin_count 0;
+    stats = Stats.create ();
+  }
 
 let round8 n = (n + 7) land lnot 7
 

@@ -31,20 +31,16 @@ let free_class_of size =
   | None -> free_class_count - 1
 
 let create ?(arena_size = 1 lsl 20) ?(heap_limit = 256 lsl 20) mem =
-  let t =
-    {
-      mem;
-      arena_size;
-      heap_limit;
-      arenas = [];
-      arena_bytes = 0;
-      free_lists = Array.make free_class_count [];
-      root_providers = [];
-      stats = Stats.create ();
-    }
-  in
-  if Dh_obs.Control.enabled () then Stats.register ~prefix:"gc" t.stats;
-  t
+  {
+    mem;
+    arena_size;
+    heap_limit;
+    arenas = [];
+    arena_bytes = 0;
+    free_lists = Array.make free_class_count [];
+    root_providers = [];
+    stats = Stats.create ();
+  }
 
 let register_roots t f = t.root_providers <- f :: t.root_providers
 

@@ -19,8 +19,7 @@ let make ~name main = { name; main; service = None }
    order, finish.  Deriving [main] from the service keeps the
    checkpointed and sequential executions the same program by
    construction — the determinism-fingerprint equivalence the rewind
-   tests assert starts here.  The audit's --watch clock is the request
-   index, as in the supervisor's checkpoint-window loop. *)
+   tests assert starts here. *)
 let of_service ~name service =
   {
     name;
@@ -28,8 +27,7 @@ let of_service ~name service =
       (fun ctx ->
         let h = service.init ctx in
         for k = 0 to service.requests - 1 do
-          h.handle k;
-          Dh_obs.Audit.tick ~now:k
+          h.handle k
         done;
         h.finish ());
     service = Some service;

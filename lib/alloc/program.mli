@@ -59,9 +59,7 @@ val make : name:string -> (context -> unit) -> t
 
 val of_service : name:string -> service -> t
 (** The only way to get a service-shaped program: [main] initializes,
-    handles requests [0 .. requests-1] in order — ticking the audit
-    clock ({!Dh_obs.Audit.tick}) with the request index after each — and
-    finishes. *)
+    handles requests [0 .. requests-1] in order, and finishes. *)
 
 val context :
   ?policy_kind:Policy.kind ->

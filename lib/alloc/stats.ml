@@ -55,20 +55,6 @@ let on_free t ~reserved =
   t.live_objects <- t.live_objects - 1;
   t.live_bytes <- t.live_bytes - reserved
 
-let register ~prefix t =
-  let g name read = Dh_obs.Metrics.gauge_fn (prefix ^ "." ^ name) read in
-  g "mallocs" (fun () -> t.mallocs);
-  g "failed_mallocs" (fun () -> t.failed_mallocs);
-  g "frees" (fun () -> t.frees);
-  g "ignored_frees" (fun () -> t.ignored_frees);
-  g "probes" (fun () -> t.probes);
-  g "bytes_requested" (fun () -> t.bytes_requested);
-  g "bytes_allocated" (fun () -> t.bytes_allocated);
-  g "live_objects" (fun () -> t.live_objects);
-  g "live_bytes" (fun () -> t.live_bytes);
-  g "peak_live_bytes" (fun () -> t.peak_live_bytes);
-  g "gc_collections" (fun () -> t.gc_collections)
-
 let pp ppf t =
   (* Ratios print as "-" on empty runs rather than dividing by zero. *)
   let ratio num den =

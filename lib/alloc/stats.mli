@@ -27,20 +27,14 @@ val copy : t -> t
 (** An independent duplicate of the current counter values. *)
 
 val assign : t -> from:t -> unit
-(** Overwrite [t]'s counters with [from]'s in place, so registered gauges
-    and allocator aliases see the restored values. *)
+(** Overwrite [t]'s counters with [from]'s in place, so every alias of
+    [t] (an allocator record's [stats]) sees the restored values. *)
 
 val on_malloc : t -> requested:int -> reserved:int -> unit
 (** Record a successful allocation and update live accounting. *)
 
 val on_free : t -> reserved:int -> unit
 (** Record an accepted free of an object of [reserved] bytes. *)
-
-val register : prefix:string -> t -> unit
-(** Publish every counter as a callback gauge named [prefix ^ ".mallocs"]
-    etc. in {!Dh_obs.Metrics}.  Re-registering a prefix replaces
-    the callbacks, so a prefix tracks the most recently created
-    allocator. *)
 
 val pp : Format.formatter -> t -> unit
 (** Counts plus the derived probes-per-malloc ratio; the ratio prints as

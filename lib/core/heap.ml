@@ -146,8 +146,6 @@ let create ?(config = Config.default) mem =
     }
   in
   if Dh_obs.Control.enabled () then begin
-    Stats.register ~prefix:"heap" t.stats;
-    Dh_obs.Metrics.gauge_fn "heap.meshes" (fun () -> t.meshes);
     (* The audit (and through it the flight recorder) reads
        authoritative occupancy per class straight from the newest heap;
        cumulative audit counters would drift across checkpoint
@@ -198,7 +196,7 @@ let site_set tbl ~capacity i site =
 
 (* Hot-path trace instants are sampled 1-in-64 (per heap, off the heap's
    own malloc/free counters, so sampling is deterministic and the first
-   event of a run is always traced).  Metrics stay exact — sampling only
+   event of a run is always traced).  Counters stay exact — sampling only
    thins the per-event span stream, which exists to show shape, not
    totals. *)
 let trace_sample = 64
@@ -218,7 +216,7 @@ let rng t = t.rng
    the bitmaps would claim objects whose bytes were just rolled back.
 
    Everything is restored in place: the allocator record handed out by
-   {!allocator}, registered gauges, and the interpreter all alias
+   {!allocator} and the interpreter both alias
    [t.stats] / [t.rng] / the per-region bitmaps, and must observe the
    restored state through those aliases. *)
 

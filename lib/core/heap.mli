@@ -63,8 +63,7 @@ val mesh : t -> int
     number of page pairs meshed (each retires one backing page). *)
 
 val meshes : t -> int
-(** Cumulative successful meshes over the heap's lifetime (the
-    ["heap.meshes"] gauge). *)
+(** Cumulative successful meshes over the heap's lifetime. *)
 
 (** {1 Snapshot / restore}
 
@@ -72,8 +71,8 @@ val meshes : t -> int
     {!Dh_mem.Mem.rewind} alone would desynchronize bitmaps from bytes.
     These capture and restore the metadata half of a checkpoint; the
     supervisor takes both halves atomically.  Restoration is in place:
-    aliases to the heap's stats, rng and bitmaps (the {!allocator} record,
-    registered gauges) observe the restored state. *)
+    aliases to the heap's stats, rng and bitmaps (the {!allocator} record)
+    observe the restored state. *)
 
 type snapshot
 

@@ -139,16 +139,16 @@ type fault_action =
 (* Serve-loop telemetry (the serve bench reads its SLO off the latency
    histogram).  All write-only and gated on one enabled
    check per request when off; when on, the per-request cost is one
-   clock read, one latency sample recorded through the loop's own cached
-   [Dh_obs.Cell] handle on the "serve.latency_ns" histogram (a
-   domain-id compare and plain adds), and the audit watch's atomic load.
+   clock read and one latency sample recorded through the loop's own
+   cached [Dh_obs.Cell] handle on the "serve.latency_ns" histogram (a
+   domain-id compare and plain adds).
    A request's latency runs from the previous request's completion (or
    from the moment its window was armed) to its own: the clock is read
    once per request, and arming stays out of the sample.  The rewind
    window's clock is the request index, so the windowed rewind rate is a
    deterministic function of the run. *)
 type serve_obs = {
-  so_latency : Dh_obs.Metrics.histogram;
+  so_latency : Dh_obs.Quantile.t;
   so_rewinds : Dh_obs.Window.t;
 }
 
@@ -158,7 +158,7 @@ let serve_obs () =
     Some
       {
         so_latency =
-          Dh_obs.(Quantile.share (Metrics.histogram "serve.latency_ns"));
+          Dh_obs.Quantile.(share (named "serve.latency_ns"));
         so_rewinds = Dh_obs.Window.get "serve.rewinds" ~width:1024 ~buckets:16;
       }
 
@@ -181,10 +181,7 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
             let now = Dh_obs.Tracing.now_ns () in
             let dt = Dh_obs.Tracing.elapsed_ns ~since:!stamp ~now in
             stamp := now;
-            Dh_obs.Metrics.observe o.so_latency dt;
-            (* The audit's --watch clock is the request index, like the
-               windows: periodic snapshots are deterministic per run. *)
-            Dh_obs.Audit.tick ~now:k
+            Dh_obs.Quantile.record o.so_latency dt
         in
         let k = ref 0 and stopped = ref false in
         while !k < svc.Program.requests && not !stopped do
@@ -303,14 +300,23 @@ let run ?(policy = default_policy) ?(config = Config.default)
       execute ?ckpt ~policy_kind ~input ~fuel:policy.fuel program alloc
     in
     let ok = success result in
-    (* A memory fault has already been captured at raise time by [Mem];
-       failures without a fault (abort, fuel exhaustion, bad exit code)
-       are captured here so every failed rung leaves a flight record. *)
+    (* A memory fault has already been captured at raise time by [Mem],
+       with its address space's counters; failures without a fault
+       (abort, fuel exhaustion, bad exit code) are captured here, with
+       the attempt's heap counters, so every failed rung leaves a flight
+       record. *)
     (if (not ok) && Dh_obs.Control.enabled () then
        match result.Process.outcome with
        | Process.Crashed _ -> ()
        | outcome ->
          Dh_obs.Recorder.trigger
+           ~sections:
+             [
+               {
+                 Dh_obs.Recorder.title = "heap stats";
+                 body = Format.asprintf "%a\n" Dh_alloc.Stats.pp (Heap.stats heap);
+               };
+             ]
            ~reason:
              (Format.asprintf "supervisor attempt %d failed: %a" plan.attempt
                 Process.pp_outcome outcome)

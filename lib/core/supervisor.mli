@@ -133,8 +133,9 @@ val run :
   Dh_alloc.Program.t ->
   incident
 (** [run program] executes the escalation ladder.  [config] supplies the
-    first attempt's M and heap size (its seed is ignored — seeds come
-    from [seed_pool]; its replicated flag is forced off).  [success]
+    first attempt's M and heap size, and every rung's replicated fill and
+    meshing settings (its seed is ignored — seeds come from
+    [seed_pool]).  [success]
     decides whether an attempt's result counts as survival (default:
     exited 0); campaign drivers pass an output-equality check.  [wrap]
     interposes on every attempt's allocator {e including} the canary

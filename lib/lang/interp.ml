@@ -63,7 +63,7 @@ let with_alloc_site st ~builtin args f =
         Site_tbl.add st.call_sites args s;
         s
     in
-    Dh_obs.Audit.with_site site f
+    Dh_obs.Audit.with_site site f ()
   end
 
 (* --- heap access helpers --- *)
@@ -552,14 +552,13 @@ let allocate_literals st program =
       Dh_obs.Audit.site (Printf.sprintf "minic:%s:literals" st.prog_name)
     else Dh_obs.Audit.unknown
   in
-  Dh_obs.Audit.with_site site @@ fun () ->
-  List.iter
-    (fun s ->
-      match st.ctx.Program.alloc.Allocator.malloc (String.length s + 1) with
-      | Some addr ->
-        write_cstring st addr s;
-        Hashtbl.replace st.literals s addr
-      | None -> err "out of memory allocating string literal %S" s)
+  Dh_obs.Audit.with_site site
+    (List.iter (fun s ->
+         match st.ctx.Program.alloc.Allocator.malloc (String.length s + 1) with
+         | Some addr ->
+           write_cstring st addr s;
+           Hashtbl.replace st.literals s addr
+         | None -> err "out of memory allocating string literal %S" s))
     (Ast.string_literals program)
 
 (* The roots: the literals, then the variables in scope in every active

@@ -48,14 +48,16 @@ let current_site () = !(Domain.DLS.get ambient)
 
 (* Restores by hand rather than through [Fun.protect]: this brackets
    every workload allocation, and the closure [Fun.protect] allocates
-   per call costs more than the bracket itself. *)
-let with_site id f =
-  if not (Control.enabled ()) then f ()
+   per call costs more than the bracket itself.  Taking the function and
+   its argument separately lets a caller pass [malloc size] without
+   building a closure. *)
+let with_site id f x =
+  if not (Control.enabled ()) then f x
   else begin
     let r = Domain.DLS.get ambient in
     let prev = !r in
     r := id;
-    match f () with
+    match f x with
     | v ->
       r := prev;
       v
@@ -303,22 +305,6 @@ let entropy_bits hist =
         end)
       0. hist
 
-(* --- periodic watch --- *)
-
-(* Read on every served request, so an atomic load rather than a
-   mutex. *)
-let watch : (int * (now:int -> unit)) option Atomic.t = Atomic.make None
-
-let set_watch ~every ~f =
-  if every < 1 then invalid_arg "Audit.set_watch: every must be >= 1";
-  Atomic.set watch (Some (every, f))
-
-let tick ~now =
-  if Control.enabled () then
-    match Atomic.get watch with
-    | Some (every, f) when now > 0 && now mod every = 0 -> ( try f ~now with _ -> ())
-    | Some _ | None -> ()
-
 let reset () =
   Cell.fold
     (fun () (c : cell) ->
@@ -335,5 +321,4 @@ let reset () =
       ignore (intern_unlocked "unknown"));
   Mutex.protect events_lock (fun () -> Hashtbl.reset events_by_site);
   Mutex.protect provider_lock (fun () -> provider := None);
-  Atomic.set watch None;
   Domain.DLS.get ambient := unknown

@@ -69,10 +69,11 @@ val site_count : unit -> int
 
 val current_site : unit -> int
 
-val with_site : int -> (unit -> 'a) -> 'a
-(** Run with the ambient site set, restoring the previous site on exit
-    (also on exception, which is re-raised with its backtrace).  Runs
-    the thunk untouched while disabled. *)
+val with_site : int -> ('a -> 'b) -> 'a -> 'b
+(** [with_site site f x] is [f x] run with the ambient site set,
+    restoring the previous site on exit (also on exception, which is
+    re-raised with its backtrace).  Runs [f x] untouched while
+    disabled.  [with_site site a.malloc size] builds no closure. *)
 
 (** {1 The hot-path feed} *)
 
@@ -100,8 +101,7 @@ val record_failed : local -> class_:int -> unit
     Cumulative allocs − frees drifts from the heap's truth across
     checkpoint rewinds (the audit never rewinds), so the authoritative
     live counts come from a registered provider — re-registering
-    replaces it, so the newest heap owns the reading, mirroring
-    {!Metrics.gauge_fn}. *)
+    replaces it, so the newest heap owns the reading. *)
 
 type occupancy = {
   occ_class : int;
@@ -177,21 +177,7 @@ val entropy_bits : int array -> float
     uniform 64-bucket histogram approaches [log2 64 = 6.] from below as
     samples accumulate. *)
 
-(** {1 Periodic watch}
-
-    Step-structured loops (the supervisor's serve loop) call {!tick}
-    once per step while observability is on; a registered watch fires
-    every [every] steps — the [--watch] plumbing of [diehard audit]. *)
-
-val set_watch : every:int -> f:(now:int -> unit) -> unit
-(** Raises [Invalid_argument] when [every < 1].  Replaces any previous
-    watch. *)
-
-val tick : now:int -> unit
-(** Fires the watch when [now > 0] and [now mod every = 0]; a watch
-    that raises is dropped for that tick only.  No-op while disabled. *)
-
 val reset : unit -> unit
 (** Drop everything — cells (zeroed in place, so {!local} handles stay
     valid), site registry (back to {!unknown} only), attributed events,
-    provider, watch — for tests. *)
+    provider — for tests. *)

@@ -1,6 +1,6 @@
 (** Global observability switch.
 
-    Every recording entry point in {!Metrics}, {!Tracing} and
+    Every recording entry point in {!Quantile}, {!Tracing} and
     {!Recorder} starts with a single load-and-branch on this flag; when
     it is off (the default) the whole telemetry stack is a no-op whose
     cost is that branch.  The throughput gate of [bench/main.exe]

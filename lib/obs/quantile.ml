@@ -45,31 +45,23 @@ let bucket_bounds i =
 type cell = { counts : int array; mutable c_sum : int }
 type t = cell Cell.t
 
-(* Every cell of every live histogram, held weakly so dropped histograms
-   can still be collected: [reset] zeroes whatever is alive. *)
-let live = ref (Weak.create 64)
-let live_lock = Mutex.create ()
+let fresh_cell () = { counts = Array.make bucket_count 0; c_sum = 0 }
 
-let track cell =
-  Mutex.protect live_lock (fun () ->
-      let w = !live in
-      let n = Weak.length w in
-      let rec free i = if i < n && Weak.check w i then free (i + 1) else i in
-      let i = free 0 in
-      if i < n then Weak.set w i (Some cell)
-      else begin
-        let grown = Weak.create (2 * n) in
-        Weak.blit w 0 grown 0 n;
-        Weak.set grown n (Some cell);
-        live := grown
-      end)
+(* The one process-wide name table.  Only creation, [reset] and
+   [to_csv] take the lock; recording goes straight to the per-domain
+   cells. *)
+let table : (string, t) Hashtbl.t = Hashtbl.create 8
+let table_lock = Mutex.create ()
 
-let fresh_cell () =
-  let cell = { counts = Array.make bucket_count 0; c_sum = 0 } in
-  track cell;
-  cell
+let named name =
+  Mutex.protect table_lock (fun () ->
+      match Hashtbl.find_opt table name with
+      | Some h -> h
+      | None ->
+        let h = Cell.create fresh_cell in
+        Hashtbl.replace table name h;
+        h)
 
-let create () = Cell.create fresh_cell
 let share = Cell.share
 
 let record q v =
@@ -81,15 +73,15 @@ let record q v =
   end
 
 let reset () =
-  Mutex.protect live_lock (fun () ->
-      let w = !live in
-      for i = 0 to Weak.length w - 1 do
-        Option.iter
-          (fun cell ->
-            Array.fill cell.counts 0 bucket_count 0;
-            cell.c_sum <- 0)
-          (Weak.get w i)
-      done)
+  Mutex.protect table_lock (fun () ->
+      Hashtbl.iter
+        (fun _ h ->
+          Cell.fold
+            (fun () cell ->
+              Array.fill cell.counts 0 bucket_count 0;
+              cell.c_sum <- 0)
+            () h)
+        table)
 
 (* --- snapshots --- *)
 
@@ -146,3 +138,18 @@ let max_value s =
   let result = ref 0 in
   Array.iteri (fun i n -> if n > 0 then result := snd (bucket_bounds i)) s.s_counts;
   !result
+
+let to_csv () =
+  let rows =
+    Mutex.protect table_lock (fun () ->
+        Hashtbl.fold (fun name h acc -> (name, h) :: acc) table [])
+  in
+  let b = Buffer.create 256 in
+  Buffer.add_string b "name,count,p50,p99,max,sum\n";
+  List.iter
+    (fun (name, h) ->
+      let s = snapshot h in
+      Printf.bprintf b "%s,%d,%d,%d,%d,%d\n" name (count s) (quantile s 0.5)
+        (quantile s 0.99) (max_value s) (sum s))
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
+  Buffer.contents b

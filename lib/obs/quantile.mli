@@ -1,15 +1,12 @@
 (** HDR-style histograms with bounded relative error and exact rank
-    selection: the repository's one histogram type ({!Metrics.histogram}
-    is this type, registered by name).
+    selection: the repository's one histogram type, each made and found
+    by name ({!named}).
 
     Samples are bucketed on two levels: a coarse level indexed by the
     sample's exponent and a fine level of [2^fine_bits] sub-buckets
     within each exponent, so every reported quantile is within a
     [1/2^fine_bits] (3.125%) relative error of the exact order statistic
-    — and values below [2^(fine_bits+1)] are bucketed exactly.  Each
-    bucket lies inside one power-of-two range, so the log2 summary the
-    metrics CSV prints is an exact view of these buckets
-    (the [buckets=] detail of {!Metrics.dump}).
+    — and values below [2^(fine_bits+1)] are bucketed exactly.
 
     A histogram is a {!Cell} handle: the first record from a domain
     allocates it a private cell, and every later record through a handle
@@ -31,9 +28,12 @@ val fine_bits : int
 val bucket_count : int
 (** Buckets per cell; every non-negative OCaml int has a bucket. *)
 
-val create : unit -> t
-(** A fresh, empty histogram ({!Metrics.histogram} registers one by
-    name). *)
+val named : string -> t
+(** The process-wide histogram of that name, created empty on first
+    use: asking twice returns the same histogram, so short-lived
+    components (one serve loop per supervisor attempt) accumulate into
+    one series.  The lookup takes a lock — resolve a histogram once,
+    outside hot loops, and keep the handle. *)
 
 val share : t -> t
 (** Another handle onto the same histogram with its own cached cell
@@ -42,7 +42,7 @@ val share : t -> t
     cache. *)
 
 val reset : unit -> unit
-(** Zero every live histogram in place (tests, and benches starting a
+(** Zero every named histogram in place (tests, and benches starting a
     fresh measurement).  Handles stay valid and record from zero. *)
 
 (** {1 Recording} *)
@@ -90,3 +90,9 @@ val quantile : snapshot -> float -> int
 
 val max_value : snapshot -> int
 (** Upper bound of the highest non-empty bucket; 0 when empty. *)
+
+val to_csv : unit -> string
+(** Every named histogram as CSV, sorted by name, under a
+    ["name,count,p50,p99,max,sum"] header: the sample count, the 0.5
+    and 0.99 {!quantile}s, {!max_value} and the sum of a fresh
+    snapshot. *)

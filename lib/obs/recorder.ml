@@ -6,7 +6,6 @@ type report = {
   reason : string;
   step : int option;
   events : Tracing.event list;
-  metrics : Metrics.row list;
   sections : section list;
 }
 
@@ -61,7 +60,6 @@ let trigger ?(sections = []) ~reason () =
         reason;
         step = (if step >= 0 then Some step else None);
         events = Tracing.last_events window;
-        metrics = Metrics.dump ();
         sections =
           sections
           @ [
@@ -139,15 +137,4 @@ let pp_report ppf r =
         String.split_on_char '\n' s.body
         |> List.iter (fun line -> if line <> "" then Format.fprintf ppf "    %s@." line)
       end)
-    r.sections;
-  let interesting =
-    List.filter (fun (m : Metrics.row) -> m.Metrics.value <> 0) r.metrics
-  in
-  if interesting <> [] then begin
-    Format.fprintf ppf "  metrics (%d non-zero):@." (List.length interesting);
-    List.iter
-      (fun (m : Metrics.row) ->
-        Format.fprintf ppf "    %-32s %-9s %d@." m.Metrics.name m.Metrics.kind
-          m.Metrics.value)
-      interesting
-  end
+    r.sections

@@ -2,8 +2,9 @@
 
     When a simulated memory fault is raised, or a supervisor attempt
     dies, the instrumented layers call {!trigger}: the recorder
-    snapshots the last {!window} trace events, the live metrics, the
-    caller's sections (the faulting address's neighborhood) and two
+    snapshots the last {!window} trace events, the caller's sections
+    (the faulting address's neighborhood and the counters of the
+    component that raised it) and two
     sections read from {!Audit} (heap occupancy per size class, the
     most suspect allocation sites) into a structured {!report}.  Reports
     accumulate in a bounded queue that {!Supervisor} drains into its
@@ -22,7 +23,6 @@ type report = {
           viewer): the request index being handled when the capture
           fired — the cursor position time-travel replay walks back to. *)
   events : Tracing.event list;  (** The last {!window} trace events. *)
-  metrics : Metrics.row list;  (** Snapshot of the {!Metrics} registry. *)
   sections : section list;
       (** Caller-supplied sections first, then ["heap.occupancy"] (one
           line per {!Audit.occupancy} entry) and ["audit.top-sites"] (one
@@ -78,5 +78,4 @@ val last : unit -> report option
 val clear : unit -> unit  (** Drop the retained reports. *)
 
 val pp_report : Format.formatter -> report -> unit
-(** Multi-line: reason, recent events, non-empty sections, and a short
-    metrics digest. *)
+(** Multi-line: reason, recent events and non-empty sections. *)

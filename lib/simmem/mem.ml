@@ -181,26 +181,7 @@ let mapped_bytes t =
 
 let meshed_pages t = fold_segments t (fun seg acc -> acc + seg.meshes) 0
 
-(* TLB/cache accounting publishes through the metrics registry as
-   callback gauges: zero cost on the access hot paths, and the dump
-   always reflects the most recently created address space (campaigns
-   create one per trial; the CLI creates exactly one). *)
-let publish_metrics t =
-  let g name f = Dh_obs.Metrics.gauge_fn ("mem." ^ name) f in
-  g "reads" (fun () -> t.reads);
-  g "writes" (fun () -> t.writes);
-  g "mmaps" (fun () -> t.mmaps);
-  g "munmaps" (fun () -> t.munmaps);
-  g "tlb_misses" (fun () -> t.tlb_misses);
-  g "cache_misses" (fun () -> t.cache_misses);
-  g "touched_pages" (fun () -> t.touched_pages);
-  g "dirty_pages" (fun () -> t.dirty);
-  g "preimaged_pages" (fun () -> t.preimaged);
-  g "meshed_pages" (fun () -> meshed_pages t);
-  g "mapped_bytes" (fun () -> mapped_bytes t)
-
 let create () =
-  let t =
   {
     pages = Array.make 64 no_segment;
     next_base = 16 * page_size;  (* keep a NULL-guard zone at the bottom *)
@@ -219,9 +200,6 @@ let create () =
     preimaged = 0;
     spare = [];
   }
-  in
-  if Dh_obs.Control.enabled () then publish_metrics t;
-  t
 
 (* --- the locality model ---
 
@@ -399,6 +377,29 @@ let dirty_delta t c =
     Printf.bprintf b "  ... %d more pre-imaged pages\n" (c.pre_count - !shown);
   Buffer.contents b
 
+let stats t =
+  {
+    reads = t.reads;
+    writes = t.writes;
+    mmaps = t.mmaps;
+    munmaps = t.munmaps;
+    tlb_misses = t.tlb_misses;
+    cache_misses = t.cache_misses;
+    dirty_pages = t.dirty;
+  }
+
+let touched_pages t = t.touched_pages
+let preimaged_pages t = t.preimaged
+
+(* This address space's own counters, for its fault's flight record. *)
+let counters_body t =
+  let s = stats t in
+  Printf.sprintf
+    "reads=%d writes=%d mmaps=%d munmaps=%d tlb_misses=%d cache_misses=%d \
+     dirty_pages=%d touched_pages=%d preimaged_pages=%d\n"
+    s.reads s.writes s.mmaps s.munmaps s.tlb_misses s.cache_misses s.dirty_pages
+    (touched_pages t) (preimaged_pages t)
+
 let raise_fault t f =
   if Dh_obs.Control.enabled () then begin
     let neighborhood_section =
@@ -407,14 +408,18 @@ let raise_fault t f =
         body = neighborhood t (Fault.addr f);
       }
     in
+    let counters_section =
+      { Dh_obs.Recorder.title = "mem counters"; body = counters_body t }
+    in
     let sections =
       match t.ckpt with
       | Some c ->
         [
           neighborhood_section;
           { Dh_obs.Recorder.title = "dirty-page delta"; body = dirty_delta t c };
+          counters_section;
         ]
-      | None -> [ neighborhood_section ]
+      | None -> [ neighborhood_section; counters_section ]
     in
     Dh_obs.Recorder.trigger ~sections ~reason:(Fault.to_string f) ()
   end;
@@ -822,17 +827,3 @@ let rewind t =
     { pages_restored; segments_remapped; segments_discarded; protections_restored }
 
 let dirty_pages t = t.dirty
-let preimaged_pages t = t.preimaged
-
-let stats t =
-  {
-    reads = t.reads;
-    writes = t.writes;
-    mmaps = t.mmaps;
-    munmaps = t.munmaps;
-    tlb_misses = t.tlb_misses;
-    cache_misses = t.cache_misses;
-    dirty_pages = t.dirty;
-  }
-
-let touched_pages t = t.touched_pages

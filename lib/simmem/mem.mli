@@ -25,10 +25,10 @@ val word_size : int
 (** 8 bytes. *)
 
 val create : unit -> t
-(** A fresh, empty address space.  While {!Dh_obs.Control.enabled}, it
-    registers its counters as callback gauges (["mem.reads"],
-    ["mem.tlb_misses"], ...) in {!Dh_obs.Metrics}; the registry reflects
-    the most recently created space. *)
+(** A fresh, empty address space.  While {!Dh_obs.Control.enabled}, a
+    fault it raises leaves a flight record ({!Dh_obs.Recorder}) whose
+    ["mem counters"] section holds this space's own {!stats},
+    {!touched_pages} and {!preimaged_pages}. *)
 
 (** {1 Mapping} *)
 

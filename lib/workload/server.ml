@@ -78,6 +78,22 @@ let c_failed = 16
 let c_checksum = 24
 let counters_size = 32
 
+(* The node holding [key] in the chain from [node], or [-(depth + 1)]
+   on a miss, [depth] being the chain's length: node addresses are never
+   0, so the sign tells the two apart without boxing a result.  Every
+   step past a mismatching node burns a unit of fuel. *)
+let rec find mem fuel key node depth =
+  if node = 0 then -(depth + 1)
+  else if Mem.read64 mem node = key then node
+  else begin
+    Process.Fuel.burn fuel;
+    find mem fuel key (Mem.read64 mem (node + 8)) (depth + 1)
+  end
+
+(* The [i]th node after [node], or 0 if the chain ends first. *)
+let rec nth mem node i =
+  if node = 0 || i = 0 then node else nth mem (Mem.read64 mem (node + 8)) (i - 1)
+
 let service ~requests ?(attack_every = 0) ?zipf () =
   if requests < 0 then invalid_arg "Server.service: requests must be >= 0";
   if attack_every < 0 then invalid_arg "Server.service: attack_every must be >= 0";
@@ -94,7 +110,7 @@ let service ~requests ?(attack_every = 0) ?zipf () =
     and s_url = Dh_obs.Audit.site "server:url-copy"
     and s_title = Dh_obs.Audit.site "server:title" in
     let must sz =
-      match Dh_obs.Audit.with_site s_boot (fun () -> a.Allocator.malloc sz) with
+      match Dh_obs.Audit.with_site s_boot a.Allocator.malloc sz with
       | Some p -> p
       | None -> raise (Process.Abort "server: out of memory at boot")
     in
@@ -111,28 +127,20 @@ let service ~requests ?(attack_every = 0) ?zipf () =
       let key = key_of k in
       let url = url ~attack ~key k in
       let bucket = table + (key land (bucket_count - 1)) * 8 in
-      let rec find node depth =
-        if node = 0 then (None, depth)
-        else if Mem.read64 mem node = key then (Some node, depth)
-        else begin
-          Process.Fuel.burn ctx.Program.fuel;
-          find (Mem.read64 mem (node + 8)) (depth + 1)
-        end
-      in
-      let found, depth = find (Mem.read64 mem bucket) 0 in
+      let found = find mem ctx.Program.fuel key (Mem.read64 mem bucket) 0 in
       let node_hits =
-        match found with
-        | Some node ->
-          let h = Mem.read64 mem (node + 16) + 1 in
-          Mem.write64 mem (node + 16) h;
+        if found > 0 then begin
+          let h = Mem.read64 mem (found + 16) + 1 in
+          Mem.write64 mem (found + 16) h;
           bump c_hits 1;
           h
-        | None -> (
+        end
+        else
+          let depth = -found - 1 in
           (* miss: store a node and its URL copy (both 32 B class) *)
           match
-            ( Dh_obs.Audit.with_site s_node (fun () -> a.Allocator.malloc node_size),
-              Dh_obs.Audit.with_site s_url (fun () ->
-                  a.Allocator.malloc (String.length url + 1)) )
+            ( Dh_obs.Audit.with_site s_node a.Allocator.malloc node_size,
+              Dh_obs.Audit.with_site s_url a.Allocator.malloc (String.length url + 1) )
           with
           | Some node, Some ucopy ->
             Mem.write_cstring mem ~addr:ucopy url;
@@ -145,11 +153,7 @@ let service ~requests ?(attack_every = 0) ?zipf () =
             (* keep chains bounded: truncate past max_chain, freeing the
                evicted suffix (the server's steady free traffic) *)
             if depth >= max_chain then begin
-              let rec nth node i =
-                if node = 0 || i = 0 then node
-                else nth (Mem.read64 mem (node + 8)) (i - 1)
-              in
-              let keep = nth (Mem.read64 mem bucket) (max_chain - 1) in
+              let keep = nth mem (Mem.read64 mem bucket) (max_chain - 1) in
               if keep <> 0 then begin
                 let rec free_chain node =
                   if node <> 0 then begin
@@ -173,13 +177,13 @@ let service ~requests ?(attack_every = 0) ?zipf () =
             0
           | None, None ->
             bump c_failed 1;
-            0)
+            0
       in
       (* format the response title — the crash site: the unchecked strcpy
          of Squid 2.3s5, no bounds test, into a fixed 64-byte buffer.  A
          well-formed URL fits; an overlong one writes on past the end of
          the slot. *)
-      (match Dh_obs.Audit.with_site s_title (fun () -> a.Allocator.malloc title_size) with
+      (match Dh_obs.Audit.with_site s_title a.Allocator.malloc title_size with
       | Some title ->
         Mem.write_cstring mem ~addr:title url;
         a.Allocator.free title

@@ -47,21 +47,23 @@ let test_ambient_site () =
   with_audit (fun () ->
       let s = Audit.site "ambient" in
       check_int "default ambient is unknown" Audit.unknown (Audit.current_site ());
-      let inside = Audit.with_site s (fun () -> Audit.current_site ()) in
+      let inside = Audit.with_site s Audit.current_site () in
       check_int "with_site sets the ambient site" s inside;
       check_int "with_site restores on exit" Audit.unknown (Audit.current_site ());
       (* exception-safe restore *)
-      (try Audit.with_site s (fun () -> failwith "boom") with Failure _ -> ());
+      (try Audit.with_site s failwith "boom" with Failure _ -> ());
       check_int "restored after raise" Audit.unknown (Audit.current_site ()));
   (* Disabled: the channel is inert and the thunk still runs. *)
   Control.with_enabled false (fun () ->
       let r =
-        Audit.with_site 42 (fun () ->
+        Audit.with_site 42
+          (fun x ->
             check_int "disabled with_site does not set" Audit.unknown
               (Audit.current_site ());
-            17)
+            x + 1)
+          16
       in
-      check_int "thunk result passes through" 17 r)
+      check_int "result passes through" 17 r)
 
 (* --- heap provenance ------------------------------------------------- *)
 
@@ -70,8 +72,8 @@ let test_heap_attribution () =
       let heap = fresh_heap () in
       let s_p = Audit.site "test:p" in
       let s_q = Audit.site "test:q" in
-      let p = Option.get (Audit.with_site s_p (fun () -> Heap.malloc heap 64)) in
-      let q = Option.get (Audit.with_site s_q (fun () -> Heap.malloc heap 64)) in
+      let p = Option.get (Audit.with_site s_p (Heap.malloc heap) 64) in
+      let q = Option.get (Audit.with_site s_q (Heap.malloc heap) 64) in
       check_int "p's site attributed" s_p (Option.get (Heap.site_of_addr heap p));
       check_int "q's site attributed" s_q (Option.get (Heap.site_of_addr heap q));
       let alloc = Heap.allocator heap in
@@ -96,7 +98,7 @@ let test_large_site_after_free () =
   with_audit (fun () ->
       let heap = fresh_heap () in
       let s = Audit.site "test:large" in
-      let p = Option.get (Audit.with_site s (fun () -> Heap.malloc heap 20_000)) in
+      let p = Option.get (Audit.with_site s (Heap.malloc heap) 20_000) in
       (Heap.allocator heap).Allocator.free p;
       let addr = p + 100 in
       (match Dh_mem.Mem.read8 (Heap.mem heap) addr with
@@ -119,7 +121,7 @@ let test_site_table_widens () =
       let addrs =
         List.map
           (fun site ->
-            (site, Option.get (Audit.with_site site (fun () -> Heap.malloc heap 64))))
+            (site, Option.get (Audit.with_site site (Heap.malloc heap) 64)))
           sites
       in
       List.iter
@@ -238,12 +240,12 @@ let test_top_sites_ranking () =
       let guilty = Audit.site "guilty" in
       let heap = fresh_heap () in
       for _ = 1 to 10 do
-        ignore (Audit.with_site noisy (fun () -> Heap.malloc heap 64))
+        ignore (Audit.with_site noisy (Heap.malloc heap) 64)
       done;
-      ignore (Audit.with_site guilty (fun () -> Heap.malloc heap 64));
+      ignore (Audit.with_site guilty (Heap.malloc heap) 64);
       for i = 1 to 6 do
         let quiet = Audit.site (Printf.sprintf "quiet%d" i) in
-        ignore (Audit.with_site quiet (fun () -> Heap.malloc heap 64))
+        ignore (Audit.with_site quiet (Heap.malloc heap) 64)
       done;
       Audit.record_canary ~site:guilty;
       Audit.record_fault ~site:guilty;
@@ -316,21 +318,6 @@ let test_window_rate_at_clock_zero () =
       check "rate at clock 0 uses elapsed ticks" true (Window.rate w ~now:0 = 5.);
       Window.reset ())
 
-(* --watch for every service-shaped program: Program.of_service ticks
-   the audit clock with the request index, so a plain run fires the
-   watch exactly as the supervisor's checkpointed run does. *)
-let test_watch_fires_on_plain_service_run () =
-  with_audit (fun () ->
-      let fired = ref [] in
-      Audit.set_watch ~every:512 ~f:(fun ~now -> fired := now :: !fired);
-      let heap = fresh_heap ~heap_size:Dh_workload.Server.heap_size () in
-      let r =
-        Program.run (Dh_workload.Server.program ~requests:2048 ()) (Heap.allocator heap)
-      in
-      check "server exited 0" true (r.Dh_mem.Process.outcome = Dh_mem.Process.Exited 0);
-      Alcotest.(check (list int)) "fired at 512, 1024, 1536" [ 512; 1024; 1536 ]
-        (List.rev !fired))
-
 let suite =
   [
     Alcotest.test_case "site: interning and names" `Quick test_site_interning;
@@ -357,6 +344,4 @@ let suite =
       test_window_backwards_clock;
     Alcotest.test_case "window: rate at clock zero" `Quick
       test_window_rate_at_clock_zero;
-    Alcotest.test_case "watch: plain service run ticks" `Quick
-      test_watch_fires_on_plain_service_run;
   ]

@@ -216,17 +216,17 @@ let test_pool_nested () =
 
 (* --- telemetry under the pool --- *)
 
-(* Worker domains write metric shards picked by their own domain id;
+(* Worker domains write histogram shards picked by their own domain id;
    reads must merge every shard back into one total. *)
 let test_metrics_shard_merge_under_pool () =
   Dh_obs.Control.with_enabled true @@ fun () ->
-  Fun.protect ~finally:(fun () -> Dh_obs.Metrics.reset ())
+  Fun.protect ~finally:Dh_obs.Quantile.reset
   @@ fun () ->
-  Dh_obs.Metrics.reset ();
-  let h = Dh_obs.Metrics.histogram "test.pool.sizes" in
+  Dh_obs.Quantile.reset ();
+  let h = Dh_obs.Quantile.named "test.pool.sizes" in
   let out =
     Pool.init ~jobs:4 200 (fun i ->
-        Dh_obs.Metrics.observe h i;
+        Dh_obs.Quantile.record h i;
         i)
   in
   check "work really happened" true (out = Array.init 200 Fun.id);
@@ -239,7 +239,7 @@ let observed f =
   Dh_obs.Control.with_enabled true (fun () ->
       Fun.protect
         ~finally:(fun () ->
-          Dh_obs.Metrics.reset ();
+          Dh_obs.Quantile.reset ();
           Dh_obs.Tracing.reset ();
           Dh_obs.Recorder.clear ())
         f)

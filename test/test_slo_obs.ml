@@ -23,7 +23,6 @@ let check_str = Alcotest.(check string)
 let wipe () =
   Quantile.reset ();
   Window.reset ();
-  Dh_obs.Metrics.reset ();
   Tracing.reset ();
   Recorder.clear ()
 
@@ -90,7 +89,8 @@ let prop_quantile_vs_sorted_oracle =
            (float_bound_inclusive 1.0)))
     (fun (samples, q) ->
       Control.with_enabled true (fun () ->
-          let t = Quantile.create () in
+          Quantile.reset ();
+          let t = Quantile.named "test.oracle" in
           List.iter (Quantile.record t) samples;
           let s = Quantile.snapshot t in
           let sorted = List.sort compare samples in
@@ -107,7 +107,7 @@ let prop_quantile_vs_sorted_oracle =
 
 let test_snapshot_arithmetic () =
   with_clean @@ fun () ->
-  let t = Quantile.create () in
+  let t = Quantile.named "test.arithmetic" in
   List.iter (Quantile.record t) [ 5; 10; 15 ];
   let s = Quantile.snapshot t in
   check_int "count" 3 (Quantile.count s);
@@ -127,7 +127,7 @@ let test_latency_never_negative () =
   check_int "forward pair" 1_500 (Tracing.elapsed_ns ~since:10_000 ~now:11_500);
   check_int "equal stamps" 0 (Tracing.elapsed_ns ~since:10_000 ~now:10_000);
   check_int "backward pair" 0 (Tracing.elapsed_ns ~since:11_500 ~now:10_000);
-  let h = Quantile.create () in
+  let h = Quantile.named "test.backward" in
   Quantile.record h (Tracing.elapsed_ns ~since:max_int ~now:0);
   check_int "a backward sample records as 0" 1
     (Quantile.counts (Quantile.snapshot h)).(0);
@@ -146,7 +146,7 @@ let test_shard_merge_under_domains () =
   with_clean @@ fun () ->
   Audit.reset ();
   Fun.protect ~finally:Audit.reset @@ fun () ->
-  let t = Dh_obs.Metrics.histogram "test.sharded" in
+  let t = Quantile.named "test.sharded" in
   let lc = Audit.local () in
   let site = Audit.site "test.sharded.site" in
   let slice d = List.init 500 (fun i -> (d * 10_000) + (i * 7)) in
@@ -168,7 +168,7 @@ let test_shard_merge_under_domains () =
   List.iter Domain.join domains;
   let all = List.concat_map slice [ 0; 1; 2; 3 ] in
   let merged = Quantile.snapshot t in
-  let oracle = Quantile.create () in
+  let oracle = Quantile.named "test.sharded.oracle" in
   List.iter (Quantile.record oracle) all;
   let expect = Quantile.snapshot oracle in
   check_int "merged count" (Quantile.count expect) (Quantile.count merged);
@@ -215,7 +215,7 @@ let test_shard_merge_under_domains () =
   let again = [ 3; 700; 70_000 ] in
   List.iter
     (fun v ->
-      Dh_obs.Metrics.observe t v;
+      Quantile.record t v;
       record_audit v)
     again;
   let after = Quantile.snapshot t in
@@ -279,7 +279,8 @@ let test_window_disabled_noop () =
 (* --- the SLO read off the latency histogram ------------------------- *)
 
 let latency_of samples =
-  let h = Quantile.create () in
+  Quantile.reset ();
+  let h = Quantile.named "test.latency" in
   List.iter (Quantile.record h) samples;
   Quantile.snapshot h
 
@@ -314,7 +315,7 @@ let test_slo_latency_classification () =
 
 let test_slo_disabled_noop () =
   with_clean @@ fun () ->
-  let h = Quantile.create () in
+  let h = Quantile.named "test.slo.disabled" in
   Control.with_enabled false (fun () -> Quantile.record h 1_000_000);
   check_int "disabled record dropped" 0
     (Serve.slo_of (Quantile.snapshot h) ~rewinds:0).Serve.total
@@ -384,7 +385,7 @@ let test_serve_telemetry () =
   with_clean @@ fun () ->
   let incident = serve_incident ~obs:true () in
   check "survived" true (incident.Supervisor.verdict <> Supervisor.Gave_up);
-  let latency = Dh_obs.Metrics.(histogram "serve.latency_ns") in
+  let latency = Quantile.named "serve.latency_ns" in
   let s = Quantile.snapshot latency in
   (* every request (plus rewound replays) recorded a latency *)
   check "latency samples >= requests" true (Quantile.count s >= 512);
@@ -394,58 +395,108 @@ let test_serve_telemetry () =
   check_int "reset empties serve.latency_ns" 0
     (Quantile.count (Quantile.snapshot latency))
 
+(* An obs-on supervised server that faults (2,000 requests, attack every
+   97; attempt 0 dies on its first fault), with the allocator of every
+   rung and replay in the order the supervisor built them: attempt 0's
+   comes first. *)
+let faulting_incident () =
+  let allocs = ref [] in
+  let incident =
+    Supervisor.run
+      ~config:(Diehard.Config.v ~heap_size:Server.heap_size ~obs:true ())
+      ~wrap:(fun _plan alloc ->
+        allocs := alloc :: !allocs;
+        alloc)
+      (Server.program ~requests:2000 ~attack_every:97 ())
+  in
+  let first =
+    match incident.Supervisor.flight with
+    | r :: _ -> r
+    | [] -> Alcotest.fail "no flight record"
+  in
+  (first, List.hd (List.rev !allocs))
+
+let section (r : Recorder.report) title =
+  match List.find_opt (fun s -> s.Recorder.title = title) r.Recorder.sections with
+  | Some s -> List.filter (fun l -> l <> "") (String.split_on_char '\n' s.Recorder.body)
+  | None -> Alcotest.failf "no %s section" title
+
 (* The flight record reads occupancy and site tallies straight from the
-   audit: an obs-on supervised server that faults carries, in its first
-   record, one heap.occupancy line per occupancy entry (whose live counts
-   add up to the record's own heap.live_objects gauge) and the
-   audit.top-sites section; its metrics digest holds the heap's Stats
-   gauges and no heap.malloc.* histogram. *)
+   audit: the first record carries one heap.occupancy line per occupancy
+   entry, whose live counts add up to the faulting heap's live objects,
+   and the audit.top-sites section. *)
 let test_flight_record_reads_audit () =
   with_clean @@ fun () ->
   Audit.reset ();
   Fun.protect ~finally:Audit.reset @@ fun () ->
+  let r, attempt0 = faulting_incident () in
+  let occupancy = section r "heap.occupancy" in
+  check_int "one occupancy line per audit entry"
+    (List.length (Audit.occupancy ()))
+    (List.length occupancy);
+  let live =
+    List.fold_left
+      (fun acc l -> acc + Scanf.sscanf l "class %d ( %dB): %d/" (fun _ _ n -> n))
+      0 occupancy
+  in
+  check_int "live counts match the faulting heap's" attempt0.Dh_alloc.Allocator.stats.live_objects
+    live;
+  check "top-sites section names the server's sites" true
+    (List.exists (String.starts_with ~prefix:"server:") (section r "audit.top-sites"))
+
+(* A fault's flight record carries the counters of the address space
+   that raised it — attempt 0's, not those of whichever space was built
+   last (the diagnosis replay's). *)
+let test_flight_record_mem_counters () =
+  with_clean @@ fun () ->
+  Audit.reset ();
+  Fun.protect ~finally:Audit.reset @@ fun () ->
+  let r, attempt0 = faulting_incident () in
+  let mem = attempt0.Dh_alloc.Allocator.mem in
+  let s = Dh_mem.Mem.stats mem in
+  Alcotest.(check (list string))
+    "mem counters = attempt 0's Mem.stats"
+    [
+      Printf.sprintf
+        "reads=%d writes=%d mmaps=%d munmaps=%d tlb_misses=%d cache_misses=%d \
+         dirty_pages=%d touched_pages=%d preimaged_pages=%d"
+        s.reads s.writes s.mmaps s.munmaps s.tlb_misses s.cache_misses s.dirty_pages
+        (Dh_mem.Mem.touched_pages mem) (Dh_mem.Mem.preimaged_pages mem);
+    ]
+    (section r "mem counters")
+
+(* An attempt that fails without a fault (here, exit 3 after three
+   mallocs) leaves a flight record holding its own heap's Stats line. *)
+let test_failed_attempt_heap_stats () =
+  with_clean @@ fun () ->
+  let exits_3 =
+    Dh_alloc.Program.make ~name:"exits-3" (fun ctx ->
+        for _ = 1 to 3 do
+          ignore (Dh_alloc.Allocator.malloc_exn ctx.Dh_alloc.Program.alloc 64)
+        done;
+        raise (Dh_mem.Process.Exit_program 3))
+  in
+  let allocs = ref [] in
   let incident =
     Supervisor.run
-      ~policy:{ Supervisor.default_policy with Supervisor.checkpoint_interval = 256 }
-      ~config:(Diehard.Config.v ~heap_size:Server.heap_size ~obs:true ())
-      (Server.program ~requests:2000 ~attack_every:97 ())
+      ~policy:
+        { Supervisor.default_policy with max_retries = 0; rescue = false; diagnose = false }
+      ~config:(Diehard.Config.v ~obs:true ())
+      ~wrap:(fun _plan alloc ->
+        allocs := alloc :: !allocs;
+        alloc)
+      exits_3
   in
-  match incident.Supervisor.flight with
-  | [] -> Alcotest.fail "no flight record"
-  | r :: _ ->
-    let body title =
-      match List.find_opt (fun s -> s.Recorder.title = title) r.Recorder.sections with
-      | Some s -> s.Recorder.body
-      | None -> Alcotest.failf "no %s section" title
-    in
-    let lines title =
-      List.filter (fun l -> l <> "") (String.split_on_char '\n' (body title))
-    in
-    let occupancy = lines "heap.occupancy" in
-    check_int "one occupancy line per audit entry"
-      (List.length (Audit.occupancy ()))
-      (List.length occupancy);
-    let live =
-      List.fold_left
-        (fun acc l -> acc + Scanf.sscanf l "class %d ( %dB): %d/" (fun _ _ n -> n))
-        0 occupancy
-    in
-    let metric name =
-      List.find_opt (fun (m : Dh_obs.Metrics.row) -> m.Dh_obs.Metrics.name = name)
-        r.Recorder.metrics
-    in
-    check "live counts match the record's heap.live_objects" true
-      (Option.map (fun (m : Dh_obs.Metrics.row) -> m.Dh_obs.Metrics.value)
-         (metric "heap.live_objects")
-      = Some live);
-    check "top-sites section names the server's sites" true
-      (List.exists (String.starts_with ~prefix:"server:") (lines "audit.top-sites"));
-    check "digest holds heap.mallocs" true (metric "heap.mallocs" <> None);
-    check "digest holds no heap.malloc.* row" false
-      (List.exists
-         (fun (m : Dh_obs.Metrics.row) ->
-           String.starts_with ~prefix:"heap.malloc." m.Dh_obs.Metrics.name)
-         r.Recorder.metrics)
+  match (incident.Supervisor.flight, !allocs) with
+  | [ r ], [ attempt0 ] ->
+    Alcotest.(check (list string))
+      "heap stats = attempt 0's Stats"
+      [ Format.asprintf "%a" Dh_alloc.Stats.pp attempt0.Dh_alloc.Allocator.stats ]
+      (section r "heap stats");
+    check_int "three mallocs" 3 attempt0.Dh_alloc.Allocator.stats.mallocs
+  | flight, allocs ->
+    Alcotest.failf "%d flight records and %d attempts, want 1 and 1" (List.length flight)
+      (List.length allocs)
 
 let test_serve_telemetry_write_only () =
   (* The determinism contract: the same run with telemetry on and off
@@ -553,6 +604,10 @@ let suite =
       test_advertised_step;
     Alcotest.test_case "recorder: flight record reads the audit" `Quick
       test_flight_record_reads_audit;
+    Alcotest.test_case "recorder: a fault's record carries its own mem counters" `Quick
+      test_flight_record_mem_counters;
+    Alcotest.test_case "recorder: a failed attempt's record carries its heap stats" `Quick
+      test_failed_attempt_heap_stats;
     Alcotest.test_case "serve: supervisor publishes telemetry" `Quick
       test_serve_telemetry;
     Alcotest.test_case "serve: telemetry is write-only" `Quick

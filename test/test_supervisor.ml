@@ -196,7 +196,8 @@ let test_incidents_deterministic () =
 
 (* Every rung's heap keeps the caller's heap settings: a checkpointed
    server run under attack with meshing on meshes pages on the attempt
-   that survives, and prints what the mesh-off run prints. *)
+   that survives, and prints what the mesh-off run prints; a replicated
+   config's rung random-fills what it allocates. *)
 let test_rungs_keep_heap_settings () =
   let serve ~mesh =
     let mems = ref [] in
@@ -221,7 +222,30 @@ let test_rungs_keep_heap_settings () =
   let on_output, on_meshed = serve ~mesh:true in
   check_int "mesh off meshes nothing" 0 off_meshed;
   check "the surviving attempt meshed pages" true (on_meshed > 0);
-  Alcotest.(check (option string)) "same output as mesh off" off_output on_output
+  Alcotest.(check (option string)) "same output as mesh off" off_output on_output;
+  (* Replicated fill (§5): the attempt's fresh small object holds random
+     bytes, not the zeroes of a plain heap. *)
+  let fresh_object ~replicated =
+    let peek =
+      Dh_alloc.Program.make ~name:"peek" (fun ctx ->
+          let a = ctx.Dh_alloc.Program.alloc in
+          let p = Allocator.malloc_exn a 64 in
+          let bits = ref 0 in
+          for w = 0 to 7 do
+            bits := !bits lor Dh_mem.Mem.read64 a.Allocator.mem (p + (8 * w))
+          done;
+          Dh_mem.Process.Out.printf ctx.Dh_alloc.Program.out "%s"
+            (if !bits = 0 then "zero" else "random"))
+    in
+    (Supervisor.run
+       ~config:(Diehard.Config.v ~replicated ())
+       ~seed_pool:(Seed.create ~master:1) peek)
+      .Supervisor.output
+  in
+  Alcotest.(check (option string)) "plain rung: zero-filled" (Some "zero")
+    (fresh_object ~replicated:false);
+  Alcotest.(check (option string)) "replicated rung: random-filled" (Some "random")
+    (fresh_object ~replicated:true)
 
 let suite =
   [

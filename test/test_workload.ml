@@ -235,7 +235,6 @@ let test_server_supervised_pinned () =
       ~finally:(fun () ->
         Dh_obs.Quantile.reset ();
         Dh_obs.Window.reset ();
-        Dh_obs.Metrics.reset ();
         Dh_obs.Tracing.reset ();
         Dh_obs.Recorder.clear ();
         Dh_obs.Audit.reset ())
@@ -275,6 +274,26 @@ let test_server_supervised_pinned () =
   check_int "touched pages" 42 (Mem.touched_pages mem);
   check_int "mem pre-imaged pages" 675 (Mem.preimaged_pages mem)
 
+(* The minor words a served request allocates, obs off, on a plain
+   DieHard run: the difference between two run lengths, so set-up and
+   the final report cancel out.  The URL string and a malloc's [Some]
+   are what is left; a closure or a boxed result per request would show
+   here. *)
+let test_server_request_words () =
+  let words requests =
+    Dh_obs.Control.with_enabled false (fun () ->
+        let alloc = fresh_diehard ~heap:Server.heap_size () in
+        let before = Gc.minor_words () in
+        let r = Program.run (Server.program ~requests ()) alloc in
+        let words = Gc.minor_words () -. before in
+        check "server exited 0" true (r.Process.outcome = Process.Exited 0);
+        words)
+  in
+  let per_request = (words 4096 -. words 2048) /. 2048. in
+  (* 14.5 at the time of writing: one more closure would pass 15. *)
+  check (Printf.sprintf "%.2f minor words per request <= 15" per_request) true
+    (per_request <= 15.)
+
 let test_server_rejects_negative_attack_every () =
   Alcotest.check_raises "attack_every < 0"
     (Invalid_argument "Server.service: attack_every must be >= 0") (fun () ->
@@ -301,6 +320,8 @@ let suite =
     Alcotest.test_case "squid attack: DieHard survives" `Quick test_squid_attack_survives_diehard;
     Alcotest.test_case "server URLs match Printf" `Quick test_server_urls;
     Alcotest.test_case "server supervised run pinned" `Quick test_server_supervised_pinned;
+    Alcotest.test_case "server request allocates no closure" `Quick
+      test_server_request_words;
     Alcotest.test_case "server rejects attack_every < 0" `Quick
       test_server_rejects_negative_attack_every;
   ]
