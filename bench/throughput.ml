@@ -13,8 +13,9 @@
    - copy-on-write checkpointing: write-path cost plain vs armed, and
      rewind recovery vs from-scratch retry on the server attack run
      (see DESIGN.md, "Rewind-and-discard recovery");
-   - the obs-enabled overhead on the diehard alloc churn, and the obs
-     records it makes per malloc and per free (exact);
+   - the obs-enabled overhead on the diehard alloc churn, the obs
+     records it makes per malloc and per free, and the minor-heap words
+     a DieHard malloc and free allocate with obs off and on (exact);
    - parallel scaling of the {!Dh_parallel} execution engine: an 8-way
      replicated run and a fault-injection campaign, swept over
      [jobs in {1, 2, 4, 8}] up to [max 2 cores], recording wall-clock
@@ -362,6 +363,39 @@ let obs_records () =
     ("obs.records_per_free", per (frees1 - frees0 + instants "heap.free") stats.Dh_alloc.Stats.frees);
   ]
 
+(* Minor-heap words per DieHard malloc and per free, read from
+   [Gc.minor_words] (this domain's own count, so exact for a given
+   compiler): [n] mallocs of the churn's sizes, then their [n] frees,
+   on a heap already warmed by one such pass (obs's per-domain cells,
+   site tables and trace ring are made on first use).  With obs on, a
+   malloc's words include its share of the 1-in-64 sampled trace
+   instant. *)
+let alloc_words ~obs =
+  Dh_obs.Control.with_enabled obs @@ fun () ->
+  let alloc = Diehard.Heap.allocator (obs_heap ()) in
+  let sizes = [| 16; 24; 32; 48; 64; 96; 128; 256 |] in
+  let n = 4096 in
+  let live = Array.make n 0 in
+  let pass () =
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      match alloc.Allocator.malloc sizes.(i land 7) with
+      | Some p -> live.(i) <- p
+      | None -> failwith "alloc_words: malloc failed"
+    done;
+    let w1 = Gc.minor_words () in
+    Array.iter alloc.Allocator.free live;
+    let w2 = Gc.minor_words () in
+    ((w1 -. w0) /. float_of_int n, (w2 -. w1) /. float_of_int n)
+  in
+  ignore (pass ());
+  let malloc, free = pass () in
+  let leg = if obs then "diehard-obs-on" else "diehard-obs-off" in
+  [
+    (leg ^ ".words_per_malloc", Gate.float malloc);
+    (leg ^ ".words_per_free", Gate.float free);
+  ]
+
 (* The same diehard alloc churn with Dh_obs off and then on.  The off
    leg is the compiled-in fast path (one atomic load and branch per
    site) whose cost the baseline gate bounds; the on leg shows what
@@ -376,8 +410,9 @@ let obs_overhead_bench ~quick =
   let obs_on = alloc_bench ~ops "diehard-obs-on" make in
   let records = obs_records () in
   Dh_obs.Control.set_enabled was;
+  let words = alloc_words ~obs:false @ alloc_words ~obs:true in
   rate_metrics obs_off ++ rate_metrics obs_on
-  ++ ( records,
+  ++ ( records @ words,
        [ ("obs.enabled_overhead_pct", Gate.float (overhead_pct ~fast:obs_off ~slow:obs_on)) ] )
 
 (* --- parallel scaling (Dh_parallel over replicas and campaigns) --- *)

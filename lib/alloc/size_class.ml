@@ -5,10 +5,18 @@ let size c =
   if c < 0 || c >= count then invalid_arg "Size_class.size: bad class";
   8 lsl c
 
-(* ceil(log2 sz) via bit scanning on (sz - 1). *)
+(* ceil(log2 sz) is the bit length of (sz - 1), found by halving steps:
+   a small size has sz - 1 < 2^14, so four compares cover it. *)
 let ceil_log2 sz =
-  let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + 1) in
-  if sz <= 1 then 0 else go (sz - 1) 0
+  if sz <= 1 then 0
+  else begin
+    let n = ref 0 and v = ref (sz - 1) in
+    if !v lsr 8 <> 0 then begin n := 8; v := !v lsr 8 end;
+    if !v lsr 4 <> 0 then begin n := !n + 4; v := !v lsr 4 end;
+    if !v lsr 2 <> 0 then begin n := !n + 2; v := !v lsr 2 end;
+    if !v lsr 1 <> 0 then begin n := !n + 1; v := !v lsr 1 end;
+    !n + !v
+  end
 
 let of_size_exn sz =
   if sz <= 0 || sz > max_size then

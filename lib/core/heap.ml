@@ -8,12 +8,20 @@ module Allocator = Dh_alloc.Allocator
 type region = {
   class_ : int;
   capacity : int;  (* slots *)
+  shift : int;
+      (* log2 of the slot size (8 lsl class_): a slot's index is its
+         byte offset lsr shift, with no division *)
+  bytes : int;  (* capacity lsl shift: the region's extent *)
   threshold : int;  (* capacity / M *)
   bitmap : Bitmap.t;
   mutable base : int;  (* 0 until lazily mapped *)
   mutable in_use : int;
   (* --- page-meshing state (classes whose size fits in a page) --- *)
   slots_per_page : int;  (* 0 for classes larger than a page *)
+  spp_shift : int;
+      (* log2 slots_per_page when that is > 0: a slot's page is its
+         index lsr spp_shift, its place on the page index land
+         (slots_per_page - 1) *)
   page_live : int array;  (* per-page live-slot counts, length = pages *)
   masked : Bitmap.t;
       (* slot is free but its bytes belong to a live object on the buddy
@@ -103,7 +111,7 @@ type t = {
   mutable meshes : int;  (* cumulative successful meshes *)
   obs : Dh_obs.Audit.local;
       (* The heap's own audit handle: a heap records from one domain at a
-         time, so each record is a domain-id compare and plain adds. *)
+         time, so each record is an owner compare and plain adds. *)
 }
 
 let create ?(config = Config.default) mem =
@@ -111,16 +119,20 @@ let create ?(config = Config.default) mem =
     Array.init Size_class.count (fun class_ ->
         let capacity = Config.objects_in_region config ~class_ in
         let size = Size_class.size class_ in
+        let shift = class_ + 3 in
         let slots_per_page = if size <= Mem.page_size then Mem.page_size / size else 0 in
         let pages = if slots_per_page = 0 then 0 else capacity / slots_per_page in
         {
           class_;
           capacity;
+          shift;
+          bytes = capacity lsl shift;
           threshold = Config.threshold config ~class_;
           bitmap = Bitmap.create capacity;
           base = 0;
           in_use = 0;
           slots_per_page;
+          spp_shift = (if slots_per_page = 0 then 0 else Mem.page_shift - shift);
           page_live = Array.make pages 0;
           masked = Bitmap.create capacity;
           buddy = Array.make pages (-1);
@@ -199,7 +211,7 @@ let site_set tbl ~capacity i site =
    event of a run is always traced).  Counters stay exact — sampling only
    thins the per-event span stream, which exists to show shape, not
    totals. *)
-let trace_sample = 64
+let trace_sample = 64  (* a power of two: the sample test is a mask *)
 
 let config t = t.config
 let mem t = t.mem
@@ -304,9 +316,8 @@ let malloc_large t sz =
   let size = (Imap.find payload t.large.objects).size in
   if t.config.Config.replicated then Mem.fill_random t.mem ~addr:payload ~len:size t.rng;
   if Dh_obs.Control.enabled () then begin
-    let site = Dh_obs.Audit.current_site () in
+    let site = Dh_obs.Audit.record_alloc t.obs ~class_:large_class ~index:(-1) ~capacity:0 in
     t.large_sites <- Imap.add payload (size, site) t.large_sites;
-    Dh_obs.Audit.record_alloc t.obs ~class_:large_class ~index:(-1) ~capacity:0 ~site;
     Dh_obs.Tracing.instant ~arg:(string_of_int sz) "heap.malloc.large"
   end;
   Some payload
@@ -465,17 +476,18 @@ let meshes t = t.meshes
 
 (* Telemetry for the small-object path, one audit record per malloc:
    slot position (randomness entropy), size-class flow, and the ambient
-   allocation site ({!Dh_obs.Audit.current_site}, which the workload
-   bracketed) — plus a sampled "heap.malloc" instant.  Probe counts and
+   allocation site (which the workload bracketed with
+   {!Dh_obs.Audit.with_site}; the record returns it, from the one cell
+   lookup) — plus a sampled "heap.malloc" instant.  Probe counts and
    requested bytes are [Stats]' to keep (§4.2's expected-probes
    analysis reads "heap.probes" over "heap.mallocs"). *)
 let observe_malloc t ~bytes ~region ~index =
   if Dh_obs.Control.enabled () then begin
-    let site = Dh_obs.Audit.current_site () in
+    let site =
+      Dh_obs.Audit.record_alloc t.obs ~class_:region.class_ ~index ~capacity:region.capacity
+    in
     site_set region.sites ~capacity:region.capacity index site;
-    Dh_obs.Audit.record_alloc t.obs ~class_:region.class_ ~index
-      ~capacity:region.capacity ~site;
-    if (t.stats.Stats.mallocs - 1) mod trace_sample = 0 then
+    if (t.stats.Stats.mallocs - 1) land (trace_sample - 1) = 0 then
       Dh_obs.Tracing.instant ~arg:(string_of_int bytes) "heap.malloc"
   end
 
@@ -520,7 +532,7 @@ let malloc_small t sz class_ =
     Bitmap.set region.bitmap index;
     region.in_use <- region.in_use + 1;
     if region.slots_per_page > 0 then begin
-      let page = index / region.slots_per_page in
+      let page = index lsr region.spp_shift in
       region.page_live.(page) <- region.page_live.(page) + 1;
       if region.meshed > 0 then begin
         let q = region.buddy.(page) in
@@ -528,7 +540,7 @@ let malloc_small t sz class_ =
           (* The new object's bytes live on the shared backing page: its
              mirror slot on the buddy page must stop being handed out. *)
           Bitmap.set region.masked
-            ((q * region.slots_per_page) + (index mod region.slots_per_page))
+            ((q lsl region.spp_shift) lor (index land (region.slots_per_page - 1)))
       end
     end;
     let addr = region.base + (index * size) in
@@ -552,7 +564,7 @@ let rec region_from regions addr i =
     let region = Array.unsafe_get regions i in
     if
       region.base <> 0 && addr >= region.base
-      && addr - region.base < region.capacity * Size_class.size region.class_
+      && addr - region.base < region.bytes
     then i
     else region_from regions addr (i + 1)
 
@@ -571,18 +583,18 @@ let free t addr =
          allocated; otherwise ignore (prevents invalid and double frees,
          §4.3). *)
       if Size_class.is_aligned ~offset ~class_:region.class_ then begin
-        let index = offset / size in
+        let index = offset lsr region.shift in
         if Bitmap.get region.bitmap index then begin
           Bitmap.clear region.bitmap index;
           region.in_use <- region.in_use - 1;
           if region.slots_per_page > 0 then begin
-            let page = index / region.slots_per_page in
+            let page = index lsr region.spp_shift in
             region.page_live.(page) <- region.page_live.(page) - 1;
             if region.meshed > 0 then begin
               let q = region.buddy.(page) in
               if q >= 0 then
                 Bitmap.clear region.masked
-                  ((q * region.slots_per_page) + (index mod region.slots_per_page))
+                  ((q lsl region.spp_shift) lor (index land (region.slots_per_page - 1)))
             end
           end;
           Stats.on_free t.stats ~reserved:size;
@@ -592,7 +604,7 @@ let free t addr =
               else Dh_obs.Audit.unknown
             in
             Dh_obs.Audit.record_free t.obs ~class_:region.class_ ~site;
-            if (t.stats.Stats.frees - 1) mod trace_sample = 0 then
+            if (t.stats.Stats.frees - 1) land (trace_sample - 1) = 0 then
               Dh_obs.Tracing.instant ~arg:(string_of_int size) "heap.free"
           end;
           if t.config.Config.mesh then begin
@@ -618,7 +630,7 @@ let site_of_addr t addr =
   if i >= 0 then begin
     let region = t.regions.(i) in
     if Bytes.length region.sites.ids = 0 then None
-    else Some (site_get region.sites ((addr - region.base) / Size_class.size region.class_))
+    else Some (site_get region.sites ((addr - region.base) lsr region.shift))
   end
   else
     match Imap.find_last_opt (fun payload -> payload <= addr) t.large_sites with
@@ -630,7 +642,7 @@ let slot_of_addr t addr =
   if i < 0 then None
   else
     let region = t.regions.(i) in
-    Some (region.class_, (addr - region.base) / Size_class.size region.class_)
+    Some (region.class_, (addr - region.base) lsr region.shift)
 
 let find_object t addr =
   let i = region_index t addr in
@@ -638,7 +650,7 @@ let find_object t addr =
   else
     let region = t.regions.(i) in
     let size = Size_class.size region.class_ in
-    let index = (addr - region.base) / size in
+    let index = (addr - region.base) lsr region.shift in
     Some
       {
         Allocator.base = region.base + (index * size);

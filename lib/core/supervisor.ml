@@ -163,9 +163,13 @@ let serve_obs () =
       }
 
 (* [telemetry] switches the serve telemetry above on (when obs is);
-   replay keeps it off so its flight record holds only its own events. *)
+   replay and the canary diagnosis replay keep it off, so the latency
+   series and the flight records hold only the supervised attempts' own
+   requests.  An [interval] of 0 arms no checkpoint: the requests run as
+   one window and a fault escapes, as it would from [main]. *)
 let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_fault =
   let mem = Heap.mem heap in
+  let armed = interval > 0 in
   let checkpoints = ref 0 and rewinds = ref 0 and pages_restored = ref 0 in
   let result =
     Process.run (fun out ->
@@ -186,22 +190,25 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
         let k = ref 0 and stopped = ref false in
         while !k < svc.Program.requests && not !stopped do
           let window_start = !k in
-          let window_end = min svc.Program.requests (window_start + interval) in
-          Dh_mem.Mem.checkpoint mem;
-          let snap = Heap.snapshot heap in
+          let window_end =
+            if armed then min svc.Program.requests (window_start + interval)
+            else svc.Program.requests
+          in
+          if armed then Dh_mem.Mem.checkpoint mem;
+          let snap = if armed then Some (Heap.snapshot heap) else None in
           let out_mark = Process.Out.length out in
-          incr checkpoints;
+          if armed then incr checkpoints;
           if Option.is_some obs then stamp := Dh_obs.Tracing.now_ns ();
           try
             while !k < window_end do
               handle !k;
               incr k
             done
-          with Dh_mem.Fault.Error raised as e -> (
+          with Dh_mem.Fault.Error raised as e when armed -> (
             let request = !k in
             let rewind () =
               let report = Dh_mem.Mem.rewind mem in
-              Heap.restore heap snap;
+              Heap.restore heap (Option.get snap);
               Process.Out.truncate out out_mark;
               pages_restored := !pages_restored + report.Dh_mem.Mem.pages_restored;
               incr rewinds;
@@ -230,34 +237,37 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
               walk window_start;
               stopped := true)
         done;
-        if Option.is_some obs then Dh_obs.Recorder.clear_step ();
         if not !stopped then begin
-          Dh_mem.Mem.discard_checkpoint mem;
+          if armed then Dh_mem.Mem.discard_checkpoint mem;
           h.Program.finish ()
         end)
   in
+  (* Also after a fault escaped: no step stays advertised. *)
+  if telemetry then Dh_obs.Recorder.clear_step ();
   ( result,
-    {
-      checkpoints = !checkpoints;
-      rewinds = !rewinds;
-      pages_restored = !pages_restored;
-      preimaged_pages = Dh_mem.Mem.preimaged_pages mem;
-    } )
+    if not armed then None
+    else
+      Some
+        {
+          checkpoints = !checkpoints;
+          rewinds = !rewinds;
+          pages_restored = !pages_restored;
+          preimaged_pages = Dh_mem.Mem.preimaged_pages mem;
+        } )
 
 (* Like {!Program.run}, but with our own fuel cell so the incident can
-   charge each attempt for the steps it actually burned.  When [ckpt]
-   supplies the heap and the program has the service shape, the run goes
-   through the checkpoint-window loop above and the recovery counters are
-   reported even if the attempt ultimately dies. *)
-let execute ?ckpt ~policy_kind ~input ~fuel program alloc =
+   charge each attempt for the steps it actually burned.  A
+   service-shaped program runs through the serve loop above, so its
+   requests feed the latency series whether or not checkpoints are
+   armed; with them ([interval > 0]) the recovery counters are reported
+   even if the attempt ultimately dies. *)
+let execute ~telemetry ~heap ~interval ~on_fault ~policy_kind ~input ~fuel program alloc =
   let cell = Process.Fuel.create ~budget:fuel in
   let context = Program.context ~policy_kind ~input ~fuel:cell alloc in
   let result, recovery =
-    match (ckpt, program.Program.service) with
-    | Some (heap, interval, on_fault), Some svc ->
-      let result, r = run_service ~telemetry:true ~context svc heap ~interval ~on_fault in
-      (result, Some r)
-    | _ -> (Process.run (fun out -> program.Program.main (context out)), None)
+    match program.Program.service with
+    | Some svc -> run_service ~telemetry ~context svc heap ~interval ~on_fault
+    | None -> (Process.run (fun out -> program.Program.main (context out)), None)
   in
   let burned =
     match Process.Fuel.remaining cell with Some left -> fuel - left | None -> 0
@@ -284,20 +294,16 @@ let run ?(policy = default_policy) ?(config = Config.default)
     (* The rewind rung applies to randomized attempts of service-shaped
        programs; the rescue rung stays from-scratch (its wrapper defers
        frees in OCaml state the rewind layer cannot restore). *)
-    let ckpt =
-      if plan.mode = Randomized && policy.checkpoint_interval > 0 then
-        (* Reseeds are derived from the attempt's seed, not drawn from the
-           pool: the ladder's seed assignment stays frozen up front. *)
-        Some
-          ( heap,
-            policy.checkpoint_interval,
-            fun f ->
-              if f.rewinds_taken >= policy.max_rewinds then Escape
-              else Reseed (plan.seed lxor ((f.rewinds_taken + 1) * 0x9E3779B9)) )
-      else None
+    let interval = if plan.mode = Randomized then policy.checkpoint_interval else 0 in
+    (* Reseeds are derived from the attempt's seed, not drawn from the
+       pool: the ladder's seed assignment stays frozen up front. *)
+    let on_fault f =
+      if f.rewinds_taken >= policy.max_rewinds then Escape
+      else Reseed (plan.seed lxor ((f.rewinds_taken + 1) * 0x9E3779B9))
     in
     let result, fuel_burned, recovery =
-      execute ?ckpt ~policy_kind ~input ~fuel:policy.fuel program alloc
+      execute ~telemetry:true ~heap ~interval ~on_fault ~policy_kind ~input
+        ~fuel:policy.fuel program alloc
     in
     let ok = success result in
     (* A memory fault has already been captured at raise time by [Mem],
@@ -335,7 +341,9 @@ let run ?(policy = default_policy) ?(config = Config.default)
     let replay_heap, base = build_heap ~config:{ config with mesh = false } plan in
     let canary, instrumented = Canary.wrap base in
     let result, fuel_burned, _ =
-      execute ~policy_kind ~input ~fuel:policy.fuel program (wrap plan instrumented)
+      execute ~telemetry:false ~heap:replay_heap ~interval:0
+        ~on_fault:(fun _ -> Escape)
+        ~policy_kind ~input ~fuel:policy.fuel program (wrap plan instrumented)
     in
     Canary.sweep canary;
     let fault =
@@ -510,6 +518,7 @@ let replay ?(input = "") ?(fuel = 100_000_000) ~config ~interval (svc : Program.
       ~context:(Program.context ~input ~fuel:(Process.Fuel.create ~budget:fuel) alloc)
       svc heap ~interval ~on_fault
   in
+  let recovery = Option.get recovery (* [interval > 0]: checkpoints were armed *) in
   Dh_obs.Recorder.clear_step ();
   let first_fault =
     Option.map

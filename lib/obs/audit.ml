@@ -34,39 +34,6 @@ let site_name id =
 
 let site_count () = Mutex.protect sites_lock (fun () -> !n_sites)
 
-(* --- the ambient site ---
-
-   A domain-local int ref: wrappers between the workload and the heap
-   forward bare [int -> int option] closures, so the site travels out of
-   band.  Writes are gated on [Control.enabled] — the heap only reads
-   the ambient site while enabled, and the disabled path must stay at
-   one atomic load. *)
-
-let ambient : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref unknown)
-
-let current_site () = !(Domain.DLS.get ambient)
-
-(* Restores by hand rather than through [Fun.protect]: this brackets
-   every workload allocation, and the closure [Fun.protect] allocates
-   per call costs more than the bracket itself.  Taking the function and
-   its argument separately lets a caller pass [malloc size] without
-   building a closure. *)
-let with_site id f x =
-  if not (Control.enabled ()) then f x
-  else begin
-    let r = Domain.DLS.get ambient in
-    let prev = !r in
-    r := id;
-    match f x with
-    | v ->
-      r := prev;
-      v
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      r := prev;
-      Printexc.raise_with_backtrace e bt
-  end
-
 (* --- per-domain buffered cells ---
 
    One process-wide {!Cell} set: each recording domain owns a private
@@ -75,22 +42,31 @@ let with_site id f x =
    by id stay small. *)
 
 type cell = {
+  mutable site : int;
+      (* The ambient site: wrappers between the workload and the heap
+         forward bare [int -> int option] closures, so the site travels
+         out of band, in the cell the heap's record fetches anyway. *)
   allocs : int array;  (* per class *)
   frees : int array;
   failed : int array;
   slot_hist : int array;  (* max_classes * slot_buckets, row-major *)
   mutable by_site_allocs : int array;  (* per site id, grown on demand *)
   mutable by_site_frees : int array;
+  capacity_seen : int array;  (* per class: the last region capacity recorded *)
+  capacity_log2 : int array;  (* its log2, or -1 when not a power of two *)
 }
 
 let fresh_cell () =
   {
+    site = unknown;
     allocs = Array.make max_classes 0;
     frees = Array.make max_classes 0;
     failed = Array.make max_classes 0;
     slot_hist = Array.make (max_classes * slot_buckets) 0;
     by_site_allocs = Array.make 8 0;
     by_site_frees = Array.make 8 0;
+    capacity_seen = Array.make max_classes 0;
+    capacity_log2 = Array.make max_classes (-1);
   }
 
 (* Cells are never unregistered; [reset] zeroes them in place so
@@ -103,6 +79,35 @@ type local = cell Cell.t
 
 let local () = Cell.share cells
 
+(* --- the ambient site ---
+
+   Writes are gated on [Control.enabled]: the heap only reads the
+   ambient site while enabled, and the disabled path must stay at one
+   atomic load. *)
+
+let current_site () = (Cell.get cells).site
+
+(* Restores by hand rather than through [Fun.protect]: this brackets
+   every workload allocation, and the closure [Fun.protect] allocates
+   per call costs more than the bracket itself.  Taking the function and
+   its argument separately lets a caller pass [malloc size] without
+   building a closure. *)
+let with_site id f x =
+  if not (Control.enabled ()) then f x
+  else begin
+    let c = Cell.get cells in
+    let prev = c.site in
+    c.site <- id;
+    match f x with
+    | v ->
+      c.site <- prev;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      c.site <- prev;
+      Printexc.raise_with_backtrace e bt
+  end
+
 let grown a n =
   let len = Array.length a in
   if n < len then a
@@ -112,21 +117,39 @@ let grown a n =
     a'
   end
 
-let record_alloc lc ~class_ ~index ~capacity ~site =
-  if Control.enabled () && class_ >= 0 && class_ < max_classes then begin
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+(* [index * slot_buckets / capacity]: a region's capacity is a power of
+   two in practice, and then the bucket is a shift.  The cell remembers
+   each class's last capacity and its log2, so the test costs a compare,
+   not a division. *)
+let slot_bucket c ~class_ ~index ~capacity =
+  if c.capacity_seen.(class_) <> capacity then begin
+    c.capacity_seen.(class_) <- capacity;
+    c.capacity_log2.(class_) <- (if capacity land (capacity - 1) = 0 then log2 capacity else -1)
+  end;
+  let k = c.capacity_log2.(class_) in
+  let b = if k >= 0 then (index * slot_buckets) lsr k else index * slot_buckets / capacity in
+  if b < slot_buckets then b else slot_buckets - 1
+
+let record_alloc lc ~class_ ~index ~capacity =
+  if not (Control.enabled ()) then unknown
+  else begin
     let c = Cell.get lc in
-    c.allocs.(class_) <- c.allocs.(class_) + 1;
-    if capacity > 0 && index >= 0 then begin
-      let b = index * slot_buckets / capacity in
-      let b = if b < slot_buckets then b else slot_buckets - 1 in
-      let i = (class_ * slot_buckets) + b in
-      c.slot_hist.(i) <- c.slot_hist.(i) + 1
+    let site = c.site in
+    if class_ >= 0 && class_ < max_classes then begin
+      c.allocs.(class_) <- c.allocs.(class_) + 1;
+      if capacity > 0 && index >= 0 then begin
+        let i = (class_ * slot_buckets) + slot_bucket c ~class_ ~index ~capacity in
+        c.slot_hist.(i) <- c.slot_hist.(i) + 1
+      end;
+      if site >= 0 then begin
+        if site >= Array.length c.by_site_allocs then
+          c.by_site_allocs <- grown c.by_site_allocs site;
+        c.by_site_allocs.(site) <- c.by_site_allocs.(site) + 1
+      end
     end;
-    if site >= 0 then begin
-      if site >= Array.length c.by_site_allocs then
-        c.by_site_allocs <- grown c.by_site_allocs site;
-      c.by_site_allocs.(site) <- c.by_site_allocs.(site) + 1
-    end
+    site
   end
 
 let record_free lc ~class_ ~site =
@@ -308,6 +331,7 @@ let entropy_bits hist =
 let reset () =
   Cell.fold
     (fun () (c : cell) ->
+      c.site <- unknown;
       Array.fill c.allocs 0 max_classes 0;
       Array.fill c.frees 0 max_classes 0;
       Array.fill c.failed 0 max_classes 0;
@@ -320,5 +344,4 @@ let reset () =
       n_sites := 0;
       ignore (intern_unlocked "unknown"));
   Mutex.protect events_lock (fun () -> Hashtbl.reset events_by_site);
-  Mutex.protect provider_lock (fun () -> provider := None);
-  Domain.DLS.get ambient := unknown
+  Mutex.protect provider_lock (fun () -> provider := None)

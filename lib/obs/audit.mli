@@ -16,7 +16,7 @@
       allocator's randomness against the uniform-choice assumption the
       theorems require ({!entropy_bits}).  Fed from the heap hot path
       through a caller-held {!local} {!Cell} handle: one enabled check,
-      one domain-id compare, plain in-place adds.
+      one owner compare (see {!Cell}), plain in-place adds.
     - {b Allocation-site provenance} — every allocation carries a small
       interned {!site} id (a workload callsite, a MiniC AST node, or
       {!unknown}); per-site counters attribute canary verdicts, faults
@@ -62,10 +62,11 @@ val site_count : unit -> int
     diagnosis wrappers ([Canary], [Rescue], the injector) forward
     [malloc : int -> int option] closures and know nothing about sites.
     Rather than widening every wrapper, the current site is ambient,
-    domain-local state: a caller brackets its allocation in
-    {!with_site}, and the heap's [malloc] reads {!current_site}.
-    Setting the ambient site is a no-op while disabled (the heap would
-    not read it anyway). *)
+    per-domain state kept in the recording domain's audit cell: a caller
+    brackets its allocation in {!with_site}, and the heap's [malloc]
+    reads it back through {!record_alloc}, in the same cell lookup that
+    records the allocation.  Setting the ambient site is a no-op while
+    disabled (the heap would not read it anyway). *)
 
 val current_site : unit -> int
 
@@ -83,11 +84,12 @@ type local
 
 val local : unit -> local
 
-val record_alloc :
-  local -> class_:int -> index:int -> capacity:int -> site:int -> unit
+val record_alloc : local -> class_:int -> index:int -> capacity:int -> int
 (** One successful allocation: slot [index] of a [capacity]-slot region
-    for [class_], attributed to [site].  The slot position feeds the
-    randomness histogram as bucket [index * slot_buckets / capacity]; an
+    for [class_], attributed to the ambient site, which it returns
+    ({!unknown} while disabled).  The slot position feeds the
+    randomness histogram as bucket [index * slot_buckets / capacity]
+    (a shift when [capacity] is a power of two); an
     allocation without a slot ([capacity = 0] or [index < 0]: a large
     object) records no slot position.  Probe counts and requested bytes
     are not recorded here: the heap's [Stats] holds them exactly. *)

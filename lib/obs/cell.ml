@@ -1,4 +1,12 @@
-type 'a slot = Unresolved | Owned of { owner : int; value : 'a }
+(* The calling domain's local-storage root, read with the primitive
+   under [Domain.DLS]: one load from the domain's state, where
+   [Domain.self] is a C call.  Every domain has its own root array and a
+   cached slot keeps the one it holds alive, so [==] on it is an owner
+   check.  A domain's root is replaced only when its local storage
+   grows, which costs that domain one re-resolve. *)
+external domain_root : unit -> Obj.t array = "%dls_get"
+
+type 'a slot = Unresolved | Owned of { root : Obj.t array; value : 'a }
 
 (* [values] is only ever extended, by consing under [lock], and is read
    without it: a reader sees either the old list or the new one, both
@@ -13,7 +21,8 @@ let create make =
 
 let share t = { set = t.set; mine = Unresolved }
 
-let refresh t me =
+let refresh t =
+  let me = (Domain.self () :> int) in
   let value =
     match List.assoc_opt me t.set.values with
     | Some v -> v
@@ -24,13 +33,12 @@ let refresh t me =
   in
   (* One immutable block: a racing writer on another domain replaces the
      whole slot, never pairs this owner with its value. *)
-  t.mine <- Owned { owner = me; value };
+  t.mine <- Owned { root = domain_root (); value };
   value
 
 let get t =
-  let me = (Domain.self () :> int) in
   match t.mine with
-  | Owned { owner; value } when owner = me -> value
-  | Owned _ | Unresolved -> refresh t me
+  | Owned { root; value } when root == domain_root () -> value
+  | Owned _ | Unresolved -> refresh t
 
 let fold f acc t = List.fold_left (fun acc (_, v) -> f acc v) acc t.set.values

@@ -8,9 +8,11 @@
     domain that records while obs is on (the parallel pool spawns
     fresh helpers for every fan-out); values are never dropped, so a
     helper's trace ring and counters outlive its domain.  A
-    handle caches its owner's value: the steady-state {!get} is one
-    domain-id compare and a field load, with no lock, no atomic, no
-    domain-local-storage read and no hash lookup.  When the calling
+    handle caches its owner's value: the steady-state {!get} is a load
+    of the calling domain's local-storage root (a field of the domain's
+    state, no C call), one pointer compare against the cached owner's
+    root and a field load, with no lock, no atomic and no hash lookup.
+    When the calling
     domain differs from the cached owner, the handle re-resolves by
     scanning the set's short (one entry per domain) list, taking the
     set's lock only to register a new domain.

@@ -19,9 +19,17 @@ let exact_limit = 2 * fine (* values below this are their own bucket *)
    so the last block is 57 and the count is 58 blocks of [fine] buckets. *)
 let bucket_count = 58 * fine
 
+(* The number of significant bits of [v >= 0], by halving steps: six
+   compares, whatever the sample. *)
 let bits_of v =
-  let rec go bits v = if v = 0 then bits else go (bits + 1) (v lsr 1) in
-  go 0 v
+  let n = ref 0 and v = ref v in
+  if !v lsr 32 <> 0 then begin n := 32; v := !v lsr 32 end;
+  if !v lsr 16 <> 0 then begin n := !n + 16; v := !v lsr 16 end;
+  if !v lsr 8 <> 0 then begin n := !n + 8; v := !v lsr 8 end;
+  if !v lsr 4 <> 0 then begin n := !n + 4; v := !v lsr 4 end;
+  if !v lsr 2 <> 0 then begin n := !n + 2; v := !v lsr 2 end;
+  if !v lsr 1 <> 0 then begin n := !n + 1; v := !v lsr 1 end;
+  !n + !v
 
 let bucket_of v =
   if v < 0 then invalid_arg "Quantile.bucket_of: negative sample";

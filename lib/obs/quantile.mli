@@ -10,7 +10,7 @@
 
     A histogram is a {!Cell} handle: the first record from a domain
     allocates it a private cell, and every later record through a handle
-    that domain owns is one domain-id compare and two plain in-place
+    that domain owns is one owner compare (see {!Cell}) and two plain in-place
     adds.  All recording is a no-op while {!Control.enabled} is false
     (one atomic load).
 

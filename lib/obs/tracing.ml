@@ -2,6 +2,7 @@ type phase = Begin | End | Instant
 
 type event = { ts : int; dom : int; phase : phase; name : string; arg : string }
 
+(* A power of two, so a slot index is a mask of the event count. *)
 let ring_capacity = 4096
 
 (* One clock: the platform's monotonic clock, in nanoseconds for
@@ -15,21 +16,24 @@ let now_us () = (now_ns () - epoch_ns) / 1000
 
 type ring = {
   dom : int;
-  events : event option array;
+  events : event array;  (* slot [i mod ring_capacity] holds event [i] *)
   mutable n : int;  (* total events ever written to this ring *)
 }
+
+(* What a slot holds before its first write: never read, since only the
+   newest [min n ring_capacity] slots are. *)
+let blank = { ts = 0; dom = -1; phase = Instant; name = ""; arg = "" }
 
 (* One ring per domain, registered when the domain records its first
    event and never removed (a dead domain's ring keeps its tail of
    events, which the flight recorder may still want). *)
 let rings =
   Cell.create (fun () ->
-      { dom = (Domain.self () :> int); events = Array.make ring_capacity None; n = 0 })
+      { dom = (Domain.self () :> int); events = Array.make ring_capacity blank; n = 0 })
 
 let record phase name arg =
   let r = Cell.get rings in
-  r.events.(r.n mod ring_capacity) <-
-    Some { ts = now_us (); dom = r.dom; phase; name; arg };
+  r.events.(r.n land (ring_capacity - 1)) <- { ts = now_us (); dom = r.dom; phase; name; arg };
   r.n <- r.n + 1
 
 let instant ?(arg = "") name = if Control.enabled () then record Instant name arg
@@ -41,23 +45,34 @@ let span ?arg name f =
     Fun.protect ~finally:(fun () -> record End name "") f
   end
 
-let ring_events r =
+(* The newest [k] events of ring [r], oldest first. *)
+let ring_tail r k =
   let n = r.n in
-  let kept = min n ring_capacity in
-  let first = n - kept in
-  List.filter_map
-    (fun i -> r.events.(i mod ring_capacity))
-    (List.init kept (fun k -> first + k))
+  let stop = n - max 0 (min k (min n ring_capacity)) in
+  let rec go i acc =
+    if i < stop then acc else go (i - 1) (r.events.(i land (ring_capacity - 1)) :: acc)
+  in
+  go (n - 1) []
 
-let events () =
-  List.sort
-    (fun a b -> compare (a.ts, a.dom) (b.ts, b.dom))
-    (Cell.fold (fun acc r -> ring_events r @ acc) [] rings)
+(* Merge order: timestamp, then domain.  A ring's own events are already
+   in this order by index (one writer, a monotonic clock), and the sort
+   is stable, so equal stamps on one domain keep their recording
+   order. *)
+let by_time a b = if a.ts <> b.ts then Int.compare a.ts b.ts else Int.compare a.dom b.dom
 
+let merged k = List.sort by_time (Cell.fold (fun acc r -> ring_tail r k @ acc) [] rings)
+
+let events () = merged ring_capacity
+
+(* The newest [n] events overall include, from each ring, only events
+   among that ring's newest [n] (a ring's events keep their index order
+   in the merge), so only those tails are read and sorted: a flight
+   capture of 64 events sorts at most 64 per domain, not every retained
+   event. *)
 let last_events n =
-  let all = events () in
-  let len = List.length all in
-  if len <= n then all else List.filteri (fun i _ -> i >= len - n) all
+  let tails = merged n in
+  let extra = List.length tails - n in
+  if extra <= 0 then tails else List.filteri (fun i _ -> i >= extra) tails
 
 let recorded () = Cell.fold (fun acc r -> acc + r.n) 0 rings
 
@@ -66,7 +81,7 @@ let dropped () = Cell.fold (fun acc r -> acc + max 0 (r.n - ring_capacity)) 0 ri
 let reset () =
   Cell.fold
     (fun () r ->
-      Array.fill r.events 0 ring_capacity None;
+      Array.fill r.events 0 ring_capacity blank;
       r.n <- 0)
     () rings
 

@@ -46,7 +46,12 @@ val events : unit -> event list
 (** Every retained event across all domains, in timestamp order. *)
 
 val last_events : int -> event list
-(** The most recent [n] retained events, in timestamp order. *)
+(** The most recent [n] retained events, in timestamp order: the tail of
+    {!events}[ ()].  It reads only each ring's newest [n] events (a
+    ring is already in timestamp order), so its cost is
+    O(d n log(d n)) for [d] recording domains, not the O(4096 d log(4096 d))
+    of {!events} — a flight capture's 64-event window sorts 64 events
+    per domain. *)
 
 val recorded : unit -> int
 (** Total events recorded since the last {!reset}, including ones the

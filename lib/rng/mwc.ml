@@ -44,10 +44,14 @@ let rec draw t n limit =
   let x = next_u32 t in
   if x < limit then x mod n else draw t n limit
 
+(* For a power-of-two [n] the rejection limit is 2^32 itself: no draw
+   is ever rejected and [x mod n] is [x land (n - 1)], so this branch
+   draws the very same stream without a division. *)
 let below t n =
   if n <= 0 then invalid_arg "Mwc.below: bound must be positive";
   if n > mask32 + 1 then invalid_arg "Mwc.below: bound exceeds 2^32";
-  draw t n ((mask32 + 1) / n * n)
+  if n land (n - 1) = 0 then next_u32 t land (n - 1)
+  else draw t n ((mask32 + 1) / n * n)
 
 let bits t b =
   if b < 0 || b > 30 then invalid_arg "Mwc.bits: want 0 <= bits <= 30";

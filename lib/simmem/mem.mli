@@ -21,6 +21,9 @@ type t
 val page_size : int
 (** 4096, as on the paper's platforms. *)
 
+val page_shift : int
+(** 12: [page_size = 1 lsl page_shift]. *)
+
 val word_size : int
 (** 8 bytes. *)
 

@@ -33,13 +33,20 @@ let test_of_size_large () =
   check "negative invalid" true (Size_class.of_size (-1) = None)
 
 let test_of_size_matches_naive () =
-  (* The shifted form must agree with the naive ceil(log2)-3 formula. *)
+  (* The shifted form must agree with the naive ceil(log2)-3 formula,
+     and with the one-bit-per-step scan of (sz - 1) that the halving
+     steps replaced. *)
+  let bit_scan sz =
+    let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + 1) in
+    max 0 ((if sz <= 1 then 0 else go (sz - 1) 0) - 3)
+  in
   for sz = 1 to 16384 do
     let naive =
       let rec go c = if 8 lsl c >= sz then c else go (c + 1) in
       go 0
     in
-    check_int (Printf.sprintf "size %d" sz) naive (Size_class.of_size_exn sz)
+    check_int (Printf.sprintf "size %d" sz) naive (Size_class.of_size_exn sz);
+    check_int (Printf.sprintf "size %d, bit scan" sz) (bit_scan sz) (Size_class.of_size_exn sz)
   done
 
 let test_round_up () =

@@ -514,6 +514,98 @@ let test_replay_rejects_bad_interval () =
     (Invalid_argument "Supervisor.replay: checkpoint interval must be positive")
     (fun () -> ignore (replay ~interval:0 (Dh_workload.Server.service ~requests:8 ())))
 
+(* The recorder's dirty-page delta compares pages word by word; each
+   page's count must equal the bytewise count, which is kept here as
+   the reference.  The writes cover the page's first and last bytes,
+   whole words, single bytes of a word, and bytes rewritten with the
+   value they already held (a dirty page with no difference). *)
+let test_dirty_delta_counts_bytes () =
+  let pages = 6 in
+  let mem = Mem.create () in
+  let a = Mem.mmap mem (pages * page) in
+  Mem.fill_random mem ~addr:a ~len:(pages * page) (Dh_rng.Mwc.create ~seed:5);
+  Mem.checkpoint mem;
+  let snap = Mem.inspect mem ~addr:a ~len:(pages * page) in
+  let rng = Random.State.make [| 5 |] in
+  let same addr = Mem.write8 mem addr (Char.code snap.[addr - a]) in
+  Mem.write8 mem a (Char.code snap.[0] lxor 1);
+  Mem.write8 mem (a + page - 1) (Char.code snap.[page - 1] lxor 0x80);
+  Mem.write64 mem (a + page + 64) (-1);
+  Mem.write64 mem (a + page + 4088) 0;
+  for i = 0 to 511 do
+    same (a + (2 * page) + (8 * i) + (i land 7))
+  done;
+  Mem.fill mem ~addr:(a + (3 * page)) ~len:page '\x5a';
+  for _ = 1 to 300 do
+    Mem.write8 mem (a + (4 * page) + Random.State.int rng page) (Random.State.int rng 256)
+  done;
+  for i = 0 to 99 do
+    Mem.write8 mem (a + (5 * page) + (40 * i) + 3) (Random.State.int rng 256)
+  done;
+  let bytewise p =
+    let now = Mem.inspect mem ~addr:(a + (p * page)) ~len:page in
+    let n = ref 0 in
+    for i = 0 to page - 1 do
+      if now.[i] <> snap.[(p * page) + i] then incr n
+    done;
+    !n
+  in
+  Dh_obs.Control.with_enabled true @@ fun () ->
+  Dh_obs.Recorder.clear ();
+  ignore (faults (fun () -> Mem.read8 mem 0));
+  let report = Option.get (Dh_obs.Recorder.last ()) in
+  Dh_obs.Recorder.clear ();
+  let body =
+    (List.find
+       (fun s -> s.Dh_obs.Recorder.title = "dirty-page delta")
+       report.Dh_obs.Recorder.sections)
+      .Dh_obs.Recorder.body
+  in
+  let lines = List.tl (String.split_on_char '\n' (String.trim body)) in
+  check_int "one line per dirty page" pages (List.length lines);
+  List.iter
+    (fun line ->
+      Scanf.sscanf line " page 0x%x: %d/%d" (fun addr n _ ->
+          let p = (addr - a) / page in
+          check_int (Printf.sprintf "page %d: word-wise = bytewise" p) (bytewise p) n))
+    lines
+
+(* What one memory fault's flight capture allocates with obs on, a
+   checkpoint armed over dirty pages and a full 4,096-event trace ring:
+   the capture reads the ring's newest 64 events rather than sorting
+   every retained one, so it stays under a pinned bound (minor words on
+   this domain: 11,631 with OCaml 5.1, most of it the audit snapshot
+   the top-sites section reads, where sorting the whole ring made it
+   354,162). *)
+let fault_capture_words_bound = 20_000.
+
+let test_fault_capture_allocation () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem (8 * page) in
+  Mem.checkpoint mem;
+  for p = 0 to 7 do
+    Mem.fill mem ~addr:(a + (p * page)) ~len:(page / 2) (Char.chr (p + 1))
+  done;
+  Dh_obs.Control.with_enabled true @@ fun () ->
+  Dh_obs.Tracing.reset ();
+  Dh_obs.Recorder.clear ();
+  Fun.protect ~finally:(fun () ->
+      Dh_obs.Tracing.reset ();
+      Dh_obs.Recorder.clear ())
+  @@ fun () ->
+  for _ = 1 to Dh_obs.Tracing.ring_capacity + 1 do
+    Dh_obs.Tracing.instant "test.fill"
+  done;
+  let before = Gc.minor_words () in
+  check "faulted" true (faults (fun () -> Mem.read8 mem 0));
+  let words = Gc.minor_words () -. before in
+  let report = Option.get (Dh_obs.Recorder.last ()) in
+  check_int "the capture holds the recorder's window" Dh_obs.Recorder.window
+    (List.length report.Dh_obs.Recorder.events);
+  if words > fault_capture_words_bound then
+    Alcotest.failf "fault capture allocated %.0f minor words (bound %.0f)" words
+      fault_capture_words_bound
+
 let suite =
   [
     Alcotest.test_case "cow round trip" `Quick test_cow_roundtrip;
@@ -523,6 +615,8 @@ let suite =
     Alcotest.test_case "double rewind" `Quick test_double_rewind;
     Alcotest.test_case "discard stops pre-imaging" `Quick test_discard_stops_preimaging;
     Alcotest.test_case "cow buffers reused across windows" `Quick test_cow_buffers_reused;
+    Alcotest.test_case "dirty delta = bytewise count" `Quick test_dirty_delta_counts_bytes;
+    Alcotest.test_case "fault capture allocation" `Quick test_fault_capture_allocation;
     Alcotest.test_case "rewind spans mesh" `Quick test_rewind_spans_mesh;
     Alcotest.test_case "mesh page-edge fault" `Quick test_mesh_page_edge_fault;
     QCheck_alcotest.to_alcotest prop_rewind_is_identity;

@@ -115,6 +115,48 @@ let test_histogram_quantile () =
   Alcotest.(check (list string))
     "empty histogram row" [ "0"; "0"; "0"; "0"; "0" ] (csv_row "test.hq.empty")
 
+(* [bucket_of] finds a sample's bit length by halving steps; it must
+   agree with the one-bit-per-step loop it replaced, kept here as the
+   reference, on every sample below 2^20 and around every power of
+   two. *)
+let test_bucket_of_matches_bit_loop () =
+  let reference v =
+    let rec bits n v = if v = 0 then n else bits (n + 1) (v lsr 1) in
+    if v < 64 then v
+    else
+      let shift = bits 0 (v lsr 6) in
+      ((shift + 1) * 32) + ((v lsr shift) land 31)
+  in
+  let agree v =
+    if Quantile.bucket_of v <> reference v then
+      Alcotest.failf "bucket_of %d = %d, bit loop says %d" v (Quantile.bucket_of v)
+        (reference v)
+  in
+  for v = 0 to 1 lsl 20 do
+    agree v
+  done;
+  for k = 1 to 62 do
+    let p = 1 lsl k in
+    agree (p - 1);
+    if k < 62 then begin
+      agree p;
+      agree (p + 1)
+    end
+  done;
+  agree max_int
+
+(* Recording a sample allocates nothing: the bucket is arithmetic and
+   the cell is cached in the handle. *)
+let test_record_allocates_nothing () =
+  with_clean @@ fun () ->
+  let q = Quantile.named "test.record.words" in
+  Quantile.record q 1;
+  let before = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    Quantile.record q (i * 37)
+  done;
+  Alcotest.(check (float 0.)) "minor words for 100,000 records" 0. (Gc.minor_words () -. before)
+
 (* --- tracing -------------------------------------------------------- *)
 
 let test_ring_wrap () =
@@ -134,6 +176,41 @@ let test_ring_wrap () =
   | first :: _ -> check_str "oldest survivor" (string_of_int (extra + 1)) first.Tracing.arg
   | [] -> Alcotest.fail "no events");
   check_int "last_events bounds" 10 (List.length (Tracing.last_events 10))
+
+(* [last_events n] reads only each ring's newest [n] events; it must
+   equal the tail of [events ()], whose order must in turn be the
+   (timestamp, domain) order of the polymorphic tuple compare it
+   replaced.  Two domains record at once, so stamps interleave and many
+   repeat (an event takes well under a microsecond), and both rings
+   wrap. *)
+let test_last_events_is_tail () =
+  with_clean @@ fun () ->
+  let burst tag count () =
+    for i = 1 to count do
+      Tracing.instant ~arg:(string_of_int i) tag
+    done
+  in
+  let helper = Domain.spawn (burst "test.helper" 6_000) in
+  burst "test.main" 5_000 ();
+  Domain.join helper;
+  burst "test.main.after" 50 ();
+  let all = Tracing.events () in
+  check_int "both rings full" (2 * Tracing.ring_capacity) (List.length all);
+  check "events keep the tuple order" true
+    (List.stable_sort (fun a b -> compare (a.Tracing.ts, a.Tracing.dom) (b.Tracing.ts, b.Tracing.dom)) all
+    = all);
+  let rec equal_stamps = function
+    | a :: (b :: _ as rest) -> a.Tracing.ts = b.Tracing.ts || equal_stamps rest
+    | _ -> false
+  in
+  check "some stamps repeat" true (equal_stamps all);
+  let len = List.length all in
+  let tail n = List.filteri (fun i _ -> i >= len - n) all in
+  List.iter
+    (fun n ->
+      check (Printf.sprintf "last_events %d = tail of events" n) true
+        (Tracing.last_events n = tail n))
+    [ 0; 1; 2; 63; 64; 65; 1000; 4095; 4096; 4097; 6000; 8191; 8192; 8193; 20_000 ]
 
 let test_span_exception_safe () =
   with_clean @@ fun () ->
@@ -255,11 +332,14 @@ let test_with_enabled_restores () =
 let suite =
   [
     Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
+    Alcotest.test_case "bucket_of = bit loop" `Quick test_bucket_of_matches_bit_loop;
+    Alcotest.test_case "record allocates nothing" `Quick test_record_allocates_nothing;
     Alcotest.test_case "histogram observe" `Quick test_histogram_observe;
     Alcotest.test_case "disabled recording is a no-op" `Quick test_disabled_is_noop;
     Alcotest.test_case "metrics csv dump" `Quick test_csv_dump;
     Alcotest.test_case "metrics histogram quantile" `Quick test_histogram_quantile;
     Alcotest.test_case "trace ring wraps" `Quick test_ring_wrap;
+    Alcotest.test_case "last_events = tail of events" `Quick test_last_events_is_tail;
     Alcotest.test_case "span is exception-safe" `Quick test_span_exception_safe;
     Alcotest.test_case "chrome trace json" `Quick test_chrome_json;
     Alcotest.test_case "flight recorder capture" `Quick test_recorder_capture;

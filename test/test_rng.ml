@@ -301,6 +301,30 @@ let test_fill_bytes_invalid () =
     [ (-1, 2); (0, -1); (0, 9); (5, 4) ];
   check "state untouched" true (Mwc.state rng = Mwc.state (Mwc.create ~seed:1))
 
+(* A power-of-two bound takes a branch without the rejection loop's
+   division; every bound must still draw exactly the rejection-sampling
+   stream, kept here as the reference: draw below the largest multiple
+   of [n] that fits in 32 bits, then reduce. *)
+let test_below_matches_rejection () =
+  let rejection t n =
+    let limit = (1 lsl 32) / n * n in
+    let rec draw () =
+      let x = Mwc.next_u32 t in
+      if x < limit then x mod n else draw ()
+    in
+    draw ()
+  in
+  let bounds = List.init 33 (fun k -> 1 lsl k) @ [ 3; 1000; 48_000 ] in
+  List.iter
+    (fun n ->
+      let a = Mwc.create ~seed:n and b = Mwc.create ~seed:n in
+      for i = 1 to 2_000 do
+        check_int (Printf.sprintf "below %d, draw %d" n i) (rejection b n) (Mwc.below a n)
+      done;
+      check (Printf.sprintf "below %d: same state after the draws" n) true
+        (Mwc.state a = Mwc.state b))
+    bounds
+
 let suite =
   [
     Alcotest.test_case "mwc determinism" `Quick test_determinism;
@@ -310,6 +334,7 @@ let suite =
     Alcotest.test_case "mwc below uniformity" `Quick test_below_uniformity;
     Alcotest.test_case "mwc below 1" `Quick test_below_one;
     Alcotest.test_case "mwc below invalid" `Quick test_below_invalid;
+    Alcotest.test_case "mwc below = rejection stream" `Quick test_below_matches_rejection;
     Alcotest.test_case "mwc copy" `Quick test_copy_independent;
     Alcotest.test_case "mwc split" `Quick test_split_diverges;
     Alcotest.test_case "mwc float01" `Quick test_float01;

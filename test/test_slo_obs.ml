@@ -152,7 +152,9 @@ let test_shard_merge_under_domains () =
   let slice d = List.init 500 (fun i -> (d * 10_000) + (i * 7)) in
   let class_of v = v mod 12 and index_of v = v mod 64 in
   let record_audit v =
-    Audit.record_alloc lc ~class_:(class_of v) ~index:(index_of v) ~capacity:64 ~site
+    let record v = Audit.record_alloc lc ~class_:(class_of v) ~index:(index_of v) ~capacity:64 in
+    if Audit.with_site site record v <> site then
+      failwith "record_alloc did not return the ambient site"
   in
   let domains =
     List.init 4 (fun d ->
