@@ -1,6 +1,6 @@
 # Convenience targets for the DieHard reproduction.
 
-.PHONY: all build test size bench bench-quick bench-scaling bench-space bench-serve obs-check audit-check examples check clean
+.PHONY: all build test size profile bench bench-quick bench-scaling bench-space bench-serve obs-check audit-check examples check clean
 
 all: build
 
@@ -21,6 +21,22 @@ size:
 	@echo "lib modules:         $$(ls lib/*/*.ml | wc -l)"
 	@echo "mli vals:            $$(cat lib/*/*.mli | grep -c '^val ')"
 	@echo "optional parameters: $$(cat lib/*/*.mli | grep -o '?[a-z_0-9]*:' | wc -l)"
+
+# A clock profile of one repo-benchmark workload (WORKLOAD=serve, alloc
+# or minic; minic by default): gprofng samples perfbench.exe for about
+# 20 s and prints the 30 functions with the most exclusive CPU time.
+# The sample count is the "Total CPU" line; on some virtual machines the
+# collector keeps only a fraction of its timer's samples and warns that
+# the "interval timer period was changed".
+WORKLOAD ?= minic
+
+profile:
+	@command -v gprofng > /dev/null || { echo "make profile: gprofng is not installed"; exit 1; }
+	dune build ./perfbench/perfbench.exe
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	gprofng collect app -o "$$tmp/run.er" $(CURDIR)/_build/default/perfbench/perfbench.exe \
+		--workload $(WORKLOAD) --seed 1 --seconds 20 --trace 0 --out "$$tmp/out" > /dev/null && \
+	gprofng display text -limit 30 -functions "$$tmp/run.er"
 
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt

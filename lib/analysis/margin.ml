@@ -113,7 +113,7 @@ let of_snapshot ?(replicas = 1) ?(dangling_allocations = 10) (snap : Audit.snaps
     uninit_bits;
     classes;
     empirical = [];
-    sites = Audit.top_sites snap;
+    sites = Audit.top_sites snap.Audit.sites;
   }
 
 (* --- rendering --- *)

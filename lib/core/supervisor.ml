@@ -428,7 +428,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
        un-instrumented runs compare structurally equal. *)
     offenders =
       (if Dh_obs.Control.enabled () then
-         Dh_obs.Audit.top_sites (Dh_obs.Audit.snapshot ())
+         Dh_obs.Audit.top_sites (Dh_obs.Audit.sites ())
        else []);
   }
 

@@ -10,7 +10,14 @@
     (in first-appearance order), then compiles the whole program once into
     OCaml closures over that run's context: every variable is resolved to
     a slot in a per-call [int array] frame and every callsite to a builtin
-    or to a user function.  Parsing ({!program_of_source}) does no
+    or to a user function.  The closures are shaped to make few indirect
+    calls per step: a variable or a constant used as an operand of a
+    binary operator, an index or a word store is read inline by the
+    closure that uses it ([i < n], [j + 1], [a\[j\]] are one closure
+    each), [x = a op b] over such operands computes and stores in the
+    statement's own closure, a block runs its statements from one closure,
+    and a loop installs a [break] or [continue] handler only when its body
+    has one.  Parsing ({!program_of_source}) does no
     compilation, so a packaged program can be run any number of times,
     under any context.  Execution starts at [main()].  A name, arity or
     missing-[main] error is raised as {!Runtime_error} only when execution

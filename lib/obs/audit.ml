@@ -242,6 +242,33 @@ type snapshot = {
   occ : occupancy list;
 }
 
+(* The per-site half of [snapshot]: each cell's site counters summed
+   into one array per counter, without merging the class histograms. *)
+let sites () =
+  let n = site_count () in
+  let allocs = Array.make n 0 and frees = Array.make n 0 in
+  let merge dst src =
+    for id = 0 to min n (Array.length src) - 1 do
+      dst.(id) <- dst.(id) + src.(id)
+    done
+  in
+  Cell.fold
+    (fun () (c : cell) ->
+      merge allocs c.by_site_allocs;
+      merge frees c.by_site_frees)
+    () cells;
+  let stat id =
+    let s_allocs = allocs.(id) and s_frees = frees.(id) in
+    let canaries, faults, rescues =
+      match Mutex.protect events_lock (fun () -> Hashtbl.find_opt events_by_site id) with
+      | None -> (0, 0, 0)
+      | Some e -> (e.ev_canaries, e.ev_faults, e.ev_rescues)
+    in
+    if s_allocs = 0 && s_frees = 0 && canaries = 0 && faults = 0 && rescues = 0 then None
+    else Some { site_id = id; name = site_name id; s_allocs; s_frees; canaries; faults; rescues }
+  in
+  List.filter_map stat (List.init n Fun.id)
+
 let snapshot () =
   let merged = Cell.fold (fun acc c -> c :: acc) [] cells in
   let classes =
@@ -263,41 +290,14 @@ let snapshot () =
           slot_hist;
         })
   in
-  let n = site_count () in
-  let site_sum field id =
-    List.fold_left
-      (fun acc (c : cell) ->
-        let a = field c in
-        acc + if id < Array.length a then a.(id) else 0)
-      0 merged
-  in
-  let sites =
-    List.filter_map
-      (fun id ->
-        let s_allocs = site_sum (fun c -> c.by_site_allocs) id in
-        let s_frees = site_sum (fun c -> c.by_site_frees) id in
-        let ev =
-          Mutex.protect events_lock (fun () -> Hashtbl.find_opt events_by_site id)
-        in
-        let canaries, faults, rescues =
-          match ev with
-          | None -> (0, 0, 0)
-          | Some e -> (e.ev_canaries, e.ev_faults, e.ev_rescues)
-        in
-        if s_allocs = 0 && s_frees = 0 && canaries = 0 && faults = 0 && rescues = 0
-        then None
-        else
-          Some
-            { site_id = id; name = site_name id; s_allocs; s_frees; canaries; faults; rescues })
-      (List.init n Fun.id)
-  in
+  let sites = sites () in
   { classes; sites; occ = occupancy () }
 
 let severity s = s.canaries + s.faults + s.rescues
 
-let top_sites snap =
+let top_sites sites =
   let ranked =
-    List.filter (fun s -> severity s > 0 || s.s_allocs > 0) snap.sites
+    List.filter (fun s -> severity s > 0 || s.s_allocs > 0) sites
     |> List.sort (fun a b ->
            match compare (severity b) (severity a) with
            | 0 -> (

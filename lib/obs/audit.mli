@@ -160,8 +160,12 @@ val snapshot : unit -> snapshot
 (** Merge every per-domain cell now (the {!Cell} read contract: exact
     once writers have been joined). *)
 
-val top_sites : snapshot -> site_stat list
-(** The 5 most suspect sites: most attributed events
+val sites : unit -> site_stat list
+(** The [sites] of a {!snapshot}, without merging the class
+    histograms. *)
+
+val top_sites : site_stat list -> site_stat list
+(** The 5 most suspect of [sites]: most attributed events
     (canaries + faults + rescues) first, allocation volume breaking
     ties.  Sites with no attributed events and no allocations are
     omitted. *)

@@ -48,7 +48,7 @@ let top_sites_body () =
             events/1k-allocs=%.2f\n"
            s.name s.s_allocs s.s_frees s.canaries s.faults s.rescues
            (1000. *. Audit.ratio (s.canaries + s.faults + s.rescues) s.s_allocs))
-       (Audit.top_sites (Audit.snapshot ())))
+       (Audit.top_sites (Audit.sites ())))
 
 let trigger ?(sections = []) ~reason () =
   if Control.enabled () then begin

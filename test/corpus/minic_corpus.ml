@@ -78,6 +78,72 @@ let snippets =
     case "eval-order" "fn p(v) { print_int(v); return v; } fn main() { print_int(p(1) - p(2)); var a = malloc(32); a[p(0)] = p(3); print_int(a[0]); print_int(p(4) < p(5)); }";
   ]
 
+(* Every binary operator with a variable, a constant (integer or
+   character) or an expression on each side, as an expression, as the
+   right side of a variable assignment and as a value stored at a
+   variable and at a constant index, over operand values that include
+   negatives and shift counts of 64 and more.  No divisor is zero here:
+   the zero divisors have cases of their own below. *)
+let operand_shapes =
+  let ops =
+    [ ("add", "+"); ("sub", "-"); ("mul", "*"); ("div", "/"); ("mod", "%"); ("eq", "==");
+      ("ne", "!="); ("lt", "<"); ("le", "<="); ("gt", ">"); ("ge", ">="); ("and", "&&");
+      ("or", "||"); ("band", "&"); ("bor", "|"); ("bxor", "^"); ("shl", "<<"); ("shr", ">>") ]
+  and lefts = [ "a"; "13"; "'A'"; "(b + 1)" ]
+  and rights = [ "b"; "3"; "'c'"; "(a - 2)" ] in
+  List.map
+    (fun (name, op) ->
+      let body =
+        String.concat " "
+          (List.concat_map
+             (fun l ->
+               List.map
+                 (fun r ->
+                   let e = Printf.sprintf "%s %s %s" l op r in
+                   Printf.sprintf
+                     "print_int(%s); x = %s; print_char(','); print_int(x); p[j] = %s; \
+                      print_char(','); print_int(p[j]); p[3] = %s; print_char(','); \
+                      print_int(p[3]); print_char(' ');"
+                     e e e e)
+                 rights)
+             lefts)
+      in
+      case ("shape-" ^ name)
+        (Printf.sprintf
+           "fn main() { var p = malloc(64); var j = 1; var x = 0; var as = malloc(32); var bs = \
+            malloc(32); as[0] = -7; bs[0] = 2; as[1] = 100; bs[1] = -3; as[2] = 5; bs[2] = 70; \
+            as[3] = 64; bs[3] = 1; for (var k = 0; k < 4; k = k + 1) { var a = as[k]; var b = \
+            bs[k]; %s print_char('\\n'); } }"
+           body))
+    ops
+
+(* The corners of the operand shapes: zero divisors reached through a
+   variable, an expression and a constant, after the left side ran;
+   shift counts of 64 and more and negative ones; word loads and stores
+   at a variable, constant and computed index, including faulting ones;
+   assignments to a variable of an enclosing block; [break] and
+   [continue] in nested loops, and one that escapes its function. *)
+let shape_corners =
+  [
+    case "div-zero-var" "fn show(v) { print_int(v); return v; } fn main() { var z = 0; var x = 9; print_int(x / 3); print_int(show(5) / z); }";
+    case "mod-zero-var" "fn main() { var z = 0; var x = 9; x = x % 4; print_int(x); x = x % z; print_int(x); }";
+    case "div-zero-expr" "fn main() { var z = 1; var x = 9; print_int(x / (z - 1)); }";
+    case "mod-zero-const" "fn main() { var x = 9; var p = malloc(16); p[1] = x % 0; print_int(p[1]); }";
+    case "div-zero-store" "fn main() { var z = 0; var p = malloc(16); var j = 1; p[j] = 4 / z; print_int(p[j]); }";
+    case "shift-counts" "fn main() { var one = 1; var m = -5; var counts = malloc(64); counts[0] = 64; counts[1] = 65; counts[2] = 127; counts[3] = -1; counts[4] = -63; counts[5] = -64; counts[6] = 200; counts[7] = 0; for (var i = 0; i < 8; i = i + 1) { var n = counts[i]; print_int(one << n); print_char(' '); print_int(m >> n); print_char(' '); print_int(1 << n); print_char(' '); print_int(one << 64); print_char(' '); print_int(m >> 66); print_char(' '); print_int(n >> 1); print_char(' '); print_int((n + 64) << (n - 1)); print_char('\n'); } }";
+    case "index-shapes" "fn main() { var a = malloc(80); var j = 0; for (j = 0; j < 10; j = j + 1) { a[j] = j * j; } var k = 3; print_int(a[j - 1]); print_int(a[3]); print_int(a[k]); print_int(a[k + 1]); print_int((a + 8)[k]); print_int((a + 16)[2]); a[k] = a[j - 1] + a[3]; a[4] = k; a[k + 2] = 'z'; print_int(a[3]); print_int(a[4]); print_int(a[5]); print_int(*(a + 24)); j = 2; a[j] = a[j] * a[j]; print_int(a[j]); }";
+    case "index-null-load" "fn main() { var p = 0; var j = 3; print_int(1); print_int(p[j]); }";
+    case "index-null-store" "fn main() { var p = 0; p[5] = 7; }";
+    case "index-const-base" "fn main() { var j = 2; print_int(0[j]); }";
+    case "index-wild-store" "fn main() { var a = malloc(8); var j = 100000000; a[j] = 5; }";
+    case "index-negative" "fn main() { var a = malloc(64); var b = malloc(64); b[0] = 11; var j = -1; a[j] = 77; print_int(a[j]); print_int(b[0]); }";
+    case "enclosing-assign" "fn main() { var x = 1; var y = 2; { var z = 3; x = x + 3; { var w = 4; x = x * w; y = y - z; { x = x % 7; y = y << 2; } } print_int(z); } print_int(x); print_int(y); for (var i = 0; i < 5; i = i + 1) { var t = i; x = x + t; if (t) { x = x ^ 1; } } print_int(x); }";
+    case "nested-break-continue" "fn main() { var t = 0; for (var i = 0; i < 6; i = i + 1) { var a = i; if (i == 1) { continue; } var j = 0; while (j < 10) { var b = j; j = j + 1; if (b == 2) { continue; } if (b > a) { break; } t = t * 3 + b; } if (i == 4) { break; } for (var k = 0; k < 4; k = k + 1) { while (1) { if (k > 1) { break; } t = t + 1; break; } if (k == 2) { continue; } t = t + k; } print_int(t); print_char(' '); } var n = 0; while (n < 5) { n = n + 1; for (var m = 0; m < 3; m = m + 1) { if (m == n) { break; } if (m == 1) { continue; } print_int(m); } if (n == 3) { continue; } print_int(n); } }";
+    case "loop-return" "fn find(p, n, v) { for (var i = 0; i < n; i = i + 1) { var j = 0; while (1) { if (j == i) { break; } j = j + 1; } if (p[i] == v) { return i; } } return -1; } fn main() { var p = malloc(40); for (var i = 0; i < 5; i = i + 1) { p[i] = 10 * i; } print_int(find(p, 5, 30)); print_int(find(p, 5, 31)); }";
+    case "stray-continue" "fn f() { continue; } fn main() { for (var i = 0; i < 3; i = i + 1) { print_int(i); f(); print_int(99); } print_int(7); }";
+    case "stray-break" "fn f(x) { if (x == 2) { break; } return x; } fn main() { var i = 0; while (1) { print_int(f(i)); i = i + 1; } print_int(i); }";
+  ]
+
 let apps =
   [
     case "espresso" Apps.espresso_source;
@@ -108,7 +174,7 @@ let generated =
     (fun i src -> case ~fuel:20_000 (Printf.sprintf "stmt-%02d" i) src)
     (sections ~starts:(String.equal "// ---") Stmt_snippets.text)
 
-let cases = apps @ snippets @ generated
+let cases = apps @ snippets @ operand_shapes @ shape_corners @ generated
 
 (* --- running --- *)
 

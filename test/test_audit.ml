@@ -249,7 +249,10 @@ let test_top_sites_ranking () =
       done;
       Audit.record_canary ~site:guilty;
       Audit.record_fault ~site:guilty;
-      let ranked = Audit.top_sites (Audit.snapshot ()) in
+      let ids = List.map (fun s -> s.Audit.site_id) (Audit.sites ()) in
+      check "every active site, by id" true
+        (ids = List.sort_uniq compare ids && List.length ids = 8);
+      let ranked = Audit.top_sites (Audit.sites ()) in
       check_int "top five of eight sites" 5 (List.length ranked);
       match ranked with
       | first :: second :: _ ->

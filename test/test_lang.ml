@@ -597,6 +597,201 @@ let prop_expr_roundtrip =
       | { Ast.funcs = [ { Ast.body = [ Ast.Expr e' ]; _ } ] } -> e = e'
       | _ -> false)
 
+(* --- qcheck: expressions against a reference evaluator --- *)
+
+(* Random integer expressions over the variables [a], [b], [c] and
+   constants, with every operator, and calls of [t], which prints its
+   argument as [<v>] and returns it, so the output records which calls
+   ran and in what order (short-circuit included). *)
+let gen_arith_expr =
+  let binops =
+    Ast.[ Add; Sub; Mul; Div; Mod; Eq; Ne; Lt; Le; Gt; Ge; And; Or; Band; Bor; Bxor; Shl; Shr ]
+  in
+  QCheck.Gen.(
+    sized_size (int_bound 12) @@ fix (fun self n ->
+        let leaf =
+          oneof
+            [ map (fun i -> Ast.Int i) (oneofl [ 0; 1; 2; 3; 7; 63; 64; 65; 1000 ]);
+              map (fun c -> Ast.Char c) (oneofl [ 'A'; 'z' ]);
+              map (fun x -> Ast.Var x) (oneofl [ "a"; "b"; "c" ]) ]
+        in
+        if n <= 0 then leaf
+        else
+          frequency
+            [ (2, leaf);
+              (5, map3 (fun op a b -> Ast.Binop (op, a, b)) (oneofl binops) (self (n / 2)) (self (n / 2)));
+              (1, map2 (fun op a -> Ast.Unop (op, a)) (oneofl Ast.[ Neg; Not; Bnot ]) (self (n - 1)));
+              (1, map (fun a -> Ast.Call ("t", [ a ])) (self (n - 1))) ]))
+
+exception Reference_error of string
+
+(* The reference semantics: 63-bit wrapping arithmetic, C-style
+   truncating division and remainder that fail on a zero divisor, shift
+   counts taken mod 64, short-circuit [&&] and [||], operands left to
+   right.  [trace] receives what the calls of [t] print. *)
+let rec reference env trace (e : Ast.expr) =
+  let eval = reference env trace and of_bool b = if b then 1 else 0 in
+  match e with
+  | Ast.Int n -> n
+  | Ast.Char c -> Char.code c
+  | Ast.Var x -> List.assoc x env
+  | Ast.Unop (Ast.Neg, a) -> -eval a
+  | Ast.Unop (Ast.Not, a) -> of_bool (eval a = 0)
+  | Ast.Unop (Ast.Bnot, a) -> lnot (eval a)
+  | Ast.Binop (Ast.And, a, b) -> if eval a <> 0 then of_bool (eval b <> 0) else 0
+  | Ast.Binop (Ast.Or, a, b) -> if eval a <> 0 then 1 else of_bool (eval b <> 0)
+  | Ast.Binop (op, a, b) -> (
+    let x = eval a in
+    let y = eval b in
+    match op with
+    | Ast.Add -> x + y
+    | Ast.Sub -> x - y
+    | Ast.Mul -> x * y
+    | Ast.Div -> if y = 0 then raise (Reference_error "division by zero") else x / y
+    | Ast.Mod -> if y = 0 then raise (Reference_error "modulo by zero") else x mod y
+    | Ast.Eq -> of_bool (x = y)
+    | Ast.Ne -> of_bool (x <> y)
+    | Ast.Lt -> of_bool (x < y)
+    | Ast.Le -> of_bool (x <= y)
+    | Ast.Gt -> of_bool (x > y)
+    | Ast.Ge -> of_bool (x >= y)
+    | Ast.Band -> x land y
+    | Ast.Bor -> x lor y
+    | Ast.Bxor -> x lxor y
+    | Ast.Shl -> x lsl (y land 63)
+    | Ast.Shr -> x asr (y land 63)
+    | Ast.And | Ast.Or -> assert false)
+  | Ast.Call ("t", [ a ]) ->
+    let v = eval a in
+    Buffer.add_string trace (Printf.sprintf "<%d>" v);
+    v
+  | _ -> invalid_arg "reference: not generated"
+
+(* [e] evaluated four ways — as a [var] initialiser, as the right side of
+   an assignment, as a stored word and as a call argument — each value
+   printed after a space. *)
+let differential_program values e =
+  let open Ast in
+  let call f args = Expr (Call (f, args)) in
+  let show v = [ call "print_char" [ Char ' ' ]; call "print_int" [ v ] ] in
+  let literal v = if v < 0 then Unop (Neg, Int (-v)) else Int v in
+  let t =
+    { name = "t";
+      params = [ "v" ];
+      body =
+        [ call "print_char" [ Char '<' ]; call "print_int" [ Var "v" ]; call "print_char" [ Char '>' ];
+          Return (Some (Var "v")) ] }
+  in
+  let main =
+    { name = "main";
+      params = [];
+      body =
+        List.map2 (fun x v -> Decl (x, literal v)) [ "a"; "b"; "c" ] values
+        @ [ Decl ("p", Call ("malloc", [ Int 32 ])); Decl ("r", e) ]
+        @ show (Var "r")
+        @ [ Assign (Lvar "r", e) ]
+        @ show (Var "r")
+        @ [ Assign (Lindex (Var "p", Int 1), e) ]
+        @ show (Index (Var "p", Int 1))
+        @ show e }
+  in
+  { funcs = [ t; main ] }
+
+let prop_expr_differential =
+  let gen =
+    QCheck.Gen.(pair (list_repeat 3 (oneofl [ 0; 1; -1; 5; -7; 63; 64; -64; 1 lsl 40 ])) gen_arith_expr)
+  in
+  QCheck.Test.make ~name:"expressions agree with a reference evaluator" ~count:500
+    (QCheck.make
+       ~print:(fun (values, e) ->
+         Ast.to_string (differential_program values e))
+       gen)
+    (fun (values, e) ->
+      let env = List.combine [ "a"; "b"; "c" ] values in
+      let expected =
+        let out = Buffer.create 64 in
+        match
+          for i = 1 to 4 do
+            if i = 4 then Buffer.add_char out ' ';
+            let v = reference env out e in
+            if i < 4 then Buffer.add_char out ' ';
+            Buffer.add_string out (string_of_int v)
+          done
+        with
+        | () -> Ok (Buffer.contents out)
+        | exception Reference_error msg -> Error msg
+      in
+      let source = Ast.to_string (differential_program values e) in
+      let got =
+        match run_freelist source with
+        | { Process.outcome = Process.Exited 0; output; _ } -> Ok output
+        | r -> Error ("outcome " ^ Process.outcome_to_string r.Process.outcome)
+        | exception Interp.Runtime_error msg -> Error msg
+      in
+      if got <> expected then
+        QCheck.Test.fail_reportf "expected %s, got %s"
+          (match expected with Ok s -> s | Error m -> "error " ^ m)
+          (match got with Ok s -> s | Error m -> "error " ^ m);
+      true)
+
+(* --- cost guards: minor words per step --- *)
+
+(* The minor words one iteration of [body] allocates in a MiniC [for]
+   loop on a DieHard heap with observability off: the difference between
+   runs of 2,000 and 1,000 iterations, so the compile and the run's fixed
+   costs cancel.  [Gc.minor_words] counts this domain's allocation
+   only. *)
+let words_per_iteration ?(functions = "") ?(prelude = "") body =
+  let words n =
+    let source =
+      Printf.sprintf "%s fn main() { %s for (var i = 0; i < %d; i = i + 1) { %s } }" functions
+        prelude n body
+    in
+    let program = Interp.program_of_source ~name:"cost" source in
+    let config = Diehard.Config.v ~heap_size:(12 * 64 * 1024) ~seed:1 () in
+    let alloc = Diehard.Heap.allocator (Diehard.Heap.create ~config (Mem.create ())) in
+    let before = Gc.minor_words () in
+    let r = Program.run program alloc in
+    let words = Gc.minor_words () -. before in
+    (match r.Process.outcome with
+    | Process.Exited 0 -> ()
+    | o -> Alcotest.failf "cost program: %s" (Process.outcome_to_string o));
+    words
+  in
+  Dh_obs.Control.with_enabled false (fun () -> (words 2000 -. words 1000) /. 1000.)
+
+let test_loop_allocates_nothing () =
+  Alcotest.(check (float 0.)) "minor words per iteration" 0.
+    (words_per_iteration ~prelude:"var a = malloc(800); var s = 1;"
+       "var j = i % 100; a[j] = s + j * 3; s = (s + a[j]) % 9973; a[7] = a[j] ^ i; \
+        if (s < a[7]) { s = s + 1; } else { s = s - 1; } var t = a[j] < s && j != 3;")
+
+(* A call allocates its frame: a three-field record and the slot array
+   (one word per variable, plus a header).  [f] has one variable. *)
+let call_words = 6.
+
+let test_call_allocation () =
+  Alcotest.(check (float 0.)) "minor words per call" call_words
+    (words_per_iteration ~functions:"fn f(x) { return x + 1; }" ~prelude:"var s = 0;" "s = f(s);")
+
+(* A MiniC [malloc]/[free] pair allocates what the allocator's own pair
+   does (the [Some] box of the address), nothing of the interpreter's. *)
+let test_malloc_allocation () =
+  let config = Diehard.Config.v ~heap_size:(12 * 64 * 1024) ~seed:1 () in
+  let alloc = Diehard.Heap.allocator (Diehard.Heap.create ~config (Mem.create ())) in
+  let native =
+    Dh_obs.Control.with_enabled false (fun () ->
+        alloc.Allocator.free (Option.get (alloc.Allocator.malloc 16));
+        let before = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          alloc.Allocator.free (Option.get (alloc.Allocator.malloc 16))
+        done;
+        (Gc.minor_words () -. before) /. 1000.)
+  in
+  let minic = words_per_iteration "var p = malloc(16); free(p);" in
+  if minic > native then
+    Alcotest.failf "a MiniC malloc/free allocates %.2f words, the allocator's own %.2f" minic native
+
 let suite =
   [
     Alcotest.test_case "lex basics" `Quick test_lex_basics;
@@ -641,5 +836,9 @@ let suite =
     Alcotest.test_case "gc roots exclude exited blocks" `Quick test_gc_roots_exclude_exited_blocks;
     Alcotest.test_case "scoping corners" `Quick test_scoping_corners;
     QCheck_alcotest.to_alcotest prop_expr_roundtrip;
+    QCheck_alcotest.to_alcotest prop_expr_differential;
+    Alcotest.test_case "cost: loop allocates nothing" `Quick test_loop_allocates_nothing;
+    Alcotest.test_case "cost: call allocation" `Quick test_call_allocation;
+    Alcotest.test_case "cost: malloc allocation" `Quick test_malloc_allocation;
   ]
   @ libc_tests
