@@ -21,7 +21,7 @@ let ceil_log2 sz =
 let of_size_exn sz =
   if sz <= 0 || sz > max_size then
     invalid_arg "Size_class.of_size_exn: not a small-object size"
-  else max 0 (ceil_log2 sz - 3)
+  else Int.max 0 (ceil_log2 sz - 3)
 
 let of_size sz = if sz <= 0 || sz > max_size then None else Some (of_size_exn sz)
 

@@ -612,15 +612,15 @@ let write8 t addr v =
   mark_written t seg ~addr ~len:1;
   Bytes.set seg.data (phys_off seg (addr - seg.base)) (Char.chr (v land 0xFF))
 
-(* A word is one backing-store piece unless it straddles two pages of a
-   meshed segment. *)
-let one_piece seg addr =
-  (not seg.aliased) || addr land (page_size - 1) <= page_size - word_size
+(* The range [addr, addr+len) is one backing-store piece unless it
+   straddles two pages of a meshed segment. *)
+let[@inline] one_piece seg addr len =
+  (not seg.aliased) || addr land (page_size - 1) <= page_size - len
 
 let read64 t addr =
   t.reads <- t.reads + 1;
   let seg = validate t ~addr ~len:word_size Fault.Read in
-  if one_piece seg addr then
+  if one_piece seg addr word_size then
     Int64.to_int (Bytes.get_int64_le seg.data (phys_off seg (addr - seg.base)))
   else Int64.to_int (Bytes.get_int64_le (gather seg ~addr ~len:word_size) 0)
 
@@ -628,12 +628,55 @@ let write64 t addr v =
   t.writes <- t.writes + 1;
   let seg = validate t ~addr ~len:word_size Fault.Write in
   mark_written t seg ~addr ~len:word_size;
-  if one_piece seg addr then
+  if one_piece seg addr word_size then
     Bytes.set_int64_le seg.data (phys_off seg (addr - seg.base)) (Int64.of_int v)
   else begin
     let buf = Bytes.create word_size in
     Bytes.set_int64_le buf 0 (Int64.of_int v);
     scatter seg ~addr buf
+  end
+
+(* --- word ranges: [n] words between memory and the first [8n] bytes of
+   a caller's buffer, validated once like a bulk access but counted as
+   the [n] word accesses they stand for, and only once the range has
+   validated --- *)
+
+external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Copy [n] words from [src] at [soff] to [dst] at [doff], bounds already
+   checked: a word loop, which beats a [Bytes.blit] C call on the short
+   ranges a program touches; long ones go to the blit. *)
+let copy_words src soff dst doff n =
+  if n <= 8 then
+    for w = 0 to n - 1 do
+      let i = w * word_size in
+      unsafe_set64 dst (doff + i) (unsafe_get64 src (soff + i))
+    done
+  else Bytes.blit src soff dst doff (n * word_size)
+
+let check_words name buf n =
+  if n < 0 || n > Bytes.length buf / word_size then
+    invalid_arg (name ^ ": word count outside the buffer")
+
+let write_words t ~addr buf ~n =
+  check_words "Mem.write_words" buf n;
+  if n > 0 then begin
+    let len = n * word_size in
+    let seg = validate t ~addr ~len Fault.Write in
+    t.writes <- t.writes + n;
+    mark_written t seg ~addr ~len;
+    if one_piece seg addr len then copy_words buf 0 seg.data (phys_off seg (addr - seg.base)) n
+    else iter_pieces seg ~addr ~len (fun off pos k -> Bytes.blit buf pos seg.data off k)
+  end
+
+let read_words t ~addr buf ~n =
+  check_words "Mem.read_words" buf n;
+  if n > 0 then begin
+    let len = n * word_size in
+    let seg = validate t ~addr ~len Fault.Read in
+    t.reads <- t.reads + n;
+    if one_piece seg addr len then copy_words seg.data (phys_off seg (addr - seg.base)) buf 0 n
+    else iter_pieces seg ~addr ~len (fun off pos k -> Bytes.blit seg.data off buf pos k)
   end
 
 (* --- bulk access: [len] is counted only once the range has validated,

@@ -118,8 +118,9 @@ val backing_page : t -> int -> int
 
     Counting rule ({!stats}): byte and word operations count one read or
     write even when they fault; bulk operations count [len] only on
-    success; {!write_cstring} counts each byte it stores, the faulting
-    byte included.
+    success; word ranges ({!write_words}, {!read_words}) count one per
+    word, only on success; {!write_cstring} counts each byte it stores,
+    the faulting byte included.
 
     Cost-model charging rule: an access charges one TLB touch per page and
     one cache touch per line its byte range spans — never more, never
@@ -134,6 +135,20 @@ val read64 : t -> int -> int
     byte's high bit is lost; the MiniC machine is a 63-bit-word machine). *)
 
 val write64 : t -> int -> int -> unit
+
+val write_words : t -> addr:int -> Bytes.t -> n:int -> unit
+(** [write_words t ~addr buf ~n] stores the first [8n] bytes of [buf] at
+    [addr]: the [n] little-endian words [write64] would store one at a
+    time, validated, charged and marked written as one range, atomic
+    like the bulk operations.  It counts [n] writes, only once the range
+    has validated; [n = 0] touches nothing.  Allocates nothing unless
+    the range crosses a page boundary of a meshed segment.  Raises
+    [Invalid_argument] if [n < 0] or [8n] exceeds [Bytes.length buf]. *)
+
+val read_words : t -> addr:int -> Bytes.t -> n:int -> unit
+(** [read_words t ~addr buf ~n] loads the [n] words at [addr] into the
+    first [8n] bytes of [buf], by the same rules as {!write_words}: [n]
+    reads, counted on success; on a fault [buf] is left unchanged. *)
 
 val read_bytes : t -> addr:int -> len:int -> string
 (** Bulk read: validates the whole range page by page, then blits.

@@ -17,7 +17,8 @@
      does not rewind — the statistics, the cost-model state and the
      written-page flags — is not part of the snapshot either.
    - Counting: byte and word operations count one access even when they
-     fault, and bulk operations count [len] only on success.
+     fault, bulk operations count [len] only on success, and a range of
+     [n] words counts [n] only on success.
      [write_cstring] is the bytewise [write8] loop it stands for. *)
 
 module Mem = Dh_mem.Mem
@@ -142,6 +143,20 @@ let read_bytes m ~addr ~len =
 let write_bytes m ~addr s =
   store m ~addr s;
   m.writes <- m.writes + String.length s
+
+(* [n] words: the whole range validated bytewise first, like a bulk
+   operation, and [n] accesses counted on success, like the word
+   operations they stand for. *)
+let read_words m ~addr ~n =
+  let s = load m ~addr ~len:(8 * n) in
+  m.reads <- m.reads + n;
+  s
+
+let write_words m ~addr values =
+  let b = Bytes.create (8 * List.length values) in
+  List.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.of_int v)) values;
+  store m ~addr (Bytes.to_string b);
+  m.writes <- m.writes + List.length values
 
 (* The literal C store loop: no validation of the whole range first. *)
 let write_cstring m ~addr s =

@@ -393,6 +393,45 @@ let test_word_access_allocates_nothing () =
   Alcotest.(check (float 0.)) "minor words for 15,000 word accesses" 0.
     (Gc.minor_words () -. before)
 
+(* A word range allocates nothing either, whether the word loop or one
+   blit copies it: no closure over its pieces on an unmeshed segment,
+   nor on a meshed one when the range stays on one page. *)
+let test_word_ranges_allocate_nothing () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem (4 * Mem.page_size) in
+  let buf = Bytes.make (64 * 8) 'w' in
+  let ranges label =
+    let before = Gc.minor_words () in
+    for i = 0 to 4_999 do
+      let n = 1 + (i land 63) and addr = a + (8 * (i land 511)) in
+      let addr = if addr land (Mem.page_size - 1) + (8 * n) > Mem.page_size then a else addr in
+      Mem.write_words mem ~addr buf ~n;
+      Mem.read_words mem ~addr buf ~n
+    done;
+    Alcotest.(check (float 0.)) (label ^ ": minor words for 10,000 word ranges") 0.
+      (Gc.minor_words () -. before)
+  in
+  ranges "unmeshed";
+  Mem.alias mem ~src:(a + (2 * Mem.page_size)) ~dst:(a + (3 * Mem.page_size)) ~live:[];
+  ranges "meshed"
+
+(* A word count the buffer cannot hold is a caller's bug, rejected
+   before anything is charged or counted. *)
+let test_word_ranges_reject_bad_counts () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem Mem.page_size in
+  let buf = Bytes.make 20 'w' in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.check_raises name (Invalid_argument (name ^ ": word count outside the buffer")) f)
+    [
+      ("Mem.write_words", fun () -> Mem.write_words mem ~addr:a buf ~n:3);
+      ("Mem.read_words", fun () -> Mem.read_words mem ~addr:a buf ~n:(-1));
+    ];
+  let st = Mem.stats mem in
+  check_int "nothing counted" 0 (st.Mem.reads + st.Mem.writes);
+  check_int "nothing charged" 0 (st.Mem.tlb_misses + st.Mem.cache_misses)
+
 let prop_disjoint_writes_do_not_interfere =
   QCheck.Test.make ~name:"byte writes to distinct addresses are independent" ~count:200
     QCheck.(triple (int_bound 4000) (int_bound 4000) (pair (int_bound 255) (int_bound 255)))
@@ -443,6 +482,10 @@ let suite =
       test_table_rewind_unmapped_returns;
     Alcotest.test_case "word access allocates nothing" `Quick
       test_word_access_allocates_nothing;
+    Alcotest.test_case "word ranges allocate nothing" `Quick
+      test_word_ranges_allocate_nothing;
+    Alcotest.test_case "word ranges reject bad counts" `Quick
+      test_word_ranges_reject_bad_counts;
     Alcotest.test_case "process exit" `Quick test_process_exit;
     Alcotest.test_case "process exit code" `Quick test_process_exit_code;
     Alcotest.test_case "process crash" `Quick test_process_crash;

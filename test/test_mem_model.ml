@@ -1,8 +1,9 @@
 (* State-machine test: Dh_mem.Mem against the naive Mem_model.
 
-   A random sequence of operations — mapping, protection, byte, word and
-   bulk accesses, C-string scans and stores, page aliasing and
-   checkpoint / rewind / discard, closing with several armed windows — runs on both.  After every step the two must agree on the
+   A random sequence of operations — mapping, protection, byte, word,
+   word-range and bulk accesses, C-string stores, page aliasing and
+   checkpoint / rewind / discard, closing with several armed windows —
+   runs on both.  After every step the two must agree on the
    result (value, exact fault, or rejected argument), on every mapped
    byte, on the mapped/meshed/touched page counts and on the access and
    TLB/cache-miss counters.  Each step also checks the frame property:
@@ -31,6 +32,8 @@ type op =
   | Write8 of loc * int
   | Read64 of loc
   | Write64 of loc * int
+  | Read_words of loc * int  (* words *)
+  | Write_words of loc * int list
   | Read_bytes of loc * int
   | Write_bytes of loc * string
   | Fill of loc * int * char
@@ -65,6 +68,8 @@ let show_op op =
   | Write8 (a, v) -> Printf.sprintf "write8 %s %d" (l a) v
   | Read64 a -> "read64 " ^ l a
   | Write64 (a, v) -> Printf.sprintf "write64 %s %d" (l a) v
+  | Read_words (a, n) -> Printf.sprintf "read_words %s %d" (l a) n
+  | Write_words (a, vs) -> Printf.sprintf "write_words %s %d words" (l a) (List.length vs)
   | Read_bytes (a, n) -> Printf.sprintf "read_bytes %s %d" (l a) n
   | Write_bytes (a, s) -> Printf.sprintf "write_bytes %s %S" (l a) s
   | Fill (a, n, c) -> Printf.sprintf "fill %s %d %C" (l a) n c
@@ -133,6 +138,13 @@ let gen_cstring_loc =
             (int_bound 7) (int_range 1 4) (int_range 1 48) );
       ])
 
+(* Word counts for the word ranges: short runs, which a start near a
+   page's end carries across it, and runs of up to two pages and more. *)
+let gen_words =
+  QCheck.Gen.(
+    frequency
+      [ (4, int_range 1 12); (2, int_range 0 ((2 * page / 8) + 8)); (1, return 0) ])
+
 let gen_pages = QCheck.Gen.frequencyl [ (2, 1); (4, 2); (4, 3); (2, 4); (1, 16) ]
 
 let gen_op =
@@ -151,6 +163,11 @@ let gen_op =
         (4, map2 (fun a v -> Write8 (a, v)) gen_loc (int_bound 1000));
         (5, map (fun a -> Read64 a) gen_loc);
         (5, map2 (fun a v -> Write64 (a, v)) gen_loc int);
+        (3, map2 (fun a n -> Read_words (a, n)) gen_cstring_loc gen_words);
+        ( 3,
+          map3
+            (fun a n v -> Write_words (a, List.init n (fun i -> v + (i * 0x10001))))
+            gen_cstring_loc gen_words int );
         (3, map2 (fun a n -> Read_bytes (a, n)) gen_loc gen_len);
         (3, map2 (fun a s -> Write_bytes (a, s)) gen_loc gen_text);
         ( 2,
@@ -197,6 +214,9 @@ let shrink_op op yield =
   let halve n k = if n > 0 then k (n / 2) in
   match op with
   | Read_bytes (a, n) -> halve n (fun n -> yield (Read_bytes (a, n)))
+  | Read_words (a, n) -> halve n (fun n -> yield (Read_words (a, n)))
+  | Write_words (a, vs) ->
+    halve (List.length vs) (fun n -> yield (Write_words (a, List.filteri (fun i _ -> i < n) vs)))
   | Write_bytes (a, s) ->
     halve (String.length s) (fun n -> yield (Write_bytes (a, String.sub s 0 n)))
   | Write_cstring (a, s) ->
@@ -261,6 +281,31 @@ let apply mem model op =
     let b = at a in
     ( both (unit (fun () -> Mem.write64 mem b v)) (unit (fun () -> Model.write64 model b v)),
       Some (b, 8) )
+  | Read_words (a, n) ->
+    (* One word more than read: the buffer past [8n] must keep its
+       bytes, and a faulting read must leave all of it alone. *)
+    let b = at a in
+    let buf = Bytes.make (8 * (n + 1)) '\xa5' in
+    let fresh = Bytes.to_string buf in
+    ( both
+        (fun () ->
+          match Mem.read_words mem ~addr:b buf ~n with
+          | () -> Text (Bytes.to_string buf)
+          | exception e ->
+            if Bytes.to_string buf <> fresh then Text "read_words wrote its buffer, then raised"
+            else raise e)
+        (fun () -> Text (Model.read_words model ~addr:b ~n ^ String.make 8 '\xa5')),
+      Some (b, 8 * n) )
+  | Write_words (a, vs) ->
+    (* The buffer holds a word more than is stored, which must stay out
+       of memory. *)
+    let b = at a and n = List.length vs in
+    let buf = Bytes.make (8 * (n + 1)) '\x5a' in
+    List.iteri (fun i v -> Bytes.set_int64_le buf (8 * i) (Int64.of_int v)) vs;
+    ( both
+        (unit (fun () -> Mem.write_words mem ~addr:b buf ~n))
+        (unit (fun () -> Model.write_words model ~addr:b vs)),
+      Some (b, 8 * n) )
   | Read_bytes (a, len) ->
     let b = at a in
     ( both

@@ -116,6 +116,113 @@ let test_heap_size_for_serves_profiles () =
         (r.Driver.failed_allocations = 0))
     Profile.alloc_intensive
 
+(* The Figure-5 profiles, scaled down, on three heaps: DieHard (M = 2,
+   meshing on, a pass every 32 KiB freed so short runs mesh), freelist-lea
+   and gc-bdw (bounded as in Figure 5, so it collects through the
+   driver's registered roots).  Each run's result, every [Mem.stats]
+   field, the touched pages, the allocator's probes and collections and
+   the heap's meshes are pinned exactly: the driver's accesses, the
+   order it frees in (which decides what meshes) and the roots it
+   reports must not move. *)
+let pinned_heaps =
+  [
+    ( "diehard",
+      fun p ->
+        let config =
+          Diehard.Config.v ~heap_size:(Driver.heap_size_for p) ~seed:5 ~mesh:true
+            ~mesh_threshold:(32 lsl 10) ()
+        in
+        let heap = Diehard.Heap.create ~config (Mem.create ()) in
+        (Diehard.Heap.allocator heap, fun () -> Diehard.Heap.meshes heap) );
+    ("freelist-lea", fun _ -> (fresh_freelist (), fun () -> 0));
+    ( "gc-bdw",
+      fun _ ->
+        let mem = Mem.create () in
+        let gc = Dh_alloc.Gc.create ~arena_size:(64 lsl 10) ~heap_limit:(512 lsl 10) mem in
+        (Dh_alloc.Gc.allocator gc, fun () -> 0) );
+  ]
+
+let pinned_row (p : Profile.t) make =
+  let alloc, meshes = make p in
+  let r = Driver.run ~seed:11 p alloc in
+  let mem = alloc.Allocator.mem in
+  let st = Mem.stats mem and a = alloc.Allocator.stats in
+  [
+    ("checksum", r.Driver.checksum);
+    ("peak live", r.Driver.peak_live);
+    ("failed", r.Driver.failed_allocations);
+    ("reads", st.Mem.reads);
+    ("writes", st.Mem.writes);
+    ("mmaps", st.Mem.mmaps);
+    ("munmaps", st.Mem.munmaps);
+    ("tlb misses", st.Mem.tlb_misses);
+    ("cache misses", st.Mem.cache_misses);
+    ("dirty pages", st.Mem.dirty_pages);
+    ("touched pages", Mem.touched_pages mem);
+    ("probes", a.Dh_alloc.Stats.probes);
+    ("collections", a.Dh_alloc.Stats.gc_collections);
+    ("meshes", meshes ());
+  ]
+
+(* Recorded from the per-word driver: name, heap, then [pinned_row]'s
+   fields in order. *)
+let driver_pins =
+  [
+    ("cfrac", "diehard", [ 525802022; 20; 0; 16077; 16077; 4; 0; 4214; 5637; 253; 128; 6006; 0; 128 ]);
+    ("cfrac", "freelist-lea", [ 525802022; 20; 0; 50791; 52025; 1; 0; 1; 16; 1; 1; 7102; 0; 0 ]);
+    ("cfrac", "gc-bdw", [ 525802022; 20; 0; 25473; 25894; 1; 0; 16; 1024; 16; 16; 0; 3; 0 ]);
+    ("espresso", "diehard", [ 2940928819; 58; 0; 89690; 89690; 6; 0; 4775; 12559; 279; 192; 6018; 0; 192 ]);
+    ("espresso", "freelist-lea", [ 2940928819; 58; 0; 136265; 133170; 1; 0; 4; 224; 4; 4; 12402; 0; 0 ]);
+    ("espresso", "gc-bdw", [ 2940928819; 58; 0; 161148; 101303; 1; 0; 16; 1024; 16; 16; 280; 13; 0 ]);
+    ("lindsay", "diehard", [ 441177754; 37; 0; 13491; 13491; 4; 0; 3516; 4687; 253; 128; 5004; 0; 128 ]);
+    ("lindsay", "freelist-lea", [ 441177754; 37; 0; 42319; 44007; 1; 0; 1; 27; 1; 1; 6143; 0; 0 ]);
+    ("lindsay", "gc-bdw", [ 441177754; 37; 0; 23607; 21363; 1; 0; 16; 1024; 16; 16; 5; 3; 0 ]);
+    ("p2c", "diehard", [ 2498980399; 77; 0; 76326; 76326; 6; 0; 4029; 10549; 280; 192; 5027; 0; 192 ]);
+    ("p2c", "freelist-lea", [ 2498980399; 77; 0; 117967; 112962; 1; 0; 5; 291; 5; 5; 11922; 0; 0 ]);
+    ("p2c", "gc-bdw", [ 2498980399; 77; 0; 161640; 86957; 1; 0; 16; 1024; 16; 16; 400; 12; 0 ]);
+    ("roboop", "diehard", [ 699362004; 9; 0; 21404; 21404; 4; 0; 5592; 7495; 254; 128; 8002; 0; 128 ]);
+    ("roboop", "freelist-lea", [ 699362004; 9; 0; 68937; 69201; 1; 0; 1; 8; 1; 1; 9139; 0; 0 ]);
+    ("roboop", "gc-bdw", [ 699362004; 9; 0; 34996; 35196; 1; 0; 16; 1024; 16; 16; 0; 4; 0 ]);
+  ]
+
+let test_driver_pinned () =
+  List.iter
+    (fun (p : Profile.t) ->
+      let p = Profile.scale p ~factor:0.1 in
+      List.iter
+        (fun (heap, make) ->
+          let row = pinned_row p make in
+          match
+            List.find_opt (fun (n, h, _) -> n = p.Profile.name && h = heap) driver_pins
+          with
+          | None -> Alcotest.failf "no pin for %s on %s" p.Profile.name heap
+          | Some (_, _, expected) ->
+            List.iter2
+              (fun (field, got) want ->
+                check_int (Printf.sprintf "%s on %s: %s" p.Profile.name heap field) want got)
+              row expected)
+        pinned_heaps)
+    Profile.alloc_intensive
+
+(* The minor words one driver op allocates on freelist-lea, obs off:
+   the difference between two trace lengths, so set-up, the epilogue and
+   the live table's growth cancel.  The allocator's own boundary-tag
+   bookkeeping is most of it; the driver adds a malloc's [Some], a live
+   table bucket and a free schedule cell.  A schedule hashed by op, with
+   an [(addr, size)] tuple per object, cost 10.7 more words per op; a
+   closure or tuple per op would show here. *)
+let test_driver_words_per_op () =
+  let espresso = Option.get (Profile.find "espresso") in
+  let words ops =
+    Dh_obs.Control.with_enabled false (fun () ->
+        let alloc = fresh_freelist () in
+        let before = Gc.minor_words () in
+        ignore (Driver.run ~seed:5 { espresso with Profile.ops } alloc);
+        Gc.minor_words () -. before)
+  in
+  Alcotest.(check (float 0.0005)) "minor words per op" 45.898
+    ((words 8_000 -. words 4_000) /. 4_000.)
+
 (* --- espresso-sim --- *)
 
 let test_espresso_parses_and_runs () =
@@ -310,6 +417,8 @@ let suite =
     Alcotest.test_case "driver frees all" `Quick test_driver_frees_everything;
     Alcotest.test_case "driver peak live" `Quick test_driver_peak_live_tracks_lifetime;
     Alcotest.test_case "heap sizing" `Quick test_heap_size_for_serves_profiles;
+    Alcotest.test_case "driver pinned on three heaps" `Quick test_driver_pinned;
+    Alcotest.test_case "driver minor words per op" `Quick test_driver_words_per_op;
     Alcotest.test_case "espresso runs" `Quick test_espresso_parses_and_runs;
     Alcotest.test_case "espresso allocator-independent" `Quick
       test_espresso_output_allocator_independent;
