@@ -145,16 +145,20 @@ let sweep ~quick () =
           Dh_obs.Control.with_enabled true (fun () ->
               Audit.reset ();
               let site = Audit.site "bench:audit-fill" in
+              (* The margin report reads the last fill's heap. *)
+              let last = ref None in
               for _ = 1 to entropy_fills do
                 let heap = make_heap ~m ~seed:(Dh_rng.Seed.fresh pool) in
-                Audit.with_site site (fun () -> ignore (fill heap)) ()
+                Audit.with_site site (fun () -> ignore (fill heap)) ();
+                last := Some heap
               done;
+              let heap = Option.get !last in
               let snap = Audit.snapshot () in
               if m = 2. then
                 margin :=
                   Some
                     {
-                      (Margin.of_snapshot ~dangling_allocations snap) with
+                      (Margin.of_snapshot ~dangling_allocations ~heap snap) with
                       Margin.empirical =
                         [
                           empirical "overflow" !ovf_masked overflow_trials;

@@ -3,8 +3,7 @@
    periodic overlong-URL attacks, under the supervisor's rewind rung
    and full observability, and report the serve-loop SLO dashboard —
    throughput, tail latency (p50/p99/p99.9 of the serve.latency_ns
-   histogram),
-   trailing windowed rates, SLO compliance, and survival.
+   histogram), SLO compliance, and survival.
 
    Two kinds of number come out, gated differently:
 
@@ -73,7 +72,6 @@ type leg = {
   throughput : float;  (* requests/s over the whole ladder *)
   latency : Dh_obs.Quantile.snapshot;
   slo : slo;
-  rewind_rate : float;  (* trailing-window rate at end of run *)
   rewinds : int;
   checkpoints : int;
   survived_randomized : bool;
@@ -118,11 +116,9 @@ let policy =
   }
 
 let run_leg ~requests ~seed () =
-  (* Fresh instruments per leg: histograms and windows are process-wide
-     and a previous leg's samples must not bleed into this one's
-     quantiles. *)
+  (* Fresh instruments per leg: histograms are process-wide and a
+     previous leg's samples must not bleed into this one's quantiles. *)
   Dh_obs.Quantile.reset ();
-  Dh_obs.Window.reset ();
   let program =
     Server.program ~requests ~attack_every:attack_stride ~zipf:zipf_s ()
   in
@@ -150,11 +146,6 @@ let run_leg ~requests ~seed () =
         | None -> acc)
       0 incident.Supervisor.attempts
   in
-  let window_rate name =
-    match Dh_obs.Window.find name with
-    | Some w -> Dh_obs.Window.rate w ~now:(requests - 1)
-    | None -> 0.
-  in
   let latency = Dh_obs.Quantile.(snapshot (named "serve.latency_ns")) in
   let rewinds = recovery_sum (fun r -> r.Supervisor.rewinds) in
   {
@@ -163,7 +154,6 @@ let run_leg ~requests ~seed () =
     throughput = float_of_int requests /. Float.max wall_s 1e-9;
     latency;
     slo = slo_of latency ~rewinds;
-    rewind_rate = window_rate "serve.rewinds";
     rewinds;
     checkpoints = recovery_sum (fun r -> r.Supervisor.checkpoints);
     survived_randomized;
@@ -202,7 +192,6 @@ let leg_section l =
           (100. *. l.slo.budget_used)
           (if l.slo.breached then " (BREACHED)" else "");
       ];
-      [ "trailing rewind rate"; Printf.sprintf "%.5f /tick" l.rewind_rate ];
       [ "rewinds"; string_of_int l.rewinds ];
       [ "checkpoints"; string_of_int l.checkpoints ];
       [ "failed requests"; string_of_int l.failed ];

@@ -594,13 +594,14 @@ let audit_cmd =
     if replicas < 1 || replicas = 2 then
       invalid_arg "audit: --replicas must be 1 or >= 3 (the voter cannot break ties)";
     if watch < 0 then invalid_arg "audit: --watch must be >= 0";
-    (* Enable obs BEFORE building the heap: Heap.create only registers
-       its occupancy provider (the authoritative live/threshold/capacity
-       feed) while observability is on. *)
     Dh_obs.Control.set_enabled true;
     Dh_obs.Audit.reset ();
+    let heap =
+      Diehard.Heap.create ~config:(Diehard.Config.v ~heap_size ~seed ()) (Dh_mem.Mem.create ())
+    in
     let margin_now () =
-      Margin.of_snapshot ~replicas ~dangling_allocations:distance (Dh_obs.Audit.snapshot ())
+      Margin.of_snapshot ~replicas ~dangling_allocations:distance ~heap
+        (Dh_obs.Audit.snapshot ())
     in
     (* --watch: a snapshot after request k, for every k > 0 that is a
        multiple of N; the clock is the request index, so the snapshots
@@ -638,7 +639,7 @@ let audit_cmd =
     in
     let result =
       Dh_alloc.Program.run ~input:(read_input input) ~fuel program
-        (make_allocator `Diehard ~seed ~heap_size)
+        (Diehard.Heap.allocator heap)
     in
     let report = margin_now () in
     let text =

@@ -1,5 +1,7 @@
 module Audit = Dh_obs.Audit
 module Size_class = Dh_alloc.Size_class
+module Heap = Diehard.Heap
+module Config = Diehard.Config
 
 type class_margin = {
   cm_class : int;
@@ -36,9 +38,19 @@ let binomial_sigma ~p ~trials =
 (* Theorem 3's uninitialized-read width. *)
 let uninit_bits = 32
 
-let of_snapshot ?(replicas = 1) ?(dangling_allocations = 10) (snap : Audit.snapshot) =
+let of_snapshot ?(replicas = 1) ?(dangling_allocations = 10) ~heap (snap : Audit.snapshot) =
+  (* A class the heap has mapped or holds objects in, read from the heap
+     itself: a checkpoint rewind restores its live counts, which the
+     audit's cumulative flow never sees.  The large pseudo-class has no
+     region. *)
   let occ_of cls =
-    List.find_opt (fun o -> o.Audit.occ_class = cls) snap.Audit.occ
+    if cls >= Size_class.count then None
+    else
+      let live = Heap.region_in_use heap ~class_:cls in
+      if live = 0 && Heap.region_base heap ~class_:cls = None then None
+      else
+        let threshold = Config.threshold (Heap.config heap) ~class_:cls in
+        Some (live, threshold, Heap.region_capacity heap ~class_:cls)
   in
   let classes =
     Array.to_list snap.Audit.classes
@@ -48,11 +60,7 @@ let of_snapshot ?(replicas = 1) ?(dangling_allocations = 10) (snap : Audit.snaps
            if occ = None && c.Audit.allocs = 0 && c.Audit.frees = 0 && c.Audit.failed = 0
            then None
            else begin
-             let live, threshold, capacity =
-               match occ with
-               | Some o -> (o.Audit.live, o.Audit.threshold, o.Audit.capacity)
-               | None -> (0, 0, 0)
-             in
+             let live, threshold, capacity = Option.value occ ~default:(0, 0, 0) in
              let occupancy = Audit.ratio live capacity in
              (* Theorem 1 at the class's current fullness: a one-object
                 overflow lands on a free slot with probability F/H.

@@ -1,5 +1,5 @@
 (** Safety-margin report: the paper's analytic guarantees computed live
-    against an {!Dh_obs.Audit} snapshot.
+    against a heap and an {!Dh_obs.Audit} snapshot.
 
     {!Dh_obs.Audit} is the data plane — cheap per-class occupancy, slot
     randomness and per-site provenance, collected in the obs leaf where
@@ -68,10 +68,14 @@ type report = {
 }
 
 val of_snapshot :
-  ?replicas:int -> ?dangling_allocations:int -> Dh_obs.Audit.snapshot -> report
-(** Evaluate the bounds against a snapshot, at 32 uninitialized bits,
-    with the top 5 sites.  Defaults: 1 replica (stand-alone mode),
-    [A = 10] intervening allocations (the paper's §7.3.1 distance). *)
+  ?replicas:int -> ?dangling_allocations:int -> heap:Diehard.Heap.t ->
+  Dh_obs.Audit.snapshot -> report
+(** Evaluate the bounds against [heap]'s occupancy and a snapshot's
+    flow, at 32 uninitialized bits, with the top 5 sites.  A class is
+    reported when [heap] has mapped it or holds objects in it, or when
+    the snapshot audited any activity in it.  Defaults: 1 replica
+    (stand-alone mode), [A = 10] intervening allocations (the paper's
+    §7.3.1 distance). *)
 
 val binomial_sigma : p:float -> trials:int -> float
 (** Standard deviation of an observed rate over [trials] Bernoulli

@@ -140,43 +140,21 @@ let create ?(config = Config.default) mem =
           sites = { width = 1; ids = Bytes.empty };
         })
   in
-  let t =
-    {
-      config;
-      mem;
-      rng = Mwc.create ~seed:config.Config.seed;
-      (* Any fixed perturbation decorrelates the two streams while staying
-         a pure function of the configured seed (determinism). *)
-      mesh_rng = Mwc.create ~seed:(config.Config.seed lxor 0x4d455348);
-      regions;
-      large = large_table ();
-      large_sites = Imap.empty;
-      stats = Stats.create ();
-      freed_since_mesh = 0;
-      meshes = 0;
-      obs = Dh_obs.Audit.local ();
-    }
-  in
-  if Dh_obs.Control.enabled () then begin
-    (* The audit (and through it the flight recorder) reads
-       authoritative occupancy per class straight from the newest heap;
-       cumulative audit counters would drift across checkpoint
-       rewinds. *)
-    Dh_obs.Audit.set_occupancy_provider (fun () ->
-        Array.to_list t.regions
-        |> List.filter_map (fun region ->
-               if region.base = 0 && region.in_use = 0 then None
-               else
-                 Some
-                   {
-                     Dh_obs.Audit.occ_class = region.class_;
-                     occ_size = Size_class.size region.class_;
-                     live = region.in_use;
-                     threshold = region.threshold;
-                     capacity = region.capacity;
-                   }))
-  end;
-  t
+  {
+    config;
+    mem;
+    rng = Mwc.create ~seed:config.Config.seed;
+    (* Any fixed perturbation decorrelates the two streams while staying
+       a pure function of the configured seed (determinism). *)
+    mesh_rng = Mwc.create ~seed:(config.Config.seed lxor 0x4d455348);
+    regions;
+    large = large_table ();
+    large_sites = Imap.empty;
+    stats = Stats.create ();
+    freed_since_mesh = 0;
+    meshes = 0;
+    obs = Dh_obs.Audit.local ();
+  }
 
 let site_get tbl i =
   match tbl.width with

@@ -137,36 +137,20 @@ type fault_action =
          through the wrapper (which answers "continue?"), and stop *)
 
 (* Serve-loop telemetry (the serve bench reads its SLO off the latency
-   histogram).  All write-only and gated on one enabled
-   check per request when off; when on, the per-request cost is one
-   clock read and one latency sample recorded through the loop's own
-   cached [Dh_obs.Cell] handle on the "serve.latency_ns" histogram (a
-   domain-id compare and plain adds).
-   A request's latency runs from the previous request's completion (or
-   from the moment its window was armed) to its own: the clock is read
-   once per request, and arming stays out of the sample.  The rewind
-   window's clock is the request index, so the windowed rewind rate is a
-   deterministic function of the run. *)
-type serve_obs = {
-  so_latency : Dh_obs.Quantile.t;
-  so_rewinds : Dh_obs.Window.t;
-}
-
-let serve_obs () =
-  if not (Dh_obs.Control.enabled ()) then None
-  else
-    Some
-      {
-        so_latency =
-          Dh_obs.Quantile.(share (named "serve.latency_ns"));
-        so_rewinds = Dh_obs.Window.get "serve.rewinds" ~width:1024 ~buckets:16;
-      }
-
-(* [telemetry] switches the serve telemetry above on (when obs is);
-   replay and the canary diagnosis replay keep it off, so the latency
-   series and the flight records hold only the supervised attempts' own
-   requests.  An [interval] of 0 arms no checkpoint: the requests run as
-   one window and a fault escapes, as it would from [main]. *)
+   histogram).  All write-only and gated on one enabled check per
+   request when off; when on, the per-request cost is one clock read and
+   one latency sample recorded through the loop's own cached
+   [Dh_obs.Cell] handle on the "serve.latency_ns" histogram (a domain-id
+   compare and plain adds).  A request's latency runs from the previous
+   request's completion (or from the moment its window was armed) to
+   its own: the clock is read once per request, and arming stays out of
+   the sample.  A rewind emits a "supervisor.rewind" instant; the only
+   rewind count is the recovery report's.  [telemetry] switches this
+   telemetry on (when obs is); replay and the canary diagnosis replay
+   keep it off, so the latency series and the flight records hold only
+   the supervised attempts' own requests.  An [interval] of 0 arms no
+   checkpoint: the requests run as one window and a fault escapes, as
+   it would from [main]. *)
 let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_fault =
   let mem = Heap.mem heap in
   let armed = interval > 0 in
@@ -174,18 +158,22 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
   let result =
     Process.run (fun out ->
         let h = svc.Program.init (context out) in
-        let obs = if telemetry then serve_obs () else None in
+        let latency =
+          if telemetry && Dh_obs.Control.enabled () then
+            Some Dh_obs.Quantile.(share (named "serve.latency_ns"))
+          else None
+        in
         let stamp = ref 0 in
         let handle k =
-          match obs with
+          match latency with
           | None -> h.Program.handle k
-          | Some o ->
+          | Some l ->
             Dh_obs.Recorder.set_step k;
             h.Program.handle k;
             let now = Dh_obs.Tracing.now_ns () in
             let dt = Dh_obs.Tracing.elapsed_ns ~since:!stamp ~now in
             stamp := now;
-            Dh_obs.Quantile.record o.so_latency dt
+            Dh_obs.Quantile.record l dt
         in
         let k = ref 0 and stopped = ref false in
         while !k < svc.Program.requests && not !stopped do
@@ -198,7 +186,7 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
           let snap = if armed then Some (Heap.snapshot heap) else None in
           let out_mark = Process.Out.length out in
           if armed then incr checkpoints;
-          if Option.is_some obs then stamp := Dh_obs.Tracing.now_ns ();
+          if Option.is_some latency then stamp := Dh_obs.Tracing.now_ns ();
           try
             while !k < window_end do
               handle !k;
@@ -212,13 +200,10 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
               Process.Out.truncate out out_mark;
               pages_restored := !pages_restored + report.Dh_mem.Mem.pages_restored;
               incr rewinds;
-              (match obs with
-              | None -> ()
-              | Some o ->
+              if Option.is_some latency then
                 Dh_obs.Tracing.instant
                   ~arg:(string_of_int report.Dh_mem.Mem.pages_restored)
                   "supervisor.rewind";
-                Dh_obs.Window.add o.so_rewinds ~now:request 1);
               k := window_start
             in
             match
@@ -269,10 +254,7 @@ let execute ~telemetry ~heap ~interval ~on_fault ~policy_kind ~input ~fuel progr
     | Some svc -> run_service ~telemetry ~context svc heap ~interval ~on_fault
     | None -> (Process.run (fun out -> program.Program.main (context out)), None)
   in
-  let burned =
-    match Process.Fuel.remaining cell with Some left -> fuel - left | None -> 0
-  in
-  (result, burned, recovery)
+  (result, fuel - Option.get (Process.Fuel.remaining cell), recovery)
 
 let run ?(policy = default_policy) ?(config = Config.default)
     ?(seed_pool = Seed.create ~master:config.Config.seed) ?(input = "")
@@ -475,8 +457,8 @@ type replay = { first_fault : replay_fault option; outcome : Process.outcome }
 
 let replay ?(input = "") ?(fuel = 100_000_000) ~config ~interval (svc : Program.service) =
   if interval <= 0 then invalid_arg "Supervisor.replay: checkpoint interval must be positive";
-  (* The step spans and the flight record are the whole point; obs goes
-     on before the heap is built, as the audit's providers need. *)
+  (* The step spans and the flight record are the whole point, so obs
+     is on for the whole replay. *)
   Dh_obs.Control.with_enabled true @@ fun () ->
   let heap = Heap.create ~config (Dh_mem.Mem.create ()) in
   let alloc = Heap.allocator heap and stats = Heap.stats heap in

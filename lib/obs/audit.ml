@@ -169,27 +169,6 @@ let record_failed lc ~class_ =
     c.failed.(class_) <- c.failed.(class_) + 1
   end
 
-(* --- occupancy provider --- *)
-
-type occupancy = {
-  occ_class : int;
-  occ_size : int;
-  live : int;
-  threshold : int;
-  capacity : int;
-}
-
-let provider_lock = Mutex.create ()
-let provider : (unit -> occupancy list) option ref = ref None
-
-let set_occupancy_provider f =
-  Mutex.protect provider_lock (fun () -> provider := Some f)
-
-let occupancy () =
-  match Mutex.protect provider_lock (fun () -> !provider) with
-  | None -> []
-  | Some f -> ( try f () with _ -> [])
-
 (* --- attributed events ---
 
    Canary/fault/rescue attributions are rare (per incident, not per
@@ -239,7 +218,6 @@ type site_stat = {
 type snapshot = {
   classes : class_stat array;
   sites : site_stat list;
-  occ : occupancy list;
 }
 
 (* The per-site half of [snapshot]: each cell's site counters summed
@@ -290,8 +268,7 @@ let snapshot () =
           slot_hist;
         })
   in
-  let sites = sites () in
-  { classes; sites; occ = occupancy () }
+  { classes; sites = sites () }
 
 let severity s = s.canaries + s.faults + s.rescues
 
@@ -343,5 +320,4 @@ let reset () =
       Hashtbl.reset site_ids;
       n_sites := 0;
       ignore (intern_unlocked "unknown"));
-  Mutex.protect events_lock (fun () -> Hashtbl.reset events_by_site);
-  Mutex.protect provider_lock (fun () -> provider := None)
+  Mutex.protect events_lock (fun () -> Hashtbl.reset events_by_site)

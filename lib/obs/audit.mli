@@ -24,7 +24,8 @@
 
     Masked/trial tallies are not recorded here: a fault campaign returns
     its tally, and the audit bench hands its M-sweep's tallies to the
-    margin report it builds.
+    margin report it builds.  Nor is live occupancy, which
+    [Dh_analysis.Margin] reads from the heap it audits.
 
     Everything recorded here is write-only telemetry behind
     {!Control.enabled}: it never feeds back into execution, so a run's
@@ -98,26 +99,6 @@ val record_free : local -> class_:int -> site:int -> unit
 val record_failed : local -> class_:int -> unit
 (** An allocation refused by the 1/M occupancy threshold. *)
 
-(** {1 Occupancy}
-
-    Cumulative allocs − frees drifts from the heap's truth across
-    checkpoint rewinds (the audit never rewinds), so the authoritative
-    live counts come from a registered provider — re-registering
-    replaces it, so the newest heap owns the reading. *)
-
-type occupancy = {
-  occ_class : int;
-  occ_size : int;  (** Object size of the class, in bytes. *)
-  live : int;
-  threshold : int;  (** Allocation ceiling (objects / M). *)
-  capacity : int;  (** Region capacity in objects. *)
-}
-
-val set_occupancy_provider : (unit -> occupancy list) -> unit
-val occupancy : unit -> occupancy list
-(** [[]] when no provider is registered; a provider that raises reads
-    as [[]]. *)
-
 (** {1 Attributed events} *)
 
 val record_canary : site:int -> unit
@@ -153,7 +134,6 @@ type site_stat = {
 type snapshot = {
   classes : class_stat array;  (** Length {!max_classes}, indexed by class. *)
   sites : site_stat list;  (** Sites with any activity, by id. *)
-  occ : occupancy list;
 }
 
 val snapshot : unit -> snapshot
@@ -185,5 +165,5 @@ val entropy_bits : int array -> float
 
 val reset : unit -> unit
 (** Drop everything — cells (zeroed in place, so {!local} handles stay
-    valid), site registry (back to {!unknown} only), attributed events,
-    provider — for tests. *)
+    valid), site registry (back to {!unknown} only), attributed events
+    — for tests. *)

@@ -27,18 +27,9 @@ let current_step = Atomic.make (-1)
 let set_step k = Atomic.set current_step k
 let clear_step () = Atomic.set current_step (-1)
 
-(* The two sections every capture reads straight from the audit: the
-   newest heap's live occupancy per size class, and the most suspect
-   allocation sites.  Each renders as "" (and is not printed) when
-   there is nothing to show. *)
-let occupancy_body () =
-  String.concat ""
-    (List.map
-       (fun (o : Audit.occupancy) ->
-         Printf.sprintf "class %2d (%5dB): %d/%d in use (threshold %d)\n" o.occ_class
-           o.occ_size o.live o.capacity o.threshold)
-       (Audit.occupancy ()))
-
+(* The section every capture reads straight from the audit: the most
+   suspect allocation sites, rendered as "" (and not printed) when there
+   is nothing to show. *)
 let top_sites_body () =
   String.concat ""
     (List.map
@@ -60,12 +51,7 @@ let trigger ?(sections = []) ~reason () =
         reason;
         step = (if step >= 0 then Some step else None);
         events = Tracing.last_events window;
-        sections =
-          sections
-          @ [
-              { title = "heap.occupancy"; body = occupancy_body () };
-              { title = "audit.top-sites"; body = top_sites_body () };
-            ];
+        sections = sections @ [ { title = "audit.top-sites"; body = top_sites_body () } ];
       }
     in
     Mutex.protect lock (fun () ->

@@ -4,9 +4,10 @@
     dies, the instrumented layers call {!trigger}: the recorder
     snapshots the last {!window} trace events, the caller's sections
     (the faulting address's neighborhood and the counters of the
-    component that raised it) and two
-    sections read from {!Audit} (heap occupancy per size class, the
-    most suspect allocation sites) into a structured {!report}.  Reports
+    component that raised it) and one section read from {!Audit} (the
+    most suspect allocation sites) into a structured {!report}.  It
+    reads no heap: a process may hold several, and only the triggering
+    component knows which one its evidence describes.  Reports
     accumulate in a bounded queue that {!Supervisor} drains into its
     incidents and the CLI prints.
 
@@ -24,10 +25,9 @@ type report = {
           fired — the cursor position time-travel replay walks back to. *)
   events : Tracing.event list;  (** The last {!window} trace events. *)
   sections : section list;
-      (** Caller-supplied sections first, then ["heap.occupancy"] (one
-          line per {!Audit.occupancy} entry) and ["audit.top-sites"] (one
-          line per {!Audit.top_sites} entry); either body is [""] when it
-          has no lines. *)
+      (** Caller-supplied sections first, then ["audit.top-sites"] (one
+          line per {!Audit.top_sites} entry; [""] when it has no
+          lines). *)
 }
 
 val window : int

@@ -4,9 +4,9 @@
     ticks wide; {!add} stamps events into the bucket their timestamp
     falls in and {!total}/{!rate} sum the buckets the trailing window
     covers.  The clock is whatever monotone integer the caller owns —
-    the serve loop uses the request index, so windowed request / error /
-    rewind rates are deterministic functions of the run, not of
-    wall-clock scheduling.
+    a request index, say, so windowed rates are deterministic functions
+    of the run, not of wall-clock scheduling.  Nothing in the library
+    writes a window; the repo benchmark calls {!reset}.
 
     Rotation is stamp-based, not eviction-based: every slot remembers
     the absolute bucket number it counts for, and a slot whose stamp has

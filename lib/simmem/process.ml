@@ -11,21 +11,17 @@ exception Abort of string
 exception Out_of_fuel
 
 module Fuel = struct
-  type t = { mutable remaining : int; limited : bool }
+  type t = { mutable remaining : int }
 
   let create ~budget =
     if budget < 0 then invalid_arg "Fuel.create: negative budget";
-    { remaining = budget; limited = true }
-
-  let unlimited () = { remaining = 0; limited = false }
+    { remaining = budget }
 
   let burn t =
-    if t.limited then begin
-      if t.remaining = 0 then raise Out_of_fuel;
-      t.remaining <- t.remaining - 1
-    end
+    if t.remaining = 0 then raise Out_of_fuel;
+    t.remaining <- t.remaining - 1
 
-  let remaining t = if t.limited then Some t.remaining else None
+  let remaining t = Some t.remaining
 end
 
 module Out = struct

@@ -29,12 +29,12 @@ module Fuel : sig
   type t
 
   val create : budget:int -> t
-  val unlimited : unit -> t
 
   val burn : t -> unit
   (** Consume one unit; raises {!Out_of_fuel} when exhausted. *)
 
   val remaining : t -> int option
+  (** The units left; always [Some]. *)
 end
 
 (** The process's standard-output sink. *)

@@ -2,7 +2,8 @@
    ambient-site channel, heap provenance attribution (from the
    ambient site, retained across free for dangling blame), threshold-refusal
    counting, slot entropy, the guarded ratios behind every rate the
-   audit reports, the Margin bound evaluation at degenerate occupancies,
+   audit reports, the Margin bound evaluation at degenerate occupancies
+   and against the heap it is handed,
    empirical outcome tallies, and the write-only contract: a run's
    output must be byte-identical with the audit on or off.  Plus the
    Window registry edge cases (find on unregistered names, writes behind
@@ -29,6 +30,9 @@ let with_audit f =
 let fresh_heap ?(heap_size = 12 * 64 * 1024) ?(seed = 7) () =
   let config = Config.v ~heap_size ~seed () in
   Heap.create ~config (Dh_mem.Mem.create ())
+
+let class_margin (r : Margin.report) cls =
+  List.find (fun c -> c.Margin.cm_class = cls) r.Margin.classes
 
 (* --- sites and the ambient channel ---------------------------------- *)
 
@@ -153,12 +157,35 @@ let test_threshold_refusals_counted () =
       let c = snap.Audit.classes.(3) in
       check_int "allocs audited" threshold c.Audit.allocs;
       check "refusal audited" true (c.Audit.failed >= 1);
-      (* and the occupancy provider reports the class at threshold *)
-      let occ =
-        List.find (fun o -> o.Audit.occ_class = 3) snap.Audit.occ
-      in
-      check_int "occupancy live" threshold occ.Audit.live;
-      check_int "occupancy threshold" threshold occ.Audit.threshold)
+      (* and the margin report reads the class at threshold off the heap *)
+      let m = class_margin (Margin.of_snapshot ~heap snap) 3 in
+      check_int "occupancy live" threshold m.Margin.cm_live;
+      check_int "occupancy threshold" threshold m.Margin.cm_threshold)
+
+(* The margin report reads the heap it is handed, not the newest one,
+   and whether or not obs was on when that heap was built. *)
+let test_margin_reads_its_heap () =
+  let a = Control.with_enabled false (fun () -> fresh_heap ()) in
+  with_audit (fun () ->
+      let threshold = Config.threshold (Heap.config a) ~class_:3 in
+      let site = Audit.site "test:fill" in
+      for _ = 1 to threshold do
+        ignore (Audit.with_site site (Heap.malloc a) 64)
+      done;
+      let _b = fresh_heap ~seed:8 () in
+      let m = class_margin (Margin.of_snapshot ~heap:a (Audit.snapshot ())) 3 in
+      check_int "live at threshold" threshold m.Margin.cm_live;
+      check_int "threshold" threshold m.Margin.cm_threshold;
+      check_int "capacity" (Heap.region_capacity a ~class_:3) m.Margin.cm_capacity;
+      check_int "audited allocs" threshold m.Margin.cm_allocs);
+  with_audit (fun () ->
+      let a = fresh_heap () in
+      for _ = 1 to 100 do
+        ignore (Heap.malloc a 32)
+      done;
+      let _b = fresh_heap ~seed:8 () in
+      let m = class_margin (Margin.of_snapshot ~heap:a (Audit.snapshot ())) 2 in
+      check_int "the older heap's live objects" 100 m.Margin.cm_live)
 
 (* --- entropy and guarded ratios -------------------------------------- *)
 
@@ -189,7 +216,7 @@ let test_margin_degenerate_occupancy () =
       for _ = 1 to threshold do
         ignore (Heap.malloc heap 64)
       done;
-      let r = Margin.of_snapshot (Audit.snapshot ()) in
+      let r = Margin.of_snapshot ~heap (Audit.snapshot ()) in
       List.iter
         (fun c ->
           check "occupancy finite" false (Float.is_nan c.Margin.cm_occupancy);
@@ -200,8 +227,9 @@ let test_margin_degenerate_occupancy () =
         r.Margin.classes;
       check "stand-alone detects no uninit reads" true (r.Margin.uninit_detect = 0.));
   with_audit (fun () ->
-      let r = Margin.of_snapshot (Audit.snapshot ()) in
-      check "empty snapshot has no classes" true (r.Margin.classes = []))
+      let r = Margin.of_snapshot ~heap:(fresh_heap ()) (Audit.snapshot ()) in
+      check "empty snapshot of an unmapped heap has no classes" true
+        (r.Margin.classes = []))
 
 (* --- empirical rates and offender ranking ----------------------------- *)
 
@@ -209,7 +237,7 @@ let test_margin_degenerate_occupancy () =
    alone carries none. *)
 let test_empirical_rates () =
   with_audit (fun () ->
-      let r = Margin.of_snapshot (Audit.snapshot ()) in
+      let r = Margin.of_snapshot ~heap:(fresh_heap ()) (Audit.snapshot ()) in
       check "a snapshot carries no tallies" true (r.Margin.empirical = []);
       let em kind masked trials =
         {
@@ -334,6 +362,8 @@ let suite =
       test_threshold_refusals_counted;
     Alcotest.test_case "entropy: uniform, point mass, empty" `Quick test_entropy;
     Alcotest.test_case "ratio: div-by-zero guards" `Quick test_ratio_guard;
+    Alcotest.test_case "margin: reads the heap it is given" `Quick
+      test_margin_reads_its_heap;
     Alcotest.test_case "margin: degenerate occupancies stay finite" `Quick
       test_margin_degenerate_occupancy;
     Alcotest.test_case "margin: empirical rates render" `Quick test_empirical_rates;

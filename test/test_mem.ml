@@ -255,13 +255,6 @@ let test_fuel_accounting () =
   Process.Fuel.burn fuel;
   Alcotest.check_raises "exhausted" Process.Out_of_fuel (fun () -> Process.Fuel.burn fuel)
 
-let test_fuel_unlimited () =
-  let fuel = Process.Fuel.unlimited () in
-  for _ = 1 to 1000 do
-    Process.Fuel.burn fuel
-  done;
-  check "no cap" true (Process.Fuel.remaining fuel = None)
-
 (* --- qcheck properties --- *)
 
 let prop_word_roundtrip =
@@ -492,7 +485,6 @@ let suite =
     Alcotest.test_case "process abort" `Quick test_process_abort;
     Alcotest.test_case "process timeout" `Quick test_process_timeout;
     Alcotest.test_case "fuel accounting" `Quick test_fuel_accounting;
-    Alcotest.test_case "fuel unlimited" `Quick test_fuel_unlimited;
     QCheck_alcotest.to_alcotest prop_word_roundtrip;
     QCheck_alcotest.to_alcotest prop_disjoint_writes_do_not_interfere;
   ]
