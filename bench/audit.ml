@@ -143,22 +143,22 @@ let sweep ~quick () =
               write path production uses, then read it back) -- *)
         let entropy_bits, entropy_samples =
           Dh_obs.Control.with_enabled true (fun () ->
-              Audit.reset ();
               let site = Audit.site "bench:audit-fill" in
-              (* The margin report reads the last fill's heap. *)
-              let last = ref None in
-              for _ = 1 to entropy_fills do
-                let heap = make_heap ~m ~seed:(Dh_rng.Seed.fresh pool) in
-                Audit.with_site site (fun () -> ignore (fill heap)) ();
-                last := Some heap
-              done;
-              let heap = Option.get !last in
-              let snap = Audit.snapshot () in
+              let heaps =
+                List.init entropy_fills (fun _ ->
+                    let heap = make_heap ~m ~seed:(Dh_rng.Seed.fresh pool) in
+                    Audit.with_site site (fun () -> ignore (fill heap)) ();
+                    heap)
+              in
+              (* The entropy folds every fill's audit; the margin report
+                 is the last fill's heap alone. *)
+              let snap = Audit.snapshot (List.map Heap.audit heaps) in
               if m = 2. then
                 margin :=
                   Some
                     {
-                      (Margin.of_snapshot ~dangling_allocations ~heap snap) with
+                      (Margin.of_heap ~dangling_allocations
+                         (List.nth heaps (entropy_fills - 1))) with
                       Margin.empirical =
                         [
                           empirical "overflow" !ovf_masked overflow_trials;

@@ -77,6 +77,7 @@ type leg = {
   survived_randomized : bool;
   checksum : int;  (* content-derived, placement-independent *)
   failed : int;  (* the server's own failed-request counter *)
+  offenders : Dh_obs.Audit.site_stat list;  (* the incident's, from the leg's heaps *)
 }
 
 (* Pull "key=<int>" out of the server's final "done ..." line.  The
@@ -159,6 +160,7 @@ let run_leg ~requests ~seed () =
     survived_randomized;
     checksum = Option.value (out_field ~key:"checksum" output) ~default:(-1);
     failed = Option.value (out_field ~key:"failed" output) ~default:(-1);
+    offenders = incident.Supervisor.offenders;
   }
 
 (* Survival rate across seeds: shorter legs, same traffic shape. *)

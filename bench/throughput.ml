@@ -336,22 +336,20 @@ let checkpoint_bench ~quick =
 let obs_heap () = Diehard.Heap.create ~config:(Diehard.Config.v ~seed:1 ()) (Mem.create ())
 
 (* The work obs does per heap operation, counted from instrument totals
-   rather than timed: audit records (a malloc's one record is a cell
-   lookup and plain adds) plus the sampled "heap.malloc"/"heap.free"
+   rather than timed: audit records (a malloc's one record is plain adds
+   on the heap's own audit) plus the sampled "heap.malloc"/"heap.free"
    trace instants, per malloc and per free.  Counted on a short run of
-   the same churn, with obs on, small enough that all of its trace
-   events are still in the ring. *)
+   the same churn on a fresh heap, with obs on, small enough that all of
+   its trace events are still in the ring. *)
 let obs_records () =
   let heap = obs_heap () in
-  let audit_totals () =
-    Array.fold_left
-      (fun (a, f) (c : Dh_obs.Audit.class_stat) -> (a + c.allocs, f + c.frees))
-      (0, 0) (Dh_obs.Audit.snapshot ()).Dh_obs.Audit.classes
-  in
-  let allocs0, frees0 = audit_totals () in
   let events0 = Dh_obs.Tracing.recorded () in
   ignore (alloc_bench ~ops:2_000 "obs-records" (fun () -> Diehard.Heap.allocator heap));
-  let allocs1, frees1 = audit_totals () in
+  let allocs, frees =
+    Array.fold_left
+      (fun (a, f) (c : Dh_obs.Audit.class_stat) -> (a + c.allocs, f + c.frees))
+      (0, 0) (Dh_obs.Audit.snapshot [ Diehard.Heap.audit heap ]).Dh_obs.Audit.classes
+  in
   let events = Dh_obs.Tracing.last_events (Dh_obs.Tracing.recorded () - events0) in
   let instants name =
     List.length (List.filter (fun e -> e.Dh_obs.Tracing.name = name) events)
@@ -359,8 +357,8 @@ let obs_records () =
   let stats = Diehard.Heap.stats heap in
   let per n ops = Gate.float (float_of_int n /. float_of_int ops) in
   [
-    ("obs.records_per_malloc", per (allocs1 - allocs0 + instants "heap.malloc") stats.Dh_alloc.Stats.mallocs);
-    ("obs.records_per_free", per (frees1 - frees0 + instants "heap.free") stats.Dh_alloc.Stats.frees);
+    ("obs.records_per_malloc", per (allocs + instants "heap.malloc") stats.Dh_alloc.Stats.mallocs);
+    ("obs.records_per_free", per (frees + instants "heap.free") stats.Dh_alloc.Stats.frees);
   ]
 
 (* Minor-heap words per DieHard malloc and per free, read from

@@ -595,14 +595,10 @@ let audit_cmd =
       invalid_arg "audit: --replicas must be 1 or >= 3 (the voter cannot break ties)";
     if watch < 0 then invalid_arg "audit: --watch must be >= 0";
     Dh_obs.Control.set_enabled true;
-    Dh_obs.Audit.reset ();
     let heap =
       Diehard.Heap.create ~config:(Diehard.Config.v ~heap_size ~seed ()) (Dh_mem.Mem.create ())
     in
-    let margin_now () =
-      Margin.of_snapshot ~replicas ~dangling_allocations:distance ~heap
-        (Dh_obs.Audit.snapshot ())
-    in
+    let margin_now () = Margin.of_heap ~replicas ~dangling_allocations:distance heap in
     (* --watch: a snapshot after request k, for every k > 0 that is a
        multiple of N; the clock is the request index, so the snapshots
        are deterministic per run. *)
@@ -770,8 +766,10 @@ let main_cmd =
       diagnose_cmd; trace_cmd; audit_cmd; obs_cmd ]
 
 (* Malformed input — a bad flag value a library rejects, a missing file,
-   MiniC that does not parse — is a usage error: one line, exit 2.
-   Anything else is a bug, reported as cmdliner would (exit 125). *)
+   MiniC that does not parse, a MiniC runtime error (an unknown name, a
+   wrong arity or no main, raised when execution reaches it; or a
+   division by zero) — is a usage error: one line, exit 2.  Anything
+   else is a bug, reported as cmdliner would (exit 125). *)
 let () =
   let usage_error msg =
     Printf.eprintf "diehard: %s\n" msg;
@@ -779,7 +777,8 @@ let () =
   in
   match Cmd.eval' ~catch:false main_cmd with
   | code -> exit code
-  | exception (Invalid_argument msg | Sys_error msg) -> usage_error msg
+  | exception (Invalid_argument msg | Sys_error msg | Dh_lang.Interp.Runtime_error msg) ->
+    usage_error msg
   | exception (Dh_lang.Lexer.Lex_error (msg, line, col) | Dh_lang.Parser.Syntax_error (msg, line, col)) ->
     usage_error (Printf.sprintf "%d:%d: %s" line col msg)
   | exception e ->

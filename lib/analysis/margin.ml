@@ -38,7 +38,8 @@ let binomial_sigma ~p ~trials =
 (* Theorem 3's uninitialized-read width. *)
 let uninit_bits = 32
 
-let of_snapshot ?(replicas = 1) ?(dangling_allocations = 10) ~heap (snap : Audit.snapshot) =
+let of_heap ?(replicas = 1) ?(dangling_allocations = 10) heap =
+  let snap = Audit.snapshot [ Heap.audit heap ] in
   (* A class the heap has mapped or holds objects in, read from the heap
      itself: a checkpoint rewind restores its live counts, which the
      audit's cumulative flow never sees.  The large pseudo-class has no
@@ -121,7 +122,7 @@ let of_snapshot ?(replicas = 1) ?(dangling_allocations = 10) ~heap (snap : Audit
     uninit_bits;
     classes;
     empirical = [];
-    sites = Audit.top_sites snap.Audit.sites;
+    sites = Audit.top_sites snap.sites;
   }
 
 (* --- rendering --- *)

@@ -1,14 +1,15 @@
 (** Safety-margin report: the paper's analytic guarantees computed live
-    against a heap and an {!Dh_obs.Audit} snapshot.
+    against one heap and its own {!Dh_obs.Audit}.
 
-    {!Dh_obs.Audit} is the data plane — cheap per-class occupancy, slot
-    randomness and per-site provenance, collected in the obs leaf where
-    the theorem formulas are out of reach.  This module is the
-    comparison plane: it takes a snapshot and evaluates §6's closed
-    forms at the heap's {e current} state, so a running system can be
-    asked, at any moment, "am I inside my promised margin?"
+    {!Dh_obs.Audit} is the data plane — each heap's cheap per-class
+    flow, slot randomness and per-site provenance, collected in the obs
+    leaf where the theorem formulas are out of reach.  This module is
+    the comparison plane: it evaluates §6's closed forms at the heap's
+    {e current} state, so a running system can be asked, at any moment,
+    "am I inside my promised margin?"
 
-    Per size class (from the audit's authoritative occupancy provider):
+    Per size class, with occupancy read from the heap and flow from its
+    audit:
 
     - occupancy [live / capacity] and headroom against the 1/M
       threshold;
@@ -19,7 +20,7 @@
     - the observed slot-choice entropy against the uniform ideal —
       the randomness assumption every theorem rests on.
 
-    Alongside: the top offending allocation sites and, when the caller
+    Alongside: the top allocation sites and, when the caller
     ran masking trials of its own, their empirical rates ({!empirical};
     the audit bench fills them from its M-sweep).  All ratios are
     guarded — an empty or never-allocated class reads as 0, never
@@ -62,20 +63,18 @@ type report = {
   classes : class_margin list;
       (** Classes with any occupancy or audited activity, by class. *)
   empirical : empirical list;
-      (** Measured masking rates; {!of_snapshot} leaves this empty for
-          the caller that ran the trials. *)
+      (** Measured masking rates; {!of_heap} leaves this empty for the
+          caller that ran the trials. *)
   sites : Dh_obs.Audit.site_stat list;  (** {!Dh_obs.Audit.top_sites}. *)
 }
 
-val of_snapshot :
-  ?replicas:int -> ?dangling_allocations:int -> heap:Diehard.Heap.t ->
-  Dh_obs.Audit.snapshot -> report
-(** Evaluate the bounds against [heap]'s occupancy and a snapshot's
-    flow, at 32 uninitialized bits, with the top 5 sites.  A class is
-    reported when [heap] has mapped it or holds objects in it, or when
-    the snapshot audited any activity in it.  Defaults: 1 replica
-    (stand-alone mode), [A = 10] intervening allocations (the paper's
-    §7.3.1 distance). *)
+val of_heap : ?replicas:int -> ?dangling_allocations:int -> Diehard.Heap.t -> report
+(** Evaluate the bounds against [heap]'s occupancy and its audit's flow
+    ({!Diehard.Heap.audit}), at 32 uninitialized bits, with the top 5
+    sites.  A class is reported when [heap] has mapped it or holds
+    objects in it, or when its audit recorded any activity in it.
+    Defaults: 1 replica (stand-alone mode), [A = 10] intervening
+    allocations (the paper's §7.3.1 distance). *)
 
 val binomial_sigma : p:float -> trials:int -> float
 (** Standard deviation of an observed rate over [trials] Bernoulli

@@ -109,9 +109,9 @@ type t = {
   stats : Stats.t;
   mutable freed_since_mesh : int;  (* bytes freed since the last pass *)
   mutable meshes : int;  (* cumulative successful meshes *)
-  obs : Dh_obs.Audit.local;
-      (* The heap's own audit handle: a heap records from one domain at a
-         time, so each record is an owner compare and plain adds. *)
+  audit : Dh_obs.Audit.t;
+      (* The heap's own audit: a heap records from one domain at a time,
+         so each record is plain adds.  Cumulative: never rewound. *)
 }
 
 let create ?(config = Config.default) mem =
@@ -153,7 +153,7 @@ let create ?(config = Config.default) mem =
     stats = Stats.create ();
     freed_since_mesh = 0;
     meshes = 0;
-    obs = Dh_obs.Audit.local ();
+    audit = Dh_obs.Audit.create ();
   }
 
 let site_get tbl i =
@@ -294,7 +294,7 @@ let malloc_large t sz =
   let size = (Imap.find payload t.large.objects).size in
   if t.config.Config.replicated then Mem.fill_random t.mem ~addr:payload ~len:size t.rng;
   if Dh_obs.Control.enabled () then begin
-    let site = Dh_obs.Audit.record_alloc t.obs ~class_:large_class ~index:(-1) ~capacity:0 in
+    let site = Dh_obs.Audit.record_alloc t.audit ~class_:large_class ~index:(-1) ~capacity:0 in
     t.large_sites <- Imap.add payload (size, site) t.large_sites;
     Dh_obs.Tracing.instant ~arg:(string_of_int sz) "heap.malloc.large"
   end;
@@ -307,7 +307,7 @@ let free_large t addr =
       | Some (_, site) -> site
       | None -> Dh_obs.Audit.unknown
     in
-    Dh_obs.Audit.record_free t.obs ~class_:large_class ~site
+    Dh_obs.Audit.record_free t.audit ~class_:large_class ~site
   end
 
 (* --- page meshing (MESH, Powers et al.): compacting the randomized
@@ -449,20 +449,21 @@ let mesh t =
       meshed)
 
 let meshes t = t.meshes
+let audit t = t.audit
 
 (* --- small objects: randomized bitmap allocation (Figure 2) --- *)
 
 (* Telemetry for the small-object path, one audit record per malloc:
    slot position (randomness entropy), size-class flow, and the ambient
    allocation site (which the workload bracketed with
-   {!Dh_obs.Audit.with_site}; the record returns it, from the one cell
-   lookup) — plus a sampled "heap.malloc" instant.  Probe counts and
+   {!Dh_obs.Audit.with_site}; the record reads it and returns it) —
+   plus a sampled "heap.malloc" instant.  Probe counts and
    requested bytes are [Stats]' to keep (§4.2's expected-probes
    analysis reads "heap.probes" over "heap.mallocs"). *)
 let observe_malloc t ~bytes ~region ~index =
   if Dh_obs.Control.enabled () then begin
     let site =
-      Dh_obs.Audit.record_alloc t.obs ~class_:region.class_ ~index ~capacity:region.capacity
+      Dh_obs.Audit.record_alloc t.audit ~class_:region.class_ ~index ~capacity:region.capacity
     in
     site_set region.sites ~capacity:region.capacity index site;
     if (t.stats.Stats.mallocs - 1) land (trace_sample - 1) = 0 then
@@ -498,7 +499,7 @@ let malloc_small t sz class_ =
        the mesher keeps this to pathological sequences. *)
     t.stats.Stats.failed_mallocs <- t.stats.Stats.failed_mallocs + 1;
     if Dh_obs.Control.enabled () then begin
-      Dh_obs.Audit.record_failed t.obs ~class_;
+      Dh_obs.Audit.record_failed t.audit ~class_;
       Dh_obs.Tracing.instant ~arg:(string_of_int class_) "heap.exhausted"
     end;
     None
@@ -581,7 +582,7 @@ let free t addr =
               if Bytes.length region.sites.ids > 0 then site_get region.sites index
               else Dh_obs.Audit.unknown
             in
-            Dh_obs.Audit.record_free t.obs ~class_:region.class_ ~site;
+            Dh_obs.Audit.record_free t.audit ~class_:region.class_ ~site;
             if (t.stats.Stats.frees - 1) land (trace_sample - 1) = 0 then
               Dh_obs.Tracing.instant ~arg:(string_of_int size) "heap.free"
           end;

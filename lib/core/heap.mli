@@ -34,9 +34,9 @@ val malloc : t -> int -> int option
 (** [malloc t sz] — [None] means NULL: the size class is at its [1/M]
     threshold (or [sz <= 0]).  The ambient
     {!Dh_obs.Audit.current_site} ({!Dh_obs.Audit.with_site}) attributes
-    the allocation for audit provenance.  Sites never affect placement
-    or success — they are write-only telemetry, recorded only while
-    observability is enabled. *)
+    the allocation for audit provenance, in the heap's own {!audit}.
+    Sites never affect placement or success — they are write-only
+    telemetry, recorded only while observability is enabled. *)
 
 val free : t -> int -> unit
 (** Validated deallocation; invalid and double frees are ignored (and
@@ -130,6 +130,12 @@ val site_of_addr : t -> int -> int option
     freed (dangling accesses attribute to the site that allocated the
     stale object).  [None] when no provenance was recorded (telemetry
     off, or never allocated). *)
+
+val audit : t -> Dh_obs.Audit.t
+(** The heap's own audit: the per-class flow, slot-position histogram
+    and per-site tallies of every malloc, free and threshold refusal it
+    served while observability was enabled.  Cumulative: {!restore}
+    does not roll it back. *)
 
 val large_object_count : t -> int
 

@@ -256,6 +256,37 @@ let execute ~telemetry ~heap ~interval ~on_fault ~policy_kind ~input ~fuel progr
   in
   (result, fuel - Option.get (Process.Fuel.remaining cell), recovery)
 
+(* An incident's top offending sites: the allocation and free tallies of
+   the ladder attempts' heaps, and each site's attributed canary hits and
+   faults.  The canary replay's heap is left out: it re-runs a failed
+   attempt and would count it twice.  The rescue rung degrades every
+   allocation; when it ran, the degradation is charged to the sites
+   diagnosis blamed for forcing it. *)
+let offenders audits ~canary_sites ~fault_sites ~rescued =
+  let count id sites = List.length (List.filter (( = ) id) sites) in
+  let flows = (Dh_obs.Audit.snapshot audits).sites in
+  let flow id =
+    match List.find_opt (fun (s : Dh_obs.Audit.site_stat) -> s.site_id = id) flows with
+    | Some s -> s
+    | None ->
+      {
+        Dh_obs.Audit.site_id = id;
+        name = Dh_obs.Audit.site_name id;
+        s_allocs = 0;
+        s_frees = 0;
+        canaries = 0;
+        faults = 0;
+        rescues = 0;
+      }
+  in
+  List.map (fun (s : Dh_obs.Audit.site_stat) -> s.site_id) flows @ canary_sites @ fault_sites
+  |> List.sort_uniq compare
+  |> List.map (fun id ->
+         let canaries = count id canary_sites and faults = count id fault_sites in
+         let rescues = if rescued && canaries + faults > 0 then 1 else 0 in
+         { (flow id) with canaries; faults; rescues })
+  |> Dh_obs.Audit.top_sites
+
 let run ?(policy = default_policy) ?(config = Config.default)
     ?(seed_pool = Seed.create ~master:config.Config.seed) ?(input = "")
     ?(policy_kind = Policy.Raw) ?(success = fun r -> r.Process.outcome = Process.Exited 0)
@@ -268,10 +299,12 @@ let run ?(policy = default_policy) ?(config = Config.default)
   (* Honor the config's obs knob for the duration of this run (telemetry
      is write-only, so the incident is unaffected apart from [flight]). *)
   Dh_obs.Control.with_enabled (config.Config.obs || Dh_obs.Control.enabled ()) @@ fun () ->
+  let audits = ref [] in
   let attempt_under plan =
     Dh_obs.Tracing.span ~arg:(string_of_int plan.attempt) "supervisor.attempt"
     @@ fun () ->
     let heap, base_alloc = build_heap ~config plan in
+    audits := Heap.audit heap :: !audits;
     let alloc = wrap plan base_alloc in
     (* The rewind rung applies to randomized attempts of service-shaped
        programs; the rescue rung stays from-scratch (its wrapper defers
@@ -339,29 +372,18 @@ let run ?(policy = default_policy) ?(config = Config.default)
        heap shape, so its addresses coincide with the failed run's —
        each violation (and the fault's own address) resolves to the
        site that allocated those bytes.  Best-effort, write-only. *)
-    let offender_sites =
-      if not (Dh_obs.Control.enabled ()) then []
+    let canary_sites, fault_sites =
+      if not (Dh_obs.Control.enabled ()) then ([], [])
       else begin
         let site_of addr =
           Option.value (Heap.site_of_addr replay_heap addr)
             ~default:Dh_obs.Audit.unknown
         in
-        let canary_sites =
-          List.map (fun (v : Canary.violation) -> site_of v.Canary.addr) violations
-        in
-        List.iter (fun site -> Dh_obs.Audit.record_canary ~site) canary_sites;
-        let fault_sites =
-          match fault with
-          | None -> []
-          | Some f ->
-            let site = site_of (Dh_mem.Fault.addr f) in
-            Dh_obs.Audit.record_fault ~site;
-            [ site ]
-        in
-        List.sort_uniq compare (canary_sites @ fault_sites)
+        ( List.map (fun (v : Canary.violation) -> site_of v.Canary.addr) violations,
+          Option.to_list (Option.map (fun f -> site_of (Dh_mem.Fault.addr f)) fault) )
       end
     in
-    (Canary.diagnose ?fault canary, violations, fuel_burned, offender_sites)
+    (Canary.diagnose ?fault canary, violations, fuel_burned, canary_sites, fault_sites)
   in
   (* The whole ladder's seeds are frozen up front (attempts 0 through
      max_retries + 1, the last being the rescue rung): seed assignment
@@ -383,18 +405,12 @@ let run ?(policy = default_policy) ?(config = Config.default)
   in
   let attempts, verdict, output = ladder 0 [] in
   let first = List.hd attempts in
-  let diagnosis, canary_violations, diag_fuel, offender_sites =
-    if first.ok || not policy.diagnose then (None, [], 0, [])
+  let diagnosis, canary_violations, diag_fuel, canary_sites, fault_sites =
+    if first.ok || not policy.diagnose then (None, [], 0, [], [])
     else
-      let d, v, f, sites = diagnose_replay first in
-      (Some d, v, f, sites)
+      let d, v, f, canary_sites, fault_sites = diagnose_replay first in
+      (Some d, v, f, canary_sites, fault_sites)
   in
-  (* The rescue rung degrades every allocation; charge the degradation
-     to the sites diagnosis blamed for forcing it. *)
-  if
-    Dh_obs.Control.enabled ()
-    && List.exists (fun a -> a.plan.mode = Rescue) attempts
-  then List.iter (fun site -> Dh_obs.Audit.record_rescue ~site) offender_sites;
   {
     program = program.Program.name;
     verdict;
@@ -410,7 +426,8 @@ let run ?(policy = default_policy) ?(config = Config.default)
        un-instrumented runs compare structurally equal. *)
     offenders =
       (if Dh_obs.Control.enabled () then
-         Dh_obs.Audit.top_sites (Dh_obs.Audit.sites ())
+         offenders !audits ~canary_sites ~fault_sites
+           ~rescued:(List.exists (fun a -> a.plan.mode = Rescue) attempts)
        else []);
   }
 

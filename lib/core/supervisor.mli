@@ -115,11 +115,14 @@ type incident = {
   offenders : Dh_obs.Audit.site_stat list;
       (** Top allocation sites by attributed events (canary hits from
           the diagnosis replay, the fault's own address, rescue
-          degradations), from {!Dh_obs.Audit.top_sites}.  The replay
-          runs the failed attempt's exact seed and heap shape, so its
-          addresses — and therefore its site attributions — coincide
-          with the failed run's.  Always [[]] when observability is
-          disabled (same contract as [flight]). *)
+          degradations), then by allocations, from
+          {!Dh_obs.Audit.top_sites}.  The replay runs the failed
+          attempt's exact seed and heap shape, so its addresses — and
+          therefore its site attributions — coincide with the failed
+          run's.  Allocation and free counts fold the audits of the
+          ladder attempts' heaps only: the replay re-runs a failed
+          attempt and would count it twice.  Always [[]] when
+          observability is disabled (same contract as [flight]). *)
 }
 
 val run :

@@ -60,10 +60,13 @@ type libc =
   | Bounded  (** DieHard's replacement library functions (§4.4). *)
 
 exception Runtime_error of string
-(** A MiniC-level error that is a bug in the {e simulation input}, not a
-    simulated memory error: unknown variable or function, wrong arity,
-    division by zero.  Escapes {!Dh_mem.Process.run} — experiments never
-    trigger it with well-formed programs. *)
+(** A MiniC-level error that is not a simulated memory error: unknown
+    variable or function, wrong arity, missing [main], or division by
+    zero.  Escapes {!Dh_mem.Process.run}, and so a replicated run.  A
+    well-formed program can raise it: one that divides by an
+    uninitialized byte raises ["modulo by zero"] in a replica whose
+    random fill made that byte even.  The CLI reports it as a usage
+    error (exit 2). *)
 
 val program_of_source : ?libc:libc -> name:string -> string -> Dh_alloc.Program.t
 (** Parse MiniC source text and package it as a runnable

@@ -8,24 +8,29 @@
     [Dh_analysis.Margin] (the obs layer is a leaf and cannot see the
     theorem formulas).
 
-    Two kinds of signal:
+    Each heap owns one audit ({!t}), because every bound is a function
+    of one heap: its M and its fullness.  A process may hold several
+    heaps (the k replicas of replicated mode, the supervisor's retry
+    ladder and its canary replay), and a reader folds exactly the
+    audits it is handed ({!snapshot}).  An audit records two kinds of
+    signal:
 
     - {b Per-class flow} — allocations, frees and threshold-refused
       allocations per size class, plus a 64-bucket histogram of the
       relative slot position chosen by each allocation, which audits the
       allocator's randomness against the uniform-choice assumption the
-      theorems require ({!entropy_bits}).  Fed from the heap hot path
-      through a caller-held {!local} {!Cell} handle: one enabled check,
-      one owner compare (see {!Cell}), plain in-place adds.
+      theorems require ({!entropy_bits}).  Plain in-place adds on the
+      audit's own arrays: a heap is used from one domain at a time.
     - {b Allocation-site provenance} — every allocation carries a small
       interned {!site} id (a workload callsite, a MiniC AST node, or
-      {!unknown}); per-site counters attribute canary verdicts, faults
-      and rescues back to the site that allocated the victim object.
+      {!unknown}), and the audit tallies allocations and frees per site.
 
     Masked/trial tallies are not recorded here: a fault campaign returns
     its tally, and the audit bench hands its M-sweep's tallies to the
     margin report it builds.  Nor is live occupancy, which
-    [Dh_analysis.Margin] reads from the heap it audits.
+    [Dh_analysis.Margin] reads from the heap it audits, nor the
+    canary, fault and rescue attributions, which the supervisor computes
+    for its incident.
 
     Everything recorded here is write-only telemetry behind
     {!Control.enabled}: it never feeds back into execution, so a run's
@@ -63,10 +68,10 @@ val site_count : unit -> int
     diagnosis wrappers ([Canary], [Rescue], the injector) forward
     [malloc : int -> int option] closures and know nothing about sites.
     Rather than widening every wrapper, the current site is ambient,
-    per-domain state kept in the recording domain's audit cell: a caller
-    brackets its allocation in {!with_site}, and the heap's [malloc]
-    reads it back through {!record_alloc}, in the same cell lookup that
-    records the allocation.  Setting the ambient site is a no-op while
+    per-domain state in a {!Cell}: a caller brackets its allocation in
+    {!with_site}, and the heap's [malloc] reads it back through
+    {!record_alloc}, on the audit's own handle.  This is the audit's
+    only per-domain state.  Setting the ambient site is a no-op while
     disabled (the heap would not read it anyway). *)
 
 val current_site : unit -> int
@@ -77,15 +82,17 @@ val with_site : int -> ('a -> 'b) -> 'a -> 'b
     re-raised with its backtrace).  Runs [f x] untouched while
     disabled.  [with_site site a.malloc size] builds no closure. *)
 
-(** {1 The hot-path feed} *)
+(** {1 One heap's audit} *)
 
-type local
-(** A caller-held {!Cell} handle onto the process-wide audit cells (the
-    heap keeps one per heap), caching the recording domain's cell. *)
+type t
+(** One heap's per-class flow and per-site tallies.  Recording mutates
+    it in place, from the domain using the heap. *)
 
-val local : unit -> local
+val create : unit -> t
+(** An empty audit.  Built whether or not observability is enabled;
+    the records below do nothing while it is disabled. *)
 
-val record_alloc : local -> class_:int -> index:int -> capacity:int -> int
+val record_alloc : t -> class_:int -> index:int -> capacity:int -> int
 (** One successful allocation: slot [index] of a [capacity]-slot region
     for [class_], attributed to the ambient site, which it returns
     ({!unknown} while disabled).  The slot position feeds the
@@ -95,21 +102,9 @@ val record_alloc : local -> class_:int -> index:int -> capacity:int -> int
     object) records no slot position.  Probe counts and requested bytes
     are not recorded here: the heap's [Stats] holds them exactly. *)
 
-val record_free : local -> class_:int -> site:int -> unit
-val record_failed : local -> class_:int -> unit
+val record_free : t -> class_:int -> site:int -> unit
+val record_failed : t -> class_:int -> unit
 (** An allocation refused by the 1/M occupancy threshold. *)
-
-(** {1 Attributed events} *)
-
-val record_canary : site:int -> unit
-(** A canary violation was attributed to an object allocated at
-    [site]. *)
-
-val record_fault : site:int -> unit
-(** A memory fault (crash) was attributed to [site]. *)
-
-val record_rescue : site:int -> unit
-(** A rescue degradation was applied to allocations from [site]. *)
 
 (** {1 Reading} *)
 
@@ -130,19 +125,18 @@ type site_stat = {
   faults : int;
   rescues : int;
 }
+(** One site's tallies.  [canaries], [faults] and [rescues] are
+    attributed events: 0 in a {!snapshot}; the supervisor fills them in
+    for its incident's offenders. *)
 
 type snapshot = {
   classes : class_stat array;  (** Length {!max_classes}, indexed by class. *)
-  sites : site_stat list;  (** Sites with any activity, by id. *)
+  sites : site_stat list;  (** Sites with any allocation or free, by id. *)
 }
 
-val snapshot : unit -> snapshot
-(** Merge every per-domain cell now (the {!Cell} read contract: exact
-    once writers have been joined). *)
-
-val sites : unit -> site_stat list
-(** The [sites] of a {!snapshot}, without merging the class
-    histograms. *)
+val snapshot : t list -> snapshot
+(** The sum of the given audits.  Exact once the domains recording into
+    them have been joined. *)
 
 val top_sites : site_stat list -> site_stat list
 (** The 5 most suspect of [sites]: most attributed events
@@ -164,6 +158,5 @@ val entropy_bits : int array -> float
     samples accumulate. *)
 
 val reset : unit -> unit
-(** Drop everything — cells (zeroed in place, so {!local} handles stay
-    valid), site registry (back to {!unknown} only), attributed events
-    — for tests. *)
+(** Reset the site registry (back to {!unknown} only) and the calling
+    domain's ambient site — for tests. *)

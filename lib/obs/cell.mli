@@ -1,6 +1,7 @@
-(** Per-domain buffered cells: the one storage primitive under every
-    recording instrument ({!Quantile} histograms, {!Audit}'s per-class
-    and per-site counters, {!Tracing}'s rings).
+(** Per-domain buffered cells: the one storage primitive for state
+    written from several domains ({!Quantile} histograms, {!Tracing}'s
+    rings, {!Audit}'s ambient site).  A heap's audit counters are not
+    cells: the heap owns them, and one domain uses a heap at a time.
 
     A cell set holds one private value per domain that ever wrote to it,
     created on that domain's first {!get} and never unregistered.
@@ -20,8 +21,8 @@
     A handle may be used from several domains at once: the cached owner
     and value are replaced together, so a domain only ever receives its
     own value, but concurrent writers evict each other's cache and each
-    pay the re-resolve.  Long-lived single-writer components (a heap, a
-    serve loop) therefore take their own handle with {!share}.
+    pay the re-resolve.  Long-lived single-writer components (a heap's
+    audit, a serve loop) therefore take their own handle with {!share}.
 
     Values are written only by their owning domain with plain stores.
     Reads ({!fold}) see every value without synchronizing: they may lag

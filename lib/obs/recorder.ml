@@ -27,20 +27,6 @@ let current_step = Atomic.make (-1)
 let set_step k = Atomic.set current_step k
 let clear_step () = Atomic.set current_step (-1)
 
-(* The section every capture reads straight from the audit: the most
-   suspect allocation sites, rendered as "" (and not printed) when there
-   is nothing to show. *)
-let top_sites_body () =
-  String.concat ""
-    (List.map
-       (fun (s : Audit.site_stat) ->
-         Printf.sprintf
-           "%-24s allocs=%d frees=%d canaries=%d faults=%d rescues=%d \
-            events/1k-allocs=%.2f\n"
-           s.name s.s_allocs s.s_frees s.canaries s.faults s.rescues
-           (1000. *. Audit.ratio (s.canaries + s.faults + s.rescues) s.s_allocs))
-       (Audit.top_sites (Audit.sites ())))
-
 let trigger ?(sections = []) ~reason () =
   if Control.enabled () then begin
     let step = Atomic.get current_step in
@@ -51,7 +37,7 @@ let trigger ?(sections = []) ~reason () =
         reason;
         step = (if step >= 0 then Some step else None);
         events = Tracing.last_events window;
-        sections = sections @ [ { title = "audit.top-sites"; body = top_sites_body () } ];
+        sections;
       }
     in
     Mutex.protect lock (fun () ->

@@ -2,12 +2,12 @@
 
     When a simulated memory fault is raised, or a supervisor attempt
     dies, the instrumented layers call {!trigger}: the recorder
-    snapshots the last {!window} trace events, the caller's sections
+    snapshots the last {!window} trace events and the caller's sections
     (the faulting address's neighborhood and the counters of the
-    component that raised it) and one section read from {!Audit} (the
-    most suspect allocation sites) into a structured {!report}.  It
-    reads no heap: a process may hold several, and only the triggering
-    component knows which one its evidence describes.  Reports
+    component that raised it) into a structured {!report}.  It reads no
+    heap and no audit: a process may hold several, and only the
+    triggering component knows which one its evidence describes.  The
+    most suspect allocation sites are the incident's [offenders].  Reports
     accumulate in a bounded queue that {!Supervisor} drains into its
     incidents and the CLI prints.
 
@@ -25,9 +25,8 @@ type report = {
           fired — the cursor position time-travel replay walks back to. *)
   events : Tracing.event list;  (** The last {!window} trace events. *)
   sections : section list;
-      (** Caller-supplied sections first, then ["audit.top-sites"] (one
-          line per {!Audit.top_sites} entry; [""] when it has no
-          lines). *)
+      (** The caller-supplied sections, in order; a section whose body
+          is [""] is not printed. *)
 }
 
 val window : int

@@ -3,7 +3,8 @@
    ambient site, retained across free for dangling blame), threshold-refusal
    counting, slot entropy, the guarded ratios behind every rate the
    audit reports, the Margin bound evaluation at degenerate occupancies
-   and against the heap it is handed,
+   and against the heap it is handed (its occupancy and its own audit's
+   flows, never another heap's),
    empirical outcome tallies, and the write-only contract: a run's
    output must be byte-identical with the audit on or off.  Plus the
    Window registry edge cases (find on unregistered names, writes behind
@@ -86,7 +87,7 @@ let test_heap_attribution () =
          dangling-pointer incident should blame. *)
       check_int "site retained after free" s_p
         (Option.get (Heap.site_of_addr heap p));
-      let snap = Audit.snapshot () in
+      let snap = Audit.snapshot [ Heap.audit heap ] in
       let stat name =
         List.find (fun (s : Audit.site_stat) -> s.Audit.name = name)
           snap.Audit.sites
@@ -153,12 +154,12 @@ let test_threshold_refusals_counted () =
         ignore (Heap.malloc heap 64)
       done;
       check "threshold refuses the next" true (Heap.malloc heap 64 = None);
-      let snap = Audit.snapshot () in
+      let snap = Audit.snapshot [ Heap.audit heap ] in
       let c = snap.Audit.classes.(3) in
       check_int "allocs audited" threshold c.Audit.allocs;
       check "refusal audited" true (c.Audit.failed >= 1);
       (* and the margin report reads the class at threshold off the heap *)
-      let m = class_margin (Margin.of_snapshot ~heap snap) 3 in
+      let m = class_margin (Margin.of_heap heap) 3 in
       check_int "occupancy live" threshold m.Margin.cm_live;
       check_int "occupancy threshold" threshold m.Margin.cm_threshold)
 
@@ -173,7 +174,7 @@ let test_margin_reads_its_heap () =
         ignore (Audit.with_site site (Heap.malloc a) 64)
       done;
       let _b = fresh_heap ~seed:8 () in
-      let m = class_margin (Margin.of_snapshot ~heap:a (Audit.snapshot ())) 3 in
+      let m = class_margin (Margin.of_heap a) 3 in
       check_int "live at threshold" threshold m.Margin.cm_live;
       check_int "threshold" threshold m.Margin.cm_threshold;
       check_int "capacity" (Heap.region_capacity a ~class_:3) m.Margin.cm_capacity;
@@ -184,8 +185,33 @@ let test_margin_reads_its_heap () =
         ignore (Heap.malloc a 32)
       done;
       let _b = fresh_heap ~seed:8 () in
-      let m = class_margin (Margin.of_snapshot ~heap:a (Audit.snapshot ())) 2 in
+      let m = class_margin (Margin.of_heap a) 2 in
       check_int "the older heap's live objects" 100 m.Margin.cm_live)
+
+(* Two heaps on one domain: each margin report holds its own heap's
+   allocations, slot samples and sites, and none of the other's. *)
+let test_margin_own_flows () =
+  with_audit (fun () ->
+      let small = Audit.site "test:small" and big = Audit.site "test:big" in
+      let h1 = fresh_heap () and h2 = fresh_heap ~seed:8 () in
+      for _ = 1 to 10 do
+        ignore (Audit.with_site small (Heap.malloc h1) 64)
+      done;
+      for _ = 1 to 100 do
+        ignore (Audit.with_site big (Heap.malloc h2) 64)
+      done;
+      let own heap ~site ~n =
+        let r = Margin.of_heap heap in
+        let m = class_margin r 3 in
+        check_int "live" n m.Margin.cm_live;
+        check_int "allocs" n m.Margin.cm_allocs;
+        check_int "samples" n m.Margin.cm_samples;
+        Alcotest.(check (list (pair string int)))
+          "sites" [ (Audit.site_name site, n) ]
+          (List.map (fun (s : Audit.site_stat) -> (s.Audit.name, s.Audit.s_allocs)) r.Margin.sites)
+      in
+      own h1 ~site:small ~n:10;
+      own h2 ~site:big ~n:100)
 
 (* --- entropy and guarded ratios -------------------------------------- *)
 
@@ -216,7 +242,7 @@ let test_margin_degenerate_occupancy () =
       for _ = 1 to threshold do
         ignore (Heap.malloc heap 64)
       done;
-      let r = Margin.of_snapshot ~heap (Audit.snapshot ()) in
+      let r = Margin.of_heap heap in
       List.iter
         (fun c ->
           check "occupancy finite" false (Float.is_nan c.Margin.cm_occupancy);
@@ -227,7 +253,7 @@ let test_margin_degenerate_occupancy () =
         r.Margin.classes;
       check "stand-alone detects no uninit reads" true (r.Margin.uninit_detect = 0.));
   with_audit (fun () ->
-      let r = Margin.of_snapshot ~heap:(fresh_heap ()) (Audit.snapshot ()) in
+      let r = Margin.of_heap (fresh_heap ()) in
       check "empty snapshot of an unmapped heap has no classes" true
         (r.Margin.classes = []))
 
@@ -237,7 +263,7 @@ let test_margin_degenerate_occupancy () =
    alone carries none. *)
 let test_empirical_rates () =
   with_audit (fun () ->
-      let r = Margin.of_snapshot ~heap:(fresh_heap ()) (Audit.snapshot ()) in
+      let r = Margin.of_heap (fresh_heap ()) in
       check "a snapshot carries no tallies" true (r.Margin.empirical = []);
       let em kind masked trials =
         {
@@ -275,12 +301,20 @@ let test_top_sites_ranking () =
         let quiet = Audit.site (Printf.sprintf "quiet%d" i) in
         ignore (Audit.with_site quiet (Heap.malloc heap) 64)
       done;
-      Audit.record_canary ~site:guilty;
-      Audit.record_fault ~site:guilty;
-      let ids = List.map (fun s -> s.Audit.site_id) (Audit.sites ()) in
+      let sites = (Audit.snapshot [ Heap.audit heap ]).Audit.sites in
+      let ids = List.map (fun s -> s.Audit.site_id) sites in
       check "every active site, by id" true
         (ids = List.sort_uniq compare ids && List.length ids = 8);
-      let ranked = Audit.top_sites (Audit.sites ()) in
+      (* A snapshot attributes no events; the caller that blamed a site
+         (the supervisor, for its incident) adds them. *)
+      check "a snapshot carries no events" true
+        (List.for_all (fun s -> s.Audit.canaries + s.Audit.faults + s.Audit.rescues = 0) sites);
+      let blamed =
+        List.map
+          (fun s -> if s.Audit.site_id = guilty then { s with Audit.canaries = 1; faults = 1 } else s)
+          sites
+      in
+      let ranked = Audit.top_sites blamed in
       check_int "top five of eight sites" 5 (List.length ranked);
       match ranked with
       | first :: second :: _ ->
@@ -364,6 +398,8 @@ let suite =
     Alcotest.test_case "ratio: div-by-zero guards" `Quick test_ratio_guard;
     Alcotest.test_case "margin: reads the heap it is given" `Quick
       test_margin_reads_its_heap;
+    Alcotest.test_case "margin: each heap sees only its own flows" `Quick
+      test_margin_own_flows;
     Alcotest.test_case "margin: degenerate occupancies stay finite" `Quick
       test_margin_degenerate_occupancy;
     Alcotest.test_case "margin: empirical rates render" `Quick test_empirical_rates;

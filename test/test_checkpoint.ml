@@ -573,11 +573,11 @@ let test_dirty_delta_counts_bytes () =
 (* What one memory fault's flight capture allocates with obs on, a
    checkpoint armed over dirty pages and a full 4,096-event trace ring:
    the capture reads the ring's newest 64 events rather than sorting
-   every retained one, and the top-sites section merges only the
-   per-site tallies, not the class histograms, so it stays under a
-   pinned bound (minor words on this domain with OCaml 5.1: about 4,100;
-   rebuilding the histograms made it 11,631, and sorting the whole ring
-   354,162). *)
+   every retained one, and reads no audit, so it stays under a pinned
+   bound (minor words on this domain with OCaml 5.1: about 3,800; a
+   top-sites section read from a process-wide audit made it about
+   3,870 with no site recorded, rebuilding that audit's class histograms
+   11,631, and sorting the whole ring 354,162). *)
 let fault_capture_words_bound = 6_000.
 
 let test_fault_capture_allocation () =

@@ -139,35 +139,43 @@ let test_latency_never_negative () =
   done
 
 (* Four domains record disjoint slices into a histogram (each through
-   its own shared handle) and the audit (through one handle all four use
-   at once, so its cached cells keep being evicted).  Every merged read
-   must equal a sequential oracle. *)
+   its own shared handle, merged on read) and into four audits, one per
+   domain, each under that domain's own ambient site.  The merged
+   histogram must equal a sequential oracle; each audit must hold only
+   its own domain's slice, and record_alloc must return that domain's
+   site. *)
 let test_shard_merge_under_domains () =
   with_clean @@ fun () ->
   Audit.reset ();
   Fun.protect ~finally:Audit.reset @@ fun () ->
   let t = Quantile.named "test.sharded" in
-  let lc = Audit.local () in
-  let site = Audit.site "test.sharded.site" in
+  let site_of d = Audit.site (Printf.sprintf "test.sharded.site%d" d) in
+  let sites = List.init 4 site_of in
   let slice d = List.init 500 (fun i -> (d * 10_000) + (i * 7)) in
   let class_of v = v mod 12 and index_of v = v mod 64 in
-  let record_audit v =
-    let record v = Audit.record_alloc lc ~class_:(class_of v) ~index:(index_of v) ~capacity:64 in
+  let record_audit audit site v =
+    let record v =
+      Audit.record_alloc audit ~class_:(class_of v) ~index:(index_of v) ~capacity:64
+    in
     if Audit.with_site site record v <> site then
       failwith "record_alloc did not return the ambient site"
   in
   let domains =
-    List.init 4 (fun d ->
+    List.mapi
+      (fun d site ->
         Domain.spawn (fun () ->
             Control.with_enabled true (fun () ->
                 let local = Quantile.share t in
+                let audit = Audit.create () in
                 List.iter
                   (fun v ->
                     Quantile.record local v;
-                    record_audit v)
-                  (slice d))))
+                    record_audit audit site v)
+                  (slice d);
+                audit)))
+      sites
   in
-  List.iter Domain.join domains;
+  let audits = List.map Domain.join domains in
   let all = List.concat_map slice [ 0; 1; 2; 3 ] in
   let merged = Quantile.snapshot t in
   let oracle = Quantile.named "test.sharded.oracle" in
@@ -186,8 +194,9 @@ let test_shard_merge_under_domains () =
   let remerged = Quantile.merge merged Quantile.empty in
   check_int "merge with empty is identity" (Quantile.count merged)
     (Quantile.count remerged);
-  let audit_matches vs =
-    let snap = Audit.snapshot () in
+  (* [audits] folded, against the values recorded and their sites *)
+  let audit_matches audits vs sites =
+    let snap = Audit.snapshot audits in
     let allocs = Array.make Audit.max_classes 0 in
     let slots = Array.make_matrix Audit.max_classes Audit.slot_buckets 0 in
     List.iter
@@ -203,27 +212,36 @@ let test_shard_merge_under_domains () =
     && List.map
          (fun (s : Audit.site_stat) -> (s.Audit.site_id, s.Audit.s_allocs))
          snap.Audit.sites
-       = if vs = [] then [] else [ (site, List.length vs) ]
+       = sites
   in
-  check "merged audit classes and sites" true (audit_matches all);
-  (* Reset zeroes every cell in place: handles taken before it stay
-     valid and record from zero. *)
+  List.iteri
+    (fun d audit ->
+      check
+        (Printf.sprintf "domain %d's audit holds only its slice" d)
+        true
+        (audit_matches [ audit ] (slice d) [ (site_of d, 500) ]))
+    audits;
+  check "the four audits fold to the whole" true
+    (audit_matches audits all (List.map (fun site -> (site, 500)) sites));
+  (* Reset zeroes every histogram cell in place: handles taken before it
+     stay valid and record from zero.  The site registry restarts, so
+     names re-intern at the same ids. *)
   Quantile.reset ();
   Audit.reset ();
-  let site' = Audit.site "test.sharded.site" in
-  check_int "site re-interned at the same id" site site';
+  check_int "site re-interned at the same id" (List.hd sites) (site_of 0);
   check_int "histogram zeroed" 0 (Quantile.count (Quantile.snapshot t));
-  check "audit zeroed" true (audit_matches []);
   let again = [ 3; 700; 70_000 ] in
+  let audit = Audit.create () in
   List.iter
     (fun v ->
       Quantile.record t v;
-      record_audit v)
+      record_audit audit (List.hd sites) v)
     again;
   let after = Quantile.snapshot t in
   check_int "records after reset" 3 (Quantile.count after);
   check_int "sum after reset" (3 + 700 + 70_000) (Quantile.sum after);
-  check "audit after reset" true (audit_matches again)
+  check "a fresh audit holds only its own records" true
+    (audit_matches [ audit ] again [ (List.hd sites, 3) ])
 
 (* --- Window rotation ------------------------------------------------- *)
 
@@ -398,9 +416,9 @@ let test_serve_telemetry () =
     (Quantile.count (Quantile.snapshot latency))
 
 (* An obs-on supervised server that faults (2,000 requests, attack every
-   97; attempt 0 dies on its first fault), with the allocator of every
-   rung and replay in the order the supervisor built them: attempt 0's
-   comes first. *)
+   97; attempt 0 dies on its first fault): the incident, its first
+   flight record, and attempt 0's allocator (the supervisor builds every
+   rung and replay in order, attempt 0's first). *)
 let faulting_incident () =
   let allocs = ref [] in
   let incident =
@@ -416,26 +434,50 @@ let faulting_incident () =
     | r :: _ -> r
     | [] -> Alcotest.fail "no flight record"
   in
-  (first, List.hd (List.rev !allocs))
+  (incident, first, List.hd (List.rev !allocs))
 
 let section (r : Recorder.report) title =
   match List.find_opt (fun s -> s.Recorder.title = title) r.Recorder.sections with
   | Some s -> List.filter (fun l -> l <> "") (String.split_on_char '\n' s.Recorder.body)
   | None -> Alcotest.failf "no %s section" title
 
-(* The flight record reads site tallies straight from the audit: the
-   first record carries the audit.top-sites section, and no
-   heap.occupancy section — the recorder reads no heap, and a fault's
-   evidence is the triggering component's own. *)
-let test_flight_record_reads_audit () =
+(* The most suspect sites live in the incident's offenders, folded
+   from the ladder attempts' heaps.  A capture carries only its
+   triggering component's evidence: no top-sites section and no
+   heap.occupancy section, since the recorder reads no heap and no
+   audit. *)
+let test_offenders_not_captures () =
   with_clean @@ fun () ->
   Audit.reset ();
   Fun.protect ~finally:Audit.reset @@ fun () ->
-  let r, _ = faulting_incident () in
-  check "no heap.occupancy section" false
-    (List.exists (fun s -> s.Recorder.title = "heap.occupancy") r.Recorder.sections);
-  check "top-sites section names the server's sites" true
-    (List.exists (String.starts_with ~prefix:"server:") (section r "audit.top-sites"))
+  let incident, _, _ = faulting_incident () in
+  check "offenders name the server's sites" true
+    (List.exists
+       (fun (s : Audit.site_stat) -> String.starts_with ~prefix:"server:" s.Audit.name)
+       incident.Supervisor.offenders);
+  List.iter
+    (fun (r : Recorder.report) ->
+      List.iter
+        (fun title ->
+          check (title ^ " section absent") false
+            (List.exists (fun s -> s.Recorder.title = title) r.Recorder.sections))
+        [ "audit.top-sites"; "heap.occupancy" ])
+    incident.Supervisor.flight
+
+(* Two identical obs-on supervised runs in one process report the same
+   offenders: each counts only its own attempts' heaps. *)
+let test_offenders_per_run () =
+  with_clean @@ fun () ->
+  let offenders () =
+    (Supervisor.run
+       ~config:(Diehard.Config.v ~heap_size:Server.heap_size ~obs:true ())
+       (Server.program ~requests:512 ()))
+      .Supervisor.offenders
+  in
+  let first = offenders () in
+  let title = List.find (fun (s : Audit.site_stat) -> s.Audit.name = "server:title") first in
+  check_int "one title per request" 512 title.Audit.s_allocs;
+  check "the second run's offenders equal the first's" true (offenders () = first)
 
 (* A fault's flight record carries the counters of the address space
    that raised it — attempt 0's, not those of whichever space was built
@@ -444,7 +486,7 @@ let test_flight_record_mem_counters () =
   with_clean @@ fun () ->
   Audit.reset ();
   Fun.protect ~finally:Audit.reset @@ fun () ->
-  let r, attempt0 = faulting_incident () in
+  let _, r, attempt0 = faulting_incident () in
   let mem = attempt0.Dh_alloc.Allocator.mem in
   let s = Dh_mem.Mem.stats mem in
   Alcotest.(check (list string))
@@ -517,23 +559,22 @@ let test_serve_leg_fingerprint () =
 (* The obs work a served request costs, counted from instrument totals
    on a short serve leg: the serve loop's one latency sample per handled
    request (replays included), and the heap's one audit record per malloc and
-   per free plus their sampled trace instants.  Every count is a
-   deterministic function of the leg. *)
+   per free plus their sampled trace instants.  The audit records are
+   read from the leg's heaps, through the incident's offenders: the
+   server allocates at four named sites, and nothing at this length is
+   refused by the threshold.  Every count is a deterministic function of
+   the leg. *)
 let test_serve_records_per_request () =
-  Audit.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      wipe ();
-      Audit.reset ())
-  @@ fun () ->
+  Fun.protect ~finally:wipe @@ fun () ->
   Tracing.reset ();
   let requests = 2_000 in
   let l = Dh_bench.Serve.run_leg ~requests ~seed:1 () in
   let handled = Quantile.count l.Dh_bench.Serve.latency in
+  check_int "all four server sites" 4 (List.length l.Dh_bench.Serve.offenders);
   let audit =
-    Array.fold_left
-      (fun acc (c : Audit.class_stat) -> acc + c.Audit.allocs + c.Audit.frees + c.Audit.failed)
-      0 (Audit.snapshot ()).Audit.classes
+    List.fold_left
+      (fun acc (s : Audit.site_stat) -> acc + s.Audit.s_allocs + s.Audit.s_frees)
+      0 l.Dh_bench.Serve.offenders
   in
   let instants =
     List.length
@@ -595,8 +636,10 @@ let suite =
       test_step_groups;
     Alcotest.test_case "recorder: advertised step fills reports" `Quick
       test_advertised_step;
-    Alcotest.test_case "recorder: flight record reads the audit" `Quick
-      test_flight_record_reads_audit;
+    Alcotest.test_case "recorder: top sites are the incident's" `Quick
+      test_offenders_not_captures;
+    Alcotest.test_case "supervisor: offenders count one run" `Quick
+      test_offenders_per_run;
     Alcotest.test_case "recorder: a fault's record carries its own mem counters" `Quick
       test_flight_record_mem_counters;
     Alcotest.test_case "recorder: a failed attempt's record carries its heap stats" `Quick
