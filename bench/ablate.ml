@@ -157,7 +157,7 @@ let a5_multiplier ~trials =
           Printf.sprintf "M=%d" multiplier;
           Report.pct analytic;
           Report.pct (float_of_int !masked /. float_of_int trials);
-          Report.f2 (Dh_analysis.Theorems.expected_probes ~multiplier);
+          Report.f2 (Dh_analysis.Theorems.expected_probes ~multiplier:(float_of_int multiplier));
           Printf.sprintf "%dx" multiplier;
         ])
       [ 2; 4; 8 ]

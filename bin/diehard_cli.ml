@@ -767,9 +767,10 @@ let main_cmd =
 
 (* Malformed input — a bad flag value a library rejects, a missing file,
    MiniC that does not parse, a MiniC runtime error (an unknown name, a
-   wrong arity or no main, raised when execution reaches it; or a
-   division by zero) — is a usage error: one line, exit 2.  Anything
-   else is a bug, reported as cmdliner would (exit 125). *)
+   wrong arity or no main, raised when execution reaches it) — is a
+   usage error: one line, exit 2.  A division by zero is none of these:
+   it crashes the simulated process.  Anything else is a bug, reported
+   as cmdliner would (exit 125). *)
 let () =
   let usage_error msg =
     Printf.eprintf "diehard: %s\n" msg;

@@ -144,7 +144,7 @@ let diagnose ?fault t =
     | Some (Fault.Unmapped { access = Fault.Read; _ }) -> Wild_read
     | Some (Fault.Unmap_unmapped _) -> Wild_write
     | Some (Fault.Protect_unmapped _) -> Wild_write
-    | None -> Unclear
+    | Some (Fault.Arith_trap _) | None -> Unclear
 
 let diagnosis_to_string = function
   | Buffer_overflow -> "buffer overflow"

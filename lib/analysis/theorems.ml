@@ -41,8 +41,8 @@ let multiple_errors_mask_probability ps =
   List.fold_left ( *. ) 1. ps
 
 let expected_probes ~multiplier =
-  if multiplier < 2 then invalid_arg "Theorems: multiplier must be >= 2";
-  1. /. (1. -. (1. /. float_of_int multiplier))
+  if not (multiplier > 1.) then invalid_arg "Theorems: multiplier must be > 1";
+  1. /. (1. -. (1. /. multiplier))
 
 let figure_4b ~heap_size ~multiplier ~object_sizes ~allocations =
   let region = heap_size / Dh_alloc.Size_class.count in

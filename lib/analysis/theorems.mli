@@ -40,8 +40,9 @@ val multiple_errors_mask_probability : float list -> float
     avoiding each error" (under the stated independence assumption).
     Takes the per-error masking probabilities. *)
 
-val expected_probes : multiplier:int -> float
-(** §4.2: expected bitmap probes per allocation, [1 / (1 - 1/M)]. *)
+val expected_probes : multiplier:float -> float
+(** §4.2: expected bitmap probes per allocation, [1 / (1 - 1/M)], for
+    the heap's M, a float > 1 as in {!Diehard.Config}. *)
 
 (** {1 Series generator for Figure 4(b)} *)
 

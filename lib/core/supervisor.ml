@@ -322,13 +322,13 @@ let run ?(policy = default_policy) ?(config = Config.default)
     in
     let ok = success result in
     (* A memory fault has already been captured at raise time by [Mem],
-       with its address space's counters; failures without a fault
-       (abort, fuel exhaustion, bad exit code) are captured here, with
-       the attempt's heap counters, so every failed rung leaves a flight
-       record. *)
+       with its address space's counters; failures without one (abort,
+       arithmetic trap, fuel exhaustion, bad exit code) are captured
+       here, with the attempt's heap counters, so every failed rung
+       leaves a flight record. *)
     (if (not ok) && Dh_obs.Control.enabled () then
        match result.Process.outcome with
-       | Process.Crashed _ -> ()
+       | Process.Crashed f when Dh_mem.Fault.is_memory f -> ()
        | outcome ->
          Dh_obs.Recorder.trigger
            ~sections:
@@ -380,7 +380,9 @@ let run ?(policy = default_policy) ?(config = Config.default)
             ~default:Dh_obs.Audit.unknown
         in
         ( List.map (fun (v : Canary.violation) -> site_of v.Canary.addr) violations,
-          Option.to_list (Option.map (fun f -> site_of (Dh_mem.Fault.addr f)) fault) )
+          match fault with
+          | Some f when Dh_mem.Fault.is_memory f -> [ site_of (Dh_mem.Fault.addr f) ]
+          | _ -> [] )
       end
     in
     (Canary.diagnose ?fault canary, violations, fuel_burned, canary_sites, fault_sites)

@@ -307,7 +307,10 @@ let rec stray_signal (s : Ast.stmt) =
   | _ -> false
 
 let of_bool b = if b then 1 else 0
-let runtime_error msg = raise (Runtime_error msg)
+
+(* The simulated machine's SIGFPE: the process crashes, as a replica
+   that divides by an uninitialized byte does in C. *)
+let arith_trap op = Dh_mem.Fault.raise_fault (Dh_mem.Fault.Arith_trap op)
 
 (* Frame accesses are in bounds by construction: every frame is sized
    for the slots its function's code mentions. *)
@@ -322,8 +325,8 @@ let[@inline] arith (op : Ast.binop) x y =
   | Ast.Add -> x + y
   | Ast.Sub -> x - y
   | Ast.Mul -> x * y
-  | Ast.Div -> if y = 0 then runtime_error "division by zero" else x / y
-  | Ast.Mod -> if y = 0 then runtime_error "modulo by zero" else x mod y
+  | Ast.Div -> if y = 0 then arith_trap Dh_mem.Fault.Division else x / y
+  | Ast.Mod -> if y = 0 then arith_trap Dh_mem.Fault.Modulo else x mod y
   | Ast.Eq -> of_bool (x = y)
   | Ast.Ne -> of_bool (x <> y)
   | Ast.Lt -> of_bool (x < y)

@@ -60,13 +60,14 @@ type libc =
   | Bounded  (** DieHard's replacement library functions (§4.4). *)
 
 exception Runtime_error of string
-(** A MiniC-level error that is not a simulated memory error: unknown
-    variable or function, wrong arity, missing [main], or division by
-    zero.  Escapes {!Dh_mem.Process.run}, and so a replicated run.  A
-    well-formed program can raise it: one that divides by an
-    uninitialized byte raises ["modulo by zero"] in a replica whose
-    random fill made that byte even.  The CLI reports it as a usage
-    error (exit 2). *)
+(** A MiniC-level error in the program text, not in its run: unknown
+    variable or function, wrong arity, or missing [main].  Escapes
+    {!Dh_mem.Process.run}, and so a replicated run; a program {!check}
+    accepts never raises it.  The CLI reports it as a usage error (exit
+    2).  An integer division or modulo by zero is the simulated
+    machine's [Dh_mem.Fault.Arith_trap] instead: the process crashes, so
+    a replica that divides by an uninitialized byte its random fill made
+    zero is dropped and the rest vote. *)
 
 val program_of_source : ?libc:libc -> name:string -> string -> Dh_alloc.Program.t
 (** Parse MiniC source text and package it as a runnable
@@ -84,8 +85,7 @@ val program_of_source : ?libc:libc -> name:string -> string -> Dh_alloc.Program.
     would, against a throwaway heap, without allocating its literals or
     running a statement, and returns what the compile reported.  A
     program it accepts resolves every name, so it will not raise
-    {!Runtime_error} for a name, arity or [main] reason (division by zero
-    remains a run-time matter).  MiniC stays deliberately unsafe about
+    {!Runtime_error}.  MiniC stays deliberately unsafe about
     memory: the check proves nothing about it. *)
 
 val check : Ast.program -> string list

@@ -4,9 +4,21 @@
     allocation behaviour as a size distribution, a lifetime distribution
     and an allocation rate; this module provides the samplers. *)
 
-val geometric : Mwc.t -> p:float -> int
-(** Number of failures before the first success of a Bernoulli([p]) trial,
-    i.e. values in [\[0, ∞)] with mean [(1-p)/p].  Requires [0 < p <= 1]. *)
+(** The samplers a run draws from many times are built once per run: a
+    prepared value holds the law's constants, and a draw reads them.  A
+    draw's uniform is [Mwc.float01]'s value, and it allocates nothing. *)
+
+type geometric
+(** A geometric law, with its [log (1 - p)] computed once. *)
+
+val geometric : p:float -> geometric
+(** The law of the number of failures before the first success of a
+    Bernoulli([p]) trial: values in [\[0, ∞)] with mean [(1-p)/p].
+    Requires [0 < p <= 1]. *)
+
+val geometric_draw : geometric -> Mwc.t -> int
+(** One value by inversion, [floor (log u / log (1-p))] with [u] in
+    [(0, 1\]]; for [p = 1] it is 0 and draws nothing. *)
 
 type zipf_table
 (** The CDF of a Zipf distribution over ranks [\[1, n\]]: immutable, so
@@ -22,8 +34,15 @@ val zipf_rank : zipf_table -> u:float -> int
     serve workload passes the request hash, so a rewound window replays
     identical requests. *)
 
-val size_class_mix : Mwc.t -> classes:(int * float) array -> int
-(** [size_class_mix rng ~classes] picks a size from a weighted list of
-    [(size, weight)] pairs — the shape in which workload profiles describe
-    their object-size mixes — with probability proportional to its
-    weight.  The weights must be non-negative and not all zero. *)
+type size_class_mix
+(** A weighted size mix, with its weights' running sums computed once. *)
+
+val size_class_mix : classes:(int * float) array -> size_class_mix
+(** The mix of a weighted list of [(size, weight)] pairs — the shape in
+    which workload profiles describe their object-size mixes.  The
+    weights must be non-negative and not all zero. *)
+
+val size_class_draw : size_class_mix -> Mwc.t -> int
+(** One size, with probability proportional to its weight: one uniform
+    draw scaled by the total picks the first size whose running sum
+    exceeds it. *)

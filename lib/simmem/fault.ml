@@ -1,10 +1,12 @@
 type access = Read | Write
+type arith = Division | Modulo
 
 type t =
   | Unmapped of { addr : int; access : access }
   | Protection of { addr : int; access : access }
   | Unmap_unmapped of { addr : int }
   | Protect_unmapped of { addr : int; len : int; fault_addr : int }
+  | Arith_trap of arith
 
 exception Error of t
 
@@ -13,6 +15,9 @@ let raise_fault t = raise (Error t)
 let addr = function
   | Unmapped { addr; _ } | Protection { addr; _ } | Unmap_unmapped { addr } -> addr
   | Protect_unmapped { fault_addr; _ } -> fault_addr
+  | Arith_trap _ -> 0
+
+let is_memory = function Arith_trap _ -> false | _ -> true
 
 let pp_access ppf = function
   | Read -> Format.pp_print_string ppf "read"
@@ -29,5 +34,7 @@ let pp ppf = function
   | Protect_unmapped { addr; len; fault_addr } ->
     Format.fprintf ppf "mprotect of range 0x%x+%d: address 0x%x is not mapped" addr
       len fault_addr
+  | Arith_trap Division -> Format.pp_print_string ppf "arithmetic trap: division by zero"
+  | Arith_trap Modulo -> Format.pp_print_string ppf "arithmetic trap: modulo by zero"
 
 let to_string t = Format.asprintf "%a" pp t

@@ -1,7 +1,8 @@
 (** Simulated processes.
 
     A simulated process is an OCaml thunk given an output sink; running it
-    classifies how it ended.  Memory faults ({!Fault.Error}) become
+    classifies how it ended.  Faults of the simulated machine
+    ({!Fault.Error}: memory faults and arithmetic traps) become
     [Crashed], deliberate aborts (the fail-stop allocator, assertion-style
     exits) become [Aborted], and runaway executions are cut off by a fuel
     budget — the simulation's stand-in for "entered an infinite loop"
@@ -9,7 +10,9 @@
 
 type outcome =
   | Exited of int  (** Normal termination with an exit code. *)
-  | Crashed of Fault.t  (** Memory fault — a segfault in the real system. *)
+  | Crashed of Fault.t
+      (** A fault of the simulated machine — a segfault, or a SIGFPE for
+          a division by zero, in the real system. *)
   | Aborted of string  (** Fail-stop termination with a diagnostic. *)
   | Timeout  (** Exhausted its fuel budget (infinite-loop proxy). *)
 

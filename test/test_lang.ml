@@ -250,6 +250,52 @@ let test_now_intercepted () =
           report.Diehard.Replicated.replicas));
   check_string "clock value" "0" report.Diehard.Replicated.output
 
+(* A zero divisor traps the simulated machine, so every layer above a
+   process sees a crash.  Replicated: a replica whose random fill made
+   the uninitialized byte even traps and is dropped, and the rest vote
+   (the §6.3 detection the replicas exist for).  Campaign: a crash.
+   Supervisor: each rung crashes and the ladder gives up. *)
+let trap_source = "fn main() { var p = malloc(8); var x = load8(p) % 2; print_int(10 % x); }"
+
+let test_arith_trap_is_a_crash () =
+  let module R = Diehard.Replicated in
+  let program = Interp.program_of_source ~name:"trap" trap_source in
+  let mixed = ref 0 in
+  for master = 1 to 8 do
+    let report = R.run ~replicas:3 ~seed_pool:(Dh_rng.Seed.create ~master) program in
+    let trapped, exited =
+      List.partition
+        (fun r -> match r.R.outcome with Process.Crashed _ -> true | _ -> false)
+        report.R.replicas
+    in
+    List.iter
+      (fun r ->
+        check "the trap is a modulo by zero" true
+          (r.R.outcome = Process.Crashed (Dh_mem.Fault.Arith_trap Dh_mem.Fault.Modulo));
+        check "a trapping replica is dropped" true (r.R.eliminated = Some R.Died))
+      trapped;
+    if exited = [] then check "all died" true (report.R.verdict = R.All_died)
+    else begin
+      check "the rest agree" true (report.R.verdict = R.Agreed);
+      check_string "their vote" "0" report.R.output
+    end;
+    if trapped <> [] && exited <> [] then incr mixed
+  done;
+  check "some run drops a replica and votes" true (!mixed > 0);
+  let result = run_freelist "fn main() { print_int(7); print_int(1 / 0); }" in
+  check "campaign tallies a crash" true
+    (Dh_fault.Campaign.classify ~reference:"7" result = Dh_fault.Campaign.Crashed);
+  check_string "output before the trap is kept" "7" result.Process.output;
+  let incident =
+    Diehard.Supervisor.run (Interp.program_of_source ~name:"t" "fn main() { print_int(1 / 0); }")
+  in
+  check "the ladder gives up" true (incident.Diehard.Supervisor.verdict = Diehard.Supervisor.Gave_up);
+  List.iter
+    (fun (a : Diehard.Supervisor.attempt_report) ->
+      check "every rung traps" true
+        (a.Diehard.Supervisor.outcome = Process.Crashed (Dh_mem.Fault.Arith_trap Dh_mem.Fault.Division)))
+    incident.Diehard.Supervisor.attempts
+
 (* --- interpreter: heap behaviour --- *)
 
 let test_heap_roundtrip () =
@@ -456,8 +502,15 @@ let test_runtime_errors () =
   expect_runtime_error "fn f(a) { return a; } fn main() { f(1, 2); }"
     "f expects 1 argument(s), got 2";
   expect_runtime_error "fn main() { print_int(1, 2); }" "print_int expects 1 argument(s), got 2";
-  expect_runtime_error "fn main() { print_int(1 / 0); }" "division by zero";
-  expect_runtime_error "fn main() { print_int(1 % 0); }" "modulo by zero";
+  (* A zero divisor is no error in the program text but the simulated
+     machine's arithmetic trap: the process crashes. *)
+  let expect_trap src op =
+    match (run_freelist src).Process.outcome with
+    | Process.Crashed (Dh_mem.Fault.Arith_trap o) when o = op -> ()
+    | o -> Alcotest.failf "expected an arithmetic trap: %s gave %s" src (Process.outcome_to_string o)
+  in
+  expect_trap "fn main() { print_int(1 / 0); }" Dh_mem.Fault.Division;
+  expect_trap "fn main() { print_int(1 % 0); }" Dh_mem.Fault.Modulo;
   expect_runtime_error "fn notmain() { }" "no main function";
   expect_runtime_error "fn main(a) { }" "main takes no parameters";
   (* Errors are raised only when reached: the same faults in code that
@@ -725,6 +778,10 @@ let prop_expr_differential =
       let got =
         match run_freelist source with
         | { Process.outcome = Process.Exited 0; output; _ } -> Ok output
+        | { Process.outcome = Process.Crashed (Dh_mem.Fault.Arith_trap Dh_mem.Fault.Division); _ } ->
+          Error "division by zero"
+        | { Process.outcome = Process.Crashed (Dh_mem.Fault.Arith_trap Dh_mem.Fault.Modulo); _ } ->
+          Error "modulo by zero"
         | r -> Error ("outcome " ^ Process.outcome_to_string r.Process.outcome)
         | exception Interp.Runtime_error msg -> Error msg
       in
@@ -831,6 +888,7 @@ let suite =
     Alcotest.test_case "fail-stop aborts" `Quick test_fail_stop_policy_aborts_overflow;
     Alcotest.test_case "oblivious survives" `Quick test_oblivious_policy_survives_overflow;
     Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
+    Alcotest.test_case "arithmetic trap is a crash" `Quick test_arith_trap_is_a_crash;
     Alcotest.test_case "infinite loop timeout" `Quick test_infinite_loop_times_out;
     Alcotest.test_case "gc roots" `Quick test_gc_roots_from_interpreter;
     Alcotest.test_case "gc roots exclude exited blocks" `Quick test_gc_roots_exclude_exited_blocks;

@@ -146,10 +146,11 @@ let test_seed_rng_streams_independent () =
 let test_geometric_mean () =
   let rng = Mwc.create ~seed:33 in
   let p = 0.25 in
+  let law = Dist.geometric ~p in
   let n = 20_000 in
   let sum = ref 0 in
   for _ = 1 to n do
-    let v = Dist.geometric rng ~p in
+    let v = Dist.geometric_draw law rng in
     check "non-negative" true (v >= 0);
     sum := !sum + v
   done;
@@ -197,19 +198,18 @@ let test_zipf_rank_pinned () =
 let test_weighted () =
   let rng = Mwc.create ~seed:39 in
   let counts = Array.make 3 0 in
-  let classes = [| (8, 1.); (16, 2.); (32, 7.) |] in
+  let mix = Dist.size_class_mix ~classes:[| (8, 1.); (16, 2.); (32, 7.) |] in
   for _ = 1 to 30_000 do
-    let i = match Dist.size_class_mix rng ~classes with 8 -> 0 | 16 -> 1 | _ -> 2 in
+    let i = match Dist.size_class_draw mix rng with 8 -> 0 | 16 -> 1 | _ -> 2 in
     counts.(i) <- counts.(i) + 1
   done;
   check "index 2 dominates" true (counts.(2) > counts.(1) && counts.(1) > counts.(0));
   check "rough proportion" true (abs (counts.(2) - 21_000) < 2_000)
 
 let test_weighted_zero_total () =
-  let rng = Mwc.create ~seed:40 in
   Alcotest.check_raises "all-zero weights"
     (Invalid_argument "Dist.size_class_mix: weights sum to zero") (fun () ->
-      ignore (Dist.size_class_mix rng ~classes:[| (8, 0.); (16, 0.) |]))
+      ignore (Dist.size_class_mix ~classes:[| (8, 0.); (16, 0.) |]))
 
 (* The formula [size_class_mix] had when it mapped the weights out,
    folded them and picked recursively: kept as the oracle its loops must
@@ -239,21 +239,55 @@ let test_weighted_matches_oracle () =
   List.iteri
     (fun m classes ->
       let rng = Mwc.create ~seed:(41 + m) and oracle = Mwc.create ~seed:(41 + m) in
+      let mix = Dist.size_class_mix ~classes in
       for _ = 1 to 10_000 do
         check_int "same pick" (size_class_mix_oracle oracle ~classes)
-          (Dist.size_class_mix rng ~classes)
+          (Dist.size_class_draw mix rng)
       done)
     mixes
+
+(* The formulas the samplers had when each call recomputed its
+   constants: [geometric] took [log (1. -. p)] per draw and
+   [size_class_mix] re-summed its weights, both through [Mwc.float01].
+   A prepared sampler must draw the very same stream. *)
+let geometric_oracle rng ~p =
+  if p = 1. then 0
+  else
+    let u = 1. -. Mwc.float01 rng in
+    int_of_float (floor (log u /. log (1. -. p)))
+
+let test_prepared_samplers_match_old_formulas () =
+  List.iteri
+    (fun k p ->
+      let law = Dist.geometric ~p in
+      let rng = Mwc.create ~seed:(60 + k) and oracle = Mwc.create ~seed:(60 + k) in
+      for i = 1 to 100_000 do
+        let want = geometric_oracle oracle ~p and got = Dist.geometric_draw law rng in
+        if got <> want then Alcotest.failf "geometric p=%g draw %d: %d, want %d" p i got want
+      done;
+      check "same stream after" true (Mwc.state rng = Mwc.state oracle))
+    [ 1.; 0.5; 0.25; 1. /. 3.; 0.05; 1. /. 800.; 1e-6 ];
+  List.iteri
+    (fun k (p : Dh_workload.Profile.t) ->
+      let classes = p.Dh_workload.Profile.sizes in
+      let mix = Dist.size_class_mix ~classes in
+      let rng = Mwc.create ~seed:(70 + k) and oracle = Mwc.create ~seed:(70 + k) in
+      for i = 1 to 100_000 do
+        let want = size_class_mix_oracle oracle ~classes and got = Dist.size_class_draw mix rng in
+        if got <> want then
+          Alcotest.failf "%s draw %d: %d, want %d" p.Dh_workload.Profile.name i got want
+      done)
+    Dh_workload.Profile.alloc_intensive
 
 (* One draw's boxed float at most: no weights array, closure or boxed
    running sum per call. *)
 let test_weighted_allocation () =
   let rng = Mwc.create ~seed:42 in
-  let classes = (List.hd Dh_workload.Profile.all).Dh_workload.Profile.sizes in
+  let mix = Dist.size_class_mix ~classes:(List.hd Dh_workload.Profile.all).Dh_workload.Profile.sizes in
   let sink = ref 0 in
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    sink := !sink + Dist.size_class_mix rng ~classes
+    sink := !sink + Dist.size_class_draw mix rng
   done;
   let words = Gc.minor_words () -. before in
   check "<= 2 minor words per call" true (words <= 2. *. 10_000.);
@@ -350,6 +384,8 @@ let suite =
     Alcotest.test_case "dist weighted zero" `Quick test_weighted_zero_total;
     Alcotest.test_case "dist weighted matches oracle" `Quick test_weighted_matches_oracle;
     Alcotest.test_case "dist weighted allocation" `Quick test_weighted_allocation;
+    Alcotest.test_case "dist prepared samplers match old formulas" `Quick
+      test_prepared_samplers_match_old_formulas;
     QCheck_alcotest.to_alcotest prop_below_in_range;
     Alcotest.test_case "mwc fill_bytes invalid range" `Quick test_fill_bytes_invalid;
     QCheck_alcotest.to_alcotest prop_fill_bytes_is_next_u32_loop;

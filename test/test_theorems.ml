@@ -202,10 +202,18 @@ let test_multiple_errors_composition () =
       ignore (Theorems.multiple_errors_mask_probability [ 1.5 ]))
 
 let test_expected_probes () =
-  near 2. (Theorems.expected_probes ~multiplier:2) "M=2: two probes";
-  near 1.3333333333 ~eps:1e-6 (Theorems.expected_probes ~multiplier:4) "M=4";
+  near 2. (Theorems.expected_probes ~multiplier:2.) "M=2: two probes";
+  near 1.3333333333 ~eps:1e-6 (Theorems.expected_probes ~multiplier:4.) "M=4";
   check "larger M fewer probes" true
-    (Theorems.expected_probes ~multiplier:8 < Theorems.expected_probes ~multiplier:2)
+    (Theorems.expected_probes ~multiplier:8. < Theorems.expected_probes ~multiplier:2.);
+  (* M is the heap's float multiplier: the audit's M = 1.5 row. *)
+  near 3. (Theorems.expected_probes ~multiplier:1.5) "M=1.5: three probes";
+  List.iter
+    (fun m ->
+      Alcotest.check_raises (Printf.sprintf "M=%g" m)
+        (Invalid_argument "Theorems: multiplier must be > 1") (fun () ->
+          ignore (Theorems.expected_probes ~multiplier:m)))
+    [ 1.; 0.5; Float.nan ]
 
 (* --- figure generators --- *)
 

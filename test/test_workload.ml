@@ -204,24 +204,119 @@ let test_driver_pinned () =
         pinned_heaps)
     Profile.alloc_intensive
 
-(* The minor words one driver op allocates on freelist-lea, obs off:
-   the difference between two trace lengths, so set-up, the epilogue and
-   the live table's growth cancel.  The allocator's own boundary-tag
-   bookkeeping is most of it; the driver adds a malloc's [Some], a live
-   table bucket and a free schedule cell.  A schedule hashed by op, with
-   an [(addr, size)] tuple per object, cost 10.7 more words per op; a
-   closure or tuple per op would show here. *)
-let test_driver_words_per_op () =
+(* 181.mcf on gc-bdw with room to grow (no NULL return): its live set
+   peaks at 603, past the 512 entries at which the generic table the
+   driver's live order reproduces doubles its buckets, and its 66
+   collections take the roots in that order.  Recorded with the driver
+   that kept that table. *)
+let test_driver_pinned_past_resize () =
+  let p = Option.get (Profile.find "181.mcf") in
+  let mem = Mem.create () in
+  let gc = Dh_alloc.Gc.create ~arena_size:(64 lsl 10) ~heap_limit:(4 lsl 20) mem in
+  let alloc = Dh_alloc.Gc.allocator gc in
+  let r = Driver.run ~seed:11 p alloc in
+  let st = Mem.stats mem in
+  List.iter
+    (fun (field, want, got) -> check_int ("181.mcf on gc-bdw: " ^ field) want got)
+    [
+      ("checksum", 14685390672, r.Driver.checksum);
+      ("peak live", 603, r.Driver.peak_live);
+      ("failed", 0, r.Driver.failed_allocations);
+      ("reads", 92671813, st.Mem.reads);
+      ("writes", 496643, st.Mem.writes);
+      ("mmaps", 40, st.Mem.mmaps);
+      ("munmaps", 0, st.Mem.munmaps);
+      ("tlb misses", 72846, st.Mem.tlb_misses);
+      ("cache misses", 1566534, st.Mem.cache_misses);
+      ("dirty pages", 610, st.Mem.dirty_pages);
+      ("touched pages", 610, Mem.touched_pages mem);
+      ("probes", 5564, alloc.Allocator.stats.Dh_alloc.Stats.probes);
+      ("collections", 66, alloc.Allocator.stats.Dh_alloc.Stats.gc_collections);
+    ]
+
+(* [Driver.live_order] against the table it stands for: after inserts
+   (fresh addresses and reused ones) and removes, the live addresses in
+   the order a [Hashtbl.Make (Int)] created with 256 buckets folds them
+   into a list.  Every sequence grows past 512 and 1,024 live entries,
+   so both bucket doublings happen, and enumerates along the way. *)
+module Int_table = Hashtbl.Make (Int)
+
+type live_action = Insert of int | Remove of int | Enumerate
+
+let prop_live_order_is_table_fold =
+  let gen =
+    QCheck.Gen.(
+      int_range 2_400 3_600 >>= fun n ->
+      list_repeat n
+        (frequency
+           [
+             (12, map (fun a -> Insert a) (int_bound 65_535));
+             (4, map (fun a -> Insert a) (int_bound 2_047));
+             (4, map (fun i -> Remove i) nat);
+             (1, return Enumerate);
+           ]))
+  in
+  QCheck.Test.make ~name:"driver live order is the generic table's fold" ~count:20
+    (QCheck.make gen) (fun actions ->
+      let n = List.length actions in
+      let table = Int_table.create 256 in
+      let born = Array.make (n + 1) 0 and live = Array.make (n + 1) 0 in
+      let count = ref 0 and peak = ref 0 in
+      let enumerate () =
+        let want = Int_table.fold (fun addr () acc -> addr :: acc) table [] in
+        let got = Driver.live_order ~peak:!peak ~born live !count in
+        if Array.to_list (Array.map (fun op -> born.(op)) got) <> want then
+          QCheck.Test.fail_reportf "order differs at %d live, peak %d" !count !peak
+      in
+      List.iteri
+        (fun i action ->
+          match action with
+          | Insert a ->
+            let addr = 0x1000_0000 + (16 * a) in
+            if not (Int_table.mem table addr) then begin
+              Int_table.replace table addr ();
+              born.(i + 1) <- addr;
+              live.(!count) <- i + 1;
+              incr count;
+              peak := Int.max !peak !count
+            end
+          | Remove k when !count > 0 ->
+            let j = k mod !count in
+            Int_table.remove table born.(live.(j));
+            born.(live.(j)) <- 0;
+            live.(j) <- live.(!count - 1);
+            decr count
+          | Remove _ -> ()
+          | Enumerate -> enumerate ())
+        actions;
+      enumerate ();
+      !peak > 1_024)
+
+(* The minor words one driver op allocates, obs off: the difference
+   between two trace lengths, so set-up and the epilogue cancel.  The
+   driver's own bookkeeping is int arrays, so an op adds only the
+   malloc's [Some] to the allocator's own allocation: nearly all of
+   freelist-lea's figure is its boundary-tag bookkeeping, and DieHard's
+   is the [Some].  A cons cell, a hash bucket, a boxed float or a
+   closure per op would show here. *)
+let driver_words_per_op alloc =
   let espresso = Option.get (Profile.find "espresso") in
   let words ops =
     Dh_obs.Control.with_enabled false (fun () ->
-        let alloc = fresh_freelist () in
+        let alloc = alloc () in
         let before = Gc.minor_words () in
         ignore (Driver.run ~seed:5 { espresso with Profile.ops } alloc);
         Gc.minor_words () -. before)
   in
-  Alcotest.(check (float 0.0005)) "minor words per op" 45.898
-    ((words 8_000 -. words 4_000) /. 4_000.)
+  (words 8_000 -. words 4_000) /. 4_000.
+
+let test_driver_words_per_op () =
+  Alcotest.(check (float 0.0005)) "minor words per op" 32.8998
+    (driver_words_per_op (fun () -> fresh_freelist ()))
+
+let test_driver_words_per_op_diehard () =
+  Alcotest.(check (float 0.0005)) "minor words per op" 1.997
+    (driver_words_per_op (fun () -> fresh_diehard ()))
 
 (* --- espresso-sim --- *)
 
@@ -418,7 +513,12 @@ let suite =
     Alcotest.test_case "driver peak live" `Quick test_driver_peak_live_tracks_lifetime;
     Alcotest.test_case "heap sizing" `Quick test_heap_size_for_serves_profiles;
     Alcotest.test_case "driver pinned on three heaps" `Quick test_driver_pinned;
+    Alcotest.test_case "driver pinned past a table resize" `Quick
+      test_driver_pinned_past_resize;
+    QCheck_alcotest.to_alcotest prop_live_order_is_table_fold;
     Alcotest.test_case "driver minor words per op" `Quick test_driver_words_per_op;
+    Alcotest.test_case "driver minor words per op on DieHard" `Quick
+      test_driver_words_per_op_diehard;
     Alcotest.test_case "espresso runs" `Quick test_espresso_parses_and_runs;
     Alcotest.test_case "espresso allocator-independent" `Quick
       test_espresso_output_allocator_independent;
