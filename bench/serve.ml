@@ -2,7 +2,7 @@
    Squid-style server through a long Zipf-keyed request stream with
    periodic overlong-URL attacks, under the supervisor's rewind rung
    and full observability, and report the serve-loop SLO dashboard —
-   throughput, tail latency (p50/p99/p99.9 of the serve.latency_ns
+   throughput, tail latency (p50/p99/p99.9 of the run's latency
    histogram), SLO compliance, and survival.
 
    Two kinds of number come out, gated differently:
@@ -49,7 +49,7 @@ type slo = {
   breached : bool;
 }
 
-(* The SLO read off the serve.latency_ns histogram: every handled
+(* The SLO read off the run's latency histogram: every handled
    request left one sample, and every rewind is a request that failed
    on first service.  A sample is bad when its HDR bucket reaches above
    the target.  That is never looser than an exact comparison and at
@@ -70,7 +70,7 @@ type leg = {
   requests : int;
   wall_s : float;
   throughput : float;  (* requests/s over the whole ladder *)
-  latency : Dh_obs.Quantile.snapshot;
+  latency : Dh_obs.Quantile.t;  (* the incident's *)
   slo : slo;
   rewinds : int;
   checkpoints : int;
@@ -117,9 +117,6 @@ let policy =
   }
 
 let run_leg ~requests ~seed () =
-  (* Fresh instruments per leg: histograms are process-wide and a
-     previous leg's samples must not bleed into this one's quantiles. *)
-  Dh_obs.Quantile.reset ();
   let program =
     Server.program ~requests ~attack_every:attack_stride ~zipf:zipf_s ()
   in
@@ -147,7 +144,7 @@ let run_leg ~requests ~seed () =
         | None -> acc)
       0 incident.Supervisor.attempts
   in
-  let latency = Dh_obs.Quantile.(snapshot (named "serve.latency_ns")) in
+  let latency = incident.Supervisor.latency in
   let rewinds = recovery_sum (fun r -> r.Supervisor.rewinds) in
   {
     requests;
@@ -173,7 +170,7 @@ let sweep ~quick () =
   done;
   (!survived, seeds)
 
-let q snapshot p = Dh_obs.Quantile.quantile snapshot p
+let q latency p = Dh_obs.Quantile.quantile latency p
 
 let leg_section l =
   Report.subheading "SLO dashboard (seed 1 leg)";

@@ -133,13 +133,14 @@ let cases =
     };
   ]
 
-let classify ~expected (result : Process.result) =
-  match result.Process.outcome with
-  | Process.Exited 0 when String.equal result.Process.output expected -> "OK"
-  | Process.Exited _ -> "wrong-output"
-  | Process.Crashed _ -> "crash"
-  | Process.Aborted _ -> "abort"
-  | Process.Timeout -> "hang"
+(* A run's cell word: the fault campaign's classification of it. *)
+let classify ~expected result =
+  match Dh_fault.Campaign.classify ~reference:expected result with
+  | Dh_fault.Campaign.Correct -> "OK"
+  | Wrong_output -> "wrong-output"
+  | Crashed -> "crash"
+  | Aborted -> "abort"
+  | Timed_out -> "hang"
 
 let run_case_under (system : Factory.system) case =
   let program = Dh_lang.Interp.program_of_source ~name:case.row case.source in

@@ -147,10 +147,10 @@ let program_term ?(libc = Term.const Dh_lang.Interp.Unchecked)
     ?(policy = Term.const Dh_alloc.Policy.Raw) () =
   Term.(const load $ libc $ policy $ prog_arg $ requests_arg $ attack_every_arg $ heap_arg)
 
-(* Observability: every subcommand accepts --trace FILE and --metrics
-   FILE.  Either one switches Dh_obs on for the whole process; the dumps
-   are written from an at_exit hook because the actions below terminate
-   via [exit] on every path. *)
+(* Observability: every subcommand accepts --trace FILE, which switches
+   Dh_obs on for the whole process; the trace is written from an at_exit
+   hook because the actions below terminate via [exit] on every path.
+   `survive` also takes --metrics FILE (see there). *)
 
 let obs_trace_arg =
   let doc =
@@ -159,33 +159,15 @@ let obs_trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let obs_metrics_arg =
-  let doc =
-    "Write every named latency histogram as CSV to $(docv) on exit: one \
-     name,count,p50,p99,max,sum row each."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+let obs_setup =
+  Option.iter (fun path ->
+      Dh_obs.Control.set_enabled true;
+      at_exit (fun () ->
+          Dh_obs.Tracing.write_chrome_json ~path ();
+          Printf.eprintf "trace: wrote %s (%d events, %d dropped)\n" path
+            (List.length (Dh_obs.Tracing.events ())) (Dh_obs.Tracing.dropped ())))
 
-let obs_setup trace metrics =
-  if trace <> None || metrics <> None then begin
-    Dh_obs.Control.set_enabled true;
-    at_exit (fun () ->
-        Option.iter
-          (fun path ->
-            Dh_obs.Tracing.write_chrome_json ~path ();
-            Printf.eprintf "trace: wrote %s (%d events, %d dropped)\n" path
-              (List.length (Dh_obs.Tracing.events ()))
-              (Dh_obs.Tracing.dropped ()))
-          trace;
-        Option.iter
-          (fun path ->
-            Out_channel.with_open_text path (fun oc ->
-                output_string oc (Dh_obs.Quantile.to_csv ()));
-            Printf.eprintf "metrics: wrote %s\n" path)
-          metrics)
-  end
-
-let obs_term = Term.(const obs_setup $ obs_trace_arg $ obs_metrics_arg)
+let obs_term = Term.(const obs_setup $ obs_trace_arg)
 
 let make_allocator ?(mesh = false) ?mesh_threshold kind ~seed ~heap_size =
   let mem = Dh_mem.Mem.create () in
@@ -342,9 +324,19 @@ let rewinds_arg =
   let doc = "Rewind budget per attempt before escalating to retry-with-reseed." in
   Arg.(value & opt int 8 & info [ "rewinds" ] ~docv:"N" ~doc)
 
+let metrics_arg =
+  let doc =
+    "Switch observability on and write the run's serve-loop latency histogram as CSV \
+     to $(docv): a name,count,p50,p99,max,sum header, then one serve.latency_ns row \
+     for a service-shaped program."
+  in
+  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+
 let survive_cmd =
   let action () (program, heap_size) retries backoff no_rescue no_diagnose
-      checkpoint_interval max_rewinds policy_kind seed mesh mesh_threshold input fuel =
+      checkpoint_interval max_rewinds policy_kind seed mesh mesh_threshold input fuel
+      metrics =
+    if metrics <> None then Dh_obs.Control.set_enabled true;
     let policy =
       {
         Supervisor.max_retries = retries;
@@ -364,6 +356,13 @@ let survive_cmd =
     in
     Option.iter print_output incident.output;
     Format.eprintf "%a@?" Supervisor.pp_incident incident;
+    Option.iter
+      (fun path ->
+        let serve = Option.map (fun _ -> ("serve.latency_ns", incident.latency)) program.service in
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Dh_obs.Quantile.to_csv (Option.to_list serve)));
+        Printf.eprintf "metrics: wrote %s\n" path)
+      metrics;
     (* Exit-code contract (documented in README): 0 = clean survival on a
        randomized DieHard heap; 1 = gave up; 2 = survived only by
        degrading to the rescue allocator — CI can gate on "no rescue". *)
@@ -383,7 +382,8 @@ let survive_cmd =
     Term.(
       const action $ obs_term $ program_term ~policy:policy_arg () $ retries_arg $ backoff_arg
       $ no_rescue_arg $ no_diagnose_arg $ checkpoint_interval_arg $ rewinds_arg
-      $ policy_arg $ seed_arg $ mesh_arg $ mesh_threshold_arg $ input_arg $ fuel_arg)
+      $ policy_arg $ seed_arg $ mesh_arg $ mesh_threshold_arg $ input_arg $ fuel_arg
+      $ metrics_arg)
 
 (* --- check --- *)
 

@@ -62,6 +62,7 @@ type incident = {
   total_fuel : int;
   flight : Dh_obs.Recorder.report list;
   offenders : Dh_obs.Audit.site_stat list;
+  latency : Dh_obs.Quantile.t;
 }
 
 (* Growth ceilings: the ladder expands the heap exponentially, so a long
@@ -139,30 +140,25 @@ type fault_action =
 (* Serve-loop telemetry (the serve bench reads its SLO off the latency
    histogram).  All write-only and gated on one enabled check per
    request when off; when on, the per-request cost is one clock read and
-   one latency sample recorded through the loop's own cached
-   [Dh_obs.Cell] handle on the "serve.latency_ns" histogram (a domain-id
-   compare and plain adds).  A request's latency runs from the previous
-   request's completion (or from the moment its window was armed) to
-   its own: the clock is read once per request, and arming stays out of
-   the sample.  A rewind emits a "supervisor.rewind" instant; the only
-   rewind count is the recovery report's.  [telemetry] switches this
+   one latency sample recorded into the run's own [latency] histogram
+   (plain adds).  A request's latency runs from the previous request's
+   completion (or from the moment its window was armed) to its own: the
+   clock is read once per request, and arming stays out of the sample.
+   A rewind emits a "supervisor.rewind" instant; the only rewind count
+   is the recovery report's.  A [latency] histogram switches this
    telemetry on (when obs is); replay and the canary diagnosis replay
-   keep it off, so the latency series and the flight records hold only
-   the supervised attempts' own requests.  An [interval] of 0 arms no
+   pass none, so the histogram and the flight records hold only the
+   supervised attempts' own requests.  An [interval] of 0 arms no
    checkpoint: the requests run as one window and a fault escapes, as
    it would from [main]. *)
-let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_fault =
+let run_service ~latency ~context (svc : Program.service) heap ~interval ~on_fault =
   let mem = Heap.mem heap in
   let armed = interval > 0 in
   let checkpoints = ref 0 and rewinds = ref 0 and pages_restored = ref 0 in
   let result =
     Process.run (fun out ->
         let h = svc.Program.init (context out) in
-        let latency =
-          if telemetry && Dh_obs.Control.enabled () then
-            Some Dh_obs.Quantile.(share (named "serve.latency_ns"))
-          else None
-        in
+        let latency = if Dh_obs.Control.enabled () then latency else None in
         let stamp = ref 0 in
         let handle k =
           match latency with
@@ -228,7 +224,7 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
         end)
   in
   (* Also after a fault escaped: no step stays advertised. *)
-  if telemetry then Dh_obs.Recorder.clear_step ();
+  if Option.is_some latency then Dh_obs.Recorder.clear_step ();
   ( result,
     if not armed then None
     else
@@ -243,15 +239,15 @@ let run_service ~telemetry ~context (svc : Program.service) heap ~interval ~on_f
 (* Like {!Program.run}, but with our own fuel cell so the incident can
    charge each attempt for the steps it actually burned.  A
    service-shaped program runs through the serve loop above, so its
-   requests feed the latency series whether or not checkpoints are
+   requests feed the latency histogram whether or not checkpoints are
    armed; with them ([interval > 0]) the recovery counters are reported
    even if the attempt ultimately dies. *)
-let execute ~telemetry ~heap ~interval ~on_fault ~policy_kind ~input ~fuel program alloc =
+let execute ~latency ~heap ~interval ~on_fault ~policy_kind ~input ~fuel program alloc =
   let cell = Process.Fuel.create ~budget:fuel in
   let context = Program.context ~policy_kind ~input ~fuel:cell alloc in
   let result, recovery =
     match program.Program.service with
-    | Some svc -> run_service ~telemetry ~context svc heap ~interval ~on_fault
+    | Some svc -> run_service ~latency ~context svc heap ~interval ~on_fault
     | None -> (Process.run (fun out -> program.Program.main (context out)), None)
   in
   (result, fuel - Option.get (Process.Fuel.remaining cell), recovery)
@@ -297,9 +293,10 @@ let run ?(policy = default_policy) ?(config = Config.default)
     invalid_arg "Supervisor: checkpoint_interval must be >= 0";
   if policy.max_rewinds < 0 then invalid_arg "Supervisor: max_rewinds must be >= 0";
   (* Honor the config's obs knob for the duration of this run (telemetry
-     is write-only, so the incident is unaffected apart from [flight]). *)
+     is write-only, so it adds only [flight], [offenders] and
+     [latency] to the incident). *)
   Dh_obs.Control.with_enabled (config.Config.obs || Dh_obs.Control.enabled ()) @@ fun () ->
-  let audits = ref [] in
+  let audits = ref [] and latency = Dh_obs.Quantile.create () in
   let attempt_under plan =
     Dh_obs.Tracing.span ~arg:(string_of_int plan.attempt) "supervisor.attempt"
     @@ fun () ->
@@ -317,7 +314,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
       else Reseed (plan.seed lxor ((f.rewinds_taken + 1) * 0x9E3779B9))
     in
     let result, fuel_burned, recovery =
-      execute ~telemetry:true ~heap ~interval ~on_fault ~policy_kind ~input
+      execute ~latency:(Some latency) ~heap ~interval ~on_fault ~policy_kind ~input
         ~fuel:policy.fuel program alloc
     in
     let ok = success result in
@@ -356,7 +353,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
     let replay_heap, base = build_heap ~config:{ config with mesh = false } plan in
     let canary, instrumented = Canary.wrap base in
     let result, fuel_burned, _ =
-      execute ~telemetry:false ~heap:replay_heap ~interval:0
+      execute ~latency:None ~heap:replay_heap ~interval:0
         ~on_fault:(fun _ -> Escape)
         ~policy_kind ~input ~fuel:policy.fuel program (wrap plan instrumented)
     in
@@ -431,6 +428,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
          offenders !audits ~canary_sites ~fault_sites
            ~rescued:(List.exists (fun a -> a.plan.mode = Rescue) attempts)
        else []);
+    latency;
   }
 
 (* --- time-travel replay ---
@@ -515,7 +513,7 @@ let replay ?(input = "") ?(fuel = 100_000_000) ~config ~interval (svc : Program.
     Step_through (step f.out)
   in
   let result, recovery =
-    run_service ~telemetry:false
+    run_service ~latency:None
       ~context:(Program.context ~input ~fuel:(Process.Fuel.create ~budget:fuel) alloc)
       svc heap ~interval ~on_fault
   in

@@ -123,6 +123,13 @@ type incident = {
           ladder attempts' heaps only: the replay re-runs a failed
           attempt and would count it twice.  Always [[]] when
           observability is disabled (same contract as [flight]). *)
+  latency : Dh_obs.Quantile.t;
+      (** This run's serve-loop latencies in nanoseconds, one histogram
+          per run: one sample per request a service-shaped program's
+          ladder attempts handled, rewound replays included (not the
+          diagnosis replay's).  Wall-clock, so two runs' histograms
+          differ; empty when observability is disabled or the program
+          is not service-shaped. *)
 }
 
 val run :

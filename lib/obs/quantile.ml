@@ -48,116 +48,54 @@ let bucket_bounds i =
     let lo = (fine + m) lsl shift in
     (lo, lo + (1 lsl shift) - 1)
 
-(* --- per-domain cells --- *)
+type t = { counts : int array; mutable sum : int }
 
-type cell = { counts : int array; mutable c_sum : int }
-type t = cell Cell.t
+let create () = { counts = Array.make bucket_count 0; sum = 0 }
+let reset () = ()
 
-let fresh_cell () = { counts = Array.make bucket_count 0; c_sum = 0 }
+let record h v =
+  let b = bucket_of v in
+  h.counts.(b) <- h.counts.(b) + 1;
+  h.sum <- h.sum + v
 
-(* The one process-wide name table.  Only creation, [reset] and
-   [to_csv] take the lock; recording goes straight to the per-domain
-   cells. *)
-let table : (string, t) Hashtbl.t = Hashtbl.create 8
-let table_lock = Mutex.create ()
+let count h = Array.fold_left ( + ) 0 h.counts
+let counts h = Array.copy h.counts
+let sum h = h.sum
 
-let named name =
-  Mutex.protect table_lock (fun () ->
-      match Hashtbl.find_opt table name with
-      | Some h -> h
-      | None ->
-        let h = Cell.create fresh_cell in
-        Hashtbl.replace table name h;
-        h)
+let mean h =
+  let n = count h in
+  if n = 0 then 0. else float_of_int h.sum /. float_of_int n
 
-let share = Cell.share
-
-let record q v =
-  if Control.enabled () then begin
-    let cell = Cell.get q in
-    let b = bucket_of v in
-    cell.counts.(b) <- cell.counts.(b) + 1;
-    cell.c_sum <- cell.c_sum + v
-  end
-
-let reset () =
-  Mutex.protect table_lock (fun () ->
-      Hashtbl.iter
-        (fun _ h ->
-          Cell.fold
-            (fun () cell ->
-              Array.fill cell.counts 0 bucket_count 0;
-              cell.c_sum <- 0)
-            () h)
-        table)
-
-(* --- snapshots --- *)
-
-type snapshot = { s_counts : int array; s_sum : int; s_total : int }
-
-let empty = { s_counts = Array.make bucket_count 0; s_sum = 0; s_total = 0 }
-
-let snapshot q =
-  let counts = Array.make bucket_count 0 in
-  let sum =
-    Cell.fold
-      (fun sum cell ->
-        Array.iteri (fun i n -> counts.(i) <- counts.(i) + n) cell.counts;
-        sum + cell.c_sum)
-      0 q
-  in
-  { s_counts = counts; s_sum = sum; s_total = Array.fold_left ( + ) 0 counts }
-
-let merge a b =
-  {
-    s_counts = Array.init bucket_count (fun i -> a.s_counts.(i) + b.s_counts.(i));
-    s_sum = a.s_sum + b.s_sum;
-    s_total = a.s_total + b.s_total;
-  }
-
-let count s = s.s_total
-let counts s = Array.copy s.s_counts
-let sum s = s.s_sum
-
-let mean s = if s.s_total = 0 then 0. else float_of_int s.s_sum /. float_of_int s.s_total
-
-let quantile s q =
-  if s.s_total = 0 then 0
+let quantile h q =
+  let n = count h in
+  if n = 0 then 0
   else begin
-    let rank =
-      let r = int_of_float (ceil (q *. float_of_int s.s_total)) in
-      min s.s_total (max 1 r)
-    in
+    let rank = min n (max 1 (int_of_float (ceil (q *. float_of_int n)))) in
     let acc = ref 0 and result = ref 0 in
     (try
        Array.iteri
-         (fun i n ->
-           acc := !acc + n;
+         (fun i c ->
+           acc := !acc + c;
            if !acc >= rank then begin
              result := snd (bucket_bounds i);
              raise Exit
            end)
-         s.s_counts
+         h.counts
      with Exit -> ());
     !result
   end
 
-let max_value s =
+let max_value h =
   let result = ref 0 in
-  Array.iteri (fun i n -> if n > 0 then result := snd (bucket_bounds i)) s.s_counts;
+  Array.iteri (fun i n -> if n > 0 then result := snd (bucket_bounds i)) h.counts;
   !result
 
-let to_csv () =
-  let rows =
-    Mutex.protect table_lock (fun () ->
-        Hashtbl.fold (fun name h acc -> (name, h) :: acc) table [])
-  in
+let to_csv rows =
   let b = Buffer.create 256 in
   Buffer.add_string b "name,count,p50,p99,max,sum\n";
   List.iter
     (fun (name, h) ->
-      let s = snapshot h in
-      Printf.bprintf b "%s,%d,%d,%d,%d,%d\n" name (count s) (quantile s 0.5)
-        (quantile s 0.99) (max_value s) (sum s))
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
+      Printf.bprintf b "%s,%d,%d,%d,%d,%d\n" name (count h) (quantile h 0.5)
+        (quantile h 0.99) (max_value h) h.sum)
+    rows;
   Buffer.contents b

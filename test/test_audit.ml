@@ -6,13 +6,10 @@
    and against the heap it is handed (its occupancy and its own audit's
    flows, never another heap's),
    empirical outcome tallies, and the write-only contract: a run's
-   output must be byte-identical with the audit on or off.  Plus the
-   Window registry edge cases (find on unregistered names, writes behind
-   the trailing window, rates at clock zero). *)
+   output must be byte-identical with the audit on or off. *)
 
 module Control = Dh_obs.Control
 module Audit = Dh_obs.Audit
-module Window = Dh_obs.Window
 module Margin = Dh_analysis.Margin
 module Heap = Diehard.Heap
 module Config = Diehard.Config
@@ -344,45 +341,6 @@ let test_write_only_invariance () =
   check_str "audited output is byte-identical" off on;
   check "audited run produced output" true (String.length on > 0)
 
-(* --- Window registry edge cases -------------------------------------- *)
-
-let test_window_find_unregistered () =
-  Control.with_enabled true (fun () ->
-      Window.reset ();
-      check "find on unregistered name" true (Window.find "no-such-window" = None);
-      let w = Window.get "such-window" ~width:8 ~buckets:4 in
-      check "find returns the registered instance" true
-        (Window.find "such-window" = Some w);
-      Window.reset ())
-
-let test_window_backwards_clock () =
-  Control.with_enabled true (fun () ->
-      Window.reset ();
-      let w = Window.get "backwards" ~width:10 ~buckets:4 in
-      Window.add w ~now:1000 3;
-      check_int "counted at the newest bucket" 3 (Window.total w ~now:1000);
-      (* A stamp from before the trailing window (clock running
-         backwards, or a stale producer) is dropped, not smeared into a
-         live bucket. *)
-      Window.add w ~now:0 100;
-      check_int "pre-window write dropped" 3 (Window.total w ~now:1000);
-      (* A small step back inside the window still counts. *)
-      Window.add w ~now:995 2;
-      check_int "in-window backwards write lands" 5 (Window.total w ~now:1000);
-      Window.reset ())
-
-let test_window_rate_at_clock_zero () =
-  Control.with_enabled true (fun () ->
-      Window.reset ();
-      let w = Window.get "zero" ~width:10 ~buckets:4 in
-      check "empty rate at clock 0 is 0" true (Window.rate w ~now:0 = 0.);
-      check "empty rate is not NaN" false (Float.is_nan (Window.rate w ~now:0));
-      Window.add w ~now:0 5;
-      (* One tick elapsed: the early-run denominator is the elapsed
-         ticks, not the full span. *)
-      check "rate at clock 0 uses elapsed ticks" true (Window.rate w ~now:0 = 5.);
-      Window.reset ())
-
 let suite =
   [
     Alcotest.test_case "site: interning and names" `Quick test_site_interning;
@@ -407,10 +365,4 @@ let suite =
       test_top_sites_ranking;
     Alcotest.test_case "audit is write-only: output identical on/off" `Quick
       test_write_only_invariance;
-    Alcotest.test_case "window: find on unregistered name" `Quick
-      test_window_find_unregistered;
-    Alcotest.test_case "window: backwards clock stamps" `Quick
-      test_window_backwards_clock;
-    Alcotest.test_case "window: rate at clock zero" `Quick
-      test_window_rate_at_clock_zero;
   ]

@@ -1,13 +1,12 @@
-(* Tests for the Dh_obs telemetry stack: named histograms and their CSV
+(* Tests for the Dh_obs telemetry stack: histograms and their CSV
    dump, trace-ring wraparound and Chrome JSON export, the
    fault flight recorder's bounds, the vendored JSON parser, and the
    guarded derived ratios in the stats reporters.
 
    Every test that enables observability runs under [with_clean], which
-   forces the switch on, zeroes the named histograms and wipes the
-   rings/reports,
-   and restores everything afterwards, so telemetry never leaks between
-   tests (or into the determinism suites in test_parallel.ml). *)
+   forces the switch on, wipes the rings/reports, and restores
+   everything afterwards, so telemetry never leaks between tests (or
+   into the determinism suites in test_parallel.ml). *)
 
 module Control = Dh_obs.Control
 module Tracing = Dh_obs.Tracing
@@ -20,7 +19,6 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
 let wipe () =
-  Quantile.reset ();
   Tracing.reset ();
   Recorder.clear ()
 
@@ -29,7 +27,7 @@ let with_clean f =
       wipe ();
       Fun.protect ~finally:wipe f)
 
-(* --- named histograms -------------------------------------------- *)
+(* --- histograms ----------------------------------------------------- *)
 
 (* HDR bucket edges: exact below 64, then 32 buckets per power of two. *)
 let test_bucket_edges () =
@@ -43,9 +41,9 @@ let test_bucket_edges () =
   | exception Invalid_argument _ -> ()
   | b -> Alcotest.failf "bucket_of (-1) returned %d instead of raising" b)
 
-(* A histogram's row in the CSV dump, split into its six cells. *)
-let csv_row name =
-  String.split_on_char '\n' (Quantile.to_csv ())
+(* A histogram's row in a CSV dump, split into its cells after the name. *)
+let csv_row csv name =
+  String.split_on_char '\n' csv
   |> List.find_map (fun line ->
          match String.split_on_char ',' line with
          | n :: cells when n = name -> Some cells
@@ -55,65 +53,59 @@ let csv_row name =
   | None -> Alcotest.failf "no CSV row for %s" name
 
 let test_histogram_observe () =
-  with_clean @@ fun () ->
-  let h = Quantile.named "test.hist" in
-  check "named is get-or-create" true (Quantile.named "test.hist" == h);
+  let h = Quantile.create () in
   List.iter (Quantile.record h) [ 0; 1; 3; 1024 ];
-  let s = Quantile.snapshot h in
-  check_int "total" 4 (Quantile.count s);
-  check_int "sum" 1028 (Quantile.sum s);
+  check_int "total" 4 (Quantile.count h);
+  check_int "sum" 1028 (Quantile.sum h);
   (* max_int lands in the last bucket without overflowing totals *)
   Quantile.record h max_int;
-  check_int "total after max_int" 5 (Quantile.count (Quantile.snapshot h));
+  check_int "total after max_int" 5 (Quantile.count h);
   match Quantile.record h (-5) with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative record accepted"
 
 let test_disabled_is_noop () =
   with_clean @@ fun () ->
-  let h = Quantile.named "test.noop.hist" in
   Control.with_enabled false (fun () ->
-      Quantile.record h 42;
-      (* the sign check only runs while enabled: no raise here *)
-      Quantile.record h (-1);
       Tracing.instant "test.noop";
       Tracing.span "test.noop.span" (fun () -> ());
       Recorder.trigger ~reason:"noop" ());
-  check_int "histogram untouched" 0 (Quantile.count (Quantile.snapshot h));
   check_int "no events" 0 (List.length (Tracing.events ()));
   check_int "no reports" 0 (List.length (Recorder.reports ()))
 
 let test_csv_dump () =
-  with_clean @@ fun () ->
-  let h = Quantile.named "test.csv.histogram" in
+  let h = Quantile.create () in
   List.iter (Quantile.record h) [ 1; 2; 3; 4; 100 ];
-  let lines = String.split_on_char '\n' (String.trim (Quantile.to_csv ())) in
+  let csv = Quantile.to_csv [ ("test.csv.z", h); ("test.csv.a", Quantile.create ()) ] in
+  let lines = String.split_on_char '\n' (String.trim csv) in
   (match lines with
   | header :: _ -> check_str "header" "name,count,p50,p99,max,sum" header
   | [] -> Alcotest.fail "empty csv");
   Alcotest.(check (list string))
     "count, p50, p99, max, sum" [ "5"; "3"; "101"; "101"; "110" ]
-    (csv_row "test.csv.histogram");
+    (csv_row csv "test.csv.z");
   let names = List.filter_map (fun l -> List.nth_opt (String.split_on_char ',' l) 0) lines in
-  check "rows sorted by name" true (List.tl names = List.sort compare (List.tl names))
+  Alcotest.(check (list string)) "rows in the order given" [ "test.csv.z"; "test.csv.a" ]
+    (List.tl names);
+  check_str "no histograms: the header alone" "name,count,p50,p99,max,sum\n"
+    (Quantile.to_csv [])
 
 let test_histogram_quantile () =
-  with_clean @@ fun () ->
-  let h = Quantile.named "test.hq" in
+  let h = Quantile.create () in
   (* 10 samples of 1 (bucketed exactly), one of 100 (HDR bucket
      [100, 101]). *)
   for _ = 1 to 10 do
     Quantile.record h 1
   done;
   Quantile.record h 100;
-  (match csv_row "test.hq" with
+  let csv = Quantile.to_csv [ ("test.hq", h); ("test.hq.empty", Quantile.create ()) ] in
+  (match csv_row csv "test.hq" with
   | [ _; p50; p99; _; _ ] ->
     check_str "p50 = small bucket bound" "1" p50;
     check_str "p99 lands in the top bucket" "101" p99
   | _ -> Alcotest.fail "row shape");
-  ignore (Quantile.named "test.hq.empty");
   Alcotest.(check (list string))
-    "empty histogram row" [ "0"; "0"; "0"; "0"; "0" ] (csv_row "test.hq.empty")
+    "empty histogram row" [ "0"; "0"; "0"; "0"; "0" ] (csv_row csv "test.hq.empty")
 
 (* [bucket_of] finds a sample's bit length by halving steps; it must
    agree with the one-bit-per-step loop it replaced, kept here as the
@@ -146,10 +138,9 @@ let test_bucket_of_matches_bit_loop () =
   agree max_int
 
 (* Recording a sample allocates nothing: the bucket is arithmetic and
-   the cell is cached in the handle. *)
+   the counts are updated in place. *)
 let test_record_allocates_nothing () =
-  with_clean @@ fun () ->
-  let q = Quantile.named "test.record.words" in
+  let q = Quantile.create () in
   Quantile.record q 1;
   let before = Gc.minor_words () in
   for i = 0 to 99_999 do

@@ -216,38 +216,21 @@ let test_pool_nested () =
 
 (* --- telemetry under the pool --- *)
 
-(* Worker domains write histogram shards picked by their own domain id;
-   reads must merge every shard back into one total. *)
-let test_metrics_shard_merge_under_pool () =
-  Dh_obs.Control.with_enabled true @@ fun () ->
-  Fun.protect ~finally:Dh_obs.Quantile.reset
-  @@ fun () ->
-  Dh_obs.Quantile.reset ();
-  let h = Dh_obs.Quantile.named "test.pool.sizes" in
-  let out =
-    Pool.init ~jobs:4 200 (fun i ->
-        Dh_obs.Quantile.record h i;
-        i)
-  in
-  check "work really happened" true (out = Array.init 200 Fun.id);
-  let merged = Dh_obs.Quantile.snapshot h in
-  check_int "histogram merges worker shards" 200 (Dh_obs.Quantile.count merged);
-  check_int "histogram sum" (199 * 200 / 2) (Dh_obs.Quantile.sum merged)
-
 (* Runs [f] with telemetry on, then clears everything it recorded. *)
 let observed f =
   Dh_obs.Control.with_enabled true (fun () ->
       Fun.protect
         ~finally:(fun () ->
-          Dh_obs.Quantile.reset ();
           Dh_obs.Tracing.reset ();
           Dh_obs.Recorder.clear ())
         f)
 
-(* Flight recorder captures and audit offender rankings are the fields
-   tracing legitimately adds (both are [] when obs is off), so the
-   fingerprint strips them before comparing. *)
-let strip i = { i with Supervisor.flight = []; offenders = [] }
+(* Flight recorder captures, audit offender rankings and the serve
+   loop's latency samples are the fields tracing legitimately adds (all
+   empty when obs is off), so the fingerprint strips them before
+   comparing. *)
+let strip i =
+  { i with Supervisor.flight = []; offenders = []; latency = Dh_obs.Quantile.create () }
 
 (* Telemetry is write-only: a traced run must produce bit-identical
    results to an untraced one. *)
@@ -258,10 +241,11 @@ let prop_observation_invariance =
       let baseline = supervisor_incident ~master in
       baseline.Supervisor.flight = []
       && baseline.Supervisor.offenders = []
+      && Dh_obs.Quantile.count baseline.Supervisor.latency = 0
       && strip (observed (fun () -> supervisor_incident ~master)) = strip baseline)
 
 (* The same on a realistic workload: the Squid-style server under the
-   supervisor, where metric cells, sampled heap trace instants and the
+   supervisor, where latency samples, sampled heap trace instants and the
    retry ladder are all live at once. *)
 let server_incident ~master ~attack_every =
   Supervisor.run
@@ -300,8 +284,6 @@ let suite =
     Alcotest.test_case "pool: every fan-out joins its helpers" `Quick
       test_pool_joins_helpers;
     Alcotest.test_case "pool: nested fan-out" `Quick test_pool_nested;
-    Alcotest.test_case "metrics: shards merge under pool" `Quick
-      test_metrics_shard_merge_under_pool;
     QCheck_alcotest.to_alcotest prop_observation_invariance;
     QCheck_alcotest.to_alcotest prop_server_observation_invariance;
   ]

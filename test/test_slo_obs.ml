@@ -1,14 +1,12 @@
 (* Tests for the serve-loop SLO observability stack: Quantile's
-   two-level bucketing against a sorted-array oracle, shard merging
-   under real domains, Window rotation across clock jumps, the serve
-   SLO read off the latency histogram at its edges, the flight
-   recorder's step groups, and the supervisor's serve telemetry
-   (including that it stays write-only: output is identical with
-   observability on or off). *)
+   two-level bucketing against a sorted-array oracle, audits written
+   from real domains, the serve SLO read off the latency histogram at
+   its edges, the flight recorder's step groups, and the supervisor's
+   serve telemetry (one latency histogram per run, and write-only:
+   output is identical with observability on or off). *)
 
 module Control = Dh_obs.Control
 module Quantile = Dh_obs.Quantile
-module Window = Dh_obs.Window
 module Tracing = Dh_obs.Tracing
 module Recorder = Dh_obs.Recorder
 module Audit = Dh_obs.Audit
@@ -21,8 +19,6 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
 let wipe () =
-  Quantile.reset ();
-  Window.reset ();
   Tracing.reset ();
   Recorder.clear ()
 
@@ -88,33 +84,26 @@ let prop_quantile_vs_sorted_oracle =
               (oneof [ int_bound 50; int_bound 5000; int_bound 1_000_000 ]))
            (float_bound_inclusive 1.0)))
     (fun (samples, q) ->
-      Control.with_enabled true (fun () ->
-          Quantile.reset ();
-          let t = Quantile.named "test.oracle" in
-          List.iter (Quantile.record t) samples;
-          let s = Quantile.snapshot t in
-          let sorted = List.sort compare samples in
-          let n = List.length sorted in
-          let rank =
-            min n (max 1 (int_of_float (ceil (q *. float_of_int n))))
-          in
-          let exact = List.nth sorted (rank - 1) in
-          let reported = Quantile.quantile s q in
-          reported = snd (Quantile.bucket_bounds (Quantile.bucket_of exact))
-          && reported >= exact
-          && reported <= exact + (exact / fine) + 1
-          && (exact >= exact_limit || reported = exact)))
+      let t = Quantile.create () in
+      List.iter (Quantile.record t) samples;
+      let sorted = List.sort compare samples in
+      let n = List.length sorted in
+      let rank = min n (max 1 (int_of_float (ceil (q *. float_of_int n)))) in
+      let exact = List.nth sorted (rank - 1) in
+      let reported = Quantile.quantile t q in
+      reported = snd (Quantile.bucket_bounds (Quantile.bucket_of exact))
+      && reported >= exact
+      && reported <= exact + (exact / fine) + 1
+      && (exact >= exact_limit || reported = exact))
 
 let test_snapshot_arithmetic () =
-  with_clean @@ fun () ->
-  let t = Quantile.named "test.arithmetic" in
+  let t = Quantile.create () in
   List.iter (Quantile.record t) [ 5; 10; 15 ];
-  let s = Quantile.snapshot t in
-  check_int "count" 3 (Quantile.count s);
-  check_int "sum" 30 (Quantile.sum s);
-  check "mean" true (abs_float (Quantile.mean s -. 10.) < 1e-9);
-  check_int "max_value exact below limit" 15 (Quantile.max_value s);
-  check_int "empty quantile" 0 (Quantile.quantile Quantile.empty 0.5);
+  check_int "count" 3 (Quantile.count t);
+  check_int "sum" 30 (Quantile.sum t);
+  check "mean" true (abs_float (Quantile.mean t -. 10.) < 1e-9);
+  check_int "max_value exact below limit" 15 (Quantile.max_value t);
+  check_int "empty quantile" 0 (Quantile.quantile (Quantile.create ()) 0.5);
   (match Quantile.record t (-1) with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative sample accepted")
@@ -127,10 +116,9 @@ let test_latency_never_negative () =
   check_int "forward pair" 1_500 (Tracing.elapsed_ns ~since:10_000 ~now:11_500);
   check_int "equal stamps" 0 (Tracing.elapsed_ns ~since:10_000 ~now:10_000);
   check_int "backward pair" 0 (Tracing.elapsed_ns ~since:11_500 ~now:10_000);
-  let h = Quantile.named "test.backward" in
+  let h = Quantile.create () in
   Quantile.record h (Tracing.elapsed_ns ~since:max_int ~now:0);
-  check_int "a backward sample records as 0" 1
-    (Quantile.counts (Quantile.snapshot h)).(0);
+  check_int "a backward sample records as 0" 1 (Quantile.counts h).(0);
   let prev = ref (Tracing.now_ns ()) in
   for _ = 1 to 10_000 do
     let now = Tracing.now_ns () in
@@ -138,17 +126,14 @@ let test_latency_never_negative () =
     prev := now
   done
 
-(* Four domains record disjoint slices into a histogram (each through
-   its own shared handle, merged on read) and into four audits, one per
-   domain, each under that domain's own ambient site.  The merged
-   histogram must equal a sequential oracle; each audit must hold only
-   its own domain's slice, and record_alloc must return that domain's
-   site. *)
-let test_shard_merge_under_domains () =
+(* Four domains record disjoint slices into four audits, one per
+   domain, each under that domain's own ambient site.  Each audit must
+   hold only its own domain's slice, the four must fold to the whole,
+   and record_alloc must return that domain's site. *)
+let test_audit_shards_under_domains () =
   with_clean @@ fun () ->
   Audit.reset ();
   Fun.protect ~finally:Audit.reset @@ fun () ->
-  let t = Quantile.named "test.sharded" in
   let site_of d = Audit.site (Printf.sprintf "test.sharded.site%d" d) in
   let sites = List.init 4 site_of in
   let slice d = List.init 500 (fun i -> (d * 10_000) + (i * 7)) in
@@ -165,35 +150,13 @@ let test_shard_merge_under_domains () =
       (fun d site ->
         Domain.spawn (fun () ->
             Control.with_enabled true (fun () ->
-                let local = Quantile.share t in
                 let audit = Audit.create () in
-                List.iter
-                  (fun v ->
-                    Quantile.record local v;
-                    record_audit audit site v)
-                  (slice d);
+                List.iter (record_audit audit site) (slice d);
                 audit)))
       sites
   in
   let audits = List.map Domain.join domains in
   let all = List.concat_map slice [ 0; 1; 2; 3 ] in
-  let merged = Quantile.snapshot t in
-  let oracle = Quantile.named "test.sharded.oracle" in
-  List.iter (Quantile.record oracle) all;
-  let expect = Quantile.snapshot oracle in
-  check_int "merged count" (Quantile.count expect) (Quantile.count merged);
-  check_int "merged sum" (Quantile.sum expect) (Quantile.sum merged);
-  check "merged buckets" true (Quantile.counts expect = Quantile.counts merged);
-  List.iter
-    (fun q ->
-      check_int
-        (Printf.sprintf "merged p%g" (q *. 100.))
-        (Quantile.quantile expect q) (Quantile.quantile merged q))
-    [ 0.5; 0.9; 0.99; 0.999 ];
-  (* merging snapshots by hand agrees too *)
-  let remerged = Quantile.merge merged Quantile.empty in
-  check_int "merge with empty is identity" (Quantile.count merged)
-    (Quantile.count remerged);
   (* [audits] folded, against the values recorded and their sites *)
   let audit_matches audits vs sites =
     let snap = Audit.snapshot audits in
@@ -223,90 +186,26 @@ let test_shard_merge_under_domains () =
     audits;
   check "the four audits fold to the whole" true
     (audit_matches audits all (List.map (fun site -> (site, 500)) sites));
-  (* Reset zeroes every histogram cell in place: handles taken before it
-     stay valid and record from zero.  The site registry restarts, so
-     names re-intern at the same ids. *)
-  Quantile.reset ();
+  (* The site registry restarts on reset, so names re-intern at the
+     same ids. *)
   Audit.reset ();
   check_int "site re-interned at the same id" (List.hd sites) (site_of 0);
-  check_int "histogram zeroed" 0 (Quantile.count (Quantile.snapshot t));
   let again = [ 3; 700; 70_000 ] in
   let audit = Audit.create () in
-  List.iter
-    (fun v ->
-      Quantile.record t v;
-      record_audit audit (List.hd sites) v)
-    again;
-  let after = Quantile.snapshot t in
-  check_int "records after reset" 3 (Quantile.count after);
-  check_int "sum after reset" (3 + 700 + 70_000) (Quantile.sum after);
+  List.iter (record_audit audit (List.hd sites)) again;
   check "a fresh audit holds only its own records" true
     (audit_matches [ audit ] again [ (List.hd sites, 3) ])
-
-(* --- Window rotation ------------------------------------------------- *)
-
-let test_window_basics () =
-  with_clean @@ fun () ->
-  let w = Window.create ~width:10 ~buckets:4 in
-  check_int "span" 40 (Window.span w);
-  Window.add w ~now:0 3;
-  Window.add w ~now:9 2;
-  Window.add w ~now:10 5;
-  check_int "two buckets so far" 10 (Window.total w ~now:10);
-  (* early-run rate uses elapsed ticks, not the full span *)
-  check "early rate" true
-    (abs_float (Window.rate w ~now:10 -. (10. /. 11.)) < 1e-9);
-  (match Window.add w ~now:(-1) 1 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "negative clock accepted")
-
-let test_window_rotation_and_jumps () =
-  with_clean @@ fun () ->
-  let w = Window.create ~width:10 ~buckets:4 in
-  Window.add w ~now:0 100;
-  (* jump far past the whole window: the old bucket must age out by
-     stamp comparison, with no catch-up loop and no stale count *)
-  Window.add w ~now:1000 7;
-  check_int "stale bucket aged out" 7 (Window.total w ~now:1000);
-  (* a write that predates the trailing window is dropped *)
-  Window.add w ~now:500 9;
-  check_int "late write dropped" 7 (Window.total w ~now:1000);
-  (* sliding off: the t=1000 bucket leaves the window at t=1040 *)
-  check_int "still in window" 7 (Window.total w ~now:1039);
-  check_int "slid out" 0 (Window.total w ~now:1040);
-  (* refill around the ring: only the last [buckets] buckets count *)
-  for b = 0 to 9 do
-    Window.add w ~now:(2000 + (b * 10)) 1
-  done;
-  check_int "ring keeps exactly the trailing buckets" 4 (Window.total w ~now:2090)
-
-let test_window_registry () =
-  with_clean @@ fun () ->
-  let w = Window.get "test.win" ~width:10 ~buckets:4 in
-  check "same instance" true (Window.get "test.win" ~width:10 ~buckets:4 == w);
-  check "find sees it" true (Window.find "test.win" = Some w);
-  check "find misses" true (Window.find "test.win.other" = None);
-  (match Window.get "test.win" ~width:5 ~buckets:4 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "geometry mismatch accepted")
-
-let test_window_disabled_noop () =
-  with_clean @@ fun () ->
-  let w = Window.create ~width:10 ~buckets:4 in
-  Control.with_enabled false (fun () -> Window.add w ~now:0 5);
-  check_int "disabled add dropped" 0 (Window.total w ~now:0)
 
 (* --- the SLO read off the latency histogram ------------------------- *)
 
 let latency_of samples =
-  Quantile.reset ();
-  let h = Quantile.named "test.latency" in
+  let h = Quantile.create () in
   List.iter (Quantile.record h) samples;
-  Quantile.snapshot h
+  h
 
 let test_slo_zero_requests () =
   with_clean @@ fun () ->
-  let r = Serve.slo_of Quantile.empty ~rewinds:0 in
+  let r = Serve.slo_of (Quantile.create ()) ~rewinds:0 in
   check_int "no requests" 0 r.Serve.total;
   check "compliance 1.0" true (r.Serve.compliance = 1.0);
   check "budget unused" true (r.Serve.budget_used = 0.0);
@@ -315,7 +214,7 @@ let test_slo_zero_requests () =
 let test_slo_all_errors () =
   with_clean @@ fun () ->
   (* eight requests, each rewound and none handled yet *)
-  let r = Serve.slo_of Quantile.empty ~rewinds:8 in
+  let r = Serve.slo_of (Quantile.create ()) ~rewinds:8 in
   check_int "all bad" 8 r.Serve.bad;
   check "compliance 0" true (r.Serve.compliance = 0.0);
   check "budget_used = 1/budget" true
@@ -332,13 +231,6 @@ let test_slo_latency_classification () =
   let r = Serve.slo_of (latency_of [ 1; 196_607; 196_608; 200_000 ]) ~rewinds:1 in
   check_int "handled plus rewound" 5 r.Serve.total;
   check_int "rewind plus two slow samples" 3 r.Serve.bad
-
-let test_slo_disabled_noop () =
-  with_clean @@ fun () ->
-  let h = Quantile.named "test.slo.disabled" in
-  Control.with_enabled false (fun () -> Quantile.record h 1_000_000);
-  check_int "disabled record dropped" 0
-    (Serve.slo_of (Quantile.snapshot h) ~rewinds:0).Serve.total
 
 (* --- Recorder step groups ------------------------------------------- *)
 
@@ -405,15 +297,52 @@ let test_serve_telemetry () =
   with_clean @@ fun () ->
   let incident = serve_incident ~obs:true () in
   check "survived" true (incident.Supervisor.verdict <> Supervisor.Gave_up);
-  let latency = Quantile.named "serve.latency_ns" in
-  let s = Quantile.snapshot latency in
+  let latency = incident.Supervisor.latency in
   (* every request (plus rewound replays) recorded a latency *)
-  check "latency samples >= requests" true (Quantile.count s >= 512);
-  check "latencies are positive" true (Quantile.quantile s 0.5 > 0);
-  (* What a bench pass relies on to start its latencies from empty. *)
-  Quantile.reset ();
-  check_int "reset empties serve.latency_ns" 0
-    (Quantile.count (Quantile.snapshot latency))
+  check "latency samples >= requests" true (Quantile.count latency >= 512);
+  check "latencies are positive" true (Quantile.quantile latency 0.5 > 0)
+
+(* Two obs-on supervised runs in one process, and one obs-off run: each
+   incident's histogram holds exactly the requests its own run handled,
+   rewound replays included, counted by a wrapper around the server's
+   handler (a request that faults returns no sample).  An attack every
+   17 requests makes the run rewind.  The obs-off run's histogram is
+   empty. *)
+let test_serve_latency_per_run () =
+  with_clean @@ fun () ->
+  let run ~obs =
+    let handled = ref 0 in
+    let svc = Option.get (Server.program ~requests:512 ~attack_every:17 ()).service in
+    let init ctx =
+      let h = svc.Dh_alloc.Program.init ctx in
+      let handle k =
+        h.Dh_alloc.Program.handle k;
+        incr handled
+      in
+      { h with Dh_alloc.Program.handle }
+    in
+    let incident =
+      Supervisor.run
+        ~policy:
+          {
+            Supervisor.default_policy with
+            Supervisor.checkpoint_interval = 64;
+            max_rewinds = 32;
+            diagnose = false;
+          }
+        ~config:(Diehard.Config.v ~heap_size:Server.heap_size ~obs ())
+        ~seed_pool:(Dh_rng.Seed.create ~master:5)
+        (Dh_alloc.Program.of_service ~name:"server" { svc with init })
+    in
+    (Quantile.count incident.Supervisor.latency, !handled)
+  in
+  let first, handled = run ~obs:true in
+  check "the run replayed rewound requests" true (handled > 512);
+  check_int "first run: its own requests" handled first;
+  let second, handled = run ~obs:true in
+  check_int "second run: its own requests, none of the first's" handled second;
+  let off, _ = Control.with_enabled false (fun () -> run ~obs:false) in
+  check_int "obs-off run: empty" 0 off
 
 (* An obs-on supervised server that faults (2,000 requests, attack every
    97; attempt 0 dies on its first fault): the incident, its first
@@ -617,21 +546,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_quantile_vs_sorted_oracle;
     Alcotest.test_case "quantile: snapshot arithmetic" `Quick
       test_snapshot_arithmetic;
-    Alcotest.test_case "quantile: shard merge under domains" `Quick
-      test_shard_merge_under_domains;
-    Alcotest.test_case "window: basics and early rate" `Quick test_window_basics;
-    Alcotest.test_case "window: rotation across clock jumps" `Quick
-      test_window_rotation_and_jumps;
-    Alcotest.test_case "window: registry and find" `Quick test_window_registry;
-    Alcotest.test_case "window: disabled add is a no-op" `Quick
-      test_window_disabled_noop;
+    Alcotest.test_case "audit: shards under domains" `Quick
+      test_audit_shards_under_domains;
     Alcotest.test_case "slo: zero requests" `Quick test_slo_zero_requests;
     Alcotest.test_case "slo: 100% errors burns 1/budget" `Quick
       test_slo_all_errors;
     Alcotest.test_case "slo: latency classification" `Quick
       test_slo_latency_classification;
-    Alcotest.test_case "slo: disabled record is a no-op" `Quick
-      test_slo_disabled_noop;
     Alcotest.test_case "recorder: step groups" `Quick
       test_step_groups;
     Alcotest.test_case "recorder: advertised step fills reports" `Quick
@@ -646,6 +567,8 @@ let suite =
       test_failed_attempt_heap_stats;
     Alcotest.test_case "serve: supervisor publishes telemetry" `Quick
       test_serve_telemetry;
+    Alcotest.test_case "serve: each supervised run owns its latency" `Quick
+      test_serve_latency_per_run;
     Alcotest.test_case "serve: telemetry is write-only" `Quick
       test_serve_telemetry_write_only;
     Alcotest.test_case "serve: zipf keys stay deterministic" `Quick

@@ -435,8 +435,6 @@ let test_server_supervised_pinned () =
   let incident =
     Fun.protect
       ~finally:(fun () ->
-        Dh_obs.Quantile.reset ();
-        Dh_obs.Window.reset ();
         Dh_obs.Tracing.reset ();
         Dh_obs.Recorder.clear ();
         Dh_obs.Audit.reset ())
