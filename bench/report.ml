@@ -2,11 +2,30 @@
    and table of the paper is printed as an aligned text table with a
    header naming the paper artifact it regenerates. *)
 
+(* Where reports print: stdout, except inside {!on_stderr}. *)
+let out = ref stdout
+
+(* Print [f]'s report to stderr: for wall-clock sections, so the stdout
+   of a seeded experiment stays deterministic. *)
+let on_stderr f =
+  flush stdout;
+  out := stderr;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stderr;
+      out := stdout)
+    f
+
+(* One line of a table, flushed as [print_endline] would. *)
+let line s =
+  output_string !out (s ^ "\n");
+  flush !out
+
 let heading title =
   let bar = String.make (String.length title) '=' in
-  Printf.printf "\n%s\n%s\n" title bar
+  Printf.fprintf !out "\n%s\n%s\n" title bar
 
-let subheading title = Printf.printf "\n-- %s --\n" title
+let subheading title = Printf.fprintf !out "\n-- %s --\n" title
 
 (* Output format for tabular results: aligned text (default) or CSV.
    Flipped by `bench/main.exe -- csv`; every table in the harness then
@@ -23,7 +42,7 @@ let csv_cell s =
 (* Emit rows as CSV, header first. *)
 let csv ~header rows =
   List.iter
-    (fun row -> print_endline (String.concat "," (List.map csv_cell row)))
+    (fun row -> line (String.concat "," (List.map csv_cell row)))
     (header :: rows)
 
 (* Render rows of string cells with aligned columns. *)
@@ -39,8 +58,7 @@ let table_text ~header rows =
     let cells =
       List.mapi (fun i cell -> cell ^ String.make (widths.(i) - String.length cell) ' ') row
     in
-    print_string "  ";
-    print_endline (String.concat "  " cells)
+    line ("  " ^ String.concat "  " cells)
   in
   print_row header;
   print_row (List.map (fun w -> String.make w '-') (Array.to_list widths));
@@ -52,7 +70,7 @@ let table ~header rows =
 let pct p = Printf.sprintf "%5.1f%%" (100. *. p)
 let pct2 p = Printf.sprintf "%7.3f%%" (100. *. p)
 let f2 x = Printf.sprintf "%.2f" x
-let note fmt = Printf.ksprintf (fun s -> Printf.printf "  %s\n" s) fmt
+let note fmt = Printf.ksprintf (fun s -> Printf.fprintf !out "  %s\n" s) fmt
 
 (* Timing: median of [runs] wall-clock measurements of [f]. *)
 let time_median ?(runs = 3) f =

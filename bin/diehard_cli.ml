@@ -499,7 +499,7 @@ let print_replay_fault (f : Supervisor.replay_fault) =
       f.replayed_bytes f.original_bytes;
   Option.iter
     (fun (r : Dh_obs.Recorder.report) ->
-      Printf.printf "\nflight record #%d (%s)%s, by step:\n" r.seq r.reason
+      Printf.printf "\nflight record (%s)%s, by step:\n" r.reason
         (match r.step with Some s -> Printf.sprintf " at step %d" s | None -> "");
       List.iter
         (fun (g : Dh_obs.Recorder.step_group) ->

@@ -141,9 +141,11 @@ type fault_action =
    histogram).  All write-only and gated on one enabled check per
    request when off; when on, the per-request cost is one clock read and
    one latency sample recorded into the run's own [latency] histogram
-   (plain adds).  A request's latency runs from the previous request's
-   completion (or from the moment its window was armed) to its own: the
-   clock is read once per request, and arming stays out of the sample.
+   (plain adds), and the request index advertised as the step of the
+   address space's own flight recorder.  A request's latency runs from
+   the previous request's completion (or from the moment its window was
+   armed) to its own: the clock is read once per request, and arming
+   stays out of the sample.
    A rewind emits a "supervisor.rewind" instant; the only rewind count
    is the recovery report's.  A [latency] histogram switches this
    telemetry on (when obs is); replay and the canary diagnosis replay
@@ -153,6 +155,7 @@ type fault_action =
    it would from [main]. *)
 let run_service ~latency ~context (svc : Program.service) heap ~interval ~on_fault =
   let mem = Heap.mem heap in
+  let recorder = Dh_mem.Mem.recorder mem in
   let armed = interval > 0 in
   let checkpoints = ref 0 and rewinds = ref 0 and pages_restored = ref 0 in
   let result =
@@ -164,7 +167,7 @@ let run_service ~latency ~context (svc : Program.service) heap ~interval ~on_fau
           match latency with
           | None -> h.Program.handle k
           | Some l ->
-            Dh_obs.Recorder.set_step k;
+            Dh_obs.Recorder.set_step recorder k;
             h.Program.handle k;
             let now = Dh_obs.Tracing.now_ns () in
             let dt = Dh_obs.Tracing.elapsed_ns ~since:!stamp ~now in
@@ -224,7 +227,7 @@ let run_service ~latency ~context (svc : Program.service) heap ~interval ~on_fau
         end)
   in
   (* Also after a fault escaped: no step stays advertised. *)
-  if Option.is_some latency then Dh_obs.Recorder.clear_step ();
+  if Option.is_some latency then Dh_obs.Recorder.clear_step recorder;
   ( result,
     if not armed then None
     else
@@ -296,12 +299,17 @@ let run ?(policy = default_policy) ?(config = Config.default)
      is write-only, so it adds only [flight], [offenders] and
      [latency] to the incident). *)
   Dh_obs.Control.with_enabled (config.Config.obs || Dh_obs.Control.enabled ()) @@ fun () ->
-  let audits = ref [] and latency = Dh_obs.Quantile.create () in
+  (* The ladder attempts' audits, and the flight recorders of the
+     address spaces the run builds (the canary replay's too), newest
+     first. *)
+  let audits = ref [] and recorders = ref [] and latency = Dh_obs.Quantile.create () in
+  let record_space heap = recorders := Dh_mem.Mem.recorder (Heap.mem heap) :: !recorders in
   let attempt_under plan =
     Dh_obs.Tracing.span ~arg:(string_of_int plan.attempt) "supervisor.attempt"
     @@ fun () ->
     let heap, base_alloc = build_heap ~config plan in
     audits := Heap.audit heap :: !audits;
+    record_space heap;
     let alloc = wrap plan base_alloc in
     (* The rewind rung applies to randomized attempts of service-shaped
        programs; the rescue rung stays from-scratch (its wrapper defers
@@ -322,7 +330,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
        with its address space's counters; failures without one (abort,
        arithmetic trap, fuel exhaustion, bad exit code) are captured
        here, with the attempt's heap counters, so every failed rung
-       leaves a flight record. *)
+       leaves a flight record in its own address space. *)
     (if (not ok) && Dh_obs.Control.enabled () then
        match result.Process.outcome with
        | Process.Crashed f when Dh_mem.Fault.is_memory f -> ()
@@ -338,7 +346,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
            ~reason:
              (Format.asprintf "supervisor attempt %d failed: %a" plan.attempt
                 Process.pp_outcome outcome)
-           ());
+           (Dh_mem.Mem.recorder (Heap.mem heap)));
     ({ plan; outcome = result.Process.outcome; ok; fuel_burned; recovery }, result)
   in
   (* Replay the failed attempt — same seed, same heap shape, same wrap —
@@ -351,6 +359,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
        buddy's bytes, so the canaries written into freed slots would
        read as overwritten after a mesh pass. *)
     let replay_heap, base = build_heap ~config:{ config with mesh = false } plan in
+    record_space replay_heap;
     let canary, instrumented = Canary.wrap base in
     let result, fuel_burned, _ =
       execute ~latency:None ~heap:replay_heap ~interval:0
@@ -418,9 +427,13 @@ let run ?(policy = default_policy) ?(config = Config.default)
     canary_violations;
     output;
     total_fuel = List.fold_left (fun acc a -> acc + a.fuel_burned) diag_fuel attempts;
-    (* Drain the flight recorder into the incident; [] when disabled, so
+    (* The captures of the run's own address spaces, in the order they
+       were built, newest [max_reports] kept; [] when disabled, so
        incidents compare equal across runs that never enabled obs. *)
-    flight = Dh_obs.Recorder.take ();
+    flight =
+      (let all = List.concat_map Dh_obs.Recorder.reports (List.rev !recorders) in
+       let extra = List.length all - Dh_obs.Recorder.max_reports in
+       List.filteri (fun i _ -> i >= extra) all);
     (* Same contract as [flight]: [] when disabled, so incidents from
        un-instrumented runs compare structurally equal. *)
     offenders =
@@ -479,13 +492,14 @@ let replay ?(input = "") ?(fuel = 100_000_000) ~config ~interval (svc : Program.
   Dh_obs.Control.with_enabled true @@ fun () ->
   let heap = Heap.create ~config (Dh_mem.Mem.create ()) in
   let alloc = Heap.allocator heap and stats = Heap.stats heap in
+  let recorder = Dh_mem.Mem.recorder alloc.mem in
   let since out mark =
     let len = Process.Out.length out in
     if len = mark then "" else String.sub (Process.Out.contents out) mark (len - mark)
   in
   let first = ref None and steps = ref [] in
   let step out j run =
-    Dh_obs.Recorder.set_step j;
+    Dh_obs.Recorder.set_step recorder j;
     let len0 = Process.Out.length out and dirty0 = Dh_mem.Mem.dirty_pages alloc.mem in
     let m0 = stats.mallocs and f0 = stats.frees and live0 = stats.live_bytes in
     let step_fault =
@@ -518,7 +532,6 @@ let replay ?(input = "") ?(fuel = 100_000_000) ~config ~interval (svc : Program.
       svc heap ~interval ~on_fault
   in
   let recovery = Option.get recovery (* [interval > 0]: checkpoints were armed *) in
-  Dh_obs.Recorder.clear_step ();
   let first_fault =
     Option.map
       (fun (f, original) ->
@@ -541,7 +554,7 @@ let replay ?(input = "") ?(fuel = 100_000_000) ~config ~interval (svc : Program.
           original_bytes = String.length original;
           replayed_bytes = String.length replayed;
           output_matches = replayed = original;
-          flight = Dh_obs.Recorder.last ();
+          flight = Dh_obs.Recorder.last recorder;
         })
       !first
   in
@@ -610,4 +623,4 @@ let pp_incident ppf i =
   | reports ->
     Format.fprintf ppf "  flight recorder: %d capture%s@." (List.length reports)
       (if List.length reports = 1 then "" else "s");
-    List.iter (fun r -> Format.fprintf ppf "%a" Dh_obs.Recorder.pp_report r) reports
+    List.iteri (fun n r -> Format.fprintf ppf "%a" (Dh_obs.Recorder.pp_report n) r) reports

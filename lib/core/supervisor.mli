@@ -108,9 +108,13 @@ type incident = {
   output : string option;  (** Output of the surviving attempt. *)
   total_fuel : int;  (** Across all attempts and the diagnosis replay. *)
   flight : Dh_obs.Recorder.report list;
-      (** Flight-recorder captures drained at the end of the run: one
-          per memory fault raised and one per non-crash failed rung.
-          Always [[]] when observability is disabled, so incidents from
+      (** The flight records of the address spaces this run built
+          ({!Dh_mem.Mem.recorder}): its ladder attempts' in order, then
+          the canary replay's; one per memory fault raised and one per
+          non-crash failed rung.  The newest
+          {!Dh_obs.Recorder.max_reports} (16) are kept.  No other run's
+          capture, earlier or on another domain, appears here.  Always
+          [[]] when observability is disabled, so incidents from
           un-instrumented runs compare structurally equal. *)
   offenders : Dh_obs.Audit.site_stat list;
       (** Top allocation sites by attributed events (canary hits from
@@ -189,8 +193,9 @@ type replay_fault = {
   replayed_bytes : int;  (** ...and what the replay printed. *)
   output_matches : bool;  (** Byte for byte. *)
   flight : Dh_obs.Recorder.report option;
-      (** The flight record of the replay's fault (the forward run's when
-          the fault vanished); group it with {!Dh_obs.Recorder.step_groups}. *)
+      (** The newest flight record of the replay's address space: its
+          re-executed fault's (the forward run's when the fault
+          vanished); group it with {!Dh_obs.Recorder.step_groups}. *)
 }
 
 type replay = {
@@ -212,7 +217,8 @@ val replay :
     loop as the rewind rung, [interval] requests per window, up to its
     first memory fault.  It then rewinds that window {e without}
     reseeding and re-executes it one request at a time, each request in
-    a ["replay.step"] span with {!Dh_obs.Recorder.set_step}, until the
+    a ["replay.step"] span, its index advertised with
+    {!Dh_obs.Recorder.set_step} on the address space's own recorder, until the
     fault recurs or the faulting request has run.  Services are
     deterministic functions of their input and placements, so the fault
     must reproduce; a service holding state outside simulated memory
@@ -222,4 +228,5 @@ val replay :
     [Invalid_argument] when [interval <= 0]. *)
 
 val pp_incident : Format.formatter -> incident -> unit
-(** Multi-line, one row per attempt, plus the diagnosis. *)
+(** Multi-line, one row per attempt, plus the diagnosis, the offenders
+    and the flight records numbered by position ([#0], [#1], ...). *)

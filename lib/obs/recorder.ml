@@ -1,7 +1,6 @@
 type section = { title : string; body : string }
 
 type report = {
-  seq : int;
   at_us : int;
   reason : string;
   step : int option;
@@ -12,60 +11,29 @@ type report = {
 let window = 64
 let max_reports = 16
 
-(* Captures are cold (they happen on faults), so one lock over the
-   report queue costs nothing. *)
-let lock = Mutex.create ()
-let queue : report list ref = ref []  (* newest first *)
-let next_seq = ref 0
+(* One recorder per address space, written by the one domain running
+   it.  [step] is the advertised step: a step-structured loop (the
+   supervisor's serve loop) stores its request index here so captures
+   fired deep inside a handler — the Mem fault path — land with the
+   cursor position filled in.  -1 = no step-structured execution
+   active. *)
+type t = { mutable queue : report list;  (* newest first *) mutable step : int }
 
-(* The advertised step: a step-structured loop (the supervisor's serve
-   loop) stores its request index here so captures fired deep inside a
-   handler — the Mem fault path — land with the cursor position filled
-   in.  -1 = no step-structured execution active. *)
-let current_step = Atomic.make (-1)
+let create () = { queue = []; step = -1 }
+let set_step t k = t.step <- k
+let clear_step t = t.step <- -1
 
-let set_step k = Atomic.set current_step k
-let clear_step () = Atomic.set current_step (-1)
-
-let trigger ?(sections = []) ~reason () =
+let trigger ?(sections = []) ~reason t =
   if Control.enabled () then begin
-    let step = Atomic.get current_step in
-    let report =
-      {
-        seq = 0;  (* seq and at_us are patched under the lock below *)
-        at_us = 0;
-        reason;
-        step = (if step >= 0 then Some step else None);
-        events = Tracing.last_events window;
-        sections;
-      }
-    in
-    Mutex.protect lock (fun () ->
-        let seq = !next_seq in
-        incr next_seq;
-        let at_us =
-          match List.rev report.events with e :: _ -> e.Tracing.ts | [] -> 0
-        in
-        let trimmed =
-          if List.length !queue >= max_reports then
-            List.filteri (fun i _ -> i < max_reports - 1) !queue
-          else !queue
-        in
-        queue := { report with seq; at_us } :: trimmed)
+    let events = Tracing.last_events window in
+    let at_us = match List.rev events with e :: _ -> e.Tracing.ts | [] -> 0 in
+    let step = if t.step >= 0 then Some t.step else None in
+    let kept = List.filteri (fun i _ -> i < max_reports - 1) t.queue in
+    t.queue <- { at_us; reason; step; events; sections } :: kept
   end
 
-let reports () = Mutex.protect lock (fun () -> List.rev !queue)
-
-let take () =
-  Mutex.protect lock (fun () ->
-      let r = List.rev !queue in
-      queue := [];
-      r)
-
-let last () = Mutex.protect lock (fun () -> match !queue with r :: _ -> Some r | [] -> None)
-
-let clear () = Mutex.protect lock (fun () -> queue := [])
-
+let reports t = List.rev t.queue
+let last t = match t.queue with r :: _ -> Some r | [] -> None
 (* --- step groups ---
 
    The replay viewer brackets each re-executed request in a
@@ -92,8 +60,8 @@ let step_groups r =
   in
   go None [] [] r.events
 
-let pp_report ppf r =
-  Format.fprintf ppf "flight record #%d at %d us: %s%t@." r.seq r.at_us r.reason
+let pp_report i ppf r =
+  Format.fprintf ppf "flight record #%d at %d us: %s%t@." i r.at_us r.reason
     (fun ppf ->
       match r.step with
       | Some k -> Format.fprintf ppf " (step %d)" k

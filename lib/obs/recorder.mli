@@ -1,29 +1,34 @@
 (** Fault flight recorder.
 
     When a simulated memory fault is raised, or a supervisor attempt
-    dies, the instrumented layers call {!trigger}: the recorder
-    snapshots the last {!window} trace events and the caller's sections
-    (the faulting address's neighborhood and the counters of the
-    component that raised it) into a structured {!report}.  It reads no
-    heap and no audit: a process may hold several, and only the
-    triggering component knows which one its evidence describes.  The
-    most suspect allocation sites are the incident's [offenders].  Reports
-    accumulate in a bounded queue that {!Supervisor} drains into its
-    incidents and the CLI prints.
+    dies, the instrumented layers call {!trigger} on the recorder of the
+    address space concerned: it snapshots the calling domain's last
+    {!window} trace events and the caller's sections (the faulting
+    address's neighborhood and the counters of the component that raised
+    it) into a structured {!report}.  It reads no heap and no audit: a
+    process may hold several, and only the triggering component knows
+    which one its evidence describes.  The most suspect allocation sites
+    are the incident's [offenders].
 
-    Everything is a no-op while {!Control.enabled} is false. *)
+    Each {!Dh_mem.Mem} address space owns one recorder, so a fault's
+    evidence stays with the space that faulted: a {!Supervisor} incident
+    gathers the records of the spaces it built, and two runs (in turn or
+    on two domains) never see each other's.  A recorder keeps its newest
+    {!max_reports} reports and is written by one domain at a time.
+
+    {!trigger} is a no-op while {!Control.enabled} is false. *)
 
 type section = { title : string; body : string }
 
 type report = {
-  seq : int;  (** Capture sequence number (process-wide). *)
   at_us : int;  (** Tracing-clock timestamp of the capture. *)
   reason : string;
   step : int option;
       (** For step-structured executions (the serve loop, the replay
           viewer): the request index being handled when the capture
           fired — the cursor position time-travel replay walks back to. *)
-  events : Tracing.event list;  (** The last {!window} trace events. *)
+  events : Tracing.event list;
+      (** The capturing domain's last {!window} trace events. *)
   sections : section list;
       (** The caller-supplied sections, in order; a section whose body
           is [""] is not printed. *)
@@ -33,19 +38,32 @@ val window : int
 (** Trace events captured per report (64). *)
 
 val max_reports : int
-(** Reports retained; older ones are dropped (16). *)
+(** Reports a recorder retains; older ones are dropped (16). *)
 
-val trigger : ?sections:section list -> reason:string -> unit -> unit
-(** Capture a report now.  No-op when observability is disabled.  The
-    report's step is the advertised step (below), if any. *)
+type t
+(** A recorder: its retained reports and its advertised step. *)
 
-val set_step : int -> unit
+val create : unit -> t
+(** An empty recorder with no step advertised. *)
+
+val trigger : ?sections:section list -> reason:string -> t -> unit
+(** Capture a report into [t] now.  No-op when observability is
+    disabled.  The report's step is [t]'s advertised step (below), if
+    any. *)
+
+val set_step : t -> int -> unit
 (** Advertise the step a step-structured loop is currently executing, so
     captures fired deep inside the handler (the [Mem] fault path) carry
     the cursor position without plumbing.  Cleared by {!clear_step};
     serve loops advertise only while observability is enabled. *)
 
-val clear_step : unit -> unit
+val clear_step : t -> unit
+
+val reports : t -> report list
+(** The retained reports, oldest first. *)
+
+val last : t -> report option
+(** The newest report. *)
 
 (** {1 Step groups}
 
@@ -68,13 +86,6 @@ val step_groups : report -> step_group list
     ["replay.step"].  Events before the first marker form a leading
     group with [step_arg = ""] (omitted when empty). *)
 
-val reports : unit -> report list  (** Oldest first. *)
-
-val take : unit -> report list
-(** Drain: return the retained reports (oldest first) and clear them. *)
-
-val last : unit -> report option
-val clear : unit -> unit  (** Drop the retained reports. *)
-
-val pp_report : Format.formatter -> report -> unit
-(** Multi-line: reason, recent events and non-empty sections. *)
+val pp_report : int -> Format.formatter -> report -> unit
+(** [pp_report i] prints the report as capture [#i], multi-line: reason,
+    recent events and non-empty sections. *)

@@ -60,19 +60,10 @@ let ring_tail r k =
    order. *)
 let by_time a b = if a.ts <> b.ts then Int.compare a.ts b.ts else Int.compare a.dom b.dom
 
-let merged k = List.sort by_time (Cell.fold (fun acc r -> ring_tail r k @ acc) [] rings)
+let events () =
+  List.sort by_time (Cell.fold (fun acc r -> ring_tail r ring_capacity @ acc) [] rings)
 
-let events () = merged ring_capacity
-
-(* The newest [n] events overall include, from each ring, only events
-   among that ring's newest [n] (a ring's events keep their index order
-   in the merge), so only those tails are read and sorted: a flight
-   capture of 64 events sorts at most 64 per domain, not every retained
-   event. *)
-let last_events n =
-  let tails = merged n in
-  let extra = List.length tails - n in
-  if extra <= 0 then tails else List.filteri (fun i _ -> i >= extra) tails
+let last_events n = ring_tail (Cell.get rings) n
 
 let recorded () = Cell.fold (fun acc r -> acc + r.n) 0 rings
 

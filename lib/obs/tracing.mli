@@ -2,12 +2,12 @@
     events stamped from the monotonic clock.
 
     Each domain records into its own fixed-capacity ring (a {!Cell}
-    value), so recording never synchronizes with other domains; the ring overwrites its oldest events when full, which is
-    exactly the window the {!Recorder} flight recorder wants.  Reads
-    ({!events}, {!to_chrome_json}) merge every ring and sort by
-    timestamp; they are intended for idle moments (process exit, a
-    fault capture) and tolerate concurrent writers by accepting a
-    slightly stale tail.
+    value), so recording never synchronizes with other domains; the ring
+    overwrites its oldest events when full, and its tail is exactly the
+    window a {!Recorder} flight capture wants ({!last_events}).  The
+    exports ({!events}, {!to_chrome_json}) merge every ring and sort by
+    timestamp; they are intended for idle moments (process exit) and
+    tolerate concurrent writers by accepting a slightly stale tail.
 
     All recording is a no-op while {!Control.enabled} is false. *)
 
@@ -46,12 +46,10 @@ val events : unit -> event list
 (** Every retained event across all domains, in timestamp order. *)
 
 val last_events : int -> event list
-(** The most recent [n] retained events, in timestamp order: the tail of
-    {!events}[ ()].  It reads only each ring's newest [n] events (a
-    ring is already in timestamp order), so its cost is
-    O(d n log(d n)) for [d] recording domains, not the O(4096 d log(4096 d))
-    of {!events} — a flight capture's 64-event window sorts 64 events
-    per domain. *)
+(** The calling domain's most recent [n] retained events, oldest first:
+    one ring's tail, with no merge and no sort.  A flight capture's
+    window, so a fault on one domain records none of another domain's
+    concurrent events. *)
 
 val recorded : unit -> int
 (** Total events recorded since the last {!reset}, including ones the

@@ -149,6 +149,7 @@ type t = {
       (* page buffers of closed windows, reused for new pre-images: a
          window that pre-images n pages draws up to n of them, so the
          list never holds more than the largest window has used *)
+  recorder : Dh_obs.Recorder.t;  (* this space's flight record *)
 }
 
 (* The segment mapping [addr], or [no_segment]: a negative address
@@ -199,6 +200,7 @@ let create () =
     dirty = 0;
     preimaged = 0;
     spare = [];
+    recorder = Dh_obs.Recorder.create ();
   }
 
 (* --- the locality model ---
@@ -310,7 +312,8 @@ let inspect t ~addr ~len =
    observability layer on behalf of the program being simulated: when a
    fault is about to be raised (and telemetry is on), capture the
    faulting address's neighborhood into the flight recorder before the
-   exception unwinds and the evidence goes stale. *)
+   exception unwinds and the evidence goes stale.  The capture goes to
+   this space's own recorder. *)
 
 let hex_digits = "0123456789abcdef"
 
@@ -421,6 +424,7 @@ let stats t =
 
 let touched_pages t = t.touched_pages
 let preimaged_pages t = t.preimaged
+let recorder t = t.recorder
 
 (* This address space's own counters, for its fault's flight record. *)
 let counters_body t =
@@ -452,7 +456,7 @@ let raise_fault t f =
         ]
       | None -> [ neighborhood_section; counters_section ]
     in
-    Dh_obs.Recorder.trigger ~sections ~reason:(Fault.to_string f) ()
+    Dh_obs.Recorder.trigger ~sections ~reason:(Fault.to_string f) t.recorder
   end;
   Fault.raise_fault f
 

@@ -28,10 +28,16 @@ val word_size : int
 (** 8 bytes. *)
 
 val create : unit -> t
-(** A fresh, empty address space.  While {!Dh_obs.Control.enabled}, a
-    fault it raises leaves a flight record ({!Dh_obs.Recorder}) whose
-    ["mem counters"] section holds this space's own {!stats},
-    {!touched_pages} and {!preimaged_pages}. *)
+(** A fresh, empty address space, with an empty {!recorder}.  While
+    {!Dh_obs.Control.enabled}, a fault it raises leaves a flight record
+    in its own {!recorder} whose ["mem counters"] section holds this
+    space's own {!stats}, {!touched_pages} and {!preimaged_pages}. *)
+
+val recorder : t -> Dh_obs.Recorder.t
+(** This space's own flight recorder: the captures of the faults it
+    raised, and of whatever else its owner records against it (a
+    supervisor's failed attempt, the serve loop's advertised step).
+    {!rewind} does not roll it back. *)
 
 (** {1 Mapping} *)
 

@@ -185,10 +185,8 @@ let test_cow_buffers_reused () =
      one line per pre-imaged page, each naming how many bytes differ. *)
   let check_delta snap =
     Dh_obs.Control.with_enabled true (fun () ->
-        Dh_obs.Recorder.clear ();
         ignore (faults (fun () -> Mem.read8 mem 0));
-        let report = Option.get (Dh_obs.Recorder.last ()) in
-        Dh_obs.Recorder.clear ();
+        let report = Option.get (Dh_obs.Recorder.last (Mem.recorder mem)) in
         let body =
           (List.find
              (fun s -> s.Dh_obs.Recorder.title = "dirty-page delta")
@@ -551,10 +549,8 @@ let test_dirty_delta_counts_bytes () =
     !n
   in
   Dh_obs.Control.with_enabled true @@ fun () ->
-  Dh_obs.Recorder.clear ();
   ignore (faults (fun () -> Mem.read8 mem 0));
-  let report = Option.get (Dh_obs.Recorder.last ()) in
-  Dh_obs.Recorder.clear ();
+  let report = Option.get (Dh_obs.Recorder.last (Mem.recorder mem)) in
   let body =
     (List.find
        (fun s -> s.Dh_obs.Recorder.title = "dirty-page delta")
@@ -572,10 +568,11 @@ let test_dirty_delta_counts_bytes () =
 
 (* What one memory fault's flight capture allocates with obs on, a
    checkpoint armed over dirty pages and a full 4,096-event trace ring:
-   the capture reads the ring's newest 64 events rather than sorting
-   every retained one, and reads no audit, so it stays under a pinned
-   bound (minor words on this domain with OCaml 5.1: about 3,800; a
-   top-sites section read from a process-wide audit made it about
+   the capture reads its own domain's ring's newest 64 events rather
+   than sorting every retained one, and reads no audit, so it stays
+   under a pinned bound (minor words on this domain with OCaml 5.1:
+   about 2,030; merging and sorting every ring's newest 64 made it
+   3,604, a top-sites section read from a process-wide audit about
    3,870 with no site recorded, rebuilding that audit's class histograms
    11,631, and sorting the whole ring 354,162). *)
 let fault_capture_words_bound = 6_000.
@@ -589,18 +586,14 @@ let test_fault_capture_allocation () =
   done;
   Dh_obs.Control.with_enabled true @@ fun () ->
   Dh_obs.Tracing.reset ();
-  Dh_obs.Recorder.clear ();
-  Fun.protect ~finally:(fun () ->
-      Dh_obs.Tracing.reset ();
-      Dh_obs.Recorder.clear ())
-  @@ fun () ->
+  Fun.protect ~finally:Dh_obs.Tracing.reset @@ fun () ->
   for _ = 1 to Dh_obs.Tracing.ring_capacity + 1 do
     Dh_obs.Tracing.instant "test.fill"
   done;
   let before = Gc.minor_words () in
   check "faulted" true (faults (fun () -> Mem.read8 mem 0));
   let words = Gc.minor_words () -. before in
-  let report = Option.get (Dh_obs.Recorder.last ()) in
+  let report = Option.get (Dh_obs.Recorder.last (Mem.recorder mem)) in
   check_int "the capture holds the recorder's window" Dh_obs.Recorder.window
     (List.length report.Dh_obs.Recorder.events);
   if words > fault_capture_words_bound then

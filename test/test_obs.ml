@@ -4,8 +4,8 @@
    guarded derived ratios in the stats reporters.
 
    Every test that enables observability runs under [with_clean], which
-   forces the switch on, wipes the rings/reports, and restores
-   everything afterwards, so telemetry never leaks between tests (or
+   forces the switch on, wipes the trace rings, and restores everything
+   afterwards (each flight recorder is a test's own value), so telemetry never leaks between tests (or
    into the determinism suites in test_parallel.ml). *)
 
 module Control = Dh_obs.Control
@@ -18,14 +18,10 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-let wipe () =
-  Tracing.reset ();
-  Recorder.clear ()
-
 let with_clean f =
   Control.with_enabled true (fun () ->
-      wipe ();
-      Fun.protect ~finally:wipe f)
+      Tracing.reset ();
+      Fun.protect ~finally:Tracing.reset f)
 
 (* --- histograms ----------------------------------------------------- *)
 
@@ -66,12 +62,13 @@ let test_histogram_observe () =
 
 let test_disabled_is_noop () =
   with_clean @@ fun () ->
+  let recorder = Recorder.create () in
   Control.with_enabled false (fun () ->
       Tracing.instant "test.noop";
       Tracing.span "test.noop.span" (fun () -> ());
-      Recorder.trigger ~reason:"noop" ());
+      Recorder.trigger ~reason:"noop" recorder);
   check_int "no events" 0 (List.length (Tracing.events ()));
-  check_int "no reports" 0 (List.length (Recorder.reports ()))
+  check_int "no reports" 0 (List.length (Recorder.reports recorder))
 
 let test_csv_dump () =
   let h = Quantile.create () in
@@ -168,40 +165,56 @@ let test_ring_wrap () =
   | [] -> Alcotest.fail "no events");
   check_int "last_events bounds" 10 (List.length (Tracing.last_events 10))
 
-(* [last_events n] reads only each ring's newest [n] events; it must
-   equal the tail of [events ()], whose order must in turn be the
-   (timestamp, domain) order of the polymorphic tuple compare it
-   replaced.  Two domains record at once, so stamps interleave and many
-   repeat (an event takes well under a microsecond), and both rings
-   wrap. *)
-let test_last_events_is_tail () =
+(* A flight capture's window is the capturing domain's own: two domains
+   record at once (both rings wrap, and stamps interleave), then each
+   captures into its own recorder, and neither capture holds an event of
+   the other domain.  [last_events n] is the tail of the calling
+   domain's events in the merged export, and the export keeps the
+   (timestamp, domain) order. *)
+let test_capture_is_own_domain () =
   with_clean @@ fun () ->
   let burst tag count () =
     for i = 1 to count do
       Tracing.instant ~arg:(string_of_int i) tag
     done
   in
-  let helper = Domain.spawn (burst "test.helper" 6_000) in
+  let capture tag =
+    let recorder = Recorder.create () in
+    Recorder.trigger ~reason:tag recorder;
+    (Domain.self () :> int), Option.get (Recorder.last recorder)
+  in
+  let helper =
+    Domain.spawn (fun () ->
+        burst "test.helper" 6_000 ();
+        capture "test.helper")
+  in
   burst "test.main" 5_000 ();
-  Domain.join helper;
+  let helper_dom, helper_capture = Domain.join helper in
   burst "test.main.after" 50 ();
+  let main_dom, main_capture = capture "test.main" in
+  List.iter
+    (fun (dom, (r : Recorder.report)) ->
+      check_int (r.Recorder.reason ^ ": a full window") Recorder.window
+        (List.length r.Recorder.events);
+      check (r.Recorder.reason ^ ": only its own domain's events") true
+        (List.for_all
+           (fun e ->
+             e.Tracing.dom = dom && String.starts_with ~prefix:r.Recorder.reason e.Tracing.name)
+           r.Recorder.events))
+    [ (helper_dom, helper_capture); (main_dom, main_capture) ];
   let all = Tracing.events () in
   check_int "both rings full" (2 * Tracing.ring_capacity) (List.length all);
   check "events keep the tuple order" true
     (List.stable_sort (fun a b -> compare (a.Tracing.ts, a.Tracing.dom) (b.Tracing.ts, b.Tracing.dom)) all
     = all);
-  let rec equal_stamps = function
-    | a :: (b :: _ as rest) -> a.Tracing.ts = b.Tracing.ts || equal_stamps rest
-    | _ -> false
-  in
-  check "some stamps repeat" true (equal_stamps all);
-  let len = List.length all in
-  let tail n = List.filteri (fun i _ -> i >= len - n) all in
+  let own = List.filter (fun e -> e.Tracing.dom = main_dom) all in
+  let len = List.length own in
+  let tail n = List.filteri (fun i _ -> i >= len - n) own in
   List.iter
     (fun n ->
-      check (Printf.sprintf "last_events %d = tail of events" n) true
+      check (Printf.sprintf "last_events %d = tail of this domain's events" n) true
         (Tracing.last_events n = tail n))
-    [ 0; 1; 2; 63; 64; 65; 1000; 4095; 4096; 4097; 6000; 8191; 8192; 8193; 20_000 ]
+    [ 0; 1; 2; 63; 64; 65; 1000; 4095; 4096; 4097; 8192 ]
 
 let test_span_exception_safe () =
   with_clean @@ fun () ->
@@ -242,10 +255,11 @@ let test_recorder_capture () =
   for i = 1 to Recorder.window + 20 do
     Tracing.instant ~arg:(string_of_int i) "test.rec"
   done;
+  let recorder = Recorder.create () in
   Recorder.trigger
     ~sections:[ { Recorder.title = "caller"; body = "caller body" } ]
-    ~reason:"unit test" ();
-  match Recorder.last () with
+    ~reason:"unit test" recorder;
+  match Recorder.last recorder with
   | None -> Alcotest.fail "no report captured"
   | Some r ->
     check_str "reason" "unit test" r.Recorder.reason;
@@ -255,20 +269,24 @@ let test_recorder_capture () =
       | s :: _ -> s.Recorder.title
       | [] -> "")
 
+(* A recorder keeps its newest [max_reports] reports, oldest first, and
+   a second recorder sees none of them. *)
 let test_recorder_bounds () =
   with_clean @@ fun () ->
+  let recorder = Recorder.create () and other = Recorder.create () in
   for i = 1 to Recorder.max_reports + 5 do
-    Recorder.trigger ~reason:(Printf.sprintf "capture %d" i) ()
+    Recorder.trigger ~reason:(Printf.sprintf "capture %d" i) recorder
   done;
-  let reports = Recorder.reports () in
-  check_int "bounded queue" Recorder.max_reports (List.length reports);
-  (match reports with
-  | oldest :: _ ->
-    check_str "oldest retained" "capture 6" oldest.Recorder.reason
-  | [] -> Alcotest.fail "no reports");
-  let drained = Recorder.take () in
-  check_int "take drains everything" Recorder.max_reports (List.length drained);
-  check_int "queue empty after take" 0 (List.length (Recorder.reports ()))
+  let reports = Recorder.reports recorder in
+  check_int "bounded" Recorder.max_reports (List.length reports);
+  Alcotest.(check (list string))
+    "the newest, oldest first"
+    (List.init Recorder.max_reports (fun i -> Printf.sprintf "capture %d" (i + 6)))
+    (List.map (fun r -> r.Recorder.reason) reports);
+  check "last is the newest" true
+    (Recorder.last recorder = Some (List.nth reports (Recorder.max_reports - 1)));
+  check_int "another recorder is empty" 0 (List.length (Recorder.reports other));
+  check "another recorder has no last" true (Recorder.last other = None)
 
 (* --- JSON parser ---------------------------------------------------- *)
 
@@ -330,7 +348,8 @@ let suite =
     Alcotest.test_case "metrics csv dump" `Quick test_csv_dump;
     Alcotest.test_case "metrics histogram quantile" `Quick test_histogram_quantile;
     Alcotest.test_case "trace ring wraps" `Quick test_ring_wrap;
-    Alcotest.test_case "last_events = tail of events" `Quick test_last_events_is_tail;
+    Alcotest.test_case "a capture holds only its own domain's events" `Quick
+      test_capture_is_own_domain;
     Alcotest.test_case "span is exception-safe" `Quick test_span_exception_safe;
     Alcotest.test_case "chrome trace json" `Quick test_chrome_json;
     Alcotest.test_case "flight recorder capture" `Quick test_recorder_capture;

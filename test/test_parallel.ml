@@ -216,14 +216,51 @@ let test_pool_nested () =
 
 (* --- telemetry under the pool --- *)
 
-(* Runs [f] with telemetry on, then clears everything it recorded. *)
+(* Runs [f] with telemetry on, then clears the trace rings it wrote. *)
 let observed f =
-  Dh_obs.Control.with_enabled true (fun () ->
-      Fun.protect
-        ~finally:(fun () ->
-          Dh_obs.Tracing.reset ();
-          Dh_obs.Recorder.clear ())
-        f)
+  Dh_obs.Control.with_enabled true (fun () -> Fun.protect ~finally:Dh_obs.Tracing.reset f)
+
+(* Supervised runs side by side on two domains each keep their own
+   flight records: a crasher (one attempt, no rescue, no diagnosis)
+   writes to its own address in the NULL guard zone, and its incident
+   holds exactly that fault; a clean run's holds nothing.  The switch
+   is on around the whole fan-out: it is process-wide, and each run
+   restores the value it found. *)
+let test_flight_per_run_under_pool () =
+  let fault_at addr =
+    match Mem.write8 (Mem.create ()) addr 1 with
+    | () -> Alcotest.fail "no fault"
+    | exception Dh_mem.Fault.Error f -> Dh_mem.Fault.to_string f
+  in
+  let crasher i =
+    Program.make ~name:"crasher" (fun ctx ->
+        Mem.write8 ctx.Program.alloc.Allocator.mem (8 * (i + 1)) 1)
+  in
+  let clean =
+    Program.make ~name:"clean" (fun ctx ->
+        for _ = 1 to 64 do
+          ignore (Allocator.malloc_exn ctx.Program.alloc 48)
+        done)
+  in
+  let policy =
+    { Supervisor.default_policy with Supervisor.max_retries = 0; rescue = false; diagnose = false }
+  in
+  let incidents =
+    observed (fun () ->
+        Pool.init ~jobs:2 32 (fun i ->
+            Supervisor.run ~policy ~config:(Config.v ~obs:true ())
+              (if i mod 2 = 0 then crasher i else clean)))
+  in
+  Array.iteri
+    (fun i (incident : Supervisor.incident) ->
+      let reasons = List.map (fun r -> r.Dh_obs.Recorder.reason) incident.Supervisor.flight in
+      if i mod 2 = 0 then
+        Alcotest.(check (list string))
+          (Printf.sprintf "crasher %d: its own fault" i)
+          [ fault_at (8 * (i + 1)) ]
+          reasons
+      else Alcotest.(check (list string)) (Printf.sprintf "clean %d: no capture" i) [] reasons)
+    incidents
 
 (* Flight recorder captures, audit offender rankings and the serve
    loop's latency samples are the fields tracing legitimately adds (all
@@ -284,6 +321,8 @@ let suite =
     Alcotest.test_case "pool: every fan-out joins its helpers" `Quick
       test_pool_joins_helpers;
     Alcotest.test_case "pool: nested fan-out" `Quick test_pool_nested;
+    Alcotest.test_case "supervisor: each run under the pool keeps its flight" `Quick
+      test_flight_per_run_under_pool;
     QCheck_alcotest.to_alcotest prop_observation_invariance;
     QCheck_alcotest.to_alcotest prop_server_observation_invariance;
   ]

@@ -18,14 +18,10 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-let wipe () =
-  Tracing.reset ();
-  Recorder.clear ()
-
 let with_clean f =
   Control.with_enabled true (fun () ->
-      wipe ();
-      Fun.protect ~finally:wipe f)
+      Tracing.reset ();
+      Fun.protect ~finally:Tracing.reset f)
 
 (* --- Quantile bucketing --------------------------------------------- *)
 
@@ -242,10 +238,11 @@ let test_step_groups () =
       Tracing.span ~arg:(string_of_int k) "replay.step" (fun () ->
           Tracing.instant ~arg:("work" ^ string_of_int k) "handler"))
     [ 7; 8; 9 ];
-  Recorder.set_step 9;
-  Recorder.trigger ~reason:"test" ();
-  Recorder.clear_step ();
-  match Recorder.last () with
+  let recorder = Recorder.create () in
+  Recorder.set_step recorder 9;
+  Recorder.trigger ~reason:"test" recorder;
+  Recorder.clear_step recorder;
+  match Recorder.last recorder with
   | None -> Alcotest.fail "no report"
   | Some r ->
     check "step recorded" true (r.Recorder.step = Some 9);
@@ -267,14 +264,15 @@ let test_step_groups () =
 
 let test_advertised_step () =
   with_clean @@ fun () ->
-  Recorder.set_step 42;
-  Recorder.trigger ~reason:"implicit step" ();
-  (match Recorder.last () with
+  let recorder = Recorder.create () in
+  Recorder.set_step recorder 42;
+  Recorder.trigger ~reason:"implicit step" recorder;
+  (match Recorder.last recorder with
   | Some r -> check "advertised step filled in" true (r.Recorder.step = Some 42)
   | None -> Alcotest.fail "no report");
-  Recorder.clear_step ();
-  Recorder.trigger ~reason:"no step" ();
-  match Recorder.last () with
+  Recorder.clear_step recorder;
+  Recorder.trigger ~reason:"no step" recorder;
+  match Recorder.last recorder with
   | Some r -> check "cleared step absent" true (r.Recorder.step = None)
   | None -> Alcotest.fail "no report"
 
@@ -462,13 +460,38 @@ let test_failed_attempt_heap_stats () =
     Alcotest.failf "%d flight records and %d attempts, want 1 and 1" (List.length flight)
       (List.length allocs)
 
+(* A fault's flight record stays with the address space that raised
+   it: an obs-on [Program.run] that faults, then a supervised run that
+   survives its first attempt, whose incident holds no capture. *)
+let test_earlier_fault_not_in_incident () =
+  with_clean @@ fun () ->
+  let doomed =
+    Dh_alloc.Program.make ~name:"null-write" (fun ctx ->
+        Dh_mem.Mem.write8 ctx.Dh_alloc.Program.alloc.Dh_alloc.Allocator.mem 8 1)
+  in
+  let mem = Dh_mem.Mem.create () in
+  let alloc = Diehard.Heap.allocator (Diehard.Heap.create ~config:Diehard.Config.default mem) in
+  let r = Dh_alloc.Program.run doomed alloc in
+  check "the first run crashed" true
+    (match r.Dh_mem.Process.outcome with Dh_mem.Process.Crashed _ -> true | _ -> false);
+  check_int "its fault is in its own address space's record" 1
+    (List.length (Recorder.reports (Dh_mem.Mem.recorder mem)));
+  let incident =
+    Supervisor.run
+      ~config:(Diehard.Config.v ~heap_size:Server.heap_size ~obs:true ())
+      (Server.program ~requests:64 ())
+  in
+  check "survived its first attempt" true
+    (incident.Supervisor.verdict = Supervisor.Survived 0);
+  check_int "the incident holds no capture" 0 (List.length incident.Supervisor.flight)
+
 let test_serve_telemetry_write_only () =
   (* The determinism contract: the same run with telemetry on and off
      must produce identical program output. *)
   let out_with_obs =
     Control.with_enabled false (fun () ->
-        wipe ();
-        Fun.protect ~finally:wipe (fun () ->
+        Tracing.reset ();
+        Fun.protect ~finally:Tracing.reset (fun () ->
             (serve_incident ~obs:true ()).Supervisor.output))
   in
   let out_without = (serve_incident ~obs:false ()).Supervisor.output in
@@ -478,7 +501,7 @@ let test_serve_telemetry_write_only () =
    big enough to rewind (the quick leg never does), small enough for
    every test run.  The full 2M-request checksum stays in `serve-gate`. *)
 let test_serve_leg_fingerprint () =
-  let l = Fun.protect ~finally:wipe (Dh_bench.Serve.run_leg ~requests:200_000 ~seed:1) in
+  let l = Fun.protect ~finally:Tracing.reset (Dh_bench.Serve.run_leg ~requests:200_000 ~seed:1) in
   check_int "checksum" 11643189 l.Dh_bench.Serve.checksum;
   check_int "failed requests" 0 l.Dh_bench.Serve.failed;
   check_int "rewinds" 5 l.Dh_bench.Serve.rewinds;
@@ -494,7 +517,7 @@ let test_serve_leg_fingerprint () =
    refused by the threshold.  Every count is a deterministic function of
    the leg. *)
 let test_serve_records_per_request () =
-  Fun.protect ~finally:wipe @@ fun () ->
+  Fun.protect ~finally:Tracing.reset @@ fun () ->
   Tracing.reset ();
   let requests = 2_000 in
   let l = Dh_bench.Serve.run_leg ~requests ~seed:1 () in
@@ -565,6 +588,8 @@ let suite =
       test_flight_record_mem_counters;
     Alcotest.test_case "recorder: a failed attempt's record carries its heap stats" `Quick
       test_failed_attempt_heap_stats;
+    Alcotest.test_case "recorder: an earlier run's fault stays out of an incident" `Quick
+      test_earlier_fault_not_in_incident;
     Alcotest.test_case "serve: supervisor publishes telemetry" `Quick
       test_serve_telemetry;
     Alcotest.test_case "serve: each supervised run owns its latency" `Quick

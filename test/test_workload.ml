@@ -436,7 +436,6 @@ let test_server_supervised_pinned () =
     Fun.protect
       ~finally:(fun () ->
         Dh_obs.Tracing.reset ();
-        Dh_obs.Recorder.clear ();
         Dh_obs.Audit.reset ())
       (fun () ->
         Supervisor.run
