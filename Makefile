@@ -1,6 +1,6 @@
 # Convenience targets for the DieHard reproduction.
 
-.PHONY: all build test size profile bench bench-quick bench-scaling bench-space bench-serve obs-check audit-check examples check clean
+.PHONY: all build test size profile perf-pairs bench bench-quick bench-scaling bench-space bench-serve obs-check audit-check examples check clean
 
 all: build
 
@@ -37,6 +37,21 @@ profile:
 	gprofng collect app -o "$$tmp/run.er" $(CURDIR)/_build/default/perfbench/perfbench.exe \
 		--workload $(WORKLOAD) --seed 1 --seconds 20 --trace 0 --out "$$tmp/out" > /dev/null && \
 	gprofng display text -limit 30 -functions "$$tmp/run.er"
+
+# Paired timing of one repo-benchmark workload against a git revision
+# (BASE=HEAD by default): BASE is checked out into a temporary git
+# worktree, and perfbench/run.py runs there and in the working tree for
+# PAIRS pairs of SECONDS-second runs on seeds 101, 102, ..., alternating
+# which side runs first.  Prints each end-to-end metric's median per
+# side, the per-pair ratio range and in how many pairs the change was
+# better; it gates nothing.  The worktree is removed afterwards.
+BASE ?= HEAD
+PAIRS ?= 10
+SECONDS ?= 10
+
+perf-pairs:
+	python3 tools/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seconds $(SECONDS)
 
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt

@@ -616,6 +616,32 @@ let site_of_addr t addr =
     | Some (payload, (size, site)) when addr < payload + size -> Some site
     | Some _ | None -> None
 
+(* A memory fault's address, blamed: on the hole page [Mem.mmap] leaves
+   after a size-class region, the fault is a write or read that ran off
+   the region's end, and it goes to the nearest allocated slot below.
+   That slot is the overrunning object or one it overwrote on its way,
+   so the site is exact only when every live slot it crossed has the
+   same site (as when one site fills the class); nothing when no slot
+   is allocated.  Elsewhere, the object whose slot or mapping covers
+   [addr], or [unknown]. *)
+let fault_site t addr =
+  let past region =
+    let stop =
+      region.base + ((region.bytes + Mem.page_size - 1) land lnot (Mem.page_size - 1))
+    in
+    region.base <> 0 && addr >= stop && addr < stop + Mem.page_size
+  in
+  match Array.find_opt past t.regions with
+  | Some region ->
+    let rec below i =
+      if i < 0 then None
+      else if Bitmap.get region.bitmap i then
+        if Bytes.length region.sites.ids = 0 then None else Some (site_get region.sites i)
+      else below (i - 1)
+    in
+    below (region.capacity - 1)
+  | None -> Some (Option.value (site_of_addr t addr) ~default:Dh_obs.Audit.unknown)
+
 let slot_of_addr t addr =
   let i = region_index t addr in
   if i < 0 then None

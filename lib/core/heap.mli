@@ -131,6 +131,17 @@ val site_of_addr : t -> int -> int option
     stale object).  [None] when no provenance was recorded (telemetry
     off, or never allocated). *)
 
+val fault_site : t -> int -> int option
+(** The allocation site to blame for a memory fault at this address.  On
+    the unmapped page right after a size-class region, the site of the
+    nearest allocated slot below it in that region, or [None] when no
+    slot there is allocated (or no provenance was recorded).  That slot
+    is the object whose access ran off the end or one the access
+    overwrote on its way, so the site is the culprit's only when the
+    live slots it crossed share a site (as when one site fills the
+    class).  Anywhere else, {!site_of_addr}'s site, or
+    [Dh_obs.Audit.unknown] when it has none. *)
+
 val audit : t -> Dh_obs.Audit.t
 (** The heap's own audit: the per-class flow, slot-position histogram
     and per-site tallies of every malloc, free and threshold refusal it

@@ -376,18 +376,20 @@ let run ?(policy = default_policy) ?(config = Config.default)
     let violations = Canary.violations canary in
     (* Provenance: the replay runs the failed attempt's exact seed and
        heap shape, so its addresses coincide with the failed run's —
-       each violation (and the fault's own address) resolves to the
-       site that allocated those bytes.  Best-effort, write-only. *)
+       each violation resolves to the site that allocated those bytes,
+       and the fault's own address to the object it hit or ran off the
+       end of.  Best-effort, write-only. *)
     let canary_sites, fault_sites =
       if not (Dh_obs.Control.enabled ()) then ([], [])
       else begin
-        let site_of addr =
-          Option.value (Heap.site_of_addr replay_heap addr)
-            ~default:Dh_obs.Audit.unknown
-        in
-        ( List.map (fun (v : Canary.violation) -> site_of v.Canary.addr) violations,
+        ( List.map
+            (fun (v : Canary.violation) ->
+              Option.value (Heap.site_of_addr replay_heap v.Canary.addr)
+                ~default:Dh_obs.Audit.unknown)
+            violations,
           match fault with
-          | Some f when Dh_mem.Fault.is_memory f -> [ site_of (Dh_mem.Fault.addr f) ]
+          | Some f when Dh_mem.Fault.is_memory f ->
+            Option.to_list (Heap.fault_site replay_heap (Dh_mem.Fault.addr f))
           | _ -> [] )
       end
     in

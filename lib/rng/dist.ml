@@ -20,10 +20,17 @@ let geometric_draw log1mp rng =
 
 (* Zipf by inversion of the generalized harmonic CDF.  The table is an
    immutable value built once by its user (a workload builds one per
-   service), so domains share it read-only and the hot path is the
-   binary search alone. *)
+   service), so domains share it read-only.  Inversion is Chen and
+   Asau's indexed search: [guide.(b)] is the first index whose CDF
+   exceeds [b / guide_size], so for [u] in bucket [b] the answer lies at
+   or above it, and a short upward scan finds the first CDF value above
+   [u] — the index a binary search finds, with no division and no
+   closure. *)
 
-type zipf_table = float array
+type zipf_table = { cdf : float array; guide : int array }
+
+let guide_size = 4096
+let guide_scale = float_of_int guide_size
 
 let zipf_table ~n ~s =
   if n < 1 then invalid_arg "Dist.zipf_table: want n >= 1";
@@ -37,18 +44,31 @@ let zipf_table ~n ~s =
   for k = 0 to n - 1 do
     cdf.(k) <- cdf.(k) /. !total
   done;
-  cdf
+  (* [b / guide_size] is exact (a power-of-two divisor), and the last
+     CDF value is [total / total = 1], so every bucket's scan stops
+     inside the table; the cap at [n - 1] only guards that. *)
+  let guide = Array.make guide_size 0 in
+  let i = ref 0 in
+  for b = 0 to guide_size - 1 do
+    let edge = float_of_int b /. guide_scale in
+    while !i < n - 1 && cdf.(!i) <= edge do
+      incr i
+    done;
+    guide.(b) <- !i
+  done;
+  { cdf; guide }
 
-let zipf_rank cdf ~u =
-  if u < 0. || u >= 1. then invalid_arg "Dist.zipf_rank: want u in [0, 1)";
-  (* Binary search for the first index whose CDF exceeds u. *)
-  let rec search lo hi =
-    if lo >= hi then lo + 1
-    else
-      let mid = (lo + hi) / 2 in
-      if cdf.(mid) > u then search lo mid else search (mid + 1) hi
-  in
-  search 0 (Array.length cdf - 1)
+(* [u *. guide_size] is exact, so its bucket's edge is at most [u] and
+   the first index whose CDF exceeds [u] is at or above the guide's.
+   The negated test also turns NaN away, whose bucket is undefined. *)
+let zipf_rank { cdf; guide } ~u =
+  if not (u >= 0. && u < 1.) then invalid_arg "Dist.zipf_rank: want u in [0, 1)";
+  let last = Array.length cdf - 1 in
+  let i = ref (Array.unsafe_get guide (int_of_float (u *. guide_scale))) in
+  while !i < last && Array.unsafe_get cdf !i <= u do
+    incr i
+  done;
+  !i + 1
 
 (* A size mix keeps the sizes and the weights' running sums, added left
    to right; the last sum is the total. *)

@@ -21,18 +21,24 @@ val geometric_draw : geometric -> Mwc.t -> int
     [(0, 1\]]; for [p = 1] it is 0 and draws nothing. *)
 
 type zipf_table
-(** The CDF of a Zipf distribution over ranks [\[1, n\]]: immutable, so
-    one table built per workload is shared read-only by every domain. *)
+(** The CDF of a Zipf distribution over ranks [\[1, n\]] and its guide
+    table: immutable, so one table built per workload is shared
+    read-only by every domain. *)
 
 val zipf_table : n:int -> s:float -> zipf_table
 (** The Zipf table for [n] ranks with exponent [s] (the generalized
     harmonic CDF).  Requires [n >= 1] and [s >= 0]. *)
 
 val zipf_rank : zipf_table -> u:float -> int
-(** Inversion by binary search: the rank in [\[1, n\]] whose CDF interval
-    contains [u] in [\[0, 1)].  A sampler passes [Mwc.float01 rng]; the
-    serve workload passes the request hash, so a rewound window replays
-    identical requests. *)
+(** The rank in [\[1, n\]] whose CDF interval contains [u] in [\[0, 1)],
+    by Chen and Asau's indexed search: the table also holds a guide of
+    4096 buckets, the first index whose CDF exceeds each bucket's lower
+    edge, and a draw scans up from [u]'s bucket.  For every [u] the rank
+    equals the one a binary search for the first CDF value above [u]
+    returns; a draw allocates nothing.  A sampler passes
+    [Mwc.float01 rng]; the serve workload passes the request hash, so a
+    rewound window replays identical requests.  Raises
+    [Invalid_argument] unless [0 <= u < 1] (NaN included). *)
 
 type size_class_mix
 (** A weighted size mix, with its weights' running sums computed once. *)

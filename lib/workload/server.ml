@@ -42,27 +42,28 @@ let attack_len = 3000
 
 let hex = "0123456789abcdef"
 
-let rec digits radix v = if v < radix then 1 else 1 + digits radix (v / radix)
-
-(* Write [v]'s [n] low digits in [radix] ending just before [stop]. *)
-let rec put_digits b ~stop radix v n =
-  if n > 0 then begin
-    Bytes.unsafe_set b (stop - 1) hex.[v mod radix];
-    put_digits b ~stop:(stop - 1) radix (v / radix) (n - 1)
-  end
-
 (* [Printf.sprintf "http://h%03x.example/%d" key path], padded with 'A's
-   to [attack_len] for an attack, written straight into its bytes. *)
+   to [attack_len] for an attack, written straight into its bytes.  A
+   key is below [key_space] <= 0x1000, so the host is always exactly
+   three hex digits, taken by shifts; the path is below 0x1000, so it has
+   one to four decimal digits, written by the constant divisor 10. *)
+let () = assert (key_space <= 0x1000)
+
 let url ~attack ~key k =
   let path = mix (k + 1) land 0xFFF in
-  let hex_len = max 3 (digits 16 key) and path_len = digits 10 path in
-  let host = 8 + hex_len in
-  let base_len = host + 9 + path_len in
+  let path_len = if path < 10 then 1 else if path < 100 then 2 else if path < 1000 then 3 else 4 in
+  let base_len = 20 + path_len in
   let b = Bytes.make (if attack then attack_len else base_len) 'A' in
   Bytes.blit_string "http://h" 0 b 0 8;
-  put_digits b ~stop:host 16 key hex_len;
-  Bytes.blit_string ".example/" 0 b host 9;
-  put_digits b ~stop:base_len 10 path path_len;
+  Bytes.unsafe_set b 8 (String.unsafe_get hex (key lsr 8));
+  Bytes.unsafe_set b 9 (String.unsafe_get hex ((key lsr 4) land 15));
+  Bytes.unsafe_set b 10 (String.unsafe_get hex (key land 15));
+  Bytes.blit_string ".example/" 0 b 11 9;
+  let v = ref path in
+  for i = base_len - 1 downto 20 do
+    Bytes.unsafe_set b i (String.unsafe_get hex (!v mod 10));
+    v := !v / 10
+  done;
   Bytes.unsafe_to_string b
 
 let url_of ?zipf () =

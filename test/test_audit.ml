@@ -93,6 +93,31 @@ let test_heap_attribution () =
       check_int "per-site free count" 1 (stat "test:p").Audit.s_frees;
       check_int "other site alloc counted" 1 (stat "test:q").Audit.s_allocs)
 
+(* A fault on the hole page past a size-class region is an access that
+   ran off the region's end: it is blamed on the nearest allocated slot
+   below it, and on nothing once that region holds no live slot. *)
+let test_fault_past_region () =
+  with_audit (fun () ->
+      let heap = fresh_heap () in
+      let s_p = Audit.site "test:p" and s_q = Audit.site "test:q" in
+      let p = Option.get (Audit.with_site s_p (Heap.malloc heap) 64) in
+      let q = Option.get (Audit.with_site s_q (Heap.malloc heap) 64) in
+      let class_ = Dh_alloc.Size_class.of_size_exn 64 in
+      let hole =
+        Option.get (Heap.region_base heap ~class_) + (Heap.region_capacity heap ~class_ * 64)
+      in
+      let upper, s_upper, s_lower = if p > q then (p, s_p, s_q) else (q, s_q, s_p) in
+      let blamed addr = Heap.fault_site heap addr in
+      check "the hole page blames the higher slot" true (blamed hole = Some s_upper);
+      check "its last byte too" true (blamed (hole + Dh_mem.Mem.page_size - 1) = Some s_upper);
+      check "a slot blames itself" true (blamed p = Some s_p);
+      check "an address outside the heap is unknown" true (blamed 0 = Some Audit.unknown);
+      let alloc = Heap.allocator heap in
+      alloc.Allocator.free upper;
+      check "a freed slot is passed over" true (blamed hole = Some s_lower);
+      alloc.Allocator.free (if upper = p then q else p);
+      check "no live slot, no blame" true (blamed hole = None))
+
 (* A large object (above 16 KB) keeps its provenance after free too: a
    dangling read inside its old payload faults Unmapped, and that
    address still names the site that allocated the object. *)
@@ -346,6 +371,8 @@ let suite =
     Alcotest.test_case "site: interning and names" `Quick test_site_interning;
     Alcotest.test_case "site: ambient channel" `Quick test_ambient_site;
     Alcotest.test_case "heap: ambient site attribution" `Quick test_heap_attribution;
+    Alcotest.test_case "heap: a fault past a region blames the slot below" `Quick
+      test_fault_past_region;
     Alcotest.test_case "heap: freed large object keeps its site" `Quick
       test_large_site_after_free;
     Alcotest.test_case "heap: site table widens for large ids" `Quick

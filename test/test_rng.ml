@@ -195,6 +195,86 @@ let test_zipf_rank_pinned () =
   rejects "Dist.zipf_rank: want u in [0, 1)" (fun () -> Dist.zipf_rank table ~u:1.);
   rejects "Dist.zipf_rank: want u in [0, 1)" (fun () -> Dist.zipf_rank table ~u:(-0.1))
 
+(* The Zipf CDF as [Dist.zipf_table] defines it, and the binary search
+   [zipf_rank] once was: the first index whose CDF exceeds [u], plus 1. *)
+let zipf_cdf_oracle ~n ~s =
+  let cdf = Array.make n 0. in
+  let total = ref 0. in
+  for k = 1 to n do
+    total := !total +. (1. /. Float.pow (float_of_int k) s);
+    cdf.(k - 1) <- !total
+  done;
+  Array.map (fun c -> c /. !total) cdf
+
+let zipf_rank_oracle cdf ~u =
+  let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cdf.(mid) > u then hi := mid else lo := mid + 1
+  done;
+  !lo + 1
+
+(* The serve workload's request hash, whose 30 bits are its Zipf [u]. *)
+let request_hash k =
+  let h = (k * 0x9E3779B9) + 0x7F4A7C15 in
+  let h = (h lxor (h lsr 16)) * 0x85EBCA6B in
+  (h lxor (h lsr 13)) land 0x3FFFFFFF
+
+(* The guide-table search returns the binary search's rank at every
+   place the two could part: on and beside each CDF value and each
+   guide bucket's edge, at both ends of [0, 1), and over a million
+   request hashes and a million uniform draws. *)
+let test_zipf_rank_equals_binary_search () =
+  List.iter
+    (fun (n, s) ->
+      let table = Dist.zipf_table ~n ~s and cdf = zipf_cdf_oracle ~n ~s in
+      let agree u =
+        if u >= 0. && u < 1. then begin
+          let want = zipf_rank_oracle cdf ~u and got = Dist.zipf_rank table ~u in
+          if got <> want then Alcotest.failf "zipf n=%d s=%g u=%h: rank %d, want %d" n s u got want
+        end
+      in
+      let around u =
+        agree (Float.pred u);
+        agree u;
+        agree (Float.succ u)
+      in
+      Array.iter around cdf;
+      for b = 0 to 4096 do
+        around (float_of_int b /. 4096.)
+      done;
+      agree 0.;
+      agree (Float.pred 1.);
+      for k = 0 to 999_999 do
+        agree (float_of_int (request_hash k) /. 1073741824.)
+      done;
+      let rng = Mwc.create ~seed:n in
+      for _ = 1 to 1_000_000 do
+        agree (Mwc.float01 rng)
+      done)
+    [ (1024, 1.1); (10, 1.2); (1, 1.); (4, 1.); (1024, 0.); (5000, 2.5); (3, 0.5) ]
+
+(* NaN compares false with every CDF value, so it has no rank and no
+   guide bucket: it is refused like any [u] outside [0, 1). *)
+let test_zipf_rank_rejects_nan () =
+  Alcotest.check_raises "u = nan" (Invalid_argument "Dist.zipf_rank: want u in [0, 1)")
+    (fun () -> ignore (Dist.zipf_rank (Dist.zipf_table ~n:1024 ~s:1.1) ~u:Float.nan))
+
+let rec sum_ranks table acc = function
+  | [] -> acc
+  | u :: us -> sum_ranks table (acc + Dist.zipf_rank table ~u) us
+
+(* A draw allocates nothing: no closure, no boxed bound.  The [u]s are
+   boxed before counting starts. *)
+let test_zipf_rank_allocation () =
+  let table = Dist.zipf_table ~n:1024 ~s:1.1 in
+  let rng = Mwc.create ~seed:43 in
+  let us = List.init 10_000 (fun _ -> Mwc.float01 rng) in
+  let before = Gc.minor_words () in
+  let sum = sum_ranks table 0 us in
+  Alcotest.(check (float 0.)) "minor words for 10,000 draws" 0. (Gc.minor_words () -. before);
+  check "drew ranks" true (sum >= 10_000)
+
 let test_weighted () =
   let rng = Mwc.create ~seed:39 in
   let counts = Array.make 3 0 in
@@ -380,6 +460,10 @@ let suite =
     Alcotest.test_case "dist geometric mean" `Quick test_geometric_mean;
     Alcotest.test_case "dist zipf" `Quick test_zipf_range_and_skew;
     Alcotest.test_case "dist zipf ranks pinned" `Quick test_zipf_rank_pinned;
+    Alcotest.test_case "dist zipf rank equals binary search" `Quick
+      test_zipf_rank_equals_binary_search;
+    Alcotest.test_case "dist zipf rank rejects NaN" `Quick test_zipf_rank_rejects_nan;
+    Alcotest.test_case "dist zipf rank allocates nothing" `Quick test_zipf_rank_allocation;
     Alcotest.test_case "dist weighted" `Quick test_weighted;
     Alcotest.test_case "dist weighted zero" `Quick test_weighted_zero_total;
     Alcotest.test_case "dist weighted matches oracle" `Quick test_weighted_matches_oracle;

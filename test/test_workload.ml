@@ -424,6 +424,22 @@ let test_server_urls () =
         fun k -> Dh_rng.Dist.zipf_rank zipf_keys ~u:(float_of_int (mix k) /. 1073741824.) - 1 );
     ]
 
+(* The minor words one request's URL costs, obs off, over requests 0 to
+   9,999 of Zipf 1.1 keys: the URL string (four or five words) and the
+   [u] boxed into [zipf_rank] (two).  The key stream is built before
+   counting starts.  A closure in the rank search or a boxed digit
+   count would show here; the binary search and variable-radix digits
+   read 12.7597. *)
+let test_server_url_words () =
+  Dh_obs.Control.with_enabled false (fun () ->
+      let url = Server.url_of ~zipf:1.1 () in
+      let before = Gc.minor_words () in
+      for k = 0 to 9_999 do
+        ignore (Sys.opaque_identity (url ~attack:false k))
+      done;
+      Alcotest.(check (float 0.0005)) "minor words per URL" 6.7597
+        ((Gc.minor_words () -. before) /. 10_000.))
+
 (* One supervised server run with attacks (Zipf 1.1 keys, the serve
    bench's traffic shape): its output, recovery counts and the simulated
    machine's exact counters, as the bytewise title strcpy produced them.
@@ -516,6 +532,7 @@ let suite =
     Alcotest.test_case "driver minor words per op" `Quick test_driver_words_per_op;
     Alcotest.test_case "driver minor words per op on DieHard" `Quick
       test_driver_words_per_op_diehard;
+    Alcotest.test_case "server minor words per URL" `Quick test_server_url_words;
     Alcotest.test_case "espresso runs" `Quick test_espresso_parses_and_runs;
     Alcotest.test_case "espresso allocator-independent" `Quick
       test_espresso_output_allocator_independent;
