@@ -25,6 +25,8 @@ size:
 # A clock profile of one repo-benchmark workload (WORKLOAD=serve, alloc
 # or minic; minic by default): gprofng samples perfbench.exe for about
 # 20 s and prints the 30 functions with the most exclusive CPU time.
+# It profiles the release build that dune-workspace selects, the same
+# build perfbench/run.py times, so cross-module inlining shows as it runs.
 # The sample count is the "Total CPU" line; on some virtual machines the
 # collector keeps only a fraction of its timer's samples and warns that
 # the "interval timer period was changed".

@@ -19,7 +19,8 @@
    - parallel scaling of the {!Dh_parallel} execution engine: an 8-way
      replicated run and a fault-injection campaign, swept over
      [jobs in {1, 2, 4, 8}] up to [max 2 cores], recording wall-clock
-     speedup and per-core efficiency.
+     speedup and per-core efficiency, each width timed as the median of
+     five runs interleaved with the other widths'.
 
    Each leg returns its metrics, named once; `throughput` prints the
    report they make ({!Gate.print}: the exact metrics on stdout, the
@@ -443,15 +444,28 @@ let churn_program ~ops =
       done;
       Process.Out.printf ctx.Program.out "h=%d" !h)
 
+let scaling_reps = 5
+
 (* Time [run_with ~jobs] at jobs 1, 2, 4 and 8 up to [max_jobs], and
    always at [max_jobs]: seconds, speedup over jobs=1 and per-core
-   efficiency at each width. *)
+   efficiency at each width.  A width's seconds are the median of
+   [scaling_reps] runs, taken in rounds of one run per width (jobs 1,
+   2, 1, 2, ...), so a drift in the machine's speed falls on every
+   width alike and one slow domain spawn does not decide the speedup. *)
 let scaling_bench ~sname ~units ~max_jobs ~run_with =
   let cores = Dh_parallel.Pool.default_jobs () in
-  let points =
-    List.map
-      (fun jobs -> (jobs, time (fun () -> ignore (run_with ~jobs))))
+  let widths =
+    Array.of_list
       (List.sort_uniq compare (max_jobs :: List.filter (fun j -> j <= max_jobs) [ 1; 2; 4; 8 ]))
+  in
+  let samples = Array.map (fun _ -> Array.make scaling_reps 0.) widths in
+  for r = 0 to scaling_reps - 1 do
+    Array.iteri (fun i jobs -> samples.(i).(r) <- time (fun () -> ignore (run_with ~jobs))) widths
+  done;
+  let points =
+    List.init (Array.length widths) (fun i ->
+        Array.sort Float.compare samples.(i);
+        (widths.(i), samples.(i).(scaling_reps / 2)))
   in
   let base = snd (List.hd points) in
   ( [ (sname ^ ".units", Gate.int units) ],

@@ -1,7 +1,3 @@
-(* A uniform draw in [0, 1): [Mwc.float01]'s formula, written out so
-   the float stays an unboxed local instead of crossing a call. *)
-let[@inline] uniform rng = float_of_int (Mwc.next_u32 rng) /. 4294967296.
-
 (* A geometric law is [log (1 - p)], computed once; [p = 1] makes it
    [neg_infinity], which [geometric_draw] answers with 0 and no draw. *)
 type geometric = float
@@ -14,7 +10,7 @@ let geometric_draw log1mp rng =
   if log1mp = neg_infinity then 0
   else begin
     (* Inversion: floor (log u / log (1-p)) with u in (0,1]. *)
-    let u = 1. -. uniform rng in
+    let u = 1. -. Mwc.float01 rng in
     int_of_float (floor (log u /. log1mp))
   end
 
@@ -90,7 +86,7 @@ let size_class_mix ~classes =
    unboxed float array, so a draw allocates nothing. *)
 let size_class_draw { sizes; sums } rng =
   let last = Array.length sums - 1 in
-  let u = uniform rng *. sums.(last) in
+  let u = Mwc.float01 rng *. sums.(last) in
   let i = ref 0 in
   while !i < last && not (u < sums.(!i)) do
     incr i

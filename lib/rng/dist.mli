@@ -6,7 +6,10 @@
 
 (** The samplers a run draws from many times are built once per run: a
     prepared value holds the law's constants, and a draw reads them.  A
-    draw's uniform is [Mwc.float01]'s value, and it allocates nothing. *)
+    draw's uniform is [Mwc.float01 rng].  A draw allocates nothing under
+    the release profile the tree's [dune-workspace] selects, which
+    inlines that call; under the dev profile's [-opaque] it boxes the
+    float, 2 words a draw. *)
 
 type geometric
 (** A geometric law, with its [log (1 - p)] computed once. *)

@@ -59,9 +59,6 @@ let live_order ~peak ~born live n =
   Array.sort Int.compare keys;
   Array.map (fun k -> k land m32) keys
 
-(* [Mwc.float01]'s formula, kept an unboxed local. *)
-let[@inline] uniform rng = float_of_int (Mwc.next_u32 rng) /. 4294967296.
-
 (* The bookkeeping is int arrays indexed by op, so an op allocates
    nothing of its own and hashes nothing:
    - [born.(op)] is the address op's object lives at, 0 once freed;
@@ -125,7 +122,7 @@ let run ?(seed = 1) (profile : Profile.t) (alloc : Allocator.t) =
   let lifetime = Dist.geometric ~p:(1. /. Float.max 1.5 profile.Profile.lifetime_mean) in
   let sizes = Dist.size_class_mix ~classes:profile.Profile.sizes in
   let pick_size () =
-    if profile.Profile.large_rate > 0. && uniform rng < profile.Profile.large_rate then
+    if profile.Profile.large_rate > 0. && Mwc.float01 rng < profile.Profile.large_rate then
       17_000 + Mwc.below rng 48_000
     else Dist.size_class_draw sizes rng
   in

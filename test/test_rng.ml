@@ -373,6 +373,32 @@ let test_weighted_allocation () =
   check "<= 2 minor words per call" true (words <= 2. *. 10_000.);
   check "drew sizes" true (!sink > 0)
 
+(* A geometric or size-class draw allocates nothing: its uniform is
+   [Mwc.float01], inlined from another module, so the float never boxes.
+   That holds only under the release profile that [dune-workspace]
+   selects: the dev profile compiles every module with [-opaque], and
+   each draw then boxes the returned float, 20,000 words per 10,000
+   draws.  Dropping the workspace file fails this test, together with
+   the driver's minor-word pins. *)
+let test_draws_allocate_nothing () =
+  let rng = Mwc.create ~seed:44 in
+  let lifetime = Dist.geometric ~p:0.01 in
+  let mix = Dist.size_class_mix ~classes:(List.hd Dh_workload.Profile.all).Dh_workload.Profile.sizes in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sink := !sink + Dist.geometric_draw lifetime rng
+  done;
+  let geometric_words = Gc.minor_words () -. before in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sink := !sink + Dist.size_class_draw mix rng
+  done;
+  let size_words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 10,000 geometric draws" 0. geometric_words;
+  Alcotest.(check (float 0.)) "minor words for 10,000 size-class draws" 0. size_words;
+  check "drew values" true (!sink > 0)
+
 (* --- qcheck properties --- *)
 
 let prop_below_in_range =
@@ -468,6 +494,8 @@ let suite =
     Alcotest.test_case "dist weighted zero" `Quick test_weighted_zero_total;
     Alcotest.test_case "dist weighted matches oracle" `Quick test_weighted_matches_oracle;
     Alcotest.test_case "dist weighted allocation" `Quick test_weighted_allocation;
+    Alcotest.test_case "dist geometric and size-class draws allocate nothing" `Quick
+      test_draws_allocate_nothing;
     Alcotest.test_case "dist prepared samplers match old formulas" `Quick
       test_prepared_samplers_match_old_formulas;
     QCheck_alcotest.to_alcotest prop_below_in_range;
