@@ -12,8 +12,11 @@ test:
 
 # The code's size: library lines, modules, top-level .mli vals and
 # optional parameters in .mli files, plus the bench harness's and the
-# CLI's lines — the figures ROADMAP's Recent section quotes.  CI's build
-# job prints them on every run.
+# CLI's lines — the figures ROADMAP's Recent section quotes — and the
+# library's process-wide mutable values: top-level bindings (on one line
+# or the next) to an Atomic.make, ref, Hashtbl.create, Mutex.create,
+# Cell.create or Domain.DLS value.  CI's build job prints them on every
+# run.
 size:
 	@echo "lib lines:           $$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 	@echo "bench lines:         $$(cat bench/*.ml | wc -l)"
@@ -21,6 +24,9 @@ size:
 	@echo "lib modules:         $$(ls lib/*/*.ml | wc -l)"
 	@echo "mli vals:            $$(cat lib/*/*.mli | grep -c '^val ')"
 	@echo "optional parameters: $$(cat lib/*/*.mli | grep -o '?[a-z_0-9]*:' | wc -l)"
+	@echo "lib mutable globals: $$(cat lib/*/*.ml | awk '/^let /{d=$$0; if (d ~ /= *$$/) {getline n; d = d " " n}; \
+		if (d ~ /^let [a-z_0-9]+( *:[^=]*)? *= *(Atomic\.make|ref[ (]|Hashtbl\.create|Mutex\.create|Cell\.create|Domain\.DLS)/) c++} \
+		END {print c+0}')"
 
 # A clock profile of one repo-benchmark workload (WORKLOAD=serve, alloc
 # or minic; minic by default): gprofng samples perfbench.exe for about
@@ -105,9 +111,9 @@ bench-serve:
 # recovery must beat from-scratch retry, and the run rewrites
 # BENCH_throughput.json.  (That the rewound output equals the scratch
 # output is checked by `make test`, suite checkpoint.)  Then a quick traced run in a
-# scratch directory: --trace switches telemetry on for the whole run,
-# which sinks the rates, so its report records traced=true and is never
-# compared with an untraced baseline.  The trace must parse as JSON and
+# scratch directory: --trace builds every address space the bench's runs
+# make with telemetry on, which sinks the rates, so its report records
+# traced=true and is never compared with an untraced baseline.  The trace must parse as JSON and
 # cover the heap/GC/supervisor/replica spans the inspector expects.
 obs-check:
 	dune build @all

@@ -47,7 +47,7 @@ let entropy_floor = 0.98
 let entropy_ideal = log (float_of_int Audit.slot_buckets) /. log 2.
 
 let config ~m ~seed = Config.v ~multiplier:m ~heap_size ~seed ()
-let make_heap ~m ~seed = Heap.create ~config:(config ~m ~seed) (Dh_mem.Mem.create ())
+let make_heap ~obs ~m ~seed = Heap.create ~config:(config ~m ~seed) (Dh_mem.Mem.create ~obs ())
 
 (* Fill the audited class to its 1/M threshold; returns the objects. *)
 let fill heap =
@@ -102,7 +102,7 @@ let sweep ~quick () =
   let rows =
     List.map
       (fun m ->
-        let probe = make_heap ~m ~seed:1 in
+        let probe = make_heap ~obs:false ~m ~seed:1 in
         let capacity = Heap.region_capacity probe ~class_ in
         let threshold = Config.threshold (Heap.config probe) ~class_ in
         (* -- overflow leg (fresh heap per trial, obs off) -- *)
@@ -121,7 +121,7 @@ let sweep ~quick () =
         done;
         (* -- dangling leg (one heap pre-filled so the trials run just
               under the threshold, Figure 4(b)'s methodology) -- *)
-        let dheap = make_heap ~m ~seed:(Dh_rng.Seed.fresh pool) in
+        let dheap = make_heap ~obs:false ~m ~seed:(Dh_rng.Seed.fresh pool) in
         let dalloc = Heap.allocator dheap in
         let prefill = threshold - dangling_allocations - 2 in
         for _ = 1 to prefill do
@@ -139,35 +139,34 @@ let sweep ~quick () =
           if Fig4.dangling_masked ~alloc:dalloc ~size ~allocations:dangling_allocations
           then incr dgl_masked
         done;
-        (* -- entropy leg + audit feed (obs on: exercise the exact
-              write path production uses, then read it back) -- *)
+        (* -- entropy leg + audit feed (heaps on obs-on spaces:
+              exercise the exact write path production uses, then read
+              it back) -- *)
         let entropy_bits, entropy_samples =
-          Dh_obs.Control.with_enabled true (fun () ->
-              let site = Audit.site "bench:audit-fill" in
-              let heaps =
-                List.init entropy_fills (fun _ ->
-                    let heap = make_heap ~m ~seed:(Dh_rng.Seed.fresh pool) in
-                    Audit.with_site site (fun () -> ignore (fill heap)) ();
-                    heap)
-              in
-              (* The entropy folds every fill's audit; the margin report
-                 is the last fill's heap alone. *)
-              let snap = Audit.snapshot (List.map Heap.audit heaps) in
-              if m = 2. then
-                margin :=
-                  Some
-                    {
-                      (Margin.of_heap ~dangling_allocations
-                         (List.nth heaps (entropy_fills - 1))) with
-                      Margin.empirical =
-                        [
-                          empirical "overflow" !ovf_masked overflow_trials;
-                          empirical "dangling" !dgl_masked dangling_trials;
-                        ];
-                    };
-              let c = snap.Audit.classes.(class_) in
-              ( Audit.entropy_bits c.Audit.slot_hist,
-                Array.fold_left ( + ) 0 c.Audit.slot_hist ))
+          let site = Audit.site "bench:audit-fill" in
+          let heaps =
+            List.init entropy_fills (fun _ ->
+                let heap = make_heap ~obs:true ~m ~seed:(Dh_rng.Seed.fresh pool) in
+                ignore (Audit.with_site (Dh_mem.Mem.recorder (Heap.mem heap)) site fill heap);
+                heap)
+          in
+          (* The entropy folds every fill's audit; the margin report
+             is the last fill's heap alone. *)
+          let snap = Audit.snapshot (List.map Heap.audit heaps) in
+          if m = 2. then
+            margin :=
+              Some
+                {
+                  (Margin.of_heap ~dangling_allocations
+                     (List.nth heaps (entropy_fills - 1))) with
+                  Margin.empirical =
+                    [
+                      empirical "overflow" !ovf_masked overflow_trials;
+                      empirical "dangling" !dgl_masked dangling_trials;
+                    ];
+                };
+          let c = snap.Audit.classes.(class_) in
+          (Audit.entropy_bits c.Audit.slot_hist, Array.fold_left ( + ) 0 c.Audit.slot_hist)
         in
         let entropy_ratio = entropy_bits /. entropy_ideal in
         {

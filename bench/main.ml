@@ -7,10 +7,11 @@
      dune exec bench/main.exe -- fig4a fig5a table1 ...   # any subset
 
    Options: `quick` (reduced trials), `csv` (tables as CSV), and
-   `--trace PATH` (run with observability on and write the spans as
-   Chrome trace_event JSON).  The `*-gate` experiments run only when
-   named: each writes BENCH_<bench>.json, gates it against the file it
-   replaced, and exits 3 if a check fails.  Usage errors exit 2.
+   `--trace PATH` (for `throughput` and `throughput-gate`: build the
+   runs' address spaces with observability on and write the events they
+   returned as Chrome trace_event JSON).  The `*-gate` experiments run
+   only when named: each writes BENCH_<bench>.json, gates it against the
+   file it replaced, and exits 3 if a check fails.  Usage errors exit 2.
 
    Each experiment's [name: N s] trailer and the completion line are
    wall-clock, so they go to stderr: the stdout of a seeded experiment
@@ -86,11 +87,16 @@ let () =
   (* at exit, so a failed gate's run still leaves its trace *)
   Option.iter
     (fun path ->
-      Dh_obs.Control.set_enabled true;
+      List.iter
+        (fun (name, _) ->
+          if not (List.mem name [ "throughput"; "throughput-gate" ]) then
+            usage (Printf.sprintf "--trace applies to throughput and throughput-gate, not %s" name))
+        to_run;
+      Report.traced := true;
       at_exit (fun () ->
-          Dh_obs.Tracing.write_chrome_json ~path ();
-          Printf.printf "wrote %s (%d events)\n" path
-            (List.length (Dh_obs.Tracing.events ()))))
+          let events = Dh_obs.Tracing.merge (List.rev !Report.trace_events) in
+          Dh_obs.Tracing.write_chrome_json ~path events;
+          Printf.printf "wrote %s (%d events)\n" path (List.length events)))
     !trace;
   Printf.printf
     "DieHard reproduction benchmarks%s -- one section per paper table/figure\n"

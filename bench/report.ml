@@ -34,6 +34,14 @@ type format = Table | Csv
 
 let format = ref Table
 
+(* `--trace PATH`: whether the experiments that honour it (throughput
+   and its gate) build their address spaces with obs on, and the trace
+   events their runs returned, newest run first, for the frontend to
+   write. *)
+let traced = ref false
+let trace_events : Dh_obs.Tracing.event list list ref = ref []
+let keep_trace events = if !traced then trace_events := events :: !trace_events
+
 let csv_cell s =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""

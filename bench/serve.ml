@@ -78,6 +78,7 @@ type leg = {
   checksum : int;  (* content-derived, placement-independent *)
   failed : int;  (* the server's own failed-request counter *)
   offenders : Dh_obs.Audit.site_stat list;  (* the incident's, from the leg's heaps *)
+  events : Dh_obs.Tracing.event list;  (* the incident's *)
 }
 
 (* Pull "key=<int>" out of the server's final "done ..." line.  The
@@ -158,6 +159,7 @@ let run_leg ~requests ~seed () =
     checksum = Option.value (out_field ~key:"checksum" output) ~default:(-1);
     failed = Option.value (out_field ~key:"failed" output) ~default:(-1);
     offenders = incident.Supervisor.offenders;
+    events = incident.Supervisor.events;
   }
 
 (* Survival rate across seeds: shorter legs, same traffic shape. *)

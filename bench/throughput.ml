@@ -75,6 +75,7 @@ let overhead_pct ~fast ~slow = ((ops_per_sec fast /. ops_per_sec slow) -. 1.) *.
    bitmap probing for DieHard, collections for the GC). *)
 let alloc_bench ~ops name make =
   let alloc = make () in
+  let space = alloc.Allocator.mem in
   let malloc = alloc.Allocator.malloc and free = alloc.Allocator.free in
   let sizes = [| 16; 24; 32; 48; 64; 96; 128; 256 |] in
   let live = Array.make 256 0 in
@@ -94,23 +95,24 @@ let alloc_bench ~ops name make =
           incr performed
         done)
   in
+  Report.keep_trace (Dh_obs.Recorder.events (Mem.recorder space));
   { name; ops = !performed; bytes = 0; seconds }
 
 (* The three churns, in the order they have always run (the GC
    first). *)
-let alloc_benches ~quick =
+let alloc_benches ~quick ~obs =
   let ops = if quick then 20_000 else 200_000 in
   List.fold_left
     (fun acc (name, make) -> acc ++ rate_metrics (alloc_bench ~ops name make))
     ([], [])
     [
-      ("gc-bdw", fun () -> Dh_alloc.Gc.allocator (Dh_alloc.Gc.create (Mem.create ())));
+      ("gc-bdw", fun () -> Dh_alloc.Gc.allocator (Dh_alloc.Gc.create (Mem.create ~obs ())));
       ( "freelist-lea",
-        fun () -> Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create (Mem.create ())) );
+        fun () -> Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create (Mem.create ~obs ())) );
       ( "diehard",
         fun () ->
           Diehard.Heap.allocator
-            (Diehard.Heap.create ~config:(Diehard.Config.v ~seed:1 ()) (Mem.create ())) );
+            (Diehard.Heap.create ~config:(Diehard.Config.v ~seed:1 ()) (Mem.create ~obs ())) );
     ]
 
 (* --- bulk vs bytewise bandwidth --- *)
@@ -159,11 +161,11 @@ let copy_bench ~quick =
 (* A pointer chain through every object forces the collector to trace the
    whole heap from a single root; marking pulls each payload with one
    bulk read, so this measures the traced bytes per second. *)
-let gc_mark_bench ~quick =
+let gc_mark_bench ~quick ~obs =
   let n = if quick then 2_000 else 20_000 in
   let objsz = 248 in
   let reps = if quick then 5 else 10 in
-  let mem = Mem.create () in
+  let mem = Mem.create ~obs () in
   let gc = Dh_alloc.Gc.create mem in
   let alloc = Dh_alloc.Gc.allocator gc in
   let objs =
@@ -182,6 +184,7 @@ let gc_mark_bench ~quick =
           Dh_alloc.Gc.collect gc
         done)
   in
+  Report.keep_trace (Dh_obs.Recorder.events (Mem.recorder mem));
   rate_metrics { name = "gc-mark"; ops = n * reps; bytes = n * objsz * reps; seconds }
 
 (* --- bitmap sweep --- *)
@@ -222,7 +225,7 @@ let crasher_program =
       | None -> ());
       ignore (Mem.read64 mem 0x10))
 
-let supervisor_bench ~quick =
+let supervisor_bench ~quick ~obs =
   let reps = if quick then 2 else 5 in
   let policy =
     { Diehard.Supervisor.default_policy with max_retries = 1; fuel = 100_000 }
@@ -233,9 +236,10 @@ let supervisor_bench ~quick =
         for i = 1 to reps do
           let incident =
             Diehard.Supervisor.run ~policy
-              ~config:(Diehard.Config.v ~heap_size:small_heap ~seed:i ())
+              ~config:(Diehard.Config.v ~heap_size:small_heap ~seed:i ~obs ())
               crasher_program
           in
+          Report.keep_trace incident.events;
           attempts :=
             !attempts + List.length incident.Diehard.Supervisor.attempts
         done)
@@ -294,7 +298,7 @@ let checkpoint_write_churn ~quick =
    each failed attempt from scratch when [interval] is 0.  Both legs
    share the seed pool, so their ladders draw identical per-attempt
    seeds. *)
-let recovery_leg ~requests ~interval =
+let recovery_leg ~requests ~obs ~interval =
   Diehard.Supervisor.run
     ~policy:
       {
@@ -306,16 +310,19 @@ let recovery_leg ~requests ~interval =
         checkpoint_interval = interval;
         max_rewinds = (if interval > 0 then 1_000_000 else 0);
       }
-    ~config:(Diehard.Config.v ~heap_size:Dh_workload.Server.heap_size ~seed:3 ())
+    ~config:(Diehard.Config.v ~heap_size:Dh_workload.Server.heap_size ~seed:3 ~obs ())
     ~seed_pool:(Dh_rng.Seed.create ~master:3)
     (Dh_workload.Server.program ~requests ~attack_every:16 ())
 
-let checkpoint_bench ~quick =
+let checkpoint_bench ~quick ~obs =
   let writes = checkpoint_write_churn ~quick in
   let requests = if quick then 2048 else 8192 in
-  let rewound = ref None in
-  let rewind_s = time (fun () -> rewound := Some (recovery_leg ~requests ~interval:64)) in
-  let scratch_s = time (fun () -> ignore (recovery_leg ~requests ~interval:0)) in
+  let rewound = ref None and scratch = ref None in
+  let rewind_s = time (fun () -> rewound := Some (recovery_leg ~requests ~interval:64 ~obs)) in
+  let scratch_s = time (fun () -> scratch := Some (recovery_leg ~requests ~interval:0 ~obs)) in
+  List.iter
+    (fun (leg : Diehard.Supervisor.incident option) -> Report.keep_trace (Option.get leg).events)
+    [ !rewound; !scratch ];
   let rewinds, pages =
     List.fold_left
       (fun (rw, pg) (a : Diehard.Supervisor.attempt_report) ->
@@ -334,24 +341,23 @@ let checkpoint_bench ~quick =
 
 (* --- observability overhead --- *)
 
-let obs_heap () = Diehard.Heap.create ~config:(Diehard.Config.v ~seed:1 ()) (Mem.create ())
+let obs_heap ~obs = Diehard.Heap.create ~config:(Diehard.Config.v ~seed:1 ()) (Mem.create ~obs ())
 
 (* The work obs does per heap operation, counted from instrument totals
    rather than timed: audit records (a malloc's one record is plain adds
    on the heap's own audit) plus the sampled "heap.malloc"/"heap.free"
    trace instants, per malloc and per free.  Counted on a short run of
-   the same churn on a fresh heap, with obs on, small enough that all of
-   its trace events are still in the ring. *)
+   the same churn on a fresh heap on an obs-on space, small enough that
+   all of its trace events are still in the space's ring. *)
 let obs_records () =
-  let heap = obs_heap () in
-  let events0 = Dh_obs.Tracing.recorded () in
+  let heap = obs_heap ~obs:true in
   ignore (alloc_bench ~ops:2_000 "obs-records" (fun () -> Diehard.Heap.allocator heap));
   let allocs, frees =
     Array.fold_left
       (fun (a, f) (c : Dh_obs.Audit.class_stat) -> (a + c.allocs, f + c.frees))
       (0, 0) (Dh_obs.Audit.snapshot [ Diehard.Heap.audit heap ]).Dh_obs.Audit.classes
   in
-  let events = Dh_obs.Tracing.last_events (Dh_obs.Tracing.recorded () - events0) in
+  let events = Dh_obs.Recorder.events (Mem.recorder (Diehard.Heap.mem heap)) in
   let instants name =
     List.length (List.filter (fun e -> e.Dh_obs.Tracing.name = name) events)
   in
@@ -365,13 +371,11 @@ let obs_records () =
 (* Minor-heap words per DieHard malloc and per free, read from
    [Gc.minor_words] (this domain's own count, so exact for a given
    compiler): [n] mallocs of the churn's sizes, then their [n] frees,
-   on a heap already warmed by one such pass (obs's per-domain cells,
-   site tables and trace ring are made on first use).  With obs on, a
-   malloc's words include its share of the 1-in-64 sampled trace
-   instant. *)
+   on a heap already warmed by one such pass (the audit's site tables
+   grow on first use).  With obs on, a malloc's words include its share
+   of the 1-in-64 sampled trace instant. *)
 let alloc_words ~obs =
-  Dh_obs.Control.with_enabled obs @@ fun () ->
-  let alloc = Diehard.Heap.allocator (obs_heap ()) in
+  let alloc = Diehard.Heap.allocator (obs_heap ~obs) in
   let sizes = [| 16; 24; 32; 48; 64; 96; 128; 256 |] in
   let n = 4096 in
   let live = Array.make n 0 in
@@ -395,20 +399,17 @@ let alloc_words ~obs =
     (leg ^ ".words_per_free", Gate.float free);
   ]
 
-(* The same diehard alloc churn with Dh_obs off and then on.  The off
-   leg is the compiled-in fast path (one atomic load and branch per
-   site) whose cost the baseline gate bounds; the on leg shows what
-   full tracing + metrics recording costs when you ask for it. *)
+(* The same diehard alloc churn on an obs-off space and then on an
+   obs-on one.  The off leg is the compiled-in fast path (one field load
+   and branch per site) whose cost the baseline gate bounds; the on leg
+   shows what full tracing + metrics recording costs when you ask for
+   it. *)
 let obs_overhead_bench ~quick =
   let ops = if quick then 20_000 else 200_000 in
-  let make () = Diehard.Heap.allocator (obs_heap ()) in
-  let was = Dh_obs.Control.enabled () in
-  Dh_obs.Control.set_enabled false;
-  let obs_off = alloc_bench ~ops "diehard-obs-off" make in
-  Dh_obs.Control.set_enabled true;
-  let obs_on = alloc_bench ~ops "diehard-obs-on" make in
+  let make ~obs () = Diehard.Heap.allocator (obs_heap ~obs) in
+  let obs_off = alloc_bench ~ops "diehard-obs-off" (make ~obs:false) in
+  let obs_on = alloc_bench ~ops "diehard-obs-on" (make ~obs:true) in
   let records = obs_records () in
-  Dh_obs.Control.set_enabled was;
   let words = alloc_words ~obs:false @ alloc_words ~obs:true in
   rate_metrics obs_off ++ rate_metrics obs_on
   ++ ( records @ words,
@@ -451,7 +452,9 @@ let scaling_reps = 5
    efficiency at each width.  A width's seconds are the median of
    [scaling_reps] runs, taken in rounds of one run per width (jobs 1,
    2, 1, 2, ...), so a drift in the machine's speed falls on every
-   width alike and one slow domain spawn does not decide the speedup. *)
+   width alike and one slow domain spawn does not decide the speedup.
+   [run_with] returns its run's trace events; a traced sweep keeps the
+   first round's. *)
 let scaling_bench ~sname ~units ~max_jobs ~run_with =
   let cores = Dh_parallel.Pool.default_jobs () in
   let widths =
@@ -460,7 +463,12 @@ let scaling_bench ~sname ~units ~max_jobs ~run_with =
   in
   let samples = Array.map (fun _ -> Array.make scaling_reps 0.) widths in
   for r = 0 to scaling_reps - 1 do
-    Array.iteri (fun i jobs -> samples.(i).(r) <- time (fun () -> ignore (run_with ~jobs))) widths
+    Array.iteri
+      (fun i jobs ->
+        let events = ref [] in
+        samples.(i).(r) <- time (fun () -> events := run_with ~jobs);
+        if r = 0 then Report.keep_trace !events)
+      widths
   done;
   let points =
     List.init (Array.length widths) (fun i ->
@@ -486,17 +494,17 @@ let scaling_bench ~sname ~units ~max_jobs ~run_with =
 let replicas = 8
 
 (* [replicas] replicas of the churn, [ops] operations each. *)
-let replicated_churn ~ops ~jobs =
+let replicated_churn ~obs ~ops ~jobs =
   Diehard.Replicated.run
-    ~config:(Diehard.Config.v ~heap_size:small_heap ~jobs ())
+    ~config:(Diehard.Config.v ~heap_size:small_heap ~jobs ~obs ())
     ~replicas
     ~seed_pool:(Dh_rng.Seed.create ~master:0xD1E)
     (churn_program ~ops)
 
-let replicated_scaling ~quick ~max_jobs =
+let replicated_scaling ~quick ~obs ~max_jobs =
   let ops = if quick then 4_000 else 30_000 in
-  scaling_bench ~sname:"replicated-8way" ~units:replicas ~max_jobs
-    ~run_with:(replicated_churn ~ops)
+  scaling_bench ~sname:"replicated-8way" ~units:replicas ~max_jobs ~run_with:(fun ~jobs ->
+      (replicated_churn ~obs ~ops ~jobs).Diehard.Replicated.events)
 
 let campaign_spec =
   { Dh_fault.Injector.paper_dangling with
@@ -507,20 +515,20 @@ let campaign_spec =
 
 (* A fault-injection campaign over the churn: [trials] trials of [ops]
    operations, trial [i] on a fresh heap seeded [i + 1]. *)
-let campaign ~spec ~trials ~ops ~jobs =
+let campaign ~obs ~spec ~trials ~ops ~jobs =
   Dh_fault.Campaign.run_exn ~jobs ~trials ~spec
     ~make_alloc:(fun ~trial ->
       Diehard.Heap.allocator
         (Diehard.Heap.create
            ~config:(Diehard.Config.v ~heap_size:small_heap ~seed:(trial + 1) ())
-           (Mem.create ())))
+           (Mem.create ~obs ())))
     (churn_program ~ops)
 
-let campaign_scaling ~quick ~max_jobs =
+let campaign_scaling ~quick ~obs ~max_jobs =
   let trials = if quick then 64 else 1_000 in
   let ops = if quick then 500 else 2_000 in
-  scaling_bench ~sname:"campaign" ~units:trials ~max_jobs
-    ~run_with:(campaign ~spec:campaign_spec ~trials ~ops)
+  scaling_bench ~sname:"campaign" ~units:trials ~max_jobs ~run_with:(fun ~jobs ->
+      (campaign ~obs ~spec:campaign_spec ~trials ~ops ~jobs).Dh_fault.Campaign.events)
 
 (* --- report and gate --- *)
 
@@ -557,27 +565,22 @@ let measure ~quick () =
   (* Sweep up to the core count, and always to 2: the jobs=2 point is
      the one the scaling check reads. *)
   let max_jobs = max 2 (Dh_parallel.Pool.default_jobs ()) in
-  (* Captured before the obs stage toggles the switch: a traced run's
-     rates are not comparable with an untraced baseline's. *)
-  let traced = Dh_obs.Control.enabled () in
-  (* Stage order is load-bearing when tracing is on: the per-domain
-     trace rings overwrite their oldest events, and the churn-heavy
-     stages (alloc, scaling, and the checkpoint stage's server runs)
-     flood them.  Running the low-volume span stages (GC, supervisor)
-     last keeps their spans in the retained window, so a `--trace` of
-     this bench always covers heap, GC, supervisor, and pool events. *)
+  (* A traced run builds its spaces with obs on, so its rates are not
+     comparable with an untraced baseline's; each space keeps its own
+     trace ring, so no stage's events crowd out another's. *)
+  let traced = !Report.traced in
   let legs =
     [
-      (fun () -> alloc_benches ~quick);
+      (fun () -> alloc_benches ~quick ~obs:traced);
       (fun () -> fill_bench ~quick);
       (fun () -> copy_bench ~quick);
       (fun () -> bitmap_bench ~quick);
       (fun () -> obs_overhead_bench ~quick);
-      (fun () -> campaign_scaling ~quick ~max_jobs);
-      (fun () -> replicated_scaling ~quick ~max_jobs);
-      (fun () -> checkpoint_bench ~quick);
-      (fun () -> gc_mark_bench ~quick);
-      (fun () -> supervisor_bench ~quick);
+      (fun () -> campaign_scaling ~quick ~obs:traced ~max_jobs);
+      (fun () -> replicated_scaling ~quick ~obs:traced ~max_jobs);
+      (fun () -> checkpoint_bench ~quick ~obs:traced);
+      (fun () -> gc_mark_bench ~quick ~obs:traced);
+      (fun () -> supervisor_bench ~quick ~obs:traced);
     ]
   in
   let exact, wall = List.fold_left (fun acc leg -> acc ++ leg ()) ([], []) legs in

@@ -147,30 +147,35 @@ let program_term ?(libc = Term.const Dh_lang.Interp.Unchecked)
     ?(policy = Term.const Dh_alloc.Policy.Raw) () =
   Term.(const load $ libc $ policy $ prog_arg $ requests_arg $ attack_every_arg $ heap_arg)
 
-(* Observability: every subcommand accepts --trace FILE, which switches
-   Dh_obs on for the whole process; the trace is written from an at_exit
-   hook because the actions below terminate via [exit] on every path.
-   `survive` also takes --metrics FILE (see there). *)
+(* Observability: every subcommand that runs a program accepts --trace
+   FILE, which builds the run's address spaces with Dh_obs on; the
+   action writes the events its run returned before it exits.  `survive`
+   also takes --metrics FILE (see there). *)
 
-let obs_trace_arg =
+let trace_arg =
   let doc =
-    "Record span traces and write them as Chrome trace_event JSON to $(docv) \
-     on exit (load it at chrome://tracing or in Perfetto)."
+    "Record span traces of the run and write them as Chrome trace_event JSON \
+     to $(docv) (load it at chrome://tracing or in Perfetto)."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let obs_setup =
-  Option.iter (fun path ->
-      Dh_obs.Control.set_enabled true;
-      at_exit (fun () ->
-          Dh_obs.Tracing.write_chrome_json ~path ();
-          Printf.eprintf "trace: wrote %s (%d events, %d dropped)\n" path
-            (List.length (Dh_obs.Tracing.events ())) (Dh_obs.Tracing.dropped ())))
+let write_trace trace events =
+  Option.iter
+    (fun path ->
+      Dh_obs.Tracing.write_chrome_json ~path events;
+      Printf.eprintf "trace: wrote %s (%d events)\n" path (List.length events))
+    trace
 
-let obs_term = Term.(const obs_setup $ obs_trace_arg)
+(* [run ()] on [alloc], then the trace of the allocator's address space,
+   also when the run raises (a MiniC runtime error is a usage error). *)
+let traced_run trace (alloc : Dh_alloc.Allocator.t) run =
+  Fun.protect
+    ~finally:(fun () ->
+      write_trace trace (Dh_obs.Recorder.events (Dh_mem.Mem.recorder alloc.mem)))
+    run
 
-let make_allocator ?(mesh = false) ?mesh_threshold kind ~seed ~heap_size =
-  let mem = Dh_mem.Mem.create () in
+let make_allocator ?(mesh = false) ?mesh_threshold ~obs kind ~seed ~heap_size =
+  let mem = Dh_mem.Mem.create ~obs () in
   match kind with
   | `Diehard ->
     let config = Diehard.Config.v ~heap_size ~seed ~mesh ?mesh_threshold () in
@@ -200,19 +205,22 @@ let report_result (r : Process.result) =
 (* --- run --- *)
 
 let run_cmd =
-  let action () (program, heap_size) alloc_kind policy seed mesh mesh_threshold input
+  let action trace (program, heap_size) alloc_kind policy seed mesh mesh_threshold input
       fuel =
-    let alloc = make_allocator ~mesh ~mesh_threshold alloc_kind ~seed ~heap_size in
+    let alloc =
+      make_allocator ~mesh ~mesh_threshold ~obs:(trace <> None) alloc_kind ~seed ~heap_size
+    in
     let result =
-      Dh_alloc.Program.run ~policy_kind:policy ~input:(read_input input) ~fuel program
-        alloc
+      traced_run trace alloc (fun () ->
+          Dh_alloc.Program.run ~policy_kind:policy ~input:(read_input input) ~fuel program
+            alloc)
     in
     exit (report_result result)
   in
   let doc = "Run a MiniC program under a chosen memory manager (stand-alone mode)." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const action $ obs_term $ program_term ~libc:bounded_arg ~policy:policy_arg ()
+      const action $ trace_arg $ program_term ~libc:bounded_arg ~policy:policy_arg ()
       $ allocator_arg
       $ policy_arg $ seed_arg $ mesh_arg $ mesh_threshold_arg $ input_arg $ fuel_arg)
 
@@ -223,8 +231,10 @@ let replicas_arg =
   Arg.(value & opt int 3 & info [ "n"; "replicas" ] ~docv:"K" ~doc)
 
 let replicate_cmd =
-  let action () (program, heap_size) replicas seed mesh mesh_threshold input fuel jobs =
-    let config = Diehard.Config.v ~heap_size ~jobs ~mesh ~mesh_threshold () in
+  let action trace (program, heap_size) replicas seed mesh mesh_threshold input fuel jobs =
+    let config =
+      Diehard.Config.v ~heap_size ~jobs ~mesh ~mesh_threshold ~obs:(trace <> None) ()
+    in
     let (report : Replicated.report) =
       Replicated.run ~config ~replicas ~seed_pool:(Dh_rng.Seed.create ~master:seed)
         ~input:(read_input input) ~fuel program
@@ -246,12 +256,13 @@ let replicate_cmd =
           | Some Died -> " [died]"
           | None -> ""))
       report.replicas;
+    write_trace trace report.events;
     exit (if report.verdict = Agreed then 0 else 1)
   in
   let doc = "Run a program under the replicated DieHard runtime with output voting (\u{00a7}5)." in
   Cmd.v (Cmd.info "replicate" ~doc)
     Term.(
-      const action $ obs_term $ program_term () $ replicas_arg $ seed_arg $ mesh_arg
+      const action $ trace_arg $ program_term () $ replicas_arg $ seed_arg $ mesh_arg
       $ mesh_threshold_arg $ input_arg $ fuel_arg $ jobs_arg)
 
 (* --- inject --- *)
@@ -266,7 +277,7 @@ let trials_arg =
   Arg.(value & opt int 10 & info [ "trials" ] ~docv:"N" ~doc)
 
 let inject_cmd =
-  let action () (program, heap_size) mode trials alloc_kind seed mesh mesh_threshold
+  let action trace (program, heap_size) mode trials alloc_kind seed mesh mesh_threshold
       input fuel jobs =
     let spec =
       match mode with
@@ -276,12 +287,13 @@ let inject_cmd =
     match
       Dh_fault.Campaign.run ~input:(read_input input) ~fuel ~jobs ~trials ~spec
         ~make_alloc:(fun ~trial ->
-          make_allocator ~mesh ~mesh_threshold alloc_kind ~seed:(seed + trial)
-            ~heap_size)
+          make_allocator ~mesh ~mesh_threshold ~obs:(trace <> None) alloc_kind
+            ~seed:(seed + trial) ~heap_size)
         program
     with
     | Ok tally ->
       Format.printf "%a@." Dh_fault.Campaign.pp_tally tally;
+      write_trace trace tally.events;
       exit (if tally.Dh_fault.Campaign.correct = trials then 0 else 1)
     | Error e ->
       Printf.eprintf "campaign aborted: %s\n" (Dh_fault.Campaign.error_to_string e);
@@ -290,7 +302,7 @@ let inject_cmd =
   let doc = "Run the \u{00a7}7.3.1 fault-injection campaign against a program." in
   Cmd.v (Cmd.info "inject" ~doc)
     Term.(
-      const action $ obs_term $ program_term () $ mode_arg $ trials_arg
+      const action $ trace_arg $ program_term () $ mode_arg $ trials_arg
       $ allocator_arg $ seed_arg $ mesh_arg $ mesh_threshold_arg $ input_arg
       $ fuel_arg $ jobs_arg)
 
@@ -333,10 +345,9 @@ let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 let survive_cmd =
-  let action () (program, heap_size) retries backoff no_rescue no_diagnose
+  let action trace (program, heap_size) retries backoff no_rescue no_diagnose
       checkpoint_interval max_rewinds policy_kind seed mesh mesh_threshold input fuel
       metrics =
-    if metrics <> None then Dh_obs.Control.set_enabled true;
     let policy =
       {
         Supervisor.max_retries = retries;
@@ -350,7 +361,10 @@ let survive_cmd =
     in
     let incident =
       Supervisor.run ~policy
-        ~config:(Diehard.Config.v ~heap_size ~mesh ~mesh_threshold ())
+        ~config:
+          (Diehard.Config.v ~heap_size ~mesh ~mesh_threshold
+             ~obs:(trace <> None || metrics <> None)
+             ())
         ~seed_pool:(Dh_rng.Seed.create ~master:seed)
         ~input:(read_input input) ~policy_kind program
     in
@@ -363,6 +377,7 @@ let survive_cmd =
             output_string oc (Dh_obs.Quantile.to_csv (Option.to_list serve)));
         Printf.eprintf "metrics: wrote %s\n" path)
       metrics;
+    write_trace trace incident.events;
     (* Exit-code contract (documented in README): 0 = clean survival on a
        randomized DieHard heap; 1 = gave up; 2 = survived only by
        degrading to the rescue allocator — CI can gate on "no rescue". *)
@@ -380,7 +395,7 @@ let survive_cmd =
   in
   Cmd.v (Cmd.info "survive" ~doc)
     Term.(
-      const action $ obs_term $ program_term ~policy:policy_arg () $ retries_arg $ backoff_arg
+      const action $ trace_arg $ program_term ~policy:policy_arg () $ retries_arg $ backoff_arg
       $ no_rescue_arg $ no_diagnose_arg $ checkpoint_interval_arg $ rewinds_arg
       $ policy_arg $ seed_arg $ mesh_arg $ mesh_threshold_arg $ input_arg $ fuel_arg
       $ metrics_arg)
@@ -388,7 +403,7 @@ let survive_cmd =
 (* --- check --- *)
 
 let check_cmd =
-  let action () prog print =
+  let action prog print =
     let source = load_source prog in
     match Dh_lang.Interp.check_source source with
     | Ok ast ->
@@ -405,15 +420,18 @@ let check_cmd =
   in
   let doc = "Statically check a MiniC program (syntax, scoping, arity)." in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const action $ obs_term $ prog_arg $ print_arg)
+    Term.(const action $ prog_arg $ print_arg)
 
 (* --- trace --- *)
 
 let trace_cmd =
-  let action () (program, heap_size) alloc_kind seed input fuel =
-    let alloc = make_allocator alloc_kind ~seed ~heap_size in
+  let action trace (program, heap_size) alloc_kind seed input fuel =
+    let alloc = make_allocator ~obs:(trace <> None) alloc_kind ~seed ~heap_size in
     let tracer, traced = Dh_alloc.Trace.wrap alloc in
-    let result = Dh_alloc.Program.run ~input:(read_input input) ~fuel program traced in
+    let result =
+      traced_run trace alloc (fun () ->
+          Dh_alloc.Program.run ~input:(read_input input) ~fuel program traced)
+    in
     if result.outcome <> Exited 0 then
       Printf.eprintf "warning: traced run %s\n" (Process.outcome_to_string result.outcome);
     print_string (Dh_alloc.Trace.lifetimes_to_string (Dh_alloc.Trace.lifetimes tracer));
@@ -425,21 +443,22 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const action $ obs_term $ program_term () $ allocator_arg $ seed_arg
+      const action $ trace_arg $ program_term () $ allocator_arg $ seed_arg
       $ input_arg $ fuel_arg)
 
 (* --- diagnose --- *)
 
 let diagnose_cmd =
-  let action () (program, heap_size) replicas seed input fuel =
+  let action trace (program, heap_size) replicas seed input fuel =
     let report =
       Diehard.Diagnose.run
-        ~config:(Diehard.Config.v ~heap_size ())
+        ~config:(Diehard.Config.v ~heap_size ~obs:(trace <> None) ())
         ~replicas
         ~seed_pool:(Dh_rng.Seed.create ~master:seed)
         ~input:(read_input input) ~fuel program
     in
     Format.printf "%a" Diehard.Diagnose.pp_report report;
+    write_trace trace report.events;
     exit (if report.Diehard.Diagnose.suspects = [] then 0 else 1)
   in
   let doc =
@@ -448,7 +467,7 @@ let diagnose_cmd =
   in
   Cmd.v (Cmd.info "diagnose" ~doc)
     Term.(
-      const action $ obs_term $ program_term () $ replicas_arg $ seed_arg $ input_arg
+      const action $ trace_arg $ program_term () $ replicas_arg $ seed_arg $ input_arg
       $ fuel_arg)
 
 (* --- replay: time-travel through the faulting checkpoint window ---
@@ -511,7 +530,7 @@ let print_replay_fault (f : Supervisor.replay_fault) =
     f.flight
 
 let replay_cmd =
-  let action () ((program : Dh_alloc.Program.t), heap_size) interval seed input fuel =
+  let action trace ((program : Dh_alloc.Program.t), heap_size) interval seed input fuel =
     let svc =
       match program.service with
       | Some svc -> svc
@@ -537,6 +556,7 @@ let replay_cmd =
     in
     if r.outcome <> Exited 0 then
       Printf.eprintf "replay: program %s\n" (Process.outcome_to_string r.outcome);
+    write_trace trace r.events;
     exit (if reproduced && r.outcome = Exited 0 then 0 else 1)
   in
   let doc =
@@ -548,7 +568,7 @@ let replay_cmd =
   in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
-      const action $ obs_term $ program_term () $ replay_interval_arg $ seed_arg
+      const action $ trace_arg $ program_term () $ replay_interval_arg $ seed_arg
       $ input_arg $ fuel_arg)
 
 (* --- audit: the live safety-margin report ---
@@ -589,14 +609,15 @@ let audit_distance_arg =
   Arg.(value & opt int 10 & info [ "dangling-distance" ] ~docv:"A" ~doc)
 
 let audit_cmd =
-  let action () ((program : Dh_alloc.Program.t), heap_size) format out watch replicas
+  let action trace ((program : Dh_alloc.Program.t), heap_size) format out watch replicas
       distance seed input fuel =
     if replicas < 1 || replicas = 2 then
       invalid_arg "audit: --replicas must be 1 or >= 3 (the voter cannot break ties)";
     if watch < 0 then invalid_arg "audit: --watch must be >= 0";
-    Dh_obs.Control.set_enabled true;
     let heap =
-      Diehard.Heap.create ~config:(Diehard.Config.v ~heap_size ~seed ()) (Dh_mem.Mem.create ())
+      Diehard.Heap.create
+        ~config:(Diehard.Config.v ~heap_size ~seed ())
+        (Dh_mem.Mem.create ~obs:true ())
     in
     let margin_now () = Margin.of_heap ~replicas ~dangling_allocations:distance heap in
     (* --watch: a snapshot after request k, for every k > 0 that is a
@@ -634,8 +655,9 @@ let audit_cmd =
       | _ -> program
     in
     let result =
-      Dh_alloc.Program.run ~input:(read_input input) ~fuel program
-        (Diehard.Heap.allocator heap)
+      let alloc = Diehard.Heap.allocator heap in
+      traced_run trace alloc (fun () ->
+          Dh_alloc.Program.run ~input:(read_input input) ~fuel program alloc)
     in
     let report = margin_now () in
     let text =
@@ -663,7 +685,7 @@ let audit_cmd =
   in
   Cmd.v (Cmd.info "audit" ~doc)
     Term.(
-      const action $ obs_term $ program_term () $ audit_format_arg $ audit_out_arg
+      const action $ trace_arg $ program_term () $ audit_format_arg $ audit_out_arg
       $ audit_watch_arg $ audit_replicas_arg $ audit_distance_arg $ seed_arg
       $ input_arg $ fuel_arg)
 

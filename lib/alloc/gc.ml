@@ -199,9 +199,10 @@ let sweep t =
 
 let collect t =
   t.stats.Stats.gc_collections <- t.stats.Stats.gc_collections + 1;
-  Dh_obs.Tracing.span "gc.collect" (fun () ->
-      Dh_obs.Tracing.span "gc.mark" (fun () -> mark t);
-      Dh_obs.Tracing.span "gc.sweep" (fun () -> sweep t))
+  let obs = Mem.recorder t.mem in
+  Dh_obs.Recorder.span obs "gc.collect" (fun () ->
+      Dh_obs.Recorder.span obs "gc.mark" (fun () -> mark t);
+      Dh_obs.Recorder.span obs "gc.sweep" (fun () -> sweep t))
 
 (* --- allocation --- *)
 

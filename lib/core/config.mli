@@ -28,11 +28,16 @@ type t = {
           parallelizes {e across} runs, mirroring the paper's
           process-per-replica model (§5). *)
   obs : bool;
-      (** Enable {!Dh_obs} telemetry (span tracing, metrics registration,
-          the fault flight recorder) for drivers that honor this config.
-          Telemetry is write-only: it never feeds back into execution, so
-          a run's output is identical with it on or off.  Off by
-          default; the disabled path is one atomic load per site. *)
+      (** Build the run's address spaces with {!Dh_obs} telemetry on
+          (span tracing, audit records, the fault flight recorder, the
+          serve loop's latency histogram).  Read only by the runners that
+          build spaces from a config — {!Supervisor.run},
+          {!Replicated.run}, {!Diagnose.run} — which pass it to
+          [Dh_mem.Mem.create ~obs] and return the events of the spaces
+          they built; a {!Heap} takes its flag from the space it is
+          given.  Telemetry is write-only: it never feeds back into
+          execution, so a run's output is identical with it on or off.
+          Off by default; the off path is one field load per site. *)
   mesh : bool;
       (** Enable MESH-style page meshing: pages of one size-class region
           whose slot bitmaps are disjoint are merged onto a single

@@ -11,6 +11,7 @@ type report = {
   objects_compared : int;
   words_compared : int;
   suspects : suspect list;
+  events : Dh_obs.Tracing.event list;
 }
 
 (* One replica's end-of-run view: the live objects by allocation index,
@@ -25,7 +26,7 @@ type replica_view = {
 }
 
 let snapshot_replica ~config ~seed ~input ~fuel program =
-  let mem = Mem.create () in
+  let mem = Mem.create ~obs:config.Config.obs () in
   let heap = Heap.create ~config:{ config with Config.seed; replicated = true } mem in
   let alloc = Heap.allocator heap in
   (* The allocation log fixes allocation order and liveness (the
@@ -160,6 +161,8 @@ let run ?(config = Config.default) ?(replicas = 3)
     objects_compared = List.length common_indices;
     words_compared = !words;
     suspects = List.rev !suspects;
+    events =
+      Dh_obs.Tracing.merge (List.map (fun v -> Dh_obs.Recorder.events (Mem.recorder v.mem)) views);
   }
 
 let pp_kind ppf = function

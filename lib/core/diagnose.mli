@@ -44,6 +44,9 @@ type report = {
   objects_compared : int;
   words_compared : int;
   suspects : suspect list;  (** In (allocation, offset) order. *)
+  events : Dh_obs.Tracing.event list;
+      (** With [config.obs]: the replicas' address spaces' trace
+          events, merged; [[]] without. *)
 }
 
 val run :

@@ -109,6 +109,7 @@ type t = {
   stats : Stats.t;
   mutable freed_since_mesh : int;  (* bytes freed since the last pass *)
   mutable meshes : int;  (* cumulative successful meshes *)
+  obs : Dh_obs.Recorder.t;  (* [Mem.recorder mem], read on every malloc and free *)
   audit : Dh_obs.Audit.t;
       (* The heap's own audit: a heap records from one domain at a time,
          so each record is plain adds.  Cumulative: never rewound. *)
@@ -153,7 +154,8 @@ let create ?(config = Config.default) mem =
     stats = Stats.create ();
     freed_since_mesh = 0;
     meshes = 0;
-    audit = Dh_obs.Audit.create ();
+    obs = Mem.recorder mem;
+    audit = Dh_obs.Audit.create (Mem.recorder mem);
   }
 
 let site_get tbl i =
@@ -281,7 +283,7 @@ let reseed t ~seed = Mwc.reseed t.rng ~seed
    regions are mapped on demand). *)
 let ensure_mapped t region =
   if region.base = 0 then
-    Dh_obs.Tracing.span ~arg:(string_of_int region.class_) "heap.map_region" (fun () ->
+    Dh_obs.Recorder.span t.obs ~arg:(string_of_int region.class_) "heap.map_region" (fun () ->
         let len = region.capacity * Size_class.size region.class_ in
         region.base <- Mem.mmap t.mem len;
         if t.config.Config.replicated then
@@ -293,15 +295,15 @@ let malloc_large t sz =
   let payload = large_malloc t.large t.mem t.stats sz in
   let size = (Imap.find payload t.large.objects).size in
   if t.config.Config.replicated then Mem.fill_random t.mem ~addr:payload ~len:size t.rng;
-  if Dh_obs.Control.enabled () then begin
+  if Dh_obs.Recorder.on t.obs then begin
     let site = Dh_obs.Audit.record_alloc t.audit ~class_:large_class ~index:(-1) ~capacity:0 in
     t.large_sites <- Imap.add payload (size, site) t.large_sites;
-    Dh_obs.Tracing.instant ~arg:(string_of_int sz) "heap.malloc.large"
+    Dh_obs.Recorder.instant t.obs ~arg:(string_of_int sz) "heap.malloc.large"
   end;
   Some payload
 
 let free_large t addr =
-  if large_free t.large t.mem t.stats addr && Dh_obs.Control.enabled () then begin
+  if large_free t.large t.mem t.stats addr && Dh_obs.Recorder.on t.obs then begin
     let site =
       match Imap.find_opt addr t.large_sites with
       | Some (_, site) -> site
@@ -442,10 +444,10 @@ let mesh_region t region =
   end
 
 let mesh t =
-  Dh_obs.Tracing.span "heap.mesh" (fun () ->
+  Dh_obs.Recorder.span t.obs "heap.mesh" (fun () ->
       let meshed = Array.fold_left (fun acc r -> acc + mesh_region t r) 0 t.regions in
-      if meshed > 0 && Dh_obs.Control.enabled () then
-        Dh_obs.Tracing.instant ~arg:(string_of_int meshed) "heap.meshed";
+      if meshed > 0 && Dh_obs.Recorder.on t.obs then
+        Dh_obs.Recorder.instant t.obs ~arg:(string_of_int meshed) "heap.meshed";
       meshed)
 
 let meshes t = t.meshes
@@ -461,13 +463,13 @@ let audit t = t.audit
    requested bytes are [Stats]' to keep (§4.2's expected-probes
    analysis reads "heap.probes" over "heap.mallocs"). *)
 let observe_malloc t ~bytes ~region ~index =
-  if Dh_obs.Control.enabled () then begin
+  if Dh_obs.Recorder.on t.obs then begin
     let site =
       Dh_obs.Audit.record_alloc t.audit ~class_:region.class_ ~index ~capacity:region.capacity
     in
     site_set region.sites ~capacity:region.capacity index site;
     if (t.stats.Stats.mallocs - 1) land (trace_sample - 1) = 0 then
-      Dh_obs.Tracing.instant ~arg:(string_of_int bytes) "heap.malloc"
+      Dh_obs.Recorder.instant t.obs ~arg:(string_of_int bytes) "heap.malloc"
   end
 
 (* Probe for a free slot, like probing into a hash table, adding each
@@ -498,9 +500,9 @@ let malloc_small t sz class_ =
        masked slots hold buddy-page bytes — though the headroom bound in
        the mesher keeps this to pathological sequences. *)
     t.stats.Stats.failed_mallocs <- t.stats.Stats.failed_mallocs + 1;
-    if Dh_obs.Control.enabled () then begin
+    if Dh_obs.Recorder.on t.obs then begin
       Dh_obs.Audit.record_failed t.audit ~class_;
-      Dh_obs.Tracing.instant ~arg:(string_of_int class_) "heap.exhausted"
+      Dh_obs.Recorder.instant t.obs ~arg:(string_of_int class_) "heap.exhausted"
     end;
     None
   end
@@ -577,14 +579,14 @@ let free t addr =
             end
           end;
           Stats.on_free t.stats ~reserved:size;
-          if Dh_obs.Control.enabled () then begin
+          if Dh_obs.Recorder.on t.obs then begin
             let site =
               if Bytes.length region.sites.ids > 0 then site_get region.sites index
               else Dh_obs.Audit.unknown
             in
             Dh_obs.Audit.record_free t.audit ~class_:region.class_ ~site;
             if (t.stats.Stats.frees - 1) land (trace_sample - 1) = 0 then
-              Dh_obs.Tracing.instant ~arg:(string_of_int size) "heap.free"
+              Dh_obs.Recorder.instant t.obs ~arg:(string_of_int size) "heap.free"
           end;
           if t.config.Config.mesh then begin
             t.freed_since_mesh <- t.freed_since_mesh + size;

@@ -32,11 +32,11 @@ val mem : t -> Dh_mem.Mem.t
 
 val malloc : t -> int -> int option
 (** [malloc t sz] — [None] means NULL: the size class is at its [1/M]
-    threshold (or [sz <= 0]).  The ambient
-    {!Dh_obs.Audit.current_site} ({!Dh_obs.Audit.with_site}) attributes
-    the allocation for audit provenance, in the heap's own {!audit}.
-    Sites never affect placement or success — they are write-only
-    telemetry, recorded only while observability is enabled. *)
+    threshold (or [sz <= 0]).  The ambient site of the heap's address
+    space ({!Dh_obs.Audit.with_site}) attributes the allocation for
+    audit provenance, in the heap's own {!audit}.  Sites never affect
+    placement or success — they are write-only telemetry, recorded only
+    while the space has obs on. *)
 
 val free : t -> int -> unit
 (** Validated deallocation; invalid and double frees are ignored (and
@@ -145,7 +145,7 @@ val fault_site : t -> int -> int option
 val audit : t -> Dh_obs.Audit.t
 (** The heap's own audit: the per-class flow, slot-position histogram
     and per-site tallies of every malloc, free and threshold refusal it
-    served while observability was enabled.  Cumulative: {!restore}
+    served; empty when its address space has obs off.  Cumulative: {!restore}
     does not roll it back. *)
 
 val large_object_count : t -> int

@@ -17,13 +17,8 @@ type report = {
   output : string;
   barriers : int;
   replicas : replica_report list;
+  events : Dh_obs.Tracing.event list;
 }
-
-let run_replica ~config ~seed ~input ~fuel program =
-  let mem = Dh_mem.Mem.create () in
-  let config = { config with Config.seed; replicated = true } in
-  let heap = Heap.create ~config mem in
-  Program.run ?fuel ~input program (Heap.allocator heap)
 
 let run_program_once ?(config = Config.default) ?(seed = config.Config.seed)
     ?(input = "") ?fuel program =
@@ -47,27 +42,30 @@ let run ?(config = Config.default) ?(replicas = 3)
        disagreeing replicas split 1-1 and the voter has no majority to commit \
        (the paper's quorum argument, \xc2\xa76); pass --replicas 1 or --replicas 3 \
        to `diehard replicate`";
-  (* Honor the config's obs knob for the duration of this run (telemetry
-     is write-only, so the run's result is unaffected). *)
-  Dh_obs.Control.with_enabled (config.Config.obs || Dh_obs.Control.enabled ()) @@ fun () ->
-  (* Spawn a replica: run it to completion and precompute its barrier
-     chunks (see the .mli for why this is equivalent to the paper's
-     concurrent processes). *)
+  (* Spawn a replica on its own address space: run it to completion and
+     precompute its barrier chunks (see the .mli for why this is
+     equivalent to the paper's concurrent processes). *)
   let spawn rid seed =
-    Dh_obs.Tracing.span ~arg:(string_of_int rid) "replica.run" (fun () ->
-        let result = run_replica ~config ~seed ~input ~fuel program in
-        let crashed =
-          match result.Process.outcome with
-          | Process.Exited _ -> false
-          | Process.Crashed _ | Process.Aborted _ | Process.Timeout -> true
-        in
-        ( {
-            rid;
-            chunks =
-              Array.of_list (Voter.chunks_of_output ~crashed result.Process.output);
-            crashed;
-          },
-          result ))
+    let mem = Dh_mem.Mem.create ~obs:config.Config.obs () in
+    let obs = Dh_mem.Mem.recorder mem in
+    let live, result =
+      Dh_obs.Recorder.span ~arg:(string_of_int rid) obs "replica.run" (fun () ->
+          let heap = Heap.create ~config:{ config with Config.seed; replicated = true } mem in
+          let result = Program.run ?fuel ~input program (Heap.allocator heap) in
+          let crashed =
+            match result.Process.outcome with
+            | Process.Exited _ -> false
+            | Process.Crashed _ | Process.Aborted _ | Process.Timeout -> true
+          in
+          ( {
+              rid;
+              chunks =
+                Array.of_list (Voter.chunks_of_output ~crashed result.Process.output);
+              crashed;
+            },
+            result ))
+    in
+    (live, result, Dh_obs.Recorder.events obs)
   in
   (* Fan the replicas out across domains.  Replica i's seed is frozen by
      the split before any replica runs, and the pool returns results in
@@ -78,8 +76,11 @@ let run ?(config = Config.default) ?(replicas = 3)
     Dh_parallel.Pool.init ~jobs:config.Config.jobs replicas (fun rid ->
         spawn rid seeds.(rid))
   in
+  (* The voter's instants belong to no replica's space: the run owns
+     their ring. *)
+  let voter = Dh_obs.Recorder.create ~on:config.Config.obs in
   let eliminated : (int, cause) Hashtbl.t = Hashtbl.create 8 in
-  let live = ref (Array.to_list (Array.map fst spawned)) in
+  let live = ref (Array.to_list (Array.map (fun (l, _, _) -> l) spawned)) in
   let committed = Buffer.create 1024 in
   let barriers = ref 0 in
   let finished_ok = ref false in
@@ -105,15 +106,15 @@ let run ?(config = Config.default) ?(replicas = 3)
       in
       match Voter.vote ballots with
       | Voter.Unanimous chunk ->
-        Dh_obs.Tracing.instant ~arg:(string_of_int j) "voter.unanimous";
+        Dh_obs.Recorder.instant ~arg:(string_of_int j) voter "voter.unanimous";
         Buffer.add_string committed chunk
       | Voter.Majority { chunk; losers } ->
-        Dh_obs.Tracing.instant ~arg:(string_of_int j) "voter.majority";
+        Dh_obs.Recorder.instant ~arg:(string_of_int j) voter "voter.majority";
         Buffer.add_string committed chunk;
         List.iter (fun rid -> Hashtbl.replace eliminated rid (Voted_out j)) losers;
         live := List.filter (fun l -> not (List.mem l.rid losers)) participants
       | Voter.No_quorum ->
-        Dh_obs.Tracing.instant ~arg:(string_of_int j) "voter.no_quorum";
+        Dh_obs.Recorder.instant ~arg:(string_of_int j) voter "voter.no_quorum";
         (* All live replicas differ pairwise.  With >= 3 of them this is
            the uninitialized-read signature; with fewer the voter simply
            cannot decide. *)
@@ -135,7 +136,7 @@ let run ?(config = Config.default) ?(replicas = 3)
     replicas =
       Array.to_list
         (Array.mapi
-           (fun id (_, result) ->
+           (fun id (_, result, _) ->
              {
                id;
                seed = seeds.(id);
@@ -143,4 +144,7 @@ let run ?(config = Config.default) ?(replicas = 3)
                eliminated = Hashtbl.find_opt eliminated id;
              })
            spawned);
+    events =
+      Dh_obs.Tracing.merge
+        (Dh_obs.Recorder.events voter :: Array.to_list (Array.map (fun (_, _, e) -> e) spawned));
   }

@@ -47,6 +47,9 @@ type report = {
   output : string;  (** Output committed before termination. *)
   barriers : int;  (** Barrier synchronisations performed. *)
   replicas : replica_report list;
+  events : Dh_obs.Tracing.event list;
+      (** With [config.obs]: the trace events of the replicas' address
+          spaces and the voter's instants, merged; [[]] without. *)
 }
 
 val run :

@@ -63,6 +63,7 @@ type incident = {
   flight : Dh_obs.Recorder.report list;
   offenders : Dh_obs.Audit.site_stat list;
   latency : Dh_obs.Quantile.t;
+  events : Dh_obs.Tracing.event list;
 }
 
 (* Growth ceilings: the ladder expands the heap exponentially, so a long
@@ -88,7 +89,7 @@ let plan_for ~(config : Config.t) ~backoff ~seed ~mode attempt =
 (* The rung's heap: the plan's seed, M and size, and the caller's
    other heap settings (replicated fill, meshing). *)
 let build_heap ~(config : Config.t) plan =
-  let mem = Dh_mem.Mem.create () in
+  let mem = Dh_mem.Mem.create ~obs:config.obs () in
   let config =
     Config.v ~multiplier:plan.multiplier ~heap_size:plan.heap_size ~seed:plan.seed
       ~replicated:config.replicated ~mesh:config.mesh ~mesh_threshold:config.mesh_threshold
@@ -138,8 +139,8 @@ type fault_action =
          through the wrapper (which answers "continue?"), and stop *)
 
 (* Serve-loop telemetry (the serve bench reads its SLO off the latency
-   histogram).  All write-only and gated on one enabled check per
-   request when off; when on, the per-request cost is one clock read and
+   histogram).  All write-only and gated on the address space's obs flag,
+   read once per run; when on, the per-request cost is one clock read and
    one latency sample recorded into the run's own [latency] histogram
    (plain adds), and the request index advertised as the step of the
    address space's own flight recorder.  A request's latency runs from
@@ -148,9 +149,9 @@ type fault_action =
    stays out of the sample.
    A rewind emits a "supervisor.rewind" instant; the only rewind count
    is the recovery report's.  A [latency] histogram switches this
-   telemetry on (when obs is); replay and the canary diagnosis replay
-   pass none, so the histogram and the flight records hold only the
-   supervised attempts' own requests.  An [interval] of 0 arms no
+   telemetry on (when the space's obs is); replay and the canary
+   diagnosis replay pass none, so the histogram and the flight records
+   hold only the supervised attempts' own requests.  An [interval] of 0 arms no
    checkpoint: the requests run as one window and a fault escapes, as
    it would from [main]. *)
 let run_service ~latency ~context (svc : Program.service) heap ~interval ~on_fault =
@@ -161,7 +162,7 @@ let run_service ~latency ~context (svc : Program.service) heap ~interval ~on_fau
   let result =
     Process.run (fun out ->
         let h = svc.Program.init (context out) in
-        let latency = if Dh_obs.Control.enabled () then latency else None in
+        let latency = if Dh_obs.Recorder.on recorder then latency else None in
         let stamp = ref 0 in
         let handle k =
           match latency with
@@ -200,9 +201,9 @@ let run_service ~latency ~context (svc : Program.service) heap ~interval ~on_fau
               pages_restored := !pages_restored + report.Dh_mem.Mem.pages_restored;
               incr rewinds;
               if Option.is_some latency then
-                Dh_obs.Tracing.instant
+                Dh_obs.Recorder.instant
                   ~arg:(string_of_int report.Dh_mem.Mem.pages_restored)
-                  "supervisor.rewind";
+                  recorder "supervisor.rewind";
               k := window_start
             in
             match
@@ -295,21 +296,23 @@ let run ?(policy = default_policy) ?(config = Config.default)
   if policy.checkpoint_interval < 0 then
     invalid_arg "Supervisor: checkpoint_interval must be >= 0";
   if policy.max_rewinds < 0 then invalid_arg "Supervisor: max_rewinds must be >= 0";
-  (* Honor the config's obs knob for the duration of this run (telemetry
-     is write-only, so it adds only [flight], [offenders] and
-     [latency] to the incident). *)
-  Dh_obs.Control.with_enabled (config.Config.obs || Dh_obs.Control.enabled ()) @@ fun () ->
-  (* The ladder attempts' audits, and the flight recorders of the
-     address spaces the run builds (the canary replay's too), newest
-     first. *)
+  (* The run's spaces are built with the config's obs flag (telemetry is
+     write-only, so it adds only [flight], [offenders], [latency] and
+     [events] to the incident).  The ladder attempts' audits, and the
+     recorders of the address spaces the run builds (the canary
+     replay's too), newest first. *)
   let audits = ref [] and recorders = ref [] and latency = Dh_obs.Quantile.create () in
-  let record_space heap = recorders := Dh_mem.Mem.recorder (Heap.mem heap) :: !recorders in
+  let record_space heap =
+    let obs = Dh_mem.Mem.recorder (Heap.mem heap) in
+    recorders := obs :: !recorders;
+    obs
+  in
   let attempt_under plan =
-    Dh_obs.Tracing.span ~arg:(string_of_int plan.attempt) "supervisor.attempt"
-    @@ fun () ->
     let heap, base_alloc = build_heap ~config plan in
     audits := Heap.audit heap :: !audits;
-    record_space heap;
+    let obs = record_space heap in
+    Dh_obs.Recorder.span ~arg:(string_of_int plan.attempt) obs "supervisor.attempt"
+    @@ fun () ->
     let alloc = wrap plan base_alloc in
     (* The rewind rung applies to randomized attempts of service-shaped
        programs; the rescue rung stays from-scratch (its wrapper defers
@@ -331,7 +334,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
        arithmetic trap, fuel exhaustion, bad exit code) are captured
        here, with the attempt's heap counters, so every failed rung
        leaves a flight record in its own address space. *)
-    (if (not ok) && Dh_obs.Control.enabled () then
+    (if (not ok) && Dh_obs.Recorder.on obs then
        match result.Process.outcome with
        | Process.Crashed f when Dh_mem.Fault.is_memory f -> ()
        | outcome ->
@@ -346,20 +349,20 @@ let run ?(policy = default_policy) ?(config = Config.default)
            ~reason:
              (Format.asprintf "supervisor attempt %d failed: %a" plan.attempt
                 Process.pp_outcome outcome)
-           (Dh_mem.Mem.recorder (Heap.mem heap)));
+           obs);
     ({ plan; outcome = result.Process.outcome; ok; fuel_burned; recovery }, result)
   in
   (* Replay the failed attempt — same seed, same heap shape, same wrap —
      under canary instrumentation, purely to classify the fault. *)
   let diagnose_replay (failed : attempt_report) =
-    Dh_obs.Tracing.span ~arg:(string_of_int failed.plan.attempt) "supervisor.diagnose"
-    @@ fun () ->
     let plan = { failed.plan with mode = Randomized } in
     (* Meshing stays off: a meshed page's free slots address its
        buddy's bytes, so the canaries written into freed slots would
        read as overwritten after a mesh pass. *)
     let replay_heap, base = build_heap ~config:{ config with mesh = false } plan in
-    record_space replay_heap;
+    let obs = record_space replay_heap in
+    Dh_obs.Recorder.span ~arg:(string_of_int failed.plan.attempt) obs "supervisor.diagnose"
+    @@ fun () ->
     let canary, instrumented = Canary.wrap base in
     let result, fuel_burned, _ =
       execute ~latency:None ~heap:replay_heap ~interval:0
@@ -380,7 +383,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
        and the fault's own address to the object it hit or ran off the
        end of.  Best-effort, write-only. *)
     let canary_sites, fault_sites =
-      if not (Dh_obs.Control.enabled ()) then ([], [])
+      if not (Dh_obs.Recorder.on obs) then ([], [])
       else begin
         ( List.map
             (fun (v : Canary.violation) ->
@@ -430,20 +433,21 @@ let run ?(policy = default_policy) ?(config = Config.default)
     output;
     total_fuel = List.fold_left (fun acc a -> acc + a.fuel_burned) diag_fuel attempts;
     (* The captures of the run's own address spaces, in the order they
-       were built, newest [max_reports] kept; [] when disabled, so
+       were built, newest [max_reports] kept; [] with obs off, so
        incidents compare equal across runs that never enabled obs. *)
     flight =
       (let all = List.concat_map Dh_obs.Recorder.reports (List.rev !recorders) in
        let extra = List.length all - Dh_obs.Recorder.max_reports in
        List.filteri (fun i _ -> i >= extra) all);
-    (* Same contract as [flight]: [] when disabled, so incidents from
+    (* Same contract as [flight]: [] with obs off, so incidents from
        un-instrumented runs compare structurally equal. *)
     offenders =
-      (if Dh_obs.Control.enabled () then
+      (if config.obs then
          offenders !audits ~canary_sites ~fault_sites
            ~rescued:(List.exists (fun a -> a.plan.mode = Rescue) attempts)
        else []);
     latency;
+    events = Dh_obs.Tracing.merge (List.rev_map Dh_obs.Recorder.events !recorders);
   }
 
 (* --- time-travel replay ---
@@ -485,14 +489,17 @@ type replay_fault = {
   flight : Dh_obs.Recorder.report option;
 }
 
-type replay = { first_fault : replay_fault option; outcome : Process.outcome }
+type replay = {
+  first_fault : replay_fault option;
+  outcome : Process.outcome;
+  events : Dh_obs.Tracing.event list;
+}
 
 let replay ?(input = "") ?(fuel = 100_000_000) ~config ~interval (svc : Program.service) =
   if interval <= 0 then invalid_arg "Supervisor.replay: checkpoint interval must be positive";
-  (* The step spans and the flight record are the whole point, so obs
-     is on for the whole replay. *)
-  Dh_obs.Control.with_enabled true @@ fun () ->
-  let heap = Heap.create ~config (Dh_mem.Mem.create ()) in
+  (* The step spans and the flight record are the whole point, so the
+     replay's space has obs on whatever [config.obs] says. *)
+  let heap = Heap.create ~config (Dh_mem.Mem.create ~obs:true ()) in
   let alloc = Heap.allocator heap and stats = Heap.stats heap in
   let recorder = Dh_mem.Mem.recorder alloc.mem in
   let since out mark =
@@ -505,7 +512,7 @@ let replay ?(input = "") ?(fuel = 100_000_000) ~config ~interval (svc : Program.
     let len0 = Process.Out.length out and dirty0 = Dh_mem.Mem.dirty_pages alloc.mem in
     let m0 = stats.mallocs and f0 = stats.frees and live0 = stats.live_bytes in
     let step_fault =
-      match Dh_obs.Tracing.span ~arg:(string_of_int j) "replay.step" run with
+      match Dh_obs.Recorder.span ~arg:(string_of_int j) recorder "replay.step" run with
       | () -> None
       | exception Dh_mem.Fault.Error f -> Some f
     in
@@ -560,7 +567,7 @@ let replay ?(input = "") ?(fuel = 100_000_000) ~config ~interval (svc : Program.
         })
       !first
   in
-  { first_fault; outcome = result.Process.outcome }
+  { first_fault; outcome = result.Process.outcome; events = Dh_obs.Recorder.events recorder }
 
 (* --- reporting --- *)
 

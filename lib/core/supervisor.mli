@@ -114,7 +114,7 @@ type incident = {
           non-crash failed rung.  The newest
           {!Dh_obs.Recorder.max_reports} (16) are kept.  No other run's
           capture, earlier or on another domain, appears here.  Always
-          [[]] when observability is disabled, so incidents from
+          [[]] without [config.obs], so incidents from
           un-instrumented runs compare structurally equal. *)
   offenders : Dh_obs.Audit.site_stat list;
       (** Top allocation sites by attributed events (canary hits from
@@ -125,15 +125,19 @@ type incident = {
           therefore its site attributions — coincide with the failed
           run's.  Allocation and free counts fold the audits of the
           ladder attempts' heaps only: the replay re-runs a failed
-          attempt and would count it twice.  Always [[]] when
-          observability is disabled (same contract as [flight]). *)
+          attempt and would count it twice.  Always [[]] without
+          [config.obs] (same contract as [flight]). *)
   latency : Dh_obs.Quantile.t;
       (** This run's serve-loop latencies in nanoseconds, one histogram
           per run: one sample per request a service-shaped program's
           ladder attempts handled, rewound replays included (not the
           diagnosis replay's).  Wall-clock, so two runs' histograms
-          differ; empty when observability is disabled or the program
-          is not service-shaped. *)
+          differ; empty without [config.obs] or when the program is
+          not service-shaped. *)
+  events : Dh_obs.Tracing.event list;
+      (** The trace events of the address spaces this run built,
+          merged in timestamp order: each space's newest
+          {!Dh_obs.Tracing.ring_capacity}.  [[]] without [config.obs]. *)
 }
 
 val run :
@@ -149,7 +153,8 @@ val run :
 (** [run program] executes the escalation ladder.  [config] supplies the
     first attempt's M and heap size, and every rung's replicated fill and
     meshing settings (its seed is ignored — seeds come from
-    [seed_pool]).  [success]
+    [seed_pool]); [config.obs] builds every space the run makes with
+    obs on.  [success]
     decides whether an attempt's result counts as survival (default:
     exited 0); campaign drivers pass an output-equality check.  [wrap]
     interposes on every attempt's allocator {e including} the canary
@@ -203,6 +208,9 @@ type replay = {
   outcome : Dh_mem.Process.outcome;
       (** How the simulated process ended: [Exited 0] unless the replay
           itself died (fuel, a non-memory failure). *)
+  events : Dh_obs.Tracing.event list;
+      (** The replay's address space's trace events, its
+          ["replay.step"] spans among them. *)
 }
 
 val replay :
@@ -222,8 +230,10 @@ val replay :
     fault recurs or the faulting request has run.  Services are
     deterministic functions of their input and placements, so the fault
     must reproduce; a service holding state outside simulated memory
-    breaks that contract and is reported as not reproduced.  Observability
-    is on for the call (none of the rung's serve telemetry is emitted).
+    breaks that contract and is reported as not reproduced.  The replay's
+    address space has obs on whatever [config.obs] says, since its step
+    spans and flight record are the product (none of the rung's serve
+    telemetry is emitted).
     Defaults: empty input, one hundred million steps of fuel.  Raises
     [Invalid_argument] when [interval <= 0]. *)
 

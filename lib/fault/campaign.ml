@@ -12,6 +12,7 @@ type tally = {
   aborted : int;
   timed_out : int;
   runs : classification list;
+  events : Dh_obs.Tracing.event list;
 }
 
 let classify ~reference (result : Process.result) =
@@ -33,10 +34,14 @@ let run ?(input = "") ?(fuel = 50_000_000) ?(jobs = 1) ~trials ~spec ~make_alloc
     program =
   if trials < 0 then invalid_arg "Campaign.run: trials must be >= 0";
   if jobs < 1 then invalid_arg "Campaign.run: jobs must be >= 1";
+  (* Each run traces into its own allocator's address space, which
+     [make_alloc] built with obs on or off. *)
+  let obs_of alloc = Dh_mem.Mem.recorder alloc.Dh_alloc.Allocator.mem in
   (* 1. tracing run: obtain the allocation log *)
+  let alloc = make_alloc ~trial:0 in
   let trace_result, tracer =
-    Dh_obs.Tracing.span "campaign.trace" (fun () ->
-        let tracer, traced_alloc = Trace.wrap (make_alloc ~trial:0) in
+    Dh_obs.Recorder.span (obs_of alloc) "campaign.trace" (fun () ->
+        let tracer, traced_alloc = Trace.wrap alloc in
         (Program.run ~input ~fuel program traced_alloc, tracer))
   in
   match trace_result.Process.outcome with
@@ -48,20 +53,21 @@ let run ?(input = "") ?(fuel = 50_000_000) ?(jobs = 1) ~trials ~spec ~make_alloc
        shared read-only log), so trials fan out across domains and the
        classifications come back in trial order — the tally is identical
        for every [jobs]. *)
-    let runs =
-      Array.to_list
-        (Dh_parallel.Pool.init ~jobs trials (fun i ->
-             let trial = i + 1 in
-             Dh_obs.Tracing.span ~arg:(string_of_int trial) "campaign.trial"
-             @@ fun () ->
-             let alloc = make_alloc ~trial in
-             let _, injected =
-               Injector.wrap
-                 { spec with Injector.seed = spec.Injector.seed + trial }
-                 ~log alloc
-             in
-             classify ~reference (Program.run ~input ~fuel program injected)))
+    let trial_runs =
+      Dh_parallel.Pool.init ~jobs trials (fun i ->
+          let trial = i + 1 in
+          let alloc = make_alloc ~trial in
+          let obs = obs_of alloc in
+          let run =
+            Dh_obs.Recorder.span ~arg:(string_of_int trial) obs "campaign.trial" @@ fun () ->
+            let _, injected =
+              Injector.wrap { spec with Injector.seed = spec.Injector.seed + trial } ~log alloc
+            in
+            classify ~reference (Program.run ~input ~fuel program injected)
+          in
+          (run, Dh_obs.Recorder.events obs))
     in
+    let runs = Array.to_list (Array.map fst trial_runs) in
     let count c = List.length (List.filter (fun x -> x = c) runs) in
     Ok
       {
@@ -72,6 +78,9 @@ let run ?(input = "") ?(fuel = 50_000_000) ?(jobs = 1) ~trials ~spec ~make_alloc
         aborted = count Aborted;
         timed_out = count Timed_out;
         runs;
+        events =
+          Dh_obs.Tracing.merge
+            (Dh_obs.Recorder.events (obs_of alloc) :: Array.to_list (Array.map snd trial_runs));
       }
   | outcome -> Error (Tracing_failed { outcome; output = trace_result.Process.output })
 

@@ -33,6 +33,12 @@ type tally = {
   aborted : int;
   timed_out : int;
   runs : classification list;  (** Per-trial, in order. *)
+  events : Dh_obs.Tracing.event list;
+      (** The trace events of the address spaces of the allocators
+          [make_alloc] built, merged: the tracing run's, in a
+          ["campaign.trace"] span, and each trial's, in a
+          ["campaign.trial"] span.  [[]] when every one was built with
+          obs off. *)
 }
 
 val classify : reference:string -> Dh_mem.Process.result -> classification

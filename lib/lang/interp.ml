@@ -51,6 +51,9 @@ type state = {
   mutable input_pos : int;
   prog_name : string;
   call_sites : int Site_tbl.t;
+  (* The allocator's address space's obs state: its flag and ambient
+     site. *)
+  obs : Dh_obs.Recorder.t;
 }
 
 (* The audit site of an allocating builtin's callsite, interned when it
@@ -67,12 +70,12 @@ let alloc_site st ~builtin args =
     s
 
 (* [f x y] bracketed in the callsite's ambient audit site, as an address
-   (NULL when the allocator refuses).  An obs-off run pays one atomic
+   (NULL when the allocator refuses).  An obs-off run pays one field
    load, and neither builds a closure nor touches the table. *)
 let allocate st ~builtin args f x y =
   let r =
-    if not (Dh_obs.Control.enabled ()) then f x y
-    else Dh_obs.Audit.with_site (alloc_site st ~builtin args) (f x) y
+    if not (Dh_obs.Recorder.on st.obs) then f x y
+    else Dh_obs.Audit.with_site st.obs (alloc_site st ~builtin args) (f x) y
   in
   match r with Some p -> p | None -> 0
 
@@ -723,11 +726,11 @@ let compile st (program : Ast.program) =
 
 let allocate_literals st program =
   let site =
-    if Dh_obs.Control.enabled () then
+    if Dh_obs.Recorder.on st.obs then
       Dh_obs.Audit.site (Printf.sprintf "minic:%s:literals" st.prog_name)
     else Dh_obs.Audit.unknown
   in
-  Dh_obs.Audit.with_site site
+  Dh_obs.Audit.with_site st.obs site
     (List.iter (fun s ->
          match st.ctx.Program.alloc.Allocator.malloc (String.length s + 1) with
          | Some addr ->
@@ -756,7 +759,18 @@ let register_gc_roots st =
 
 let new_state ~libc ~name ctx =
   let literals = Hashtbl.create 16 and call_sites = Site_tbl.create 16 in
-  { libc; ctx; frames = bottom; ret = 0; literals; input_pos = 0; prog_name = name; call_sites }
+  let obs = Dh_mem.Mem.recorder ctx.Program.alloc.Allocator.mem in
+  {
+    libc;
+    ctx;
+    frames = bottom;
+    ret = 0;
+    literals;
+    input_pos = 0;
+    prog_name = name;
+    call_sites;
+    obs;
+  }
 
 let run ~libc ~name program ctx =
   let st = new_state ~libc ~name ctx in
@@ -773,11 +787,9 @@ let program_of_source ?(libc = Unchecked) ~name source =
   let program = Parser.parse_program source in
   Program.make ~name (fun ctx -> run ~libc ~name program ctx)
 
-(* Compile for the diagnostics alone, against a throwaway heap that
-   stays out of the telemetry: no literal is allocated and no statement
-   runs. *)
+(* Compile for the diagnostics alone, against a throwaway heap on an
+   obs-off space: no literal is allocated and no statement runs. *)
 let check program =
-  Dh_obs.Control.with_enabled false @@ fun () ->
   let diagnostics = ref [] in
   let compile_only ctx =
     diagnostics := (compile (new_state ~libc:Unchecked ~name:"check" ctx) program).diagnostics

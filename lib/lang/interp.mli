@@ -75,8 +75,8 @@ val program_of_source : ?libc:libc -> name:string -> string -> Dh_alloc.Program.
     its context.  [libc] defaults to [Unchecked].  [name] also prefixes
     the audit allocation-site labels the interpreter interns for
     [malloc]/[calloc]/[realloc] callsites — ["minic:<name>:malloc#2"] —
-    while observability is enabled.  Each AST callsite gets its own
-    site, interned when it first executes and numbered in
+    while the allocator's address space has obs on.  Each AST callsite
+    gets its own site, interned when it first executes and numbered in
     first-execution order. *)
 
 (** {1 Static checking}

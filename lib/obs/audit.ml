@@ -37,35 +37,29 @@ let site_count () = Mutex.protect sites_lock (fun () -> !n_sites)
 (* --- the ambient site ---
 
    Wrappers between the workload and the heap forward bare
-   [int -> int option] closures, so the site travels out of band, in a
-   per-domain {!Cell}.  Writes are gated on [Control.enabled]: the heap
-   only reads the ambient site while enabled, and the disabled path must
-   stay at one atomic load. *)
-
-type ambient = { mutable site : int }
-
-let ambient : ambient Cell.t = Cell.create (fun () -> { site = unknown })
-
-let current_site () = (Cell.get ambient).site
+   [int -> int option] closures, so the site travels out of band, on the
+   allocator's address space: its recorder holds the ambient site.
+   Writes are gated on that space's obs flag: the heap only reads the
+   ambient site while obs is on, and the off path must stay at one
+   field load. *)
 
 (* Restores by hand rather than through [Fun.protect]: this brackets
    every workload allocation, and the closure [Fun.protect] allocates
    per call costs more than the bracket itself.  Taking the function and
    its argument separately lets a caller pass [malloc size] without
    building a closure. *)
-let with_site id f x =
-  if not (Control.enabled ()) then f x
+let with_site obs id f x =
+  if not (Recorder.on obs) then f x
   else begin
-    let c = Cell.get ambient in
-    let prev = c.site in
-    c.site <- id;
+    let prev = Recorder.site obs in
+    Recorder.set_site obs id;
     match f x with
     | v ->
-      c.site <- prev;
+      Recorder.set_site obs prev;
       v
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      c.site <- prev;
+      Recorder.set_site obs prev;
       Printexc.raise_with_backtrace e bt
   end
 
@@ -76,7 +70,7 @@ let with_site id f x =
    by id stay small. *)
 
 type t = {
-  ambient_site : ambient Cell.t;  (* this audit's own handle, so its cache stays warm *)
+  obs : Recorder.t;  (* the heap's address space's: its flag and ambient site *)
   allocs : int array;  (* per class *)
   frees : int array;
   failed : int array;
@@ -87,9 +81,9 @@ type t = {
   capacity_log2 : int array;  (* its log2, or -1 when not a power of two *)
 }
 
-let create () =
+let create obs =
   {
-    ambient_site = Cell.share ambient;
+    obs;
     allocs = Array.make max_classes 0;
     frees = Array.make max_classes 0;
     failed = Array.make max_classes 0;
@@ -125,9 +119,9 @@ let slot_bucket a ~class_ ~index ~capacity =
   if b < slot_buckets then b else slot_buckets - 1
 
 let record_alloc a ~class_ ~index ~capacity =
-  if not (Control.enabled ()) then unknown
+  if not (Recorder.on a.obs) then unknown
   else begin
-    let site = (Cell.get a.ambient_site).site in
+    let site = Recorder.site a.obs in
     if class_ >= 0 && class_ < max_classes then begin
       a.allocs.(class_) <- a.allocs.(class_) + 1;
       if capacity > 0 && index >= 0 then begin
@@ -144,7 +138,7 @@ let record_alloc a ~class_ ~index ~capacity =
   end
 
 let record_free a ~class_ ~site =
-  if Control.enabled () && class_ >= 0 && class_ < max_classes then begin
+  if Recorder.on a.obs && class_ >= 0 && class_ < max_classes then begin
     a.frees.(class_) <- a.frees.(class_) + 1;
     if site >= 0 then begin
       if site >= Array.length a.by_site_frees then
@@ -154,7 +148,7 @@ let record_free a ~class_ ~site =
   end
 
 let record_failed a ~class_ =
-  if Control.enabled () && class_ >= 0 && class_ < max_classes then
+  if Recorder.on a.obs && class_ >= 0 && class_ < max_classes then
     a.failed.(class_) <- a.failed.(class_) + 1
 
 (* --- reading --- *)
@@ -245,7 +239,6 @@ let entropy_bits hist =
       0. hist
 
 let reset () =
-  (Cell.get ambient).site <- unknown;
   Mutex.protect sites_lock (fun () ->
       Hashtbl.reset site_ids;
       n_sites := 0;

@@ -32,9 +32,10 @@
     canary, fault and rescue attributions, which the supervisor computes
     for its incident.
 
-    Everything recorded here is write-only telemetry behind
-    {!Control.enabled}: it never feeds back into execution, so a run's
-    output is identical with auditing on or off. *)
+    Everything recorded here is write-only telemetry behind the obs
+    flag of the heap's address space ({!Recorder.on}): it never feeds
+    back into execution, so a run's output is identical with auditing on
+    or off. *)
 
 val max_classes : int
 (** 16 — per-class arrays cover at least the heap's twelve size classes
@@ -46,10 +47,13 @@ val slot_buckets : int
 (** {1 Allocation sites}
 
     Sites are interned strings with dense ids, assigned in registration
-    order.  Interning is {e not} gated on {!Control.enabled}: ids must
-    be stable whether or not telemetry is on (they are assigned at
+    order.  Interning is {e not} gated on obs: ids must be stable
+    whether or not telemetry is on (they are assigned at
     program-construction time), and registration is far from any hot
-    path. *)
+    path.  The interning table is the one piece of obs state that stays
+    process-wide: it is read-mostly (a name is interned once, then only
+    looked up), and no output depends on it, since an id only names a
+    site in a report. *)
 
 val unknown : int
 (** 0 — the site of every allocation that carries no provenance. *)
@@ -67,20 +71,19 @@ val site_count : unit -> int
     Provenance has to cross the [Allocator.t] record boundary — the
     diagnosis wrappers ([Canary], [Rescue], the injector) forward
     [malloc : int -> int option] closures and know nothing about sites.
-    Rather than widening every wrapper, the current site is ambient,
-    per-domain state in a {!Cell}: a caller brackets its allocation in
-    {!with_site}, and the heap's [malloc] reads it back through
-    {!record_alloc}, on the audit's own handle.  This is the audit's
-    only per-domain state.  Setting the ambient site is a no-op while
-    disabled (the heap would not read it anyway). *)
+    Rather than widening every wrapper, the current site is ambient
+    state of the allocator's address space, in its {!Recorder}: a
+    caller brackets its allocation in {!with_site}, and the heap's
+    [malloc] reads it back through {!record_alloc}.  Setting the
+    ambient site is a no-op while the space's obs is off (the heap
+    would not read it anyway). *)
 
-val current_site : unit -> int
-
-val with_site : int -> ('a -> 'b) -> 'a -> 'b
-(** [with_site site f x] is [f x] run with the ambient site set,
+val with_site : Recorder.t -> int -> ('a -> 'b) -> 'a -> 'b
+(** [with_site obs site f x] is [f x] run with [obs]'s ambient site set,
     restoring the previous site on exit (also on exception, which is
-    re-raised with its backtrace).  Runs [f x] untouched while
-    disabled.  [with_site site a.malloc size] builds no closure. *)
+    re-raised with its backtrace).  [obs] is the recorder of the
+    allocator's address space.  Runs [f x] untouched while [obs] is
+    off.  [with_site obs site a.malloc size] builds no closure. *)
 
 (** {1 One heap's audit} *)
 
@@ -88,14 +91,15 @@ type t
 (** One heap's per-class flow and per-site tallies.  Recording mutates
     it in place, from the domain using the heap. *)
 
-val create : unit -> t
-(** An empty audit.  Built whether or not observability is enabled;
-    the records below do nothing while it is disabled. *)
+val create : Recorder.t -> t
+(** An empty audit for a heap on the address space whose recorder is
+    given: the records below read its obs flag and its ambient site,
+    and do nothing while it is off. *)
 
 val record_alloc : t -> class_:int -> index:int -> capacity:int -> int
 (** One successful allocation: slot [index] of a [capacity]-slot region
     for [class_], attributed to the ambient site, which it returns
-    ({!unknown} while disabled).  The slot position feeds the
+    ({!unknown} while off).  The slot position feeds the
     randomness histogram as bucket [index * slot_buckets / capacity]
     (a shift when [capacity] is a power of two); an
     allocation without a slot ([capacity = 0] or [index < 0]: a large
@@ -158,5 +162,4 @@ val entropy_bits : int array -> float
     samples accumulate. *)
 
 val reset : unit -> unit
-(** Reset the site registry (back to {!unknown} only) and the calling
-    domain's ambient site — for tests. *)
+(** Reset the site registry (back to {!unknown} only) — for tests. *)

@@ -11,26 +11,51 @@ type report = {
 let window = 64
 let max_reports = 16
 
-(* One recorder per address space, written by the one domain running
-   it.  [step] is the advertised step: a step-structured loop (the
+(* One address space's obs state, written by the one domain running it.
+   [ring] is [Some] exactly when obs is on.  [site] is the ambient
+   allocation site ({!Audit.with_site} sets it, the heap's audit reads
+   it).  [step] is the advertised step: a step-structured loop (the
    supervisor's serve loop) stores its request index here so captures
    fired deep inside a handler — the Mem fault path — land with the
    cursor position filled in.  -1 = no step-structured execution
    active. *)
-type t = { mutable queue : report list;  (* newest first *) mutable step : int }
+type t = {
+  ring : Tracing.ring option;
+  mutable site : int;
+  mutable queue : report list;  (* newest first *)
+  mutable step : int;
+}
 
-let create () = { queue = []; step = -1 }
+let create ~on =
+  { ring = (if on then Some (Tracing.ring ()) else None); site = 0; queue = []; step = -1 }
+
+let[@inline] on t = Option.is_some t.ring
+let[@inline] site t = t.site
+let set_site t id = t.site <- id
 let set_step t k = t.step <- k
 let clear_step t = t.step <- -1
 
+let instant ?(arg = "") t name =
+  match t.ring with Some r -> Tracing.record r Instant name arg | None -> ()
+
+let span ?arg t name f =
+  match t.ring with
+  | None -> f ()
+  | Some r ->
+    Tracing.record r Begin name (Option.value arg ~default:"");
+    Fun.protect ~finally:(fun () -> Tracing.record r End name "") f
+
+let events t = match t.ring with Some r -> Tracing.tail r Tracing.ring_capacity | None -> []
+
 let trigger ?(sections = []) ~reason t =
-  if Control.enabled () then begin
-    let events = Tracing.last_events window in
+  match t.ring with
+  | None -> ()
+  | Some r ->
+    let events = Tracing.tail r window in
     let at_us = match List.rev events with e :: _ -> e.Tracing.ts | [] -> 0 in
     let step = if t.step >= 0 then Some t.step else None in
     let kept = List.filteri (fun i _ -> i < max_reports - 1) t.queue in
     t.queue <- { at_us; reason; step; events; sections } :: kept
-  end
 
 let reports t = List.rev t.queue
 let last t = match t.queue with r :: _ -> Some r | [] -> None

@@ -1,22 +1,30 @@
-(** Fault flight recorder.
+(** One address space's obs state, and its fault flight recorder.
+
+    Each {!Dh_mem.Mem} address space owns one recorder, made once with
+    the space ([Mem.create ?obs]) and on or off for the space's whole
+    life, so nothing about obs is shared between spaces or switched
+    under a running one.  A recorder that is on holds a trace ring
+    ({!instant}, {!span}; {!events} reads it back), the ambient
+    allocation site ({!site}, set through {!Audit.with_site}) and the
+    flight reports; one that is off allocates no ring, and every entry
+    point below is a no-op whose cost is one field load and a branch.
+    A run that owns events tied to no address space (the voter's
+    instants) records them into a recorder of its own.
 
     When a simulated memory fault is raised, or a supervisor attempt
     dies, the instrumented layers call {!trigger} on the recorder of the
-    address space concerned: it snapshots the calling domain's last
-    {!window} trace events and the caller's sections (the faulting
-    address's neighborhood and the counters of the component that raised
-    it) into a structured {!report}.  It reads no heap and no audit: a
-    process may hold several, and only the triggering component knows
-    which one its evidence describes.  The most suspect allocation sites
-    are the incident's [offenders].
+    address space concerned: it snapshots that space's last {!window}
+    trace events and the caller's sections (the faulting address's
+    neighborhood and the counters of the component that raised it) into
+    a structured {!report}.  It reads no heap and no audit: a process
+    may hold several, and only the triggering component knows which one
+    its evidence describes.  The most suspect allocation sites are the
+    incident's [offenders].
 
-    Each {!Dh_mem.Mem} address space owns one recorder, so a fault's
-    evidence stays with the space that faulted: a {!Supervisor} incident
-    gathers the records of the spaces it built, and two runs (in turn or
-    on two domains) never see each other's.  A recorder keeps its newest
-    {!max_reports} reports and is written by one domain at a time.
-
-    {!trigger} is a no-op while {!Control.enabled} is false. *)
+    A {!Supervisor} incident gathers the records and events of the
+    spaces it built, so two runs (in turn or on two domains) never see
+    each other's.  A recorder keeps its newest {!max_reports} reports
+    and is written by one domain at a time. *)
 
 type section = { title : string; body : string }
 
@@ -28,7 +36,7 @@ type report = {
           viewer): the request index being handled when the capture
           fired — the cursor position time-travel replay walks back to. *)
   events : Tracing.event list;
-      (** The capturing domain's last {!window} trace events. *)
+      (** The capturing space's last {!window} trace events. *)
   sections : section list;
       (** The caller-supplied sections, in order; a section whose body
           is [""] is not printed. *)
@@ -41,21 +49,42 @@ val max_reports : int
 (** Reports a recorder retains; older ones are dropped (16). *)
 
 type t
-(** A recorder: its retained reports and its advertised step. *)
+(** A space's obs state: on or off, and when on its trace ring, its
+    ambient site, its retained reports and its advertised step. *)
 
-val create : unit -> t
-(** An empty recorder with no step advertised. *)
+val create : on:bool -> t
+(** A recorder, with a trace ring only when [on]; the ambient site is
+    [0] ({!Audit.unknown}) and no step is advertised. *)
+
+val on : t -> bool
+(** Whether obs is on for this recorder's space. *)
+
+val instant : ?arg:string -> t -> string -> unit
+(** Record an instant event; a no-op when off. *)
+
+val span : ?arg:string -> t -> string -> (unit -> 'a) -> 'a
+(** [span t name f] brackets [f] with begin/end events (exception-safe).
+    When off this is [f ()] plus one branch. *)
+
+val events : t -> Tracing.event list
+(** The ring's retained events (its newest {!Tracing.ring_capacity}),
+    oldest first; [[]] when off. *)
+
+val site : t -> int
+(** The ambient allocation site. *)
+
+val set_site : t -> int -> unit
 
 val trigger : ?sections:section list -> reason:string -> t -> unit
-(** Capture a report into [t] now.  No-op when observability is
-    disabled.  The report's step is [t]'s advertised step (below), if
-    any. *)
+(** Capture a report into [t] now, holding its own ring's last {!window}
+    events.  No-op when off.  The report's step is [t]'s advertised step
+    (below), if any. *)
 
 val set_step : t -> int -> unit
 (** Advertise the step a step-structured loop is currently executing, so
     captures fired deep inside the handler (the [Mem] fault path) carry
     the cursor position without plumbing.  Cleared by {!clear_step};
-    serve loops advertise only while observability is enabled. *)
+    serve loops advertise only while obs is on. *)
 
 val clear_step : t -> unit
 

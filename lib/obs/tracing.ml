@@ -24,29 +24,14 @@ type ring = {
    newest [min n ring_capacity] slots are. *)
 let blank = { ts = 0; dom = -1; phase = Instant; name = ""; arg = "" }
 
-(* One ring per domain, registered when the domain records its first
-   event and never removed (a dead domain's ring keeps its tail of
-   events, which the flight recorder may still want). *)
-let rings =
-  Cell.create (fun () ->
-      { dom = (Domain.self () :> int); events = Array.make ring_capacity blank; n = 0 })
+let ring () =
+  { dom = (Domain.self () :> int); events = Array.make ring_capacity blank; n = 0 }
 
-let record phase name arg =
-  let r = Cell.get rings in
+let record r phase name arg =
   r.events.(r.n land (ring_capacity - 1)) <- { ts = now_us (); dom = r.dom; phase; name; arg };
   r.n <- r.n + 1
 
-let instant ?(arg = "") name = if Control.enabled () then record Instant name arg
-
-let span ?arg name f =
-  if not (Control.enabled ()) then f ()
-  else begin
-    record Begin name (Option.value arg ~default:"");
-    Fun.protect ~finally:(fun () -> record End name "") f
-  end
-
-(* The newest [k] events of ring [r], oldest first. *)
-let ring_tail r k =
+let tail r k =
   let n = r.n in
   let stop = n - max 0 (min k (min n ring_capacity)) in
   let rec go i acc =
@@ -56,31 +41,16 @@ let ring_tail r k =
 
 (* Merge order: timestamp, then domain.  A ring's own events are already
    in this order by index (one writer, a monotonic clock), and the sort
-   is stable, so equal stamps on one domain keep their recording
-   order. *)
+   is stable, so equal stamps keep the order they were handed in. *)
 let by_time a b = if a.ts <> b.ts then Int.compare a.ts b.ts else Int.compare a.dom b.dom
 
-let events () =
-  List.sort by_time (Cell.fold (fun acc r -> ring_tail r ring_capacity @ acc) [] rings)
-
-let last_events n = ring_tail (Cell.get rings) n
-
-let recorded () = Cell.fold (fun acc r -> acc + r.n) 0 rings
-
-let dropped () = Cell.fold (fun acc r -> acc + max 0 (r.n - ring_capacity)) 0 rings
-
-let reset () =
-  Cell.fold
-    (fun () r ->
-      Array.fill r.events 0 ring_capacity blank;
-      r.n <- 0)
-    () rings
+let merge streams = List.stable_sort by_time (List.concat streams)
 
 (* --- export --- *)
 
 let phase_letter = function Begin -> "B" | End -> "E" | Instant -> "i"
 
-let to_chrome_json () =
+let to_chrome_json events =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   List.iteri
@@ -93,18 +63,16 @@ let to_chrome_json () =
       | Begin | End -> ());
       if e.arg <> "" then Printf.bprintf b ",\"args\":{\"arg\":\"%s\"}" (Json.escape e.arg);
       Buffer.add_char b '}')
-    (events ());
+    events;
   Buffer.add_string b "]}\n";
   Buffer.contents b
 
-let write_chrome_json ~path () =
+let write_chrome_json ~path events =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_chrome_json ()))
+    (fun () -> output_string oc (to_chrome_json events))
 
 let pp_event ppf e =
-  Format.fprintf ppf "%10d us  d%-3d %-2s %s%s" e.ts e.dom
-    (match e.phase with Begin -> "B" | End -> "E" | Instant -> "i")
-    e.name
+  Format.fprintf ppf "%10d us  d%-3d %-2s %s%s" e.ts e.dom (phase_letter e.phase) e.name
     (if e.arg = "" then "" else " [" ^ e.arg ^ "]")

@@ -1,15 +1,14 @@
-(** Span tracing: a lock-free per-domain ring buffer of begin/end/instant
-    events stamped from the monotonic clock.
+(** Span tracing: trace events, the fixed-capacity ring that holds them,
+    the one clock that stamps them, and their Chrome JSON export.
 
-    Each domain records into its own fixed-capacity ring (a {!Cell}
-    value), so recording never synchronizes with other domains; the ring
-    overwrites its oldest events when full, and its tail is exactly the
-    window a {!Recorder} flight capture wants ({!last_events}).  The
-    exports ({!events}, {!to_chrome_json}) merge every ring and sort by
-    timestamp; they are intended for idle moments (process exit) and
-    tolerate concurrent writers by accepting a slightly stale tail.
-
-    All recording is a no-op while {!Control.enabled} is false. *)
+    A ring belongs to one address space's {!Recorder}, which records
+    into it only while that space has obs on, so a ring has one writer
+    and recording never synchronizes; it overwrites its oldest events
+    when full, and its tail is exactly the window a flight capture wants
+    ({!tail}).  Events tied to no address space (the voter's) go into a
+    ring the run owns, through a recorder of its own.  A run returns the
+    retained events of the rings it owned, merged ({!merge}); the
+    exports take such a list. *)
 
 type phase = Begin | End | Instant
 
@@ -17,14 +16,14 @@ type event = {
   ts : int;
       (** Microseconds since this module was initialised, on the
           {!now_ns} clock. *)
-  dom : int;  (** Recording domain's id. *)
+  dom : int;  (** The id of the domain that made the ring. *)
   phase : phase;
   name : string;
   arg : string;  (** Free-form annotation; [""] when absent. *)
 }
 
 val ring_capacity : int
-(** Events retained per domain (the oldest are overwritten). *)
+(** Events a ring retains (the oldest are overwritten): 4096. *)
 
 val now_ns : unit -> int
 (** The one clock: the platform's monotonic clock in nanoseconds (an
@@ -36,36 +35,28 @@ val elapsed_ns : since:int -> now:int -> int
 (** [now - since], or 0 when the stamps run backwards: a latency sample
     is never negative (histograms reject negative samples). *)
 
-val instant : ?arg:string -> string -> unit
+type ring
+(** A ring of the last {!ring_capacity} events, written by one domain at
+    a time. *)
 
-val span : ?arg:string -> string -> (unit -> 'a) -> 'a
-(** [span name f] brackets [f] with begin/end events (exception-safe).
-    When tracing is disabled this is [f ()] plus one branch. *)
+val ring : unit -> ring
+(** An empty ring, its events stamped with the calling domain's id. *)
 
-val events : unit -> event list
-(** Every retained event across all domains, in timestamp order. *)
+val record : ring -> phase -> string -> string -> unit
+(** [record r phase name arg] appends one event stamped now. *)
 
-val last_events : int -> event list
-(** The calling domain's most recent [n] retained events, oldest first:
-    one ring's tail, with no merge and no sort.  A flight capture's
-    window, so a fault on one domain records none of another domain's
-    concurrent events. *)
+val tail : ring -> int -> event list
+(** The ring's newest [n] retained events, oldest first. *)
 
-val recorded : unit -> int
-(** Total events recorded since the last {!reset}, including ones the
-    rings have since overwritten. *)
+val merge : event list list -> event list
+(** Several rings' events as one list in timestamp order (then domain
+    id); events with equal keys keep the order they were handed in. *)
 
-val dropped : unit -> int
-(** Events lost to ring overwrite since the last {!reset}. *)
-
-val reset : unit -> unit
-(** Empty every ring (the rings themselves persist with their domains). *)
-
-val to_chrome_json : unit -> string
-(** The merged events as Chrome [trace_event] JSON (an object with a
+val to_chrome_json : event list -> string
+(** The events as Chrome [trace_event] JSON (an object with a
     [traceEvents] array of [B]/[E]/[i] events; load it at
     [chrome://tracing] or in Perfetto). *)
 
-val write_chrome_json : path:string -> unit -> unit
+val write_chrome_json : path:string -> event list -> unit
 
 val pp_event : Format.formatter -> event -> unit

@@ -35,12 +35,11 @@ let par_init ~jobs n f =
       let start = Atomic.fetch_and_add next chunk in
       if start >= n then continue := false
       else
-        Dh_obs.Tracing.span ~arg:(string_of_int start) "pool.chunk" (fun () ->
-            for i = start to min n (start + chunk) - 1 do
-              match f i with
-              | v -> results.(i) <- Some v
-              | exception e -> errors.(i) <- Some e
-            done)
+        for i = start to min n (start + chunk) - 1 do
+          match f i with
+          | v -> results.(i) <- Some v
+          | exception e -> errors.(i) <- Some e
+        done
     done
   in
   let helpers = reserve (min jobs n - 1) in

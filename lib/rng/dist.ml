@@ -25,7 +25,8 @@ let geometric_draw log1mp rng =
 
 type zipf_table = { cdf : float array; guide : int array }
 
-let guide_size = 4096
+let guide_bits = 12
+let guide_size = 1 lsl guide_bits
 let guide_scale = float_of_int guide_size
 
 let zipf_table ~n ~s =
@@ -54,13 +55,19 @@ let zipf_table ~n ~s =
   done;
   { cdf; guide }
 
-(* [u *. guide_size] is exact, so its bucket's edge is at most [u] and
-   the first index whose CDF exceeds [u] is at or above the guide's.
-   The negated test also turns NaN away, whose bucket is undefined. *)
-let zipf_rank { cdf; guide } ~u =
-  if not (u >= 0. && u < 1.) then invalid_arg "Dist.zipf_rank: want u in [0, 1)";
+(* [u = h / 2^30] is exact (30 bits fit a float's mantissa, and the
+   scale is a power of two), and its bucket [u *. guide_size] is [h]'s
+   top [guide_bits] bits, so the bucket's edge is at most [u] and the
+   first index whose CDF exceeds [u] is at or above the guide's.  [u]
+   never leaves this function, so it is never boxed.  A negative [h]
+   shifts to a huge value and fails the range test. *)
+let hash_bits = 30
+
+let zipf_rank { cdf; guide } ~h =
+  if h lsr hash_bits <> 0 then invalid_arg "Dist.zipf_rank: want h in [0, 2^30)";
+  let u = float_of_int h *. 0x1p-30 in
   let last = Array.length cdf - 1 in
-  let i = ref (Array.unsafe_get guide (int_of_float (u *. guide_scale))) in
+  let i = ref (Array.unsafe_get guide (h lsr (hash_bits - guide_bits))) in
   while !i < last && Array.unsafe_get cdf !i <= u do
     incr i
   done;

@@ -32,16 +32,18 @@ val zipf_table : n:int -> s:float -> zipf_table
 (** The Zipf table for [n] ranks with exponent [s] (the generalized
     harmonic CDF).  Requires [n >= 1] and [s >= 0]. *)
 
-val zipf_rank : zipf_table -> u:float -> int
-(** The rank in [\[1, n\]] whose CDF interval contains [u] in [\[0, 1)],
-    by Chen and Asau's indexed search: the table also holds a guide of
-    4096 buckets, the first index whose CDF exceeds each bucket's lower
-    edge, and a draw scans up from [u]'s bucket.  For every [u] the rank
-    equals the one a binary search for the first CDF value above [u]
-    returns; a draw allocates nothing.  A sampler passes
-    [Mwc.float01 rng]; the serve workload passes the request hash, so a
-    rewound window replays identical requests.  Raises
-    [Invalid_argument] unless [0 <= u < 1] (NaN included). *)
+val zipf_rank : zipf_table -> h:int -> int
+(** The rank in [\[1, n\]] whose CDF interval contains [u = h / 2{^30}],
+    for a 30-bit hash [h] in [\[0, 2{^30})]: the division is exact, so
+    [u] is the hash itself on [\[0, 1)].  Chen and Asau's indexed search:
+    the table also holds a guide of 4096 buckets, the first index whose
+    CDF exceeds each bucket's lower edge, and a draw scans up from [h]'s
+    bucket (its top 12 bits).  For every [h] the rank equals the one a
+    binary search for the first CDF value above [u] returns; a draw
+    allocates nothing.  A sampler passes [Mwc.bits rng 30]; the serve
+    workload passes the request hash, so a rewound window replays
+    identical requests.  Raises [Invalid_argument] unless
+    [0 <= h < 2{^30}]. *)
 
 type size_class_mix
 (** A weighted size mix, with its weights' running sums computed once. *)

@@ -149,7 +149,7 @@ type t = {
       (* page buffers of closed windows, reused for new pre-images: a
          window that pre-images n pages draws up to n of them, so the
          list never holds more than the largest window has used *)
-  recorder : Dh_obs.Recorder.t;  (* this space's flight record *)
+  recorder : Dh_obs.Recorder.t;  (* this space's obs state and flight record *)
 }
 
 (* The segment mapping [addr], or [no_segment]: a negative address
@@ -182,7 +182,7 @@ let mapped_bytes t =
 
 let meshed_pages t = fold_segments t (fun seg acc -> acc + seg.meshes) 0
 
-let create () =
+let create ?(obs = false) () =
   {
     pages = Array.make 64 no_segment;
     next_base = 16 * page_size;  (* keep a NULL-guard zone at the bottom *)
@@ -200,7 +200,7 @@ let create () =
     dirty = 0;
     preimaged = 0;
     spare = [];
-    recorder = Dh_obs.Recorder.create ();
+    recorder = Dh_obs.Recorder.create ~on:obs;
   }
 
 (* --- the locality model ---
@@ -436,7 +436,7 @@ let counters_body t =
     (touched_pages t) (preimaged_pages t)
 
 let raise_fault t f =
-  if Dh_obs.Control.enabled () then begin
+  if Dh_obs.Recorder.on t.recorder then begin
     let neighborhood_section =
       {
         Dh_obs.Recorder.title = "fault neighborhood";

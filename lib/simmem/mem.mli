@@ -27,17 +27,21 @@ val page_shift : int
 val word_size : int
 (** 8 bytes. *)
 
-val create : unit -> t
-(** A fresh, empty address space, with an empty {!recorder}.  While
-    {!Dh_obs.Control.enabled}, a fault it raises leaves a flight record
-    in its own {!recorder} whose ["mem counters"] section holds this
-    space's own {!stats}, {!touched_pages} and {!preimaged_pages}. *)
+val create : ?obs:bool -> unit -> t
+(** A fresh, empty address space, with a fresh {!recorder} that is on
+    exactly when [obs] is (default [false]) for the space's whole life.
+    With obs on, a fault the space raises leaves a flight record in its
+    own {!recorder} whose ["mem counters"] section holds this space's
+    own {!stats}, {!touched_pages} and {!preimaged_pages}; the heaps,
+    collectors and workloads built on the space trace into it and read
+    their obs flag and ambient allocation site from it. *)
 
 val recorder : t -> Dh_obs.Recorder.t
-(** This space's own flight recorder: the captures of the faults it
-    raised, and of whatever else its owner records against it (a
-    supervisor's failed attempt, the serve loop's advertised step).
-    {!rewind} does not roll it back. *)
+(** This space's own obs state: its flag, its trace ring, its ambient
+    allocation site, and the flight captures of the faults it raised and
+    of whatever else its owner records against it (a supervisor's failed
+    attempt, the serve loop's advertised step).  {!rewind} does not roll
+    it back. *)
 
 (** {1 Mapping} *)
 

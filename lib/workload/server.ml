@@ -34,7 +34,7 @@ let key_stream ?zipf () =
   | None -> fun k -> mix k land (key_space - 1)
   | Some s ->
     let table = Dh_rng.Dist.zipf_table ~n:key_space ~s in
-    fun k -> Dh_rng.Dist.zipf_rank table ~u:(float_of_int (mix k) /. 1073741824.) - 1
+    fun k -> Dh_rng.Dist.zipf_rank table ~h:(mix k) - 1
 
 (* An attack URL's length: long enough to reach the hole page from the
    last ~4.5% of title slots under [heap_size]. *)
@@ -102,16 +102,18 @@ let service ~requests ?(attack_every = 0) ?zipf () =
   let init ctx =
     let a = ctx.Program.alloc in
     let mem = a.Allocator.mem in
+    let obs = Mem.recorder mem in
     (* Audit provenance: each of the server's four allocation callsites
-       gets an interned site, bracketed ambiently around the malloc (the
-       allocator record can't carry it).  Write-only; a site never
-       changes what is allocated or where. *)
+       gets an interned site, bracketed ambiently around the malloc on
+       the allocator's address space (the allocator record can't carry
+       it).  Write-only; a site never changes what is allocated or
+       where. *)
     let s_boot = Dh_obs.Audit.site "server:boot"
     and s_node = Dh_obs.Audit.site "server:cache-node"
     and s_url = Dh_obs.Audit.site "server:url-copy"
     and s_title = Dh_obs.Audit.site "server:title" in
     let must sz =
-      match Dh_obs.Audit.with_site s_boot a.Allocator.malloc sz with
+      match Dh_obs.Audit.with_site obs s_boot a.Allocator.malloc sz with
       | Some p -> p
       | None -> raise (Process.Abort "server: out of memory at boot")
     in
@@ -140,8 +142,8 @@ let service ~requests ?(attack_every = 0) ?zipf () =
           let depth = -found - 1 in
           (* miss: store a node and its URL copy (both 32 B class) *)
           match
-            ( Dh_obs.Audit.with_site s_node a.Allocator.malloc node_size,
-              Dh_obs.Audit.with_site s_url a.Allocator.malloc (String.length url + 1) )
+            ( Dh_obs.Audit.with_site obs s_node a.Allocator.malloc node_size,
+              Dh_obs.Audit.with_site obs s_url a.Allocator.malloc (String.length url + 1) )
           with
           | Some node, Some ucopy ->
             Mem.write_cstring mem ~addr:ucopy url;
@@ -184,7 +186,7 @@ let service ~requests ?(attack_every = 0) ?zipf () =
          of Squid 2.3s5, no bounds test, into a fixed 64-byte buffer.  A
          well-formed URL fits; an overlong one writes on past the end of
          the slot. *)
-      (match Dh_obs.Audit.with_site s_title a.Allocator.malloc title_size with
+      (match Dh_obs.Audit.with_site obs s_title a.Allocator.malloc title_size with
       | Some title ->
         Mem.write_cstring mem ~addr:title url;
         a.Allocator.free title

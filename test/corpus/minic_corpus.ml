@@ -268,22 +268,20 @@ let render_runtime buf (c : case) program rt =
     | exception e -> Printf.bprintf buf "[replicated-3] %s\n" (outcome_string (Error e))));
   List.iter (render_probe buf) (List.rev !probes)
 
-(* With observability on, tally the audit site of every allocation under
+(* On an obs-on space, tally the audit site of every allocation under
    freelist-lea; the output must not change. *)
 let render_sites buf (c : case) program =
   let sites = ref [] in
-  let alloc = Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create (Mem.create ())) in
+  let mem = Mem.create ~obs:true () in
+  let alloc = Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create mem) in
   let malloc n =
-    let name = Dh_obs.Audit.site_name (Dh_obs.Audit.current_site ()) in
+    let name = Dh_obs.Audit.site_name (Dh_obs.Recorder.site (Mem.recorder mem)) in
     (match List.assoc_opt name !sites with
     | Some k -> incr k
     | None -> sites := (name, ref 1) :: !sites);
     alloc.Allocator.malloc n
   in
-  let outcome, output =
-    Dh_obs.Control.with_enabled true (fun () ->
-        run_single c program { alloc with Allocator.malloc })
-  in
+  let outcome, output = run_single c program { alloc with Allocator.malloc } in
   let _, plain = run_single c program (Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create (Mem.create ()))) in
   Printf.bprintf buf "[obs] %s same-output=%b\n" (outcome_string outcome) (String.equal output plain);
   List.iter (fun (name, k) -> Printf.bprintf buf "  site %s x%d\n" name !k) (List.rev !sites)

@@ -6,9 +6,10 @@
    and against the heap it is handed (its occupancy and its own audit's
    flows, never another heap's),
    empirical outcome tallies, and the write-only contract: a run's
-   output must be byte-identical with the audit on or off. *)
+   output must be byte-identical with the audit on or off.  A heap
+   audits when its address space was built with obs on. *)
 
-module Control = Dh_obs.Control
+module Recorder = Dh_obs.Recorder
 module Audit = Dh_obs.Audit
 module Margin = Dh_analysis.Margin
 module Heap = Diehard.Heap
@@ -21,13 +22,15 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
 let with_audit f =
-  Control.with_enabled true (fun () ->
-      Audit.reset ();
-      Fun.protect ~finally:Audit.reset f)
+  Audit.reset ();
+  Fun.protect ~finally:Audit.reset f
 
-let fresh_heap ?(heap_size = 12 * 64 * 1024) ?(seed = 7) () =
+let fresh_heap ?(obs = true) ?(heap_size = 12 * 64 * 1024) ?(seed = 7) () =
   let config = Config.v ~heap_size ~seed () in
-  Heap.create ~config (Dh_mem.Mem.create ())
+  Heap.create ~config (Dh_mem.Mem.create ~obs ())
+
+(* The heap's address space's obs state, which holds its ambient site. *)
+let obs_of heap = Dh_mem.Mem.recorder (Heap.mem heap)
 
 let class_margin (r : Margin.report) cls =
   List.find (fun c -> c.Margin.cm_class = cls) r.Margin.classes
@@ -47,25 +50,28 @@ let test_site_interning () =
 
 let test_ambient_site () =
   with_audit (fun () ->
+      let obs = Recorder.create ~on:true and other = Recorder.create ~on:true in
       let s = Audit.site "ambient" in
-      check_int "default ambient is unknown" Audit.unknown (Audit.current_site ());
-      let inside = Audit.with_site s Audit.current_site () in
+      check_int "default ambient is unknown" Audit.unknown (Recorder.site obs);
+      let inside = Audit.with_site obs s Recorder.site obs in
       check_int "with_site sets the ambient site" s inside;
-      check_int "with_site restores on exit" Audit.unknown (Audit.current_site ());
+      check_int "another space's site is untouched" Audit.unknown
+        (Audit.with_site obs s Recorder.site other);
+      check_int "with_site restores on exit" Audit.unknown (Recorder.site obs);
       (* exception-safe restore *)
-      (try Audit.with_site s failwith "boom" with Failure _ -> ());
-      check_int "restored after raise" Audit.unknown (Audit.current_site ()));
-  (* Disabled: the channel is inert and the thunk still runs. *)
-  Control.with_enabled false (fun () ->
-      let r =
-        Audit.with_site 42
-          (fun x ->
-            check_int "disabled with_site does not set" Audit.unknown
-              (Audit.current_site ());
-            x + 1)
-          16
-      in
-      check_int "result passes through" 17 r)
+      (try Audit.with_site obs s failwith "boom" with Failure _ -> ());
+      check_int "restored after raise" Audit.unknown (Recorder.site obs));
+  (* Off: the channel is inert and the thunk still runs. *)
+  let obs = Recorder.create ~on:false in
+  let r =
+    Audit.with_site obs 42
+      (fun x ->
+        check_int "with_site on an obs-off space does not set" Audit.unknown
+          (Recorder.site obs);
+        x + 1)
+      16
+  in
+  check_int "result passes through" 17 r
 
 (* --- heap provenance ------------------------------------------------- *)
 
@@ -74,8 +80,8 @@ let test_heap_attribution () =
       let heap = fresh_heap () in
       let s_p = Audit.site "test:p" in
       let s_q = Audit.site "test:q" in
-      let p = Option.get (Audit.with_site s_p (Heap.malloc heap) 64) in
-      let q = Option.get (Audit.with_site s_q (Heap.malloc heap) 64) in
+      let p = Option.get (Audit.with_site (obs_of heap) s_p (Heap.malloc heap) 64) in
+      let q = Option.get (Audit.with_site (obs_of heap) s_q (Heap.malloc heap) 64) in
       check_int "p's site attributed" s_p (Option.get (Heap.site_of_addr heap p));
       check_int "q's site attributed" s_q (Option.get (Heap.site_of_addr heap q));
       let alloc = Heap.allocator heap in
@@ -100,8 +106,8 @@ let test_fault_past_region () =
   with_audit (fun () ->
       let heap = fresh_heap () in
       let s_p = Audit.site "test:p" and s_q = Audit.site "test:q" in
-      let p = Option.get (Audit.with_site s_p (Heap.malloc heap) 64) in
-      let q = Option.get (Audit.with_site s_q (Heap.malloc heap) 64) in
+      let p = Option.get (Audit.with_site (obs_of heap) s_p (Heap.malloc heap) 64) in
+      let q = Option.get (Audit.with_site (obs_of heap) s_q (Heap.malloc heap) 64) in
       let class_ = Dh_alloc.Size_class.of_size_exn 64 in
       let hole =
         Option.get (Heap.region_base heap ~class_) + (Heap.region_capacity heap ~class_ * 64)
@@ -125,7 +131,7 @@ let test_large_site_after_free () =
   with_audit (fun () ->
       let heap = fresh_heap () in
       let s = Audit.site "test:large" in
-      let p = Option.get (Audit.with_site s (Heap.malloc heap) 20_000) in
+      let p = Option.get (Audit.with_site (obs_of heap) s (Heap.malloc heap) 20_000) in
       (Heap.allocator heap).Allocator.free p;
       let addr = p + 100 in
       (match Dh_mem.Mem.read8 (Heap.mem heap) addr with
@@ -148,7 +154,7 @@ let test_site_table_widens () =
       let addrs =
         List.map
           (fun site ->
-            (site, Option.get (Audit.with_site site (Heap.malloc heap) 64)))
+            (site, Option.get (Audit.with_site (obs_of heap) site (Heap.malloc heap) 64)))
           sites
       in
       List.iter
@@ -186,21 +192,22 @@ let test_threshold_refusals_counted () =
       check_int "occupancy threshold" threshold m.Margin.cm_threshold)
 
 (* The margin report reads the heap it is handed, not the newest one,
-   and whether or not obs was on when that heap was built. *)
+   whether or not that heap's space has obs on: occupancy comes from the
+   heap, and only its audited flows need obs. *)
 let test_margin_reads_its_heap () =
-  let a = Control.with_enabled false (fun () -> fresh_heap ()) in
   with_audit (fun () ->
+      let a = fresh_heap ~obs:false () in
       let threshold = Config.threshold (Heap.config a) ~class_:3 in
       let site = Audit.site "test:fill" in
       for _ = 1 to threshold do
-        ignore (Audit.with_site site (Heap.malloc a) 64)
+        ignore (Audit.with_site (obs_of a) site (Heap.malloc a) 64)
       done;
       let _b = fresh_heap ~seed:8 () in
       let m = class_margin (Margin.of_heap a) 3 in
       check_int "live at threshold" threshold m.Margin.cm_live;
       check_int "threshold" threshold m.Margin.cm_threshold;
       check_int "capacity" (Heap.region_capacity a ~class_:3) m.Margin.cm_capacity;
-      check_int "audited allocs" threshold m.Margin.cm_allocs);
+      check_int "no audited allocs with obs off" 0 m.Margin.cm_allocs);
   with_audit (fun () ->
       let a = fresh_heap () in
       for _ = 1 to 100 do
@@ -217,10 +224,10 @@ let test_margin_own_flows () =
       let small = Audit.site "test:small" and big = Audit.site "test:big" in
       let h1 = fresh_heap () and h2 = fresh_heap ~seed:8 () in
       for _ = 1 to 10 do
-        ignore (Audit.with_site small (Heap.malloc h1) 64)
+        ignore (Audit.with_site (obs_of h1) small (Heap.malloc h1) 64)
       done;
       for _ = 1 to 100 do
-        ignore (Audit.with_site big (Heap.malloc h2) 64)
+        ignore (Audit.with_site (obs_of h2) big (Heap.malloc h2) 64)
       done;
       let own heap ~site ~n =
         let r = Margin.of_heap heap in
@@ -316,12 +323,12 @@ let test_top_sites_ranking () =
       let guilty = Audit.site "guilty" in
       let heap = fresh_heap () in
       for _ = 1 to 10 do
-        ignore (Audit.with_site noisy (Heap.malloc heap) 64)
+        ignore (Audit.with_site (obs_of heap) noisy (Heap.malloc heap) 64)
       done;
-      ignore (Audit.with_site guilty (Heap.malloc heap) 64);
+      ignore (Audit.with_site (obs_of heap) guilty (Heap.malloc heap) 64);
       for i = 1 to 6 do
         let quiet = Audit.site (Printf.sprintf "quiet%d" i) in
-        ignore (Audit.with_site quiet (Heap.malloc heap) 64)
+        ignore (Audit.with_site (obs_of heap) quiet (Heap.malloc heap) 64)
       done;
       let sites = (Audit.snapshot [ Heap.audit heap ]).Audit.sites in
       let ids = List.map (fun s -> s.Audit.site_id) sites in
@@ -349,22 +356,23 @@ let test_top_sites_ranking () =
 
 (* --- the write-only contract ----------------------------------------- *)
 
-let run_server ~requests () =
+let run_server ~obs ~requests () =
   let program = Dh_workload.Server.program ~requests () in
   let config = Config.v ~heap_size:Dh_workload.Server.heap_size ~seed:11 () in
-  let heap = Heap.create ~config (Dh_mem.Mem.create ()) in
+  let heap = Heap.create ~config (Dh_mem.Mem.create ~obs ()) in
   let result = Program.run program (Heap.allocator heap) in
-  result.Dh_mem.Process.output
+  (result.Dh_mem.Process.output, heap)
 
 let test_write_only_invariance () =
-  let off = Control.with_enabled false (fun () -> run_server ~requests:512 ()) in
-  let on =
-    Control.with_enabled true (fun () ->
-        Audit.reset ();
-        Fun.protect ~finally:Audit.reset (fun () -> run_server ~requests:512 ()))
+  let off, _ = run_server ~obs:false ~requests:512 () in
+  let on, audited =
+    with_audit (fun () ->
+        let on, heap = run_server ~obs:true ~requests:512 () in
+        (on, (Audit.snapshot [ Heap.audit heap ]).Audit.sites <> []))
   in
   check_str "audited output is byte-identical" off on;
-  check "audited run produced output" true (String.length on > 0)
+  check "audited run produced output" true (String.length on > 0);
+  check "the audited run audited" true audited
 
 let suite =
   [

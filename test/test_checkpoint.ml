@@ -145,7 +145,7 @@ let test_discard_stops_preimaging () =
 let test_cow_buffers_reused () =
   let pages = 8 in
   let len = pages * page in
-  let mem = Mem.create () in
+  let mem = Mem.create ~obs:true () in
   let a = Mem.mmap mem len in
   let rng = Random.State.make [| 18 |] in
   Mem.fill_random mem ~addr:a ~len (Dh_rng.Mwc.create ~seed:18);
@@ -184,27 +184,26 @@ let test_cow_buffers_reused () =
   (* The recorder's "dirty-page delta" for a fault raised in the window:
      one line per pre-imaged page, each naming how many bytes differ. *)
   let check_delta snap =
-    Dh_obs.Control.with_enabled true (fun () ->
-        ignore (faults (fun () -> Mem.read8 mem 0));
-        let report = Option.get (Dh_obs.Recorder.last (Mem.recorder mem)) in
-        let body =
-          (List.find
-             (fun s -> s.Dh_obs.Recorder.title = "dirty-page delta")
-             report.Dh_obs.Recorder.sections)
-            .Dh_obs.Recorder.body
-        in
-        let lines = List.tl (String.split_on_char '\n' (String.trim body)) in
-        check_int "one delta line per dirty page" (Mem.dirty_pages mem) (List.length lines);
-        List.iter
-          (fun line ->
-            Scanf.sscanf line " page 0x%x: %d/%d bytes differ from checkpoint"
-              (fun addr n total ->
-                check_int "page size" page total;
-                check_int
-                  (Printf.sprintf "bytes differing on page 0x%x" addr)
-                  (differing snap ((addr - a) / page))
-                  n))
-          lines)
+    ignore (faults (fun () -> Mem.read8 mem 0));
+    let report = Option.get (Dh_obs.Recorder.last (Mem.recorder mem)) in
+    let body =
+      (List.find
+         (fun s -> s.Dh_obs.Recorder.title = "dirty-page delta")
+         report.Dh_obs.Recorder.sections)
+        .Dh_obs.Recorder.body
+    in
+    let lines = List.tl (String.split_on_char '\n' (String.trim body)) in
+    check_int "one delta line per dirty page" (Mem.dirty_pages mem) (List.length lines);
+    List.iter
+      (fun line ->
+        Scanf.sscanf line " page 0x%x: %d/%d bytes differ from checkpoint"
+          (fun addr n total ->
+            check_int "page size" page total;
+            check_int
+              (Printf.sprintf "bytes differing on page 0x%x" addr)
+              (differing snap ((addr - a) / page))
+              n))
+      lines
   in
   let windows = 150 in
   for w = 1 to windows do
@@ -438,7 +437,7 @@ let test_rewound_fingerprint_matches_scratch () =
         (what ^ ": identical output") scratch.Supervisor.output rewound.Supervisor.output)
     [
       ("1024 requests", (fun ~interval -> run_server ~interval ~attack_every:8), 32);
-      ("bench leg", Dh_bench.Throughput.recovery_leg ~requests:2048, 64);
+      ("bench leg", Dh_bench.Throughput.recovery_leg ~requests:2048 ~obs:false, 64);
     ]
 
 let test_clean_run_unaffected_by_checkpointing () =
@@ -519,7 +518,7 @@ let test_replay_rejects_bad_interval () =
    value they already held (a dirty page with no difference). *)
 let test_dirty_delta_counts_bytes () =
   let pages = 6 in
-  let mem = Mem.create () in
+  let mem = Mem.create ~obs:true () in
   let a = Mem.mmap mem (pages * page) in
   Mem.fill_random mem ~addr:a ~len:(pages * page) (Dh_rng.Mwc.create ~seed:5);
   Mem.checkpoint mem;
@@ -548,7 +547,6 @@ let test_dirty_delta_counts_bytes () =
     done;
     !n
   in
-  Dh_obs.Control.with_enabled true @@ fun () ->
   ignore (faults (fun () -> Mem.read8 mem 0));
   let report = Option.get (Dh_obs.Recorder.last (Mem.recorder mem)) in
   let body =
@@ -568,7 +566,7 @@ let test_dirty_delta_counts_bytes () =
 
 (* What one memory fault's flight capture allocates with obs on, a
    checkpoint armed over dirty pages and a full 4,096-event trace ring:
-   the capture reads its own domain's ring's newest 64 events rather
+   the capture reads its own space's ring's newest 64 events rather
    than sorting every retained one, and reads no audit, so it stays
    under a pinned bound (minor words on this domain with OCaml 5.1:
    about 2,030; merging and sorting every ring's newest 64 made it
@@ -578,17 +576,14 @@ let test_dirty_delta_counts_bytes () =
 let fault_capture_words_bound = 6_000.
 
 let test_fault_capture_allocation () =
-  let mem = Mem.create () in
+  let mem = Mem.create ~obs:true () in
   let a = Mem.mmap mem (8 * page) in
   Mem.checkpoint mem;
   for p = 0 to 7 do
     Mem.fill mem ~addr:(a + (p * page)) ~len:(page / 2) (Char.chr (p + 1))
   done;
-  Dh_obs.Control.with_enabled true @@ fun () ->
-  Dh_obs.Tracing.reset ();
-  Fun.protect ~finally:Dh_obs.Tracing.reset @@ fun () ->
   for _ = 1 to Dh_obs.Tracing.ring_capacity + 1 do
-    Dh_obs.Tracing.instant "test.fill"
+    Dh_obs.Recorder.instant (Mem.recorder mem) "test.fill"
   done;
   let before = Gc.minor_words () in
   check "faulted" true (faults (fun () -> Mem.read8 mem 0));

@@ -489,29 +489,28 @@ let prop_malloc_returns_free_then_marks =
    (2 words) and a free allocates nothing: the probe loop, the size-class
    lookup and the region search box no closure, tuple or option. *)
 let test_malloc_free_allocation () =
-  Dh_obs.Control.with_enabled false (fun () ->
-      let config = Config.v ~heap_size:(12 * 1024 * 1024) ~seed:3 () in
-      let _, heap, _ = make ~config () in
-      let sizes = [| 8; 24; 48; 100; 200 |] in
-      (* Map every region first: the first malloc of a class maps it. *)
-      Array.iter (fun sz -> Heap.free heap (Option.get (Heap.malloc heap sz))) sizes;
-      let n = 10_000 in
-      let addrs = Array.make n 0 in
-      let before = Gc.minor_words () in
-      for i = 0 to n - 1 do
-        match Heap.malloc heap sizes.(i mod Array.length sizes) with
-        | Some a -> addrs.(i) <- a
-        | None -> ()
-      done;
-      let malloc_words = Gc.minor_words () -. before in
-      let before = Gc.minor_words () in
-      for i = 0 to n - 1 do
-        Heap.free heap addrs.(i)
-      done;
-      let free_words = Gc.minor_words () -. before in
-      check "every malloc succeeded" true (Array.for_all (( <> ) 0) addrs);
-      Alcotest.(check (float 0.)) "malloc: the Some box only" (2. *. float_of_int n) malloc_words;
-      Alcotest.(check (float 0.)) "free: nothing" 0. free_words)
+  let config = Config.v ~heap_size:(12 * 1024 * 1024) ~seed:3 () in
+  let _, heap, _ = make ~config () in
+  let sizes = [| 8; 24; 48; 100; 200 |] in
+  (* Map every region first: the first malloc of a class maps it. *)
+  Array.iter (fun sz -> Heap.free heap (Option.get (Heap.malloc heap sz))) sizes;
+  let n = 10_000 in
+  let addrs = Array.make n 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    match Heap.malloc heap sizes.(i mod Array.length sizes) with
+    | Some a -> addrs.(i) <- a
+    | None -> ()
+  done;
+  let malloc_words = Gc.minor_words () -. before in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Heap.free heap addrs.(i)
+  done;
+  let free_words = Gc.minor_words () -. before in
+  check "every malloc succeeded" true (Array.for_all (( <> ) 0) addrs);
+  Alcotest.(check (float 0.)) "malloc: the Some box only" (2. *. float_of_int n) malloc_words;
+  Alcotest.(check (float 0.)) "free: nothing" 0. free_words
 
 let suite =
   [

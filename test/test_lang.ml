@@ -815,7 +815,7 @@ let words_per_iteration ?(functions = "") ?(prelude = "") body =
     | o -> Alcotest.failf "cost program: %s" (Process.outcome_to_string o));
     words
   in
-  Dh_obs.Control.with_enabled false (fun () -> (words 2000 -. words 1000) /. 1000.)
+  (words 2000 -. words 1000) /. 1000.
 
 let test_loop_allocates_nothing () =
   Alcotest.(check (float 0.)) "minor words per iteration" 0.
@@ -837,13 +837,12 @@ let test_malloc_allocation () =
   let config = Diehard.Config.v ~heap_size:(12 * 64 * 1024) ~seed:1 () in
   let alloc = Diehard.Heap.allocator (Diehard.Heap.create ~config (Mem.create ())) in
   let native =
-    Dh_obs.Control.with_enabled false (fun () ->
-        alloc.Allocator.free (Option.get (alloc.Allocator.malloc 16));
-        let before = Gc.minor_words () in
-        for _ = 1 to 1000 do
-          alloc.Allocator.free (Option.get (alloc.Allocator.malloc 16))
-        done;
-        (Gc.minor_words () -. before) /. 1000.)
+    alloc.Allocator.free (Option.get (alloc.Allocator.malloc 16));
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      alloc.Allocator.free (Option.get (alloc.Allocator.malloc 16))
+    done;
+    (Gc.minor_words () -. before) /. 1000.
   in
   let minic = words_per_iteration "var p = malloc(16); free(p);" in
   if minic > native then

@@ -3,12 +3,10 @@
    fault flight recorder's bounds, the vendored JSON parser, and the
    guarded derived ratios in the stats reporters.
 
-   Every test that enables observability runs under [with_clean], which
-   forces the switch on, wipes the trace rings, and restores everything
-   afterwards (each flight recorder is a test's own value), so telemetry never leaks between tests (or
-   into the determinism suites in test_parallel.ml). *)
+   Every recorder is a test's own value, on or off from creation, so
+   telemetry never leaks between tests (or into the determinism suites
+   in test_parallel.ml). *)
 
-module Control = Dh_obs.Control
 module Tracing = Dh_obs.Tracing
 module Recorder = Dh_obs.Recorder
 module Json = Dh_obs.Json
@@ -17,11 +15,6 @@ module Quantile = Dh_obs.Quantile
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
-
-let with_clean f =
-  Control.with_enabled true (fun () ->
-      Tracing.reset ();
-      Fun.protect ~finally:Tracing.reset f)
 
 (* --- histograms ----------------------------------------------------- *)
 
@@ -61,13 +54,12 @@ let test_histogram_observe () =
   | () -> Alcotest.fail "negative record accepted"
 
 let test_disabled_is_noop () =
-  with_clean @@ fun () ->
-  let recorder = Recorder.create () in
-  Control.with_enabled false (fun () ->
-      Tracing.instant "test.noop";
-      Tracing.span "test.noop.span" (fun () -> ());
-      Recorder.trigger ~reason:"noop" recorder);
-  check_int "no events" 0 (List.length (Tracing.events ()));
+  let recorder = Recorder.create ~on:false in
+  check "off" false (Recorder.on recorder);
+  Recorder.instant recorder "test.noop";
+  check_int "the span runs its thunk" 7 (Recorder.span recorder "test.noop.span" (fun () -> 7));
+  Recorder.trigger ~reason:"noop" recorder;
+  check_int "no events" 0 (List.length (Recorder.events recorder));
   check_int "no reports" 0 (List.length (Recorder.reports recorder))
 
 let test_csv_dump () =
@@ -148,50 +140,48 @@ let test_record_allocates_nothing () =
 (* --- tracing -------------------------------------------------------- *)
 
 let test_ring_wrap () =
-  with_clean @@ fun () ->
+  let recorder = Recorder.create ~on:true in
   let extra = 100 in
   for i = 1 to Tracing.ring_capacity + extra do
-    Tracing.instant ~arg:(string_of_int i) "test.wrap"
+    Recorder.instant ~arg:(string_of_int i) recorder "test.wrap"
   done;
-  check_int "recorded counts overwritten events"
-    (Tracing.ring_capacity + extra)
-    (Tracing.recorded ());
-  check_int "dropped = overflow" extra (Tracing.dropped ());
-  let events = Tracing.events () in
+  let events = Recorder.events recorder in
   check_int "ring retains capacity" Tracing.ring_capacity (List.length events);
   (* the oldest retained event is the first one that was not overwritten *)
   (match events with
   | first :: _ -> check_str "oldest survivor" (string_of_int (extra + 1)) first.Tracing.arg
   | [] -> Alcotest.fail "no events");
-  check_int "last_events bounds" 10 (List.length (Tracing.last_events 10))
+  check "newest last" true
+    ((List.nth events (Tracing.ring_capacity - 1)).Tracing.arg
+    = string_of_int (Tracing.ring_capacity + extra))
 
-(* A flight capture's window is the capturing domain's own: two domains
-   record at once (both rings wrap, and stamps interleave), then each
-   captures into its own recorder, and neither capture holds an event of
-   the other domain.  [last_events n] is the tail of the calling
-   domain's events in the merged export, and the export keeps the
+(* A flight capture's window is its own space's: two spaces record at
+   once on two domains (both rings wrap, and stamps interleave), then
+   each captures into its own recorder, and neither capture holds an
+   event of the other domain.  A space's events are the tail of its own
+   events in the merged export, and the export keeps the
    (timestamp, domain) order. *)
 let test_capture_is_own_domain () =
-  with_clean @@ fun () ->
-  let burst tag count () =
+  let burst recorder tag count =
     for i = 1 to count do
-      Tracing.instant ~arg:(string_of_int i) tag
+      Recorder.instant ~arg:(string_of_int i) recorder tag
     done
   in
-  let capture tag =
-    let recorder = Recorder.create () in
+  let capture recorder tag =
     Recorder.trigger ~reason:tag recorder;
-    (Domain.self () :> int), Option.get (Recorder.last recorder)
+    ((Domain.self () :> int), Option.get (Recorder.last recorder))
   in
   let helper =
     Domain.spawn (fun () ->
-        burst "test.helper" 6_000 ();
-        capture "test.helper")
+        let recorder = Recorder.create ~on:true in
+        burst recorder "test.helper" 6_000;
+        (recorder, capture recorder "test.helper"))
   in
-  burst "test.main" 5_000 ();
-  let helper_dom, helper_capture = Domain.join helper in
-  burst "test.main.after" 50 ();
-  let main_dom, main_capture = capture "test.main" in
+  let main = Recorder.create ~on:true in
+  burst main "test.main" 5_000;
+  let helper_recorder, (helper_dom, helper_capture) = Domain.join helper in
+  burst main "test.main.after" 50;
+  let main_dom, main_capture = capture main "test.main" in
   List.iter
     (fun (dom, (r : Recorder.report)) ->
       check_int (r.Recorder.reason ^ ": a full window") Recorder.window
@@ -202,34 +192,34 @@ let test_capture_is_own_domain () =
              e.Tracing.dom = dom && String.starts_with ~prefix:r.Recorder.reason e.Tracing.name)
            r.Recorder.events))
     [ (helper_dom, helper_capture); (main_dom, main_capture) ];
-  let all = Tracing.events () in
+  check "the main window is its newest events" true
+    (main_capture.Recorder.events
+    = List.filteri
+        (fun i _ -> i >= Tracing.ring_capacity - Recorder.window)
+        (Recorder.events main));
+  let all = Tracing.merge [ Recorder.events helper_recorder; Recorder.events main ] in
   check_int "both rings full" (2 * Tracing.ring_capacity) (List.length all);
   check "events keep the tuple order" true
     (List.stable_sort (fun a b -> compare (a.Tracing.ts, a.Tracing.dom) (b.Tracing.ts, b.Tracing.dom)) all
     = all);
-  let own = List.filter (fun e -> e.Tracing.dom = main_dom) all in
-  let len = List.length own in
-  let tail n = List.filteri (fun i _ -> i >= len - n) own in
-  List.iter
-    (fun n ->
-      check (Printf.sprintf "last_events %d = tail of this domain's events" n) true
-        (Tracing.last_events n = tail n))
-    [ 0; 1; 2; 63; 64; 65; 1000; 4095; 4096; 4097; 8192 ]
+  check "a space's events are its stream of the export" true
+    (List.filter (fun e -> e.Tracing.dom = main_dom) all = Recorder.events main)
 
 let test_span_exception_safe () =
-  with_clean @@ fun () ->
-  (try Tracing.span "test.raise" (fun () -> failwith "boom")
+  let recorder = Recorder.create ~on:true in
+  (try Recorder.span recorder "test.raise" (fun () -> failwith "boom")
    with Failure _ -> ());
-  match List.rev (Tracing.events ()) with
+  match List.rev (Recorder.events recorder) with
   | last :: prev :: _ ->
     check "end recorded" true (last.Tracing.phase = Tracing.End);
     check "begin recorded" true (prev.Tracing.phase = Tracing.Begin)
   | _ -> Alcotest.fail "span did not record both events"
 
 let test_chrome_json () =
-  with_clean @@ fun () ->
-  Tracing.span ~arg:"7" "test.span" (fun () -> Tracing.instant "test \"quoted\"");
-  let json = Tracing.to_chrome_json () in
+  let recorder = Recorder.create ~on:true in
+  Recorder.span ~arg:"7" recorder "test.span" (fun () ->
+      Recorder.instant recorder "test \"quoted\"");
+  let json = Tracing.to_chrome_json (Recorder.events recorder) in
   match Json.parse json with
   | Error e -> Alcotest.failf "trace JSON does not parse: %s" e
   | Ok v ->
@@ -251,11 +241,10 @@ let test_chrome_json () =
 (* --- flight recorder ------------------------------------------------ *)
 
 let test_recorder_capture () =
-  with_clean @@ fun () ->
+  let recorder = Recorder.create ~on:true in
   for i = 1 to Recorder.window + 20 do
-    Tracing.instant ~arg:(string_of_int i) "test.rec"
+    Recorder.instant ~arg:(string_of_int i) recorder "test.rec"
   done;
-  let recorder = Recorder.create () in
   Recorder.trigger
     ~sections:[ { Recorder.title = "caller"; body = "caller body" } ]
     ~reason:"unit test" recorder;
@@ -272,8 +261,7 @@ let test_recorder_capture () =
 (* A recorder keeps its newest [max_reports] reports, oldest first, and
    a second recorder sees none of them. *)
 let test_recorder_bounds () =
-  with_clean @@ fun () ->
-  let recorder = Recorder.create () and other = Recorder.create () in
+  let recorder = Recorder.create ~on:true and other = Recorder.create ~on:true in
   for i = 1 to Recorder.max_reports + 5 do
     Recorder.trigger ~reason:(Printf.sprintf "capture %d" i) recorder
   done;
@@ -329,15 +317,6 @@ let test_stats_pp_guards () =
   let s = Format.asprintf "%a" Dh_alloc.Stats.pp fresh in
   check "ratio printed when defined" true (contains ~sub:"probes/malloc=2.00" s)
 
-let test_with_enabled_restores () =
-  let before = Control.enabled () in
-  (try
-     Control.with_enabled (not before) (fun () ->
-         check "forced" (not before) (Control.enabled ());
-         failwith "boom")
-   with Failure _ -> ());
-  check "restored after raise" before (Control.enabled ())
-
 let suite =
   [
     Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
@@ -356,5 +335,4 @@ let suite =
     Alcotest.test_case "flight recorder bounds" `Quick test_recorder_bounds;
     Alcotest.test_case "json parser" `Quick test_json_parser;
     Alcotest.test_case "reporter ratio guards" `Quick test_stats_pp_guards;
-    Alcotest.test_case "with_enabled restores" `Quick test_with_enabled_restores;
   ]

@@ -151,7 +151,7 @@ let prop_replicated_jobs_equivalence =
 (* The throughput bench's 8-way replicated churn, at the size its quick
    scaling sweep runs. *)
 let test_replicated_churn_jobs_equivalence () =
-  let run = Dh_bench.Throughput.replicated_churn ~ops:4_000 in
+  let run = Dh_bench.Throughput.replicated_churn ~obs:false ~ops:4_000 in
   let seq = run ~jobs:1 in
   check "replicas agree" true (seq.Replicated.verdict = Replicated.Agreed);
   List.iter
@@ -179,15 +179,15 @@ let test_campaign_jobs_equivalence () =
           check (Printf.sprintf "%s: tally at jobs=%d" what jobs) true (campaign ~jobs = seq))
         [ 2; 4 ])
     [
-      ("20 x 200", Dh_bench.Throughput.campaign ~spec:dense_spec ~trials:20 ~ops:200);
+      ("20 x 200", Dh_bench.Throughput.campaign ~obs:false ~spec:dense_spec ~trials:20 ~ops:200);
       ( "64 x 500",
-        Dh_bench.Throughput.(campaign ~spec:campaign_spec ~trials:64 ~ops:500) );
+        Dh_bench.Throughput.(campaign ~obs:false ~spec:campaign_spec ~trials:64 ~ops:500) );
     ]
 
-let supervisor_incident ~master =
+let supervisor_incident ~obs ~master =
   Supervisor.run
     ~policy:{ Supervisor.default_policy with Supervisor.fuel = 1_000_000 }
-    ~config:(small_config ~jobs:1)
+    ~config:{ (small_config ~jobs:1) with Config.obs }
     ~seed_pool:(Seed.create ~master)
     Test_supervisor.seed_sensitive_crasher
 
@@ -216,22 +216,17 @@ let test_pool_nested () =
 
 (* --- telemetry under the pool --- *)
 
-(* Runs [f] with telemetry on, then clears the trace rings it wrote. *)
-let observed f =
-  Dh_obs.Control.with_enabled true (fun () -> Fun.protect ~finally:Dh_obs.Tracing.reset f)
+(* The fault a write of byte 1 to [addr] raises on a fresh space. *)
+let fault_at addr =
+  match Mem.write8 (Mem.create ()) addr 1 with
+  | () -> Alcotest.fail "no fault"
+  | exception Dh_mem.Fault.Error f -> Dh_mem.Fault.to_string f
 
 (* Supervised runs side by side on two domains each keep their own
    flight records: a crasher (one attempt, no rescue, no diagnosis)
    writes to its own address in the NULL guard zone, and its incident
-   holds exactly that fault; a clean run's holds nothing.  The switch
-   is on around the whole fan-out: it is process-wide, and each run
-   restores the value it found. *)
+   holds exactly that fault; a clean run's holds nothing. *)
 let test_flight_per_run_under_pool () =
-  let fault_at addr =
-    match Mem.write8 (Mem.create ()) addr 1 with
-    | () -> Alcotest.fail "no fault"
-    | exception Dh_mem.Fault.Error f -> Dh_mem.Fault.to_string f
-  in
   let crasher i =
     Program.make ~name:"crasher" (fun ctx ->
         Mem.write8 ctx.Program.alloc.Allocator.mem (8 * (i + 1)) 1)
@@ -246,10 +241,9 @@ let test_flight_per_run_under_pool () =
     { Supervisor.default_policy with Supervisor.max_retries = 0; rescue = false; diagnose = false }
   in
   let incidents =
-    observed (fun () ->
-        Pool.init ~jobs:2 32 (fun i ->
-            Supervisor.run ~policy ~config:(Config.v ~obs:true ())
-              (if i mod 2 = 0 then crasher i else clean)))
+    Pool.init ~jobs:2 32 (fun i ->
+        Supervisor.run ~policy ~config:(Config.v ~obs:true ())
+          (if i mod 2 = 0 then crasher i else clean))
   in
   Array.iteri
     (fun i (incident : Supervisor.incident) ->
@@ -262,12 +256,82 @@ let test_flight_per_run_under_pool () =
       else Alcotest.(check (list string)) (Printf.sprintf "clean %d: no capture" i) [] reasons)
     incidents
 
-(* Flight recorder captures, audit offender rankings and the serve
-   loop's latency samples are the fields tracing legitimately adds (all
-   empty when obs is off), so the fingerprint strips them before
-   comparing. *)
+(* Obs-on and obs-off supervised runs interleaved on two domains: run
+   [i] has obs on when [i] is even, and crashes (a write to its own
+   NULL-guard address at request 150) when [i mod 4] is 2 or 3, so
+   both kinds of run overlap both kinds of run.  Each handled request
+   bumps the run's own counter and records an instant tagged [i] on its
+   space.  An obs-on incident holds exactly its own fault, one latency
+   sample per request it handled and, among its events, exactly its
+   own tagged instants; an obs-off incident holds no capture, no
+   sample and no event. *)
+let test_obs_per_space_under_pool () =
+  let requests = 200 and crash_at = 150 in
+  let service i handled =
+    let init ctx =
+      let a = ctx.Program.alloc in
+      let obs = Mem.recorder a.Allocator.mem in
+      let handle k =
+        ignore (Allocator.malloc_exn a 48);
+        if i mod 4 >= 2 && k = crash_at then Mem.write8 a.Allocator.mem (8 * (i + 1)) 1;
+        Dh_obs.Recorder.instant ~arg:(string_of_int i) obs "test.request";
+        incr handled
+      in
+      { Program.handle; finish = (fun () -> ()) }
+    in
+    Program.of_service ~name:"interleaved" { Program.requests; init }
+  in
+  let policy =
+    { Supervisor.default_policy with Supervisor.max_retries = 0; rescue = false; diagnose = false }
+  in
+  let runs =
+    Pool.init ~jobs:2 32 (fun i ->
+        let handled = ref 0 in
+        let incident =
+          Supervisor.run ~policy ~config:(Config.v ~obs:(i mod 2 = 0) ()) (service i handled)
+        in
+        (incident, !handled))
+  in
+  Array.iteri
+    (fun i ((incident : Supervisor.incident), handled) ->
+      let what = Printf.sprintf "run %d (obs %b)" i (i mod 2 = 0) in
+      let reasons = List.map (fun r -> r.Dh_obs.Recorder.reason) incident.Supervisor.flight in
+      let samples = Dh_obs.Quantile.count incident.Supervisor.latency in
+      let tagged =
+        List.filter (fun e -> e.Dh_obs.Tracing.name = "test.request") incident.Supervisor.events
+      in
+      check_int (what ^ ": requests handled")
+        (if i mod 4 >= 2 then crash_at else requests)
+        handled;
+      if i mod 2 = 0 then begin
+        Alcotest.(check (list string))
+          (what ^ ": its own flight")
+          (if i mod 4 >= 2 then [ fault_at (8 * (i + 1)) ] else [])
+          reasons;
+        check_int (what ^ ": a sample per handled request") handled samples;
+        check_int (what ^ ": its own tagged instants") handled (List.length tagged);
+        check (what ^ ": no other run's instant") true
+          (List.for_all (fun e -> e.Dh_obs.Tracing.arg = string_of_int i) tagged)
+      end
+      else begin
+        Alcotest.(check (list string)) (what ^ ": no flight") [] reasons;
+        check_int (what ^ ": no latency") 0 samples;
+        check_int (what ^ ": no events") 0 (List.length incident.Supervisor.events)
+      end)
+    runs
+
+(* Flight recorder captures, audit offender rankings, the serve loop's
+   latency samples and trace events are the fields tracing legitimately
+   adds (all empty when obs is off), so the fingerprint strips them
+   before comparing. *)
 let strip i =
-  { i with Supervisor.flight = []; offenders = []; latency = Dh_obs.Quantile.create () }
+  {
+    i with
+    Supervisor.flight = [];
+    offenders = [];
+    latency = Dh_obs.Quantile.create ();
+    events = [];
+  }
 
 (* Telemetry is write-only: a traced run must produce bit-identical
    results to an untraced one. *)
@@ -275,18 +339,19 @@ let prop_observation_invariance =
   QCheck.Test.make ~name:"tracing does not perturb seeded runs" ~count:8
     QCheck.(int_bound 1000)
     (fun master ->
-      let baseline = supervisor_incident ~master in
+      let baseline = supervisor_incident ~obs:false ~master in
       baseline.Supervisor.flight = []
       && baseline.Supervisor.offenders = []
       && Dh_obs.Quantile.count baseline.Supervisor.latency = 0
-      && strip (observed (fun () -> supervisor_incident ~master)) = strip baseline)
+      && baseline.Supervisor.events = []
+      && strip (supervisor_incident ~obs:true ~master) = strip baseline)
 
 (* The same on a realistic workload: the Squid-style server under the
    supervisor, where latency samples, sampled heap trace instants and the
    retry ladder are all live at once. *)
-let server_incident ~master ~attack_every =
+let server_incident ~obs ~master ~attack_every =
   Supervisor.run
-    ~config:(Config.v ~heap_size:Dh_workload.Server.heap_size ())
+    ~config:(Config.v ~heap_size:Dh_workload.Server.heap_size ~obs ())
     ~seed_pool:(Seed.create ~master)
     (Dh_workload.Server.program ~requests:96 ~attack_every ())
 
@@ -296,8 +361,8 @@ let prop_server_observation_invariance =
     ~count:6
     QCheck.(pair (int_bound 500) (oneofl [ 0; 7 ]))
     (fun (master, attack_every) ->
-      strip (observed (fun () -> server_incident ~master ~attack_every))
-      = server_incident ~master ~attack_every)
+      strip (server_incident ~obs:true ~master ~attack_every)
+      = server_incident ~obs:false ~master ~attack_every)
 
 let suite =
   [
@@ -323,6 +388,8 @@ let suite =
     Alcotest.test_case "pool: nested fan-out" `Quick test_pool_nested;
     Alcotest.test_case "supervisor: each run under the pool keeps its flight" `Quick
       test_flight_per_run_under_pool;
+    Alcotest.test_case "supervisor: obs-on and obs-off runs interleaved under the pool"
+      `Quick test_obs_per_space_under_pool;
     QCheck_alcotest.to_alcotest prop_observation_invariance;
     QCheck_alcotest.to_alcotest prop_server_observation_invariance;
   ]

@@ -240,6 +240,7 @@ let expect verdict output barriers replicas =
       List.map
         (fun (id, seed, outcome, eliminated) -> { Replicated.id; seed; outcome; eliminated })
         replicas;
+    events = [];
   }
 
 let pp_report ppf (r : Replicated.report) =

@@ -163,12 +163,15 @@ let test_zipf_range_and_skew () =
   let table = Dist.zipf_table ~n:10 ~s:1.2 in
   let counts = Array.make 10 0 in
   for _ = 1 to 20_000 do
-    let v = Dist.zipf_rank table ~u:(Mwc.float01 rng) in
+    let v = Dist.zipf_rank table ~h:(Mwc.bits rng 30) in
     check "zipf in [1,n]" true (v >= 1 && v <= 10);
     counts.(v - 1) <- counts.(v - 1) + 1
   done;
   check "rank 1 most frequent" true (counts.(0) > counts.(4));
   check "rank 1 beats rank 10" true (counts.(0) > counts.(9))
+
+(* The 30-bit hash whose [h / 2^30] is [u], rounded down. *)
+let hash_of u = int_of_float (u *. 0x1p30)
 
 (* Exact ranks at two (n, s) pairs: the serve workload's Zipf keys are
    such ranks, so none of them may move. *)
@@ -182,7 +185,7 @@ let test_zipf_rank_pinned () =
     List.iter2
       (fun u r ->
         Alcotest.(check int) (Printf.sprintf "zipf n=%d s=%g u=%g" n s u) r
-          (Dist.zipf_rank table ~u))
+          (Dist.zipf_rank table ~h:(hash_of u)))
       us ranks
   in
   pin ~n:1024 ~s:1.1
@@ -192,8 +195,8 @@ let test_zipf_rank_pinned () =
   rejects "Dist.zipf_table: want n >= 1" (fun () -> Dist.zipf_table ~n:0 ~s:1.);
   rejects "Dist.zipf_table: want s >= 0" (fun () -> Dist.zipf_table ~n:4 ~s:(-0.5));
   let table = Dist.zipf_table ~n:4 ~s:1. in
-  rejects "Dist.zipf_rank: want u in [0, 1)" (fun () -> Dist.zipf_rank table ~u:1.);
-  rejects "Dist.zipf_rank: want u in [0, 1)" (fun () -> Dist.zipf_rank table ~u:(-0.1))
+  rejects "Dist.zipf_rank: want h in [0, 2^30)" (fun () -> Dist.zipf_rank table ~h:(1 lsl 30));
+  rejects "Dist.zipf_rank: want h in [0, 2^30)" (fun () -> Dist.zipf_rank table ~h:(-1))
 
 (* The Zipf CDF as [Dist.zipf_table] defines it, and the binary search
    [zipf_rank] once was: the first index whose CDF exceeds [u], plus 1. *)
@@ -214,64 +217,71 @@ let zipf_rank_oracle cdf ~u =
   done;
   !lo + 1
 
-(* The serve workload's request hash, whose 30 bits are its Zipf [u]. *)
+(* The serve workload's request hash, its Zipf [h]. *)
 let request_hash k =
   let h = (k * 0x9E3779B9) + 0x7F4A7C15 in
   let h = (h lxor (h lsr 16)) * 0x85EBCA6B in
   (h lxor (h lsr 13)) land 0x3FFFFFFF
 
-(* The guide-table search returns the binary search's rank at every
-   place the two could part: on and beside each CDF value and each
-   guide bucket's edge, at both ends of [0, 1), and over a million
-   request hashes and a million uniform draws. *)
+(* The guide-table search returns the binary search's rank, at
+   [u = h / 2^30], at every place the two could part: on and beside
+   each CDF value's hash and each guide bucket's edge, at both ends of
+   [0, 2^30), and over a million request hashes and a million uniform
+   draws. *)
 let test_zipf_rank_equals_binary_search () =
   List.iter
     (fun (n, s) ->
       let table = Dist.zipf_table ~n ~s and cdf = zipf_cdf_oracle ~n ~s in
-      let agree u =
-        if u >= 0. && u < 1. then begin
-          let want = zipf_rank_oracle cdf ~u and got = Dist.zipf_rank table ~u in
-          if got <> want then Alcotest.failf "zipf n=%d s=%g u=%h: rank %d, want %d" n s u got want
+      let agree h =
+        if h >= 0 && h < 1 lsl 30 then begin
+          let u = float_of_int h /. 1073741824. in
+          let want = zipf_rank_oracle cdf ~u and got = Dist.zipf_rank table ~h in
+          if got <> want then Alcotest.failf "zipf n=%d s=%g h=%d: rank %d, want %d" n s h got want
         end
       in
-      let around u =
-        agree (Float.pred u);
-        agree u;
-        agree (Float.succ u)
+      let around h =
+        agree (h - 1);
+        agree h;
+        agree (h + 1)
       in
-      Array.iter around cdf;
+      Array.iter (fun c -> around (hash_of c)) cdf;
       for b = 0 to 4096 do
-        around (float_of_int b /. 4096.)
+        around (b lsl 18)
       done;
-      agree 0.;
-      agree (Float.pred 1.);
+      agree 0;
+      agree ((1 lsl 30) - 1);
       for k = 0 to 999_999 do
-        agree (float_of_int (request_hash k) /. 1073741824.)
+        agree (request_hash k)
       done;
       let rng = Mwc.create ~seed:n in
       for _ = 1 to 1_000_000 do
-        agree (Mwc.float01 rng)
+        agree (Mwc.bits rng 30)
       done)
     [ (1024, 1.1); (10, 1.2); (1, 1.); (4, 1.); (1024, 0.); (5000, 2.5); (3, 0.5) ]
 
-(* NaN compares false with every CDF value, so it has no rank and no
-   guide bucket: it is refused like any [u] outside [0, 1). *)
-let test_zipf_rank_rejects_nan () =
-  Alcotest.check_raises "u = nan" (Invalid_argument "Dist.zipf_rank: want u in [0, 1)")
-    (fun () -> ignore (Dist.zipf_rank (Dist.zipf_table ~n:1024 ~s:1.1) ~u:Float.nan))
+(* A hash wider than 30 bits, or a negative one, has no [u] in [0, 1):
+   it is refused, at both sides of the range and far outside it. *)
+let test_zipf_rank_range_check () =
+  let table = Dist.zipf_table ~n:1024 ~s:1.1 in
+  List.iter
+    (fun h ->
+      Alcotest.check_raises (Printf.sprintf "h = %d" h)
+        (Invalid_argument "Dist.zipf_rank: want h in [0, 2^30)")
+        (fun () -> ignore (Dist.zipf_rank table ~h)))
+    [ -1; min_int; 1 lsl 30; (1 lsl 31) - 1; max_int ];
+  check "the top hash has the top rank" true (Dist.zipf_rank table ~h:((1 lsl 30) - 1) = 1024)
 
 let rec sum_ranks table acc = function
   | [] -> acc
-  | u :: us -> sum_ranks table (acc + Dist.zipf_rank table ~u) us
+  | h :: hs -> sum_ranks table (acc + Dist.zipf_rank table ~h) hs
 
-(* A draw allocates nothing: no closure, no boxed bound.  The [u]s are
-   boxed before counting starts. *)
+(* A draw allocates nothing: no closure, no boxed bound, no boxed [u]. *)
 let test_zipf_rank_allocation () =
   let table = Dist.zipf_table ~n:1024 ~s:1.1 in
   let rng = Mwc.create ~seed:43 in
-  let us = List.init 10_000 (fun _ -> Mwc.float01 rng) in
+  let hs = List.init 10_000 (fun _ -> Mwc.bits rng 30) in
   let before = Gc.minor_words () in
-  let sum = sum_ranks table 0 us in
+  let sum = sum_ranks table 0 hs in
   Alcotest.(check (float 0.)) "minor words for 10,000 draws" 0. (Gc.minor_words () -. before);
   check "drew ranks" true (sum >= 10_000)
 
@@ -488,7 +498,7 @@ let suite =
     Alcotest.test_case "dist zipf ranks pinned" `Quick test_zipf_rank_pinned;
     Alcotest.test_case "dist zipf rank equals binary search" `Quick
       test_zipf_rank_equals_binary_search;
-    Alcotest.test_case "dist zipf rank rejects NaN" `Quick test_zipf_rank_rejects_nan;
+    Alcotest.test_case "dist zipf rank range check" `Quick test_zipf_rank_range_check;
     Alcotest.test_case "dist zipf rank allocates nothing" `Quick test_zipf_rank_allocation;
     Alcotest.test_case "dist weighted" `Quick test_weighted;
     Alcotest.test_case "dist weighted zero" `Quick test_weighted_zero_total;

@@ -5,7 +5,6 @@
    serve telemetry (one latency histogram per run, and write-only:
    output is identical with observability on or off). *)
 
-module Control = Dh_obs.Control
 module Quantile = Dh_obs.Quantile
 module Tracing = Dh_obs.Tracing
 module Recorder = Dh_obs.Recorder
@@ -17,11 +16,6 @@ module Serve = Dh_bench.Serve
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
-
-let with_clean f =
-  Control.with_enabled true (fun () ->
-      Tracing.reset ();
-      Fun.protect ~finally:Tracing.reset f)
 
 (* --- Quantile bucketing --------------------------------------------- *)
 
@@ -108,7 +102,6 @@ let test_snapshot_arithmetic () =
    stamps.  A pair that runs backwards (a clock step) must give 0, never
    a negative sample the histogram would reject mid-serve. *)
 let test_latency_never_negative () =
-  with_clean @@ fun () ->
   check_int "forward pair" 1_500 (Tracing.elapsed_ns ~since:10_000 ~now:11_500);
   check_int "equal stamps" 0 (Tracing.elapsed_ns ~since:10_000 ~now:10_000);
   check_int "backward pair" 0 (Tracing.elapsed_ns ~since:11_500 ~now:10_000);
@@ -123,32 +116,34 @@ let test_latency_never_negative () =
   done
 
 (* Four domains record disjoint slices into four audits, one per
-   domain, each under that domain's own ambient site.  Each audit must
+   domain, each on its own space's recorder under its own ambient site.  Each audit must
    hold only its own domain's slice, the four must fold to the whole,
    and record_alloc must return that domain's site. *)
 let test_audit_shards_under_domains () =
-  with_clean @@ fun () ->
   Audit.reset ();
   Fun.protect ~finally:Audit.reset @@ fun () ->
   let site_of d = Audit.site (Printf.sprintf "test.sharded.site%d" d) in
   let sites = List.init 4 site_of in
   let slice d = List.init 500 (fun i -> (d * 10_000) + (i * 7)) in
   let class_of v = v mod 12 and index_of v = v mod 64 in
-  let record_audit audit site v =
+  let record_audit obs audit site v =
     let record v =
       Audit.record_alloc audit ~class_:(class_of v) ~index:(index_of v) ~capacity:64
     in
-    if Audit.with_site site record v <> site then
+    if Audit.with_site obs site record v <> site then
       failwith "record_alloc did not return the ambient site"
+  in
+  let fresh_audit () =
+    let obs = Recorder.create ~on:true in
+    (obs, Audit.create obs)
   in
   let domains =
     List.mapi
       (fun d site ->
         Domain.spawn (fun () ->
-            Control.with_enabled true (fun () ->
-                let audit = Audit.create () in
-                List.iter (record_audit audit site) (slice d);
-                audit)))
+            let obs, audit = fresh_audit () in
+            List.iter (record_audit obs audit site) (slice d);
+            audit))
       sites
   in
   let audits = List.map Domain.join domains in
@@ -187,8 +182,8 @@ let test_audit_shards_under_domains () =
   Audit.reset ();
   check_int "site re-interned at the same id" (List.hd sites) (site_of 0);
   let again = [ 3; 700; 70_000 ] in
-  let audit = Audit.create () in
-  List.iter (record_audit audit (List.hd sites)) again;
+  let obs, audit = fresh_audit () in
+  List.iter (record_audit obs audit (List.hd sites)) again;
   check "a fresh audit holds only its own records" true
     (audit_matches [ audit ] again [ (List.hd sites, 3) ])
 
@@ -200,7 +195,6 @@ let latency_of samples =
   h
 
 let test_slo_zero_requests () =
-  with_clean @@ fun () ->
   let r = Serve.slo_of (Quantile.create ()) ~rewinds:0 in
   check_int "no requests" 0 r.Serve.total;
   check "compliance 1.0" true (r.Serve.compliance = 1.0);
@@ -208,7 +202,6 @@ let test_slo_zero_requests () =
   check "not breached" true (not r.Serve.breached)
 
 let test_slo_all_errors () =
-  with_clean @@ fun () ->
   (* eight requests, each rewound and none handled yet *)
   let r = Serve.slo_of (Quantile.create ()) ~rewinds:8 in
   check_int "all bad" 8 r.Serve.bad;
@@ -218,7 +211,6 @@ let test_slo_all_errors () =
   check "breached" true r.Serve.breached
 
 let test_slo_latency_classification () =
-  with_clean @@ fun () ->
   let bad samples = (Serve.slo_of (latency_of samples) ~rewinds:0).Serve.bad in
   (* the bucket holding the 200,000 ns target spans 196,608..200,703 *)
   check_int "196,607 ns is good" 0 (bad [ 196_607 ]);
@@ -231,14 +223,13 @@ let test_slo_latency_classification () =
 (* --- Recorder step groups ------------------------------------------- *)
 
 let test_step_groups () =
-  with_clean @@ fun () ->
-  Tracing.instant ~arg:"before" "setup";
+  let recorder = Recorder.create ~on:true in
+  Recorder.instant ~arg:"before" recorder "setup";
   List.iter
     (fun k ->
-      Tracing.span ~arg:(string_of_int k) "replay.step" (fun () ->
-          Tracing.instant ~arg:("work" ^ string_of_int k) "handler"))
+      Recorder.span ~arg:(string_of_int k) recorder "replay.step" (fun () ->
+          Recorder.instant ~arg:("work" ^ string_of_int k) recorder "handler"))
     [ 7; 8; 9 ];
-  let recorder = Recorder.create () in
   Recorder.set_step recorder 9;
   Recorder.trigger ~reason:"test" recorder;
   Recorder.clear_step recorder;
@@ -263,8 +254,7 @@ let test_step_groups () =
     | [] -> Alcotest.fail "no groups")
 
 let test_advertised_step () =
-  with_clean @@ fun () ->
-  let recorder = Recorder.create () in
+  let recorder = Recorder.create ~on:true in
   Recorder.set_step recorder 42;
   Recorder.trigger ~reason:"implicit step" recorder;
   (match Recorder.last recorder with
@@ -292,7 +282,6 @@ let serve_incident ~obs () =
     (Server.program ~requests:512 ~attack_every:48 ())
 
 let test_serve_telemetry () =
-  with_clean @@ fun () ->
   let incident = serve_incident ~obs:true () in
   check "survived" true (incident.Supervisor.verdict <> Supervisor.Gave_up);
   let latency = incident.Supervisor.latency in
@@ -307,7 +296,6 @@ let test_serve_telemetry () =
    17 requests makes the run rewind.  The obs-off run's histogram is
    empty. *)
 let test_serve_latency_per_run () =
-  with_clean @@ fun () ->
   let run ~obs =
     let handled = ref 0 in
     let svc = Option.get (Server.program ~requests:512 ~attack_every:17 ()).service in
@@ -339,7 +327,7 @@ let test_serve_latency_per_run () =
   check_int "first run: its own requests" handled first;
   let second, handled = run ~obs:true in
   check_int "second run: its own requests, none of the first's" handled second;
-  let off, _ = Control.with_enabled false (fun () -> run ~obs:false) in
+  let off, _ = run ~obs:false in
   check_int "obs-off run: empty" 0 off
 
 (* An obs-on supervised server that faults (2,000 requests, attack every
@@ -374,7 +362,6 @@ let section (r : Recorder.report) title =
    heap.occupancy section, since the recorder reads no heap and no
    audit. *)
 let test_offenders_not_captures () =
-  with_clean @@ fun () ->
   Audit.reset ();
   Fun.protect ~finally:Audit.reset @@ fun () ->
   let incident, _, _ = faulting_incident () in
@@ -394,7 +381,6 @@ let test_offenders_not_captures () =
 (* Two identical obs-on supervised runs in one process report the same
    offenders: each counts only its own attempts' heaps. *)
 let test_offenders_per_run () =
-  with_clean @@ fun () ->
   let offenders () =
     (Supervisor.run
        ~config:(Diehard.Config.v ~heap_size:Server.heap_size ~obs:true ())
@@ -410,7 +396,6 @@ let test_offenders_per_run () =
    that raised it — attempt 0's, not those of whichever space was built
    last (the diagnosis replay's). *)
 let test_flight_record_mem_counters () =
-  with_clean @@ fun () ->
   Audit.reset ();
   Fun.protect ~finally:Audit.reset @@ fun () ->
   let _, r, attempt0 = faulting_incident () in
@@ -430,7 +415,6 @@ let test_flight_record_mem_counters () =
 (* An attempt that fails without a fault (here, exit 3 after three
    mallocs) leaves a flight record holding its own heap's Stats line. *)
 let test_failed_attempt_heap_stats () =
-  with_clean @@ fun () ->
   let exits_3 =
     Dh_alloc.Program.make ~name:"exits-3" (fun ctx ->
         for _ = 1 to 3 do
@@ -464,12 +448,11 @@ let test_failed_attempt_heap_stats () =
    it: an obs-on [Program.run] that faults, then a supervised run that
    survives its first attempt, whose incident holds no capture. *)
 let test_earlier_fault_not_in_incident () =
-  with_clean @@ fun () ->
   let doomed =
     Dh_alloc.Program.make ~name:"null-write" (fun ctx ->
         Dh_mem.Mem.write8 ctx.Dh_alloc.Program.alloc.Dh_alloc.Allocator.mem 8 1)
   in
-  let mem = Dh_mem.Mem.create () in
+  let mem = Dh_mem.Mem.create ~obs:true () in
   let alloc = Diehard.Heap.allocator (Diehard.Heap.create ~config:Diehard.Config.default mem) in
   let r = Dh_alloc.Program.run doomed alloc in
   check "the first run crashed" true
@@ -488,12 +471,7 @@ let test_earlier_fault_not_in_incident () =
 let test_serve_telemetry_write_only () =
   (* The determinism contract: the same run with telemetry on and off
      must produce identical program output. *)
-  let out_with_obs =
-    Control.with_enabled false (fun () ->
-        Tracing.reset ();
-        Fun.protect ~finally:Tracing.reset (fun () ->
-            (serve_incident ~obs:true ()).Supervisor.output))
-  in
+  let out_with_obs = (serve_incident ~obs:true ()).Supervisor.output in
   let out_without = (serve_incident ~obs:false ()).Supervisor.output in
   check "output identical with obs on/off" true (out_with_obs = out_without)
 
@@ -501,7 +479,7 @@ let test_serve_telemetry_write_only () =
    big enough to rewind (the quick leg never does), small enough for
    every test run.  The full 2M-request checksum stays in `serve-gate`. *)
 let test_serve_leg_fingerprint () =
-  let l = Fun.protect ~finally:Tracing.reset (Dh_bench.Serve.run_leg ~requests:200_000 ~seed:1) in
+  let l = Dh_bench.Serve.run_leg ~requests:200_000 ~seed:1 () in
   check_int "checksum" 11643189 l.Dh_bench.Serve.checksum;
   check_int "failed requests" 0 l.Dh_bench.Serve.failed;
   check_int "rewinds" 5 l.Dh_bench.Serve.rewinds;
@@ -512,13 +490,11 @@ let test_serve_leg_fingerprint () =
    on a short serve leg: the serve loop's one latency sample per handled
    request (replays included), and the heap's one audit record per malloc and
    per free plus their sampled trace instants.  The audit records are
-   read from the leg's heaps, through the incident's offenders: the
-   server allocates at four named sites, and nothing at this length is
-   refused by the threshold.  Every count is a deterministic function of
-   the leg. *)
+   read from the leg's heaps, through the incident's offenders, and the
+   instants from the events it returned: the server allocates at four
+   named sites, and nothing at this length is refused by the threshold.
+   Every count is a deterministic function of the leg. *)
 let test_serve_records_per_request () =
-  Fun.protect ~finally:Tracing.reset @@ fun () ->
-  Tracing.reset ();
   let requests = 2_000 in
   let l = Dh_bench.Serve.run_leg ~requests ~seed:1 () in
   let handled = Quantile.count l.Dh_bench.Serve.latency in
@@ -532,9 +508,14 @@ let test_serve_records_per_request () =
     List.length
       (List.filter
          (fun e -> e.Tracing.name = "heap.malloc" || e.Tracing.name = "heap.free")
-         (Tracing.events ()))
+         l.Dh_bench.Serve.events)
   in
-  check_int "no trace event dropped" 0 (Tracing.dropped ());
+  let named name =
+    List.length (List.filter (fun e -> e.Tracing.name = name) l.Dh_bench.Serve.events)
+  in
+  check_int "one attempt's span, so one space" 2 (named "supervisor.attempt");
+  check "its ring dropped no event" true
+    (List.length l.Dh_bench.Serve.events < Tracing.ring_capacity);
   check_int "handled requests (no rewind at this length)" requests handled;
   check_int "audit records (mallocs and frees)" 5_218 audit;
   check_int "sampled heap instants" 83 instants;

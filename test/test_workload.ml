@@ -302,11 +302,10 @@ let prop_live_order_is_table_fold =
 let driver_words_per_op alloc =
   let espresso = Option.get (Profile.find "espresso") in
   let words ops =
-    Dh_obs.Control.with_enabled false (fun () ->
-        let alloc = alloc () in
-        let before = Gc.minor_words () in
-        ignore (Driver.run ~seed:5 { espresso with Profile.ops } alloc);
-        Gc.minor_words () -. before)
+    let alloc = alloc () in
+    let before = Gc.minor_words () in
+    ignore (Driver.run ~seed:5 { espresso with Profile.ops } alloc);
+    Gc.minor_words () -. before
   in
   (words 8_000 -. words 4_000) /. 4_000.
 
@@ -421,24 +420,24 @@ let test_server_urls () =
       ("uniform", None, fun k -> mix k land 1023);
       ( "zipf",
         Some 1.1,
-        fun k -> Dh_rng.Dist.zipf_rank zipf_keys ~u:(float_of_int (mix k) /. 1073741824.) - 1 );
+        fun k -> Dh_rng.Dist.zipf_rank zipf_keys ~h:(mix k) - 1 );
     ]
 
 (* The minor words one request's URL costs, obs off, over requests 0 to
-   9,999 of Zipf 1.1 keys: the URL string (four or five words) and the
-   [u] boxed into [zipf_rank] (two).  The key stream is built before
-   counting starts.  A closure in the rank search or a boxed digit
-   count would show here; the binary search and variable-radix digits
+   9,999 of Zipf 1.1 keys: the URL string alone (four or five words).
+   The key stream is built before counting starts, and [zipf_rank]
+   takes the hash as an int.  A closure in the rank search, a boxed
+   digit count or a float boxed across the rank call (two words, 6.7597
+   in all) would show here; the binary search and variable-radix digits
    read 12.7597. *)
 let test_server_url_words () =
-  Dh_obs.Control.with_enabled false (fun () ->
-      let url = Server.url_of ~zipf:1.1 () in
-      let before = Gc.minor_words () in
-      for k = 0 to 9_999 do
-        ignore (Sys.opaque_identity (url ~attack:false k))
-      done;
-      Alcotest.(check (float 0.0005)) "minor words per URL" 6.7597
-        ((Gc.minor_words () -. before) /. 10_000.))
+  let url = Server.url_of ~zipf:1.1 () in
+  let before = Gc.minor_words () in
+  for k = 0 to 9_999 do
+    ignore (Sys.opaque_identity (url ~attack:false k))
+  done;
+  Alcotest.(check (float 0.0005)) "minor words per URL" 4.7597
+    ((Gc.minor_words () -. before) /. 10_000.)
 
 (* One supervised server run with attacks (Zipf 1.1 keys, the serve
    bench's traffic shape): its output, recovery counts and the simulated
@@ -449,11 +448,7 @@ let test_server_supervised_pinned () =
   let module Supervisor = Diehard.Supervisor in
   let heap = ref None in
   let incident =
-    Fun.protect
-      ~finally:(fun () ->
-        Dh_obs.Tracing.reset ();
-        Dh_obs.Audit.reset ())
-      (fun () ->
+    Fun.protect ~finally:Dh_obs.Audit.reset (fun () ->
         Supervisor.run
           ~policy:
             {
@@ -496,13 +491,12 @@ let test_server_supervised_pinned () =
    here. *)
 let test_server_request_words () =
   let words requests =
-    Dh_obs.Control.with_enabled false (fun () ->
-        let alloc = fresh_diehard ~heap:Server.heap_size () in
-        let before = Gc.minor_words () in
-        let r = Program.run (Server.program ~requests ()) alloc in
-        let words = Gc.minor_words () -. before in
-        check "server exited 0" true (r.Process.outcome = Process.Exited 0);
-        words)
+    let alloc = fresh_diehard ~heap:Server.heap_size () in
+    let before = Gc.minor_words () in
+    let r = Program.run (Server.program ~requests ()) alloc in
+    let words = Gc.minor_words () -. before in
+    check "server exited 0" true (r.Process.outcome = Process.Exited 0);
+    words
   in
   let per_request = (words 4096 -. words 2048) /. 2048. in
   (* 14.5 at the time of writing: one more closure would pass 15. *)
