@@ -14,10 +14,15 @@ test:
 # optional parameters in .mli files, plus the bench harness's and the
 # CLI's lines — the figures ROADMAP's Recent section quotes — and the
 # library's process-wide mutable values: top-level bindings (on one line
-# or the next) to an Atomic.make, ref, Hashtbl.create, Mutex.create,
-# Cell.create or Domain.DLS value.  CI's build job prints them on every
-# run.
+# or the next) to an Atomic.make, ref, Hashtbl.create, Mutex.create or
+# Domain.DLS value.  Last, the .mli vals that no code outside their own
+# module in lib/, bench/, bin/ or examples/ calls, counted exactly from
+# the typed trees that `dune build @check` writes
+# (tools/interface_callers.ml): each must carry an "Oracle:" note (tests
+# reach it) or a "Benchmark:" note (perfbench does), and the target
+# fails naming any that has none.  CI's build job runs it on every run.
 size:
+	@dune build @check ./tools/interface_callers.exe
 	@echo "lib lines:           $$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 	@echo "bench lines:         $$(cat bench/*.ml | wc -l)"
 	@echo "bin lines:           $$(cat bin/*.ml | wc -l)"
@@ -25,8 +30,9 @@ size:
 	@echo "mli vals:            $$(cat lib/*/*.mli | grep -c '^val ')"
 	@echo "optional parameters: $$(cat lib/*/*.mli | grep -o '?[a-z_0-9]*:' | wc -l)"
 	@echo "lib mutable globals: $$(cat lib/*/*.ml | awk '/^let /{d=$$0; if (d ~ /= *$$/) {getline n; d = d " " n}; \
-		if (d ~ /^let [a-z_0-9]+( *:[^=]*)? *= *(Atomic\.make|ref[ (]|Hashtbl\.create|Mutex\.create|Cell\.create|Domain\.DLS)/) c++} \
+		if (d ~ /^let [a-z_0-9]+( *:[^=]*)? *= *(Atomic\.make|ref[ (]|Hashtbl\.create|Mutex\.create|Domain\.DLS)/) c++} \
 		END {print c+0}')"
+	@_build/default/tools/interface_callers.exe _build/default
 
 # A clock profile of one repo-benchmark workload (WORKLOAD=serve, alloc
 # or minic; minic by default): gprofng samples perfbench.exe for about

@@ -74,7 +74,7 @@ let workload ~label ~spec ~trials program =
           let trial = i + 1 in
           let spec = { spec with Injector.seed = spec.Injector.seed + trial } in
           let master = (trial * 7919) + 17 in
-          let inject _plan alloc = snd (Injector.wrap spec ~log alloc) in
+          let inject _plan alloc = Injector.wrap spec ~log alloc in
           (* bare: one DieHard heap, seed drawn exactly as the supervisor
              draws its first. *)
           let bare_seed = Seed.fresh (Seed.create ~master) in

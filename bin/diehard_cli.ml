@@ -126,9 +126,11 @@ let attack_every_arg =
 
 (* PROGRAM, resolved once for every run-style subcommand, together with
    the heap it runs on: --heap when given, else the program's default.
-   The native 'server' calls Mem directly, so no access policy or libc
-   can mediate it: asking for one is a usage error, not a silent
-   no-op. *)
+   A MiniC program is checked here, before any address space is built,
+   so a malformed one is a usage error in every subcommand and no run
+   starts (nor writes a trace).  The native 'server' calls Mem
+   directly, so no access policy or libc can mediate it: asking for one
+   is a usage error, not a silent no-op. *)
 let load libc policy prog requests attack_every heap =
   let program, default_heap =
     match prog with
@@ -138,7 +140,11 @@ let load libc policy prog requests attack_every heap =
           "--policy and --bounded-libc apply to MiniC programs; 'server' is native code";
       (Dh_workload.Server.program ~requests ~attack_every (), Dh_workload.Server.heap_size)
     | name ->
-      ( Dh_lang.Interp.program_of_source ~libc ~name (load_source name),
+      let source = load_source name in
+      (match Dh_lang.Interp.check_source source with
+      | Ok _ -> ()
+      | Error diagnostics -> invalid_arg (name ^ ": " ^ String.concat "; " diagnostics));
+      ( Dh_lang.Interp.program_of_source ~libc ~name source,
         Diehard.Config.default.Diehard.Config.heap_size )
   in
   (program, Option.value heap ~default:default_heap)
@@ -788,9 +794,8 @@ let main_cmd =
       diagnose_cmd; trace_cmd; audit_cmd; obs_cmd ]
 
 (* Malformed input — a bad flag value a library rejects, a missing file,
-   MiniC that does not parse, a MiniC runtime error (an unknown name, a
-   wrong arity or no main, raised when execution reaches it) — is a
-   usage error: one line, exit 2.  A division by zero is none of these:
+   MiniC that does not parse or does not check (an unknown name, a wrong
+   arity or no main) — is a usage error: one line, exit 2.  A division by zero is none of these:
    it crashes the simulated process.  Anything else is a bug, reported
    as cmdliner would (exit 125). *)
 let () =
@@ -800,10 +805,7 @@ let () =
   in
   match Cmd.eval' ~catch:false main_cmd with
   | code -> exit code
-  | exception (Invalid_argument msg | Sys_error msg | Dh_lang.Interp.Runtime_error msg) ->
-    usage_error msg
-  | exception (Dh_lang.Lexer.Lex_error (msg, line, col) | Dh_lang.Parser.Syntax_error (msg, line, col)) ->
-    usage_error (Printf.sprintf "%d:%d: %s" line col msg)
+  | exception (Invalid_argument msg | Sys_error msg) -> usage_error msg
   | exception e ->
     Printf.eprintf "diehard: internal error, uncaught exception:\n         %s\n"
       (Printexc.to_string e);

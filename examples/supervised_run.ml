@@ -53,7 +53,7 @@ let () =
       ~seed_pool:(Seed.create ~master:2026)
       ~success:(fun r ->
         r.Process.outcome = Process.Exited 0 && String.equal r.Process.output reference)
-      ~wrap:(fun _plan alloc -> snd (Injector.wrap spec ~log alloc))
+      ~wrap:(fun _plan alloc -> Injector.wrap spec ~log alloc)
       program
   in
   Format.printf "%a\n" Supervisor.pp_incident incident;

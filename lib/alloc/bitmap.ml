@@ -4,8 +4,6 @@ let create n =
   if n < 0 then invalid_arg "Bitmap.create: negative size";
   { bits = Bytes.make ((n + 7) / 8) '\000'; length = n; cardinal = 0 }
 
-let length t = t.length
-
 let check t i =
   if i < 0 || i >= t.length then invalid_arg "Bitmap: index out of range"
 

@@ -11,8 +11,6 @@ type t
 val create : int -> t
 (** [create n] is an all-clear bitmap of [n] bits. *)
 
-val length : t -> int
-
 val get : t -> int -> bool
 val set : t -> int -> unit
 val clear : t -> int -> unit

@@ -44,7 +44,8 @@ val create :
 (** [create mem] builds a freelist heap on [mem].  [arena_size] (default
     1 MiB) is the granularity at which the allocator [mmap]s arenas;
     [heap_limit] (default 256 MiB) caps total arena bytes, after which
-    [malloc] returns NULL. *)
+    [malloc] returns NULL.  Oracle: only the arena and heap-limit tests
+    set either (test_freelist). *)
 
 val allocator : t -> Allocator.t
 (** Package as the common interface. *)
@@ -52,5 +53,6 @@ val allocator : t -> Allocator.t
 val chunk_walk : t -> (base:int -> size:int -> allocated:bool -> unit) -> unit
 (** Walk every chunk of every arena in address order, reading headers from
     simulated memory — so a corrupted header is visible to the walk (it
-    stops a walk that leaves the arena).  White-box inspection for tests
-    and the heap-corruption demos. *)
+    stops a walk that leaves the arena).  Oracle: the heap-corruption
+    tests read a smashed header through it (test_freelist,
+    test_extensions). *)

@@ -37,4 +37,6 @@ val collect : t -> unit
 (** Force a full mark-sweep collection. *)
 
 val live_objects : t -> int
-(** Number of allocated (not yet swept) objects — white-box for tests. *)
+(** Number of allocated (not yet swept) objects, counted by walking the
+    chunk headers in simulated memory.  Oracle: the collector and
+    header-corruption tests (test_gc). *)

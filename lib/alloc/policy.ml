@@ -5,8 +5,7 @@ type kind = Raw | Fail_stop | Oblivious
 type t = {
   kind : kind;
   alloc : Allocator.t;
-  mutable manufactured : int;
-  mutable dropped : int;
+  mutable manufactured : int;  (* indexes the manufactured-value cycle *)
   (* Fail_stop only: bytes of the heap the program has written, so reads
      of never-initialized memory can be flagged (CCured-style definite
      initialization). *)
@@ -14,12 +13,7 @@ type t = {
 }
 
 let make ?(kind = Raw) alloc =
-  { kind; alloc; manufactured = 0; dropped = 0; written = Hashtbl.create 64 }
-
-let kind t = t.kind
-let allocator t = t.alloc
-let manufactured_reads t = t.manufactured
-let dropped_writes t = t.dropped
+  { kind; alloc; manufactured = 0; written = Hashtbl.create 64 }
 
 (* Is [addr .. addr+width) inside a currently-allocated heap object? *)
 let heap_access_ok t addr width =
@@ -80,12 +74,7 @@ let store_ok t addr width =
       if heap_access_ok t addr width then mark_written t addr width
       else abort_access addr width "store";
     true
-  | Oblivious ->
-    oblivious_ok t addr width
-    || begin
-         t.dropped <- t.dropped + 1;
-         false
-       end
+  | Oblivious -> oblivious_ok t addr width
 
 let load t addr =
   if load_ok t addr 8 then Mem.read64 t.alloc.Allocator.mem addr else manufacture t

@@ -32,10 +32,6 @@ val make : ?kind:kind -> Allocator.t -> t
     are always accessed raw — the policies govern heap discipline only.
     Default kind is [Raw]. *)
 
-val kind : t -> kind
-
-val allocator : t -> Allocator.t
-
 (** {1 Mediated access}
 
     Word operations are 8-byte little-endian, byte operations 1 byte. *)
@@ -44,9 +40,3 @@ val load : t -> int -> int
 val store : t -> int -> int -> unit
 val load8 : t -> int -> int
 val store8 : t -> int -> int -> unit
-
-val manufactured_reads : t -> int
-(** How many reads the [Oblivious] policy has manufactured. *)
-
-val dropped_writes : t -> int
-(** How many writes the [Oblivious] policy has dropped. *)

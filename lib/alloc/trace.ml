@@ -63,8 +63,6 @@ let lifetimes t =
          { alloc_time; free_time; size = size_of alloc_time })
   |> List.sort (fun a b -> compare a.alloc_time b.alloc_time)
 
-let allocation_count t = t.clock
-
 let lifetimes_to_string lifetimes =
   let buf = Buffer.create (64 + (24 * List.length lifetimes)) in
   Buffer.add_string buf "# diehard lifetime log v1\n";
@@ -73,23 +71,3 @@ let lifetimes_to_string lifetimes =
       Buffer.add_string buf (Printf.sprintf "%d %d %d\n" alloc_time free_time size))
     lifetimes;
   Buffer.contents buf
-
-let lifetimes_of_string text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      let line = String.trim line in
-      if line = "" || line.[0] = '#' then go (lineno + 1) acc rest
-      else begin
-        match String.split_on_char ' ' line with
-        | [ a; f; s ] -> (
-          match (int_of_string_opt a, int_of_string_opt f, int_of_string_opt s) with
-          | Some alloc_time, Some free_time, Some size
-            when alloc_time > 0 && free_time >= alloc_time && size >= 0 ->
-            go (lineno + 1) ({ alloc_time; free_time; size } :: acc) rest
-          | _ -> Error (Printf.sprintf "line %d: malformed lifetime %S" lineno line))
-        | _ -> Error (Printf.sprintf "line %d: expected 3 fields, got %S" lineno line)
-      end
-  in
-  go 1 [] lines

@@ -33,22 +33,12 @@ val lifetimes : t -> lifetime list
     time.  Objects never freed do not appear (they cannot be freed
     "too early" relative to a free that never happens). *)
 
-val allocation_count : t -> int
-(** Current allocation-time clock. *)
-
-(** {1 Persistence}
-
-    The paper's methodology writes the allocation log to disk between
-    the tracing run and the injection runs; these functions provide the
-    (line-oriented, human-readable) format:
+val lifetimes_to_string : lifetime list -> string
+(** The log in the line-oriented, human-readable form the [trace]
+    subcommand prints (the paper's methodology writes the log to disk
+    between the tracing run and the injection runs):
 
     {v
     # diehard lifetime log v1
     <alloc_time> <free_time> <size>
     v} *)
-
-val lifetimes_to_string : lifetime list -> string
-
-val lifetimes_of_string : string -> (lifetime list, string) result
-(** Parses what {!lifetimes_to_string} wrote; [Error] describes the
-    first malformed line.  Blank lines and [#] comments are ignored. *)

@@ -54,8 +54,6 @@ let create ?(min_headroom = 0) ?(seed = 1) mem =
     stats = Stats.create ();
   }
 
-let stats t = t.stats
-
 (* Map a new miniheap for the class, doubling the growth target. *)
 let grow t cls =
   let capacity = cls.next_objects in
@@ -177,11 +175,6 @@ let allocator t =
 let class_capacity t ~class_ = t.classes.(class_).total_capacity
 let class_in_use t ~class_ = t.classes.(class_).total_in_use
 let miniheap_count t ~class_ = List.length t.classes.(class_).miniheaps
-
-let class_fullness t ~class_ =
-  let cls = t.classes.(class_) in
-  if cls.total_capacity = 0 then 0.
-  else float_of_int cls.total_in_use /. float_of_int cls.total_capacity
 
 let mapped_small_bytes t =
   Array.fold_left

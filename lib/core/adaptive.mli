@@ -40,28 +40,25 @@ val create : ?min_headroom:int -> ?seed:int -> Dh_mem.Mem.t -> t
     protection at the corresponding address-space cost — the §4.5
     trade-off made explicit (quantified by `bench inject`). *)
 
-val malloc : t -> int -> int option
-(** Never returns NULL for small objects unless the simulated address
-    space itself is exhausted — the adaptive heap grows instead. *)
-
-val free : t -> int -> unit
-
 val allocator : t -> Dh_alloc.Allocator.t
+(** The common allocator interface.  Its [malloc] never returns NULL for
+    small objects unless the simulated address space itself is
+    exhausted — the adaptive heap grows instead. *)
 
-val stats : t -> Dh_alloc.Stats.t
+(** {1 Introspection}
 
-(** {1 Introspection} *)
+    Each class keeps [class_in_use ≤ class_capacity / M] (+1 transient
+    slot). *)
 
 val class_capacity : t -> class_:int -> int
-(** Total slots across the class's miniheaps. *)
+(** Total slots across the class's miniheaps.  Oracle: test_adaptive. *)
 
 val class_in_use : t -> class_:int -> int
+(** Live slots of the class.  Oracle: test_adaptive. *)
 
 val miniheap_count : t -> class_:int -> int
-
-val class_fullness : t -> class_:int -> float
-(** Always ≤ 1/M (+1 transient slot) by the class invariant. *)
+(** Miniheaps the class has mapped.  Oracle: test_adaptive. *)
 
 val mapped_small_bytes : t -> int
-(** Address space mapped for small-object miniheaps — compare with a
-    fixed {!Heap} of worst-case size (the ablation bench does). *)
+(** Address space mapped for small-object miniheaps.  Oracle:
+    test_adaptive's headroom bound. *)

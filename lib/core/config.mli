@@ -73,11 +73,9 @@ val v :
     [mesh_threshold <= 0], or a region is smaller than [M] objects of
     the largest size class ([heap_size / 12 < 16384 * M]). *)
 
-val region_size : t -> int
-(** Bytes per size-class region ([heap_size / 12], page-rounded down). *)
-
 val objects_in_region : t -> class_:int -> int
-(** Capacity in objects of the region for [class_]. *)
+(** Capacity in objects of the region for [class_]: each region is
+    [heap_size / 12] bytes, page-rounded down. *)
 
 val threshold : t -> class_:int -> int
 (** Maximum live objects the region for [class_] may hold

@@ -644,13 +644,6 @@ let fault_site t addr =
     below (region.capacity - 1)
   | None -> Some (Option.value (site_of_addr t addr) ~default:Dh_obs.Audit.unknown)
 
-let slot_of_addr t addr =
-  let i = region_index t addr in
-  if i < 0 then None
-  else
-    let region = t.regions.(i) in
-    Some (region.class_, (addr - region.base) lsr region.shift)
-
 let find_object t addr =
   let i = region_index t addr in
   if i < 0 then large_find t.large addr
@@ -664,11 +657,6 @@ let find_object t addr =
         size;
         allocated = Bitmap.get region.bitmap index;
       }
-
-let object_size t addr =
-  match find_object t addr with
-  | Some { Allocator.base; size; allocated } when allocated && base = addr -> Some size
-  | Some _ | None -> None
 
 let owns t addr = region_index t addr >= 0 || Option.is_some (large_find t.large addr)
 
@@ -739,8 +727,6 @@ let region_in_use t ~class_ = t.regions.(class_).in_use
 let region_fullness t ~class_ =
   let region = t.regions.(class_) in
   float_of_int region.in_use /. float_of_int region.capacity
-
-let large_object_count t = Imap.cardinal t.large.objects
 
 let pp_layout ppf t =
   let width = 64 in

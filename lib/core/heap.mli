@@ -30,20 +30,16 @@ val config : t -> Config.t
 val mem : t -> Dh_mem.Mem.t
 (** The address space the heap was created on. *)
 
-val malloc : t -> int -> int option
-(** [malloc t sz] — [None] means NULL: the size class is at its [1/M]
-    threshold (or [sz <= 0]).  The ambient site of the heap's address
-    space ({!Dh_obs.Audit.with_site}) attributes the allocation for
-    audit provenance, in the heap's own {!audit}.  Sites never affect
-    placement or success — they are write-only telemetry, recorded only
-    while the space has obs on. *)
-
-val free : t -> int -> unit
-(** Validated deallocation; invalid and double frees are ignored (and
-    counted in {!Dh_alloc.Stats.t.ignored_frees}). *)
-
 val allocator : t -> Dh_alloc.Allocator.t
-(** Package as the common allocator interface. *)
+(** Package as the common allocator interface.  Its [malloc] returns
+    [None] (NULL) when the size class is at its [1/M] threshold (or
+    [sz <= 0]); the ambient site of the heap's address space
+    ({!Dh_obs.Audit.with_site}) attributes the allocation for audit
+    provenance, in the heap's own {!audit}.  Sites never affect
+    placement or success — they are write-only telemetry, recorded only
+    while the space has obs on.  Its [free] validates the pointer;
+    invalid and double frees are ignored (and counted in
+    {!Dh_alloc.Stats.t.ignored_frees}). *)
 
 val stats : t -> Dh_alloc.Stats.t
 
@@ -100,11 +96,9 @@ val invariants : t -> unit
     hold disjoint live slots; and every live object sits at a
     slot-aligned address of its own region (a large object: page-aligned,
     just past its guard page).  Costs O(bitmap bytes); meant to run after
-    every operation of a test, never on the allocation paths. *)
-
-val object_size : t -> int -> int option
-(** Reserved size of the live object at exactly this base address (small
-    or large), if any. *)
+    every operation of a test, never on the allocation paths.  Oracle:
+    the six-allocator differential and the mesh tests
+    (test_properties, test_mesh). *)
 
 val find_object : t -> int -> Dh_alloc.Allocator.object_info option
 
@@ -119,10 +113,6 @@ val region_in_use : t -> class_:int -> int
 
 val region_fullness : t -> class_:int -> float
 (** [in_use / capacity] — the heap-fullness parameter of Theorem 1. *)
-
-val slot_of_addr : t -> int -> (int * int) option
-(** [(class, slot index)] of an address inside a mapped region, regardless
-    of allocation state. *)
 
 val site_of_addr : t -> int -> int option
 (** Allocation-site id recorded for the slot or large object covering
@@ -147,8 +137,6 @@ val audit : t -> Dh_obs.Audit.t
     and per-site tallies of every malloc, free and threshold refusal it
     served; empty when its address space has obs off.  Cumulative: {!restore}
     does not roll it back. *)
-
-val large_object_count : t -> int
 
 (** {1 Guarded large objects}
 

@@ -22,10 +22,8 @@ val create : ?config:Config.t -> Dh_mem.Mem.t -> t
     for classes above 256 bytes are simply never mapped). *)
 
 val protected_heap : t -> Heap.t
-(** The DieHard side — for white-box inspection. *)
+(** The DieHard side.  Oracle: the allocator differential checks its
+    invariants, and the routing tests ask which side owns an object
+    (test_properties, test_hybrid). *)
 
 val allocator : t -> Dh_alloc.Allocator.t
-
-val is_protected : t -> int -> bool
-(** Whether the given {e live object address} is managed by the DieHard
-    side. *)

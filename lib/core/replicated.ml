@@ -20,10 +20,9 @@ type report = {
   events : Dh_obs.Tracing.event list;
 }
 
-let run_program_once ?(config = Config.default) ?(seed = config.Config.seed)
-    ?(input = "") ?fuel program =
+let run_program_once ?(config = Config.default) ?(input = "") ?fuel program =
   let mem = Dh_mem.Mem.create () in
-  let heap = Heap.create ~config:{ config with Config.seed } mem in
+  let heap = Heap.create ~config mem in
   Program.run ?fuel ~input program (Heap.allocator heap)
 
 (* Per-replica voting state. *)

@@ -75,7 +75,6 @@ val run :
 
 val run_program_once :
   ?config:Config.t ->
-  ?seed:int ->
   ?input:string ->
   ?fuel:int ->
   Dh_alloc.Program.t ->

@@ -10,9 +10,6 @@
     every replica disagrees this is the signature of an uninitialized
     read reaching output (§3.2, §6.3). *)
 
-val chunk_size : int
-(** 4096 — the pipe-transfer unit the paper buffers by. *)
-
 type ballot = {
   replica : int;  (** Replica id. *)
   chunk : string;  (** This replica's buffer contents at the barrier. *)
@@ -32,7 +29,8 @@ val vote : ballot list -> verdict
 
 val chunks_of_output : crashed:bool -> string -> string list
 (** Split a replica's complete output into the sequence of barrier
-    buffers it would have presented: full 4 KB chunks plus — only if the
+    buffers it would have presented: full 4 KB chunks (4096 bytes, the
+    pipe-transfer unit the paper buffers by) plus — only if the
     replica terminated normally — its final partial (possibly empty)
     chunk.  A crashed replica never reached the barrier for its trailing
     partial chunk, so that data is discarded. *)

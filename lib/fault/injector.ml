@@ -44,10 +44,6 @@ type t = {
      own (legitimate) free must still go through. *)
   swallow : (int, int) Hashtbl.t;
   mutable clock : int;
-  mutable underflows : int;
-  mutable danglings : int;
-  mutable double_frees : int;
-  mutable invalid_frees : int;
 }
 
 let chance t p = p > 0. && Mwc.float01 t.rng < p
@@ -79,7 +75,6 @@ let fire_schedule t (alloc : Allocator.t) =
           Hashtbl.remove t.alloc_time_of_addr addr;
           let pending = Option.value ~default:0 (Hashtbl.find_opt t.swallow addr) in
           Hashtbl.replace t.swallow addr (pending + 1);
-          t.danglings <- t.danglings + 1;
           alloc.Allocator.free addr
         | None -> ())
       victims
@@ -94,10 +89,6 @@ let wrap spec ~log alloc =
       alloc_time_of_addr = Hashtbl.create 64;
       swallow = Hashtbl.create 64;
       clock = 0;
-      underflows = 0;
-      danglings = 0;
-      double_frees = 0;
-      invalid_frees = 0;
     }
   in
   build_schedule t log;
@@ -107,10 +98,7 @@ let wrap spec ~log alloc =
         sz >= spec.underflow_min_size
         && spec.underflow_bytes > 0
         && chance t spec.underflow_rate
-      then begin
-        t.underflows <- t.underflows + 1;
-        sz - spec.underflow_bytes
-      end
+      then sz - spec.underflow_bytes
       else sz
     in
     match alloc.Allocator.malloc actual with
@@ -124,14 +112,9 @@ let wrap spec ~log alloc =
   in
   let forward_free addr =
     alloc.Allocator.free addr;
-    if chance t spec.double_free_rate then begin
-      t.double_frees <- t.double_frees + 1;
-      alloc.Allocator.free addr
-    end;
-    if chance t spec.invalid_free_rate then begin
-      t.invalid_frees <- t.invalid_frees + 1;
+    if chance t spec.double_free_rate then alloc.Allocator.free addr;
+    if chance t spec.invalid_free_rate then
       alloc.Allocator.free (addr + 1 + Mwc.below t.rng 7)
-    end
   in
   let free addr =
     match Hashtbl.find_opt t.swallow addr with
@@ -148,12 +131,4 @@ let wrap spec ~log alloc =
         forward_free addr
       | None -> alloc.Allocator.free addr)
   in
-  let wrapped =
-    { alloc with Allocator.name = alloc.Allocator.name ^ "+inject"; malloc; free }
-  in
-  (t, wrapped)
-
-let injected_underflows t = t.underflows
-let injected_danglings t = t.danglings
-let injected_double_frees t = t.double_frees
-let injected_invalid_frees t = t.invalid_frees
+  { alloc with Allocator.name = alloc.Allocator.name ^ "+inject"; malloc; free }

@@ -33,7 +33,9 @@ type spec = {
 }
 
 val nothing : spec
-(** All rates zero — the identity wrapper. *)
+(** All rates zero — the identity wrapper.  Oracle: the injector and
+    campaign tests vary one rate of it, or run it as the no-fault
+    control. *)
 
 val paper_dangling : spec
 (** §7.3.1's first experiment: dangling rate 1/2, distance 10. *)
@@ -42,11 +44,9 @@ val paper_overflow : spec
 (** §7.3.1's second experiment: 1% of allocations of ≥ 32 bytes
     under-allocated by 4 bytes. *)
 
-type t
-
-val wrap : spec -> log:Dh_alloc.Trace.lifetime list -> Dh_alloc.Allocator.t -> t * Dh_alloc.Allocator.t
-(** [wrap spec ~log alloc] returns the injector state and an allocator
-    that forwards to [alloc] while injecting the configured faults.
+val wrap : spec -> log:Dh_alloc.Trace.lifetime list -> Dh_alloc.Allocator.t -> Dh_alloc.Allocator.t
+(** [wrap spec ~log alloc] is an allocator that forwards to [alloc]
+    while injecting the configured faults.
     [log] is the allocation log from a tracing run of the same program
     (pass [\[\]] when only injecting underflows).
 
@@ -57,8 +57,3 @@ val wrap : spec -> log:Dh_alloc.Trace.lifetime list -> Dh_alloc.Allocator.t -> t
     pointer is then {e ignored} (swallowed by the wrapper, so allocators
     that would misbehave on the double free are not spuriously
     triggered — the injected error is purely the premature free). *)
-
-val injected_underflows : t -> int
-val injected_danglings : t -> int
-val injected_double_frees : t -> int
-val injected_invalid_frees : t -> int

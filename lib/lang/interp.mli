@@ -22,8 +22,8 @@
     under any context.  Execution starts at [main()].  A name, arity or
     missing-[main] error is raised as {!Runtime_error} only when execution
     reaches it — a bad call in code that never runs is harmless — with an
-    arity error raised after the call's arguments were evaluated; {!check}
-    reports all of them without running.
+    arity error raised after the call's arguments were evaluated;
+    {!check_source} reports all of them without running.
 
     {b Fuel contract.}  Fuel burns at exactly three points: once when a
     statement starts, once per [while]/[for] iteration before its
@@ -62,9 +62,11 @@ type libc =
 exception Runtime_error of string
 (** A MiniC-level error in the program text, not in its run: unknown
     variable or function, wrong arity, or missing [main].  Escapes
-    {!Dh_mem.Process.run}, and so a replicated run; a program {!check}
-    accepts never raises it.  The CLI reports it as a usage error (exit
-    2).  An integer division or modulo by zero is the simulated
+    {!Dh_mem.Process.run}, and so a replicated run; a program
+    {!check_source} accepts never raises it.  The CLI checks every MiniC
+    program before it builds an address space, so it rejects such a
+    program in every subcommand (exit 2) and never sees this exception
+    escape a run.  An integer division or modulo by zero is the simulated
     machine's [Dh_mem.Fault.Arith_trap] instead: the process crashes, so
     a replica that divides by an uninitialized byte its random fill made
     zero is dropped and the rest vote. *)
@@ -81,21 +83,18 @@ val program_of_source : ?libc:libc -> name:string -> string -> Dh_alloc.Program.
 
 (** {1 Static checking}
 
-    The compiler is the checker: {!check} compiles the program as a run
-    would, against a throwaway heap, without allocating its literals or
-    running a statement, and returns what the compile reported.  A
-    program it accepts resolves every name, so it will not raise
-    {!Runtime_error}.  MiniC stays deliberately unsafe about
+    The compiler is the checker: {!check_source} compiles the program as
+    a run would, against a throwaway heap, without allocating its
+    literals or running a statement, and returns what the compile
+    reported.  A program it accepts resolves every name, so it will not
+    raise {!Runtime_error}.  MiniC stays deliberately unsafe about
     memory: the check proves nothing about it. *)
 
-val check : Ast.program -> string list
-(** Every diagnostic, ["in <function>: <message>"], in program order
-    (["in <toplevel>: ..."] for definitions): an unknown variable or
-    function; a wrong arity at a callsite, user function or builtin; a
-    duplicate function or parameter; a function that shadows a builtin;
-    [break] or [continue] outside a loop; a missing or parameterised
-    [main].  Empty when the program is well formed. *)
-
 val check_source : string -> (Ast.program, string list) result
-(** Parse then {!check}; [Error] carries the ["line:col: ..."] lexical
-    or syntax error, or the diagnostics. *)
+(** Parse, then check.  [Error] carries the ["line:col: ..."] lexical or
+    syntax error, or every diagnostic, ["in <function>: <message>"], in
+    program order (["in <toplevel>: ..."] for definitions): an unknown
+    variable or function; a wrong arity at a callsite, user function or
+    builtin; a duplicate function or parameter; a function that shadows a
+    builtin; [break] or [continue] outside a loop; a missing or
+    parameterised [main]. *)

@@ -259,9 +259,3 @@ let parse_program src =
     else loop (parse_func st :: acc)
   in
   loop []
-
-let parse_expr src =
-  let st = { tokens = tokenize src; pos = 0 } in
-  let e = parse_expression st in
-  if (current st).token <> EOF then error st "trailing input after expression";
-  e

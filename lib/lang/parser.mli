@@ -14,6 +14,3 @@ exception Syntax_error of string * int * int
 val parse_program : string -> Ast.program
 (** Parse a full source file: a sequence of [fn name(params) { ... }]
     definitions.  Raises {!Syntax_error} or {!Lexer.Lex_error}. *)
-
-val parse_expr : string -> Ast.expr
-(** Parse a single expression — convenience for tests. *)

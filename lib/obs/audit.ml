@@ -28,11 +28,11 @@ let () = ignore (intern_unlocked "unknown")
 
 let site name = Mutex.protect sites_lock (fun () -> intern_unlocked name)
 
+let site_count () = Mutex.protect sites_lock (fun () -> !n_sites)
+
 let site_name id =
   Mutex.protect sites_lock (fun () ->
       if id >= 0 && id < !n_sites then !site_names.(id) else "?")
-
-let site_count () = Mutex.protect sites_lock (fun () -> !n_sites)
 
 (* --- the ambient site ---
 
@@ -237,9 +237,3 @@ let entropy_bits hist =
           acc -. (p *. log p /. log 2.)
         end)
       0. hist
-
-let reset () =
-  Mutex.protect sites_lock (fun () ->
-      Hashtbl.reset site_ids;
-      n_sites := 0;
-      ignore (intern_unlocked "unknown"))

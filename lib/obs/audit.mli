@@ -37,10 +37,6 @@
     back into execution, so a run's output is identical with auditing on
     or off. *)
 
-val max_classes : int
-(** 16 — per-class arrays cover at least the heap's twelve size classes
-    (out-of-range classes are ignored, never an error). *)
-
 val slot_buckets : int
 (** 64 — buckets of the per-class relative-slot-position histogram. *)
 
@@ -63,8 +59,6 @@ val site : string -> int
 
 val site_name : int -> string
 (** Name of an interned id; ["?"] for ids never returned by {!site}. *)
-
-val site_count : unit -> int
 
 (** {2 The ambient site}
 
@@ -134,7 +128,9 @@ type site_stat = {
     for its incident's offenders. *)
 
 type snapshot = {
-  classes : class_stat array;  (** Length {!max_classes}, indexed by class. *)
+  classes : class_stat array;
+      (** Indexed by class; 16 long, which covers the heap's twelve size
+          classes (out-of-range classes are ignored, never an error). *)
   sites : site_stat list;  (** Sites with any allocation or free, by id. *)
 }
 
@@ -160,6 +156,3 @@ val entropy_bits : int array -> float
 (** Shannon entropy (bits) of a histogram; [0.] for an empty one.  A
     uniform 64-bucket histogram approaches [log2 64 = 6.] from below as
     samples accumulate. *)
-
-val reset : unit -> unit
-(** Reset the site registry (back to {!unknown} only) — for tests. *)

@@ -170,8 +170,6 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_list = function List l -> l | _ -> []
-
 let string_value = function String s -> Some s | _ -> None
 
 (* --- printing --- *)

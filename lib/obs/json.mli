@@ -1,5 +1,5 @@
 (** A minimal JSON parser, used to validate the telemetry the repository
-    emits ({!Tracing.to_chrome_json}, the bench report) without pulling
+    emits ({!Tracing.write_chrome_json}, the bench report) without pulling
     in a JSON dependency.  Strict on structure, lenient on nothing:
     trailing garbage, unterminated strings and malformed numbers are
     errors. *)
@@ -18,9 +18,6 @@ val parse : string -> (t, string) result
 
 val member : string -> t -> t option
 (** Field lookup in an [Obj]; [None] elsewhere. *)
-
-val to_list : t -> t list
-(** The elements of a [List]; [[]] elsewhere. *)
 
 val string_value : t -> string option
 

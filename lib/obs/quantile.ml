@@ -60,12 +60,6 @@ let record h v =
 
 let count h = Array.fold_left ( + ) 0 h.counts
 let counts h = Array.copy h.counts
-let sum h = h.sum
-
-let mean h =
-  let n = count h in
-  if n = 0 then 0. else float_of_int h.sum /. float_of_int n
-
 let quantile h q =
   let n = count h in
   if n = 0 then 0

@@ -16,16 +16,15 @@
 type t
 
 val fine_bits : int
-(** 5: 32 sub-buckets per exponent, relative error bound [1/32]. *)
-
-val bucket_count : int
-(** Buckets per histogram; every non-negative OCaml int has a bucket. *)
+(** 5: 32 sub-buckets per exponent, relative error bound [1/32].
+    Oracle: the bucketing tests' error bound (test_slo_obs). *)
 
 val create : unit -> t
 (** A fresh, empty histogram. *)
 
 val reset : unit -> unit
-(** A no-op, kept because the repo benchmark's serve pass calls it. *)
+(** A no-op.  Benchmark: perfbench's serve pass calls it; ROADMAP item 7
+    drops it with that call. *)
 
 (** {1 Recording} *)
 
@@ -36,7 +35,8 @@ val record : t -> int -> unit
 
 val bucket_of : int -> int
 (** Bucket index of a non-negative sample.  Monotone: [a <= b] implies
-    [bucket_of a <= bucket_of b]. *)
+    [bucket_of a <= bucket_of b].  Oracle: the bucketing tests check it
+    against a bit loop and {!bucket_bounds} (test_obs, test_slo_obs). *)
 
 val bucket_bounds : int -> int * int
 (** [(lo, hi)] inclusive value range of a bucket index.  [hi - lo] is
@@ -47,11 +47,8 @@ val bucket_bounds : int -> int * int
 val count : t -> int  (** Samples recorded. *)
 
 val counts : t -> int array
-(** Per-bucket sample counts, indexed like {!bucket_of} (a copy). *)
-
-val sum : t -> int
-
-val mean : t -> float  (** 0.0 when empty. *)
+(** Per-bucket sample counts, indexed like {!bucket_of} (a copy); every
+    non-negative OCaml int has a bucket. *)
 
 val quantile : t -> float -> int
 (** [quantile h q] for [q] in [[0, 1]] is the upper bound of the bucket

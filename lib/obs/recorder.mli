@@ -43,7 +43,8 @@ type report = {
 }
 
 val window : int
-(** Trace events captured per report (64). *)
+(** Trace events captured per report (64).  Oracle: the flight-capture
+    tests' window bound (test_obs, test_checkpoint). *)
 
 val max_reports : int
 (** Reports a recorder retains; older ones are dropped (16). *)

@@ -52,11 +52,9 @@ val merge : event list list -> event list
 (** Several rings' events as one list in timestamp order (then domain
     id); events with equal keys keep the order they were handed in. *)
 
-val to_chrome_json : event list -> string
-(** The events as Chrome [trace_event] JSON (an object with a
-    [traceEvents] array of [B]/[E]/[i] events; load it at
-    [chrome://tracing] or in Perfetto). *)
-
 val write_chrome_json : path:string -> event list -> unit
+(** Write the events to [path] as Chrome [trace_event] JSON (an object
+    with a [traceEvents] array of [B]/[E]/[i] events; load it at
+    [chrome://tracing] or in Perfetto). *)
 
 val pp_event : Format.formatter -> event -> unit

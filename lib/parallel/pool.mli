@@ -49,4 +49,5 @@ val init : jobs:int -> int -> (int -> 'a) -> 'a array
 val spawned_domains : unit -> int
 (** Helper domains spawned since the process started, cumulative: a
     fan-out of width [jobs] over [n] items adds [min jobs n - 1] (fewer
-    under the helper cap).  Introspection for tests. *)
+    under the helper cap).  Oracle: the spawn-and-join and sequential
+    supervisor tests (test_parallel, test_supervisor). *)

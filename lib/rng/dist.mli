@@ -40,9 +40,8 @@ val zipf_rank : zipf_table -> h:int -> int
     CDF exceeds each bucket's lower edge, and a draw scans up from [h]'s
     bucket (its top 12 bits).  For every [h] the rank equals the one a
     binary search for the first CDF value above [u] returns; a draw
-    allocates nothing.  A sampler passes [Mwc.bits rng 30]; the serve
-    workload passes the request hash, so a rewound window replays
-    identical requests.  Raises [Invalid_argument] unless
+    allocates nothing.  The serve workload passes the request hash, so a
+    rewound window replays identical requests.  Raises [Invalid_argument] unless
     [0 <= h < 2{^30}]. *)
 
 type size_class_mix

@@ -57,16 +57,7 @@ let bits t b =
   if b < 0 || b > 30 then invalid_arg "Mwc.bits: want 0 <= bits <= 30";
   if b = 0 then 0 else next_u32 t lsr (32 - b)
 
-let bool t = next_u32 t land 1 = 1
-
 let float01 t = float_of_int (next_u32 t) /. 4294967296.
-
-let split t =
-  let a = mix ((next_u32 t lsl 32) lor next_u32 t) in
-  let b = mix (a + 0x632BE59BD9B4E019) in
-  { z = nonzero32 a; w = nonzero32 b }
-
-let state t = (t.z, t.w)
 
 (* Bulk draws: the lag words stay in locals and every two draws become one
    8-byte little-endian store, the low word first — byte for byte what

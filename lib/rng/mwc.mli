@@ -32,7 +32,8 @@ val reseed : t -> seed:int -> unit
 
 val next_u32 : t -> int
 (** [next_u32 t] returns the next output, a uniform integer in
-    [\[0, 2{^32})]. *)
+    [\[0, 2{^32})].  Oracle: the stream tests, and the draw-by-draw
+    reference for {!fill_bytes} (test_rng, test_bulk). *)
 
 val below : t -> int -> int
 (** [below t n] is uniform in [\[0, n)].  Uses rejection sampling so the
@@ -40,22 +41,12 @@ val below : t -> int -> int
     at most [2{^32}]. *)
 
 val bits : t -> int -> int
-(** [bits t b] is a uniform [b]-bit integer, [0 <= b <= 30]. *)
-
-val bool : t -> bool
-(** A uniform coin flip. *)
+(** [bits t b] is a uniform [b]-bit integer, [0 <= b <= 30].  Oracle:
+    the hashes the Zipf-rank and Theorem 3 tests draw (test_rng,
+    test_theorems). *)
 
 val float01 : t -> float
 (** Uniform float in [\[0, 1)], with 32 bits of precision. *)
-
-val split : t -> t
-(** [split t] derives a statistically independent generator from [t],
-    advancing [t].  Used to give each replica, size-class partition or
-    workload stream its own randomness. *)
-
-val state : t -> int * int
-(** Current [(z, w)] lag words; exposed for tests and for recording the
-    exact state in experiment logs. *)
 
 val fill_bytes : t -> Bytes.t -> off:int -> len:int -> unit
 (** [fill_bytes t buf ~off ~len] writes [len] random bytes into [buf] at

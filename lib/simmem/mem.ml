@@ -848,8 +848,6 @@ let checkpoint t =
   t.epoch <- t.epoch + 1;
   t.dirty <- 0
 
-let checkpointed t = Option.is_some t.ckpt
-
 let discard_checkpoint t =
   Option.iter (recycle t) t.ckpt;
   t.ckpt <- None;

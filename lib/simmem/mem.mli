@@ -24,9 +24,6 @@ val page_size : int
 val page_shift : int
 (** 12: [page_size = 1 lsl page_shift]. *)
 
-val word_size : int
-(** 8 bytes. *)
-
 val create : ?obs:bool -> unit -> t
 (** A fresh, empty address space, with a fresh {!recorder} that is on
     exactly when [obs] is (default [false]) for the space's whole life.
@@ -65,7 +62,8 @@ val is_mapped : t -> int -> bool
 
 val segment_of : t -> int -> (int * int) option
 (** [segment_of t addr] is [Some (base, len)] for the mapped segment
-    containing [addr], if any. *)
+    containing [addr], if any.  Oracle: the reference model's mapping
+    check (test_mem_model). *)
 
 val mapped_bytes : t -> int
 (** Total bytes currently backed by physical pages (the simulation's
@@ -75,9 +73,10 @@ val mapped_bytes : t -> int
 val inspect : t -> addr:int -> len:int -> string
 (** The bytes of [\[addr, addr+len)], read straight from the backing
     store: no protection check, no counting, no TLB/cache charge, so
-    looking does not perturb what is looked at (the flight recorder's
-    and the tests' view).  Raises [Invalid_argument] unless the range
-    lies inside one mapped segment. *)
+    looking does not perturb what is looked at.  Raises
+    [Invalid_argument] unless the range lies inside one mapped segment.
+    Oracle: the reference model's and the rewind tests' byte
+    comparisons (test_mem_model, test_checkpoint). *)
 
 (** {1 Page meshing}
 
@@ -104,12 +103,15 @@ val alias : t -> src:int -> dst:int -> live:(int * int) list -> unit
     program faults). *)
 
 val meshed_pages : t -> int
-(** Backing pages currently retired by {!alias} across all segments. *)
+(** Backing pages currently retired by {!alias} across all segments.
+    Benchmark: perfbench's alloc pass reports it as [mem.meshed_pages];
+    ROADMAP item 7 drops the names only the benchmark holds. *)
 
 val backing_page : t -> int -> int
 (** The address of the backing (physical) page for the page containing
-    the given address — equal for two meshed pages, distinct otherwise
-    (tests and diagnostics). *)
+    the given address — equal for two meshed pages, distinct otherwise.
+    Oracle: the mesh tests' check of which pages share a backing page
+    (test_mesh, test_checkpoint). *)
 
 (** {1 Access}
 
@@ -213,9 +215,6 @@ val write_cstring : t -> addr:int -> string -> unit
 val checkpoint : t -> unit
 (** Arm (or re-arm) the checkpoint.  Re-arming commits the previous
     window: its undo log is dropped. *)
-
-val checkpointed : t -> bool
-(** Whether a checkpoint is armed. *)
 
 val discard_checkpoint : t -> unit
 (** Disarm without rewinding; the current state becomes permanent. *)

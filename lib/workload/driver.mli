@@ -40,7 +40,8 @@ val live_order : peak:int -> born:int array -> int array -> int -> int array
     peaked at [peak]: its buckets in descending index
     ([Hashtbl.hash addr land (b - 1)], where [b] is 256 doubled while
     [peak > 2b]), each bucket in ascending op.  Ops must be below 2{^32}.
-    It costs O(n log n). *)
+    It costs O(n log n).  Oracle: test_workload checks it against a real
+    [Hashtbl.Make] fold. *)
 
 val heap_size_for : Profile.t -> int
 (** A DieHard heap size comfortably serving this profile (per-class

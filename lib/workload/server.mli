@@ -35,7 +35,9 @@ val service :
     {!Dh_rng.Dist.zipf_rank} over one table the service builds when it
     is created — so the rewind-determinism contract is unchanged.
     Omitted = uniform keys.  Raises [Invalid_argument] when
-    [requests < 0] or [attack_every < 0]. *)
+    [requests < 0] or [attack_every < 0].  Benchmark: perfbench's serve
+    pass runs it directly; elsewhere it runs through {!program}.
+    ROADMAP item 7 lists the names only the benchmark holds. *)
 
 val program :
   ?requests:int -> ?attack_every:int -> ?zipf:float -> unit -> Dh_alloc.Program.t
@@ -47,7 +49,9 @@ val url_of : ?zipf:float -> unit -> attack:bool -> int -> string
 (** [url_of ?zipf ()] builds the key stream {!service} builds for the
     same [zipf] and returns request [k]'s URL under it:
     [Printf.sprintf "http://h%03x.example/%d" key path] for the request's
-    key and path, padded with ['A'] to 3000 bytes when [attack]. *)
+    key and path, padded with ['A'] to 3000 bytes when [attack].
+    Oracle: test_workload pins the request stream and its allocation
+    through it. *)
 
 val heap_size : int
 (** A heap sized so the title region spans 16 pages (64 KiB per class):

@@ -53,7 +53,9 @@ let test_invariant_never_above_threshold () =
       check
         (Printf.sprintf "fullness at %d allocs" i)
         true
-        (Adaptive.class_fullness t ~class_:3 <= 0.5 +. 0.001)
+        (float_of_int (Adaptive.class_in_use t ~class_:3)
+         /. float_of_int (Adaptive.class_capacity t ~class_:3)
+        <= 0.5 +. 0.001)
   done
 
 let test_classes_independent () =

@@ -357,7 +357,7 @@ let test_iter_clear_complements_iter_set () =
     let n = 1 + Dh_rng.Mwc.below rng 500 in
     let bm = Dh_alloc.Bitmap.create n in
     for i = 0 to n - 1 do
-      if Dh_rng.Mwc.bool rng then Dh_alloc.Bitmap.set bm i
+      if Dh_rng.Mwc.below rng 2 = 1 then Dh_alloc.Bitmap.set bm i
     done;
     let seen = Array.make n 0 in
     Dh_alloc.Bitmap.iter_set bm (fun i -> seen.(i) <- seen.(i) + 1);

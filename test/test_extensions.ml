@@ -59,23 +59,26 @@ let expect_abort f =
 let test_failstop_uninit_read_aborts () =
   let mem = Mem.create () in
   let fl = Freelist.create mem in
-  let p = Policy.make ~kind:Policy.Fail_stop (Freelist.allocator fl) in
-  let ptr = Allocator.malloc_exn (Policy.allocator p) 64 in
+  let a = Freelist.allocator fl in
+  let p = Policy.make ~kind:Policy.Fail_stop a in
+  let ptr = Allocator.malloc_exn a 64 in
   expect_abort (fun () -> ignore (Policy.load p ptr))
 
 let test_failstop_initialized_read_ok () =
   let mem = Mem.create () in
   let fl = Freelist.create mem in
-  let p = Policy.make ~kind:Policy.Fail_stop (Freelist.allocator fl) in
-  let ptr = Allocator.malloc_exn (Policy.allocator p) 64 in
+  let a = Freelist.allocator fl in
+  let p = Policy.make ~kind:Policy.Fail_stop a in
+  let ptr = Allocator.malloc_exn a 64 in
   Policy.store p ptr 9;
   check_int "read after write fine" 9 (Policy.load p ptr)
 
 let test_failstop_partial_initialization () =
   let mem = Mem.create () in
   let fl = Freelist.create mem in
-  let p = Policy.make ~kind:Policy.Fail_stop (Freelist.allocator fl) in
-  let ptr = Allocator.malloc_exn (Policy.allocator p) 64 in
+  let a = Freelist.allocator fl in
+  let p = Policy.make ~kind:Policy.Fail_stop a in
+  let ptr = Allocator.malloc_exn a 64 in
   Policy.store8 p ptr 1;  (* only one byte of the word *)
   check_int "byte read of written byte ok" 1 (Policy.load8 p ptr);
   expect_abort (fun () -> ignore (Policy.load p ptr))

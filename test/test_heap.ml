@@ -9,6 +9,22 @@ module Size_class = Dh_alloc.Size_class
 module Stats = Dh_alloc.Stats
 open Diehard
 
+(* A small object's [(class, slot index)], read from the heap's object
+   map: a slot reports its class's size, and its base's offset from that
+   class's region base gives the index.  [None] for a large object. *)
+let slot_of_addr heap p =
+  match Heap.find_object heap p with
+  | Some { Allocator.base; size; _ } when size <= Size_class.max_size ->
+    let class_ = Size_class.of_size_exn size in
+    Option.map (fun region -> (class_, (base - region) / size)) (Heap.region_base heap ~class_)
+  | Some _ | None -> None
+
+(* Whether a live large object starts at [p]. *)
+let large_at heap p =
+  match Heap.find_object heap p with
+  | Some { Allocator.base; size; allocated } -> allocated && base = p && size > Size_class.max_size
+  | None -> false
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -43,7 +59,7 @@ let test_config_validation () =
 
 let test_config_geometry () =
   let c = Config.v ~heap_size:(12 lsl 20) ~multiplier:2. () in
-  check_int "region size" (1 lsl 20) (Config.region_size c);
+  check_int "region size" (1 lsl 20) (8 * Config.objects_in_region c ~class_:0);
   check_int "class-0 capacity" ((1 lsl 20) / 8) (Config.objects_in_region c ~class_:0);
   check_int "class-0 threshold" ((1 lsl 20) / 16) (Config.threshold c ~class_:0);
   check_int "class-11 capacity" ((1 lsl 20) / 16384)
@@ -102,7 +118,7 @@ let test_objects_disjoint_and_aligned () =
   let ptrs = List.init 200 (fun i -> Allocator.malloc_exn a (8 + (i mod 200))) in
   List.iter
     (fun p ->
-      match Heap.slot_of_addr heap p with
+      match slot_of_addr heap p with
       | Some (class_, slot) ->
         (match Heap.region_base heap ~class_ with
         | Some base ->
@@ -118,7 +134,7 @@ let test_size_class_routing () =
   List.iter
     (fun (sz, expected_class) ->
       let p = Allocator.malloc_exn a sz in
-      match Heap.slot_of_addr heap p with
+      match slot_of_addr heap p with
       | Some (class_, _) -> check_int (Printf.sprintf "size %d" sz) expected_class class_
       | None -> Alcotest.fail "small object expected in a region")
     [ (1, 0); (8, 0); (9, 1); (100, 4); (4096, 9); (16384, 11) ]
@@ -196,7 +212,7 @@ let test_placement_roughly_uniform () =
   let slots =
     List.init n (fun _ ->
         let p = Allocator.malloc_exn a 256 in
-        match Heap.slot_of_addr heap p with
+        match slot_of_addr heap p with
         | Some (_, slot) -> slot
         | None -> Alcotest.fail "must be in region")
   in
@@ -259,7 +275,7 @@ let test_invalid_free_unallocated_slot_ignored () =
   let _, heap, a = make () in
   let p = Allocator.malloc_exn a 64 in
   (* A different, slot-aligned but unallocated address in the region. *)
-  (match Heap.slot_of_addr heap p with
+  (match slot_of_addr heap p with
   | Some (class_, slot) -> (
     match Heap.region_base heap ~class_ with
     | Some base ->
@@ -313,7 +329,7 @@ let test_large_object_allocation () =
   Mem.write8 mem p 1;
   Mem.write8 mem (p + 99_999) 2;
   check_int "large object usable" 1 (Mem.read8 mem p);
-  check_int "count" 1 (Heap.large_object_count heap)
+  check "count" true (large_at heap p)
 
 let test_large_object_guard_pages () =
   let mem, _, a = make () in
@@ -332,7 +348,7 @@ let test_large_object_free_unmaps () =
   let mem, heap, a = make () in
   let p = Allocator.malloc_exn a 20_000 in
   a.Allocator.free p;
-  check_int "unregistered" 0 (Heap.large_object_count heap);
+  check "unregistered" false (large_at heap p);
   match Mem.read8 mem p with
   | exception Dh_mem.Fault.Error _ -> ()
   | _ -> Alcotest.fail "large object should be unmapped"
@@ -347,10 +363,10 @@ let test_large_object_double_free_ignored () =
 let test_large_boundary_16k () =
   let _, heap, a = make () in
   let p = Allocator.malloc_exn a 16384 in
-  check "16K is small" true (Heap.slot_of_addr heap p <> None);
+  check "16K is small" true (slot_of_addr heap p <> None);
   let q = Allocator.malloc_exn a 16385 in
-  check "16K+1 is large" true (Heap.slot_of_addr heap q = None);
-  check_int "one large object" 1 (Heap.large_object_count heap)
+  check "16K+1 is large" true (slot_of_addr heap q = None);
+  check "one large object" true (large_at heap q)
 
 (* --- replicated-mode fill --- *)
 
@@ -428,8 +444,10 @@ let test_owns_and_find () =
 let test_object_size () =
   let _, heap, a = make () in
   let p = Allocator.malloc_exn a 100 in
-  check "object_size at base" true (Heap.object_size heap p = Some 128);
-  check "object_size interior is None" true (Heap.object_size heap (p + 4) = None)
+  check "object_size at base" true
+    (Heap.find_object heap p = Some { Allocator.base = p; size = 128; allocated = true });
+  check "object_size interior is None" true
+    (match Heap.find_object heap (p + 4) with Some { Allocator.base; _ } -> base <> p + 4 | None -> true)
 
 (* --- qcheck properties --- *)
 
@@ -462,7 +480,7 @@ let prop_bitmap_matches_accounting =
         (fun p ->
           match Heap.find_object heap p with
           | Some { Allocator.base; allocated; _ } -> allocated && base = p
-          | None -> Heap.object_size heap p <> None)
+          | None -> false)
         !live
       && a.Allocator.stats.Stats.live_objects = List.length !live)
 
@@ -490,22 +508,22 @@ let prop_malloc_returns_free_then_marks =
    lookup and the region search box no closure, tuple or option. *)
 let test_malloc_free_allocation () =
   let config = Config.v ~heap_size:(12 * 1024 * 1024) ~seed:3 () in
-  let _, heap, _ = make ~config () in
+  let _, _, a = make ~config () in
   let sizes = [| 8; 24; 48; 100; 200 |] in
   (* Map every region first: the first malloc of a class maps it. *)
-  Array.iter (fun sz -> Heap.free heap (Option.get (Heap.malloc heap sz))) sizes;
+  Array.iter (fun sz -> a.Allocator.free (Option.get (a.Allocator.malloc sz))) sizes;
   let n = 10_000 in
   let addrs = Array.make n 0 in
   let before = Gc.minor_words () in
   for i = 0 to n - 1 do
-    match Heap.malloc heap sizes.(i mod Array.length sizes) with
-    | Some a -> addrs.(i) <- a
+    match a.Allocator.malloc sizes.(i mod Array.length sizes) with
+    | Some p -> addrs.(i) <- p
     | None -> ()
   done;
   let malloc_words = Gc.minor_words () -. before in
   let before = Gc.minor_words () in
   for i = 0 to n - 1 do
-    Heap.free heap addrs.(i)
+    a.Allocator.free addrs.(i)
   done;
   let free_words = Gc.minor_words () -. before in
   check "every malloc succeeded" true (Array.for_all (( <> ) 0) addrs);

@@ -90,27 +90,33 @@ let test_lex_error () =
 
 (* --- parser --- *)
 
+(* An expression, parsed as the one statement of a program's [main]. *)
+let parse_expr src =
+  match Parser.parse_program ("fn main() { return " ^ src ^ "; }") with
+  | { Ast.funcs = [ { Ast.body = [ Ast.Return (Some e) ]; _ } ] } -> e
+  | _ -> Alcotest.failf "%S is not one expression" src
+
 let test_parse_precedence () =
-  let e = Parser.parse_expr "1 + 2 * 3" in
+  let e = parse_expr "1 + 2 * 3" in
   check "mul binds tighter" true
     (e = Ast.Binop (Ast.Add, Ast.Int 1, Ast.Binop (Ast.Mul, Ast.Int 2, Ast.Int 3)));
-  let e = Parser.parse_expr "1 < 2 && 3 < 4" in
+  let e = parse_expr "1 < 2 && 3 < 4" in
   (match e with
   | Ast.Binop (Ast.And, Ast.Binop (Ast.Lt, _, _), Ast.Binop (Ast.Lt, _, _)) -> ()
   | _ -> Alcotest.fail "comparison binds tighter than &&");
-  let e = Parser.parse_expr "1 + 2 + 3" in
+  let e = parse_expr "1 + 2 + 3" in
   match e with
   | Ast.Binop (Ast.Add, Ast.Binop (Ast.Add, _, _), _) -> ()
   | _ -> Alcotest.fail "addition is left-associative"
 
 let test_parse_unary_and_index () =
-  (match Parser.parse_expr "*p" with
+  (match parse_expr "*p" with
   | Ast.Unop (Ast.Deref, Ast.Var "p") -> ()
   | _ -> Alcotest.fail "deref");
-  (match Parser.parse_expr "a[i + 1]" with
+  (match parse_expr "a[i + 1]" with
   | Ast.Index (Ast.Var "a", Ast.Binop (Ast.Add, _, _)) -> ()
   | _ -> Alcotest.fail "index");
-  match Parser.parse_expr "-x[0]" with
+  match parse_expr "-x[0]" with
   | Ast.Unop (Ast.Neg, Ast.Index (_, _)) -> ()
   | _ -> Alcotest.fail "unary binds looser than postfix"
 

@@ -15,6 +15,11 @@ module Config = Diehard.Config
 module Driver = Dh_workload.Driver
 module Profile = Dh_workload.Profile
 
+(* DieHard's malloc and free, through the allocator record the system
+   calls. *)
+let heap_malloc h = (Heap.allocator h).Allocator.malloc
+let heap_free h = (Heap.allocator h).Allocator.free
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let page = Mem.page_size
@@ -145,7 +150,7 @@ let heap_with ?(heap_size = 24 lsl 20) ?(seed = 7) ?mesh_threshold ~mesh () =
 let test_heap_mesh_preserves_live_bytes () =
   let mem, heap = heap_with ~mesh:false () in
   let objs =
-    Array.init 512 (fun i -> (i, Option.get (Heap.malloc heap 64)))
+    Array.init 512 (fun i -> (i, Option.get (heap_malloc heap 64)))
   in
   Array.iter
     (fun (i, p) -> Mem.fill mem ~addr:p ~len:64 (Char.chr (33 + (i mod 64))))
@@ -153,7 +158,7 @@ let test_heap_mesh_preserves_live_bytes () =
   let survivors =
     List.filter
       (fun (i, p) ->
-        if i mod 4 <> 0 then begin Heap.free heap p; false end else true)
+        if i mod 4 <> 0 then begin heap_free heap p; false end else true)
       (Array.to_list objs)
   in
   let meshed = Heap.mesh heap in
@@ -167,13 +172,13 @@ let test_heap_mesh_preserves_live_bytes () =
     (List.for_all intact survivors);
   (* The allocator stays sound on the meshed region: fresh allocations
      must avoid masked slots and leave survivors untouched. *)
-  let fresh = List.init 256 (fun _ -> Option.get (Heap.malloc heap 64)) in
+  let fresh = List.init 256 (fun _ -> Option.get (heap_malloc heap 64)) in
   List.iter (fun p -> Mem.fill mem ~addr:p ~len:64 '!') fresh;
   check "survivors survive post-mesh allocation churn" true
     (List.for_all intact survivors);
   (* And freeing a survivor on a meshed page is still a valid free. *)
   let ignored_before = (Heap.stats heap).Dh_alloc.Stats.ignored_frees in
-  List.iter (fun (_, p) -> Heap.free heap p) survivors;
+  List.iter (fun (_, p) -> heap_free heap p) survivors;
   check_int "survivor frees validate" ignored_before
     (Heap.stats heap).Dh_alloc.Stats.ignored_frees
 
@@ -186,15 +191,15 @@ let test_dense_mesh_keeps_invariants () =
   let intact (i, p) =
     Mem.read_bytes mem ~addr:p ~len:64 = String.make 64 (Char.chr (33 + (i mod 64)))
   in
-  let objs = List.init 480 (fun i -> (i, Option.get (Heap.malloc heap 64))) in
+  let objs = List.init 480 (fun i -> (i, Option.get (heap_malloc heap 64))) in
   List.iter fill objs;
   let survivors =
-    List.filter (fun (i, p) -> i mod 4 = 0 || (Heap.free heap p; false)) objs
+    List.filter (fun (i, p) -> i mod 4 = 0 || (heap_free heap p; false)) objs
   in
   Heap.invariants heap;
   check "a dense churned region meshes" true (Heap.mesh heap > 0);
   Heap.invariants heap;
-  let fresh = List.init 200 (fun i -> (i, Option.get (Heap.malloc heap 64))) in
+  let fresh = List.init 200 (fun i -> (i, Option.get (heap_malloc heap 64))) in
   List.iter fill fresh;
   Heap.invariants heap;
   check "live bytes intact" true (List.for_all intact (survivors @ fresh))
@@ -206,15 +211,15 @@ let test_mesh_config_without_trigger_changes_nothing () =
   let _, a = heap_with ~mesh:false () in
   let _, b = heap_with ~mesh:true ~mesh_threshold:(1 lsl 40) () in
   let sizes = List.init 400 (fun i -> 8 + (i * 13 mod 2048)) in
-  let pa = List.map (Heap.malloc a) sizes and pb = List.map (Heap.malloc b) sizes in
+  let pa = List.map (heap_malloc a) sizes and pb = List.map (heap_malloc b) sizes in
   Alcotest.(check (list (option int))) "identical placements" pa pb;
   List.iteri
-    (fun i p -> match p with Some p when i mod 3 = 0 -> Heap.free a p | _ -> ())
+    (fun i p -> match p with Some p when i mod 3 = 0 -> heap_free a p | _ -> ())
     pa;
   List.iteri
-    (fun i p -> match p with Some p when i mod 3 = 0 -> Heap.free b p | _ -> ())
+    (fun i p -> match p with Some p when i mod 3 = 0 -> heap_free b p | _ -> ())
     pb;
-  let qa = List.map (Heap.malloc a) sizes and qb = List.map (Heap.malloc b) sizes in
+  let qa = List.map (heap_malloc a) sizes and qb = List.map (heap_malloc b) sizes in
   Alcotest.(check (list (option int))) "identical after churn" qa qb
 
 (* --- differential equivalence: meshing is program-invisible --- *)
@@ -245,7 +250,7 @@ let prop_mesh_differential =
         (fun op ->
           (match op with
           | Alloc sz -> (
-            match (Heap.malloc heap_a sz, Heap.malloc heap_b sz) with
+            match (heap_malloc heap_a sz, heap_malloc heap_b sz) with
             | Some a, Some b ->
               incr id;
               let c = Char.chr (33 + (!id * 7 mod 90)) in
@@ -260,8 +265,8 @@ let prop_mesh_differential =
             | l ->
               let i = k mod List.length l in
               let a, b, _, _ = List.nth l i in
-              Heap.free heap_a a;
-              Heap.free heap_b b;
+              heap_free heap_a a;
+              heap_free heap_b b;
               live := List.filteri (fun j _ -> j <> i) l)
           | Mesh ->
             ignore (Heap.mesh heap_b);

@@ -25,7 +25,7 @@ let test_bucket_edges () =
       check_int (Printf.sprintf "bucket_of %d" v) b (Quantile.bucket_of v))
     [ (0, 0); (1, 1); (63, 63); (64, 64); (65, 64); (66, 65); (127, 95); (128, 96) ];
   check "bucket_count covers every int" true
-    (Quantile.bucket_of max_int = Quantile.bucket_count - 1);
+    (Quantile.bucket_of max_int = Array.length (Quantile.counts (Quantile.create ())) - 1);
   (match Quantile.bucket_of (-1) with
   | exception Invalid_argument _ -> ()
   | b -> Alcotest.failf "bucket_of (-1) returned %d instead of raising" b)
@@ -45,7 +45,7 @@ let test_histogram_observe () =
   let h = Quantile.create () in
   List.iter (Quantile.record h) [ 0; 1; 3; 1024 ];
   check_int "total" 4 (Quantile.count h);
-  check_int "sum" 1028 (Quantile.sum h);
+  check_str "sum" "1028" (List.nth (csv_row (Quantile.to_csv [ ("h", h) ]) "h") 4);
   (* max_int lands in the last bucket without overflowing totals *)
   Quantile.record h max_int;
   check_int "total after max_int" 5 (Quantile.count h);
@@ -219,11 +219,16 @@ let test_chrome_json () =
   let recorder = Recorder.create ~on:true in
   Recorder.span ~arg:"7" recorder "test.span" (fun () ->
       Recorder.instant recorder "test \"quoted\"");
-  let json = Tracing.to_chrome_json (Recorder.events recorder) in
+  let path = Filename.temp_file "diehard_trace" ".json" in
+  Tracing.write_chrome_json ~path (Recorder.events recorder);
+  let json = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
   match Json.parse json with
   | Error e -> Alcotest.failf "trace JSON does not parse: %s" e
   | Ok v ->
-    let events = Option.fold ~none:[] ~some:Json.to_list (Json.member "traceEvents" v) in
+    let events =
+      match Json.member "traceEvents" v with Some (Json.List l) -> l | _ -> []
+    in
     check_int "three events" 3 (List.length events);
     let phases =
       List.filter_map
@@ -298,8 +303,7 @@ let test_json_parser () =
       | Ok _ -> Alcotest.failf "%S parsed but should not" s
       | Error _ -> ())
     [ "{} trailing"; "{\"a\":}"; "\"unterminated"; "[1,]"; "nul"; "" ];
-  check "member on non-obj" true (Json.member "a" (Json.List []) = None);
-  check "to_list on non-list" true (Json.to_list Json.Null = [])
+  check "member on non-obj" true (Json.member "a" (Json.List []) = None)
 
 (* --- guarded derived ratios in the reporters ------------------------ *)
 

@@ -72,14 +72,13 @@ let test_fail_stop_allows_non_heap () =
 
 (* --- oblivious --- *)
 
-let test_oblivious_drops_and_counts () =
+let test_oblivious_drops () =
   let mem, a, p = make_fl Policy.Oblivious in
   let ptr = Allocator.malloc_exn a 64 in
   (* ptr+64 is the next chunk's header: out of the object's bounds. *)
   let before = Mem.read64 mem (ptr + 64) in
   Policy.store p (ptr + 64) 0xBAD;
-  check_int "write dropped" before (Mem.read64 mem (ptr + 64));
-  check_int "counted" 1 (Policy.dropped_writes p)
+  check_int "write dropped" before (Mem.read64 mem (ptr + 64))
 
 let test_oblivious_manufactures_reads () =
   let _, a, p = make_fl Policy.Oblivious in
@@ -88,7 +87,7 @@ let test_oblivious_manufactures_reads () =
   let v2 = Policy.load p (ptr + 64) in
   let v3 = Policy.load p (ptr + 64) in
   check "sequence 0,1,2" true (v1 = 0 && v2 = 1 && v3 = 2);
-  check_int "counted" 3 (Policy.manufactured_reads p)
+  check_int "counted: the cycle wraps after three" 0 (Policy.load p (ptr + 64))
 
 let test_oblivious_never_faults () =
   let _, _, p = make_fl Policy.Oblivious in
@@ -115,7 +114,11 @@ let test_trace_records_lifetimes () =
   a.Allocator.free p1;
   ignore (Allocator.malloc_exn a 16);
   a.Allocator.free p3;
-  check_int "clock" 4 (Trace.allocation_count tracer);
+  check "clock" true
+    (List.filter_map
+       (function Trace.Malloc { alloc_time; _ } -> Some alloc_time | Trace.Free _ -> None)
+       (Trace.events tracer)
+    = [ 1; 2; 3; 4 ]);
   let lifetimes = Trace.lifetimes tracer in
   check_int "two freed objects" 2 (List.length lifetimes);
   (match lifetimes with
@@ -152,7 +155,7 @@ let suite =
     Alcotest.test_case "fail-stop overflow aborts" `Quick test_fail_stop_aborts_overflow;
     Alcotest.test_case "fail-stop UAF aborts" `Quick test_fail_stop_aborts_use_after_free;
     Alcotest.test_case "fail-stop non-heap ok" `Quick test_fail_stop_allows_non_heap;
-    Alcotest.test_case "oblivious drops writes" `Quick test_oblivious_drops_and_counts;
+    Alcotest.test_case "oblivious drops writes" `Quick test_oblivious_drops;
     Alcotest.test_case "oblivious manufactures reads" `Quick test_oblivious_manufactures_reads;
     Alcotest.test_case "oblivious never faults" `Quick test_oblivious_never_faults;
     Alcotest.test_case "oblivious valid ok" `Quick test_oblivious_valid_accesses_pass;

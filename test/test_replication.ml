@@ -43,16 +43,19 @@ let test_vote_empty_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Voter.vote: no ballots") (fun () ->
       ignore (Voter.vote []))
 
+(* The voter's buffer: the 4 KB pipe-transfer unit of §5.2. *)
+let voter_chunk = 4096
+
 let test_chunks_of_output () =
-  let big = String.make (Voter.chunk_size + 100) 'x' in
+  let big = String.make (voter_chunk + 100) 'x' in
   (match Voter.chunks_of_output ~crashed:false big with
   | [ full; partial ] ->
-    check_int "full chunk" Voter.chunk_size (String.length full);
+    check_int "full chunk" voter_chunk (String.length full);
     check_int "partial" 100 (String.length partial)
   | _ -> Alcotest.fail "expected two chunks");
   (* A crashed replica loses its trailing partial chunk. *)
   (match Voter.chunks_of_output ~crashed:true big with
-  | [ full ] -> check_int "only the full chunk" Voter.chunk_size (String.length full)
+  | [ full ] -> check_int "only the full chunk" voter_chunk (String.length full)
   | _ -> Alcotest.fail "crashed replica keeps only full chunks");
   (* Normal exit with empty output still presents one (empty) buffer. *)
   match Voter.chunks_of_output ~crashed:false "" with
@@ -209,7 +212,7 @@ let test_divergent_tail_killed () =
   let report = Replicated.run ~replicas:3 layout_dependent_tail in
   (* The common prefix must have been committed regardless of verdict. *)
   check "prefix committed" true
-    (String.length report.Replicated.output >= Voter.chunk_size)
+    (String.length report.Replicated.output >= voter_chunk)
 
 (* --- voted-report pins ---
 
@@ -443,8 +446,8 @@ let test_standalone_seed_changes_layout () =
         let p = Allocator.malloc_exn ctx.Program.alloc 64 in
         Process.Out.printf ctx.Program.out "%d" p)
   in
-  let r1 = Replicated.run_program_once ~seed:1 layout_probe in
-  let r2 = Replicated.run_program_once ~seed:2 layout_probe in
+  let r1 = Replicated.run_program_once ~config:(Config.v ~seed:1 ()) layout_probe in
+  let r2 = Replicated.run_program_once ~config:(Config.v ~seed:2 ()) layout_probe in
   check "different placements" false (String.equal r1.Process.output r2.Process.output)
 
 let suite =

@@ -340,7 +340,8 @@ let test_espresso_allocation_volume () =
   let tracer, traced = Dh_alloc.Trace.wrap alloc in
   let r = Program.run (Apps.espresso ()) traced in
   check "ran" true (r.Process.outcome = Process.Exited 0);
-  check "well over 1000 allocations" true (Dh_alloc.Trace.allocation_count tracer > 1_000);
+  check "well over 1000 allocations" true
+    (alloc.Dh_alloc.Allocator.stats.Dh_alloc.Stats.mallocs > 1_000);
   check "hundreds of lifetimes logged" true
     (List.length (Dh_alloc.Trace.lifetimes tracer) > 500)
 
@@ -448,20 +449,19 @@ let test_server_supervised_pinned () =
   let module Supervisor = Diehard.Supervisor in
   let heap = ref None in
   let incident =
-    Fun.protect ~finally:Dh_obs.Audit.reset (fun () ->
-        Supervisor.run
-          ~policy:
-            {
-              Supervisor.default_policy with
-              Supervisor.checkpoint_interval = 256;
-              max_rewinds = 64;
-            }
-          ~config:(Diehard.Config.v ~heap_size:Server.heap_size ~obs:true ())
-          ~seed_pool:(Dh_rng.Seed.create ~master:3)
-          ~wrap:(fun _ a ->
-            heap := Some a;
-            a)
-          (Server.program ~requests:4000 ~attack_every:97 ~zipf:1.1 ()))
+    Supervisor.run
+      ~policy:
+        {
+          Supervisor.default_policy with
+          Supervisor.checkpoint_interval = 256;
+          max_rewinds = 64;
+        }
+      ~config:(Diehard.Config.v ~heap_size:Server.heap_size ~obs:true ())
+      ~seed_pool:(Dh_rng.Seed.create ~master:3)
+      ~wrap:(fun _ a ->
+        heap := Some a;
+        a)
+      (Server.program ~requests:4000 ~attack_every:97 ~zipf:1.1 ())
   in
   let output = Option.value incident.Supervisor.output ~default:"" in
   Alcotest.(check string) "last line"
