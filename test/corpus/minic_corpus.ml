@@ -144,6 +144,52 @@ let shape_corners =
     case "stray-break" "fn f(x) { if (x == 2) { break; } return x; } fn main() { var i = 0; while (1) { print_int(f(i)); i = i + 1; } print_int(i); }";
   ]
 
+(* Every builtin with a variable, a constant (an integer, a character or
+   a string literal's address) and an expression in each argument
+   position its arity allows; [store8] and [strcmp] take all nine pairs.
+   Destinations are written before they are read, so DieHard's random
+   fill shows nowhere.  The arity error's arguments run first, left to
+   right: [p(1)] allocates with [malloc] and [p(2)] with [calloc], so
+   the order of the audit sites shows it.  [exit] ends its program, so
+   each of its shapes is a program of its own. *)
+let builtin_shapes =
+  [
+    case ~input:"hi\nyo\nzz" "builtin-shapes"
+      {|fn id(v) { return v; }
+fn main() {
+  var n = 24; var v = 65; var z = 0; var k = 3;
+  var a = malloc(n); var m = malloc(40); var w = malloc(n + 16);
+  var b = calloc(n); var c = calloc(40); var g = calloc(n - 8);
+  print_int(b[2] + c[1] + g[1]); print_char(' ');
+  print_int(n); print_int(42); print_int(n * 2 + 1); print_char(v); print_char(66); print_char(v + 2); print_char('\n');
+  var s = calloc(8);
+  store8(s, v); print_int(load8(s)); store8(s, 67); print_int(load8(s)); store8(s, v + 2); print_int(load8(s));
+  store8("sss", v); print_int(load8("sss")); store8("sss", 68); print_int(load8("sss")); store8("sss", v + 4); print_int(load8("sss"));
+  store8(s + 1, v); print_int(load8(s + 1)); store8(s + 1, 70); print_int(load8(s + 1)); store8(s + 2, v + 6); print_int(load8(s + 2));
+  store8(s + 3, z); print_char(' '); print_str(s); print_str("sss"); print_str(s + 1); print_char('\n');
+  store8(a, v); store8(a + 1, 66); store8(a + 2, z); store8(b, 'x'); store8(b + 1, v + 1); store8(b + 2, z);
+  print_int(strlen(a)); print_int(strlen("four")); print_int(strlen(b + 1)); print_char(' ');
+  print_int(strcmp(a, b)); print_int(strcmp(a, "AB")); print_int(strcmp(a, b + 1));
+  print_int(strcmp("abc", b)); print_int(strcmp("abc", "abd")); print_int(strcmp("abc", b + 1));
+  print_int(strcmp(a + 1, b)); print_int(strcmp(a + 1, "B")); print_int(strcmp(a + 1, b + 1)); print_char('\n');
+  print_int(strcpy(c, a) == c); print_str(c); strcpy(c, "const"); print_str(c); strcpy(c + 1, b + 1); print_str(c);
+  strcpy("dddddddd", a); print_str("dddddddd"); strcpy("eeeeeeee", "ab"); print_str("eeeeeeee"); print_char('\n');
+  print_int(strncpy(g, a, k) == g); print_str(g); strncpy("ffffff", "ab", 2); print_str("ffffff"); strncpy(g + 1, c + 1, k - 1); print_str(g); print_char('\n');
+  print_int(memcpy(c, a, k) == c); print_str(c); memcpy("hhhh", "hi", 2); print_str("hhhh"); memcpy(c + 2, b + 1, k - 2); print_str(c); print_char('\n');
+  print_int(memset(c, v, k) == c); print_str(c); memset("iiii", 88, 2); print_str("iiii"); memset(c + 1, v + 1, k - 1); print_str(c); print_char('\n');
+  var r = calloc(32); print_int(gets(r) == r); print_str(r); gets("cccccccc"); print_str("cccccccc"); gets(r + 4); print_str(r + 4);
+  print_int(gets(r)); print_int(getchar()); print_int(getchar() + 1); print_char('\n');
+  a = realloc(a, n); print_str(a); var q = realloc(0, 16); store8(q, z); print_str(q); w = realloc(id(w), n + 32); store8(w, v); store8(w + 1, z); print_str(w);
+  print_int(now()); print_int(now() + 1); print_int(id(strlen(a)) + load8(a + 1)); print_char('\n');
+  free(a); free(0); free(w + 0); free(id(q)); free(m); free(b); free(c); free(g); free(s); free(r);
+}|};
+    case "builtin-shapes-arity"
+      "fn p(v) { print_int(v); if (v == 1) { free(malloc(8)); } else { free(calloc(8)); } return v; } \
+       fn main() { print_int(p(1), p(2)); }";
+    case "builtin-shapes-exit-var" "fn main() { var code = 5; print_int(code); exit(code); print_int(0); }";
+    case "builtin-shapes-exit-expr" "fn main() { var code = 5; print_int(code); exit(code * 2 + 1); print_int(0); }";
+  ]
+
 let apps =
   [
     case "espresso" Apps.espresso_source;
@@ -174,7 +220,7 @@ let generated =
     (fun i src -> case ~fuel:20_000 (Printf.sprintf "stmt-%02d" i) src)
     (sections ~starts:(String.equal "// ---") Stmt_snippets.text)
 
-let cases = apps @ snippets @ operand_shapes @ shape_corners @ generated
+let cases = apps @ snippets @ operand_shapes @ shape_corners @ builtin_shapes @ generated
 
 (* --- running --- *)
 

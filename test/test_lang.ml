@@ -829,6 +829,13 @@ let test_loop_allocates_nothing () =
        "var j = i % 100; a[j] = s + j * 3; s = (s + a[j]) % 9973; a[7] = a[j] ^ i; \
         if (s < a[7]) { s = s + 1; } else { s = s - 1; } var t = a[j] < s && j != 3;")
 
+(* A builtin call allocates nothing: its arguments are passed as
+   integers and its result comes back as one. *)
+let test_builtin_allocates_nothing () =
+  Alcotest.(check (float 0.)) "minor words per iteration" 0.
+    (words_per_iteration ~prelude:"var a = malloc(800); var s = 0;"
+       "var j = i % 100; store8(a + j, i); s = s + load8(a + j); free(0);")
+
 (* A call allocates its frame: a three-field record and the slot array
    (one word per variable, plus a header).  [f] has one variable. *)
 let call_words = 6.
@@ -901,6 +908,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_expr_roundtrip;
     QCheck_alcotest.to_alcotest prop_expr_differential;
     Alcotest.test_case "cost: loop allocates nothing" `Quick test_loop_allocates_nothing;
+    Alcotest.test_case "cost: builtin calls allocate nothing" `Quick test_builtin_allocates_nothing;
     Alcotest.test_case "cost: call allocation" `Quick test_call_allocation;
     Alcotest.test_case "cost: malloc allocation" `Quick test_malloc_allocation;
   ]
