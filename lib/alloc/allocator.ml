@@ -35,7 +35,7 @@ let realloc t ptr sz =
     | Some fresh ->
       (match old_usable with
       | Some old_size ->
-        let n = min old_size sz in
+        let n = Int.min old_size sz in
         let bytes = Dh_mem.Mem.read_bytes t.mem ~addr:ptr ~len:n in
         Dh_mem.Mem.write_bytes t.mem ~addr:fresh bytes
       | None -> ());

@@ -50,13 +50,12 @@ let oblivious_ok t addr width =
   if t.alloc.Allocator.owns addr then heap_access_ok t addr width
   else Mem.is_mapped t.alloc.Allocator.mem addr
 
-(* Each check answers whether the access may go to memory: [Fail_stop]
-   aborts rather than answer no, and [Oblivious] answers no when it will
-   manufacture the value or drop the write. *)
+(* The checks of a checked kind ([load] and [store] below take [Raw]
+   before them).  Each answers whether the access may go to memory:
+   [Fail_stop] aborts rather than answer no, and [Oblivious] answers no
+   when it will manufacture the value or drop the write. *)
 let load_ok t addr width =
-  match t.kind with
-  | Raw -> true
-  | Fail_stop ->
+  if t.kind = Fail_stop then begin
     if t.alloc.Allocator.owns addr then
       if not (heap_access_ok t addr width) then abort_access addr width "load"
       else if not (all_written t addr width) then
@@ -64,23 +63,40 @@ let load_ok t addr width =
           (Dh_mem.Process.Abort
              (Printf.sprintf "uninitialized read of %d byte(s) at 0x%x" width addr));
     true
-  | Oblivious -> oblivious_ok t addr width
+  end
+  else oblivious_ok t addr width
 
 let store_ok t addr width =
-  match t.kind with
-  | Raw -> true
-  | Fail_stop ->
+  if t.kind = Fail_stop then begin
     if t.alloc.Allocator.owns addr then
       if heap_access_ok t addr width then mark_written t addr width
       else abort_access addr width "store";
     true
-  | Oblivious -> oblivious_ok t addr width
+  end
+  else oblivious_ok t addr width
 
-let load t addr =
+(* The checked paths, out of line: a [Raw] access below inlines to one
+   dispatch on the kind and its [Mem] access. *)
+let[@inline never] checked_load t addr =
   if load_ok t addr 8 then Mem.read64 t.alloc.Allocator.mem addr else manufacture t
 
-let load8 t addr =
+let[@inline never] checked_load8 t addr =
   if load_ok t addr 1 then Mem.read8 t.alloc.Allocator.mem addr else manufacture t
 
-let store t addr v = if store_ok t addr 8 then Mem.write64 t.alloc.Allocator.mem addr v
-let store8 t addr v = if store_ok t addr 1 then Mem.write8 t.alloc.Allocator.mem addr v
+let[@inline never] checked_store t addr v =
+  if store_ok t addr 8 then Mem.write64 t.alloc.Allocator.mem addr v
+
+let[@inline never] checked_store8 t addr v =
+  if store_ok t addr 1 then Mem.write8 t.alloc.Allocator.mem addr v
+
+let[@inline] load t addr =
+  match t.kind with Raw -> Mem.read64 t.alloc.Allocator.mem addr | _ -> checked_load t addr
+
+let[@inline] load8 t addr =
+  match t.kind with Raw -> Mem.read8 t.alloc.Allocator.mem addr | _ -> checked_load8 t addr
+
+let[@inline] store t addr v =
+  match t.kind with Raw -> Mem.write64 t.alloc.Allocator.mem addr v | _ -> checked_store t addr v
+
+let[@inline] store8 t addr v =
+  match t.kind with Raw -> Mem.write8 t.alloc.Allocator.mem addr v | _ -> checked_store8 t addr v

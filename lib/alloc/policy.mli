@@ -34,7 +34,10 @@ val make : ?kind:kind -> Allocator.t -> t
 
 (** {1 Mediated access}
 
-    Word operations are 8-byte little-endian, byte operations 1 byte. *)
+    Word operations are 8-byte little-endian, byte operations 1 byte.
+    Under [Raw] each is exactly the {!Dh_mem.Mem} access
+    ([read64]/[write64]/[read8]/[write8]): the same faults, charges and
+    counters, with no check of its own. *)
 
 val load : t -> int -> int
 val store : t -> int -> int -> unit

@@ -363,7 +363,7 @@ let mesh_pair t region a b =
   let src, dst =
     if region.page_live.(a) > region.page_live.(b) then (a, b)
     else if region.page_live.(b) > region.page_live.(a) then (b, a)
-    else (min a b, max a b)
+    else (Int.min a b, Int.max a b)
   in
   Mem.alias t.mem
     ~src:(region.base + (src * Mem.page_size))
@@ -419,7 +419,7 @@ let mesh_region t region =
       for i = 0 to half - 1 do
         if mesh_headroom_ok region then begin
           let l = cand.(i) in
-          let limit = min mesh_probes right in
+          let limit = Int.min mesh_probes right in
           let rec probe k =
             if k < limit then begin
               let j = (i + k) mod right in

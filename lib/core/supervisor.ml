@@ -179,7 +179,7 @@ let run_service ~latency ~context (svc : Program.service) heap ~interval ~on_fau
         while !k < svc.Program.requests && not !stopped do
           let window_start = !k in
           let window_end =
-            if armed then min svc.Program.requests (window_start + interval)
+            if armed then Int.min svc.Program.requests (window_start + interval)
             else svc.Program.requests
           in
           if armed then Dh_mem.Mem.checkpoint mem;
@@ -548,7 +548,7 @@ let replay ?(input = "") ?(fuel = 100_000_000) ~config ~interval (svc : Program.
         {
           fault = f.raised;
           at = f.request;
-          window = (f.window_start, min svc.Program.requests (f.window_start + interval) - 1);
+          window = (f.window_start, Int.min svc.Program.requests (f.window_start + interval) - 1);
           pages_restored = recovery.pages_restored;
           steps = List.rev !steps;
           (* The reproduction contract: same fault, same step, and the

@@ -81,8 +81,8 @@ let allocate st ~builtin args f x y =
 
 (* --- heap access helpers --- *)
 
-let load8 st addr = Policy.load8 st.ctx.Program.policy addr
-let store8 st addr v = Policy.store8 st.ctx.Program.policy addr v
+let[@inline] load8 st addr = Policy.load8 st.ctx.Program.policy addr
+let[@inline] store8 st addr v = Policy.store8 st.ctx.Program.policy addr v
 
 let cstrlen st addr =
   let rec go n = if load8 st (addr + n) = 0 then n else go (n + 1) in
@@ -106,7 +106,7 @@ let bounded_limit st dst n =
   match st.libc with
   | Unchecked -> n
   | Bounded -> (
-    match available st dst with None -> n | Some room -> min n room)
+    match available st dst with None -> n | Some room -> Int.min n room)
 
 (* --- builtins --- *)
 
@@ -173,46 +173,53 @@ let builtin_getchar st =
     Char.code input.[st.input_pos - 1]
   end
 
-(* The builtins, the only table of them: each name's arity and its
-   implementation.  Every implementation takes three arguments; those of
-   lower arity ignore the rest, which are 0.  [args] is the callsite's
-   argument list, which keys its audit site. *)
-let builtin st name args : (int * (int -> int -> int -> int)) option =
+(* A builtin's implementation, typed by its arity. *)
+type prim =
+  | P0 of (unit -> int)
+  | P1 of (int -> int)
+  | P2 of (int -> int -> int)
+  | P3 of (int -> int -> int -> int)
+
+let prim_arity = function P0 _ -> 0 | P1 _ -> 1 | P2 _ -> 2 | P3 _ -> 3
+
+(* The builtins, the only table of them: each name's implementation.
+   [args] is the callsite's argument list, which keys its audit site. *)
+let builtin st name args : prim option =
   let alloc = st.ctx.Program.alloc and out = st.ctx.Program.out in
   let allocate f x y = allocate st ~builtin:name args f x y in
   let malloc n _ = alloc.Allocator.malloc n and realloc p n = Allocator.realloc alloc p n in
   match name with
-  | "malloc" -> Some (1, fun n _ _ -> allocate malloc n 0)
+  | "malloc" -> Some (P1 (fun n -> allocate malloc n 0))
   | "calloc" ->
-    Some (1, fun n _ _ ->
+    Some (P1 (fun n ->
         (* zero-fill through the access policy so a fail-stop policy's
            initialization tracking sees the writes *)
         let p = allocate malloc n 0 in
         if p <> 0 then for i = 0 to n - 1 do store8 st (p + i) 0 done;
-        p)
-  | "realloc" -> Some (2, fun p n _ -> allocate realloc p n)
-  | "free" -> Some (1, fun p _ _ -> alloc.Allocator.free p; 0)
-  | "print_int" -> Some (1, fun v _ _ -> Process.Out.print_int out v; 0)
-  | "print_char" -> Some (1, fun v _ _ -> Process.Out.print_char out (Char.chr (v land 0xFF)); 0)
-  | "print_str" -> Some (1, fun p _ _ -> Process.Out.print_string out (read_cstring st p); 0)
-  | "getchar" -> Some (0, fun _ _ _ -> builtin_getchar st)
-  | "gets" -> Some (1, fun p _ _ -> builtin_gets st p)
-  | "strlen" -> Some (1, fun p _ _ -> cstrlen st p)
-  | "strcpy" -> Some (2, fun d s _ -> builtin_strcpy st d s; d)
-  | "strncpy" -> Some (3, fun d s n -> builtin_strncpy st d s n; d)
-  | "strcmp" -> Some (2, fun a b _ -> builtin_strcmp st a b)
+        p))
+  | "realloc" -> Some (P2 (fun p n -> allocate realloc p n))
+  | "free" -> Some (P1 (fun p -> alloc.Allocator.free p; 0))
+  | "print_int" -> Some (P1 (fun v -> Process.Out.print_int out v; 0))
+  | "print_char" -> Some (P1 (fun v -> Process.Out.print_char out (Char.chr (v land 0xFF)); 0))
+  | "print_str" -> Some (P1 (fun p -> Process.Out.print_string out (read_cstring st p); 0))
+  | "getchar" -> Some (P0 (fun () -> builtin_getchar st))
+  | "gets" -> Some (P1 (fun p -> builtin_gets st p))
+  | "strlen" -> Some (P1 (fun p -> cstrlen st p))
+  | "strcpy" -> Some (P2 (fun d s -> builtin_strcpy st d s; d))
+  | "strncpy" -> Some (P3 (fun d s n -> builtin_strncpy st d s n; d))
+  | "strcmp" -> Some (P2 (fun a b -> builtin_strcmp st a b))
   | "memcpy" ->
-    Some (3, fun d s n ->
+    Some (P3 (fun d s n ->
         for i = 0 to bounded_limit st d n - 1 do store8 st (d + i) (load8 st (s + i)) done;
-        d)
+        d))
   | "memset" ->
-    Some (3, fun d c n ->
+    Some (P3 (fun d c n ->
         for i = 0 to bounded_limit st d n - 1 do store8 st (d + i) c done;
-        d)
-  | "load8" -> Some (1, fun p _ _ -> load8 st p)
-  | "store8" -> Some (2, fun p v _ -> store8 st p v; 0)
-  | "now" -> Some (0, fun _ _ _ -> 0)
-  | "exit" -> Some (1, fun code _ _ -> raise (Process.Exit_program code))
+        d))
+  | "load8" -> Some (P1 (fun p -> load8 st p))
+  | "store8" -> Some (P2 (fun p v -> store8 st p v; 0))
+  | "now" -> Some (P0 (fun () -> 0))
+  | "exit" -> Some (P1 (fun code -> raise (Process.Exit_program code)))
   | _ -> None
 
 (* --- compilation ---
@@ -226,9 +233,9 @@ let builtin st name args : (int * (int -> int -> int -> int)) option =
 
    The closures are shaped to make few indirect calls per step.  A
    variable or a constant used as an operand of a binary operator, an
-   index or a store is read inline by the closure that uses it, and
-   [x = a op b] over such operands computes and stores in the
-   statement's own closure.  A block runs its statements from one
+   index, a store or a builtin call is read inline by the closure that
+   uses it, and [x = a op b] over such operands computes and stores in
+   the statement's own closure.  A block runs its statements from one
    closure, and a loop installs a [break] or [continue] handler only
    when its body has one. *)
 
@@ -349,6 +356,8 @@ let code_of = function
   | Const k -> fun _ -> k
   | Code c -> c
 
+let[@inline] read fr = function Slot s -> get fr s | Const k -> k | Code c -> c fr
+
 let new_frame st (f : func) =
   { slots = Array.make f.size 0; top = f.params_in_scope; caller = st.frames }
 
@@ -435,37 +444,44 @@ and index policy a i : code =
    looks a user function up first: the two orders differ only for a
    function that shadows a builtin, itself reported. *)
 and call env name args : code =
-  let codes = List.map (expr env) args and got = List.length args in
+  let ops = List.map (operand env) args and got = List.length args in
   let user = Hashtbl.find_opt env.funcs name and prim = builtin env.st name args in
   (match (user, prim) with
   | Some f, _ when f.arity <> got -> report env "%s expects %d argument(s), got %d" name f.arity got
-  | None, Some (n, _) when n <> got ->
-    report env "builtin %s expects %d argument(s), got %d" name n got
+  | None, Some p when prim_arity p <> got ->
+    report env "builtin %s expects %d argument(s), got %d" name (prim_arity p) got
   | None, None -> report env "unknown function %s" name
   | _ -> ());
-  let arity_error n fr =
-    List.iter (fun a -> ignore (a fr)) codes;
-    err "%s expects %d argument(s), got %d" name n got
+  let arity_error n =
+    let codes = List.map code_of ops in
+    fun fr ->
+      List.iter (fun a -> ignore (a fr)) codes;
+      err "%s expects %d argument(s), got %d" name n got
   in
   match (prim, user) with
-  | Some (n, _), _ when n <> got -> arity_error n
-  | Some (_, f), _ -> (
-    match codes with
-    | [] -> fun _ -> f 0 0 0
-    | [ a ] -> fun fr -> f (a fr) 0 0
-    | [ a; b ] -> fun fr -> let x = a fr in f x (b fr) 0
-    | [ a; b; c ] -> fun fr -> let x = a fr in let y = b fr in f x y (c fr)
-    | _ -> assert false (* no builtin takes more than three *))
+  | Some p, _ when prim_arity p <> got -> arity_error (prim_arity p)
+  | Some p, _ -> builtin_call p ops
   | None, None -> fun _ -> err "unknown function %s" name
   | None, Some f when f.arity <> got -> arity_error f.arity
   | None, Some f ->
-    let st = env.st and codes = Array.of_list codes in
+    let st = env.st and codes = Array.of_list (List.map code_of ops) in
     fun fr ->
       let callee = new_frame st f in
       for i = 0 to Array.length codes - 1 do
         set callee (Array.unsafe_get f.param_slots i) ((Array.unsafe_get codes i) fr)
       done;
       invoke st f callee
+
+(* A call of [prim] on operands of its arity, run left to right. *)
+and builtin_call prim ops : code =
+  match (prim, ops) with
+  | P0 f, [] -> fun _ -> f ()
+  | P1 f, [ Slot s ] -> fun fr -> f (get fr s)
+  | P1 f, [ Const k ] -> fun _ -> f k
+  | P1 f, [ Code a ] -> fun fr -> f (a fr)
+  | P2 f, [ a; b ] -> fun fr -> let x = read fr a in f x (read fr b)
+  | P3 f, [ a; b; c ] -> fun fr -> let x = read fr a in let y = read fr b in f x y (read fr c)
+  | _ -> assert false (* [call] checked the arity *)
 
 (* Every statement burns one unit of fuel before it runs, and every loop
    one more per iteration, before its condition. *)

@@ -284,7 +284,7 @@ let iter_pieces seg ~addr ~len f =
     let rec go pos =
       if pos < len then begin
         let off = addr - seg.base + pos in
-        let n = min (len - pos) (page_size - (off land (page_size - 1))) in
+        let n = Int.min (len - pos) (page_size - (off land (page_size - 1))) in
         f (phys_off seg off) pos n;
         go (pos + n)
       end
@@ -740,7 +740,7 @@ let rec store_cstring t s ~addr ~fin seg pos =
   mark_written t seg ~addr:pos ~len:(stop - pos);
   (* The run never leaves its virtual page, so one translation covers it. *)
   let off = phys_off seg (pos - seg.base) and i = pos - addr in
-  Bytes.blit_string s i seg.data off (min (stop - pos) (String.length s - i));
+  Bytes.blit_string s i seg.data off (Int.min (stop - pos) (String.length s - i));
   if stop = fin then Bytes.set seg.data (off + (fin - 1 - pos)) '\000'
   else store_cstring t s ~addr ~fin seg stop
 

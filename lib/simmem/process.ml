@@ -17,7 +17,8 @@ module Fuel = struct
     if budget < 0 then invalid_arg "Fuel.create: negative budget";
     { remaining = budget }
 
-  let burn t =
+  (* Inlined: every MiniC statement and loop iteration burns one unit. *)
+  let[@inline] burn t =
     if t.remaining = 0 then raise Out_of_fuel;
     t.remaining <- t.remaining - 1
 
