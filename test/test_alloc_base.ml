@@ -56,6 +56,20 @@ let test_round_up () =
   check_int "9 -> 16" 16 (reserved 9);
   check_int "16384 -> 16384" 16384 (reserved 16384)
 
+(* Every range check raises with its message, whatever the compiler
+   inlines into the callers. *)
+let test_class_range_checks () =
+  let bad_class = Invalid_argument "Size_class.size: bad class" in
+  Alcotest.check_raises "size (-1)" bad_class (fun () -> ignore (Size_class.size (-1)));
+  Alcotest.check_raises "size count" bad_class (fun () ->
+      ignore (Size_class.size Size_class.count));
+  let not_small = Invalid_argument "Size_class.of_size_exn: not a small-object size" in
+  Alcotest.check_raises "of_size_exn 0" not_small (fun () -> ignore (Size_class.of_size_exn 0));
+  Alcotest.check_raises "of_size_exn (-1)" not_small (fun () ->
+      ignore (Size_class.of_size_exn (-1)));
+  Alcotest.check_raises "of_size_exn (max_size + 1)" not_small (fun () ->
+      ignore (Size_class.of_size_exn (Size_class.max_size + 1)))
+
 let test_is_aligned () =
   check "0 aligned" true (Size_class.is_aligned ~offset:0 ~class_:3);
   check "64 aligned for class 3" true (Size_class.is_aligned ~offset:64 ~class_:3);
@@ -96,6 +110,25 @@ let test_bitmap_bounds () =
   Alcotest.check_raises "past end" (Invalid_argument "Bitmap: index out of range")
     (fun () -> Bitmap.set b 8)
 
+(* Every out-of-range index raises and leaves the bitmap as it was: the
+   ends, the padding bits of the final partial byte (a 100-bit map has
+   bytes for 104) and the extremes. *)
+let test_bitmap_range_checks () =
+  let b = Bitmap.create 100 in
+  List.iter (Bitmap.set b) [ 0; 7; 96; 99 ];
+  let out_of_range = Invalid_argument "Bitmap: index out of range" in
+  List.iter
+    (fun i ->
+      let at what = Printf.sprintf "%s %d" what i in
+      Alcotest.check_raises (at "get") out_of_range (fun () -> ignore (Bitmap.get b i));
+      Alcotest.check_raises (at "set") out_of_range (fun () -> Bitmap.set b i);
+      Alcotest.check_raises (at "clear") out_of_range (fun () -> Bitmap.clear b i);
+      check_int (at "cardinal after") 4 (Bitmap.cardinal b))
+    [ -1; 100; 101; 102; 103; 104; min_int; max_int ];
+  let set = ref [] in
+  Bitmap.iter_set b (fun i -> set := i :: !set);
+  Alcotest.(check (list int)) "set bits unchanged" [ 0; 7; 96; 99 ] (List.rev !set)
+
 let test_bitmap_iter_set () =
   let b = Bitmap.create 50 in
   List.iter (Bitmap.set b) [ 3; 17; 42 ];
@@ -114,6 +147,36 @@ let prop_bitmap_cardinal_consistent =
         if Bitmap.get b i then incr recount
       done;
       !recount = Bitmap.cardinal b)
+
+(* [Bitmap] against a [bool array] over random [get], [set] and [clear]
+   calls, in range and out of it (a few indices either side): every
+   result, every exception and the cardinal agree. *)
+let prop_bitmap_matches_bool_array =
+  QCheck.Test.make ~name:"bitmap agrees with a bool array, out-of-range calls included"
+    ~count:300
+    QCheck.(pair (int_bound 130) (list (pair (int_bound 2) (int_range (-10) 140))))
+    (fun (n, ops) ->
+      let b = Bitmap.create n in
+      let model = Array.make n false in
+      let in_range i = i >= 0 && i < n in
+      let run f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      let expect f = if in_range (fst f) then Ok (snd f ()) else Error "Bitmap: index out of range" in
+      List.for_all
+        (fun (op, i) ->
+          let got, want =
+            match op with
+            | 0 -> (run (fun () -> Bitmap.get b i), expect (i, fun () -> model.(i)))
+            | 1 ->
+              ( run (fun () -> Bitmap.set b i; false),
+                expect (i, fun () -> model.(i) <- true; false) )
+            | _ ->
+              ( run (fun () -> Bitmap.clear b i; false),
+                expect (i, fun () -> model.(i) <- false; false) )
+          in
+          got = want
+          && Bitmap.cardinal b = Array.fold_left (fun c x -> if x then c + 1 else c) 0 model)
+        ops
+      && Array.for_all Fun.id (Array.mapi (fun i x -> Bitmap.get b i = x) model))
 
 (* --- stats --- *)
 
@@ -136,11 +199,14 @@ let suite =
     Alcotest.test_case "of_size large/invalid" `Quick test_of_size_large;
     Alcotest.test_case "of_size matches naive" `Quick test_of_size_matches_naive;
     Alcotest.test_case "round_up" `Quick test_round_up;
+    Alcotest.test_case "size class range checks" `Quick test_class_range_checks;
     Alcotest.test_case "is_aligned" `Quick test_is_aligned;
     Alcotest.test_case "bitmap basic" `Quick test_bitmap_basic;
     Alcotest.test_case "bitmap idempotent" `Quick test_bitmap_idempotent;
     Alcotest.test_case "bitmap bounds" `Quick test_bitmap_bounds;
+    Alcotest.test_case "bitmap range checks" `Quick test_bitmap_range_checks;
     Alcotest.test_case "bitmap iter_set" `Quick test_bitmap_iter_set;
     QCheck_alcotest.to_alcotest prop_bitmap_cardinal_consistent;
+    QCheck_alcotest.to_alcotest prop_bitmap_matches_bool_array;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
   ]

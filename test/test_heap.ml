@@ -530,6 +530,38 @@ let test_malloc_free_allocation () =
   Alcotest.(check (float 0.)) "malloc: the Some box only" (2. *. float_of_int n) malloc_words;
   Alcotest.(check (float 0.)) "free: nothing" 0. free_words
 
+(* With obs on, a small malloc allocates the [Some] it returns plus its
+   1/64 share of the sampled "heap.malloc" instant (8 words: the event
+   and its size string), and a free its share of the "heap.free"
+   instant: the audit record and the slot's site store box nothing.
+   6,400 consecutive mallocs hold exactly 100 sampled ones, wherever
+   the count starts; the warm-up maps every region and creates its site
+   table.  The figures the [quick throughput] golden reads as 2.125 and
+   0.125. *)
+let test_malloc_free_allocation_obs_on () =
+  let config = Config.v ~heap_size:(12 * 1024 * 1024) ~seed:3 () in
+  let a = Heap.allocator (Heap.create ~config (Mem.create ~obs:true ())) in
+  let sizes = [| 8; 24; 48; 100; 200 |] in
+  Array.iter (fun sz -> a.Allocator.free (Option.get (a.Allocator.malloc sz))) sizes;
+  let n = 6_400 in
+  let addrs = Array.make n 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    match a.Allocator.malloc sizes.(i mod Array.length sizes) with
+    | Some p -> addrs.(i) <- p
+    | None -> ()
+  done;
+  let malloc_words = Gc.minor_words () -. before in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    a.Allocator.free addrs.(i)
+  done;
+  let free_words = Gc.minor_words () -. before in
+  check "every malloc succeeded" true (Array.for_all (( <> ) 0) addrs);
+  Alcotest.(check (float 0.)) "malloc: the Some box and 8/64 words"
+    ((2. +. (8. /. 64.)) *. float_of_int n) malloc_words;
+  Alcotest.(check (float 0.)) "free: 8/64 words" (8. /. 64. *. float_of_int n) free_words
+
 let suite =
   [
     Alcotest.test_case "config validation" `Quick test_config_validation;
@@ -566,6 +598,8 @@ let suite =
     Alcotest.test_case "overflow mask rate" `Quick test_overflow_often_hits_free_space;
     Alcotest.test_case "owns/find" `Quick test_owns_and_find;
     Alcotest.test_case "malloc/free allocation" `Quick test_malloc_free_allocation;
+    Alcotest.test_case "malloc/free allocation, obs on" `Quick
+      test_malloc_free_allocation_obs_on;
     Alcotest.test_case "object_size" `Quick test_object_size;
     QCheck_alcotest.to_alcotest prop_bitmap_matches_accounting;
     QCheck_alcotest.to_alcotest prop_malloc_returns_free_then_marks;

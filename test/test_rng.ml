@@ -78,6 +78,22 @@ let test_below_invalid () =
   Alcotest.check_raises "zero bound" (Invalid_argument "Mwc.below: bound must be positive")
     (fun () -> ignore (Mwc.below rng 0))
 
+(* A bound outside [1, 2^32] raises before drawing, on each side of the
+   power-of-two branch: 2^32 itself is the largest bound and draws. *)
+let test_below_bound_range () =
+  let rng = Mwc.create ~seed:3 in
+  let reference = Mwc.copy rng in
+  let positive = Invalid_argument "Mwc.below: bound must be positive" in
+  let too_big = Invalid_argument "Mwc.below: bound exceeds 2^32" in
+  List.iter
+    (fun (n, e) ->
+      Alcotest.check_raises (Printf.sprintf "below %d" n) e (fun () -> ignore (Mwc.below rng n)))
+    [ (0, positive); (-1, positive); (min_int, positive); ((1 lsl 32) + 1, too_big);
+      (1 lsl 33, too_big); (max_int, too_big) ];
+  check_int "no draw consumed" (Mwc.next_u32 reference) (Mwc.next_u32 rng);
+  let v = Mwc.below rng (1 lsl 32) in
+  check "below 2^32 draws" true (v >= 0 && v < 1 lsl 32)
+
 let test_copy_independent () =
   let a = Mwc.create ~seed:5 in
   ignore (Mwc.next_u32 a);
@@ -475,6 +491,7 @@ let suite =
     Alcotest.test_case "mwc below uniformity" `Quick test_below_uniformity;
     Alcotest.test_case "mwc below 1" `Quick test_below_one;
     Alcotest.test_case "mwc below invalid" `Quick test_below_invalid;
+    Alcotest.test_case "mwc below bound range" `Quick test_below_bound_range;
     Alcotest.test_case "mwc below = rejection stream" `Quick test_below_matches_rejection;
     Alcotest.test_case "mwc copy" `Quick test_copy_independent;
     Alcotest.test_case "mwc float01" `Quick test_float01;
