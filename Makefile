@@ -1,6 +1,6 @@
 # Convenience targets for the DieHard reproduction.
 
-.PHONY: all build test size profile perf-pairs bench bench-quick bench-scaling bench-space bench-serve obs-check audit-check examples check clean
+.PHONY: all build test size hot-calls profile perf-pairs bench bench-quick bench-scaling bench-space bench-serve obs-check audit-check examples check clean
 
 all: build
 
@@ -33,6 +33,16 @@ size:
 		if (d ~ /^let [a-z_0-9]+( *:[^=]*)? *= *(Atomic\.make|ref[ (]|Hashtbl\.create|Mutex\.create|Domain\.DLS)/) c++} \
 		END {print c+0}')"
 	@_build/default/tools/interface_callers.exe _build/default
+
+# Whether the hot paths of the release build inline what they must:
+# objdump's relocations of DieHard's small-object malloc and free may
+# name no bitmap, size-class, stats, draw or audit step, and the MiniC
+# interpreter's no fuel burn or Raw policy access
+# (tools/hot_calls.sh, which exits 1 naming each call).  CI's build job
+# runs it on every run.
+hot-calls:
+	@dune build ./lib/core/diehard.cmxa ./lib/lang/dh_lang.cmxa
+	@sh tools/hot_calls.sh _build/default
 
 # A clock profile of one repo-benchmark workload (WORKLOAD=serve, alloc
 # or minic; minic by default): gprofng samples perfbench.exe for about

@@ -4,28 +4,34 @@ let create n =
   if n < 0 then invalid_arg "Bitmap.create: negative size";
   { bits = Bytes.make ((n + 7) / 8) '\000'; length = n; cardinal = 0 }
 
-let check t i =
-  if i < 0 || i >= t.length then invalid_arg "Bitmap: index out of range"
+(* [get], [set] and [clear] inline into the heap's probe loop, malloc
+   and free: each checks its index once, against [length], and then
+   touches the byte unchecked, which is safe because
+   [length <= 8 * Bytes.length bits] holds by construction.  The raise
+   stays out of line. *)
+let[@inline never] out_of_range () = invalid_arg "Bitmap: index out of range"
 
-let get t i =
-  check t i;
-  Char.code (Bytes.get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+let[@inline] check t i = if i < 0 || i >= t.length then out_of_range ()
 
-let set t i =
+let[@inline] get t i =
   check t i;
-  let b = Char.code (Bytes.get t.bits (i lsr 3)) in
+  Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let[@inline] set t i =
+  check t i;
+  let b = Char.code (Bytes.unsafe_get t.bits (i lsr 3)) in
   let mask = 1 lsl (i land 7) in
   if b land mask = 0 then begin
-    Bytes.set t.bits (i lsr 3) (Char.chr (b lor mask));
+    Bytes.unsafe_set t.bits (i lsr 3) (Char.unsafe_chr (b lor mask));
     t.cardinal <- t.cardinal + 1
   end
 
-let clear t i =
+let[@inline] clear t i =
   check t i;
-  let b = Char.code (Bytes.get t.bits (i lsr 3)) in
+  let b = Char.code (Bytes.unsafe_get t.bits (i lsr 3)) in
   let mask = 1 lsl (i land 7) in
   if b land mask <> 0 then begin
-    Bytes.set t.bits (i lsr 3) (Char.chr (b land lnot mask land 0xFF));
+    Bytes.unsafe_set t.bits (i lsr 3) (Char.unsafe_chr (b land lnot mask));
     t.cardinal <- t.cardinal - 1
   end
 

@@ -9,11 +9,22 @@
 type t
 
 val create : int -> t
-(** [create n] is an all-clear bitmap of [n] bits. *)
+(** [create n] is an all-clear bitmap of [n] bits.  Raises
+    [Invalid_argument] if [n < 0]. *)
+
+(** [get], [set] and [clear] take an index in [\[0, n)], where [n] is
+    the size given to {!create}.  Any other index, the padding bits of
+    the last byte included, raises [Invalid_argument "Bitmap: index out
+    of range"] and leaves the bitmap and its {!cardinal} unchanged. *)
 
 val get : t -> int -> bool
+(** Whether the bit is set. *)
+
 val set : t -> int -> unit
+(** Set the bit; setting a set bit changes nothing. *)
+
 val clear : t -> int -> unit
+(** Clear the bit; clearing a clear bit changes nothing. *)
 
 val cardinal : t -> int
 (** Number of set bits (maintained incrementally, O(1)). *)

@@ -1,13 +1,15 @@
 let count = 12
 let max_size = 8 lsl (count - 1)  (* 16 KB *)
 
-let size c =
-  if c < 0 || c >= count then invalid_arg "Size_class.size: bad class";
-  8 lsl c
+(* [size], [of_size_exn] (with [ceil_log2]) and [is_aligned] inline
+   into DieHard's malloc and free; their raises stay out of line. *)
+let[@inline never] bad_class () = invalid_arg "Size_class.size: bad class"
+
+let[@inline] size c = if c < 0 || c >= count then bad_class () else 8 lsl c
 
 (* ceil(log2 sz) is the bit length of (sz - 1), found by halving steps:
    a small size has sz - 1 < 2^14, so four compares cover it. *)
-let ceil_log2 sz =
+let[@inline] ceil_log2 sz =
   if sz <= 1 then 0
   else begin
     let n = ref 0 and v = ref (sz - 1) in
@@ -18,11 +20,11 @@ let ceil_log2 sz =
     !n + !v
   end
 
-let of_size_exn sz =
-  if sz <= 0 || sz > max_size then
-    invalid_arg "Size_class.of_size_exn: not a small-object size"
-  else Int.max 0 (ceil_log2 sz - 3)
+let[@inline never] not_small () = invalid_arg "Size_class.of_size_exn: not a small-object size"
+
+let[@inline] of_size_exn sz =
+  if sz <= 0 || sz > max_size then not_small () else Int.max 0 (ceil_log2 sz - 3)
 
 let of_size sz = if sz <= 0 || sz > max_size then None else Some (of_size_exn sz)
 
-let is_aligned ~offset ~class_ = offset land (size class_ - 1) = 0
+let[@inline] is_aligned ~offset ~class_ = offset land (size class_ - 1) = 0

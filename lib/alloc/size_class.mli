@@ -15,13 +15,17 @@ val max_size : int
 
 val size : int -> int
 (** [size c] is the object size of class [c] ([8 lsl c]).  Requires
-    [0 <= c < count]. *)
+    [0 <= c < count]; any other [c] raises
+    [Invalid_argument "Size_class.size: bad class"]. *)
 
 val of_size : int -> int option
 (** [of_size sz] is the class serving a request of [sz] bytes, or [None]
     when [sz > max_size] (large object) or [sz <= 0]. *)
 
 val of_size_exn : int -> int
+(** [of_size_exn sz] is the class of a small request, as {!of_size}
+    without the option.  A size outside [\[1, max_size\]] raises
+    [Invalid_argument "Size_class.of_size_exn: not a small-object size"]. *)
 
 val is_aligned : offset:int -> class_:int -> bool
 (** [is_aligned ~offset ~class_] tells whether a byte offset within a

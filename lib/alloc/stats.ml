@@ -42,7 +42,8 @@ let assign t ~from =
   t.peak_live_bytes <- from.peak_live_bytes;
   t.gc_collections <- from.gc_collections
 
-let on_malloc t ~requested ~reserved =
+(* Both inline into DieHard's malloc and free. *)
+let[@inline] on_malloc t ~requested ~reserved =
   t.mallocs <- t.mallocs + 1;
   t.bytes_requested <- t.bytes_requested + requested;
   t.bytes_allocated <- t.bytes_allocated + reserved;
@@ -50,7 +51,7 @@ let on_malloc t ~requested ~reserved =
   t.live_bytes <- t.live_bytes + reserved;
   if t.live_bytes > t.peak_live_bytes then t.peak_live_bytes <- t.live_bytes
 
-let on_free t ~reserved =
+let[@inline] on_free t ~reserved =
   t.frees <- t.frees + 1;
   t.live_objects <- t.live_objects - 1;
   t.live_bytes <- t.live_bytes - reserved

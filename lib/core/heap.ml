@@ -158,22 +158,24 @@ let create ?(config = Config.default) mem =
     audit = Dh_obs.Audit.create (Mem.recorder mem);
   }
 
-let site_get tbl i =
+(* The read and the store inline into free and malloc; creating a table
+   and widening it stay out of line. *)
+let[@inline] site_get tbl i =
   match tbl.width with
   | 1 -> Bytes.get_uint8 tbl.ids i
   | 2 -> Bytes.get_uint16_le tbl.ids (2 * i)
   | _ -> Int32.to_int (Bytes.get_int32_le tbl.ids (4 * i))
 
-let site_put tbl i site =
+let[@inline] site_put tbl i site =
   match tbl.width with
   | 1 -> Bytes.set_uint8 tbl.ids i site
   | 2 -> Bytes.set_uint16_le tbl.ids (2 * i) site
   | _ -> Bytes.set_int32_le tbl.ids (4 * i) (Int32.of_int site)
 
-(* Record [site] for slot [i] of a [capacity]-slot region, creating the
-   table on first use and widening it (once per width step, copying
-   every slot) when an id outgrows the current width. *)
-let site_set tbl ~capacity i site =
+(* Make a [capacity]-slot table hold [site]: create it on first use and
+   widen it (once per width step, copying every slot) when an id
+   outgrows the current width. *)
+let[@inline never] site_grow tbl ~capacity site =
   if Bytes.length tbl.ids = 0 then tbl.ids <- Bytes.make capacity '\000';
   if tbl.width < 4 && site lsr (8 * tbl.width) <> 0 then begin
     let width = if site lsr 16 = 0 then 2 else 4 in
@@ -183,7 +185,12 @@ let site_set tbl ~capacity i site =
     for j = 0 to capacity - 1 do
       site_put tbl j (site_get old j)
     done
-  end;
+  end
+
+(* Record [site] for slot [i] of a [capacity]-slot region. *)
+let[@inline] site_set tbl ~capacity i site =
+  if Bytes.length tbl.ids = 0 || (tbl.width < 4 && site lsr (8 * tbl.width) <> 0) then
+    site_grow tbl ~capacity site;
   site_put tbl i site
 
 (* Hot-path trace instants are sampled 1-in-64 (per heap, off the heap's
@@ -278,16 +285,17 @@ let restore t snap =
 
 let reseed t ~seed = Mwc.reseed t.rng ~seed
 
-(* Lazily map a region; in replicated mode, fill it with random values
-   (the DieHardInitHeap random fill of Figure 2, done per region because
-   regions are mapped on demand). *)
-let ensure_mapped t region =
-  if region.base = 0 then
-    Dh_obs.Recorder.span t.obs ~arg:(string_of_int region.class_) "heap.map_region" (fun () ->
-        let len = region.capacity * Size_class.size region.class_ in
-        region.base <- Mem.mmap t.mem len;
-        if t.config.Config.replicated then
-          Mem.fill_random t.mem ~addr:region.base ~len t.rng)
+(* Map a region; in replicated mode, fill it with random values (the
+   DieHardInitHeap random fill of Figure 2, done per region because
+   regions are mapped on demand).  Out of line: it runs once a region,
+   and its span builds a closure. *)
+let[@inline never] map_region t region =
+  Dh_obs.Recorder.span t.obs ~arg:(string_of_int region.class_) "heap.map_region" (fun () ->
+      region.base <- Mem.mmap t.mem region.bytes;
+      if t.config.Config.replicated then
+        Mem.fill_random t.mem ~addr:region.base ~len:region.bytes t.rng)
+
+let[@inline] ensure_mapped t region = if region.base = 0 then map_region t region
 
 (* The shared guarded mapping, plus the fixed heap's replicated fill and
    audit records. *)
@@ -341,7 +349,7 @@ let mesh_probes = 16
    bytes [Mem.alias] must carry over from the retired backing page. *)
 let live_ranges region page =
   let spp = region.slots_per_page in
-  let size = Size_class.size region.class_ in
+  let size = 1 lsl region.shift in
   let ranges = ref [] in
   let run_start = ref (-1) in
   let run_len = ref 0 in
@@ -453,7 +461,14 @@ let mesh t =
 let meshes t = t.meshes
 let audit t = t.audit
 
-(* --- small objects: randomized bitmap allocation (Figure 2) --- *)
+(* --- small objects: randomized bitmap allocation (Figure 2) ---
+
+   A small malloc and free call nothing on their common path: the
+   bitmap, size-class, draw, stats and audit steps, the site-table
+   store and the lazy-mapping test all inline here.  Out of line stay
+   the loops [probe_slot] and [region_from], a region's first mapping, the site table's creation and widening, the rejection draw
+   for a bound that is not a power of two, the audit's array growth,
+   the sampled trace instants, meshing and the large-object path. *)
 
 (* Telemetry for the small-object path, one audit record per malloc:
    slot position (randomness entropy), size-class flow, and the ambient
@@ -462,7 +477,7 @@ let audit t = t.audit
    plus a sampled "heap.malloc" instant.  Probe counts and
    requested bytes are [Stats]' to keep (§4.2's expected-probes
    analysis reads "heap.probes" over "heap.mallocs"). *)
-let observe_malloc t ~bytes ~region ~index =
+let[@inline] observe_malloc t ~bytes ~region ~index =
   if Dh_obs.Recorder.on t.obs then begin
     let site =
       Dh_obs.Audit.record_alloc t.audit ~class_:region.class_ ~index ~capacity:region.capacity
@@ -508,7 +523,7 @@ let malloc_small t sz class_ =
   end
   else begin
     ensure_mapped t region;
-    let size = Size_class.size class_ in
+    let size = 1 lsl region.shift in
     let index = probe_slot t region in
     Bitmap.set region.bitmap index;
     region.in_use <- region.in_use + 1;
@@ -558,7 +573,7 @@ let free t addr =
     if i < 0 then free_large t addr
     else begin
       let region = t.regions.(i) in
-      let size = Size_class.size region.class_ in
+      let size = 1 lsl region.shift in
       let offset = addr - region.base in
       (* Free only if the offset is slot-aligned and the slot is currently
          allocated; otherwise ignore (prevents invalid and double frees,
@@ -649,7 +664,7 @@ let find_object t addr =
   if i < 0 then large_find t.large addr
   else
     let region = t.regions.(i) in
-    let size = Size_class.size region.class_ in
+    let size = 1 lsl region.shift in
     let index = (addr - region.base) lsr region.shift in
     Some
       {

@@ -94,7 +94,9 @@ let create obs =
     capacity_log2 = Array.make max_classes (-1);
   }
 
-let grown a n =
+(* The rare paths of the record functions below, which inline into the
+   heap's malloc and free. *)
+let[@inline never] grown a n =
   let len = Array.length a in
   if n < len then a
   else begin
@@ -109,7 +111,7 @@ let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
    two in practice, and then the bucket is a shift.  The audit remembers
    each class's last capacity and its log2, so the test costs a compare,
    not a division. *)
-let slot_bucket a ~class_ ~index ~capacity =
+let[@inline] slot_bucket a ~class_ ~index ~capacity =
   if a.capacity_seen.(class_) <> capacity then begin
     a.capacity_seen.(class_) <- capacity;
     a.capacity_log2.(class_) <- (if capacity land (capacity - 1) = 0 then log2 capacity else -1)
@@ -118,7 +120,7 @@ let slot_bucket a ~class_ ~index ~capacity =
   let b = if k >= 0 then (index * slot_buckets) lsr k else index * slot_buckets / capacity in
   if b < slot_buckets then b else slot_buckets - 1
 
-let record_alloc a ~class_ ~index ~capacity =
+let[@inline] record_alloc a ~class_ ~index ~capacity =
   if not (Recorder.on a.obs) then unknown
   else begin
     let site = Recorder.site a.obs in
@@ -137,7 +139,7 @@ let record_alloc a ~class_ ~index ~capacity =
     site
   end
 
-let record_free a ~class_ ~site =
+let[@inline] record_free a ~class_ ~site =
   if Recorder.on a.obs && class_ >= 0 && class_ < max_classes then begin
     a.frees.(class_) <- a.frees.(class_) + 1;
     if site >= 0 then begin

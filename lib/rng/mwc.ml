@@ -32,7 +32,11 @@ let reseed t ~seed =
   let fresh = create ~seed in
   assign t ~from:fresh
 
-let next_u32 t =
+(* [next_u32] and [below]'s power-of-two branch inline into the heap's
+   probe loop.  So does [float01]: left out of line with [next_u32]
+   inlined into it, it grows past the inliner's size bound, and every
+   [Dist] draw then boxes the float it returns. *)
+let[@inline] next_u32 t =
   t.z <- (36969 * (t.z land mask16)) + (t.z lsr 16);
   t.w <- (18000 * (t.w land mask16)) + (t.w lsr 16);
   ((t.z lsl 16) + t.w) land mask32
@@ -44,20 +48,23 @@ let rec draw t n limit =
   let x = next_u32 t in
   if x < limit then x mod n else draw t n limit
 
+let[@inline never] bad_bound n =
+  if n <= 0 then invalid_arg "Mwc.below: bound must be positive"
+  else invalid_arg "Mwc.below: bound exceeds 2^32"
+
 (* For a power-of-two [n] the rejection limit is 2^32 itself: no draw
    is ever rejected and [x mod n] is [x land (n - 1)], so this branch
    draws the very same stream without a division. *)
-let below t n =
-  if n <= 0 then invalid_arg "Mwc.below: bound must be positive";
-  if n > mask32 + 1 then invalid_arg "Mwc.below: bound exceeds 2^32";
-  if n land (n - 1) = 0 then next_u32 t land (n - 1)
+let[@inline] below t n =
+  if n <= 0 || n > mask32 + 1 then bad_bound n
+  else if n land (n - 1) = 0 then next_u32 t land (n - 1)
   else draw t n ((mask32 + 1) / n * n)
 
 let bits t b =
   if b < 0 || b > 30 then invalid_arg "Mwc.bits: want 0 <= bits <= 30";
   if b = 0 then 0 else next_u32 t lsr (32 - b)
 
-let float01 t = float_of_int (next_u32 t) /. 4294967296.
+let[@inline] float01 t = float_of_int (next_u32 t) /. 4294967296.
 
 external unsafe_set_int32_ne : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
 external swap32 : int32 -> int32 = "%bswap_int32"
