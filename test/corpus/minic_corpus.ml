@@ -50,6 +50,8 @@ let snippets =
     case "libc" {|fn main() { var p = malloc(32); strcpy(p, "copied"); print_str(p); var q = malloc(32); strncpy(q, p, 3); store8(q + 3, 0); print_str(q); memset(q, 'z', 2); print_str(q); memcpy(p, q, 2); print_str(p); }|};
     case ~input:"first\nsecond" "gets" "fn main() { var p = malloc(64); gets(p); print_str(p); print_char('|'); gets(p); print_str(p); print_int(gets(p)); }";
     case "malloc-null" "fn main() { var n = 0; for (var i = 0; i < 100000; i = i + 1) { var p = malloc(16384); if (p == 0) { print_int(n); exit(0); } n = n + 1; } }";
+    case "null-malloc" "fn main() { print_int(malloc(-1)); print_char(' '); var n = 0; for (var i = 0; i < 40; i = i + 1) { var p = malloc(2048); if (p == 0) { print_int(n); print_char(' '); print_int(p); exit(0); } n = n + 1; } print_int(n); }";
+    case "null-malloc-deref" "fn main() { var p = malloc(-1); print_int(p); print_char(' '); print_int(p[0]); }";
     case "wild-write" "fn main() { *1234567899 = 1; }";
     case "null-deref" "fn main() { print_int(*0); }";
     case "overflow-neighbour" "fn main() { var p = malloc(8); var q = malloc(8); q[0] = 111; p[3] = 222; print_int(q[0]); }";

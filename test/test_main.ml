@@ -21,6 +21,7 @@ let () =
       ("lang", Test_lang.suite);
       ("fault", Test_fault.suite);
       ("rescue", Test_rescue.suite);
+      ("null", Test_null.suite);
       ("canary", Test_canary.suite);
       ("supervisor", Test_supervisor.suite);
       ("checkpoint", Test_checkpoint.suite);
