@@ -41,7 +41,7 @@ size:
 # (tools/hot_calls.sh, which exits 1 naming each call).  CI's build job
 # runs it on every run.
 hot-calls:
-	@dune build ./lib/core/diehard.cmxa ./lib/lang/dh_lang.cmxa
+	@dune build ./lib/core/diehard.cmxa ./lib/lang/dh_lang.cmxa ./lib/obs/dh_obs.cmxa
 	@sh tools/hot_calls.sh _build/default
 
 # A clock profile of one repo-benchmark workload (WORKLOAD=serve, alloc
@@ -68,14 +68,17 @@ profile:
 # PAIRS pairs of SECONDS-second runs on seeds 101, 102, ..., alternating
 # which side runs first.  Prints each end-to-end metric's median per
 # side, the per-pair ratio range and in how many pairs the change was
-# better; it gates nothing.  The worktree is removed afterwards.
+# better, then the same for the freelist-lea reference side
+# (freelist_wall_s); it gates nothing.  RAW=FILE also writes every run's
+# metrics to FILE as JSON lines.  The worktree is removed afterwards.
 BASE ?= HEAD
 PAIRS ?= 10
 SECONDS ?= 10
+RAW ?=
 
 perf-pairs:
 	python3 tools/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) \
-		--pairs $(PAIRS) --seconds $(SECONDS)
+		--pairs $(PAIRS) --seconds $(SECONDS) $(if $(RAW),--raw $(RAW))
 
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt

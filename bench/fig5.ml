@@ -130,9 +130,8 @@ let microbench () =
   let make_test name make_alloc =
     Test.make_with_resource ~name Test.uniq ~allocate:make_alloc ~free:(fun _ -> ())
       (Staged.stage (fun alloc ->
-           match alloc.Dh_alloc.Allocator.malloc 64 with
-           | Some p -> alloc.Dh_alloc.Allocator.free p
-           | None -> ()))
+           let p = alloc.Dh_alloc.Allocator.malloc 64 in
+           if p <> Dh_alloc.Allocator.null then alloc.Dh_alloc.Allocator.free p))
   in
   let tests =
     Test.make_grouped ~name:"malloc-free"

@@ -89,9 +89,8 @@ let alloc_bench ~ops name make =
             live.(slot) <- 0;
             incr performed
           end;
-          (match malloc sizes.(i land 7) with
-          | Some p -> live.(slot) <- p
-          | None -> ());
+          let p = malloc sizes.(i land 7) in
+          if p <> Allocator.null then live.(slot) <- p;
           incr performed
         done)
   in
@@ -170,9 +169,8 @@ let gc_mark_bench ~quick ~obs =
   let alloc = Dh_alloc.Gc.allocator gc in
   let objs =
     Array.init n (fun _ ->
-        match alloc.Allocator.malloc objsz with
-        | Some p -> p
-        | None -> failwith "gc_mark_bench: malloc failed")
+        let p = alloc.Allocator.malloc objsz in
+        if p = Allocator.null then failwith "gc_mark_bench: malloc failed" else p)
   in
   for i = 0 to n - 2 do
     Mem.write64 mem objs.(i) objs.(i + 1)
@@ -220,9 +218,8 @@ let crasher_program =
   Program.make ~name:"bench-crasher" (fun ctx ->
       let a = ctx.Program.alloc in
       let mem = a.Allocator.mem in
-      (match a.Allocator.malloc 64 with
-      | Some p -> Mem.write64 mem p 42
-      | None -> ());
+      let p = a.Allocator.malloc 64 in
+      if p <> Allocator.null then Mem.write64 mem p 42;
       ignore (Mem.read64 mem 0x10))
 
 let supervisor_bench ~quick ~obs =
@@ -373,7 +370,8 @@ let obs_records () =
    compiler): [n] mallocs of the churn's sizes, then their [n] frees,
    on a heap already warmed by one such pass (the audit's site tables
    grow on first use).  With obs on, a malloc's words include its share
-   of the 1-in-64 sampled trace instant. *)
+   of the 1-in-64 sampled trace instant, which allocates nothing either:
+   both legs read 0. *)
 let alloc_words ~obs =
   let alloc = Diehard.Heap.allocator (obs_heap ~obs) in
   let sizes = [| 16; 24; 32; 48; 64; 96; 128; 256 |] in
@@ -382,9 +380,9 @@ let alloc_words ~obs =
   let pass () =
     let w0 = Gc.minor_words () in
     for i = 0 to n - 1 do
-      match alloc.Allocator.malloc sizes.(i land 7) with
-      | Some p -> live.(i) <- p
-      | None -> failwith "alloc_words: malloc failed"
+      let p = alloc.Allocator.malloc sizes.(i land 7) in
+      if p = Allocator.null then failwith "alloc_words: malloc failed";
+      live.(i) <- p
     done;
     let w1 = Gc.minor_words () in
     Array.iter alloc.Allocator.free live;
@@ -437,11 +435,11 @@ let churn_program ~ops =
           a.Allocator.free live.(slot);
           live.(slot) <- 0
         end;
-        match a.Allocator.malloc (16 + ((i land 7) * 24)) with
-        | Some p ->
+        let p = a.Allocator.malloc (16 + ((i land 7) * 24)) in
+        if p <> Allocator.null then begin
           Mem.write64 mem p ((i * 0x61C88647) lxor !h);
           live.(slot) <- p
-        | None -> ()
+        end
       done;
       Process.Out.printf ctx.Program.out "h=%d" !h)
 

@@ -53,9 +53,10 @@ let () =
     alloc.Allocator.stats.Dh_alloc.Stats.live_objects;
 
   (* 5. The 1/M threshold: a size class never fills past 1/M, so malloc
-     returns NULL (None) rather than risking the probabilistic bound. *)
+     returns NULL (address 0) rather than risking the probabilistic
+     bound. *)
   let rec fill n =
-    match alloc.Allocator.malloc 16384 with Some _ -> fill (n + 1) | None -> n
+    if alloc.Allocator.malloc 16384 = Allocator.null then n else fill (n + 1)
   in
   let got = fill 0 in
   Printf.printf "16KB class capacity %d, threshold hit after %d allocations\n"

@@ -3,7 +3,7 @@ type object_info = { base : int; size : int; allocated : bool }
 type t = {
   name : string;
   mem : Dh_mem.Mem.t;
-  malloc : int -> int option;
+  malloc : int -> int;
   free : int -> unit;
   find_object : int -> object_info option;
   owns : int -> bool;
@@ -14,15 +14,15 @@ type t = {
 let null = 0
 
 let malloc_exn t sz =
-  match t.malloc sz with
-  | Some addr -> addr
-  | None -> failwith (Printf.sprintf "%s: out of memory allocating %d bytes" t.name sz)
+  let addr = t.malloc sz in
+  if addr = null then failwith (Printf.sprintf "%s: out of memory allocating %d bytes" t.name sz)
+  else addr
 
 let realloc t ptr sz =
   if ptr = null then t.malloc sz
   else if sz <= 0 then begin
     t.free ptr;
-    None
+    null
   end
   else begin
     let old_usable =
@@ -30,9 +30,9 @@ let realloc t ptr sz =
       | Some { base; size; allocated } when allocated && base = ptr -> Some size
       | Some _ | None -> None
     in
-    match t.malloc sz with
-    | None -> None  (* C: the old object is untouched on failure *)
-    | Some fresh ->
+    let fresh = t.malloc sz in
+    if fresh = null then null (* C: the old object is untouched on failure *)
+    else begin
       (match old_usable with
       | Some old_size ->
         let n = Int.min old_size sz in
@@ -40,5 +40,6 @@ let realloc t ptr sz =
         Dh_mem.Mem.write_bytes t.mem ~addr:fresh bytes
       | None -> ());
       t.free ptr;
-      Some fresh
+      fresh
+    end
   end

@@ -17,9 +17,10 @@ type object_info = {
 type t = {
   name : string;
   mem : Dh_mem.Mem.t;
-  malloc : int -> int option;
+  malloc : int -> int;
       (** [malloc sz] returns the address of a fresh object of at least
-          [sz] bytes, or [None] when the heap is exhausted (NULL). *)
+          [sz] bytes, or {!null} when it cannot serve the request (see
+          the NULL contract below). *)
   free : int -> unit;
       (** Dispose of an object.  Semantics on invalid input are the
           allocator's own: DieHard ignores, the freelist baseline exhibits
@@ -40,18 +41,37 @@ type t = {
 }
 
 val null : int
-(** The NULL address (0, never mapped by {!Dh_mem.Mem}). *)
+(** The NULL address: 0, which no {!Dh_mem.Mem} address space maps (its
+    first mapping starts past a 16-page guard zone), so a read or write
+    through it faults at address 0.
+
+    {b The NULL contract.}  As C's [malloc], every allocator and wrapper
+    returns [null], an [int] like any address, for a request it does not
+    serve; a result needs no box, and a caller tests it with
+    [= Allocator.null].
+    - A request the heap cannot serve (its size class at the 1/M
+      threshold, its arena or heap limit reached) returns [null] and
+      adds exactly one to [stats.failed_mallocs].
+    - A size the allocator rejects (DieHard's [<= 0], the freelists'
+      and the collector's [< 0]) returns [null] too; whether it counts
+      as a failed malloc is the allocator's own.
+    - A wrapper (rescue, canary, trace, fault injection) passes [null]
+      through and records nothing for it: no fill, no event, no clock
+      tick.
+    Oracle: the NULL contract tests (test_null) and the [null-malloc]
+    MiniC corpus cases. *)
 
 val malloc_exn : t -> int -> int
 (** [malloc] that raises [Failure] on heap exhaustion — convenience for
     tests and workloads that treat OOM as a harness error. *)
 
-val realloc : t -> int -> int -> int option
+val realloc : t -> int -> int -> int
 (** [realloc t ptr sz] with C semantics: [realloc t null sz] is
     [malloc sz]; [realloc t ptr 0] frees and returns NULL; otherwise a
     new object is allocated, [min old_usable sz] bytes are copied, and
-    the old object is freed.  The old usable size comes from
-    [find_object]; a [ptr] the allocator does not recognise behaves like
-    C's undefined [realloc] of a foreign pointer — the copy is skipped
-    and the pointer is passed to [free] (whose behaviour is the
-    allocator's own). *)
+    the old object is freed.  A failed allocation returns NULL and
+    leaves the old object live, its bytes untouched.  The old usable
+    size comes from [find_object]; a [ptr] the allocator does not
+    recognise behaves like C's undefined [realloc] of a foreign pointer
+    — the copy is skipped and the pointer is passed to [free] (whose
+    behaviour is the allocator's own). *)

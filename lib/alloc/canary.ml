@@ -77,9 +77,9 @@ let slot_size t ~addr ~requested =
   | None -> requested
 
 let malloc t sz =
-  match t.alloc.Allocator.malloc sz with
-  | None -> None
-  | Some addr ->
+  let addr = t.alloc.Allocator.malloc sz in
+  if addr = Allocator.null then addr
+  else begin
     (* Fixed-slot allocators reuse slots at their base address: if this
        base is one we canary-filled on free, the fill must be intact. *)
     (match Imap.find_opt addr t.freed with
@@ -90,7 +90,8 @@ let malloc t sz =
     let slot = slot_size t ~addr ~requested:sz in
     if slot > sz then fill_pattern t ~addr ~lo:sz ~hi:slot;
     t.live <- Imap.add addr { requested = sz; slot } t.live;
-    Some addr
+    addr
+  end
 
 let free t addr =
   match Imap.find_opt addr t.live with

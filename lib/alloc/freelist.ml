@@ -148,7 +148,7 @@ let carve_from_top t arena need =
   else None
 
 let malloc t sz =
-  if sz < 0 then None
+  if sz < 0 then Allocator.null
   else begin
     let need = max min_chunk (round8 sz + header_size) in
     (* 1. search the bins, first fit, from the chunk's own bin upward *)
@@ -190,12 +190,14 @@ let malloc t sz =
           | None -> None
           | Some arena -> carve_from_top t arena need))
     in
-    (match result with
-    | Some _ ->
+    match result with
+    | Some p ->
       Stats.on_malloc t.stats ~requested:sz ~reserved:(need - header_size);
-      bookkeeping t
-    | None -> t.stats.Stats.failed_mallocs <- t.stats.Stats.failed_mallocs + 1);
-    result
+      bookkeeping t;
+      p
+    | None ->
+      t.stats.Stats.failed_mallocs <- t.stats.Stats.failed_mallocs + 1;
+      Allocator.null
   end
 
 (* Forward coalescing: if the chunk physically after [c] is free, absorb

@@ -266,7 +266,7 @@ let new_arena t need =
   end
 
 let malloc t sz =
-  if sz < 0 then None
+  if sz < 0 then Allocator.null
   else begin
     let need = max min_chunk (round8 sz + header_size) in
     let attempt () =
@@ -283,10 +283,13 @@ let malloc t sz =
         | Some p -> Some p
         | None -> if new_arena t need then carve t need else None)
     in
-    (match result with
-    | Some _ -> Stats.on_malloc t.stats ~requested:sz ~reserved:(need - header_size)
-    | None -> t.stats.Stats.failed_mallocs <- t.stats.Stats.failed_mallocs + 1);
-    result
+    match result with
+    | Some p ->
+      Stats.on_malloc t.stats ~requested:sz ~reserved:(need - header_size);
+      p
+    | None ->
+      t.stats.Stats.failed_mallocs <- t.stats.Stats.failed_mallocs + 1;
+      Allocator.null
   end
 
 (* free is a no-op: the collector decides liveness (BDW used as a "leak

@@ -4,11 +4,10 @@ let pad = 64
 
 let wrap (alloc : Allocator.t) =
   let malloc sz =
-    match alloc.Allocator.malloc (sz + pad) with
-    | None -> None
-    | Some addr ->
+    let addr = alloc.Allocator.malloc (sz + pad) in
+    if addr <> Allocator.null then
       Dh_mem.Mem.fill alloc.Allocator.mem ~addr ~len:(sz + pad) '\000';
-      Some addr
+    addr
   in
   let free _ =
     alloc.Allocator.stats.Stats.ignored_frees <- alloc.Allocator.stats.Stats.ignored_frees + 1

@@ -13,13 +13,13 @@ type t = {
 let wrap alloc =
   let t = { events = []; clock = 0; live = Hashtbl.create 64 } in
   let malloc sz =
-    match alloc.Allocator.malloc sz with
-    | None -> None
-    | Some addr ->
+    let addr = alloc.Allocator.malloc sz in
+    if addr <> Allocator.null then begin
       t.clock <- t.clock + 1;
       t.events <- Malloc { alloc_time = t.clock; size = sz; addr } :: t.events;
-      Hashtbl.replace t.live addr (t.clock, sz);
-      Some addr
+      Hashtbl.replace t.live addr (t.clock, sz)
+    end;
+    addr
   in
   let free addr =
     (match Hashtbl.find_opt t.live addr with

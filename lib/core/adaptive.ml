@@ -99,14 +99,14 @@ let malloc_small t sz class_ =
   cls.total_in_use <- cls.total_in_use + 1;
   let addr = mh.base + (local * size) in
   Stats.on_malloc t.stats ~requested:sz ~reserved:size;
-  Some addr
+  addr
 
 let malloc t sz =
-  if sz <= 0 then None
+  if sz <= 0 then Allocator.null
   else
     match Size_class.of_size sz with
     | Some class_ -> malloc_small t sz class_
-    | None -> Some (Heap.large_malloc t.large t.mem t.stats sz)
+    | None -> Heap.large_malloc t.large t.mem t.stats sz
 
 let miniheap_containing t addr =
   let found = ref None in

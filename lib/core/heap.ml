@@ -290,7 +290,7 @@ let reseed t ~seed = Mwc.reseed t.rng ~seed
    regions are mapped on demand).  Out of line: it runs once a region,
    and its span builds a closure. *)
 let[@inline never] map_region t region =
-  Dh_obs.Recorder.span t.obs ~arg:(string_of_int region.class_) "heap.map_region" (fun () ->
+  Dh_obs.Recorder.span t.obs ~arg:region.class_ "heap.map_region" (fun () ->
       region.base <- Mem.mmap t.mem region.bytes;
       if t.config.Config.replicated then
         Mem.fill_random t.mem ~addr:region.base ~len:region.bytes t.rng)
@@ -306,9 +306,9 @@ let malloc_large t sz =
   if Dh_obs.Recorder.on t.obs then begin
     let site = Dh_obs.Audit.record_alloc t.audit ~class_:large_class ~index:(-1) ~capacity:0 in
     t.large_sites <- Imap.add payload (size, site) t.large_sites;
-    Dh_obs.Recorder.instant t.obs ~arg:(string_of_int sz) "heap.malloc.large"
+    Dh_obs.Recorder.instant t.obs ~arg:sz "heap.malloc.large"
   end;
-  Some payload
+  payload
 
 let free_large t addr =
   if large_free t.large t.mem t.stats addr && Dh_obs.Recorder.on t.obs then begin
@@ -455,7 +455,7 @@ let mesh t =
   Dh_obs.Recorder.span t.obs "heap.mesh" (fun () ->
       let meshed = Array.fold_left (fun acc r -> acc + mesh_region t r) 0 t.regions in
       if meshed > 0 && Dh_obs.Recorder.on t.obs then
-        Dh_obs.Recorder.instant t.obs ~arg:(string_of_int meshed) "heap.meshed";
+        Dh_obs.Recorder.instant t.obs ~arg:meshed "heap.meshed";
       meshed)
 
 let meshes t = t.meshes
@@ -484,7 +484,7 @@ let[@inline] observe_malloc t ~bytes ~region ~index =
     in
     site_set region.sites ~capacity:region.capacity index site;
     if (t.stats.Stats.mallocs - 1) land (trace_sample - 1) = 0 then
-      Dh_obs.Recorder.instant t.obs ~arg:(string_of_int bytes) "heap.malloc"
+      Dh_obs.Recorder.instant t.obs ~arg:bytes "heap.malloc"
   end
 
 (* Probe for a free slot, like probing into a hash table, adding each
@@ -517,9 +517,9 @@ let malloc_small t sz class_ =
     t.stats.Stats.failed_mallocs <- t.stats.Stats.failed_mallocs + 1;
     if Dh_obs.Recorder.on t.obs then begin
       Dh_obs.Audit.record_failed t.audit ~class_;
-      Dh_obs.Recorder.instant t.obs ~arg:(string_of_int class_) "heap.exhausted"
+      Dh_obs.Recorder.instant t.obs ~arg:class_ "heap.exhausted"
     end;
-    None
+    Allocator.null
   end
   else begin
     ensure_mapped t region;
@@ -543,11 +543,11 @@ let malloc_small t sz class_ =
     if t.config.Config.replicated then Mem.fill_random t.mem ~addr ~len:size t.rng;
     Stats.on_malloc t.stats ~requested:sz ~reserved:size;
     observe_malloc t ~bytes:sz ~region ~index;
-    Some addr
+    addr
   end
 
 let malloc t sz =
-  if sz <= 0 then None
+  if sz <= 0 then Allocator.null
   else if sz <= Size_class.max_size then malloc_small t sz (Size_class.of_size_exn sz)
   else malloc_large t sz
 
@@ -601,7 +601,7 @@ let free t addr =
             in
             Dh_obs.Audit.record_free t.audit ~class_:region.class_ ~site;
             if (t.stats.Stats.frees - 1) land (trace_sample - 1) = 0 then
-              Dh_obs.Recorder.instant t.obs ~arg:(string_of_int size) "heap.free"
+              Dh_obs.Recorder.instant t.obs ~arg:size "heap.free"
           end;
           if t.config.Config.mesh then begin
             t.freed_since_mesh <- t.freed_since_mesh + size;

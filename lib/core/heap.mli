@@ -32,10 +32,10 @@ val mem : t -> Dh_mem.Mem.t
 
 val allocator : t -> Dh_alloc.Allocator.t
 (** Package as the common allocator interface.  Its [malloc] returns
-    [None] (NULL) when the size class is at its [1/M] threshold (or
-    [sz <= 0]); the ambient site of the heap's address space
-    ({!Dh_obs.Audit.with_site}) attributes the allocation for audit
-    provenance, in the heap's own {!audit}.  Sites never affect
+    {!Dh_alloc.Allocator.null} when the size class is at its [1/M]
+    threshold (or [sz <= 0]); the ambient site of the heap's address
+    space ({!Dh_obs.Audit.with_site}) attributes the allocation for
+    audit provenance, in the heap's own {!audit}.  Sites never affect
     placement or success — they are write-only telemetry, recorded only
     while the space has obs on.  Its [free] validates the pointer;
     invalid and double frees are ignored (and counted in

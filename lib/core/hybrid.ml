@@ -32,16 +32,17 @@ let malloc t sz =
     if sz > 0 && sz <= cutoff then t.heap_alloc.Allocator.malloc sz
     else t.backing_alloc.Allocator.malloc sz
   in
-  (match result with
-  | Some addr -> (
+  if result = Allocator.null then
+    t.stats.Stats.failed_mallocs <- t.stats.Stats.failed_mallocs + 1
+  else begin
     (* mirror the reservation in the hybrid's own accounting *)
     match
-      if is_protected t addr then t.heap_alloc.Allocator.find_object addr
-      else t.backing_alloc.Allocator.find_object addr
+      if is_protected t result then t.heap_alloc.Allocator.find_object result
+      else t.backing_alloc.Allocator.find_object result
     with
     | Some { Allocator.size; _ } -> Stats.on_malloc t.stats ~requested:sz ~reserved:size
-    | None -> Stats.on_malloc t.stats ~requested:sz ~reserved:sz)
-  | None -> t.stats.Stats.failed_mallocs <- t.stats.Stats.failed_mallocs + 1);
+    | None -> Stats.on_malloc t.stats ~requested:sz ~reserved:sz
+  end;
   result
 
 (* Frees route by ownership: a pointer into the protected regions gets

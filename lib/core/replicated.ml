@@ -48,7 +48,7 @@ let run ?(config = Config.default) ?(replicas = 3)
     let mem = Dh_mem.Mem.create ~obs:config.Config.obs () in
     let obs = Dh_mem.Mem.recorder mem in
     let live, result =
-      Dh_obs.Recorder.span ~arg:(string_of_int rid) obs "replica.run" (fun () ->
+      Dh_obs.Recorder.span ~arg:rid obs "replica.run" (fun () ->
           let heap = Heap.create ~config:{ config with Config.seed; replicated = true } mem in
           let result = Program.run ?fuel ~input program (Heap.allocator heap) in
           let crashed =
@@ -105,15 +105,15 @@ let run ?(config = Config.default) ?(replicas = 3)
       in
       match Voter.vote ballots with
       | Voter.Unanimous chunk ->
-        Dh_obs.Recorder.instant ~arg:(string_of_int j) voter "voter.unanimous";
+        Dh_obs.Recorder.instant ~arg:j voter "voter.unanimous";
         Buffer.add_string committed chunk
       | Voter.Majority { chunk; losers } ->
-        Dh_obs.Recorder.instant ~arg:(string_of_int j) voter "voter.majority";
+        Dh_obs.Recorder.instant ~arg:j voter "voter.majority";
         Buffer.add_string committed chunk;
         List.iter (fun rid -> Hashtbl.replace eliminated rid (Voted_out j)) losers;
         live := List.filter (fun l -> not (List.mem l.rid losers)) participants
       | Voter.No_quorum ->
-        Dh_obs.Recorder.instant ~arg:(string_of_int j) voter "voter.no_quorum";
+        Dh_obs.Recorder.instant ~arg:j voter "voter.no_quorum";
         (* All live replicas differ pairwise.  With >= 3 of them this is
            the uninitialized-read signature; with fewer the voter simply
            cannot decide. *)

@@ -202,7 +202,7 @@ let run_service ~latency ~context (svc : Program.service) heap ~interval ~on_fau
               incr rewinds;
               if Option.is_some latency then
                 Dh_obs.Recorder.instant
-                  ~arg:(string_of_int report.Dh_mem.Mem.pages_restored)
+                  ~arg:report.Dh_mem.Mem.pages_restored
                   recorder "supervisor.rewind";
               k := window_start
             in
@@ -311,7 +311,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
     let heap, base_alloc = build_heap ~config plan in
     audits := Heap.audit heap :: !audits;
     let obs = record_space heap in
-    Dh_obs.Recorder.span ~arg:(string_of_int plan.attempt) obs "supervisor.attempt"
+    Dh_obs.Recorder.span ~arg:plan.attempt obs "supervisor.attempt"
     @@ fun () ->
     let alloc = wrap plan base_alloc in
     (* The rewind rung applies to randomized attempts of service-shaped
@@ -361,7 +361,7 @@ let run ?(policy = default_policy) ?(config = Config.default)
        read as overwritten after a mesh pass. *)
     let replay_heap, base = build_heap ~config:{ config with mesh = false } plan in
     let obs = record_space replay_heap in
-    Dh_obs.Recorder.span ~arg:(string_of_int failed.plan.attempt) obs "supervisor.diagnose"
+    Dh_obs.Recorder.span ~arg:failed.plan.attempt obs "supervisor.diagnose"
     @@ fun () ->
     let canary, instrumented = Canary.wrap base in
     let result, fuel_burned, _ =
@@ -512,7 +512,7 @@ let replay ?(input = "") ?(fuel = 100_000_000) ~config ~interval (svc : Program.
     let len0 = Process.Out.length out and dirty0 = Dh_mem.Mem.dirty_pages alloc.mem in
     let m0 = stats.mallocs and f0 = stats.frees and live0 = stats.live_bytes in
     let step_fault =
-      match Dh_obs.Recorder.span ~arg:(string_of_int j) recorder "replay.step" run with
+      match Dh_obs.Recorder.span ~arg:j recorder "replay.step" run with
       | () -> None
       | exception Dh_mem.Fault.Error f -> Some f
     in

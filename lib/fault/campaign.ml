@@ -59,7 +59,7 @@ let run ?(input = "") ?(fuel = 50_000_000) ?(jobs = 1) ~trials ~spec ~make_alloc
           let alloc = make_alloc ~trial in
           let obs = obs_of alloc in
           let run =
-            Dh_obs.Recorder.span ~arg:(string_of_int trial) obs "campaign.trial" @@ fun () ->
+            Dh_obs.Recorder.span ~arg:trial obs "campaign.trial" @@ fun () ->
             let injected =
               Injector.wrap { spec with Injector.seed = spec.Injector.seed + trial } ~log alloc
             in

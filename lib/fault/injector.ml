@@ -101,14 +101,14 @@ let wrap spec ~log alloc =
       then sz - spec.underflow_bytes
       else sz
     in
-    match alloc.Allocator.malloc actual with
-    | None -> None
-    | Some addr ->
+    let addr = alloc.Allocator.malloc actual in
+    if addr <> Allocator.null then begin
       t.clock <- t.clock + 1;
       Hashtbl.replace t.addr_of_alloc_time t.clock addr;
       Hashtbl.replace t.alloc_time_of_addr addr t.clock;
-      fire_schedule t alloc;
-      Some addr
+      fire_schedule t alloc
+    end;
+    addr
   in
   let forward_free addr =
     alloc.Allocator.free addr;

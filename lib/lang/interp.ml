@@ -73,11 +73,8 @@ let alloc_site st ~builtin args =
    (NULL when the allocator refuses).  An obs-off run pays one field
    load, and neither builds a closure nor touches the table. *)
 let allocate st ~builtin args f x y =
-  let r =
-    if not (Dh_obs.Recorder.on st.obs) then f x y
-    else Dh_obs.Audit.with_site st.obs (alloc_site st ~builtin args) (f x) y
-  in
-  match r with Some p -> p | None -> 0
+  if not (Dh_obs.Recorder.on st.obs) then f x y
+  else Dh_obs.Audit.with_site st.obs (alloc_site st ~builtin args) (f x) y
 
 (* --- heap access helpers --- *)
 
@@ -748,11 +745,12 @@ let allocate_literals st program =
   in
   Dh_obs.Audit.with_site st.obs site
     (List.iter (fun s ->
-         match st.ctx.Program.alloc.Allocator.malloc (String.length s + 1) with
-         | Some addr ->
+         let addr = st.ctx.Program.alloc.Allocator.malloc (String.length s + 1) in
+         if addr = Allocator.null then err "out of memory allocating string literal %S" s
+         else begin
            write_cstring st addr s;
            Hashtbl.replace st.literals s addr
-         | None -> err "out of memory allocating string literal %S" s))
+         end))
     (Ast.string_literals program)
 
 (* The roots: the literals, then the variables in scope in every active

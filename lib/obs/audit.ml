@@ -37,7 +37,7 @@ let site_name id =
 (* --- the ambient site ---
 
    Wrappers between the workload and the heap forward bare
-   [int -> int option] closures, so the site travels out of band, on the
+   [int -> int] closures, so the site travels out of band, on the
    allocator's address space: its recorder holds the ambient site.
    Writes are gated on that space's obs flag: the heap only reads the
    ambient site while obs is on, and the off path must stay at one

@@ -64,7 +64,7 @@ val site_name : int -> string
 
     Provenance has to cross the [Allocator.t] record boundary — the
     diagnosis wrappers ([Canary], [Rescue], the injector) forward
-    [malloc : int -> int option] closures and know nothing about sites.
+    [malloc : int -> int] closures and know nothing about sites.
     Rather than widening every wrapper, the current site is ambient
     state of the allocator's address space, in its {!Recorder}: a
     caller brackets its allocation in {!with_site}, and the heap's

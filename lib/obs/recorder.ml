@@ -35,15 +35,15 @@ let set_site t id = t.site <- id
 let set_step t k = t.step <- k
 let clear_step t = t.step <- -1
 
-let instant ?(arg = "") t name =
+let instant ?(arg = Tracing.no_arg) t name =
   match t.ring with Some r -> Tracing.record r Instant name arg | None -> ()
 
-let span ?arg t name f =
+let span ?(arg = Tracing.no_arg) t name f =
   match t.ring with
   | None -> f ()
   | Some r ->
-    Tracing.record r Begin name (Option.value arg ~default:"");
-    Fun.protect ~finally:(fun () -> Tracing.record r End name "") f
+    Tracing.record r Begin name arg;
+    Fun.protect ~finally:(fun () -> Tracing.record r End name Tracing.no_arg) f
 
 let events t = match t.ring with Some r -> Tracing.tail r Tracing.ring_capacity | None -> []
 

@@ -60,12 +60,18 @@ val create : on:bool -> t
 val on : t -> bool
 (** Whether obs is on for this recorder's space. *)
 
-val instant : ?arg:string -> t -> string -> unit
-(** Record an instant event; a no-op when off. *)
+val instant : ?arg:int -> t -> string -> unit
+(** Record an instant event, with an int argument (a size, a class, an
+    index) that reads back as its [string_of_int]; a no-op when off.
+    Recording allocates nothing, and in the release build the [~arg]
+    option inlines away at the call site too (test_heap pins a sampled
+    instant at 0 minor words); the dev profile's [-opaque] keeps it
+    boxed (2 words). *)
 
-val span : ?arg:string -> t -> string -> (unit -> 'a) -> 'a
-(** [span t name f] brackets [f] with begin/end events (exception-safe).
-    When off this is [f ()] plus one branch. *)
+val span : ?arg:int -> t -> string -> (unit -> 'a) -> 'a
+(** [span t name f] brackets [f] with begin/end events (exception-safe);
+    [arg] goes on the begin event.  When off this is [f ()] plus one
+    branch. *)
 
 val events : t -> Tracing.event list
 (** The ring's retained events (its newest {!Tracing.ring_capacity}),

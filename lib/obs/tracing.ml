@@ -14,29 +14,54 @@ let elapsed_ns ~since ~now = if now > since then now - since else 0
 let epoch_ns = now_ns ()
 let now_us () = (now_ns () - epoch_ns) / 1000
 
+let no_arg = min_int
+
+(* Event [i] lives in slot [i mod ring_capacity] of four arrays, one per
+   field, so recording stores four words and allocates nothing: [phases]
+   holds immediates, and [args] ints.  A slot is never read before its
+   first write, since only the newest [min n ring_capacity] slots are. *)
 type ring = {
   dom : int;
-  events : event array;  (* slot [i mod ring_capacity] holds event [i] *)
+  stamps : int array;  (* microseconds, as [event.ts] *)
+  phases : phase array;
+  names : string array;
+  args : int array;  (* [no_arg] for none *)
   mutable n : int;  (* total events ever written to this ring *)
 }
 
-(* What a slot holds before its first write: never read, since only the
-   newest [min n ring_capacity] slots are. *)
-let blank = { ts = 0; dom = -1; phase = Instant; name = ""; arg = "" }
-
 let ring () =
-  { dom = (Domain.self () :> int); events = Array.make ring_capacity blank; n = 0 }
+  {
+    dom = (Domain.self () :> int);
+    stamps = Array.make ring_capacity 0;
+    phases = Array.make ring_capacity Instant;
+    names = Array.make ring_capacity "";
+    args = Array.make ring_capacity no_arg;
+    n = 0;
+  }
 
 let record r phase name arg =
-  r.events.(r.n land (ring_capacity - 1)) <- { ts = now_us (); dom = r.dom; phase; name; arg };
+  let i = r.n land (ring_capacity - 1) in
+  r.stamps.(i) <- now_us ();
+  r.phases.(i) <- phase;
+  r.names.(i) <- name;
+  r.args.(i) <- arg;
   r.n <- r.n + 1
+
+let event r i =
+  let i = i land (ring_capacity - 1) in
+  let arg = r.args.(i) in
+  {
+    ts = r.stamps.(i);
+    dom = r.dom;
+    phase = r.phases.(i);
+    name = r.names.(i);
+    arg = (if arg = no_arg then "" else string_of_int arg);
+  }
 
 let tail r k =
   let n = r.n in
   let stop = n - max 0 (min k (min n ring_capacity)) in
-  let rec go i acc =
-    if i < stop then acc else go (i - 1) (r.events.(i land (ring_capacity - 1)) :: acc)
-  in
+  let rec go i acc = if i < stop then acc else go (i - 1) (event r i :: acc) in
   go (n - 1) []
 
 (* Merge order: timestamp, then domain.  A ring's own events are already

@@ -19,7 +19,9 @@ type event = {
   dom : int;  (** The id of the domain that made the ring. *)
   phase : phase;
   name : string;
-  arg : string;  (** Free-form annotation; [""] when absent. *)
+  arg : string;
+      (** The event's int argument in decimal, as [string_of_int]
+          prints it; [""] when it has none. *)
 }
 
 val ring_capacity : int
@@ -37,16 +39,24 @@ val elapsed_ns : since:int -> now:int -> int
 
 type ring
 (** A ring of the last {!ring_capacity} events, written by one domain at
-    a time. *)
+    a time.  It keeps each event's stamp, phase, name and argument in an
+    array of their own, so recording allocates nothing; {!tail} builds
+    the {!event} records when they are read. *)
 
 val ring : unit -> ring
 (** An empty ring, its events stamped with the calling domain's id. *)
 
-val record : ring -> phase -> string -> string -> unit
-(** [record r phase name arg] appends one event stamped now. *)
+val no_arg : int
+(** The argument of an event that has none ([min_int], so no event
+    carries [min_int] itself); its [arg] reads [""]. *)
+
+val record : ring -> phase -> string -> int -> unit
+(** [record r phase name arg] appends one event stamped now; [arg] is
+    {!no_arg} for none.  It allocates nothing. *)
 
 val tail : ring -> int -> event list
-(** The ring's newest [n] retained events, oldest first. *)
+(** The ring's newest [n] retained events, oldest first, each [arg] the
+    [string_of_int] of the recorded argument. *)
 
 val merge : event list list -> event list
 (** Several rings' events as one list in timestamp order (then domain

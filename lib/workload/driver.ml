@@ -142,9 +142,9 @@ let run ?(seed = 1) (profile : Profile.t) (alloc : Allocator.t) =
     checksum := (!checksum + (!acc land 0xFF)) land max_int;
     (* 3. allocate and touch *)
     let size = pick_size () in
-    (match alloc.Allocator.malloc size with
-    | None -> incr failed
-    | Some addr ->
+    let addr = alloc.Allocator.malloc size in
+    if addr = Allocator.null then incr failed
+    else begin
       born.(op) <- addr;
       live.(!count) <- op;
       slot.(op) <- !count;
@@ -157,7 +157,8 @@ let run ?(seed = 1) (profile : Profile.t) (alloc : Allocator.t) =
       if due <= ops then begin
         due_next.(op) <- due_head.(due);
         due_head.(due) <- op
-      end)
+      end
+    end
   done;
   (* epilogue: free everything still live *)
   Array.iter release (in_table_order ());

@@ -113,9 +113,8 @@ let service ~requests ?(attack_every = 0) ?zipf () =
     and s_url = Dh_obs.Audit.site "server:url-copy"
     and s_title = Dh_obs.Audit.site "server:title" in
     let must sz =
-      match Dh_obs.Audit.with_site obs s_boot a.Allocator.malloc sz with
-      | Some p -> p
-      | None -> raise (Process.Abort "server: out of memory at boot")
+      let p = Dh_obs.Audit.with_site obs s_boot a.Allocator.malloc sz in
+      if p = Allocator.null then raise (Process.Abort "server: out of memory at boot") else p
     in
     let table = must (bucket_count * 8) in
     let counters = must counters_size in
@@ -140,12 +139,20 @@ let service ~requests ?(attack_every = 0) ?zipf () =
         end
         else
           let depth = -found - 1 in
-          (* miss: store a node and its URL copy (both 32 B class) *)
-          match
-            ( Dh_obs.Audit.with_site obs s_node a.Allocator.malloc node_size,
-              Dh_obs.Audit.with_site obs s_url a.Allocator.malloc (String.length url + 1) )
-          with
-          | Some node, Some ucopy ->
+          (* miss: store a node and its URL copy (both 32 B class),
+             the node allocated first: the pinned address streams and
+             TLB and cache counters depend on the order *)
+          let node = Dh_obs.Audit.with_site obs s_node a.Allocator.malloc node_size in
+          let ucopy =
+            Dh_obs.Audit.with_site obs s_url a.Allocator.malloc (String.length url + 1)
+          in
+          if node = Allocator.null || ucopy = Allocator.null then begin
+            if node <> Allocator.null then a.Allocator.free node
+            else if ucopy <> Allocator.null then a.Allocator.free ucopy;
+            bump c_failed 1;
+            0
+          end
+          else begin
             Mem.write_cstring mem ~addr:ucopy url;
             Mem.write64 mem node key;
             Mem.write64 mem (node + 8) (Mem.read64 mem bucket);
@@ -174,23 +181,18 @@ let service ~requests ?(attack_every = 0) ?zipf () =
               end
             end;
             0
-          | (Some p, None | None, Some p) ->
-            a.Allocator.free p;
-            bump c_failed 1;
-            0
-          | None, None ->
-            bump c_failed 1;
-            0
+          end
       in
       (* format the response title — the crash site: the unchecked strcpy
          of Squid 2.3s5, no bounds test, into a fixed 64-byte buffer.  A
          well-formed URL fits; an overlong one writes on past the end of
          the slot. *)
-      (match Dh_obs.Audit.with_site obs s_title a.Allocator.malloc title_size with
-      | Some title ->
+      let title = Dh_obs.Audit.with_site obs s_title a.Allocator.malloc title_size in
+      if title = Allocator.null then bump c_failed 1
+      else begin
         Mem.write_cstring mem ~addr:title url;
         a.Allocator.free title
-      | None -> bump c_failed 1);
+      end;
       (* fold the request into the running checksum: content-derived
          (keys, hit history, the threshold-deterministic failure count) —
          never addresses, so every seed and every rewind agrees *)

@@ -27,9 +27,8 @@ let test_never_exhausts () =
      initial region. *)
   let _, t, a = make () in
   for _ = 1 to 10_000 do
-    match a.Allocator.malloc 64 with
-    | Some _ -> ()
-    | None -> Alcotest.fail "adaptive heap must grow instead of failing"
+    if a.Allocator.malloc 64 = Allocator.null then
+      Alcotest.fail "adaptive heap must grow instead of failing"
   done;
   check "multiple miniheaps mapped" true (Adaptive.miniheap_count t ~class_:3 > 3)
 
@@ -242,9 +241,8 @@ let prop_accounting_consistent =
             | [] -> ()
           end
           else
-            match a.Allocator.malloc (1 + sz) with
-            | Some p -> live := p :: !live
-            | None -> ())
+            let p = a.Allocator.malloc (1 + sz) in
+            if p <> Allocator.null then live := p :: !live)
         ops;
       let total_in_use =
         List.fold_left

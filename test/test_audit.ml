@@ -79,8 +79,8 @@ let test_heap_attribution () =
   let heap = fresh_heap () in
   let s_p = Audit.site "test:p" in
   let s_q = Audit.site "test:q" in
-  let p = Option.get (Audit.with_site (obs_of heap) s_p (heap_malloc heap) 64) in
-  let q = Option.get (Audit.with_site (obs_of heap) s_q (heap_malloc heap) 64) in
+  let p = Audit.with_site (obs_of heap) s_p (heap_malloc heap) 64 in
+  let q = Audit.with_site (obs_of heap) s_q (heap_malloc heap) 64 in
   check_int "p's site attributed" s_p (Option.get (Heap.site_of_addr heap p));
   check_int "q's site attributed" s_q (Option.get (Heap.site_of_addr heap q));
   let alloc = Heap.allocator heap in
@@ -104,8 +104,8 @@ let test_heap_attribution () =
 let test_fault_past_region () =
   let heap = fresh_heap () in
   let s_p = Audit.site "test:p" and s_q = Audit.site "test:q" in
-  let p = Option.get (Audit.with_site (obs_of heap) s_p (heap_malloc heap) 64) in
-  let q = Option.get (Audit.with_site (obs_of heap) s_q (heap_malloc heap) 64) in
+  let p = Audit.with_site (obs_of heap) s_p (heap_malloc heap) 64 in
+  let q = Audit.with_site (obs_of heap) s_q (heap_malloc heap) 64 in
   let class_ = Dh_alloc.Size_class.of_size_exn 64 in
   let hole =
     Option.get (Heap.region_base heap ~class_) + (Heap.region_capacity heap ~class_ * 64)
@@ -128,7 +128,7 @@ let test_fault_past_region () =
 let test_large_site_after_free () =
   let heap = fresh_heap () in
   let s = Audit.site "test:large" in
-  let p = Option.get (Audit.with_site (obs_of heap) s (heap_malloc heap) 20_000) in
+  let p = Audit.with_site (obs_of heap) s (heap_malloc heap) 20_000 in
   heap_free heap p;
   let addr = p + 100 in
   (match Dh_mem.Mem.read8 (Heap.mem heap) addr with
@@ -150,7 +150,7 @@ let test_site_table_widens () =
   let addrs =
     List.map
       (fun site ->
-        (site, Option.get (Audit.with_site (obs_of heap) site (heap_malloc heap) 64)))
+        (site, Audit.with_site (obs_of heap) site (heap_malloc heap) 64))
       sites
   in
   List.iter
@@ -176,7 +176,7 @@ let test_threshold_refusals_counted () =
   for _ = 1 to threshold do
     ignore (heap_malloc heap 64)
   done;
-  check "threshold refuses the next" true (heap_malloc heap 64 = None);
+  check "threshold refuses the next" true (heap_malloc heap 64 = Allocator.null);
   let snap = Audit.snapshot [ Heap.audit heap ] in
   let c = snap.Audit.classes.(3) in
   check_int "allocs audited" threshold c.Audit.allocs;

@@ -84,9 +84,8 @@ let test_underflow_rate_statistical () =
   let sizes, _, spied = spy a in
   let wrapped = Injector.wrap spec ~log:[] spied in
   for _ = 1 to 2000 do
-    match wrapped.Allocator.malloc 64 with
-    | Some p -> wrapped.Allocator.free p
-    | None -> ()
+    let p = wrapped.Allocator.malloc 64 in
+    if p <> Allocator.null then wrapped.Allocator.free p
   done;
   check_int "every request passed down" 2000 (List.length !sizes);
   let rate = float_of_int (count 60 !sizes) /. 2000. in

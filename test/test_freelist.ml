@@ -120,7 +120,7 @@ let test_heap_limit () =
   let rec exhaust n =
     if n > 1000 then n
     else
-      match a.Allocator.malloc 1024 with None -> n | Some _ -> exhaust (n + 1)
+      if a.Allocator.malloc 1024 = Allocator.null then n else exhaust (n + 1)
   in
   let got = exhaust 0 in
   check "eventually NULL" true (got < 1000);
@@ -200,9 +200,8 @@ let prop_random_ops_no_simulator_crash =
             | [] -> ()
           end
           else
-            match a.Allocator.malloc (1 + sz) with
-            | Some p -> live := p :: !live
-            | None -> ())
+            let p = a.Allocator.malloc (1 + sz) in
+            if p <> Allocator.null then live := p :: !live)
         ops;
       (* disjointness of live objects *)
       let infos =

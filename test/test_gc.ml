@@ -84,9 +84,8 @@ let test_memory_reused_after_collection () =
   (* Fill the single arena with garbage; allocation must keep succeeding
      because collection recycles it. *)
   for _ = 1 to 100 do
-    match a.Allocator.malloc 512 with
-    | Some _ -> ()
-    | None -> Alcotest.fail "collection should have recycled garbage"
+    if a.Allocator.malloc 512 = Allocator.null then
+      Alcotest.fail "collection should have recycled garbage"
   done;
   check "collections happened" true (a.Allocator.stats.Stats.gc_collections > 0)
 
@@ -97,11 +96,12 @@ let test_heap_limit_oom_when_all_live () =
   let rec fill n =
     if n > 100 then n
     else
-      match a.Allocator.malloc 512 with
-      | Some p ->
+      let p = a.Allocator.malloc 512 in
+      if p = Allocator.null then n
+      else begin
         live := p :: !live;
         fill (n + 1)
-      | None -> n
+      end
   in
   let got = fill 0 in
   check "OOM with everything reachable" true (got <= 16)
@@ -135,9 +135,8 @@ let test_uninitialized_reuse_leaks_stale_data () =
   Gc.collect gc;
   let found = ref false in
   for _ = 1 to 20 do
-    match a.Allocator.malloc 512 with
-    | Some q -> if Mem.read64 mem q = 0x5EC4E7 then found := true
-    | None -> ()
+    let q = a.Allocator.malloc 512 in
+    if q <> Allocator.null && Mem.read64 mem q = 0x5EC4E7 then found := true
   done;
   check "stale data visible in fresh object" true !found
 

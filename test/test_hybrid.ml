@@ -105,17 +105,15 @@ let test_realloc_across_cutoff () =
   let mem, h, a = make () in
   let p = Allocator.malloc_exn a 64 in
   Mem.write64 mem p 4242;
-  (match Allocator.realloc a p 1024 with
-  | Some q ->
-    check "migrated to the freelist side" false (is_protected h q);
-    check_int "contents preserved" 4242 (Mem.read64 mem q);
-    (* and back down *)
-    (match Allocator.realloc a q 32 with
-    | Some r ->
-      check "migrated back to DieHard" true (is_protected h r);
-      check_int "contents preserved again" 4242 (Mem.read64 mem r)
-    | None -> Alcotest.fail "shrink realloc failed")
-  | None -> Alcotest.fail "grow realloc failed");
+  let q = Allocator.realloc a p 1024 in
+  if q = Allocator.null then Alcotest.fail "grow realloc failed";
+  check "migrated to the freelist side" false (is_protected h q);
+  check_int "contents preserved" 4242 (Mem.read64 mem q);
+  (* and back down *)
+  let r = Allocator.realloc a q 32 in
+  if r = Allocator.null then Alcotest.fail "shrink realloc failed";
+  check "migrated back to DieHard" true (is_protected h r);
+  check_int "contents preserved again" 4242 (Mem.read64 mem r);
   check_int "accounting consistent" 1 a.Allocator.stats.Stats.live_objects
 
 let test_workload_compatibility () =

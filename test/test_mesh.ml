@@ -150,7 +150,7 @@ let heap_with ?(heap_size = 24 lsl 20) ?(seed = 7) ?mesh_threshold ~mesh () =
 let test_heap_mesh_preserves_live_bytes () =
   let mem, heap = heap_with ~mesh:false () in
   let objs =
-    Array.init 512 (fun i -> (i, Option.get (heap_malloc heap 64)))
+    Array.init 512 (fun i -> (i, heap_malloc heap 64))
   in
   Array.iter
     (fun (i, p) -> Mem.fill mem ~addr:p ~len:64 (Char.chr (33 + (i mod 64))))
@@ -172,7 +172,7 @@ let test_heap_mesh_preserves_live_bytes () =
     (List.for_all intact survivors);
   (* The allocator stays sound on the meshed region: fresh allocations
      must avoid masked slots and leave survivors untouched. *)
-  let fresh = List.init 256 (fun _ -> Option.get (heap_malloc heap 64)) in
+  let fresh = List.init 256 (fun _ -> heap_malloc heap 64) in
   List.iter (fun p -> Mem.fill mem ~addr:p ~len:64 '!') fresh;
   check "survivors survive post-mesh allocation churn" true
     (List.for_all intact survivors);
@@ -191,7 +191,7 @@ let test_dense_mesh_keeps_invariants () =
   let intact (i, p) =
     Mem.read_bytes mem ~addr:p ~len:64 = String.make 64 (Char.chr (33 + (i mod 64)))
   in
-  let objs = List.init 480 (fun i -> (i, Option.get (heap_malloc heap 64))) in
+  let objs = List.init 480 (fun i -> (i, heap_malloc heap 64)) in
   List.iter fill objs;
   let survivors =
     List.filter (fun (i, p) -> i mod 4 = 0 || (heap_free heap p; false)) objs
@@ -199,7 +199,7 @@ let test_dense_mesh_keeps_invariants () =
   Heap.invariants heap;
   check "a dense churned region meshes" true (Heap.mesh heap > 0);
   Heap.invariants heap;
-  let fresh = List.init 200 (fun i -> (i, Option.get (heap_malloc heap 64))) in
+  let fresh = List.init 200 (fun i -> (i, heap_malloc heap 64)) in
   List.iter fill fresh;
   Heap.invariants heap;
   check "live bytes intact" true (List.for_all intact (survivors @ fresh))
@@ -212,15 +212,15 @@ let test_mesh_config_without_trigger_changes_nothing () =
   let _, b = heap_with ~mesh:true ~mesh_threshold:(1 lsl 40) () in
   let sizes = List.init 400 (fun i -> 8 + (i * 13 mod 2048)) in
   let pa = List.map (heap_malloc a) sizes and pb = List.map (heap_malloc b) sizes in
-  Alcotest.(check (list (option int))) "identical placements" pa pb;
+  Alcotest.(check (list int)) "identical placements" pa pb;
   List.iteri
-    (fun i p -> match p with Some p when i mod 3 = 0 -> heap_free a p | _ -> ())
+    (fun i p -> if p <> Allocator.null && i mod 3 = 0 then heap_free a p)
     pa;
   List.iteri
-    (fun i p -> match p with Some p when i mod 3 = 0 -> heap_free b p | _ -> ())
+    (fun i p -> if p <> Allocator.null && i mod 3 = 0 then heap_free b p)
     pb;
   let qa = List.map (heap_malloc a) sizes and qb = List.map (heap_malloc b) sizes in
-  Alcotest.(check (list (option int))) "identical after churn" qa qb
+  Alcotest.(check (list int)) "identical after churn" qa qb
 
 (* --- differential equivalence: meshing is program-invisible --- *)
 
@@ -250,15 +250,17 @@ let prop_mesh_differential =
         (fun op ->
           (match op with
           | Alloc sz -> (
-            match (heap_malloc heap_a sz, heap_malloc heap_b sz) with
-            | Some a, Some b ->
+            let b = heap_malloc heap_b sz in
+            let a = heap_malloc heap_a sz in
+            (* A NULL on one side only is a divergence. *)
+            if a = Allocator.null || b = Allocator.null then (if a <> b then ok := false)
+            else begin
               incr id;
               let c = Char.chr (33 + (!id * 7 mod 90)) in
               Mem.fill mem_a ~addr:a ~len:sz c;
               Mem.fill mem_b ~addr:b ~len:sz c;
               live := (a, b, sz, c) :: !live
-            | None, None -> ()
-            | _ -> ok := false)
+            end)
           | Free k -> (
             match !live with
             | [] -> ()

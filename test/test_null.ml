@@ -12,8 +12,8 @@ module Heap = Diehard.Heap
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let null = Allocator.null
-let malloc (a : Allocator.t) n = match a.Allocator.malloc n with Some p -> p | None -> null
-let realloc a p n = match Allocator.realloc a p n with Some p -> p | None -> null
+let malloc (a : Allocator.t) n = a.Allocator.malloc n
+let realloc = Allocator.realloc
 
 (* A 768 KiB DieHard heap: 64 KiB regions, so the 4096-byte class has
    16 slots and serves 8 objects (M = 2). *)

@@ -143,7 +143,7 @@ let test_ring_wrap () =
   let recorder = Recorder.create ~on:true in
   let extra = 100 in
   for i = 1 to Tracing.ring_capacity + extra do
-    Recorder.instant ~arg:(string_of_int i) recorder "test.wrap"
+    Recorder.instant ~arg:i recorder "test.wrap"
   done;
   let events = Recorder.events recorder in
   check_int "ring retains capacity" Tracing.ring_capacity (List.length events);
@@ -164,7 +164,7 @@ let test_ring_wrap () =
 let test_capture_is_own_domain () =
   let burst recorder tag count =
     for i = 1 to count do
-      Recorder.instant ~arg:(string_of_int i) recorder tag
+      Recorder.instant ~arg:i recorder tag
     done
   in
   let capture recorder tag =
@@ -217,7 +217,7 @@ let test_span_exception_safe () =
 
 let test_chrome_json () =
   let recorder = Recorder.create ~on:true in
-  Recorder.span ~arg:"7" recorder "test.span" (fun () ->
+  Recorder.span ~arg:7 recorder "test.span" (fun () ->
       Recorder.instant recorder "test \"quoted\"");
   let path = Filename.temp_file "diehard_trace" ".json" in
   Tracing.write_chrome_json ~path (Recorder.events recorder);
@@ -248,7 +248,7 @@ let test_chrome_json () =
 let test_recorder_capture () =
   let recorder = Recorder.create ~on:true in
   for i = 1 to Recorder.window + 20 do
-    Recorder.instant ~arg:(string_of_int i) recorder "test.rec"
+    Recorder.instant ~arg:i recorder "test.rec"
   done;
   Recorder.trigger
     ~sections:[ { Recorder.title = "caller"; body = "caller body" } ]

@@ -274,7 +274,7 @@ let test_obs_per_space_under_pool () =
       let handle k =
         ignore (Allocator.malloc_exn a 48);
         if i mod 4 >= 2 && k = crash_at then Mem.write8 a.Allocator.mem (8 * (i + 1)) 1;
-        Dh_obs.Recorder.instant ~arg:(string_of_int i) obs "test.request";
+        Dh_obs.Recorder.instant ~arg:i obs "test.request";
         incr handled
       in
       { Program.handle; finish = (fun () -> ()) }

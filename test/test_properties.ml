@@ -195,12 +195,12 @@ let prop_allocators_agree =
               | [] -> ()
             end
             else
-              match alloc.Allocator.malloc (1 + sz) with
-              | Some p ->
+              let p = alloc.Allocator.malloc (1 + sz) in
+              if p <> Allocator.null then begin
                 let written = 1 + sz >= 8 in
                 if written then Mem.write64 mem p (i * 31);
                 live := (p, i, written) :: !live
-              | None -> ())
+              end)
           ops;
         List.iter (fun (p, _, _) -> alloc.Allocator.free p) !live;
         !sum
@@ -273,21 +273,22 @@ let replay ~check ops alloc =
       let opno = opno + 1 in
       (match op with
       | Alloc sz -> (
-        match alloc.Allocator.malloc sz with
-        | Some addr ->
+        let addr = alloc.Allocator.malloc sz in
+        if addr = Allocator.null then add 7
+        else begin
           live := (addr, sz) :: !live;
           touch opno (addr, sz)
-        | None -> add 7)
+        end)
       | Free i when !live <> [] ->
         alloc.Allocator.free (fst (nth i));
         drop i
       | Realloc (i, sz) when !live <> [] -> (
-        match Allocator.realloc alloc (fst (nth i)) sz with
-        | Some fresh ->
+        let fresh = Allocator.realloc alloc (fst (nth i)) sz in
+        if fresh <> Allocator.null then begin
           drop i;
           live := (fresh, sz) :: !live;
           touch opno (fresh, sz)
-        | None -> ())
+        end)
       | Touch i when !live <> [] -> touch opno (nth i)
       | Free _ | Realloc _ | Touch _ -> ());
       check ())

@@ -220,11 +220,11 @@ let test_slo_latency_classification () =
 
 let test_step_groups () =
   let recorder = Recorder.create ~on:true in
-  Recorder.instant ~arg:"before" recorder "setup";
+  Recorder.instant ~arg:0 recorder "setup";
   List.iter
     (fun k ->
-      Recorder.span ~arg:(string_of_int k) recorder "replay.step" (fun () ->
-          Recorder.instant ~arg:("work" ^ string_of_int k) recorder "handler"))
+      Recorder.span ~arg:k recorder "replay.step" (fun () ->
+          Recorder.instant ~arg:(100 + k) recorder "handler"))
     [ 7; 8; 9 ];
   Recorder.set_step recorder 9;
   Recorder.trigger ~reason:"test" recorder;

@@ -38,7 +38,7 @@ let run ?policy:(p = policy ()) ?wrap ?success program =
 
 (* A malloc that always fails: every store goes through NULL, so the
    attempt crashes — used to sink chosen rungs of the ladder. *)
-let sabotage (alloc : Allocator.t) = { alloc with Allocator.malloc = (fun _ -> None) }
+let sabotage (alloc : Allocator.t) = { alloc with Allocator.malloc = (fun _ -> Allocator.null) }
 
 let modes incident =
   List.map (fun a -> a.Supervisor.plan.Supervisor.mode) incident.Supervisor.attempts

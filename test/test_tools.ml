@@ -21,34 +21,31 @@ let test_realloc_grow_preserves () =
       let p = Allocator.malloc_exn a 16 in
       Mem.write64 mem p 111;
       Mem.write64 mem (p + 8) 222;
-      match Allocator.realloc a p 256 with
-      | Some q ->
-        check_int "first word" 111 (Mem.read64 mem q);
-        check_int "second word" 222 (Mem.read64 mem (q + 8));
-        check "old object freed" true
-          (match a.Allocator.find_object p with
-          | Some { Allocator.allocated; _ } -> not allocated || p = q
-          | None -> false)
-      | None -> Alcotest.fail "realloc failed")
+      let q = Allocator.realloc a p 256 in
+      if q = Allocator.null then Alcotest.fail "realloc failed";
+      check_int "first word" 111 (Mem.read64 mem q);
+      check_int "second word" 222 (Mem.read64 mem (q + 8));
+      check "old object freed" true
+        (match a.Allocator.find_object p with
+        | Some { Allocator.allocated; _ } -> not allocated || p = q
+        | None -> false))
 
 let test_realloc_shrink_truncates () =
   with_diehard (fun mem a ->
       let p = Allocator.malloc_exn a 256 in
       Mem.write64 mem p 42;
-      match Allocator.realloc a p 8 with
-      | Some q -> check_int "prefix preserved" 42 (Mem.read64 mem q)
-      | None -> Alcotest.fail "realloc failed")
+      let q = Allocator.realloc a p 8 in
+      if q = Allocator.null then Alcotest.fail "realloc failed";
+      check_int "prefix preserved" 42 (Mem.read64 mem q))
 
 let test_realloc_null_is_malloc () =
   with_diehard (fun _ a ->
-      match Allocator.realloc a 0 64 with
-      | Some p -> check "allocated" true (p <> 0)
-      | None -> Alcotest.fail "realloc(NULL, n) must allocate")
+      check "realloc(NULL, n) must allocate" true (Allocator.realloc a 0 64 <> Allocator.null))
 
 let test_realloc_zero_frees () =
   with_diehard (fun _ a ->
       let p = Allocator.malloc_exn a 64 in
-      check "returns NULL" true (Allocator.realloc a p 0 = None);
+      check "returns NULL" true (Allocator.realloc a p 0 = Allocator.null);
       check_int "freed" 0 a.Allocator.stats.Dh_alloc.Stats.live_objects)
 
 let test_realloc_minic_builtin () =
