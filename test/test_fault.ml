@@ -172,6 +172,47 @@ let test_invalid_free_injection () =
   | _ -> Alcotest.fail "expected the real free, then one interior pointer");
   check "diehard ignored it" true (a.Allocator.stats.Dh_alloc.Stats.ignored_frees >= 1)
 
+(* The exactness oracle: every request the injector passes down to the
+   allocator beneath it, in order, with all four fault kinds on, on
+   espresso over DieHard and the log of a freelist-lea tracing run.  A
+   change to how the injector keeps its clock or its live objects must
+   leave this call log, its length and the run's outcome as they are. *)
+let test_injector_call_log () =
+  let tracer, traced = Trace.wrap (fresh_freelist ()) in
+  ignore (Program.run (Dh_workload.Apps.espresso ()) traced);
+  let log = Trace.lifetimes tracer in
+  let a = fresh_diehard () in
+  let calls = Buffer.create 65536 in
+  let logged =
+    { a with
+      Allocator.malloc =
+        (fun sz ->
+          let p = a.Allocator.malloc sz in
+          Printf.bprintf calls "malloc %d = %d\n" sz p;
+          p);
+      free =
+        (fun p ->
+          Printf.bprintf calls "free %d\n" p;
+          a.Allocator.free p);
+    }
+  in
+  let spec =
+    {
+      Injector.underflow_rate = 0.05;
+      underflow_bytes = 4;
+      underflow_min_size = 32;
+      dangling_rate = 0.5;
+      dangling_distance = 10;
+      double_free_rate = 0.05;
+      invalid_free_rate = 0.05;
+      seed = 1;
+    }
+  in
+  let r = Program.run (Dh_workload.Apps.espresso ()) (Injector.wrap spec ~log logged) in
+  Alcotest.(check string) "outcome" "exited(0)" (Dh_mem.Process.outcome_to_string r.Dh_mem.Process.outcome);
+  check_int "call log length" 95699 (Buffer.length calls);
+  Alcotest.(check string) "call log digest" "6e6a78ce5bc9ad0529b45f86029e563c" (Digest.to_hex (Digest.string (Buffer.contents calls)))
+
 (* --- campaign --- *)
 
 (* A tiny deterministic program with the dangling-vulnerable shape. *)
@@ -305,6 +346,7 @@ let suite =
     Alcotest.test_case "dangling clamped" `Quick test_dangling_distance_clamped_to_alloc;
     Alcotest.test_case "double-free injection" `Quick test_double_free_injection;
     Alcotest.test_case "invalid-free injection" `Quick test_invalid_free_injection;
+    Alcotest.test_case "injector call log, all faults" `Quick test_injector_call_log;
     Alcotest.test_case "campaign clean" `Quick test_campaign_clean_spec_all_correct;
     Alcotest.test_case "campaign: freelist fails" `Quick test_campaign_dangling_freelist_fails;
     Alcotest.test_case "campaign: diehard survives" `Quick test_campaign_dangling_diehard_survives;
