@@ -52,9 +52,12 @@ val null : int
     - A request the heap cannot serve (its size class at the 1/M
       threshold, its arena or heap limit reached) returns [null] and
       adds exactly one to [stats.failed_mallocs].
-    - A size the allocator rejects (DieHard's [<= 0], the freelists'
-      and the collector's [< 0]) returns [null] too; whether it counts
-      as a failed malloc is the allocator's own.
+    - A size the allocator rejects returns [null] too.  DieHard and
+      adaptive reject [<= 0], freelist-lea and gc-bdw reject [< 0] and
+      serve [0], and none of them counts the rejection as a failed
+      malloc.  Hybrid sends [<= 0] to its freelist and counts the NULL
+      of a negative size as failed.  A wrapper passes a rejected size
+      through (rescue pads only sizes [>= 0]).
     - A wrapper (rescue, canary, trace, fault injection) passes [null]
       through and records nothing for it: no fill, no event, no clock
       tick.

@@ -40,6 +40,40 @@ let mark_written t addr width =
     Hashtbl.replace t.written (addr + i) ()
   done
 
+(* Fail_stop: a new object starts unwritten, whatever its slot held
+   before.  [free] clears nothing: a collector's [free] is a no-op, and
+   its object stays live. *)
+let allocator t =
+  if t.kind <> Fail_stop then t.alloc
+  else
+    let malloc sz =
+      let addr = t.alloc.Allocator.malloc sz in
+      if addr <> Allocator.null then
+        Option.iter
+          (fun { Allocator.base; size; _ } ->
+            for a = base to base + size - 1 do Hashtbl.remove t.written a done)
+          (t.alloc.Allocator.find_object addr);
+      addr
+    in
+    { t.alloc with Allocator.malloc }
+
+(* Fail_stop: the copied prefix keeps its written bytes. *)
+let realloc t ptr sz =
+  if t.kind <> Fail_stop then Allocator.realloc t.alloc ptr sz
+  else begin
+    let old_size =
+      match t.alloc.Allocator.find_object ptr with
+      | Some { Allocator.base; size; allocated } when allocated && base = ptr -> size
+      | Some _ | None -> 0
+    in
+    let fresh = Allocator.realloc (allocator t) ptr sz in
+    if fresh <> Allocator.null then
+      for i = 0 to Int.min old_size sz - 1 do
+        if Hashtbl.mem t.written (ptr + i) then mark_written t (fresh + i) 1
+      done;
+    fresh
+  end
+
 let all_written t addr width =
   let rec go i = i = width || (Hashtbl.mem t.written (addr + i) && go (i + 1)) in
   go 0

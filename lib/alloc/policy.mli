@@ -32,6 +32,17 @@ val make : ?kind:kind -> Allocator.t -> t
     are always accessed raw — the policies govern heap discipline only.
     Default kind is [Raw]. *)
 
+val allocator : t -> Allocator.t
+(** The allocator a program under this policy calls: the policy's own
+    under [Raw] and [Oblivious].  Under [Fail_stop] its [malloc] also
+    marks the new object's whole slot unwritten, so a read of what a
+    slot's earlier object wrote aborts; [free] marks nothing. *)
+
+val realloc : t -> int -> int -> int
+(** {!Allocator.realloc} on {!allocator}.  Under [Fail_stop] the new
+    object's copied prefix, at most the old object's size, keeps the
+    written bytes of the old one. *)
+
 (** {1 Mediated access}
 
     Word operations are 8-byte little-endian, byte operations 1 byte.

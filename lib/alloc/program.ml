@@ -34,7 +34,8 @@ let of_service ~name service =
   }
 
 let context ?(policy_kind = Policy.Raw) ?(input = "") ~fuel alloc out =
-  { alloc; policy = Policy.make ~kind:policy_kind alloc; input; out; fuel }
+  let policy = Policy.make ~kind:policy_kind alloc in
+  { alloc = Policy.allocator policy; policy; input; out; fuel }
 
 let run ?policy_kind ?input ?(fuel = 100_000_000) program alloc =
   let fuel = Process.Fuel.create ~budget:fuel in

@@ -10,7 +10,7 @@
     intercepted time of day is the constant 0 in every run and replica. *)
 
 type context = {
-  alloc : Allocator.t;
+  alloc : Allocator.t;  (** [Policy.allocator policy]. *)
   policy : Policy.t;  (** Mediated heap access for the program's loads/stores. *)
   input : string;  (** The broadcast standard input. *)
   out : Dh_mem.Process.Out.t;  (** The captured standard output. *)

@@ -14,4 +14,5 @@
 val wrap : Allocator.t -> Allocator.t
 (** One fixed configuration: pad every request by 64 bytes, ignore all
     frees (each counted in {!Stats.t.ignored_frees}), zero-fill
-    allocations. *)
+    allocations.  A negative size is passed through unpadded, so the
+    allocator rejects it. *)

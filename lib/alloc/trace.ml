@@ -1,67 +1,41 @@
-type event =
-  | Malloc of { alloc_time : int; size : int; addr : int }
-  | Free of { at_time : int; alloc_time : int; addr : int }
-
 type lifetime = { alloc_time : int; free_time : int; size : int }
 
 type t = {
-  mutable events : event list;  (* newest first *)
   mutable clock : int;
-  live : (int, int * int) Hashtbl.t;  (* addr -> (alloc_time, size) *)
+  (* the live objects both ways *)
+  time_of_addr : (int, int) Hashtbl.t;  (* addr -> alloc_time *)
+  live : (int, int * int) Hashtbl.t;  (* alloc_time -> (addr, requested size) *)
+  mutable freed : lifetime list;  (* newest first *)
 }
 
+let clock t = t.clock
+let alloc_time t addr = Hashtbl.find_opt t.time_of_addr addr
+let live_object t alloc_time = Hashtbl.find_opt t.live alloc_time
+
 let wrap alloc =
-  let t = { events = []; clock = 0; live = Hashtbl.create 64 } in
+  let t = { clock = 0; time_of_addr = Hashtbl.create 64; live = Hashtbl.create 64; freed = [] } in
   let malloc sz =
     let addr = alloc.Allocator.malloc sz in
     if addr <> Allocator.null then begin
       t.clock <- t.clock + 1;
-      t.events <- Malloc { alloc_time = t.clock; size = sz; addr } :: t.events;
-      Hashtbl.replace t.live addr (t.clock, sz)
+      Hashtbl.replace t.time_of_addr addr t.clock;
+      Hashtbl.replace t.live t.clock (addr, sz)
     end;
     addr
   in
   let free addr =
-    (match Hashtbl.find_opt t.live addr with
-    | Some (alloc_time, _) ->
-      Hashtbl.remove t.live addr;
-      t.events <- Free { at_time = t.clock; alloc_time; addr } :: t.events
+    (match Hashtbl.find_opt t.time_of_addr addr with
+    | Some alloc_time ->
+      let _, size = Hashtbl.find t.live alloc_time in
+      Hashtbl.remove t.time_of_addr addr;
+      Hashtbl.remove t.live alloc_time;
+      t.freed <- { alloc_time; free_time = t.clock; size } :: t.freed
     | None -> ());
     alloc.Allocator.free addr
   in
-  let wrapped =
-    {
-      alloc with
-      Allocator.name = alloc.Allocator.name ^ "+trace";
-      malloc;
-      free;
-    }
-  in
-  (t, wrapped)
+  (t, { alloc with Allocator.name = alloc.Allocator.name ^ "+trace"; malloc; free })
 
-let events t = List.rev t.events
-
-let lifetimes t =
-  let freed =
-    List.filter_map
-      (function
-        | Free { at_time; alloc_time; _ } -> Some (alloc_time, at_time)
-        | Malloc _ -> None)
-      t.events
-  in
-  let size_of =
-    let table = Hashtbl.create 64 in
-    List.iter
-      (function
-        | Malloc { alloc_time; size; _ } -> Hashtbl.replace table alloc_time size
-        | Free _ -> ())
-      t.events;
-    fun alloc_time -> Option.value ~default:0 (Hashtbl.find_opt table alloc_time)
-  in
-  freed
-  |> List.map (fun (alloc_time, free_time) ->
-         { alloc_time; free_time; size = size_of alloc_time })
-  |> List.sort (fun a b -> compare a.alloc_time b.alloc_time)
+let lifetimes t = List.sort (fun a b -> compare a.alloc_time b.alloc_time) t.freed
 
 let lifetimes_to_string lifetimes =
   let buf = Buffer.create (64 + (24 * List.length lifetimes)) in

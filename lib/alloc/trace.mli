@@ -1,32 +1,44 @@
-(** Tracing allocator wrapper: records the allocation log of §7.3.1.
+(** Tracing allocator wrapper: the allocation clock and the allocation
+    log of §7.3.1.
 
     The paper's fault-injection methodology first runs the application
     under "a tracing allocator that generates an allocation log": whenever
     an object is freed, the log records when it was allocated and when it
     was freed, both in {e allocation time} (the count of allocations so
     far).  The log, sorted by allocation time, then drives the
-    fault-injection library ({!Dh_fault.Injector}). *)
+    fault-injection library ({!Dh_fault.Injector}).
 
-type event =
-  | Malloc of { alloc_time : int; size : int; addr : int }
-  | Free of { at_time : int; alloc_time : int; addr : int }
-      (** [at_time] is the allocation clock when [free] was called;
-          [alloc_time] identifies the freed object. *)
+    This is the repository's one allocation clock.  Allocation [n] is the
+    [n]-th malloc that returned an object (a NULL ticks nothing), and a
+    recorder keeps the objects still live both ways: by address and by
+    allocation time.  The injector counts to it to free an object early,
+    and heap differencing ({!Diehard.Diagnose}) matches objects across
+    replicas by it. *)
 
 type lifetime = {
   alloc_time : int;  (** When the object was allocated (allocation time). *)
   free_time : int;  (** When it was freed (allocation time). *)
-  size : int;
+  size : int;  (** Its requested size. *)
 }
 
 type t
 
 val wrap : Allocator.t -> t * Allocator.t
 (** [wrap alloc] returns a recorder and a drop-in allocator that forwards
-    to [alloc] while logging. *)
+    to [alloc] while counting and logging.  A [free] of an address that
+    holds no live object forwards and records nothing. *)
 
-val events : t -> event list
-(** All events, oldest first. *)
+val clock : t -> int
+(** The allocation time of the newest object: the number of mallocs that
+    returned an object so far. *)
+
+val alloc_time : t -> int -> int option
+(** [alloc_time t addr]: the allocation time of the live object at
+    [addr]. *)
+
+val live_object : t -> int -> (int * int) option
+(** [live_object t n]: allocation [n]'s address and requested size, while
+    it is live. *)
 
 val lifetimes : t -> lifetime list
 (** The paper's log: one entry per freed object, sorted by allocation

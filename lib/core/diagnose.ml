@@ -1,6 +1,7 @@
 module Mem = Dh_mem.Mem
 module Program = Dh_alloc.Program
 module Allocator = Dh_alloc.Allocator
+module Trace = Dh_alloc.Trace
 
 type kind = Uninit_like | Corruption_like of int list
 
@@ -14,13 +15,12 @@ type report = {
   events : Dh_obs.Tracing.event list;
 }
 
-(* One replica's end-of-run view: the live objects by allocation index,
-   and enough structure to resolve arbitrary values back to (allocation
-   index, interior offset). *)
+(* One replica's end-of-run view: its allocation clock, whose live
+   objects are the replica's by allocation index, and enough structure to
+   resolve arbitrary values back to (allocation index, interior offset). *)
 type replica_view = {
   mem : Mem.t;
-  (* alloc_index -> (address, requested size) *)
-  live : (int, int * int) Hashtbl.t;
+  trace : Trace.t;
   (* sorted (base, reserved_end, alloc_index) for pointer resolution *)
   extents : (int * int * int) array;
 }
@@ -29,31 +29,21 @@ let snapshot_replica ~config ~seed ~input ~fuel program =
   let mem = Mem.create ~obs:config.Config.obs () in
   let heap = Heap.create ~config:{ config with Config.seed; replicated = true } mem in
   let alloc = Heap.allocator heap in
-  (* The allocation log fixes allocation order and liveness (the
+  (* The allocation clock fixes allocation order and liveness (the
      injected faults and frees of the program are reflected exactly). *)
-  let log, traced = Dh_alloc.Trace.wrap alloc in
-  let result = Program.run ?fuel ~input program traced in
-  let live : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (function
-      | Dh_alloc.Trace.Malloc { alloc_time; size; addr } ->
-        Hashtbl.replace live alloc_time (addr, size)
-      | Dh_alloc.Trace.Free { alloc_time; _ } -> Hashtbl.remove live alloc_time)
-    (Dh_alloc.Trace.events log);
-  let extents =
-    Hashtbl.fold
-      (fun index (addr, sz) acc ->
-        let reserved =
-          match alloc.Allocator.find_object addr with
-          | Some { Allocator.size; _ } -> size
-          | None -> sz
-        in
-        (addr, addr + reserved, index) :: acc)
-      live []
-    |> Array.of_list
+  let trace, traced = Trace.wrap alloc in
+  ignore (Program.run ?fuel ~input program traced);
+  let extent index (addr, sz) =
+    match alloc.Allocator.find_object addr with
+    | Some { Allocator.size; _ } -> (addr, addr + size, index)
+    | None -> (addr, addr + sz, index)
   in
-  Array.sort (fun (a, _, _) (b, _, _) -> compare a b) extents;
-  (result, { mem; live; extents })
+  let extents =
+    List.init (Trace.clock trace) succ
+    |> List.filter_map (fun index -> Option.map (extent index) (Trace.live_object trace index))
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  in
+  { mem; trace; extents = Array.of_list extents }
 
 (* Resolve a word value against a replica's live objects: Some
    (alloc_index, offset) when it points into one. *)
@@ -117,19 +107,16 @@ let run ?(config = Config.default) ?(replicas = 3)
         snapshot_replica ~config ~seed:(Dh_rng.Seed.fresh seed_pool) ~input ~fuel
           program)
   in
-  let views = List.map snd views in
-  (* Objects live in every replica. *)
+  (* Objects live in every replica, by ascending allocation index. *)
+  let live v index = Trace.live_object v.trace index in
   let common_indices =
-    match views with
-    | [] -> []
-    | first :: rest ->
-      Hashtbl.fold
-        (fun index (_, sz) acc ->
-          if List.for_all (fun v -> Hashtbl.mem v.live index) rest then
-            (index, sz) :: acc
-          else acc)
-        first.live []
-      |> List.sort compare
+    let first = List.hd views in
+    List.init (Trace.clock first.trace) succ
+    |> List.filter_map (fun index ->
+           match live first index with
+           | Some (_, sz) when List.for_all (fun v -> live v index <> None) views ->
+             Some (index, sz)
+           | Some _ | None -> None)
   in
   let suspects = ref [] in
   let words = ref 0 in
@@ -143,7 +130,7 @@ let run ?(config = Config.default) ?(replicas = 3)
         let values =
           List.map
             (fun view ->
-              let addr, _ = Hashtbl.find view.live index in
+              let addr, _ = Option.get (live view index) in
               Mem.read64 view.mem (addr + (8 * w)))
             views
         in

@@ -11,7 +11,10 @@
     contents of corresponding live objects word by word.  Objects
     correspond across replicas by {e allocation index} — the programs are
     deterministic, so the n-th allocation is the same logical object
-    everywhere even though its address differs.
+    everywhere even though its address differs.  The index is the
+    allocation clock of {!Dh_alloc.Trace}: each replica runs on a traced
+    heap, and its live objects are read from that trace in ascending
+    index order.
 
     A word can legitimately differ across replicas when it stores a
     {e pointer} (addresses are randomized); the differ normalizes this by

@@ -12,7 +12,9 @@
     The injector sits between the application and the memory allocator as
     a wrapping {!Dh_alloc.Allocator.t}.  Dangling-pointer injection is
     trace-driven: it needs the allocation log from a previous run under
-    the {!Dh_alloc.Trace} allocator. *)
+    the {!Dh_alloc.Trace} allocator.  It counts to that log on the same
+    clock: the injector wraps its allocator in a {!Dh_alloc.Trace} of its
+    own and reads the allocation time and the live objects from it. *)
 
 type spec = {
   underflow_rate : float;
@@ -56,4 +58,6 @@ val wrap : spec -> log:Dh_alloc.Trace.lifetime list -> Dh_alloc.Allocator.t -> D
     [f - dangling_distance]; the application's own later [free] of that
     pointer is then {e ignored} (swallowed by the wrapper, so allocators
     that would misbehave on the double free are not spuriously
-    triggered — the injected error is purely the premature free). *)
+    triggered — the injected error is purely the premature free).  The
+    early free goes through the wrapper's trace, so its clock forgets the
+    object; injected double and invalid frees go straight to [alloc]. *)

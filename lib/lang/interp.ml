@@ -184,7 +184,7 @@ let prim_arity = function P0 _ -> 0 | P1 _ -> 1 | P2 _ -> 2 | P3 _ -> 3
 let builtin st name args : prim option =
   let alloc = st.ctx.Program.alloc and out = st.ctx.Program.out in
   let allocate f x y = allocate st ~builtin:name args f x y in
-  let malloc n _ = alloc.Allocator.malloc n and realloc p n = Allocator.realloc alloc p n in
+  let malloc n _ = alloc.Allocator.malloc n and realloc = Policy.realloc st.ctx.Program.policy in
   match name with
   | "malloc" -> Some (P1 (fun n -> allocate malloc n 0))
   | "calloc" ->

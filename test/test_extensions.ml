@@ -59,26 +59,23 @@ let expect_abort f =
 let test_failstop_uninit_read_aborts () =
   let mem = Mem.create () in
   let fl = Freelist.create mem in
-  let a = Freelist.allocator fl in
-  let p = Policy.make ~kind:Policy.Fail_stop a in
-  let ptr = Allocator.malloc_exn a 64 in
+  let p = Policy.make ~kind:Policy.Fail_stop (Freelist.allocator fl) in
+  let ptr = Allocator.malloc_exn (Policy.allocator p) 64 in
   expect_abort (fun () -> ignore (Policy.load p ptr))
 
 let test_failstop_initialized_read_ok () =
   let mem = Mem.create () in
   let fl = Freelist.create mem in
-  let a = Freelist.allocator fl in
-  let p = Policy.make ~kind:Policy.Fail_stop a in
-  let ptr = Allocator.malloc_exn a 64 in
+  let p = Policy.make ~kind:Policy.Fail_stop (Freelist.allocator fl) in
+  let ptr = Allocator.malloc_exn (Policy.allocator p) 64 in
   Policy.store p ptr 9;
   check_int "read after write fine" 9 (Policy.load p ptr)
 
 let test_failstop_partial_initialization () =
   let mem = Mem.create () in
   let fl = Freelist.create mem in
-  let a = Freelist.allocator fl in
-  let p = Policy.make ~kind:Policy.Fail_stop a in
-  let ptr = Allocator.malloc_exn a 64 in
+  let p = Policy.make ~kind:Policy.Fail_stop (Freelist.allocator fl) in
+  let ptr = Allocator.malloc_exn (Policy.allocator p) 64 in
   Policy.store8 p ptr 1;  (* only one byte of the word *)
   check_int "byte read of written byte ok" 1 (Policy.load8 p ptr);
   expect_abort (fun () -> ignore (Policy.load p ptr))
@@ -109,6 +106,49 @@ let test_failstop_minic_calloc_ok () =
   in
   check "calloc counts as initialization" true (r.Process.outcome = Process.Exited 0);
   Alcotest.(check string) "zeroed" "0" r.Process.output
+
+(* The shadow follows the object, as a program sees it through its
+   context's allocator: a new object in a freed object's slot starts
+   unwritten, and realloc's copy keeps the bytes the old one wrote. *)
+let shadow_heaps =
+  [
+    ("freelist-lea", fun () -> (Freelist.allocator (Freelist.create (Mem.create ())), ignore));
+    ( "gc-bdw",
+      fun () ->
+        let gc = Gc.create (Mem.create ()) in
+        (Gc.allocator gc, fun () -> Gc.collect gc) );
+  ]
+
+let test_failstop_reuse make () =
+  let alloc, collect = make () in
+  let reused = ref false in
+  let program =
+    Dh_alloc.Program.make ~name:"reuse" (fun ctx ->
+        let a = ctx.Dh_alloc.Program.alloc and p = ctx.Dh_alloc.Program.policy in
+        let old = Allocator.malloc_exn a 16 in
+        Policy.store p old 7;
+        a.Allocator.free old;
+        collect ();
+        let fresh = Allocator.malloc_exn a 16 in
+        reused := fresh = old;
+        ignore (Policy.load p fresh))
+  in
+  let r = Dh_alloc.Program.run ~policy_kind:Policy.Fail_stop program alloc in
+  check "the slot is reused" true !reused;
+  match r.Process.outcome with
+  | Process.Aborted _ -> ()
+  | o -> Alcotest.failf "expected abort, got %s" (Process.outcome_to_string o)
+
+let test_failstop_realloc make () =
+  let alloc, _ = make () in
+  let program =
+    Dh_lang.Interp.program_of_source ~name:"grow"
+      "fn main() { var p = malloc(16); p[0] = 7; p[1] = 8; var q = realloc(p, 64); \
+       print_int(q[0]); print_int(q[1]); print_int(q != p); }"
+  in
+  let r = Dh_alloc.Program.run ~policy_kind:Policy.Fail_stop program alloc in
+  check "ran" true (r.Process.outcome = Process.Exited 0);
+  Alcotest.(check string) "the copied words read" "781" r.Process.output
 
 (* --- locality model --- *)
 
@@ -234,6 +274,16 @@ let suite =
     Alcotest.test_case "fail-stop partial init" `Quick test_failstop_partial_initialization;
     Alcotest.test_case "fail-stop MiniC uninit" `Quick test_failstop_minic_uninit;
     Alcotest.test_case "fail-stop MiniC calloc" `Quick test_failstop_minic_calloc_ok;
+  ]
+  @ List.concat_map
+      (fun (name, make) ->
+        [
+          Alcotest.test_case ("fail-stop reuse unwritten: " ^ name) `Quick (test_failstop_reuse make);
+          Alcotest.test_case ("fail-stop realloc keeps writes: " ^ name) `Quick
+            (test_failstop_realloc make);
+        ])
+      shadow_heaps
+  @ [
     Alcotest.test_case "tlb model" `Quick test_tlb_sequential_vs_scattered;
     Alcotest.test_case "cache model" `Quick test_cache_misses_counted;
     Alcotest.test_case "gc sweep coalescing" `Quick test_gc_sweep_coalesces;

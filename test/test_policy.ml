@@ -11,8 +11,8 @@ let check_int = Alcotest.(check int)
 let make_fl kind =
   let mem = Mem.create () in
   let fl = Freelist.create mem in
-  let a = Freelist.allocator fl in
-  (mem, a, Policy.make ~kind a)
+  let p = Policy.make ~kind (Freelist.allocator fl) in
+  (mem, Policy.allocator p, p)
 
 (* --- raw --- *)
 
@@ -114,11 +114,10 @@ let test_trace_records_lifetimes () =
   a.Allocator.free p1;
   ignore (Allocator.malloc_exn a 16);
   a.Allocator.free p3;
-  check "clock" true
-    (List.filter_map
-       (function Trace.Malloc { alloc_time; _ } -> Some alloc_time | Trace.Free _ -> None)
-       (Trace.events tracer)
-    = [ 1; 2; 3; 4 ]);
+  check_int "clock" 4 (Trace.clock tracer);
+  check "objects 2 and 4 live" true
+    (List.map (fun n -> Trace.live_object tracer n <> None) [ 1; 2; 3; 4 ]
+    = [ false; true; false; true ]);
   let lifetimes = Trace.lifetimes tracer in
   check_int "two freed objects" 2 (List.length lifetimes);
   (match lifetimes with
@@ -145,7 +144,8 @@ let test_trace_ignores_foreign_frees () =
   let fl = Freelist.create mem in
   let tracer, a = Trace.wrap (Freelist.allocator fl) in
   a.Allocator.free 0;
-  check_int "no spurious events" 0 (List.length (Trace.events tracer))
+  check_int "no spurious allocation" 0 (Trace.clock tracer);
+  check_int "no spurious lifetime" 0 (List.length (Trace.lifetimes tracer))
 
 let suite =
   [
