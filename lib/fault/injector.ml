@@ -41,9 +41,10 @@ let wrap spec ~log alloc =
         (* Free at [free_time - distance], but no earlier than the
            object's own allocation. *)
         let trigger = max alloc_time (free_time - spec.dangling_distance) in
-        if trigger < free_time then
-          Hashtbl.replace schedule trigger
-            (alloc_time :: Option.value ~default:[] (Hashtbl.find_opt schedule trigger))
+        if trigger < free_time then begin
+          let existing = Option.value ~default:[] (Hashtbl.find_opt schedule trigger) in
+          Hashtbl.replace schedule trigger (alloc_time :: existing)
+        end
       end)
     log;
   (* Addresses whose next application [free] must be swallowed because
@@ -61,14 +62,18 @@ let wrap spec ~log alloc =
       (fun victim_time ->
         match Trace.live_object trace victim_time with
         | Some (addr, _) ->
-          Hashtbl.replace swallow addr (1 + Option.value ~default:0 (Hashtbl.find_opt swallow addr));
+          let pending = Option.value ~default:0 (Hashtbl.find_opt swallow addr) in
+          Hashtbl.replace swallow addr (pending + 1);
           traced.Allocator.free addr
         | None -> ())
       victims
   in
   let malloc sz =
     let actual =
-      if sz >= spec.underflow_min_size && spec.underflow_bytes > 0 && chance spec.underflow_rate
+      if
+        sz >= spec.underflow_min_size
+        && spec.underflow_bytes > 0
+        && chance spec.underflow_rate
       then sz - spec.underflow_bytes
       else sz
     in
@@ -81,7 +86,8 @@ let wrap spec ~log alloc =
     | Some n ->
       (* The injected free already happened; swallow the real one
          ("ignores the subsequent (actual) call to free"). *)
-      if n <= 1 then Hashtbl.remove swallow addr else Hashtbl.replace swallow addr (n - 1)
+      if n <= 1 then Hashtbl.remove swallow addr
+      else Hashtbl.replace swallow addr (n - 1)
     | None ->
       let live = Trace.alloc_time trace addr <> None in
       traced.Allocator.free addr;
